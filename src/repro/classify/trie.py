@@ -133,16 +133,9 @@ class PrefixTrie:
 def mask_to_prefix_len(mask: int, width: int) -> Optional[int]:
     """Return the prefix length when ``mask`` is a leading-ones prefix mask
     over ``width`` bits, else ``None`` (non-prefix ternary mask)."""
-    if mask == 0:
-        return 0
-    ones = 0
-    seen_zero = False
-    for pos in range(width - 1, -1, -1):
-        bit = (mask >> pos) & 1
-        if bit:
-            if seen_zero:
-                return None
-            ones += 1
-        else:
-            seen_zero = True
-    return ones
+    # A prefix mask's complement is a run of trailing ones, and only for
+    # such a run does adding one clear every bit of it.
+    inverse = ~mask & ((1 << width) - 1)
+    if inverse & (inverse + 1):
+        return None
+    return width - inverse.bit_length()

@@ -17,6 +17,11 @@ cache-entry quality:
   the minimal number of leading address bits that distinguish the packet
   from every stored prefix (the paper's §4.2.3 example).
 
+The classifier runs on the packed form of the header vector (see
+:class:`~repro.flow.fields.FieldSchema`): a mask group is one integer, a
+stage probe is ``flow.packed & stage_mask in stage_keys``, and
+un-wildcarding ORs one integer per probed group.
+
 The classifier is generic over any rule type exposing ``match``
 (:class:`~repro.flow.match.TernaryMatch`) and ``priority``.
 """
@@ -54,6 +59,11 @@ DEFAULT_TRIE_FIELDS: Tuple[str, ...] = ("ip_src", "ip_dst")
 
 RuleT = TypeVar("RuleT")
 
+#: One probe step of a group: ``(cumulative stage mask, keys present
+#: under it, the bits a miss here examined outside prefix-trie fields,
+#: bitset of the prefix-trie fields it examined)``.
+_Stage = Tuple[int, Dict[int, object], int, int]
+
 
 @dataclass
 class LookupResult(Generic[RuleT]):
@@ -76,66 +86,51 @@ class LookupResult(Generic[RuleT]):
 _group_seq = iter(range(1 << 62))
 
 
-class _Group(Generic[RuleT]):
-    """All rules sharing one mask tuple.
+def _bucket_order(rule) -> Tuple[int, int]:
+    """Sort key inside one bucket: best priority first, then oldest."""
+    return (-rule.priority, getattr(rule, "rule_id", 0))
 
-    Keys are stored *compactly*: only the fields whose mask is nonzero in
-    a stage participate in that stage's key (``stage_pairs`` lists the
-    ``(field index, mask)`` pairs).  A probe therefore masks a handful of
-    fields instead of materialising a schema-wide tuple, and membership
-    tables are reference-counted dicts so removals never rebuild them.
+
+class _Group(Generic[RuleT]):
+    """All rules sharing one (packed) mask.
+
+    ``stages`` is the probe sequence.  Every stage but the last keeps a
+    reference-counted dict of the masked keys present, so removals never
+    rebuild it; the last stage's mask is the group's full mask and its
+    key table is :attr:`rules` itself.
     """
 
-    __slots__ = (
-        "mask",
-        "stage_masks",
-        "stage_pairs",
-        "stage_keys",
-        "rules",
-        "max_priority",
-        "trie_prefix_fields",
-        "seq",
-    )
+    __slots__ = ("stages", "rules", "max_priority", "prefixes", "seq")
 
     def __init__(
         self,
-        mask: Tuple[int, ...],
-        stage_masks: Sequence[Tuple[int, ...]],
-        trie_prefix_fields: Tuple[int, ...],
+        stage_masks: Sequence[int],
+        prefixes: Tuple[Tuple[int, int], ...],
+        field_masks: Tuple[int, ...],
     ):
         self.seq = next(_group_seq)
-        self.mask = mask
-        #: Cumulative mask tuples, one per active stage (last == full mask).
-        self.stage_masks: Tuple[Tuple[int, ...], ...] = tuple(stage_masks)
-        #: Per stage, the (field index, mask) pairs with a nonzero mask —
-        #: the only fields a probe of that stage must hash.
-        self.stage_pairs: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
-            tuple((i, m) for i, m in enumerate(sm) if m)
-            for sm in self.stage_masks
-        )
-        #: Per stage, refcounts of the compact masked keys present.
-        self.stage_keys: Tuple[Dict[Tuple[int, ...], int], ...] = tuple(
-            {} for _ in self.stage_masks
-        )
-        #: Compact full-mask key -> rules, best priority first.
-        self.rules: Dict[Tuple[int, ...], List[RuleT]] = {}
+        #: Packed masked value -> rules, best priority first.
+        self.rules: Dict[int, List[RuleT]] = {}
         self.max_priority = 0
-        #: Indices of trie fields whose mask here is prefix-shaped.
-        self.trie_prefix_fields = trie_prefix_fields
-
-    def compact_key(self, canonical: Tuple[int, ...]) -> Tuple[int, ...]:
-        """Project an (already masked) canonical key onto the full-mask
-        compact representation used by :attr:`rules`."""
-        return tuple(canonical[i] for i, _ in self.stage_pairs[-1])
+        #: ``(field index, prefix length)`` of every trie field whose
+        #: mask here is prefix-shaped.
+        self.prefixes = prefixes
+        stages: List[_Stage] = []
+        for stage_mask in stage_masks:
+            trie_bits = trie_mask = 0
+            for index, _ in prefixes:
+                if stage_mask & field_masks[index]:
+                    trie_bits |= 1 << index
+                    trie_mask |= field_masks[index]
+            keys = self.rules if stage_mask == stage_masks[-1] else {}
+            stages.append((stage_mask, keys, stage_mask & ~trie_mask, trie_bits))
+        self.stages: Tuple[_Stage, ...] = tuple(stages)
 
     def recompute_max_priority(self) -> None:
         self.max_priority = max(
             (rules[0].priority for rules in self.rules.values()),
             default=0,
         )
-
-    def __len__(self) -> int:
-        return sum(len(rules) for rules in self.rules.values())
 
 
 class TupleSpaceClassifier(Generic[RuleT]):
@@ -153,21 +148,22 @@ class TupleSpaceClassifier(Generic[RuleT]):
         #: list bumped inline after every lookup; ``None`` (the default)
         #: costs one attribute check on the hot path.
         self.observer_cells = None
-        self._groups: Dict[Tuple[int, ...], _Group[RuleT]] = {}
-        self._ordered: List[_Group[RuleT]] = []
+        self._groups: Dict[int, _Group[RuleT]] = {}
+        #: Probe order: ``(best priority, stages, rules)`` per group.
+        self._ordered: List[Tuple[int, Tuple[_Stage, ...], Dict]] = []
         self._order_dirty = False
         self._size = 0
-        self._trie_fields: Tuple[int, ...] = tuple(
-            schema.index_of(name) for name in trie_fields if name in schema
-        )
         self._tries: Dict[int, PrefixTrie] = {
-            index: PrefixTrie(schema[index].width)
-            for index in self._trie_fields
+            schema.index_of(name): PrefixTrie(schema.field(name).width)
+            for name in trie_fields
+            if name in schema
         }
-        # Precompute, per stage, which field indices belong to it.
-        self._stage_fields: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(
-                i for i, f in enumerate(schema) if f.layer in layers
+        #: Per cumulative stage, the packed mask of the fields in it.
+        self._layer_masks: Tuple[int, ...] = tuple(
+            sum(
+                field_mask
+                for f, field_mask in zip(schema, schema.field_masks)
+                if f.layer in layers
             )
             for layers in STAGE_LAYERS
         )
@@ -191,53 +187,54 @@ class TupleSpaceClassifier(Generic[RuleT]):
 
     def insert(self, rule: RuleT) -> None:
         match = rule.match
-        mask = match.mask_tuple
+        mask = match.wildcard.packed
         group = self._groups.get(mask)
         if group is None:
-            group = self._make_group(mask)
-            self._groups[mask] = group
+            group = self._groups[mask] = self._make_group(mask)
             self._order_dirty = True
-        canonical = match.canonical_key
-        key = group.compact_key(canonical)
-        bucket = group.rules.setdefault(key, [])
-        insort(
-            bucket, rule,
-            key=lambda r: (-r.priority, getattr(r, "rule_id", 0)),
-        )
-        for stage_keys, pairs in zip(group.stage_keys, group.stage_pairs):
-            stage_key = tuple(canonical[i] for i, _ in pairs)
-            stage_keys[stage_key] = stage_keys.get(stage_key, 0) + 1
+        canonical = match.packed
+        bucket = group.rules.get(canonical)
+        if bucket is None:
+            group.rules[canonical] = [rule]
+        else:
+            insort(bucket, rule, key=_bucket_order)
+        for stage_mask, keys, _, _ in group.stages[:-1]:
+            key = canonical & stage_mask
+            keys[key] = keys.get(key, 0) + 1
         if rule.priority > group.max_priority:
             group.max_priority = rule.priority
             self._order_dirty = True
         self._size += 1
-        self._trie_insert(match)
+        for index, prefix_len in group.prefixes:
+            self._tries[index].insert(
+                self._field_of(canonical, index), prefix_len
+            )
 
     def remove(self, rule: RuleT) -> None:
         match = rule.match
-        mask = match.mask_tuple
+        mask = match.wildcard.packed
+        canonical = match.packed
         group = self._groups.get(mask)
-        if group is None:
-            raise KeyError(f"rule not present: {rule!r}")
-        canonical = match.canonical_key
-        key = group.compact_key(canonical)
-        bucket = group.rules.get(key)
+        bucket = group.rules.get(canonical) if group is not None else None
         if not bucket or rule not in bucket:
             raise KeyError(f"rule not present: {rule!r}")
         bucket.remove(rule)
         if not bucket:
-            del group.rules[key]
+            del group.rules[canonical]
         # Drop only this key's stage entries, and only once no other rule
         # still maps to them (the refcount).
-        for stage_keys, pairs in zip(group.stage_keys, group.stage_pairs):
-            stage_key = tuple(canonical[i] for i, _ in pairs)
-            remaining = stage_keys[stage_key] - 1
+        for stage_mask, keys, _, _ in group.stages[:-1]:
+            key = canonical & stage_mask
+            remaining = keys[key] - 1
             if remaining:
-                stage_keys[stage_key] = remaining
+                keys[key] = remaining
             else:
-                del stage_keys[stage_key]
+                del keys[key]
         self._size -= 1
-        self._trie_remove(match)
+        for index, prefix_len in group.prefixes:
+            self._tries[index].remove(
+                self._field_of(canonical, index), prefix_len
+            )
         if not group.rules:
             del self._groups[mask]
             self._order_dirty = True
@@ -249,8 +246,8 @@ class TupleSpaceClassifier(Generic[RuleT]):
         self._groups.clear()
         self._ordered.clear()
         self._size = 0
-        for index in self._trie_fields:
-            self._tries[index] = PrefixTrie(self.schema[index].width)
+        for index, trie in self._tries.items():
+            self._tries[index] = PrefixTrie(trie.width)
 
     # -- lookup --------------------------------------------------------------------
 
@@ -261,43 +258,60 @@ class TupleSpaceClassifier(Generic[RuleT]):
 
         With ``unwildcard=True`` the result carries the dependency wildcard:
         the union of the matched rule's mask and the bits examined while
-        ruling out every group that could have held a higher-priority match.
+        ruling out every group that could have held a higher-priority match
+        — for a group that missed at stage *s*, the cumulative stage-*s*
+        mask; for one that hit, its full mask.  For prefix-shaped trie
+        fields the (tight) trie mask replaces the raw field mask.
         """
         if self._order_dirty:
             # Rebuilding from the group dict (rather than sorting in
-            # place) lets ``remove`` skip the O(M) list removal.
-            self._ordered = sorted(
-                self._groups.values(),
-                key=lambda g: (-g.max_priority, g.seq),
-            )
+            # place) lets ``remove`` skip the O(M) list removal.  Every
+            # change of a group's best priority marks the order dirty,
+            # so the loop below can read a snapshot instead of the group.
+            self._ordered = [
+                (group.max_priority, group.stages, group.rules)
+                for group in sorted(
+                    self._groups.values(),
+                    key=lambda g: (-g.max_priority, g.seq),
+                )
+            ]
             self._order_dirty = False
 
-        values = flow.values
+        packed = flow.packed
         best: Optional[RuleT] = None
         best_priority = -1
         probed = 0
-        acc: Optional[List[int]] = [0] * len(self.schema) if unwildcard else None
-        trie_masks: Dict[int, int] = {}
-        if unwildcard:
-            for index, trie in self._tries.items():
-                if len(trie):
-                    trie_masks[index] = trie.mask_for(values[index])
+        examined = 0  # packed bits examined outside prefix-trie fields
+        trie_bits = 0  # bitset of the prefix-trie fields examined
 
-        for group in self._ordered:
-            if group.max_priority <= best_priority:
+        for max_priority, stages, rules in self._ordered:
+            if max_priority <= best_priority:
                 break
             probed += 1
-            matched_key = self._probe_group(group, values, acc, trie_masks)
-            if matched_key is None:
-                continue
-            candidate = group.rules[matched_key][0]
-            if candidate.priority > best_priority:
-                best = candidate
-                best_priority = candidate.priority
+            # ``stage`` is left at the stage that missed or, when all
+            # hit, at the last one — whose mask is the group's own.
+            for stage in stages:
+                key = packed & stage[0]
+                if key not in stage[1]:
+                    break
+            else:
+                candidate = rules[key][0]
+                if candidate.priority > best_priority:
+                    best = candidate
+                    best_priority = candidate.priority
+            if unwildcard:
+                examined |= stage[2]
+                trie_bits |= stage[3]
 
         wildcard = None
         if unwildcard:
-            wildcard = Wildcard(self.schema, acc)
+            if trie_bits:
+                values = flow.values
+                shifts = self.schema.shifts
+                for index, trie in self._tries.items():
+                    if trie_bits >> index & 1:
+                        examined |= trie.mask_for(values[index]) << shifts[index]
+            wildcard = Wildcard.from_packed(self.schema, examined)
         cells = self.observer_cells
         if cells is not None:
             cells[1 if best is not None else 0] += 1
@@ -305,81 +319,24 @@ class TupleSpaceClassifier(Generic[RuleT]):
 
     # -- internals --------------------------------------------------------------------
 
-    def _make_group(self, mask: Tuple[int, ...]) -> _Group[RuleT]:
-        stage_masks: List[Tuple[int, ...]] = []
+    def _field_of(self, packed: int, index: int) -> int:
+        schema = self.schema
+        return (packed >> schema.shifts[index]) & schema.full_masks[index]
+
+    def _make_group(self, mask: int) -> _Group[RuleT]:
+        stage_masks: List[int] = []
         if self.staged:
-            previous: Optional[Tuple[int, ...]] = None
-            for fields in self._stage_fields:
-                field_set = set(fields)
-                stage_mask = tuple(
-                    m if i in field_set else 0 for i, m in enumerate(mask)
-                )
-                if stage_mask != previous and any(stage_mask):
+            for layer_mask in self._layer_masks:
+                stage_mask = mask & layer_mask
+                if stage_mask and stage_mask not in stage_masks[-1:]:
                     stage_masks.append(stage_mask)
-                    previous = stage_mask
-        if not stage_masks or stage_masks[-1] != mask:
+        if mask not in stage_masks[-1:]:
             stage_masks.append(mask)
-        trie_prefix_fields = tuple(
-            index
-            for index in self._trie_fields
-            if mask[index]
-            and mask_to_prefix_len(mask[index], self.schema[index].width)
-            is not None
-        )
-        return _Group(mask, stage_masks, trie_prefix_fields)
-
-    def _probe_group(
-        self,
-        group: _Group[RuleT],
-        values: Tuple[int, ...],
-        acc: Optional[List[int]],
-        trie_masks: Dict[int, int],
-    ) -> Optional[Tuple[int, ...]]:
-        """Probe one group stage by stage.
-
-        Returns the compact full-mask key on a hit (an index into
-        ``group.rules``).  When ``acc`` is not None,
-        accumulates the bits this probe examined: on a miss at stage *s*,
-        the cumulative stage-*s* mask; on a hit, the full group mask.  For
-        prefix-shaped trie fields the (tight) trie mask replaces the raw
-        field mask.
-        """
-        examined = group.stage_masks[-1]
-        hit_key: Optional[Tuple[int, ...]] = None
-        for stage_pairs, stage_keys, stage_mask in zip(
-            group.stage_pairs, group.stage_keys, group.stage_masks
-        ):
-            key = tuple(values[i] & m for i, m in stage_pairs)
-            if key not in stage_keys:
-                examined = stage_mask
-                break
-        else:
-            hit_key = key  # last computed key uses the full mask
-        if acc is not None:
-            trie_prefix = group.trie_prefix_fields
-            for i, mask in enumerate(examined):
-                if not mask:
-                    continue
-                if i in trie_prefix and i in trie_masks:
-                    acc[i] |= trie_masks[i]
-                else:
-                    acc[i] |= mask
-        return hit_key
-
-    def _trie_insert(self, match) -> None:
-        for index in self._trie_fields:
-            mask = match.mask_tuple[index]
-            if not mask:
-                continue
-            plen = mask_to_prefix_len(mask, self.schema[index].width)
-            if plen is not None:
-                self._tries[index].insert(match.canonical_key[index], plen)
-
-    def _trie_remove(self, match) -> None:
-        for index in self._trie_fields:
-            mask = match.mask_tuple[index]
-            if not mask:
-                continue
-            plen = mask_to_prefix_len(mask, self.schema[index].width)
-            if plen is not None:
-                self._tries[index].remove(match.canonical_key[index], plen)
+        prefixes = []
+        for index, trie in self._tries.items():
+            field_mask = self._field_of(mask, index)
+            if field_mask:
+                prefix_len = mask_to_prefix_len(field_mask, trie.width)
+                if prefix_len is not None:
+                    prefixes.append((index, prefix_len))
+        return _Group(stage_masks, tuple(prefixes), self.schema.field_masks)

@@ -53,6 +53,14 @@ class FieldSchema:
     and :class:`~repro.flow.wildcard.Wildcard` are tuples indexed by these
     positions.  Schemas compare equal structurally so that keys built from
     two identical schema instances interoperate.
+
+    A schema also fixes the *packed* form of a header vector: the fields
+    concatenated into one integer, first field in the most significant
+    bits (``shifts[i]`` is field ``i``'s offset from bit 0; the default
+    schema is 244 bits wide).  Per-field AND / OR / compare on tuples
+    and one AND / OR / compare on packed integers are the same
+    operation, which is what the classifier and the wildcard algebra
+    run on.
     """
 
     def __init__(self, fields: Iterable[Field]):
@@ -65,6 +73,15 @@ class FieldSchema:
         self._index: Dict[str, int] = {f.name: i for i, f in enumerate(self._fields)}
         self._full_masks: Tuple[int, ...] = tuple(f.full_mask for f in self._fields)
         self._zero: Tuple[int, ...] = (0,) * len(self._fields)
+        widths = [f.width for f in self._fields]
+        self._shifts: Tuple[int, ...] = tuple(
+            sum(widths[i + 1:]) for i in range(len(widths))
+        )
+        self._field_masks: Tuple[int, ...] = tuple(
+            full << shift
+            for full, shift in zip(self._full_masks, self._shifts)
+        )
+        self._full_packed: int = (1 << sum(widths)) - 1
 
     # -- container protocol -------------------------------------------------
 
@@ -81,6 +98,8 @@ class FieldSchema:
         return name in self._index
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FieldSchema):
             return NotImplemented
         return self._fields == other._fields
@@ -110,6 +129,38 @@ class FieldSchema:
     def zero_tuple(self) -> Tuple[int, ...]:
         """An all-zero tuple of the schema's arity (useful as a blank mask)."""
         return self._zero
+
+    # -- packed form ---------------------------------------------------------
+
+    @property
+    def shifts(self) -> Tuple[int, ...]:
+        """Per-field bit offset inside a packed header vector."""
+        return self._shifts
+
+    @property
+    def field_masks(self) -> Tuple[int, ...]:
+        """Per-field all-ones masks at their packed position."""
+        return self._field_masks
+
+    @property
+    def full_packed(self) -> int:
+        """The packed vector with every bit of every field set."""
+        return self._full_packed
+
+    def pack(self, values: Iterable[int]) -> int:
+        """Concatenate per-field values (each already within its field's
+        width) into one integer."""
+        packed = 0
+        for value, shift in zip(values, self._shifts):
+            packed |= value << shift
+        return packed
+
+    def unpack(self, packed: int) -> Tuple[int, ...]:
+        """Split a packed vector back into per-field values."""
+        return tuple(
+            (packed >> shift) & full
+            for shift, full in zip(self._shifts, self._full_masks)
+        )
 
     def index_of(self, name: str) -> int:
         """Return the positional index of field ``name``."""

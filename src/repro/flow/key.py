@@ -15,9 +15,13 @@ from .wildcard import Wildcard
 
 
 class FlowKey:
-    """An immutable vector of concrete header-field values."""
+    """An immutable vector of concrete header-field values.
 
-    __slots__ = ("_schema", "_values", "_hash")
+    Carries the same vector twice: the per-field tuple :attr:`values`
+    and the packed integer :attr:`packed` the classifier probes with.
+    """
+
+    __slots__ = ("_schema", "_values", "_hash", "_packed")
 
     def __init__(self, schema: FieldSchema, values: Iterable[int]):
         self._schema = schema
@@ -29,6 +33,7 @@ class FlowKey:
             )
         for field, value in zip(schema, self._values):
             field.validate_value(value)
+        self._packed: int = schema.pack(self._values)
 
     # -- constructors -----------------------------------------------------------
 
@@ -58,6 +63,11 @@ class FlowKey:
     def values(self) -> Tuple[int, ...]:
         return self._values
 
+    @property
+    def packed(self) -> int:
+        """The values as one integer, fields at ``schema.shifts``."""
+        return self._packed
+
     def get(self, name: str) -> int:
         return self._values[self._schema.index_of(name)]
 
@@ -67,7 +77,7 @@ class FlowKey:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlowKey):
             return NotImplemented
-        return self._schema == other._schema and self._values == other._values
+        return self._packed == other._packed and self._schema == other._schema
 
     def __hash__(self) -> int:
         # Memoized: keys are immutable and shared across every packet of
@@ -89,11 +99,20 @@ class FlowKey:
 
     def set_field(self, name: str, value: int) -> "FlowKey":
         """Return a copy with one field replaced (set-field action)."""
-        index = self._schema.index_of(name)
-        self._schema[index].validate_value(value)
-        vector = list(self._values)
-        vector[index] = value
-        return FlowKey(self._schema, vector)
+        schema = self._schema
+        index = schema.index_of(name)
+        schema[index].validate_value(value)
+        values = self._values
+        # Only the replaced field is new: the rest was validated, and
+        # packed, when this key was built.
+        copy = FlowKey.__new__(FlowKey)
+        copy._schema = schema
+        copy._values = values[:index] + (value,) + values[index + 1:]
+        copy._hash = None
+        copy._packed = self._packed ^ (
+            (values[index] ^ value) << schema.shifts[index]
+        )
+        return copy
 
     def masked(self, wildcard: Wildcard) -> Tuple[int, ...]:
         """Project the key through a wildcard: ``value & mask`` per field.
@@ -109,15 +128,12 @@ class FlowKey:
         """True when this key equals ``value`` on the wildcarded bits."""
         if wildcard.schema != self._schema:
             raise ValueError("wildcard uses a different schema")
-        return all(
-            (mine & mask) == (theirs & mask)
-            for mine, theirs, mask in zip(
-                self._values, value.values, wildcard.masks
-            )
-        )
+        return not (self._packed ^ value.packed) & wildcard.packed
 
     def diff_fields(self, other: "FlowKey") -> Tuple[str, ...]:
         """Names of fields on which the two keys differ."""
+        if self._packed == other._packed:
+            return ()
         return tuple(
             field.name
             for field, a, b in zip(self._schema, self._values, other._values)

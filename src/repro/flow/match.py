@@ -15,9 +15,14 @@ from .wildcard import Wildcard
 
 
 class TernaryMatch:
-    """An immutable ternary predicate: match ``flow & mask == value & mask``."""
+    """An immutable ternary predicate: match ``flow & mask == value & mask``.
 
-    __slots__ = ("_value", "_wildcard", "_canonical")
+    The masked value is held packed (:attr:`packed`, what the classifier
+    keys its hash tables by); :attr:`canonical_key` is its tuple view,
+    unpacked on first use.
+    """
+
+    __slots__ = ("_value", "_wildcard", "_packed", "_canonical")
 
     def __init__(self, value: FlowKey, wildcard: Wildcard):
         if value.schema != wildcard.schema:
@@ -27,7 +32,8 @@ class TernaryMatch:
         # Canonicalise: bits outside the mask are irrelevant, so store the
         # masked value.  Two predicates that accept the same packets then
         # compare (and hash) equal.
-        self._canonical: Tuple[int, ...] = value.masked(wildcard)
+        self._packed: int = value.packed & wildcard.packed
+        self._canonical: Optional[Tuple[int, ...]] = None
 
     # -- constructors -----------------------------------------------------------
 
@@ -69,9 +75,17 @@ class TernaryMatch:
         return self._wildcard
 
     @property
+    def packed(self) -> int:
+        """The masked value as one integer (see :class:`FieldSchema`)."""
+        return self._packed
+
+    @property
     def canonical_key(self) -> Tuple[int, ...]:
         """The masked value tuple — a hashable canonical form."""
-        return self._canonical
+        canonical = self._canonical
+        if canonical is None:
+            canonical = self._canonical = self.schema.unpack(self._packed)
+        return canonical
 
     @property
     def mask_tuple(self) -> Tuple[int, ...]:
@@ -81,17 +95,17 @@ class TernaryMatch:
         if not isinstance(other, TernaryMatch):
             return NotImplemented
         return (
-            self._wildcard == other._wildcard
-            and self._canonical == other._canonical
+            self._packed == other._packed
+            and self._wildcard == other._wildcard
         )
 
     def __hash__(self) -> int:
-        return hash((self._wildcard.masks, self._canonical))
+        return hash((self._wildcard.packed, self._packed))
 
     def __repr__(self) -> str:
         parts = []
         for field, value, mask in zip(
-            self.schema, self._canonical, self._wildcard.masks
+            self.schema, self.canonical_key, self._wildcard.masks
         ):
             if not mask:
                 continue
@@ -105,7 +119,9 @@ class TernaryMatch:
 
     def matches(self, flow: FlowKey) -> bool:
         """True when ``flow`` satisfies this predicate."""
-        return flow.masked(self._wildcard) == self._canonical
+        if flow.schema != self.schema:
+            raise ValueError("wildcard uses a different schema")
+        return flow.packed & self._wildcard.packed == self._packed
 
     def specificity(self) -> int:
         """Number of matched bits — more specific predicates match more bits."""
@@ -119,16 +135,8 @@ class TernaryMatch:
         """
         if self.schema != other.schema:
             raise ValueError("matches use different schemas")
-        for mine, theirs, mask_a, mask_b in zip(
-            self._canonical,
-            other._canonical,
-            self._wildcard.masks,
-            other._wildcard.masks,
-        ):
-            common = mask_a & mask_b
-            if (mine & common) != (theirs & common):
-                return False
-        return True
+        common = self._wildcard.packed & other._wildcard.packed
+        return self._packed & common == other._packed & common
 
     def subsumes(self, other: "TernaryMatch") -> bool:
         """True when every packet matching ``other`` also matches this.
@@ -138,14 +146,8 @@ class TernaryMatch:
         """
         if self.schema != other.schema:
             raise ValueError("matches use different schemas")
-        for mine, theirs, mask_a, mask_b in zip(
-            self._canonical,
-            other._canonical,
-            self._wildcard.masks,
-            other._wildcard.masks,
-        ):
-            if mask_a & ~mask_b:
-                return False
-            if (theirs & mask_a) != mine:
-                return False
-        return True
+        mask = self._wildcard.packed
+        return (
+            not mask & ~other._wildcard.packed
+            and other._packed & mask == self._packed
+        )

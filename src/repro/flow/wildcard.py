@@ -9,19 +9,23 @@ disjoint partitioner asks whether two wildcards share any field (§4.2.2).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Tuple
+from typing import Iterable, Iterator, Mapping, Optional, Tuple
 
 from .fields import DEFAULT_SCHEMA, FieldSchema
 
 
 class Wildcard:
-    """An immutable per-field mask vector over a :class:`FieldSchema`."""
+    """An immutable per-field mask vector over a :class:`FieldSchema`.
 
-    __slots__ = ("_schema", "_masks")
+    Held as one packed integer (see :class:`FieldSchema`); the per-field
+    tuple :attr:`masks` is a view, unpacked on first use.
+    """
+
+    __slots__ = ("_schema", "_masks", "_packed")
 
     def __init__(self, schema: FieldSchema, masks: Iterable[int]):
         self._schema = schema
-        self._masks: Tuple[int, ...] = tuple(masks)
+        self._masks: Optional[Tuple[int, ...]] = tuple(masks)
         if len(self._masks) != len(schema):
             raise ValueError(
                 f"expected {len(schema)} masks, got {len(self._masks)}"
@@ -32,18 +36,35 @@ class Wildcard:
                     f"mask {mask:#x} overflows field {field.name!r} "
                     f"({field.width} bits)"
                 )
+        self._packed: int = schema.pack(self._masks)
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
+    def from_packed(cls, schema: FieldSchema, packed: int) -> "Wildcard":
+        """Build a wildcard from its packed form.  Every integer within
+        the schema's width is a valid mask vector, so one range check
+        replaces the per-field ones."""
+        if not 0 <= packed <= schema.full_packed:
+            raise ValueError(
+                f"packed mask {packed:#x} does not fit the schema "
+                f"({schema.full_packed.bit_length()} bits)"
+            )
+        self = cls.__new__(cls)
+        self._schema = schema
+        self._masks = None
+        self._packed = packed
+        return self
+
+    @classmethod
     def empty(cls, schema: FieldSchema = DEFAULT_SCHEMA) -> "Wildcard":
         """A wildcard matching nothing (all bits don't-care)."""
-        return cls(schema, schema.zero_tuple)
+        return cls.from_packed(schema, 0)
 
     @classmethod
     def full(cls, schema: FieldSchema = DEFAULT_SCHEMA) -> "Wildcard":
         """A wildcard matching every bit (exact-match)."""
-        return cls(schema, schema.full_masks)
+        return cls.from_packed(schema, schema.full_packed)
 
     @classmethod
     def from_fields(
@@ -80,27 +101,35 @@ class Wildcard:
         return self._schema
 
     @property
+    def packed(self) -> int:
+        """The mask vector as one integer, fields at ``schema.shifts``."""
+        return self._packed
+
+    @property
     def masks(self) -> Tuple[int, ...]:
-        return self._masks
+        masks = self._masks
+        if masks is None:
+            masks = self._masks = self._schema.unpack(self._packed)
+        return masks
 
     def mask_of(self, name: str) -> int:
-        return self._masks[self._schema.index_of(name)]
+        return self.masks[self._schema.index_of(name)]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._masks)
+        return iter(self.masks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Wildcard):
             return NotImplemented
-        return self._schema == other._schema and self._masks == other._masks
+        return self._packed == other._packed and self._schema == other._schema
 
     def __hash__(self) -> int:
-        return hash(self._masks)
+        return hash(self._packed)
 
     def __repr__(self) -> str:
         parts = [
             f"{field.name}={mask:#x}"
-            for field, mask in zip(self._schema, self._masks)
+            for field, mask in zip(self._schema, self.masks)
             if mask
         ]
         return f"Wildcard({', '.join(parts) or 'empty'})"
@@ -110,17 +139,11 @@ class Wildcard:
     def union(self, other: "Wildcard") -> "Wildcard":
         """Bitwise OR of two wildcards (the ``ω_k = ∪ W_i`` of §4.2.3)."""
         self._check_schema(other)
-        return Wildcard(
-            self._schema,
-            tuple(a | b for a, b in zip(self._masks, other._masks)),
-        )
+        return Wildcard.from_packed(self._schema, self._packed | other._packed)
 
     def intersection(self, other: "Wildcard") -> "Wildcard":
         self._check_schema(other)
-        return Wildcard(
-            self._schema,
-            tuple(a & b for a, b in zip(self._masks, other._masks)),
-        )
+        return Wildcard.from_packed(self._schema, self._packed & other._packed)
 
     def subtract_fields(self, names: Iterable[str]) -> "Wildcard":
         """Return a copy with the named fields fully wildcarded again.
@@ -130,29 +153,37 @@ class Wildcard:
         the original packet, so they must not leak into the cache entry's
         match (§4.2.3's commit computation).
         """
-        vector = list(self._masks)
+        schema = self._schema
+        packed = self._packed
         for name in names:
-            vector[self._schema.index_of(name)] = 0
-        return Wildcard(self._schema, vector)
+            packed &= ~schema.field_masks[schema.index_of(name)]
+        return Wildcard.from_packed(schema, packed)
 
     def with_field_mask(self, name: str, mask: int) -> "Wildcard":
         """Return a copy with the named field's mask OR-ed with ``mask``."""
-        index = self._schema.index_of(name)
-        vector = list(self._masks)
-        vector[index] = vector[index] | mask
-        return Wildcard(self._schema, vector)
+        schema = self._schema
+        index = schema.index_of(name)
+        if mask & ~schema.full_masks[index]:
+            raise ValueError(
+                f"mask {mask:#x} overflows field {name!r} "
+                f"({schema[index].width} bits)"
+            )
+        return Wildcard.from_packed(
+            schema, self._packed | (mask << schema.shifts[index])
+        )
 
     # -- predicates ---------------------------------------------------------------
 
     def is_empty(self) -> bool:
-        return not any(self._masks)
+        return not self._packed
 
     def fields_matched(self) -> Tuple[str, ...]:
         """Names of fields with at least one matched bit."""
+        packed = self._packed
         return tuple(
             field.name
-            for field, mask in zip(self._schema, self._masks)
-            if mask
+            for field, field_mask in zip(self._schema, self._schema.field_masks)
+            if packed & field_mask
         )
 
     def field_set(self) -> frozenset:
@@ -168,18 +199,22 @@ class Wildcard:
         paper's examples (Ethernet vs. TCP ports).
         """
         self._check_schema(other)
-        return all(
-            not (a and b) for a, b in zip(self._masks, other._masks)
+        mine, theirs = self._packed, other._packed
+        if mine & theirs:
+            return False
+        return not any(
+            mine & field_mask and theirs & field_mask
+            for field_mask in self._schema.field_masks
         )
 
     def covers(self, other: "Wildcard") -> bool:
         """True when every bit matched by ``other`` is also matched here."""
         self._check_schema(other)
-        return all((a & b) == b for a, b in zip(self._masks, other._masks))
+        return not other._packed & ~self._packed
 
     def bit_count(self) -> int:
         """Total number of matched bits across all fields."""
-        return sum(bin(mask).count("1") for mask in self._masks)
+        return self._packed.bit_count()
 
     # -- internals -------------------------------------------------------------------
 

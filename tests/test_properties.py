@@ -1,12 +1,16 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.classify import PrefixTrie, TupleSpaceClassifier
+from repro.classify.trie import mask_to_prefix_len
 from repro.flow import (
     ActionList,
     DEFAULT_SCHEMA,
+    Field,
+    FieldSchema,
     FlowKey,
     Output,
     TernaryMatch,
@@ -49,6 +53,124 @@ def ip_prefixes(draw):
     else:
         value = 0
     return value, plen
+
+
+# -- packed header vectors ----------------------------------------------------------
+
+#: The default schema plus toy ones whose widths share no byte or word
+#: boundary, so that a wrong offset cannot hide.
+PACKED_SCHEMAS = [
+    DEFAULT_SCHEMA,
+    FieldSchema(
+        Field(f"f{i}", width, "l3")
+        for i, width in enumerate((1, 3, 7, 13, 61, 2, 33))
+    ),
+    FieldSchema([Field("only", 5, "port")]),
+]
+
+
+@st.composite
+def schema_vectors(draw, count=1):
+    """A schema and ``count`` in-range value vectors over it; every field
+    is drawn from {0, full mask, anything} so the edges always occur."""
+    schema = draw(st.sampled_from(PACKED_SCHEMAS))
+    vectors = [
+        tuple(
+            draw(st.sampled_from([0, full]) | st.integers(0, full))
+            for full in schema.full_masks
+        )
+        for _ in range(count)
+    ]
+    return (schema, *vectors)
+
+
+class TestPackedLayout:
+    def test_default_schema_is_244_bits_msb_first(self):
+        assert DEFAULT_SCHEMA.full_packed == (1 << 244) - 1
+        assert DEFAULT_SCHEMA.shifts[0] == 244 - 16
+        assert DEFAULT_SCHEMA.shifts[-1] == 0
+
+    @given(schema_vectors())
+    def test_pack_unpack_round_trip(self, drawn):
+        schema, values = drawn
+        packed = schema.pack(values)
+        assert 0 <= packed <= schema.full_packed
+        assert schema.unpack(packed) == values
+
+    @given(st.sampled_from(PACKED_SCHEMAS), st.data())
+    def test_one_field_never_bleeds_into_a_neighbour(self, schema, data):
+        index = data.draw(st.integers(0, len(schema) - 1))
+        full = schema.full_masks[index]
+        values = [0] * len(schema)
+        values[index] = full
+        assert schema.pack(values) == schema.field_masks[index]
+        inverse = [m if i != index else 0
+                   for i, m in enumerate(schema.full_masks)]
+        assert schema.pack(inverse) == (
+            schema.full_packed ^ schema.field_masks[index]
+        )
+
+    @given(schema_vectors(), st.data())
+    def test_set_field_keeps_packed_in_step(self, drawn, data):
+        schema, values = drawn
+        index = data.draw(st.integers(0, len(schema) - 1))
+        full = schema.full_masks[index]
+        new = data.draw(st.sampled_from([0, full]) | st.integers(0, full))
+        key = FlowKey(schema, values).set_field(schema[index].name, new)
+        expected = values[:index] + (new,) + values[index + 1:]
+        assert key.values == expected
+        assert key.packed == schema.pack(expected)
+        assert key == FlowKey(schema, expected)
+        assert hash(key) == hash(FlowKey(schema, expected))
+
+    @given(schema_vectors(count=2))
+    def test_wildcard_algebra_equals_the_per_field_loops(self, drawn):
+        """The tuple implementation this replaced, kept as the reference."""
+        schema, a, b = drawn
+        wa, wb = Wildcard(schema, a), Wildcard(schema, b)
+        pairs = list(zip(a, b))
+        assert wa.union(wb).masks == tuple(x | y for x, y in pairs)
+        assert wa.intersection(wb).masks == tuple(x & y for x, y in pairs)
+        assert wa.covers(wb) == all((x & y) == y for x, y in pairs)
+        assert wa.is_disjoint(wb) == all(not (x and y) for x, y in pairs)
+        assert wa.bit_count() == sum(bin(x).count("1") for x in a)
+        assert wa.is_empty() == (not any(a))
+        assert Wildcard.from_packed(schema, wa.packed) == wa
+        assert hash(Wildcard.from_packed(schema, wa.packed)) == hash(wa)
+
+    @given(schema_vectors(count=5))
+    def test_match_predicates_equal_the_per_field_loops(self, drawn):
+        schema, va, ma, vb, mb, flow = drawn
+        a = TernaryMatch(FlowKey(schema, va), Wildcard(schema, ma))
+        b = TernaryMatch(FlowKey(schema, vb), Wildcard(schema, mb))
+        assert a.canonical_key == tuple(v & m for v, m in zip(va, ma))
+        assert a.matches(FlowKey(schema, flow)) == all(
+            (f & m) == (v & m) for f, v, m in zip(flow, va, ma)
+        )
+        assert a.overlaps(b) == all(
+            (x & m & n) == (y & m & n)
+            for x, y, m, n in zip(va, vb, ma, mb)
+        )
+        assert a.subsumes(b) == all(
+            not (m & ~n) and (y & n & m) == (x & m)
+            for x, y, m, n in zip(va, vb, ma, mb)
+        )
+
+    def test_from_packed_rejects_out_of_range(self):
+        for bad in (-1, DEFAULT_SCHEMA.full_packed + 1):
+            with pytest.raises(ValueError, match="does not fit"):
+                Wildcard.from_packed(DEFAULT_SCHEMA, bad)
+
+    @given(st.integers(1, 64), st.data())
+    def test_mask_to_prefix_len_equals_the_bit_loop(self, width, data):
+        full = (1 << width) - 1
+        plen = data.draw(st.integers(0, width))
+        prefix = full ^ ((1 << (width - plen)) - 1)
+        mask = data.draw(st.sampled_from([prefix]) | st.integers(0, full))
+        bits = format(mask, f"0{width}b")
+        ones = bits.rstrip("0")
+        expected = len(ones) if "0" not in ones else None
+        assert mask_to_prefix_len(mask, width) == expected
 
 
 # -- wildcard algebra -----------------------------------------------------------
@@ -198,29 +320,62 @@ def simple_rules(draw):
     )
 
 
+def _linear_scan_winner(resident, probe):
+    """The rule a linear scan picks: highest priority; among equals the
+    one whose mask group TSS probes first (groups order by best resident
+    priority, then age), then the oldest rule.
+
+    ``resident`` maps a packed mask to ``(group age, rules)`` and mirrors
+    the classifier's group lifetime: a group dies with its last rule.
+    """
+    best, best_key = None, None
+    for age, rules in resident.values():
+        group_priority = max(r.priority for r in rules)
+        for rule in rules:
+            if not rule.match.matches(probe):
+                continue
+            key = (-rule.priority, -group_priority, age, rule.rule_id)
+            if best_key is None or key < best_key:
+                best, best_key = rule, key
+    return best
+
+
 class TestTssProperties:
     @given(st.lists(simple_rules(), min_size=1, max_size=40),
            st.data())
     @settings(max_examples=60, deadline=None)
     def test_tss_agrees_with_linear_scan(self, rules, data):
+        """Inserts, removals and lookups interleaved; every lookup must
+        return exactly the linear-scan winner, ties included."""
         classifier = TupleSpaceClassifier(DEFAULT_SCHEMA)
+        resident = {}
+        ages = iter(range(len(rules)))
         for rule in rules:
             classifier.insert(rule)
-        probe = FlowKey.from_fields({
-            "ip_dst": data.draw(st.integers(0, 3)) << 24
-            | data.draw(st.integers(0, 3)) << 8,
-            "tp_dst": data.draw(st.integers(0, 3)),
-        })
-        got = classifier.lookup(probe).rule
-        expected_priority = max(
-            (r.priority for r in rules if r.match.matches(probe)),
-            default=None,
+            mask = rule.match.wildcard.packed
+            if mask not in resident:
+                resident[mask] = (next(ages), [])
+            resident[mask][1].append(rule)
+            if data.draw(st.integers(0, 3)) == 0:
+                mask = data.draw(st.sampled_from(sorted(resident)))
+                group_rules = resident[mask][1]
+                victim = group_rules.pop(
+                    data.draw(st.integers(0, len(group_rules) - 1))
+                )
+                if not group_rules:
+                    del resident[mask]
+                classifier.remove(victim)
+            probe = FlowKey.from_fields({
+                "ip_dst": data.draw(st.integers(0, 3)) << 24
+                | data.draw(st.integers(0, 3)) << 8,
+                "tp_dst": data.draw(st.integers(0, 3)),
+            })
+            assert classifier.lookup(probe).rule is _linear_scan_winner(
+                resident, probe
+            )
+        assert len(classifier) == sum(
+            len(group_rules) for _, group_rules in resident.values()
         )
-        if expected_priority is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert got.priority == expected_priority
 
     @given(st.lists(simple_rules(), min_size=1, max_size=40), st.data())
     @settings(max_examples=60, deadline=None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.classify import TupleSpaceClassifier
+from repro.classify import PrefixTrie, TupleSpaceClassifier
 from repro.flow import (
     ActionList,
     DEFAULT_SCHEMA,
@@ -160,6 +160,65 @@ class TestUnwildcarding:
         mask = result.wildcard.mask_of("ip_dst")
         perturbed = flow(ip_dst=(probe.get("ip_dst") ^ (~mask & 0xFF)))
         assert classifier.lookup(perturbed).rule is result.rule
+
+
+class TestLazyTrieMasks:
+    """A trie is walked only for a field some probed group examined
+    through a prefix-shaped mask — and then once, however many did."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        mask_for = PrefixTrie.mask_for
+
+        def counted(trie, value):
+            calls.append(value)
+            return mask_for(trie, value)
+
+        monkeypatch.setattr(PrefixTrie, "mask_for", counted)
+        return calls
+
+    def test_group_behind_a_better_hit_is_not_walked(self, classifier, walks):
+        classifier.insert(make_rule({"tp_dst": 443}, priority=20))
+        classifier.insert(make_rule(
+            {"ip_dst": ip("192.168.1.0")},
+            masks={"ip_dst": prefix_mask(24)}, priority=10))
+        result = classifier.lookup(flow(tp_dst=443), unwildcard=True)
+        assert result.groups_probed == 1
+        assert result.wildcard.fields_matched() == ("tp_dst",)
+        assert walks == []
+
+    def test_miss_before_the_l3_stage_is_not_walked(self, classifier, walks):
+        classifier.insert(make_rule(
+            {"in_port": 5, "ip_dst": ip("192.168.1.0")},
+            masks={"in_port": None, "ip_dst": prefix_mask(24)}))
+        result = classifier.lookup(flow(in_port=9), unwildcard=True)
+        assert result.wildcard.fields_matched() == ("in_port",)
+        assert walks == []
+
+    def test_ternary_ip_mask_is_not_walked(self, classifier, walks):
+        classifier.insert(make_rule(
+            {"ip_dst": 0x0000_0107}, masks={"ip_dst": 0x0000_FFFF}))
+        result = classifier.lookup(flow(), unwildcard=True)
+        assert result.rule is not None
+        assert result.wildcard.mask_of("ip_dst") == 0x0000_FFFF
+        assert walks == []
+
+    def test_field_examined_by_several_groups_is_walked_once(
+        self, classifier, walks
+    ):
+        for plen, priority in ((8, 1), (16, 2), (24, 3)):
+            classifier.insert(make_rule(
+                {"ip_dst": ip("192.168.1.0") & prefix_mask(plen)},
+                masks={"ip_dst": prefix_mask(plen)}, priority=priority))
+        probe = flow(ip_dst=ip("192.168.9.9"))
+        result = classifier.lookup(probe, unwildcard=True)
+        assert result.groups_probed == 2  # /24 misses, /16 hits, /8 skipped
+        # .9 and .1 part ways at the 21st bit: enough to rule the /24 out.
+        assert result.wildcard.mask_of("ip_dst") == prefix_mask(21)
+        assert walks == [probe.get("ip_dst")]
+        assert classifier.lookup(probe).wildcard is None
+        assert len(walks) == 1  # a plain lookup never walks
 
 
 class TestAgainstLinearScan:
