@@ -217,7 +217,7 @@ class AdaptiveController:
 
     Wiring: :meth:`attach` binds the cache and its telemetry;
     the engine then calls :meth:`on_sweep` right after every periodic
-    snapshot (see ``VSwitchSimulator.run_packets``).  The controller
+    snapshot (see ``PacketKernel.advance``).  The controller
     degrades gracefully: knobs whose surface the cache does not expose
     (no :class:`~repro.core.adaptive.ModeGovernor`, no LTM tables, no
     ``set_eviction_policy``) are simply skipped, so attaching it to a
@@ -269,7 +269,7 @@ class AdaptiveController:
         )
         if self._tables:
             self._policy = getattr(cache, "eviction", None)
-        # Installed by the engine before attach (see _prepare_run), so
+        # Installed by the engine before attach (see PacketKernel), so
         # the predictor is already wired when the loop starts.
         self._timeout_pred = getattr(cache, "timeout_predictor", None)
 

@@ -190,7 +190,7 @@ class IncrementalRevalidator:
     capacity/idle evictions, and entries evicted for other reasons
     leave the backlog for free.  :meth:`process` checks up to ``budget``
     stale entries (in cache iteration order, which is deterministic for
-    identical histories — the batched/streaming differential relies on
+    identical histories — the driver differentials rely on
     that) and reports how many remain.
     """
 

@@ -6,9 +6,9 @@ switches, and exits at another leaf — and **every hop runs its own
 Gigaflow cache** over its own pipeline.  This module lifts the existing
 machinery to that layout without forking any of it:
 
-* each switch is one :class:`~repro.serve.ServingDriver` (the serving
-  loop is proven bit-identical to the streaming and batched loops at
-  any micro-batch size, so per-switch buffering is free of
+* each switch is one :class:`~repro.serve.ServingDriver` (it feeds
+  the same packet kernel the offline engine drives, and micro-batch
+  size never shows in a result, so per-switch buffering is free of
   result-skew), with its own pipeline instance, caching system and
   optional :class:`~repro.core.controller.AdaptiveController`;
 * the :class:`FabricController` plays the SDN controller: it owns the
@@ -342,28 +342,6 @@ class FabricSimulator:
             for i, name in enumerate(self.topology.switches)
         ]
 
-    def _switch_telemetry(self, switch: str) -> Optional[Telemetry]:
-        """A fresh per-switch hub mirroring the template's tracer
-        settings — the sharded engine's ``_shard_telemetry`` pattern
-        with ``<path>.<switch>`` derived sinks."""
-        parent = self.config.telemetry
-        if parent is None:
-            return None
-        sink = (
-            f"{parent.tracer.sink_path}.{switch}"
-            if parent.tracer.sink_path is not None
-            else None
-        )
-        tel = Telemetry(
-            trace_capacity=parent.tracer.capacity,
-            tracing=parent.tracer.enabled,
-            trace_sink=sink,
-            trace_sink_exclusive=True,
-        )
-        tel.tracer.mask = parent.tracer.mask
-        tel.tracer.event_filter = parent.tracer.event_filter
-        return tel
-
     def _switch_config(
         self, context: SwitchContext, tel: Optional[Telemetry]
     ) -> SimConfig:
@@ -420,8 +398,11 @@ class FabricSimulator:
         buffers: Dict[str, list] = {}
         tels: Dict[str, Telemetry] = {}
         hop_tracers: Dict[str, tuple] = {}
+        parent = self.config.telemetry
         for context in self._contexts():
-            tel = self._switch_telemetry(context.switch)
+            tel = (
+                parent.derive(context.switch) if parent is not None else None
+            )
             system = self.system_factory(context)
             # Qualify the system name per switch (instance attribute
             # shadows the class attribute) so telemetry labels, trace

@@ -7,16 +7,14 @@ runs, and the control plane mutates the pipeline underneath the cache.
 This module is that operating mode:
 
 * :class:`ServingDriver` consumes packets from any (possibly unbounded)
-  iterable in bounded micro-batches, carrying the engine loop's state
-  across batches.  Its per-packet body is kept **in lockstep** with
-  :meth:`~repro.sim.engine.VSwitchSimulator.run_packets` — the repo's
-  established pattern for hot-loop variants (``sim/batch.py`` mirrors
-  the same body) — and the differential battery in
-  ``tests/test_serve_differential.py`` pins bit-identity at every
-  micro-batch size, with and without churn.
+  iterable in bounded micro-batches, feeding each to the run's
+  :class:`~repro.sim.engine.PacketKernel` — the same per-packet body
+  the offline engine drives, so the differential battery in
+  ``tests/test_serve_differential.py`` holds at every micro-batch
+  size, with and without churn, by construction.
 * :func:`stream_trace` adapts a columnar
   :class:`~repro.workload.pipebench.Trace` into a packet stream via the
-  same chunked ``tolist()`` decode the batched loop uses.
+  same chunked ``tolist()`` decode the columnar driver uses.
 * :func:`endless_packets` turns a Pipebench workload into a
   deterministic unbounded generator (seeded per-segment traces with
   advancing time offsets) — the soak tests' traffic source.
@@ -36,11 +34,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterable, Iterator, Optional
 
 from .flow.packet import Packet
-from .metrics.cpu import CpuBreakdown
-from .pipeline.traversal import Disposition
 from .sim.batch import CHUNK_SIZE
-from .sim.engine import CachingSystem, SimConfig, VSwitchSimulator
-from .sim.results import SimResult, TimeSeries
+from .sim.engine import (
+    CachingSystem,
+    PacketKernel,
+    SimConfig,
+    VSwitchSimulator,
+)
+from .sim.results import SimResult
 from .workload.caida import CAIDA_PROFILE, TraceProfile
 from .workload.pipebench import PipebenchWorkload, Trace, build_trace
 
@@ -58,7 +59,7 @@ def stream_trace(trace: Trace, chunk: int = CHUNK_SIZE) -> Iterator[Packet]:
 
     Equivalent to :meth:`~repro.workload.pipebench.Trace.packets` but
     decodes the numpy columns ``chunk`` rows at a time with one
-    ``tolist()`` call each — the same amortisation the batched loop
+    ``tolist()`` call each — the same amortisation the columnar driver
     uses, repackaged for streaming consumers.
     """
     times, flow_indices, sizes = trace.columns()
@@ -225,21 +226,20 @@ class ServeConfig:
 
 
 class ServingDriver:
-    """Streams micro-batches through the engine loop, indefinitely.
+    """Streams micro-batches through the packet kernel, indefinitely.
 
-    Lifecycle: :meth:`start` prepares the run (same per-run setup as the
-    batch engine, plus the optional metrics endpoint), :meth:`process`
-    pushes one micro-batch of packets through the per-packet body, and
-    :meth:`finish` finalizes telemetry, stops the endpoint and returns
-    the :class:`~repro.sim.results.SimResult`.  :meth:`serve` wraps the
-    three around any packet iterable with optional packet/sim-time
-    bounds.
+    Lifecycle: :meth:`start` prepares the run (a fresh
+    :class:`~repro.sim.engine.PacketKernel`, plus the optional metrics
+    endpoint), :meth:`process` pushes one micro-batch of packets through
+    it, and :meth:`finish` finalizes telemetry, stops the endpoint and
+    returns the :class:`~repro.sim.results.SimResult`.  :meth:`serve`
+    wraps the three around any packet iterable with optional
+    packet/sim-time bounds.
 
-    **Lockstep contract:** the body of :meth:`process` mirrors
-    :meth:`~repro.sim.engine.VSwitchSimulator.run_packets` exactly (loop
-    state lives on the instance between batches).  Any change to either
-    body must be made in both — ``tests/test_serve.py`` and
-    ``tests/test_serve_differential.py`` fail loudly on drift.
+    The driver owns ingestion only — batching, bounds, the endpoint.
+    Loop state lives on the kernel between batches and every cadence
+    fires off packet timestamps, so micro-batch size never shows in the
+    result or the trace (``tests/test_serve_differential.py``).
     """
 
     def __init__(
@@ -252,14 +252,14 @@ class ServingDriver:
         self.simulator = VSwitchSimulator(pipeline, system, config)
         self.serve_config = serve_config or ServeConfig()
         self.metrics_server: Optional[MetricsServer] = None
-        self._started = False
-        self._finished = False
+        self._kernel: Optional[PacketKernel] = None
+        self._result: Optional[SimResult] = None
 
     # -- engine-state plumbing ------------------------------------------------
 
     @property
     def telemetry(self):
-        return self._tel
+        return self._kernel.telemetry if self._kernel is not None else None
 
     @property
     def churn(self):
@@ -268,32 +268,17 @@ class ServingDriver:
     @property
     def now(self) -> float:
         """Simulated time of the last processed packet."""
-        return self._now
+        return self._kernel.now if self._kernel is not None else 0.0
 
     @property
     def packet_count(self) -> int:
-        return self._packet_count
+        return self._kernel.packet_count if self._kernel is not None else 0
 
     def start(self) -> "ServingDriver":
-        """Prepare the run; idempotent once per driver."""
-        if self._started:
+        """Prepare the run; once per driver."""
+        if self._kernel is not None:
             raise RuntimeError("ServingDriver.start() already called")
-        self._started = True
-        simulator = self.simulator
-        config = simulator.config
-        self._tel, self._ctl, self._lookup, self._on_lookup = (
-            simulator._prepare_run()
-        )
-        self._cpu = CpuBreakdown()
-        self._series = TimeSeries(config.window)
-        self._latency_sum = 0.0
-        self._miss_cost_sum = 0.0
-        self._packet_count = 0
-        self._peak_entries = 0
-        self._cache_probes = 0
-        self._next_sweep = config.sweep_interval
-        self._next_snapshot = config.sweep_interval
-        self._now = 0.0
+        self._kernel = self.simulator.kernel()
         serve = self.serve_config
         if serve.http:
             self.metrics_server = MetricsServer(
@@ -304,149 +289,30 @@ class ServingDriver:
         return self
 
     def _render_metrics(self) -> str:
-        if self._tel is None:
+        tel = self.telemetry
+        if tel is None:
             return "# no telemetry attached to this serving run\n"
-        return self._tel.registry.to_prometheus()
+        return tel.registry.to_prometheus()
 
     def process(self, packets: Iterable[Packet]) -> int:
-        """Run one micro-batch through the engine body; returns its size.
-
-        The body below is ``run_packets``'s, verbatim, with loop state
-        hoisted from/to the instance around the batch — keep in
-        lockstep (see the class docstring).
-        """
-        if not self._started:
+        """Run one micro-batch through the kernel; returns its size."""
+        kernel = self._kernel
+        if kernel is None:
             raise RuntimeError("call start() before process()")
-        if self._finished:
+        if self._result is not None:
             raise RuntimeError("driver already finished")
-        simulator = self.simulator
-        config = simulator.config
-        system = simulator.system
-        cache = system.cache
-        pipeline = simulator.pipeline
-        slowpath = config.latency.slowpath
-        cpu = self._cpu
-        series = self._series
-        latency_sum = self._latency_sum
-        miss_cost_sum = self._miss_cost_sum
-        packet_count = self._packet_count
-        peak_entries = self._peak_entries
-        cache_probes = self._cache_probes
-        max_idle = config.max_idle
-        sweep_interval = config.sweep_interval
-        hit_us = config.latency.hit_us
-        next_sweep = self._next_sweep
-        next_snapshot = self._next_snapshot
-        tel = self._tel
-        ctl = self._ctl
-        lookup = self._lookup
-        on_lookup = self._on_lookup
-        churn = simulator.churn
-        now = self._now
-        batch_start = packet_count
-
-        for packet in packets:
-            now = packet.timestamp
-            packet_count += 1
-            if max_idle > 0:
-                # Fixed cadence: fire one sweep per elapsed interval, at
-                # its scheduled time, so sparse traces neither slide the
-                # schedule nor skip sweeps.
-                while now >= next_sweep:
-                    evicted = cache.evict_idle(next_sweep, max_idle)
-                    if tel is not None:
-                        tel.on_sweep(next_sweep, evicted)
-                    next_sweep += sweep_interval
-            if tel is not None:
-                tel.now = now
-                # Snapshots ride the sweep cadence but fire even when
-                # idle expiry is disabled (max_idle == 0).
-                while now >= next_snapshot:
-                    snapshot = tel.sample(cache, next_snapshot)
-                    if ctl is not None:
-                        ctl.on_sweep(next_snapshot, snapshot)
-                    next_snapshot += sweep_interval
-            if churn is not None:
-                # Control-plane churn rides its own deadlines (events +
-                # reval ticks), fired after sweeps and snapshots — the
-                # cadence order every loop must share.
-                while now >= churn.deadline:
-                    churn.advance(churn.deadline)
-
-            result = lookup(packet.flow, now)
-            cache_probes += result.groups_probed
-            if on_lookup is not None:
-                on_lookup(result, now, packet.flow)
-            if result.hit:
-                latency_sum += hit_us
-                series.record(now, hit=True)
-                continue
-
-            series.record(now, hit=False)
-            groups_before = pipeline.stats.groups_probed
-            traversal = pipeline.execute(packet.flow)
-            groups = pipeline.stats.groups_probed - groups_before
-            lookups = len(traversal)
-            cpu.charge_pipeline(lookups, groups)
-            miss_us = slowpath.pipeline_us(lookups, groups)
-
-            if traversal.disposition != Disposition.CONTROLLER:
-                cost = system.install(traversal, pipeline.generation, now)
-                if tel is not None:
-                    tel.on_install(
-                        now, lookups, cost.rules_generated,
-                        cost.rules_installed,
-                    )
-                if cost.partition_cells:
-                    cpu.charge_partition(
-                        lookups, cost.partition_cells // max(lookups, 1)
-                    )
-                    miss_us += slowpath.partition_us(
-                        lookups, cost.partition_cells // max(lookups, 1)
-                    )
-                cpu.charge_rulegen(
-                    cost.rules_generated, cost.rules_installed
-                )
-                miss_us += slowpath.rulegen_us(cost.rules_generated)
-                if cost.rules_installed:
-                    entries = cache.entry_count()
-                    if entries > peak_entries:
-                        peak_entries = entries
-
-            latency_sum += miss_us
-            miss_cost_sum += miss_us
-
-        self._latency_sum = latency_sum
-        self._miss_cost_sum = miss_cost_sum
-        self._packet_count = packet_count
-        self._peak_entries = peak_entries
-        self._cache_probes = cache_probes
-        self._next_sweep = next_sweep
-        self._next_snapshot = next_snapshot
-        self._now = now
-        return packet_count - batch_start
+        before = kernel.packet_count
+        kernel.run((packet.timestamp, packet.flow) for packet in packets)
+        return kernel.packet_count - before
 
     def finish(self) -> SimResult:
         """Finalize the run; stops the metrics endpoint.  Idempotent."""
-        if not self._started:
+        if self._kernel is None:
             raise RuntimeError("call start() before finish()")
-        if self._finished:
-            return self._result
-        self._finished = True
-        if self.metrics_server is not None:
-            self.metrics_server.close()
-        self._result = self.simulator._finish_run(
-            self._tel,
-            self._ctl,
-            self._now,
-            self._packet_count,
-            self._peak_entries,
-            self._cache_probes,
-            self._latency_sum,
-            self._miss_cost_sum,
-            self._cpu,
-            self._series,
-        )
+        if self._result is None:
+            if self.metrics_server is not None:
+                self.metrics_server.close()
+            self._result = self._kernel.finish()
         return self._result
 
     def serve(
@@ -465,7 +331,7 @@ class ServingDriver:
         each micro-batch — the hook soak tests and CLI progress use.
         With no bounds, serves until the source is exhausted.
         """
-        if not self._started:
+        if self._kernel is None:
             self.start()
         batch_size = self.serve_config.batch_size
         iterator = iter(source)

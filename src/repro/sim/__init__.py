@@ -7,6 +7,7 @@ from .engine import (
     HierarchySystem,
     InstallCost,
     MegaflowSystem,
+    PacketKernel,
     SimConfig,
     VSwitchSimulator,
     run_comparison,
@@ -34,6 +35,7 @@ __all__ = [
     "HierarchySystem",
     "InstallCost",
     "MegaflowSystem",
+    "PacketKernel",
     "ShardContext",
     "ShardTimeoutError",
     "ShardWorkerError",

@@ -1,247 +1,37 @@
-"""Batched/columnar inner loop for full-trace simulation runs.
+"""Columnar decode: a trace's numpy columns as ``(timestamp, flow)`` pairs.
 
-:func:`run_batched` is a drop-in replacement for
-:meth:`~repro.sim.engine.VSwitchSimulator.run_packets` when the input is
-a :class:`~repro.workload.pipebench.Trace` (whose packets live in numpy
-columns).  Instead of materialising one :class:`~repro.flow.packet.Packet`
-object per row, it decodes timestamp/flow-index columns in chunks of
-:data:`CHUNK_SIZE` rows (one ``ndarray.tolist()`` call each — far cheaper
-than per-element ``float()``/``int()`` coercion) and resolves flow keys
-through a pre-built pilot table.
-
-The win the sharded engine banks on is *cadence amortisation*: the
-streaming loop re-checks the idle-sweep and telemetry-snapshot deadlines
-on every packet, but those deadlines only matter at the exact packets
-that cross them.  Trace timestamps are sorted, so a ``bisect`` against
-the next deadline splits each chunk into cadence-free sub-slices: the
-inner loops carry no per-packet deadline checks at all, and every sweep/
-snapshot fires between slices, exactly at its boundary packet — the
-same packet the streaming loop would fire it on.  (When the snapshot
-cadence is much shorter than a chunk's time span, this is also what
-keeps telemetry overhead flat: the old design fell back to a careful
-per-packet body for any chunk containing a deadline.)
-
-**Bit-identity contract** (pinned by ``tests/test_sharded.py``): every
-``SimResult`` field — counters, float accumulators, time series,
-telemetry summary — must be identical to the streaming loop's.  The
-per-packet bodies below mirror ``run_packets``'s body (minus the Packet
-object and the cadence checks); keep them in lockstep when touching
-either.  One knowing divergence: trace-event *timestamps* stamped from
-``telemetry.now`` during an idle sweep's evictions may differ from the
-streaming loop's by up to one packet, because the batched loop only
-refreshes ``tel.now`` on the miss path and at cadence boundaries —
-``SimResult`` fields and every counter are unaffected.
+:meth:`~repro.sim.engine.VSwitchSimulator.run` feeds the packet kernel
+from here.  Instead of materialising one
+:class:`~repro.flow.packet.Packet` per row, the timestamp and
+flow-index columns are decoded :data:`CHUNK_SIZE` rows at a time — one
+``ndarray.tolist()`` each, far cheaper than per-element ``float()`` /
+``int()`` coercion — and each chunk's flow keys are resolved with one
+object-array take over the pilot table.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from typing import Iterable, Iterator, Tuple
 
-from ..metrics.cpu import CpuBreakdown
-from ..pipeline.traversal import Disposition
+import numpy as np
+
+from ..flow.key import FlowKey
 from ..workload.pipebench import Trace
-from .results import SimResult, TimeSeries
 
-#: Rows decoded per ``tolist()`` call.  Large enough to amortise the
-#: numpy→list conversion, small enough to keep the decoded lists cheap
-#: to slice at cadence boundaries.
+#: Rows decoded per ``tolist()`` call: large enough to amortise the
+#: numpy→list conversion, small enough that the decoded lists stay
+#: cache-resident.
 CHUNK_SIZE = 4096
 
-_INF = float("inf")
 
-
-def run_batched(simulator, trace: Trace) -> SimResult:
-    """Run ``simulator`` over ``trace`` via the batched inner loop."""
-    config = simulator.config
-    system = simulator.system
-    cache = system.cache
-    pipeline = simulator.pipeline
-    slowpath = config.latency.slowpath
-    cpu = CpuBreakdown()
-    series = TimeSeries(config.window)
-    latency_sum = 0.0
-    miss_cost_sum = 0.0
-    peak_entries = 0
-    cache_probes = 0
-    max_idle = config.max_idle
-    sweep_interval = config.sweep_interval
-    hit_us = config.latency.hit_us
-    next_sweep = sweep_interval
-    tel, ctl, lookup, on_lookup = simulator._prepare_run()
-    churn = simulator.churn
-    next_snapshot = sweep_interval
-
+def column_pairs(trace: Trace) -> Iterator[Iterable[Tuple[float, FlowKey]]]:
+    """Yield one ``zip(timestamps, flows)`` per :data:`CHUNK_SIZE` rows."""
     times, flow_indices, _sizes = trace.columns()
-    # Pilot table: flow keys resolved once, indexed by column value.
-    flows = [pilot.flow for pilot in trace.pilots]
-    total = len(times)
-
-    # Hoisted bound methods — the attribute loads the streaming loop
-    # pays per packet are paid once per run here.
-    record = series.record
-    execute = pipeline.execute
-    pipeline_stats = pipeline.stats
-    install = system.install
-    entry_count = cache.entry_count
-    charge_pipeline = cpu.charge_pipeline
-    charge_partition = cpu.charge_partition
-    charge_rulegen = cpu.charge_rulegen
-    pipeline_us = slowpath.pipeline_us
-    partition_us = slowpath.partition_us
-    rulegen_us = slowpath.rulegen_us
-    controller_disp = Disposition.CONTROLLER
-
-    now = 0.0
-    pos = 0
-    while pos < total:
+    flows = np.empty(len(trace.pilots), dtype=object)
+    for index, pilot in enumerate(trace.pilots):
+        flows[index] = pilot.flow
+    for pos in range(0, len(times), CHUNK_SIZE):
         end = pos + CHUNK_SIZE
-        if end > total:
-            end = total
-        t_chunk = times[pos:end].tolist()
-        i_chunk = flow_indices[pos:end].tolist()
-        pos = end
-        n = len(t_chunk)
-        start = 0
-        while start < n:
-            first = t_chunk[start]
-            # Earliest cadence deadline still ahead of this slice.
-            deadline = _INF
-            if max_idle > 0 and next_sweep < deadline:
-                deadline = next_sweep
-            if tel is not None and next_snapshot < deadline:
-                deadline = next_snapshot
-            if churn is not None and churn.deadline < deadline:
-                deadline = churn.deadline
-            if first >= deadline:
-                # The boundary packet has crossed one or more cadence
-                # deadlines: fire them all in the streaming loop's
-                # order (idle sweeps, then snapshots, then churn), then
-                # re-split.
-                if max_idle > 0:
-                    while first >= next_sweep:
-                        evicted = cache.evict_idle(next_sweep, max_idle)
-                        if tel is not None:
-                            tel.on_sweep(next_sweep, evicted)
-                        next_sweep += sweep_interval
-                if tel is not None:
-                    tel.now = first
-                    while first >= next_snapshot:
-                        snapshot = tel.sample(cache, next_snapshot)
-                        if ctl is not None:
-                            ctl.on_sweep(next_snapshot, snapshot)
-                        next_snapshot += sweep_interval
-                if churn is not None:
-                    while first >= churn.deadline:
-                        churn.advance(churn.deadline)
-                continue
-            # Timestamps are sorted (Trace invariant): everything
-            # before the bisection point is deadline-free.
-            if deadline is _INF:
-                stop = n
-            else:
-                stop = bisect_left(t_chunk, deadline, start)
-            if start == 0 and stop == n:
-                t_slice = t_chunk
-                i_slice = i_chunk
-            else:
-                t_slice = t_chunk[start:stop]
-                i_slice = i_chunk[start:stop]
-            start = stop
-
-            if tel is not None:
-                # Telemetry body.  ``tel.now`` is only read as a
-                # default timestamp by eviction events, and inside a
-                # cadence-free slice evictions can only fire during a
-                # miss's install — so the store lives on the miss path.
-                for now, index in zip(t_slice, i_slice):
-                    flow = flows[index]
-                    result = lookup(flow, now)
-                    cache_probes += result.groups_probed
-                    on_lookup(result, now, flow)
-                    if result.hit:
-                        latency_sum += hit_us
-                        record(now, hit=True)
-                        continue
-
-                    tel.now = now
-                    record(now, hit=False)
-                    groups_before = pipeline_stats.groups_probed
-                    traversal = execute(flow)
-                    groups = pipeline_stats.groups_probed - groups_before
-                    lookups = len(traversal)
-                    charge_pipeline(lookups, groups)
-                    miss_us = pipeline_us(lookups, groups)
-
-                    if traversal.disposition != controller_disp:
-                        cost = install(traversal, pipeline.generation, now)
-                        tel.on_install(
-                            now, lookups, cost.rules_generated,
-                            cost.rules_installed,
-                        )
-                        if cost.partition_cells:
-                            charge_partition(
-                                lookups,
-                                cost.partition_cells // max(lookups, 1),
-                            )
-                            miss_us += partition_us(
-                                lookups,
-                                cost.partition_cells // max(lookups, 1),
-                            )
-                        charge_rulegen(
-                            cost.rules_generated, cost.rules_installed
-                        )
-                        miss_us += rulegen_us(cost.rules_generated)
-                        if cost.rules_installed:
-                            entries = entry_count()
-                            if entries > peak_entries:
-                                peak_entries = entries
-
-                    latency_sum += miss_us
-                    miss_cost_sum += miss_us
-            else:
-                # Tightest variant: no telemetry — the loop body is
-                # lookup + series bookkeeping.
-                for now, index in zip(t_slice, i_slice):
-                    flow = flows[index]
-                    result = lookup(flow, now)
-                    cache_probes += result.groups_probed
-                    if result.hit:
-                        latency_sum += hit_us
-                        record(now, hit=True)
-                        continue
-
-                    record(now, hit=False)
-                    groups_before = pipeline_stats.groups_probed
-                    traversal = execute(flow)
-                    groups = pipeline_stats.groups_probed - groups_before
-                    lookups = len(traversal)
-                    charge_pipeline(lookups, groups)
-                    miss_us = pipeline_us(lookups, groups)
-
-                    if traversal.disposition != controller_disp:
-                        cost = install(traversal, pipeline.generation, now)
-                        if cost.partition_cells:
-                            charge_partition(
-                                lookups,
-                                cost.partition_cells // max(lookups, 1),
-                            )
-                            miss_us += partition_us(
-                                lookups,
-                                cost.partition_cells // max(lookups, 1),
-                            )
-                        charge_rulegen(
-                            cost.rules_generated, cost.rules_installed
-                        )
-                        miss_us += rulegen_us(cost.rules_generated)
-                        if cost.rules_installed:
-                            entries = entry_count()
-                            if entries > peak_entries:
-                                peak_entries = entries
-
-                    latency_sum += miss_us
-                    miss_cost_sum += miss_us
-
-    return simulator._finish_run(
-        tel, ctl, now, total, peak_entries, cache_probes,
-        latency_sum, miss_cost_sum, cpu, series,
-    )
+        yield zip(
+            times[pos:end].tolist(), flows[flow_indices[pos:end]].tolist()
+        )

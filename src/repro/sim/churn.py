@@ -1,10 +1,9 @@
 """Engine-side churn runtime: applies schedules at exact sim-time deadlines.
 
 :class:`ChurnRuntime` is the bridge between a declarative
-:class:`~repro.workload.churn.ChurnSchedule` and the three inner loops
-(streaming :meth:`~repro.sim.engine.VSwitchSimulator.run_packets`, the
-batched :func:`~repro.sim.batch.run_batched` path, and the serving
-driver :mod:`repro.serve`).  It owns two deadline streams:
+:class:`~repro.workload.churn.ChurnSchedule` and the packet kernel
+(:class:`~repro.sim.engine.PacketKernel`).  It owns two deadline
+streams:
 
 * **Events** — each schedule entry fires exactly at its timestamp,
   mutating the pipeline (and bumping its generation);
@@ -13,13 +12,14 @@ driver :mod:`repro.serve`).  It owns two deadline streams:
   ``reval_budget`` stale entries, the OVS-revalidator-style catch-up
   whose residue is the *revalidation backlog*.
 
-Both streams are driven purely by simulated packet time: the loops call
-``while now >= churn.deadline: churn.advance(churn.deadline)`` before
-processing the packet that crossed the deadline, after idle sweeps and
-telemetry snapshots (the fixed cadence-firing order).  Because deadlines
-and firing order depend only on timestamps — never on chunk or
-micro-batch boundaries — a schedule replays bit-identically across all
-three loops, which the differential battery in
+Both streams are driven purely by simulated packet time:
+:meth:`PacketKernel.advance <repro.sim.engine.PacketKernel.advance>`
+runs ``while now >= churn.deadline: churn.advance(churn.deadline)``
+before the packet that crossed the deadline is looked up, after idle
+sweeps and telemetry snapshots (the fixed cadence-firing order).
+Because deadlines and firing order depend only on timestamps — never on
+chunk or micro-batch boundaries — a schedule replays bit-identically
+whichever driver feeds the kernel, which the differential battery in
 ``tests/test_serve_differential.py`` pins.
 """
 
@@ -91,11 +91,11 @@ def resolve_churn(spec) -> ChurnConfig:
 class ChurnRuntime:
     """Per-run churn state: pending events, reval cadence, counters.
 
-    Built fresh by :meth:`VSwitchSimulator._prepare_run` (exposed as
-    ``simulator.churn``), so one :class:`ChurnConfig` can parameterise
-    many runs.  ``advance`` must be called with the current
-    :attr:`deadline` and strictly increases it, so the engine's
-    ``while now >= deadline`` loops always terminate.
+    Built fresh by each :class:`~repro.sim.engine.PacketKernel`
+    (exposed as ``simulator.churn``), so one :class:`ChurnConfig` can
+    parameterise many runs.  ``advance`` must be called with the
+    current :attr:`deadline` and strictly increases it, so the kernel's
+    ``while now >= deadline`` loop always terminates.
     """
 
     def __init__(

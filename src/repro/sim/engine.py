@@ -3,8 +3,9 @@
 Replays a packet trace against a caching system (Megaflow or Gigaflow).
 Hits are served by the modelled SmartNIC; misses run the real multi-table
 pipeline, charge slow-path CPU, and install cache rules — exactly the
-Fig. 5a workflow.  Produces :class:`~repro.sim.results.SimResult` records
-from which every end-to-end figure (8, 9, 10, 12, 13, 18) is derived.
+Fig. 5a workflow, held once in :class:`PacketKernel`.  Produces
+:class:`~repro.sim.results.SimResult` records from which every
+end-to-end figure (8, 9, 10, 12, 13, 18) is derived.
 """
 
 from __future__ import annotations
@@ -28,8 +29,11 @@ from ..obs.trace import EV_FASTPATH_INVALIDATE, EV_FASTPATH_REPLAY
 from ..pipeline.pipeline import Pipeline
 from ..pipeline.traversal import Disposition, Traversal
 from ..workload.pipebench import Trace
+from .batch import column_pairs
 from .fastpath import FastPathIndex
 from .results import SimResult, TimeSeries
+
+_INF = float("inf")
 
 
 @dataclass
@@ -241,15 +245,6 @@ class SimConfig:
             this knob *does* steer the simulation: the controller
             mutates live cache knobs, so results may (intentionally)
             differ from a controller-off run.
-        batch: Drive full-trace runs through the batched/columnar inner
-            loop (:mod:`repro.sim.batch`): packet timestamps and flow
-            indices are decoded from the trace's numpy columns in
-            chunks, and sweep/telemetry checks are amortised per chunk
-            instead of per packet.  Metric-faithful: every
-            :class:`SimResult` field is bit-identical either way
-            (``tests/test_sharded.py`` pins it differentially).
-            Ignored for :meth:`VSwitchSimulator.run_packets` callers,
-            which stream arbitrary packet iterables.
         timeouts: Optional per-rule adaptive idle-timeout predictor
             (:mod:`repro.core.timeouts`).  Accepts a predictor name
             (:data:`~repro.core.timeouts.PREDICTOR_NAMES`: ``"static"``,
@@ -277,8 +272,9 @@ class SimConfig:
             exposed as :attr:`VSwitchSimulator.churn` and its digest
             lands in ``SimResult.telemetry["churn"]`` when telemetry is
             attached.  Deadlines are driven purely by packet timestamps,
-            so churn-bearing runs stay bit-identical across the
-            streaming, batched and serving loops
+            so churn-bearing runs are bit-identical however packets
+            reach the kernel — streamed, decoded from columns or
+            served in micro-batches
             (``tests/test_serve_differential.py`` pins it).  Like
             ``controller``, this knob steers the simulation.  Requires a
             Megaflow or Gigaflow cache (no hierarchy support).
@@ -299,9 +295,280 @@ class SimConfig:
     eviction: Optional[str] = None
     controller: object = None
     timeouts: object = None
-    batch: bool = True
     churn: object = None
     shards: int = 1
+
+
+class PacketKernel:
+    """One run's state and the one copy of the per-packet body.
+
+    The Fig. 5a workflow — probe the SmartNIC cache; on a miss run the
+    slow path, partition, install — lives here and nowhere else.
+    Drivers only decide where ``(timestamp, flow)`` pairs come from
+    and how many arrive per :meth:`run` call:
+    :meth:`VSwitchSimulator.run` decodes a trace's columns,
+    :meth:`VSwitchSimulator.run_packets` streams packet objects, and
+    :meth:`repro.serve.ServingDriver.process` feeds micro-batches.
+    Every cadence fires off packet timestamps alone, so how a stream
+    is chunked never shows in the :class:`SimResult` or the trace.
+    """
+
+    def __init__(
+        self, pipeline: Pipeline, system: CachingSystem, config: SimConfig
+    ):
+        cache = system.cache
+        if config.eviction is not None:
+            cache.set_eviction_policy(config.eviction)
+        predictor = None
+        if config.timeouts is not None:
+            from ..core.timeouts import resolve_predictor
+
+            predictor = resolve_predictor(config.timeouts, config.max_idle)
+            # Installed before the controller attaches so it can pick
+            # the predictor up as its timeout-aggressiveness knob.
+            cache.set_timeout_predictor(predictor)
+        tel = config.telemetry
+        ctl = None
+        if config.controller is not None and config.controller is not False:
+            from ..core.controller import (
+                AdaptiveController,
+                ControllerConfig,
+            )
+
+            if tel is None:
+                # Private hub: the controller's signal source.
+                tel = Telemetry()
+            spec = config.controller
+            if isinstance(spec, AdaptiveController):
+                ctl = spec
+            elif isinstance(spec, ControllerConfig):
+                ctl = AdaptiveController(spec)
+            else:  # True (or any truthy marker): defaults
+                ctl = AdaptiveController()
+        if tel is not None:
+            tel.attach(cache, system.name)
+        if ctl is not None:
+            ctl.attach(cache, tel)
+        # The memo's replay/invalidation *metrics* delta-fold from its
+        # own counters (Telemetry.attach_fastpath), so the per-replay
+        # hook calls are only routed when tracing wants those events.
+        fastpath_tracing = tel is not None and (
+            tel.tracer.wants(EV_FASTPATH_REPLAY)
+            or tel.tracer.wants(EV_FASTPATH_INVALIDATE)
+        )
+        fastpath = (
+            FastPathIndex(cache, telemetry=tel if fastpath_tracing else None)
+            if config.fast_path
+            else None
+        )
+        if tel is not None and fastpath is not None:
+            tel.attach_fastpath(fastpath)
+        if tel is not None and predictor is not None:
+            tel.attach_timeouts(predictor)
+        churn = None
+        if config.churn is not None:
+            from .churn import ChurnRuntime, resolve_churn
+
+            churn = ChurnRuntime(
+                resolve_churn(config.churn),
+                pipeline,
+                cache,
+                tel,
+                config.sweep_interval,
+            )
+
+        self.pipeline = pipeline
+        self.system = system
+        self.cache = cache
+        self.telemetry = tel
+        self.controller = ctl
+        self.fastpath = fastpath
+        self.timeout_predictor = predictor
+        self.churn = churn
+        self.slowpath = config.latency.slowpath
+        self.hit_us = config.latency.hit_us
+        self.max_idle = config.max_idle
+        self.sweep_interval = config.sweep_interval
+        self.cpu = CpuBreakdown()
+        self.series = TimeSeries(config.window)
+        self.latency_sum = 0.0
+        self.miss_cost_sum = 0.0
+        self.packet_count = 0
+        self.peak_entries = 0
+        self.cache_probes = 0
+        #: Timestamp of the last packet processed.
+        self.now = 0.0
+        # A cadence that is off never comes due.  Snapshots ride the
+        # sweep cadence but fire even when idle expiry is disabled.
+        self.next_sweep = (
+            config.sweep_interval if config.max_idle > 0 else _INF
+        )
+        self.next_snapshot = config.sweep_interval if tel is not None else _INF
+        #: Earliest pending sweep / snapshot / churn deadline — the one
+        #: float the packet loop compares against.
+        self.deadline = self._next_deadline()
+
+    def _next_deadline(self) -> float:
+        churn = self.churn
+        return min(
+            self.next_sweep,
+            self.next_snapshot,
+            churn.deadline if churn is not None else _INF,
+        )
+
+    def advance(self, now: float) -> float:
+        """Fire every deadline ``now`` has reached; returns the next one.
+
+        Fixed order: idle sweeps, then snapshots (and the controller),
+        then churn.  Each fires once per elapsed interval at its
+        *scheduled* time, so a sparse trace neither slides the schedule
+        nor skips a firing, and a timestamp that regresses (segment
+        seams in :func:`repro.serve.endless_packets`) fires nothing.
+        """
+        cache = self.cache
+        tel = self.telemetry
+        interval = self.sweep_interval
+        while now >= self.next_sweep:
+            at = self.next_sweep
+            if tel is not None:
+                # Idle-evict trace events carry the sweep's own time.
+                tel.now = at
+            evicted = cache.evict_idle(at, self.max_idle)
+            if tel is not None:
+                tel.on_sweep(at, evicted)
+            self.next_sweep = at + interval
+        if tel is not None:
+            tel.now = now
+            ctl = self.controller
+            while now >= self.next_snapshot:
+                at = self.next_snapshot
+                snapshot = tel.sample(cache, at)
+                if ctl is not None:
+                    ctl.on_sweep(at, snapshot)
+                self.next_snapshot = at + interval
+        churn = self.churn
+        if churn is not None:
+            while now >= churn.deadline:
+                churn.advance(churn.deadline)
+        self.deadline = self._next_deadline()
+        return self.deadline
+
+    def miss(self, flow, now: float) -> float:
+        """Slow path for one missed packet: traverse the pipeline,
+        install what it yields, charge the CPU model.  Returns the
+        modelled miss latency in µs."""
+        tel = self.telemetry
+        if tel is not None:
+            # Evictions forced by the install stamp their events from it.
+            tel.now = now
+        self.series.record(now, hit=False)
+        pipeline = self.pipeline
+        cpu = self.cpu
+        slowpath = self.slowpath
+        groups_before = pipeline.stats.groups_probed
+        traversal = pipeline.execute(flow)
+        groups = pipeline.stats.groups_probed - groups_before
+        lookups = len(traversal)
+        cpu.charge_pipeline(lookups, groups)
+        miss_us = slowpath.pipeline_us(lookups, groups)
+
+        if traversal.disposition != Disposition.CONTROLLER:
+            cost = self.system.install(traversal, pipeline.generation, now)
+            if tel is not None:
+                tel.on_install(
+                    now, lookups, cost.rules_generated, cost.rules_installed
+                )
+            if cost.partition_cells:
+                cells = cost.partition_cells // max(lookups, 1)
+                cpu.charge_partition(lookups, cells)
+                miss_us += slowpath.partition_us(lookups, cells)
+            cpu.charge_rulegen(cost.rules_generated, cost.rules_installed)
+            miss_us += slowpath.rulegen_us(cost.rules_generated)
+            if cost.rules_installed:
+                entries = self.cache.entry_count()
+                if entries > self.peak_entries:
+                    self.peak_entries = entries
+
+        self.miss_cost_sum += miss_us
+        return miss_us
+
+    def run(self, pairs: Iterable[Tuple[float, object]]) -> None:
+        """Push ``(timestamp, flow)`` pairs through the cache, in order."""
+        fastpath = self.fastpath
+        lookup = fastpath.lookup if fastpath is not None else self.cache.lookup
+        tel = self.telemetry
+        on_lookup = tel.on_lookup if tel is not None else None
+        advance = self.advance
+        miss = self.miss
+        # series.record(now, hit=True), minus the call — which alone
+        # is ~4 % of a memoized hit.
+        hit_buckets = self.series._hits
+        window = self.series.window
+        hit_us = self.hit_us
+        deadline = self.deadline
+        packet_count = self.packet_count
+        cache_probes = self.cache_probes
+        latency_sum = self.latency_sum
+        now = self.now
+
+        for now, flow in pairs:
+            packet_count += 1
+            if now >= deadline:
+                deadline = advance(now)
+            result = lookup(flow, now)
+            cache_probes += result.groups_probed
+            if on_lookup is not None:
+                on_lookup(result, now, flow)
+            if result.hit:
+                latency_sum += hit_us
+                hit_buckets[int(now // window)] += 1
+            else:
+                latency_sum += miss(flow, now)
+
+        self.packet_count = packet_count
+        self.cache_probes = cache_probes
+        self.latency_sum = latency_sum
+        self.now = now
+
+    def finish(self) -> SimResult:
+        """Finalize telemetry and assemble the :class:`SimResult`."""
+        system = self.system
+        cache = self.cache
+        tel = self.telemetry
+        telemetry_summary = None
+        if tel is not None:
+            tel.finalize(cache, self.now, self.fastpath)
+            telemetry_summary = tel.summary()
+            if self.controller is not None:
+                telemetry_summary["controller"] = self.controller.summary()
+            if self.timeout_predictor is not None:
+                telemetry_summary["timeouts"] = (
+                    self.timeout_predictor.summary()
+                )
+            if self.churn is not None:
+                telemetry_summary["churn"] = self.churn.digest()
+
+        stats = cache.stats.snapshot()
+        misses = stats.misses
+        packet_count = self.packet_count
+        return SimResult(
+            system=system.name,
+            stats=stats,
+            packets=packet_count,
+            entry_count=cache.entry_count(),
+            peak_entries=max(self.peak_entries, cache.entry_count()),
+            capacity=cache.capacity_total(),
+            avg_latency_us=(
+                self.latency_sum / packet_count if packet_count else 0.0
+            ),
+            avg_miss_cost_us=self.miss_cost_sum / misses if misses else 0.0,
+            cpu=self.cpu,
+            series=self.series,
+            sharing=system.sharing(),
+            coverage=system.coverage(),
+            cache_probes=self.cache_probes,
+            telemetry=telemetry_summary,
+        )
 
 
 class VSwitchSimulator:
@@ -330,246 +597,28 @@ class VSwitchSimulator:
         #: the revalidation backlog.
         self.churn = None
 
+    def kernel(self) -> PacketKernel:
+        """Start a run: a fresh :class:`PacketKernel`, its parts
+        published as this simulator's most-recent-run attributes."""
+        kernel = PacketKernel(self.pipeline, self.system, self.config)
+        self.fastpath = kernel.fastpath
+        self.controller = kernel.controller
+        self.timeout_predictor = kernel.timeout_predictor
+        self.churn = kernel.churn
+        return kernel
+
     def run(self, trace: Trace) -> SimResult:
-        if self.config.batch and hasattr(trace, "columns"):
-            # Lazy import: batch.py imports from this module.
-            from .batch import run_batched
+        """Replay a trace straight from its numpy columns."""
+        kernel = self.kernel()
+        for pairs in column_pairs(trace):
+            kernel.run(pairs)
+        return kernel.finish()
 
-            return run_batched(self, trace)
-        return self.run_packets(trace.packets(), len(trace))
-
-    def _prepare_run(self):
-        """Per-run setup shared by the streaming and batched loops.
-
-        Installs the eviction policy, wires telemetry + controller,
-        builds the fast-path memo, and returns the hoisted hot-path
-        hooks ``(tel, ctl, lookup, on_lookup, on_start)``.  Kept in
-        lockstep with :mod:`repro.sim.batch` — any new knob consumed
-        here is automatically honoured by both loops.
-        """
-        config = self.config
-        system = self.system
-        cache = system.cache
-        if config.eviction is not None:
-            cache.set_eviction_policy(config.eviction)
-        predictor = None
-        if config.timeouts is not None:
-            from ..core.timeouts import resolve_predictor
-
-            predictor = resolve_predictor(config.timeouts, config.max_idle)
-            # Installed before the controller attaches so it can pick
-            # the predictor up as its timeout-aggressiveness knob.
-            cache.set_timeout_predictor(predictor)
-        self.timeout_predictor = predictor
-        tel = config.telemetry
-        ctl = None
-        if config.controller is not None and config.controller is not False:
-            from ..core.controller import (
-                AdaptiveController,
-                ControllerConfig,
-            )
-
-            if tel is None:
-                # Private hub: the controller's signal source.
-                tel = Telemetry()
-            spec = config.controller
-            if isinstance(spec, AdaptiveController):
-                ctl = spec
-            elif isinstance(spec, ControllerConfig):
-                ctl = AdaptiveController(spec)
-            else:  # True (or any truthy marker): defaults
-                ctl = AdaptiveController()
-        if tel is not None:
-            tel.attach(cache, system.name)
-        if ctl is not None:
-            ctl.attach(cache, tel)
-        self.controller = ctl
-        # The memo's replay/invalidation *metrics* delta-fold from its
-        # own counters (Telemetry.attach_fastpath), so the per-replay
-        # hook calls are only routed when tracing wants those events.
-        fastpath_tracing = tel is not None and (
-            tel.tracer.wants(EV_FASTPATH_REPLAY)
-            or tel.tracer.wants(EV_FASTPATH_INVALIDATE)
-        )
-        self.fastpath = (
-            FastPathIndex(cache, telemetry=tel if fastpath_tracing else None)
-            if config.fast_path
-            else None
-        )
-        if tel is not None and self.fastpath is not None:
-            tel.attach_fastpath(self.fastpath)
-        if tel is not None and predictor is not None:
-            tel.attach_timeouts(predictor)
-        if config.churn is not None:
-            from .churn import ChurnRuntime, resolve_churn
-
-            self.churn = ChurnRuntime(
-                resolve_churn(config.churn),
-                self.pipeline,
-                cache,
-                tel,
-                config.sweep_interval,
-            )
-        else:
-            self.churn = None
-        lookup = (
-            self.fastpath.lookup if self.fastpath is not None
-            else cache.lookup
-        )
-        # Hoisted hot-path hook: one bound-method load per run instead
-        # of attribute chains per packet.
-        on_lookup = tel.on_lookup if tel is not None else None
-        return tel, ctl, lookup, on_lookup
-
-    def _finish_run(
-        self,
-        tel,
-        ctl,
-        now: float,
-        packet_count: int,
-        peak_entries: int,
-        cache_probes: int,
-        latency_sum: float,
-        miss_cost_sum: float,
-        cpu: CpuBreakdown,
-        series: TimeSeries,
-    ) -> SimResult:
-        """Finalize telemetry and assemble the :class:`SimResult`."""
-        system = self.system
-        cache = system.cache
-        telemetry_summary = None
-        if tel is not None:
-            tel.finalize(cache, now, self.fastpath)
-            telemetry_summary = tel.summary()
-            if ctl is not None:
-                telemetry_summary["controller"] = ctl.summary()
-            if self.timeout_predictor is not None:
-                telemetry_summary["timeouts"] = (
-                    self.timeout_predictor.summary()
-                )
-            if self.churn is not None:
-                telemetry_summary["churn"] = self.churn.digest()
-
-        stats = cache.stats.snapshot()
-        misses = stats.misses
-        return SimResult(
-            system=system.name,
-            stats=stats,
-            packets=packet_count,
-            entry_count=cache.entry_count(),
-            peak_entries=max(peak_entries, cache.entry_count()),
-            capacity=cache.capacity_total(),
-            avg_latency_us=(
-                latency_sum / packet_count if packet_count else 0.0
-            ),
-            avg_miss_cost_us=miss_cost_sum / misses if misses else 0.0,
-            cpu=cpu,
-            series=series,
-            sharing=system.sharing(),
-            coverage=system.coverage(),
-            cache_probes=cache_probes,
-            telemetry=telemetry_summary,
-        )
-
-    def run_packets(
-        self, packets: Iterable[Packet], expected: Optional[int] = None
-    ) -> SimResult:
-        config = self.config
-        system = self.system
-        cache = system.cache
-        pipeline = self.pipeline
-        slowpath = config.latency.slowpath
-        cpu = CpuBreakdown()
-        series = TimeSeries(config.window)
-        latency_sum = 0.0
-        miss_cost_sum = 0.0
-        packet_count = 0
-        peak_entries = 0
-        cache_probes = 0
-        max_idle = config.max_idle
-        sweep_interval = config.sweep_interval
-        hit_us = config.latency.hit_us
-        next_sweep = sweep_interval
-        tel, ctl, lookup, on_lookup = self._prepare_run()
-        churn = self.churn
-        next_snapshot = sweep_interval
-
-        now = 0.0
-        for packet in packets:
-            now = packet.timestamp
-            packet_count += 1
-            if max_idle > 0:
-                # Fixed cadence: fire one sweep per elapsed interval, at
-                # its scheduled time, so sparse traces neither slide the
-                # schedule nor skip sweeps.
-                while now >= next_sweep:
-                    evicted = cache.evict_idle(next_sweep, max_idle)
-                    if tel is not None:
-                        tel.on_sweep(next_sweep, evicted)
-                    next_sweep += sweep_interval
-            if tel is not None:
-                tel.now = now
-                # Snapshots ride the sweep cadence but fire even when
-                # idle expiry is disabled (max_idle == 0).
-                while now >= next_snapshot:
-                    snapshot = tel.sample(cache, next_snapshot)
-                    if ctl is not None:
-                        ctl.on_sweep(next_snapshot, snapshot)
-                    next_snapshot += sweep_interval
-            if churn is not None:
-                # Control-plane churn rides its own deadlines (events +
-                # reval ticks), fired after sweeps and snapshots — the
-                # cadence order every loop must share.
-                while now >= churn.deadline:
-                    churn.advance(churn.deadline)
-
-            result = lookup(packet.flow, now)
-            cache_probes += result.groups_probed
-            if on_lookup is not None:
-                on_lookup(result, now, packet.flow)
-            if result.hit:
-                latency_sum += hit_us
-                series.record(now, hit=True)
-                continue
-
-            series.record(now, hit=False)
-            groups_before = pipeline.stats.groups_probed
-            traversal = pipeline.execute(packet.flow)
-            groups = pipeline.stats.groups_probed - groups_before
-            lookups = len(traversal)
-            cpu.charge_pipeline(lookups, groups)
-            miss_us = slowpath.pipeline_us(lookups, groups)
-
-            if traversal.disposition != Disposition.CONTROLLER:
-                cost = system.install(traversal, pipeline.generation, now)
-                if tel is not None:
-                    tel.on_install(
-                        now, lookups, cost.rules_generated,
-                        cost.rules_installed,
-                    )
-                if cost.partition_cells:
-                    cpu.charge_partition(
-                        lookups, cost.partition_cells // max(lookups, 1)
-                    )
-                    miss_us += slowpath.partition_us(
-                        lookups, cost.partition_cells // max(lookups, 1)
-                    )
-                cpu.charge_rulegen(
-                    cost.rules_generated, cost.rules_installed
-                )
-                miss_us += slowpath.rulegen_us(cost.rules_generated)
-                if cost.rules_installed:
-                    entries = cache.entry_count()
-                    if entries > peak_entries:
-                        peak_entries = entries
-
-            latency_sum += miss_us
-            miss_cost_sum += miss_us
-
-        return self._finish_run(
-            tel, ctl, now, packet_count, peak_entries, cache_probes,
-            latency_sum, miss_cost_sum, cpu, series,
-        )
+    def run_packets(self, packets: Iterable[Packet]) -> SimResult:
+        """Replay any packet iterable (need not be sorted or sized)."""
+        kernel = self.kernel()
+        kernel.run((packet.timestamp, packet.flow) for packet in packets)
+        return kernel.finish()
 
 
 def run_comparison(

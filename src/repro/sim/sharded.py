@@ -8,7 +8,7 @@ that layout in simulation: flows are hash-partitioned by flow signature
 across ``SimConfig.shards`` worker *processes* (stdlib
 ``multiprocessing``, fork start method), each worker drives the classic
 :class:`~repro.sim.engine.VSwitchSimulator` over its slice of the trace
-through the batched inner loop, and the per-worker
+(columnar decode), and the per-worker
 :class:`~repro.sim.results.SimResult` records plus telemetry registries
 merge losslessly in the parent (see ``docs/sharding.md`` for the merge
 semantics and their one caveat, ``peak_entries``).
@@ -41,7 +41,6 @@ import numpy as np
 
 from ..flow.key import FlowKey
 from ..obs.metrics import MetricsRegistry
-from ..obs.telemetry import Telemetry
 from ..obs.trace import TraceSinkError
 from ..workload.pipebench import Trace
 from .engine import CachingSystem, SimConfig, VSwitchSimulator
@@ -253,52 +252,18 @@ class ShardedSimulator:
 
     # -- worker body ------------------------------------------------------------
 
-    def _shard_telemetry(self, shard_id: int) -> Optional[Telemetry]:
-        """A fresh per-worker hub mirroring the parent hub's tracer
-        settings (ring capacity, enablement, and event mask).
-
-        When the parent tracer's sink was opened from a *path*
-        (``sink_path`` is set), the worker gets its own derived sink at
-        ``<path>.shard<N>`` — opened inside the worker process, so no
-        file descriptor is shared across the fork.  Caller-owned IO
-        sinks (``sink_path`` is ``None``) stay parent-only: a forked
-        file object would interleave garbage.
-
-        Derived sinks open *exclusively*: a pre-existing
-        ``<path>.shard<N>`` (stale output from an earlier run that
-        would otherwise be silently truncated — or worse, silently
-        *mixed in* by downstream ``repro trace`` globbing) or an
-        unwritable directory raises
-        :class:`~repro.obs.trace.TraceSinkError` naming the shard,
-        which :meth:`_run_shard` surfaces with
-        :class:`ShardWorkerError` semantics instead of a mid-run death.
-        """
-        parent = self.config.telemetry
-        if parent is None:
-            return None
-        sink = (
-            f"{parent.tracer.sink_path}.shard{shard_id}"
-            if parent.tracer.sink_path is not None
-            else None
-        )
-        tel = Telemetry(
-            trace_capacity=parent.tracer.capacity,
-            tracing=parent.tracer.enabled,
-            trace_sink=sink,
-            trace_sink_exclusive=True,
-        )
-        # Mirror the event selection bit-for-bit (set_events would
-        # re-derive the same mask; copying keeps dynamic interning
-        # state out of the contract).
-        tel.tracer.mask = parent.tracer.mask
-        tel.tracer.event_filter = parent.tracer.event_filter
-        return tel
-
     def _run_shard(self, shard_id: int, shards: int, trace: Trace):
         """Run one shard to completion (called inside the worker for
         ``"processes"`` mode, in-process for ``"inline"``)."""
+        parent = self.config.telemetry
         try:
-            tel = self._shard_telemetry(shard_id)
+            # Opened here, inside the worker: no descriptor crosses
+            # the fork (see Telemetry.derive).
+            tel = (
+                parent.derive(f"shard{shard_id}")
+                if parent is not None
+                else None
+            )
         except TraceSinkError as exc:
             # Name the shard loudly (ShardWorkerError semantics): in
             # processes mode the parent wraps this into a

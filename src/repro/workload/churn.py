@@ -14,8 +14,8 @@ This module is the *declarative* half of that story: a
 Events are semantic specs, not captured rule objects — applying the same
 schedule to two independently built (identically seeded) pipelines
 produces identical mutations, which is what lets the differential tests
-replay one schedule across the streaming, batched and serving loops and
-demand bit-identical results.
+replay one schedule through the streaming, columnar and serving drivers
+and demand bit-identical results.
 
 Scenario builders cover the three churn families the serving mode
 measures:

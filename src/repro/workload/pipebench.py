@@ -256,7 +256,7 @@ class Trace:
     def columns(self):
         """The raw columnar storage ``(times, flow_indices, sizes)``.
 
-        Exposed for the batched simulator loop (:mod:`repro.sim.batch`)
+        Exposed for the columnar decode (:mod:`repro.sim.batch`)
         and the sharded trace splitter — callers must treat the arrays
         as read-only.
         """

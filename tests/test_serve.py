@@ -115,6 +115,14 @@ class TestServingDriverLifecycle:
         with pytest.raises(RuntimeError, match="start"):
             driver.finish()
 
+    def test_state_reads_before_start(self):
+        workload = seeded_workload()
+        driver = ServingDriver(workload.pipeline, gigaflow(), sim_config())
+        assert driver.telemetry is None
+        assert driver.churn is None
+        assert driver.now == 0.0
+        assert driver.packet_count == 0
+
     def test_start_is_once_only(self):
         workload = seeded_workload()
         driver = ServingDriver(workload.pipeline, gigaflow(), sim_config())

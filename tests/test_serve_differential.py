@@ -187,6 +187,72 @@ class TestConfigScheduleMatrix:
         assert digest["rule_ops"]["remove"] >= 7
 
 
+class TestTraceStreamEquivalence:
+    """One kernel, three drivers: not only the ``SimResult`` but the
+    *trace event stream* — every event's kind, fields and ``ts`` — is
+    the same however packets reach the kernel.  The config is the one
+    that used to tell the loops apart: idle expiry on a sub-second
+    sweep cadence (idle-``evict`` events are stamped from the hub's
+    clock, not from an argument) with churn on top."""
+
+    #: 1 and 37 straddle every cadence; 100000 is the whole trace.
+    SIZES = (1, 37, 100_000)
+
+    @staticmethod
+    def run(drive):
+        workload = seeded_workload()
+        trace = seeded_trace(workload)
+        telemetry = Telemetry(tracing=True, trace_capacity=1 << 20)
+        config = SimConfig(
+            max_idle=1.0,
+            sweep_interval=0.5,
+            telemetry=telemetry,
+            churn=ChurnConfig(
+                schedule=mixed_schedule(workload), reval_budget=16
+            ),
+        )
+        result = drive(workload.pipeline, config, trace)
+        assert telemetry.tracer.dropped == 0
+        events = list(telemetry.tracer.iter_dicts())
+        return signature(result), events
+
+    @staticmethod
+    def streaming(pipeline, config, trace):
+        simulator = VSwitchSimulator(pipeline, system(), config)
+        return simulator.run_packets(trace.packets())
+
+    @staticmethod
+    def columnar(pipeline, config, trace):
+        return VSwitchSimulator(pipeline, system(), config).run(trace)
+
+    @staticmethod
+    def serving(batch_size):
+        def drive(pipeline, config, trace):
+            driver = ServingDriver(
+                pipeline, system(), config,
+                ServeConfig(batch_size=batch_size),
+            )
+            return driver.serve(stream_trace(trace))
+
+        return drive
+
+    def test_every_driver_emits_the_same_events(self):
+        reference, events = self.run(self.streaming)
+        kinds = {event["event"] for event in events}
+        assert {"evict", "sweep", "install", "revalidate"} <= kinds
+        assert any(
+            event["event"] == "evict" and event["reason"] == "idle"
+            for event in events
+        )
+        drivers = {"columnar": self.columnar}
+        for size in self.SIZES:
+            drivers[f"serving/{size}"] = self.serving(size)
+        for name, drive in drivers.items():
+            got, got_events = self.run(drive)
+            assert got == reference, name
+            assert got_events == events, name
+
+
 class TestBatchSizeProperty:
     @given(batch_size=st.integers(min_value=1, max_value=5000))
     @settings(

@@ -1,11 +1,11 @@
-"""Tests for the sharded multi-worker engine and the batched inner loop.
+"""Tests for the sharded multi-worker engine and the columnar driver.
 
 The contracts pinned here, in order:
 
-* **Batch fidelity** — the batched/columnar loop produces a
-  bit-identical :class:`~repro.sim.results.SimResult` to the streaming
-  per-packet loop, across systems and across every cadence-bearing
-  config (idle sweeps, telemetry, controller).
+* **Columnar fidelity** — ``run(trace)`` (chunked column decode)
+  produces a bit-identical :class:`~repro.sim.results.SimResult` to
+  ``run_packets(trace.packets())``, across systems and across every
+  cadence-bearing config (idle sweeps, telemetry, controller).
 * **Shard assignment** — flows map to shards stably, every packet of a
   flow lands on one shard, and the per-shard traces partition the
   parent exactly.
@@ -66,7 +66,7 @@ def sim_config(**overrides):
 
 
 # ---------------------------------------------------------------------------
-# Batched loop fidelity
+# Columnar driver fidelity
 
 
 BATCH_CONFIGS = {
@@ -80,8 +80,9 @@ BATCH_CONFIGS = {
 
 
 class TestBatchedLoopFidelity:
-    """run(trace) defaults to the batched loop; these differentials
-    prove it is observably indistinguishable from the streaming loop."""
+    """run(trace) decodes the trace's columns; run_packets streams
+    Packet objects.  Both feed one kernel, and these differentials pin
+    that the decode is observably indistinguishable."""
 
     @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
     @pytest.mark.parametrize("system_factory", [
@@ -90,33 +91,26 @@ class TestBatchedLoopFidelity:
     def test_batched_equals_streaming(self, name, system_factory):
         fingerprints = []
         telemetries = []
-        for batch in (True, False):
+        for columnar in (True, False):
             overrides = dict(BATCH_CONFIGS[name])
             if overrides.pop("telemetry", False):
                 overrides["telemetry"] = Telemetry()
             workload = small_workload()
-            config = sim_config(batch=batch, **overrides)
+            trace = small_trace(workload)
             simulator = VSwitchSimulator(
                 workload.pipeline,
                 system_factory(_context(shards=1)),
-                config,
+                sim_config(**overrides),
             )
-            result = simulator.run(small_trace(workload))
+            if columnar:
+                result = simulator.run(trace)
+            else:
+                result = simulator.run_packets(trace.packets())
+            assert result.packets == len(trace)
             fingerprints.append(result_fingerprint(result))
             telemetries.append(result.telemetry)
         assert fingerprints[0] == fingerprints[1]
         assert telemetries[0] == telemetries[1]
-
-    def test_run_packets_ignores_batch_flag(self):
-        # Streaming callers keep working when batch=True (the default):
-        # run_packets has no columns to batch over.
-        workload = small_workload()
-        trace = small_trace(workload)
-        simulator = VSwitchSimulator(
-            workload.pipeline, gigaflow_factory(_context(1)), sim_config()
-        )
-        streamed = simulator.run_packets(trace.packets(), len(trace))
-        assert streamed.packets == len(trace)
 
 
 def _context(shards, shard_id=0, seed=0):

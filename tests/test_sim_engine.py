@@ -2,15 +2,17 @@
 
 import pytest
 
+from repro.obs import Telemetry
 from repro.pipeline import PSC
 from repro.sim import (
+    ChurnConfig,
     GigaflowSystem,
     MegaflowSystem,
     SimConfig,
     VSwitchSimulator,
 )
 from repro.sim.results import TimeSeries
-from repro.workload import build_workload
+from repro.workload import ChurnSchedule, build_workload
 
 N_FLOWS = 300
 
@@ -98,6 +100,77 @@ class TestSimulatorBasics:
         text = result.summary()
         assert "megaflow" in text
         assert "hit_rate" in text
+
+
+class TestKernelCadence:
+    """The kernel's one ``deadline``: sweeps, snapshots and churn each
+    fire once per elapsed interval, at their scheduled times, in that
+    order — whatever the packet timestamps do."""
+
+    @staticmethod
+    def spied_kernel():
+        w = fresh()
+        telemetry = Telemetry(tracing=True)
+        config = SimConfig(
+            max_idle=2.0,
+            sweep_interval=1.0,
+            telemetry=telemetry,
+            churn=ChurnConfig(schedule=ChurnSchedule([])),
+        )
+        simulator = VSwitchSimulator(w.pipeline, GigaflowSystem(), config)
+        kernel = simulator.kernel()
+        calls = []
+
+        def spy(owner, name, label, time_arg):
+            original = getattr(owner, name)
+
+            def recorded(*args):
+                calls.append((label, args[time_arg]))
+                return original(*args)
+
+            setattr(owner, name, recorded)
+
+        spy(kernel.cache, "evict_idle", "sweep", 0)
+        spy(telemetry, "sample", "snapshot", 1)
+        spy(kernel.churn, "advance", "churn", 0)
+        return kernel, calls, w.pilots[0].flow, telemetry
+
+    def test_jump_fires_every_elapsed_deadline_in_order(self):
+        kernel, calls, flow, telemetry = self.spied_kernel()
+        kernel.run([(0.25, flow)])
+        assert calls == []
+        kernel.run([(3.5, flow)])
+        assert calls == [
+            ("sweep", 1.0), ("sweep", 2.0), ("sweep", 3.0),
+            ("snapshot", 1.0), ("snapshot", 2.0), ("snapshot", 3.0),
+            ("churn", 1.0), ("churn", 2.0), ("churn", 3.0),
+        ]
+        assert kernel.deadline == 4.0
+        # The t=0.25 install went idle at the 3.0 sweep, and its evict
+        # event says 3.0 — not the time of whichever packet came next.
+        idle = [
+            event for event in telemetry.tracer.iter_dicts()
+            if event["event"] == "evict" and event["reason"] == "idle"
+        ]
+        assert idle and all(event["ts"] == 3.0 for event in idle)
+
+    def test_regressing_timestamp_fires_nothing_twice_and_skips_nothing(
+        self,
+    ):
+        kernel, calls, flow, _ = self.spied_kernel()
+        kernel.run([(1.5, flow)])
+        fired = list(calls)
+        assert fired == [("sweep", 1.0), ("snapshot", 1.0), ("churn", 1.0)]
+        # A segment seam: time steps back across a fired deadline.
+        kernel.run([(0.75, flow), (0.9, flow)])
+        assert calls == fired
+        assert kernel.now == 0.9
+        # Landing exactly on the next deadline fires it, once.
+        kernel.run([(2.0, flow)])
+        assert calls[len(fired):] == [
+            ("sweep", 2.0), ("snapshot", 2.0), ("churn", 2.0),
+        ]
+        assert kernel.packet_count == 4
 
 
 class TestTimeSeries:

@@ -1,14 +1,20 @@
-"""Static audit: no wall-clock in simulated-time decision modules.
+"""Static audits of the engine family: no wall-clock, one slow path.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
 *packet timestamps*.  A single ``time.time()`` (or ``datetime.now()``)
 creeping into one of these modules would make results depend on host
-speed and break the lockstep contract (streaming == batched == serving
+speed and break driver equivalence (streaming == columnar == serving
 == fabric), so the modules below are pinned wall-clock-free by AST
 inspection.  Wall-clock is legitimately used elsewhere — the CLI's
 throughput timers, the sharded driver's worker watchdog, the HTTP ops
 surface — which is exactly why those modules are *not* on this list.
+
+The second audit keeps the per-packet body single: across the modules
+that drive packets, the slow path (``pipeline.execute``) and the
+install (``system.install``) are each reached from exactly one
+function, ``PacketKernel.miss`` — a driver that grows its own copy
+fails here instead of needing a docstring asking it not to.
 """
 
 import ast
@@ -20,7 +26,8 @@ import repro
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 
-#: Modules whose every decision must be simulated-time only.
+#: Modules whose every decision must be simulated-time only
+#: (``sim/engine.py`` is where the packet kernel lives).
 AUDITED = [
     "serve.py",
     "sim/churn.py",
@@ -29,6 +36,9 @@ AUDITED = [
     "net/fabric.py",
     "net/topology.py",
 ]
+
+#: The kernel's module and every driver that feeds it.
+LOOP_MODULES = ["sim/engine.py", "sim/batch.py", "serve.py"]
 
 #: Modules that must never be imported there (wall-clock sources).
 FORBIDDEN_MODULES = {"time", "datetime"}
@@ -77,3 +87,49 @@ def test_module_is_wallclock_free(relpath):
 def test_audited_modules_exist():
     for relpath in AUDITED:
         assert (SRC / relpath).is_file(), relpath
+
+
+def _terminal_name(node):
+    """``pipeline`` for both ``pipeline`` and ``self.pipeline``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _functions_touching(owner: str, method: str):
+    """Qualified names of functions in the loop modules that mention
+    ``<owner>.<method>`` — called on the spot, or hoisted into a local
+    and called from there."""
+    found = set()
+
+    def visit(node, scope, relpath):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                visit(child, scope + [child.name], relpath)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr == method
+                and _terminal_name(child.value) == owner
+            ):
+                found.add(f"{relpath}:{'.'.join(scope) or '<module>'}")
+            visit(child, scope, relpath)
+
+    for relpath in LOOP_MODULES:
+        path = SRC / relpath
+        visit(ast.parse(path.read_text(), filename=str(path)), [], relpath)
+    return found
+
+
+@pytest.mark.parametrize("owner, method", [
+    ("pipeline", "execute"),
+    ("system", "install"),
+])
+def test_slow_path_is_reached_from_one_function(owner, method):
+    assert _functions_touching(owner, method) == {
+        "sim/engine.py:PacketKernel.miss"
+    }
