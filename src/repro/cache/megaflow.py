@@ -290,7 +290,6 @@ class MegaflowCache(FlowCache):
             for entry in stale:
                 self.remove(entry, reason="idle")
             return len(stale)
-        pred.begin_sweep(now, len(self._by_match) / self.capacity)
         stale = []
         for entry in self._by_match.values():
             timeout = pred.timeout_for(entry.match)

@@ -148,7 +148,6 @@ class MicroflowCache(FlowCache):
                 del self._entries[key]
                 self.policy.on_remove(key)
         else:
-            pred.begin_sweep(now, len(self._entries) / self.capacity)
             stale = []
             expiries = []
             for key, entry in self._entries.items():

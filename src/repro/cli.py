@@ -11,24 +11,13 @@ sweep
 coverage
     Table 2-style rule-space coverage for one pipeline.
 bench
-    Fast-path benchmark: replay one pipebench trace with the exact-match
-    fast path on and off, write ``BENCH_fastpath.json``; then measure the
-    telemetry overhead (off / metrics / metrics+trace) into
-    ``BENCH_obs.json``.  ``--evictions`` adds an A/B phase comparing
-    every eviction policy under capacity pressure
-    (``BENCH_evictions.json``).  ``--shards`` adds the core-scaling
-    phase: one million-packet trace replayed through 1/2/4/8 worker
-    processes (``BENCH_shards.json``, the empirical Fig. 19 input).
-    ``--timeouts`` adds the per-rule timeout-predictor A/B: the ewma
-    and qtable predictors vs a static ``max_idle`` sweep on an
-    interarrival-heterogeneous trace (``BENCH_timeouts.json``).
-    ``--churn`` adds the control-plane churn phase: hit-rate dip and
-    recovery under a mid-trace insert/delete storm with budgeted
-    incremental revalidation (``BENCH_churn.json``).
-    ``--net`` adds the fabric spine-pressure phase: one trace through
-    an 8x2 leaf/spine fabric with identically sized per-switch caches,
-    reporting leaf-vs-spine hit rates (``BENCH_net.json``).
-    ``--smoke`` shrinks it all for CI.
+    The behavioural A/B gates: every phase in
+    :data:`repro.gates.PHASES` writes ``BENCH_<phase>.json`` (shared
+    header, raw rows, a ``gates`` block) under ``--out-dir``; the exit
+    code is non-zero when any gate fails.  ``fastpath`` and ``obs``
+    always run, ``--<phase>`` adds each of the others, ``--smoke``
+    shrinks it all for CI.  Each phase's docstring in
+    :mod:`repro.gates` says what it compares and why.
 net
     Multi-switch fabric simulation (:mod:`repro.net`): one cache per
     hop along ECMP-spread shortest paths over a leaf/spine, linear or
@@ -51,13 +40,14 @@ For the full per-figure report, run ``examples/reproduce_all.py``.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
-import os
 import sys
-import time
+from dataclasses import replace
 from typing import List, Optional
 
+from .cache.eviction import POLICY_NAMES
+from .core.revalidation import GigaflowRevalidator, MegaflowRevalidator
+from .core.timeouts import PREDICTOR_NAMES
 from .experiments import (
     ExperimentScale,
     format_table1,
@@ -66,34 +56,65 @@ from .experiments import (
     sweep_tables,
     table2_coverage,
 )
+from .gates import PHASES, Scale, churn_table, make_system, run_phases
+from .net import FabricController, FabricSimulator, leaf_spine, linear, ring
+from .obs import Telemetry, analyze_jsonl, render_text
 from .pipeline.library import PIPELINES
+from .report import render_telemetry
+from .serve import ServeConfig, ServingDriver, endless_packets
+from .sim import ChurnConfig, SimConfig, VSwitchSimulator
+from .workload import (
+    acl_update_schedule,
+    build_fabric_endpoints,
+    insert_delete_storm,
+    priority_shuffle_schedule,
+)
+from .workload.churn import ChurnSchedule
+
+_SYSTEMS = ("gigaflow", "megaflow", "hierarchy", "adaptive")
 
 
-def _policy_names():
-    from .cache.eviction import POLICY_NAMES
-
-    return POLICY_NAMES
-
-
-def _predictor_names():
-    from .core.timeouts import PREDICTOR_NAMES
-
-    return PREDICTOR_NAMES
-
-
-def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_scale_arguments(
+    parser: argparse.ArgumentParser,
+    flows: int = 3000,
+    capacity: str = "flows/3",
+    mean_flow_size: Optional[float] = None,
+    duration: Optional[float] = None,
+) -> None:
+    """The pipeline positional plus the workload-scale block every
+    subcommand shares; only the defaults differ.  Giving
+    ``mean_flow_size``/``duration`` marks a trace-replaying command:
+    the pipeline then defaults to PSC and the trace knobs
+    (:class:`repro.gates.Scale`'s fields) are added."""
+    replay = mean_flow_size is not None
     parser.add_argument(
-        "--flows", type=int, default=3000,
-        help="unique flow classes (default 3000)",
+        "pipeline",
+        choices=[p.lower() for p in PIPELINES] + list(PIPELINES),
+        **({"nargs": "?", "default": "psc"} if replay else {}),
+    )
+    parser.add_argument(
+        "--flows", type=int, default=flows,
+        help=f"unique flow classes (default {flows})",
     )
     parser.add_argument(
         "--capacity", type=int, default=None,
-        help="total cache entries for both systems (default flows/3)",
+        help=f"total cache entries (default {capacity})",
     )
     parser.add_argument(
         "--locality", choices=("high", "low"), default="high",
+        help="workload reuse locality",
     )
     parser.add_argument("--seed", type=int, default=7)
+    if replay:
+        parser.add_argument(
+            "--mean-flow-size", type=float, default=mean_flow_size,
+            help=f"mean packets per flow (default {mean_flow_size:g})",
+        )
+        parser.add_argument(
+            "--duration", type=float, default=duration,
+            help=f"simulated seconds of trace (default {duration:g})",
+        )
+        parser.add_argument("--trace-seed", type=int, default=3)
 
 
 def _scale_from(args: argparse.Namespace) -> ExperimentScale:
@@ -148,1220 +169,17 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_system(name: str, capacity: int, eviction: str = "lru"):
-    from .sim import (
-        AdaptiveGigaflowSystem,
-        GigaflowSystem,
-        HierarchySystem,
-        MegaflowSystem,
-    )
-
-    if name == "megaflow":
-        return MegaflowSystem(capacity=capacity, eviction=eviction)
-    if name == "hierarchy":
-        return HierarchySystem(
-            microflow_capacity=max(capacity // 4, 2),
-            megaflow_capacity=capacity,
-            eviction=eviction,
-        )
-    if name == "adaptive":
-        return AdaptiveGigaflowSystem(
-            num_tables=4, table_capacity=max(capacity // 4, 2),
-            eviction=eviction,
-        )
-    return GigaflowSystem(
-        num_tables=4, table_capacity=max(capacity // 4, 2),
-        eviction=eviction,
-    )
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .pipeline.library import get_pipeline_spec
-    from .sim import (
-        GigaflowSystem,
-        MegaflowSystem,
-        SimConfig,
-        VSwitchSimulator,
-    )
-    from .workload import TraceProfile, build_workload
-
-    if args.smoke:
-        # CI-sized run: seconds, not minutes, same code paths.
-        args.flows = min(args.flows, 300)
-        args.duration = min(args.duration, 8.0)
-        args.mean_flow_size = min(args.mean_flow_size, 64.0)
-
-    spec = get_pipeline_spec(args.pipeline.upper())
-    profile = TraceProfile(
-        mean_flow_size=args.mean_flow_size, duration=args.duration
-    )
-    capacity = args.capacity or max(args.flows * 2, 8)
-    systems = {
-        "megaflow": lambda: MegaflowSystem(capacity=capacity),
-        "gigaflow": lambda: GigaflowSystem(
-            num_tables=4, table_capacity=max(capacity // 4, 2)
-        ),
-    }
-    report = {
-        "pipeline": spec.name,
-        "locality": args.locality,
-        "flows": args.flows,
-        "capacity": capacity,
-        "mean_flow_size": args.mean_flow_size,
-        "duration": args.duration,
-        "seed": args.seed,
-        "systems": {},
-    }
-    for name, make in systems.items():
-        runs = {}
-        for fast in (True, False):
-            workload = build_workload(
-                spec, n_flows=args.flows, locality=args.locality,
-                seed=args.seed,
-            )
-            trace = workload.trace(profile=profile, seed=args.trace_seed)
-            simulator = VSwitchSimulator(
-                workload.pipeline, make(), SimConfig(fast_path=fast)
-            )
-            start = time.perf_counter()
-            result = simulator.run(trace)
-            elapsed = time.perf_counter() - start
-            report["packets"] = result.packets
-            run = {
-                "seconds": round(elapsed, 3),
-                "packets_per_sec": round(result.packets / elapsed, 1),
-                "hit_rate": round(result.hit_rate, 6),
-                "cache_probes": result.cache_probes,
-            }
-            if fast:
-                fastpath = simulator.fastpath
-                run["memo_hits"] = fastpath.memo_hits
-                run["memo_misses"] = fastpath.memo_misses
-                run["invalidations"] = fastpath.invalidations
-                run["memo_hit_rate"] = round(fastpath.memo_hit_rate, 4)
-            runs["fast_on" if fast else "fast_off"] = run
-            print(f"{name} fast={'on' if fast else 'off':3} "
-                  f"{elapsed:6.2f}s  {result.packets / elapsed:>9,.0f} pps"
-                  f"  hit_rate={result.hit_rate:.4f}"
-                  f"  cache_probes={result.cache_probes}")
-        runs["speedup"] = round(
-            runs["fast_on"]["packets_per_sec"]
-            / runs["fast_off"]["packets_per_sec"], 2
-        )
-        identical = (
-            runs["fast_on"]["hit_rate"] == runs["fast_off"]["hit_rate"]
-            and runs["fast_on"]["cache_probes"]
-            == runs["fast_off"]["cache_probes"]
-        )
-        runs["metrics_identical"] = identical
-        print(f"{name} speedup: {runs['speedup']:.2f}x "
-              f"(metrics identical: {identical})")
-        report["systems"][name] = runs
-
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.output}")
-
-    _bench_obs(args, spec)
-    if args.evictions:
-        _bench_evictions(args, spec)
-    if args.adaptive:
-        _bench_adaptive(args, spec)
-    if args.shards:
-        _bench_shards(args, spec)
-    if args.timeouts:
-        _bench_timeouts(args, spec)
-    if args.churn:
-        _bench_churn(args, spec)
-    if args.net:
-        _bench_net(args, spec)
-    return 0
-
-
-def _bench_net(args: argparse.Namespace, spec) -> None:
-    """Fabric spine-pressure bench: leaf vs spine hit rates.
-
-    One trace crosses a leaf/spine fabric (:mod:`repro.net`) whose
-    switches all carry *identically sized* caches, with endpoint
-    locality low enough that most flows cross a spine.  With ``L``
-    leaves, ``S`` spines and cross-leaf fraction ``c``, each leaf holds
-    about ``(1 - c + 2c) / L`` of the distinct flows while each spine
-    holds ``c / S`` — at ``L=8, S=2, c=0.75`` the spines carry ~1.7x
-    the per-leaf flow load.  Per-switch capacity is sized *between*
-    those two loads, so the leaves fit comfortably while the spines run
-    under genuine capacity pressure: the leaf-vs-spine hit-rate gap in
-    ``BENCH_net.json`` is the aggregation-pressure signal the CI gate
-    asserts on (``spine_pressure_ok``).
-    """
-    from .net import FabricController, FabricSimulator, leaf_spine
-    from .obs import Telemetry
-    from .sim import GigaflowSystem, SimConfig
-    from .workload import (
-        TraceProfile,
-        build_fabric_endpoints,
-        build_workload,
-    )
-
-    leaves, spines = 8, 2
-    topology = leaf_spine(leaves, spines)
-    cross = 1.0 - args.net_locality
-    per_leaf_load = args.flows * (args.net_locality + 2 * cross) / leaves
-    per_spine_load = args.flows * cross / spines
-    # Midpoint sizing: leaves under capacity, spines over it.
-    capacity = max(int((per_leaf_load + per_spine_load) / 2), 8)
-
-    profile = TraceProfile(
-        mean_flow_size=args.mean_flow_size, duration=args.duration
-    )
-    workload = build_workload(
-        spec, n_flows=args.flows, locality=args.locality, seed=args.seed
-    )
-    trace = workload.trace(profile=profile, seed=args.trace_seed)
-    endpoints = build_fabric_endpoints(
-        topology, args.flows, locality=args.net_locality, seed=args.seed
-    )
-    controller = FabricController(topology, endpoints)
-
-    def pipeline_factory(_context):
-        # Same spec + seed => identical rule state per switch.
-        return build_workload(
-            spec, n_flows=args.flows, locality=args.locality,
-            seed=args.seed,
-        ).pipeline
-
-    def system_factory(_context):
-        # Identical sizing across roles on purpose: the hit-rate gap
-        # then measures pressure, not provisioning.
-        return GigaflowSystem(
-            num_tables=4, table_capacity=max(capacity // 4, 2)
-        )
-
-    fabric = FabricSimulator(
-        topology,
-        pipeline_factory,
-        system_factory,
-        controller=controller,
-        config=SimConfig(fast_path=True, telemetry=Telemetry()),
-    )
-    start = time.perf_counter()
-    fres = fabric.run(trace)
-    elapsed = time.perf_counter() - start
-
-    merged = fres.merged
-    by_role = fres.hit_rate_by_role()
-    gap = by_role["leaf"] - by_role["spine"]
-    report = {
-        "pipeline": spec.name,
-        "topology": topology.name,
-        "leaves": leaves,
-        "spines": spines,
-        "locality": args.locality,
-        "net_locality": args.net_locality,
-        "flows": args.flows,
-        "capacity_per_switch": capacity,
-        "expected_flow_load": {
-            "per_leaf": round(per_leaf_load, 1),
-            "per_spine": round(per_spine_load, 1),
-        },
-        "mean_flow_size": args.mean_flow_size,
-        "duration": args.duration,
-        "seed": args.seed,
-        "seconds": round(elapsed, 3),
-        "packets": fres.packets,
-        "hops_total": fres.hops_total,
-        "path_length_counts": {
-            str(k): v for k, v in sorted(fres.path_length_counts.items())
-        },
-        "conservation_ok": fres.hops_total == merged.packets,
-        "hit_rate_by_role": {
-            role: round(rate, 6) for role, rate in by_role.items()
-        },
-        "leaf_spine_gap": round(gap, 6),
-        # Gap must clear noise: spines are the pressured tier.
-        "spine_pressure_ok": gap >= 0.01,
-        "fabric_hit_rate": round(merged.hit_rate, 6),
-        "peak_entries_upper_bound": merged.peak_entries,
-        "peak_entries_exact": merged.peak_entries_exact,
-        "peak_entries_per_switch": {
-            name: fres.switch_results[name].peak_entries
-            for name in fres.switches
-        },
-        "switches": {
-            name: {
-                "role": topology.role(name),
-                "packets": fres.switch_results[name].packets,
-                "hit_rate": round(
-                    fres.switch_results[name].hit_rate, 6
-                ),
-                "misses": fres.switch_results[name].misses,
-                "evictions": fres.switch_results[name].stats.evictions,
-                "peak_entries": fres.switch_results[name].peak_entries,
-            }
-            for name in fres.switches
-        },
-    }
-    print(f"net: {topology.name}  {fres.packets:,} packets -> "
-          f"{fres.hops_total:,} hop traversals in {elapsed:.2f}s")
-    print(f"net: per-switch capacity {capacity} "
-          f"(leaf load ~{per_leaf_load:.0f}, "
-          f"spine load ~{per_spine_load:.0f})")
-    print(f"net: hit_rate leaf={by_role['leaf']:.4f} "
-          f"spine={by_role['spine']:.4f} gap={gap:+.4f} "
-          f"(spine pressure: "
-          f"{'ok' if report['spine_pressure_ok'] else 'MISS'})")
-    print(f"net: fabric {merged.peak_entries_label()} "
-          f"(exact per switch: "
-          f"{[fres.switch_results[n].peak_entries for n in fres.switches]})")
-
-    with open(args.net_output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.net_output}")
-
-
-def _bench_shards(args: argparse.Namespace, spec) -> None:
-    """Core-scaling bench: one trace through 1/2/4/8 worker processes.
-
-    Replays a single locality-heavy trace (>=1M packets at the default
-    scale) through the sharded engine at increasing worker counts.
-    Each worker owns a *full-size* cache — the multi-engine datapath
-    layout of off-path SmartNICs (PAPERS.md, "Demystifying Datapath
-    Accelerator..."), where every engine carries its own cache over its
-    RSS slice of the flow space.  Sharding still costs something real:
-    hash partitioning severs cross-shard sub-traversal sharing, so the
-    merged miss count rises with workers — the ``hit_rate`` column
-    prices that loss honestly while ``packets_per_sec`` shows the
-    compute scaling.
-
-    Throughput accounting: each worker reports its own
-    ``time.process_time()`` CPU seconds, and the headline
-    ``packets_per_sec`` is ``total packets / max(worker CPU seconds)``
-    — the makespan of the slowest worker, i.e. the throughput of a
-    deployment that gives every worker a dedicated core.  On a box with
-    fewer cores than workers the OS time-slices them, so *wall-clock*
-    pps (also recorded) cannot show the scaling; the CPU-second model
-    is immune to that and converges to wall pps when cores are
-    plentiful.  ``cores_available`` records which regime produced the
-    numbers.
-
-    The ``metrics_identical`` block pins losslessness: the
-    processes-mode merged counters must equal an inline (sequential,
-    single-process) run of the identical partitioned protocol.
-    """
-    from .sim import GigaflowSystem, ShardedSimulator, SimConfig
-    from .workload import TraceProfile, build_workload
-
-    if args.smoke:
-        flows = min(args.flows, 300)
-        mean_flow_size = min(args.mean_flow_size, 64.0)
-        duration = min(args.duration, 8.0)
-        counts = (1, 2)
-    else:
-        # >=1M packets: 12.5k flows x 128 packets/flow mean, discounted
-        # ~35% by the duration window cutting off late-starting flows.
-        flows = max(args.flows, 12500)
-        mean_flow_size = max(args.mean_flow_size, 128.0)
-        duration = max(args.duration, 30.0)
-        counts = (1, 2, 4, 8)
-    identity_count = counts[-1] if args.smoke else 4
-
-    profile = TraceProfile(
-        mean_flow_size=mean_flow_size, duration=duration
-    )
-    capacity = args.capacity or max(flows * 2, 8)
-    workload = build_workload(
-        spec, n_flows=flows, locality=args.locality, seed=args.seed
-    )
-    trace = workload.trace(profile=profile, seed=args.trace_seed)
-    cores = os.cpu_count() or 1
-
-    def factory(context):
-        # Full structural capacity per engine (multi-engine layout);
-        # splitting capacity/shards instead conflates eviction churn
-        # with the compute scaling this bench isolates.
-        return GigaflowSystem(
-            num_tables=4,
-            table_capacity=max(capacity // 4, 2),
-        )
-
-    report = {
-        "pipeline": spec.name,
-        "locality": args.locality,
-        "flows": flows,
-        "capacity": capacity,
-        "mean_flow_size": mean_flow_size,
-        "duration": duration,
-        "seed": args.seed,
-        "packets": len(trace),
-        "cores_available": cores,
-        "throughput_model": (
-            "packets_per_sec = packets / max(per-worker CPU seconds): "
-            "dedicated-core makespan from time.process_time(), immune "
-            "to time-slicing when workers > cores; wall_packets_per_sec "
-            "is the observed single-box wall rate"
-        ),
-        "runs": {},
-    }
-    print(f"shards: {len(trace):,} packets, capacity {capacity}, "
-          f"{cores} core(s) available")
-
-    merged_results = {}
-    baseline_pps = None
-    for count in counts:
-        driver = ShardedSimulator(
-            workload.pipeline,
-            factory,
-            SimConfig(shards=count, fast_path=True),
-            seed=args.seed,
-            mode="processes",
-            timeout=args.shard_timeout,
-        )
-        wall_start = time.perf_counter()
-        result = driver.run(trace)
-        wall = time.perf_counter() - wall_start
-        merged_results[count] = result
-        cpu_each = [t["cpu_seconds"] for t in driver.shard_timings]
-        cpu_max = max(cpu_each)
-        pps = result.packets / cpu_max if cpu_max else 0.0
-        if baseline_pps is None:
-            baseline_pps = pps
-        entry = {
-            "workers": count,
-            "cpu_seconds_max": round(cpu_max, 3),
-            "cpu_seconds_total": round(sum(cpu_each), 3),
-            "wall_seconds": round(wall, 3),
-            "packets_per_sec": round(pps, 1),
-            "wall_packets_per_sec": round(
-                result.packets / wall if wall else 0.0, 1
-            ),
-            "speedup_vs_1": round(pps / baseline_pps, 2)
-            if baseline_pps
-            else 0.0,
-            "hit_rate": round(result.hit_rate, 6),
-            "misses": result.misses,
-            "cache_probes": result.cache_probes,
-            # Merged across workers: peaks need not be simultaneous,
-            # so the scalar is an upper bound — the exact per-worker
-            # peaks ride alongside.
-            "peak_entries_upper_bound": result.peak_entries,
-            "peak_entries_exact": result.peak_entries_exact,
-            "peak_entries_per_shard": list(
-                result.peak_entries_per_shard or (result.peak_entries,)
-            ),
-        }
-        report["runs"][f"workers_{count}"] = entry
-        print(f"workers={count}  cpu_max={cpu_max:6.2f}s  "
-              f"{pps:>9,.0f} pps  "
-              f"speedup={entry['speedup_vs_1']:.2f}x  "
-              f"hit_rate={result.hit_rate:.4f}")
-
-    # Losslessness: processes-mode merge vs the identical partitioned
-    # protocol run sequentially in one process.
-    inline_driver = ShardedSimulator(
-        workload.pipeline,
-        factory,
-        SimConfig(shards=identity_count, fast_path=True),
-        seed=args.seed,
-        mode="inline",
-    )
-    inline = inline_driver.run(trace)
-    procs = merged_results[identity_count]
-    identical = (
-        procs.stats == inline.stats
-        and procs.packets == inline.packets
-        and procs.cache_probes == inline.cache_probes
-        and procs.avg_latency_us == inline.avg_latency_us
-    )
-    report["metrics_identical"] = {
-        "workers": identity_count,
-        "identical": identical,
-        "hit_rate": round(procs.hit_rate, 6),
-        "inline_hit_rate": round(inline.hit_rate, 6),
-    }
-    if 4 in merged_results:
-        speedup4 = report["runs"]["workers_4"]["speedup_vs_1"]
-        report["scaling_ok"] = speedup4 >= 3.0
-        print(f"4-worker speedup {speedup4:.2f}x "
-              f"(target >=3x: {'ok' if report['scaling_ok'] else 'MISS'})")
-    print(f"metrics identical at {identity_count} workers: {identical}")
-
-    with open(args.shards_output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.shards_output}")
-
-
-def _bench_adaptive(args: argparse.Namespace, spec) -> None:
-    """A/B the closed-loop controller against static configurations.
-
-    Every variant replays the same locality-*shifting* trace (a
-    sharing-rich phase, then a sharing-poor flood at half time — see
-    :func:`~repro.workload.pipebench.build_locality_shift_trace`)
-    against the same undersized capacity.  Static Gigaflow keeps
-    installing K-segment entries into the scattered phase; static
-    Megaflow never exploits the shared phase; the window-heuristic
-    adaptive cache reacts from its install counter alone; the closed
-    loop reads the full telemetry surface.  The report records overall
-    and per-phase hit rates plus the controller's transition log —
-    ``closed_loop_ok`` asserts the loop matched or beat the best static
-    variant.
-    """
-    from .obs import Telemetry
-    from .sim import SimConfig, VSwitchSimulator
-    from .workload import (
-        TraceProfile,
-        build_locality_shift_trace,
-        build_workload,
-    )
-
-    # The regime where the mode decision has real stakes (cf. the
-    # multi-seed replication scale): flows outnumber cache slots two to
-    # one, packets are sparse, and idle expiry is live — so phase 1's
-    # sharing-rich traffic rewards disjoint partitioning while phase 2's
-    # scattered flood rewards Megaflow-style entries.  Duration here is
-    # *virtual* time; the packet count (and wall time) is set by the
-    # flow count, so even --smoke affords the full 60 s shape.
-    flows = max(args.flows, 1200)
-    profile = TraceProfile(
-        mean_flow_size=12.0, duration=60.0, mean_packet_gap=4.0
-    )
-    shift = 30.0
-    max_idle = 20.0
-    capacity = max(flows // 2, 8)
-    sweep_interval = 2.0
-    variants = {
-        "static_gigaflow": ("gigaflow", None),
-        "static_megaflow": ("megaflow", None),
-        "adaptive_window": ("adaptive", None),
-        "closed_loop": ("adaptive", True),
-    }
-    report = {
-        "pipeline": spec.name,
-        "locality": args.locality,
-        "flows": flows,
-        "capacity": capacity,
-        "mean_flow_size": profile.mean_flow_size,
-        "mean_packet_gap": profile.mean_packet_gap,
-        "duration": profile.duration,
-        "shift_at": shift,
-        "max_idle": max_idle,
-        "sweep_interval": sweep_interval,
-        "seed": args.seed,
-        "runs": {},
-    }
-    for name, (sysname, controller) in variants.items():
-        workload = build_workload(
-            spec, n_flows=flows, locality=args.locality,
-            seed=args.seed,
-        )
-        trace = build_locality_shift_trace(
-            workload, profile, shift_at=shift, seed=args.trace_seed
-        )
-        telemetry = Telemetry(tracing=False)
-        config = SimConfig(
-            fast_path=True,
-            telemetry=telemetry,
-            max_idle=max_idle,
-            sweep_interval=sweep_interval,
-            window=sweep_interval,
-            controller=controller,
-        )
-        simulator = VSwitchSimulator(
-            workload.pipeline, _make_system(sysname, capacity), config
-        )
-        start = time.perf_counter()
-        result = simulator.run(trace)
-        elapsed = time.perf_counter() - start
-        run = {
-            "system": sysname,
-            "seconds": round(elapsed, 3),
-            "packets_per_sec": round(result.packets / elapsed, 1),
-            "hit_rate": round(result.hit_rate, 6),
-            "phase1_hit_rate": round(
-                result.series.hit_rate_between(0.0, shift), 6
-            ),
-            "phase2_hit_rate": round(
-                # The trace outlives the profile duration (in-flight
-                # flows keep emitting), so phase 2 runs to the real end.
-                result.series.hit_rate_between(shift, trace.duration), 6
-            ),
-            "insertions": result.stats.insertions,
-            "evictions": result.stats.evictions,
-        }
-        controller_state = simulator.controller
-        if controller_state is not None:
-            summary = controller_state.summary()
-            run["controller"] = {
-                "sweeps": summary["sweeps"],
-                "transitions": summary["transitions"],
-                "by_knob": summary["by_knob"],
-                "state": summary["state"],
-                "log": summary["log"],
-            }
-        report["runs"][name] = run
-        extra = (
-            f"  transitions={run['controller']['transitions']}"
-            if "controller" in run else ""
-        )
-        print(f"{name:16} hit_rate={run['hit_rate']:.4f} "
-              f"(p1={run['phase1_hit_rate']:.4f} "
-              f"p2={run['phase2_hit_rate']:.4f})  "
-              f"evictions={run['evictions']:>6}{extra}")
-    static_best = max(
-        report["runs"][name]["hit_rate"]
-        for name in ("static_gigaflow", "static_megaflow")
-    )
-    closed = report["runs"]["closed_loop"]["hit_rate"]
-    report["static_best_hit_rate"] = static_best
-    report["closed_loop_ok"] = bool(closed >= static_best - 1e-9)
-    print(f"closed loop {closed:.4f} vs static best {static_best:.4f} "
-          f"-> {'OK' if report['closed_loop_ok'] else 'BEHIND'}")
-
-    with open(args.adaptive_output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.adaptive_output}")
-
-
-def _bench_timeouts(args: argparse.Namespace, spec) -> None:
-    """A/B per-rule timeout prediction against the static-idle sweep.
-
-    Every variant replays the same interarrival-*heterogeneous* trace
-    (dense and sparse persistent flow classes over a background of
-    short-lived churn flows — see
-    :func:`~repro.workload.pipebench.build_interarrival_mix_trace`)
-    against the same undersized capacity.  No single static ``max_idle``
-    can serve the mix: a short timeout expires the sparse rules between
-    their own packets, a long one lets dead churn entries squat on
-    capacity until the LRU victimises *live* sparse rules (whose
-    ``last_used`` is always the oldest among the living).  The per-rule
-    predictors (``ewma``, ``qtable`` — :mod:`repro.core.timeouts`) give
-    each rule its own deadline, so the report pits them against a static
-    sweep and records hit rate plus the dead/premature-eviction ledger.
-    ``predictor_beats_static`` asserts that at least one predictor beats
-    the best static point on hit rate while carrying no more dead
-    occupancy (mean resident entries).
-
-    The A/B runs the Megaflow system: its entries map one-to-one onto
-    traversal classes, so each entry's reuse interarrival *is* its
-    flow's packet gap — the cleanest read on the predictors themselves.
-    (Gigaflow sub-traversal sharing superimposes many flows onto one
-    rule; the predictor still applies there — the golden tests cover
-    it — but the A/B signal would measure the workload's sharing
-    structure as much as the estimators.)
-    """
-    from .core.timeouts import TimeoutConfig
-    from .obs import Telemetry
-    from .sim import SimConfig, VSwitchSimulator
-    from .workload import (
-        TraceProfile,
-        build_interarrival_mix_trace,
-        build_workload,
-    )
-
-    # Persistent classes: 10% dense (0.25 s gaps) + 20% sparse (8 s
-    # gaps) pilots, alive for the whole 60 s horizon; the remaining 70%
-    # churn through six-packet flows and leave dead entries behind.
-    # Capacity is sized between the persistent population and
-    # persistent + churn-residue-under-a-long-deadline, so static_16
-    # saturates the table and its LRU evicts live sparse rules (idle
-    # ~8 s) ahead of younger dead churn, while static_1/static_4 expire
-    # the sparse rules between their own packets.  Per-rule prediction
-    # reaps churn at ~6x its 0.25 s gap and grants sparse rules the full
-    # deadline, serving both.  Time is virtual — the packet count tracks
-    # the flow count, so --smoke still affords the full 60 s shape.
-    flows = max(args.flows, 800)
-    profile = TraceProfile(
-        mean_flow_size=10.0, duration=60.0, mean_packet_gap=0.25
-    )
-    slow_gap_scale = 32.0
-    dense_fraction, sparse_fraction = 0.1, 0.2
-    persistent = int(flows * dense_fraction) + int(flows * sparse_fraction)
-    capacity = int(persistent * 1.35)
-    sweep_interval = 0.5
-    static_grid = (1.0, 4.0, 16.0)
-    predictor_max_idle = static_grid[-1]
-    # grace=6 rides out the ±25% gap jitter with margin; cold rules
-    # keep the full deadline until their first reuse calibrates them
-    # (the conservative static-matching default).  The Q-table explores
-    # sparingly — every forced off-policy probe of a too-short level on
-    # a sparse rule costs a premature eviction.
-    predictor_config = dict(grace=6.0, q_explore_every=32)
-    variants = {}
-    for max_idle in static_grid:
-        variants[f"static_{max_idle:g}"] = (max_idle, "static")
-    for predictor in ("ewma", "qtable"):
-        variants[predictor] = (
-            predictor_max_idle,
-            TimeoutConfig(predictor=predictor, **predictor_config),
-        )
-    report = {
-        "pipeline": spec.name,
-        "locality": args.locality,
-        "flows": flows,
-        "capacity": capacity,
-        "mean_flow_size": profile.mean_flow_size,
-        "mean_packet_gap": profile.mean_packet_gap,
-        "slow_gap_scale": slow_gap_scale,
-        "dense_fraction": dense_fraction,
-        "sparse_fraction": sparse_fraction,
-        "duration": profile.duration,
-        "sweep_interval": sweep_interval,
-        "static_grid": list(static_grid),
-        "predictor_max_idle": predictor_max_idle,
-        "predictor_config": predictor_config,
-        "seed": args.seed,
-        "runs": {},
-    }
-    for name, (max_idle, timeouts) in variants.items():
-        workload = build_workload(
-            spec, n_flows=flows, locality=args.locality,
-            seed=args.seed,
-        )
-        trace = build_interarrival_mix_trace(
-            workload, profile, slow_gap_scale=slow_gap_scale,
-            dense_fraction=dense_fraction,
-            sparse_fraction=sparse_fraction,
-            seed=args.trace_seed,
-        )
-        telemetry = Telemetry(tracing=False)
-        config = SimConfig(
-            fast_path=True,
-            telemetry=telemetry,
-            max_idle=max_idle,
-            sweep_interval=sweep_interval,
-            window=sweep_interval,
-            timeouts=timeouts,
-        )
-        simulator = VSwitchSimulator(
-            workload.pipeline, _make_system("megaflow", capacity), config
-        )
-        start = time.perf_counter()
-        result = simulator.run(trace)
-        elapsed = time.perf_counter() - start
-        snapshots = telemetry.snapshots
-        mean_entries = (
-            sum(s.entry_count for s in snapshots) / len(snapshots)
-            if snapshots else 0.0
-        )
-        summary = simulator.timeout_predictor.summary()
-        expired = summary["expired"]
-        run = {
-            "max_idle": max_idle,
-            "predictor": summary["predictor"],
-            "seconds": round(elapsed, 3),
-            "packets_per_sec": round(result.packets / elapsed, 1),
-            "hit_rate": round(result.hit_rate, 6),
-            "insertions": result.stats.insertions,
-            "evictions": result.stats.evictions,
-            "mean_entries": round(mean_entries, 2),
-            "idle_expiries": expired,
-            "dead_evictions": summary["dead_evictions"],
-            "premature_evictions": summary["premature_evictions"],
-            "dead_ratio": round(
-                summary["dead_evictions"] / expired, 4
-            ) if expired else 0.0,
-            "mean_predicted": round(summary["mean_predicted"], 4),
-        }
-        report["runs"][name] = run
-        print(f"{name:12} max_idle={max_idle:>5.1f} "
-              f"hit_rate={run['hit_rate']:.4f}  "
-              f"entries~{run['mean_entries']:>7.1f}  "
-              f"dead={run['dead_evictions']:>6} "
-              f"premature={run['premature_evictions']:>5}")
-    static_best = max(
-        (name for name in report["runs"] if name.startswith("static_")),
-        key=lambda name: report["runs"][name]["hit_rate"],
-    )
-    best = report["runs"][static_best]
-    report["static_best"] = static_best
-    report["predictor_beats_static"] = bool(any(
-        report["runs"][name]["hit_rate"] > best["hit_rate"]
-        and report["runs"][name]["mean_entries"] <= best["mean_entries"]
-        for name in ("ewma", "qtable")
-    ))
-    print(f"predictors vs {static_best} "
-          f"(hit_rate={best['hit_rate']:.4f}) -> "
-          f"{'AHEAD' if report['predictor_beats_static'] else 'BEHIND'}")
-
-    with open(args.timeouts_output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.timeouts_output}")
-
-
-def _churn_table(pipeline, field: str = "ip_src") -> int:
-    """The deepest pipeline table matching on ``field`` — the ACL stage
-    churn scenarios target (policy pushes land late in the pipeline)."""
-    candidates = [
-        table.table_id
-        for table in pipeline.tables.values()
-        if field in table.field_set
+    names = [
+        name for name, phase in PHASES.items()
+        if phase.help is None or getattr(args, name)
     ]
-    if not candidates:
-        raise SystemExit(
-            f"pipeline {pipeline.name!r} has no table matching on "
-            f"{field!r}; churn scenarios need one"
-        )
-    return max(candidates)
-
-
-def _bench_churn(args: argparse.Namespace, spec) -> None:
-    """Measure the hit-rate dip and recovery under an insert/delete storm.
-
-    Two identically seeded Gigaflow runs over the same trace: a quiet
-    baseline and one with an insert/delete storm of ACL denies pushed
-    into the pipeline mid-trace (plus budgeted incremental
-    revalidation).  Every insert and delete bumps the pipeline
-    generation and strands cached entries; the report quantifies the
-    damage as a *dip* (baseline hit rate minus churn hit rate over the
-    storm span), a *recovery time* (first post-storm window back within
-    one point of baseline), and the revalidation backlog's peak and
-    final residue.  The CI gate asserts the dip stays shallow, the tail
-    recovers, and the backlog drains.
-    """
-    from .flow import prefix_mask
-    from .sim import ChurnConfig, SimConfig, VSwitchSimulator
-    from .workload import TraceProfile, build_workload, insert_delete_storm
-
-    flows = args.flows
-    capacity = args.capacity or max(flows * 2, 8)
-    duration = args.duration
-    profile = TraceProfile(
-        mean_flow_size=args.mean_flow_size, duration=duration
-    )
-    window = max(duration / 32.0, 0.125)
-    sweep_interval = window
-    storm_start = duration * 0.25
-    storm_end = duration * 0.55
-    storm_count = 24 if not args.smoke else 12
-    gap = (storm_end - storm_start) / storm_count
-    hold = 2.0 * gap
-    reval_budget = 32
-
-    def run(with_churn: bool):
-        workload = build_workload(
-            spec, n_flows=flows, locality=args.locality, seed=args.seed
-        )
-        trace = workload.trace(profile=profile, seed=args.trace_seed)
-        churn = None
-        if with_churn:
-            # Aim the storm at the hottest sources: an ACL push against
-            # busy tenants is the churn case that actually moves the
-            # hit rate (denies on cold flows strand entries nobody was
-            # hitting).
-            import numpy as np
-
-            _times, flow_indices, _sizes = trace.columns()
-            packets_per_flow = np.bincount(
-                flow_indices, minlength=len(workload.pilots)
-            )
-            hottest = np.argsort(packets_per_flow)[::-1][: storm_count * 2]
-            schedule = insert_delete_storm(
-                [workload.pilots[i] for i in hottest],
-                _churn_table(workload.pipeline),
-                start=storm_start,
-                count=storm_count,
-                gap=gap,
-                hold=hold,
-                seed=args.seed,
-                mask=prefix_mask(16),
-            )
-            churn = ChurnConfig(schedule=schedule, reval_budget=reval_budget)
-        config = SimConfig(
-            max_idle=duration / 4.0,
-            sweep_interval=sweep_interval,
-            window=window,
-            churn=churn,
-        )
-        simulator = VSwitchSimulator(
-            workload.pipeline, _make_system("gigaflow", capacity), config
-        )
-        result = simulator.run(trace)
-        return result, simulator
-
-    baseline, _ = run(with_churn=False)
-    churned, simulator = run(with_churn=True)
-    digest = simulator.churn.digest()
-
-    def span_rate(result, start, stop):
-        return result.series.hit_rate_between(start, stop)
-
-    storm_span = (storm_start, storm_end + hold)
-    dip_depth = round(
-        span_rate(baseline, *storm_span) - span_rate(churned, *storm_span), 6
-    )
-    # Per-window deltas from the first insert to the end of the run.
-    # The churn run can even beat baseline *during* the storm (one
-    # coarse deny entry serves a whole subnet — wildcard sharing); the
-    # costs are the transition waves, each delete stranding the deny
-    # path's entries for the revalidator to chew through.  The deepest
-    # single window is the dip operators feel; the *settle point* is
-    # when the deltas stop exceeding the recovery threshold for good.
-    threshold = 0.02
-    deltas = []
-    t = storm_start
-    while t < duration:
-        deltas.append((
-            t,
-            span_rate(baseline, t, t + window)
-            - span_rate(churned, t, t + window),
-        ))
-        t += window
-    max_window_dip = round(max((d for _, d in deltas), default=0.0), 6)
-    settle_at = None
-    for i, (t, _delta) in enumerate(deltas):
-        if all(later <= threshold for _, later in deltas[i:]):
-            settle_at = t
-            break
-    recovery_seconds = (
-        round(max(0.0, settle_at - (storm_end + hold)), 6)
-        if settle_at is not None
-        else None
-    )
-    # The settled stretch must genuinely sit at baseline — and must
-    # exist: a settle point in the run's final window would mean the
-    # run ended before recovery was demonstrated.
-    settled = (
-        settle_at is not None and settle_at <= duration - 2 * window
-    )
-    recovery_delta = (
-        round(
-            span_rate(baseline, settle_at, duration)
-            - span_rate(churned, settle_at, duration),
-            6,
-        )
-        if settled
-        else None
-    )
-
-    report = {
-        "pipeline": spec.name,
-        "locality": args.locality,
-        "flows": flows,
-        "capacity": capacity,
-        "mean_flow_size": args.mean_flow_size,
-        "duration": duration,
-        "window": window,
-        "seed": args.seed,
-        "storm": {
-            "start": storm_start,
-            "end": storm_end,
-            "count": storm_count,
-            "gap": round(gap, 6),
-            "hold": round(hold, 6),
-            "reval_budget": reval_budget,
-        },
-        "baseline_hit_rate": round(baseline.hit_rate, 6),
-        "churn_hit_rate": round(churned.hit_rate, 6),
-        "dip_depth": dip_depth,
-        "max_window_dip": max_window_dip,
-        "recovery_delta": recovery_delta,
-        "recovery_seconds": recovery_seconds,
-        "churn": digest,
-        "recovery_threshold": threshold,
-        "gates": {
-            "recovered": (
-                settled and recovery_delta <= threshold
-            ),
-            "backlog_drained": (
-                digest["backlog"] == 0 and digest["pending_events"] == 0
-            ),
-        },
-    }
-    settled_text = (
-        f"settled {recovery_seconds:.2f}s after the storm "
-        f"(delta {recovery_delta:+.4f})"
-        if settled
-        else "did not settle before the run ended"
-    )
-    print(f"churn storm: {storm_count} denies over "
-          f"[{storm_start:.1f}s, {storm_end:.1f}s)  "
-          f"dip={dip_depth:+.4f} (worst window {max_window_dip:+.4f})  "
-          f"{settled_text}  "
-          f"backlog_peak={digest['backlog_peak']}  "
-          f"reval_evicted={digest['reval_evicted']}")
-    gates = report["gates"]
-    print(f"gates: recovered={gates['recovered']} "
-          f"backlog_drained={gates['backlog_drained']}")
-
-    with open(args.churn_output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.churn_output}")
-
-
-def _bench_evictions(args: argparse.Namespace, spec) -> None:
-    """A/B the pluggable eviction policies under capacity pressure.
-
-    Every policy replays the identical trace against the same
-    undersized cache (half the flow count, idle expiry off) so capacity
-    eviction — not idle timeout — decides what survives.  Telemetry is
-    attached for the per-policy victim-age distribution
-    (``repro_eviction_victim_age_seconds``); hit rate and occupancy
-    come from the :class:`SimResult`.
-    """
-    from .cache.eviction import POLICY_NAMES
-    from .obs import Telemetry
-    from .sim import SimConfig, VSwitchSimulator
-    from .workload import TraceProfile, build_workload
-
-    profile = TraceProfile(
-        mean_flow_size=args.mean_flow_size, duration=args.duration
-    )
-    capacity = max(args.flows // 2, 8)
-    report = {
-        "pipeline": spec.name,
-        "locality": args.locality,
-        "flows": args.flows,
-        "capacity": capacity,
-        "mean_flow_size": args.mean_flow_size,
-        "duration": args.duration,
-        "seed": args.seed,
-        "policies": list(POLICY_NAMES),
-        "systems": {},
-    }
-    for sysname in ("megaflow", "gigaflow"):
-        rows = {}
-        for policy in POLICY_NAMES:
-            workload = build_workload(
-                spec, n_flows=args.flows, locality=args.locality,
-                seed=args.seed,
-            )
-            trace = workload.trace(profile=profile, seed=args.trace_seed)
-            telemetry = Telemetry(tracing=False)
-            config = SimConfig(
-                fast_path=True, telemetry=telemetry, eviction=policy
-            )
-            simulator = VSwitchSimulator(
-                workload.pipeline, _make_system(sysname, capacity), config
-            )
-            start = time.perf_counter()
-            result = simulator.run(trace)
-            elapsed = time.perf_counter() - start
-
-            # Victim-age distribution: this run owns the Telemetry hub,
-            # so every histogram child belongs to this (system, policy).
-            family = telemetry.registry.get(
-                "repro_eviction_victim_age_seconds"
-            )
-            age_count, age_sum = 0, 0.0
-            buckets = None
-            for _labels, child in family.children():
-                age_count += child.count
-                age_sum += child.sum
-                if buckets is None:
-                    buckets = [0] * len(child.counts)
-                for i, n in enumerate(child.counts):
-                    buckets[i] += n
-            bounds = [f"le_{b:g}" for b in family.buckets] + ["le_inf"]
-            stats = result.stats
-            rows[policy] = {
-                "seconds": round(elapsed, 3),
-                "packets_per_sec": round(result.packets / elapsed, 1),
-                "hit_rate": round(result.hit_rate, 6),
-                "misses": stats.misses,
-                "evictions": stats.evictions,
-                "peak_entries": result.peak_entries,
-                # Single-engine run: the peak is an observed value, not
-                # a merged upper bound.  Merged rows (shards/net) must
-                # set this false and name the bound.
-                "peak_entries_exact": result.peak_entries_exact,
-                "entry_count": result.entry_count,
-                "occupancy": round(
-                    result.entry_count / result.capacity, 4
-                ) if result.capacity else 0.0,
-                "victim_age": {
-                    "count": age_count,
-                    "mean": round(age_sum / age_count, 6)
-                    if age_count else 0.0,
-                    "buckets": dict(zip(bounds, buckets or [])),
-                },
-            }
-            print(f"{sysname:9} {policy:8} hit_rate="
-                  f"{rows[policy]['hit_rate']:.4f}  "
-                  f"evictions={stats.evictions:>6}  "
-                  f"victim_age_mean={rows[policy]['victim_age']['mean']:.3f}s")
-        best = max(rows, key=lambda p: rows[p]["hit_rate"])
-        report["systems"][sysname] = {"policies": rows, "best": best}
-        print(f"{sysname} best policy: {best} "
-              f"(hit_rate={rows[best]['hit_rate']:.4f})")
-
-    with open(args.evictions_output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.evictions_output}")
-
-
-def _bench_obs(args: argparse.Namespace, spec) -> None:
-    """Measure the telemetry subsystem's cost: off / metrics / +trace.
-
-    All three variants keep the fast path on (the production
-    configuration) and replay the identical trace, so the throughput
-    deltas isolate the observability overhead.  ``obs_off`` also *is*
-    the instrumented-but-disabled hot path — its throughput vs the
-    fastpath section above bounds the cost of the dormant hooks.
-
-    Estimator: the overheads here are ~10-25% while shared-host timing
-    noise routinely swings single runs by that much, so one run per
-    variant is meaningless.  Each variant runs ``rounds`` times,
-    interleaved (off/metrics/trace, repeat) so drift hits all variants
-    alike; timing uses CPU seconds (``time.process_time``) to exclude
-    preemption, with the garbage collector paused around the timed
-    region (tuple-churn GC cycles otherwise dominate the trace delta);
-    the reported figure compares per-variant *minima* — the
-    least-perturbed observation of a deterministic quantity.
-
-    A final ``trace_analyze`` phase runs the flow-level analyzer
-    (:mod:`repro.obs.analyze`) over the obs_trace run's ring, writing
-    the report to ``--trace-report`` and recording the analyzer's own
-    cost — the "is `repro trace` cheap enough to run casually" number.
-    """
-    from .obs import Telemetry, analyze_tracer
-    from .sim import SimConfig, VSwitchSimulator
-    from .workload import TraceProfile, build_workload
-
-    profile = TraceProfile(
-        mean_flow_size=args.mean_flow_size, duration=args.duration
-    )
-    capacity = args.capacity or max(args.flows * 2, 8)
-    variants = (
-        ("obs_off", lambda: None),
-        ("obs_metrics", lambda: Telemetry(tracing=False)),
-        ("obs_trace", lambda: Telemetry(
-            tracing=True, trace_capacity=args.trace_capacity
-        )),
-    )
-    rounds = args.obs_rounds
-    report = {
-        "pipeline": spec.name,
-        "flows": args.flows,
-        "capacity": capacity,
-        "duration": args.duration,
-        "seed": args.seed,
-        "system": "gigaflow",
-        "rounds": rounds,
-        "runs": {},
-    }
-    best_cpu = {name: float("inf") for name, _ in variants}
-    best_wall = {name: float("inf") for name, _ in variants}
-    last_result = {}
-    last_telemetry = {}
-    for _ in range(rounds):
-        for name, make_telemetry in variants:
-            workload = build_workload(
-                spec, n_flows=args.flows, locality=args.locality,
-                seed=args.seed,
-            )
-            trace = workload.trace(
-                profile=profile, seed=args.trace_seed
-            )
-            telemetry = make_telemetry()
-            config = SimConfig(fast_path=True, telemetry=telemetry)
-            simulator = VSwitchSimulator(
-                workload.pipeline, _make_system("gigaflow", capacity),
-                config,
-            )
-            gc.collect()
-            gc.disable()
-            wall0 = time.perf_counter()
-            cpu0 = time.process_time()
-            result = simulator.run(trace)
-            cpu = time.process_time() - cpu0
-            wall = time.perf_counter() - wall0
-            gc.enable()
-            best_cpu[name] = min(best_cpu[name], cpu)
-            best_wall[name] = min(best_wall[name], wall)
-            last_result[name] = result
-            last_telemetry[name] = telemetry
-
-    baseline = None
-    reference = None
-    for name, _ in variants:
-        result = last_result[name]
-        pps = result.packets / best_cpu[name]
-        run = {
-            "seconds": round(best_wall[name], 3),
-            "cpu_seconds": round(best_cpu[name], 3),
-            "packets_per_sec": round(pps, 1),
-            "hit_rate": round(result.hit_rate, 6),
-            "cache_probes": result.cache_probes,
-        }
-        telemetry = last_telemetry[name]
-        if telemetry is not None:
-            run["trace_events"] = telemetry.tracer.emitted
-        if baseline is None:
-            baseline = pps
-            reference = (run["hit_rate"], run["cache_probes"])
-        else:
-            run["overhead_vs_off"] = round(1.0 - pps / baseline, 4)
-            run["metrics_identical"] = (
-                (run["hit_rate"], run["cache_probes"]) == reference
-            )
-        report["runs"][name] = run
-        extra = (
-            f"  overhead={run['overhead_vs_off']:+.1%}"
-            if "overhead_vs_off" in run else ""
-        )
-        print(
-            f"{name:12} {best_cpu[name]:6.2f}s cpu  "
-            f"{pps:>9,.0f} pps{extra}"
-        )
-
-    # trace_analyze phase: the analyzer's own cost over the live ring.
-    tracer = last_telemetry["obs_trace"].tracer
-    cpu0 = time.process_time()
-    trace_report = analyze_tracer(tracer, top=5)
-    analyze_cpu = time.process_time() - cpu0
-    analyzed = trace_report["events"]
-    report["trace_analyze"] = {
-        "cpu_seconds": round(analyze_cpu, 4),
-        "events_analyzed": analyzed,
-        "events_per_sec": round(analyzed / analyze_cpu, 1)
-        if analyze_cpu > 0
-        else None,
-        "report_path": args.trace_report,
-    }
-    with open(args.trace_report, "w", encoding="utf-8") as handle:
-        json.dump(trace_report, handle, indent=2)
-        handle.write("\n")
-    suggestion = trace_report["reorder_suggestion"].get("suggestion")
-    deepest = trace_report["pathological"]["deepest_chains"]
-    print(
-        f"trace_analyze {analyze_cpu:6.2f}s cpu  "
-        f"{analyzed} events -> {args.trace_report}"
-    )
-    if deepest:
-        worst = deepest[0]
-        print(
-            f"  deepest chain: flow {worst['flow']} "
-            f"(max_depth={worst['max_depth']}, "
-            f"packets={worst['packets']})"
-        )
-    if suggestion:
-        print(f"  reorder: {suggestion}")
-
-    with open(args.obs_output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print(f"wrote {args.obs_output}")
+    return run_phases(names, Scale.from_args(args), args.out_dir)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .core.revalidation import (
-        GigaflowRevalidator,
-        MegaflowRevalidator,
-    )
-    from .obs import Telemetry
-    from .pipeline.library import get_pipeline_spec
-    from .report import render_telemetry
-    from .sim import SimConfig, VSwitchSimulator
-    from .workload import TraceProfile, build_workload
-
-    spec = get_pipeline_spec(args.pipeline.upper())
-    capacity = args.capacity or max(args.flows * 2, 8)
-    system = _make_system(args.system, capacity, args.eviction)
+    scale = Scale.from_args(args)
+    system = make_system(args.system, scale.total_capacity, args.eviction)
     telemetry = Telemetry(
         trace_capacity=args.trace_capacity,
         tracing=args.format == "text" or args.trace_out is not None,
@@ -1372,13 +190,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             else None
         ),
     )
-    workload = build_workload(
-        spec, n_flows=args.flows, locality=args.locality, seed=args.seed
-    )
-    profile = TraceProfile(
-        mean_flow_size=args.mean_flow_size, duration=args.duration
-    )
-    trace = workload.trace(profile=profile, seed=args.trace_seed)
+    workload, trace = scale.build()
     config = SimConfig(
         max_idle=args.max_idle,
         sweep_interval=args.sweep_interval,
@@ -1448,24 +260,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .obs import Telemetry
-    from .pipeline.library import get_pipeline_spec
-    from .serve import ServeConfig, ServingDriver, endless_packets
-    from .sim import ChurnConfig, SimConfig
-    from .workload import (
-        TraceProfile,
-        acl_update_schedule,
-        build_workload,
-        insert_delete_storm,
-        priority_shuffle_schedule,
-    )
-    from .workload.churn import ChurnSchedule
-
-    spec = get_pipeline_spec(args.pipeline.upper())
-    workload = build_workload(
-        spec, n_flows=args.flows, locality=args.locality, seed=args.seed
-    )
-    capacity = args.capacity or max(args.flows * 2, 8)
+    scale = Scale.from_args(args)
+    workload = scale.workload()
     duration = args.duration
 
     # Churn scenarios place themselves proportionally inside the
@@ -1473,7 +269,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # at 70%, shuffles at 45% and 75%.
     schedule = ChurnSchedule([])
     if args.storm or args.acl_update or args.shuffle:
-        table_id = _churn_table(workload.pipeline)
+        table_id = churn_table(workload.pipeline)
         if args.storm:
             start, end = duration * 0.2, duration * 0.6
             gap = (end - start) / args.storm_count
@@ -1507,7 +303,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     driver = ServingDriver(
         workload.pipeline,
-        _make_system(args.system, capacity),
+        make_system(args.system, scale.total_capacity),
         config,
         ServeConfig(
             batch_size=args.batch_size,
@@ -1519,10 +315,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     driver.start()
     if driver.metrics_server is not None:
         print(f"metrics endpoint: {driver.metrics_server.url}")
-    profile = TraceProfile(
-        mean_flow_size=args.mean_flow_size,
-        duration=args.segment_duration,
-    )
+    # The unbounded source is generated a segment at a time.
+    profile = replace(scale, duration=args.segment_duration).profile()
     result = driver.serve(
         endless_packets(workload, profile=profile, seed=args.trace_seed),
         max_seconds=duration,
@@ -1530,7 +324,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     print(f"served {result.packets} packets over "
           f"{driver.now:.1f} simulated seconds "
-          f"({args.system}, {spec.name})")
+          f"({args.system}, {scale.spec.name})")
     print(f"hit_rate={result.hit_rate:.4f}  "
           f"{result.peak_entries_label()}  "
           f"capacity={result.capacity}")
@@ -1556,23 +350,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_net(args: argparse.Namespace) -> int:
     """Run one trace through a multi-switch fabric (:mod:`repro.net`)."""
-    from .net import (
-        FabricController,
-        FabricSimulator,
-        leaf_spine,
-        linear,
-        ring,
-    )
-    from .obs import Telemetry
-    from .pipeline.library import get_pipeline_spec
-    from .sim import SimConfig
-    from .workload import (
-        TraceProfile,
-        build_fabric_endpoints,
-        build_workload,
-    )
-
-    spec = get_pipeline_spec(args.pipeline.upper())
+    scale = Scale.from_args(args)
     if args.topology == "leaf-spine":
         topology = leaf_spine(args.leaves, args.spines)
     elif args.topology == "linear":
@@ -1580,14 +358,7 @@ def cmd_net(args: argparse.Namespace) -> int:
     else:
         topology = ring(args.length)
 
-    capacity = args.capacity or max(args.flows * 2, 8)
-    workload = build_workload(
-        spec, n_flows=args.flows, locality=args.locality, seed=args.seed
-    )
-    profile = TraceProfile(
-        mean_flow_size=args.mean_flow_size, duration=args.duration
-    )
-    trace = workload.trace(profile=profile, seed=args.trace_seed)
+    trace = scale.trace(scale.workload())
     endpoints = build_fabric_endpoints(
         topology, args.flows, locality=args.net_locality, seed=args.seed
     )
@@ -1605,12 +376,10 @@ def cmd_net(args: argparse.Namespace) -> int:
 
     fabric = FabricSimulator(
         topology,
-        pipeline_factory=lambda _context: build_workload(
-            spec, n_flows=args.flows, locality=args.locality,
-            seed=args.seed,
-        ).pipeline,
-        system_factory=lambda _context: _make_system(
-            args.system, capacity, args.eviction
+        # Same spec + seed => identical rule state per switch.
+        pipeline_factory=lambda _context: scale.workload().pipeline,
+        system_factory=lambda _context: make_system(
+            args.system, scale.total_capacity, args.eviction
         ),
         controller=controller,
         config=SimConfig(
@@ -1654,7 +423,7 @@ def cmd_net(args: argparse.Namespace) -> int:
         return 0
 
     print(f"{topology.name}: {len(topology)} switches, "
-          f"{len(topology.links)} links ({spec.name}, {args.system})")
+          f"{len(topology.links)} links ({scale.spec.name}, {args.system})")
     print(f"{'switch':<10}{'role':<8}{'packets':>9}{'hit_rate':>10}"
           f"{'peak':>7}")
     for name in fres.switches:
@@ -1676,8 +445,6 @@ def cmd_net(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Analyze a trace JSONL file and print/write the flow report."""
-    from .obs import analyze_jsonl, render_text
-
     report = analyze_jsonl(args.trace_in, top=args.top)
     if args.format == "json":
         text = json.dumps(report, indent=2) + "\n"
@@ -1704,64 +471,43 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser(
         "compare", help="Megaflow vs Gigaflow on one pipeline"
     )
-    compare.add_argument("pipeline", choices=[p.lower() for p in PIPELINES]
-                         + list(PIPELINES))
     _add_scale_arguments(compare)
 
     sweep = sub.add_parser("sweep", help="Gigaflow table-count sweep")
-    sweep.add_argument("pipeline", choices=[p.lower() for p in PIPELINES]
-                       + list(PIPELINES))
+    _add_scale_arguments(sweep)
     sweep.add_argument(
         "--tables", type=int, nargs="+", default=[1, 2, 3, 4],
     )
-    _add_scale_arguments(sweep)
 
     coverage = sub.add_parser(
         "coverage", help="Table 2 rule-space coverage"
     )
-    coverage.add_argument("pipeline",
-                          choices=[p.lower() for p in PIPELINES]
-                          + list(PIPELINES))
     _add_scale_arguments(coverage)
 
     bench = sub.add_parser(
         "bench",
-        help="benchmark the exact-match fast path (on vs off)",
+        help="run the behavioural A/B gates (repro.gates.PHASES); "
+             "non-zero exit when a gate fails",
+    )
+    _add_scale_arguments(
+        bench, flows=2000, mean_flow_size=128.0, duration=30.0,
+        capacity="2x flows: locality-heavy traces should be "
+                 "cache-limited by idle time, not size",
     )
     bench.add_argument(
-        "pipeline", nargs="?", default="psc",
-        choices=[p.lower() for p in PIPELINES] + list(PIPELINES),
+        "--out-dir", default=".",
+        help="directory the BENCH_<phase>.json reports and "
+             "TRACE_report.json are written to (default: cwd)",
     )
     bench.add_argument(
-        "--flows", type=int, default=2000,
-        help="unique flow classes (default 2000)",
+        "--smoke", action="store_true",
+        help="CI-sized run (<=300 flows, <=8s trace)",
     )
-    bench.add_argument(
-        "--capacity", type=int, default=None,
-        help="total cache entries (default 2x flows: locality-heavy "
-             "traces should be cache-limited by idle time, not size)",
-    )
-    bench.add_argument(
-        "--locality", choices=("high", "low"), default="high",
-    )
-    bench.add_argument(
-        "--mean-flow-size", type=float, default=128.0,
-        help="mean packets per flow (default 128, locality-heavy)",
-    )
-    bench.add_argument(
-        "--duration", type=float, default=30.0,
-        help="trace duration in seconds (default 30)",
-    )
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument("--trace-seed", type=int, default=3)
-    bench.add_argument(
-        "--output", default="BENCH_fastpath.json",
-        help="where to write the JSON report",
-    )
-    bench.add_argument(
-        "--obs-output", default="BENCH_obs.json",
-        help="where to write the telemetry-overhead report",
-    )
+    for name, phase in PHASES.items():
+        if phase.help is not None:
+            bench.add_argument(
+                f"--{name}", action="store_true", help=phase.help
+            )
     bench.add_argument(
         "--trace-capacity", type=int, default=65536,
         help="ring-buffer size for the obs_trace variant",
@@ -1772,74 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
              "keeps each variant's best CPU time; default 9)",
     )
     bench.add_argument(
-        "--trace-report", default="TRACE_report.json",
-        help="where the trace_analyze phase writes the flow-level "
-             "trace analysis",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized run (<=300 flows, <=8s trace)",
-    )
-    bench.add_argument(
-        "--evictions", action="store_true",
-        help="also A/B the eviction policies under capacity pressure",
-    )
-    bench.add_argument(
-        "--evictions-output", default="BENCH_evictions.json",
-        help="where to write the eviction-policy comparison",
-    )
-    bench.add_argument(
-        "--adaptive", action="store_true",
-        help="also A/B the closed-loop adaptive controller vs static "
-             "configurations on a locality-shifting workload",
-    )
-    bench.add_argument(
-        "--adaptive-output", default="BENCH_adaptive.json",
-        help="where to write the adaptive-controller comparison",
-    )
-    bench.add_argument(
-        "--shards", action="store_true",
-        help="also run the sharded-engine core-scaling phase "
-             "(1/2/4/8 worker processes over one trace)",
-    )
-    bench.add_argument(
-        "--shards-output", default="BENCH_shards.json",
-        help="where to write the core-scaling report",
-    )
-    bench.add_argument(
         "--shard-timeout", type=float, default=600.0,
         help="wall-clock budget per sharded run before workers are "
              "killed (seconds, default 600)",
-    )
-    bench.add_argument(
-        "--timeouts", action="store_true",
-        help="also A/B the per-rule timeout predictors (ewma, qtable) "
-             "against a static max_idle sweep on an "
-             "interarrival-heterogeneous trace",
-    )
-    bench.add_argument(
-        "--timeouts-output", default="BENCH_timeouts.json",
-        help="where to write the timeout-predictor comparison",
-    )
-    bench.add_argument(
-        "--churn", action="store_true",
-        help="also measure the hit-rate dip and recovery under a "
-             "mid-trace insert/delete storm with budgeted incremental "
-             "revalidation",
-    )
-    bench.add_argument(
-        "--churn-output", default="BENCH_churn.json",
-        help="where to write the churn dip/recovery report",
-    )
-    bench.add_argument(
-        "--net", action="store_true",
-        help="also run the fabric spine-pressure phase: one trace "
-             "through an 8x2 leaf/spine fabric with identically sized "
-             "per-switch caches (spine vs leaf hit rates)",
-    )
-    bench.add_argument(
-        "--net-output", default="BENCH_net.json",
-        help="where to write the fabric spine-pressure report",
     )
     bench.add_argument(
         "--net-locality", type=float, default=0.25,
@@ -1852,9 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate a multi-switch fabric: one cache per hop, "
              "ECMP-spread shortest paths, optional link failures",
     )
-    net.add_argument(
-        "pipeline", nargs="?", default="psc",
-        choices=[p.lower() for p in PIPELINES] + list(PIPELINES),
+    _add_scale_arguments(
+        net, flows=400, capacity="2x flows, per switch",
+        mean_flow_size=24.0, duration=10.0,
     )
     net.add_argument(
         "--topology", choices=("leaf-spine", "linear", "ring"),
@@ -1872,39 +553,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--length", type=int, default=4,
         help="switch count (linear/ring; default 4)",
     )
-    net.add_argument(
-        "--system",
-        choices=("gigaflow", "megaflow", "hierarchy", "adaptive"),
-        default="gigaflow",
-    )
-    net.add_argument(
-        "--flows", type=int, default=400,
-        help="unique flow classes (default 400)",
-    )
-    net.add_argument(
-        "--capacity", type=int, default=None,
-        help="cache entries per switch (default 2x flows)",
-    )
-    net.add_argument(
-        "--locality", choices=("high", "low"), default="high",
-        help="workload reuse locality (as in the other commands)",
-    )
+    net.add_argument("--system", choices=_SYSTEMS, default="gigaflow")
     net.add_argument(
         "--net-locality", type=float, default=0.5,
         help="fraction of flows whose endpoints share a leaf "
              "(default 0.5)",
     )
-    net.add_argument(
-        "--eviction", choices=_policy_names(), default="lru",
-    )
-    net.add_argument(
-        "--mean-flow-size", type=float, default=24.0,
-        help="mean packets per flow (default 24)",
-    )
-    net.add_argument(
-        "--duration", type=float, default=10.0,
-        help="trace duration in seconds (default 10)",
-    )
+    net.add_argument("--eviction", choices=POLICY_NAMES, default="lru")
     net.add_argument(
         "--max-idle", type=float, default=0.0,
         help="idle-expiry threshold per switch (0 disables; default 0)",
@@ -1925,8 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     net.add_argument(
         "--format", choices=("text", "json"), default="text",
     )
-    net.add_argument("--seed", type=int, default=7)
-    net.add_argument("--trace-seed", type=int, default=3)
 
     trace = sub.add_parser(
         "trace",
@@ -1955,37 +608,14 @@ def build_parser() -> argparse.ArgumentParser:
         "stats",
         help="run one simulation with telemetry and export the metrics",
     )
-    stats.add_argument(
-        "pipeline", nargs="?", default="psc",
-        choices=[p.lower() for p in PIPELINES] + list(PIPELINES),
+    _add_scale_arguments(
+        stats, flows=1000, capacity="2x flows",
+        mean_flow_size=64.0, duration=20.0,
     )
+    stats.add_argument("--system", choices=_SYSTEMS, default="gigaflow")
     stats.add_argument(
-        "--system",
-        choices=("gigaflow", "megaflow", "hierarchy", "adaptive"),
-        default="gigaflow",
-    )
-    stats.add_argument(
-        "--flows", type=int, default=1000,
-        help="unique flow classes (default 1000)",
-    )
-    stats.add_argument(
-        "--capacity", type=int, default=None,
-        help="total cache entries (default 2x flows)",
-    )
-    stats.add_argument(
-        "--locality", choices=("high", "low"), default="high",
-    )
-    stats.add_argument(
-        "--eviction", choices=_policy_names(), default="lru",
+        "--eviction", choices=POLICY_NAMES, default="lru",
         help="capacity-eviction policy (default lru)",
-    )
-    stats.add_argument(
-        "--mean-flow-size", type=float, default=64.0,
-        help="mean packets per flow (default 64)",
-    )
-    stats.add_argument(
-        "--duration", type=float, default=20.0,
-        help="trace duration in seconds (default 20)",
     )
     stats.add_argument(
         "--max-idle", type=float, default=5.0,
@@ -1995,8 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep-interval", type=float, default=2.5,
         help="sweep/snapshot cadence in seconds (default 2.5)",
     )
-    stats.add_argument("--seed", type=int, default=7)
-    stats.add_argument("--trace-seed", type=int, default=3)
     stats.add_argument(
         "--format", choices=("prom", "json", "text"), default="prom",
         help="prom = Prometheus text exposition (default), "
@@ -2023,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
              "trace events and a summary section",
     )
     stats.add_argument(
-        "--timeouts", choices=_predictor_names(), default=None,
+        "--timeouts", choices=PREDICTOR_NAMES, default=None,
         help="replace the global max_idle deadline with per-rule "
              "predicted timeouts from this predictor (static keeps the "
              "global deadline but records the expiry ledger)",
@@ -2035,9 +663,11 @@ def build_parser() -> argparse.ArgumentParser:
              "the engine with scrapeable metrics and optional "
              "control-plane churn",
     )
-    serve.add_argument(
-        "pipeline", nargs="?", default="psc",
-        choices=[p.lower() for p in PIPELINES] + list(PIPELINES),
+    # --duration here is how long to serve; each generated segment of
+    # the unbounded source is --segment-duration long.
+    _add_scale_arguments(
+        serve, flows=400, capacity="2x flows",
+        mean_flow_size=24.0, duration=30.0,
     )
     serve.add_argument(
         "--system", choices=("gigaflow", "megaflow", "adaptive"),
@@ -2046,28 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
              "revalidator, so churn cannot be served against it)",
     )
     serve.add_argument(
-        "--flows", type=int, default=400,
-        help="unique flow classes (default 400)",
-    )
-    serve.add_argument(
-        "--capacity", type=int, default=None,
-        help="total cache entries (default 2x flows)",
-    )
-    serve.add_argument(
-        "--locality", choices=("high", "low"), default="high",
-    )
-    serve.add_argument(
-        "--duration", type=float, default=30.0,
-        help="simulated seconds to serve before stopping (default 30)",
-    )
-    serve.add_argument(
         "--segment-duration", type=float, default=10.0,
         help="length of each generated trace segment of the unbounded "
              "source (default 10)",
-    )
-    serve.add_argument(
-        "--mean-flow-size", type=float, default=24.0,
-        help="mean packets per flow per segment (default 24)",
     )
     serve.add_argument(
         "--batch-size", type=int, default=256,
@@ -2114,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
              "default 64)",
     )
     serve.add_argument(
-        "--timeouts", choices=_predictor_names(), default=None,
+        "--timeouts", choices=PREDICTOR_NAMES, default=None,
         help="per-rule adaptive timeout predictor (as in stats)",
     )
     serve.add_argument(
@@ -2122,8 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit nonzero unless the revalidation backlog drained and "
              "every scheduled churn event fired (the CI soak gate)",
     )
-    serve.add_argument("--seed", type=int, default=7)
-    serve.add_argument("--trace-seed", type=int, default=3)
     return parser
 
 

@@ -427,10 +427,6 @@ class GigaflowCache(FlowCache):
                     table.remove(rule)
                 evicted += len(stale)
         else:
-            capacity = self.capacity_total()
-            pred.begin_sweep(
-                now, self.entry_count() / capacity if capacity else 0.0
-            )
             for table in self.tables:
                 stale = []
                 for rule in table:

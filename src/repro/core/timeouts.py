@@ -2,15 +2,14 @@
 
 Every cache in the tree expires entries against one global ``max_idle``
 constant (§4.3.2's idle expiry).  HQTimer showed that *learned* timeout
-prediction — an EWMA of a rule's reuse interarrivals, or a small
-Q-table over discretized states — beats any static constant, and "Flow
-Correlator" argues flow-history models outperform static cache
-management generally.  This module adds that axis: a
+prediction — an EWMA of a rule's reuse interarrivals — beats any static
+constant, and "Flow Correlator" argues flow-history models outperform
+static cache management generally.  This module adds that axis: a
 :class:`TimeoutPredictor` assigns each resident rule its *own* idle
 timeout, clamped to ``[min_idle, max_idle]``, and the caches consult it
 during their idle sweeps instead of the global constant.
 
-Three predictors ship:
+Two predictors ship:
 
 ``static``
     The baseline: every rule gets ``max_idle``.  Behaviourally
@@ -20,16 +19,10 @@ Three predictors ship:
     Per-rule EWMA of observed reuse interarrivals; the timeout is
     ``grace × ewma`` (a rule reused every 0.1 s expires after ~0.3 s
     idle instead of occupying a slot for the full ``max_idle``).
-``qtable``
-    A tiny Q-learning policy over discretized
-    (interarrival-bucket × occupancy-pressure) states choosing among a
-    geometric grid of timeout levels.  Rewards favour timeouts long
-    enough for the rule's next reuse but no longer: a reuse while
-    resident pays ``1 - slot_cost·(timeout/max_idle)``, an expiry that
-    was never reused costs ``dead_cost``, and an expiry whose key
-    returns within the ghost window (a *premature* eviction) costs
-    ``premature_cost``.  No dependencies, fully deterministic
-    (round-robin exploration, no RNG).
+
+(A third, a Q-table over discretized interarrival × occupancy states,
+was deleted: it lost to ``ewma`` in every ``repro bench --timeouts``
+cell measured and to the best static setting at default scale.)
 
 The integration contract, shared by all four cache types:
 
@@ -46,7 +39,7 @@ The integration contract, shared by all four cache types:
   replays, install refreshes, LTM ``touch``/``share``) it first offers
   the predictor the elapsed interarrival, so EWMA state is identical
   with the fast path on or off.
-* **Feedback is predictor-internal.**  Premature/dead counters and the
+* **The ledger is predictor-internal.**  Premature/dead counters and the
   predicted-timeout histogram live on the predictor;
   :meth:`~repro.obs.telemetry.Telemetry.attach_timeouts` delta-folds
   them into the registry on the flush cadence, so ``LtmTable`` and
@@ -59,12 +52,11 @@ import abc
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = [
     "EwmaTimeoutPredictor",
     "PREDICTOR_NAMES",
-    "QTableTimeoutPredictor",
     "StaticTimeoutPredictor",
     "TIMEOUT_BUCKETS",
     "TimeoutConfig",
@@ -81,11 +73,6 @@ TIMEOUT_BUCKETS = (0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0)
 #: detect premature evictions (reinstall-within-window).  FIFO beyond
 #: this; far above any per-sweep expiry count the simulator sees.
 GHOST_LIMIT = 4096
-
-#: Occupancy-pressure discretization (Q-table state component):
-#: ``< 0.5`` relaxed, ``< 0.85`` loaded, else saturated — the same
-#: watermarks the adaptive controller steers placement by.
-PRESSURE_BOUNDS = (0.5, 0.85)
 
 
 @dataclass
@@ -106,19 +93,6 @@ class TimeoutConfig:
         ghost_window: Seconds after an idle expiry during which the
             key's return counts as a *premature* eviction.  ``None``
             falls back to ``max_idle``.
-        q_actions: Timeout levels on the Q-table's geometric
-            ``min_idle → max_idle`` action grid.
-        q_alpha: Q-value learning rate (``Q += α(r − Q)``; rewards are
-            bounded, so Q-values stay within the reward range).
-        q_explore_every: Every N-th decision explores round-robin
-            instead of acting greedily (deterministic ε-greedy).
-        slot_cost: Reuse-reward shaping — the fraction of the +1 reuse
-            reward surrendered per unit of ``timeout / max_idle``, so
-            the shortest *sufficient* timeout wins ties.
-        dead_cost: Penalty when an expired entry was never reused
-            (it held a slot for nothing).
-        premature_cost: Penalty when an expired key returns within the
-            ghost window (the timeout was too short).
     """
 
     predictor: str = "ewma"
@@ -128,12 +102,6 @@ class TimeoutConfig:
     ewma_alpha: float = 0.3
     cold_idle: Optional[float] = None
     ghost_window: Optional[float] = None
-    q_actions: int = 5
-    q_alpha: float = 0.2
-    q_explore_every: int = 16
-    slot_cost: float = 0.25
-    dead_cost: float = 0.25
-    premature_cost: float = 1.0
 
     def __post_init__(self) -> None:
         if self.min_idle <= 0:
@@ -148,15 +116,6 @@ class TimeoutConfig:
             raise ValueError("cold_idle must be positive")
         if self.ghost_window is not None and self.ghost_window <= 0:
             raise ValueError("ghost_window must be positive")
-        if self.q_actions < 2:
-            raise ValueError("q_actions must be at least 2")
-        if not 0.0 < self.q_alpha <= 1.0:
-            raise ValueError("q_alpha must be in (0, 1]")
-        if self.q_explore_every < 2:
-            raise ValueError("q_explore_every must be at least 2")
-        for name in ("slot_cost", "dead_cost", "premature_cost"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 class TimeoutPredictor(abc.ABC):
@@ -167,8 +126,8 @@ class TimeoutPredictor(abc.ABC):
     :attr:`aggressiveness` scale, reuse tracking for dead-entry
     detection, the ghost list for premature-eviction detection, and the
     counters/histogram telemetry folds from.  Subclasses implement the
-    actual estimate via :meth:`_raw_timeout` and the ``_observe`` /
-    ``_feedback`` hooks.
+    actual estimate via :meth:`_raw_timeout` and the ``_observe``
+    hook.
     """
 
     name = "base"
@@ -190,8 +149,6 @@ class TimeoutPredictor(abc.ABC):
         #: Controller-tunable global scale in ``(0, 1]`` applied to the
         #: raw prediction before clamping (1.0 = predictor's own view).
         self._scale = 1.0
-        #: Occupancy-pressure bucket, refreshed by :meth:`begin_sweep`.
-        self._pressure = 0
         #: Keys reused at least once since (re)install — an idle expiry
         #: of a key *not* in here is a dead entry.
         self._reused: set = set()
@@ -231,11 +188,6 @@ class TimeoutPredictor(abc.ABC):
 
     # -- cache-facing hooks ---------------------------------------------------
 
-    def begin_sweep(self, now: float, occupancy: float) -> None:
-        """Refresh the occupancy-pressure state; called by each cache
-        at the top of its idle sweep."""
-        self._pressure = bisect_left(PRESSURE_BOUNDS, occupancy)
-
     def timeout_for(self, key) -> float:
         """The idle timeout for ``key``, in ``[min_idle, max_idle]``."""
         return self._clamp(self._raw_timeout(key))
@@ -256,7 +208,6 @@ class TimeoutPredictor(abc.ABC):
         ghost = self._ghosts.pop(key, None)
         if ghost is not None and now - ghost[0] <= self._ghost_window:
             self.premature_evictions += 1
-            self._feedback(ghost[1], -self.config.premature_cost)
             # The key came straight back: the eviction was wrong, so
             # restore the estimator state the expiry dropped — without
             # this, a slow flow whose timeout under-shoots its gap
@@ -278,21 +229,17 @@ class TimeoutPredictor(abc.ABC):
         self.expired += 1
         self.hist_counts[bisect_left(TIMEOUT_BUCKETS, timeout)] += 1
         self.hist_sum += timeout
-        dead = key not in self._reused
-        if dead:
+        if key not in self._reused:
             self.dead_evictions += 1
         self._reused.discard(key)
-        payload = self._ghost_payload(key)
         if len(self._ghosts) >= GHOST_LIMIT:
             self._ghosts.popitem(last=False)
-        self._ghosts[key] = (now, payload, idle)
-        if dead:
-            self._feedback(payload, -self.config.dead_cost)
+        self._ghosts[key] = (now, self._ghost_payload(key), idle)
         self._drop(key)
 
     def forget(self, key) -> None:
         """``key`` left the cache for a non-idle reason (capacity
-        victim, revalidation, clear); drop state without feedback."""
+        victim, revalidation, clear); drop state, leave the ledger."""
         self._reused.discard(key)
         self._drop(key)
 
@@ -311,11 +258,8 @@ class TimeoutPredictor(abc.ABC):
     def _observe(self, key, gap: float) -> None:
         """Fold one interarrival observation into the estimator."""
 
-    def _feedback(self, payload, reward: float) -> None:
-        """Outcome feedback for a past decision (Q-learning hook)."""
-
     def _ghost_payload(self, key):
-        """Estimator/decision context to remember with ``key``'s ghost
+        """Estimator context to remember with ``key``'s ghost
         entry (restored by :meth:`_on_return` on premature returns)."""
         return None
 
@@ -406,137 +350,9 @@ class EwmaTimeoutPredictor(TimeoutPredictor):
         self._ewma.clear()
 
 
-class QTableTimeoutPredictor(TimeoutPredictor):
-    """A small deterministic Q-table over
-    (interarrival-bucket × pressure) states and a geometric timeout
-    action grid.
-
-    Per state the policy is greedy over Q with ties broken toward the
-    *longest* timeout (fresh states behave like static), except every
-    ``q_explore_every``-th decision, which cycles the actions
-    round-robin — ε-greedy without randomness, so runs stay
-    reproducible.  Rewards are bounded (see :class:`TimeoutConfig`), and
-    since the update is the convex combination ``Q += α(r − Q)``,
-    Q-values never leave the reward range — the invariant the property
-    tests pin.
-    """
-
-    name = "qtable"
-
-    #: Interarrival-bucket state component: cold rules (no observation
-    #: yet) get bucket -1.
-    COLD_BUCKET = -1
-
-    def __init__(self, config: TimeoutConfig):
-        super().__init__(config)
-        n = config.q_actions
-        lo, hi = config.min_idle, config.max_idle
-        ratio = (hi / lo) ** (1.0 / (n - 1)) if hi > lo else 1.0
-        #: The action grid: geometric ``min_idle → max_idle``.
-        self.action_timeouts: Tuple[float, ...] = tuple(
-            min(lo * ratio**i, hi) for i in range(n)
-        )
-        #: Interarrival discretization: the action grid's midpoints.
-        self.gap_bounds: Tuple[float, ...] = self.action_timeouts[:-1]
-        #: state → per-action Q estimates.
-        self.q: Dict[Tuple[int, int], List[float]] = {}
-        self._ewma: Dict[object, float] = {}
-        #: key → (state, action) of its latest sweep decision, consumed
-        #: by the first feedback event (reuse, dead expiry, premature).
-        self._assigned: Dict[object, Tuple[Tuple[int, int], int]] = {}
-        self._decisions = 0
-
-    # -- state/action plumbing ------------------------------------------------
-
-    def _gap_bucket(self, key) -> int:
-        ewma = self._ewma.get(key)
-        if ewma is None:
-            return self.COLD_BUCKET
-        return bisect_left(self.gap_bounds, ewma)
-
-    def _values(self, state: Tuple[int, int]) -> List[float]:
-        values = self.q.get(state)
-        if values is None:
-            values = [0.0] * len(self.action_timeouts)
-            self.q[state] = values
-        return values
-
-    def greedy_action(self, state: Tuple[int, int]) -> int:
-        """Argmax over Q, ties toward the longest (safest) timeout."""
-        values = self._values(state)
-        best = len(values) - 1
-        for i in range(len(values) - 2, -1, -1):
-            if values[i] > values[best]:
-                best = i
-        return best
-
-    def _raw_timeout(self, key) -> float:
-        state = (self._gap_bucket(key), self._pressure)
-        self._decisions += 1
-        if self._decisions % self.config.q_explore_every == 0:
-            action = (
-                self._decisions // self.config.q_explore_every
-            ) % len(self.action_timeouts)
-        else:
-            action = self.greedy_action(state)
-        self._assigned[key] = (state, action)
-        return self.action_timeouts[action]
-
-    def _update(self, state: Tuple[int, int], action: int, reward: float):
-        values = self._values(state)
-        alpha = self.config.q_alpha
-        values[action] += alpha * (reward - values[action])
-
-    # -- feedback -------------------------------------------------------------
-
-    def _observe(self, key, gap: float) -> None:
-        ewma = self._ewma.get(key)
-        if ewma is None:
-            self._ewma[key] = gap
-        else:
-            alpha = self.config.ewma_alpha
-            self._ewma[key] = alpha * gap + (1.0 - alpha) * ewma
-        assigned = self._assigned.pop(key, None)
-        if assigned is not None:
-            state, action = assigned
-            timeout = self.action_timeouts[action]
-            reward = 1.0 - self.config.slot_cost * (
-                timeout / self.max_idle
-            )
-            self._update(state, action, reward)
-
-    def _feedback(self, payload, reward: float) -> None:
-        assigned = payload[0] if payload is not None else None
-        if assigned is not None:
-            state, action = assigned
-            self._update(state, action, reward)
-
-    def _ghost_payload(self, key):
-        return (self._assigned.get(key), self._ewma.get(key))
-
-    def _on_return(self, key, payload) -> None:
-        if payload[1] is not None and key not in self._ewma:
-            self._ewma[key] = payload[1]
-
-    def _drop(self, key) -> None:
-        self._ewma.pop(key, None)
-        self._assigned.pop(key, None)
-
-    def _drop_all(self) -> None:
-        self._ewma.clear()
-        self._assigned.clear()
-
-    def summary(self) -> dict:
-        digest = super().summary()
-        digest["states"] = len(self.q)
-        digest["decisions"] = self._decisions
-        return digest
-
-
 TIMEOUT_PREDICTORS = {
     "static": StaticTimeoutPredictor,
     "ewma": EwmaTimeoutPredictor,
-    "qtable": QTableTimeoutPredictor,
 }
 
 #: Registered predictor names, CLI choices order.

@@ -248,7 +248,7 @@ class SimConfig:
         timeouts: Optional per-rule adaptive idle-timeout predictor
             (:mod:`repro.core.timeouts`).  Accepts a predictor name
             (:data:`~repro.core.timeouts.PREDICTOR_NAMES`: ``"static"``,
-            ``"ewma"``, ``"qtable"``), a
+            ``"ewma"``), a
             :class:`~repro.core.timeouts.TimeoutConfig`, or a pre-built
             :class:`~repro.core.timeouts.TimeoutPredictor` instance
             (also exposed as

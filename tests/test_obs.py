@@ -431,7 +431,7 @@ class TestStatsCli:
 
         args = build_parser().parse_args(["bench", "--smoke"])
         assert args.smoke is True
-        assert args.obs_output == "BENCH_obs.json"
+        assert args.out_dir == "."
 
 
 class TestRenderTelemetry:

@@ -5,17 +5,9 @@ invariants their contracts promise:
 
 * the **clamp**: every predicted timeout lands in
   ``[min_idle, max_idle]`` — for every predictor, any observation
-  history, any aggressiveness scale, any occupancy pressure;
+  history, any aggressiveness scale;
 * the **EWMA** estimate is a convex combination of the observed
   interarrivals, so it stays within their ``[min, max]`` envelope;
-* **Q-values stay bounded**: rewards live in
-  ``[-max(premature_cost, dead_cost), 1]`` and the update is the convex
-  combination ``Q += α(r − Q)``, so no event sequence can push a
-  Q-value outside the reward range;
-* the Q-table **converges on a stationary flow mix**: under steady
-  per-class interarrivals the greedy policy grants the sparse class a
-  timeout covering its gap while the dense class settles on a cheaper
-  level;
 * the adaptive controller's ``timeout_scale`` knob lowers predictor
   aggressiveness under occupancy pressure (with dwell hysteresis) and
   relaxes it back once pressure clears.
@@ -34,7 +26,6 @@ from repro.core.controller import (
 from repro.core.timeouts import (
     PREDICTOR_NAMES,
     EwmaTimeoutPredictor,
-    QTableTimeoutPredictor,
     TimeoutConfig,
     make_predictor,
     resolve_predictor,
@@ -52,18 +43,6 @@ GAPS = st.lists(
 )
 KEYS = st.integers(0, 5)
 SCALES = st.floats(min_value=1e-6, max_value=1.0)
-OCCUPANCIES = st.floats(min_value=0.0, max_value=1.0)
-
-#: (event, key, gap) op codes for the bounded-Q fuzz: observations,
-#: sweep decisions, expiries and reinstalls in arbitrary order.
-Q_OPS = st.lists(
-    st.tuples(
-        st.sampled_from(("observe", "decide", "expire", "insert")),
-        KEYS,
-        st.floats(min_value=1e-3, max_value=50.0),
-    ),
-    max_size=120,
-)
 
 
 def config(**overrides):
@@ -78,11 +57,8 @@ class TestClampInvariant:
         name=st.sampled_from(PREDICTOR_NAMES),
         observations=st.lists(st.tuples(KEYS, GAPS), max_size=8),
         scale=SCALES,
-        occupancy=OCCUPANCIES,
     )
-    def test_timeout_always_in_bounds(
-        self, name, observations, scale, occupancy
-    ):
+    def test_timeout_always_in_bounds(self, name, observations, scale):
         predictor = make_predictor(name, config(predictor=name))
         now = 0.0
         for key, gaps in observations:
@@ -90,7 +66,6 @@ class TestClampInvariant:
                 now += gap
                 predictor.observe(key, gap, now)
         predictor.set_aggressiveness(scale)
-        predictor.begin_sweep(now, occupancy)
         for key in range(6):
             timeout = predictor.timeout_for(key)
             assert predictor.min_idle <= timeout <= predictor.max_idle
@@ -148,99 +123,6 @@ class TestEwmaEnvelope:
         assert predictor.timeout_for("flow") == pytest.approx(
             min(2.0 * predictor.config.grace, predictor.max_idle)
         )
-
-
-class TestQTableBounded:
-    @settings(max_examples=60, deadline=None)
-    @given(ops=Q_OPS, occupancy=OCCUPANCIES)
-    def test_q_values_never_leave_reward_range(self, ops, occupancy):
-        cfg = config(predictor="qtable")
-        predictor = QTableTimeoutPredictor(cfg)
-        predictor.begin_sweep(0.0, occupancy)
-        lo = -max(cfg.premature_cost, cfg.dead_cost)
-        hi = 1.0
-        now = 0.0
-        for op, key, gap in ops:
-            now += gap
-            if op == "observe":
-                predictor.observe(key, gap, now)
-            elif op == "decide":
-                predictor.timeout_for(key)
-            elif op == "expire":
-                timeout = predictor.timeout_for(key)
-                predictor.on_expire(key, timeout + gap, now, timeout)
-            else:
-                predictor.on_insert(key, now)
-            for values in predictor.q.values():
-                assert all(lo <= value <= hi for value in values)
-
-    def test_fresh_states_act_like_static(self):
-        """Tie-breaking toward the longest timeout means an untrained
-        Q-table behaves like the static baseline (greedy decisions)."""
-        predictor = QTableTimeoutPredictor(
-            # Keep every decision greedy so the round-robin explorer
-            # cannot fire inside this short probe.
-            config(predictor="qtable", q_explore_every=1000)
-        )
-        predictor.begin_sweep(0.0, 0.0)
-        assert predictor.timeout_for("fresh") == predictor.max_idle
-
-    def test_action_grid_spans_the_clamp_geometrically(self):
-        cfg = config(predictor="qtable", q_actions=5)
-        predictor = QTableTimeoutPredictor(cfg)
-        grid = predictor.action_timeouts
-        assert len(grid) == 5
-        assert grid[0] == pytest.approx(cfg.min_idle)
-        assert grid[-1] == pytest.approx(cfg.max_idle)
-        assert all(a < b for a, b in zip(grid, grid[1:]))
-
-    def test_converges_on_stationary_flow_mix(self):
-        """Stationary mix: a dense flow (0.25 s gaps, any grid level
-        covers it), a sparse flow (8 s gaps — only the longest level
-        covers it) and per-round churn that always dies.  Each round
-        emulates what the cache would do with the decided timeout:
-        reuse while resident (reward), or expiry + ghost return
-        (premature penalty).  The greedy policy must grant the sparse
-        flow a covering timeout while the dense flow settles on a
-        cheaper level."""
-        cfg = config(predictor="qtable", slot_cost=0.9)
-        predictor = QTableTimeoutPredictor(cfg)
-        predictor.begin_sweep(0.0, 0.9)
-        now = 0.0
-        for round_index in range(400):
-            now += 10.0
-            # Dense flow: reuses every 0.25 s, so whatever was decided
-            # last round survived to its reuses — the first observe
-            # rewards the decision; then decide again at this sweep.
-            for step in range(8):
-                predictor.observe("dense", 0.25, now + step * 0.25)
-            predictor.timeout_for("dense")
-            # Sparse flow: one 8 s-gap reuse per round.  A decided
-            # timeout covering the gap means the next reuse is a
-            # resident hit; anything shorter expires the entry and the
-            # key bounces straight back (premature).
-            predictor.observe("sparse", 8.0, now)
-            timeout = predictor.timeout_for("sparse")
-            if timeout < 8.0:
-                predictor.on_expire(
-                    "sparse", timeout + 0.01, now + timeout, timeout
-                )
-                predictor.on_insert("sparse", now + 8.0)
-            # Churn flow: installed, decided once, never reused.
-            churn = ("churn", round_index)
-            predictor.on_insert(churn, now)
-            timeout = predictor.timeout_for(churn)
-            predictor.on_expire(churn, timeout + 0.01, now + 9.0, timeout)
-        assert predictor.dead_evictions == 400
-        grid = predictor.action_timeouts
-        pressure = predictor._pressure
-        dense_state = (predictor._gap_bucket("dense"), pressure)
-        sparse_state = (predictor._gap_bucket("sparse"), pressure)
-        dense_timeout = grid[predictor.greedy_action(dense_state)]
-        sparse_timeout = grid[predictor.greedy_action(sparse_state)]
-        assert sparse_timeout > 8.0
-        assert dense_timeout < 2.0
-        assert dense_timeout < sparse_timeout
 
 
 class TestLedgerBookkeeping:
