@@ -534,6 +534,16 @@ class AdaptiveController:
 
     # -- reporting --------------------------------------------------------------
 
+    #: What does not simply add when sharded runs fold :meth:`summary`
+    #: (:func:`repro.obs.telemetry.fold_digests`): each shard steers its
+    #: own knobs, so their states are kept side by side, and the
+    #: last-sweep fields have no fold.
+    SUMMARY_MERGE = {
+        "state": ("per_shard", "per_shard_state"),
+        "last_signals": "drop",
+        "log": "drop",
+    }
+
     def summary(self) -> dict:
         """Digest merged into ``SimResult.telemetry["controller"]``."""
         by_knob: dict = {}

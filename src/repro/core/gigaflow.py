@@ -23,7 +23,6 @@ from ..flow.actions import Action, ActionList
 from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..flow.key import FlowKey
 from ..pipeline.traversal import Traversal
-from ..obs.trace import BIT_LTM_PROBE
 from .ltm import TAG_DONE, LtmRule, LtmTable
 from .partition import Partitioner, disjoint_partition
 from .rulegen import build_ltm_rules
@@ -148,6 +147,12 @@ class GigaflowCache(FlowCache):
         self.chain_repair = chain_repair
         #: Stale shadowing rules removed by chain repair (see class doc).
         self.shadow_repairs = 0
+        # Per-probe accounting is the hottest telemetry site in the walk:
+        # lookups bump the hub's pending cells directly and only pay the
+        # ``on_ltm_probe`` hook call when tracing wants the event (the
+        # hook bumps the same cells itself, so the paths are exclusive).
+        self._probe_cells = None
+        self._trace_probe = None
 
     def set_eviction_policy(self, name: str) -> None:
         table_policy = "lru" if name == "reject" else name
@@ -177,22 +182,8 @@ class GigaflowCache(FlowCache):
         matched: List[Tuple[LtmTable, LtmRule]] = []
         tables_hit = 0
         probes = 0
-        tel = self.telemetry
-        # Per-probe accounting is the hottest telemetry site in the walk:
-        # bump the pending metric cells directly and only pay the
-        # ``on_ltm_probe`` hook call when tracing wants the event (the
-        # hook bumps the same cells itself, so the paths are exclusive).
-        if tel is None:
-            cells = None
-            trace_probe = None
-        else:
-            cells = tel._p_ltm
-            tracer = tel.tracer
-            trace_probe = (
-                tel.on_ltm_probe
-                if tracer.enabled and tracer.mask & BIT_LTM_PROBE
-                else None
-            )
+        cells = self._probe_cells
+        trace_probe = self._trace_probe
         for table in self.tables:
             if tag == TAG_DONE:
                 break
@@ -472,6 +463,9 @@ class GigaflowCache(FlowCache):
 
     def attach_telemetry(self, telemetry, name=None) -> None:
         super().attach_telemetry(telemetry, name)
+        self._probe_cells, self._trace_probe = telemetry.ltm_observer(
+            self.tables
+        )
         for table in self.tables:
             table.set_observer(
                 telemetry.tss_observer(

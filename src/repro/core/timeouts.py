@@ -275,6 +275,14 @@ class TimeoutPredictor(abc.ABC):
 
     # -- reporting ------------------------------------------------------------
 
+    #: What does not simply add when sharded runs fold :meth:`summary`
+    #: (:func:`repro.obs.telemetry.fold_digests`).
+    SUMMARY_MERGE = {
+        "predictor": "first",
+        "aggressiveness": ("per_shard", "per_shard_aggressiveness"),
+        "mean_predicted": ("mean", "expired"),
+    }
+
     def summary(self) -> dict:
         """Digest merged into ``SimResult.telemetry["timeouts"]``."""
         return {

@@ -54,7 +54,7 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import Telemetry
-from ..obs.trace import BIT_HOP, CODE_HOP
+from ..obs.trace import EV_HOP, flow_id
 from ..serve import ServeConfig, ServingDriver, stream_trace
 from ..sim.churn import resolve_churn
 from ..sim.engine import CachingSystem, SimConfig
@@ -421,12 +421,8 @@ class FabricSimulator:
             buffers[context.switch] = []
             if tel is not None:
                 tels[context.switch] = tel
-                tracer = tel.tracer
-                if tracer.enabled:
-                    hop_tracers[context.switch] = (
-                        tracer,
-                        tracer.intern_cache(system.name),
-                    )
+                if tel.tracer.wants(EV_HOP):
+                    hop_tracers[context.switch] = (tel.tracer.emit, system.name)
         self.drivers = drivers
 
         batch_size = self.batch_size
@@ -450,12 +446,8 @@ class FabricSimulator:
             for hop, switch in enumerate(path):
                 traced = hop_tracers.get(switch)
                 if traced is not None:
-                    tracer, cache_code = traced
-                    if tracer.mask & BIT_HOP:
-                        tracer.append((
-                            now, CODE_HOP, cache_code,
-                            hash(packet.flow) & 0xFFFFFFFF, hop, hops,
-                        ))
+                    emit, cache_name = traced
+                    emit(now, EV_HOP, cache_name, flow_id(packet.flow), hop, hops)
                 buf = buffers[switch]
                 buf.append(packet)
                 if len(buf) >= batch_size:

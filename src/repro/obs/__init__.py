@@ -24,8 +24,7 @@ from .metrics import (
 from .snapshot import AGE_BUCKETS, CacheSnapshot, age_histogram, take_snapshot
 from .telemetry import Telemetry, merge_telemetry_summaries
 from .trace import (
-    EVENT_CODES,
-    EVENT_FIELDS,
+    EVENTS,
     EV_CHAIN_REPAIR,
     EV_CONTROLLER,
     EV_EVICT,
@@ -46,8 +45,7 @@ from .trace import (
 
 __all__ = [
     "AGE_BUCKETS",
-    "EVENT_CODES",
-    "EVENT_FIELDS",
+    "EVENTS",
     "EV_CHAIN_REPAIR",
     "EV_CONTROLLER",
     "EV_EVICT",

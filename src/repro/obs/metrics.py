@@ -127,7 +127,9 @@ _KIND_CHILD = {"counter": Counter, "gauge": Gauge}
 class MetricFamily:
     """One named metric, fanned out by label values."""
 
-    __slots__ = ("name", "help", "kind", "label_names", "buckets", "_children")
+    __slots__ = (
+        "name", "help", "kind", "label_names", "buckets", "merge", "_children"
+    )
 
     def __init__(
         self,
@@ -136,6 +138,7 @@ class MetricFamily:
         kind: str,
         label_names: Sequence[str] = (),
         buckets: Optional[Sequence[float]] = None,
+        merge="sum",
     ):
         if kind not in ("counter", "gauge", "histogram"):
             raise ValueError(f"unknown metric kind {kind!r}")
@@ -146,6 +149,8 @@ class MetricFamily:
         self.kind = kind
         self.label_names: Tuple[str, ...] = tuple(label_names)
         self.buckets = tuple(buckets) if buckets else None
+        #: How merging folds it (see :meth:`MetricsRegistry.gauge`).
+        self.merge = merge
         self._children: Dict[LabelValues, object] = {}
 
     def labels(self, *values: str):
@@ -238,9 +243,22 @@ class MetricsRegistry:
         )
 
     def gauge(
-        self, name: str, help_text: str, labels: Sequence[str] = ()
+        self,
+        name: str,
+        help_text: str,
+        labels: Sequence[str] = (),
+        merge="sum",
     ) -> MetricFamily:
-        return self._register(MetricFamily(name, help_text, "gauge", labels))
+        """Register a gauge and, with it, how :meth:`merge` folds it:
+        ``"sum"`` for additive gauges (entries, capacity, memo sizes),
+        ``"drop"`` for an encoded state that means nothing once
+        combined (the merged family carries no samples), or
+        ``(numerator, denominator)`` — gauge families with the same
+        labels — for a ratio recomputed from their merged values.
+        """
+        return self._register(
+            MetricFamily(name, help_text, "gauge", labels, merge=merge)
+        )
 
     def histogram(
         self,
@@ -326,10 +344,11 @@ class MetricsRegistry:
         Merge semantics, pinned by ``tests/test_metrics_merge.py``:
 
         * **counters** sum;
-        * **gauges** sum (the sharded engine's per-worker gauges —
-          entries, capacity, memo sizes — are additive; ratio-style
-          gauges such as occupancy are *recomputed* by the caller after
-          merging, see ``SimResult.merge``);
+        * **gauges** fold by the rule they were registered with (see
+          :meth:`gauge`): the sharded engine's additive per-worker
+          gauges — entries, capacity, memo sizes — sum, a ratio such as
+          occupancy is recomputed from its merged numerator and
+          denominator, and an encoded state is dropped;
         * **histograms** fold bucket-wise: ``counts`` add elementwise,
           ``sum``/``count`` add — equivalent to observing the union of
           the underlying samples.
@@ -351,6 +370,7 @@ class MetricsRegistry:
                     family.kind,
                     family.label_names,
                     family.buckets,
+                    family.merge,
                 )
             )
             if mine.buckets != family.buckets:
@@ -358,6 +378,9 @@ class MetricsRegistry:
                     f"metric {family.name!r} merged with different "
                     f"buckets: {mine.buckets} vs {family.buckets}"
                 )
+            if mine.merge == "drop":
+                mine._children.clear()
+                continue
             for label_values, child in family.children():
                 own = mine.labels(*label_values)
                 if family.kind == "histogram":
@@ -367,6 +390,17 @@ class MetricsRegistry:
                     own.count += child.count
                 else:
                     own.value += child.value
+        # Ratios last, from the numerators and denominators just merged.
+        for family in self._families.values():
+            if isinstance(family.merge, tuple):
+                top, bottom = (self.get(name) for name in family.merge)
+                for label_values, child in family._children.items():
+                    whole = bottom.labels(*label_values).value
+                    child.value = (
+                        round(top.labels(*label_values).value / whole, 6)
+                        if whole
+                        else 0.0
+                    )
         return self
 
     @classmethod
@@ -381,7 +415,8 @@ class MetricsRegistry:
 
     @classmethod
     def from_json(cls, payload: dict) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`to_json` output."""
+        """Rebuild a registry from :meth:`to_json` output (samples, not
+        merge rules: every rebuilt gauge merges as ``"sum"``)."""
         registry = cls()
         for spec in payload.get("families", ()):
             family = registry._register(

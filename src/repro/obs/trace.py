@@ -13,11 +13,10 @@ Hot-path representation
 
 The ring does **not** hold :class:`TraceEvent` objects.  Each record is
 one flat tuple ``(ts, code, value, value, ...)`` whose layout is fixed
-by the event type's field schema (:data:`EVENT_FIELDS`):
+by the event type's row in :data:`EVENTS`:
 
-* the event type is an interned small-int *code*
-  (:data:`EVENT_CODES`; dynamic event names get codes on first use),
-* cache names are interned to small ints (:meth:`Tracer.intern_cache`),
+* the event type is an interned small-int *code* (the row's index;
+  dynamic event names get codes on first use),
 * flow identifiers are stored as raw 32-bit ints and only formatted to
   the stable ``"%08x"`` string on decode.
 
@@ -28,11 +27,11 @@ list append, no dicts, no string formatting, no ``json.dumps``.
 
 Ring discipline is *amortized*: :attr:`Tracer.append` is the backing
 list's own bound ``append`` (no Python frame per event), so overflow
-past ``capacity`` is not detected per event.  Instead every read/flush
+past ``capacity`` is not detected per event.  Instead every read
 boundary — :meth:`Tracer.events`, :meth:`Tracer.drain`,
-:attr:`Tracer.dropped`, :meth:`Tracer.flush` (which the telemetry hub
-calls at each sweep boundary) and :meth:`Tracer.close` — first *syncs*:
-unwritten records stream to the JSONL sink in one encoded batch, then
+:attr:`Tracer.dropped` — and :meth:`Tracer.close` first *sync* through
+:meth:`Tracer.flush` (which the telemetry hub also calls at each sweep
+boundary): unwritten records stream to the JSONL sink in one batch, then
 the buffer is trimmed back to the newest ``capacity`` records and the
 trim is charged to ``dropped``.  Observable semantics are exactly those
 of a per-event ring (the sink sees every emitted event; the ring keeps
@@ -43,33 +42,9 @@ A tracer that owns its sink closes it on garbage collection as a safety
 net, but long-lived callers should ``close()`` (or use the tracer as a
 context manager) to bound tail loss on crash.
 
-Event vocabulary (the ``event`` field; see ``docs/observability.md``
-for the per-event field schema):
-
-========================  =====================================================
-``lookup_hit``            the cache fully handled the packet
-``lookup_miss``           the packet fell through to the slow path
-``ltm_probe``             one Gigaflow LTM table was probed (per table)
-``install``               a traced traversal's rules were offered to the cache
-``evict``                 cache entries were removed (reason: lru/idle/reval/clear)
-``revalidate``            one entry's revalidation verdict (consistent/evicted)
-``fastpath_replay``       a memoized exact-match record served the lookup
-                          (stands in for that packet's ``lookup_hit``)
-``fastpath_invalidate``   a memoized record was dropped (stale epoch)
-``sweep``                 the engine's idle sweep fired
-``snapshot``              a periodic occupancy/churn snapshot was taken
-``controller``            the adaptive controller changed a knob
-``chain_repair``          a shadowed chain was repaired on the miss path
-``hop``                   a packet was enqueued at one switch of its
-                          fabric path (:mod:`repro.net`; per-switch
-                          cache label, hop index, path length)
-========================  =====================================================
-
-(Earlier revisions also emitted a per-packet ``lookup_start`` event; it
-was culled from the vocabulary because every lookup deterministically
-produces exactly one ``lookup_hit``/``lookup_miss`` — or a
-``fastpath_replay`` — carrying the same timestamp and flow id, so the
-start marker doubled the hot-path event volume for zero information.)
+The event vocabulary is the :data:`EVENTS` table below;
+``docs/observability.md`` ("Trace-event schema") says when each event
+fires, and ``tests/test_obs_catalog.py`` keeps the two in step.
 """
 
 from __future__ import annotations
@@ -90,8 +65,8 @@ __all__ = [
     "TraceEvent",
     "TraceSinkError",
     "Tracer",
-    "EVENT_CODES",
-    "EVENT_FIELDS",
+    "EVENTS",
+    "flow_id",
 ]
 
 EV_LOOKUP_HIT = "lookup_hit"
@@ -108,76 +83,43 @@ EV_CONTROLLER = "controller"
 EV_CHAIN_REPAIR = "chain_repair"
 EV_HOP = "hop"
 
-#: Builtin event names, index == interned code.  Append-only: existing
-#: codes are pinned by recorded traces and the sharded/fabric fan-out.
-EVENT_NAMES: Tuple[str, ...] = (
-    EV_LOOKUP_HIT,
-    EV_LOOKUP_MISS,
-    EV_LTM_PROBE,
-    EV_INSTALL,
-    EV_EVICT,
-    EV_REVALIDATE,
-    EV_FASTPATH_REPLAY,
-    EV_FASTPATH_INVALIDATE,
-    EV_SWEEP,
-    EV_SNAPSHOT,
-    EV_CONTROLLER,
-    EV_CHAIN_REPAIR,
-    EV_HOP,
+#: The builtin vocabulary, declared once: ``(name, decode schema)`` per
+#: row.  Everything else follows from a row's position — its interned
+#: code is the row index and its mask bit ``1 << code`` — so adding an
+#: event is one row here (plus its ``EV_`` name above).  Append-only:
+#: existing codes are pinned by recorded traces and the sharded/fabric
+#: fan-out.
+EVENTS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
+    (EV_LOOKUP_HIT, ("cache", "flow", "tables_hit", "groups_probed")),
+    (EV_LOOKUP_MISS, ("cache", "flow", "tables_hit", "groups_probed")),
+    (EV_LTM_PROBE, ("cache", "table", "tag", "groups", "matched")),
+    (EV_INSTALL, ("cache", "traversal_length", "rules_generated",
+                  "rules_installed")),
+    (EV_EVICT, ("cache", "reason", "count")),
+    (EV_REVALIDATE, ("cache", "verdict", "lookups")),
+    (EV_FASTPATH_REPLAY, ("cache", "flow", "tables_hit", "groups_probed")),
+    (EV_FASTPATH_INVALIDATE, ("cache", "flow")),
+    (EV_SWEEP, ("cache", "evicted")),
+    (EV_SNAPSHOT, ("cache", "entry_count", "capacity", "occupancy",
+                   "per_table", "epoch", "epoch_delta", "ages")),
+    (EV_CONTROLLER, ("cache", "knob", "from", "to")),
+    (EV_CHAIN_REPAIR, ("cache", "flow", "removed")),
+    (EV_HOP, ("cache", "flow", "hop", "path_len")),
 )
 
-#: ``{event name: interned code}`` for the builtin vocabulary.
-EVENT_CODES: Dict[str, int] = {name: i for i, name in enumerate(EVENT_NAMES)}
 
-CODE_LOOKUP_HIT = EVENT_CODES[EV_LOOKUP_HIT]
-CODE_LOOKUP_MISS = EVENT_CODES[EV_LOOKUP_MISS]
-CODE_LTM_PROBE = EVENT_CODES[EV_LTM_PROBE]
-CODE_INSTALL = EVENT_CODES[EV_INSTALL]
-CODE_EVICT = EVENT_CODES[EV_EVICT]
-CODE_REVALIDATE = EVENT_CODES[EV_REVALIDATE]
-CODE_FASTPATH_REPLAY = EVENT_CODES[EV_FASTPATH_REPLAY]
-CODE_FASTPATH_INVALIDATE = EVENT_CODES[EV_FASTPATH_INVALIDATE]
-CODE_SWEEP = EVENT_CODES[EV_SWEEP]
-CODE_SNAPSHOT = EVENT_CODES[EV_SNAPSHOT]
-CODE_CONTROLLER = EVENT_CODES[EV_CONTROLLER]
-CODE_CHAIN_REPAIR = EVENT_CODES[EV_CHAIN_REPAIR]
-CODE_HOP = EVENT_CODES[EV_HOP]
+def flow_id(flow) -> Optional[int]:
+    """A compact stable flow identifier as a raw 32-bit int.
 
-#: Per-code mask bits (``mask & BIT_x`` gates emission of event x).
-BIT_LOOKUP_HIT = 1 << CODE_LOOKUP_HIT
-BIT_LOOKUP_MISS = 1 << CODE_LOOKUP_MISS
-BIT_LTM_PROBE = 1 << CODE_LTM_PROBE
-BIT_INSTALL = 1 << CODE_INSTALL
-BIT_EVICT = 1 << CODE_EVICT
-BIT_REVALIDATE = 1 << CODE_REVALIDATE
-BIT_FASTPATH_REPLAY = 1 << CODE_FASTPATH_REPLAY
-BIT_FASTPATH_INVALIDATE = 1 << CODE_FASTPATH_INVALIDATE
-BIT_SWEEP = 1 << CODE_SWEEP
-BIT_SNAPSHOT = 1 << CODE_SNAPSHOT
-BIT_CONTROLLER = 1 << CODE_CONTROLLER
-BIT_CHAIN_REPAIR = 1 << CODE_CHAIN_REPAIR
-BIT_HOP = 1 << CODE_HOP
+    ``FlowKey`` hashes its tuple of int values, so builtin ``hash`` is
+    stable across processes and runs (``PYTHONHASHSEED`` only perturbs
+    str/bytes hashing) — trace reports are deterministic.  The per-packet
+    hooks inline this; ``tests/test_obs_catalog.py`` pins the agreement.
+    """
+    if flow is None:
+        return None
+    return hash(flow) & 0xFFFFFFFF
 
-#: Field-name schema per builtin code: the decode key for flat records.
-#: ``cache`` slots hold interned cache-name ints, ``flow`` slots hold raw
-#: 32-bit flow hashes (or None); both decode lazily.
-EVENT_FIELDS: Tuple[Tuple[str, ...], ...] = (
-    ("cache", "flow", "tables_hit", "groups_probed"),         # lookup_hit
-    ("cache", "flow", "tables_hit", "groups_probed"),         # lookup_miss
-    ("cache", "table", "tag", "groups", "matched"),           # ltm_probe
-    ("cache", "traversal_length", "rules_generated",
-     "rules_installed"),                                      # install
-    ("cache", "reason", "count"),                             # evict
-    ("cache", "verdict", "lookups"),                          # revalidate
-    ("cache", "flow", "tables_hit", "groups_probed"),         # fastpath_replay
-    ("cache", "flow"),                                        # fastpath_invalidate
-    ("cache", "evicted"),                                     # sweep
-    ("cache", "entry_count", "capacity", "occupancy",
-     "per_table", "epoch", "epoch_delta", "ages"),            # snapshot
-    ("cache", "knob", "from", "to"),                          # controller
-    ("cache", "flow", "removed"),                             # chain_repair
-    ("cache", "flow", "hop", "path_len"),                     # hop
-)
 
 #: Housekeeping stride for the generic :meth:`Tracer.emit` path: after
 #: this many records accumulate past the last sync, emit() triggers a
@@ -286,12 +228,14 @@ class Tracer:
         #: Buffer length at the end of the last sync (emit()'s
         #: housekeeping stride counts from here).
         self._synced_len = 0
-        # Interning tables.  Event names/codes start at the builtin
-        # vocabulary; unknown names (generic emit()) intern dynamically.
-        self._event_names: List[str] = list(EVENT_NAMES)
-        self._event_codes: Dict[str, int] = dict(EVENT_CODES)
-        self._cache_names: List[str] = []
-        self._cache_codes: Dict[str, int] = {}
+        # Interning tables, derived from EVENTS: names, codes (row
+        # index) and decode schemas.  Unknown names (generic emit())
+        # intern dynamically after the builtin rows.
+        self._event_names: List[str] = [name for name, _ in EVENTS]
+        self._event_codes: Dict[str, int] = {
+            name: code for code, name in enumerate(self._event_names)
+        }
+        self._schemas: List[tuple] = [fields for _, fields in EVENTS]
         self.event_filter: Optional[frozenset] = None
         self.mask = -1
         if events is not None:
@@ -321,7 +265,7 @@ class Tracer:
     @property
     def dropped(self) -> int:
         """Events expelled from the ring by wraparound (syncs first)."""
-        self._sync()
+        self.flush()
         return self._dropped
 
     def __len__(self) -> int:
@@ -345,11 +289,17 @@ class Tracer:
         self.event_filter = names
         mask = 0
         for name in names:
-            code = self._event_codes.get(name)
-            if code is None:
-                code = self._intern_event(name)
-            mask |= 1 << code
+            mask |= 1 << self.code_of(name)
         self.mask = mask
+
+    def code_of(self, event: str) -> int:
+        """The code ``event`` records under (``1 << code`` is its
+        :attr:`mask` bit), interning an unknown name — what a per-packet
+        site binds once to test the mask and :attr:`append` inline."""
+        code = self._event_codes.get(event)
+        if code is None:
+            code = self._intern_event(event)
+        return code
 
     def wants(self, event: str) -> bool:
         """True when ``event`` would currently be recorded."""
@@ -359,15 +309,6 @@ class Tracer:
         if code is None:
             return self.event_filter is None
         return bool(self.mask & (1 << code))
-
-    def intern_cache(self, name: str) -> int:
-        """Intern a cache name, returning its small-int code."""
-        code = self._cache_codes.get(name)
-        if code is None:
-            code = len(self._cache_names)
-            self._cache_names.append(name)
-            self._cache_codes[name] = code
-        return code
 
     def _intern_event(self, name: str) -> int:
         code = len(self._event_names)
@@ -382,13 +323,16 @@ class Tracer:
     # (The hot-path entry point is the *attribute* ``append`` — the
     # backing list's own bound append, assigned in __init__.)
 
-    def emit(self, ts: float, event: str, **fields) -> None:
-        """Record one event by name (generic/cold path).
+    def emit(self, ts: float, event: str, *values, **fields) -> None:
+        """Record one event by name if it is wanted — the one emit
+        helper every instrumented site that is not per-packet calls.
 
-        Unknown event names intern dynamically; the fields dict is
-        stored as-is (``(ts, code, fields)``) and decoded verbatim.
-        Instrumented hot paths bypass this for :attr:`append` with a
-        schema-shaped flat record.
+        A builtin event passes its :data:`EVENTS` row's ``values``
+        positionally and is stored flat, ``(ts, code, *values)``.
+        Free-form events pass keyword ``fields`` instead: unknown names
+        intern dynamically and the dict is stored as-is, decoded
+        verbatim.  The per-packet sites bypass this for :attr:`append`
+        with the same flat record and a pre-bound :meth:`code_of`.
         """
         if not self.enabled:
             return
@@ -398,12 +342,12 @@ class Tracer:
         if not self.mask & (1 << code):
             return
         buf = self._buf
-        buf.append((ts, code, fields))
+        buf.append((ts, code, *values) if values else (ts, code, fields))
         # Self-housekeeping for engine-less callers: sink batches and
         # ring trims every FLUSH_EVERY records even when no telemetry
         # sweep cadence ever calls flush().
         if len(buf) - self._synced_len >= FLUSH_EVERY:
-            self._sync()
+            self.flush()
 
     # -- decode -----------------------------------------------------------------
 
@@ -412,21 +356,17 @@ class Tracer:
         code = record[1]
         if len(record) == 3 and type(record[2]) is dict:
             return TraceEvent(ts, self._event_names[code], dict(record[2]))
-        schema = EVENT_FIELDS[code]
+        schema = self._schemas[code]
         fields = {}
-        cache_names = self._cache_names
         for key, value in zip(schema, record[2:]):
-            if key == "cache":
-                if type(value) is int:
-                    value = cache_names[value]
-            elif key == "flow" and value is not None:
+            if key == "flow" and value is not None:
                 value = format(value, "08x")
             fields[key] = value
         return TraceEvent(ts, self._event_names[code], fields)
 
     def events(self) -> List[TraceEvent]:
         """The ring's current contents, oldest first (materialized)."""
-        self._sync()
+        self.flush()
         return [self._materialize(record) for record in self._buf]
 
     def drain(self) -> List[TraceEvent]:
@@ -440,14 +380,17 @@ class Tracer:
     def iter_dicts(self) -> Iterator[dict]:
         """Iterate the ring's contents as JSONL-shaped dicts (the
         analyzer's live-ring input)."""
-        self._sync()
+        self.flush()
         for record in self._buf:
             yield self._materialize(record).to_dict()
 
     # -- sink + ring housekeeping -----------------------------------------------
 
-    def _sync(self) -> None:
-        """Stream unwritten records to the sink, then trim the ring.
+    def flush(self) -> None:
+        """Stream unwritten records to the sink in one encoded batch,
+        then trim the ring to capacity.  Called automatically at each
+        telemetry sweep boundary, on every read, and by :meth:`close`;
+        harmless (and cheap) when nothing is pending.
 
         The order is load-bearing: drains and trims only ever happen
         here, *after* the write, so the not-yet-written tail is always
@@ -488,18 +431,11 @@ class Tracer:
             self._dropped += excess
         self._synced_len = len(buf)
 
-    def flush(self) -> None:
-        """Write buffered records to the sink in one encoded batch and
-        trim the ring to capacity.  Called automatically at each
-        telemetry sweep boundary, on every read, and by :meth:`close`;
-        harmless (and cheap) when nothing is pending."""
-        self._sync()
-
     def close(self) -> None:
         """Flush and close an owned JSONL sink (idempotent)."""
         sink = self._sink
         if sink is not None:
-            self._sync()
+            self.flush()
             try:
                 sink.flush()
                 if self._owns_sink:

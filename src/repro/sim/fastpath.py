@@ -85,12 +85,12 @@ class FastPathIndex:
                 self.memo_hits += 1
                 if tel is None:
                     return record.replay(now)
+                # The replay hook only emits a trace event, so the
+                # engine hands this index a hub only when tracing wants
+                # it: metrics-only runs are spared a call per replayed
+                # packet (most packets once warmed up).
                 result = record.replay(now)
-                # The replay hook only emits a trace event; gating on
-                # tracer.enabled here spares metrics-only runs a call
-                # per replayed packet (most packets once warmed up).
-                if tel.tracer.enabled:
-                    tel.on_fastpath_replay(now, flow, result)
+                tel.on_fastpath_replay(now, flow, result)
                 return result
             del memo[signature]
             self.invalidations += 1

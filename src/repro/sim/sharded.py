@@ -198,10 +198,10 @@ class ShardedSimulator:
             event mask).  A path-opened parent trace sink fans out to
             per-worker ``<path>.shard<N>`` JSONL files, each opened and
             closed inside its worker (caller-owned IO sinks stay
-            parent-only); per-worker registries are merged via the JSON
-            round-trip into :attr:`registry`, and the merged telemetry
-            summary folds each shard's ``trace_events``/
-            ``trace_dropped`` counts.  ``controller``
+            parent-only); per-worker registries are merged with
+            ``MetricsRegistry.merged`` into :attr:`registry`, and the
+            merged telemetry summary folds each shard's
+            ``trace_events``/``trace_dropped`` counts.  ``controller``
             may be ``True`` or a ``ControllerConfig`` (each worker
             builds its own instance); passing a pre-built controller
             *instance* with ``shards > 1`` raises, since one instance
@@ -285,12 +285,12 @@ class ShardedSimulator:
         result = simulator.run(trace)
         cpu_seconds = time.process_time() - cpu_start
         wall_seconds = time.perf_counter() - wall_start
-        registry_json = tel.registry.to_json() if tel is not None else None
         if tel is not None:
             # Flush the buffered tail to the shard's derived sink and
             # release the descriptor before the worker exits.
             tel.tracer.close()
-        return result, registry_json, cpu_seconds, wall_seconds
+        registry = tel.registry if tel is not None else None
+        return result, registry, cpu_seconds, wall_seconds
 
     # -- driver -----------------------------------------------------------------
 
@@ -450,9 +450,7 @@ class ShardedSimulator:
             for sid, payload in enumerate(payloads)
         ]
         registries = [
-            MetricsRegistry.from_json(payload[1])
-            for payload in payloads
-            if payload[1] is not None
+            payload[1] for payload in payloads if payload[1] is not None
         ]
         self.registry = (
             MetricsRegistry.merged(registries) if registries else None

@@ -1,14 +1,14 @@
 """Property tests for :meth:`MetricsRegistry.merge` (sharded-run folds).
 
-The sharded engine reconstructs one registry from N per-worker
-registries shipped through the JSON round-trip; for that fold to be
-trustworthy it must be **associative** and **order-insensitive**, and
-the merged Prometheus exposition must equal the per-sample sum of the
-workers' expositions.  Hypothesis drives all three over randomly
-generated registries with integer samples (integer addition is exact,
-so equality assertions are strict — no float-tolerance escape hatch);
-a float-valued spot check and the failure modes (kind / label /
-bucket signature mismatches) ride along.
+The sharded engine folds N per-worker registries into one; for that
+fold to be trustworthy it must be **associative** and
+**order-insensitive**, and the merged Prometheus exposition must equal
+the per-sample sum of the workers' expositions.  Hypothesis drives all
+three over randomly generated registries with integer samples (integer
+addition is exact, so equality assertions are strict — no
+float-tolerance escape hatch); a float-valued spot check, the failure
+modes (kind / label / bucket signature mismatches) and the gauges that
+are *not* additive (a ratio, an encoded state) ride along.
 """
 
 import math
@@ -124,9 +124,8 @@ class TestMergeAlgebra:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(registry_strategy, min_size=1, max_size=4))
     def test_json_round_trip_through_merge(self, workers):
-        """The sharded wire path: each worker ships to_json, the parent
-        rebuilds with from_json and folds — identical to folding the
-        live registries."""
+        """Registries rebuilt from their ``to_json`` documents fold
+        identically to the live ones."""
         shipped = MetricsRegistry.merged(
             MetricsRegistry.from_json(worker.to_json())
             for worker in workers
@@ -199,3 +198,78 @@ class TestMergeFailureModes:
         merged = MetricsRegistry.merged([left, right])
         value = merged.get("repro_f").labels().value
         assert math.isclose(value, 0.3, rel_tol=1e-12)
+
+
+class TestNonAdditiveGauges:
+    """Gauges whose merged value is not the sum of the workers' values:
+    the rule is declared where the family is registered."""
+
+    @staticmethod
+    def worker(entries, capacity, state=None):
+        registry = MetricsRegistry()
+        registry.gauge("repro_t_entries", "e", ("cache",)).labels("gf").set(
+            entries
+        )
+        registry.gauge("repro_t_capacity", "c", ("cache",)).labels("gf").set(
+            capacity
+        )
+        registry.gauge(
+            "repro_t_occupancy", "o", ("cache",),
+            merge=("repro_t_entries", "repro_t_capacity"),
+        ).labels("gf").set(round(entries / capacity, 6))
+        knob = registry.gauge("repro_t_state", "s", ("cache",), merge="drop")
+        if state is not None:
+            knob.labels("gf").set(state)
+        return registry
+
+    def test_ratio_recomputed_from_merged_parts(self):
+        workers = [self.worker(64, 64), self.worker(16, 64, state=3.0)]
+        for order in (workers, workers[::-1]):
+            merged = MetricsRegistry.merged(order)
+            assert merged.get("repro_t_entries").labels("gf").value == 80
+            assert merged.get("repro_t_occupancy").labels("gf").value == 0.625
+        # Associative: a ratio of sums, not a sum (or mean) of ratios.
+        nested = MetricsRegistry.merged(
+            [MetricsRegistry.merged(workers), self.worker(0, 128)]
+        )
+        assert nested.get("repro_t_occupancy").labels("gf").value == 0.3125
+
+    def test_dropped_gauge_keeps_family_but_no_samples(self):
+        merged = MetricsRegistry.merged(
+            [self.worker(1, 2, state=3.0), self.worker(1, 2, state=1.0)]
+        )
+        assert merged.get("repro_t_state") is not None
+        assert len(merged.get("repro_t_state")) == 0
+        assert "repro_t_state{" not in merged.to_prometheus()
+
+    def test_four_shard_run_scrapes_a_real_occupancy(self):
+        """The case that scraped ``repro_cache_occupancy_ratio 4``: four
+        inline shards, each full at 256/256, and a controller whose
+        per-shard knob encodings used to add up."""
+        from conftest import seeded_trace, seeded_workload
+        from repro.obs import Telemetry
+        from repro.sim import GigaflowSystem, ShardedSimulator, SimConfig
+
+        workload = seeded_workload()
+        driver = ShardedSimulator(
+            workload.pipeline,
+            lambda _context: GigaflowSystem(num_tables=4, table_capacity=8),
+            SimConfig(telemetry=Telemetry(), shards=4, controller=True),
+            mode="inline",
+        )
+        result = driver.run(seeded_trace(workload))
+        scraped = parse_prometheus_text(driver.registry.to_prometheus())
+        label = '{cache="gigaflow"}'
+        entries = scraped["repro_cache_entries"]["repro_cache_entries" + label]
+        capacity = scraped["repro_cache_capacity"][
+            "repro_cache_capacity" + label
+        ]
+        assert capacity == 4 * 32 and entries > capacity / 2
+        assert scraped["repro_cache_occupancy_ratio"] == {
+            "repro_cache_occupancy_ratio" + label: round(
+                entries / capacity, 6
+            )
+        }
+        assert result.telemetry["occupancy"] == entries / capacity
+        assert "repro_controller_state" not in scraped
+        assert len(result.telemetry["controller"]["per_shard_state"]) == 4

@@ -1,0 +1,280 @@
+"""Parent-recorded golden for the telemetry core's whole output surface.
+
+``tests/golden/telemetry_streams.json`` was written by this file's
+``__main__`` on commit ``460d799`` — the last one whose
+``obs/telemetry.py`` spelled every trace-emit stanza, pending-cell fold
+and digest-merge field out by hand.  That code is gone, so this
+recording is the differential: three seeded PSC runs with everything
+on (full event mask, storm + ACL + shuffle churn, the adaptive
+controller, ``ewma`` timeouts, chain repair) must reproduce, exactly,
+
+* the sha256 of every JSONL trace stream and the per-event-type counts,
+* the sha256 of the registry's Prometheus text,
+* the ``SimResult.telemetry`` digest,
+
+for one plain engine run, a 4-worker inline sharded run and a
+leaf-spine fabric run with one link failure (merged registry, merged
+digest).  The one sanctioned difference is the merged-gauge bugfix:
+``repro_cache_occupancy_ratio`` and ``repro_controller_state`` are not
+additive, so their sample lines are left out of the hash (``gauges``
+in the golden holds what the parent scraped) and checked against the
+new rule instead.
+
+Flow ids and CRC shard routing inherit Python's per-process str-hash
+salt (ROADMAP item 2), so both the recorder and the test run the
+scenarios in a ``PYTHONHASHSEED=0`` subprocess.
+"""
+
+import collections
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).parent / "golden" / "telemetry_streams.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: The PSC ACL stage (as in test_churn.py).
+ACL_TABLE = 5
+#: Small enough that capacity evictions, chain repair and every
+#: controller knob fire within the 6 s trace.
+TABLE_CAPACITY = 40
+#: Gauge families whose *merged* value the bugfix changes.
+CHANGED_GAUGES = ("repro_cache_occupancy_ratio", "repro_controller_state")
+
+
+def _universe():
+    """Fresh (workload, trace, config kwargs): churn mutates pipelines."""
+    from conftest import seeded_trace, seeded_workload
+    from repro.sim import ChurnConfig
+    from repro.workload import (
+        acl_update_schedule,
+        insert_delete_storm,
+        priority_shuffle_schedule,
+    )
+
+    workload = seeded_workload()
+    schedule = insert_delete_storm(
+        workload.pilots, ACL_TABLE,
+        start=1.0, count=6, gap=0.4, hold=0.9, seed=4,
+    ).merged_with(
+        acl_update_schedule(ACL_TABLE, 2.0, mask=0xFF800000, revert_at=4.0)
+    ).merged_with(
+        priority_shuffle_schedule(ACL_TABLE, [1.5, 3.5], seed=2)
+    )
+    kwargs = dict(
+        max_idle=2.0,
+        sweep_interval=1.0,
+        controller=True,
+        timeouts="ewma",
+        churn=ChurnConfig(schedule=schedule, reval_budget=16),
+    )
+    return workload, seeded_trace(workload), kwargs
+
+
+def _system(context=None):
+    """Shard workers split the capacity, so they stay under pressure."""
+    from repro.sim import GigaflowSystem
+
+    return GigaflowSystem(
+        num_tables=4,
+        table_capacity=TABLE_CAPACITY // getattr(context, "shards", 1),
+    )
+
+
+def _streams(directory):
+    """``{sink file name: sha256}`` plus event counts over all sinks."""
+    digests = {}
+    counts = collections.Counter()
+    for path in sorted(Path(directory).iterdir()):
+        data = path.read_bytes()
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+        for line in data.splitlines():
+            counts[json.loads(line)["event"]] += 1
+    return digests, dict(sorted(counts.items()))
+
+
+def _samples(text, family):
+    """``{label string: value}`` of one family's sample lines."""
+    prefix = family + "{"
+    return {
+        line.rpartition(" ")[0][len(family):]: float(line.rpartition(" ")[2])
+        for line in text.splitlines()
+        if line.startswith(prefix)
+    }
+
+
+def _prom(text):
+    """sha256 of the exposition minus the changed gauges' sample lines."""
+    prefixes = tuple(f"{name}{{" for name in CHANGED_GAUGES)
+    kept = [
+        line for line in text.splitlines() if not line.startswith(prefixes)
+    ]
+    return hashlib.sha256("\n".join(kept).encode("utf-8")).hexdigest()
+
+
+def _digest(directory, registry, telemetry):
+    streams, counts = _streams(directory)
+    text = registry.to_prometheus()
+    return {
+        "streams": streams,
+        "event_counts": counts,
+        "prom_sha256": _prom(text),
+        "gauges": {
+            family: _samples(text, family)
+            for family in CHANGED_GAUGES
+            + ("repro_cache_entries", "repro_cache_capacity")
+        },
+        # Through JSON so tuples and lists compare alike.
+        "telemetry": json.loads(json.dumps(telemetry)),
+    }
+
+
+def record_single():
+    from repro.obs import Telemetry
+    from repro.sim import SimConfig, VSwitchSimulator
+
+    workload, trace, kwargs = _universe()
+    with tempfile.TemporaryDirectory() as directory:
+        telemetry = Telemetry(trace_sink=os.path.join(directory, "trace"))
+        result = VSwitchSimulator(
+            workload.pipeline, _system(),
+            SimConfig(telemetry=telemetry, **kwargs),
+        ).run(trace)
+        telemetry.close()
+        return _digest(directory, telemetry.registry, result.telemetry)
+
+
+def record_sharded():
+    from repro.obs import Telemetry
+    from repro.sim import ShardedSimulator, SimConfig
+
+    workload, trace, kwargs = _universe()
+    with tempfile.TemporaryDirectory() as directory:
+        telemetry = Telemetry(trace_sink=os.path.join(directory, "trace"))
+        driver = ShardedSimulator(
+            workload.pipeline, _system,
+            SimConfig(telemetry=telemetry, shards=4, **kwargs),
+            mode="inline",
+        )
+        result = driver.run(trace)
+        telemetry.close()
+        return _digest(directory, driver.registry, result.telemetry)
+
+
+def record_fabric():
+    from conftest import seeded_workload
+    from repro.net import FabricController, FabricSimulator, leaf_spine
+    from repro.obs import Telemetry
+    from repro.sim import SimConfig
+    from repro.workload import build_fabric_endpoints
+
+    _workload, trace, kwargs = _universe()
+    topology = leaf_spine(2, 2)
+    endpoints = build_fabric_endpoints(topology, 250, locality=0.3, seed=5)
+    with tempfile.TemporaryDirectory() as directory:
+        telemetry = Telemetry(trace_sink=os.path.join(directory, "trace"))
+        result = FabricSimulator(
+            topology,
+            # Same spec + seed => identical rule state per switch.
+            lambda _context: seeded_workload().pipeline,
+            _system,
+            controller=FabricController(topology, endpoints),
+            config=SimConfig(telemetry=telemetry, **kwargs),
+            link_failures=[(2.0, "leaf0", "spine0")],
+        ).run(trace)
+        telemetry.close()
+        return _digest(directory, result.registry, result.merged.telemetry)
+
+
+def record_all():
+    return {
+        "single": record_single(),
+        "sharded": record_sharded(),
+        "fabric": record_fabric(),
+    }
+
+
+def _record_in_subprocess():
+    """Run :func:`record_all` under ``PYTHONHASHSEED=0``."""
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, __file__, "--print"],
+        env=env, check=True, capture_output=True, text=True, timeout=300,
+    )
+    return json.loads(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def current():
+    return _record_in_subprocess()
+
+
+def test_streams_match_parent_recording(golden, current):
+    assert set(current) == set(golden)
+    for scenario, recorded in golden.items():
+        replayed = current[scenario]
+        for key in ("streams", "event_counts", "prom_sha256", "telemetry"):
+            assert replayed[key] == recorded[key], (scenario, key)
+    # An unmerged registry is untouched by the bugfix.
+    assert current["single"]["gauges"] == golden["single"]["gauges"]
+    # Every builtin event fires somewhere (``hop`` only in a fabric).
+    assert len(golden["single"]["event_counts"]) == 12
+    assert len(golden["fabric"]["event_counts"]) == 13
+    for scenario in ("sharded", "fabric"):
+        assert golden[scenario]["telemetry"]["victim_ages"], scenario
+
+
+def test_merged_gauges_follow_the_new_rule(golden, current):
+    """The two families the golden lists apart.  The parent summed
+    them across workers (four shards at 0.025 scraped 0.1, and the
+    per-shard knob encodings added up); merged occupancy is now merged
+    entries / capacity, and controller state is not merged at all."""
+    occupancy, state = CHANGED_GAUGES
+    parent = golden["sharded"]["gauges"]
+    entries = parent["repro_cache_entries"]['{cache="gigaflow"}']
+    capacity = parent["repro_cache_capacity"]['{cache="gigaflow"}']
+    assert parent[occupancy] == {
+        '{cache="gigaflow"}': pytest.approx(4 * entries / capacity)
+    }
+    assert parent[state]
+    for scenario in ("sharded", "fabric"):
+        gauges = current[scenario]["gauges"]
+        assert gauges[state] == {}, scenario
+        for family in ("repro_cache_entries", "repro_cache_capacity"):
+            assert gauges[family] == golden[scenario]["gauges"][family]
+        assert gauges[occupancy] == {
+            labels: round(
+                count / gauges["repro_cache_capacity"][labels], 6
+            )
+            for labels, count in gauges["repro_cache_entries"].items()
+        }, scenario
+    # Per-switch labels never collided, so fabric occupancy is as it was.
+    assert (
+        current["fabric"]["gauges"][occupancy]
+        == golden["fabric"]["gauges"][occupancy]
+    )
+
+
+if __name__ == "__main__":
+    if "--print" in sys.argv:
+        print(json.dumps(record_all()))
+    else:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        with open(GOLDEN, "w", encoding="utf-8") as handle:
+            json.dump(_record_in_subprocess(), handle, indent=1)
+            handle.write("\n")
+        print(f"wrote {GOLDEN}")

@@ -9,7 +9,7 @@ The hazards pinned here:
 * **Unwritable destination** — an open into an invalid directory
   surfaces as :class:`TraceSinkError` naming the path.
 * **Mid-run write/close failures** — wrapped with the sink path, never
-  a bare ``OSError`` from deep inside ``_sync``.
+  a bare ``OSError`` from deep inside ``flush``.
 * **Worker attribution** — a shard whose derived sink cannot open
   fails loudly *with the shard id*, in both inline and processes
   modes (matching ``ShardWorkerError`` semantics).

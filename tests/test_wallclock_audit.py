@@ -1,4 +1,5 @@
-"""Static audits of the engine family: no wall-clock, one slow path.
+"""Static audits of the engine family: no wall-clock, one slow path,
+no reaching into the telemetry hub.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -15,6 +16,12 @@ that drive packets, the slow path (``pipeline.execute``) and the
 install (``system.install``) are each reached from exactly one
 function, ``PacketKernel.miss`` — a driver that grows its own copy
 fails here instead of needing a docstring asking it not to.
+
+The third keeps the telemetry hub's internals its own: outside
+``repro/obs`` nothing reads a ``_``-prefixed attribute of a telemetry
+object — instrumented code gets pending cells through the public
+observers (``tss_observer``, ``ltm_observer``) and emits through the
+hooks.
 """
 
 import ast
@@ -133,3 +140,43 @@ def test_slow_path_is_reached_from_one_function(owner, method):
     assert _functions_touching(owner, method) == {
         "sim/engine.py:PacketKernel.miss"
     }
+
+
+#: Names instrumented code binds a telemetry hub to.
+TELEMETRY_NAMES = {"tel", "telemetry", "_tel"}
+
+
+def _private_telemetry_reads(source: str):
+    """``(line, "name.attr")`` for every ``_``-prefixed attribute read
+    off a name a telemetry hub is bound to."""
+    return [
+        (node.lineno, f"{_terminal_name(node.value)}.{node.attr}")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and _terminal_name(node.value) in TELEMETRY_NAMES
+    ]
+
+
+def test_no_private_telemetry_attribute_outside_obs():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line} {read}"
+        for path in sorted(SRC.rglob("*.py"))
+        if "obs" not in path.relative_to(SRC).parts
+        for line, read in _private_telemetry_reads(path.read_text())
+    ]
+    assert not offenders, (
+        "private telemetry state read outside repro/obs:\n  "
+        + "\n  ".join(offenders)
+    )
+
+
+def test_private_telemetry_audit_sees_a_violation():
+    assert _private_telemetry_reads(
+        "def f(self):\n"
+        "    tel = self.telemetry\n"
+        "    a = tel._pending\n"
+        "    b = self.telemetry._name\n"
+        "    c = self._tel.registry\n"
+    ) == [(3, "tel._pending"), (4, "telemetry._name")]
