@@ -1,14 +1,12 @@
 """Baseline caches: exact-match Microflow and single-table Megaflow."""
 
-from .base import CacheResult, CacheStats, FlowCache, LruTracker
+from .base import CacheResult, CacheStats, FlowCache
 from .eviction import (
     EVICTION_POLICIES,
     POLICY_NAMES,
     EvictionPolicy,
     LruPolicy,
-    SegmentedLruPolicy,
     SharingAwarePolicy,
-    TwoQPolicy,
     make_policy,
 )
 from .microflow import MicroflowCache
@@ -23,14 +21,11 @@ __all__ = [
     "EvictionPolicy",
     "FlowCache",
     "LruPolicy",
-    "LruTracker",
     "MegaflowCache",
     "MegaflowEntry",
     "MicroflowCache",
     "POLICY_NAMES",
-    "SegmentedLruPolicy",
     "SharingAwarePolicy",
-    "TwoQPolicy",
     "build_megaflow_entry",
     "make_policy",
 ]

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field as dataclass_field
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..flow.actions import ActionList
 from ..flow.key import FlowKey
@@ -16,7 +17,9 @@ class CacheStats:
 
     ``hits``/``misses`` count lookups; ``insertions`` counts entries
     actually added; ``rejected`` counts installs refused for capacity;
-    ``evictions`` counts removals (idle, LRU or revalidation).
+    ``evictions`` counts every entry that left (capacity victim, idle,
+    revalidation, chain repair or ``clear()``), so ``insertions -
+    evictions`` is the resident count.
     """
 
     hits: int = 0
@@ -105,7 +108,24 @@ class HitReplay(abc.ABC):
 
 
 class FlowCache(abc.ABC):
-    """Interface shared by all caches the simulator can drive."""
+    """Interface shared by all caches the simulator can drive.
+
+    **Entry lifecycle.**  What happens to a resident entry is defined
+    here, once: :meth:`evict_idle` (the idle sweep), :meth:`clear` and
+    :meth:`_depart` (the one place an entry leaves, whatever the
+    reason).  A cache that stores entries supplies only what is its
+    own — ``__iter__`` over resident entries (each with a
+    ``last_used``), :meth:`_entry_key` and :meth:`_drop` — plus one
+    ``touch`` that every ``last_used`` writer (lookup hit, fast-path
+    replay, install refresh) goes through.  A composite
+    (:class:`~repro.cache.hierarchy.CacheHierarchy`) delegates
+    ``evict_idle``/``clear`` to its levels instead.
+
+    The mutation epoch is the *caller's*: ``_depart`` never bumps it,
+    so an operation that removes several entries (a sweep, an install
+    that evicts then inserts, a revalidation cycle) chooses how many
+    invalidations the fast path sees.
+    """
 
     name: str = "cache"
 
@@ -128,10 +148,12 @@ class FlowCache(abc.ABC):
         self.telemetry = telemetry
         self.telemetry_name = name or self.name
 
-    def last_used_times(self) -> Iterable[float]:
-        """Per-entry last-use times — the LRU-age snapshot source.
-        Caches without recency state return an empty iterable."""
-        return ()
+    def last_used_times(self) -> List[float]:
+        """Per-entry last-use times — the LRU-age snapshot source.  A
+        list comprehension, not a generator: the snapshot cadence walks
+        every entry each sweep interval, and generator frames dominate
+        that cost at high entry counts."""
+        return [entry.last_used for entry in self]
 
     @property
     def mutation_epoch(self) -> int:
@@ -164,7 +186,62 @@ class FlowCache(abc.ABC):
     def capacity_total(self) -> int:
         """Maximum entries the cache can hold (across all tables)."""
 
-    @abc.abstractmethod
+    # -- entry lifecycle ----------------------------------------------------
+
+    def __iter__(self) -> Iterator:
+        """Resident entries, each carrying a ``last_used`` time."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not enumerate its entries"
+        )
+
+    def _entry_key(self, entry):
+        """The key the timeout predictor knows ``entry`` by.  It names
+        the *same* flow / traversal across evict-and-return cycles
+        (ids minted per install would not), which is what the ghost
+        list and estimator state must survive."""
+        raise NotImplementedError
+
+    def _drop(self, entry) -> None:
+        """Unlink ``entry`` from this cache's indexes and from the
+        eviction policy tracking it; ``KeyError`` when not resident.
+        Only :meth:`_depart` calls this."""
+        raise NotImplementedError
+
+    def _depart(
+        self,
+        entries: Iterable,
+        reason: str,
+        victim_age: Optional[float] = None,
+    ) -> int:
+        """Remove ``entries`` and record that they left for ``reason``.
+
+        Every departure — capacity victim, idle expiry, revalidation,
+        chain repair, ``clear()`` — comes through here: the entry is
+        dropped, the predictor forgets it (idempotent after an idle
+        sweep's ``on_expire``), ``stats.evictions`` counts it and
+        telemetry gets one ``evict`` record for the batch.  ``entries``
+        may be lazy: each entry is dropped before the next is drawn
+        (chain repair finds its next stale rule only once the last is
+        gone).  ``victim_age`` is the idle age of a victim an eviction
+        *policy* chose (``reason`` is then the policy's name); it feeds
+        the per-policy victim-age distribution.  Returns the count.
+        """
+        pred = self.timeout_predictor
+        count = 0
+        for entry in entries:
+            self._drop(entry)
+            if pred is not None:
+                pred.forget(self._entry_key(entry))
+            count += 1
+        if count:
+            self.stats.evictions += count
+            tel = self.telemetry
+            if tel is not None:
+                tel.on_evict(self.telemetry_name, reason, count)
+                if victim_age is not None:
+                    tel.on_victim(self.telemetry_name, reason, victim_age)
+        return count
+
     def evict_idle(self, now: float, max_idle: float) -> int:
         """Remove entries idle *strictly* longer than ``max_idle``;
         returns the number removed.
@@ -172,17 +249,42 @@ class FlowCache(abc.ABC):
         Boundary contract (pinned by ``tests/test_eviction_policies.py``
         and ``tests/test_timeout_boundary.py``): an entry expires only
         when ``now - last_used > max_idle`` — an entry idle for
-        *exactly* ``max_idle`` survives the sweep.  Every implementation
-        (Microflow, Megaflow, Gigaflow, hierarchy) uses this strict
-        inequality; eviction-policy refactors must not silently flip it
-        to ``>=``.  With a :attr:`timeout_predictor` attached the
-        per-entry predicted timeout replaces the *threshold* only; the
-        comparison stays strict.
+        *exactly* ``max_idle`` survives the sweep.  This is the one
+        body every cache runs; eviction-policy refactors must not
+        silently flip it to ``>=``.  With a :attr:`timeout_predictor`
+        attached the per-entry predicted timeout replaces the
+        *threshold* only; the comparison stays strict, and each expiry
+        is filed with ``on_expire`` before the entry is removed.  A
+        sweep that removes anything is one ``evict(reason="idle")``
+        record and one epoch bump, however many entries went.
         """
+        pred = self.timeout_predictor
+        key_of = self._entry_key
+        if pred is None:
+            timeouts = repeat(max_idle)
+        else:
+            # Lazy on purpose: the same rule identity can be resident in
+            # two LTM tables, and the expiry filed for the first copy
+            # drops the estimate the second is then judged by — as when
+            # each table was swept in turn.
+            timeouts = map(pred.timeout_for, map(key_of, self))
+        expired = []
+        for entry, timeout in zip(self, timeouts):
+            if now - entry.last_used > timeout:
+                if pred is not None:
+                    pred.on_expire(
+                        key_of(entry), now - entry.last_used, now, timeout
+                    )
+                expired.append(entry)
+        if self._depart(expired, "idle"):
+            self.bump_epoch()
+        return len(expired)
 
-    @abc.abstractmethod
     def clear(self) -> None:
-        """Drop all entries (stats are preserved)."""
+        """Drop all entries.  Counters are kept, and the drop itself
+        counts: each entry departs for reason ``"clear"``."""
+        self._depart(list(self), "clear")
+        self.bump_epoch()
 
     def set_eviction_policy(self, name: str) -> None:
         """Install the capacity-eviction policy registered under
@@ -207,42 +309,6 @@ class FlowCache(abc.ABC):
         """Fraction of capacity in use."""
         capacity = self.capacity_total()
         return self.entry_count() / capacity if capacity else 0.0
-
-
-@dataclass
-class LruTracker:
-    """Tiny helper tracking last-use times for idle/LRU eviction.
-
-    Kept for API compatibility and ad-hoc bookkeeping; the caches
-    themselves now route victim selection through the pluggable
-    :class:`~repro.cache.eviction.EvictionPolicy` interface instead.
-    """
-
-    last_used: dict = dataclass_field(default_factory=dict)
-
-    def touch(self, key, now: float) -> None:
-        self.last_used[key] = now
-
-    def forget(self, key) -> None:
-        self.last_used.pop(key, None)
-
-    def idle_keys(self, now: float, max_idle: float) -> List:
-        return [
-            key
-            for key, used in self.last_used.items()
-            if now - used > max_idle
-        ]
-
-    def lru_key(self):
-        """The least-recently-used key (None when empty)."""
-        best_key, best_time = None, None
-        for key, used in self.last_used.items():
-            if best_time is None or used < best_time:
-                best_key, best_time = key, used
-        return best_key
-
-    def clear(self) -> None:
-        self.last_used.clear()
 
 
 def actions_result(

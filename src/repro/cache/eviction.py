@@ -6,24 +6,14 @@ flow-table hit rates swing materially on cache management alone, and for
 Gigaflow the stakes are higher still — an LTM rule shared by many
 traversals is worth far more than a leaf rule that serves one flow
 (Fig. 11's reoccurrence curve).  This module extracts the recency
-bookkeeping that used to be hard-coded per cache (an ``OrderedDict`` in
-Microflow and :class:`~repro.core.ltm.LtmTable`, an
-:class:`~repro.cache.base.LruTracker` in Megaflow) into one
-:class:`EvictionPolicy` interface with four implementations:
+bookkeeping that used to be hard-coded per cache into one
+:class:`EvictionPolicy` interface with two implementations:
 
 ``lru``
     Plain least-recently-used.  The default everywhere, and a *pure
     extraction* of the pre-existing behaviour: with ``lru`` installed
     every cache is bit-identical to the hard-coded code it replaced
     (``tests/test_eviction_golden.py`` proves it differentially).
-``slru``
-    Segmented LRU: a probationary segment absorbs one-touch entries; a
-    hit promotes into a protected segment sized at 80% of capacity.
-    Scan-resistant — a burst of new flows cannot flush the working set.
-``2q``
-    The 2Q algorithm (Johnson & Shasha, VLDB'94, simplified): newcomers
-    enter a FIFO ``A1in`` queue; only entries re-referenced after
-    leaving it (tracked by a ghost ``A1out`` queue) join the main LRU.
 ``sharing``
     Sharing-aware: entries accumulate weight from hits and — via
     :meth:`EvictionPolicy.on_share` — from cross-traversal reuse events
@@ -32,6 +22,10 @@ Microflow and :class:`~repro.core.ltm.LtmTable`, an
     lowest-weight non-empty tier, so heavily shared sub-traversal rules
     outlive single-flow leaves.  Caches that never share (Microflow)
     degrade to an in-cache LFU-with-recency.
+
+(``slru`` and ``2q`` were deleted: both lost to ``lru`` in every
+``repro bench --evictions`` cell measured.  The adaptive controller
+selects between the two that remain from observed sharing.)
 
 Every mutating operation is O(1) — per TupleChain (arXiv:2408.04390)
 the policy must never become the hot-path bottleneck — except that
@@ -54,9 +48,7 @@ __all__ = [
     "POLICY_NAMES",
     "EvictionPolicy",
     "LruPolicy",
-    "SegmentedLruPolicy",
     "SharingAwarePolicy",
-    "TwoQPolicy",
     "make_policy",
     "reseed_policy",
 ]
@@ -137,7 +129,7 @@ class LruPolicy(EvictionPolicy):
 
     name = "lru"
 
-    def __init__(self, capacity: Optional[int] = None):
+    def __init__(self):
         self._order: "OrderedDict[Hashable, None]" = OrderedDict()
 
     def on_insert(self, key: Hashable, now: float) -> None:
@@ -165,148 +157,6 @@ class LruPolicy(EvictionPolicy):
         return key in self._order
 
 
-class SegmentedLruPolicy(EvictionPolicy):
-    """Segmented LRU: probationary + protected segments.
-
-    New entries enter the probationary segment; a hit promotes into the
-    protected segment (bounded at ``protected_ratio`` of capacity, LRU
-    within).  Overflowing the protected segment demotes its LRU head
-    back to the probationary MRU end.  Victims come from the
-    probationary LRU head, falling back to the protected head only when
-    probation is empty.
-    """
-
-    name = "slru"
-
-    def __init__(self, capacity: int, protected_ratio: float = 0.8):
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0.0 < protected_ratio < 1.0:
-            raise ValueError(
-                f"protected_ratio must be in (0, 1), got {protected_ratio}"
-            )
-        self.protected_capacity = max(1, int(capacity * protected_ratio))
-        self._probation: "OrderedDict[Hashable, None]" = OrderedDict()
-        self._protected: "OrderedDict[Hashable, None]" = OrderedDict()
-
-    def on_insert(self, key: Hashable, now: float) -> None:
-        if key in self._protected:
-            self._protected.move_to_end(key)
-            return
-        self._probation[key] = None
-        self._probation.move_to_end(key)
-
-    def on_hit(self, key: Hashable, now: float) -> None:
-        if key in self._protected:
-            self._protected.move_to_end(key)
-            return
-        del self._probation[key]
-        self._protected[key] = None
-        while len(self._protected) > self.protected_capacity:
-            demoted, _ = self._protected.popitem(last=False)
-            self._probation[demoted] = None
-
-    def on_remove(self, key: Hashable) -> None:
-        if key in self._probation:
-            del self._probation[key]
-        else:
-            del self._protected[key]
-
-    def victim(self) -> Optional[Hashable]:
-        for key in self._probation:
-            return key
-        for key in self._protected:
-            return key
-        return None
-
-    def clear(self) -> None:
-        self._probation.clear()
-        self._protected.clear()
-
-    def __len__(self) -> int:
-        return len(self._probation) + len(self._protected)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._probation or key in self._protected
-
-
-class TwoQPolicy(EvictionPolicy):
-    """Simplified 2Q: FIFO ``A1in`` + ghost ``A1out`` + LRU ``Am``.
-
-    Newcomers enter the FIFO ``A1in`` queue and are *not* reordered by
-    hits there (a correlated burst cannot fake popularity).  When an
-    ``A1in`` resident is evicted its key is remembered in the ghost
-    ``A1out`` queue; re-inserting a ghosted key goes straight into the
-    main ``Am`` LRU.  A hit on an ``A1in`` resident also promotes it to
-    ``Am`` (the common in-memory simplification).  Victims drain
-    ``A1in`` first while it exceeds its share, else the ``Am`` LRU head.
-    """
-
-    name = "2q"
-
-    def __init__(
-        self,
-        capacity: int,
-        in_ratio: float = 0.25,
-        ghost_ratio: float = 0.5,
-    ):
-        if capacity < 1:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.kin = max(1, int(capacity * in_ratio))
-        self.kout = max(1, int(capacity * ghost_ratio))
-        self._a1in: "OrderedDict[Hashable, None]" = OrderedDict()
-        self._am: "OrderedDict[Hashable, None]" = OrderedDict()
-        self._a1out: "OrderedDict[Hashable, None]" = OrderedDict()
-
-    def on_insert(self, key: Hashable, now: float) -> None:
-        if key in self._am:
-            self._am.move_to_end(key)
-            return
-        if key in self._a1in:
-            return  # FIFO: a refresh does not reorder newcomers
-        if key in self._a1out:
-            del self._a1out[key]
-            self._am[key] = None
-            return
-        self._a1in[key] = None
-
-    def on_hit(self, key: Hashable, now: float) -> None:
-        if key in self._am:
-            self._am.move_to_end(key)
-        else:
-            del self._a1in[key]
-            self._am[key] = None
-
-    def on_remove(self, key: Hashable) -> None:
-        if key in self._a1in:
-            del self._a1in[key]
-            self._a1out[key] = None
-            while len(self._a1out) > self.kout:
-                self._a1out.popitem(last=False)
-        else:
-            del self._am[key]
-
-    def victim(self) -> Optional[Hashable]:
-        if self._a1in and (len(self._a1in) >= self.kin or not self._am):
-            return next(iter(self._a1in))
-        for key in self._am:
-            return key
-        for key in self._a1in:
-            return key
-        return None
-
-    def clear(self) -> None:
-        self._a1in.clear()
-        self._am.clear()
-        self._a1out.clear()
-
-    def __len__(self) -> int:
-        return len(self._a1in) + len(self._am)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._a1in or key in self._am
-
-
 class SharingAwarePolicy(EvictionPolicy):
     """Weight-tiered LRU protecting heavily shared entries.
 
@@ -329,8 +179,7 @@ class SharingAwarePolicy(EvictionPolicy):
     name = "sharing"
 
     def __init__(
-        self, capacity: Optional[int] = None,
-        tiers: int = 4, share_credit: int = 2,
+        self, tiers: int = 4, share_credit: int = 2,
         decay_factor: float = 0.5,
     ):
         if tiers < 2:
@@ -436,8 +285,6 @@ class SharingAwarePolicy(EvictionPolicy):
 
 EVICTION_POLICIES: Dict[str, type] = {
     LruPolicy.name: LruPolicy,
-    SegmentedLruPolicy.name: SegmentedLruPolicy,
-    TwoQPolicy.name: TwoQPolicy,
     SharingAwarePolicy.name: SharingAwarePolicy,
 }
 
@@ -445,19 +292,15 @@ EVICTION_POLICIES: Dict[str, type] = {
 POLICY_NAMES: Tuple[str, ...] = tuple(EVICTION_POLICIES)
 
 
-def make_policy(name: str, capacity: int) -> EvictionPolicy:
-    """Instantiate the policy registered under ``name``.
-
-    ``capacity`` sizes the segment/queue bounds of the policies that
-    need it (``slru``, ``2q``); ``lru`` and ``sharing`` ignore it.
-    """
+def make_policy(name: str) -> EvictionPolicy:
+    """Instantiate the policy registered under ``name``."""
     cls = EVICTION_POLICIES.get(name)
     if cls is None:
         raise ValueError(
             f"unknown eviction policy {name!r} "
             f"(known: {', '.join(POLICY_NAMES)})"
         )
-    return cls(capacity)
+    return cls()
 
 
 def reseed_policy(

@@ -9,6 +9,7 @@ SmartNIC offloads replace.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional, Tuple
 
 from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
@@ -143,6 +144,12 @@ class CacheHierarchy(FlowCache):
             + self.megaflow.capacity_total()
         )
 
+    # Entries live (and leave) in the two levels; the hierarchy only
+    # fans the lifecycle calls out.
+
+    def __iter__(self):
+        return chain(self.microflow, self.megaflow)
+
     def evict_idle(self, now: float, max_idle: float) -> int:
         return self.microflow.evict_idle(now, max_idle) + \
             self.megaflow.evict_idle(now, max_idle)
@@ -158,11 +165,6 @@ class CacheHierarchy(FlowCache):
         )
         self.megaflow.attach_telemetry(
             telemetry, f"{self.telemetry_name}.megaflow"
-        )
-
-    def last_used_times(self):
-        return list(self.microflow.last_used_times()) + list(
-            self.megaflow.last_used_times()
         )
 
     @property

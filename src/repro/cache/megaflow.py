@@ -10,7 +10,7 @@ guarantees entries never overlap, so the cache needs no priorities.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from ..classify.tss import TupleSpaceClassifier
 from ..flow.actions import ActionList
@@ -96,8 +96,8 @@ def build_megaflow_entry(
 
 
 class _MegaflowHitReplay(HitReplay):
-    """Memoized Megaflow hit: the winning entry plus the recorded TSS
-    probe count of the first lookup."""
+    """A Megaflow hit: the winning entry plus the TSS probe count of
+    the lookup that found it."""
 
     __slots__ = ("cache", "entry", "groups_probed")
 
@@ -109,11 +109,7 @@ class _MegaflowHitReplay(HitReplay):
     def replay(self, now: float) -> CacheResult:
         entry = self.entry
         cache = self.cache
-        pred = cache.timeout_predictor
-        if pred is not None:
-            pred.observe(entry.match, now - entry.last_used, now)
-        entry.last_used = now
-        cache.policy.on_hit(entry.rule_id, now)
+        cache.touch(entry, now)
         cache.stats.hits += 1
         return actions_result(
             entry.actions, groups_probed=self.groups_probed, tables_hit=1
@@ -126,9 +122,9 @@ class MegaflowCache(FlowCache):
     Attributes:
         capacity: Maximum entries (the paper's baseline uses 32K).
         eviction: A policy name from :mod:`repro.cache.eviction`
-            (``"lru"``, ``"slru"``, ``"2q"``, ``"sharing"``) — a full
-            cache evicts that policy's victim (OVS revalidator behaviour
-            under pressure); ``"reject"`` refuses the install instead.
+            (``"lru"``, ``"sharing"``) — a full cache evicts that
+            policy's victim (OVS revalidator behaviour under pressure);
+            ``"reject"`` refuses the install instead.
     """
 
     name = "megaflow"
@@ -144,9 +140,7 @@ class MegaflowCache(FlowCache):
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.eviction = eviction
-        self.policy = make_policy(
-            "lru" if eviction == "reject" else eviction, capacity
-        )
+        self.policy = make_policy("lru" if eviction == "reject" else eviction)
         self.schema = schema
         self._classifier: TupleSpaceClassifier[MegaflowEntry] = (
             TupleSpaceClassifier(schema)
@@ -155,13 +149,9 @@ class MegaflowCache(FlowCache):
         self._by_id: dict = {}
 
     def set_eviction_policy(self, name: str) -> None:
-        policy = make_policy(
-            "lru" if name == "reject" else name, self.capacity
-        )
         self.policy = reseed_policy(
-            policy,
-            ((entry.rule_id, entry.last_used)
-             for entry in self._by_match.values()),
+            make_policy("lru" if name == "reject" else name),
+            ((entry.rule_id, entry.last_used) for entry in self),
         )
         self.eviction = name
 
@@ -180,33 +170,28 @@ class MegaflowCache(FlowCache):
                 CacheResult(hit=False, groups_probed=result.groups_probed),
                 None,
             )
-        entry = result.rule
+        replay = _MegaflowHitReplay(self, result.rule, result.groups_probed)
+        return replay.replay(now), replay
+
+    def touch(self, entry: MegaflowEntry, now: float) -> None:
+        """Mark ``entry`` used at ``now`` — the one ``last_used`` writer
+        (lookup hit, fast-path replay, install refresh), so the
+        predictor sees every interarrival and the policy every use."""
         pred = self.timeout_predictor
         if pred is not None:
             pred.observe(entry.match, now - entry.last_used, now)
         entry.last_used = now
         self.policy.on_hit(entry.rule_id, now)
-        self.stats.hits += 1
-        hit = actions_result(
-            entry.actions, groups_probed=result.groups_probed, tables_hit=1
-        )
-        return hit, _MegaflowHitReplay(self, entry, result.groups_probed)
 
     def install(self, entry: MegaflowEntry, now: float = 0.0) -> bool:
         """Install an entry; returns False when rejected for capacity."""
         existing = self._by_match.get(entry.match)
         if existing is not None:
             # Refresh in place (same match predicate — same traversal).
-            pred = self.timeout_predictor
-            if pred is not None:
-                pred.observe(
-                    existing.match, now - existing.last_used, now
-                )
-            existing.last_used = now
+            self.touch(existing, now)
+            self.policy.on_share(existing.rule_id)
             existing.actions = entry.actions
             existing.generation = entry.generation
-            self.policy.on_hit(existing.rule_id, now)
-            self.policy.on_share(existing.rule_id)
             self.bump_epoch()
             return True
         if len(self._by_match) >= self.capacity:
@@ -218,13 +203,10 @@ class MegaflowCache(FlowCache):
                 self.stats.rejected += 1
                 return False
             victim = self._by_id[victim_id]
-            tel = self.telemetry
-            if tel is not None:
-                tel.on_victim(
-                    self.telemetry_name, self.policy.name,
-                    now - victim.last_used,
-                )
-            self.remove(victim, reason=self.policy.name)
+            self._depart(
+                (victim,), self.policy.name, now - victim.last_used
+            )
+            self.bump_epoch()
         entry.last_used = now
         self._classifier.insert(entry)
         self._by_match[entry.match] = entry
@@ -232,10 +214,6 @@ class MegaflowCache(FlowCache):
         self.policy.on_insert(entry.rule_id, now)
         pred = self.timeout_predictor
         if pred is not None:
-            # Keyed by the match predicate: rule_ids are minted fresh on
-            # every reinstall, but the masked match names the *same*
-            # traversal across evict/return cycles, which is what the
-            # ghost list and estimator state must survive.
             pred.on_insert(entry.match, now)
         self.stats.insertions += 1
         self.bump_epoch()
@@ -253,19 +231,9 @@ class MegaflowCache(FlowCache):
         return self.install(entry, now)
 
     def remove(self, entry: MegaflowEntry, reason: str = "evict") -> None:
-        self._classifier.remove(entry)
-        del self._by_match[entry.match]
-        del self._by_id[entry.rule_id]
-        self.policy.on_remove(entry.rule_id)
-        pred = self.timeout_predictor
-        if pred is not None:
-            # Idle expiries already ran on_expire (forget is idempotent).
-            pred.forget(entry.match)
-        self.stats.evictions += 1
+        """Remove one entry (the revalidator's eviction)."""
+        self._depart((entry,), reason)
         self.bump_epoch()
-        tel = self.telemetry
-        if tel is not None:
-            tel.on_evict(self.telemetry_name, reason)
 
     def entry_count(self) -> int:
         return len(self._by_match)
@@ -273,48 +241,19 @@ class MegaflowCache(FlowCache):
     def capacity_total(self) -> int:
         return self.capacity
 
-    def evict_idle(self, now: float, max_idle: float) -> int:
-        """Remove entries idle *strictly* longer than ``max_idle``
-        (``now - last_used > max_idle``); an entry idle for exactly
-        ``max_idle`` survives.  With a timeout predictor attached the
-        per-entry predicted timeout replaces ``max_idle`` as the
-        threshold (comparison stays strict).  Returns the number
-        removed."""
-        pred = self.timeout_predictor
-        if pred is None:
-            stale = [
-                entry
-                for entry in self._by_match.values()
-                if now - entry.last_used > max_idle
-            ]
-            for entry in stale:
-                self.remove(entry, reason="idle")
-            return len(stale)
-        stale = []
-        for entry in self._by_match.values():
-            timeout = pred.timeout_for(entry.match)
-            idle = now - entry.last_used
-            if idle > timeout:
-                stale.append((entry, idle, timeout))
-        for entry, idle, timeout in stale:
-            pred.on_expire(entry.match, idle, now, timeout)
-            self.remove(entry, reason="idle")
-        return len(stale)
+    # -- entry lifecycle (see FlowCache) ------------------------------------------
 
-    def clear(self) -> None:
-        dropped = len(self._by_match)
-        pred = self.timeout_predictor
-        if pred is not None:
-            for match in self._by_match:
-                pred.forget(match)
-        self._classifier.clear()
-        self._by_match.clear()
-        self._by_id.clear()
-        self.policy.clear()
-        self.bump_epoch()
-        tel = self.telemetry
-        if tel is not None and dropped:
-            tel.on_evict(self.telemetry_name, "clear", dropped)
+    def __iter__(self) -> Iterator[MegaflowEntry]:
+        return iter(self._by_match.values())
+
+    def _entry_key(self, entry: MegaflowEntry) -> TernaryMatch:
+        return entry.match
+
+    def _drop(self, entry: MegaflowEntry) -> None:
+        self._classifier.remove(entry)
+        del self._by_match[entry.match]
+        del self._by_id[entry.rule_id]
+        self.policy.on_remove(entry.rule_id)
 
     # -- observability ----------------------------------------------------------------
 
@@ -324,13 +263,7 @@ class MegaflowCache(FlowCache):
             self.telemetry_name
         )
 
-    def last_used_times(self) -> List[float]:
-        return [entry.last_used for entry in self._by_match.values()]
-
     # -- introspection ----------------------------------------------------------------
-
-    def __iter__(self) -> Iterator[MegaflowEntry]:
-        return iter(self._by_match.values())
 
     @property
     def mask_group_count(self) -> int:

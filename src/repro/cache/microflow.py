@@ -7,7 +7,7 @@ evaluation compares Megaflow vs. Gigaflow.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..flow.actions import ActionList
 from ..flow.key import FlowKey
@@ -16,22 +16,17 @@ from .eviction import make_policy, reseed_policy
 
 
 class _MicroflowHitReplay(HitReplay):
-    """Memoized Microflow hit: the exact-match entry and its policy key."""
+    """A Microflow hit: the exact-match entry whose use it repeats."""
 
-    __slots__ = ("cache", "key", "entry")
+    __slots__ = ("cache", "entry")
 
-    def __init__(self, cache, key, entry):
+    def __init__(self, cache, entry):
         self.cache = cache
-        self.key = key
         self.entry = entry
 
     def replay(self, now: float) -> CacheResult:
         cache = self.cache
-        cache.policy.on_hit(self.key, now)
-        pred = cache.timeout_predictor
-        if pred is not None:
-            pred.observe(self.key, now - self.entry.last_used, now)
-        self.entry.last_used = now
+        cache.touch(self.entry, now)
         cache.stats.hits += 1
         return actions_result(
             self.entry.actions, groups_probed=1, tables_hit=1
@@ -55,13 +50,12 @@ class MicroflowCache(FlowCache):
         self.capacity = capacity
         self._entries: Dict[Tuple[int, ...], _Entry] = {}
         self.eviction = eviction
-        self.policy = make_policy(eviction, capacity)
+        self.policy = make_policy(eviction)
 
     def set_eviction_policy(self, name: str) -> None:
         self.policy = reseed_policy(
-            make_policy(name, self.capacity),
-            ((key, entry.last_used)
-             for key, entry in self._entries.items()),
+            make_policy(name),
+            ((entry.key, entry.last_used) for entry in self),
         )
         self.eviction = name
 
@@ -73,51 +67,42 @@ class MicroflowCache(FlowCache):
     def lookup_traced(
         self, flow: FlowKey, now: float = 0.0
     ) -> Tuple[CacheResult, Optional[_MicroflowHitReplay]]:
-        key = flow.values
-        entry = self._entries.get(key)
+        entry = self._entries.get(flow.values)
         if entry is None:
             self.stats.misses += 1
             return CacheResult(hit=False, groups_probed=1), None
-        self.policy.on_hit(key, now)
+        replay = _MicroflowHitReplay(self, entry)
+        return replay.replay(now), replay
+
+    def touch(self, entry: _Entry, now: float) -> None:
+        """Mark ``entry`` used at ``now`` — the one ``last_used`` writer
+        (lookup hit, fast-path replay, install refresh), so the
+        predictor sees every interarrival and the policy every use."""
         pred = self.timeout_predictor
         if pred is not None:
-            pred.observe(key, now - entry.last_used, now)
+            pred.observe(entry.key, now - entry.last_used, now)
         entry.last_used = now
-        self.stats.hits += 1
-        hit = actions_result(entry.actions, groups_probed=1, tables_hit=1)
-        return hit, _MicroflowHitReplay(self, key, entry)
+        self.policy.on_hit(entry.key, now)
 
     def install(self, flow: FlowKey, actions: ActionList, now: float = 0.0) -> bool:
         """Insert (or refresh) an exact-match entry, evicting a policy
         victim when full."""
         key = flow.values
-        pred = self.timeout_predictor
         entry = self._entries.get(key)
         if entry is not None:
-            self.policy.on_hit(key, now)
+            self.touch(entry, now)
             self.policy.on_share(key)
-            if pred is not None:
-                pred.observe(key, now - entry.last_used, now)
             entry.actions = actions
-            entry.last_used = now
             self.bump_epoch()
             return True
         if len(self._entries) >= self.capacity:
-            victim_key = self.policy.victim()
-            victim = self._entries.pop(victim_key)
-            self.policy.on_remove(victim_key)
-            if pred is not None:
-                pred.forget(victim_key)
-            self.stats.evictions += 1
-            tel = self.telemetry
-            if tel is not None:
-                tel.on_evict(self.telemetry_name, self.policy.name)
-                tel.on_victim(
-                    self.telemetry_name, self.policy.name,
-                    now - victim.last_used,
-                )
-        self._entries[key] = _Entry(actions, now)
+            victim = self._entries[self.policy.victim()]
+            self._depart(
+                (victim,), self.policy.name, now - victim.last_used
+            )
+        self._entries[key] = _Entry(key, actions, now)
         self.policy.on_insert(key, now)
+        pred = self.timeout_predictor
         if pred is not None:
             pred.on_insert(key, now)
         self.stats.insertions += 1
@@ -130,65 +115,26 @@ class MicroflowCache(FlowCache):
     def capacity_total(self) -> int:
         return self.capacity
 
-    def evict_idle(self, now: float, max_idle: float) -> int:
-        """Remove entries idle *strictly* longer than ``max_idle``
-        (``now - last_used > max_idle``); an entry idle for exactly
-        ``max_idle`` survives.  With a timeout predictor attached the
-        per-entry predicted timeout replaces ``max_idle`` as the
-        threshold (comparison stays strict).  Returns the number
-        removed."""
-        pred = self.timeout_predictor
-        if pred is None:
-            stale = [
-                key
-                for key, entry in self._entries.items()
-                if now - entry.last_used > max_idle
-            ]
-            for key in stale:
-                del self._entries[key]
-                self.policy.on_remove(key)
-        else:
-            stale = []
-            expiries = []
-            for key, entry in self._entries.items():
-                timeout = pred.timeout_for(key)
-                idle = now - entry.last_used
-                if idle > timeout:
-                    stale.append(key)
-                    expiries.append((key, idle, timeout))
-            for key in stale:
-                del self._entries[key]
-                self.policy.on_remove(key)
-            for key, idle, timeout in expiries:
-                pred.on_expire(key, idle, now, timeout)
-        self.stats.evictions += len(stale)
-        if stale:
-            self.bump_epoch()
-            tel = self.telemetry
-            if tel is not None:
-                tel.on_evict(self.telemetry_name, "idle", len(stale))
-        return len(stale)
+    # -- entry lifecycle (see FlowCache) -------------------------------------
 
-    def clear(self) -> None:
-        dropped = len(self._entries)
-        pred = self.timeout_predictor
-        if pred is not None:
-            for key in self._entries:
-                pred.forget(key)
-        self._entries.clear()
-        self.policy.clear()
-        self.bump_epoch()
-        tel = self.telemetry
-        if tel is not None and dropped:
-            tel.on_evict(self.telemetry_name, "clear", dropped)
+    def __iter__(self) -> Iterator[_Entry]:
+        return iter(self._entries.values())
 
-    def last_used_times(self):
-        return [entry.last_used for entry in self._entries.values()]
+    def _entry_key(self, entry: _Entry) -> Tuple[int, ...]:
+        return entry.key
+
+    def _drop(self, entry: _Entry) -> None:
+        del self._entries[entry.key]
+        self.policy.on_remove(entry.key)
 
 
 class _Entry:
-    __slots__ = ("actions", "last_used")
+    """One exact-match entry; ``key`` (the flow's value tuple) names it
+    to the eviction policy and the timeout predictor alike."""
 
-    def __init__(self, actions: ActionList, now: float):
+    __slots__ = ("key", "actions", "last_used")
+
+    def __init__(self, key: Tuple[int, ...], actions: ActionList, now: float):
+        self.key = key
         self.actions = actions
         self.last_used = now

@@ -38,7 +38,6 @@ from .revalidation import (
     MegaflowRevalidator,
     RevalidationReport,
     resolve_revalidator,
-    sweep_idle,
 )
 
 __all__ = [
@@ -80,5 +79,4 @@ __all__ = [
     "partitioner_by_name",
     "segment_score",
     "step_field_sets",
-    "sweep_idle",
 ]

@@ -28,7 +28,6 @@ from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..pipeline.traversal import Traversal
 from .gigaflow import GigaflowCache, InstallOutcome
 from .partition import disjoint_partition, megaflow_partition
-from .rulegen import build_ltm_rules
 
 
 @dataclass
@@ -261,28 +260,19 @@ class AdaptiveGigaflowCache(GigaflowCache):
         now: float = 0.0,
     ) -> InstallOutcome:
         governor = self.governor
-        use_partitioning = governor.next_install_partitions()
-
-        available = sum(1 for t in self.tables if not t.is_full)
-        max_parts = min(len(self.tables), max(available, 1))
-        if use_partitioning:
-            if governor.effective_k is not None:
-                max_parts = min(max_parts, max(governor.effective_k, 1))
-            partition = disjoint_partition(traversal, max_parts)
-        else:
-            partition = megaflow_partition(traversal)
-
-        rules = build_ltm_rules(partition, generation, now)
-        outcome = self.install_rules(rules)
-        if (
-            self.chain_repair
-            and outcome.complete
-            and outcome.reused
-            and not outcome.installed
-        ):
-            self._repair_shadowed_chain(traversal, now)
-
+        partitioned = governor.next_install_partitions()
+        self.partitioner = (
+            self._capped_disjoint if partitioned else megaflow_partition
+        )
+        outcome = super().install_traversal(traversal, generation, now)
         # Only partitioned installs inform the sharing estimate.
-        if use_partitioning:
-            governor.record(len(rules), outcome.reused)
+        if partitioned:
+            governor.record(outcome.generated, outcome.reused)
         return outcome
+
+    def _capped_disjoint(self, traversal: Traversal, parts: int):
+        """Disjoint partitioning under the controller's effective-K cap."""
+        effective_k = self.governor.effective_k
+        if effective_k is not None:
+            parts = min(parts, max(effective_k, 1))
+        return disjoint_partition(traversal, parts)

@@ -583,6 +583,12 @@ class AdaptiveController:
         }
 
 
+#: ``repro_controller_state{knob="eviction_policy"}`` values.  Declared,
+#: not derived from ``POLICY_NAMES`` order: 1.0 and 2.0 were ``slru``
+#: and ``2q``, and recorded series keep reading ``sharing`` as 3.0.
+_POLICY_CODES = {"lru": 0.0, "sharing": 3.0}
+
+
 def _encode(knob: str, value) -> float:
     """Stable numeric encoding of a knob value for the state gauge."""
     if knob == KNOB_MODE:
@@ -592,8 +598,5 @@ def _encode(knob: str, value) -> float:
     if knob == KNOB_PLACEMENT:
         return 1.0 if value == "earliest" else 0.0
     if knob == KNOB_POLICY:
-        try:
-            return float(POLICY_NAMES.index(value))
-        except ValueError:
-            return -1.0
+        return _POLICY_CODES.get(value, -1.0)
     return 0.0

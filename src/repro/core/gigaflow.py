@@ -15,10 +15,10 @@ coverage (Fig. 5c).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..cache.base import CacheResult, FlowCache, HitReplay
-from ..cache.eviction import make_policy
 from ..flow.actions import Action, ActionList
 from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..flow.key import FlowKey
@@ -37,12 +37,15 @@ class InstallOutcome:
         reused: Rules shared with previously-installed traversals.
         rejected: Rules that found no feasible table with free space.
         complete: True when the full chain (entry tag → DONE) is cached.
+        generated: Rules the partition produced (placement stops at the
+            first rejection, so the three counts above can sum to less).
     """
 
     installed: int = 0
     reused: int = 0
     rejected: int = 0
     complete: bool = True
+    generated: int = 0
 
 
 class _GigaflowHitReplay(HitReplay):
@@ -90,12 +93,12 @@ class GigaflowCache(FlowCache):
             with the most free slots; ``"earliest"`` packs tables front to
             back.
         eviction: A policy name from :mod:`repro.cache.eviction`
-            (``"lru"``, ``"slru"``, ``"2q"``, ``"sharing"``) — when every
-            feasible table is full, the policy's per-table victim with
-            the oldest ``last_used`` is evicted (mirroring the OVS
-            revalidator's behaviour under pressure); ``"reject"`` refuses
-            the install instead (the paper's ``GF_k not full``
-            formulation relies on idle expiry alone).
+            (``"lru"``, ``"sharing"``) — when every feasible table is
+            full, the policy's per-table victim with the oldest
+            ``last_used`` is evicted (mirroring the OVS revalidator's
+            behaviour under pressure); ``"reject"`` refuses the install
+            instead (the paper's ``GF_k not full`` formulation relies on
+            idle expiry alone).
         chain_repair: Repair *shadowed chains* on the miss path.  When a
             rule chain is broken (eviction took a middle segment) its
             surviving head still matches in an early table and dead-ends
@@ -132,7 +135,6 @@ class GigaflowCache(FlowCache):
         if placement not in ("balanced", "earliest"):
             raise ValueError(f"unknown placement policy {placement!r}")
         table_policy = "lru" if eviction == "reject" else eviction
-        make_policy(table_policy, 1)  # validate the name eagerly
         self.schema = schema
         self.start_tag = start_tag
         self.partitioner = partitioner
@@ -258,9 +260,9 @@ class GigaflowCache(FlowCache):
         reused; otherwise the rule goes to a table with free space per the
         placement policy.
         """
-        outcome = InstallOutcome()
         k = len(self.tables)
         m = len(rules)
+        outcome = InstallOutcome(generated=m)
         if m > k:
             raise ValueError(
                 f"{m} sub-traversals cannot map onto {k} cache tables"
@@ -336,16 +338,11 @@ class GigaflowCache(FlowCache):
                 victim_table = index
         if victim is None:
             return None
-        policy_name = self.tables[victim_table].policy.name
-        tel = self.telemetry
-        if tel is not None:
-            tel.on_victim(
-                self.telemetry_name, policy_name, now - victim.last_used
-            )
-        self.tables[victim_table].remove(victim)
-        self.stats.evictions += 1
-        if tel is not None:
-            tel.on_evict(self.telemetry_name, policy_name)
+        self._depart(
+            (victim,),
+            self.tables[victim_table].policy.name,
+            now - victim.last_used,
+        )
         return victim_table
 
     def _repair_shadowed_chain(self, traversal: Traversal, now: float) -> None:
@@ -360,34 +357,36 @@ class GigaflowCache(FlowCache):
         until the chain is reachable.  This is slow-path work, the
         software analogue of the OVS revalidator culling stale flows.
         """
-        removed = 0
-        limit = len(self.tables) * 2
-        while removed < limit:
+        removed = self._depart(
+            self._shadowing_rules(traversal.initial_flow), "shadow"
+        )
+        if removed:
+            self.shadow_repairs += removed
+            self.bump_epoch()
+            tel = self.telemetry
+            if tel is not None:
+                tel.on_chain_repair(now, traversal.initial_flow, removed)
+
+    def _shadowing_rules(self, initial_flow: FlowKey) -> Iterator[LtmRule]:
+        """The rule at the dead end of ``initial_flow``'s lookup walk,
+        then — once the caller has removed that one — the next, until
+        the walk completes (or a bound of two rules per table)."""
+        for _ in range(len(self.tables) * 2):
             tag = self.start_tag
-            flow = traversal.initial_flow
-            matched: Optional[Tuple[LtmTable, LtmRule]] = None
+            flow = initial_flow
+            dead_end: Optional[LtmRule] = None
             for table in self.tables:
                 if tag == TAG_DONE:
                     break
                 rule, _groups = table.lookup(flow, tag)
                 if rule is None:
                     continue
-                matched = (table, rule)
+                dead_end = rule
                 flow = rule.actions.apply(flow)
                 tag = rule.next_tag
-            if tag == TAG_DONE or matched is None:
-                break
-            table, stale = matched
-            table.remove(stale)
-            removed += 1
-        if removed:
-            self.shadow_repairs += removed
-            self.stats.evictions += removed
-            self.bump_epoch()
-            tel = self.telemetry
-            if tel is not None:
-                tel.on_evict(self.telemetry_name, "shadow", removed)
-                tel.on_chain_repair(now, traversal.initial_flow, removed)
+            if tag == TAG_DONE or dead_end is None:
+                return
+            yield dead_end
 
     # -- FlowCache bookkeeping ----------------------------------------------------------
 
@@ -397,67 +396,25 @@ class GigaflowCache(FlowCache):
     def capacity_total(self) -> int:
         return sum(t.capacity for t in self.tables)
 
-    def evict_idle(self, now: float, max_idle: float) -> int:
-        """Remove rules idle *strictly* longer than ``max_idle``
-        (``now - last_used > max_idle``); a rule idle for exactly
-        ``max_idle`` survives — the same boundary contract as
-        :meth:`repro.cache.base.FlowCache.evict_idle`.  With a timeout
-        predictor attached the per-rule predicted timeout replaces
-        ``max_idle`` as the threshold (comparison stays strict).
-        Returns the number removed across all tables."""
-        pred = self.timeout_predictor
-        evicted = 0
-        if pred is None:
-            for table in self.tables:
-                stale = [
-                    rule
-                    for rule in table
-                    if now - rule.last_used > max_idle
-                ]
-                for rule in stale:
-                    table.remove(rule)
-                evicted += len(stale)
-        else:
-            for table in self.tables:
-                stale = []
-                for rule in table:
-                    timeout = pred.timeout_for(rule.identity())
-                    idle = now - rule.last_used
-                    if idle > timeout:
-                        stale.append((rule, idle, timeout))
-                for rule, idle, timeout in stale:
-                    pred.on_expire(rule.identity(), idle, now, timeout)
-                    table.remove(rule)
-                evicted += len(stale)
-        self.stats.evictions += evicted
-        if evicted:
-            self.bump_epoch()
-            tel = self.telemetry
-            if tel is not None:
-                tel.on_evict(self.telemetry_name, "idle", evicted)
-        return evicted
-
     def remove_rule(self, rule: LtmRule, reason: str = "reval") -> None:
         """Remove a specific rule (revalidation eviction)."""
+        self._depart((rule,), reason)
+        self.bump_epoch()
+
+    # -- entry lifecycle (see FlowCache) ------------------------------------------------
+
+    def __iter__(self) -> Iterator[LtmRule]:
+        return chain.from_iterable(self.tables)
+
+    def _entry_key(self, rule: LtmRule) -> Tuple:
+        return rule.identity()
+
+    def _drop(self, rule: LtmRule) -> None:
         for table in self.tables:
-            if table.find_identical(rule.identity()) is rule:
+            if rule in table:
                 table.remove(rule)
-                self.stats.evictions += 1
-                self.bump_epoch()
-                tel = self.telemetry
-                if tel is not None:
-                    tel.on_evict(self.telemetry_name, reason)
                 return
         raise KeyError(f"rule not installed: {rule!r}")
-
-    def clear(self) -> None:
-        dropped = self.entry_count()
-        for table in self.tables:
-            table.clear()
-        self.bump_epoch()
-        tel = self.telemetry
-        if tel is not None and dropped:
-            tel.on_evict(self.telemetry_name, "clear", dropped)
 
     # -- observability -------------------------------------------------------------------
 
@@ -473,20 +430,7 @@ class GigaflowCache(FlowCache):
                 )
             )
 
-    def last_used_times(self):
-        # List comprehensions, not generators: the snapshot cadence
-        # walks every rule each sweep interval, and generator frames
-        # dominate that cost at high entry counts.
-        times: List[float] = []
-        for table in self.tables:
-            times.extend([rule.last_used for rule in table])
-        return times
-
     # -- introspection -------------------------------------------------------------------
-
-    def __iter__(self):
-        for table in self.tables:
-            yield from table
 
     def per_table_counts(self) -> Tuple[int, ...]:
         return tuple(len(t) for t in self.tables)

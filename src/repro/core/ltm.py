@@ -130,7 +130,7 @@ class LtmTable:
         #: Victim-selection state (see :mod:`repro.cache.eviction`).
         #: All ``last_used`` updates must go through :meth:`touch` (or
         #: :meth:`share`) so the policy's view tracks use time.
-        self.policy = make_policy(eviction, capacity)
+        self.policy = make_policy(eviction)
         #: Shared :class:`~repro.core.timeouts.TimeoutPredictor`
         #: installed by ``GigaflowCache.set_timeout_predictor`` (or
         #: ``None``).  :meth:`touch` is the single ``last_used`` writer,
@@ -141,9 +141,8 @@ class LtmTable:
         """Swap the victim-selection policy, re-seeding resident rules
         in recency order (weights/segments reset — intended pre-run)."""
         self.policy = reseed_policy(
-            make_policy(name, self.capacity),
-            ((rule.rule_id, rule.last_used)
-             for rule in self._by_id.values()),
+            make_policy(name),
+            ((rule.rule_id, rule.last_used) for rule in self),
         )
 
     # -- capacity ------------------------------------------------------------------
@@ -185,10 +184,6 @@ class LtmTable:
         self.policy.on_insert(rule.rule_id, rule.last_used)
         pred = self.predictor
         if pred is not None:
-            # Keyed by value identity: rule_ids are minted fresh on every
-            # reinstall, but the identity names the *same* sub-traversal
-            # across evict/return cycles, which is what the ghost list
-            # and estimator state must survive.
             pred.on_insert(identity, rule.last_used)
         return True
 
@@ -211,31 +206,22 @@ class LtmTable:
         rule.generation = max(rule.generation, incoming.generation)
         self.policy.on_share(rule.rule_id)
 
+    def __contains__(self, rule: LtmRule) -> bool:
+        return self._by_id.get(rule.rule_id) is rule
+
     def remove(self, rule: LtmRule) -> None:
-        identity = rule.identity()
-        if identity not in self._by_identity:
+        """Unlink a rule from the table's indexes and policy.  The cache
+        owns the bookkeeping of *why* it left
+        (:meth:`~repro.cache.base.FlowCache._depart`)."""
+        if rule not in self:
             raise KeyError(f"rule not in table {self.index}: {rule!r}")
         bucket = self._by_tag[rule.tag]
         bucket.remove(rule)
         if not len(bucket):
             del self._by_tag[rule.tag]
-        del self._by_identity[identity]
+        del self._by_identity[rule.identity()]
         del self._by_id[rule.rule_id]
         self.policy.on_remove(rule.rule_id)
-        pred = self.predictor
-        if pred is not None:
-            # Idle expiries already ran on_expire (forget is idempotent).
-            pred.forget(identity)
-
-    def clear(self) -> None:
-        pred = self.predictor
-        if pred is not None:
-            for identity in self._by_identity:
-                pred.forget(identity)
-        self._by_tag.clear()
-        self._by_identity.clear()
-        self._by_id.clear()
-        self.policy.clear()
 
     def __iter__(self) -> Iterator[LtmRule]:
         return iter(self._by_identity.values())

@@ -20,14 +20,14 @@ Two driving modes share the per-entry check:
   metric: it drains while the budget outpaces control-plane churn and
   grows when churn wins.
 
-A ``max_idle`` sweep also removes entries not hit recently, mirroring the
-OVS revalidator's flow expiration.
+Idle expiry — the OVS revalidator's other job (§4.3.2) — is the caches'
+own :meth:`~repro.cache.base.FlowCache.evict_idle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 from ..cache.megaflow import MegaflowCache, build_megaflow_entry
 from ..core.gigaflow import GigaflowCache
@@ -50,6 +50,23 @@ class RevalidationReport:
     entries_checked: int = 0
     entries_evicted: int = 0
     lookups_performed: int = 0
+
+
+def _check_all(impl, entries: Iterable, now: float) -> RevalidationReport:
+    """Run ``impl.check_entry`` over ``entries`` — one revalidation
+    cycle.  A cycle that evicted bumps the cache's mutation epoch once
+    more on top of the per-removal bumps, so it stays visible to
+    fast-path memo invalidation even if eviction internals change."""
+    report = RevalidationReport()
+    for entry in entries:
+        verdict, lookups = impl.check_entry(entry, now)
+        report.entries_checked += 1
+        report.lookups_performed += lookups
+        if verdict == "evicted":
+            report.entries_evicted += 1
+    if report.entries_evicted:
+        impl.cache.bump_epoch()
+    return report
 
 
 class MegaflowRevalidator:
@@ -90,19 +107,7 @@ class MegaflowRevalidator:
         return verdict, len(replay)
 
     def revalidate(self, now: float = 0.0) -> RevalidationReport:
-        report = RevalidationReport()
-        for entry in list(self.cache):
-            verdict, lookups = self.check_entry(entry, now)
-            report.entries_checked += 1
-            report.lookups_performed += lookups
-            if verdict == "evicted":
-                report.entries_evicted += 1
-        if report.entries_evicted:
-            # Removals already bump the cache's mutation epoch; bump once
-            # more so a revalidation cycle is always visible to fast-path
-            # memo invalidation even if eviction internals change.
-            self.cache.bump_epoch()
-        return report
+        return _check_all(self, list(self.cache), now)
 
 
 class GigaflowRevalidator:
@@ -149,18 +154,7 @@ class GigaflowRevalidator:
         return verdict, len(replay)
 
     def revalidate(self, now: float = 0.0) -> RevalidationReport:
-        report = RevalidationReport()
-        for rule in list(self.cache):
-            verdict, lookups = self.check_entry(rule, now)
-            report.entries_checked += 1
-            report.lookups_performed += lookups
-            if verdict == "evicted":
-                report.entries_evicted += 1
-        if report.entries_evicted:
-            # See MegaflowRevalidator.revalidate: keep revalidation
-            # visible to fast-path memo invalidation in its own right.
-            self.cache.bump_epoch()
-        return report
+        return _check_all(self, list(self.cache), now)
 
 
 def resolve_revalidator(pipeline: Pipeline, cache):
@@ -229,15 +223,7 @@ class IncrementalRevalidator:
         """
         stale = self.stale_entries()
         batch = stale if budget <= 0 else stale[:budget]
-        report = RevalidationReport()
-        for entry in batch:
-            verdict, lookups = self.impl.check_entry(entry, now)
-            report.entries_checked += 1
-            report.lookups_performed += lookups
-            if verdict == "evicted":
-                report.entries_evicted += 1
-        if report.entries_evicted:
-            self.cache.bump_epoch()
+        report = _check_all(self.impl, batch, now)
         backlog_after = len(stale) - len(batch)
         if backlog_after == 0:
             self._clean_generation = self.pipeline.generation
@@ -246,7 +232,3 @@ class IncrementalRevalidator:
         self.total_lookups += report.lookups_performed
         return report, backlog_after
 
-
-def sweep_idle(cache, now: float, max_idle: float) -> int:
-    """Expire idle entries on any cache (the §4.3.2 timeout path)."""
-    return cache.evict_idle(now, max_idle)

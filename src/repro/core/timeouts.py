@@ -24,21 +24,22 @@ Two predictors ship:
 was deleted: it lost to ``ewma`` in every ``repro bench --timeouts``
 cell measured and to the best static setting at default scale.)
 
-The integration contract, shared by all four cache types:
+The integration contract (the sweep and departure halves are written
+once, in :class:`~repro.cache.base.FlowCache`; each cache has one
+``touch``):
 
 * **Off is free and identical.**  ``cache.timeout_predictor`` defaults
   to ``None``; every hook site guards on it (the telemetry idiom), so
   detached behaviour — including the strict idle boundary
   ``now - last_used > max_idle`` — is bit-identical to a build without
   this module.
-* **Strict boundary everywhere.**  Predicted timeouts replace the
-  *threshold*, never the comparison: expiry still requires
+* **Strict boundary.**  Predicted timeouts replace the *threshold*,
+  never the comparison: expiry still requires
   ``now - last_used > timeout`` (exactly-``timeout`` idle survives).
-* **Observation sites are the ``last_used`` writers.**  Wherever a
-  cache refreshes an entry's ``last_used`` (lookup hits, fast-path
-  replays, install refreshes, LTM ``touch``/``share``) it first offers
-  the predictor the elapsed interarrival, so EWMA state is identical
-  with the fast path on or off.
+* **The observation site is the ``last_used`` writer.**  A cache's
+  ``touch`` (lookup hits, fast-path replays, install refreshes, LTM
+  ``share``) first offers the predictor the elapsed interarrival, so
+  EWMA state is identical with the fast path on or off.
 * **The ledger is predictor-internal.**  Premature/dead counters and the
   predicted-timeout histogram live on the predictor;
   :meth:`~repro.obs.telemetry.Telemetry.attach_timeouts` delta-folds
@@ -238,8 +239,9 @@ class TimeoutPredictor(abc.ABC):
         self._drop(key)
 
     def forget(self, key) -> None:
-        """``key`` left the cache for a non-idle reason (capacity
-        victim, revalidation, clear); drop state, leave the ledger."""
+        """``key`` left the cache — every departure reports here
+        (capacity victim, revalidation, clear; a no-op after an idle
+        expiry's :meth:`on_expire`); drop state, leave the ledger."""
         self._reused.discard(key)
         self._drop(key)
 

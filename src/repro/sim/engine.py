@@ -228,7 +228,7 @@ class SimConfig:
             ``SimResult`` field is bit-identical with it on or off.
         eviction: Optional capacity-eviction policy name
             (:data:`~repro.cache.eviction.POLICY_NAMES`: ``"lru"``,
-            ``"slru"``, ``"2q"``, ``"sharing"``).  When set, the engine
+            ``"sharing"``).  When set, the engine
             installs it on the caching system's cache (and sub-caches /
             LTM tables) before the first packet — the per-run A/B knob
             the eviction bench sweeps.  ``None`` keeps whatever policy

@@ -1,37 +1,9 @@
 """Tests for cache base helpers and small LTM-table accessors."""
 
-from repro.cache.base import CacheResult, LruTracker, actions_result
+from repro.cache.base import CacheResult, actions_result
 from repro.core.ltm import LtmTable
 from repro.flow import ActionList, Drop, Output
 from test_ltm import ltm_rule
-
-
-class TestLruTracker:
-    def test_touch_and_lru(self):
-        tracker = LruTracker()
-        tracker.touch("a", 1.0)
-        tracker.touch("b", 2.0)
-        assert tracker.lru_key() == "a"
-        tracker.touch("a", 3.0)
-        assert tracker.lru_key() == "b"
-
-    def test_idle_keys(self):
-        tracker = LruTracker()
-        tracker.touch("a", 0.0)
-        tracker.touch("b", 9.0)
-        assert tracker.idle_keys(now=10.0, max_idle=5.0) == ["a"]
-
-    def test_forget_and_clear(self):
-        tracker = LruTracker()
-        tracker.touch("a", 0.0)
-        tracker.forget("a")
-        assert tracker.lru_key() is None
-        tracker.touch("b", 0.0)
-        tracker.clear()
-        assert tracker.lru_key() is None
-
-    def test_forget_missing_is_noop(self):
-        LruTracker().forget("ghost")
 
 
 class TestCacheResult:

@@ -66,10 +66,11 @@ class TestLtmTableVictimEdgeCases:
         assert table.lru_rule() is None
 
     def test_clear_resets_victim_state(self):
-        table = LtmTable(0, capacity=4)
-        table.insert(ltm_rule(tp_dst=1))
-        table.insert(ltm_rule(tp_dst=2))
-        table.clear()
+        cache = GigaflowCache(num_tables=1, table_capacity=4)
+        cache.install_rules([ltm_rule(tp_dst=1)])
+        cache.install_rules([ltm_rule(tp_dst=2)])
+        cache.clear()
+        (table,) = cache.tables
         assert table.lru_rule() is None
         rule = ltm_rule(tp_dst=3)
         table.insert(rule)
@@ -150,38 +151,37 @@ class TestIdleBoundaryContract:
 
     MAX_IDLE = 5.0
 
+    def check(self, cache):
+        population = cache.entry_count()
+        assert population
+        assert cache.evict_idle(self.MAX_IDLE, self.MAX_IDLE) == 0
+        assert cache.entry_count() == population
+        assert (
+            cache.evict_idle(self.MAX_IDLE + 1e-9, self.MAX_IDLE)
+            == population
+        )
+        assert cache.entry_count() == 0
+
     def test_microflow(self):
         cache = MicroflowCache(capacity=4)
         cache.install(flow(), ActionList((Output(1),)), now=0.0)
-        assert cache.evict_idle(self.MAX_IDLE, self.MAX_IDLE) == 0
-        assert cache.entry_count() == 1
-        assert cache.evict_idle(self.MAX_IDLE + 1e-9, self.MAX_IDLE) == 1
-        assert cache.entry_count() == 0
+        self.check(cache)
 
     def test_megaflow(self):
         cache = MegaflowCache(capacity=4)
         cache.install(mega_entry(now=0.0), now=0.0)
-        assert cache.evict_idle(self.MAX_IDLE, self.MAX_IDLE) == 0
-        assert cache.entry_count() == 1
-        assert cache.evict_idle(self.MAX_IDLE + 1e-9, self.MAX_IDLE) == 1
-        assert cache.entry_count() == 0
+        self.check(cache)
 
     def test_gigaflow(self):
         cache = GigaflowCache(num_tables=2, table_capacity=4)
         cache.install_rules([ltm_rule(now=0.0)])
-        assert cache.evict_idle(self.MAX_IDLE, self.MAX_IDLE) == 0
-        assert cache.entry_count() == 1
-        assert cache.evict_idle(self.MAX_IDLE + 1e-9, self.MAX_IDLE) == 1
-        assert cache.entry_count() == 0
+        self.check(cache)
 
     def test_hierarchy(self):
         cache = CacheHierarchy(microflow_capacity=4, megaflow_capacity=4)
         cache.microflow.install(flow(), ActionList((Output(1),)), now=0.0)
         cache.megaflow.install(mega_entry(now=0.0), now=0.0)
-        assert cache.evict_idle(self.MAX_IDLE, self.MAX_IDLE) == 0
-        assert cache.entry_count() == 2
-        assert cache.evict_idle(self.MAX_IDLE + 1e-9, self.MAX_IDLE) == 2
-        assert cache.entry_count() == 0
+        self.check(cache)
 
 
 class TestSweepEpochInvalidation:
@@ -244,13 +244,13 @@ class TestPolicySelectionValidation:
     def test_set_eviction_policy_threads_to_every_table(self):
         cache = GigaflowCache(num_tables=3, table_capacity=4)
         cache.install_rules([ltm_rule(tp_dst=1), ltm_rule(tp_dst=2, tag=1)])
-        cache.set_eviction_policy("slru")
+        cache.set_eviction_policy("sharing")
         for table in cache.tables:
-            assert table.policy.name == "slru"
+            assert table.policy.name == "sharing"
             assert len(table.policy) == len(table)
 
     def test_hierarchy_set_eviction_policy_threads_down(self):
         cache = CacheHierarchy(microflow_capacity=4, megaflow_capacity=4)
-        cache.set_eviction_policy("2q")
-        assert cache.microflow.policy.name == "2q"
-        assert cache.megaflow.policy.name == "2q"
+        cache.set_eviction_policy("sharing")
+        assert cache.microflow.policy.name == "sharing"
+        assert cache.megaflow.policy.name == "sharing"

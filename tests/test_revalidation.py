@@ -7,7 +7,6 @@ from repro.core import (
     GigaflowCache,
     GigaflowRevalidator,
     MegaflowRevalidator,
-    sweep_idle,
 )
 from repro.flow import Output, ip, prefix_mask
 from conftest import flow, rule
@@ -94,5 +93,5 @@ class TestRuleChangeEviction:
 class TestIdleSweep:
     def test_sweep_idle_delegates(self, filled):
         _, megaflow, gigaflow = filled
-        assert sweep_idle(megaflow, now=1000.0, max_idle=1.0) == 1
-        assert sweep_idle(gigaflow, now=1000.0, max_idle=1.0) > 0
+        assert megaflow.evict_idle(now=1000.0, max_idle=1.0) == 1
+        assert gigaflow.evict_idle(now=1000.0, max_idle=1.0) > 0

@@ -23,19 +23,15 @@ import math
 
 import pytest
 
-from conftest import flow
-from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.megaflow import MegaflowCache
-from repro.cache.microflow import MicroflowCache
 from repro.core.gigaflow import GigaflowCache
 from repro.core.timeouts import (
     StaticTimeoutPredictor,
     TimeoutConfig,
     resolve_predictor,
 )
-from repro.flow import ActionList, Output
 
-from test_eviction_policies import ltm_rule, mega_entry
+from test_eviction_policies import ltm_rule
+from test_eviction_properties import Rig
 
 MAX_IDLE = 5.0
 #: The short per-rule override deadline in the mapped-predictor tests.
@@ -60,50 +56,23 @@ class MappedTimeoutPredictor(StaticTimeoutPredictor):
         return self._overrides.get(key, self.max_idle)
 
 
-def build_microflow():
-    cache = MicroflowCache(capacity=8)
-    a, b = flow(tp_dst=1), flow(tp_dst=2)
-    cache.install(a, ActionList((Output(1),)), now=0.0)
-    cache.install(b, ActionList((Output(1),)), now=0.0)
-    return cache, (a.values, b.values)
+KINDS = ("gigaflow", "hierarchy", "megaflow", "microflow")
 
 
-def build_megaflow():
-    cache = MegaflowCache(capacity=8)
-    a, b = mega_entry(tp_dst=1), mega_entry(tp_dst=2)
-    cache.install(a, now=0.0)
-    cache.install(b, now=0.0)
-    return cache, (a.match, b.match)
+def build(kind):
+    """A ``kind`` cache holding two entries installed at t=0 (the
+    hierarchy's one install lands one per level), and their predictor
+    keys — through the conformance driver's per-cache rig."""
+    rig = Rig(kind, "lru", 8, fast_path=False, predicted=False)
+    for idx in (1,) if kind == "hierarchy" else (1, 2):
+        rig.install(idx, 0.0)
+    return rig.cache, tuple(rig.resident_keys())
 
 
-def build_gigaflow():
-    cache = GigaflowCache(num_tables=2, table_capacity=8)
-    a, b = ltm_rule(tp_dst=1), ltm_rule(tp_dst=2)
-    cache.install_rules([a])
-    cache.install_rules([b])
-    return cache, (a.identity(), b.identity())
-
-
-def build_hierarchy():
-    cache = CacheHierarchy(microflow_capacity=8, megaflow_capacity=8)
-    f, e = flow(tp_dst=1), mega_entry(tp_dst=2)
-    cache.microflow.install(f, ActionList((Output(1),)), now=0.0)
-    cache.megaflow.install(e, now=0.0)
-    return cache, (f.values, e.match)
-
-
-BUILDERS = {
-    "microflow": build_microflow,
-    "megaflow": build_megaflow,
-    "gigaflow": build_gigaflow,
-    "hierarchy": build_hierarchy,
-}
-
-
-@pytest.mark.parametrize("kind", sorted(BUILDERS))
+@pytest.mark.parametrize("kind", KINDS)
 class TestDetachedBoundaryToTheUlp:
     def test_exactly_max_idle_survives_one_ulp_past_expires(self, kind):
-        cache, _ = BUILDERS[kind]()
+        cache, _ = build(kind)
         population = cache.entry_count()
         assert population == 2
         assert cache.evict_idle(JUST_UNDER, MAX_IDLE) == 0
@@ -113,13 +82,13 @@ class TestDetachedBoundaryToTheUlp:
         assert cache.entry_count() == 0
 
 
-@pytest.mark.parametrize("kind", sorted(BUILDERS))
+@pytest.mark.parametrize("kind", KINDS)
 class TestPredictedBoundaryToTheUlp:
     """Same boundary, now routed through ``timeout_for``/``on_expire``:
     the predictor supplies the threshold, the comparison stays strict."""
 
     def test_uniform_predictor_keeps_the_boundary(self, kind):
-        cache, _ = BUILDERS[kind]()
+        cache, _ = build(kind)
         predictor = resolve_predictor("static", MAX_IDLE)
         cache.set_timeout_predictor(predictor)
         population = cache.entry_count()
@@ -133,7 +102,7 @@ class TestPredictedBoundaryToTheUlp:
     def test_per_rule_override_expires_each_at_its_own_deadline(
         self, kind
     ):
-        cache, (key_a, key_b) = BUILDERS[kind]()
+        cache, (key_a, key_b) = build(kind)
         predictor = MappedTimeoutPredictor({key_a: SHORT})
         cache.set_timeout_predictor(predictor)
         # Exactly SHORT idle: the overridden entry survives (strict).
@@ -151,3 +120,23 @@ class TestPredictedBoundaryToTheUlp:
         assert cache.evict_idle(JUST_OVER, MAX_IDLE) == 1
         assert cache.entry_count() == 0
         assert predictor.expired == 2
+
+
+def test_expiry_of_one_copy_is_seen_by_the_prediction_for_the_next():
+    """The same rule identity can be resident in two LTM tables, and
+    both copies share one estimator entry.  The sweep predicts lazily,
+    table by table: once the first copy's expiry has dropped the
+    estimate, the second is judged by the cold timeout."""
+    cache = GigaflowCache(num_tables=2, table_capacity=4)
+    predictor = resolve_predictor("ewma", MAX_IDLE)
+    cache.set_timeout_predictor(predictor)
+    first, second = ltm_rule(tp_dst=1), ltm_rule(tp_dst=1)
+    assert first.identity() == second.identity()
+    cache.tables[0].insert(first)
+    cache.tables[1].insert(second)
+    cache.tables[0].touch(first, 1.0)
+    cache.tables[1].touch(second, 2.0)
+    learned = predictor.timeout_for(first.identity())
+    assert learned < 4.2 < MAX_IDLE  # second copy: past learned, not cold
+    assert cache.evict_idle(now=6.2, max_idle=MAX_IDLE) == 1
+    assert list(cache) == [second]

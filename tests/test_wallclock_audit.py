@@ -1,5 +1,5 @@
 """Static audits of the engine family: no wall-clock, one slow path,
-no reaching into the telemetry hub.
+no reaching into the telemetry hub, one entry lifecycle.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -22,6 +22,13 @@ The third keeps the telemetry hub's internals its own: outside
 object — instrumented code gets pending cells through the public
 observers (``tss_observer``, ``ltm_observer``) and emits through the
 hooks.
+
+The fourth keeps the entry lifecycle folded: under ``repro/cache`` and
+``repro/core`` the departure ledger (``stats.evictions +=``,
+``on_evict``, ``on_victim``) is written only by
+``FlowCache._depart`` and the idle boundary (``… - x.last_used > …``)
+compared only by ``FlowCache.evict_idle`` — the next departure reason
+cannot bypass the chokepoint.
 """
 
 import ast
@@ -180,3 +187,99 @@ def test_private_telemetry_audit_sees_a_violation():
         "    b = self.telemetry._name\n"
         "    c = self._tel.registry\n"
     ) == [(3, "tel._pending"), (4, "telemetry._name")]
+
+
+#: Where the entry lifecycle lives: the only scopes under
+#: ``repro/cache`` and ``repro/core`` allowed to write the departure
+#: ledger or compare the idle boundary.
+LIFECYCLE_HOME = {
+    "cache/base.py": {"FlowCache._depart", "FlowCache.evict_idle"},
+}
+
+
+def _is_idle_age(node):
+    """``<anything> - x.last_used``."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and isinstance(node.right, ast.Attribute)
+        and node.right.attr == "last_used"
+    )
+
+
+def _lifecycle_bypasses(source: str, home=frozenset()):
+    """``(line, what)`` for every departure-ledger write and idle-age
+    comparison in ``source`` outside the ``home`` scopes."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                visit(child, scope + [child.name])
+                continue
+            what = None
+            if (
+                isinstance(child, ast.AugAssign)
+                and isinstance(child.target, ast.Attribute)
+                and child.target.attr == "evictions"
+                and _terminal_name(child.target.value) == "stats"
+            ):
+                what = "stats.evictions +="
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in ("on_evict", "on_victim")
+            ):
+                what = f".{child.func.attr}("
+            elif isinstance(child, ast.Compare) and any(
+                _is_idle_age(side)
+                for side in [child.left, *child.comparators]
+            ):
+                what = "idle-boundary comparison"
+            if what is not None and ".".join(scope) not in home:
+                found.append((child.lineno, what))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_entry_lifecycle_has_one_home():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line} {what}"
+        for package in ("cache", "core")
+        for path in sorted((SRC / package).rglob("*.py"))
+        for line, what in _lifecycle_bypasses(
+            path.read_text(),
+            LIFECYCLE_HOME.get(path.relative_to(SRC).as_posix(), ()),
+        )
+    ]
+    assert not offenders, (
+        "entry departure / idle boundary handled outside "
+        "FlowCache._depart / FlowCache.evict_idle:\n  "
+        + "\n  ".join(offenders)
+    )
+
+
+def test_entry_lifecycle_audit_sees_a_violation():
+    source = (
+        "class C:\n"
+        "    def evict_idle(self, now, max_idle):\n"
+        "        stale = [e for e in self if now - e.last_used > max_idle]\n"
+        "        self.stats.evictions += len(stale)\n"
+        "        self.telemetry.on_evict(self.name, 'idle', len(stale))\n"
+        "    def install(self, now, victim):\n"
+        "        tel.on_victim(self.name, 'lru', now - victim.last_used)\n"
+        "        older = a.last_used < b.last_used\n"
+    )
+    assert _lifecycle_bypasses(source) == [
+        (3, "idle-boundary comparison"),
+        (4, "stats.evictions +="),
+        (5, ".on_evict("),
+        (7, ".on_victim("),
+    ]
+    assert _lifecycle_bypasses(source, {"C.evict_idle"}) == [
+        (7, ".on_victim("),
+    ]
