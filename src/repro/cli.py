@@ -646,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--adaptive-controller", action="store_true",
         help="enable the telemetry-driven adaptive control loop "
-             "(mode/K/placement/eviction-policy steering on the sweep "
+             "(placement/eviction-policy/timeout steering on the sweep "
              "cadence); its decisions appear as controller metrics, "
              "trace events and a summary section",
     )

@@ -9,20 +9,17 @@ Megaflow-style (single-segment) entries to preserve baseline behaviour.
 :class:`AdaptiveGigaflowCache` implements that proposal.  The mode
 state itself — which partitioner is active, the probe cadence while in
 Megaflow mode, and the per-window sharing estimate — lives in a
-:class:`ModeGovernor` so two drivers can share it:
-
-* standalone, the governor rolls its own windows and applies the
-  hysteresis thresholds itself (the original self-contained behaviour);
-* under a :class:`~repro.core.controller.AdaptiveController`, the
-  governor is marked *external* and only accumulates; the controller
-  reads the window on the sweep cadence and makes the mode/K decisions
-  from the full telemetry picture.
+:class:`ModeGovernor`, the one place the disjoint↔Megaflow decision is
+made: it rolls its own install windows and applies the hysteresis
+thresholds whatever drives the cache.  An attached
+:class:`~repro.core.controller.AdaptiveController` never decides the
+mode; it reports the governor's switches on its sweep cadence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..pipeline.traversal import Traversal
@@ -62,60 +59,25 @@ class AdaptiveConfig:
 
 
 class ModeGovernor:
-    """Partitioner-mode state machine shared by cache and controller.
+    """The partitioner-mode state machine: the only §7 mode decider.
 
     Attributes:
         megaflow_mode: ``True`` while installs default to single-segment
             (Megaflow-style) entries.
         mode_switches: Hysteretic transitions taken via :meth:`set_mode`.
-        effective_k: Upper bound on partition segments while in disjoint
-            mode (``None`` = use every table).  Only the controller sets
-            this; the standalone governor leaves it alone.
-        external: When ``True`` the governor never rolls windows itself;
-            an external driver consumes them via :meth:`take_window`.
     """
 
     def __init__(self, config: AdaptiveConfig):
         self.config = config
         self.megaflow_mode = False
         self.mode_switches = 0
-        self.effective_k: Optional[int] = None
-        self.external = False
         self._window_generated = 0
         self._window_reused = 0
         self._probe_installs = 0
         self._probes_done = 0
         self._probe_pending = False
-        # Live probe fraction: starts at the configured value but is
-        # owned by the governor so a controller can retune it per-cache
-        # without mutating the (possibly shared) AdaptiveConfig.
-        self._probe_fraction = config.probe_fraction
 
     # -- probe cadence -----------------------------------------------------------
-
-    @property
-    def probe_fraction(self) -> float:
-        """The live probe fraction (controller-tunable, see
-        :meth:`set_probe_fraction`)."""
-        return self._probe_fraction
-
-    def set_probe_fraction(self, fraction: float) -> bool:
-        """Retune the Megaflow-mode probe fraction; ``True`` on change.
-
-        The controller ramps this with mode-residency time (fresh
-        Megaflow phases probe gently; long-lived ones probe harder so
-        returning locality is caught quickly).  Changing the fraction
-        restarts the integer cadence bookkeeping — mixing credits
-        accrued under different fractions would realise neither.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("probe_fraction must be in (0, 1]")
-        if fraction == self._probe_fraction:
-            return False
-        self._probe_fraction = fraction
-        self._probe_installs = 0
-        self._probes_done = 0
-        return True
 
     def next_install_partitions(self) -> bool:
         """Whether the next install should run the disjoint partitioner.
@@ -137,7 +99,7 @@ class ModeGovernor:
             return True
         self._probe_installs += 1
         expected = int(
-            self._probe_installs * self._probe_fraction + 1e-9
+            self._probe_installs * self.config.probe_fraction + 1e-9
         )
         if self._probes_done < expected:
             self._probes_done += 1
@@ -147,30 +109,12 @@ class ModeGovernor:
     # -- sharing window ----------------------------------------------------------
 
     def record(self, generated: int, reused: int) -> None:
-        """Fold one partitioned install into the sharing window.
-
-        Standalone (``external`` unset), a full window triggers the
-        hysteresis decision immediately; under a controller the window
-        just accumulates until :meth:`take_window` drains it.
-        """
+        """Fold one partitioned install into the sharing window; a full
+        window triggers the hysteresis decision immediately."""
         self._window_generated += generated
         self._window_reused += reused
-        if not self.external and self._window_generated >= self.config.window:
+        if self._window_generated >= self.config.window:
             self._roll_window()
-
-    def take_window(self) -> Tuple[int, int]:
-        """Drain and return ``(generated, reused)`` counts (controller)."""
-        out = (self._window_generated, self._window_reused)
-        self._window_generated = 0
-        self._window_reused = 0
-        return out
-
-    @property
-    def observed_sharing_rate(self) -> float:
-        """Sharing rate of the current (incomplete) window."""
-        if not self._window_generated:
-            return 0.0
-        return self._window_reused / self._window_generated
 
     # -- mode transitions --------------------------------------------------------
 
@@ -247,10 +191,6 @@ class AdaptiveGigaflowCache(GigaflowCache):
     def mode_switches(self) -> int:
         return self.governor.mode_switches
 
-    @property
-    def observed_sharing_rate(self) -> float:
-        return self.governor.observed_sharing_rate
-
     # -- the profile-guided install path -----------------------------------------
 
     def install_traversal(
@@ -262,17 +202,10 @@ class AdaptiveGigaflowCache(GigaflowCache):
         governor = self.governor
         partitioned = governor.next_install_partitions()
         self.partitioner = (
-            self._capped_disjoint if partitioned else megaflow_partition
+            disjoint_partition if partitioned else megaflow_partition
         )
         outcome = super().install_traversal(traversal, generation, now)
         # Only partitioned installs inform the sharing estimate.
         if partitioned:
             governor.record(outcome.generated, outcome.reused)
         return outcome
-
-    def _capped_disjoint(self, traversal: Traversal, parts: int):
-        """Disjoint partitioning under the controller's effective-K cap."""
-        effective_k = self.governor.effective_k
-        if effective_k is not None:
-            parts = min(parts, max(effective_k, 1))
-        return disjoint_partition(traversal, parts)

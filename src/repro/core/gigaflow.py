@@ -111,9 +111,9 @@ class GigaflowCache(FlowCache):
             replays the lookup and evicts the stale shadowing rules until
             the chain is reachable.  Off by default to preserve the
             historical lookup-for-lookup behaviour; the adaptive
-            controller switches it on, since mode switches reinstall
-            flows at a different partition shape and would otherwise
-            strand them behind their own stale heads.
+            controller switches it on, since eviction under capacity
+            pressure (and any reinstall at a different partition shape)
+            otherwise strands flows behind their own stale heads.
     """
 
     name = "gigaflow"

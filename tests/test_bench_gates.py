@@ -52,7 +52,8 @@ LEGACY = {
     "adaptive": (
         ("runs", "closed_loop"),
         BASE_ROW | {"phase1_hit_rate", "phase2_hit_rate", "controller"},
-        set(),
+        # The scenario is pinned (1 200 flows) whatever scale is passed.
+        {"closed_loop_ok"},
     ),
     "shards": (
         ("runs", "workers_2"),

@@ -8,11 +8,12 @@ Covers, in order:
   keeping mutable/call argument defaults out of ``src/`` for good;
 * the probe-cadence accumulator (``probe_fraction`` is now realised
   exactly, and a mode switch probes immediately);
-* :class:`~repro.core.adaptive.ModeGovernor` hysteresis, standalone and
-  under an external driver;
+* :class:`~repro.core.adaptive.ModeGovernor` hysteresis — the one mode
+  decider, with or without a controller attached;
 * :class:`~repro.core.controller.AdaptiveController` decision dwell,
-  streak consumption, knob transitions, and their observability
-  (transition counter + ``controller`` trace events);
+  streak consumption, knob transitions, the reporting of the
+  governor's mode switches, and their observability (transition
+  counter + state gauge + ``controller`` trace events);
 * shadowed-chain repair on the miss path;
 * :meth:`~repro.cache.eviction.SharingAwarePolicy.decay` semantics;
 * closed-loop convergence on a locality-shifting trace; and
@@ -35,7 +36,6 @@ from repro.core.adaptive import (
 from repro.core.controller import (
     KNOB_MODE,
     KNOB_POLICY,
-    KNOB_PROBE,
     AdaptiveController,
     ControllerConfig,
 )
@@ -151,36 +151,50 @@ class TestModeGovernor:
         assert not governor.megaflow_mode
         assert governor.mode_switches == 2
 
-    def test_external_governor_only_accumulates(self):
-        governor = ModeGovernor(AdaptiveConfig(window=10))
-        governor.external = True
-        governor.record(50, 0)
-        assert not governor.megaflow_mode
-        assert governor.take_window() == (50, 0)
-        assert governor.take_window() == (0, 0)
+    def test_governor_decides_under_a_controller_too(self):
+        """One decider: attaching a controller does not silence the
+        governor — it still rolls its own windows and switches."""
+        cache = AdaptiveGigaflowCache(
+            num_tables=2, table_capacity=64,
+            config=AdaptiveConfig(window=10),
+        )
+        AdaptiveController().attach(cache, None)
+        cache.governor.record(10, 1)
+        assert cache.megaflow_mode
+        cache.governor.record(10, 8)
+        assert not cache.megaflow_mode
+        assert cache.mode_switches == 2
 
 
 # ---------------------------------------------------------------------------
 # The control loop itself
 
 
-def _controlled_cache(**config_kwargs):
+def _controlled_cache(telemetry=None, **config_kwargs):
     config = ControllerConfig(min_window=10, dwell=2, **config_kwargs)
     cache = AdaptiveGigaflowCache(num_tables=2, table_capacity=64)
+    if telemetry is not None:
+        telemetry.attach(cache)
     controller = AdaptiveController(config)
-    controller.attach(cache, None)
+    controller.attach(cache, telemetry)
     return cache, controller
 
 
 def _sweep_with_sharing(cache, controller, generated, reused, now):
-    cache.governor.record(generated, reused)
+    """One sweep whose install window generated/reused this many rules
+    (the controller reads the cache's cumulative counters)."""
+    cache.stats.insertions += generated - reused
+    cache.sharing_events += reused
     return controller.on_sweep(now)
 
 
+def _knob_moves(controller, knob):
+    return [t for t in controller.transitions if t["knob"] == knob]
+
+
 class TestControllerDecisions:
-    def test_attach_marks_governor_external(self):
-        cache, controller = _controlled_cache()
-        assert cache.governor.external
+    """Dwell, thin windows and streak consumption, through the
+    eviction-policy knob (``lru`` until sharing proves rich)."""
 
     def test_attach_enables_chain_repair(self):
         cache, controller = _controlled_cache()
@@ -191,47 +205,44 @@ class TestControllerDecisions:
         ).attach(cache2, None)
         assert not cache2.chain_repair
 
-    def test_mode_switch_requires_dwell(self):
+    def test_policy_switch_requires_dwell(self):
         cache, controller = _controlled_cache()
-        _sweep_with_sharing(cache, controller, 40, 0, now=1.0)
-        assert not cache.megaflow_mode  # one sweep of evidence: hold
-        _sweep_with_sharing(cache, controller, 40, 0, now=2.0)
-        assert cache.megaflow_mode  # dwell=2 reached
-        assert [t["knob"] for t in controller.transitions] == [KNOB_MODE]
+        _sweep_with_sharing(cache, controller, 40, 30, now=1.0)
+        assert cache.eviction == "lru"  # one sweep of evidence: hold
+        _sweep_with_sharing(cache, controller, 40, 30, now=2.0)
+        assert cache.eviction == "sharing"  # dwell=2 reached
+        assert [t["knob"] for t in controller.transitions] == [KNOB_POLICY]
 
     def test_thin_windows_yield_no_verdict(self):
         cache, controller = _controlled_cache()
         for now in range(1, 10):
             signals = _sweep_with_sharing(
-                cache, controller, 5, 0, now=float(now)
+                cache, controller, 5, 4, now=float(now)
             )
             assert signals["sharing"] is None
-        assert not cache.megaflow_mode
+        assert cache.eviction == "lru"
 
     def test_noise_resets_the_streak(self):
         cache, controller = _controlled_cache()
-        _sweep_with_sharing(cache, controller, 40, 0, now=1.0)
-        _sweep_with_sharing(cache, controller, 40, 30, now=2.0)  # rich again
-        _sweep_with_sharing(cache, controller, 40, 0, now=3.0)
-        assert not cache.megaflow_mode  # never two poor sweeps in a row
+        _sweep_with_sharing(cache, controller, 40, 30, now=1.0)
+        _sweep_with_sharing(cache, controller, 40, 0, now=2.0)  # poor again
+        _sweep_with_sharing(cache, controller, 40, 30, now=3.0)
+        assert cache.eviction == "lru"  # never two rich sweeps in a row
 
     def test_acting_consumes_the_streak(self):
         """After a switch the opposite condition needs a full fresh
         dwell — and the taken condition's streak restarts too."""
-        cache, controller = _controlled_cache(manage_policy=False)
+        cache, controller = _controlled_cache()
         for now in (1.0, 2.0):
-            _sweep_with_sharing(cache, controller, 40, 0, now=now)
-        assert cache.megaflow_mode
-        # One rich sweep is not enough to flap back...
-        _sweep_with_sharing(cache, controller, 40, 30, now=3.0)
-        assert cache.megaflow_mode
+            _sweep_with_sharing(cache, controller, 40, 30, now=now)
+        assert cache.eviction == "sharing"
+        # One poor sweep is not enough to flap back...
+        _sweep_with_sharing(cache, controller, 40, 0, now=3.0)
+        assert cache.eviction == "sharing"
         # ...two are.
-        _sweep_with_sharing(cache, controller, 40, 30, now=4.0)
-        assert not cache.megaflow_mode
-        mode_moves = [
-            t for t in controller.transitions if t["knob"] == KNOB_MODE
-        ]
-        assert len(mode_moves) == 2
+        _sweep_with_sharing(cache, controller, 40, 0, now=4.0)
+        assert cache.eviction == "lru"
+        assert len(_knob_moves(controller, KNOB_POLICY)) == 2
 
     def test_policy_knob_follows_sharing(self):
         cache, controller = _controlled_cache()
@@ -242,19 +253,20 @@ class TestControllerDecisions:
         knobs = {t["knob"] for t in controller.transitions}
         assert KNOB_POLICY in knobs
 
+    def test_manage_policy_off_leaves_the_policy_alone(self):
+        cache, controller = _controlled_cache(manage_policy=False)
+        for now in (1.0, 2.0, 3.0):
+            _sweep_with_sharing(cache, controller, 40, 30, now=now)
+        assert cache.eviction == "lru"
+        assert controller.transitions == []
+
     def test_transitions_are_observable(self):
         """Every decision lands in the transition counter and, with the
         tracer live, as a ``controller`` trace event."""
         telemetry = Telemetry(tracing=True)
-        cache = AdaptiveGigaflowCache(num_tables=2, table_capacity=64)
-        telemetry.attach(cache)
-        controller = AdaptiveController(
-            ControllerConfig(min_window=10, dwell=2)
-        )
-        controller.attach(cache, telemetry)
+        cache, controller = _controlled_cache(telemetry)
         for now in (1.0, 2.0):
-            cache.governor.record(40, 0)
-            controller.on_sweep(now)
+            _sweep_with_sharing(cache, controller, 40, 30, now=now)
         assert len(controller.transitions) == 1
         family = telemetry.registry.get("repro_controller_transitions_total")
         assert family is not None
@@ -263,27 +275,32 @@ class TestControllerDecisions:
             e for e in telemetry.tracer.events() if e.event == EV_CONTROLLER
         ]
         assert len(events) == 1
-        assert events[0].fields["knob"] == KNOB_MODE
+        assert events[0].fields["knob"] == KNOB_POLICY
 
     def test_transition_log_records_signals(self):
         cache, controller = _controlled_cache()
         for now in (1.0, 2.0):
-            _sweep_with_sharing(cache, controller, 40, 0, now=now)
+            _sweep_with_sharing(cache, controller, 40, 30, now=now)
         (transition,) = controller.transitions
         assert transition["ts"] == 2.0
-        assert transition["from"] == "disjoint"
-        assert transition["to"] == "megaflow"
-        assert transition["sharing"] == 0.0
+        assert transition["from"] == "lru"
+        assert transition["to"] == "sharing"
+        assert transition["sharing"] == 0.75
 
     def test_summary_shape(self):
         cache, controller = _controlled_cache()
         for now in (1.0, 2.0):
-            _sweep_with_sharing(cache, controller, 40, 0, now=now)
+            _sweep_with_sharing(cache, controller, 40, 30, now=now)
         summary = controller.summary()
         assert summary["sweeps"] == 2
         assert summary["transitions"] == 1
-        assert summary["by_knob"] == {KNOB_MODE: 1}
-        assert summary["state"]["mode"] == "megaflow"
+        assert summary["by_knob"] == {KNOB_POLICY: 1}
+        assert summary["state"] == {
+            "mode": "disjoint",
+            "placement": "balanced",
+            "eviction_policy": "sharing",
+            "timeout_scale": None,
+        }
 
     def test_attach_to_cache_without_knobs_is_harmless(self):
         """Megaflow/hierarchy systems expose none of the surfaces; the
@@ -298,103 +315,69 @@ class TestControllerDecisions:
         assert signals["sharing"] is None
 
 
-# ---------------------------------------------------------------------------
-# Probe fraction from mode residency
+class TestModeIsReportedNotDecided:
+    """The governor switches on its own install windows; the controller
+    logs the net change at the next sweep and never calls ``set_mode``."""
 
-
-class TestProbeFractionRamp:
-    """The §7 sampling rate follows Megaflow-mode residency: fresh
-    switches probe at ``probe_floor``, stale ones ramp linearly to
-    ``probe_ceiling`` over ``probe_ramp`` seconds of residency."""
-
-    def _enter_megaflow(self, cache, controller, entered_at=2.0):
-        for now in (entered_at - 1.0, entered_at):
+    def test_sharing_poor_sweeps_do_not_move_the_mode(self):
+        """What the controller's deleted decider acted on — sharing under
+        the low watermark for ``dwell`` sweeps — now leaves mode alone."""
+        cache, controller = _controlled_cache()
+        for now in (1.0, 2.0, 3.0):
             _sweep_with_sharing(cache, controller, 40, 0, now=now)
-        assert cache.megaflow_mode
-        return entered_at
-
-    def test_fresh_switch_starts_at_floor(self):
-        cache, controller = _controlled_cache(manage_policy=False)
-        self._enter_megaflow(cache, controller)
-        assert cache.governor.probe_fraction == pytest.approx(0.05)
-        # ... and the baseline reset rides the mode transition rather
-        # than logging its own knob change.
-        knobs = [t["knob"] for t in controller.transitions]
-        assert knobs == [KNOB_MODE]
-
-    def test_fraction_ramps_linearly_with_residency(self):
-        cache, controller = _controlled_cache(manage_policy=False)
-        entered = self._enter_megaflow(cache, controller)
-        # Half the ramp: floor + (ceiling - floor) / 2.
-        _sweep_with_sharing(cache, controller, 40, 0, now=entered + 30.0)
-        assert cache.governor.probe_fraction == pytest.approx(0.275)
-        # Saturates at the ceiling past the ramp.
-        _sweep_with_sharing(cache, controller, 40, 0, now=entered + 500.0)
-        assert cache.governor.probe_fraction == pytest.approx(0.5)
-        ramp_moves = [
-            t for t in controller.transitions if t["knob"] == KNOB_PROBE
-        ]
-        assert [t["to"] for t in ramp_moves] == [0.275, 0.5]
-        assert all(
-            t["from"] < t["to"] for t in ramp_moves
-        )
-
-    def test_leaving_megaflow_resets_the_ramp(self):
-        cache, controller = _controlled_cache(manage_policy=False)
-        entered = self._enter_megaflow(cache, controller)
-        _sweep_with_sharing(cache, controller, 40, 0, now=entered + 500.0)
-        assert cache.governor.probe_fraction == pytest.approx(0.5)
-        # Rich sharing for two sweeps: back to disjoint mode.
-        for now in (entered + 501.0, entered + 502.0):
-            _sweep_with_sharing(cache, controller, 40, 30, now=now)
         assert not cache.megaflow_mode
-        # Re-entering restarts from the floor, not the stale ceiling.
-        for now in (entered + 503.0, entered + 504.0):
-            _sweep_with_sharing(cache, controller, 40, 0, now=now)
+        assert _knob_moves(controller, KNOB_MODE) == []
+
+    def test_governor_switch_is_logged_at_the_next_sweep(self):
+        telemetry = Telemetry(tracing=True)
+        cache, controller = _controlled_cache(telemetry)
+        controller.on_sweep(1.0)
+        assert controller.transitions == []
+        cache.governor.record(cache.config.window, 0)  # a sharing-poor window
         assert cache.megaflow_mode
-        assert cache.governor.probe_fraction == pytest.approx(0.05)
-
-    def test_manage_probe_off_keeps_configured_fraction(self):
-        cache, controller = _controlled_cache(
-            manage_policy=False, manage_probe=False
+        controller.on_sweep(2.0)
+        controller.on_sweep(3.0)  # nothing new: no second entry
+        (move,) = controller.transitions
+        assert (move["knob"], move["from"], move["to"], move["ts"]) == (
+            KNOB_MODE, "disjoint", "megaflow", 2.0
         )
-        entered = self._enter_megaflow(cache, controller)
-        _sweep_with_sharing(cache, controller, 40, 0, now=entered + 500.0)
-        assert cache.governor.probe_fraction == pytest.approx(
-            cache.governor.config.probe_fraction
+        summary = controller.summary()
+        assert summary["by_knob"] == {KNOB_MODE: 1}
+        assert summary["state"]["mode"] == "megaflow"
+        registry = telemetry.registry
+        counter = registry.get("repro_controller_transitions_total")
+        assert {
+            labels: child.value for labels, child in counter.children()
+        } == {(cache.name, KNOB_MODE, "megaflow"): 1}
+        gauge = registry.get("repro_controller_state")
+        assert gauge.labels(cache.name, KNOB_MODE).value == 1.0
+        (event,) = [
+            e for e in telemetry.tracer.events() if e.event == EV_CONTROLLER
+        ]
+        assert event.fields["knob"] == KNOB_MODE
+        assert (event.fields["from"], event.fields["to"]) == (
+            "disjoint", "megaflow"
         )
 
-    def test_realised_probe_share_tracks_live_fraction(self):
-        """The integer cadence realises a retuned fraction *exactly*:
-        400 Megaflow-mode installs at 0.25 yield 100 probes."""
-        governor = ModeGovernor(AdaptiveConfig(probe_fraction=0.1))
-        governor.set_mode(True)
-        assert governor.next_install_partitions()  # prompt probe
-        assert governor.set_probe_fraction(0.25)
-        probes = sum(
-            governor.next_install_partitions() for _ in range(400)
-        )
-        assert probes == 100
+    def test_two_switches_between_sweeps_log_nothing(self):
+        """Only the *net* change since the last sweep is a transition."""
+        cache, controller = _controlled_cache()
+        controller.on_sweep(1.0)
+        window = cache.config.window
+        cache.governor.record(window, 0)
+        cache.governor.record(window, window)  # rich probe window: back
+        assert cache.mode_switches == 2 and not cache.megaflow_mode
+        controller.on_sweep(2.0)
+        assert controller.transitions == []
 
-    def test_set_probe_fraction_contract(self):
-        governor = ModeGovernor(AdaptiveConfig(probe_fraction=0.1))
-        assert not governor.set_probe_fraction(0.1)  # unchanged: no-op
-        with pytest.raises(ValueError):
-            governor.set_probe_fraction(0.0)
-        with pytest.raises(ValueError):
-            governor.set_probe_fraction(1.5)
-        assert governor.set_probe_fraction(0.2)
-        assert governor.probe_fraction == pytest.approx(0.2)
-        # The shared AdaptiveConfig is never mutated (aliasing hazard).
-        assert governor.config.probe_fraction == pytest.approx(0.1)
-
-    def test_probe_config_validation(self):
-        with pytest.raises(ValueError):
-            ControllerConfig(probe_floor=0.6, probe_ceiling=0.5)
-        with pytest.raises(ValueError):
-            ControllerConfig(probe_floor=0.0)
-        with pytest.raises(ValueError):
-            ControllerConfig(probe_ramp=0.0)
+    def test_mode_entered_before_attach_is_the_baseline(self):
+        cache = AdaptiveGigaflowCache(num_tables=2, table_capacity=64)
+        cache.governor.set_mode(True)
+        controller = AdaptiveController()
+        controller.attach(cache, None)
+        controller.on_sweep(1.0)
+        assert controller.transitions == []
+        assert controller.summary()["state"]["mode"] == "megaflow"
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +508,11 @@ class TestSharingAwareDecay:
 
 class TestConvergence:
     def test_controller_converges_on_locality_shift(self):
-        """On the sharing-rich -> sharing-poor trace the loop must (a)
-        flip to Megaflow mode after the shift and (b) not lose to the
-        static Gigaflow configuration it started as."""
+        """On the sharing-rich -> sharing-poor trace the loop must act
+        and must not lose to the static Gigaflow configuration it
+        started as.  (The governor sees no sharing-poor window here —
+        ``adaptive_window`` is bit-for-bit static on this trace — so
+        the mode stays disjoint; the win is chain repair + placement.)"""
         workload = seeded_workload(n_flows=1200, seed=7)
         profile = TraceProfile(
             mean_flow_size=12.0, duration=60.0, mean_packet_gap=4.0
@@ -552,10 +537,29 @@ class TestConvergence:
         simulator, result = results["closed"]
         summary = simulator.controller.summary()
         assert summary["transitions"] >= 1
-        assert summary["by_knob"].get(KNOB_MODE, 0) >= 1
-        assert summary["state"]["mode"] == "megaflow"
         static_rate = results["static"][1].hit_rate
         assert result.hit_rate >= static_rate - 1e-9
+
+    def test_governor_flips_to_megaflow_on_low_locality(self):
+        """The pressure scenario of the controller-off goldens below
+        (one governor switch), with the controller attached: the
+        governor still switches and the controller's log shows it."""
+        workload = seeded_workload(n_flows=400, locality="low")
+        simulator = VSwitchSimulator(
+            workload.pipeline,
+            AdaptiveGigaflowSystem(num_tables=4, table_capacity=30),
+            SimConfig(
+                max_idle=0.0, sweep_interval=2.0, fast_path=True,
+                controller=True,
+            ),
+        )
+        simulator.run(workload.trace(seed=3))
+        assert simulator.system.cache.mode_switches == 1
+        summary = simulator.controller.summary()
+        assert summary["by_knob"].get(KNOB_MODE) == 1
+        assert summary["state"]["mode"] == "megaflow"
+        (move,) = [t for t in summary["log"] if t["knob"] == KNOB_MODE]
+        assert (move["from"], move["to"]) == ("disjoint", "megaflow")
 
 
 # ---------------------------------------------------------------------------

@@ -7,22 +7,29 @@ code registers (``Telemetry().registry.families()``) and declares
 undocumented, and the doc cannot keep a row the code dropped.  The rest
 pins what "declared once" means for events: a 14th ``EVENTS`` row is
 the only edit a new event needs, and the one flow-id formula.
+
+``docs/adaptive.md``'s knob reference is held to ``ControllerConfig``
+the same way: one row per dataclass field, with its default.
 """
 
+import ast
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from conftest import flow
+from repro.core.controller import ControllerConfig
 from repro.obs import EVENTS, Telemetry, Tracer, trace
 from repro.obs.trace import flow_id
 
-DOC = Path(__file__).resolve().parent.parent / "docs" / "observability.md"
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+DOC = DOCS / "observability.md"
 
 
-def doc_table(heading):
+def doc_table(heading, doc=DOC):
     """Rows of the first markdown table under ``## <heading>``, as lists
     of cell strings (header and ``---`` rows dropped)."""
-    section = DOC.read_text().split(f"## {heading}\n", 1)[1]
+    section = doc.read_text().split(f"## {heading}\n", 1)[1]
     section = section.split("\n## ", 1)[0]
     rows = [
         [cell.strip() for cell in line.strip().strip("|").split("|")]
@@ -55,6 +62,16 @@ class TestCatalogParity:
             for row in doc_table("Trace-event schema")
         ]
         assert documented == list(EVENTS)
+
+
+    def test_knob_reference_lists_every_controller_config_field(self):
+        documented = {
+            row[0].strip("`"): ast.literal_eval(row[1].strip("`"))
+            for row in doc_table("Knob reference", DOCS / "adaptive.md")
+        }
+        assert documented == {
+            f.name: f.default for f in fields(ControllerConfig)
+        }
 
 
 class TestDeclaredOnce:

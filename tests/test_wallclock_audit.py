@@ -1,5 +1,6 @@
 """Static audits of the engine family: no wall-clock, one slow path,
-no reaching into the telemetry hub, one entry lifecycle.
+no reaching into the telemetry hub, one entry lifecycle, one §7 mode
+decider.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -29,6 +30,12 @@ The fourth keeps the entry lifecycle folded: under ``repro/cache`` and
 ``FlowCache._depart`` and the idle boundary (``… - x.last_used > …``)
 compared only by ``FlowCache.evict_idle`` — the next departure reason
 cannot bypass the chokepoint.
+
+The fifth keeps the §7 mode decision single: ``ModeGovernor`` decides
+disjoint↔Megaflow, so ``.set_mode(`` is called nowhere under ``repro``
+outside ``core/adaptive.py`` and nothing assigns an ``external``
+attribute (the switch that once handed the decision to a second decider
+in the controller).
 """
 
 import ast
@@ -283,3 +290,56 @@ def test_entry_lifecycle_audit_sees_a_violation():
     assert _lifecycle_bypasses(source, {"C.evict_idle"}) == [
         (7, ".on_victim("),
     ]
+
+
+#: The one module allowed to switch the partitioner mode.
+MODE_HOME = "core/adaptive.py"
+
+
+def _mode_decider_bypasses(source: str):
+    """``(line, what)`` for every ``.set_mode(`` call and every
+    assignment to an attribute named ``external``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "set_mode"
+        ):
+            found.append((node.lineno, ".set_mode("))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target]
+            )
+            found += [
+                (node.lineno, ".external =")
+                for target in targets
+                if isinstance(target, ast.Attribute)
+                and target.attr == "external"
+            ]
+    return sorted(found)
+
+
+def test_mode_is_decided_in_one_module():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line} {what}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, what in _mode_decider_bypasses(path.read_text())
+        if what == ".external ="
+        or path.relative_to(SRC).as_posix() != MODE_HOME
+    ]
+    assert not offenders, (
+        "partitioner mode switched outside ModeGovernor, or a governor "
+        "handed to an external decider:\n  " + "\n  ".join(offenders)
+    )
+
+
+def test_mode_decider_audit_sees_a_violation():
+    assert _mode_decider_bypasses(
+        "def attach(self, cache):\n"
+        "    cache.governor.external = True\n"
+        "def on_sweep(self):\n"
+        "    self._governor.set_mode(True)\n"
+        "    mode = governor.megaflow_mode\n"
+    ) == [(2, ".external ="), (4, ".set_mode(")]
