@@ -46,7 +46,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from .cache.eviction import POLICY_NAMES
-from .core.revalidation import GigaflowRevalidator, MegaflowRevalidator
+from .core.revalidation import resolve_revalidator
 from .core.timeouts import PREDICTOR_NAMES
 from .experiments import (
     ExperimentScale,
@@ -74,6 +74,27 @@ from .workload.churn import ChurnSchedule
 _SYSTEMS = ("gigaflow", "megaflow", "hierarchy", "adaptive")
 
 
+def _positive(kind, noun: str):
+    """An argparse ``type=`` that rejects zero and below, so a bad scale
+    value exits 2 naming its flag instead of raising from deep inside
+    the trace builder."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0  # unparsable text gets the same message
+        if not value > 0:  # zero, negative or NaN
+            raise argparse.ArgumentTypeError(f"must be a positive {noun}")
+        return value
+
+    return parse
+
+
+_positive_int = _positive(int, "integer")
+_positive_float = _positive(float, "number")
+
+
 def _add_scale_arguments(
     parser: argparse.ArgumentParser,
     flows: int = 3000,
@@ -93,11 +114,11 @@ def _add_scale_arguments(
         **({"nargs": "?", "default": "psc"} if replay else {}),
     )
     parser.add_argument(
-        "--flows", type=int, default=flows,
+        "--flows", type=_positive_int, default=flows,
         help=f"unique flow classes (default {flows})",
     )
     parser.add_argument(
-        "--capacity", type=int, default=None,
+        "--capacity", type=_positive_int, default=None,
         help=f"total cache entries (default {capacity})",
     )
     parser.add_argument(
@@ -107,11 +128,12 @@ def _add_scale_arguments(
     parser.add_argument("--seed", type=int, default=7)
     if replay:
         parser.add_argument(
-            "--mean-flow-size", type=float, default=mean_flow_size,
+            "--mean-flow-size", type=_positive_float,
+            default=mean_flow_size,
             help=f"mean packets per flow (default {mean_flow_size:g})",
         )
         parser.add_argument(
-            "--duration", type=float, default=duration,
+            "--duration", type=_positive_float, default=duration,
             help=f"simulated seconds of trace (default {duration:g})",
         )
         parser.add_argument("--trace-seed", type=int, default=3)
@@ -204,18 +226,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     # One end-of-run revalidation cycle so consistency counters reflect
     # a full operational loop (lookup → install → sweep → revalidate).
     cache = system.cache
-    if hasattr(cache, "tables"):
-        GigaflowRevalidator(workload.pipeline, cache).revalidate(
-            now=args.duration
-        )
-    elif hasattr(cache, "megaflow"):
-        MegaflowRevalidator(
-            workload.pipeline, cache.megaflow
-        ).revalidate(now=args.duration)
-    else:
-        MegaflowRevalidator(workload.pipeline, cache).revalidate(
-            now=args.duration
-        )
+    resolve_revalidator(
+        workload.pipeline, getattr(cache, "megaflow", cache)
+    ).revalidate(now=args.duration)
 
     controller = simulator.controller
     if args.format == "prom":
@@ -395,31 +408,7 @@ def cmd_net(args: argparse.Namespace) -> int:
     merged = fres.merged
 
     if args.format == "json":
-        payload = {
-            "topology": topology.name,
-            "switches": {
-                name: {
-                    "role": topology.role(name),
-                    "packets": fres.switch_results[name].packets,
-                    "hit_rate": fres.switch_results[name].hit_rate,
-                    "peak_entries":
-                        fres.switch_results[name].peak_entries,
-                }
-                for name in fres.switches
-            },
-            "hit_rate_by_role": fres.hit_rate_by_role(),
-            "packets": fres.packets,
-            "hops_total": fres.hops_total,
-            "path_length_counts": {
-                str(k): v
-                for k, v in sorted(fres.path_length_counts.items())
-            },
-            "reroutes": fres.reroutes,
-            "fabric_hit_rate": merged.hit_rate,
-            "peak_entries_upper_bound": merged.peak_entries,
-            "peak_entries_exact": merged.peak_entries_exact,
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(fres.digest(), indent=2))
         return 0
 
     print(f"{topology.name}: {len(topology)} switches, "
@@ -509,10 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
                 f"--{name}", action="store_true", help=phase.help
             )
     bench.add_argument(
-        "--trace-capacity", type=int, default=65536,
-        help="ring-buffer size for the obs_trace variant",
-    )
-    bench.add_argument(
         "--obs-rounds", type=int, default=9,
         help="interleaved timing rounds per obs variant (the report "
              "keeps each variant's best CPU time; default 9)",
@@ -521,11 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-timeout", type=float, default=600.0,
         help="wall-clock budget per sharded run before workers are "
              "killed (seconds, default 600)",
-    )
-    bench.add_argument(
-        "--net-locality", type=float, default=0.25,
-        help="fraction of flows whose endpoints share a leaf "
-             "(default 0.25: most flows cross a spine)",
     )
 
     net = sub.add_parser(

@@ -52,7 +52,7 @@ from __future__ import annotations
 import abc
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 __all__ = [
@@ -69,6 +69,9 @@ __all__ = [
 #: Histogram bounds for predicted timeouts (mirrors the LRU-age
 #: buckets so the two distributions compare directly).
 TIMEOUT_BUCKETS = (0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0)
+
+#: EWMA smoothing weight for a rule's newest reuse interarrival.
+EWMA_ALPHA = 0.3
 
 #: Ghost-list size bound: keys of recently idle-expired entries kept to
 #: detect premature evictions (reinstall-within-window).  FIFO beyond
@@ -87,22 +90,17 @@ class TimeoutConfig:
             engine's ``SimConfig.max_idle`` at resolve time.
         grace: EWMA timeout = ``grace × ewma_interarrival`` — the slack
             multiple a rule's next reuse is granted over its mean gap.
-        ewma_alpha: EWMA smoothing weight for the newest interarrival.
-        cold_idle: Timeout for rules never yet reused (no interarrival
-            observed).  ``None`` falls back to ``max_idle`` — the
-            conservative choice matching static behaviour.
-        ghost_window: Seconds after an idle expiry during which the
-            key's return counts as a *premature* eviction.  ``None``
-            falls back to ``max_idle``.
+
+    ``max_idle`` is also the timeout of a rule never yet reused (no
+    interarrival observed: the conservative choice, matching static
+    behaviour) and the window after an idle expiry in which the key's
+    return counts as a *premature* eviction.
     """
 
     predictor: str = "ewma"
     min_idle: float = 0.25
     max_idle: Optional[float] = None
     grace: float = 3.0
-    ewma_alpha: float = 0.3
-    cold_idle: Optional[float] = None
-    ghost_window: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.min_idle <= 0:
@@ -111,12 +109,6 @@ class TimeoutConfig:
             raise ValueError("need min_idle <= max_idle")
         if self.grace <= 0:
             raise ValueError("grace must be positive")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.cold_idle is not None and self.cold_idle <= 0:
-            raise ValueError("cold_idle must be positive")
-        if self.ghost_window is not None and self.ghost_window <= 0:
-            raise ValueError("ghost_window must be positive")
 
 
 class TimeoutPredictor(abc.ABC):
@@ -142,11 +134,6 @@ class TimeoutPredictor(abc.ABC):
         self.config = config
         self.min_idle = config.min_idle
         self.max_idle = config.max_idle
-        self._ghost_window = (
-            config.ghost_window
-            if config.ghost_window is not None
-            else config.max_idle
-        )
         #: Controller-tunable global scale in ``(0, 1]`` applied to the
         #: raw prediction before clamping (1.0 = predictor's own view).
         self._scale = 1.0
@@ -207,7 +194,7 @@ class TimeoutPredictor(abc.ABC):
         """A new entry for ``key`` was installed; detects premature
         evictions via the ghost list."""
         ghost = self._ghosts.pop(key, None)
-        if ghost is not None and now - ghost[0] <= self._ghost_window:
+        if ghost is not None and now - ghost[0] <= self.max_idle:
             self.premature_evictions += 1
             # The key came straight back: the eviction was wrong, so
             # restore the estimator state the expiry dropped — without
@@ -322,24 +309,18 @@ class EwmaTimeoutPredictor(TimeoutPredictor):
     def __init__(self, config: TimeoutConfig):
         super().__init__(config)
         self._ewma: Dict[object, float] = {}
-        self._cold = (
-            config.cold_idle
-            if config.cold_idle is not None
-            else config.max_idle
-        )
 
     def _observe(self, key, gap: float) -> None:
         ewma = self._ewma.get(key)
         if ewma is None:
             self._ewma[key] = gap
         else:
-            alpha = self.config.ewma_alpha
-            self._ewma[key] = alpha * gap + (1.0 - alpha) * ewma
+            self._ewma[key] = EWMA_ALPHA * gap + (1.0 - EWMA_ALPHA) * ewma
 
     def _raw_timeout(self, key) -> float:
         ewma = self._ewma.get(key)
         if ewma is None:
-            return self._cold
+            return self.max_idle
         return self.config.grace * ewma
 
     def estimate(self, key) -> Optional[float]:
@@ -413,13 +394,5 @@ def resolve_predictor(spec, default_max_idle: float) -> TimeoutPredictor:
                 "timeout prediction needs max_idle > 0 (idle sweeps "
                 "never fire otherwise)"
             )
-        config = _replace_max_idle(config, default_max_idle)
+        config = replace(config, max_idle=default_max_idle)
     return make_predictor(name, config)
-
-
-def _replace_max_idle(
-    config: TimeoutConfig, max_idle: float
-) -> TimeoutConfig:
-    from dataclasses import replace
-
-    return replace(config, max_idle=max_idle)

@@ -10,8 +10,8 @@ once:
 
 * :class:`Scale` — one plain object that builds the workload and trace
   (tests call a phase with ``Scale(flows=..., smoke=True)`` directly);
-* :func:`timed_run` — the timed ``run`` and its base row (``seconds``,
-  ``packets_per_sec``, ``hit_rate``);
+* :func:`run_variant` / :func:`print_row` — one seeded, untimed run of
+  a fresh workload and the one-line summary of its row;
 * the report header (machine, cores, python, numpy, git sha, scale,
   rounds, estimator), the JSON write, and
 * the ``gates`` block: every verdict a phase reaches is
@@ -19,9 +19,16 @@ once:
   non-zero, naming phase and gate on stderr, when any gate fails.  There
   is no switch that lets a failed gate pass.
 
-Throughput is ``bench/run.py``'s job (the benchmark of record); the
-``packets_per_sec`` columns here are context for the verdicts, which are
-about behaviour: identical metrics, hit rates, recovery, conservation.
+The verdicts are about behaviour — identical metrics, hit rates,
+recovery, conservation — so the reports carry no clock: every row of
+``fastpath``, ``evictions``, ``adaptive``, ``timeouts``, ``churn`` and
+``net`` is a function of code + scale + seeds, and two runs under one
+``PYTHONHASHSEED`` write the same file outside ``header``.  Throughput
+is ``bench/run.py``'s job (the benchmark of record, ``BENCHMARK.json``).
+Two phases read the host's clock, because a cost on this host is what
+they gate: ``obs`` (telemetry overhead, CPU seconds) and ``shards``
+(per-worker CPU makespan beside the wall rate); each states its
+estimator in its report header.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Dict, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -73,7 +80,7 @@ class Scale:
 
     The defaults are ``repro bench``'s.  ``capacity=None`` means "twice
     the flow count" (:attr:`total_capacity`): locality-heavy traces
-    should be cache-limited by idle time, not size.  The last five
+    should be cache-limited by idle time, not size.  The last three
     fields only matter to ``repro bench``.
     """
 
@@ -86,10 +93,8 @@ class Scale:
     seed: int = 7
     trace_seed: int = 3
     smoke: bool = False
-    trace_capacity: int = 65536
     obs_rounds: int = 9
     shard_timeout: float = 600.0
-    net_locality: float = 0.25
 
     @classmethod
     def from_args(cls, args) -> "Scale":
@@ -188,40 +193,23 @@ def churn_table(pipeline, field: str = "ip_src") -> int:
 # -- the runner ---------------------------------------------------------------
 
 
-class Timed(NamedTuple):
-    """One timed ``driver.run(trace)``."""
-
-    result: object
-    wall: float
-    cpu: float
-
-    def row(self) -> dict:
-        """The base row every single-engine variant reports."""
-        return {
-            "seconds": round(self.wall, 3),
-            "packets_per_sec": round(self.result.packets / self.wall, 1),
-            "hit_rate": round(self.result.hit_rate, 6),
-        }
+def run_variant(
+    scale: Scale, system, config: SimConfig,
+    make_trace: Optional[Callable] = None,
+):
+    """One variant of an A/B: a brand-new workload and trace (so no
+    variant sees a pipeline another has touched) replayed through a
+    fresh simulator.  Returns ``(simulator, trace, result)``; the run is
+    seeded and untimed, so the row built from it is reproducible."""
+    workload, trace = scale.build(make_trace)
+    simulator = VSwitchSimulator(workload.pipeline, system, config)
+    return simulator, trace, simulator.run(trace)
 
 
-def timed_run(driver, trace, pause_gc: bool = False) -> Timed:
-    """Run ``trace`` through ``driver`` (a ``VSwitchSimulator``, a
-    ``ShardedSimulator`` or a ``FabricSimulator``) under both clocks.
-    ``pause_gc`` keeps collector cycles out of the timed region (the
-    obs phase's estimator needs that)."""
-    if pause_gc:
-        gc.collect()
-        gc.disable()
-    try:
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        result = driver.run(trace)
-        cpu = time.process_time() - cpu0
-        wall = time.perf_counter() - wall0
-    finally:
-        if pause_gc:
-            gc.enable()
-    return Timed(result, wall, cpu)
+def print_row(label: str, row: dict, *columns: str) -> None:
+    """``label  hit_rate=…  column=value …`` for one report row."""
+    cells = "".join(f"  {column}={row[column]}" for column in columns)
+    print(f"{label:20} hit_rate={row['hit_rate']:.4f}{cells}")
 
 
 def verdict(ok: bool) -> str:
@@ -320,15 +308,14 @@ def phase_fastpath(scale: Scale, out: Path) -> dict:
     for name in ("megaflow", "gigaflow"):
         runs = {}
         for fast in (True, False):
-            workload, trace = scale.build()
-            simulator = VSwitchSimulator(
-                workload.pipeline, make_system(name, capacity),
-                SimConfig(fast_path=fast),
+            simulator, _trace, result = run_variant(
+                scale, make_system(name, capacity), SimConfig(fast_path=fast)
             )
-            timed = timed_run(simulator, trace)
-            result = timed.result
             report["packets"] = result.packets
-            run = {**timed.row(), "cache_probes": result.cache_probes}
+            run = {
+                "hit_rate": round(result.hit_rate, 6),
+                "cache_probes": result.cache_probes,
+            }
             if fast:
                 fastpath = simulator.fastpath
                 run["memo_hits"] = fastpath.memo_hits
@@ -336,22 +323,17 @@ def phase_fastpath(scale: Scale, out: Path) -> dict:
                 run["invalidations"] = fastpath.invalidations
                 run["memo_hit_rate"] = round(fastpath.memo_hit_rate, 4)
             runs["fast_on" if fast else "fast_off"] = run
-            print(f"{name} fast={'on' if fast else 'off':3} "
-                  f"{timed.wall:6.2f}s  {run['packets_per_sec']:>9,.0f} pps"
-                  f"  hit_rate={result.hit_rate:.4f}"
-                  f"  cache_probes={result.cache_probes}")
+            print_row(
+                f"{name} fast={'on' if fast else 'off'}", run, "cache_probes"
+            )
         on, off = runs["fast_on"], runs["fast_off"]
-        runs["speedup"] = round(
-            on["packets_per_sec"] / off["packets_per_sec"], 2
-        )
         identical = (
             on["hit_rate"] == off["hit_rate"]
             and on["cache_probes"] == off["cache_probes"]
         )
         runs["metrics_identical"] = identical
         report["gates"][f"{name}_metrics_identical"] = verdict(identical)
-        print(f"{name} speedup: {runs['speedup']:.2f}x "
-              f"(metrics identical: {identical})")
+        print(f"{name} metrics identical: {identical}")
         report["systems"][name] = runs
     return report
 
@@ -360,6 +342,9 @@ def phase_fastpath(scale: Scale, out: Path) -> dict:
 #: throughput a variant may cost.
 OBS_CEILINGS = {"obs_metrics": 0.10, "obs_trace": 0.25}
 
+#: Ring-buffer size of the obs_trace variant (the ``Telemetry`` default).
+OBS_TRACE_CAPACITY = 65536
+
 
 def phase_obs(scale: Scale, out: Path) -> dict:
     """Measure the telemetry subsystem's cost: off / metrics / +trace.
@@ -367,11 +352,11 @@ def phase_obs(scale: Scale, out: Path) -> dict:
     All three variants keep the fast path on (the production
     configuration) and replay the identical trace, so the throughput
     deltas isolate the observability overhead.  ``obs_off`` also *is*
-    the instrumented-but-disabled hot path — its throughput vs the
-    fastpath phase bounds the cost of the dormant hooks.  Attaching
-    telemetry must never change results (``metrics_identical`` /
-    ``trace_identical``) and must stay under :data:`OBS_CEILINGS`
-    (``metrics_overhead`` / ``trace_overhead``).
+    the instrumented-but-disabled hot path (what the dormant hooks cost
+    is the benchmark of record's to say).  Attaching telemetry must
+    never change results (``metrics_identical`` / ``trace_identical``)
+    and must stay under :data:`OBS_CEILINGS` (``metrics_overhead`` /
+    ``trace_overhead``).
 
     Estimator: the overheads here are ~10-25% while shared-host timing
     noise routinely swings single runs by that much, so one run per
@@ -393,7 +378,7 @@ def phase_obs(scale: Scale, out: Path) -> dict:
         ("obs_off", lambda: None),
         ("obs_metrics", lambda: Telemetry(tracing=False)),
         ("obs_trace", lambda: Telemetry(
-            tracing=True, trace_capacity=scale.trace_capacity
+            tracing=True, trace_capacity=OBS_TRACE_CAPACITY
         )),
     )
     rounds = scale.obs_rounds
@@ -415,10 +400,21 @@ def phase_obs(scale: Scale, out: Path) -> dict:
                 workload.pipeline, make_system("gigaflow", capacity),
                 SimConfig(fast_path=True, telemetry=telemetry),
             )
-            timed = timed_run(simulator, trace, pause_gc=True)
-            best_cpu[name] = min(best_cpu[name], timed.cpu)
-            best_wall[name] = min(best_wall[name], timed.wall)
-            last[name] = (timed.result, telemetry)
+            # Both clocks around the run alone, collector cycles kept
+            # out of the timed region (see "Estimator" above).
+            gc.collect()
+            gc.disable()
+            try:
+                wall0 = time.perf_counter()
+                cpu0 = time.process_time()
+                result = simulator.run(trace)
+                cpu = time.process_time() - cpu0
+                wall = time.perf_counter() - wall0
+            finally:
+                gc.enable()
+            best_cpu[name] = min(best_cpu[name], cpu)
+            best_wall[name] = min(best_wall[name], wall)
+            last[name] = (result, telemetry)
 
     baseline = None
     reference = None
@@ -506,16 +502,13 @@ def phase_evictions(scale: Scale, out: Path) -> dict:
     for sysname in ("megaflow", "gigaflow"):
         rows = {}
         for policy in POLICY_NAMES:
-            workload, trace = scale.build()
             telemetry = Telemetry(tracing=False)
-            simulator = VSwitchSimulator(
-                workload.pipeline, make_system(sysname, capacity),
+            _simulator, _trace, result = run_variant(
+                scale, make_system(sysname, capacity),
                 SimConfig(
                     fast_path=True, telemetry=telemetry, eviction=policy
                 ),
             )
-            timed = timed_run(simulator, trace)
-            result = timed.result
 
             # Victim-age distribution: this run owns the Telemetry hub,
             # so every histogram child belongs to this (system, policy).
@@ -530,7 +523,7 @@ def phase_evictions(scale: Scale, out: Path) -> dict:
             stats = result.stats
             pressured = pressured and stats.evictions > 0
             rows[policy] = {
-                **timed.row(),
+                "hit_rate": round(result.hit_rate, 6),
                 "misses": stats.misses,
                 "evictions": stats.evictions,
                 "peak_entries": result.peak_entries,
@@ -549,10 +542,9 @@ def phase_evictions(scale: Scale, out: Path) -> dict:
                     "buckets": dict(zip(bounds, buckets)),
                 },
             }
-            print(f"{sysname:9} {policy:8} hit_rate="
-                  f"{rows[policy]['hit_rate']:.4f}  "
-                  f"evictions={stats.evictions:>6}  "
-                  f"victim_age_mean={rows[policy]['victim_age']['mean']:.3f}s")
+            print_row(
+                f"{sysname} {policy}", rows[policy], "evictions", "occupancy"
+            )
         best = max(rows, key=lambda p: rows[p]["hit_rate"])
         report["systems"][sysname] = {"policies": rows, "best": best}
         print(f"{sysname} best policy: {best} "
@@ -612,13 +604,8 @@ def phase_adaptive(scale: Scale, out: Path) -> dict:
         "runs": {},
     }
     for name, (sysname, controller) in variants.items():
-        workload, trace = scale.build(
-            lambda workload: build_locality_shift_trace(
-                workload, profile, shift_at=shift, seed=scale.trace_seed
-            )
-        )
-        simulator = VSwitchSimulator(
-            workload.pipeline,
+        simulator, trace, result = run_variant(
+            scale,
             make_system(sysname, capacity),
             SimConfig(
                 fast_path=True,
@@ -628,12 +615,13 @@ def phase_adaptive(scale: Scale, out: Path) -> dict:
                 window=sweep_interval,
                 controller=controller,
             ),
+            lambda workload: build_locality_shift_trace(
+                workload, profile, shift_at=shift, seed=scale.trace_seed
+            ),
         )
-        timed = timed_run(simulator, trace)
-        result = timed.result
         run = {
             "system": sysname,
-            **timed.row(),
+            "hit_rate": round(result.hit_rate, 6),
             "phase1_hit_rate": round(
                 result.series.hit_rate_between(0.0, shift), 6
             ),
@@ -645,19 +633,16 @@ def phase_adaptive(scale: Scale, out: Path) -> dict:
             "insertions": result.stats.insertions,
             "evictions": result.stats.evictions,
         }
-        extra = ""
         if simulator.controller is not None:
             summary = simulator.controller.summary()
             run["controller"] = {
                 key: summary[key]
                 for key in ("sweeps", "transitions", "by_knob", "state", "log")
             }
-            extra = f"  transitions={summary['transitions']}"
         report["runs"][name] = run
-        print(f"{name:16} hit_rate={run['hit_rate']:.4f} "
-              f"(p1={run['phase1_hit_rate']:.4f} "
-              f"p2={run['phase2_hit_rate']:.4f})  "
-              f"evictions={run['evictions']:>6}{extra}")
+        print_row(
+            name, run, "phase1_hit_rate", "phase2_hit_rate", "evictions"
+        )
     static_best = max(
         report["runs"][name]["hit_rate"]
         for name in ("static_gigaflow", "static_megaflow")
@@ -749,7 +734,9 @@ def phase_shards(scale: Scale, out: Path) -> dict:
             mode="processes",
             timeout=scale.shard_timeout,
         )
-        result, wall, _cpu = timed_run(driver, trace)
+        wall0 = time.perf_counter()
+        result = driver.run(trace)
+        wall = time.perf_counter() - wall0
         merged_results[count] = result
         cpu_each = [t["cpu_seconds"] for t in driver.shard_timings]
         cpu_max = max(cpu_each)
@@ -905,17 +892,9 @@ def phase_timeouts(scale: Scale, out: Path) -> dict:
         "runs": {},
     }
     for name, (max_idle, timeouts) in variants.items():
-        workload, trace = scale.build(
-            lambda workload: build_interarrival_mix_trace(
-                workload, profile, slow_gap_scale=slow_gap_scale,
-                dense_fraction=dense_fraction,
-                sparse_fraction=sparse_fraction,
-                seed=scale.trace_seed,
-            )
-        )
         telemetry = Telemetry(tracing=False)
-        simulator = VSwitchSimulator(
-            workload.pipeline,
+        simulator, _trace, result = run_variant(
+            scale,
             make_system("megaflow", capacity),
             SimConfig(
                 fast_path=True,
@@ -925,9 +904,13 @@ def phase_timeouts(scale: Scale, out: Path) -> dict:
                 window=sweep_interval,
                 timeouts=timeouts,
             ),
+            lambda workload: build_interarrival_mix_trace(
+                workload, profile, slow_gap_scale=slow_gap_scale,
+                dense_fraction=dense_fraction,
+                sparse_fraction=sparse_fraction,
+                seed=scale.trace_seed,
+            ),
         )
-        timed = timed_run(simulator, trace)
-        result = timed.result
         snapshots = telemetry.snapshots
         mean_entries = (
             sum(s.entry_count for s in snapshots) / len(snapshots)
@@ -938,7 +921,7 @@ def phase_timeouts(scale: Scale, out: Path) -> dict:
         run = {
             "max_idle": max_idle,
             "predictor": summary["predictor"],
-            **timed.row(),
+            "hit_rate": round(result.hit_rate, 6),
             "insertions": result.stats.insertions,
             "evictions": result.stats.evictions,
             "mean_entries": round(mean_entries, 2),
@@ -951,11 +934,10 @@ def phase_timeouts(scale: Scale, out: Path) -> dict:
             "mean_predicted": round(summary["mean_predicted"], 4),
         }
         report["runs"][name] = run
-        print(f"{name:12} max_idle={max_idle:>5.1f} "
-              f"hit_rate={run['hit_rate']:.4f}  "
-              f"entries~{run['mean_entries']:>7.1f}  "
-              f"dead={run['dead_evictions']:>6} "
-              f"premature={run['premature_evictions']:>5}")
+        print_row(
+            name, run, "max_idle", "mean_entries", "dead_evictions",
+            "premature_evictions",
+        )
     static_best = max(
         (name for name in report["runs"] if name.startswith("static_")),
         key=lambda name: report["runs"][name]["hit_rate"],
@@ -1138,34 +1120,39 @@ def phase_churn(scale: Scale, out: Path) -> dict:
     }
 
 
+#: Fraction of the net phase's flows whose endpoints share a leaf: low
+#: enough that most flows cross a spine.
+NET_LOCALITY = 0.25
+
+
 def phase_net(scale: Scale, out: Path) -> dict:
     """Fabric spine-pressure bench: leaf vs spine hit rates.
 
     One trace crosses a leaf/spine fabric (:mod:`repro.net`) whose
     switches all carry *identically sized* caches, with endpoint
-    locality low enough that most flows cross a spine.  With ``L``
-    leaves, ``S`` spines and cross-leaf fraction ``c``, each leaf holds
-    about ``(1 - c + 2c) / L`` of the distinct flows while each spine
-    holds ``c / S`` — at ``L=8, S=2, c=0.75`` the spines carry ~1.7x
-    the per-leaf flow load.  Per-switch capacity is sized *between*
-    those two loads, so the leaves fit comfortably while the spines run
-    under genuine capacity pressure: the leaf-vs-spine hit-rate gap is
-    the aggregation-pressure signal ``spine_pressure_ok`` gates on.
-    Hop accounting must conserve (``conservation_ok``), and the merged
-    peak must be flagged as a bound, never as an observed value
-    (``peak_is_bound``).
+    locality (:data:`NET_LOCALITY`) low enough that most flows cross a
+    spine.  With ``L`` leaves, ``S`` spines and cross-leaf fraction
+    ``c``, each leaf holds about ``(1 - c + 2c) / L`` of the distinct
+    flows while each spine holds ``c / S`` — at ``L=8, S=2, c=0.75``
+    the spines carry ~1.7x the per-leaf flow load.  Per-switch capacity
+    is sized *between* those two loads, so the leaves fit comfortably
+    while the spines run under genuine capacity pressure: the
+    leaf-vs-spine hit-rate gap is the aggregation-pressure signal
+    ``spine_pressure_ok`` gates on.  Hop accounting must conserve
+    (``conservation_ok``), and the merged peak must be flagged as a
+    bound, never as an observed value (``peak_is_bound``).
     """
     leaves, spines = 8, 2
     topology = leaf_spine(leaves, spines)
-    cross = 1.0 - scale.net_locality
-    per_leaf_load = scale.flows * (scale.net_locality + 2 * cross) / leaves
+    cross = 1.0 - NET_LOCALITY
+    per_leaf_load = scale.flows * (NET_LOCALITY + 2 * cross) / leaves
     per_spine_load = scale.flows * cross / spines
     # Midpoint sizing: leaves under capacity, spines over it.
     capacity = max(int((per_leaf_load + per_spine_load) / 2), 8)
 
     trace = scale.trace(scale.workload())
     endpoints = build_fabric_endpoints(
-        topology, scale.flows, locality=scale.net_locality, seed=scale.seed
+        topology, scale.flows, locality=NET_LOCALITY, seed=scale.seed
     )
     fabric = FabricSimulator(
         topology,
@@ -1176,7 +1163,7 @@ def phase_net(scale: Scale, out: Path) -> dict:
         controller=FabricController(topology, endpoints),
         config=SimConfig(fast_path=True, telemetry=Telemetry()),
     )
-    fres, elapsed, _cpu = timed_run(fabric, trace)
+    fres = fabric.run(trace)
 
     merged = fres.merged
     by_role = fres.hit_rate_by_role()
@@ -1185,44 +1172,15 @@ def phase_net(scale: Scale, out: Path) -> dict:
     params["capacity_per_switch"] = params.pop("capacity")
     report = {
         **params,
-        "topology": topology.name,
         "leaves": leaves,
         "spines": spines,
-        "net_locality": scale.net_locality,
+        "net_locality": NET_LOCALITY,
         "expected_flow_load": {
             "per_leaf": round(per_leaf_load, 1),
             "per_spine": round(per_spine_load, 1),
         },
-        "seconds": round(elapsed, 3),
-        "packets": fres.packets,
-        "hops_total": fres.hops_total,
-        "path_length_counts": {
-            str(k): v for k, v in sorted(fres.path_length_counts.items())
-        },
-        "hit_rate_by_role": {
-            role: round(rate, 6) for role, rate in by_role.items()
-        },
+        **fres.digest(),
         "leaf_spine_gap": round(gap, 6),
-        "fabric_hit_rate": round(merged.hit_rate, 6),
-        "peak_entries_upper_bound": merged.peak_entries,
-        "peak_entries_exact": merged.peak_entries_exact,
-        "peak_entries_per_switch": {
-            name: fres.switch_results[name].peak_entries
-            for name in fres.switches
-        },
-        "switches": {
-            name: {
-                "role": topology.role(name),
-                "packets": fres.switch_results[name].packets,
-                "hit_rate": round(
-                    fres.switch_results[name].hit_rate, 6
-                ),
-                "misses": fres.switch_results[name].misses,
-                "evictions": fres.switch_results[name].stats.evictions,
-                "peak_entries": fres.switch_results[name].peak_entries,
-            }
-            for name in fres.switches
-        },
         "gates": {
             # Gap must clear noise: spines are the pressured tier.
             "spine_pressure_ok": verdict(gap >= 0.01),
@@ -1231,15 +1189,14 @@ def phase_net(scale: Scale, out: Path) -> dict:
         },
     }
     print(f"net: {topology.name}  {fres.packets:,} packets -> "
-          f"{fres.hops_total:,} hop traversals in {elapsed:.2f}s")
+          f"{fres.hops_total:,} hop traversals")
     print(f"net: per-switch capacity {capacity} "
           f"(leaf load ~{per_leaf_load:.0f}, "
           f"spine load ~{per_spine_load:.0f})")
     print(f"net: hit_rate leaf={by_role['leaf']:.4f} "
           f"spine={by_role['spine']:.4f} gap={gap:+.4f}")
-    print(f"net: fabric {merged.peak_entries_label()} "
-          f"(exact per switch: "
-          f"{[fres.switch_results[n].peak_entries for n in fres.switches]})")
+    print(f"net: fabric {merged.peak_entries_label()} (exact per switch: "
+          f"{list(report['peak_entries_per_switch'].values())})")
     return report
 
 
@@ -1253,7 +1210,7 @@ class Phase:
 
     run: Callable[[Scale, Path], dict]
     help: Optional[str] = None
-    estimator: str = "one wall-clock run per row"
+    estimator: str = "untimed: seeded runs, behaviour only"
 
 
 PHASES: Dict[str, Phase] = {
@@ -1288,7 +1245,6 @@ PHASES: Dict[str, Phase] = {
         phase_churn,
         "also measure the hit-rate dip and recovery under a mid-trace "
         "insert/delete storm with budgeted incremental revalidation",
-        estimator="untimed: hit-rate series of two seeded runs",
     ),
     "net": Phase(
         phase_net,

@@ -253,6 +253,46 @@ class FabricResult:
             out[role] = merged.hit_rate if merged is not None else 0.0
         return out
 
+    def digest(self) -> dict:
+        """The JSON-ready account of the run — ``repro net --format
+        json`` prints it and ``repro bench --net`` reports it.  Hit
+        rates are rounded to 6 places; the merged peak is named as the
+        bound it is, the exact per-switch peaks ride alongside."""
+        merged = self.merged
+        per_switch = [
+            (name, self.switch_results[name]) for name in self.switches
+        ]
+        return {
+            "topology": self.topology.name,
+            "packets": self.packets,
+            "hops_total": self.hops_total,
+            "path_length_counts": {
+                str(k): v for k, v in sorted(self.path_length_counts.items())
+            },
+            "reroutes": self.reroutes,
+            "hit_rate_by_role": {
+                role: round(rate, 6)
+                for role, rate in self.hit_rate_by_role().items()
+            },
+            "fabric_hit_rate": round(merged.hit_rate, 6),
+            "peak_entries_upper_bound": merged.peak_entries,
+            "peak_entries_exact": merged.peak_entries_exact,
+            "peak_entries_per_switch": {
+                name: result.peak_entries for name, result in per_switch
+            },
+            "switches": {
+                name: {
+                    "role": self.topology.role(name),
+                    "packets": result.packets,
+                    "hit_rate": round(result.hit_rate, 6),
+                    "misses": result.misses,
+                    "evictions": result.stats.evictions,
+                    "peak_entries": result.peak_entries,
+                }
+                for name, result in per_switch
+            },
+        }
+
 
 def _with_base_system(result: SimResult) -> SimResult:
     """Strip the ``@switch`` qualifier so results can merge."""

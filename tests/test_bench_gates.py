@@ -3,7 +3,9 @@
 Every phase of :data:`repro.gates.PHASES` is driven through
 :func:`repro.gates.run_phases` at a tiny scale; the runner's contract
 (shared header, legacy row keys, ``pass | fail | skip(reason)`` gates,
-exit code) is what CI's one-line bench step relies on.
+exit code) is what CI's one-line bench step relies on.  Six of the
+eight phases report behaviour only: their files carry no clock and a
+second run reproduces them outside ``header``.
 """
 
 import json
@@ -27,7 +29,11 @@ HEADER_KEYS = {
 PARAM_KEYS = {
     "pipeline", "locality", "flows", "mean_flow_size", "duration", "seed",
 }
-BASE_ROW = {"seconds", "packets_per_sec", "hit_rate"}
+BASE_ROW = {"hit_rate"}
+#: Keys only a phase that owns a clock may report, at any depth.
+CLOCK_KEYS = {"seconds", "packets_per_sec", "speedup"}
+#: The phases that own one (``repro.gates`` module docstring).
+CLOCKED = {"obs", "shards"}
 OUTCOME = re.compile(r"pass|fail|skip\(.+\)")
 
 #: phase -> (path to one raw row, keys that row has carried since before
@@ -40,8 +46,8 @@ LEGACY = {
     ),
     "obs": (
         ("runs", "obs_trace"),
-        BASE_ROW | {"cpu_seconds", "overhead_vs_off", "metrics_identical",
-                    "trace_events"},
+        {"seconds", "packets_per_sec", "hit_rate", "cpu_seconds",
+         "overhead_vs_off", "metrics_identical", "trace_events"},
         {"metrics_identical", "trace_identical"},
     ),
     "evictions": (
@@ -79,6 +85,15 @@ LEGACY = {
 }
 
 
+def _keys(node):
+    """Every dict key in a JSON document, at any depth."""
+    if isinstance(node, dict):
+        return set(node).union(*map(_keys, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(_keys, node))
+    return set()
+
+
 @pytest.mark.parametrize("name", list(PHASES))
 def test_phase_report_through_the_runner(name, tmp_path, capsys):
     code = run_phases([name], TINY, tmp_path)
@@ -106,6 +121,16 @@ def test_phase_report_through_the_runner(name, tmp_path, capsys):
     assert code == (1 if failed else 0)
     err = capsys.readouterr().err
     assert all(f"{name}.{gate}" in err for gate in failed)
+
+    if name not in CLOCKED:
+        # Behaviour only: no clock in the file, and the file is a
+        # function of code + scale + seeds — a second run writes it again.
+        assert not CLOCK_KEYS & _keys(report)
+        again_dir = tmp_path / "again"
+        run_phases([name], TINY, again_dir)
+        again = json.loads((again_dir / output_file(name)).read_text())
+        del report["header"], again["header"]
+        assert again == report
 
 
 def test_obs_writes_the_trace_report_next_to_it(tmp_path):

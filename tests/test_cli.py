@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.net import FabricSimulator
 
 
 class TestParser:
@@ -59,3 +62,74 @@ class TestCommands:
         )
         assert code == 0
         assert "PSC" in capsys.readouterr().out
+
+
+class TestScaleValidation:
+    """A bad scale value exits 2 naming its flag (argparse), on a
+    trace-replaying subcommand (stats) and a non-replaying one
+    (compare) alike — not a ValueError from inside the trace builder."""
+
+    @pytest.mark.parametrize("command", ["compare", "stats"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--flows", "0"), ("--flows", "-5"), ("--capacity", "-1"),
+    ])
+    def test_counts_must_be_positive(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "psc", flag, value])
+        assert exit_info.value.code == 2
+        assert (
+            f"argument {flag}: must be a positive integer"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("flag", ["--duration", "--mean-flow-size"])
+    @pytest.mark.parametrize("value", ["0", "-1.5", "nan"])
+    def test_trace_knobs_must_be_positive(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stats", "psc", flag, value])
+        assert exit_info.value.code == 2
+        assert (
+            f"argument {flag}: must be a positive number"
+            in capsys.readouterr().err
+        )
+
+
+class TestNet:
+    ARGS = ["net", "psc", "--flows", "60", "--mean-flow-size", "8",
+            "--duration", "4"]
+
+    def test_json_is_the_fabric_digest(self, monkeypatch, capsys):
+        runs = []
+        run = FabricSimulator.run
+        monkeypatch.setattr(
+            FabricSimulator, "run",
+            lambda self, trace: runs.append(run(self, trace)) or runs[-1],
+        )
+        assert main(self.ARGS + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        (fres,) = runs
+        assert payload == fres.digest()
+        # The digest is the union of what the CLI and the bench's net
+        # phase used to hand-build, hit rates rounded to 6 places.
+        spine = fres.switch_results["spine0"]
+        assert payload["switches"]["spine0"] == {
+            "role": "spine",
+            "packets": spine.packets,
+            "hit_rate": round(spine.hit_rate, 6),
+            "misses": spine.misses,
+            "evictions": spine.stats.evictions,
+            "peak_entries": spine.peak_entries,
+        }
+        assert payload["reroutes"] == 0
+        assert payload["hops_total"] == sum(
+            switch["packets"] for switch in payload["switches"].values()
+        )
+        assert payload["peak_entries_upper_bound"] == sum(
+            payload["peak_entries_per_switch"].values()
+        )
+        assert payload["peak_entries_exact"] is False
+
+    def test_fail_link_without_a_time_is_named(self, capsys):
+        assert main(self.ARGS + ["--fail-link", "leaf0:spine0"]) == 2
+        err = capsys.readouterr().err
+        assert "--fail-link" in err and "leaf0:spine0" in err

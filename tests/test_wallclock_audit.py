@@ -1,6 +1,6 @@
 """Static audits of the engine family: no wall-clock, one slow path,
 no reaching into the telemetry hub, one entry lifecycle, one §7 mode
-decider.
+decider, two homes for the bench clock.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -36,6 +36,13 @@ disjoint↔Megaflow, so ``.set_mode(`` is called nowhere under ``repro``
 outside ``core/adaptive.py`` and nothing assigns an ``external``
 attribute (the switch that once handed the decision to a second decider
 in the controller).
+
+The sixth keeps ``repro bench``'s reports behavioural: in ``gates.py``
+the ``time`` module is read only inside ``phase_obs`` and
+``phase_shards``, the two phases whose gates are about cost on this
+host — a clock anywhere else (a shared timed-run helper, a fabric
+stopwatch) would put a host-dependent column back into a report that
+is otherwise a function of code + scale + seeds.
 """
 
 import ast
@@ -343,3 +350,60 @@ def test_mode_decider_audit_sees_a_violation():
         "    self._governor.set_mode(True)\n"
         "    mode = governor.megaflow_mode\n"
     ) == [(2, ".external ="), (4, ".set_mode(")]
+
+
+#: The two phases of ``repro bench`` that own a clock.
+CLOCK_HOME = {"phase_obs", "phase_shards"}
+
+
+def _clock_reads(source: str, home=frozenset()):
+    """``(line, "scope: time.attr")`` for every attribute read off the
+    name ``time`` outside the ``home`` functions."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                visit(child, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "time"
+                and not (scope and scope[0] in home)
+            ):
+                where = ".".join(scope) or "<module>"
+                found.append((child.lineno, f"{where}: time.{child.attr}"))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_bench_clock_has_two_homes():
+    offenders = _clock_reads((SRC / "gates.py").read_text(), CLOCK_HOME)
+    assert not offenders, (
+        "repro.gates reads the clock outside phase_obs / phase_shards:\n  "
+        + "\n  ".join(f"gates.py:{line} {what}" for line, what in offenders)
+    )
+
+
+def test_bench_clock_audit_sees_a_violation():
+    source = (
+        "import time\n"
+        "def timed_run(driver, trace):\n"
+        "    start = time.perf_counter()\n"
+        "    return driver.run(trace), time.perf_counter() - start\n"
+        "def phase_obs(scale, out):\n"
+        "    def once():\n"
+        "        return time.process_time()\n"
+        "def phase_net(scale, out):\n"
+        "    elapsed = time.perf_counter()\n"
+    )
+    assert _clock_reads(source, CLOCK_HOME) == [
+        (3, "timed_run: time.perf_counter"),
+        (4, "timed_run: time.perf_counter"),
+        (9, "phase_net: time.perf_counter"),
+    ]
