@@ -95,9 +95,14 @@ class HitReplay(abc.ABC):
     the side effects a hit performed (LRU touches, ``last_used`` /
     ``hit_count`` updates, stat bumps) together with the recorded probe
     counts.  Replaying must be *bit-identical* to re-running the full
-    lookup while the cache contents are unchanged; :attr:`epoch` records
-    the cache's :attr:`FlowCache.mutation_epoch` at record time so stale
-    records are dropped lazily after any structural change.
+    lookup.  :attr:`epoch` is the cache's
+    :attr:`FlowCache.mutation_epoch` when the record was last known
+    good: while the cache is still there nothing at all has changed
+    and the record replays unchecked.  Once the epoch has moved the
+    fast path asks :meth:`still_valid`, lazily, when the flow next
+    sends a packet — a record that can tell the change did not touch
+    what its lookup depended on is re-stamped and replayed, any other
+    is dropped.
     """
 
     __slots__ = ("epoch",)
@@ -105,6 +110,12 @@ class HitReplay(abc.ABC):
     @abc.abstractmethod
     def replay(self, now: float) -> CacheResult:
         """Re-apply the hit's side effects; returns the hit result."""
+
+    def still_valid(self) -> bool:
+        """Whether, the epoch having moved, a full lookup would still
+        reproduce this record exactly.  A record that keeps no account
+        of what it depended on cannot know."""
+        return False
 
 
 class FlowCache(abc.ABC):

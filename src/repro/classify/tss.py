@@ -185,13 +185,29 @@ class TupleSpaceClassifier(Generic[RuleT]):
 
     # -- mutation -----------------------------------------------------------------
 
-    def insert(self, rule: RuleT) -> None:
+    def insert(self, rule: RuleT) -> Optional[int]:
+        """Add ``rule``; returns the probe-order change, if any.
+
+        Lookups walk groups best priority first, oldest group first
+        within a priority, and stop at the first group whose best
+        priority does not exceed the winner's.  An update that creates
+        or deletes a group, or moves one's best priority, therefore
+        changes the groups probed by exactly the lookups whose winner's
+        priority is *at most* the returned level (a lookup that found
+        nothing probes every group, so any change moves it).  A new
+        group sorts last within its level, so creating one at level
+        ``L`` returns ``L - 1``; a deletion at ``L`` returns ``L``; a
+        move returns the higher of the two levels.  ``None`` means the
+        probe order is as it was.
+        """
         match = rule.match
         mask = match.wildcard.packed
         group = self._groups.get(mask)
-        if group is None:
+        created = group is None
+        if created:
             group = self._groups[mask] = self._make_group(mask)
             self._order_dirty = True
+        old_priority = group.max_priority
         canonical = match.packed
         bucket = group.rules.get(canonical)
         if bucket is None:
@@ -209,8 +225,15 @@ class TupleSpaceClassifier(Generic[RuleT]):
             self._tries[index].insert(
                 self._field_of(canonical, index), prefix_len
             )
+        if created:
+            return group.max_priority - 1
+        if group.max_priority != old_priority:
+            return group.max_priority
+        return None
 
-    def remove(self, rule: RuleT) -> None:
+    def remove(self, rule: RuleT) -> Optional[int]:
+        """Drop ``rule``; returns the probe-order change as
+        :meth:`insert` does.  ``KeyError`` when it is not present."""
         match = rule.match
         mask = match.wildcard.packed
         canonical = match.packed
@@ -235,12 +258,17 @@ class TupleSpaceClassifier(Generic[RuleT]):
             self._tries[index].remove(
                 self._field_of(canonical, index), prefix_len
             )
+        old_priority = group.max_priority
         if not group.rules:
             del self._groups[mask]
             self._order_dirty = True
-        elif rule.priority >= group.max_priority:
+            return old_priority
+        if rule.priority >= old_priority:
             group.recompute_max_priority()
             self._order_dirty = True
+            if group.max_priority != old_priority:
+                return old_priority
+        return None
 
     def clear(self) -> None:
         self._groups.clear()

@@ -11,6 +11,7 @@ table, and forward/drop when the sub-traversal ends the pipeline.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..cache.eviction import make_policy, reseed_policy
@@ -25,6 +26,11 @@ from ..flow.match import TernaryMatch
 TAG_DONE = -1
 
 _ltm_ids = itertools.count()
+
+#: Inserts a fast-path record may have missed and still be re-validated
+#: (one AND each); a flow that stayed away for more takes the full
+#: lookup, so a tag's log never needs to hold more than this many.
+INSERT_LOG_SCAN = 128
 
 
 class LtmRule:
@@ -100,6 +106,54 @@ class LtmRule:
         )
 
 
+class TagDependency:
+    """What a lookup of one ``(table, tag)`` bucket depended on, kept
+    so a memoized hit can be re-validated instead of re-walked
+    (:meth:`~repro.core.gigaflow._GigaflowHitReplay.still_valid`).
+
+    It belongs to the tag, not to the bucket's classifier, so it
+    survives the bucket being emptied and re-created.
+
+    Attributes:
+        levels: Probe-order generation per winner priority: ``levels[p]``
+            moves whenever the groups a lookup won at priority ``p``
+            (``0``: found nothing) would probe changed.  Always longer
+            than the highest priority ever inserted under the tag.
+        inserts: Rules ever inserted under the tag.
+        log: ``(mask, value)`` of the most recent inserts, oldest
+            first — at least the last :data:`INSERT_LOG_SCAN` of them,
+            never more than twice that.
+    """
+
+    __slots__ = ("levels", "inserts", "log")
+
+    def __init__(self) -> None:
+        self.levels: List[int] = [0]
+        self.inserts = 0
+        self.log: List[Tuple[int, int]] = []
+
+    def on_insert(self, rule: LtmRule, disturbed: Optional[int]) -> None:
+        levels = self.levels
+        if rule.priority >= len(levels):
+            levels.extend([0] * (rule.priority + 1 - len(levels)))
+        log = self.log
+        if len(log) >= 2 * INSERT_LOG_SCAN:
+            del log[:INSERT_LOG_SCAN]
+        match = rule.match
+        log.append((match.wildcard.packed, match.packed))
+        self.inserts += 1
+        if disturbed is not None:
+            self.on_reorder(disturbed)
+
+    def on_reorder(self, disturbed: int) -> None:
+        """The bucket's probe order changed for every lookup whose
+        winner's priority is at most ``disturbed`` (see
+        :meth:`~repro.classify.tss.TupleSpaceClassifier.insert`)."""
+        levels = self.levels
+        for level in range(disturbed + 1):
+            levels[level] += 1
+
+
 class LtmTable:
     """One Gigaflow cache table ``GF_k``.
 
@@ -125,6 +179,12 @@ class LtmTable:
         #: not observed).
         self._observer_cells = None
         self._by_tag: Dict[int, TupleSpaceClassifier[LtmRule]] = {}
+        #: Per-tag state fast-path records are validated against; a
+        #: tag is created on first read (tags are pipeline table ids,
+        #: so there are few).
+        self.dependencies: Dict[int, TagDependency] = defaultdict(
+            TagDependency
+        )
         self._by_identity: Dict[Tuple, LtmRule] = {}
         self._by_id: Dict[int, LtmRule] = {}
         #: Victim-selection state (see :mod:`repro.cache.eviction`).
@@ -178,7 +238,7 @@ class LtmTable:
             bucket = TupleSpaceClassifier(self.schema)
             bucket.observer_cells = self._observer_cells
             self._by_tag[rule.tag] = bucket
-        bucket.insert(rule)
+        self.dependencies[rule.tag].on_insert(rule, bucket.insert(rule))
         self._by_identity[identity] = rule
         self._by_id[rule.rule_id] = rule
         self.policy.on_insert(rule.rule_id, rule.last_used)
@@ -216,7 +276,9 @@ class LtmTable:
         if rule not in self:
             raise KeyError(f"rule not in table {self.index}: {rule!r}")
         bucket = self._by_tag[rule.tag]
-        bucket.remove(rule)
+        disturbed = bucket.remove(rule)
+        if disturbed is not None:
+            self.dependencies[rule.tag].on_reorder(disturbed)
         if not len(bucket):
             del self._by_tag[rule.tag]
         del self._by_identity[rule.identity()]

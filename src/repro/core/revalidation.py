@@ -54,9 +54,7 @@ class RevalidationReport:
 
 def _check_all(impl, entries: Iterable, now: float) -> RevalidationReport:
     """Run ``impl.check_entry`` over ``entries`` — one revalidation
-    cycle.  A cycle that evicted bumps the cache's mutation epoch once
-    more on top of the per-removal bumps, so it stays visible to
-    fast-path memo invalidation even if eviction internals change."""
+    cycle."""
     report = RevalidationReport()
     for entry in entries:
         verdict, lookups = impl.check_entry(entry, now)
@@ -64,8 +62,6 @@ def _check_all(impl, entries: Iterable, now: float) -> RevalidationReport:
         report.lookups_performed += lookups
         if verdict == "evicted":
             report.entries_evicted += 1
-    if report.entries_evicted:
-        impl.cache.bump_epoch()
     return report
 
 
@@ -79,10 +75,9 @@ class MegaflowRevalidator:
     def check_entry(self, entry, now: float) -> Tuple[str, int]:
         """Replay one entry; evict if stale.  Returns (verdict, lookups).
 
-        The caller owns the epoch bump: batching removals into one
-        :meth:`~repro.cache.base.FlowCache.bump_epoch` per cycle keeps a
-        revalidation pass visible to fast-path memo invalidation without
-        per-entry epoch churn.
+        An eviction bumps the cache's mutation epoch
+        (:meth:`~repro.cache.megaflow.MegaflowCache.remove`), which is
+        what keeps it visible to the fast-path memo.
         """
         replay = self.pipeline.replay(
             entry.parent_flow, entry.start_table, entry.length
@@ -120,7 +115,8 @@ class GigaflowRevalidator:
     def check_entry(self, rule, now: float) -> Tuple[str, int]:
         """Replay one LTM rule; evict if stale.  Returns (verdict, lookups).
 
-        Epoch-bump ownership is the caller's, as in
+        An eviction bumps the epoch
+        (:meth:`~repro.core.gigaflow.GigaflowCache.remove_rule`), as in
         :meth:`MegaflowRevalidator.check_entry`.
         """
         replay = self.pipeline.replay(

@@ -300,7 +300,8 @@ def phase_fastpath(scale: Scale, out: Path) -> dict:
     exact-match fast path on and off.  The memo may only save work, so
     hit rate and cache-probe count must not move
     (``<system>_metrics_identical``); a ``fail`` means the memo diverged
-    from the full lookup path (an epoch-invalidation bug).
+    from the full lookup path (a stale record replayed: an epoch bump
+    or a validation check is missing).
     ``--capacity 16`` forces heavy eviction churn and is the
     adversarial case."""
     capacity = scale.total_capacity

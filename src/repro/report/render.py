@@ -109,6 +109,9 @@ def render_telemetry(summary: Dict) -> str:
     fastpath = summary.get("fastpath", {})
     rows.append(("fast-path replays", fastpath.get("replays", 0)))
     rows.append(
+        ("fast-path revalidations", fastpath.get("revalidations", 0))
+    )
+    rows.append(
         ("fast-path invalidations", fastpath.get("invalidations", 0))
     )
     rows.append(("epoch bumps", summary.get("epoch_bumps", 0)))

@@ -19,13 +19,26 @@ metric (hit/miss stats, idle expiry, LRU eviction order, Fig. 11
 sharing, latency, CPU breakdown) is *bit-identical* with the fast path
 on or off.
 
-Correctness hinges on **epoch-based invalidation**: every structural
-cache mutation (install, eviction, idle sweep, ``clear()``,
-revalidation) bumps :attr:`~repro.cache.base.FlowCache.mutation_epoch`;
-a memoized record made at epoch *e* is replayed only while the cache is
-still at epoch *e* and dropped lazily otherwise.  Lookups whose own side
-effects mutate the cache (e.g. a hierarchy hit that promotes into the
-Microflow level) are never memoized — the epoch moved during the lookup.
+Correctness hinges on a record never outliving what its lookup
+depended on.  Every structural cache mutation (install, eviction, idle
+sweep, ``clear()``, revalidation) bumps
+:attr:`~repro.cache.base.FlowCache.mutation_epoch`, and a record made
+or last validated at epoch *e* replays unchecked while the cache is
+still at *e* — the O(1) "nothing at all changed" shortcut a steady
+trace lives on.  A record whose epoch is stale is **re-validated**, at
+lookup time, by :meth:`~repro.cache.base.HitReplay.still_valid`: a
+Gigaflow record checks, per LTM table its walk visited, that the rule
+it matched is still resident, that the bucket's probe order at the
+winner's priority is unchanged and that no rule inserted since matches
+the flow as it entered that table; if all hold it is re-stamped and
+replayed, otherwise dropped and the full lookup runs.  Microflow,
+Megaflow and hierarchy records keep no such account and are dropped on
+any stale epoch.  Validation is lazy on purpose: the start-tag bucket
+of table 0 is probed by every record, so an eager scheme would visit
+all of them on every install and eviction whether or not those flows
+ever send another packet.  Lookups whose own side effects mutate the
+cache (e.g. a hierarchy hit that promotes into the Microflow level) are
+never memoized — the epoch moved during the lookup.
 """
 
 from __future__ import annotations
@@ -37,7 +50,8 @@ from ..flow.key import FlowKey
 
 
 class FastPathIndex:
-    """Exact-match memo of cache-hit side effects, epoch-invalidated.
+    """Exact-match memo of cache-hit side effects, validated against
+    what each hit depended on.
 
     Attributes:
         cache: The cache whose lookups are being memoized.
@@ -47,7 +61,11 @@ class FastPathIndex:
             realistic flow count).
         memo_hits: Lookups served by replaying a memoized record.
         memo_misses: Lookups that ran the full cache search.
-        invalidations: Records dropped because their epoch went stale.
+        revalidated: Records found still valid after their epoch went
+            stale, re-stamped and replayed (counted in ``memo_hits``
+            too).
+        invalidations: Stale records that failed validation and were
+            dropped.
     """
 
     def __init__(
@@ -66,6 +84,7 @@ class FastPathIndex:
         self._memo: Dict[Tuple[int, ...], object] = {}
         self.memo_hits = 0
         self.memo_misses = 0
+        self.revalidated = 0
         self.invalidations = 0
 
     def __len__(self) -> int:
@@ -81,7 +100,7 @@ class FastPathIndex:
         record = memo.get(signature)
         tel = self.telemetry
         if record is not None:
-            if record.epoch == epoch:
+            if record.epoch == epoch or self._revalidate(record, epoch):
                 self.memo_hits += 1
                 if tel is None:
                     return record.replay(now)
@@ -107,6 +126,13 @@ class FastPathIndex:
             record.epoch = epoch
             memo[signature] = record
         return result
+
+    def _revalidate(self, record, epoch: int) -> bool:
+        if record.still_valid():
+            record.epoch = epoch
+            self.revalidated += 1
+            return True
+        return False
 
     def clear(self) -> None:
         """Drop every memoized record (counters are preserved)."""

@@ -185,9 +185,10 @@ class TestIdleBoundaryContract:
 
 
 class TestSweepEpochInvalidation:
-    """Idle sweeps interact with the fast path purely through the
-    mutation epoch: a no-op sweep keeps memoized lookups valid, a
-    removing sweep drops them."""
+    """Idle sweeps reach the fast path through the mutation epoch: a
+    no-op sweep leaves it alone and memoized lookups replay unchecked;
+    a removing sweep moves it, and a record is then dropped unless it
+    can tell the sweep took nothing its lookup depended on."""
 
     def test_noop_sweep_keeps_memo_valid(self):
         cache = GigaflowCache(num_tables=2, table_capacity=4)
@@ -215,6 +216,20 @@ class TestSweepEpochInvalidation:
         result = fastpath.lookup(packet, now=10.0)
         assert not result.hit
         assert fastpath.invalidations == 1
+
+    def test_sweep_of_another_flows_rule_revalidates_memo(self):
+        cache = GigaflowCache(num_tables=1, table_capacity=4)
+        cache.install_rules([ltm_rule(now=0.0)])
+        cache.install_rules([ltm_rule(tp_dst=80, now=0.0)])
+        fastpath = FastPathIndex(cache)
+        packet = flow(tp_dst=443)
+        assert fastpath.lookup(packet, now=4.0).hit
+        # Only the idle neighbour (same mask group) expires.
+        assert cache.evict_idle(now=8.0, max_idle=5.0) == 1
+        assert fastpath.lookup(packet, now=8.0).hit
+        assert fastpath.memo_hits == 1
+        assert fastpath.revalidated == 1
+        assert fastpath.invalidations == 0
 
     def test_policy_driven_eviction_invalidates_memo(self):
         cache = MicroflowCache(capacity=1)

@@ -1,23 +1,38 @@
 """Tests for the exact-match fast path (FastPathIndex).
 
-Two properties matter:
+Three properties matter:
 
 1. **Metric faithfulness** — running a simulation with the fast path on
    must produce a :class:`~repro.sim.results.SimResult` identical in
    every field to running it with the fast path off, for every caching
-   system and with idle eviction enabled (the differential test).
+   system, with idle eviction enabled and — for Gigaflow — under rule
+   churn, budgeted revalidation, per-rule timeouts, chain repair and
+   capacity pressure (the differential test).
 2. **Epoch invalidation** — any structural cache mutation (install,
-   idle eviction, clear) must invalidate memoized records so replays
-   never serve stale state.
+   idle eviction, clear) makes memoized records stale; a record that
+   keeps no account of what it depended on (Microflow, Megaflow,
+   hierarchy) is then dropped, so replays never serve stale state.
+3. **Validation soundness** — a stale Gigaflow record is replayed only
+   when ``still_valid()`` says a full walk would find the same chain at
+   the same cost; whenever it says so, it must be so
+   (:class:`TestValidationSoundness`, :class:`TestEachCheckIsNeeded`).
 """
 
+import dataclasses
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.cache import MicroflowCache
+from repro.core import TAG_DONE, GigaflowCache, LtmRule
+from repro.core.partition import disjoint_partition, megaflow_partition
+from repro.core.ltm import INSERT_LOG_SCAN
 from repro.flow import ActionList, Output
 from repro.pipeline import PSC
 from repro.sim import (
     AdaptiveGigaflowSystem,
+    ChurnConfig,
     FastPathIndex,
     GigaflowSystem,
     HierarchySystem,
@@ -25,9 +40,14 @@ from repro.sim import (
     SimConfig,
     VSwitchSimulator,
 )
-from repro.workload import build_workload
+from repro.workload import (
+    build_workload,
+    insert_delete_storm,
+    priority_shuffle_schedule,
+)
 
 from conftest import flow
+from test_ltm import ltm_rule
 
 N_FLOWS = 400
 
@@ -43,14 +63,55 @@ SYSTEMS = {
 }
 
 
-def run_once(make_system, fast_path: bool):
+#: The PSC ACL stage (as in test_churn.py).
+ACL_TABLE = 5
+
+#: Gigaflow under everything that mutates the cache while it serves:
+#: a quarter-of-working-set capacity (eviction on most installs), a
+#: rule storm plus priority shuffles with a small revalidation budget,
+#: per-rule ``ewma`` timeouts and chain repair.
+CHURNED_SYSTEMS = {
+    "gigaflow": lambda: GigaflowSystem(
+        num_tables=4, table_capacity=N_FLOWS // 16
+    ),
+    "gigaflow-adaptive": lambda: AdaptiveGigaflowSystem(
+        num_tables=4, table_capacity=N_FLOWS // 16
+    ),
+}
+
+
+def run_once(make_system, fast_path: bool, churned: bool = False):
     workload = build_workload(PSC, n_flows=N_FLOWS, locality="high", seed=11)
     trace = workload.trace(seed=3)
     config = SimConfig(
         max_idle=4.0, sweep_interval=2.0, fast_path=fast_path
     )
-    simulator = VSwitchSimulator(workload.pipeline, make_system(), config)
+    system = make_system()
+    if churned:
+        schedule = insert_delete_storm(
+            workload.pilots, ACL_TABLE,
+            start=2.0, count=12, gap=1.5, hold=2.5, seed=4,
+        ).merged_with(
+            priority_shuffle_schedule(ACL_TABLE, [5.0, 12.0, 19.0], seed=2)
+        )
+        config = dataclasses.replace(
+            config,
+            sweep_interval=0.5,
+            timeouts="ewma",
+            churn=ChurnConfig(schedule=schedule, reval_budget=8),
+        )
+        system.cache.chain_repair = True
+    simulator = VSwitchSimulator(workload.pipeline, system, config)
     return simulator.run(trace), simulator
+
+
+def assert_same_result(fast, slow):
+    """Every ``SimResult`` field (``series`` by its buckets)."""
+    for field in dataclasses.fields(fast):
+        ours, theirs = getattr(fast, field.name), getattr(slow, field.name)
+        if field.name == "series":
+            ours, theirs = ours.buckets(), theirs.buckets()
+        assert ours == theirs, field.name
 
 
 class TestDifferentialEquivalence:
@@ -61,24 +122,30 @@ class TestDifferentialEquivalence:
         fast, sim_fast = run_once(SYSTEMS[name], fast_path=True)
         slow, sim_slow = run_once(SYSTEMS[name], fast_path=False)
 
-        assert fast.system == slow.system
-        assert fast.stats == slow.stats
-        assert fast.packets == slow.packets
-        assert fast.entry_count == slow.entry_count
-        assert fast.peak_entries == slow.peak_entries
-        assert fast.capacity == slow.capacity
-        assert fast.avg_latency_us == slow.avg_latency_us
-        assert fast.avg_miss_cost_us == slow.avg_miss_cost_us
-        assert fast.cpu == slow.cpu
-        assert fast.sharing == slow.sharing
-        assert fast.coverage == slow.coverage
-        assert fast.cache_probes == slow.cache_probes
-        assert fast.series.buckets() == slow.series.buckets()
+        assert_same_result(fast, slow)
 
         # The fast run actually exercised the memo.
         assert sim_fast.fastpath is not None
         assert sim_fast.fastpath.memo_hits > 0
         assert sim_slow.fastpath is None
+
+    @pytest.mark.parametrize("name", sorted(CHURNED_SYSTEMS))
+    def test_simresult_identical_under_churn_and_pressure(self, name):
+        make_system = CHURNED_SYSTEMS[name]
+        fast, sim_fast = run_once(make_system, fast_path=True, churned=True)
+        slow, sim_slow = run_once(make_system, fast_path=False, churned=True)
+
+        assert_same_result(fast, slow)
+        assert sim_fast.churn.digest() == sim_slow.churn.digest()
+
+        # Every way a record can go stale happened, and stale records
+        # went both ways: some re-validated, some dropped.
+        stats, churn = fast.stats, sim_fast.churn.digest()
+        assert stats.evictions > stats.insertions // 2
+        assert churn["events"] and churn["reval_evicted"]
+        assert sim_fast.system.cache.shadow_repairs
+        assert sim_fast.fastpath.revalidated > 0
+        assert sim_fast.fastpath.invalidations > 0
 
 
 class TestEpochInvalidation:
@@ -150,3 +217,340 @@ class TestEpochInvalidation:
     def test_max_entries_validated(self):
         with pytest.raises(ValueError):
             FastPathIndex(MicroflowCache(capacity=2), max_entries=0)
+
+
+# -- Gigaflow record validation ---------------------------------------------
+
+
+def full_walk(cache, packet):
+    """The LTM chain walk, side-effect free: the reference every
+    ``still_valid() is True`` is held to.  Returns ``(hit, matched
+    (table, rule) chain, groups_probed, tables_hit)``."""
+    tag = cache.start_tag
+    current = packet
+    matched = []
+    probes = 0
+    for table in cache.tables:
+        if tag == TAG_DONE:
+            break
+        rule, groups = table.lookup(current, tag)
+        probes += max(groups, 1)
+        if rule is not None:
+            matched.append((table, rule))
+            current = rule.actions.apply(current)
+            tag = rule.next_tag
+    return tag == TAG_DONE, tuple(matched), probes, len(matched)
+
+
+def recorded(record):
+    return True, record.matched, record.groups_probed, record.tables_hit
+
+
+def memoize(cache, packet):
+    """A fast path over ``cache`` holding ``packet``'s record."""
+    fastpath = FastPathIndex(cache)
+    assert fastpath.lookup(packet, now=1.0).hit
+    record = fastpath._memo[packet.values]
+    assert recorded(record) == full_walk(cache, packet)
+    return fastpath, record
+
+
+def no_later_insert_matches(record):
+    """Check 3 taken alone: no rule inserted into a visited bucket
+    since the record was validated matches the flow as it entered."""
+    depends = record.depends
+    for at in range(0, len(depends), 5):
+        bucket, packed, seen = depends[at], depends[at + 2], depends[at + 4]
+        for mask, value in bucket.log[len(bucket.log) - bucket.inserts + seen:]:
+            if packed & mask == value:
+                return False
+    return True
+
+
+class TestStaleRecordsThatAreStillExact:
+    def test_unrelated_install_revalidates_and_replays(self):
+        cache = GigaflowCache(num_tables=2, table_capacity=8)
+        cache.install_rules([ltm_rule({"tp_dst": 443})])
+        packet = flow(tp_dst=443)
+        fastpath, record = memoize(cache, packet)
+        # Same mask group, same priority, another key: the cache (and
+        # its epoch) changed, this flow's walk did not.
+        cache.install_rules([ltm_rule({"tp_dst": 80})])
+        assert record.epoch != cache.mutation_epoch
+        replayed = fastpath.lookup(packet, now=2.0)
+        assert (fastpath.revalidated, fastpath.invalidations) == (1, 0)
+        assert fastpath.memo_hits == 1 and fastpath.memo_misses == 1
+        assert record.epoch == cache.mutation_epoch
+        full = cache.lookup(packet, now=2.0)
+        assert replayed == full
+        # Re-stamped: the next packet takes the epoch shortcut.
+        fastpath.lookup(packet, now=3.0)
+        assert fastpath.revalidated == 1 and fastpath.memo_hits == 2
+
+    def test_unrelated_eviction_revalidates(self):
+        cache = GigaflowCache(num_tables=1, table_capacity=8)
+        other = ltm_rule({"tp_dst": 80})
+        cache.install_rules([ltm_rule({"tp_dst": 443})])
+        cache.install_rules([other])
+        packet = flow(tp_dst=443)
+        fastpath, record = memoize(cache, packet)
+        cache.remove_rule(other)
+        assert record.still_valid()
+        assert recorded(record) == full_walk(cache, packet)
+
+    def test_a_flow_away_for_too_many_inserts_takes_the_full_lookup(self):
+        cache = GigaflowCache(num_tables=1, table_capacity=4 * INSERT_LOG_SCAN)
+        cache.install_rules([ltm_rule({"tp_dst": 443})])
+        packet = flow(tp_dst=443)
+        fastpath, record = memoize(cache, packet)
+        for port in range(INSERT_LOG_SCAN):
+            cache.install_rules([ltm_rule({"tp_dst": 1000 + port})])
+        assert record.still_valid()  # exactly at the scan cap
+        for port in range(INSERT_LOG_SCAN + 1):
+            cache.install_rules([ltm_rule({"tp_dst": 2000 + port})])
+        assert not record.still_valid()  # one past it: gives up
+        assert recorded(record) == full_walk(cache, packet)  # though exact
+
+
+class TestEachCheckIsNeeded:
+    """One hand-built divergence per check of ``still_valid()``: in
+    each, the full walk no longer reproduces the record and the other
+    two checks, taken alone, would still pass."""
+
+    def test_resident_check_a_matched_rule_was_evicted(self):
+        cache = GigaflowCache(num_tables=1, table_capacity=8)
+        matched = ltm_rule({"tp_dst": 443})
+        cache.install_rules([matched])
+        cache.install_rules([ltm_rule({"tp_dst": 80})])  # keeps the group
+        packet = flow(tp_dst=443)
+        _fastpath, record = memoize(cache, packet)
+        levels = list(cache.tables[0].dependencies[0].levels)
+        cache.remove_rule(matched)
+        assert cache.tables[0].dependencies[0].levels == levels  # check 2 holds
+        assert no_later_insert_matches(record)  # check 3 holds
+        assert not full_walk(cache, packet)[0]
+        assert not record.still_valid()
+        # An identical rule re-installed is a different object with its
+        # own LRU slot and hit count (and check 3 sees it arrive, too).
+        cache.install_rules([ltm_rule({"tp_dst": 443})])
+        assert full_walk(cache, packet)[1] != record.matched
+        assert not record.still_valid()
+
+    def test_probe_order_check_a_higher_priority_group_appeared(self):
+        cache = GigaflowCache(num_tables=1, table_capacity=8)
+        matched = ltm_rule({"tp_dst": 443}, priority=1)
+        cache.install_rules([matched])
+        packet = flow(tp_dst=443, ip_proto=6)
+        _fastpath, record = memoize(cache, packet)
+        # Another mask, a higher priority, not this flow's: the walk
+        # must now rule that group out first — one more probe.
+        cache.install_rules([ltm_rule({"ip_proto": 17}, priority=2)])
+        assert matched in cache.tables[0]  # check 1 holds
+        assert no_later_insert_matches(record)  # check 3 holds
+        hit, chain, probes, _depth = full_walk(cache, packet)
+        assert hit and chain == record.matched
+        assert probes == record.groups_probed + 1
+        assert not record.still_valid()
+
+    def test_insert_check_a_better_match_joined_an_existing_group(self):
+        cache = GigaflowCache(num_tables=1, table_capacity=8)
+        matched = ltm_rule({"tp_dst": 443}, priority=1)
+        cache.install_rules([matched])
+        # Same mask at priority 2: the group's best priority is 2 from
+        # the start, so the insert below moves no probe order.
+        cache.install_rules([ltm_rule({"tp_dst": 80}, priority=2)])
+        packet = flow(tp_dst=443)
+        _fastpath, record = memoize(cache, packet)
+        levels = list(cache.tables[0].dependencies[0].levels)
+        better = ltm_rule({"tp_dst": 443}, priority=2, actions=(Output(7),))
+        cache.install_rules([better])
+        assert matched in cache.tables[0]  # check 1 holds
+        assert cache.tables[0].dependencies[0].levels == levels  # check 2 holds
+        assert full_walk(cache, packet)[1] == ((cache.tables[0], better),)
+        assert not record.still_valid()
+
+    def test_pass_through_survives_its_bucket_being_emptied(self):
+        """A pass-through depends on a bucket it matched nothing in.
+        The tag's generations outlive the bucket's classifier, so a
+        record made against the old bucket cannot validate against a
+        re-created one that happens to count the same."""
+        cache = GigaflowCache(num_tables=2, table_capacity=8)
+        first, second = cache.tables
+        bystander = ltm_rule({"ip_proto": 17})
+        first.insert(bystander)
+        second.insert(ltm_rule({"tp_dst": 443}))
+        packet = flow(tp_dst=443, ip_proto=6)
+        _fastpath, record = memoize(cache, packet)
+        assert record.matched[0][0] is second and record.groups_probed == 2
+        dependency = first.dependencies[0]
+        cache.remove_rule(bystander)
+        assert first.tags == () and first.dependencies[0] is dependency
+        cache.install_rules([ltm_rule({"ip_proto": 17, "in_port": 9})])
+        cache.install_rules([ltm_rule({"ip_proto": 17, "vlan_id": 9})])
+        assert first.tags == (0,) and first.dependencies[0] is dependency
+        assert full_walk(cache, packet)[2] == 3
+        assert not record.still_valid()
+
+    def test_pass_through_of_a_tag_with_no_bucket_yet(self):
+        cache = GigaflowCache(num_tables=2, table_capacity=8)
+        first, second = cache.tables
+        second.insert(ltm_rule({"tp_dst": 443}))
+        packet = flow(tp_dst=443, ip_proto=6)
+        _fastpath, record = memoize(cache, packet)
+        assert first.tags == () and record.groups_probed == 2
+        first.insert(ltm_rule({"ip_proto": 17, "in_port": 9}))
+        first.insert(ltm_rule({"ip_proto": 17, "vlan_id": 9}))
+        assert full_walk(cache, packet)[2] == 3
+        assert not record.still_valid()
+
+
+# One small PSC universe for the property test: the pipeline is only
+# read (``execute`` without stats), so every example can share it.
+_UNIVERSE = build_workload(PSC, n_flows=40, locality="high", seed=5)
+#: Few enough flows that each returns often, to a cache that changed.
+_FLOWS = [pilot.flow for pilot in _UNIVERSE.pilots[:12]]
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("packet",) * 12
+            + ("whole", "whole", "outrank", "outrank", "idle", "remove", "clear")
+        ),
+        st.integers(0, 63),
+    ),
+    min_size=40,
+    max_size=250,
+)
+
+
+class TestValidationSoundness:
+    @settings(max_examples=60, deadline=None)
+    # The one shape random interleavings rarely reach: flow 1's longer
+    # rule raises the head group's best priority first, so flow 0's
+    # then joins the group without moving any probe order — only the
+    # insert log can tell flow 0's record it has a new winner.
+    @example(
+        ops=[
+            ("packet", 0), ("packet", 1), ("outrank", 1),
+            ("packet", 0), ("outrank", 0), ("packet", 0),
+        ],
+        num_tables=4,
+        table_capacity=24,
+        chain_repair=False,
+        placement="balanced",
+    )
+    @given(
+        ops=_OPS,
+        num_tables=st.sampled_from((1, 2, 4)),
+        table_capacity=st.integers(3, 24),
+        chain_repair=st.booleans(),
+        placement=st.sampled_from(("balanced", "earliest")),
+    )
+    def test_still_valid_implies_the_full_walk_agrees(
+        self, ops, num_tables, table_capacity, chain_repair, placement
+    ):
+        """Installs in both partition modes (with capacity eviction and
+        chain repair behind them), idle sweeps, single-rule removals and ``clear()``
+        interleaved with packets: whenever a stale record says it is
+        still valid, the side-effect-free walk must reproduce its
+        chain, ``groups_probed`` and ``tables_hit``; and the fast path
+        as a whole must answer every packet as a twin cache without one
+        does."""
+        pipeline = _UNIVERSE.pipeline
+        cache, twin = (
+            GigaflowCache(
+                num_tables=num_tables,
+                table_capacity=table_capacity,
+                chain_repair=chain_repair,
+                placement=placement,
+            )
+            for _ in range(2)
+        )
+        fastpath = FastPathIndex(cache)
+        now = 0.0
+        for op, arg in ops:
+            now += 0.25
+            if op == "packet":
+                packet = _FLOWS[arg % len(_FLOWS)]
+                record = fastpath._memo.get(packet.values)
+                if (
+                    record is not None
+                    and record.epoch != cache.mutation_epoch
+                    and record.still_valid()
+                ):
+                    assert recorded(record) == full_walk(cache, packet)
+                result = fastpath.lookup(packet, now)
+                assert result == twin.lookup(packet, now)
+                if not result.hit:
+                    traversal = pipeline.execute(packet, record_stats=False)
+                    for each in (cache, twin):
+                        each.install_traversal(traversal, now=now)
+            elif op == "whole":
+                # A Megaflow-mode install (AdaptiveGigaflowCache): one
+                # long rule that outranks a resident chain's head.
+                traversal = pipeline.execute(
+                    _FLOWS[arg % len(_FLOWS)], record_stats=False
+                )
+                for each in (cache, twin):
+                    each.partitioner = megaflow_partition
+                    each.install_traversal(traversal, now=now)
+                    each.partitioner = disjoint_partition
+            elif op == "outrank":
+                # A longer sub-traversal with the same match as the head
+                # of a resident chain (a differently partitioned
+                # install): whether or not it moves the probe order, it
+                # is the new winner.
+                packet = _FLOWS[arg % len(_FLOWS)]
+                for each in (cache, twin):
+                    hit, matched, _probes, _depth = full_walk(each, packet)
+                    if hit:
+                        table, head = matched[0]
+                        longer = LtmRule(
+                            head.tag, head.match, head.priority + 1,
+                            ActionList([Output(77)]), TAG_DONE,
+                            head.parent_flow, now=now,
+                        )
+                        if table.insert(longer):
+                            each.stats.insertions += 1
+                            each.bump_epoch()
+            elif op == "idle":
+                now += 1 + arg % 6
+                for each in (cache, twin):
+                    each.evict_idle(now, max_idle=3.0)
+            elif op == "remove":
+                for each in (cache, twin):
+                    resident = list(each)
+                    if resident:
+                        each.remove_rule(resident[arg % len(resident)])
+            else:
+                for each in (cache, twin):
+                    each.clear()
+            assert cache.stats == twin.stats
+        assert cache.per_table_counts() == twin.per_table_counts()
+
+
+@pytest.mark.soak
+def test_soak_one_tag_under_endless_install_and_evict_stays_bounded():
+    """50 K install / capacity-evict cycles through one ``(table, tag)``
+    bucket with a returning flow in between: what validation keeps —
+    the tag's insert log and level table, the memo — must not grow with
+    the number of cycles."""
+    cache = GigaflowCache(num_tables=1, table_capacity=4)
+    fastpath = FastPathIndex(cache, max_entries=64)
+    dependency = cache.tables[0].dependencies[0]
+    regular = flow(tp_dst=443)
+    cache.install_rules([ltm_rule({"tp_dst": 443})])
+    cycles = 50_000
+    for i in range(cycles):
+        now = float(i)
+        visitor = {"tp_src": i & 0xFFFF, "tp_dst": 1 + (i >> 16)}
+        cache.install_rules([ltm_rule(visitor, priority=1 + i % 3)])
+        assert fastpath.lookup(flow(**visitor), now).hit
+        assert fastpath.lookup(regular, now).hit  # keeps its rule warm
+        assert len(dependency.log) <= 2 * INSERT_LOG_SCAN
+    assert dependency.inserts == cycles + 1
+    assert len(dependency.levels) == 4  # priorities 1..3, and 0
+    assert len(fastpath) <= 64
+    assert cache.stats.evictions == cycles + 1 - 4
+    # The returning flow was re-validated, not re-walked, whenever the
+    # visitor moved no probe order at its priority.
+    assert fastpath.revalidated > cycles // 2

@@ -20,6 +20,21 @@ additive, so their sample lines are left out of the hash (``gauges``
 in the golden holds what the parent scraped) and checked against the
 new rule instead.
 
+Since PR 19 a Gigaflow fast-path record whose epoch went stale is
+re-validated instead of dropped, so *which* hits are replayed moved,
+and with it everything only a full chain walk emits.  The streams were
+re-recorded for that once, and each scenario carries the proof that
+nothing else moved: ``replay_invariant`` hashes the same exhaust with
+the walk-or-replay distinction taken out (``fastpath_replay`` read as
+the ``lookup_hit`` it stands in for; the events, families and digest
+keys only a full walk or a dropped record feeds left out — the
+``VIEW_WITHOUT_*`` tables).  Those hashes were recorded by this file on
+the *parent* of PR 19 (``6bab403``) and the recorder refuses to write a
+golden in which they differ.  The same PR stopped a revalidation cycle
+bumping the mutation epoch once more than its removals already had, so
+the view also leaves out the epoch *numbering* — every event that bumps
+is still there.
+
 Flow ids and CRC shard routing inherit Python's per-process str-hash
 salt (ROADMAP item 2), so both the recorder and the test run the
 scenarios in a ``PYTHONHASHSEED=0`` subprocess.
@@ -46,6 +61,17 @@ ACL_TABLE = 5
 TABLE_CAPACITY = 40
 #: Gauge families whose *merged* value the bugfix changes.
 CHANGED_GAUGES = ("repro_cache_occupancy_ratio", "repro_controller_state")
+#: What the replay-invariant view leaves out.  Events only a full
+#: chain walk (or a dropped memo record) emits; the ``snapshot`` fields,
+#: families and ``SimResult.telemetry`` keys that count memo outcomes,
+#: per-walk classifier probes or epoch bumps.
+VIEW_WITHOUT_EVENTS = ("ltm_probe", "fastpath_invalidate")
+VIEW_WITHOUT_FIELDS = ("epoch", "epoch_delta")
+VIEW_WITHOUT_FAMILIES = (
+    "repro_fastpath_", "repro_ltm_probes_total", "repro_tss_lookups_total",
+    "repro_epoch_bumps_total",
+)
+VIEW_WITHOUT_DIGEST = ("fastpath", "trace_events", "epoch_bumps")
 
 
 def _universe():
@@ -88,15 +114,27 @@ def _system(context=None):
 
 
 def _streams(directory):
-    """``{sink file name: sha256}`` plus event counts over all sinks."""
+    """``{sink file name: sha256}``, the same with the walk-or-replay
+    distinction taken out, and event counts over all sinks."""
     digests = {}
+    invariant = {}
     counts = collections.Counter()
     for path in sorted(Path(directory).iterdir()):
         data = path.read_bytes()
         digests[path.name] = hashlib.sha256(data).hexdigest()
+        kept = hashlib.sha256()
         for line in data.splitlines():
-            counts[json.loads(line)["event"]] += 1
-    return digests, dict(sorted(counts.items()))
+            record = json.loads(line)
+            counts[record["event"]] += 1
+            if record["event"] in VIEW_WITHOUT_EVENTS:
+                continue
+            if record["event"] == "fastpath_replay":
+                record["event"] = "lookup_hit"
+            for name in VIEW_WITHOUT_FIELDS:
+                record.pop(name, None)
+            kept.update(json.dumps(record).encode("utf-8") + b"\n")
+        invariant[path.name] = kept.hexdigest()
+    return digests, invariant, dict(sorted(counts.items()))
 
 
 def _samples(text, family):
@@ -109,9 +147,14 @@ def _samples(text, family):
     }
 
 
-def _prom(text):
-    """sha256 of the exposition minus the changed gauges' sample lines."""
-    prefixes = tuple(f"{name}{{" for name in CHANGED_GAUGES)
+def _prom(text, without_families=()):
+    """sha256 of the exposition minus the changed gauges' sample lines
+    (and every line, metadata included, of ``without_families``)."""
+    prefixes = tuple(f"{name}{{" for name in CHANGED_GAUGES) + tuple(
+        lead + family
+        for family in without_families
+        for lead in ("", "# HELP ", "# TYPE ")
+    )
     kept = [
         line for line in text.splitlines() if not line.startswith(prefixes)
     ]
@@ -119,19 +162,34 @@ def _prom(text):
 
 
 def _digest(directory, registry, telemetry):
-    streams, counts = _streams(directory)
+    streams, invariant_streams, counts = _streams(directory)
     text = registry.to_prometheus()
+    telemetry = json.loads(json.dumps(telemetry))
     return {
         "streams": streams,
         "event_counts": counts,
         "prom_sha256": _prom(text),
+        "replay_invariant": {
+            "streams": invariant_streams,
+            "prom_sha256": _prom(text, VIEW_WITHOUT_FAMILIES),
+            "telemetry_sha256": hashlib.sha256(
+                json.dumps(
+                    {
+                        key: value
+                        for key, value in telemetry.items()
+                        if key not in VIEW_WITHOUT_DIGEST
+                    },
+                    sort_keys=True,
+                ).encode("utf-8")
+            ).hexdigest(),
+        },
         "gauges": {
             family: _samples(text, family)
             for family in CHANGED_GAUGES
             + ("repro_cache_entries", "repro_cache_capacity")
         },
         # Through JSON so tuples and lists compare alike.
-        "telemetry": json.loads(json.dumps(telemetry)),
+        "telemetry": telemetry,
     }
 
 
@@ -227,7 +285,10 @@ def test_streams_match_parent_recording(golden, current):
     assert set(current) == set(golden)
     for scenario, recorded in golden.items():
         replayed = current[scenario]
-        for key in ("streams", "event_counts", "prom_sha256", "telemetry"):
+        for key in (
+            "streams", "event_counts", "prom_sha256", "telemetry",
+            "replay_invariant",
+        ):
             assert replayed[key] == recorded[key], (scenario, key)
     # An unmerged registry is untouched by the bugfix.
     assert current["single"]["gauges"] == golden["single"]["gauges"]
@@ -273,8 +334,16 @@ if __name__ == "__main__":
     if "--print" in sys.argv:
         print(json.dumps(record_all()))
     else:
-        GOLDEN.parent.mkdir(exist_ok=True)
+        recorded = _record_in_subprocess()
+        # A re-recording keeps what earlier parents scraped: the merged
+        # gauges of PR 15's and the replay-invariant view of PR 19's.
+        for scenario, parent in json.loads(GOLDEN.read_text()).items():
+            recorded[scenario]["gauges"] = parent["gauges"]
+            assert (
+                recorded[scenario]["replay_invariant"]
+                == parent["replay_invariant"]
+            ), f"{scenario}: more than which hits replay has changed"
         with open(GOLDEN, "w", encoding="utf-8") as handle:
-            json.dump(_record_in_subprocess(), handle, indent=1)
+            json.dump(recorded, handle, indent=1)
             handle.write("\n")
         print(f"wrote {GOLDEN}")
