@@ -88,6 +88,22 @@ class CacheResult:
     tables_hit: int = 0
 
 
+#: What a full cache does with a new entry: evict the least recently
+#: used one (the OVS revalidator under pressure) or refuse the install
+#: (the paper's ``GF_k not full`` formulation, Fig. 3 / Table 2).
+EVICTION_MODES = ("lru", "reject")
+
+
+def check_eviction(eviction: str) -> str:
+    """``eviction`` if it is one of :data:`EVICTION_MODES`."""
+    if eviction not in EVICTION_MODES:
+        raise ValueError(
+            f"unknown eviction mode {eviction!r} "
+            f"(accepted: {', '.join(EVICTION_MODES)})"
+        )
+    return eviction
+
+
 class HitReplay(abc.ABC):
     """Replayable side effects of one cache hit.
 
@@ -128,7 +144,11 @@ class FlowCache(abc.ABC):
     own — ``__iter__`` over resident entries (each with a
     ``last_used``), :meth:`_entry_key` and :meth:`_drop` — plus one
     ``touch`` that every ``last_used`` writer (lookup hit, fast-path
-    replay, install refresh) goes through.  A composite
+    replay, install refresh) goes through.  ``touch`` also moves the
+    entry to the recent end of the cache's id → entry index, an
+    ``OrderedDict``: that index is the LRU order, so the capacity
+    victim is its first value and it equals ``last_used`` order only
+    while ``touch`` is the single writer of both.  A composite
     (:class:`~repro.cache.hierarchy.CacheHierarchy`) delegates
     ``evict_idle``/``clear`` to its levels instead.
 
@@ -213,8 +233,8 @@ class FlowCache(abc.ABC):
         raise NotImplementedError
 
     def _drop(self, entry) -> None:
-        """Unlink ``entry`` from this cache's indexes and from the
-        eviction policy tracking it; ``KeyError`` when not resident.
+        """Unlink ``entry`` from this cache's indexes (its place in the
+        recency order goes with it); ``KeyError`` when not resident.
         Only :meth:`_depart` calls this."""
         raise NotImplementedError
 
@@ -233,9 +253,9 @@ class FlowCache(abc.ABC):
         telemetry gets one ``evict`` record for the batch.  ``entries``
         may be lazy: each entry is dropped before the next is drawn
         (chain repair finds its next stale rule only once the last is
-        gone).  ``victim_age`` is the idle age of a victim an eviction
-        *policy* chose (``reason`` is then the policy's name); it feeds
-        the per-policy victim-age distribution.  Returns the count.
+        gone).  ``victim_age`` is the idle age of a capacity victim
+        (``reason`` is then ``"lru"``); it feeds the victim-age
+        distribution.  Returns the count.
         """
         pred = self.timeout_predictor
         count = 0
@@ -250,7 +270,7 @@ class FlowCache(abc.ABC):
             if tel is not None:
                 tel.on_evict(self.telemetry_name, reason, count)
                 if victim_age is not None:
-                    tel.on_victim(self.telemetry_name, reason, victim_age)
+                    tel.on_victim(self.telemetry_name, victim_age)
         return count
 
     def evict_idle(self, now: float, max_idle: float) -> int:
@@ -261,11 +281,11 @@ class FlowCache(abc.ABC):
         and ``tests/test_timeout_boundary.py``): an entry expires only
         when ``now - last_used > max_idle`` — an entry idle for
         *exactly* ``max_idle`` survives the sweep.  This is the one
-        body every cache runs; eviction-policy refactors must not
-        silently flip it to ``>=``.  With a :attr:`timeout_predictor`
-        attached the per-entry predicted timeout replaces the
-        *threshold* only; the comparison stays strict, and each expiry
-        is filed with ``on_expire`` before the entry is removed.  A
+        body every cache runs; a refactor must not silently flip it to
+        ``>=``.  With a :attr:`timeout_predictor` attached the
+        per-entry predicted timeout replaces the *threshold* only; the
+        comparison stays strict, and each expiry is filed with
+        ``on_expire`` before the entry is removed.  A
         sweep that removes anything is one ``evict(reason="idle")``
         record and one epoch bump, however many entries went.
         """
@@ -296,16 +316,6 @@ class FlowCache(abc.ABC):
         counts: each entry departs for reason ``"clear"``."""
         self._depart(list(self), "clear")
         self.bump_epoch()
-
-    def set_eviction_policy(self, name: str) -> None:
-        """Install the capacity-eviction policy registered under
-        ``name`` (see :mod:`repro.cache.eviction`).  Intended before a
-        run; swapping mid-run re-seeds recency from ``last_used`` but
-        resets policy-internal weights/segments.  Caches without
-        capacity eviction reject the call."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no pluggable eviction policy"
-        )
 
     def set_timeout_predictor(self, predictor) -> None:
         """Attach a :class:`~repro.core.timeouts.TimeoutPredictor` (or

@@ -48,6 +48,9 @@ class CacheHierarchy(FlowCache):
     promotes the exact flow into the Microflow cache (as OVS does); a miss
     falls through to the caller's slow path, whose resulting traversal is
     installed into both levels via :meth:`install_traversal`.
+
+    ``eviction`` (``"lru"`` or ``"reject"``) is the Megaflow level's;
+    the exact-match level always evicts its least recently used entry.
     """
 
     name = "hierarchy"
@@ -61,16 +64,9 @@ class CacheHierarchy(FlowCache):
         eviction: str = "lru",
     ):
         super().__init__()
-        self.microflow = MicroflowCache(microflow_capacity, eviction)
+        self.microflow = MicroflowCache(microflow_capacity)
         self.megaflow = MegaflowCache(megaflow_capacity, schema, eviction)
         self.start_table = start_table
-        self.eviction = eviction
-
-    def set_eviction_policy(self, name: str) -> None:
-        """Install the named eviction policy on both levels."""
-        self.microflow.set_eviction_policy(name)
-        self.megaflow.set_eviction_policy(name)
-        self.eviction = name
 
     def set_timeout_predictor(self, predictor) -> None:
         """Attach one shared predictor to both levels (Microflow keys

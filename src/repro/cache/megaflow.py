@@ -10,6 +10,7 @@ guarantees entries never overlap, so the cache needs no priorities.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from typing import Iterator, Optional, Tuple
 
 from ..classify.tss import TupleSpaceClassifier
@@ -23,8 +24,8 @@ from .base import (
     FlowCache,
     HitReplay,
     actions_result,
+    check_eviction,
 )
-from .eviction import make_policy, reseed_policy
 
 _entry_ids = itertools.count()
 
@@ -121,9 +122,8 @@ class MegaflowCache(FlowCache):
 
     Attributes:
         capacity: Maximum entries (the paper's baseline uses 32K).
-        eviction: A policy name from :mod:`repro.cache.eviction`
-            (``"lru"``, ``"sharing"``) — a full cache evicts that
-            policy's victim (OVS revalidator behaviour under pressure);
+        eviction: ``"lru"`` — a full cache evicts its least recently
+            used entry (OVS revalidator behaviour under pressure);
             ``"reject"`` refuses the install instead.
     """
 
@@ -139,21 +139,15 @@ class MegaflowCache(FlowCache):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.eviction = eviction
-        self.policy = make_policy("lru" if eviction == "reject" else eviction)
+        self.eviction = check_eviction(eviction)
         self.schema = schema
         self._classifier: TupleSpaceClassifier[MegaflowEntry] = (
             TupleSpaceClassifier(schema)
         )
         self._by_match: dict = {}
-        self._by_id: dict = {}
-
-    def set_eviction_policy(self, name: str) -> None:
-        self.policy = reseed_policy(
-            make_policy("lru" if name == "reject" else name),
-            ((entry.rule_id, entry.last_used) for entry in self),
-        )
-        self.eviction = name
+        #: id → entry, in use order (see :meth:`touch`): the first
+        #: value is the least recently used entry.
+        self._by_id: "OrderedDict[int, MegaflowEntry]" = OrderedDict()
 
     # -- FlowCache interface ------------------------------------------------------
 
@@ -176,12 +170,13 @@ class MegaflowCache(FlowCache):
     def touch(self, entry: MegaflowEntry, now: float) -> None:
         """Mark ``entry`` used at ``now`` — the one ``last_used`` writer
         (lookup hit, fast-path replay, install refresh), so the
-        predictor sees every interarrival and the policy every use."""
+        predictor sees every interarrival and ``_by_id`` stays in use
+        order."""
         pred = self.timeout_predictor
         if pred is not None:
             pred.observe(entry.match, now - entry.last_used, now)
         entry.last_used = now
-        self.policy.on_hit(entry.rule_id, now)
+        self._by_id.move_to_end(entry.rule_id)
 
     def install(self, entry: MegaflowEntry, now: float = 0.0) -> bool:
         """Install an entry; returns False when rejected for capacity."""
@@ -189,7 +184,6 @@ class MegaflowCache(FlowCache):
         if existing is not None:
             # Refresh in place (same match predicate — same traversal).
             self.touch(existing, now)
-            self.policy.on_share(existing.rule_id)
             existing.actions = entry.actions
             existing.generation = entry.generation
             self.bump_epoch()
@@ -198,20 +192,13 @@ class MegaflowCache(FlowCache):
             if self.eviction == "reject":
                 self.stats.rejected += 1
                 return False
-            victim_id = self.policy.victim()
-            if victim_id is None:
-                self.stats.rejected += 1
-                return False
-            victim = self._by_id[victim_id]
-            self._depart(
-                (victim,), self.policy.name, now - victim.last_used
-            )
+            victim = next(iter(self._by_id.values()))
+            self._depart((victim,), "lru", now - victim.last_used)
             self.bump_epoch()
         entry.last_used = now
         self._classifier.insert(entry)
         self._by_match[entry.match] = entry
         self._by_id[entry.rule_id] = entry
-        self.policy.on_insert(entry.rule_id, now)
         pred = self.timeout_predictor
         if pred is not None:
             pred.on_insert(entry.match, now)
@@ -253,7 +240,6 @@ class MegaflowCache(FlowCache):
         self._classifier.remove(entry)
         del self._by_match[entry.match]
         del self._by_id[entry.rule_id]
-        self.policy.on_remove(entry.rule_id)
 
     # -- observability ----------------------------------------------------------------
 

@@ -7,12 +7,12 @@ evaluation compares Megaflow vs. Gigaflow.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from collections import OrderedDict
+from typing import Iterator, Optional, Tuple
 
 from ..flow.actions import ActionList
 from ..flow.key import FlowKey
 from .base import CacheResult, FlowCache, HitReplay, actions_result
-from .eviction import make_policy, reseed_policy
 
 
 class _MicroflowHitReplay(HitReplay):
@@ -36,28 +36,19 @@ class _MicroflowHitReplay(HitReplay):
 class MicroflowCache(FlowCache):
     """An exact-match cache from flow signature to actions.
 
-    ``eviction`` names the capacity-eviction policy (see
-    :mod:`repro.cache.eviction`); the default ``"lru"`` reproduces the
-    original hard-coded LRU behaviour exactly.
+    A full cache evicts its least recently used entry: ``_entries`` is
+    kept in use order (see :meth:`touch`), so the victim is its first
+    value.
     """
 
     name = "microflow"
 
-    def __init__(self, capacity: int = 8192, eviction: str = "lru"):
+    def __init__(self, capacity: int = 8192):
         super().__init__()
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._entries: Dict[Tuple[int, ...], _Entry] = {}
-        self.eviction = eviction
-        self.policy = make_policy(eviction)
-
-    def set_eviction_policy(self, name: str) -> None:
-        self.policy = reseed_policy(
-            make_policy(name),
-            ((entry.key, entry.last_used) for entry in self),
-        )
-        self.eviction = name
+        self._entries: "OrderedDict[Tuple[int, ...], _Entry]" = OrderedDict()
 
     # -- FlowCache interface -------------------------------------------------
 
@@ -77,31 +68,28 @@ class MicroflowCache(FlowCache):
     def touch(self, entry: _Entry, now: float) -> None:
         """Mark ``entry`` used at ``now`` — the one ``last_used`` writer
         (lookup hit, fast-path replay, install refresh), so the
-        predictor sees every interarrival and the policy every use."""
+        predictor sees every interarrival and ``_entries`` stays in
+        use order."""
         pred = self.timeout_predictor
         if pred is not None:
             pred.observe(entry.key, now - entry.last_used, now)
         entry.last_used = now
-        self.policy.on_hit(entry.key, now)
+        self._entries.move_to_end(entry.key)
 
     def install(self, flow: FlowKey, actions: ActionList, now: float = 0.0) -> bool:
-        """Insert (or refresh) an exact-match entry, evicting a policy
-        victim when full."""
+        """Insert (or refresh) an exact-match entry, evicting the
+        least recently used one when full."""
         key = flow.values
         entry = self._entries.get(key)
         if entry is not None:
             self.touch(entry, now)
-            self.policy.on_share(key)
             entry.actions = actions
             self.bump_epoch()
             return True
         if len(self._entries) >= self.capacity:
-            victim = self._entries[self.policy.victim()]
-            self._depart(
-                (victim,), self.policy.name, now - victim.last_used
-            )
+            victim = next(iter(self._entries.values()))
+            self._depart((victim,), "lru", now - victim.last_used)
         self._entries[key] = _Entry(key, actions, now)
-        self.policy.on_insert(key, now)
         pred = self.timeout_predictor
         if pred is not None:
             pred.on_insert(key, now)
@@ -125,12 +113,11 @@ class MicroflowCache(FlowCache):
 
     def _drop(self, entry: _Entry) -> None:
         del self._entries[entry.key]
-        self.policy.on_remove(entry.key)
 
 
 class _Entry:
     """One exact-match entry; ``key`` (the flow's value tuple) names it
-    to the eviction policy and the timeout predictor alike."""
+    to the cache's index and the timeout predictor alike."""
 
     __slots__ = ("key", "actions", "last_used")
 

@@ -45,7 +45,6 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from .cache.eviction import POLICY_NAMES
 from .core.revalidation import resolve_revalidator
 from .core.timeouts import PREDICTOR_NAMES
 from .experiments import (
@@ -201,7 +200,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     scale = Scale.from_args(args)
-    system = make_system(args.system, scale.total_capacity, args.eviction)
+    system = make_system(args.system, scale.total_capacity)
     telemetry = Telemetry(
         trace_capacity=args.trace_capacity,
         tracing=args.format == "text" or args.trace_out is not None,
@@ -392,7 +391,7 @@ def cmd_net(args: argparse.Namespace) -> int:
         # Same spec + seed => identical rule state per switch.
         pipeline_factory=lambda _context: scale.workload().pipeline,
         system_factory=lambda _context: make_system(
-            args.system, scale.total_capacity, args.eviction
+            args.system, scale.total_capacity
         ),
         controller=controller,
         config=SimConfig(
@@ -539,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of flows whose endpoints share a leaf "
              "(default 0.5)",
     )
-    net.add_argument("--eviction", choices=POLICY_NAMES, default="lru")
     net.add_argument(
         "--max-idle", type=float, default=0.0,
         help="idle-expiry threshold per switch (0 disables; default 0)",
@@ -594,10 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument("--system", choices=_SYSTEMS, default="gigaflow")
     stats.add_argument(
-        "--eviction", choices=POLICY_NAMES, default="lru",
-        help="capacity-eviction policy (default lru)",
-    )
-    stats.add_argument(
         "--max-idle", type=float, default=5.0,
         help="idle-expiry threshold in seconds (0 disables; default 5)",
     )
@@ -626,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument(
         "--adaptive-controller", action="store_true",
         help="enable the telemetry-driven adaptive control loop "
-             "(placement/eviction-policy/timeout steering on the sweep "
+             "(placement/timeout steering on the sweep "
              "cadence); its decisions appear as controller metrics, "
              "trace events and a summary section",
     )

@@ -7,19 +7,13 @@ sub-traversal sharing is scarce.  That decision belongs to the cache:
 under every driver, and this controller only *reports* it (knob
 ``mode``: a net change since the last sweep is logged like any other
 transition).  What the controller decides, on the sweep cadence and
-from the cache's own install counters plus the
-:class:`~repro.obs.snapshot.CacheSnapshot` occupancy, is three knobs:
+from the :class:`~repro.obs.snapshot.CacheSnapshot` occupancy, is two
+knobs:
 
 ``placement``
     :class:`~repro.core.gigaflow.GigaflowCache` install placement bias:
     ``"balanced"`` under occupancy pressure (spread load), ``"earliest"``
     when the cache is comfortably empty (shorter probe chains).
-``eviction_policy``
-    The active per-table :class:`~repro.cache.eviction.EvictionPolicy`:
-    sharing-rich traffic is worth the sharing-aware policy's weight
-    bookkeeping, sharing-poor traffic does better with plain LRU.  While
-    the sharing policy is active the controller also applies weight
-    *decay* each sweep so stale reinforcement ages out.
 ``timeout_scale``
     The aggressiveness of an attached
     :class:`~repro.core.timeouts.TimeoutPredictor`: under occupancy
@@ -48,29 +42,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..cache.eviction import SharingAwarePolicy
-
 __all__ = [
     "AdaptiveController",
     "ControllerConfig",
     "KNOB_MODE",
     "KNOB_PLACEMENT",
-    "KNOB_POLICY",
     "KNOB_TIMEOUT",
 ]
 
 KNOB_MODE = "mode"
 KNOB_PLACEMENT = "placement"
-KNOB_POLICY = "eviction_policy"
 KNOB_TIMEOUT = "timeout_scale"
 
 MODE_DISJOINT = "disjoint"
 MODE_MEGAFLOW = "megaflow"
-
-#: The eviction policies selected under scarce / rich sharing — the two
-#: that exist (see :data:`~repro.cache.eviction.POLICY_NAMES`).
-POLICY_POOR = "lru"
-POLICY_RICH = "sharing"
 
 
 @dataclass
@@ -78,13 +63,6 @@ class ControllerConfig:
     """Knobs of the control loop itself.
 
     Attributes:
-        low_watermark: Sharing rate below which sharing-aware eviction
-            is not repaying its weight bookkeeping (switch to plain
-            LRU).
-        high_watermark: Sharing rate above which it clearly is (switch
-            to the sharing-aware policy).
-        min_window: Minimum generated rules in a sweep window before the
-            sharing rate is trusted; thinner windows yield no verdict.
         dwell: Consecutive sweeps a condition must hold before the
             controller acts on it (flap damping).
         enable_chain_repair: Turn on
@@ -97,10 +75,6 @@ class ControllerConfig:
             behaviour.)
         occupancy_low / occupancy_high: Occupancy watermarks for the
             placement and timeout decisions.
-        manage_policy: Enable the eviction-policy knob.
-        decay_factor: Weight-decay factor applied to sharing-aware
-            policies each sweep (see
-            :meth:`~repro.cache.eviction.SharingAwarePolicy.decay`).
         manage_timeout / timeout_scale_step / timeout_scale_min:
             Timeout-aggressiveness control.  When the attached cache
             carries a :class:`~repro.core.timeouts.TimeoutPredictor`,
@@ -113,34 +87,21 @@ class ControllerConfig:
             prediction, which ``max_idle`` already bounds).
     """
 
-    low_watermark: float = 0.25
-    high_watermark: float = 0.40
-    min_window: int = 24
     dwell: int = 2
     enable_chain_repair: bool = True
     occupancy_low: float = 0.35
     occupancy_high: float = 0.85
-    manage_policy: bool = True
-    decay_factor: float = 0.5
     manage_timeout: bool = True
     timeout_scale_step: float = 0.5
     timeout_scale_min: float = 0.25
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.low_watermark <= self.high_watermark <= 1.0:
-            raise ValueError(
-                "need 0 <= low_watermark <= high_watermark <= 1"
-            )
         if not 0.0 <= self.occupancy_low <= self.occupancy_high <= 1.0:
             raise ValueError(
                 "need 0 <= occupancy_low <= occupancy_high <= 1"
             )
         if self.dwell < 1:
             raise ValueError("dwell must be at least one sweep")
-        if self.min_window < 1:
-            raise ValueError("min_window must be positive")
-        if not 0.0 <= self.decay_factor < 1.0:
-            raise ValueError("decay_factor must be in [0, 1)")
         if not 0.0 < self.timeout_scale_step < 1.0:
             raise ValueError("timeout_scale_step must be in (0, 1)")
         if not 0.0 < self.timeout_scale_min <= 1.0:
@@ -154,9 +115,9 @@ class AdaptiveController:
     the engine then calls :meth:`on_sweep` right after every periodic
     snapshot (see ``PacketKernel.advance``).  The controller
     degrades gracefully: knobs whose surface the cache does not expose
-    (no ``placement``, no LTM tables, no ``set_eviction_policy``, no
-    timeout predictor) are simply skipped, so attaching it to a
-    Megaflow or hierarchy system is a no-op rather than an error.
+    (no ``placement``, no ``chain_repair``, no timeout predictor) are
+    simply skipped, so attaching it to a Megaflow or hierarchy system
+    is a no-op rather than an error.
     """
 
     def __init__(self, config: Optional[ControllerConfig] = None):
@@ -169,13 +130,10 @@ class AdaptiveController:
         self.transitions: List[dict] = []
         self.last_signals: dict = {}
         self._name = ""
-        self._tables = ()
         self._streaks: dict = {}
-        self._last_stats = (0, 0, 0)
         # The partitioner mode as of the last sweep (what a governor
         # switch is reported against).
         self._mode = MODE_DISJOINT
-        self._policy = None
         self._timeout_pred = None
 
     # -- wiring -----------------------------------------------------------------
@@ -188,46 +146,9 @@ class AdaptiveController:
         self._mode = _mode_of(cache)
         if self.config.enable_chain_repair and hasattr(cache, "chain_repair"):
             cache.chain_repair = True
-        self._tables = getattr(cache, "tables", ())
-        stats = cache.stats
-        self._last_stats = (
-            stats.insertions, stats.rejected,
-            getattr(cache, "sharing_events", 0),
-        )
-        if self._tables:
-            self._policy = getattr(cache, "eviction", None)
         # Installed by the engine before attach (see PacketKernel), so
         # the predictor is already wired when the loop starts.
         self._timeout_pred = getattr(cache, "timeout_predictor", None)
-
-    # -- signal extraction ------------------------------------------------------
-
-    def _read_signals(self, snapshot) -> dict:
-        """One sweep's worth of decision inputs, all delta-based."""
-        cfg = self.config
-        cache = self.cache
-        # The install window since the last sweep, reconstructed from
-        # the cache's cumulative counters.
-        stats = cache.stats
-        sharing_events = getattr(cache, "sharing_events", 0)
-        prev_ins, prev_rej, prev_share = self._last_stats
-        self._last_stats = (stats.insertions, stats.rejected, sharing_events)
-        reused = sharing_events - prev_share
-        generated = (
-            (stats.insertions - prev_ins)
-            + (stats.rejected - prev_rej)
-            + reused
-        )
-        sharing = (
-            reused / generated if generated >= cfg.min_window else None
-        )
-        return {
-            "generated": generated,
-            "reused": reused,
-            "sharing": sharing,
-            "occupancy": snapshot.occupancy if snapshot else None,
-            "epoch_delta": snapshot.epoch_delta if snapshot else 0,
-        }
 
     # -- hysteresis bookkeeping -------------------------------------------------
 
@@ -244,7 +165,6 @@ class AdaptiveController:
                 "knob": knob,
                 "from": old,
                 "to": new,
-                "sharing": signals.get("sharing"),
                 "occupancy": signals.get("occupancy"),
             }
         )
@@ -265,9 +185,11 @@ class AdaptiveController:
         """Run one decision round; returns the signals it acted on."""
         self.sweeps += 1
         cfg = self.config
-        signals = self._read_signals(snapshot)
+        signals = {
+            "occupancy": snapshot.occupancy if snapshot else None,
+            "epoch_delta": snapshot.epoch_delta if snapshot else 0,
+        }
         self.last_signals = signals
-        sharing = signals["sharing"]
 
         # The cache's governor decides the mode per install window; a
         # net change since the last sweep is reported here so it shows
@@ -296,21 +218,6 @@ class AdaptiveController:
                 self._apply(
                     KNOB_PLACEMENT, placement, "earliest", now, signals
                 )
-
-        if (
-            cfg.manage_policy
-            and self._policy is not None
-            and self._policy != "reject"
-            and sharing is not None
-        ):
-            if self._policy != POLICY_RICH and self._hold(
-                (KNOB_POLICY, POLICY_RICH), sharing > cfg.high_watermark
-            ):
-                self._switch_policy(POLICY_RICH, now, signals)
-            elif self._policy != POLICY_POOR and self._hold(
-                (KNOB_POLICY, POLICY_POOR), sharing < cfg.low_watermark
-            ):
-                self._switch_policy(POLICY_POOR, now, signals)
 
         predictor = self._timeout_pred
         if (
@@ -342,19 +249,7 @@ class AdaptiveController:
                         KNOB_TIMEOUT, scale,
                         predictor.aggressiveness, now, signals,
                     )
-
-        # Age sharing-aware weight state every sweep while it is live.
-        for table in self._tables:
-            policy = getattr(table, "policy", None)
-            if isinstance(policy, SharingAwarePolicy):
-                policy.decay(cfg.decay_factor)
         return signals
-
-    def _switch_policy(self, name: str, now: float, signals: dict) -> None:
-        old = self._policy
-        self.cache.set_eviction_policy(name)
-        self._policy = name
-        self._apply(KNOB_POLICY, old, name, now, signals)
 
     # -- reporting --------------------------------------------------------------
 
@@ -382,7 +277,6 @@ class AdaptiveController:
             "state": {
                 "mode": _mode_of(self.cache),
                 "placement": getattr(self.cache, "placement", None),
-                "eviction_policy": self._policy,
                 "timeout_scale": (
                     self._timeout_pred.aggressiveness
                     if self._timeout_pred is not None
@@ -403,12 +297,6 @@ def _mode_of(cache) -> str:
     )
 
 
-#: ``repro_controller_state{knob="eviction_policy"}`` values.  Declared,
-#: not derived from ``POLICY_NAMES`` order: 1.0 and 2.0 were ``slru``
-#: and ``2q``, and recorded series keep reading ``sharing`` as 3.0.
-_POLICY_CODES = {POLICY_POOR: 0.0, POLICY_RICH: 3.0}
-
-
 def _encode(knob: str, value) -> float:
     """Stable numeric encoding of a knob value for the state gauge."""
     if knob == KNOB_MODE:
@@ -417,6 +305,4 @@ def _encode(knob: str, value) -> float:
         return float(value)
     if knob == KNOB_PLACEMENT:
         return 1.0 if value == "earliest" else 0.0
-    if knob == KNOB_POLICY:
-        return _POLICY_CODES.get(value, -1.0)
     return 0.0

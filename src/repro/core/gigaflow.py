@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..cache.base import CacheResult, FlowCache, HitReplay
+from ..cache.base import CacheResult, FlowCache, HitReplay, check_eviction
 from ..flow.actions import Action, ActionList
 from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..flow.key import FlowKey
@@ -127,13 +127,11 @@ class GigaflowCache(FlowCache):
         placement: ``"balanced"`` places new rules in the feasible table
             with the most free slots; ``"earliest"`` packs tables front to
             back.
-        eviction: A policy name from :mod:`repro.cache.eviction`
-            (``"lru"``, ``"sharing"``) — when every feasible table is
-            full, the policy's per-table victim with the oldest
-            ``last_used`` is evicted (mirroring the OVS revalidator's
-            behaviour under pressure); ``"reject"`` refuses the install
-            instead (the paper's ``GF_k not full`` formulation relies on
-            idle expiry alone).
+        eviction: ``"lru"`` — when every feasible table is full, the
+            least recently used rule among them is evicted (mirroring
+            the OVS revalidator's behaviour under pressure);
+            ``"reject"`` refuses the install instead (the paper's
+            ``GF_k not full`` formulation relies on idle expiry alone).
         chain_repair: Repair *shadowed chains* on the miss path.  When a
             rule chain is broken (eviction took a middle segment) its
             surviving head still matches in an early table and dead-ends
@@ -169,15 +167,13 @@ class GigaflowCache(FlowCache):
             raise ValueError(f"need at least one table, got {num_tables}")
         if placement not in ("balanced", "earliest"):
             raise ValueError(f"unknown placement policy {placement!r}")
-        table_policy = "lru" if eviction == "reject" else eviction
         self.schema = schema
         self.start_tag = start_tag
         self.partitioner = partitioner
         self.placement = placement
-        self.eviction = eviction
+        self.eviction = check_eviction(eviction)
         self.tables: Tuple[LtmTable, ...] = tuple(
-            LtmTable(i, table_capacity, schema, eviction=table_policy)
-            for i in range(num_tables)
+            LtmTable(i, table_capacity, schema) for i in range(num_tables)
         )
         #: Cumulative sharing events (a rule reused by another traversal).
         self.sharing_events = 0
@@ -190,12 +186,6 @@ class GigaflowCache(FlowCache):
         # hook bumps the same cells itself, so the paths are exclusive).
         self._probe_cells = None
         self._trace_probe = None
-
-    def set_eviction_policy(self, name: str) -> None:
-        table_policy = "lru" if name == "reject" else name
-        for table in self.tables:
-            table.set_eviction_policy(table_policy)
-        self.eviction = name
 
     def set_timeout_predictor(self, predictor) -> None:
         """Attach one shared predictor to the cache and all its LTM
@@ -368,9 +358,9 @@ class GigaflowCache(FlowCache):
         return index
 
     def _evict_for(self, window: range, now: float) -> Optional[int]:
-        """Free one slot by evicting among the feasible tables' policy
-        victim candidates the one with the oldest ``last_used``; returns
-        the table index with the freed slot."""
+        """Free one slot by evicting, among the feasible tables' least
+        recently used rules, the one with the oldest ``last_used``;
+        returns the table index with the freed slot."""
         victim = None
         victim_table = None
         for index in window:
@@ -382,11 +372,7 @@ class GigaflowCache(FlowCache):
                 victim_table = index
         if victim is None:
             return None
-        self._depart(
-            (victim,),
-            self.tables[victim_table].policy.name,
-            now - victim.last_used,
-        )
+        self._depart((victim,), "lru", now - victim.last_used)
         return victim_table
 
     def _repair_shadowed_chain(self, traversal: Traversal, now: float) -> None:

@@ -11,10 +11,9 @@ table, and forward/drop when the sub-traversal ends the pipeline.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..cache.eviction import make_policy, reseed_policy
 from ..classify.tss import TupleSpaceClassifier
 from ..flow.actions import ActionList
 from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
@@ -167,7 +166,6 @@ class LtmTable:
         index: int,
         capacity: int = 8192,
         schema: FieldSchema = DEFAULT_SCHEMA,
-        eviction: str = "lru",
     ):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
@@ -186,24 +184,14 @@ class LtmTable:
             TagDependency
         )
         self._by_identity: Dict[Tuple, LtmRule] = {}
-        self._by_id: Dict[int, LtmRule] = {}
-        #: Victim-selection state (see :mod:`repro.cache.eviction`).
-        #: All ``last_used`` updates must go through :meth:`touch` (or
-        #: :meth:`share`) so the policy's view tracks use time.
-        self.policy = make_policy(eviction)
+        #: id → rule, in use order: :meth:`touch` is the single
+        #: ``last_used`` writer and moves the rule to the end, so the
+        #: first value is the least recently used rule.
+        self._by_id: "OrderedDict[int, LtmRule]" = OrderedDict()
         #: Shared :class:`~repro.core.timeouts.TimeoutPredictor`
         #: installed by ``GigaflowCache.set_timeout_predictor`` (or
-        #: ``None``).  :meth:`touch` is the single ``last_used`` writer,
-        #: so it is the one observation chokepoint.
+        #: ``None``); :meth:`touch` is its one observation chokepoint.
         self.predictor = None
-
-    def set_eviction_policy(self, name: str) -> None:
-        """Swap the victim-selection policy, re-seeding resident rules
-        in recency order (weights/segments reset — intended pre-run)."""
-        self.policy = reseed_policy(
-            make_policy(name),
-            ((rule.rule_id, rule.last_used) for rule in self),
-        )
 
     # -- capacity ------------------------------------------------------------------
 
@@ -241,36 +229,34 @@ class LtmTable:
         self.dependencies[rule.tag].on_insert(rule, bucket.insert(rule))
         self._by_identity[identity] = rule
         self._by_id[rule.rule_id] = rule
-        self.policy.on_insert(rule.rule_id, rule.last_used)
         pred = self.predictor
         if pred is not None:
             pred.on_insert(identity, rule.last_used)
         return True
 
     def touch(self, rule: LtmRule, now: float) -> None:
-        """Mark a rule used at ``now``; keeps the policy's recency view
-        ordered.  Use times must be nondecreasing (the simulator's
+        """Mark a rule used at ``now`` and move it to the recent end of
+        the id index.  Use times must be nondecreasing (the simulator's
         clock is)."""
         pred = self.predictor
         if pred is not None:
             pred.observe(rule.identity(), now - rule.last_used, now)
         rule.last_used = now
-        self.policy.on_hit(rule.rule_id, now)
+        self._by_id.move_to_end(rule.rule_id)
 
     def share(self, rule: LtmRule, incoming: LtmRule) -> None:
         """Record that ``incoming`` (a fresh identical rule from another
         traversal) reuses the installed ``rule`` — the Fig. 5c sharing
-        event sharing-aware policies weight victims by."""
+        event ``install_count`` tallies (Fig. 11)."""
         rule.install_count += 1
         self.touch(rule, max(rule.last_used, incoming.last_used))
         rule.generation = max(rule.generation, incoming.generation)
-        self.policy.on_share(rule.rule_id)
 
     def __contains__(self, rule: LtmRule) -> bool:
         return self._by_id.get(rule.rule_id) is rule
 
     def remove(self, rule: LtmRule) -> None:
-        """Unlink a rule from the table's indexes and policy.  The cache
+        """Unlink a rule from the table's indexes.  The cache
         owns the bookkeeping of *why* it left
         (:meth:`~repro.cache.base.FlowCache._depart`)."""
         if rule not in self:
@@ -283,7 +269,6 @@ class LtmTable:
             del self._by_tag[rule.tag]
         del self._by_identity[rule.identity()]
         del self._by_id[rule.rule_id]
-        self.policy.on_remove(rule.rule_id)
 
     def __iter__(self) -> Iterator[LtmRule]:
         return iter(self._by_identity.values())
@@ -304,14 +289,10 @@ class LtmTable:
         return result.rule, result.groups_probed
 
     def lru_rule(self) -> Optional[LtmRule]:
-        """The installed policy's eviction-victim candidate — under the
-        default plain-LRU policy, the least-recently-used rule, O(1) off
-        the head of the recency list.  (The name predates pluggable
-        policies; it is the victim peek for every policy.)"""
-        victim_id = self.policy.victim()
-        if victim_id is None:
-            return None
-        return self._by_id[victim_id]
+        """The least recently used rule — the table's eviction victim
+        candidate — off the head of the id index (``None`` when
+        empty)."""
+        return next(iter(self._by_id.values()), None)
 
     # -- observability ------------------------------------------------------------------
 

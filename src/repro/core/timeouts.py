@@ -1,4 +1,4 @@
-"""Per-rule adaptive idle-timeout prediction — the fifth eviction axis.
+"""Per-rule adaptive idle-timeout prediction.
 
 Every cache in the tree expires entries against one global ``max_idle``
 constant (§4.3.2's idle expiry).  HQTimer showed that *learned* timeout

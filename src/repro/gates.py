@@ -21,8 +21,8 @@ once:
 
 The verdicts are about behaviour — identical metrics, hit rates,
 recovery, conservation — so the reports carry no clock: every row of
-``fastpath``, ``evictions``, ``adaptive``, ``timeouts``, ``churn`` and
-``net`` is a function of code + scale + seeds, and two runs under one
+``fastpath``, ``adaptive``, ``timeouts``, ``churn`` and ``net`` is a
+function of code + scale + seeds, and two runs under one
 ``PYTHONHASHSEED`` write the same file outside ``header``.  Throughput
 is ``bench/run.py``'s job (the benchmark of record, ``BENCHMARK.json``).
 Two phases read the host's clock, because a cost on this host is what
@@ -46,7 +46,6 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .cache.eviction import POLICY_NAMES
 from .core.timeouts import TimeoutConfig
 from .flow import prefix_mask
 from .net import FabricController, FabricSimulator, leaf_spine
@@ -157,21 +156,17 @@ class Scale:
         }
 
 
-def make_system(name: str, capacity: int, eviction: str = "lru"):
+def make_system(name: str, capacity: int):
     """The caching system ``name`` with ``capacity`` entries in total."""
     if name == "megaflow":
-        return MegaflowSystem(capacity=capacity, eviction=eviction)
+        return MegaflowSystem(capacity=capacity)
     if name == "hierarchy":
         return HierarchySystem(
             microflow_capacity=max(capacity // 4, 2),
             megaflow_capacity=capacity,
-            eviction=eviction,
         )
     cls = AdaptiveGigaflowSystem if name == "adaptive" else GigaflowSystem
-    return cls(
-        num_tables=4, table_capacity=max(capacity // 4, 2),
-        eviction=eviction,
-    )
+    return cls(num_tables=4, table_capacity=max(capacity // 4, 2))
 
 
 def churn_table(pipeline, field: str = "ip_src") -> int:
@@ -479,81 +474,6 @@ def phase_obs(scale: Scale, out: Path) -> dict:
     return report
 
 
-def phase_evictions(scale: Scale, out: Path) -> dict:
-    """A/B the pluggable eviction policies under capacity pressure.
-
-    Every policy replays the identical trace against the same
-    undersized cache (a quarter of the flow count, idle expiry off) so
-    capacity eviction — not idle timeout — decides what survives.  A
-    quarter, not a half: at half the flow count Gigaflow's sub-traversal
-    sharing fits the whole working set (0 evictions, one hit rate for
-    all four policies at the default scale), so the phase compared
-    nothing; ``under_pressure`` fails if any (system, policy) row never
-    evicted.  Telemetry is attached for the per-policy victim-age
-    distribution (``repro_eviction_victim_age_seconds``); hit rate and
-    occupancy come from the :class:`SimResult`.
-    """
-    capacity = max(scale.flows // 4, 8)
-    report = {
-        **scale.params(capacity),
-        "policies": list(POLICY_NAMES),
-        "systems": {},
-    }
-    pressured = True
-    for sysname in ("megaflow", "gigaflow"):
-        rows = {}
-        for policy in POLICY_NAMES:
-            telemetry = Telemetry(tracing=False)
-            _simulator, _trace, result = run_variant(
-                scale, make_system(sysname, capacity),
-                SimConfig(
-                    fast_path=True, telemetry=telemetry, eviction=policy
-                ),
-            )
-
-            # Victim-age distribution: this run owns the Telemetry hub,
-            # so every histogram child belongs to this (system, policy).
-            family = telemetry.registry.get(
-                "repro_eviction_victim_age_seconds"
-            )
-            children = [child for _labels, child in family.children()]
-            age_count = sum(child.count for child in children)
-            age_sum = sum(child.sum for child in children)
-            buckets = [sum(c) for c in zip(*(ch.counts for ch in children))]
-            bounds = [f"le_{b:g}" for b in family.buckets] + ["le_inf"]
-            stats = result.stats
-            pressured = pressured and stats.evictions > 0
-            rows[policy] = {
-                "hit_rate": round(result.hit_rate, 6),
-                "misses": stats.misses,
-                "evictions": stats.evictions,
-                "peak_entries": result.peak_entries,
-                # Single-engine run: the peak is an observed value, not
-                # a merged upper bound.  Merged rows (shards/net) must
-                # set this false and name the bound.
-                "peak_entries_exact": result.peak_entries_exact,
-                "entry_count": result.entry_count,
-                "occupancy": round(
-                    result.entry_count / result.capacity, 4
-                ) if result.capacity else 0.0,
-                "victim_age": {
-                    "count": age_count,
-                    "mean": round(age_sum / age_count, 6)
-                    if age_count else 0.0,
-                    "buckets": dict(zip(bounds, buckets)),
-                },
-            }
-            print_row(
-                f"{sysname} {policy}", rows[policy], "evictions", "occupancy"
-            )
-        best = max(rows, key=lambda p: rows[p]["hit_rate"])
-        report["systems"][sysname] = {"policies": rows, "best": best}
-        print(f"{sysname} best policy: {best} "
-              f"(hit_rate={rows[best]['hit_rate']:.4f})")
-    report["gates"] = {"under_pressure": verdict(pressured)}
-    return report
-
-
 def phase_adaptive(scale: Scale, out: Path) -> dict:
     """A/B the closed-loop controller against static configurations.
 
@@ -564,8 +484,8 @@ def phase_adaptive(scale: Scale, out: Path) -> dict:
     installing K-segment entries into the scattered phase; static
     Megaflow never exploits the shared phase; the window-heuristic
     adaptive cache reacts from its install counter alone; the closed
-    loop adds chain repair and the controller's placement / eviction
-    knobs on top of it.  The report records overall
+    loop adds chain repair and the controller's placement knob on top
+    of it.  The report records overall
     and per-phase hit rates plus the controller's transition log —
     ``closed_loop_ok`` asserts the loop matched or beat the best static
     variant.
@@ -1220,10 +1140,6 @@ PHASES: Dict[str, Phase] = {
         phase_obs,
         estimator="per-variant minimum CPU seconds over interleaved "
         "rounds, garbage collector paused",
-    ),
-    "evictions": Phase(
-        phase_evictions,
-        "also A/B the eviction policies under capacity pressure",
     ),
     "adaptive": Phase(
         phase_adaptive,

@@ -226,13 +226,6 @@ class SimConfig:
             on the sweep cadence, and threads a summary into
             :attr:`SimResult.telemetry`.  Observation-only: every other
             ``SimResult`` field is bit-identical with it on or off.
-        eviction: Optional capacity-eviction policy name
-            (:data:`~repro.cache.eviction.POLICY_NAMES`: ``"lru"``,
-            ``"sharing"``).  When set, the engine
-            installs it on the caching system's cache (and sub-caches /
-            LTM tables) before the first packet — the per-run A/B knob
-            the eviction bench sweeps.  ``None`` keeps whatever policy
-            the cache was built with (the ``"lru"`` default).
         controller: Enables the telemetry-driven adaptive control loop
             (:class:`~repro.core.controller.AdaptiveController`), run
             once per snapshot on the sweep cadence.  Accepts ``True``
@@ -292,7 +285,6 @@ class SimConfig:
     latency: LatencyModel = field(default_factory=LatencyModel)
     fast_path: bool = True
     telemetry: Optional[Telemetry] = None
-    eviction: Optional[str] = None
     controller: object = None
     timeouts: object = None
     churn: object = None
@@ -317,8 +309,6 @@ class PacketKernel:
         self, pipeline: Pipeline, system: CachingSystem, config: SimConfig
     ):
         cache = system.cache
-        if config.eviction is not None:
-            cache.set_eviction_policy(config.eviction)
         predictor = None
         if config.timeouts is not None:
             from ..core.timeouts import resolve_predictor

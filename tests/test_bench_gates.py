@@ -3,8 +3,8 @@
 Every phase of :data:`repro.gates.PHASES` is driven through
 :func:`repro.gates.run_phases` at a tiny scale; the runner's contract
 (shared header, legacy row keys, ``pass | fail | skip(reason)`` gates,
-exit code) is what CI's one-line bench step relies on.  Six of the
-eight phases report behaviour only: their files carry no clock and a
+exit code) is what CI's one-line bench step relies on.  Five of the
+seven phases report behaviour only: their files carry no clock and a
 second run reproduces them outside ``header``.
 """
 
@@ -49,11 +49,6 @@ LEGACY = {
         {"seconds", "packets_per_sec", "hit_rate", "cpu_seconds",
          "overhead_vs_off", "metrics_identical", "trace_events"},
         {"metrics_identical", "trace_identical"},
-    ),
-    "evictions": (
-        ("systems", "gigaflow", "policies", "lru"),
-        BASE_ROW | {"evictions", "victim_age", "peak_entries_exact"},
-        {"under_pressure"},
     ),
     "adaptive": (
         ("runs", "closed_loop"),

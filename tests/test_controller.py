@@ -15,7 +15,6 @@ Covers, in order:
   governor's mode switches, and their observability (transition
   counter + state gauge + ``controller`` trace events);
 * shadowed-chain repair on the miss path;
-* :meth:`~repro.cache.eviction.SharingAwarePolicy.decay` semantics;
 * closed-loop convergence on a locality-shifting trace; and
 * controller-off golden digests: with ``SimConfig.controller`` unset
   every system reproduces its pre-controller numbers bit for bit.
@@ -23,11 +22,11 @@ Covers, in order:
 
 import ast
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import flow, seeded_workload
-from repro.cache.eviction import SharingAwarePolicy
 from repro.core.adaptive import (
     AdaptiveConfig,
     AdaptiveGigaflowCache,
@@ -35,7 +34,7 @@ from repro.core.adaptive import (
 )
 from repro.core.controller import (
     KNOB_MODE,
-    KNOB_POLICY,
+    KNOB_PLACEMENT,
     AdaptiveController,
     ControllerConfig,
 )
@@ -170,22 +169,25 @@ class TestModeGovernor:
 # The control loop itself
 
 
-def _controlled_cache(telemetry=None, **config_kwargs):
-    config = ControllerConfig(min_window=10, dwell=2, **config_kwargs)
+def _controlled_cache(telemetry=None):
     cache = AdaptiveGigaflowCache(num_tables=2, table_capacity=64)
     if telemetry is not None:
         telemetry.attach(cache)
-    controller = AdaptiveController(config)
+    controller = AdaptiveController(ControllerConfig(dwell=2))
     controller.attach(cache, telemetry)
     return cache, controller
 
 
-def _sweep_with_sharing(cache, controller, generated, reused, now):
-    """One sweep whose install window generated/reused this many rules
-    (the controller reads the cache's cumulative counters)."""
-    cache.stats.insertions += generated - reused
-    cache.sharing_events += reused
-    return controller.on_sweep(now)
+#: Occupancies on either side of the default watermarks (0.35 / 0.85)
+#: and one between them.
+EMPTY, MIDDLING, FULL = 0.1, 0.5, 0.9
+
+
+def _sweep_at(controller, occupancy, now):
+    """One sweep whose snapshot read this occupancy."""
+    return controller.on_sweep(
+        now, SimpleNamespace(occupancy=occupancy, epoch_delta=0)
+    )
 
 
 def _knob_moves(controller, knob):
@@ -193,8 +195,8 @@ def _knob_moves(controller, knob):
 
 
 class TestControllerDecisions:
-    """Dwell, thin windows and streak consumption, through the
-    eviction-policy knob (``lru`` until sharing proves rich)."""
+    """Dwell and streak consumption, through the placement policy
+    (``balanced`` until the cache proves comfortably empty)."""
 
     def test_attach_enables_chain_repair(self):
         cache, controller = _controlled_cache()
@@ -207,58 +209,35 @@ class TestControllerDecisions:
 
     def test_policy_switch_requires_dwell(self):
         cache, controller = _controlled_cache()
-        _sweep_with_sharing(cache, controller, 40, 30, now=1.0)
-        assert cache.eviction == "lru"  # one sweep of evidence: hold
-        _sweep_with_sharing(cache, controller, 40, 30, now=2.0)
-        assert cache.eviction == "sharing"  # dwell=2 reached
-        assert [t["knob"] for t in controller.transitions] == [KNOB_POLICY]
-
-    def test_thin_windows_yield_no_verdict(self):
-        cache, controller = _controlled_cache()
-        for now in range(1, 10):
-            signals = _sweep_with_sharing(
-                cache, controller, 5, 4, now=float(now)
-            )
-            assert signals["sharing"] is None
-        assert cache.eviction == "lru"
+        _sweep_at(controller, EMPTY, now=1.0)
+        assert cache.placement == "balanced"  # one sweep of evidence: hold
+        _sweep_at(controller, EMPTY, now=2.0)
+        assert cache.placement == "earliest"  # dwell=2 reached
+        assert [t["knob"] for t in controller.transitions] == [
+            KNOB_PLACEMENT
+        ]
 
     def test_noise_resets_the_streak(self):
         cache, controller = _controlled_cache()
-        _sweep_with_sharing(cache, controller, 40, 30, now=1.0)
-        _sweep_with_sharing(cache, controller, 40, 0, now=2.0)  # poor again
-        _sweep_with_sharing(cache, controller, 40, 30, now=3.0)
-        assert cache.eviction == "lru"  # never two rich sweeps in a row
+        _sweep_at(controller, EMPTY, now=1.0)
+        _sweep_at(controller, MIDDLING, now=2.0)  # not empty after all
+        _sweep_at(controller, EMPTY, now=3.0)
+        assert cache.placement == "balanced"  # never two in a row
 
     def test_acting_consumes_the_streak(self):
         """After a switch the opposite condition needs a full fresh
         dwell — and the taken condition's streak restarts too."""
         cache, controller = _controlled_cache()
         for now in (1.0, 2.0):
-            _sweep_with_sharing(cache, controller, 40, 30, now=now)
-        assert cache.eviction == "sharing"
-        # One poor sweep is not enough to flap back...
-        _sweep_with_sharing(cache, controller, 40, 0, now=3.0)
-        assert cache.eviction == "sharing"
+            _sweep_at(controller, EMPTY, now=now)
+        assert cache.placement == "earliest"
+        # One full sweep is not enough to flap back...
+        _sweep_at(controller, FULL, now=3.0)
+        assert cache.placement == "earliest"
         # ...two are.
-        _sweep_with_sharing(cache, controller, 40, 0, now=4.0)
-        assert cache.eviction == "lru"
-        assert len(_knob_moves(controller, KNOB_POLICY)) == 2
-
-    def test_policy_knob_follows_sharing(self):
-        cache, controller = _controlled_cache()
-        assert cache.eviction == "lru"
-        for now in (1.0, 2.0):
-            _sweep_with_sharing(cache, controller, 40, 30, now=now)
-        assert cache.eviction == "sharing"
-        knobs = {t["knob"] for t in controller.transitions}
-        assert KNOB_POLICY in knobs
-
-    def test_manage_policy_off_leaves_the_policy_alone(self):
-        cache, controller = _controlled_cache(manage_policy=False)
-        for now in (1.0, 2.0, 3.0):
-            _sweep_with_sharing(cache, controller, 40, 30, now=now)
-        assert cache.eviction == "lru"
-        assert controller.transitions == []
+        _sweep_at(controller, FULL, now=4.0)
+        assert cache.placement == "balanced"
+        assert len(_knob_moves(controller, KNOB_PLACEMENT)) == 2
 
     def test_transitions_are_observable(self):
         """Every decision lands in the transition counter and, with the
@@ -266,7 +245,7 @@ class TestControllerDecisions:
         telemetry = Telemetry(tracing=True)
         cache, controller = _controlled_cache(telemetry)
         for now in (1.0, 2.0):
-            _sweep_with_sharing(cache, controller, 40, 30, now=now)
+            _sweep_at(controller, EMPTY, now=now)
         assert len(controller.transitions) == 1
         family = telemetry.registry.get("repro_controller_transitions_total")
         assert family is not None
@@ -275,30 +254,29 @@ class TestControllerDecisions:
             e for e in telemetry.tracer.events() if e.event == EV_CONTROLLER
         ]
         assert len(events) == 1
-        assert events[0].fields["knob"] == KNOB_POLICY
+        assert events[0].fields["knob"] == KNOB_PLACEMENT
 
     def test_transition_log_records_signals(self):
         cache, controller = _controlled_cache()
         for now in (1.0, 2.0):
-            _sweep_with_sharing(cache, controller, 40, 30, now=now)
+            _sweep_at(controller, EMPTY, now=now)
         (transition,) = controller.transitions
         assert transition["ts"] == 2.0
-        assert transition["from"] == "lru"
-        assert transition["to"] == "sharing"
-        assert transition["sharing"] == 0.75
+        assert transition["from"] == "balanced"
+        assert transition["to"] == "earliest"
+        assert transition["occupancy"] == EMPTY
 
     def test_summary_shape(self):
         cache, controller = _controlled_cache()
         for now in (1.0, 2.0):
-            _sweep_with_sharing(cache, controller, 40, 30, now=now)
+            _sweep_at(controller, EMPTY, now=now)
         summary = controller.summary()
         assert summary["sweeps"] == 2
         assert summary["transitions"] == 1
-        assert summary["by_knob"] == {KNOB_POLICY: 1}
+        assert summary["by_knob"] == {KNOB_PLACEMENT: 1}
         assert summary["state"] == {
             "mode": "disjoint",
-            "placement": "balanced",
-            "eviction_policy": "sharing",
+            "placement": "earliest",
             "timeout_scale": None,
         }
 
@@ -310,9 +288,9 @@ class TestControllerDecisions:
         cache = MegaflowCache(capacity=16)
         controller = AdaptiveController()
         controller.attach(cache, None)
-        signals = controller.on_sweep(1.0)
+        for now in (1.0, 2.0, 3.0):
+            _sweep_at(controller, FULL, now=now)
         assert controller.transitions == []
-        assert signals["sharing"] is None
 
 
 class TestModeIsReportedNotDecided:
@@ -320,11 +298,12 @@ class TestModeIsReportedNotDecided:
     logs the net change at the next sweep and never calls ``set_mode``."""
 
     def test_sharing_poor_sweeps_do_not_move_the_mode(self):
-        """What the controller's deleted decider acted on — sharing under
-        the low watermark for ``dwell`` sweeps — now leaves mode alone."""
+        """What the controller's deleted decider acted on — installs
+        that reuse nothing, for ``dwell`` sweeps — leaves mode alone."""
         cache, controller = _controlled_cache()
         for now in (1.0, 2.0, 3.0):
-            _sweep_with_sharing(cache, controller, 40, 0, now=now)
+            cache.stats.insertions += 40  # 40 generated, 0 reused
+            controller.on_sweep(now)
         assert not cache.megaflow_mode
         assert _knob_moves(controller, KNOB_MODE) == []
 
@@ -437,69 +416,6 @@ class TestChainRepair:
         cache.install_traversal(traversal, now=2.0)
         assert cache.shadow_repairs == 0
         assert not cache.lookup(flow()).hit
-
-
-# ---------------------------------------------------------------------------
-# Satellite 3: sharing-aware weight decay
-
-
-class TestSharingAwareDecay:
-    def test_decay_halves_weights(self):
-        policy = SharingAwarePolicy()
-        policy.on_insert("a", 0.0)
-        for _ in range(8):
-            policy.on_hit("a", 0.0)
-        assert policy.weight_of("a") == 8
-        policy.decay(0.5)
-        assert policy.weight_of("a") == 4
-
-    def test_decay_demotes_tiers(self):
-        policy = SharingAwarePolicy(tiers=4)
-        for key in ("hot", "cold"):
-            policy.on_insert(key, 0.0)
-        for _ in range(4):
-            policy.on_share("hot")  # weight 8 -> top tier
-        assert policy.victim() == "cold"
-        moved = policy.decay(0.0)  # hard reset: all weight gone
-        assert moved == 1  # only "hot" changed bands
-        assert policy.weight_of("hot") == 0
-        # Both back in tier 0; LRU order now decides, and "hot" was
-        # reinforced after "cold" was inserted.
-        assert policy.victim() == "cold"
-
-    def test_decayed_protection_ages_out(self):
-        """An entry reinforced during a dead phase loses its shield:
-        once decay drains its weight, an entry earning *current*
-        reinforcement outlives it."""
-        policy = SharingAwarePolicy(tiers=4)
-        policy.on_insert("stale", 0.0)
-        for _ in range(6):
-            policy.on_share("stale")
-        policy.on_insert("fresh", 1.0)
-        policy.on_hit("fresh", 1.0)
-        assert policy.victim() == "fresh"
-        for _ in range(4):
-            policy.decay(0.5)
-        assert policy.weight_of("stale") == 0  # old credit fully aged out
-        policy.on_hit("fresh", 2.0)  # fresh earns new, undecayed weight
-        assert policy.victim() == "stale"
-
-    def test_decay_factor_validation(self):
-        policy = SharingAwarePolicy()
-        with pytest.raises(ValueError, match="decay factor"):
-            policy.decay(1.0)
-        with pytest.raises(ValueError, match="decay_factor"):
-            SharingAwarePolicy(decay_factor=-0.1)
-
-    def test_controller_decays_each_sweep(self):
-        cache, controller = _controlled_cache()
-        cache.set_eviction_policy("sharing")
-        policy = cache.tables[0].policy
-        policy.on_insert("k", 0.0)
-        for _ in range(4):
-            policy.on_hit("k", 0.0)
-        _sweep_with_sharing(cache, controller, 5, 0, now=1.0)
-        assert policy.weight_of("k") == 2  # one decay at factor 0.5
 
 
 # ---------------------------------------------------------------------------

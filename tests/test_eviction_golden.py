@@ -1,12 +1,12 @@
-"""Differential golden tests: plain LRU is a *pure extraction*.
+"""Differential golden tests: LRU orders victims exactly as it always has.
 
-The eviction-policy refactor replaced hard-coded LRU bookkeeping (an
-``OrderedDict`` in Microflow/LtmTable, a scan in Megaflow) with the
-pluggable :mod:`repro.cache.eviction` interface.  With the default
-``"lru"`` policy every cache must behave **bit-identically** to the
-code it replaced.  The digests below were captured on the pre-refactor
-tree (commit ``eed4304``) from fixed-seed pipebench workloads; the
-refactored simulator must reproduce every field exactly.
+Victim order has had three homes: hard-coded bookkeeping (an
+``OrderedDict`` in Microflow/LtmTable, a scan in Megaflow), then a
+pluggable policy interface with a parallel recency dict per table, and
+now each cache's own id → entry index, kept in use order.  The digests
+below were captured on the first of those trees (commit ``eed4304``)
+from fixed-seed pipebench workloads and have not been edited since;
+every field must still reproduce exactly.
 
 Only hash-stable fields are pinned: ``avg_latency_us`` (and the CPU
 cycle counters) depend on TSS mask-group iteration order, which varies
@@ -17,7 +17,6 @@ in ``test_sim_engine.py``-style runs) rather than against constants.
 
 import pytest
 
-from repro.cache.eviction import POLICY_NAMES
 from repro.pipeline import PSC
 from repro.sim import (
     GigaflowSystem,
@@ -69,19 +68,15 @@ GOLDEN_PRESSURE = {
 }
 
 
-def _systems(megaflow_capacity, table_capacity, microflow_capacity,
-             eviction="lru"):
+def _systems(megaflow_capacity, table_capacity, microflow_capacity):
     return {
-        "megaflow": lambda: MegaflowSystem(
-            capacity=megaflow_capacity, eviction=eviction
-        ),
+        "megaflow": lambda: MegaflowSystem(capacity=megaflow_capacity),
         "gigaflow": lambda: GigaflowSystem(
-            num_tables=4, table_capacity=table_capacity, eviction=eviction
+            num_tables=4, table_capacity=table_capacity
         ),
         "hierarchy": lambda: HierarchySystem(
             microflow_capacity=microflow_capacity,
             megaflow_capacity=megaflow_capacity,
-            eviction=eviction,
         ),
     }
 
@@ -135,35 +130,3 @@ class TestPlainLruIsBitIdentical:
             if sub in digest and sub not in golden:
                 del digest[sub]
         assert digest == golden
-
-    def test_config_eviction_lru_matches_constructor_default(self):
-        """``SimConfig(eviction="lru")`` re-installs LRU over a fresh
-        LRU cache — the reseed path must also be an identity."""
-        make = _systems(48, 24, 24)["megaflow"]
-        workload = build_workload(
-            PSC, n_flows=400, locality="high", seed=11
-        )
-        trace = workload.trace(seed=3)
-        config = SimConfig(max_idle=0.0, fast_path=True, eviction="lru")
-        simulator = VSwitchSimulator(workload.pipeline, make(), config)
-        result = simulator.run(trace)
-        digest = _digest(simulator, result)
-        assert digest == GOLDEN_PRESSURE["megaflow"]
-
-
-class TestAlternatePoliciesStayCoherent:
-    """The non-default policies need no goldens (they are new), but on
-    the same workload their accounting must still reconcile."""
-
-    @pytest.mark.parametrize(
-        "policy", [p for p in POLICY_NAMES if p != "lru"]
-    )
-    @pytest.mark.parametrize("system", ("megaflow", "gigaflow"))
-    def test_counts_reconcile(self, system, policy):
-        make = _systems(48, 24, 24, eviction=policy)[system]
-        simulator, result = _run(make, max_idle=0.0)
-        stats = result.stats
-        assert result.packets == 2200
-        assert stats.hits + stats.misses == 2200
-        assert stats.insertions - stats.evictions == result.entry_count
-        assert result.entry_count <= result.capacity

@@ -1,6 +1,7 @@
 """Edge-case and contract tests for eviction across the cache stack.
 
-Covers the corners the eviction-policy refactor must not disturb:
+Covers the corners a change to the recency bookkeeping must not
+disturb:
 
 * :meth:`LtmTable.lru_rule` on empty / single-rule tables, and its
   interaction with same-step installs (an eviction racing an install at
@@ -11,7 +12,9 @@ Covers the corners the eviction-policy refactor must not disturb:
   :meth:`repro.cache.base.FlowCache.evict_idle`);
 * sweep cadence × :class:`~repro.sim.fastpath.FastPathIndex` epoch
   invalidation: a sweep that removes nothing must not invalidate
-  memoized lookups; a sweep that removes anything must.
+  memoized lookups; a sweep that removes anything must;
+* ``eviction`` is ``"lru"`` or ``"reject"`` at every constructor that
+  takes it, and ``"reject"`` on the hierarchy is the Megaflow level's.
 """
 
 import pytest
@@ -23,7 +26,14 @@ from repro.cache import (
     MicroflowCache,
 )
 from repro.core import TAG_DONE, GigaflowCache, LtmRule, LtmTable
+from repro.core.adaptive import AdaptiveGigaflowCache
 from repro.flow import ActionList, Output, TernaryMatch
+from repro.sim import (
+    AdaptiveGigaflowSystem,
+    GigaflowSystem,
+    HierarchySystem,
+    MegaflowSystem,
+)
 from repro.sim.fastpath import FastPathIndex
 from conftest import flow
 
@@ -55,7 +65,6 @@ class TestLtmTableVictimEdgeCases:
     def test_empty_table_has_no_victim(self):
         table = LtmTable(0, capacity=4)
         assert table.lru_rule() is None
-        assert table.policy.victim() is None
 
     def test_single_rule_is_the_victim(self):
         table = LtmTable(0, capacity=4)
@@ -245,27 +254,46 @@ class TestSweepEpochInvalidation:
         assert fastpath.invalidations == 1
 
 
+#: Every constructor that takes ``eviction``.
+TAKES_EVICTION = (
+    lambda eviction: MegaflowCache(capacity=4, eviction=eviction),
+    lambda eviction: GigaflowCache(
+        num_tables=2, table_capacity=4, eviction=eviction
+    ),
+    lambda eviction: AdaptiveGigaflowCache(
+        num_tables=2, table_capacity=4, eviction=eviction
+    ),
+    lambda eviction: CacheHierarchy(4, 8, eviction=eviction),
+    lambda eviction: MegaflowSystem(capacity=4, eviction=eviction),
+    lambda eviction: GigaflowSystem(
+        num_tables=2, table_capacity=4, eviction=eviction
+    ),
+    lambda eviction: AdaptiveGigaflowSystem(
+        num_tables=2, table_capacity=4, eviction=eviction
+    ),
+    lambda eviction: HierarchySystem(4, 8, eviction=eviction),
+)
+
+
 class TestPolicySelectionValidation:
     def test_unknown_policy_rejected_everywhere(self):
-        with pytest.raises(ValueError):
-            MicroflowCache(capacity=4, eviction="nope")
-        with pytest.raises(ValueError):
-            MegaflowCache(capacity=4, eviction="nope")
-        with pytest.raises(ValueError):
-            LtmTable(0, capacity=4, eviction="nope")
-        with pytest.raises(ValueError):
-            GigaflowCache(num_tables=2, table_capacity=4, eviction="nope")
+        for build in TAKES_EVICTION:
+            for accepted in ("lru", "reject"):
+                build(accepted)
+            for unknown in ("nope", "sharing"):
+                with pytest.raises(ValueError, match="lru, reject"):
+                    build(unknown)
 
-    def test_set_eviction_policy_threads_to_every_table(self):
-        cache = GigaflowCache(num_tables=3, table_capacity=4)
-        cache.install_rules([ltm_rule(tp_dst=1), ltm_rule(tp_dst=2, tag=1)])
-        cache.set_eviction_policy("sharing")
-        for table in cache.tables:
-            assert table.policy.name == "sharing"
-            assert len(table.policy) == len(table)
-
-    def test_hierarchy_set_eviction_policy_threads_down(self):
-        cache = CacheHierarchy(microflow_capacity=4, megaflow_capacity=4)
-        cache.set_eviction_policy("sharing")
-        assert cache.microflow.policy.name == "sharing"
-        assert cache.megaflow.policy.name == "sharing"
+    def test_reject_on_the_hierarchy_is_the_megaflow_levels(self):
+        """A full Megaflow level refuses the install and counts it; the
+        exact-match level in front keeps evicting LRU and serving."""
+        cache = CacheHierarchy(1, 1, eviction="reject")
+        actions = ActionList((Output(1),))
+        assert cache.megaflow.install(mega_entry(tp_dst=1), now=0.0)
+        assert not cache.megaflow.install(mega_entry(tp_dst=2), now=1.0)
+        assert cache.megaflow.stats.rejected == 1
+        assert cache.megaflow.stats.evictions == 0
+        cache.microflow.install(flow(tp_src=1), actions, now=2.0)
+        cache.microflow.install(flow(tp_src=2), actions, now=3.0)
+        assert cache.microflow.stats.evictions == 1
+        assert cache.lookup(flow(tp_src=2), now=4.0).hit

@@ -1,30 +1,32 @@
-"""Property-based tests for the eviction policies and the entry
-lifecycle every cache shares.
+"""Property-based tests for LRU order and the entry lifecycle every
+cache shares.
 
-Fuzzes random operation sequences against every registered policy,
-checking the structural invariants the
-:class:`~repro.cache.eviction.EvictionPolicy` contract promises:
+Each cache's id → entry index *is* its recency list
+(``MicroflowCache._entries``, ``MegaflowCache._by_id``,
+``LtmTable._by_id``): ``touch`` moves an entry to the end, the
+capacity victim is the first value.  Random operation sequences are
+replayed against every one of them next to a reference recency list,
+checking that
 
-* the policy tracks exactly the resident key set (``len``/``in``);
-* ``victim()`` always names a resident key (``None`` iff empty);
-* plain LRU never evicts the entry that was just hit;
+* the index holds exactly the resident entries, in least- to
+  most-recently-touched order (so the victim is the least recently
+  touched entry, a just-touched entry never is, and entries touched at
+  one timestamp keep their touch order);
+* a full cache's install evicts exactly the reference list's head;
 
-and drives every cache type (hierarchy included) through one
-install / lookup / sweep / clear / policy-swap loop
-(:func:`drive_lifecycle`) with a recording telemetry hub and a
-recording ``ewma`` predictor attached, checking after every op that
-the departure ledger reconciles and that fast-path replay is
-indistinguishable from the full lookup.
+and every cache type (hierarchy included) is driven through one
+install / lookup / sweep / clear loop (:func:`drive_lifecycle`) with a
+recording telemetry hub and a recording ``ewma`` predictor attached,
+checking after every op that the departure ledger reconciles and that
+fast-path replay is indistinguishable from the full lookup.
 """
 
-import copy
 from collections import Counter
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
 from repro.cache import CacheHierarchy, MegaflowCache, MicroflowCache
-from repro.cache.eviction import POLICY_NAMES, make_policy
 from repro.core import GigaflowCache
 from repro.core.timeouts import EwmaTimeoutPredictor, TimeoutConfig
 from repro.flow import ActionList, Output
@@ -33,138 +35,22 @@ from conftest import flow
 from test_eviction_policies import ltm_rule, mega_entry
 
 KEYS = st.integers(0, 11)
-POLICY_OPS = st.lists(
-    st.tuples(st.sampled_from(("insert", "hit", "share", "evict")), KEYS),
+INDEX_OPS = st.lists(
+    st.tuples(st.sampled_from(("insert", "hit", "evict", "remove")), KEYS),
     max_size=150,
 )
 CACHE_OPS = st.lists(
     st.tuples(
         st.sampled_from(
-            ("install", "install", "lookup", "lookup", "sweep", "clear",
-             "swap")
+            ("install", "install", "lookup", "lookup", "sweep", "clear")
         ),
         st.integers(0, 9),
     ),
     max_size=80,
 )
-ANY_POLICY = st.sampled_from(POLICY_NAMES)
-
-
-def drive(policy, ops):
-    """Replay an op sequence, checking bookkeeping invariants after
-    every step; returns the resident key set."""
-    resident = set()
-    now = 0.0
-    for op, key in ops:
-        now += 1.0
-        if op == "insert":
-            if key in resident:
-                # Caches map an install of a resident key to a refresh.
-                policy.on_hit(key, now)
-            else:
-                policy.on_insert(key, now)
-                resident.add(key)
-        elif op == "hit":
-            if key in resident:
-                policy.on_hit(key, now)
-        elif op == "share":
-            if key in resident:
-                policy.on_share(key)
-        else:  # evict
-            victim = policy.victim()
-            assert (victim is None) == (not resident)
-            if victim is not None:
-                assert victim in resident
-                policy.on_remove(victim)
-                resident.discard(victim)
-        assert len(policy) == len(resident)
-        assert all(key in policy for key in resident)
-    return resident
-
-
-class TestPolicyBookkeeping:
-    @settings(max_examples=60, deadline=None)
-    @given(name=ANY_POLICY, ops=POLICY_OPS)
-    def test_residency_and_victims_consistent(self, name, ops):
-        drive(make_policy(name), ops)
-
-    @settings(max_examples=40, deadline=None)
-    @given(name=ANY_POLICY, ops=POLICY_OPS, key=KEYS)
-    def test_remove_of_any_resident_key(self, name, ops, key):
-        policy = make_policy(name)
-        resident = drive(policy, ops)
-        if key not in resident:
-            policy.on_insert(key, 1e6)
-            resident.add(key)
-        policy.on_remove(key)
-        resident.discard(key)
-        assert key not in policy
-        assert len(policy) == len(resident)
-
-    @settings(max_examples=40, deadline=None)
-    @given(name=ANY_POLICY, ops=POLICY_OPS)
-    def test_clear_empties(self, name, ops):
-        policy = make_policy(name)
-        drive(policy, ops)
-        policy.clear()
-        assert len(policy) == 0
-        assert policy.victim() is None
-        # A cleared policy accepts fresh inserts again.
-        policy.on_insert("fresh", 0.0)
-        assert policy.victim() == "fresh"
-
-
-class TestLruExactness:
-    @settings(max_examples=60, deadline=None)
-    @given(ops=POLICY_OPS)
-    def test_lru_victim_is_least_recently_touched(self, ops):
-        """Plain LRU tracked against a reference recency list."""
-        policy = make_policy("lru")
-        order = []  # LRU at the front, MRU at the back
-        now = 0.0
-        for op, key in ops:
-            now += 1.0
-            if op == "insert":
-                if key in order:
-                    order.remove(key)
-                order.append(key)
-                if key in policy:
-                    policy.on_hit(key, now)
-                else:
-                    policy.on_insert(key, now)
-            elif op in ("hit", "share"):
-                if key in order:
-                    if op == "hit":
-                        order.remove(key)
-                        order.append(key)
-                        policy.on_hit(key, now)
-                    else:
-                        policy.on_share(key)  # no-op for LRU
-            else:
-                victim = policy.victim()
-                assert victim == (order[0] if order else None)
-                if victim is not None:
-                    policy.on_remove(victim)
-                    order.remove(victim)
-            assert policy.victim() == (order[0] if order else None)
-
-    @settings(max_examples=60, deadline=None)
-    @given(ops=POLICY_OPS, key=KEYS)
-    def test_lru_never_evicts_just_hit_entry(self, ops, key):
-        policy = make_policy("lru")
-        resident = drive(policy, ops)
-        if key in resident:
-            policy.on_hit(key, 1e6)
-        else:
-            policy.on_insert(key, 1e6)
-        if len(policy) >= 2:
-            assert policy.victim() != key
-        else:
-            assert policy.victim() == key
-
-
-MAX_IDLE = 2.0
+ANY_INDEX = st.sampled_from(("microflow", "megaflow", "ltm"))
 ACTIONS = ActionList([Output(1)])
+MAX_IDLE = 2.0
 
 
 class RecordingHub:
@@ -172,13 +58,13 @@ class RecordingHub:
 
     def __init__(self):
         self.evicts = []  # (cache name, reason, count)
-        self.victims = []  # (cache name, policy, age)
+        self.victims = []  # (cache name, age)
 
     def on_evict(self, name, reason, count=1):
         self.evicts.append((name, reason, count))
 
-    def on_victim(self, name, policy, age):
-        self.victims.append((name, policy, age))
+    def on_victim(self, name, age):
+        self.victims.append((name, age))
 
     def tss_observer(self, name):
         return None
@@ -220,12 +106,13 @@ class Rig:
     def __init__(self, kind, eviction, capacity, fast_path, predicted):
         self.kind = kind
         if kind == "microflow":
-            self.cache = MicroflowCache(capacity, eviction)
+            self.cache = MicroflowCache(capacity)
         elif kind == "megaflow":
             self.cache = MegaflowCache(capacity, eviction=eviction)
-        elif kind == "gigaflow":
+        elif kind in ("gigaflow", "ltm"):  # "ltm": one table, one index
             self.cache = GigaflowCache(
-                num_tables=2, table_capacity=capacity, eviction=eviction
+                num_tables=2 if kind == "gigaflow" else 1,
+                table_capacity=capacity, eviction=eviction,
             )
         else:
             self.cache = CacheHierarchy(capacity, capacity, eviction=eviction)
@@ -248,13 +135,21 @@ class Rig:
             return flow(tp_src=1000 + idx)
         return flow(tp_dst=2000 + idx)
 
+    def key(self, idx):
+        """The predictor key of the entry :meth:`install` files."""
+        if self.kind == "microflow":
+            return self.packet(idx).values
+        if self.kind in ("gigaflow", "ltm"):
+            return ltm_rule(2000 + idx).identity()
+        return mega_entry(2000 + idx).match
+
     def install(self, idx, now):
         cache = self.cache
         if self.kind == "microflow":
             cache.install(self.packet(idx), ACTIONS, now=now)
         elif self.kind == "megaflow":
             cache.install(mega_entry(2000 + idx, now), now=now)
-        elif self.kind == "gigaflow":
+        elif self.kind in ("gigaflow", "ltm"):
             cache.install_rules([ltm_rule(2000 + idx, now=now)])
         else:  # what CacheHierarchy.install_traversal does, sans pipeline
             entry = mega_entry(2000 + idx, now)
@@ -268,48 +163,149 @@ class Rig:
             self.lookup(self.packet(idx), now=now)
         elif op == "sweep":
             self.cache.evict_idle(now=now, max_idle=MAX_IDLE)
-        elif op == "clear":
-            self.cache.clear()
         else:
-            self.cache.set_eviction_policy(
-                POLICY_NAMES[idx % len(POLICY_NAMES)]
-            )
+            self.cache.clear()
 
     @staticmethod
-    def policies(leaf):
+    def indexes(leaf):
+        """The id → entry indexes (one per LTM table) kept in use order."""
+        if isinstance(leaf, MicroflowCache):
+            return [leaf._entries]
         tables = getattr(leaf, "tables", None)
-        return [t.policy for t in tables] if tables else [leaf.policy]
+        return [t._by_id for t in tables] if tables else [leaf._by_id]
 
     def resident_keys(self):
         return Counter(
             predictor_key(entry) for leaf in self.leaves for entry in leaf
         )
 
+    def order(self):
+        """Flow indexes (of :data:`KEYS`) as a single-index cache's
+        index holds them, victim first."""
+        (index,) = self.indexes(self.cache)
+        idx_of = {self.key(idx): idx for idx in range(12)}
+        return [idx_of[predictor_key(e)] for e in index.values()]
+
+    def remove(self, idx):
+        (entry,) = [
+            e for e in self.cache if predictor_key(e) == self.key(idx)
+        ]
+        self.cache._depart((entry,), "test")
+
     def state(self):
         """Everything a replayed hit must leave exactly as the full
-        lookup would: counters, use times, and each policy's complete
+        lookup would: counters, use times, and each index's complete
         victim order (ids are minted per install, so named by key)."""
         out = [self.cache.stats]
         for leaf in self.leaves:
-            name_of = {
-                getattr(entry, "rule_id", predictor_key(entry)):
-                    predictor_key(entry)
-                for entry in leaf
-            }
-            orders = []
-            for policy in self.policies(leaf):
-                drained = copy.deepcopy(policy)
-                order = []
-                while (victim := drained.victim()) is not None:
-                    order.append(name_of[victim])
-                    drained.on_remove(victim)
-                orders.append(order)
             out.append((
                 leaf.stats,
                 [(predictor_key(e), e.last_used) for e in leaf],
-                orders,
+                [
+                    [predictor_key(e) for e in index.values()]
+                    for index in self.indexes(leaf)
+                ],
             ))
         return out
+
+
+def drive(rig, capacity, ops, tick=1.0):
+    """Replay an op sequence next to a reference recency list (victim
+    first), checking ``rig``'s one index against it after every step;
+    returns the list."""
+    cache = rig.cache
+    (index,) = rig.indexes(cache)
+    order = []
+    now = 0.0
+    for op, key in ops:
+        now += tick
+        if op == "insert":
+            if key in order:
+                order.remove(key)  # an install of a resident key refreshes
+            elif len(order) == capacity:
+                order.pop(0)  # the cache must pick the same victim
+            order.append(key)
+            rig.install(key, now)
+        elif op == "hit":
+            hit = cache.lookup(rig.packet(key), now=now).hit
+            assert hit == (key in order)
+            if hit:
+                order.remove(key)
+                order.append(key)
+        elif op == "evict":
+            if order:
+                rig.remove(order.pop(0))
+        elif key in order:  # remove, from anywhere in the order
+            order.remove(key)
+            rig.remove(key)
+        assert rig.order() == order
+        assert len(index) == cache.entry_count() == len(order)
+        assert rig.resident_keys() == Counter(map(rig.key, order))
+    return order
+
+
+def indexed(kind, capacity):
+    """A bare rig of one of the three index owners."""
+    return Rig(kind, "lru", capacity, fast_path=False, predicted=False)
+
+
+class TestPolicyBookkeeping:
+    """The index never drifts from the resident set."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=ANY_INDEX, ops=INDEX_OPS)
+    def test_residency_and_victims_consistent(self, kind, ops):
+        drive(indexed(kind, 64), 64, ops)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=ANY_INDEX, ops=INDEX_OPS, key=KEYS)
+    def test_remove_of_any_resident_key(self, kind, ops, key):
+        rig = indexed(kind, 64)
+        order = drive(rig, 64, ops)
+        if key not in order:
+            rig.install(key, 1e6)
+            order.append(key)
+        rig.remove(key)
+        order.remove(key)
+        assert rig.order() == order
+        assert len(order) == rig.cache.entry_count()
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=ANY_INDEX, ops=INDEX_OPS)
+    def test_clear_empties(self, kind, ops):
+        rig = indexed(kind, 64)
+        drive(rig, 64, ops)
+        rig.cache.clear()
+        assert rig.order() == [] and rig.cache.entry_count() == 0
+        # A cleared cache accepts fresh installs again.
+        rig.install(0, 0.0)
+        assert rig.order() == [0]
+
+
+class TestLruExactness:
+    @settings(max_examples=90, deadline=None)
+    @given(
+        kind=ANY_INDEX, capacity=st.integers(1, 6), ops=INDEX_OPS,
+        tick=st.sampled_from((1.0, 0.0)),
+    )
+    def test_lru_victim_is_least_recently_touched(
+        self, kind, capacity, ops, tick
+    ):
+        """Under pressure every install evicts the reference list's
+        head — and with the clock stopped (``tick`` 0) ``last_used``
+        ties everywhere, so touch order alone decides."""
+        drive(indexed(kind, capacity), capacity, ops, tick)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=ANY_INDEX, ops=INDEX_OPS, key=KEYS)
+    def test_lru_never_evicts_just_hit_entry(self, kind, ops, key):
+        rig = indexed(kind, 64)
+        order = drive(rig, 64, ops)
+        if key in order:
+            assert rig.cache.lookup(rig.packet(key), now=1e6).hit
+        else:
+            rig.install(key, 1e6)
+        assert (rig.order()[0] == key) == (rig.cache.entry_count() == 1)
 
 
 def check_ledger(rig, op, before_keys, before_marks):
@@ -323,7 +319,7 @@ def check_ledger(rig, op, before_keys, before_marks):
         assert (
             stats.insertions - stats.evictions
             == leaf.entry_count()
-            == sum(len(policy) for policy in rig.policies(leaf))
+            == sum(len(index) for index in rig.indexes(leaf))
         )
         name = leaf.telemetry_name
         assert stats.evictions == sum(
@@ -339,11 +335,11 @@ def check_ledger(rig, op, before_keys, before_marks):
     assert sum(departed.values()) == sum(
         leaf.stats.evictions - e0 for leaf, e0 in zip(rig.leaves, evictions)
     )
-    # A policy's victim is reported with its age, once, under its name.
+    # A capacity victim is reported with its age, once.
     assert len(hub.victims) == sum(
-        count for _, reason, count in hub.evicts if reason in POLICY_NAMES
+        count for _, reason, count in hub.evicts if reason == "lru"
     )
-    assert all(age >= 0 for _, _, age in hub.victims)
+    assert all(age >= 0 for _, age in hub.victims)
     if pred is not None:
         # Every departed key is forgotten exactly once; an idle expiry
         # is filed with on_expire first, exactly once, and nothing else
@@ -384,7 +380,7 @@ TWO_EXPIRE_IN_ONE_SWEEP = (
 )
 
 
-def lifecycle_case(kind, evictions=POLICY_NAMES):
+def lifecycle_case(kind, evictions=("lru", "reject")):
     @settings(max_examples=40, deadline=None)
     @given(
         eviction=st.sampled_from(evictions),
@@ -402,41 +398,22 @@ def lifecycle_case(kind, evictions=POLICY_NAMES):
     )
     def case(self, eviction, capacity, predicted, ops):
         rig = drive_lifecycle(kind, eviction, capacity, predicted, ops)
-        swapped = any(op == "swap" for op, _ in ops)
-        if eviction == "reject" and not swapped:
-            assert not rig.hub.victims  # refused installs, never evicted
+        if eviction == "reject":
+            # Refused installs, never evicted (the exact-match level of
+            # a hierarchy keeps evicting: ``reject`` is the Megaflow's).
+            assert all("microflow" in name for name, _ in rig.hub.victims)
 
     return case
 
 
 class TestCacheStatsReconcile:
     """One driver, every cache: the ledger (``insertions - evictions ==
-    entry_count == Σ len(policy)``, telemetry and predictor told of
+    entry_count == Σ len(index)``, telemetry and predictor told of
     every departure exactly once, one idle record per sweep) and memo
-    replay ≡ full lookup must survive arbitrary interleavings under
-    every policy."""
+    replay ≡ full lookup must survive arbitrary interleavings, evicting
+    or refusing when full."""
 
-    test_microflow = lifecycle_case("microflow")
-    test_megaflow = lifecycle_case("megaflow", POLICY_NAMES + ("reject",))
-    test_gigaflow = lifecycle_case("gigaflow", POLICY_NAMES + ("reject",))
+    test_microflow = lifecycle_case("microflow", ("lru",))
+    test_megaflow = lifecycle_case("megaflow")
+    test_gigaflow = lifecycle_case("gigaflow")
     test_hierarchy = lifecycle_case("hierarchy")
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        first=ANY_POLICY,
-        second=st.integers(0, len(POLICY_NAMES) - 1),
-        capacity=st.integers(1, 6),
-        ops=CACHE_OPS,
-        more=CACHE_OPS,
-    )
-    def test_microflow_policy_swap_midstream(
-        self, first, second, capacity, ops, more
-    ):
-        """Swapping policies re-seeds residency exactly; the invariants
-        keep holding for the continuation."""
-        rig = drive_lifecycle(
-            "microflow", first, capacity, True,
-            ops + [("swap", second)] + more,
-        )
-        if not any(op == "swap" for op, _ in more):
-            assert rig.cache.eviction == POLICY_NAMES[second]

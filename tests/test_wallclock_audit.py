@@ -29,7 +29,11 @@ The fourth keeps the entry lifecycle folded: under ``repro/cache`` and
 ``on_evict``, ``on_victim``) is written only by
 ``FlowCache._depart`` and the idle boundary (``… - x.last_used > …``)
 compared only by ``FlowCache.evict_idle`` — the next departure reason
-cannot bypass the chokepoint.
+cannot bypass the chokepoint.  Each cache's id → entry index is its LRU
+order, which equals ``last_used`` order only while one method writes
+both: ``.move_to_end(`` and assignment to ``.last_used`` occur only
+inside a ``touch`` (and where an entry gets its first use time: its
+constructor, and the insert that files it).
 
 The fifth keeps the §7 mode decision single: ``ModeGovernor`` decides
 disjoint↔Megaflow, so ``.set_mode(`` is called nowhere under ``repro``
@@ -205,9 +209,12 @@ def test_private_telemetry_audit_sees_a_violation():
 
 #: Where the entry lifecycle lives: the only scopes under
 #: ``repro/cache`` and ``repro/core`` allowed to write the departure
-#: ledger or compare the idle boundary.
+#: ledger or compare the idle boundary — and, besides every ``touch``
+#: and constructor, to write an entry's use time (the insert that
+#: files a Megaflow entry stamps it with the install time).
 LIFECYCLE_HOME = {
     "cache/base.py": {"FlowCache._depart", "FlowCache.evict_idle"},
+    "cache/megaflow.py": {"MegaflowCache.install"},
 }
 
 
@@ -221,9 +228,23 @@ def _is_idle_age(node):
     )
 
 
+def _writes_last_used(node):
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(
+        isinstance(target, ast.Attribute) and target.attr == "last_used"
+        for target in targets
+    )
+
+
 def _lifecycle_bypasses(source: str, home=frozenset()):
     """``(line, what)`` for every departure-ledger write and idle-age
-    comparison in ``source`` outside the ``home`` scopes."""
+    comparison in ``source`` outside the ``home`` scopes, and every
+    recency write outside them, a ``touch`` or a constructor."""
     found = []
 
     def visit(node, scope):
@@ -252,6 +273,15 @@ def _lifecycle_bypasses(source: str, home=frozenset()):
                 for side in [child.left, *child.comparators]
             ):
                 what = "idle-boundary comparison"
+            elif scope[-1:] not in (["touch"], ["__init__"]):
+                if (
+                    isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "move_to_end"
+                ):
+                    what = ".move_to_end("
+                elif _writes_last_used(child):
+                    what = ".last_used ="
             if what is not None and ".".join(scope) not in home:
                 found.append((child.lineno, what))
             visit(child, scope)
@@ -272,8 +302,8 @@ def test_entry_lifecycle_has_one_home():
     ]
     assert not offenders, (
         "entry departure / idle boundary handled outside "
-        "FlowCache._depart / FlowCache.evict_idle:\n  "
-        + "\n  ".join(offenders)
+        "FlowCache._depart / FlowCache.evict_idle, or recency written "
+        "outside a touch:\n  " + "\n  ".join(offenders)
     )
 
 
@@ -287,14 +317,24 @@ def test_entry_lifecycle_audit_sees_a_violation():
         "    def install(self, now, victim):\n"
         "        tel.on_victim(self.name, 'lru', now - victim.last_used)\n"
         "        older = a.last_used < b.last_used\n"
+        "    def lookup(self, entry, now):\n"
+        "        entry.last_used = now\n"
+        "        self._by_id.move_to_end(entry.rule_id)\n"
+        "    def touch(self, entry, now):\n"
+        "        entry.last_used = now\n"
+        "        self._by_id.move_to_end(entry.rule_id)\n"
+        "    def __init__(self, now):\n"
+        "        self.last_used = now\n"
     )
     assert _lifecycle_bypasses(source) == [
         (3, "idle-boundary comparison"),
         (4, "stats.evictions +="),
         (5, ".on_evict("),
         (7, ".on_victim("),
+        (10, ".last_used ="),
+        (11, ".move_to_end("),
     ]
-    assert _lifecycle_bypasses(source, {"C.evict_idle"}) == [
+    assert _lifecycle_bypasses(source, {"C.evict_idle", "C.lookup"}) == [
         (7, ".on_victim("),
     ]
 
