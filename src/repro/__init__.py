@@ -4,7 +4,7 @@ A from-scratch Python reproduction of the ASPLOS 2025 paper.  The package
 provides:
 
 * ``repro.flow`` — packet/flow substrate (fields, keys, wildcards, actions);
-* ``repro.classify`` — TSS and NuevoMatch-style classifiers;
+* ``repro.classify`` — the TSS classifier and its prefix index;
 * ``repro.pipeline`` — the programmable vSwitch slow path and the five
   real-world pipeline specs of Table 1;
 * ``repro.cache`` — Microflow and Megaflow baselines;
@@ -12,7 +12,8 @@ provides:
   the Gigaflow cache, coverage counting, revalidation;
 * ``repro.workload`` — ClassBench/CAIDA-style generators and Pipebench;
 * ``repro.sim`` — the end-to-end simulator;
-* ``repro.experiments`` — one driver per table/figure in the evaluation.
+* ``repro.experiments`` — one driver per table/figure in the evaluation
+  (and Fig. 17's NuevoMatch-style classifier).
 
 Quickstart::
 

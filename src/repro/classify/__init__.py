@@ -7,12 +7,10 @@ from .tss import (
     LookupResult,
     TupleSpaceClassifier,
 )
-from .nuevomatch import NuevoMatchClassifier
 
 __all__ = [
     "DEFAULT_TRIE_FIELDS",
     "LookupResult",
-    "NuevoMatchClassifier",
     "PrefixTrie",
     "STAGE_LAYERS",
     "TupleSpaceClassifier",

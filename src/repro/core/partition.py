@@ -14,7 +14,8 @@ the ideal 1-1 mapping (every pipeline table gets its own cache table).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -27,76 +28,90 @@ Partition = Tuple[SubTraversal, ...]
 #: Signature shared by all partitioners.
 Partitioner = Callable[[Traversal, int], Partition]
 
+#: Distinct ``(length, boundaries, tables available)`` inputs whose cut
+#: points are remembered (one run of a 30-table pipeline shows about 35).
+DP_MEMO_SIZE = 4096
+
 
 def step_field_sets(traversal: Traversal) -> List[frozenset]:
     """Per-step matched-field sets (the disjointness unit)."""
     return [step.wildcard.field_set() for step in traversal.steps]
 
 
+def _boundary_bits(traversal: Traversal) -> int:
+    """The disjointness boundaries as a bitset: bit ``i`` is set when
+    steps ``i`` and ``i+1`` match disjoint fields."""
+    fields = [step.wildcard.field_bits for step in traversal.steps]
+    bits = 0
+    for i in range(len(fields) - 1):
+        if not fields[i] & fields[i + 1]:
+            bits |= 1 << i
+    return bits
+
+
+def _score(boundary_bits: int, start: int, stop: int) -> int:
+    """Fig. 7's score of the segment ``[start:stop]``."""
+    internal = stop - start - 1
+    if internal > 0 and boundary_bits >> start & ((1 << internal) - 1):
+        return 0
+    return stop - start
+
+
 def disjoint_boundaries(traversal: Traversal) -> List[bool]:
     """``boundary[i]`` is True when steps ``i`` and ``i+1`` match disjoint
     fields — a legal (score-preserving) cut point."""
-    fields = step_field_sets(traversal)
-    return [
-        not (fields[i] & fields[i + 1]) for i in range(len(fields) - 1)
-    ]
+    bits = _boundary_bits(traversal)
+    return [bool(bits >> i & 1) for i in range(len(traversal) - 1)]
 
 
 def segment_score(traversal: Traversal, start: int, stop: int) -> int:
     """Fig. 7's score: the segment's length when no internal disjointness
     boundary is crossed, else 0.  Single-step segments trivially score 1."""
-    boundaries = disjoint_boundaries(traversal)
-    if any(boundaries[start : stop - 1]):
-        return 0
-    return stop - start
+    return _score(_boundary_bits(traversal), start, stop)
 
 
 def partition_score(traversal: Traversal, partition: Partition) -> int:
     """Total Fig. 7 score of a partition."""
-    return sum(
-        segment_score(traversal, sub.start, sub.stop) for sub in partition
-    )
+    bits = _boundary_bits(traversal)
+    return sum(_score(bits, sub.start, sub.stop) for sub in partition)
 
 
 def disjoint_partition(traversal: Traversal, max_parts: int) -> Partition:
     """The paper's DP partitioner.
 
-    ``dp[i][k]``: best score for the first ``i`` steps using exactly ``k``
-    segments.  Scoring a segment is O(1) after precomputing, for each start
-    index, the furthest stop that avoids crossing a boundary.  Ties prefer
-    fewer segments, then longer trailing segments (fewer cache entries).
+    The DP reads only the traversal's length, where its disjointness
+    boundaries fall and how many segments it may use: the cut points are
+    computed once per such shape and each traversal is sliced at them.
     """
-    n = len(traversal)
     if max_parts < 1:
         raise ValueError(f"max_parts must be >= 1, got {max_parts}")
-    k_max = min(max_parts, n)
+    n = len(traversal)
+    return traversal.partitions_of(
+        _dp_cuts(n, _boundary_bits(traversal), min(max_parts, n))
+    )
 
-    boundaries = disjoint_boundaries(traversal)
-    # cohesive_until[i]: largest stop such that [i:stop] has no internal
-    # boundary (i.e. the end of i's field group).
-    cohesive_until = [0] * n
-    stop = n
-    for i in range(n - 1, -1, -1):
-        cohesive_until[i] = stop
-        if i > 0 and boundaries[i - 1]:
-            stop = i
 
+@lru_cache(maxsize=DP_MEMO_SIZE)
+def _dp_cuts(n: int, boundary_bits: int, k_max: int) -> Tuple[int, ...]:
+    """Interior cut indices of the best partition of ``n`` steps into at
+    most ``k_max`` segments.
+
+    ``dp[k][i]``: best score for the first ``i`` steps using exactly ``k``
+    segments.  Ties prefer fewer segments, then longer trailing segments
+    (fewer cache entries).
+    """
     NEG = -1
-    # dp[k][i] = best score for steps[0:i] with exactly k segments.
     dp = [[NEG] * (n + 1) for _ in range(k_max + 1)]
-    choice: List[List[Optional[int]]] = [
-        [None] * (n + 1) for _ in range(k_max + 1)
-    ]
+    choice = [[0] * (n + 1) for _ in range(k_max + 1)]
     dp[0][0] = 0
     for k in range(1, k_max + 1):
         for i in range(k, n + 1):
-            best, best_j = NEG, None
+            best, best_j = NEG, 0
             # Segment [j:i]; iterate j descending so longer segments win ties.
-            for j in range(i - 1, k - 2 if k >= 2 else -1, -1):
+            for j in range(i - 1, k - 2, -1):
                 if dp[k - 1][j] == NEG:
                     continue
-                score = (i - j) if i <= cohesive_until[j] else 0
-                total = dp[k - 1][j] + score
+                total = dp[k - 1][j] + _score(boundary_bits, j, i)
                 if total > best:
                     best, best_j = total, j
             dp[k][i] = best
@@ -112,12 +127,11 @@ def disjoint_partition(traversal: Traversal, max_parts: int) -> Partition:
     i, k = n, best_k
     while k > 0:
         j = choice[k][i]
-        assert j is not None
         if j > 0:
             cuts.append(j)
         i, k = j, k - 1
     cuts.reverse()
-    return traversal.partitions_of(cuts)
+    return tuple(cuts)
 
 
 def megaflow_partition(traversal: Traversal, max_parts: int = 1) -> Partition:

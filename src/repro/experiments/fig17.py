@@ -6,8 +6,9 @@ cannot touch the miss volume; Gigaflow attacks the misses themselves and
 wins even with plain TSS (9.8 µs), with NM adding a little more (9.65 µs).
 
 We run the end-to-end simulations to get honest hit/miss mixes and rule
-populations, fit a real :class:`~repro.classify.NuevoMatchClassifier` on
-the resulting Megaflow rules to measure its iSet statistics, and price
+populations, fit a real
+:class:`~repro.experiments.nuevomatch.NuevoMatchClassifier` on the
+resulting Megaflow rules to measure its iSet statistics, and price
 lookups with the calibrated software-search cost model.
 """
 
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..cache.megaflow import MegaflowCache
-from ..classify.nuevomatch import NuevoMatchClassifier
 from ..metrics.latency import software_search_us
 from .common import (
     ExperimentScale,
@@ -27,6 +27,7 @@ from .common import (
     make_megaflow,
     run_system,
 )
+from .nuevomatch import NuevoMatchClassifier
 
 #: Software-cache fixed hit overhead (packet I/O etc.), µs.
 SW_HIT_BASE_US = 7.0

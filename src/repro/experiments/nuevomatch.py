@@ -14,6 +14,9 @@ scheduling), a real learned model (piecewise-linear fit with a computed
 worst-case error bound), bounded local search, and full rule validation —
 so the classifier is *provably equivalent* to TSS on every lookup, which
 the test suite checks.
+
+It lives with the experiments because Fig. 17 is its only user: no cache
+or pipeline table can be built on it.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from typing import Generic, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
+from ..classify.trie import mask_to_prefix_len
+from ..classify.tss import LookupResult, TupleSpaceClassifier
 from ..flow.fields import FieldSchema
 from ..flow.key import FlowKey
-from .trie import mask_to_prefix_len
-from .tss import LookupResult, TupleSpaceClassifier
 
 RuleT = TypeVar("RuleT")
 

@@ -14,6 +14,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 
+#: Masks whose field bitset :meth:`FieldSchema.field_bits` remembers
+#: before it starts over.
+FIELD_BITS_MEMO_SIZE = 1 << 14
+
+
 @dataclass(frozen=True)
 class Field:
     """A single packet header field.
@@ -82,6 +87,7 @@ class FieldSchema:
             for full, shift in zip(self._full_masks, self._shifts)
         )
         self._full_packed: int = (1 << sum(widths)) - 1
+        self._field_bits: Dict[int, int] = {}
 
     # -- container protocol -------------------------------------------------
 
@@ -161,6 +167,22 @@ class FieldSchema:
             (packed >> shift) & full
             for shift, full in zip(self._shifts, self._full_masks)
         )
+
+    def field_bits(self, packed: int) -> int:
+        """Which fields a packed vector has any bit in, as a bitset
+        (bit ``i`` = field ``i``).  A run's dependency wildcards repeat
+        a few hundred masks, so the answer is remembered per mask."""
+        cache = self._field_bits
+        bits = cache.get(packed)
+        if bits is None:
+            if len(cache) >= FIELD_BITS_MEMO_SIZE:
+                cache.clear()
+            bits = 0
+            for index, field_mask in enumerate(self._field_masks):
+                if packed & field_mask:
+                    bits |= 1 << index
+            cache[packed] = bits
+        return bits
 
     def index_of(self, name: str) -> int:
         """Return the positional index of field ``name``."""

@@ -177,13 +177,19 @@ class Wildcard:
     def is_empty(self) -> bool:
         return not self._packed
 
+    @property
+    def field_bits(self) -> int:
+        """The matched fields as a bitset (bit ``i`` = schema field ``i``):
+        two wildcards are disjoint exactly when theirs do not intersect."""
+        return self._schema.field_bits(self._packed)
+
     def fields_matched(self) -> Tuple[str, ...]:
         """Names of fields with at least one matched bit."""
-        packed = self._packed
+        bits = self.field_bits
         return tuple(
             field.name
-            for field, field_mask in zip(self._schema, self._schema.field_masks)
-            if packed & field_mask
+            for index, field in enumerate(self._schema)
+            if bits >> index & 1
         )
 
     def field_set(self) -> frozenset:
@@ -199,13 +205,7 @@ class Wildcard:
         paper's examples (Ethernet vs. TCP ports).
         """
         self._check_schema(other)
-        mine, theirs = self._packed, other._packed
-        if mine & theirs:
-            return False
-        return not any(
-            mine & field_mask and theirs & field_mask
-            for field_mask in self._schema.field_masks
-        )
+        return not self.field_bits & other.field_bits
 
     def covers(self, other: "Wildcard") -> bool:
         """True when every bit matched by ``other`` is also matched here."""

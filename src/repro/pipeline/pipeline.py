@@ -120,74 +120,58 @@ class Pipeline:
 
     def execute(self, flow: FlowKey, record_stats: bool = True) -> Traversal:
         """Run ``flow`` through the pipeline and trace the traversal."""
-        steps: List[TraversalStep] = []
-        groups = 0
-        current = flow
-        table_id: Optional[int] = self.start_table
-        disposition = Disposition.CONTROLLER
-        while table_id is not None:
-            if len(steps) >= self.max_depth:
-                raise PipelineLoopError(
-                    f"flow exceeded max depth {self.max_depth} in pipeline "
-                    f"{self.name!r}: path {[s.table_id for s in steps]}"
-                )
-            table = self.table(table_id)
-            lookup = table.lookup(current)
-            groups += lookup.groups_probed
-            after = lookup.actions.apply(current)
-            steps.append(
-                TraversalStep(
-                    table_id=table_id,
-                    rule_id=lookup.rule.rule_id if lookup.rule else None,
-                    rule_priority=lookup.rule.priority if lookup.rule else 0,
-                    wildcard=lookup.wildcard,
-                    flow_before=current,
-                    flow_after=after,
-                    actions=lookup.actions,
-                    next_table=lookup.next_table,
-                )
+        steps, disposition, groups, unvisited = self._walk(
+            flow, self.start_table, self.max_depth
+        )
+        if unvisited is not None:
+            raise PipelineLoopError(
+                f"flow exceeded max depth {self.max_depth} in pipeline "
+                f"{self.name!r}: path {[s.table_id for s in steps]}"
             )
-            current = after
-            if lookup.next_table is None:
-                disposition = _disposition_of(lookup.actions)
-            table_id = lookup.next_table
-        traversal = Traversal(tuple(steps), disposition)
+        traversal = Traversal(steps, disposition)
         if record_stats:
             self.stats.record(traversal, groups)
         return traversal
 
-    def replay(
-        self, flow: FlowKey, start_table: int, length: int
-    ) -> Traversal:
+    def replay(self, flow: FlowKey, start_table: int, length: int) -> Traversal:
         """Re-execute a flow from ``start_table`` for up to ``length``
         tables — the revalidation primitive of §4.3.1 (sub-traversal
         replays are shorter than full traversals, which is exactly where
         Gigaflow's 2× revalidation speedup comes from)."""
+        steps, disposition, _, _ = self._walk(flow, start_table, length)
+        return Traversal(steps, disposition)
+
+    def _walk(self, flow: FlowKey, table_id: Optional[int], limit: int) -> tuple:
+        """Look ``flow`` up table after table, at most ``limit`` of them.
+
+        Returns the steps, how the walk left the pipeline, the mask groups
+        probed, and the table it stopped short of (``None``: ran to the
+        end)."""
         steps: List[TraversalStep] = []
-        current = flow
-        table_id: Optional[int] = start_table
+        groups = 0
         disposition = Disposition.CONTROLLER
-        while table_id is not None and len(steps) < length:
-            table = self.table(table_id)
-            lookup = table.lookup(current)
-            after = lookup.actions.apply(current)
+        while table_id is not None and len(steps) < limit:
+            lookup = self.table(table_id).lookup(flow)
+            groups += lookup.groups_probed
+            rule, actions = lookup.rule, lookup.actions
+            after = actions.apply(flow)
             steps.append(
                 TraversalStep(
-                    table_id=table_id,
-                    rule_id=lookup.rule.rule_id if lookup.rule else None,
-                    rule_priority=lookup.rule.priority if lookup.rule else 0,
-                    wildcard=lookup.wildcard,
-                    flow_before=current,
-                    flow_after=after,
-                    actions=lookup.actions,
-                    next_table=lookup.next_table,
+                    table_id,
+                    rule.rule_id if rule else None,
+                    rule.priority if rule else 0,
+                    lookup.wildcard,
+                    flow,
+                    after,
+                    actions,
+                    lookup.next_table,
                 )
             )
-            current = after
-            if lookup.next_table is None:
-                disposition = _disposition_of(lookup.actions)
+            flow = after
             table_id = lookup.next_table
-        return Traversal(tuple(steps), disposition)
+            if table_id is None:
+                disposition = _disposition_of(actions)
+        return tuple(steps), disposition, groups, table_id
 
 
 def _disposition_of(actions: ActionList) -> Disposition:

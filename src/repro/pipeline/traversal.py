@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from ..flow.actions import ActionList
 from ..flow.key import FlowKey
@@ -25,9 +25,9 @@ class Disposition(enum.Enum):
     CONTROLLER = "controller"
 
 
-@dataclass(frozen=True)
-class TraversalStep:
-    """One table lookup inside a traversal.
+class TraversalStep(NamedTuple):
+    """One table lookup inside a traversal.  A tuple, because a
+    slow-path walk builds one per table visited.
 
     Attributes:
         table_id: The pipeline table looked up (``T_i``).
@@ -142,13 +142,13 @@ class SubTraversal:
     @property
     def start_table(self) -> int:
         """ID of the first table — the LTM tag ``τ`` this rule matches."""
-        return self.steps[0].table_id
+        return self.traversal.steps[self.start].table_id
 
     @property
     def next_table(self) -> Optional[int]:
         """Expected table after the slice — the tag the rule advances to
         (``None`` when the slice ends the traversal)."""
-        return self.steps[-1].next_table
+        return self.traversal.steps[self.stop - 1].next_table
 
     @property
     def is_terminal(self) -> bool:
@@ -156,11 +156,11 @@ class SubTraversal:
 
     @property
     def flow_at_entry(self) -> FlowKey:
-        return self.steps[0].flow_before
+        return self.traversal.steps[self.start].flow_before
 
     @property
     def flow_at_exit(self) -> FlowKey:
-        return self.steps[-1].flow_after
+        return self.traversal.steps[self.stop - 1].flow_after
 
     # -- caching-relevant views -----------------------------------------------------
 
@@ -193,16 +193,12 @@ def union_wildcards(steps: Sequence[TraversalStep]) -> Wildcard:
     the original packet)."""
     if not steps:
         raise ValueError("cannot union zero steps")
-    accumulated: Optional[Wildcard] = None
-    modified: List[str] = []
+    schema = steps[0].wildcard.schema
+    field_masks = schema.field_masks
+    packed = 0
+    rewritten = 0  # packed mask of the fields earlier steps rewrote
     for step in steps:
-        wildcard = step.wildcard
-        if modified:
-            wildcard = wildcard.subtract_fields(modified)
-        accumulated = (
-            wildcard if accumulated is None else accumulated.union(wildcard)
-        )
+        packed |= step.wildcard.packed & ~rewritten
         for name in step.actions.modified_fields():
-            if name not in modified:
-                modified.append(name)
-    return accumulated
+            rewritten |= field_masks[schema.index_of(name)]
+    return Wildcard.from_packed(schema, packed)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.classify import NuevoMatchClassifier, TupleSpaceClassifier
+from repro.classify import TupleSpaceClassifier
+from repro.experiments.nuevomatch import NuevoMatchClassifier
 from repro.flow import ActionList, DEFAULT_SCHEMA, Output, TernaryMatch, prefix_mask
 from repro.pipeline import PipelineRule
 from conftest import flow
@@ -97,7 +98,7 @@ class TestEquivalenceWithTss:
 
 class TestModel:
     def test_error_bound_is_respected(self):
-        from repro.classify.nuevomatch import _PiecewiseLinearModel
+        from repro.experiments.nuevomatch import _PiecewiseLinearModel
 
         keys = np.sort(np.random.default_rng(0).integers(
             0, 1 << 32, size=500).astype(np.float64))
@@ -107,7 +108,7 @@ class TestModel:
             assert abs(predicted - i) <= model.error_bound + 1
 
     def test_single_key_model(self):
-        from repro.classify.nuevomatch import _PiecewiseLinearModel
+        from repro.experiments.nuevomatch import _PiecewiseLinearModel
 
         model = _PiecewiseLinearModel(np.array([42.0]))
         assert model.predict(42) == 0

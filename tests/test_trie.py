@@ -1,9 +1,20 @@
-"""Unit tests for the prefix trie (OVS-style IP unwildcarding)."""
+"""Unit tests for the prefix index (OVS-style IP unwildcarding), and its
+differential against the per-bit trie it replaced."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.classify.trie import PrefixTrie, mask_to_prefix_len
 from repro.flow import ip, prefix_mask
+from conftest import DIFFERENTIAL
+from reference_trie import PrefixTrie as ReferenceTrie
 
 
 class TestInsertRemove:
@@ -93,3 +104,140 @@ class TestMaskToPrefixLen:
         assert mask_to_prefix_len(0x00FF, 16) is None
         assert mask_to_prefix_len(0xFF00FF00, 32) is None
         assert mask_to_prefix_len(0b0101, 4) is None
+
+
+def both(width, prefixes):
+    index, trie = PrefixTrie(width), ReferenceTrie(width)
+    for value, prefix_len in prefixes:
+        index.insert(value, prefix_len)
+        trie.insert(value, prefix_len)
+    return index, trie
+
+
+class TestNeighboursSuffice:
+    """The two places a two-neighbour answer could go wrong."""
+
+    def test_prefix_of_value_further_left_than_the_predecessor(self):
+        value = 0b1011_0111
+        # Sorted: /1 and /4 (both prefixes of the value), then the /8 host
+        # one below it — the predecessor, which is not a prefix and shares
+        # 7 bits.  The prefixes further left ask for 1 and 4 bits only.
+        index, trie = both(8, [(0b1000_0000, 1), (0b1011_0000, 4), (0b1011_0110, 8)])
+        assert index.unwildcard_bits(value) == trie.unwildcard_bits(value) == 8
+        # Predecessor a short prefix of the value, a longer prefix of the
+        # value cannot hide to its left: equal address sorts by length.
+        index, trie = both(8, [(0b1000_0000, 1), (0b1000_0000, 3), (0b1000_0000, 2)])
+        assert index.unwildcard_bits(0b1001_1111) == 3
+        assert trie.unwildcard_bits(0b1001_1111) == 3
+        # Predecessor diverges early; the /1 further left is satisfied by it.
+        index, trie = both(8, [(0b1000_0000, 1), (0b1010_0000, 4)])
+        assert index.unwildcard_bits(value) == trie.unwildcard_bits(value) == 4
+
+    def test_successor_shares_more_bits_than_the_predecessor(self):
+        value = 0b0111_1110
+        # Predecessor 01/2 is a prefix (asks for 2); the successor is the
+        # host one above the value and diverges only at the last bit.
+        index, trie = both(8, [(0b0100_0000, 2), (0b0111_1111, 8)])
+        assert index.unwildcard_bits(value) == trie.unwildcard_bits(value) == 8
+        assert index.mask_for(value) == trie.mask_for(value) == 0xFF
+        # No predecessor at all.
+        index, trie = both(8, [(0b0111_1111, 8)])
+        assert index.unwildcard_bits(value) == trie.unwildcard_bits(value) == 8
+
+
+class IndexAgainstTrie(RuleBasedStateMachine):
+    """Any interleaving of insert / remove / query leaves the sorted index
+    and the per-bit trie indistinguishable."""
+
+    @initialize(width=st.integers(1, 48))
+    def build(self, width):
+        self.width = width
+        self.index = PrefixTrie(width)
+        self.trie = ReferenceTrie(width)
+        self.stored = []
+
+    def draw_prefix(self, data):
+        value = data.draw(st.integers(0, (1 << self.width) - 1), label="value")
+        prefix_len = data.draw(
+            st.sampled_from([0, self.width]) | st.integers(0, self.width),
+            label="prefix_len",
+        )
+        return value, prefix_len
+
+    def same_prefix_other_host_bits(self, data, value, prefix_len):
+        host_bits = self.width - prefix_len
+        noise = data.draw(st.integers(0, (1 << host_bits) - 1), label="host bits")
+        return (value >> host_bits << host_bits) | noise
+
+    @rule(data=st.data())
+    def insert(self, data):
+        value, prefix_len = self.draw_prefix(data)
+        self.index.insert(value, prefix_len)
+        self.trie.insert(value, prefix_len)
+        self.stored.append((value, prefix_len))
+
+    @precondition(lambda self: self.stored)
+    @rule(data=st.data())
+    def insert_duplicate(self, data):
+        value, prefix_len = data.draw(st.sampled_from(self.stored))
+        value = self.same_prefix_other_host_bits(data, value, prefix_len)
+        self.index.insert(value, prefix_len)
+        self.trie.insert(value, prefix_len)
+        self.stored.append((value, prefix_len))
+
+    @precondition(lambda self: self.stored)
+    @rule(data=st.data())
+    def remove_stored(self, data):
+        position = data.draw(st.integers(0, len(self.stored) - 1))
+        value, prefix_len = self.stored.pop(position)
+        value = self.same_prefix_other_host_bits(data, value, prefix_len)
+        self.index.remove(value, prefix_len)
+        self.trie.remove(value, prefix_len)
+
+    @rule(data=st.data())
+    def remove_arbitrary(self, data):
+        """Usually missing: ``KeyError`` from both, nothing changed (the
+        invariant re-checks every probe)."""
+        value, prefix_len = self.draw_prefix(data)
+        outcomes = []
+        for structure in (self.index, self.trie):
+            try:
+                structure.remove(value, prefix_len)
+                outcomes.append("removed")
+            except KeyError:
+                outcomes.append("missing")
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0] == "removed":
+            host_bits = self.width - prefix_len
+            self.stored.remove(
+                next(
+                    (v, length)
+                    for v, length in self.stored
+                    if length == prefix_len
+                    and v >> host_bits == value >> host_bits
+                )
+            )
+
+    @rule(data=st.data())
+    def query(self, data):
+        value = data.draw(st.integers(0, (1 << self.width) - 1), label="query")
+        assert self.index.unwildcard_bits(value) == self.trie.unwildcard_bits(value)
+        assert self.index.mask_for(value) == self.trie.mask_for(value)
+
+    @invariant()
+    def indistinguishable(self):
+        assert len(self.index) == len(self.trie) == len(self.stored)
+        full = (1 << self.width) - 1
+        probes = {0, full}
+        for value, _ in self.stored:
+            probes.update((value, value ^ 1, value ^ full, max(value - 1, 0)))
+        for value in probes:
+            assert (
+                self.index.unwildcard_bits(value)
+                == self.trie.unwildcard_bits(value)
+            ), value
+            assert self.index.mask_for(value) == self.trie.mask_for(value), value
+
+
+IndexAgainstTrie.TestCase.settings = DIFFERENTIAL
+TestIndexAgainstTrie = IndexAgainstTrie.TestCase

@@ -1,6 +1,7 @@
 """Static audits of the engine family: no wall-clock, one slow path,
 no reaching into the telemetry hub, one entry lifecycle, one §7 mode
-decider, two homes for the bench clock.
+decider, two homes for the bench clock, one prefix structure and one
+partition DP.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -47,6 +48,14 @@ the ``time`` module is read only inside ``phase_obs`` and
 host — a clock anywhere else (a shared timed-run helper, a fabric
 stopwatch) would put a host-dependent column back into a report that
 is otherwise a function of code + scale + seeds.
+
+The seventh keeps the slow path's two structures single.
+``classify/trie.py`` was a per-bit trie and is a sorted index;
+``core/partition.py`` ran its DP per call and runs it per shape.  Each
+replaced its predecessor in place, so each module defines exactly one
+prefix-structure class / one triple-nested DP loop and reads no clock —
+a "fast path beside the legacy path" fork (or a self-timing fallback)
+fails here.  The per-bit trie lives on as ``tests/reference_trie.py``.
 """
 
 import ast
@@ -447,3 +456,71 @@ def test_bench_clock_audit_sees_a_violation():
         (4, "timed_run: time.perf_counter"),
         (9, "phase_net: time.perf_counter"),
     ]
+
+
+#: Module -> the one structure it may define.
+SLOW_PATH_STRUCTURES = {
+    "classify/trie.py": ("classes", ["PrefixTrie"]),
+    "core/partition.py": ("dp bodies", ["_dp_cuts"]),
+}
+
+
+def _classes(source: str):
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    ]
+
+
+def _dp_bodies(source: str):
+    """Names of the functions holding a loop nested three deep — the
+    O(N²·K) table fill, spelled with statements or comprehensions."""
+    loops = (
+        ast.For, ast.While, ast.ListComp, ast.GeneratorExp, ast.SetComp,
+        ast.DictComp,
+    )
+
+    def depth(node):
+        inner = max((depth(c) for c in ast.iter_child_nodes(node)), default=0)
+        return inner + isinstance(node, loops)
+
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and depth(node) >= 3
+    ]
+
+
+@pytest.mark.parametrize("relpath", sorted(SLOW_PATH_STRUCTURES))
+def test_slow_path_structure_is_single_and_wallclock_free(relpath):
+    path = SRC / relpath
+    assert not _violations(path)
+    kind, expected = SLOW_PATH_STRUCTURES[relpath]
+    found = {"classes": _classes, "dp bodies": _dp_bodies}[kind]
+    assert found(path.read_text()) == expected, (
+        f"{relpath} must define exactly these {kind}: {expected}"
+    )
+
+
+def test_slow_path_structure_audit_sees_a_violation():
+    assert _classes(
+        "class PrefixIndex: pass\n"
+        "class _TrieNode: pass\n"
+        "class PrefixTrie:\n"
+        "    class Node: pass\n"
+    ) == ["PrefixIndex", "_TrieNode", "PrefixTrie", "Node"]
+    assert _dp_bodies(
+        "def cuts(n):\n"
+        "    for k in range(n):\n"
+        "        for i in range(n):\n"
+        "            while i:\n"
+        "                i -= 1\n"
+        "def legacy_cuts(n):\n"
+        "    return [[[0 for j in range(i)] for i in range(k)] for k in range(n)]\n"
+        "def flat(n):\n"
+        "    for k in range(n):\n"
+        "        for i in range(n):\n"
+        "            pass\n"
+    ) == ["cuts", "legacy_cuts"]
