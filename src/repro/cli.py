@@ -216,7 +216,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         max_idle=args.max_idle,
         sweep_interval=args.sweep_interval,
         telemetry=telemetry,
-        controller=True if args.adaptive_controller else None,
         timeouts=args.timeouts,
     )
     simulator = VSwitchSimulator(workload.pipeline, system, config)
@@ -229,7 +228,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         workload.pipeline, getattr(cache, "megaflow", cache)
     ).revalidate(now=args.duration)
 
-    controller = simulator.controller
     if args.format == "prom":
         print(telemetry.registry.to_prometheus(), end="")
     elif args.format == "json":
@@ -238,8 +236,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "summary": telemetry.summary(),
             "snapshots": [s.to_dict() for s in telemetry.snapshots],
         }
-        if controller is not None:
-            payload["controller"] = controller.summary()
         if simulator.timeout_predictor is not None:
             payload["timeouts"] = simulator.timeout_predictor.summary()
         print(json.dumps(payload, indent=2))
@@ -247,13 +243,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(result.summary())
         print()
         print(render_telemetry(telemetry.summary()))
-        if controller is not None:
-            digest = controller.summary()
-            print()
-            print(
-                f"controller: {digest['transitions']} transitions over "
-                f"{digest['sweeps']} sweeps; state={digest['state']}"
-            )
         if simulator.timeout_predictor is not None:
             digest = simulator.timeout_predictor.summary()
             print()
@@ -262,8 +251,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 f"{digest['expired']} idle expiries "
                 f"({digest['dead_evictions']} dead, "
                 f"{digest['premature_evictions']} premature), "
-                f"mean_predicted={digest['mean_predicted']:.3f}s, "
-                f"aggressiveness={digest['aggressiveness']:.3f}"
+                f"mean_predicted={digest['mean_predicted']:.3f}s"
             )
     if args.trace_out:
         telemetry.close()
@@ -616,13 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-events", default=None, metavar="EV[,EV...]",
         help="restrict tracing to these event types (e.g. "
              "'ltm_probe,fastpath_invalidate'); default traces all",
-    )
-    stats.add_argument(
-        "--adaptive-controller", action="store_true",
-        help="enable the telemetry-driven adaptive control loop "
-             "(placement/timeout steering on the sweep "
-             "cadence); its decisions appear as controller metrics, "
-             "trace events and a summary section",
     )
     stats.add_argument(
         "--timeouts", choices=PREDICTOR_NAMES, default=None,

@@ -17,7 +17,6 @@ from .partition import (
 from .rulegen import build_ltm_rule, build_ltm_rules
 from .gigaflow import GigaflowCache, InstallOutcome
 from .adaptive import AdaptiveConfig, AdaptiveGigaflowCache, ModeGovernor
-from .controller import AdaptiveController, ControllerConfig
 from .validate import (
     CacheInvariantError,
     ChainReport,
@@ -42,10 +41,8 @@ from .revalidation import (
 
 __all__ = [
     "AdaptiveConfig",
-    "AdaptiveController",
     "AdaptiveGigaflowCache",
     "CacheInvariantError",
-    "ControllerConfig",
     "ModeGovernor",
     "ChainReport",
     "GigaflowCache",

@@ -11,9 +11,10 @@ state itself — which partitioner is active, the probe cadence while in
 Megaflow mode, and the per-window sharing estimate — lives in a
 :class:`ModeGovernor`, the one place the disjoint↔Megaflow decision is
 made: it rolls its own install windows and applies the hysteresis
-thresholds whatever drives the cache.  An attached
-:class:`~repro.core.controller.AdaptiveController` never decides the
-mode; it reports the governor's switches on its sweep cadence.
+thresholds whatever drives the cache.  It is the repository's only
+adaptive mechanism; a switch is reported to an attached telemetry hub by
+the install that caused it (``mode_switch`` event,
+``repro_mode_switches_total``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..pipeline.traversal import Traversal
 from .gigaflow import GigaflowCache, InstallOutcome
 from .partition import disjoint_partition, megaflow_partition
+
+
+#: What a switch is reported as, indexed by ``megaflow_mode``.
+MODE_NAMES = ("disjoint", "megaflow")
 
 
 @dataclass
@@ -207,5 +212,11 @@ class AdaptiveGigaflowCache(GigaflowCache):
         outcome = super().install_traversal(traversal, generation, now)
         # Only partitioned installs inform the sharing estimate.
         if partitioned:
+            was_megaflow = governor.megaflow_mode
             governor.record(outcome.generated, outcome.reused)
+            tel = self.telemetry
+            if tel is not None and governor.megaflow_mode != was_megaflow:
+                tel.on_mode_switch(
+                    now, MODE_NAMES[was_megaflow], MODE_NAMES[not was_megaflow]
+                )
         return outcome

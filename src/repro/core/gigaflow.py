@@ -142,11 +142,13 @@ class GigaflowCache(FlowCache):
             on, an install that reused every rule of a complete chain
             (i.e. the cache claims coverage, yet the packet just missed)
             replays the lookup and evicts the stale shadowing rules until
-            the chain is reachable.  Off by default to preserve the
-            historical lookup-for-lookup behaviour; the adaptive
-            controller switches it on, since eviction under capacity
-            pressure (and any reinstall at a different partition shape)
-            otherwise strands flows behind their own stale heads.
+            the chain is reachable.  Fixed at construction, like
+            ``placement``, and off by default: measured, it is not
+            uniformly positive (``docs/adaptive.md``, "Chain repair" —
+            on the 24-cell locality-shift grid 10 cells better, 5 worse,
+            9 tied; §7 OFD high 731 → 1 312 misses) and it moves
+            paper-figure cells, so which behaviour the cache keeps is
+            ROADMAP item 4's decision.
     """
 
     name = "gigaflow"

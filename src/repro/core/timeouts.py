@@ -115,8 +115,7 @@ class TimeoutPredictor(abc.ABC):
     """Per-rule idle-timeout assignment plus its feedback bookkeeping.
 
     The base class owns everything predictor-independent: the
-    ``[min_idle, max_idle]`` clamp, the controller-tunable
-    :attr:`aggressiveness` scale, reuse tracking for dead-entry
+    ``[min_idle, max_idle]`` clamp, reuse tracking for dead-entry
     detection, the ghost list for premature-eviction detection, and the
     counters/histogram telemetry folds from.  Subclasses implement the
     actual estimate via :meth:`_raw_timeout` and the ``_observe``
@@ -134,9 +133,6 @@ class TimeoutPredictor(abc.ABC):
         self.config = config
         self.min_idle = config.min_idle
         self.max_idle = config.max_idle
-        #: Controller-tunable global scale in ``(0, 1]`` applied to the
-        #: raw prediction before clamping (1.0 = predictor's own view).
-        self._scale = 1.0
         #: Keys reused at least once since (re)install — an idle expiry
         #: of a key *not* in here is a dead entry.
         self._reused: set = set()
@@ -151,28 +147,14 @@ class TimeoutPredictor(abc.ABC):
         self.hist_counts: List[int] = [0] * (len(TIMEOUT_BUCKETS) + 1)
         self.hist_sum = 0.0
 
-    # -- the clamp + scale ----------------------------------------------------
-
-    @property
-    def aggressiveness(self) -> float:
-        """The controller-tunable scale: < 1 shortens every timeout."""
-        return self._scale
-
-    def set_aggressiveness(self, scale: float) -> bool:
-        """Set the global timeout scale; returns True when it changed."""
-        scale = min(max(float(scale), 1e-6), 1.0)
-        if scale == self._scale:
-            return False
-        self._scale = scale
-        return True
+    # -- the clamp ------------------------------------------------------------
 
     def _clamp(self, raw: float) -> float:
-        value = raw * self._scale
-        if value < self.min_idle:
+        if raw < self.min_idle:
             return self.min_idle
-        if value > self.max_idle:
+        if raw > self.max_idle:
             return self.max_idle
-        return value
+        return raw
 
     # -- cache-facing hooks ---------------------------------------------------
 
@@ -242,7 +224,7 @@ class TimeoutPredictor(abc.ABC):
 
     @abc.abstractmethod
     def _raw_timeout(self, key) -> float:
-        """The unclamped, unscaled timeout estimate for ``key``."""
+        """The unclamped timeout estimate for ``key``."""
 
     def _observe(self, key, gap: float) -> None:
         """Fold one interarrival observation into the estimator."""
@@ -268,7 +250,6 @@ class TimeoutPredictor(abc.ABC):
     #: (:func:`repro.obs.telemetry.fold_digests`).
     SUMMARY_MERGE = {
         "predictor": "first",
-        "aggressiveness": ("per_shard", "per_shard_aggressiveness"),
         "mean_predicted": ("mean", "expired"),
     }
 
@@ -276,7 +257,6 @@ class TimeoutPredictor(abc.ABC):
         """Digest merged into ``SimResult.telemetry["timeouts"]``."""
         return {
             "predictor": self.name,
-            "aggressiveness": self._scale,
             "observations": self.observations,
             "expired": self.expired,
             "dead_evictions": self.dead_evictions,
@@ -290,9 +270,8 @@ class TimeoutPredictor(abc.ABC):
 class StaticTimeoutPredictor(TimeoutPredictor):
     """The baseline: every rule gets the global ``max_idle``.
 
-    With ``aggressiveness`` at its 1.0 default this is bit-identical to
-    running without a predictor (the golden-test contract); the
-    controller can still scale it down under pressure.
+    Bit-identical to running without a predictor (the golden-test
+    contract, without exemption).
     """
 
     name = "static"

@@ -156,8 +156,10 @@ class Scale:
         }
 
 
-def make_system(name: str, capacity: int):
-    """The caching system ``name`` with ``capacity`` entries in total."""
+def make_system(name: str, capacity: int, chain_repair: bool = False):
+    """The caching system ``name`` with ``capacity`` entries in total
+    (``chain_repair`` reaches the Gigaflow-family caches, the only ones
+    with chains)."""
     if name == "megaflow":
         return MegaflowSystem(capacity=capacity)
     if name == "hierarchy":
@@ -166,7 +168,10 @@ def make_system(name: str, capacity: int):
             megaflow_capacity=capacity,
         )
     cls = AdaptiveGigaflowSystem if name == "adaptive" else GigaflowSystem
-    return cls(num_tables=4, table_capacity=max(capacity // 4, 2))
+    return cls(
+        num_tables=4, table_capacity=max(capacity // 4, 2),
+        chain_repair=chain_repair,
+    )
 
 
 def churn_table(pipeline, field: str = "ip_src") -> int:
@@ -475,7 +480,7 @@ def phase_obs(scale: Scale, out: Path) -> dict:
 
 
 def phase_adaptive(scale: Scale, out: Path) -> dict:
-    """A/B the closed-loop controller against static configurations.
+    """A/B the §7 adaptive cache against static configurations.
 
     Every variant replays the same locality-*shifting* trace (a
     sharing-rich phase, then a sharing-poor flood at half time — see
@@ -483,12 +488,18 @@ def phase_adaptive(scale: Scale, out: Path) -> dict:
     against the same undersized capacity.  Static Gigaflow keeps
     installing K-segment entries into the scattered phase; static
     Megaflow never exploits the shared phase; the window-heuristic
-    adaptive cache reacts from its install counter alone; the closed
-    loop adds chain repair and the controller's placement knob on top
-    of it.  The report records overall
-    and per-phase hit rates plus the controller's transition log —
-    ``closed_loop_ok`` asserts the loop matched or beat the best static
-    variant.
+    adaptive cache reacts from its install counter alone;
+    ``adaptive_repair`` is the same cache built with
+    ``chain_repair=True``, no other difference.  The report records
+    overall and per-phase hit rates — ``chain_repair_ok`` asserts that
+    ``adaptive_repair`` matched or beat the best static variant.
+
+    Until PR 22 the fourth row was ``closed_loop`` (a controller on
+    the sweep cadence: chain repair plus a run-time placement knob) at
+    0.912263 against ``adaptive_repair``'s 0.908275; the 0.004 is this
+    one cell's placement reading, which the 24-cell grid in
+    ``docs/adaptive.md`` ("Measured and deleted") shows does not
+    generalise.
     """
     # The regime where the mode decision has real stakes (cf. the
     # multi-seed replication scale): flows outnumber cache slots two to
@@ -511,10 +522,10 @@ def phase_adaptive(scale: Scale, out: Path) -> dict:
     capacity = max(scale.flows // 2, 8)
     sweep_interval = 2.0
     variants = {
-        "static_gigaflow": ("gigaflow", None),
-        "static_megaflow": ("megaflow", None),
-        "adaptive_window": ("adaptive", None),
-        "closed_loop": ("adaptive", True),
+        "static_gigaflow": ("gigaflow", False),
+        "static_megaflow": ("megaflow", False),
+        "adaptive_window": ("adaptive", False),
+        "adaptive_repair": ("adaptive", True),
     }
     report = {
         **scale.params(capacity),
@@ -524,17 +535,16 @@ def phase_adaptive(scale: Scale, out: Path) -> dict:
         "sweep_interval": sweep_interval,
         "runs": {},
     }
-    for name, (sysname, controller) in variants.items():
-        simulator, trace, result = run_variant(
+    for name, (sysname, chain_repair) in variants.items():
+        _simulator, trace, result = run_variant(
             scale,
-            make_system(sysname, capacity),
+            make_system(sysname, capacity, chain_repair),
             SimConfig(
                 fast_path=True,
                 telemetry=Telemetry(tracing=False),
                 max_idle=max_idle,
                 sweep_interval=sweep_interval,
                 window=sweep_interval,
-                controller=controller,
             ),
             lambda workload: build_locality_shift_trace(
                 workload, profile, shift_at=shift, seed=scale.trace_seed
@@ -554,12 +564,6 @@ def phase_adaptive(scale: Scale, out: Path) -> dict:
             "insertions": result.stats.insertions,
             "evictions": result.stats.evictions,
         }
-        if simulator.controller is not None:
-            summary = simulator.controller.summary()
-            run["controller"] = {
-                key: summary[key]
-                for key in ("sweeps", "transitions", "by_knob", "state", "log")
-            }
         report["runs"][name] = run
         print_row(
             name, run, "phase1_hit_rate", "phase2_hit_rate", "evictions"
@@ -568,12 +572,14 @@ def phase_adaptive(scale: Scale, out: Path) -> dict:
         report["runs"][name]["hit_rate"]
         for name in ("static_gigaflow", "static_megaflow")
     )
-    closed = report["runs"]["closed_loop"]["hit_rate"]
+    repaired = report["runs"]["adaptive_repair"]["hit_rate"]
     report["static_best_hit_rate"] = static_best
     report["gates"] = {
-        "closed_loop_ok": verdict(closed >= static_best - 1e-9)
+        "chain_repair_ok": verdict(repaired >= static_best - 1e-9)
     }
-    print(f"closed loop {closed:.4f} vs static best {static_best:.4f}")
+    print(
+        f"adaptive_repair {repaired:.4f} vs static best {static_best:.4f}"
+    )
     return report
 
 
@@ -1143,8 +1149,8 @@ PHASES: Dict[str, Phase] = {
     ),
     "adaptive": Phase(
         phase_adaptive,
-        "also A/B the closed-loop adaptive controller vs static "
-        "configurations on a locality-shifting workload",
+        "also A/B the adaptive cache (with and without chain repair) "
+        "vs static configurations on a locality-shifting workload",
     ),
     "shards": Phase(
         phase_shards,

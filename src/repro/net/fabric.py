@@ -9,8 +9,7 @@ machinery to that layout without forking any of it:
 * each switch is one :class:`~repro.serve.ServingDriver` (it feeds
   the same packet kernel the offline engine drives, and micro-batch
   size never shows in a result, so per-switch buffering is free of
-  result-skew), with its own pipeline instance, caching system and
-  optional :class:`~repro.core.controller.AdaptiveController`;
+  result-skew), with its own pipeline instance and caching system;
 * the :class:`FabricController` plays the SDN controller: it owns the
   flow → (ingress, egress) endpoint map, computes deterministic
   ECMP-spread shortest paths, and reacts to link failures by rerouting

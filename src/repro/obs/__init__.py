@@ -26,7 +26,6 @@ from .telemetry import Telemetry, merge_telemetry_summaries
 from .trace import (
     EVENTS,
     EV_CHAIN_REPAIR,
-    EV_CONTROLLER,
     EV_EVICT,
     EV_FASTPATH_INVALIDATE,
     EV_FASTPATH_REPLAY,
@@ -35,6 +34,7 @@ from .trace import (
     EV_LOOKUP_HIT,
     EV_LOOKUP_MISS,
     EV_LTM_PROBE,
+    EV_MODE_SWITCH,
     EV_REVALIDATE,
     EV_SNAPSHOT,
     EV_SWEEP,
@@ -47,7 +47,6 @@ __all__ = [
     "AGE_BUCKETS",
     "EVENTS",
     "EV_CHAIN_REPAIR",
-    "EV_CONTROLLER",
     "EV_EVICT",
     "EV_FASTPATH_INVALIDATE",
     "EV_FASTPATH_REPLAY",
@@ -56,6 +55,7 @@ __all__ = [
     "EV_LOOKUP_HIT",
     "EV_LOOKUP_MISS",
     "EV_LTM_PROBE",
+    "EV_MODE_SWITCH",
     "EV_REVALIDATE",
     "EV_SNAPSHOT",
     "EV_SWEEP",

@@ -250,9 +250,7 @@ class MetricsRegistry:
         merge="sum",
     ) -> MetricFamily:
         """Register a gauge and, with it, how :meth:`merge` folds it:
-        ``"sum"`` for additive gauges (entries, capacity, memo sizes),
-        ``"drop"`` for an encoded state that means nothing once
-        combined (the merged family carries no samples), or
+        ``"sum"`` for additive gauges (entries, capacity, memo sizes) or
         ``(numerator, denominator)`` — gauge families with the same
         labels — for a ratio recomputed from their merged values.
         """
@@ -346,9 +344,9 @@ class MetricsRegistry:
         * **counters** sum;
         * **gauges** fold by the rule they were registered with (see
           :meth:`gauge`): the sharded engine's additive per-worker
-          gauges — entries, capacity, memo sizes — sum, a ratio such as
-          occupancy is recomputed from its merged numerator and
-          denominator, and an encoded state is dropped;
+          gauges — entries, capacity, memo sizes — sum, and a ratio
+          such as occupancy is recomputed from its merged numerator and
+          denominator;
         * **histograms** fold bucket-wise: ``counts`` add elementwise,
           ``sum``/``count`` add — equivalent to observing the union of
           the underlying samples.
@@ -378,9 +376,6 @@ class MetricsRegistry:
                     f"metric {family.name!r} merged with different "
                     f"buckets: {mine.buckets} vs {family.buckets}"
                 )
-            if mine.merge == "drop":
-                mine._children.clear()
-                continue
             for label_values, child in family.children():
                 own = mine.labels(*label_values)
                 if family.kind == "histogram":

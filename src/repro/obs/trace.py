@@ -79,7 +79,7 @@ EV_FASTPATH_REPLAY = "fastpath_replay"
 EV_FASTPATH_INVALIDATE = "fastpath_invalidate"
 EV_SWEEP = "sweep"
 EV_SNAPSHOT = "snapshot"
-EV_CONTROLLER = "controller"
+EV_MODE_SWITCH = "mode_switch"
 EV_CHAIN_REPAIR = "chain_repair"
 EV_HOP = "hop"
 
@@ -102,7 +102,7 @@ EVENTS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (EV_SWEEP, ("cache", "evicted")),
     (EV_SNAPSHOT, ("cache", "entry_count", "capacity", "occupancy",
                    "per_table", "epoch", "epoch_delta", "ages")),
-    (EV_CONTROLLER, ("cache", "knob", "from", "to")),
+    (EV_MODE_SWITCH, ("cache", "from", "to")),
     (EV_CHAIN_REPAIR, ("cache", "flow", "removed")),
     (EV_HOP, ("cache", "flow", "hop", "path_len")),
 )

@@ -106,6 +106,11 @@ def render_telemetry(summary: Dict) -> str:
         rows.append(("revalidated", sum(reval.values())))
         for verdict in sorted(reval):
             rows.append((f"  {verdict}", reval[verdict]))
+    switches = summary.get("mode_switches", {})
+    if switches:
+        rows.append(("mode switches", sum(switches.values())))
+        for mode in sorted(switches):
+            rows.append((f"  to {mode}", switches[mode]))
     fastpath = summary.get("fastpath", {})
     rows.append(("fast-path replays", fastpath.get("replays", 0)))
     rows.append(

@@ -144,6 +144,7 @@ class GigaflowSystem(CachingSystem):
         partitioner: Partitioner = disjoint_partition,
         placement: str = "balanced",
         eviction: str = "lru",
+        chain_repair: bool = False,
     ):
         self.cache = GigaflowCache(
             num_tables=num_tables,
@@ -153,6 +154,7 @@ class GigaflowSystem(CachingSystem):
             partitioner=partitioner,
             placement=placement,
             eviction=eviction,
+            chain_repair=chain_repair,
         )
 
     def install(
@@ -226,18 +228,6 @@ class SimConfig:
             on the sweep cadence, and threads a summary into
             :attr:`SimResult.telemetry`.  Observation-only: every other
             ``SimResult`` field is bit-identical with it on or off.
-        controller: Enables the telemetry-driven adaptive control loop
-            (:class:`~repro.core.controller.AdaptiveController`), run
-            once per snapshot on the sweep cadence.  Accepts ``True``
-            (default :class:`~repro.core.controller.ControllerConfig`),
-            a config, or a pre-built controller instance (handy for
-            inspecting its transition log after the run — also exposed
-            as :attr:`VSwitchSimulator.controller`).  When no
-            ``telemetry`` hub is configured the engine creates a private
-            one as the controller's signal source.  Unlike ``telemetry``
-            this knob *does* steer the simulation: the controller
-            mutates live cache knobs, so results may (intentionally)
-            differ from a controller-off run.
         timeouts: Optional per-rule adaptive idle-timeout predictor
             (:mod:`repro.core.timeouts`).  Accepts a predictor name
             (:data:`~repro.core.timeouts.PREDICTOR_NAMES`: ``"static"``,
@@ -268,14 +258,14 @@ class SimConfig:
             so churn-bearing runs are bit-identical however packets
             reach the kernel — streamed, decoded from columns or
             served in micro-batches
-            (``tests/test_serve_differential.py`` pins it).  Like
-            ``controller``, this knob steers the simulation.  Requires a
+            (``tests/test_serve_differential.py`` pins it).  Unlike
+            ``telemetry``, this knob steers the simulation.  Requires a
             Megaflow or Gigaflow cache (no hierarchy support).
         shards: Worker count for :class:`~repro.sim.sharded.ShardedSimulator`
             (1 = the classic single-process engine).  Plain
             :class:`VSwitchSimulator` ignores it; the sharded driver
             hash-partitions flows across this many processes, each
-            owning its own cache/fast-path/controller, and merges the
+            owning its own cache and fast path, and merges the
             per-shard results losslessly.
     """
 
@@ -285,7 +275,6 @@ class SimConfig:
     latency: LatencyModel = field(default_factory=LatencyModel)
     fast_path: bool = True
     telemetry: Optional[Telemetry] = None
-    controller: object = None
     timeouts: object = None
     churn: object = None
     shards: int = 1
@@ -314,31 +303,10 @@ class PacketKernel:
             from ..core.timeouts import resolve_predictor
 
             predictor = resolve_predictor(config.timeouts, config.max_idle)
-            # Installed before the controller attaches so it can pick
-            # the predictor up as its timeout-aggressiveness knob.
             cache.set_timeout_predictor(predictor)
         tel = config.telemetry
-        ctl = None
-        if config.controller is not None and config.controller is not False:
-            from ..core.controller import (
-                AdaptiveController,
-                ControllerConfig,
-            )
-
-            if tel is None:
-                # Private hub: the controller's signal source.
-                tel = Telemetry()
-            spec = config.controller
-            if isinstance(spec, AdaptiveController):
-                ctl = spec
-            elif isinstance(spec, ControllerConfig):
-                ctl = AdaptiveController(spec)
-            else:  # True (or any truthy marker): defaults
-                ctl = AdaptiveController()
         if tel is not None:
             tel.attach(cache, system.name)
-        if ctl is not None:
-            ctl.attach(cache, tel)
         # The memo's replay/invalidation *metrics* delta-fold from its
         # own counters (Telemetry.attach_fastpath), so the per-replay
         # hook calls are only routed when tracing wants those events.
@@ -371,7 +339,6 @@ class PacketKernel:
         self.system = system
         self.cache = cache
         self.telemetry = tel
-        self.controller = ctl
         self.fastpath = fastpath
         self.timeout_predictor = predictor
         self.churn = churn
@@ -409,11 +376,11 @@ class PacketKernel:
     def advance(self, now: float) -> float:
         """Fire every deadline ``now`` has reached; returns the next one.
 
-        Fixed order: idle sweeps, then snapshots (and the controller),
-        then churn.  Each fires once per elapsed interval at its
-        *scheduled* time, so a sparse trace neither slides the schedule
-        nor skips a firing, and a timestamp that regresses (segment
-        seams in :func:`repro.serve.endless_packets`) fires nothing.
+        Fixed order: idle sweeps, then snapshots, then churn.  Each
+        fires once per elapsed interval at its *scheduled* time, so a
+        sparse trace neither slides the schedule nor skips a firing, and
+        a timestamp that regresses (segment seams in
+        :func:`repro.serve.endless_packets`) fires nothing.
         """
         cache = self.cache
         tel = self.telemetry
@@ -429,13 +396,9 @@ class PacketKernel:
             self.next_sweep = at + interval
         if tel is not None:
             tel.now = now
-            ctl = self.controller
             while now >= self.next_snapshot:
-                at = self.next_snapshot
-                snapshot = tel.sample(cache, at)
-                if ctl is not None:
-                    ctl.on_sweep(at, snapshot)
-                self.next_snapshot = at + interval
+                tel.sample(cache, self.next_snapshot)
+                self.next_snapshot += interval
         churn = self.churn
         if churn is not None:
             while now >= churn.deadline:
@@ -529,8 +492,6 @@ class PacketKernel:
         if tel is not None:
             tel.finalize(cache, self.now, self.fastpath)
             telemetry_summary = tel.summary()
-            if self.controller is not None:
-                telemetry_summary["controller"] = self.controller.summary()
             if self.timeout_predictor is not None:
                 telemetry_summary["timeouts"] = (
                     self.timeout_predictor.summary()
@@ -576,9 +537,6 @@ class VSwitchSimulator:
         #: The fast-path memo of the most recent run (None when disabled)
         #: — exposes memo hit/invalidation counters for benchmarking.
         self.fastpath: Optional[FastPathIndex] = None
-        #: The adaptive controller of the most recent run (None when
-        #: disabled) — exposes its transition log and final knob state.
-        self.controller = None
         #: The timeout predictor of the most recent run (None when
         #: disabled) — exposes its counters and learned state.
         self.timeout_predictor = None
@@ -592,7 +550,6 @@ class VSwitchSimulator:
         published as this simulator's most-recent-run attributes."""
         kernel = PacketKernel(self.pipeline, self.system, self.config)
         self.fastpath = kernel.fastpath
-        self.controller = kernel.controller
         self.timeout_predictor = kernel.timeout_predictor
         self.churn = kernel.churn
         return kernel

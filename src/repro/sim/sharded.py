@@ -201,11 +201,7 @@ class ShardedSimulator:
             parent-only); per-worker registries are merged with
             ``MetricsRegistry.merged`` into :attr:`registry`, and the
             merged telemetry summary folds each shard's
-            ``trace_events``/``trace_dropped`` counts.  ``controller``
-            may be ``True`` or a ``ControllerConfig`` (each worker
-            builds its own instance); passing a pre-built controller
-            *instance* with ``shards > 1`` raises, since one instance
-            cannot live in several processes.
+            ``trace_events``/``trace_dropped`` counts.
         seed: Run seed; shard ``i`` derives :func:`shard_seed(seed, i)`.
         mode: ``"auto"`` (default) runs real worker processes when
             ``shards > 1`` and collapses to the classic in-process
@@ -297,17 +293,6 @@ class ShardedSimulator:
     def run(self, trace: Trace) -> SimResult:
         config = self.config
         shards = max(1, int(config.shards))
-        if shards > 1 and config.controller is not None:
-            from ..core.controller import AdaptiveController
-
-            if isinstance(config.controller, AdaptiveController):
-                raise ValueError(
-                    "sharded runs cannot share one AdaptiveController "
-                    "instance across workers; pass True or a "
-                    "ControllerConfig and inspect the merged "
-                    "telemetry['controller'] summary instead"
-                )
-
         if shards == 1 and self.mode != "processes":
             # Collapse to the classic engine with the caller's own
             # config (telemetry hub included): bit-identical to a

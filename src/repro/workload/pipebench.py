@@ -731,7 +731,7 @@ def build_workload(
 
 
 # =============================================================================
-# Locality-phase-shift workloads (adaptive-controller A/B)
+# Locality-phase-shift workloads (the adaptive A/B bench)
 # =============================================================================
 
 
@@ -747,7 +747,7 @@ def locality_phase_split(
     whose installs reuse heavily; the leftover tail is dominated by
     rarely-repeated destinations and shares poorly.  The adaptive bench
     replays the head, then the tail, as two traffic phases — a locality
-    shift the controller must detect and react to.
+    shift an adaptive cache must detect and react to.
     """
     if not 0.0 < shared_fraction < 1.0:
         raise ValueError(

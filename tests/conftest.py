@@ -76,7 +76,7 @@ def seeded_workload(n_flows=220, locality="high", seed=11):
 
     One definition instead of a copy per module (previously duplicated
     across ``test_sharded``, ``test_trace_analyze`` and
-    ``test_controller``): same pipeline (PSC), same default seed, so
+    ``test_adaptive``): same pipeline (PSC), same default seed, so
     goldens captured against it stay comparable across test files.
     """
     from repro.pipeline import PSC

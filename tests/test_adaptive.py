@@ -1,0 +1,408 @@
+"""Tests for the §7 adaptive cache: the :class:`ModeGovernor`, chain
+repair, and how a mode switch is reported.
+
+Covers, in order:
+
+* the shared-default-config regression (``AdaptiveConfig()`` in a
+  signature aliased one instance across every cache) plus an AST audit
+  keeping mutable/call argument defaults out of ``src/`` for good;
+* the probe-cadence accumulator (``probe_fraction`` is realised
+  exactly, and a mode switch probes immediately);
+* :class:`~repro.core.adaptive.ModeGovernor` hysteresis — the one mode
+  decider and the repository's only adaptive mechanism;
+* a governor switch is reported by the install that caused it
+  (``mode_switch`` trace event + ``repro_mode_switches_total``), not at
+  some later sweep;
+* shadowed-chain repair on the miss path; and
+* plain-engine golden digests recorded before any control loop existed.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+from conftest import flow, seeded_workload
+from repro.core.adaptive import (
+    AdaptiveConfig,
+    AdaptiveGigaflowCache,
+    ModeGovernor,
+)
+from repro.core.gigaflow import GigaflowCache
+from repro.core.partition import megaflow_partition
+from repro.core.rulegen import build_ltm_rules
+from repro.obs import Telemetry
+from repro.obs.trace import EV_MODE_SWITCH
+from repro.sim import (
+    AdaptiveGigaflowSystem,
+    GigaflowSystem,
+    HierarchySystem,
+    MegaflowSystem,
+    ShardedSimulator,
+    SimConfig,
+    VSwitchSimulator,
+)
+
+SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+# ---------------------------------------------------------------------------
+# Satellite 1: shared default configs
+
+
+class TestDefaultConfigAliasing:
+    def test_adaptive_caches_do_not_share_config(self):
+        a = AdaptiveGigaflowCache(num_tables=2, table_capacity=4)
+        b = AdaptiveGigaflowCache(num_tables=2, table_capacity=4)
+        assert a.config is not b.config
+        a.config.window = 1
+        assert b.config.window == AdaptiveConfig().window
+
+    def test_no_mutable_or_call_argument_defaults_in_src(self):
+        """The ruff B006/B008 contract, enforced without ruff: no
+        function in ``src/`` may evaluate a list/dict/set literal or a
+        call in its signature (one shared instance per process)."""
+        offenders = []
+        for path in sorted(SRC_ROOT.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(tree):
+                if not isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ):
+                    continue
+                defaults = list(node.args.defaults) + [
+                    d for d in node.args.kw_defaults if d is not None
+                ]
+                for default in defaults:
+                    if isinstance(
+                        default, (ast.List, ast.Dict, ast.Set, ast.Call)
+                    ):
+                        offenders.append(
+                            f"{path.relative_to(SRC_ROOT)}:"
+                            f"{default.lineno} {node.name}()"
+                        )
+        assert not offenders, (
+            "mutable/call argument defaults found:\n" + "\n".join(offenders)
+        )
+
+
+# ---------------------------------------------------------------------------
+# Satellite 2: probe cadence
+
+
+class TestProbeCadence:
+    def _probes(self, governor, installs):
+        return sum(
+            governor.next_install_partitions() for _ in range(installs)
+        )
+
+    def test_disjoint_mode_always_partitions(self):
+        governor = ModeGovernor(AdaptiveConfig())
+        assert self._probes(governor, 10) == 10
+
+    def test_fraction_realised_exactly(self):
+        """0.3 must yield 3 probes per 10 installs, not the old
+        every-3rd cadence (~0.33)."""
+        governor = ModeGovernor(AdaptiveConfig(probe_fraction=0.3))
+        governor.megaflow_mode = True
+        assert self._probes(governor, 10) == 3
+        assert self._probes(governor, 100) == 30
+
+    def test_fraction_one_probes_every_install(self):
+        governor = ModeGovernor(AdaptiveConfig(probe_fraction=1.0))
+        governor.megaflow_mode = True
+        assert self._probes(governor, 7) == 7
+
+    def test_mode_switch_probes_promptly(self):
+        """Entering Megaflow mode primes the accumulator: the very next
+        install is a probe instead of waiting a whole probe period."""
+        governor = ModeGovernor(AdaptiveConfig(probe_fraction=0.1))
+        governor.set_mode(True)
+        assert governor.next_install_partitions()
+        # ... and the cadence then resumes from empty credit.
+        assert self._probes(governor, 9) == 0
+        assert governor.next_install_partitions()
+
+
+class TestModeGovernor:
+    def test_standalone_rolls_its_own_windows(self):
+        governor = ModeGovernor(AdaptiveConfig(window=10))
+        governor.record(10, 1)  # sharing 0.1 < low watermark
+        assert governor.megaflow_mode
+        governor.record(10, 8)  # probe window: sharing 0.8 > high
+        assert not governor.megaflow_mode
+        assert governor.mode_switches == 2
+
+
+# ---------------------------------------------------------------------------
+# A switch is seen when it happens
+
+
+SWITCHES = [(1.25, "disjoint", "megaflow"), (1.75, "megaflow", "disjoint")]
+
+
+def _two_switches(cache, pipeline):
+    """Two installs of one traversal, both between any two sweeps: the
+    first generates a sharing-free window (-> Megaflow mode), the
+    second is the immediate probe and reuses every rule (-> back)."""
+    traversal = pipeline.execute(flow())
+    for now, _old, _new in SWITCHES:
+        cache.install_traversal(traversal, now=now)
+    assert cache.mode_switches == 2 and not cache.megaflow_mode
+
+
+class TestModeSwitchIsReportedAtTheSource:
+    def _cache(self):
+        return AdaptiveGigaflowCache(
+            num_tables=2, table_capacity=8, config=AdaptiveConfig(window=2)
+        )
+
+    def test_each_switch_is_traced_and_counted_by_its_install(
+        self, mini_pipeline
+    ):
+        """Both switches cancel out before any sweep could run; each is
+        still a ``mode_switch`` record stamped with its install's
+        ``now`` and one counter increment."""
+        telemetry = Telemetry(tracing=True)
+        cache = self._cache()
+        telemetry.attach(cache)
+        _two_switches(cache, mini_pipeline)
+        events = [
+            e for e in telemetry.tracer.events() if e.event == EV_MODE_SWITCH
+        ]
+        assert [
+            (e.ts, e.fields["from"], e.fields["to"]) for e in events
+        ] == SWITCHES
+        assert all(e.fields["cache"] == cache.name for e in events)
+        counter = telemetry.registry.get("repro_mode_switches_total")
+        assert {
+            labels: child.value for labels, child in counter.children()
+        } == {(cache.name, "megaflow"): 1, (cache.name, "disjoint"): 1}
+        assert telemetry.summary()["mode_switches"] == {
+            "megaflow": 1, "disjoint": 1,
+        }
+
+    def test_detached_cache_switches_without_a_hub(self, mini_pipeline):
+        cache = self._cache()
+        assert cache.telemetry is None
+        _two_switches(cache, mini_pipeline)
+
+    def test_sharded_run_sums_the_counter(self):
+        workload = seeded_workload(n_flows=400, locality="low")
+        systems = []
+
+        def factory(_context):
+            systems.append(
+                AdaptiveGigaflowSystem(num_tables=4, table_capacity=30)
+            )
+            return systems[-1]
+
+        driver = ShardedSimulator(
+            workload.pipeline, factory,
+            SimConfig(telemetry=Telemetry(tracing=False), shards=2),
+            mode="inline",
+        )
+        result = driver.run(workload.trace(seed=3))
+        per_shard = [system.cache.mode_switches for system in systems]
+        assert len(per_shard) == 2 and all(per_shard)
+        counter = driver.registry.get("repro_mode_switches_total")
+        assert sum(child.value for _, child in counter.children()) == sum(
+            per_shard
+        )
+        assert sum(result.telemetry["mode_switches"].values()) == sum(
+            per_shard
+        )
+
+
+# ---------------------------------------------------------------------------
+# Chain repair
+
+
+def _break_chain(cache, pipeline):
+    """Install the default flow's 2-segment chain, then evict its tail —
+    the shape eviction leaves behind when it splits a chain."""
+    traversal = pipeline.execute(flow())
+    outcome = cache.install_traversal(traversal)
+    assert outcome.installed >= 2
+    (tail,) = list(cache.tables[1])
+    cache.tables[1].remove(tail)
+    assert not cache.lookup(flow()).hit  # dead-ends at the stale head
+    return traversal
+
+
+class TestChainRepair:
+    def test_shadowed_chain_misses_forever_without_repair(self, mini_pipeline):
+        """The bug being fixed: the replacement entry is resident and
+        complete, yet the stale head keeps winning the first hop."""
+        cache = GigaflowCache(num_tables=2, table_capacity=8)
+        traversal = _break_chain(cache, mini_pipeline)
+        rules = build_ltm_rules(megaflow_partition(traversal), 0, 1.0)
+        first = cache.install_rules(rules)
+        assert first.installed == 1  # replacement goes in (table 1)
+        assert not cache.lookup(flow()).hit  # still shadowed
+        second = cache.install_rules(build_ltm_rules(
+            megaflow_partition(traversal), 0, 2.0
+        ))
+        assert second.complete and second.reused and not second.installed
+        assert not cache.lookup(flow()).hit  # reinstall changed nothing
+        assert cache.shadow_repairs == 0
+
+    def test_repair_unshadows_the_flow(self, mini_pipeline):
+        cache = AdaptiveGigaflowCache(
+            num_tables=2, table_capacity=8, chain_repair=True
+        )
+        traversal = _break_chain(cache, mini_pipeline)
+        cache.megaflow_mode = True
+        cache.install_traversal(traversal, now=1.0)  # installs replacement
+        epoch = cache.mutation_epoch
+        cache.install_traversal(traversal, now=2.0)  # resident: repairs
+        assert cache.shadow_repairs >= 1
+        assert cache.lookup(flow()).hit
+        assert cache.mutation_epoch > epoch  # fast-path memos flushed
+
+    def test_repair_is_off_by_default(self, mini_pipeline):
+        """A construction-time flag, off unless asked for (the
+        goldens below, and the paper-figure benchmarks, depend on it)."""
+        cache = AdaptiveGigaflowCache(num_tables=2, table_capacity=8)
+        assert not cache.chain_repair
+        traversal = _break_chain(cache, mini_pipeline)
+        cache.megaflow_mode = True
+        cache.install_traversal(traversal, now=1.0)
+        cache.install_traversal(traversal, now=2.0)
+        assert cache.shadow_repairs == 0
+        assert not cache.lookup(flow()).hit
+
+
+# ---------------------------------------------------------------------------
+# The governor inside the engine
+
+
+def test_governor_flips_to_megaflow_on_low_locality():
+    """The pressure scenario of the goldens below (one governor
+    switch), with telemetry attached: the run's own output shows it."""
+    workload = seeded_workload(n_flows=400, locality="low")
+    telemetry = Telemetry(tracing=True)
+    simulator = VSwitchSimulator(
+        workload.pipeline,
+        AdaptiveGigaflowSystem(num_tables=4, table_capacity=30),
+        SimConfig(
+            max_idle=0.0, sweep_interval=2.0, fast_path=True,
+            telemetry=telemetry,
+        ),
+    )
+    result = simulator.run(workload.trace(seed=3))
+    cache = simulator.system.cache
+    assert cache.mode_switches == 1 and cache.megaflow_mode
+    assert result.telemetry["mode_switches"] == {"megaflow": 1}
+    (event,) = [
+        e for e in telemetry.tracer.events() if e.event == EV_MODE_SWITCH
+    ]
+    assert (event.fields["from"], event.fields["to"]) == (
+        "disjoint", "megaflow"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Plain-engine differential goldens
+
+
+GOLDEN_IDLE = {
+    "megaflow": dict(
+        hits=1785, misses=415, insertions=415, rejected=0, evictions=414,
+        packets=2200, entry_count=1, peak_entries=72, cache_probes=20309,
+    ),
+    "gigaflow": dict(
+        hits=1698, misses=502, insertions=682, rejected=0, evictions=678,
+        packets=2200, entry_count=4, peak_entries=120, cache_probes=28088,
+    ),
+    "hierarchy": dict(
+        hits=1738, misses=462, insertions=0, rejected=0, evictions=0,
+        packets=2200, entry_count=1, peak_entries=96, cache_probes=12352,
+    ),
+    "adaptive": dict(
+        hits=1698, misses=502, insertions=682, rejected=0, evictions=678,
+        packets=2200, entry_count=4, peak_entries=120, cache_probes=28088,
+        mode_switches=0,
+    ),
+}
+
+GOLDEN_PRESSURE = {
+    "megaflow": dict(
+        hits=1800, misses=400, insertions=400, rejected=0, evictions=280,
+        packets=2200, entry_count=120, peak_entries=120, cache_probes=71525,
+    ),
+    "gigaflow": dict(
+        hits=1739, misses=461, insertions=476, rejected=0, evictions=356,
+        packets=2200, entry_count=120, peak_entries=120, cache_probes=111054,
+    ),
+    "hierarchy": dict(
+        hits=1800, misses=400, insertions=0, rejected=0, evictions=0,
+        packets=2200, entry_count=150, peak_entries=150, cache_probes=34127,
+    ),
+    "adaptive": dict(
+        hits=1739, misses=461, insertions=476, rejected=0, evictions=356,
+        packets=2200, entry_count=120, peak_entries=120, cache_probes=111054,
+        mode_switches=1,
+    ),
+}
+
+
+def _golden_systems():
+    return {
+        "megaflow": lambda: MegaflowSystem(capacity=120),
+        "gigaflow": lambda: GigaflowSystem(num_tables=4, table_capacity=30),
+        "hierarchy": lambda: HierarchySystem(
+            microflow_capacity=30, megaflow_capacity=120
+        ),
+        "adaptive": lambda: AdaptiveGigaflowSystem(
+            num_tables=4, table_capacity=30
+        ),
+    }
+
+
+class TestPreControllerDigests:
+    """The plain engine's numbers, captured on commit ``1d7df77`` —
+    before any control loop existed — and never edited since: they
+    held while ``SimConfig.controller`` arrived (off by default) and
+    prove the engine did not move when it was deleted.  Chain repair
+    defaulting off and the governor refactor reproduce them exactly.
+    (The adaptive rows are the post-probe-cadence-fix values — that fix
+    intentionally corrects Megaflow-mode sampling.)
+    """
+
+    @pytest.mark.parametrize("system", sorted(GOLDEN_IDLE))
+    def test_idle_scenario(self, system):
+        assert self._digest(system, max_idle=4.0, locality="high") == (
+            GOLDEN_IDLE[system]
+        )
+
+    @pytest.mark.parametrize("system", sorted(GOLDEN_PRESSURE))
+    def test_pressure_scenario(self, system):
+        assert self._digest(system, max_idle=0.0, locality="low") == (
+            GOLDEN_PRESSURE[system]
+        )
+
+    @staticmethod
+    def _digest(system, max_idle, locality):
+        workload = seeded_workload(n_flows=400, locality=locality)
+        trace = workload.trace(seed=3)
+        config = SimConfig(
+            max_idle=max_idle, sweep_interval=2.0, fast_path=True
+        )
+        simulator = VSwitchSimulator(
+            workload.pipeline, _golden_systems()[system](), config
+        )
+        result = simulator.run(trace)
+        stats = result.stats
+        digest = dict(
+            hits=stats.hits, misses=stats.misses,
+            insertions=stats.insertions, rejected=stats.rejected,
+            evictions=stats.evictions, packets=result.packets,
+            entry_count=result.entry_count,
+            peak_entries=result.peak_entries,
+            cache_probes=result.cache_probes,
+        )
+        switches = getattr(simulator.system.cache, "mode_switches", None)
+        if switches is not None:
+            digest["mode_switches"] = switches
+        return digest

@@ -51,10 +51,10 @@ LEGACY = {
         {"metrics_identical", "trace_identical"},
     ),
     "adaptive": (
-        ("runs", "closed_loop"),
-        BASE_ROW | {"phase1_hit_rate", "phase2_hit_rate", "controller"},
+        ("runs", "adaptive_repair"),
+        BASE_ROW | {"phase1_hit_rate", "phase2_hit_rate"},
         # The scenario is pinned (1 200 flows) whatever scale is passed.
-        {"closed_loop_ok"},
+        {"chain_repair_ok"},
     ),
     "shards": (
         ("runs", "workers_2"),

@@ -205,7 +205,7 @@ class TestNonAdditiveGauges:
     the rule is declared where the family is registered."""
 
     @staticmethod
-    def worker(entries, capacity, state=None):
+    def worker(entries, capacity):
         registry = MetricsRegistry()
         registry.gauge("repro_t_entries", "e", ("cache",)).labels("gf").set(
             entries
@@ -217,13 +217,10 @@ class TestNonAdditiveGauges:
             "repro_t_occupancy", "o", ("cache",),
             merge=("repro_t_entries", "repro_t_capacity"),
         ).labels("gf").set(round(entries / capacity, 6))
-        knob = registry.gauge("repro_t_state", "s", ("cache",), merge="drop")
-        if state is not None:
-            knob.labels("gf").set(state)
         return registry
 
     def test_ratio_recomputed_from_merged_parts(self):
-        workers = [self.worker(64, 64), self.worker(16, 64, state=3.0)]
+        workers = [self.worker(64, 64), self.worker(16, 64)]
         for order in (workers, workers[::-1]):
             merged = MetricsRegistry.merged(order)
             assert merged.get("repro_t_entries").labels("gf").value == 80
@@ -234,18 +231,9 @@ class TestNonAdditiveGauges:
         )
         assert nested.get("repro_t_occupancy").labels("gf").value == 0.3125
 
-    def test_dropped_gauge_keeps_family_but_no_samples(self):
-        merged = MetricsRegistry.merged(
-            [self.worker(1, 2, state=3.0), self.worker(1, 2, state=1.0)]
-        )
-        assert merged.get("repro_t_state") is not None
-        assert len(merged.get("repro_t_state")) == 0
-        assert "repro_t_state{" not in merged.to_prometheus()
-
     def test_four_shard_run_scrapes_a_real_occupancy(self):
         """The case that scraped ``repro_cache_occupancy_ratio 4``: four
-        inline shards, each full at 256/256, and a controller whose
-        per-shard knob encodings used to add up."""
+        inline shards, each full at 256/256."""
         from conftest import seeded_trace, seeded_workload
         from repro.obs import Telemetry
         from repro.sim import GigaflowSystem, ShardedSimulator, SimConfig
@@ -254,7 +242,7 @@ class TestNonAdditiveGauges:
         driver = ShardedSimulator(
             workload.pipeline,
             lambda _context: GigaflowSystem(num_tables=4, table_capacity=8),
-            SimConfig(telemetry=Telemetry(), shards=4, controller=True),
+            SimConfig(telemetry=Telemetry(), shards=4),
             mode="inline",
         )
         result = driver.run(seeded_trace(workload))
@@ -271,5 +259,3 @@ class TestNonAdditiveGauges:
             )
         }
         assert result.telemetry["occupancy"] == entries / capacity
-        assert "repro_controller_state" not in scraped
-        assert len(result.telemetry["controller"]["per_shard_state"]) == 4

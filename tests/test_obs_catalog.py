@@ -8,8 +8,9 @@ undocumented, and the doc cannot keep a row the code dropped.  The rest
 pins what "declared once" means for events: a 14th ``EVENTS`` row is
 the only edit a new event needs, and the one flow-id formula.
 
-``docs/adaptive.md``'s knob reference is held to ``ControllerConfig``
-the same way: one row per dataclass field, with its default.
+``docs/adaptive.md``'s knob reference is held to ``AdaptiveConfig``
+(the governor's knobs) the same way: one row per dataclass field, with
+its default.
 """
 
 import ast
@@ -18,7 +19,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from conftest import flow
-from repro.core.controller import ControllerConfig
+from repro.core.adaptive import AdaptiveConfig
 from repro.obs import EVENTS, Telemetry, Tracer, trace
 from repro.obs.trace import flow_id
 
@@ -64,13 +65,13 @@ class TestCatalogParity:
         assert documented == list(EVENTS)
 
 
-    def test_knob_reference_lists_every_controller_config_field(self):
+    def test_knob_reference_lists_every_adaptive_config_field(self):
         documented = {
             row[0].strip("`"): ast.literal_eval(row[1].strip("`"))
             for row in doc_table("Knob reference", DOCS / "adaptive.md")
         }
         assert documented == {
-            f.name: f.default for f in fields(ControllerConfig)
+            f.name: f.default for f in fields(AdaptiveConfig)
         }
 
 
@@ -130,11 +131,8 @@ class TestFlowId:
         telemetry = Telemetry(tracing=True)
         VSwitchSimulator(
             workload.pipeline,
-            GigaflowSystem(num_tables=4, table_capacity=8),
-            SimConfig(
-                max_idle=1.0, sweep_interval=0.5, telemetry=telemetry,
-                controller=True,
-            ),
+            GigaflowSystem(num_tables=4, table_capacity=8, chain_repair=True),
+            SimConfig(max_idle=1.0, sweep_interval=0.5, telemetry=telemetry),
         ).run(seeded_trace(workload, duration=3.0))
         pilots = {
             format(flow_id(pilot.flow), "08x") for pilot in workload.pilots

@@ -5,7 +5,7 @@ The contracts pinned here, in order:
 * **Columnar fidelity** — ``run(trace)`` (chunked column decode)
   produces a bit-identical :class:`~repro.sim.results.SimResult` to
   ``run_packets(trace.packets())``, across systems and across every
-  cadence-bearing config (idle sweeps, telemetry, controller).
+  cadence-bearing config (idle sweeps, telemetry).
 * **Shard assignment** — flows map to shards stably, every packet of a
   flow lands on one shard, and the per-shard traces partition the
   parent exactly.
@@ -74,7 +74,6 @@ BATCH_CONFIGS = {
     "sweeps": dict(max_idle=2.0),
     "telemetry": dict(max_idle=0.0, telemetry=True),
     "sweeps+telemetry": dict(max_idle=2.0, telemetry=True),
-    "controller": dict(max_idle=2.0, controller=True),
     "no-fastpath": dict(max_idle=2.0, fast_path=False),
 }
 
@@ -282,32 +281,6 @@ class TestShardedRuns:
         for timing in driver.shard_timings:
             assert timing["cpu_seconds"] >= 0.0
             assert timing["wall_seconds"] > 0.0
-
-    def test_controller_config_passes_through(self):
-        workload = small_workload()
-        driver = ShardedSimulator(
-            workload.pipeline,
-            gigaflow_factory,
-            sim_config(shards=2, controller=True),
-            mode="inline",
-        )
-        result = driver.run(small_trace(workload))
-        controller = result.telemetry["controller"]
-        assert controller["sweeps"] > 0
-        assert len(controller["per_shard_state"]) == 2
-
-    def test_controller_instance_rejected_for_multi_shard(self):
-        from repro.core.controller import AdaptiveController
-
-        workload = small_workload()
-        driver = ShardedSimulator(
-            workload.pipeline,
-            gigaflow_factory,
-            sim_config(shards=2, controller=AdaptiveController()),
-            mode="inline",
-        )
-        with pytest.raises(ValueError, match="AdaptiveController"):
-            driver.run(small_trace(workload))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):

@@ -5,8 +5,8 @@
 ``obs/telemetry.py`` spelled every trace-emit stanza, pending-cell fold
 and digest-merge field out by hand.  That code is gone, so this
 recording is the differential: three seeded PSC runs with everything
-on (full event mask, storm + ACL + shuffle churn, the adaptive
-controller, ``ewma`` timeouts, chain repair) must reproduce, exactly,
+on (full event mask, storm + ACL + shuffle churn, ``ewma`` timeouts,
+chain repair) must reproduce, exactly,
 
 * the sha256 of every JSONL trace stream and the per-event-type counts,
 * the sha256 of the registry's Prometheus text,
@@ -15,10 +15,9 @@ controller, ``ewma`` timeouts, chain repair) must reproduce, exactly,
 for one plain engine run, a 4-worker inline sharded run and a
 leaf-spine fabric run with one link failure (merged registry, merged
 digest).  The one sanctioned difference is the merged-gauge bugfix:
-``repro_cache_occupancy_ratio`` and ``repro_controller_state`` are not
-additive, so their sample lines are left out of the hash (``gauges``
-in the golden holds what the parent scraped) and checked against the
-new rule instead.
+``repro_cache_occupancy_ratio`` is not additive, so its sample lines
+are left out of the hash (``gauges`` in the golden holds what the
+parent scraped) and checked against the new rule instead.
 
 Since PR 19 a Gigaflow fast-path record whose epoch went stale is
 re-validated instead of dropped, so *which* hits are replayed moved,
@@ -47,6 +46,23 @@ of PR 20's parent (``237d232``) run with that knob off
 ``controller`` and ``evict`` events included, and every other family
 is as that run left it.
 
+PR 22 deleted the adaptive controller (``docs/adaptive.md``, "Measured
+and deleted"), which these scenarios had attached for its chain repair;
+they now build their caches with ``chain_repair=True``.  Re-recorded a
+third time, same method: the view also leaves out the ``controller``
+event (row 10 of ``EVENTS``, now ``mode_switch``), the controller's two
+families and the one counter that replaced them, and the digest keys
+that named it (``controller``, the predictor's ``aggressiveness``, the
+new ``mode_switches``).  Its hashes are those of PR 22's parent
+(``376b938``) run with ``ControllerConfig(manage_timeout=False,
+occupancy_low=0.0, dwell=10**9)`` — chain repair on, neither knob able
+to move (without the ``dwell`` the placement knob still fired once per
+cache, on the drained cache at the end of the trace; the view hashes
+are the same either way) — and ``parent_reference`` in the golden is
+that run's transition count per knob: the recorder refuses to write
+unless ``placement`` and ``timeout_scale`` read zero there and the view
+hashes still match.
+
 Flow ids and CRC shard routing inherit Python's per-process str-hash
 salt (ROADMAP item 2), so both the recorder and the test run the
 scenarios in a ``PYTHONHASHSEED=0`` subprocess.
@@ -68,24 +84,29 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: The PSC ACL stage (as in test_churn.py).
 ACL_TABLE = 5
-#: Small enough that capacity evictions, chain repair and every
-#: controller knob fire within the 6 s trace.
+#: Small enough that capacity evictions and chain repair fire within
+#: the 6 s trace.
 TABLE_CAPACITY = 40
 #: Gauge families whose *merged* value the bugfix changes.
-CHANGED_GAUGES = ("repro_cache_occupancy_ratio", "repro_controller_state")
+CHANGED_GAUGES = ("repro_cache_occupancy_ratio",)
 #: What the replay-invariant view leaves out.  Events only a full
 #: chain walk (or a dropped memo record) emits; the ``snapshot`` fields,
 #: families and ``SimResult.telemetry`` keys that count memo outcomes,
 #: per-walk classifier probes or epoch bumps.
-VIEW_WITHOUT_EVENTS = ("ltm_probe", "fastpath_invalidate")
+VIEW_WITHOUT_EVENTS = (
+    "ltm_probe", "fastpath_invalidate", "controller", "mode_switch",
+)
 VIEW_WITHOUT_FIELDS = ("epoch", "epoch_delta")
 VIEW_WITHOUT_FAMILIES = (
     "repro_fastpath_", "repro_ltm_probes_total", "repro_tss_lookups_total",
     "repro_epoch_bumps_total",
     "repro_evictions_by_policy_total", "repro_eviction_victim_age_seconds",
+    "repro_controller_", "repro_mode_switches_total",
 )
+#: Left out at any depth (``aggressiveness`` sat under ``timeouts``).
 VIEW_WITHOUT_DIGEST = (
     "fastpath", "trace_events", "epoch_bumps", "victim_ages", "controller",
+    "mode_switches", "aggressiveness", "per_shard_aggressiveness",
 )
 
 
@@ -111,7 +132,6 @@ def _universe():
     kwargs = dict(
         max_idle=2.0,
         sweep_interval=1.0,
-        controller=True,
         timeouts="ewma",
         churn=ChurnConfig(schedule=schedule, reval_budget=16),
     )
@@ -125,6 +145,7 @@ def _system(context=None):
     return GigaflowSystem(
         num_tables=4,
         table_capacity=TABLE_CAPACITY // getattr(context, "shards", 1),
+        chain_repair=True,
     )
 
 
@@ -176,6 +197,14 @@ def _prom(text, without_families=()):
     return hashlib.sha256("\n".join(kept).encode("utf-8")).hexdigest()
 
 
+def _digest_view(digest):
+    return {
+        key: _digest_view(value) if isinstance(value, dict) else value
+        for key, value in digest.items()
+        if key not in VIEW_WITHOUT_DIGEST
+    }
+
+
 def _digest(directory, registry, telemetry):
     streams, invariant_streams, counts = _streams(directory)
     text = registry.to_prometheus()
@@ -189,12 +218,7 @@ def _digest(directory, registry, telemetry):
             "prom_sha256": _prom(text, VIEW_WITHOUT_FAMILIES),
             "telemetry_sha256": hashlib.sha256(
                 json.dumps(
-                    {
-                        key: value
-                        for key, value in telemetry.items()
-                        if key not in VIEW_WITHOUT_DIGEST
-                    },
-                    sort_keys=True,
+                    _digest_view(telemetry), sort_keys=True
                 ).encode("utf-8")
             ).hexdigest(),
         },
@@ -307,29 +331,27 @@ def test_streams_match_parent_recording(golden, current):
             assert replayed[key] == recorded[key], (scenario, key)
     # An unmerged registry is untouched by the bugfix.
     assert current["single"]["gauges"] == golden["single"]["gauges"]
-    # Every builtin event fires somewhere (``hop`` only in a fabric).
-    assert len(golden["single"]["event_counts"]) == 12
-    assert len(golden["fabric"]["event_counts"]) == 13
+    # Every builtin event fires somewhere (``hop`` only in a fabric)
+    # but ``mode_switch``: no governor here, tests/test_adaptive.py.
+    assert len(golden["single"]["event_counts"]) == 11
+    assert len(golden["fabric"]["event_counts"]) == 12
     for scenario in ("sharded", "fabric"):
         assert golden[scenario]["telemetry"]["victim_ages"]["count"], scenario
 
 
 def test_merged_gauges_follow_the_new_rule(golden, current):
-    """The two families the golden lists apart.  The parent summed
-    them across workers (four shards at 0.025 scraped 0.1, and the
-    per-shard knob encodings added up); merged occupancy is now merged
-    entries / capacity, and controller state is not merged at all."""
-    occupancy, state = CHANGED_GAUGES
+    """The family the golden lists apart.  The parent summed it across
+    workers (four shards at 0.025 scraped 0.1); merged occupancy is now
+    merged entries / capacity."""
+    (occupancy,) = CHANGED_GAUGES
     parent = golden["sharded"]["gauges"]
     entries = parent["repro_cache_entries"]['{cache="gigaflow"}']
     capacity = parent["repro_cache_capacity"]['{cache="gigaflow"}']
     assert parent[occupancy] == {
         '{cache="gigaflow"}': pytest.approx(4 * entries / capacity)
     }
-    assert parent[state]
     for scenario in ("sharded", "fabric"):
         gauges = current[scenario]["gauges"]
-        assert gauges[state] == {}, scenario
         for family in ("repro_cache_entries", "repro_cache_capacity"):
             assert gauges[family] == golden[scenario]["gauges"][family]
         assert gauges[occupancy] == {
@@ -351,10 +373,17 @@ if __name__ == "__main__":
     else:
         recorded = _record_in_subprocess()
         # A re-recording keeps what earlier parents scraped: the merged
-        # gauges of PR 15's and the invariant view of PR 20's.
+        # gauges of PR 15's, and the invariant view of PR 22's with the
+        # proof that its controller steered nothing.
         for scenario, parent in json.loads(GOLDEN.read_text()).items():
             if scenario != "single":
                 recorded[scenario]["gauges"] = parent["gauges"]
+            reference = parent["parent_reference"]
+            assert not (
+                reference["by_knob"].get("placement")
+                or reference["by_knob"].get("timeout_scale")
+            ), f"{scenario}: the reference run's controller moved a knob"
+            recorded[scenario]["parent_reference"] = reference
             assert (
                 recorded[scenario]["replay_invariant"]
                 == parent["replay_invariant"]

@@ -4,25 +4,16 @@ Fuzzes the estimators in :mod:`repro.core.timeouts` against the
 invariants their contracts promise:
 
 * the **clamp**: every predicted timeout lands in
-  ``[min_idle, max_idle]`` — for every predictor, any observation
-  history, any aggressiveness scale;
+  ``[min_idle, max_idle]`` — for every predictor and any observation
+  history;
 * the **EWMA** estimate is a convex combination of the observed
-  interarrivals, so it stays within their ``[min, max]`` envelope;
-* the adaptive controller's ``timeout_scale`` knob lowers predictor
-  aggressiveness under occupancy pressure (with dwell hysteresis) and
-  relaxes it back once pressure clears.
+  interarrivals, so it stays within their ``[min, max]`` envelope.
 """
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.cache.megaflow import MegaflowCache
-from repro.core.controller import (
-    KNOB_TIMEOUT,
-    AdaptiveController,
-    ControllerConfig,
-)
 from repro.core.timeouts import (
     PREDICTOR_NAMES,
     EwmaTimeoutPredictor,
@@ -42,7 +33,6 @@ GAPS = st.lists(
     max_size=60,
 )
 KEYS = st.integers(0, 5)
-SCALES = st.floats(min_value=1e-6, max_value=1.0)
 
 
 def config(**overrides):
@@ -56,16 +46,14 @@ class TestClampInvariant:
     @given(
         name=st.sampled_from(PREDICTOR_NAMES),
         observations=st.lists(st.tuples(KEYS, GAPS), max_size=8),
-        scale=SCALES,
     )
-    def test_timeout_always_in_bounds(self, name, observations, scale):
+    def test_timeout_always_in_bounds(self, name, observations):
         predictor = make_predictor(name, config(predictor=name))
         now = 0.0
         for key, gaps in observations:
             for gap in gaps:
                 now += gap
                 predictor.observe(key, gap, now)
-        predictor.set_aggressiveness(scale)
         for key in range(6):
             timeout = predictor.timeout_for(key)
             assert predictor.min_idle <= timeout <= predictor.max_idle
@@ -153,85 +141,3 @@ class TestLedgerBookkeeping:
         assert predictor.expired == 0
         assert predictor.premature_evictions == 0
         assert predictor.dead_evictions == 0
-
-
-class _Snapshot:
-    """Minimal stand-in for the engine's sweep snapshot."""
-
-    def __init__(self, occupancy):
-        self.occupancy = occupancy
-        self.epoch_delta = 0
-
-
-class TestControllerTimeoutKnob:
-    """The fifth knob: occupancy pressure scales aggressiveness down,
-    relief scales it back — double-hysteresis like every other knob."""
-
-    def _attached(self, **config_kwargs):
-        cache = MegaflowCache(capacity=16)
-        predictor = resolve_predictor("ewma", 16.0)
-        cache.set_timeout_predictor(predictor)
-        controller = AdaptiveController(
-            ControllerConfig(dwell=2, **config_kwargs)
-        )
-        controller.attach(cache, None)
-        return predictor, controller
-
-    def test_pressure_lowers_and_relief_restores(self):
-        predictor, controller = self._attached()
-        controller.on_sweep(1.0, _Snapshot(0.95))
-        # Dwell: one sweep of pressure is not enough.
-        assert predictor.aggressiveness == 1.0
-        controller.on_sweep(2.0, _Snapshot(0.95))
-        assert predictor.aggressiveness == 0.5
-        # Acting consumed the streak; two more pressured sweeps floor
-        # the scale at timeout_scale_min.
-        controller.on_sweep(3.0, _Snapshot(0.95))
-        controller.on_sweep(4.0, _Snapshot(0.95))
-        assert predictor.aggressiveness == 0.25
-        # At the floor further pressure is a no-op.
-        controller.on_sweep(5.0, _Snapshot(0.95))
-        controller.on_sweep(6.0, _Snapshot(0.95))
-        assert predictor.aggressiveness == 0.25
-        # Relief below occupancy_low steps the scale back up.
-        controller.on_sweep(7.0, _Snapshot(0.1))
-        controller.on_sweep(8.0, _Snapshot(0.1))
-        assert predictor.aggressiveness == 0.5
-        controller.on_sweep(9.0, _Snapshot(0.1))
-        controller.on_sweep(10.0, _Snapshot(0.1))
-        assert predictor.aggressiveness == 1.0
-        moves = [
-            t for t in controller.transitions if t["knob"] == KNOB_TIMEOUT
-        ]
-        assert [t["to"] for t in moves] == [0.5, 0.25, 0.5, 1.0]
-
-    def test_middling_occupancy_resets_the_streak(self):
-        predictor, controller = self._attached()
-        controller.on_sweep(1.0, _Snapshot(0.95))
-        controller.on_sweep(2.0, _Snapshot(0.5))  # between the marks
-        controller.on_sweep(3.0, _Snapshot(0.95))
-        assert predictor.aggressiveness == 1.0
-
-    def test_manage_timeout_off_never_touches_the_scale(self):
-        predictor, controller = self._attached(manage_timeout=False)
-        for now in range(1, 8):
-            controller.on_sweep(float(now), _Snapshot(0.95))
-        assert predictor.aggressiveness == 1.0
-        assert all(
-            t["knob"] != KNOB_TIMEOUT for t in controller.transitions
-        )
-
-    def test_scale_shortens_static_timeouts(self):
-        predictor = resolve_predictor("static", 16.0)
-        assert predictor.timeout_for("any") == 16.0
-        predictor.set_aggressiveness(0.5)
-        assert predictor.timeout_for("any") == 8.0
-        # Floor: the clamp still applies under aggressive scaling.
-        predictor.set_aggressiveness(1e-6)
-        assert predictor.timeout_for("any") == predictor.min_idle
-
-    def test_scale_knob_config_validated(self):
-        with pytest.raises(ValueError):
-            ControllerConfig(timeout_scale_min=0.0)
-        with pytest.raises(ValueError):
-            ControllerConfig(timeout_scale_step=1.0)

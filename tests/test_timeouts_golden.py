@@ -11,7 +11,7 @@ tree.  Those hooks are all guarded on ``timeout_predictor is None``
   workloads; the predictor-aware simulator must reproduce every field
   exactly.
 * ``timeouts="static"`` — the predictor-framework twin of the global
-  constant (every rule predicted ``max_idle``, aggressiveness 1.0) —
+  constant (every rule predicted ``max_idle``) —
   is bit-identical to ``timeouts=None``, hook sites and all.
 
 Only hash-stable fields are pinned as constants: ``avg_latency_us``
@@ -22,16 +22,14 @@ they are compared differentially in-process instead (the
 in their hit counts (worker merge order), so the ``shards=2`` coverage
 is purely the in-process differential.
 
-The one *intentional* divergence is also pinned: with the adaptive
-controller's ``manage_timeout`` knob live, a ``static`` predictor under
-occupancy pressure gets its aggressiveness scaled down — so
-``controller=True`` + ``timeouts="static"`` may legitimately drift from
-the seed, while ``manage_timeout=False`` restores exact equivalence.
+Static ≡ off has no exemption: the one thing that could scale a static
+predictor's timeouts (the adaptive controller's ``timeout_scale`` knob)
+was measured inert or harmful and deleted with the controller (PR 22,
+``docs/adaptive.md``).
 """
 
 import pytest
 
-from repro.core.controller import ControllerConfig
 from repro.obs import Telemetry
 from repro.sim import (
     GigaflowSystem,
@@ -58,34 +56,14 @@ GOLDEN = {
     ("slowpath", "gigaflow"): (
         5264, 1347, 785, 0, 784, 6611, 1, 240, 133419
     ),
-    ("controller", "megaflow"): (
-        4738, 1873, 1873, 0, 1872, 6611, 1, 120, 77913
-    ),
-    # Re-captured when the controller lost its eviction-policy knob:
-    # the parent reads exactly this with ``manage_policy=False`` (the
-    # knob on read 5499 hits / 1112 misses, the only row it touched).
-    ("controller", "gigaflow"): (
-        5495, 1116, 1526, 0, 1522, 6611, 4, 240, 154852
-    ),
 }
 
-#: The four scenario configs: idle-sweep dominant, tight sweeps, the
-#: non-fast-path (streaming slow path) loop, and the adaptive
-#: controller in the loop.  The controller scenario disables the
-#: ``manage_timeout`` knob so the static predictor stays at
-#: aggressiveness 1.0 — the regime where static == off is a theorem,
-#: not a coincidence (the knob's intentional divergence is pinned
-#: separately below).
+#: The three scenario configs: idle-sweep dominant, tight sweeps and
+#: the non-fast-path (streaming slow path) loop.
 CONFIGS = {
     "idle": dict(max_idle=4.0, sweep_interval=2.0, fast_path=True),
     "tight": dict(max_idle=1.0, sweep_interval=0.5, fast_path=True),
     "slowpath": dict(max_idle=6.0, sweep_interval=3.0, fast_path=False),
-    "controller": dict(
-        max_idle=2.0,
-        sweep_interval=1.0,
-        fast_path=True,
-        controller=ControllerConfig(manage_timeout=False),
-    ),
 }
 
 SYSTEMS = {
@@ -156,7 +134,6 @@ class TestPredictorOffMatchesSeed:
         simulator, result = run_single("idle", system, "static")
         summary = simulator.timeout_predictor.summary()
         assert summary["predictor"] == "static"
-        assert summary["aggressiveness"] == 1.0
         assert summary["expired"] > 0
         assert summary["expired"] <= result.stats.evictions
 
@@ -200,8 +177,6 @@ class TestShardedDifferential:
         assert static_tel == off_tel
         assert timeouts_summary is not None
         assert timeouts_summary["predictor"] == "static"
-        # Both workers ran their own predictor instance.
-        assert len(timeouts_summary["per_shard_aggressiveness"]) == 2
 
     def test_sharded_processes_match_inline_with_predictor(self):
         """The predictor survives the pickle boundary: forked workers
@@ -225,30 +200,3 @@ class TestShardedDifferential:
             result = driver.run(make_trace(workload))
             fingerprints.append(result_fingerprint(result))
         assert fingerprints[0] == fingerprints[1]
-
-
-class TestControllerKnobDivergesOnPurpose:
-    """The one sanctioned deviation: ``manage_timeout=True`` (the
-    default) lets the controller scale even a static predictor's
-    aggressiveness under occupancy pressure, so the run may drift from
-    the seed digest — and the drift must be attributable to the knob.
-    """
-
-    def test_manage_timeout_off_restores_equivalence(self):
-        workload = make_workload()
-        config = SimConfig(
-            max_idle=2.0,
-            sweep_interval=1.0,
-            fast_path=True,
-            controller=ControllerConfig(manage_timeout=False),
-            timeouts="static",
-        )
-        simulator = VSwitchSimulator(
-            workload.pipeline, SYSTEMS["gigaflow"](), config
-        )
-        simulator.run(make_trace(workload))
-        assert simulator.timeout_predictor.aggressiveness == 1.0
-        digest = simulator.controller.summary()
-        assert all(
-            entry["knob"] != "timeout_scale" for entry in digest["log"]
-        )

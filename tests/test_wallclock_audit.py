@@ -1,7 +1,7 @@
 """Static audits of the engine family: no wall-clock, one slow path,
 no reaching into the telemetry hub, one entry lifecycle, one §7 mode
-decider, two homes for the bench clock, one prefix structure and one
-partition DP.
+decider, no run-time steering of the cache's knobs, two homes for the
+bench clock, one prefix structure and one partition DP.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -40,7 +40,12 @@ The fifth keeps the §7 mode decision single: ``ModeGovernor`` decides
 disjoint↔Megaflow, so ``.set_mode(`` is called nowhere under ``repro``
 outside ``core/adaptive.py`` and nothing assigns an ``external``
 attribute (the switch that once handed the decision to a second decider
-in the controller).
+in the controller).  That controller is gone — measured, its placement
+knob was a constant and its timeout knob inert or harmful
+(``docs/adaptive.md``) — and it stays gone: ``placement`` and
+``chain_repair`` are assigned only in ``GigaflowCache.__init__``,
+nothing but the telemetry hub's own sweep observer defines an
+``on_sweep``, and nothing imports from a ``controller`` module.
 
 The sixth keeps ``repro bench``'s reports behavioural: in ``gates.py``
 the ``time`` module is read only inside ``phase_obs`` and
@@ -237,17 +242,20 @@ def _is_idle_age(node):
     )
 
 
-def _writes_last_used(node):
+def _assigned_attrs(node):
+    """Names of the attributes an assignment statement writes (``()``
+    for any other node)."""
     if isinstance(node, ast.Assign):
         targets = node.targets
     elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
         targets = [node.target]
     else:
-        return False
-    return any(
-        isinstance(target, ast.Attribute) and target.attr == "last_used"
-        for target in targets
-    )
+        return ()
+    return [t.attr for t in targets if isinstance(t, ast.Attribute)]
+
+
+def _writes_last_used(node):
+    return "last_used" in _assigned_attrs(node)
 
 
 def _lifecycle_bypasses(source: str, home=frozenset()):
@@ -363,16 +371,10 @@ def _mode_decider_bypasses(source: str):
             and node.func.attr == "set_mode"
         ):
             found.append((node.lineno, ".set_mode("))
-        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign)
-                else [node.target]
-            )
+        else:
             found += [
                 (node.lineno, ".external =")
-                for target in targets
-                if isinstance(target, ast.Attribute)
-                and target.attr == "external"
+                for attr in _assigned_attrs(node) if attr == "external"
             ]
     return sorted(found)
 
@@ -399,6 +401,84 @@ def test_mode_decider_audit_sees_a_violation():
         "    self._governor.set_mode(True)\n"
         "    mode = governor.megaflow_mode\n"
     ) == [(2, ".external ="), (4, ".set_mode(")]
+
+
+#: Where the install-time knobs are set, once — and the one ``on_sweep``
+#: that is not a control loop: the hub *observes* an idle sweep (the
+#: ``sweep`` event; the benchmark of record's layer tracer wraps it by
+#: name).
+STEERING_HOME = {
+    "core/gigaflow.py": {"GigaflowCache.__init__"},
+    "obs/telemetry.py": {"Telemetry.on_sweep"},
+}
+
+
+def _runtime_steering(source: str, home=frozenset()):
+    """``(line, what)`` for every assignment to an attribute named
+    ``placement`` / ``chain_repair``, every ``on_sweep`` definition and
+    every import from a ``controller`` module, outside ``home``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            what = None
+            inner = scope
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                inner = scope + [child.name]
+                if child.name == "on_sweep":
+                    what = "def on_sweep"
+            elif isinstance(child, ast.ImportFrom) and (
+                child.module or ""
+            ).split(".")[-1] == "controller":
+                what = f"from {'.' * child.level}{child.module} import"
+            for attr in _assigned_attrs(child):
+                if attr in ("placement", "chain_repair"):
+                    what = f".{attr} ="
+            if what is not None and ".".join(inner) not in home:
+                found.append((child.lineno, what))
+            visit(child, inner)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_cache_knobs_are_fixed_at_construction():
+    offenders = [
+        f"{relpath}:{line} {what}"
+        for path in sorted(SRC.rglob("*.py"))
+        for relpath in [path.relative_to(SRC).as_posix()]
+        for line, what in _runtime_steering(
+            path.read_text(), STEERING_HOME.get(relpath, ())
+        )
+    ]
+    assert not offenders, (
+        "a cache knob steered after construction, or a sweep-cadence "
+        "control loop:\n  " + "\n  ".join(offenders)
+    )
+
+
+def test_knob_audit_sees_a_violation():
+    source = (
+        "from ..core.controller import AdaptiveController\n"
+        "class GigaflowCache:\n"
+        "    def __init__(self, placement, chain_repair):\n"
+        "        self.placement = placement\n"
+        "        self.chain_repair = chain_repair\n"
+        "class Loop:\n"
+        "    def attach(self, cache):\n"
+        "        cache.chain_repair = True\n"
+        "    def on_sweep(self, now, snapshot):\n"
+        "        self.cache.placement = 'earliest'\n"
+        "        placement = self.cache.placement\n"
+    )
+    assert _runtime_steering(source, {"GigaflowCache.__init__"}) == [
+        (1, "from ..core.controller import"),
+        (8, ".chain_repair ="),
+        (9, "def on_sweep"),
+        (10, ".placement ="),
+    ]
 
 
 #: The two phases of ``repro bench`` that own a clock.
