@@ -22,8 +22,8 @@ once:
 The verdicts are about behaviour — identical metrics, hit rates,
 recovery, conservation — so the reports carry no clock: every row of
 ``fastpath``, ``adaptive``, ``timeouts``, ``churn`` and ``net`` is a
-function of code + scale + seeds, and two runs under one
-``PYTHONHASHSEED`` write the same file outside ``header``.  Throughput
+function of code + scale + seeds, and two runs, in any two
+interpreters, write the same file outside ``header``.  Throughput
 is ``bench/run.py``'s job (the benchmark of record, ``BENCHMARK.json``).
 Two phases read the host's clock, because a cost on this host is what
 they gate: ``obs`` (telemetry overhead, CPU seconds) and ``shards``

@@ -365,6 +365,12 @@ class FabricSimulator:
             raise ValueError("batch_size must be positive")
         self.batch_size = batch_size
         self.link_failures = sorted(link_failures or [])
+        for at, a, b in self.link_failures:
+            if b not in topology.adjacency.get(a, ()):
+                raise ValueError(
+                    f"link_failures: ({a!r}, {b!r}) at t={at} is not a "
+                    "topology link"
+                )
         #: Per-switch serving drivers of the most recent run.
         self.drivers: Dict[str, ServingDriver] = {}
 
@@ -438,72 +444,75 @@ class FabricSimulator:
         tels: Dict[str, Telemetry] = {}
         hop_tracers: Dict[str, tuple] = {}
         parent = self.config.telemetry
-        for context in self._contexts():
-            tel = (
-                parent.derive(context.switch) if parent is not None else None
-            )
-            system = self.system_factory(context)
-            # Qualify the system name per switch (instance attribute
-            # shadows the class attribute) so telemetry labels, trace
-            # cache codes and per-switch results are attributable;
-            # merge strips the qualifier again.
-            base = type(system).name
-            system.name = f"{base}@{context.switch}"
-            driver = ServingDriver(
-                self.pipeline_factory(context),
-                system,
-                self._switch_config(context, tel),
-                ServeConfig(batch_size=self.batch_size),
-            )
-            driver.start()
-            drivers[context.switch] = driver
-            buffers[context.switch] = []
-            if tel is not None:
-                tels[context.switch] = tel
-                if tel.tracer.wants(EV_HOP):
+        try:
+            for context in self._contexts():
+                tel = (
+                    parent.derive(context.switch) if parent is not None else None
+                )
+                if tel is not None:
+                    tels[context.switch] = tel
+                system = self.system_factory(context)
+                # Qualify the system name per switch (instance attribute
+                # shadows the class attribute) so telemetry labels, trace
+                # cache codes and per-switch results are attributable;
+                # merge strips the qualifier again.
+                base = type(system).name
+                system.name = f"{base}@{context.switch}"
+                driver = ServingDriver(
+                    self.pipeline_factory(context),
+                    system,
+                    self._switch_config(context, tel),
+                    ServeConfig(batch_size=self.batch_size),
+                )
+                driver.start()
+                drivers[context.switch] = driver
+                buffers[context.switch] = []
+                if tel is not None and tel.tracer.wants(EV_HOP):
                     hop_tracers[context.switch] = (tel.tracer.emit, system.name)
-        self.drivers = drivers
+            self.drivers = drivers
 
-        batch_size = self.batch_size
-        failures = list(self.link_failures)
-        next_failure = failures[0][0] if failures else float("inf")
-        packets_in = 0
-        hops_total = 0
-        path_length_counts: Dict[int, int] = {}
+            batch_size = self.batch_size
+            failures = list(self.link_failures)
+            next_failure = failures[0][0] if failures else float("inf")
+            packets_in = 0
+            hops_total = 0
+            path_length_counts: Dict[int, int] = {}
 
-        for packet in packets:
-            now = packet.timestamp
-            packets_in += 1
-            while now >= next_failure:
-                _t, a, b = failures.pop(0)
-                controller.fail_link(a, b)
-                next_failure = failures[0][0] if failures else float("inf")
-            path = controller.path_for(packet.flow_id)
-            hops = len(path)
-            hops_total += hops
-            path_length_counts[hops] = path_length_counts.get(hops, 0) + 1
-            for hop, switch in enumerate(path):
-                traced = hop_tracers.get(switch)
-                if traced is not None:
-                    emit, cache_name = traced
-                    emit(now, EV_HOP, cache_name, flow_id(packet.flow), hop, hops)
+            for packet in packets:
+                now = packet.timestamp
+                packets_in += 1
+                while now >= next_failure:
+                    _t, a, b = failures.pop(0)
+                    controller.fail_link(a, b)
+                    next_failure = failures[0][0] if failures else float("inf")
+                path = controller.path_for(packet.flow_id)
+                hops = len(path)
+                hops_total += hops
+                path_length_counts[hops] = path_length_counts.get(hops, 0) + 1
+                for hop, switch in enumerate(path):
+                    traced = hop_tracers.get(switch)
+                    if traced is not None:
+                        emit, cache_name = traced
+                        emit(now, EV_HOP, cache_name, flow_id(packet.flow), hop, hops)
+                    buf = buffers[switch]
+                    buf.append(packet)
+                    if len(buf) >= batch_size:
+                        drivers[switch].process(buf)
+                        buf.clear()
+
+            switch_results: Dict[str, SimResult] = {}
+            for switch in topology.switches:
                 buf = buffers[switch]
-                buf.append(packet)
-                if len(buf) >= batch_size:
+                if buf:
                     drivers[switch].process(buf)
                     buf.clear()
-
-        switch_results: Dict[str, SimResult] = {}
-        for switch in topology.switches:
-            buf = buffers[switch]
-            if buf:
-                drivers[switch].process(buf)
-                buf.clear()
-            switch_results[switch] = drivers[switch].finish()
-        for tel in tels.values():
-            # Derived per-switch sinks are fabric-owned: flush the tail
-            # and release the descriptors before handing results back.
-            tel.tracer.close()
+                switch_results[switch] = drivers[switch].finish()
+        finally:
+            for tel in tels.values():
+                # Derived per-switch sinks are fabric-owned: flush the
+                # tail and release the descriptors before handing back
+                # results — or the exception, with the events up to it.
+                tel.tracer.close()
 
         merged = SimResult.merge(
             [

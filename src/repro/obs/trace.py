@@ -111,10 +111,12 @@ EVENTS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 def flow_id(flow) -> Optional[int]:
     """A compact stable flow identifier as a raw 32-bit int.
 
-    ``FlowKey`` hashes its tuple of int values, so builtin ``hash`` is
-    stable across processes and runs (``PYTHONHASHSEED`` only perturbs
-    str/bytes hashing) — trace reports are deterministic.  The per-packet
-    hooks inline this; ``tests/test_obs_catalog.py`` pins the agreement.
+    ``FlowKey`` hashes its tuple of int values, and builtin ``hash`` of
+    ints is the same in every interpreter — only str and bytes hashes
+    are salted, and whatever is keyed by those goes through
+    ``zlib.crc32`` (DESIGN.md §5, "Determinism") — so trace reports are
+    deterministic.  The per-packet hooks inline this;
+    ``tests/test_obs_catalog.py`` pins the agreement.
     """
     if flow is None:
         return None

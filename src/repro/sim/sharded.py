@@ -273,18 +273,21 @@ class ShardedSimulator:
             shards=shards,
             seed=shard_seed(self.seed, shard_id),
         )
-        simulator = VSwitchSimulator(
-            self.pipeline, self.system_factory(context), cfg
-        )
-        cpu_start = time.process_time()
-        wall_start = time.perf_counter()
-        result = simulator.run(trace)
-        cpu_seconds = time.process_time() - cpu_start
-        wall_seconds = time.perf_counter() - wall_start
-        if tel is not None:
-            # Flush the buffered tail to the shard's derived sink and
-            # release the descriptor before the worker exits.
-            tel.tracer.close()
+        try:
+            simulator = VSwitchSimulator(
+                self.pipeline, self.system_factory(context), cfg
+            )
+            cpu_start = time.process_time()
+            wall_start = time.perf_counter()
+            result = simulator.run(trace)
+            cpu_seconds = time.process_time() - cpu_start
+            wall_seconds = time.perf_counter() - wall_start
+        finally:
+            if tel is not None:
+                # Flush the buffered tail to the shard's derived sink
+                # and release the descriptor, also when the run raised:
+                # the events up to the failure are the evidence.
+                tel.tracer.close()
         registry = tel.registry if tel is not None else None
         return result, registry, cpu_seconds, wall_seconds
 

@@ -14,10 +14,11 @@ cross-leaf fraction ``c = 1 - locality``, each leaf sees roughly
 
 Endpoints are drawn with a dedicated seeded PRNG so the map is a pure
 function of ``(topology, n_flows, locality, seed)``.  Deliberately
-*not* a hash of the flow id: for equal-length keys CRC-style hashes are
-linear, so ``hash("src/i")`` and ``hash("dst/i")`` differ by a constant
-and the two draws correlate perfectly — a seeded PRNG gives genuinely
-independent draws.
+*not* a CRC of the flow id (builtin ``hash`` of a str is salted per
+interpreter and was never an option — DESIGN.md §5, "Determinism"): for
+equal-length keys CRCs are linear, so ``crc32("src/i")`` and
+``crc32("dst/i")`` differ by a constant and the two draws correlate
+perfectly — a seeded PRNG gives genuinely independent draws.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ pools; low locality uses uniform, larger pools.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, replace as dc_replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -506,7 +507,9 @@ class Pipebench:
         template_index: int,
     ):
         """Concrete headers plus the projection context (prefix lengths)."""
-        tp_src = 1024 + (abs(hash(class_key)) % 60000)
+        # CRC32, not ``hash``: the key starts with a str tag, and str
+        # hashes are salted per interpreter (DESIGN.md §5, Determinism).
+        tp_src = 1024 + zlib.crc32(repr(class_key).encode("ascii")) % 60000
         is_arp = any(
             "arp" in self.spec.table_spec(tid).name
             for tid in template.path

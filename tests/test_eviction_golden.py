@@ -8,11 +8,10 @@ below were captured on the first of those trees (commit ``eed4304``)
 from fixed-seed pipebench workloads and have not been edited since;
 every field must still reproduce exactly.
 
-Only hash-stable fields are pinned: ``avg_latency_us`` (and the CPU
-cycle counters) depend on TSS mask-group iteration order, which varies
-with ``PYTHONHASHSEED`` even on an unmodified tree, so they are
-compared differentially in-process instead (see the bit-identity check
-in ``test_sim_engine.py``-style runs) rather than against constants.
+The ``COST_*`` tables beside them are PR 23's: latency and the CPU cycle
+counters ride on ``groups_probed``, which moved with the interpreter's
+str-hash salt until the generated rulesets stopped depending on it, so
+no constant could pin them before.
 """
 
 import pytest
@@ -26,6 +25,7 @@ from repro.sim import (
     VSwitchSimulator,
 )
 from repro.workload import build_workload
+from test_obs import result_cost
 
 #: Scenario A — idle sweeps dominate (capacity is never the binding
 #: constraint for megaflow/hierarchy; gigaflow still sees LRU churn).
@@ -65,6 +65,25 @@ GOLDEN_PRESSURE = {
         microflow=(1271, 929, 929, 905, 24),
         megaflow=(466, 463, 463, 415, 48),
     ),
+}
+
+#: Per scenario and system: ``(avg_latency_us, avg_miss_cost_us,
+#: (pipeline, partition, rulegen cycles, slow-path invocations))``.
+COST_IDLE = {
+    "megaflow": (16.413954545454715, 49.93734939759042,
+        (1076400, 0, 166000, 415)),
+    "gigaflow": (18.05951818181857, 70.98318318318306,
+        (865620, 299320, 417300, 333)),
+    "hierarchy": (16.413954545454715, 49.93734939759042,
+        (1076400, 0, 166000, 415)),
+}
+COST_PRESSURE = {
+    "megaflow": (16.898990909091136, 49.92108843537424,
+        (1143120, 0, 176400, 441)),
+    "gigaflow": (24.436818181819003, 59.0504347826087,
+        (1762620, 613060, 266600, 690)),
+    "hierarchy": (17.30997272727302, 49.91144708423336,
+        (1199700, 0, 185200, 463)),
 }
 
 
@@ -119,6 +138,7 @@ class TestPlainLruIsBitIdentical:
         simulator, result = _run(make, max_idle=4.0)
         golden = dict(GOLDEN_IDLE[system])
         assert _digest(simulator, result) == golden
+        assert result_cost(result) == COST_IDLE[system]
 
     @pytest.mark.parametrize("system", sorted(GOLDEN_PRESSURE))
     def test_capacity_pressure_scenario(self, system):
@@ -130,3 +150,4 @@ class TestPlainLruIsBitIdentical:
             if sub in digest and sub not in golden:
                 del digest[sub]
         assert digest == golden
+        assert result_cost(result) == COST_PRESSURE[system]

@@ -9,23 +9,18 @@ counters (``groups_probed`` moves if the un-wildcarded masks or the
 probe order do) and the sorted multiset of every LTM rule the run
 installed (moves if a prefix mask, a cut point or a commit does).
 
-Recorded at commit ``06b3da6``, the parent of the PR that replaced the
-per-bit prefix trie with a sorted index and memoised the partition DP;
-``python tests/test_miss_path_golden.py`` re-records.  The ruleset
-inherits Python's per-process str-hash salt (ROADMAP item 1), so both
-the recorder and the test run the scenario in a ``PYTHONHASHSEED=0``
-subprocess, as ``test_telemetry_golden.py`` does.
+Recorded at ``06b3da6`` (the parent of the PR that replaced the per-bit
+prefix trie with a sorted index and memoised the partition DP) and
+re-recorded once, in PR 23, when the OLS ruleset stopped inheriting the
+interpreter's str-hash salt, which moved the input (830 → 834 misses).
+``PYTHONPATH=src python tests/test_miss_path_golden.py`` re-records.
 """
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 GOLDEN = Path(__file__).parent / "golden" / "ols_miss_path.json"
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 FLOWS = 150
 NUM_TABLES = 4
@@ -108,21 +103,9 @@ def record():
     }
 
 
-def _record_in_subprocess():
-    env = dict(os.environ, PYTHONHASHSEED="0")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH")])
-    )
-    done = subprocess.run(
-        [sys.executable, __file__, "--print"],
-        env=env, check=True, capture_output=True, text=True, timeout=300,
-    )
-    return json.loads(done.stdout)
-
-
 def test_ols_idle_expiry_run_matches_parent_recording():
     golden = json.loads(GOLDEN.read_text())
-    current = _record_in_subprocess()
+    current = record()
     for section, recorded in golden.items():
         assert current[section] == recorded, section
     # The regime the golden exists for: most packets take the slow path
@@ -134,10 +117,7 @@ def test_ols_idle_expiry_run_matches_parent_recording():
 
 
 if __name__ == "__main__":
-    if "--print" in sys.argv:
-        print(json.dumps(record()))
-    else:
-        with open(GOLDEN, "w", encoding="utf-8") as handle:
-            json.dump(_record_in_subprocess(), handle, indent=1)
-            handle.write("\n")
-        print(f"wrote {GOLDEN}")
+    with open(GOLDEN, "w", encoding="utf-8") as handle:
+        json.dump(record(), handle, indent=1)
+        handle.write("\n")
+    print(f"wrote {GOLDEN}")

@@ -292,6 +292,12 @@ class TestMultiSwitchFabric:
         assert fres.reroutes > 0
         assert frozenset(("leaf0", "spine0")) in ctl.down_links
 
+    def test_failure_of_a_non_link_is_rejected_at_construction(self):
+        # Named with its time, which only the constructor knows.
+        failures = [(1.0, "leaf0", "spine0"), (2.0, "leaf0", "leaf1")]
+        with pytest.raises(ValueError, match="'leaf1'.*t=2.0.*not a topology"):
+            self._run(link_failures=failures)
+
     def test_churn_targets_only_named_switches(self):
         topo = linear(3)
         workload = seeded_workload()

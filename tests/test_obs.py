@@ -235,6 +235,15 @@ def result_fingerprint(result):
     }
 
 
+def result_cost(result):
+    """What rides on ``groups_probed``, as the golden tables pin it."""
+    fingerprint = result_fingerprint(result)
+    return tuple(
+        fingerprint[key]
+        for key in ("avg_latency_us", "avg_miss_cost_us", "cpu")
+    )
+
+
 SYSTEMS = {
     "megaflow": lambda: MegaflowSystem(capacity=300),
     "hierarchy": lambda: HierarchySystem(

@@ -14,13 +14,11 @@ tree.  Those hooks are all guarded on ``timeout_predictor is None``
   constant (every rule predicted ``max_idle``) —
   is bit-identical to ``timeouts=None``, hook sites and all.
 
-Only hash-stable fields are pinned as constants: ``avg_latency_us``
-and the CPU cycle counters depend on TSS mask-group iteration order,
-which varies with ``PYTHONHASHSEED`` even on an unmodified tree, so
-they are compared differentially in-process instead (the
-``result_fingerprint`` checks).  Sharded runs are hash-sensitive even
-in their hit counts (worker merge order), so the ``shards=2`` coverage
-is purely the in-process differential.
+``COST`` and ``SHARDED`` are PR 23's: latency and the CPU cycle counters
+ride on ``groups_probed``, and shard routing on the pilots' ``tp_src``,
+both of which moved with the interpreter's str-hash salt until the
+generated rulesets stopped depending on it, so no constant could pin
+them before.
 
 Static ≡ off has no exemption: the one thing that could scale a static
 predictor's timeouts (the adaptive controller's ``timeout_scale`` knob)
@@ -39,12 +37,11 @@ from repro.sim import (
     VSwitchSimulator,
 )
 from conftest import seeded_trace, seeded_workload
-from test_obs import result_fingerprint
+from test_obs import result_cost, result_fingerprint
 
 #: (hits, misses, insertions, rejected, evictions, packets,
 #:  entry_count, peak_entries, cache_probes) captured on the
-#: pre-predictor tree (commit 5ac6df1), hash-stable across
-#: PYTHONHASHSEED.
+#: pre-predictor tree (commit 5ac6df1).
 GOLDEN = {
     ("idle", "megaflow"): (4974, 1637, 1637, 0, 1636, 6611, 1, 120, 77887),
     ("idle", "gigaflow"): (5296, 1315, 831, 0, 827, 6611, 4, 240, 129523),
@@ -56,6 +53,33 @@ GOLDEN = {
     ("slowpath", "gigaflow"): (
         5264, 1347, 785, 0, 784, 6611, 1, 240, 133419
     ),
+}
+
+#: (avg_latency_us, avg_miss_cost_us, (pipeline, partition, rulegen
+#:  cycles, slow-path invocations)) of the same runs.
+COST = {
+    ("idle", "megaflow"): (18.873344425954155, 50.02797800855212,
+        (4260780, 0, 654800, 1637)),
+    ("idle", "gigaflow"): (18.930800181513337, 60.45627376425897,
+        (3430980, 1175020, 570900, 1315)),
+    ("tight", "megaflow"): (25.152554832852143, 50.11457858769866,
+        (6878580, 0, 1053600, 2634)),
+    ("tight", "gigaflow"): (26.122910301011416, 67.56637799286871,
+        (5152920, 1785560, 1985550, 1963)),
+    ("slowpath", "megaflow"): (18.778547874751606, 50.024537607891396,
+        (4221180, 0, 648800, 1622)),
+    ("slowpath", "gigaflow"): (19.135150506728916, 60.22776540460325,
+        (3514980, 1203300, 555500, 1347)),
+}
+
+#: ``stable_digest + result_cost`` of the merged ``shards=2`` runs.
+SHARDED = {
+    "megaflow": (4739, 1872, 1872, 0, 1870, 6611, 2, 120, 62976,
+        20.352500378158375, 50.05352564102587,
+        (4877220, 0, 748800, 1872)),
+    "gigaflow": (4975, 1636, 1810, 0, 1802, 6611, 8, 240, 104879,
+        21.847632733323813, 62.07224938875322,
+        (4268340, 1473080, 985000, 1636)),
 }
 
 #: The three scenario configs: idle-sweep dominant, tight sweeps and
@@ -113,13 +137,14 @@ class TestPredictorOffMatchesSeed:
     def test_matches_seed_golden(self, config_name, system, timeouts):
         _, result = run_single(config_name, system, timeouts)
         assert stable_digest(result) == GOLDEN[(config_name, system)]
+        assert result_cost(result) == COST[(config_name, system)]
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
     @pytest.mark.parametrize("config_name", sorted(CONFIGS))
     def test_static_equals_off_bit_for_bit(self, config_name, system):
-        """The full in-process fingerprint — including the
-        hash-sensitive latency/CPU fields the constants can't pin —
-        agrees between predictor-off and the static predictor."""
+        """The full in-process fingerprint — series, sharing and
+        coverage beside what the constants pin — agrees between
+        predictor-off and the static predictor."""
         _, off = run_single(config_name, system, None)
         _, static = run_single(config_name, system, "static")
         assert result_fingerprint(static) == result_fingerprint(off)
@@ -139,12 +164,9 @@ class TestPredictorOffMatchesSeed:
 
 
 class TestShardedDifferential:
-    """``shards=2`` runs: static == off, worker fan-out included.
-
-    Sharded hit counts vary with PYTHONHASHSEED even on an unmodified
-    tree, so there are no sharded constants — the pin is the in-process
-    differential over the full fingerprint and merged telemetry.
-    """
+    """``shards=2`` runs: static == off == the recorded constants,
+    worker fan-out included, over the full fingerprint and merged
+    telemetry."""
 
     @pytest.mark.parametrize("system", sorted(SHARD_FACTORIES))
     def test_sharded_static_equals_off(self, system):
@@ -166,6 +188,7 @@ class TestShardedDifferential:
                 mode="inline",
             )
             result = driver.run(make_trace(workload))
+            assert stable_digest(result) + result_cost(result) == SHARDED[system]
             fingerprints.append(result_fingerprint(result))
             telemetries.append(result.telemetry)
         assert fingerprints[0] == fingerprints[1]

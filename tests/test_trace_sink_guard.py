@@ -16,6 +16,7 @@ The hazards pinned here:
 """
 
 import io
+import json
 
 import pytest
 
@@ -34,6 +35,33 @@ from repro.workload import build_fabric_endpoints
 
 def gigaflow_factory(_context):
     return GigaflowSystem(num_tables=4, table_capacity=100)
+
+
+class _InstallFails(GigaflowSystem):
+    """Raises from install number ``NTH`` — mid-run, between two sweeps."""
+
+    NTH = 40
+
+    def install(self, traversal, generation, now):
+        if self.cache.stats.misses == self.NTH:
+            raise RuntimeError("install failed")
+        return super().install(traversal, generation, now)
+
+
+def failing_where(is_failing):
+    """A system factory: the failing system where ``is_failing(context)``."""
+    return lambda context: (
+        _InstallFails if is_failing(context) else GigaflowSystem
+    )(num_tables=4, table_capacity=100)
+
+
+def kept_lines(path):
+    """A failed run's sink: readable, and cut at the miss that raised."""
+    lines = path.read_text().splitlines()
+    events = [json.loads(line)["event"] for line in lines]
+    assert events.count("lookup_miss") == _InstallFails.NTH
+    assert events[-1] == "lookup_miss"
+    return lines
 
 
 class _FailingIO(io.StringIO):
@@ -98,11 +126,11 @@ class TestTracerSinkGuard:
 
 
 class TestShardedSinkGuard:
-    def _driver(self, sink, mode, shards=2):
+    def _driver(self, sink, mode, shards=2, factory=gigaflow_factory):
         workload = seeded_workload()
         driver = ShardedSimulator(
             workload.pipeline,
-            gigaflow_factory,
+            factory,
             SimConfig(
                 telemetry=Telemetry(trace_sink=str(sink)),
                 shards=shards,
@@ -134,26 +162,54 @@ class TestShardedSinkGuard:
         assert (tmp_path / "t.jsonl.shard0").exists()
         assert (tmp_path / "t.jsonl.shard1").exists()
 
+    def test_a_run_that_raises_keeps_the_events_up_to_it(self, tmp_path):
+        """A failing shard's sink is still flushed and closed: its file
+        is the clean run's, cut at the miss whose install raised."""
+        clean, trace = self._driver(tmp_path / "clean.jsonl", "inline")
+        clean.run(trace)
+        whole = (tmp_path / "clean.jsonl.shard1").read_text().splitlines()
+
+        failing, trace = self._driver(
+            tmp_path / "t.jsonl", "inline",
+            factory=failing_where(lambda context: context.shard_id == 1),
+        )
+        with pytest.raises(RuntimeError, match="install failed"):
+            failing.run(trace)
+        kept = kept_lines(tmp_path / "t.jsonl.shard1")
+        assert kept == whole[:len(kept)] and len(kept) < len(whole)
+
 
 # ---------------------------------------------------------------------------
 # Fabric fan-out
 
 
 class TestFabricSinkGuard:
-    def test_stale_switch_sink_fails_loudly(self, tmp_path):
-        sink = tmp_path / "f.jsonl"
-        (tmp_path / "f.jsonl.leaf1").write_text("stale\n")
+    def _fabric(self, sink, system_factory=gigaflow_factory):
         topo = leaf_spine(2, 2)
-        workload = seeded_workload()
-        fabric = FabricSimulator(
+        return FabricSimulator(
             topo,
             lambda _context: seeded_workload().pipeline,
-            gigaflow_factory,
+            system_factory,
             controller=FabricController(
                 topo, build_fabric_endpoints(topo, 250, seed=5)
             ),
             config=SimConfig(telemetry=Telemetry(trace_sink=str(sink))),
         )
+
+    def test_stale_switch_sink_fails_loudly(self, tmp_path):
+        (tmp_path / "f.jsonl.leaf1").write_text("stale\n")
+        fabric = self._fabric(tmp_path / "f.jsonl")
         with pytest.raises(TraceSinkError) as excinfo:
-            fabric.run(seeded_trace(workload))
+            fabric.run(seeded_trace(seeded_workload()))
         assert excinfo.value.path == str(tmp_path / "f.jsonl.leaf1")
+
+    def test_a_run_that_raises_keeps_the_events_up_to_it(self, tmp_path):
+        fabric = self._fabric(
+            tmp_path / "f.jsonl",
+            failing_where(lambda context: context.switch == "spine0"),
+        )
+        with pytest.raises(RuntimeError, match="install failed"):
+            fabric.run(seeded_trace(seeded_workload()))
+        assert kept_lines(tmp_path / "f.jsonl.spine0")
+        # The switches that did not fail were flushed as well.
+        assert (tmp_path / "f.jsonl.leaf0").read_text().endswith("}\n")

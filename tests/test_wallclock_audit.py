@@ -1,7 +1,7 @@
 """Static audits of the engine family: no wall-clock, one slow path,
 no reaching into the telemetry hub, one entry lifecycle, one §7 mode
 decider, no run-time steering of the cache's knobs, two homes for the
-bench clock, one prefix structure and one partition DP.
+bench clock, one prefix structure and one partition DP, no salted hash.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -61,6 +61,14 @@ replaced its predecessor in place, so each module defines exactly one
 prefix-structure class / one triple-nested DP loop and reads no clock —
 a "fast path beside the legacy path" fork (or a self-timing fallback)
 fails here.  The per-bit trie lives on as ``tests/reference_trie.py``.
+
+The eighth keeps a seeded run a function of its seeds.  Builtin
+``hash`` is salted per interpreter for str and bytes and for nothing
+else, so outside ``__hash__`` methods it is called only at the sites
+below, each of which hashes ints or tuples of ints; a new site has to be
+argued onto the list, and anything keyed by a str goes through
+``zlib.crc32`` as ``flow_shard`` and Pipebench's ``tp_src`` do
+(``tests/test_hash_seed_independence.py`` is the run-time check).
 """
 
 import ast
@@ -604,3 +612,84 @@ def test_slow_path_structure_audit_sees_a_violation():
         "        for i in range(n):\n"
         "            pass\n"
     ) == ["cuts", "legacy_cuts"]
+
+
+#: Module -> the functions that may call builtin ``hash``, with what
+#: they hash.
+HASH_HOME = {
+    # (table id, tuple of int field values / canonical int key)
+    "workload/pipebench.py": {
+        "Pipebench._project", "Pipebench._rule_actions",
+    },
+    # A FlowKey, whose __hash__ is hash(tuple of ints); the packet hooks
+    # inline flow_id (tests/test_obs_catalog.py pins the agreement).
+    "obs/trace.py": {"flow_id"},
+    "obs/telemetry.py": {
+        "Telemetry._bind_packet_hooks.on_fastpath_replay",
+        "Telemetry._bind_packet_hooks.on_lookup",
+    },
+}
+
+
+def _hash_calls(source: str, home=frozenset()):
+    """``(line, scope)`` for every call of the builtin ``hash`` outside
+    ``__hash__`` methods and the ``home`` scopes."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                visit(child, scope + [child.name])
+                continue
+            where = ".".join(scope) or "<module>"
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "hash"
+                and scope[-1:] != ["__hash__"]
+                and where not in home
+            ):
+                found.append((child.lineno, where))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_builtin_hash_is_called_only_on_ints():
+    offenders = [
+        f"{relpath}:{line} {where}"
+        for path in sorted(SRC.rglob("*.py"))
+        for relpath in [path.relative_to(SRC).as_posix()]
+        for line, where in _hash_calls(
+            path.read_text(), HASH_HOME.get(relpath, ())
+        )
+    ]
+    assert not offenders, (
+        "builtin hash() outside the int-only allowlist (salted for str "
+        "and bytes; use zlib.crc32):\n  " + "\n  ".join(offenders)
+    )
+    # The allowlist names nothing that is not there.
+    for relpath, home in HASH_HOME.items():
+        called = {w for _, w in _hash_calls((SRC / relpath).read_text())}
+        assert called == home, relpath
+
+
+def test_hash_audit_sees_a_violation():
+    source = (
+        "class Key:\n"
+        "    def __hash__(self):\n"
+        "        return hash(self._values)\n"
+        "class Pipebench:\n"
+        "    def _pilot_flow(self, class_key):\n"
+        "        return 1024 + abs(hash(class_key)) % 60000\n"
+        "    def _project(self, table, values):\n"
+        "        return abs(hash((table.table_id, values)))\n"
+        "SALT = hash('svc')\n"
+    )
+    assert _hash_calls(source, {"Pipebench._project"}) == [
+        (6, "Pipebench._pilot_flow"),
+        (9, "<module>"),
+    ]
