@@ -30,12 +30,13 @@ measurement as a cross-check, and the measured deviation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from ..metrics.cpu import per_core_miss_load
 from ..sim.engine import CachingSystem, GigaflowSystem, MegaflowSystem
-from ..sim.sharded import ShardContext, ShardedSimulator
+from ..sim.fanout import PartContext
+from ..sim.sharded import ShardedSimulator
 from .common import ExperimentScale, SMALL_SCALE, fresh_workload
 
 
@@ -95,10 +96,10 @@ class CoreScalingResult:
 
 def _megaflow_factory(
     scale: ExperimentScale,
-) -> Callable[[ShardContext], CachingSystem]:
+) -> Callable[[PartContext], CachingSystem]:
     # Full structural capacity per worker: the NIC cache is shared, so a
     # worker's flow slice sees the whole cache, not a 1/n carve-out.
-    def build(context: ShardContext) -> CachingSystem:
+    def build(context: PartContext) -> CachingSystem:
         return MegaflowSystem(capacity=scale.cache_capacity)
 
     return build
@@ -106,8 +107,8 @@ def _megaflow_factory(
 
 def _gigaflow_factory(
     scale: ExperimentScale,
-) -> Callable[[ShardContext], CachingSystem]:
-    def build(context: ShardContext) -> CachingSystem:
+) -> Callable[[PartContext], CachingSystem]:
+    def build(context: PartContext) -> CachingSystem:
         return GigaflowSystem(
             num_tables=scale.gf_tables,
             table_capacity=scale.gf_table_capacity,
@@ -120,7 +121,7 @@ def _run_sharded(
     pipeline_name: str,
     locality: str,
     scale: ExperimentScale,
-    factory: Callable[[ShardContext], CachingSystem],
+    factory: Callable[[PartContext], CachingSystem],
     cores: int,
     mode: str,
 ):
@@ -129,8 +130,8 @@ def _run_sharded(
     simulator = ShardedSimulator(
         workload.pipeline,
         factory,
-        replace(scale.sim_config(), shards=cores),
-        seed=scale.seed,
+        scale.sim_config(),
+        shards=cores,
         mode=mode,
     )
     trace = workload.trace(profile=scale.trace_profile(), seed=1)
@@ -143,7 +144,7 @@ def _scaling_curve(
     pipeline_name: str,
     locality: str,
     scale: ExperimentScale,
-    factory: Callable[[ShardContext], CachingSystem],
+    factory: Callable[[PartContext], CachingSystem],
     cores: Tuple[int, ...],
     mode: str,
 ) -> Dict[int, CoreScalingPoint]:

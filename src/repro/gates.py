@@ -656,8 +656,8 @@ def phase_shards(scale: Scale, out: Path) -> dict:
         driver = ShardedSimulator(
             workload.pipeline,
             factory,
-            SimConfig(shards=count, fast_path=True),
-            seed=scale.seed,
+            SimConfig(fast_path=True),
+            shards=count,
             mode="processes",
             timeout=scale.shard_timeout,
         )
@@ -705,8 +705,8 @@ def phase_shards(scale: Scale, out: Path) -> dict:
     inline = ShardedSimulator(
         workload.pipeline,
         factory,
-        SimConfig(shards=identity_count, fast_path=True),
-        seed=scale.seed,
+        SimConfig(fast_path=True),
+        shards=identity_count,
         mode="inline",
     ).run(trace)
     procs = merged_results[identity_count]

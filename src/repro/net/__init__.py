@@ -12,7 +12,6 @@ from .fabric import (
     FabricController,
     FabricResult,
     FabricSimulator,
-    SwitchContext,
 )
 from .topology import Topology, leaf_spine, linear, ring
 
@@ -20,7 +19,6 @@ __all__ = [
     "FabricController",
     "FabricResult",
     "FabricSimulator",
-    "SwitchContext",
     "Topology",
     "leaf_spine",
     "linear",

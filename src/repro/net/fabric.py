@@ -19,10 +19,10 @@ machinery to that layout without forking any of it:
   paper's miss-driven install, and the property that makes per-switch
   micro-batching causally safe (no hop depends on another hop's
   install having happened first);
-* per-switch results fold through the sharded engine's merge path
-  (:meth:`~repro.sim.results.SimResult.merge` with per-switch peaks
-  recorded in ``peak_entries_per_shard``,
-  :meth:`~repro.obs.metrics.MetricsRegistry.merged` for metrics);
+* each switch is one part of a :class:`~repro.sim.fanout.FanOut`, as
+  each shard of the sharded engine is: the same per-part context,
+  telemetry hub, failure naming and merge (per-switch peaks recorded in
+  ``peak_entries_per_shard``);
 * control-plane churn (:class:`~repro.sim.churn.ChurnConfig`) can
   target a subset of switches via ``ChurnConfig.switches`` — a
   re-route/ACL push hits the named switches' pipelines mid-run while
@@ -31,12 +31,12 @@ machinery to that layout without forking any of it:
   with the switch's cache name, so ``repro trace`` attributes chain
   depth and probe cost by switch.
 
-**Golden contract:** a one-switch topology collapses to the classic
-engine — the caller's :class:`~repro.sim.engine.SimConfig` (telemetry
-hub included) drives the single driver directly, with no per-switch
-renaming and no hop events, so the run is bit-identical to
+**Golden contract:** a one-switch topology runs the same loop as any
+other, and that loop is the classic engine — one part keeps the
+caller's telemetry hub, its system keeps its plain name and no hop
+events are emitted, so the run is bit-identical to
 :class:`~repro.sim.engine.VSwitchSimulator` on the same trace
-(``tests/test_net.py`` pins it, the same way ``shards=1`` pins the
+(``tests/test_net.py`` pins it, the same way one shard pins the
 sharded driver).
 
 Simulated time only: hop traversal is instantaneous (no propagation
@@ -48,15 +48,16 @@ wall-clock call ever enters this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from contextlib import ExitStack
+from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
-from ..obs.telemetry import Telemetry
 from ..obs.trace import EV_HOP, flow_id
 from ..serve import ServeConfig, ServingDriver, stream_trace
 from ..sim.churn import resolve_churn
 from ..sim.engine import CachingSystem, SimConfig
+from ..sim.fanout import FanOut, PartContext, merge_results
 from ..sim.results import SimResult
 from .topology import Link, Topology, link_key
 
@@ -64,24 +65,7 @@ __all__ = [
     "FabricController",
     "FabricResult",
     "FabricSimulator",
-    "SwitchContext",
 ]
-
-
-@dataclass(frozen=True)
-class SwitchContext:
-    """What a per-switch factory knows about its place in the fabric.
-
-    Mirrors :class:`~repro.sim.sharded.ShardContext`: enough identity
-    to size a cache per role (spines typically get the same capacity as
-    leaves and that is the point — pressure, not provisioning, differs)
-    and to seed any stochastic choices deterministically.
-    """
-
-    switch: str
-    role: str
-    index: int
-    topology: Topology
 
 
 class FabricController:
@@ -198,15 +182,17 @@ class FabricResult:
 
     Attributes:
         merged: The fabric-wide :class:`~repro.sim.results.SimResult` —
-            per-switch results folded through the sharded-merge path,
-            so ``packets`` counts *hop traversals* (one packet crossing
-            three switches is three lookups) and ``peak_entries`` is
-            the explicitly-bounded sum of per-switch peaks
+            per-switch results folded by
+            :func:`~repro.sim.fanout.merge_results`, so ``packets``
+            counts *hop traversals* (one packet crossing three switches
+            is three lookups) and ``peak_entries`` is the
+            explicitly-bounded sum of per-switch peaks
             (``peak_entries_per_shard`` keeps the exact per-switch
             values, in :attr:`switch order <switches>`).
         switch_results: Per-switch results keyed by switch name, each
             carrying the switch-qualified system name
-            (``gigaflow@leaf0``).
+            (``gigaflow@leaf0``) when the fabric has more than one
+            switch.
         registry: Merged per-switch metrics registry (``None`` without
             telemetry).
         topology: The topology the run used.
@@ -231,15 +217,12 @@ class FabricResult:
 
     def by_role(self, role: str) -> Optional[SimResult]:
         """Merged result over the switches carrying ``role``."""
-        names = self.topology.by_role(role)
         results = [
-            _with_base_system(self.switch_results[name])
-            for name in names
+            self.switch_results[name]
+            for name in self.topology.by_role(role)
             if name in self.switch_results
         ]
-        if not results:
-            return None
-        return SimResult.merge(results)
+        return merge_results(results) if results else None
 
     def hit_rate_by_role(self) -> Dict[str, float]:
         """Aggregate hit rate per role — the spine-vs-leaf headline."""
@@ -293,34 +276,27 @@ class FabricResult:
         }
 
 
-def _with_base_system(result: SimResult) -> SimResult:
-    """Strip the ``@switch`` qualifier so results can merge."""
-    base = result.system.split("@", 1)[0]
-    if base == result.system:
-        return result
-    return replace(result, system=base)
-
-
 class FabricSimulator:
     """Drives one trace through N per-switch serving drivers.
 
     Args:
         topology: The switch graph.
-        pipeline_factory: ``Callable[[SwitchContext], Pipeline]`` —
+        pipeline_factory: ``Callable[[PartContext], Pipeline]`` —
             called once per switch to build that switch's *private*
             pipeline instance (churn mutates pipelines per switch, so
             they must not be shared).  Building the same workload with
             the same seed per switch yields identical rule state.
-        system_factory: ``Callable[[SwitchContext], CachingSystem]`` —
-            that switch's private caching system.  Size per role here
-            if desired; the bench deliberately sizes leaves and spines
-            identically so hit-rate differences measure *pressure*.
+        system_factory: ``Callable[[PartContext], CachingSystem]`` —
+            that switch's private caching system.  The bench sizes
+            leaves and spines identically so hit-rate differences
+            measure *pressure*.
         controller: The :class:`FabricController`; ``None`` builds a
             degenerate all-flows-on-first-switch controller, valid only
             for one-switch topologies.
         config: Shared :class:`~repro.sim.engine.SimConfig`.
             ``telemetry`` acts as the opt-in template (as in the
-            sharded engine): each switch gets a fresh hub mirroring the
+            sharded engine): with more than one switch each gets
+            ``telemetry.derive(<switch>)``, a fresh hub mirroring the
             template's tracer settings, with a path-opened sink fanned
             out to ``<path>.<switch>`` files (opened exclusively — a
             stale file from an earlier run fails loudly rather than
@@ -337,8 +313,8 @@ class FabricSimulator:
     def __init__(
         self,
         topology: Topology,
-        pipeline_factory: Callable[[SwitchContext], object],
-        system_factory: Callable[[SwitchContext], CachingSystem],
+        pipeline_factory: Callable[[PartContext], object],
+        system_factory: Callable[[PartContext], CachingSystem],
         controller: Optional[FabricController] = None,
         config: Optional[SimConfig] = None,
         batch_size: int = 256,
@@ -374,31 +350,14 @@ class FabricSimulator:
         #: Per-switch serving drivers of the most recent run.
         self.drivers: Dict[str, ServingDriver] = {}
 
-    # -- per-switch assembly ----------------------------------------------------
-
-    def _contexts(self) -> List[SwitchContext]:
-        return [
-            SwitchContext(
-                switch=name,
-                role=self.topology.role(name),
-                index=i,
-                topology=self.topology,
-            )
-            for i, name in enumerate(self.topology.switches)
-        ]
-
-    def _switch_config(
-        self, context: SwitchContext, tel: Optional[Telemetry]
-    ) -> SimConfig:
+    def _churn_for(self, switch: str):
+        """The run's churn if it targets ``switch``, else ``None``."""
         churn = self.config.churn
         if churn is not None:
-            resolved = resolve_churn(churn)
-            targets = resolved.switches
-            if targets is not None and context.switch not in targets:
-                churn = None
-        return replace(
-            self.config, telemetry=tel, churn=churn, shards=1
-        )
+            targets = resolve_churn(churn).switches
+            if targets is not None and switch not in targets:
+                return None
+        return churn
 
     # -- the fabric loop --------------------------------------------------------
 
@@ -409,66 +368,40 @@ class FabricSimulator:
         )
         topology = self.topology
         controller = self.controller
+        fan = FanOut(topology.switches, self.config)
+        # One switch is the classic engine: its system keeps its plain
+        # name and its hub — the caller's own — sees no hop events.
         multi = len(topology) > 1
-
-        if not multi:
-            # Golden contract: one switch == the classic engine, run
-            # with the caller's config verbatim (telemetry hub
-            # included), no renaming, no hop events.
-            context = self._contexts()[0]
-            driver = ServingDriver(
-                self.pipeline_factory(context),
-                self.system_factory(context),
-                self.config,
-                ServeConfig(batch_size=self.batch_size),
-            )
-            self.drivers = {context.switch: driver}
-            result = driver.serve(packets)
-            return FabricResult(
-                merged=result,
-                switch_results={context.switch: result},
-                registry=(
-                    self.config.telemetry.registry
-                    if self.config.telemetry is not None
-                    else None
-                ),
-                topology=topology,
-                packets=result.packets,
-                hops_total=result.packets,
-                reroutes=controller.reroutes,
-                path_length_counts={1: result.packets},
-            )
-
+        parts = {}
         drivers: Dict[str, ServingDriver] = {}
         buffers: Dict[str, list] = {}
-        tels: Dict[str, Telemetry] = {}
         hop_tracers: Dict[str, tuple] = {}
-        parent = self.config.telemetry
-        try:
-            for context in self._contexts():
-                tel = (
-                    parent.derive(context.switch) if parent is not None else None
-                )
-                if tel is not None:
-                    tels[context.switch] = tel
-                system = self.system_factory(context)
-                # Qualify the system name per switch (instance attribute
-                # shadows the class attribute) so telemetry labels, trace
-                # cache codes and per-switch results are attributable;
-                # merge strips the qualifier again.
-                base = type(system).name
-                system.name = f"{base}@{context.switch}"
-                driver = ServingDriver(
-                    self.pipeline_factory(context),
-                    system,
-                    self._switch_config(context, tel),
-                    ServeConfig(batch_size=self.batch_size),
-                )
-                driver.start()
-                drivers[context.switch] = driver
-                buffers[context.switch] = []
-                if tel is not None and tel.tracer.wants(EV_HOP):
-                    hop_tracers[context.switch] = (tel.tracer.emit, system.name)
+        # Closes the derived hubs with the results, or with the exception.
+        with ExitStack() as hubs:
+            for context in fan.contexts:
+                switch = context.name
+                with fan.guard(switch):
+                    part = hubs.enter_context(
+                        fan.part(context, churn=self._churn_for(switch))
+                    )
+                    system = self.system_factory(context)
+                    if multi:
+                        # Attributable telemetry labels, trace cache codes
+                        # and results; the merge strips the qualifier.
+                        system.name = f"{type(system).name}@{switch}"
+                    driver = ServingDriver(
+                        self.pipeline_factory(context),
+                        system,
+                        part.config,
+                        ServeConfig(batch_size=self.batch_size),
+                    )
+                    driver.start()
+                parts[switch] = part
+                drivers[switch] = driver
+                buffers[switch] = []
+                tel = part.telemetry
+                if multi and tel is not None and tel.tracer.wants(EV_HOP):
+                    hop_tracers[switch] = (tel.tracer.emit, system.name)
             self.drivers = drivers
 
             batch_size = self.batch_size
@@ -497,37 +430,21 @@ class FabricSimulator:
                     buf = buffers[switch]
                     buf.append(packet)
                     if len(buf) >= batch_size:
-                        drivers[switch].process(buf)
+                        with fan.guard(switch):
+                            drivers[switch].process(buf)
                         buf.clear()
 
-            switch_results: Dict[str, SimResult] = {}
-            for switch in topology.switches:
-                buf = buffers[switch]
-                if buf:
-                    drivers[switch].process(buf)
-                    buf.clear()
-                switch_results[switch] = drivers[switch].finish()
-        finally:
-            for tel in tels.values():
-                # Derived per-switch sinks are fabric-owned: flush the
-                # tail and release the descriptors before handing back
-                # results — or the exception, with the events up to it.
-                tel.tracer.close()
+            for switch, part in parts.items():
+                with fan.guard(switch):
+                    if buffers[switch]:
+                        drivers[switch].process(buffers[switch])
+                    result = drivers[switch].finish()
+                fan.done(switch, result, part.registry)
 
-        merged = SimResult.merge(
-            [
-                _with_base_system(switch_results[name])
-                for name in topology.switches
-            ]
-        )
-        registry = (
-            MetricsRegistry.merged([tel.registry for tel in tels.values()])
-            if tels
-            else None
-        )
+        merged, registry = fan.merge()
         return FabricResult(
             merged=merged,
-            switch_results=switch_results,
+            switch_results=dict(fan.results),
             registry=registry,
             topology=topology,
             packets=packets_in,

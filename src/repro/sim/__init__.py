@@ -14,14 +14,12 @@ from .engine import (
 )
 from .churn import ChurnConfig, ChurnRuntime, resolve_churn
 from .fastpath import FastPathIndex
+from .fanout import PartContext, PartError
 from .results import SimResult, TimeSeries
 from .sharded import (
-    ShardContext,
     ShardedSimulator,
     ShardTimeoutError,
-    ShardWorkerError,
     flow_shard,
-    shard_seed,
     split_trace,
 )
 
@@ -36,9 +34,9 @@ __all__ = [
     "InstallCost",
     "MegaflowSystem",
     "PacketKernel",
-    "ShardContext",
+    "PartContext",
+    "PartError",
     "ShardTimeoutError",
-    "ShardWorkerError",
     "ShardedSimulator",
     "SimConfig",
     "SimResult",
@@ -46,7 +44,6 @@ __all__ = [
     "VSwitchSimulator",
     "flow_shard",
     "resolve_churn",
-    "shard_seed",
     "split_trace",
     "run_comparison",
 ]

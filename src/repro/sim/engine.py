@@ -261,12 +261,6 @@ class SimConfig:
             (``tests/test_serve_differential.py`` pins it).  Unlike
             ``telemetry``, this knob steers the simulation.  Requires a
             Megaflow or Gigaflow cache (no hierarchy support).
-        shards: Worker count for :class:`~repro.sim.sharded.ShardedSimulator`
-            (1 = the classic single-process engine).  Plain
-            :class:`VSwitchSimulator` ignores it; the sharded driver
-            hash-partitions flows across this many processes, each
-            owning its own cache and fast path, and merges the
-            per-shard results losslessly.
     """
 
     max_idle: float = 0.0
@@ -277,7 +271,6 @@ class SimConfig:
     telemetry: Optional[Telemetry] = None
     timeouts: object = None
     churn: object = None
-    shards: int = 1
 
 
 class PacketKernel:

@@ -199,7 +199,8 @@ class TestModeSwitchIsReportedAtTheSource:
 
         driver = ShardedSimulator(
             workload.pipeline, factory,
-            SimConfig(telemetry=Telemetry(tracing=False), shards=2),
+            SimConfig(telemetry=Telemetry(tracing=False)),
+            shards=2,
             mode="inline",
         )
         result = driver.run(workload.trace(seed=3))

@@ -66,7 +66,8 @@ def scenarios():
         workload = seeded_workload(n_flows=120)
         driver = ShardedSimulator(
             workload.pipeline, systems["gigaflow"],
-            SimConfig(shards=2, telemetry=telemetry, **config),
+            SimConfig(telemetry=telemetry, **config),
+            shards=2,
             mode="inline",
         )
         result = driver.run(seeded_trace(workload))

@@ -242,7 +242,8 @@ class TestNonAdditiveGauges:
         driver = ShardedSimulator(
             workload.pipeline,
             lambda _context: GigaflowSystem(num_tables=4, table_capacity=8),
-            SimConfig(telemetry=Telemetry(), shards=4),
+            SimConfig(telemetry=Telemetry()),
+            shards=4,
             mode="inline",
         )
         result = driver.run(seeded_trace(workload))

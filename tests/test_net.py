@@ -11,11 +11,11 @@ The contracts pinned here, in order:
   failure/restore invalidation with an honest ``reroutes`` counter.
 * **Single-switch golden** — a 1-switch fabric is bit-identical to
   :class:`~repro.sim.engine.VSwitchSimulator` on the same trace/config,
-  the same pinning pattern ``shards=1`` uses in ``test_sharded.py``.
+  the same pinning pattern one shard uses in ``test_sharded.py``.
 * **Multi-switch accounting** — hop conservation
   (``hops_total == merged.packets``), per-switch attribution, per-role
-  folds, run-to-run determinism, and the merged peak rendered as the
-  upper bound it is.
+  folds, run-to-run determinism, the merged peak rendered as the
+  upper bound it is, and a failing switch named in the error.
 * **Churn targeting** — ``ChurnConfig.switches`` applies the schedule
   only on the named switches.
 * **Hop tracing** — per-switch derived sinks carry ``hop`` events
@@ -220,7 +220,7 @@ class TestMultiSwitchFabric:
         fabric = FabricSimulator(
             topo,
             pipeline_factory,
-            gigaflow_factory,
+            kwargs.pop("system_factory", gigaflow_factory),
             controller=ctl,
             config=kwargs.pop("config", sim_config(telemetry=Telemetry())),
             **kwargs,
@@ -297,6 +297,24 @@ class TestMultiSwitchFabric:
         failures = [(1.0, "leaf0", "spine0"), (2.0, "leaf0", "leaf1")]
         with pytest.raises(ValueError, match="'leaf1'.*t=2.0.*not a topology"):
             self._run(link_failures=failures)
+
+    def test_failing_switch_is_named(self):
+        class InstallFails(GigaflowSystem):
+            def install(self, traversal, generation, now):
+                if self.cache.stats.misses == 10:
+                    raise RuntimeError("install failed")
+                return super().install(traversal, generation, now)
+
+        def factory(context):
+            system = InstallFails if context.name == "spine1" else GigaflowSystem
+            return system(num_tables=4, table_capacity=100)
+
+        with pytest.raises(RuntimeError, match="install failed") as excinfo:
+            self._run(system_factory=factory)
+        assert excinfo.value.part == "spine1"
+        assert str(excinfo.value).startswith("spine1: RuntimeError: ")
+        # Mid-trace, no switch has finished.
+        assert excinfo.value.partial == {}
 
     def test_churn_targets_only_named_switches(self):
         topo = linear(3)

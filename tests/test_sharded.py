@@ -9,15 +9,17 @@ The contracts pinned here, in order:
 * **Shard assignment** — flows map to shards stably, every packet of a
   flow lands on one shard, and the per-shard traces partition the
   parent exactly.
-* **Single-shard golden** — ``shards=1`` through
+* **Single-shard golden** — one shard through
   :class:`~repro.sim.sharded.ShardedSimulator` is bit-identical to the
   classic :class:`~repro.sim.engine.VSwitchSimulator`.
 * **Inline ≡ processes** — real worker processes produce exactly the
   merged result the sequential in-process protocol does, run after run
-  (determinism), with lossless conservation against the per-shard parts.
-* **Loud failure** — a raising worker, a hard-crashing worker, and a
-  wall-clock overrun each surface with the shard id and the partial
-  results that did complete.
+  (determinism), with lossless conservation against the per-shard parts
+  — also under churn, where each inline shard runs on its own copy of
+  the caller's pipeline, as a forked one does.
+* **Loud failure** — a raising worker (in either mode), a hard-crashing
+  worker, and a wall-clock overrun each surface with the shard's name
+  and the partial results that did complete.
 """
 
 import dataclasses
@@ -30,33 +32,38 @@ from conftest import seeded_trace, seeded_workload
 from test_obs import result_fingerprint
 from repro.obs import Telemetry
 from repro.sim import (
+    ChurnConfig,
     GigaflowSystem,
     MegaflowSystem,
+    PartContext,
+    PartError,
     ShardTimeoutError,
-    ShardWorkerError,
     ShardedSimulator,
     SimConfig,
     SimResult,
     TimeSeries,
     VSwitchSimulator,
     flow_shard,
-    shard_seed,
     split_trace,
 )
+from repro.workload import insert_delete_storm, priority_shuffle_schedule
 # The conftest defaults (220 flows, 24-packet flows over 6 s) are this
 # module's numbers — goldens here were captured against them.
 small_workload = seeded_workload
 small_trace = seeded_trace
 
+#: The PSC ACL stage (as in test_churn.py).
+ACL_TABLE = 5
+
 
 def gigaflow_factory(context):
     return GigaflowSystem(
-        num_tables=4, table_capacity=max(8, 400 // context.shards)
+        num_tables=4, table_capacity=max(8, 400 // context.parts)
     )
 
 
 def megaflow_factory(context):
-    return MegaflowSystem(capacity=max(8, 400 // context.shards))
+    return MegaflowSystem(capacity=max(8, 400 // context.parts))
 
 
 def sim_config(**overrides):
@@ -112,12 +119,8 @@ class TestBatchedLoopFidelity:
         assert telemetries[0] == telemetries[1]
 
 
-def _context(shards, shard_id=0, seed=0):
-    from repro.sim import ShardContext
-
-    return ShardContext(
-        shard_id=shard_id, shards=shards, seed=shard_seed(seed, shard_id)
-    )
+def _context(shards, shard_id=0):
+    return PartContext(f"shard{shard_id}", shard_id, shards)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +165,6 @@ class TestShardAssignment:
         trace = small_trace(workload)
         assert split_trace(trace, 1) == [trace]
 
-    def test_shard_seed_is_deterministic_and_distinct(self):
-        seeds = [shard_seed(7, sid) for sid in range(8)]
-        assert seeds == [shard_seed(7, sid) for sid in range(8)]
-        assert len(set(seeds)) == 8
-        assert seeds != [shard_seed(8, sid) for sid in range(8)]
-
 
 # ---------------------------------------------------------------------------
 # Single-shard golden: sharded == classic engine, bit for bit
@@ -186,7 +183,8 @@ class TestSingleShardGolden:
         driver = ShardedSimulator(
             sharded_workload.pipeline,
             gigaflow_factory,
-            sim_config(shards=1, telemetry=Telemetry()),
+            sim_config(telemetry=Telemetry()),
+            shards=1,
         )
         sharded = driver.run(small_trace(sharded_workload))
 
@@ -201,17 +199,14 @@ class TestSingleShardGolden:
 # Multi-shard runs: inline ≡ processes, conservation, determinism
 
 
-def _run_sharded(mode, shards=2, telemetry=True, seed=0, workload_seed=11):
+def _run_sharded(mode, shards=2, telemetry=True, workload_seed=11):
     workload = small_workload(seed=workload_seed)
-    config = sim_config(
-        shards=shards,
-        telemetry=Telemetry() if telemetry else None,
-    )
+    config = sim_config(telemetry=Telemetry() if telemetry else None)
     driver = ShardedSimulator(
         workload.pipeline,
         gigaflow_factory,
         config,
-        seed=seed,
+        shards=shards,
         mode=mode,
         timeout=120.0,
     )
@@ -228,6 +223,44 @@ class TestShardedRuns:
             proc_driver.registry.to_prometheus()
             == inline_driver.registry.to_prometheus()
         )
+
+    def test_processes_equal_inline_under_churn(self):
+        """Churn mutates the rules a shard runs on.  Inline shards once
+        shared the caller's pipeline, so shard 1 started from the rules
+        shard 0's churn left behind (a storm whose deletes outlive the
+        trace, two re-rankings) and the caller's pipeline came back
+        changed; forked shards never did either."""
+        runs = []
+        for mode in ("inline", "processes"):
+            workload = small_workload(n_flows=300)
+            schedule = insert_delete_storm(
+                workload.pilots, ACL_TABLE,
+                start=1.0, count=8, gap=0.5, hold=10.0, seed=4,
+            ).merged_with(
+                priority_shuffle_schedule(ACL_TABLE, [1.5, 3.5], seed=2)
+            )
+            generation = workload.pipeline.generation
+            driver = ShardedSimulator(
+                workload.pipeline,
+                gigaflow_factory,
+                sim_config(
+                    churn=ChurnConfig(schedule=schedule),
+                    telemetry=Telemetry(),
+                ),
+                shards=2,
+                mode=mode,
+                timeout=120.0,
+            )
+            result = driver.run(small_trace(workload))
+            assert workload.pipeline.generation == generation, mode
+            runs.append((
+                result_fingerprint(result),
+                result.telemetry,
+                driver.registry.to_prometheus(),
+            ))
+        assert runs[0][0] == runs[1][0]
+        assert runs[0][1] == runs[1][1]
+        assert runs[0][2] == runs[1][2]
 
     def test_processes_are_deterministic(self):
         _, first = _run_sharded("processes")
@@ -292,68 +325,80 @@ class TestShardedRuns:
 
 
 def _failing_factory(context):
-    if context.shard_id == 1:
+    if context.index == 1:
         raise RuntimeError("boom in shard 1")
     return gigaflow_factory(context)
 
 
 def _exiting_factory(context):
-    if context.shard_id == 1:
+    if context.index == 1:
         os._exit(13)
     return gigaflow_factory(context)
 
 
 def _sleeping_factory(context):
-    if context.shard_id == 1:
+    if context.index == 1:
         time.sleep(60.0)
     return gigaflow_factory(context)
 
 
 class TestWorkerFailures:
-    def _driver(self, factory, timeout=60.0):
+    def _driver(self, factory, timeout=60.0, mode="processes"):
         workload = small_workload()
         driver = ShardedSimulator(
             workload.pipeline,
             factory,
-            sim_config(shards=2),
-            mode="processes",
+            sim_config(),
+            shards=2,
+            mode=mode,
             timeout=timeout,
         )
         return driver, small_trace(workload)
 
     def test_worker_exception_surfaces_shard_id(self):
         driver, trace = self._driver(_failing_factory)
-        with pytest.raises(ShardWorkerError) as excinfo:
+        with pytest.raises(PartError) as excinfo:
             driver.run(trace)
-        assert excinfo.value.shard_id == 1
+        assert excinfo.value.part == "shard1"
         assert "boom in shard 1" in str(excinfo.value)
+
+    def test_inline_exception_names_the_shard(self):
+        """Inline, the shard's exception is wrapped as in processes
+        mode: named, with the shard that ran before it as partial."""
+        driver, trace = self._driver(_failing_factory, mode="inline")
+        with pytest.raises(RuntimeError, match="boom in shard 1") as excinfo:
+            driver.run(trace)
+        assert excinfo.value.part == "shard1"
+        assert str(excinfo.value).startswith("shard1: RuntimeError: ")
+        assert list(excinfo.value.partial) == ["shard0"]
+        assert excinfo.value.partial["shard0"].packets > 0
 
     def test_hard_crash_is_detected_not_hung(self):
         driver, trace = self._driver(_exiting_factory)
         start = time.monotonic()
-        with pytest.raises(ShardWorkerError) as excinfo:
+        with pytest.raises(PartError) as excinfo:
             driver.run(trace)
-        assert excinfo.value.shard_id == 1
+        assert excinfo.value.part == "shard1"
         assert "exit code" in str(excinfo.value)
         # Detection is prompt (liveness polling), not a timeout path.
         assert time.monotonic() - start < 30.0
 
     def test_crash_error_carries_partial_results(self):
         driver, trace = self._driver(_failing_factory)
-        with pytest.raises(ShardWorkerError) as excinfo:
+        with pytest.raises(PartError) as excinfo:
             driver.run(trace)
         partial = excinfo.value.partial
         # Shard 0 may or may not have finished before the error won the
         # race; whatever did finish must be well-formed SimResults.
-        for sid, result in partial.items():
-            assert sid != 1
+        for name, result in partial.items():
+            assert name != "shard1"
             assert result.packets > 0
 
     def test_timeout_raises_with_pending_shards(self):
         driver, trace = self._driver(_sleeping_factory, timeout=3.0)
         with pytest.raises(ShardTimeoutError) as excinfo:
             driver.run(trace)
-        assert 1 in excinfo.value.pending
+        assert "shard1" in excinfo.value.pending
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +486,8 @@ class TestSimResultMerge:
         driver = ShardedSimulator(
             workload.pipeline,
             gigaflow_factory,
-            sim_config(shards=2),
-            seed=7,
+            sim_config(),
+            shards=2,
             mode="inline",
         )
         merged = driver.run(small_trace(workload))

@@ -18,7 +18,11 @@ committed one, which is the proof that nothing else moved (PRs 19, 20
 and 22 landed that way).  When the *input* changes there is no such
 proof to give: delete the golden and record from scratch, as PR 23 did
 when pilot flows — hence flow ids and CRC shard routing — stopped
-inheriting the interpreter's str-hash salt.
+inheriting the interpreter's str-hash salt.  The sharded scenario alone
+was re-recorded when inline shards stopped replaying on the pipeline the
+previous shard's churn had mutated: its new recording is the one forked
+workers always produced (only ``repro_churn_rule_ops_total`` and the
+digest's ``churn.rule_ops`` moved; every stream is unchanged).
 """
 
 import collections
@@ -93,7 +97,7 @@ def _system(context=None):
 
     return GigaflowSystem(
         num_tables=4,
-        table_capacity=TABLE_CAPACITY // getattr(context, "shards", 1),
+        table_capacity=TABLE_CAPACITY // getattr(context, "parts", 1),
         chain_repair=True,
     )
 
@@ -204,7 +208,8 @@ def record_sharded():
         telemetry = Telemetry(trace_sink=os.path.join(directory, "trace"))
         driver = ShardedSimulator(
             workload.pipeline, _system,
-            SimConfig(telemetry=telemetry, shards=4, **kwargs),
+            SimConfig(telemetry=telemetry, **kwargs),
+            shards=4,
             mode="inline",
         )
         result = driver.run(trace)
@@ -228,7 +233,8 @@ def record_fabric():
             topology,
             # Same spec + seed => identical rule state per switch.
             lambda _context: seeded_workload().pipeline,
-            _system,
+            # Switches do not split a capacity: each gets all of it.
+            lambda _context: _system(),
             controller=FabricController(topology, endpoints),
             config=SimConfig(telemetry=telemetry, **kwargs),
             link_failures=[(2.0, "leaf0", "spine0")],

@@ -181,10 +181,10 @@ class TestShardedDifferential:
                     max_idle=2.0,
                     sweep_interval=1.0,
                     fast_path=True,
-                    shards=2,
                     timeouts=timeouts,
                     telemetry=Telemetry(),
                 ),
+                shards=2,
                 mode="inline",
             )
             result = driver.run(make_trace(workload))
@@ -214,9 +214,9 @@ class TestShardedDifferential:
                     max_idle=2.0,
                     sweep_interval=1.0,
                     fast_path=True,
-                    shards=2,
                     timeouts="ewma",
                 ),
+                shards=2,
                 mode=mode,
                 timeout=120.0,
             )

@@ -325,7 +325,7 @@ class TestTraceCli:
 
 def _gigaflow_factory(context):
     return GigaflowSystem(
-        num_tables=4, table_capacity=max(8, 400 // context.shards)
+        num_tables=4, table_capacity=max(8, 400 // context.parts)
     )
 
 
@@ -337,10 +337,10 @@ class TestShardedTraceSinks:
         telemetry = Telemetry(tracing=True, trace_sink=str(path))
         config = SimConfig(
             max_idle=2.0, sweep_interval=1.0, fast_path=True,
-            shards=2, telemetry=telemetry,
+            telemetry=telemetry,
         )
         driver = ShardedSimulator(
-            workload.pipeline, _gigaflow_factory, config, mode=mode
+            workload.pipeline, _gigaflow_factory, config, shards=2, mode=mode
         )
         result = driver.run(small_trace(workload))
         shard_lines = []
@@ -368,10 +368,11 @@ class TestShardedTraceSinks:
         )
         config = SimConfig(
             max_idle=2.0, sweep_interval=1.0, fast_path=True,
-            shards=2, telemetry=telemetry,
+            telemetry=telemetry,
         )
         driver = ShardedSimulator(
-            workload.pipeline, _gigaflow_factory, config, mode="inline"
+            workload.pipeline, _gigaflow_factory, config, shards=2,
+            mode="inline",
         )
         driver.run(small_trace(workload))
         for shard_id in range(2):
@@ -388,10 +389,10 @@ class TestShardedTraceSinks:
             telemetry = Telemetry(tracing=True, trace_sink=h)
             config = SimConfig(
                 max_idle=2.0, sweep_interval=1.0, fast_path=True,
-                shards=2, telemetry=telemetry,
+                telemetry=telemetry,
             )
             driver = ShardedSimulator(
-                workload.pipeline, _gigaflow_factory, config,
+                workload.pipeline, _gigaflow_factory, config, shards=2,
                 mode="inline",
             )
             driver.run(small_trace(workload))

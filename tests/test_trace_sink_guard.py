@@ -11,8 +11,8 @@ The hazards pinned here:
 * **Mid-run write/close failures** — wrapped with the sink path, never
   a bare ``OSError`` from deep inside ``flush``.
 * **Worker attribution** — a shard whose derived sink cannot open
-  fails loudly *with the shard id*, in both inline and processes
-  modes (matching ``ShardWorkerError`` semantics).
+  fails loudly *with the shard's name*, in both inline and processes
+  modes.
 """
 
 import io
@@ -26,7 +26,7 @@ from repro.obs import Telemetry, TraceSinkError
 from repro.obs.trace import Tracer
 from repro.sim import (
     GigaflowSystem,
-    ShardWorkerError,
+    PartError,
     ShardedSimulator,
     SimConfig,
 )
@@ -131,11 +131,8 @@ class TestShardedSinkGuard:
         driver = ShardedSimulator(
             workload.pipeline,
             factory,
-            SimConfig(
-                telemetry=Telemetry(trace_sink=str(sink)),
-                shards=shards,
-            ),
-            seed=7,
+            SimConfig(telemetry=Telemetry(trace_sink=str(sink))),
+            shards=shards,
             mode=mode,
         )
         return driver, seeded_trace(workload)
@@ -144,16 +141,16 @@ class TestShardedSinkGuard:
         sink = tmp_path / "t.jsonl"
         (tmp_path / "t.jsonl.shard1").write_text("stale\n")
         driver, trace = self._driver(sink, "inline")
-        with pytest.raises(TraceSinkError, match="shard 1"):
+        with pytest.raises(TraceSinkError, match="shard1"):
             driver.run(trace)
 
     def test_process_worker_surfaces_shard_id(self, tmp_path):
         sink = tmp_path / "t.jsonl"
         (tmp_path / "t.jsonl.shard0").write_text("stale\n")
         driver, trace = self._driver(sink, "processes")
-        with pytest.raises(ShardWorkerError) as excinfo:
+        with pytest.raises(PartError) as excinfo:
             driver.run(trace)
-        assert excinfo.value.shard_id == 0
+        assert excinfo.value.part == "shard0"
 
     def test_clean_directory_fans_out(self, tmp_path):
         sink = tmp_path / "t.jsonl"
@@ -171,7 +168,7 @@ class TestShardedSinkGuard:
 
         failing, trace = self._driver(
             tmp_path / "t.jsonl", "inline",
-            factory=failing_where(lambda context: context.shard_id == 1),
+            factory=failing_where(lambda context: context.index == 1),
         )
         with pytest.raises(RuntimeError, match="install failed"):
             failing.run(trace)
@@ -206,7 +203,7 @@ class TestFabricSinkGuard:
     def test_a_run_that_raises_keeps_the_events_up_to_it(self, tmp_path):
         fabric = self._fabric(
             tmp_path / "f.jsonl",
-            failing_where(lambda context: context.switch == "spine0"),
+            failing_where(lambda context: context.name == "spine0"),
         )
         with pytest.raises(RuntimeError, match="install failed"):
             fabric.run(seeded_trace(seeded_workload()))

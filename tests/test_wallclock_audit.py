@@ -1,7 +1,8 @@
 """Static audits of the engine family: no wall-clock, one slow path,
 no reaching into the telemetry hub, one entry lifecycle, one §7 mode
 decider, no run-time steering of the cache's knobs, two homes for the
-bench clock, one prefix structure and one partition DP, no salted hash.
+bench clock, one prefix structure and one partition DP, no salted hash,
+one fan-out.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -69,6 +70,12 @@ below, each of which hashes ints or tuples of ints; a new site has to be
 argued onto the list, and anything keyed by a str goes through
 ``zlib.crc32`` as ``flow_shard`` and Pipebench's ``tp_src`` do
 (``tests/test_hash_seed_independence.py`` is the run-time check).
+
+The ninth keeps the fan-out single.  The sharded engine and the fabric
+each once carried their own copy of "derive a hub per part, run, merge"
+(and a one-part fork beside it), and the copies drifted; both now go
+through ``sim/fanout.py``, so ``.derive(``, ``SimResult.merge(`` and
+``MetricsRegistry.merged(`` are called nowhere else under ``repro``.
 """
 
 import ast
@@ -87,6 +94,7 @@ AUDITED = [
     "sim/churn.py",
     "sim/engine.py",
     "sim/batch.py",
+    "sim/fanout.py",
     "net/fabric.py",
     "net/topology.py",
 ]
@@ -136,6 +144,21 @@ def test_module_is_wallclock_free(relpath):
         "wall-clock leaked into a simulated-time module:\n  "
         + "\n  ".join(violations)
     )
+
+
+def test_wallclock_audit_sees_a_violation(tmp_path):
+    path = tmp_path / "fanout.py"
+    path.write_text(
+        "import time\n"
+        "from datetime import datetime\n"
+        "def part(clock):\n"
+        "    return time.perf_counter()\n"
+    )
+    assert _violations(path) == [
+        "fanout.py:1 imports time",
+        "fanout.py:2 imports from datetime",
+        "fanout.py:4 uses time.perf_counter",
+    ]
 
 
 def test_audited_modules_exist():
@@ -693,3 +716,53 @@ def test_hash_audit_sees_a_violation():
         (6, "Pipebench._pilot_flow"),
         (9, "<module>"),
     ]
+
+
+#: The one module that derives per-part hubs and folds parts' results.
+FANOUT_HOME = "sim/fanout.py"
+
+
+def _fan_out_calls(source: str):
+    """``(line, call)`` for every ``.derive(``, ``SimResult.merge(`` and
+    ``MetricsRegistry.merged(`` call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        ):
+            continue
+        owner = _terminal_name(node.func.value)
+        call = f"{owner}.{node.func.attr}("
+        if node.func.attr == "derive":
+            found.append((node.lineno, ".derive("))
+        elif call in ("SimResult.merge(", "MetricsRegistry.merged("):
+            found.append((node.lineno, call))
+    return found
+
+
+def test_fan_out_has_one_home():
+    offenders = [
+        f"{relpath}:{line} {call}"
+        for path in sorted(SRC.rglob("*.py"))
+        for relpath in [path.relative_to(SRC).as_posix()]
+        if relpath != FANOUT_HOME
+        for line, call in _fan_out_calls(path.read_text())
+    ]
+    assert not offenders, (
+        "a per-part hub derived or parts merged outside sim/fanout.py:\n  "
+        + "\n  ".join(offenders)
+    )
+    assert _fan_out_calls((SRC / FANOUT_HOME).read_text())
+
+
+def test_fan_out_audit_sees_a_violation():
+    assert _fan_out_calls(
+        "def by_role(self, role):\n"
+        "    return SimResult.merge(self.results(role))\n"
+        "def run(self, parent):\n"
+        "    tel = parent.derive('leaf0')\n"
+        "    registry = MetricsRegistry.merged([tel.registry])\n"
+        "    merged = registry.merge(other)\n"
+        "    result = merge_results(parts)\n"
+    ) == [(2, "SimResult.merge("), (4, ".derive("),
+          (5, "MetricsRegistry.merged(")]
