@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..flow.actions import ActionList
@@ -142,7 +141,7 @@ class FlowCache(abc.ABC):
     :meth:`_depart` (the one place an entry leaves, whatever the
     reason).  A cache that stores entries supplies only what is its
     own — ``__iter__`` over resident entries (each with a
-    ``last_used``), :meth:`_entry_key` and :meth:`_drop` — plus one
+    ``last_used``) and :meth:`_drop` — plus one
     ``touch`` that every ``last_used`` writer (lookup hit, fast-path
     replay, install refresh) goes through.  ``touch`` also moves the
     entry to the recent end of the cache's id → entry index, an
@@ -168,11 +167,6 @@ class FlowCache(abc.ABC):
         #: costs one attribute check.
         self.telemetry = None
         self.telemetry_name = self.name
-        #: Attached :class:`~repro.core.timeouts.TimeoutPredictor`, or
-        #: ``None``.  Same nil-check discipline as ``telemetry``: every
-        #: hook site guards on it, so the detached default is
-        #: behaviourally bit-identical to a tree without the predictor.
-        self.timeout_predictor = None
 
     def attach_telemetry(self, telemetry, name: Optional[str] = None) -> None:
         """Wire this cache (and any sub-components) to a telemetry hub."""
@@ -225,13 +219,6 @@ class FlowCache(abc.ABC):
             f"{type(self).__name__} does not enumerate its entries"
         )
 
-    def _entry_key(self, entry):
-        """The key the timeout predictor knows ``entry`` by.  It names
-        the *same* flow / traversal across evict-and-return cycles
-        (ids minted per install would not), which is what the ghost
-        list and estimator state must survive."""
-        raise NotImplementedError
-
     def _drop(self, entry) -> None:
         """Unlink ``entry`` from this cache's indexes (its place in the
         recency order goes with it); ``KeyError`` when not resident.
@@ -248,21 +235,17 @@ class FlowCache(abc.ABC):
 
         Every departure — capacity victim, idle expiry, revalidation,
         chain repair, ``clear()`` — comes through here: the entry is
-        dropped, the predictor forgets it (idempotent after an idle
-        sweep's ``on_expire``), ``stats.evictions`` counts it and
-        telemetry gets one ``evict`` record for the batch.  ``entries``
-        may be lazy: each entry is dropped before the next is drawn
-        (chain repair finds its next stale rule only once the last is
-        gone).  ``victim_age`` is the idle age of a capacity victim
-        (``reason`` is then ``"lru"``); it feeds the victim-age
-        distribution.  Returns the count.
+        dropped, ``stats.evictions`` counts it and telemetry gets one
+        ``evict`` record for the batch.  ``entries`` may be lazy: each
+        entry is dropped before the next is drawn (chain repair finds
+        its next stale rule only once the last is gone).
+        ``victim_age`` is the idle age of a capacity victim (``reason``
+        is then ``"lru"``); it feeds the victim-age distribution.
+        Returns the count.
         """
-        pred = self.timeout_predictor
         count = 0
         for entry in entries:
             self._drop(entry)
-            if pred is not None:
-                pred.forget(self._entry_key(entry))
             count += 1
         if count:
             self.stats.evictions += count
@@ -282,31 +265,13 @@ class FlowCache(abc.ABC):
         when ``now - last_used > max_idle`` — an entry idle for
         *exactly* ``max_idle`` survives the sweep.  This is the one
         body every cache runs; a refactor must not silently flip it to
-        ``>=``.  With a :attr:`timeout_predictor` attached the
-        per-entry predicted timeout replaces the *threshold* only; the
-        comparison stays strict, and each expiry is filed with
-        ``on_expire`` before the entry is removed.  A
-        sweep that removes anything is one ``evict(reason="idle")``
-        record and one epoch bump, however many entries went.
+        ``>=``.  A sweep that removes anything is one
+        ``evict(reason="idle")`` record and one epoch bump, however many
+        entries went.
         """
-        pred = self.timeout_predictor
-        key_of = self._entry_key
-        if pred is None:
-            timeouts = repeat(max_idle)
-        else:
-            # Lazy on purpose: the same rule identity can be resident in
-            # two LTM tables, and the expiry filed for the first copy
-            # drops the estimate the second is then judged by — as when
-            # each table was swept in turn.
-            timeouts = map(pred.timeout_for, map(key_of, self))
-        expired = []
-        for entry, timeout in zip(self, timeouts):
-            if now - entry.last_used > timeout:
-                if pred is not None:
-                    pred.on_expire(
-                        key_of(entry), now - entry.last_used, now, timeout
-                    )
-                expired.append(entry)
+        expired = [
+            entry for entry in self if now - entry.last_used > max_idle
+        ]
         if self._depart(expired, "idle"):
             self.bump_epoch()
         return len(expired)
@@ -316,14 +281,6 @@ class FlowCache(abc.ABC):
         counts: each entry departs for reason ``"clear"``."""
         self._depart(list(self), "clear")
         self.bump_epoch()
-
-    def set_timeout_predictor(self, predictor) -> None:
-        """Attach a :class:`~repro.core.timeouts.TimeoutPredictor` (or
-        ``None`` to detach): idle sweeps then expire each entry against
-        its own predicted timeout instead of the global ``max_idle``.
-        Multi-table caches override this to fan the (shared) instance
-        out to their sub-components."""
-        self.timeout_predictor = predictor
 
     @property
     def occupancy(self) -> float:

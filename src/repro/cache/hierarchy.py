@@ -68,14 +68,6 @@ class CacheHierarchy(FlowCache):
         self.megaflow = MegaflowCache(megaflow_capacity, schema, eviction)
         self.start_table = start_table
 
-    def set_timeout_predictor(self, predictor) -> None:
-        """Attach one shared predictor to both levels (Microflow keys
-        are flow-value tuples, Megaflow keys are ``TernaryMatch``
-        objects, so the key spaces cannot collide)."""
-        self.timeout_predictor = predictor
-        self.microflow.set_timeout_predictor(predictor)
-        self.megaflow.set_timeout_predictor(predictor)
-
     @property
     def mutation_epoch(self) -> int:
         # Every structural mutation happens in a sub-cache; both counters

@@ -169,12 +169,8 @@ class MegaflowCache(FlowCache):
 
     def touch(self, entry: MegaflowEntry, now: float) -> None:
         """Mark ``entry`` used at ``now`` — the one ``last_used`` writer
-        (lookup hit, fast-path replay, install refresh), so the
-        predictor sees every interarrival and ``_by_id`` stays in use
-        order."""
-        pred = self.timeout_predictor
-        if pred is not None:
-            pred.observe(entry.match, now - entry.last_used, now)
+        (lookup hit, fast-path replay, install refresh), so ``_by_id``
+        stays in use order."""
         entry.last_used = now
         self._by_id.move_to_end(entry.rule_id)
 
@@ -199,9 +195,6 @@ class MegaflowCache(FlowCache):
         self._classifier.insert(entry)
         self._by_match[entry.match] = entry
         self._by_id[entry.rule_id] = entry
-        pred = self.timeout_predictor
-        if pred is not None:
-            pred.on_insert(entry.match, now)
         self.stats.insertions += 1
         self.bump_epoch()
         return True
@@ -232,9 +225,6 @@ class MegaflowCache(FlowCache):
 
     def __iter__(self) -> Iterator[MegaflowEntry]:
         return iter(self._by_match.values())
-
-    def _entry_key(self, entry: MegaflowEntry) -> TernaryMatch:
-        return entry.match
 
     def _drop(self, entry: MegaflowEntry) -> None:
         self._classifier.remove(entry)

@@ -67,12 +67,8 @@ class MicroflowCache(FlowCache):
 
     def touch(self, entry: _Entry, now: float) -> None:
         """Mark ``entry`` used at ``now`` — the one ``last_used`` writer
-        (lookup hit, fast-path replay, install refresh), so the
-        predictor sees every interarrival and ``_entries`` stays in
-        use order."""
-        pred = self.timeout_predictor
-        if pred is not None:
-            pred.observe(entry.key, now - entry.last_used, now)
+        (lookup hit, fast-path replay, install refresh), so
+        ``_entries`` stays in use order."""
         entry.last_used = now
         self._entries.move_to_end(entry.key)
 
@@ -90,9 +86,6 @@ class MicroflowCache(FlowCache):
             victim = next(iter(self._entries.values()))
             self._depart((victim,), "lru", now - victim.last_used)
         self._entries[key] = _Entry(key, actions, now)
-        pred = self.timeout_predictor
-        if pred is not None:
-            pred.on_insert(key, now)
         self.stats.insertions += 1
         self.bump_epoch()
         return True
@@ -108,16 +101,13 @@ class MicroflowCache(FlowCache):
     def __iter__(self) -> Iterator[_Entry]:
         return iter(self._entries.values())
 
-    def _entry_key(self, entry: _Entry) -> Tuple[int, ...]:
-        return entry.key
-
     def _drop(self, entry: _Entry) -> None:
         del self._entries[entry.key]
 
 
 class _Entry:
     """One exact-match entry; ``key`` (the flow's value tuple) names it
-    to the cache's index and the timeout predictor alike."""
+    in the cache's index."""
 
     __slots__ = ("key", "actions", "last_used")
 

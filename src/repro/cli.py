@@ -46,7 +46,6 @@ from dataclasses import replace
 from typing import List, Optional
 
 from .core.revalidation import resolve_revalidator
-from .core.timeouts import PREDICTOR_NAMES
 from .experiments import (
     ExperimentScale,
     format_table1,
@@ -216,10 +215,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         max_idle=args.max_idle,
         sweep_interval=args.sweep_interval,
         telemetry=telemetry,
-        timeouts=args.timeouts,
     )
-    simulator = VSwitchSimulator(workload.pipeline, system, config)
-    result = simulator.run(trace)
+    result = VSwitchSimulator(workload.pipeline, system, config).run(trace)
 
     # One end-of-run revalidation cycle so consistency counters reflect
     # a full operational loop (lookup → install → sweep → revalidate).
@@ -236,23 +233,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "summary": telemetry.summary(),
             "snapshots": [s.to_dict() for s in telemetry.snapshots],
         }
-        if simulator.timeout_predictor is not None:
-            payload["timeouts"] = simulator.timeout_predictor.summary()
         print(json.dumps(payload, indent=2))
     else:
         print(result.summary())
         print()
         print(render_telemetry(telemetry.summary()))
-        if simulator.timeout_predictor is not None:
-            digest = simulator.timeout_predictor.summary()
-            print()
-            print(
-                f"timeouts[{digest['predictor']}]: "
-                f"{digest['expired']} idle expiries "
-                f"({digest['dead_evictions']} dead, "
-                f"{digest['premature_evictions']} premature), "
-                f"mean_predicted={digest['mean_predicted']:.3f}s"
-            )
     if args.trace_out:
         telemetry.close()
         print(f"wrote trace events to {args.trace_out}", file=sys.stderr)
@@ -298,7 +283,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         sweep_interval=args.sweep_interval,
         window=args.sweep_interval,
         telemetry=Telemetry(),
-        timeouts=args.timeouts,
         churn=churn,
     )
     driver = ServingDriver(
@@ -605,12 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict tracing to these event types (e.g. "
              "'ltm_probe,fastpath_invalidate'); default traces all",
     )
-    stats.add_argument(
-        "--timeouts", choices=PREDICTOR_NAMES, default=None,
-        help="replace the global max_idle deadline with per-rule "
-             "predicted timeouts from this predictor (static keeps the "
-             "global deadline but records the expiry ledger)",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -678,10 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--reval-budget", type=int, default=64,
         help="stale entries revalidated per tick (0 = drain fully; "
              "default 64)",
-    )
-    serve.add_argument(
-        "--timeouts", choices=PREDICTOR_NAMES, default=None,
-        help="per-rule adaptive timeout predictor (as in stats)",
     )
     serve.add_argument(
         "--assert-drained", action="store_true",

@@ -189,14 +189,6 @@ class GigaflowCache(FlowCache):
         self._probe_cells = None
         self._trace_probe = None
 
-    def set_timeout_predictor(self, predictor) -> None:
-        """Attach one shared predictor to the cache and all its LTM
-        tables (rule ids are globally unique, so key spaces cannot
-        collide across tables)."""
-        self.timeout_predictor = predictor
-        for table in self.tables:
-            table.predictor = predictor
-
     # -- lookup (the SmartNIC fast path) -----------------------------------------
 
     def lookup(self, flow: FlowKey, now: float = 0.0) -> CacheResult:
@@ -437,9 +429,6 @@ class GigaflowCache(FlowCache):
 
     def __iter__(self) -> Iterator[LtmRule]:
         return chain.from_iterable(self.tables)
-
-    def _entry_key(self, rule: LtmRule) -> Tuple:
-        return rule.identity()
 
     def _drop(self, rule: LtmRule) -> None:
         for table in self.tables:

@@ -188,10 +188,6 @@ class LtmTable:
         #: ``last_used`` writer and moves the rule to the end, so the
         #: first value is the least recently used rule.
         self._by_id: "OrderedDict[int, LtmRule]" = OrderedDict()
-        #: Shared :class:`~repro.core.timeouts.TimeoutPredictor`
-        #: installed by ``GigaflowCache.set_timeout_predictor`` (or
-        #: ``None``); :meth:`touch` is its one observation chokepoint.
-        self.predictor = None
 
     # -- capacity ------------------------------------------------------------------
 
@@ -229,18 +225,12 @@ class LtmTable:
         self.dependencies[rule.tag].on_insert(rule, bucket.insert(rule))
         self._by_identity[identity] = rule
         self._by_id[rule.rule_id] = rule
-        pred = self.predictor
-        if pred is not None:
-            pred.on_insert(identity, rule.last_used)
         return True
 
     def touch(self, rule: LtmRule, now: float) -> None:
         """Mark a rule used at ``now`` and move it to the recent end of
         the id index.  Use times must be nondecreasing (the simulator's
         clock is)."""
-        pred = self.predictor
-        if pred is not None:
-            pred.observe(rule.identity(), now - rule.last_used, now)
         rule.last_used = now
         self._by_id.move_to_end(rule.rule_id)
 

@@ -74,7 +74,6 @@ from .multiseed import MultiSeedResult, Statistic, replicate_pair
 from .baselines import (
     BASELINE_CONFIGS,
     BaselineResult,
-    HierarchySystem,
     compare_baselines,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "AblationResult",
     "BASELINE_CONFIGS",
     "BaselineResult",
-    "HierarchySystem",
     "compare_baselines",
     "CoreScalingPoint",
     "CoreScalingResult",

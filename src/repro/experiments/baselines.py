@@ -14,48 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..cache.hierarchy import CacheHierarchy
 from ..metrics.latency import LatencyModel
-from ..pipeline.traversal import Traversal
 from ..sim.engine import (
     CachingSystem,
     GigaflowSystem,
-    InstallCost,
+    HierarchySystem,
     MegaflowSystem,
     SimConfig,
     VSwitchSimulator,
 )
 from .common import ExperimentScale, SMALL_SCALE, fresh_workload
-
-
-class HierarchySystem(CachingSystem):
-    """The software Microflow→Megaflow hierarchy as a caching system."""
-
-    name = "hierarchy"
-
-    def __init__(
-        self,
-        microflow_capacity: int = 8192,
-        megaflow_capacity: int = 32768,
-        start_table: int = 0,
-    ):
-        self.cache = CacheHierarchy(
-            microflow_capacity, megaflow_capacity,
-            start_table=start_table,
-        )
-
-    def install(
-        self, traversal: Traversal, generation: int, now: float
-    ) -> InstallCost:
-        installed = self.cache.install_traversal(traversal, generation, now)
-        return InstallCost(
-            rules_generated=1,
-            rules_installed=1 if installed else 0,
-            partition_cells=0,
-        )
-
-    def coverage(self) -> int:
-        return self.cache.megaflow.entry_count()
 
 
 @dataclass

@@ -21,9 +21,9 @@ once:
 
 The verdicts are about behaviour — identical metrics, hit rates,
 recovery, conservation — so the reports carry no clock: every row of
-``fastpath``, ``adaptive``, ``timeouts``, ``churn`` and ``net`` is a
-function of code + scale + seeds, and two runs, in any two
-interpreters, write the same file outside ``header``.  Throughput
+``fastpath``, ``adaptive``, ``churn`` and ``net`` is a function of
+code + scale + seeds, and two runs, in any two interpreters, write the
+same file outside ``header``.  Throughput
 is ``bench/run.py``'s job (the benchmark of record, ``BENCHMARK.json``).
 Two phases read the host's clock, because a cost on this host is what
 they gate: ``obs`` (telemetry overhead, CPU seconds) and ``shards``
@@ -46,7 +46,6 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .core.timeouts import TimeoutConfig
 from .flow import prefix_mask
 from .net import FabricController, FabricSimulator, leaf_spine
 from .obs import Telemetry, analyze_tracer
@@ -64,7 +63,6 @@ from .sim import (
 from .workload import (
     TraceProfile,
     build_fabric_endpoints,
-    build_interarrival_mix_trace,
     build_locality_shift_trace,
     build_workload,
     insert_delete_storm,
@@ -740,148 +738,6 @@ def scaling_gate(cores: int, runs: dict) -> str:
     return verdict(runs["workers_4"]["speedup_vs_1"] >= 3.0)
 
 
-def phase_timeouts(scale: Scale, out: Path) -> dict:
-    """A/B per-rule timeout prediction against the static-idle sweep.
-
-    Every variant replays the same interarrival-*heterogeneous* trace
-    (dense and sparse persistent flow classes over a background of
-    short-lived churn flows — see
-    :func:`~repro.workload.pipebench.build_interarrival_mix_trace`)
-    against the same undersized capacity.  No single static ``max_idle``
-    can serve the mix: a short timeout expires the sparse rules between
-    their own packets, a long one lets dead churn entries squat on
-    capacity until the LRU victimises *live* sparse rules (whose
-    ``last_used`` is always the oldest among the living).  The ``ewma``
-    predictor (:mod:`repro.core.timeouts`) gives each rule its own
-    deadline, so the report pits it against a static sweep and records
-    hit rate plus the dead/premature-eviction ledger.
-    ``predictor_beats_static`` asserts that it beats the best static
-    point on hit rate while carrying no more dead occupancy (mean
-    resident entries).
-
-    The A/B runs the Megaflow system: its entries map one-to-one onto
-    traversal classes, so each entry's reuse interarrival *is* its
-    flow's packet gap — the cleanest read on the predictor itself.
-    (Gigaflow sub-traversal sharing superimposes many flows onto one
-    rule; the predictor still applies there — the golden tests cover
-    it — but the A/B signal would measure the workload's sharing
-    structure as much as the estimator.)
-    """
-    # Persistent classes: 10% dense (0.25 s gaps) + 20% sparse (8 s
-    # gaps) pilots, alive for the whole 60 s horizon; the remaining 70%
-    # churn through six-packet flows and leave dead entries behind.
-    # Capacity is sized between the persistent population and
-    # persistent + churn-residue-under-a-long-deadline, so static_16
-    # saturates the table and its LRU evicts live sparse rules (idle
-    # ~8 s) ahead of younger dead churn, while static_1/static_4 expire
-    # the sparse rules between their own packets.  Per-rule prediction
-    # reaps churn at ~6x its 0.25 s gap and grants sparse rules the full
-    # deadline, serving both.  Time is virtual — the packet count tracks
-    # the flow count, so --smoke still affords the full 60 s shape.
-    profile = TraceProfile(
-        mean_flow_size=10.0, duration=60.0, mean_packet_gap=0.25
-    )
-    scale = replace(
-        scale, flows=max(scale.flows, 800),
-        mean_flow_size=profile.mean_flow_size, duration=profile.duration,
-    )
-    slow_gap_scale = 32.0
-    dense_fraction, sparse_fraction = 0.1, 0.2
-    persistent = (
-        int(scale.flows * dense_fraction) + int(scale.flows * sparse_fraction)
-    )
-    capacity = int(persistent * 1.35)
-    sweep_interval = 0.5
-    static_grid = (1.0, 4.0, 16.0)
-    predictor_max_idle = static_grid[-1]
-    # grace=6 rides out the ±25% gap jitter with margin; cold rules
-    # keep the full deadline until their first reuse calibrates them
-    # (the conservative static-matching default).
-    predictor_config = dict(grace=6.0)
-    variants = {
-        f"static_{max_idle:g}": (max_idle, "static")
-        for max_idle in static_grid
-    }
-    variants["ewma"] = (
-        predictor_max_idle,
-        TimeoutConfig(predictor="ewma", **predictor_config),
-    )
-    report = {
-        **scale.params(capacity),
-        "mean_packet_gap": profile.mean_packet_gap,
-        "slow_gap_scale": slow_gap_scale,
-        "dense_fraction": dense_fraction,
-        "sparse_fraction": sparse_fraction,
-        "sweep_interval": sweep_interval,
-        "static_grid": list(static_grid),
-        "predictor_max_idle": predictor_max_idle,
-        "predictor_config": predictor_config,
-        "runs": {},
-    }
-    for name, (max_idle, timeouts) in variants.items():
-        telemetry = Telemetry(tracing=False)
-        simulator, _trace, result = run_variant(
-            scale,
-            make_system("megaflow", capacity),
-            SimConfig(
-                fast_path=True,
-                telemetry=telemetry,
-                max_idle=max_idle,
-                sweep_interval=sweep_interval,
-                window=sweep_interval,
-                timeouts=timeouts,
-            ),
-            lambda workload: build_interarrival_mix_trace(
-                workload, profile, slow_gap_scale=slow_gap_scale,
-                dense_fraction=dense_fraction,
-                sparse_fraction=sparse_fraction,
-                seed=scale.trace_seed,
-            ),
-        )
-        snapshots = telemetry.snapshots
-        mean_entries = (
-            sum(s.entry_count for s in snapshots) / len(snapshots)
-            if snapshots else 0.0
-        )
-        summary = simulator.timeout_predictor.summary()
-        expired = summary["expired"]
-        run = {
-            "max_idle": max_idle,
-            "predictor": summary["predictor"],
-            "hit_rate": round(result.hit_rate, 6),
-            "insertions": result.stats.insertions,
-            "evictions": result.stats.evictions,
-            "mean_entries": round(mean_entries, 2),
-            "idle_expiries": expired,
-            "dead_evictions": summary["dead_evictions"],
-            "premature_evictions": summary["premature_evictions"],
-            "dead_ratio": round(
-                summary["dead_evictions"] / expired, 4
-            ) if expired else 0.0,
-            "mean_predicted": round(summary["mean_predicted"], 4),
-        }
-        report["runs"][name] = run
-        print_row(
-            name, run, "max_idle", "mean_entries", "dead_evictions",
-            "premature_evictions",
-        )
-    static_best = max(
-        (name for name in report["runs"] if name.startswith("static_")),
-        key=lambda name: report["runs"][name]["hit_rate"],
-    )
-    best = report["runs"][static_best]
-    ewma = report["runs"]["ewma"]
-    report["static_best"] = static_best
-    report["gates"] = {
-        "predictor_beats_static": verdict(
-            ewma["hit_rate"] > best["hit_rate"]
-            and ewma["mean_entries"] <= best["mean_entries"]
-        )
-    }
-    print(f"ewma vs {static_best} (hit_rate={best['hit_rate']:.4f})")
-    return report
-
-
 #: Ceiling on the churn phase's deepest single-window dip.  Calibrated
 #: for --smoke, where the storm denies a large share of the tiny flow
 #: pool so transition windows dip ~0.20; at full scale the same storm's
@@ -1158,11 +1014,6 @@ PHASES: Dict[str, Phase] = {
         "(1/2/4/8 worker processes over one trace)",
         estimator="modelled pps = packets / slowest worker's CPU "
         "seconds; wall pps alongside; one run per worker count",
-    ),
-    "timeouts": Phase(
-        phase_timeouts,
-        "also A/B the per-rule ewma timeout predictor against a static "
-        "max_idle sweep on an interarrival-heterogeneous trace",
     ),
     "churn": Phase(
         phase_churn,

@@ -228,22 +228,6 @@ class SimConfig:
             on the sweep cadence, and threads a summary into
             :attr:`SimResult.telemetry`.  Observation-only: every other
             ``SimResult`` field is bit-identical with it on or off.
-        timeouts: Optional per-rule adaptive idle-timeout predictor
-            (:mod:`repro.core.timeouts`).  Accepts a predictor name
-            (:data:`~repro.core.timeouts.PREDICTOR_NAMES`: ``"static"``,
-            ``"ewma"``), a
-            :class:`~repro.core.timeouts.TimeoutConfig`, or a pre-built
-            :class:`~repro.core.timeouts.TimeoutPredictor` instance
-            (also exposed as
-            :attr:`VSwitchSimulator.timeout_predictor`).  When set, idle
-            sweeps expire each rule against its own predicted timeout in
-            ``[min_idle, max_idle]`` instead of the global ``max_idle``
-            (which then caps the prediction and must be positive).
-            ``None`` (default) keeps the classic global-constant sweep
-            bit-identical to earlier trees; ``"static"`` is its
-            predictor-framework twin, pinned bit-identical by
-            ``tests/test_timeouts_golden.py``.  Sharded runs build one
-            private predictor per worker.
         churn: Optional control-plane churn
             (:class:`~repro.workload.churn.ChurnSchedule` or
             :class:`~repro.sim.churn.ChurnConfig`).  When set, the
@@ -269,7 +253,6 @@ class SimConfig:
     latency: LatencyModel = field(default_factory=LatencyModel)
     fast_path: bool = True
     telemetry: Optional[Telemetry] = None
-    timeouts: object = None
     churn: object = None
 
 
@@ -291,12 +274,6 @@ class PacketKernel:
         self, pipeline: Pipeline, system: CachingSystem, config: SimConfig
     ):
         cache = system.cache
-        predictor = None
-        if config.timeouts is not None:
-            from ..core.timeouts import resolve_predictor
-
-            predictor = resolve_predictor(config.timeouts, config.max_idle)
-            cache.set_timeout_predictor(predictor)
         tel = config.telemetry
         if tel is not None:
             tel.attach(cache, system.name)
@@ -314,8 +291,6 @@ class PacketKernel:
         )
         if tel is not None and fastpath is not None:
             tel.attach_fastpath(fastpath)
-        if tel is not None and predictor is not None:
-            tel.attach_timeouts(predictor)
         churn = None
         if config.churn is not None:
             from .churn import ChurnRuntime, resolve_churn
@@ -333,7 +308,6 @@ class PacketKernel:
         self.cache = cache
         self.telemetry = tel
         self.fastpath = fastpath
-        self.timeout_predictor = predictor
         self.churn = churn
         self.slowpath = config.latency.slowpath
         self.hit_us = config.latency.hit_us
@@ -485,10 +459,6 @@ class PacketKernel:
         if tel is not None:
             tel.finalize(cache, self.now, self.fastpath)
             telemetry_summary = tel.summary()
-            if self.timeout_predictor is not None:
-                telemetry_summary["timeouts"] = (
-                    self.timeout_predictor.summary()
-                )
             if self.churn is not None:
                 telemetry_summary["churn"] = self.churn.digest()
 
@@ -530,9 +500,6 @@ class VSwitchSimulator:
         #: The fast-path memo of the most recent run (None when disabled)
         #: — exposes memo hit/invalidation counters for benchmarking.
         self.fastpath: Optional[FastPathIndex] = None
-        #: The timeout predictor of the most recent run (None when
-        #: disabled) — exposes its counters and learned state.
-        self.timeout_predictor = None
         #: The churn runtime of the most recent run (None when no
         #: churn is configured) — exposes applied-event counters and
         #: the revalidation backlog.
@@ -543,7 +510,6 @@ class VSwitchSimulator:
         published as this simulator's most-recent-run attributes."""
         kernel = PacketKernel(self.pipeline, self.system, self.config)
         self.fastpath = kernel.fastpath
-        self.timeout_predictor = kernel.timeout_predictor
         self.churn = kernel.churn
         return kernel
 

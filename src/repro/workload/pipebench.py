@@ -812,94 +812,3 @@ def build_locality_shift_trace(
     )
     return head.merged_with(tail)
 
-
-def build_interarrival_mix_trace(
-    workload: PipebenchWorkload,
-    profile: TraceProfile = CAIDA_PROFILE,
-    slow_gap_scale: float = 32.0,
-    dense_fraction: float = 0.1,
-    sparse_fraction: float = 0.2,
-    churn_flow_size: int = 6,
-    gap_jitter: float = 0.25,
-    seed: int = 1,
-) -> Trace:
-    """An interarrival-heterogeneous trace with a churn background.
-
-    Splits the pilot set into three classes over one shared clock:
-
-    * **dense persistent** (``dense_fraction`` of pilots): alive for the
-      whole ``profile.duration``, one packet every
-      ``profile.mean_packet_gap`` seconds (± ``gap_jitter`` uniform
-      jitter);
-    * **sparse persistent** (``sparse_fraction``): alive for the whole
-      duration with gaps scaled by ``slow_gap_scale`` — an order of
-      magnitude quieter, but *never finished*;
-    * **churn** (the remainder): short ``churn_flow_size``-packet flows
-      at the dense gap, starts staggered uniformly over the duration —
-      each leaves a dead cache entry behind the moment it ends.
-
-    No single static idle timeout fits this mix: one short enough to
-    reap the churn residue between two sparse packets also expires every
-    sparse rule mid-conversation, while one long enough for the sparse
-    gaps lets dead churn entries squat on capacity until the LRU starts
-    victimising *live* sparse rules (whose ``last_used`` is always the
-    oldest among the living).  Per-flow gaps are near-constant (uniform
-    ``1 ± gap_jitter`` multiplier, not exponential) so each rule has a
-    stationary interarrival a per-rule predictor
-    (:mod:`repro.core.timeouts`) can actually learn — the regime
-    ``bench --timeouts`` A/Bs the predictors on.
-    """
-    if slow_gap_scale <= 1.0:
-        raise ValueError(
-            f"slow_gap_scale must exceed 1, got {slow_gap_scale}"
-        )
-    if not 0.0 <= gap_jitter < 1.0:
-        raise ValueError(f"gap_jitter must be in [0, 1), got {gap_jitter}")
-    if churn_flow_size < 2:
-        raise ValueError(
-            f"churn_flow_size must be at least 2, got {churn_flow_size}"
-        )
-    pilots = workload.pilots
-    n = len(pilots)
-    n_dense = int(n * dense_fraction)
-    n_sparse = int(n * sparse_fraction)
-    if n_dense < 1 or n_sparse < 1 or n_dense + n_sparse >= n:
-        raise ValueError(
-            "dense/sparse fractions must leave all three classes "
-            f"non-empty over {n} pilots, got "
-            f"{dense_fraction}/{sparse_fraction}"
-        )
-    rng = np.random.default_rng(seed)
-    duration = profile.duration
-    dense_gap = profile.mean_packet_gap
-    sparse_gap = dense_gap * slow_gap_scale
-    lo, hi = 1.0 - gap_jitter, 1.0 + gap_jitter
-    times_parts: List[np.ndarray] = []
-    index_parts: List[np.ndarray] = []
-
-    def emit(index: int, start: float, gap: float, count: int) -> None:
-        jitter = rng.uniform(lo, hi, size=max(count - 1, 0))
-        times = start + np.concatenate(
-            ([0.0], np.cumsum(gap * jitter))
-        )
-        times = times[times <= duration]
-        times_parts.append(times)
-        index_parts.append(np.full(len(times), index, dtype=np.int64))
-
-    cursor = 0
-    for count, gap in ((n_dense, dense_gap), (n_sparse, sparse_gap)):
-        for i in range(count):
-            # Persistent: phase-staggered within one gap, then packets
-            # until the horizon.
-            start = rng.uniform(0.0, gap)
-            n_packets = int((duration - start) / gap) + 1
-            emit(cursor + i, start, gap, n_packets)
-        cursor += count
-    for i in range(cursor, n):
-        emit(i, rng.uniform(0.0, duration), dense_gap, churn_flow_size)
-
-    times = np.concatenate(times_parts)
-    indices = np.concatenate(index_parts)
-    order = np.argsort(times, kind="stable")
-    sizes = sample_packet_sizes(rng, len(times), profile)
-    return Trace(pilots, times[order], indices[order], sizes[order])

@@ -5,9 +5,9 @@ import pytest
 from repro.experiments import (
     BASELINE_CONFIGS,
     ExperimentScale,
-    HierarchySystem,
     compare_baselines,
 )
+from repro.sim import HierarchySystem
 
 TINY = ExperimentScale(n_flows=400, cache_capacity=200)
 

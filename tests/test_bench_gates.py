@@ -62,11 +62,6 @@ LEGACY = {
          "hit_rate", "peak_entries_per_shard"},
         {"metrics_identical"},
     ),
-    "timeouts": (
-        ("runs", "ewma"),
-        BASE_ROW | {"mean_entries", "dead_evictions", "premature_evictions"},
-        set(),
-    ),
     "churn": (
         ("churn",),
         {"backlog", "backlog_peak", "pending_events", "reval_evicted"},

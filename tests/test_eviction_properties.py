@@ -16,8 +16,7 @@ checking that
 
 and every cache type (hierarchy included) is driven through one
 install / lookup / sweep / clear loop (:func:`drive_lifecycle`) with a
-recording telemetry hub and a recording ``ewma`` predictor attached,
-checking after every op that the departure ledger reconciles and that
+recording telemetry hub attached, checking after every op that the departure ledger reconciles and that
 fast-path replay is indistinguishable from the full lookup.
 """
 
@@ -28,7 +27,6 @@ from hypothesis import example, given, settings
 
 from repro.cache import CacheHierarchy, MegaflowCache, MicroflowCache
 from repro.core import GigaflowCache
-from repro.core.timeouts import EwmaTimeoutPredictor, TimeoutConfig
 from repro.flow import ActionList, Output
 from repro.sim.fastpath import FastPathIndex
 from conftest import flow
@@ -73,26 +71,8 @@ class RecordingHub:
         return None, None
 
 
-class RecordingPredictor(EwmaTimeoutPredictor):
-    """``ewma`` that also keeps which keys it was told left, and how."""
-
-    def __init__(self):
-        super().__init__(
-            TimeoutConfig(predictor="ewma", min_idle=0.5, max_idle=MAX_IDLE)
-        )
-        self.told = []  # ("expire" | "forget", key)
-
-    def on_expire(self, key, idle, now, timeout):
-        self.told.append(("expire", key))
-        super().on_expire(key, idle, now, timeout)
-
-    def forget(self, key):
-        self.told.append(("forget", key))
-        super().forget(key)
-
-
-def predictor_key(entry):
-    """What names an entry to the timeout predictor: the flow's values
+def entry_key(entry):
+    """What names an entry across installs: the flow's values
     (Microflow), the match (Megaflow), ``identity()`` (an LTM rule)."""
     if hasattr(entry, "identity"):
         return entry.identity()
@@ -103,7 +83,7 @@ class Rig:
     """One cache of ``kind`` plus how to drive it by small flow index:
     the per-cache part of the conformance driver."""
 
-    def __init__(self, kind, eviction, capacity, fast_path, predicted):
+    def __init__(self, kind, eviction, capacity, fast_path):
         self.kind = kind
         if kind == "microflow":
             self.cache = MicroflowCache(capacity)
@@ -123,8 +103,6 @@ class Rig:
         )
         self.hub = RecordingHub()
         self.cache.attach_telemetry(self.hub)
-        self.predictor = RecordingPredictor() if predicted else None
-        self.cache.set_timeout_predictor(self.predictor)
         self.lookup = (
             FastPathIndex(self.cache).lookup if fast_path
             else self.cache.lookup
@@ -136,7 +114,7 @@ class Rig:
         return flow(tp_dst=2000 + idx)
 
     def key(self, idx):
-        """The predictor key of the entry :meth:`install` files."""
+        """The :func:`entry_key` of the entry :meth:`install` files."""
         if self.kind == "microflow":
             return self.packet(idx).values
         if self.kind in ("gigaflow", "ltm"):
@@ -176,7 +154,7 @@ class Rig:
 
     def resident_keys(self):
         return Counter(
-            predictor_key(entry) for leaf in self.leaves for entry in leaf
+            entry_key(entry) for leaf in self.leaves for entry in leaf
         )
 
     def order(self):
@@ -184,11 +162,11 @@ class Rig:
         index holds them, victim first."""
         (index,) = self.indexes(self.cache)
         idx_of = {self.key(idx): idx for idx in range(12)}
-        return [idx_of[predictor_key(e)] for e in index.values()]
+        return [idx_of[entry_key(e)] for e in index.values()]
 
     def remove(self, idx):
         (entry,) = [
-            e for e in self.cache if predictor_key(e) == self.key(idx)
+            e for e in self.cache if entry_key(e) == self.key(idx)
         ]
         self.cache._depart((entry,), "test")
 
@@ -200,9 +178,9 @@ class Rig:
         for leaf in self.leaves:
             out.append((
                 leaf.stats,
-                [(predictor_key(e), e.last_used) for e in leaf],
+                [(entry_key(e), e.last_used) for e in leaf],
                 [
-                    [predictor_key(e) for e in index.values()]
+                    [entry_key(e) for e in index.values()]
                     for index in self.indexes(leaf)
                 ],
             ))
@@ -246,7 +224,7 @@ def drive(rig, capacity, ops, tick=1.0):
 
 def indexed(kind, capacity):
     """A bare rig of one of the three index owners."""
-    return Rig(kind, "lru", capacity, fast_path=False, predicted=False)
+    return Rig(kind, "lru", capacity, fast_path=False)
 
 
 class TestPolicyBookkeeping:
@@ -310,9 +288,9 @@ class TestLruExactness:
 
 def check_ledger(rig, op, before_keys, before_marks):
     """The reconciliation every op must leave behind."""
-    hub, pred = rig.hub, rig.predictor
+    hub = rig.hub
     departed = before_keys - rig.resident_keys()
-    evict_mark, told_mark, epochs, evictions = before_marks
+    evict_mark, epochs, evictions = before_marks
     for leaf, epoch0, evictions0 in zip(rig.leaves, epochs, evictions):
         stats = leaf.stats
         assert leaf.entry_count() <= leaf.capacity_total()
@@ -340,30 +318,19 @@ def check_ledger(rig, op, before_keys, before_marks):
         count for _, reason, count in hub.evicts if reason == "lru"
     )
     assert all(age >= 0 for _, age in hub.victims)
-    if pred is not None:
-        # Every departed key is forgotten exactly once; an idle expiry
-        # is filed with on_expire first, exactly once, and nothing else
-        # is.
-        told = pred.told[told_mark:]
-        assert Counter(k for how, k in told if how == "forget") == departed
-        expired = [k for how, k in told if how == "expire"]
-        assert Counter(expired) == (departed if op == "sweep" else Counter())
-        for key in expired:
-            assert told.index(("expire", key)) < told.index(("forget", key))
 
 
-def drive_lifecycle(kind, eviction, capacity, predicted, ops):
+def drive_lifecycle(kind, eviction, capacity, ops):
     """The one conformance loop: a fast-path rig (checked against the
     ledger after every op) in lock-step with a full-lookup twin."""
-    rig = Rig(kind, eviction, capacity, fast_path=True, predicted=predicted)
-    twin = Rig(kind, eviction, capacity, fast_path=False, predicted=predicted)
+    rig = Rig(kind, eviction, capacity, fast_path=True)
+    twin = Rig(kind, eviction, capacity, fast_path=False)
     now = 0.0
     for op, idx in ops:
         now += 0.5
         keys = rig.resident_keys()
         marks = (
             len(rig.hub.evicts),
-            len(rig.predictor.told) if predicted else 0,
             [leaf.mutation_epoch for leaf in rig.leaves],
             [leaf.stats.evictions for leaf in rig.leaves],
         )
@@ -385,19 +352,11 @@ def lifecycle_case(kind, evictions=("lru", "reject")):
     @given(
         eviction=st.sampled_from(evictions),
         capacity=st.integers(1, 6),
-        predicted=st.booleans(),
         ops=CACHE_OPS,
     )
-    @example(
-        eviction="lru", capacity=4, predicted=False,
-        ops=TWO_EXPIRE_IN_ONE_SWEEP,
-    )
-    @example(
-        eviction="lru", capacity=4, predicted=True,
-        ops=TWO_EXPIRE_IN_ONE_SWEEP,
-    )
-    def case(self, eviction, capacity, predicted, ops):
-        rig = drive_lifecycle(kind, eviction, capacity, predicted, ops)
+    @example(eviction="lru", capacity=4, ops=TWO_EXPIRE_IN_ONE_SWEEP)
+    def case(self, eviction, capacity, ops):
+        rig = drive_lifecycle(kind, eviction, capacity, ops)
         if eviction == "reject":
             # Refused installs, never evicted (the exact-match level of
             # a hierarchy keeps evicting: ``reject`` is the Megaflow's).
@@ -408,8 +367,8 @@ def lifecycle_case(kind, evictions=("lru", "reject")):
 
 class TestCacheStatsReconcile:
     """One driver, every cache: the ledger (``insertions - evictions ==
-    entry_count == Σ len(index)``, telemetry and predictor told of
-    every departure exactly once, one idle record per sweep) and memo
+    entry_count == Σ len(index)``, telemetry told of every departure,
+    one idle record per sweep) and memo
     replay ≡ full lookup must survive arbitrary interleavings, evicting
     or refusing when full."""
 

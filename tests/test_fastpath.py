@@ -6,8 +6,7 @@ Three properties matter:
    must produce a :class:`~repro.sim.results.SimResult` identical in
    every field to running it with the fast path off, for every caching
    system, with idle eviction enabled and — for Gigaflow — under rule
-   churn, budgeted revalidation, per-rule timeouts, chain repair and
-   capacity pressure (the differential test).
+   churn, budgeted revalidation, chain repair and capacity pressure (the differential test).
 2. **Epoch invalidation** — any structural cache mutation (install,
    idle eviction, clear) makes memoized records stale; a record that
    keeps no account of what it depended on (Microflow, Megaflow,
@@ -69,7 +68,7 @@ ACL_TABLE = 5
 #: Gigaflow under everything that mutates the cache while it serves:
 #: a quarter-of-working-set capacity (eviction on most installs), a
 #: rule storm plus priority shuffles with a small revalidation budget,
-#: per-rule ``ewma`` timeouts and chain repair.
+#: sub-second idle sweeps and chain repair.
 CHURNED_SYSTEMS = {
     "gigaflow": lambda: GigaflowSystem(
         num_tables=4, table_capacity=N_FLOWS // 16
@@ -97,7 +96,6 @@ def run_once(make_system, fast_path: bool, churned: bool = False):
         config = dataclasses.replace(
             config,
             sweep_interval=0.5,
-            timeouts="ewma",
             churn=ChurnConfig(schedule=schedule, reval_budget=8),
         )
         system.cache.chain_repair = True

@@ -1,7 +1,7 @@
 """Recorded golden for the telemetry core's whole output surface.
 
 Three seeded PSC runs with everything on (full event mask, storm + ACL
-+ shuffle churn, ``ewma`` timeouts, chain repair) — one plain engine
++ shuffle churn, chain repair) — one plain engine
 run, a 4-worker inline sharded run, a leaf-spine fabric run with one
 link failure — must reproduce, exactly, the sha256 of every JSONL trace
 stream, the per-event-type counts, the sha256 of the (merged)
@@ -22,7 +22,11 @@ inheriting the interpreter's str-hash salt.  The sharded scenario alone
 was re-recorded when inline shards stopped replaying on the pipeline the
 previous shard's churn had mutated: its new recording is the one forked
 workers always produced (only ``repro_churn_rule_ops_total`` and the
-digest's ``churn.rule_ops`` moved; every stream is unchanged).
+digest's ``churn.rule_ops`` moved; every stream is unchanged).  All
+three were recorded from scratch again when the per-rule ``ewma``
+timeout predictor the scenarios ran with was deleted: the idle sweep
+they replay changed, and the exposition lost the three empty
+``repro_timeout_*`` families.
 """
 
 import collections
@@ -85,7 +89,6 @@ def _universe():
     kwargs = dict(
         max_idle=2.0,
         sweep_interval=1.0,
-        timeouts="ewma",
         churn=ChurnConfig(schedule=schedule, reval_budget=16),
     )
     return workload, seeded_trace(workload), kwargs

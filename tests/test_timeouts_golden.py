@@ -1,29 +1,16 @@
-"""Differential golden tests: timeout prediction *off* is free.
+"""Golden tests for the global idle sweep.
 
-The per-rule timeout predictor (:mod:`repro.core.timeouts`) threads
-hook sites through every ``last_used`` writer and idle sweep in the
-tree.  Those hooks are all guarded on ``timeout_predictor is None``
-(the telemetry idiom), so two contracts must hold:
-
-* ``timeouts=None`` — the detached default — is **bit-identical** to
-  the pre-change tree.  The digests below were captured on the
-  pre-predictor tree (commit ``5ac6df1``) from fixed-seed pipebench
-  workloads; the predictor-aware simulator must reproduce every field
-  exactly.
-* ``timeouts="static"`` — the predictor-framework twin of the global
-  constant (every rule predicted ``max_idle``) —
-  is bit-identical to ``timeouts=None``, hook sites and all.
+The digests below were captured on the tree before per-rule timeout
+prediction existed (commit ``5ac6df1``) from fixed-seed pipebench
+workloads.  That predictor was later measured against the static
+``max_idle`` timer and deleted (``docs/eviction.md``, "Measured and
+deleted"); the sweep that remains must reproduce every field exactly.
 
 ``COST`` and ``SHARDED`` are PR 23's: latency and the CPU cycle counters
 ride on ``groups_probed``, and shard routing on the pilots' ``tp_src``,
 both of which moved with the interpreter's str-hash salt until the
 generated rulesets stopped depending on it, so no constant could pin
 them before.
-
-Static ≡ off has no exemption: the one thing that could scale a static
-predictor's timeouts (the adaptive controller's ``timeout_scale`` knob)
-was measured inert or harmful and deleted with the controller (PR 22,
-``docs/adaptive.md``).
 """
 
 import pytest
@@ -37,7 +24,7 @@ from repro.sim import (
     VSwitchSimulator,
 )
 from conftest import seeded_trace, seeded_workload
-from test_obs import result_cost, result_fingerprint
+from test_obs import result_cost
 
 #: (hits, misses, insertions, rejected, evictions, packets,
 #:  entry_count, peak_entries, cache_probes) captured on the
@@ -109,13 +96,12 @@ def make_trace(workload):
     return seeded_trace(workload, duration=12.0)
 
 
-def run_single(config_name, system, timeouts):
+def run_single(config_name, system):
     workload = make_workload()
-    config = SimConfig(timeouts=timeouts, **CONFIGS[config_name])
     simulator = VSwitchSimulator(
-        workload.pipeline, SYSTEMS[system](), config
+        workload.pipeline, SYSTEMS[system](), SimConfig(**CONFIGS[config_name])
     )
-    return simulator, simulator.run(make_trace(workload))
+    return simulator.run(make_trace(workload))
 
 
 def stable_digest(result):
@@ -127,99 +113,36 @@ def stable_digest(result):
     )
 
 
-class TestPredictorOffMatchesSeed:
-    """``timeouts=None`` and ``timeouts="static"`` reproduce the
-    pre-change tree's digests exactly."""
+class TestMatchesSeed:
+    """The idle sweep reproduces the pre-predictor tree's digests
+    exactly."""
 
-    @pytest.mark.parametrize("timeouts", [None, "static"])
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
     @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-    def test_matches_seed_golden(self, config_name, system, timeouts):
-        _, result = run_single(config_name, system, timeouts)
+    def test_matches_seed_golden(self, config_name, system):
+        result = run_single(config_name, system)
         assert stable_digest(result) == GOLDEN[(config_name, system)]
         assert result_cost(result) == COST[(config_name, system)]
 
-    @pytest.mark.parametrize("system", sorted(SYSTEMS))
-    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-    def test_static_equals_off_bit_for_bit(self, config_name, system):
-        """The full in-process fingerprint — series, sharing and
-        coverage beside what the constants pin — agrees between
-        predictor-off and the static predictor."""
-        _, off = run_single(config_name, system, None)
-        _, static = run_single(config_name, system, "static")
-        assert result_fingerprint(static) == result_fingerprint(off)
 
-    @pytest.mark.parametrize("system", sorted(SYSTEMS))
-    def test_static_predictor_ledger_observes_without_steering(
-        self, system
-    ):
-        """The static predictor records the expiry ledger (that is its
-        point) while changing nothing — expiries equal the evictions
-        the idle sweeps did anyway."""
-        simulator, result = run_single("idle", system, "static")
-        summary = simulator.timeout_predictor.summary()
-        assert summary["predictor"] == "static"
-        assert summary["expired"] > 0
-        assert summary["expired"] <= result.stats.evictions
-
-
-class TestShardedDifferential:
-    """``shards=2`` runs: static == off == the recorded constants,
-    worker fan-out included, over the full fingerprint and merged
-    telemetry."""
+class TestShardedMatchesSeed:
+    """``shards=2`` runs reproduce the recorded constants, worker
+    fan-out included."""
 
     @pytest.mark.parametrize("system", sorted(SHARD_FACTORIES))
-    def test_sharded_static_equals_off(self, system):
-        fingerprints = []
-        telemetries = []
-        for timeouts in (None, "static"):
-            workload = make_workload()
-            driver = ShardedSimulator(
-                workload.pipeline,
-                SHARD_FACTORIES[system],
-                SimConfig(
-                    max_idle=2.0,
-                    sweep_interval=1.0,
-                    fast_path=True,
-                    timeouts=timeouts,
-                    telemetry=Telemetry(),
-                ),
-                shards=2,
-                mode="inline",
-            )
-            result = driver.run(make_trace(workload))
-            assert stable_digest(result) + result_cost(result) == SHARDED[system]
-            fingerprints.append(result_fingerprint(result))
-            telemetries.append(result.telemetry)
-        assert fingerprints[0] == fingerprints[1]
-        # The static run's telemetry gains only the timeouts summary
-        # section; everything the off-run reports must be unchanged.
-        static_tel = dict(telemetries[1] or {})
-        timeouts_summary = static_tel.pop("timeouts", None)
-        off_tel = dict(telemetries[0] or {})
-        assert static_tel == off_tel
-        assert timeouts_summary is not None
-        assert timeouts_summary["predictor"] == "static"
-
-    def test_sharded_processes_match_inline_with_predictor(self):
-        """The predictor survives the pickle boundary: forked workers
-        produce the same merged result as the inline driver."""
-        fingerprints = []
-        for mode in ("inline", "processes"):
-            workload = make_workload()
-            driver = ShardedSimulator(
-                workload.pipeline,
-                SHARD_FACTORIES["megaflow"],
-                SimConfig(
-                    max_idle=2.0,
-                    sweep_interval=1.0,
-                    fast_path=True,
-                    timeouts="ewma",
-                ),
-                shards=2,
-                mode=mode,
-                timeout=120.0,
-            )
-            result = driver.run(make_trace(workload))
-            fingerprints.append(result_fingerprint(result))
-        assert fingerprints[0] == fingerprints[1]
+    def test_sharded_matches_seed(self, system):
+        workload = make_workload()
+        driver = ShardedSimulator(
+            workload.pipeline,
+            SHARD_FACTORIES[system],
+            SimConfig(
+                max_idle=2.0,
+                sweep_interval=1.0,
+                fast_path=True,
+                telemetry=Telemetry(),
+            ),
+            shards=2,
+            mode="inline",
+        )
+        result = driver.run(make_trace(workload))
+        assert stable_digest(result) + result_cost(result) == SHARDED[system]

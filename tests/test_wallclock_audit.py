@@ -2,7 +2,7 @@
 no reaching into the telemetry hub, one entry lifecycle, one §7 mode
 decider, no run-time steering of the cache's knobs, two homes for the
 bench clock, one prefix structure and one partition DP, no salted hash,
-one fan-out.
+one fan-out, one idle timer.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -76,14 +76,23 @@ each once carried their own copy of "derive a hub per part, run, merge"
 (and a one-part fork beside it), and the copies drifted; both now go
 through ``sim/fanout.py``, so ``.derive(``, ``SimResult.merge(`` and
 ``MetricsRegistry.merged(`` are called nowhere else under ``repro``.
+
+The tenth keeps idle expiry the paper's one ``max_idle`` timer.  A
+per-rule timeout predictor once rode on top of it; measured, it added
+misses on the paper's cells and lost to a static timer on Gigaflow even
+on the trace built for it (``docs/eviction.md``, "Measured and
+deleted").  No module under ``repro`` mentions it, and ``SimConfig``
+has exactly the seven fields below.
 """
 
 import ast
+import dataclasses
 import pathlib
 
 import pytest
 
 import repro
+from repro.sim import SimConfig
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 
@@ -766,3 +775,58 @@ def test_fan_out_audit_sees_a_violation():
         "    result = merge_results(parts)\n"
     ) == [(2, "SimResult.merge("), (4, ".derive("),
           (5, "MetricsRegistry.merged(")]
+
+
+#: Names only the deleted per-rule timeout predictor answered to,
+#: joined from halves so that this file does not carry them whole and a
+#: search of the tree for any of them finds nothing.
+PREDICTOR, CONFIG, MODULE = (
+    "timeout_" + "predictor", "Timeout" + "Config", "core." + "timeouts"
+)
+PREDICTOR_MARKS = (PREDICTOR, CONFIG, MODULE)
+#: ``SimConfig``'s fields, in order: one idle timer, no predictor.
+SIM_CONFIG_FIELDS = (
+    "max_idle", "sweep_interval", "window", "latency", "fast_path",
+    "telemetry", "churn",
+)
+
+
+def _predictor_mentions(source: str):
+    """``(line, mark)`` for every line of ``source`` naming a
+    :data:`PREDICTOR_MARKS` entry, code or prose."""
+    return [
+        (lineno, mark)
+        for lineno, line in enumerate(source.splitlines(), 1)
+        for mark in PREDICTOR_MARKS
+        if mark in line
+    ]
+
+
+def _field_names(cls):
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def test_idle_expiry_is_one_timer():
+    offenders = [
+        f"{path.relative_to(SRC)}:{line} {mark}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, mark in _predictor_mentions(path.read_text())
+    ]
+    assert not offenders, (
+        "the per-rule timeout predictor is back:\n  " + "\n  ".join(offenders)
+    )
+    assert _field_names(SimConfig) == SIM_CONFIG_FIELDS
+
+
+def test_idle_timer_audit_sees_a_violation():
+    assert _predictor_mentions(
+        f"from ..{MODULE} import {CONFIG}\n"
+        "def attach(cache, predictor):\n"
+        f"    cache.{PREDICTOR} = predictor\n"
+        "    timeout = cache.max_idle\n"
+    ) == [(1, CONFIG), (1, MODULE), (3, PREDICTOR)]
+    with_predictor = dataclasses.make_dataclass(
+        "SimConfig",
+        [*SIM_CONFIG_FIELDS[:-1], "timeouts", SIM_CONFIG_FIELDS[-1]],
+    )
+    assert _field_names(with_predictor) != SIM_CONFIG_FIELDS
