@@ -17,7 +17,7 @@ class CacheStats:
     ``hits``/``misses`` count lookups; ``insertions`` counts entries
     actually added; ``rejected`` counts installs refused for capacity;
     ``evictions`` counts every entry that left (capacity victim, idle,
-    revalidation, chain repair or ``clear()``), so ``insertions -
+    revalidation or ``clear()``), so ``insertions -
     evictions`` is the resident count.
     """
 
@@ -234,11 +234,9 @@ class FlowCache(abc.ABC):
         """Remove ``entries`` and record that they left for ``reason``.
 
         Every departure — capacity victim, idle expiry, revalidation,
-        chain repair, ``clear()`` — comes through here: the entry is
-        dropped, ``stats.evictions`` counts it and telemetry gets one
-        ``evict`` record for the batch.  ``entries`` may be lazy: each
-        entry is dropped before the next is drawn (chain repair finds
-        its next stale rule only once the last is gone).
+        ``clear()`` — comes through here: the entry is dropped,
+        ``stats.evictions`` counts it and telemetry gets one ``evict``
+        record for the batch.
         ``victim_age`` is the idle age of a capacity victim (``reason``
         is then ``"lru"``); it feeds the victim-age distribution.
         Returns the count.

@@ -132,23 +132,13 @@ class GigaflowCache(FlowCache):
             the OVS revalidator's behaviour under pressure);
             ``"reject"`` refuses the install instead (the paper's
             ``GF_k not full`` formulation relies on idle expiry alone).
-        chain_repair: Repair *shadowed chains* on the miss path.  When a
-            rule chain is broken (eviction took a middle segment) its
-            surviving head still matches in an early table and dead-ends
-            the lookup — shadowing any complete replacement entry that a
-            later reinstall placed in a later table.  Because the
-            reinstall merely *reuses* the resident replacement, nothing
-            changes and the flow misses forever.  With ``chain_repair``
-            on, an install that reused every rule of a complete chain
-            (i.e. the cache claims coverage, yet the packet just missed)
-            replays the lookup and evicts the stale shadowing rules until
-            the chain is reachable.  Fixed at construction, like
-            ``placement``, and off by default: measured, it is not
-            uniformly positive (``docs/adaptive.md``, "Chain repair" —
-            on the 24-cell locality-shift grid 10 cells better, 5 worse,
-            9 tied; §7 OFD high 731 → 1 312 misses) and it moves
-            paper-figure cells, so which behaviour the cache keeps is
-            ROADMAP item 4's decision.
+
+    A rule's recency is the hits it served: only a lookup whose chain
+    reaches ``TAG_DONE`` touches the rules it matched.  A walk that
+    dead-ends — eviction took a later segment, so the surviving head
+    matches and leads nowhere — leaves them as they were, and the
+    stranded head ages out under LRU and ``max_idle`` like any unused
+    rule (``docs/eviction.md``).
     """
 
     name = "gigaflow"
@@ -162,7 +152,6 @@ class GigaflowCache(FlowCache):
         partitioner: Partitioner = disjoint_partition,
         placement: str = "balanced",
         eviction: str = "lru",
-        chain_repair: bool = False,
     ):
         super().__init__()
         if num_tables < 1:
@@ -179,9 +168,6 @@ class GigaflowCache(FlowCache):
         )
         #: Cumulative sharing events (a rule reused by another traversal).
         self.sharing_events = 0
-        self.chain_repair = chain_repair
-        #: Stale shadowing rules removed by chain repair (see class doc).
-        self.shadow_repairs = 0
         # Per-probe accounting is the hottest telemetry site in the walk:
         # lookups bump the hub's pending cells directly and only pay the
         # ``on_ltm_probe`` hook call when tracing wants the event (the
@@ -227,14 +213,15 @@ class GigaflowCache(FlowCache):
             if rule is None:
                 continue  # pass-through: not this packet's next segment
             tables_hit += 1
-            table.touch(rule, now)
-            rule.hit_count += 1
             matched.append((table, rule))
             composed.extend(rule.actions)
             current = rule.actions.apply(current)
             packed = current.packed
             tag = rule.next_tag
         if tag == TAG_DONE:
+            for table, rule in matched:
+                table.touch(rule, now)
+                rule.hit_count += 1
             actions = ActionList(composed)
             self.stats.hits += 1
             result = CacheResult(
@@ -269,15 +256,7 @@ class GigaflowCache(FlowCache):
         max_parts = min(len(self.tables), max(available, 1))
         partition = self.partitioner(traversal, max_parts)
         rules = build_ltm_rules(partition, generation, now)
-        outcome = self.install_rules(rules)
-        if (
-            self.chain_repair
-            and outcome.complete
-            and outcome.reused
-            and not outcome.installed
-        ):
-            self._repair_shadowed_chain(traversal, now)
-        return outcome
+        return self.install_rules(rules)
 
     def install_rules(self, rules: Sequence[LtmRule]) -> InstallOutcome:
         """Place ordered LTM rules into strictly increasing tables.
@@ -368,49 +347,6 @@ class GigaflowCache(FlowCache):
             return None
         self._depart((victim,), "lru", now - victim.last_used)
         return victim_table
-
-    def _repair_shadowed_chain(self, traversal: Traversal, now: float) -> None:
-        """Evict stale rules shadowing an already-resident complete chain.
-
-        Called from the miss path when an install reused *every* rule of
-        a complete chain: the cache holds full coverage for this flow,
-        yet the packet missed — so some stale rule (the surviving head
-        of a broken chain) matches in an earlier table and dead-ends the
-        lookup before it can reach the resident entries.  Replays the
-        lookup walk and removes the rule at the dead end, repeating
-        until the chain is reachable.  This is slow-path work, the
-        software analogue of the OVS revalidator culling stale flows.
-        """
-        removed = self._depart(
-            self._shadowing_rules(traversal.initial_flow), "shadow"
-        )
-        if removed:
-            self.shadow_repairs += removed
-            self.bump_epoch()
-            tel = self.telemetry
-            if tel is not None:
-                tel.on_chain_repair(now, traversal.initial_flow, removed)
-
-    def _shadowing_rules(self, initial_flow: FlowKey) -> Iterator[LtmRule]:
-        """The rule at the dead end of ``initial_flow``'s lookup walk,
-        then — once the caller has removed that one — the next, until
-        the walk completes (or a bound of two rules per table)."""
-        for _ in range(len(self.tables) * 2):
-            tag = self.start_tag
-            flow = initial_flow
-            dead_end: Optional[LtmRule] = None
-            for table in self.tables:
-                if tag == TAG_DONE:
-                    break
-                rule, _groups = table.lookup(flow, tag)
-                if rule is None:
-                    continue
-                dead_end = rule
-                flow = rule.actions.apply(flow)
-                tag = rule.next_tag
-            if tag == TAG_DONE or dead_end is None:
-                return
-            yield dead_end
 
     # -- FlowCache bookkeeping ----------------------------------------------------------
 

@@ -89,6 +89,8 @@ class LtmRule:
         #: How many distinct traversal installs produced/reused this rule —
         #: the sharing frequency of Fig. 11.
         self.install_count = 1
+        #: Cache hits this rule served — lookups whose chain through it
+        #: completed; a walk that dead-ends here does not count.
         self.hit_count = 0
         self.rule_id = next(_ltm_ids)
 

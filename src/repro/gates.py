@@ -2,7 +2,7 @@
 runner, gates in code.
 
 Each phase is an A/B (or a scenario) with a verdict, in the shape of the
-paper's own evaluation (§6, §7, Fig. 19).  :data:`PHASES` maps a phase
+paper's own evaluation (§6, Fig. 19).  :data:`PHASES` maps a phase
 name to its report file ``BENCH_<name>.json`` and its function;
 ``repro bench`` generates its ``--<name>`` switches from the table and
 :func:`run_phases` is the only caller.  What every phase needs is here
@@ -21,10 +21,10 @@ once:
 
 The verdicts are about behaviour — identical metrics, hit rates,
 recovery, conservation — so the reports carry no clock: every row of
-``fastpath``, ``adaptive``, ``churn`` and ``net`` is a function of
-code + scale + seeds, and two runs, in any two interpreters, write the
-same file outside ``header``.  Throughput
-is ``bench/run.py``'s job (the benchmark of record, ``BENCHMARK.json``).
+``fastpath``, ``churn`` and ``net`` is a function of code + scale +
+seeds, and two runs, in any two interpreters, write the same file
+outside ``header``.  Throughput is ``bench/run.py``'s job (the
+benchmark of record, ``BENCHMARK.json``).
 Two phases read the host's clock, because a cost on this host is what
 they gate: ``obs`` (telemetry overhead, CPU seconds) and ``shards``
 (per-worker CPU makespan beside the wall rate); each states its
@@ -63,7 +63,6 @@ from .sim import (
 from .workload import (
     TraceProfile,
     build_fabric_endpoints,
-    build_locality_shift_trace,
     build_workload,
     insert_delete_storm,
 )
@@ -135,11 +134,10 @@ class Scale:
     def trace(self, workload):
         return workload.trace(profile=self.profile(), seed=self.trace_seed)
 
-    def build(self, make_trace: Optional[Callable] = None):
-        """``(workload, trace)``, both fresh; ``make_trace(workload)``
-        replaces the plain pipebench trace."""
+    def build(self):
+        """``(workload, trace)``, both fresh."""
         workload = self.workload()
-        return workload, (make_trace or self.trace)(workload)
+        return workload, self.trace(workload)
 
     def params(self, capacity: int) -> dict:
         """The effective-scale keys every report leads with."""
@@ -154,10 +152,8 @@ class Scale:
         }
 
 
-def make_system(name: str, capacity: int, chain_repair: bool = False):
-    """The caching system ``name`` with ``capacity`` entries in total
-    (``chain_repair`` reaches the Gigaflow-family caches, the only ones
-    with chains)."""
+def make_system(name: str, capacity: int):
+    """The caching system ``name`` with ``capacity`` entries in total."""
     if name == "megaflow":
         return MegaflowSystem(capacity=capacity)
     if name == "hierarchy":
@@ -166,10 +162,7 @@ def make_system(name: str, capacity: int, chain_repair: bool = False):
             megaflow_capacity=capacity,
         )
     cls = AdaptiveGigaflowSystem if name == "adaptive" else GigaflowSystem
-    return cls(
-        num_tables=4, table_capacity=max(capacity // 4, 2),
-        chain_repair=chain_repair,
-    )
+    return cls(num_tables=4, table_capacity=max(capacity // 4, 2))
 
 
 def churn_table(pipeline, field: str = "ip_src") -> int:
@@ -191,17 +184,14 @@ def churn_table(pipeline, field: str = "ip_src") -> int:
 # -- the runner ---------------------------------------------------------------
 
 
-def run_variant(
-    scale: Scale, system, config: SimConfig,
-    make_trace: Optional[Callable] = None,
-):
+def run_variant(scale: Scale, system, config: SimConfig):
     """One variant of an A/B: a brand-new workload and trace (so no
     variant sees a pipeline another has touched) replayed through a
-    fresh simulator.  Returns ``(simulator, trace, result)``; the run is
+    fresh simulator.  Returns ``(simulator, result)``; the run is
     seeded and untimed, so the row built from it is reproducible."""
-    workload, trace = scale.build(make_trace)
+    workload, trace = scale.build()
     simulator = VSwitchSimulator(workload.pipeline, system, config)
-    return simulator, trace, simulator.run(trace)
+    return simulator, simulator.run(trace)
 
 
 def print_row(label: str, row: dict, *columns: str) -> None:
@@ -307,7 +297,7 @@ def phase_fastpath(scale: Scale, out: Path) -> dict:
     for name in ("megaflow", "gigaflow"):
         runs = {}
         for fast in (True, False):
-            simulator, _trace, result = run_variant(
+            simulator, result = run_variant(
                 scale, make_system(name, capacity), SimConfig(fast_path=fast)
             )
             report["packets"] = result.packets
@@ -474,110 +464,6 @@ def phase_obs(scale: Scale, out: Path) -> dict:
               f"packets={worst['packets']})")
     if suggestion:
         print(f"  reorder: {suggestion}")
-    return report
-
-
-def phase_adaptive(scale: Scale, out: Path) -> dict:
-    """A/B the §7 adaptive cache against static configurations.
-
-    Every variant replays the same locality-*shifting* trace (a
-    sharing-rich phase, then a sharing-poor flood at half time — see
-    :func:`~repro.workload.pipebench.build_locality_shift_trace`)
-    against the same undersized capacity.  Static Gigaflow keeps
-    installing K-segment entries into the scattered phase; static
-    Megaflow never exploits the shared phase; the window-heuristic
-    adaptive cache reacts from its install counter alone;
-    ``adaptive_repair`` is the same cache built with
-    ``chain_repair=True``, no other difference.  The report records
-    overall and per-phase hit rates — ``chain_repair_ok`` asserts that
-    ``adaptive_repair`` matched or beat the best static variant.
-
-    Until PR 22 the fourth row was ``closed_loop`` (a controller on
-    the sweep cadence: chain repair plus a run-time placement knob) at
-    0.912263 against ``adaptive_repair``'s 0.908275; the 0.004 is this
-    one cell's placement reading, which the 24-cell grid in
-    ``docs/adaptive.md`` ("Measured and deleted") shows does not
-    generalise.
-    """
-    # The regime where the mode decision has real stakes (cf. the
-    # multi-seed replication scale): flows outnumber cache slots two to
-    # one, packets are sparse, and idle expiry is live — so phase 1's
-    # sharing-rich traffic rewards disjoint partitioning while phase 2's
-    # scattered flood rewards Megaflow-style entries.  The scenario is
-    # pinned whatever scale was asked for: duration is *virtual* time,
-    # and at 1 200 flows (14K packets — --smoke affords it) the four
-    # variants differ; at 2 000 they all score 0.975012 and the gate
-    # passes by equality.
-    profile = TraceProfile(
-        mean_flow_size=12.0, duration=60.0, mean_packet_gap=4.0
-    )
-    scale = replace(
-        scale, flows=1200,
-        mean_flow_size=profile.mean_flow_size, duration=profile.duration,
-    )
-    shift = 30.0
-    max_idle = 20.0
-    capacity = max(scale.flows // 2, 8)
-    sweep_interval = 2.0
-    variants = {
-        "static_gigaflow": ("gigaflow", False),
-        "static_megaflow": ("megaflow", False),
-        "adaptive_window": ("adaptive", False),
-        "adaptive_repair": ("adaptive", True),
-    }
-    report = {
-        **scale.params(capacity),
-        "mean_packet_gap": profile.mean_packet_gap,
-        "shift_at": shift,
-        "max_idle": max_idle,
-        "sweep_interval": sweep_interval,
-        "runs": {},
-    }
-    for name, (sysname, chain_repair) in variants.items():
-        _simulator, trace, result = run_variant(
-            scale,
-            make_system(sysname, capacity, chain_repair),
-            SimConfig(
-                fast_path=True,
-                telemetry=Telemetry(tracing=False),
-                max_idle=max_idle,
-                sweep_interval=sweep_interval,
-                window=sweep_interval,
-            ),
-            lambda workload: build_locality_shift_trace(
-                workload, profile, shift_at=shift, seed=scale.trace_seed
-            ),
-        )
-        run = {
-            "system": sysname,
-            "hit_rate": round(result.hit_rate, 6),
-            "phase1_hit_rate": round(
-                result.series.hit_rate_between(0.0, shift), 6
-            ),
-            "phase2_hit_rate": round(
-                # The trace outlives the profile duration (in-flight
-                # flows keep emitting), so phase 2 runs to the real end.
-                result.series.hit_rate_between(shift, trace.duration), 6
-            ),
-            "insertions": result.stats.insertions,
-            "evictions": result.stats.evictions,
-        }
-        report["runs"][name] = run
-        print_row(
-            name, run, "phase1_hit_rate", "phase2_hit_rate", "evictions"
-        )
-    static_best = max(
-        report["runs"][name]["hit_rate"]
-        for name in ("static_gigaflow", "static_megaflow")
-    )
-    repaired = report["runs"]["adaptive_repair"]["hit_rate"]
-    report["static_best_hit_rate"] = static_best
-    report["gates"] = {
-        "chain_repair_ok": verdict(repaired >= static_best - 1e-9)
-    }
-    print(
-        f"adaptive_repair {repaired:.4f} vs static best {static_best:.4f}"
-    )
     return report
 
 
@@ -907,6 +793,12 @@ def phase_churn(scale: Scale, out: Path) -> dict:
 #: enough that most flows cross a spine.
 NET_LOCALITY = 0.25
 
+#: The net phase's flow floor.  At 300 flows (``--smoke``) a switch's
+#: four LTM tables hold 22 rules each and the leaves fill to capacity
+#: too, so nothing separates the tiers but how long stranded chain heads
+#: survive — and a full cache that never inserts never evicts one.
+NET_MIN_FLOWS = 1200
+
 
 def phase_net(scale: Scale, out: Path) -> dict:
     """Fabric spine-pressure bench: leaf vs spine hit rates.
@@ -923,8 +815,11 @@ def phase_net(scale: Scale, out: Path) -> dict:
     leaf-vs-spine hit-rate gap is the aggregation-pressure signal
     ``spine_pressure_ok`` gates on.  Hop accounting must conserve
     (``conservation_ok``), and the merged peak must be flagged as a
-    bound, never as an observed value (``peak_is_bound``).
+    bound, never as an observed value (``peak_is_bound``).  The flow
+    count is held at :data:`NET_MIN_FLOWS` or more, whatever scale was
+    asked for, so the leaves keep room to spare.
     """
+    scale = replace(scale, flows=max(scale.flows, NET_MIN_FLOWS))
     leaves, spines = 8, 2
     topology = leaf_spine(leaves, spines)
     cross = 1.0 - NET_LOCALITY
@@ -1002,11 +897,6 @@ PHASES: Dict[str, Phase] = {
         phase_obs,
         estimator="per-variant minimum CPU seconds over interleaved "
         "rounds, garbage collector paused",
-    ),
-    "adaptive": Phase(
-        phase_adaptive,
-        "also A/B the adaptive cache (with and without chain repair) "
-        "vs static configurations on a locality-shifting workload",
     ),
     "shards": Phase(
         phase_shards,

@@ -25,7 +25,6 @@ from .snapshot import AGE_BUCKETS, CacheSnapshot, age_histogram, take_snapshot
 from .telemetry import Telemetry, merge_telemetry_summaries
 from .trace import (
     EVENTS,
-    EV_CHAIN_REPAIR,
     EV_EVICT,
     EV_FASTPATH_INVALIDATE,
     EV_FASTPATH_REPLAY,
@@ -46,7 +45,6 @@ from .trace import (
 __all__ = [
     "AGE_BUCKETS",
     "EVENTS",
-    "EV_CHAIN_REPAIR",
     "EV_EVICT",
     "EV_FASTPATH_INVALIDATE",
     "EV_FASTPATH_REPLAY",

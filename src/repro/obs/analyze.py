@@ -7,8 +7,8 @@ them into one deterministic report:
 
 - **per-flow distributions** of chain depth (LTM tables hit per packet)
   and probe counts, with the pathological tail called out by name:
-  the deepest chains, flows whose fast-path memo keeps getting
-  invalidated, and flows that triggered chain repair;
+  the deepest chains and flows whose fast-path memo keeps getting
+  invalidated;
 - a **flame-style rollup** of event counts by ``cache → table → event``,
   the "where does the tracing volume come from" view;
 - **per-table probe/hit shares** for the LTM pipeline, and a
@@ -86,8 +86,7 @@ class _FlowStats:
 
     __slots__ = (
         "packets", "misses", "depth_sum", "depth_max", "probe_sum",
-        "probe_max", "replays", "invalidations", "repairs",
-        "rules_removed",
+        "probe_max", "replays", "invalidations",
     )
 
     def __init__(self) -> None:
@@ -99,8 +98,6 @@ class _FlowStats:
         self.probe_max = 0
         self.replays = 0
         self.invalidations = 0
-        self.repairs = 0
-        self.rules_removed = 0
 
 
 def analyze_events(
@@ -169,9 +166,6 @@ def analyze_events(
                 probe_hist[probes] += 1
         elif kind == "fastpath_invalidate":
             stats.invalidations += 1
-        elif kind == "chain_repair":
-            stats.repairs += 1
-            stats.rules_removed += event.get("removed") or 0
 
     report = {
         "events": total,
@@ -210,10 +204,6 @@ def _pathological(flows: Dict[str, _FlowStats], top: int) -> dict:
         (f for f in flows.items() if f[1].invalidations),
         key=lambda kv: (-kv[1].invalidations, kv[0]),
     )[:top]
-    repaired = sorted(
-        (f for f in flows.items() if f[1].repairs),
-        key=lambda kv: (-kv[1].repairs, -kv[1].rules_removed, kv[0]),
-    )[:top]
     return {
         "deepest_chains": [
             {
@@ -232,14 +222,6 @@ def _pathological(flows: Dict[str, _FlowStats], top: int) -> dict:
                 "packets": s.packets,
             }
             for flow, s in invalidated
-        ],
-        "chain_repair_flows": [
-            {
-                "flow": flow,
-                "repairs": s.repairs,
-                "rules_removed": s.rules_removed,
-            }
-            for flow, s in repaired
         ],
     }
 
@@ -411,14 +393,6 @@ def render_text(report: dict, top: int = 5) -> str:
             out(
                 f"flow {row['flow']}  invalidations="
                 f"{row['invalidations']}  packets={row['packets']}"
-            )
-    if path["chain_repair_flows"]:
-        out("")
-        out("== chain-repair flows ==")
-        for row in path["chain_repair_flows"][:top]:
-            out(
-                f"flow {row['flow']}  repairs={row['repairs']}  "
-                f"rules_removed={row['rules_removed']}"
             )
 
     reorder = report["reorder_suggestion"]

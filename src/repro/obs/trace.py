@@ -80,15 +80,14 @@ EV_FASTPATH_INVALIDATE = "fastpath_invalidate"
 EV_SWEEP = "sweep"
 EV_SNAPSHOT = "snapshot"
 EV_MODE_SWITCH = "mode_switch"
-EV_CHAIN_REPAIR = "chain_repair"
 EV_HOP = "hop"
 
 #: The builtin vocabulary, declared once: ``(name, decode schema)`` per
 #: row.  Everything else follows from a row's position — its interned
 #: code is the row index and its mask bit ``1 << code`` — so adding an
-#: event is one row here (plus its ``EV_`` name above).  Append-only:
-#: existing codes are pinned by recorded traces and the sharded/fabric
-#: fan-out.
+#: event is one row here (plus its ``EV_`` name above).  Codes never
+#: leave the process — sinks, decoded events and the fan-out's event
+#: filter carry names — so a row goes when its event does.
 EVENTS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (EV_LOOKUP_HIT, ("cache", "flow", "tables_hit", "groups_probed")),
     (EV_LOOKUP_MISS, ("cache", "flow", "tables_hit", "groups_probed")),
@@ -103,7 +102,6 @@ EVENTS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     (EV_SNAPSHOT, ("cache", "entry_count", "capacity", "occupancy",
                    "per_table", "epoch", "epoch_delta", "ages")),
     (EV_MODE_SWITCH, ("cache", "from", "to")),
-    (EV_CHAIN_REPAIR, ("cache", "flow", "removed")),
     (EV_HOP, ("cache", "flow", "hop", "path_len")),
 )
 

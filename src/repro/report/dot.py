@@ -4,7 +4,8 @@ Visualising the tag-chain DAG is the fastest way to understand what a
 Gigaflow cache has learned: nodes are LTM rules grouped by table, edges
 connect a rule to the rules (in later tables) whose tag it advances to,
 and every root-to-terminal path is one covered flow class (the quantity
-Table 2 counts).
+Table 2 counts).  A rule's ``served=`` count is the cache hits its chain
+completed; a walk that dead-ends at it is not one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ def _rule_label(rule: LtmRule) -> str:
     nxt = "DONE" if rule.next_tag == TAG_DONE else f"T{rule.next_tag}"
     return (
         f"tag T{rule.tag} → {nxt}\\nρ={rule.priority} [{fields}]\\n"
-        f"installs={rule.install_count} hits={rule.hit_count}"
+        f"installs={rule.install_count} served={rule.hit_count}"
     )
 
 

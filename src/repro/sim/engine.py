@@ -144,7 +144,6 @@ class GigaflowSystem(CachingSystem):
         partitioner: Partitioner = disjoint_partition,
         placement: str = "balanced",
         eviction: str = "lru",
-        chain_repair: bool = False,
     ):
         self.cache = GigaflowCache(
             num_tables=num_tables,
@@ -154,7 +153,6 @@ class GigaflowSystem(CachingSystem):
             partitioner=partitioner,
             placement=placement,
             eviction=eviction,
-            chain_repair=chain_repair,
         )
 
     def install(

@@ -24,7 +24,7 @@ pools; low locality uses uniform, larger pools.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -731,84 +731,3 @@ def build_workload(
         n_flows=n_flows, locality=locality, seed=seed, **overrides
     )
     return Pipebench(spec, config).build()
-
-
-# =============================================================================
-# Locality-phase-shift workloads (the adaptive A/B bench)
-# =============================================================================
-
-
-def locality_phase_split(
-    workload: PipebenchWorkload, shared_fraction: float = 0.5
-) -> Tuple[List[PilotFlow], List[PilotFlow]]:
-    """Split pilots into a sharing-rich head and a sharing-poor tail.
-
-    Pilots that target the same destination (same service or same L2
-    destination host) traverse the same destination-side pipeline rules,
-    so their sub-traversals share LTM entries.  Grouping pilots by
-    destination and taking the *largest* groups first yields a subset
-    whose installs reuse heavily; the leftover tail is dominated by
-    rarely-repeated destinations and shares poorly.  The adaptive bench
-    replays the head, then the tail, as two traffic phases — a locality
-    shift an adaptive cache must detect and react to.
-    """
-    if not 0.0 < shared_fraction < 1.0:
-        raise ValueError(
-            f"shared_fraction must be in (0, 1), got {shared_fraction}"
-        )
-    groups: Dict[Tuple, List[PilotFlow]] = {}
-    for pilot in workload.pilots:
-        # class_key = (kind, src mac, src ip, destination index): the
-        # destination identity is (kind, index).
-        key = (pilot.class_key[0], pilot.class_key[3])
-        groups.setdefault(key, []).append(pilot)
-    ordered = sorted(
-        groups.values(), key=lambda members: len(members), reverse=True
-    )
-    target = int(len(workload.pilots) * shared_fraction)
-    shared: List[PilotFlow] = []
-    scattered: List[PilotFlow] = []
-    for members in ordered:
-        if len(shared) < target:
-            shared.extend(members)
-        else:
-            scattered.extend(members)
-    if not shared or not scattered:
-        raise ValueError(
-            "workload too uniform to split into locality phases"
-        )
-    return shared, scattered
-
-
-def build_locality_shift_trace(
-    workload: PipebenchWorkload,
-    profile: TraceProfile = CAIDA_PROFILE,
-    shift_at: Optional[float] = None,
-    seed: int = 1,
-    shared_fraction: float = 0.5,
-) -> Trace:
-    """A two-phase trace: sharing-rich flows, then a sharing-poor flood.
-
-    Phase one replays the :func:`locality_phase_split` head over
-    ``[0, shift_at)``; phase two starts the scattered tail at
-    ``shift_at`` (flows from phase one keep emitting packets per the
-    profile's in-flow gaps, as in the Fig. 18 dynamic workload).
-    ``shift_at`` defaults to half the profile duration.
-    """
-    shift = profile.duration / 2 if shift_at is None else shift_at
-    if not 0.0 < shift < profile.duration:
-        raise ValueError(
-            f"shift_at must fall inside the trace duration, got {shift}"
-        )
-    shared, scattered = locality_phase_split(workload, shared_fraction)
-    head = build_trace(
-        shared, dc_replace(profile, duration=shift), seed=seed
-    )
-    tail = build_trace(
-        scattered,
-        dc_replace(profile, duration=profile.duration - shift),
-        seed=seed + 1,
-        offset=shift,
-    )
-    return head.merged_with(tail)
-

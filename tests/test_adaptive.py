@@ -1,5 +1,5 @@
-"""Tests for the §7 adaptive cache: the :class:`ModeGovernor`, chain
-repair, and how a mode switch is reported.
+"""Tests for the §7 adaptive cache: the :class:`ModeGovernor`, how a
+mode switch is reported, and what a dead-ended chain walk leaves behind.
 
 Covers, in order:
 
@@ -13,7 +13,8 @@ Covers, in order:
 * a governor switch is reported by the install that caused it
   (``mode_switch`` trace event + ``repro_mode_switches_total``), not at
   some later sweep;
-* shadowed-chain repair on the miss path; and
+* a walk that dead-ends at a stranded chain head touches nothing, so
+  the head ages out and the flow hits again; and
 * plain-engine golden digests recorded before any control loop existed.
 """
 
@@ -23,6 +24,7 @@ import pathlib
 import pytest
 
 from conftest import flow, seeded_workload
+from test_ltm import ltm_rule
 from repro.core.adaptive import (
     AdaptiveConfig,
     AdaptiveGigaflowCache,
@@ -216,7 +218,7 @@ class TestModeSwitchIsReportedAtTheSource:
 
 
 # ---------------------------------------------------------------------------
-# Chain repair
+# Dead ends
 
 
 def _break_chain(cache, pipeline):
@@ -231,47 +233,71 @@ def _break_chain(cache, pipeline):
     return traversal
 
 
-class TestChainRepair:
-    def test_shadowed_chain_misses_forever_without_repair(self, mini_pipeline):
-        """The bug being fixed: the replacement entry is resident and
-        complete, yet the stale head keeps winning the first hop."""
+def _serve(cache, traversal, now):
+    """One packet of the stranded flow: a lookup and, on a miss, the
+    slow path's reinstall as one whole-traversal rule (a Megaflow-mode
+    install).  It lands in table 1, behind the head, so the head's
+    dead end shadows it for as long as the head stays resident."""
+    if cache.lookup(flow(), now).hit:
+        return True
+    whole = build_ltm_rules(megaflow_partition(traversal), 0, now)
+    cache.install_rules(whole)
+    return False
+
+
+def _recency(cache):
+    """Every table's rules in LRU order, with what a touch would move."""
+    return [
+        [(rule.rule_id, rule.last_used, rule.hit_count)
+         for rule in table._by_id.values()]
+        for table in cache.tables
+    ]
+
+
+class TestDeadEnds:
+    """Only a lookup whose chain completes touches the rules it matched."""
+
+    def test_a_dead_end_touches_nothing(self, mini_pipeline):
+        cache = GigaflowCache(num_tables=2, table_capacity=8)
+        _break_chain(cache, mini_pipeline)
+        (head,) = list(cache.tables[0])
+        # A one-segment chain behind the head in table 0, then a hit on
+        # it: the head is now that table's least recently used rule.
+        cache.tables[0].insert(ltm_rule({"in_port": 2}))
+        assert cache.lookup(flow(in_port=2), now=1.0).hit
+        before = _recency(cache)
+        assert before[0][0][0] == head.rule_id
+        result = cache.lookup(flow(), now=2.0)
+        assert not result.hit and result.tables_hit == 1
+        assert _recency(cache) == before
+        assert (head.last_used, head.hit_count) == (0.0, 0)
+
+    def test_stranded_head_ages_out_under_idle_expiry(self, mini_pipeline):
         cache = GigaflowCache(num_tables=2, table_capacity=8)
         traversal = _break_chain(cache, mini_pipeline)
-        rules = build_ltm_rules(megaflow_partition(traversal), 0, 1.0)
-        first = cache.install_rules(rules)
-        assert first.installed == 1  # replacement goes in (table 1)
-        assert not cache.lookup(flow()).hit  # still shadowed
-        second = cache.install_rules(build_ltm_rules(
-            megaflow_partition(traversal), 0, 2.0
-        ))
-        assert second.complete and second.reused and not second.installed
-        assert not cache.lookup(flow()).hit  # reinstall changed nothing
-        assert cache.shadow_repairs == 0
-
-    def test_repair_unshadows_the_flow(self, mini_pipeline):
-        cache = AdaptiveGigaflowCache(
-            num_tables=2, table_capacity=8, chain_repair=True
+        (head,) = list(cache.tables[0])
+        assert not any(
+            _serve(cache, traversal, now) for now in (1.0, 2.0, 3.0, 4.0, 5.0)
         )
-        traversal = _break_chain(cache, mini_pipeline)
-        cache.megaflow_mode = True
-        cache.install_traversal(traversal, now=1.0)  # installs replacement
-        epoch = cache.mutation_epoch
-        cache.install_traversal(traversal, now=2.0)  # resident: repairs
-        assert cache.shadow_repairs >= 1
-        assert cache.lookup(flow()).hit
-        assert cache.mutation_epoch > epoch  # fast-path memos flushed
+        # The reinstalls kept refreshing the replacement; nothing
+        # refreshed the head, so one sweep takes it and only it.
+        cache.evict_idle(6.0, max_idle=4.0)
+        assert head not in cache.tables[0] and cache.entry_count() == 1
+        assert _serve(cache, traversal, 6.0)
 
-    def test_repair_is_off_by_default(self, mini_pipeline):
-        """A construction-time flag, off unless asked for (the
-        goldens below, and the paper-figure benchmarks, depend on it)."""
-        cache = AdaptiveGigaflowCache(num_tables=2, table_capacity=8)
-        assert not cache.chain_repair
+    def test_stranded_head_is_the_capacity_victim(self, mini_pipeline):
+        cache = GigaflowCache(num_tables=2, table_capacity=2)
         traversal = _break_chain(cache, mini_pipeline)
-        cache.megaflow_mode = True
-        cache.install_traversal(traversal, now=1.0)
-        cache.install_traversal(traversal, now=2.0)
-        assert cache.shadow_repairs == 0
-        assert not cache.lookup(flow()).hit
+        (head,) = list(cache.tables[0])
+        for now in (1.0, 2.0, 3.0):
+            assert not _serve(cache, traversal, now)
+            # Other traffic: one fresh single-segment rule a second;
+            # the third install finds all four slots full.
+            other = ltm_rule({"in_port": 100 + int(now)}, now=now)
+            cache.install_rules([other])
+        assert cache.stats.evictions == 1
+        assert head not in cache.tables[0]
+        assert _serve(cache, traversal, 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +339,16 @@ GOLDEN_IDLE = {
         packets=2200, entry_count=1, peak_entries=72, cache_probes=20309,
     ),
     "gigaflow": dict(
-        hits=1698, misses=502, insertions=682, rejected=0, evictions=678,
-        packets=2200, entry_count=4, peak_entries=120, cache_probes=28088,
+        hits=1748, misses=452, insertions=687, rejected=0, evictions=683,
+        packets=2200, entry_count=4, peak_entries=120, cache_probes=26208,
     ),
     "hierarchy": dict(
         hits=1738, misses=462, insertions=0, rejected=0, evictions=0,
         packets=2200, entry_count=1, peak_entries=96, cache_probes=12352,
     ),
     "adaptive": dict(
-        hits=1698, misses=502, insertions=682, rejected=0, evictions=678,
-        packets=2200, entry_count=4, peak_entries=120, cache_probes=28088,
+        hits=1748, misses=452, insertions=687, rejected=0, evictions=683,
+        packets=2200, entry_count=4, peak_entries=120, cache_probes=26208,
         mode_switches=0,
     ),
 }
@@ -333,16 +359,16 @@ GOLDEN_PRESSURE = {
         packets=2200, entry_count=120, peak_entries=120, cache_probes=71525,
     ),
     "gigaflow": dict(
-        hits=1739, misses=461, insertions=476, rejected=0, evictions=356,
-        packets=2200, entry_count=120, peak_entries=120, cache_probes=111054,
+        hits=1788, misses=412, insertions=476, rejected=0, evictions=356,
+        packets=2200, entry_count=120, peak_entries=120, cache_probes=102661,
     ),
     "hierarchy": dict(
         hits=1800, misses=400, insertions=0, rejected=0, evictions=0,
         packets=2200, entry_count=150, peak_entries=150, cache_probes=34127,
     ),
     "adaptive": dict(
-        hits=1739, misses=461, insertions=476, rejected=0, evictions=356,
-        packets=2200, entry_count=120, peak_entries=120, cache_probes=111054,
+        hits=1788, misses=412, insertions=476, rejected=0, evictions=356,
+        packets=2200, entry_count=120, peak_entries=120, cache_probes=102661,
         mode_switches=1,
     ),
 }
@@ -363,12 +389,16 @@ def _golden_systems():
 
 class TestPreControllerDigests:
     """The plain engine's numbers, captured on commit ``1d7df77`` —
-    before any control loop existed — and never edited since: they
-    held while ``SimConfig.controller`` arrived (off by default) and
-    prove the engine did not move when it was deleted.  Chain repair
-    defaulting off and the governor refactor reproduce them exactly.
-    (The adaptive rows are the post-probe-cadence-fix values — that fix
-    intentionally corrects Megaflow-mode sampling.)
+    before any control loop existed: they held while
+    ``SimConfig.controller`` arrived (off by default) and prove the
+    engine did not move when it was deleted; the governor refactor
+    reproduced them exactly.  (The adaptive rows are the
+    post-probe-cadence-fix values — that fix intentionally corrects
+    Megaflow-mode sampling.)  The Gigaflow and adaptive rows were
+    re-recorded once, when a lookup that dead-ends stopped refreshing
+    the chain head it matched: 502 → 452 misses idle, 461 → 412 under
+    pressure, the governor's one switch unchanged.  Megaflow and the
+    hierarchy have no chains and did not move.
     """
 
     @pytest.mark.parametrize("system", sorted(GOLDEN_IDLE))

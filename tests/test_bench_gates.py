@@ -3,8 +3,8 @@
 Every phase of :data:`repro.gates.PHASES` is driven through
 :func:`repro.gates.run_phases` at a tiny scale; the runner's contract
 (shared header, legacy row keys, ``pass | fail | skip(reason)`` gates,
-exit code) is what CI's one-line bench step relies on.  Five of the
-seven phases report behaviour only: their files carry no clock and a
+exit code) is what CI's one-line bench step relies on.  Three of the
+five phases report behaviour only: their files carry no clock and a
 second run reproduces them outside ``header``.
 """
 
@@ -49,12 +49,6 @@ LEGACY = {
         {"seconds", "packets_per_sec", "hit_rate", "cpu_seconds",
          "overhead_vs_off", "metrics_identical", "trace_events"},
         {"metrics_identical", "trace_identical"},
-    ),
-    "adaptive": (
-        ("runs", "adaptive_repair"),
-        BASE_ROW | {"phase1_hit_rate", "phase2_hit_rate"},
-        # The scenario is pinned (1 200 flows) whatever scale is passed.
-        {"chain_repair_ok"},
     ),
     "shards": (
         ("runs", "workers_2"),

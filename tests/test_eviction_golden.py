@@ -5,8 +5,11 @@ Victim order has had three homes: hard-coded bookkeeping (an
 pluggable policy interface with a parallel recency dict per table, and
 now each cache's own id → entry index, kept in use order.  The digests
 below were captured on the first of those trees (commit ``eed4304``)
-from fixed-seed pipebench workloads and have not been edited since;
-every field must still reproduce exactly.
+from fixed-seed pipebench workloads and have been edited once since:
+the Gigaflow capacity-pressure row, when a lookup that dead-ends
+stopped refreshing the chain head it matched (690 → 484 misses — the
+stranded heads now age out of the LRU order instead of staying at its
+recent end).  Every field must still reproduce exactly.
 
 The ``COST_*`` tables beside them are PR 23's: latency and the CPU cycle
 counters ride on ``groups_probed``, which moved with the interpreter's
@@ -56,8 +59,8 @@ GOLDEN_PRESSURE = {
         packets=2200, entry_count=48, peak_entries=48, cache_probes=19422,
     ),
     "gigaflow": dict(
-        hits=1510, misses=690, insertions=449, rejected=0, evictions=353,
-        packets=2200, entry_count=96, peak_entries=96, cache_probes=53054,
+        hits=1716, misses=484, insertions=448, rejected=0, evictions=352,
+        packets=2200, entry_count=96, peak_entries=96, cache_probes=56217,
     ),
     "hierarchy": dict(
         hits=1737, misses=463, insertions=0, rejected=0, evictions=0,
@@ -80,8 +83,8 @@ COST_IDLE = {
 COST_PRESSURE = {
     "megaflow": (16.898990909091136, 49.92108843537424,
         (1143120, 0, 176400, 441)),
-    "gigaflow": (24.436818181819003, 59.0504347826087,
-        (1762620, 613060, 266600, 690)),
+    "gigaflow": (19.892509090909666, 59.858677685950184,
+        (1257780, 434980, 214950, 484)),
     "hierarchy": (17.30997272727302, 49.91144708423336,
         (1199700, 0, 185200, 463)),
 }

@@ -6,7 +6,8 @@ Three properties matter:
    must produce a :class:`~repro.sim.results.SimResult` identical in
    every field to running it with the fast path off, for every caching
    system, with idle eviction enabled and — for Gigaflow — under rule
-   churn, budgeted revalidation, chain repair and capacity pressure (the differential test).
+   churn, budgeted revalidation and capacity pressure (the differential
+   test).
 2. **Epoch invalidation** — any structural cache mutation (install,
    idle eviction, clear) makes memoized records stale; a record that
    keeps no account of what it depended on (Microflow, Megaflow,
@@ -67,8 +68,8 @@ ACL_TABLE = 5
 
 #: Gigaflow under everything that mutates the cache while it serves:
 #: a quarter-of-working-set capacity (eviction on most installs), a
-#: rule storm plus priority shuffles with a small revalidation budget,
-#: sub-second idle sweeps and chain repair.
+#: rule storm plus priority shuffles with a small revalidation budget
+#: and sub-second idle sweeps.
 CHURNED_SYSTEMS = {
     "gigaflow": lambda: GigaflowSystem(
         num_tables=4, table_capacity=N_FLOWS // 16
@@ -98,7 +99,6 @@ def run_once(make_system, fast_path: bool, churned: bool = False):
             sweep_interval=0.5,
             churn=ChurnConfig(schedule=schedule, reval_budget=8),
         )
-        system.cache.chain_repair = True
     simulator = VSwitchSimulator(workload.pipeline, system, config)
     return simulator.run(trace), simulator
 
@@ -141,7 +141,6 @@ class TestDifferentialEquivalence:
         stats, churn = fast.stats, sim_fast.churn.digest()
         assert stats.evictions > stats.insertions // 2
         assert churn["events"] and churn["reval_evicted"]
-        assert sim_fast.system.cache.shadow_repairs
         assert sim_fast.fastpath.revalidated > 0
         assert sim_fast.fastpath.invalidations > 0
 
@@ -420,6 +419,105 @@ _OPS = st.lists(
 )
 
 
+def _recency(cache):
+    """Every table's rules in LRU order, by value, with their use time
+    and hit count (rule ids differ between twins)."""
+    return [
+        [(rule.identity(), rule.last_used, rule.hit_count)
+         for rule in table._by_id.values()]
+        for table in cache.tables
+    ]
+
+
+def _memo_against_twin(ops, num_tables, table_capacity, placement):
+    """Installs in both partition modes (with capacity eviction behind
+    them), idle sweeps, single-rule removals and ``clear()`` interleaved
+    with packets: whenever a stale record says it is still valid, the
+    side-effect-free walk must reproduce its chain, ``groups_probed``
+    and ``tables_hit``; and the fast path as a whole must answer every
+    packet as a twin cache without one does and leave every rule's
+    recency and hit count where the twin's full lookups leave them.
+    Returns how many packets' walks dead-ended (matched, then missed)."""
+    pipeline = _UNIVERSE.pipeline
+    cache, twin = (
+        GigaflowCache(
+            num_tables=num_tables,
+            table_capacity=table_capacity,
+            placement=placement,
+        )
+        for _ in range(2)
+    )
+    fastpath = FastPathIndex(cache)
+    now = 0.0
+    dead_ends = 0
+    for op, arg in ops:
+        now += 0.25
+        if op == "packet":
+            packet = _FLOWS[arg % len(_FLOWS)]
+            record = fastpath._memo.get(packet.values)
+            if (
+                record is not None
+                and record.epoch != cache.mutation_epoch
+                and record.still_valid()
+            ):
+                assert recorded(record) == full_walk(cache, packet)
+            result = fastpath.lookup(packet, now)
+            assert result == twin.lookup(packet, now)
+            if not result.hit:
+                dead_ends += result.tables_hit > 0
+                traversal = pipeline.execute(packet, record_stats=False)
+                for each in (cache, twin):
+                    each.install_traversal(traversal, now=now)
+        elif op == "whole":
+            # A Megaflow-mode install (AdaptiveGigaflowCache): one
+            # long rule that outranks a resident chain's head.
+            traversal = pipeline.execute(
+                _FLOWS[arg % len(_FLOWS)], record_stats=False
+            )
+            for each in (cache, twin):
+                each.partitioner = megaflow_partition
+                each.install_traversal(traversal, now=now)
+                each.partitioner = disjoint_partition
+        elif op == "outrank":
+            # A longer sub-traversal with the same match as the head
+            # of a resident chain (a differently partitioned
+            # install): whether or not it moves the probe order, it
+            # is the new winner.
+            packet = _FLOWS[arg % len(_FLOWS)]
+            for each in (cache, twin):
+                hit, matched, _probes, _depth = full_walk(each, packet)
+                if hit:
+                    table, head = matched[0]
+                    longer = LtmRule(
+                        head.tag, head.match, head.priority + 1,
+                        ActionList([Output(77)]), TAG_DONE,
+                        head.parent_flow, now=now,
+                    )
+                    if table.insert(longer):
+                        each.stats.insertions += 1
+                        each.bump_epoch()
+        elif op == "idle":
+            now += 1 + arg % 6
+            for each in (cache, twin):
+                each.evict_idle(now, max_idle=3.0)
+        elif op == "remove":
+            for each in (cache, twin):
+                resident = list(each)
+                if resident:
+                    each.remove_rule(resident[arg % len(resident)])
+        else:
+            for each in (cache, twin):
+                each.clear()
+        assert cache.stats == twin.stats
+        assert _recency(cache) == _recency(twin)
+    return dead_ends
+
+
+#: Four tables of five rules against twelve flows returning in turn:
+#: eviction keeps splitting chains, so walks dead-end at stranded heads.
+_DEAD_END_OPS = [("packet", i % 12) for i in range(48)]
+
+
 class TestValidationSoundness:
     @settings(max_examples=60, deadline=None)
     # The one shape random interleavings rarely reach: flow 1's longer
@@ -433,97 +531,28 @@ class TestValidationSoundness:
         ],
         num_tables=4,
         table_capacity=24,
-        chain_repair=False,
+        placement="balanced",
+    )
+    @example(
+        ops=_DEAD_END_OPS, num_tables=4, table_capacity=5,
         placement="balanced",
     )
     @given(
         ops=_OPS,
         num_tables=st.sampled_from((1, 2, 4)),
         table_capacity=st.integers(3, 24),
-        chain_repair=st.booleans(),
         placement=st.sampled_from(("balanced", "earliest")),
     )
     def test_still_valid_implies_the_full_walk_agrees(
-        self, ops, num_tables, table_capacity, chain_repair, placement
+        self, ops, num_tables, table_capacity, placement
     ):
-        """Installs in both partition modes (with capacity eviction and
-        chain repair behind them), idle sweeps, single-rule removals and ``clear()``
-        interleaved with packets: whenever a stale record says it is
-        still valid, the side-effect-free walk must reproduce its
-        chain, ``groups_probed`` and ``tables_hit``; and the fast path
-        as a whole must answer every packet as a twin cache without one
-        does."""
-        pipeline = _UNIVERSE.pipeline
-        cache, twin = (
-            GigaflowCache(
-                num_tables=num_tables,
-                table_capacity=table_capacity,
-                chain_repair=chain_repair,
-                placement=placement,
-            )
-            for _ in range(2)
-        )
-        fastpath = FastPathIndex(cache)
-        now = 0.0
-        for op, arg in ops:
-            now += 0.25
-            if op == "packet":
-                packet = _FLOWS[arg % len(_FLOWS)]
-                record = fastpath._memo.get(packet.values)
-                if (
-                    record is not None
-                    and record.epoch != cache.mutation_epoch
-                    and record.still_valid()
-                ):
-                    assert recorded(record) == full_walk(cache, packet)
-                result = fastpath.lookup(packet, now)
-                assert result == twin.lookup(packet, now)
-                if not result.hit:
-                    traversal = pipeline.execute(packet, record_stats=False)
-                    for each in (cache, twin):
-                        each.install_traversal(traversal, now=now)
-            elif op == "whole":
-                # A Megaflow-mode install (AdaptiveGigaflowCache): one
-                # long rule that outranks a resident chain's head.
-                traversal = pipeline.execute(
-                    _FLOWS[arg % len(_FLOWS)], record_stats=False
-                )
-                for each in (cache, twin):
-                    each.partitioner = megaflow_partition
-                    each.install_traversal(traversal, now=now)
-                    each.partitioner = disjoint_partition
-            elif op == "outrank":
-                # A longer sub-traversal with the same match as the head
-                # of a resident chain (a differently partitioned
-                # install): whether or not it moves the probe order, it
-                # is the new winner.
-                packet = _FLOWS[arg % len(_FLOWS)]
-                for each in (cache, twin):
-                    hit, matched, _probes, _depth = full_walk(each, packet)
-                    if hit:
-                        table, head = matched[0]
-                        longer = LtmRule(
-                            head.tag, head.match, head.priority + 1,
-                            ActionList([Output(77)]), TAG_DONE,
-                            head.parent_flow, now=now,
-                        )
-                        if table.insert(longer):
-                            each.stats.insertions += 1
-                            each.bump_epoch()
-            elif op == "idle":
-                now += 1 + arg % 6
-                for each in (cache, twin):
-                    each.evict_idle(now, max_idle=3.0)
-            elif op == "remove":
-                for each in (cache, twin):
-                    resident = list(each)
-                    if resident:
-                        each.remove_rule(resident[arg % len(resident)])
-            else:
-                for each in (cache, twin):
-                    each.clear()
-            assert cache.stats == twin.stats
-        assert cache.per_table_counts() == twin.per_table_counts()
+        _memo_against_twin(ops, num_tables, table_capacity, placement)
+
+    def test_dead_ends_leave_memo_and_full_lookup_alike(self):
+        """The explicit dead-end example above does dead-end: a walk
+        that matched a head and missed touched nothing, in the memo's
+        cache and in its twin alike."""
+        assert _memo_against_twin(_DEAD_END_OPS, 4, 5, "balanced") > 0
 
 
 @pytest.mark.soak

@@ -32,7 +32,7 @@ def test_gigaflow_agrees_with_slow_path(name):
     A cached flow may still miss when a longer (higher-ρ) rule from a
     differently-partitioned traversal legitimately redirects it to a tag
     boundary it has no continuation for (§4.1.1's LTM semantics) — that
-    costs a slow-path trip, never correctness.  Such shadow-misses are
+    costs a slow-path trip, never correctness.  Such dead ends are
     rare at scale (cross-products fill the gaps) but visible in tiny
     workloads, so the hit-rate floor here is deliberately loose for the
     template-heavy ANT pipeline.

@@ -8,7 +8,7 @@ from conftest import flow
 
 
 def ltm_rule(values, masks=None, tag=0, priority=1, next_tag=TAG_DONE,
-             actions=(Output(1),)):
+             actions=(Output(1),), now=0.0):
     return LtmRule(
         tag=tag,
         match=TernaryMatch.from_fields(values, masks),
@@ -16,6 +16,7 @@ def ltm_rule(values, masks=None, tag=0, priority=1, next_tag=TAG_DONE,
         actions=ActionList(actions),
         next_tag=next_tag,
         parent_flow=flow(),
+        now=now,
     )
 
 

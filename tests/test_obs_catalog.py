@@ -131,7 +131,7 @@ class TestFlowId:
         telemetry = Telemetry(tracing=True)
         VSwitchSimulator(
             workload.pipeline,
-            GigaflowSystem(num_tables=4, table_capacity=8, chain_repair=True),
+            GigaflowSystem(num_tables=4, table_capacity=8),
             SimConfig(max_idle=1.0, sweep_interval=0.5, telemetry=telemetry),
         ).run(seeded_trace(workload, duration=3.0))
         pilots = {

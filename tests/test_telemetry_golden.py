@@ -1,7 +1,7 @@
 """Recorded golden for the telemetry core's whole output surface.
 
 Three seeded PSC runs with everything on (full event mask, storm + ACL
-+ shuffle churn, chain repair) — one plain engine
++ shuffle churn, capacity pressure) — one plain engine
 run, a 4-worker inline sharded run, a leaf-spine fabric run with one
 link failure — must reproduce, exactly, the sha256 of every JSONL trace
 stream, the per-event-type counts, the sha256 of the (merged)
@@ -26,7 +26,9 @@ digest's ``churn.rule_ops`` moved; every stream is unchanged).  All
 three were recorded from scratch again when the per-rule ``ewma``
 timeout predictor the scenarios ran with was deleted: the idle sweep
 they replay changed, and the exposition lost the three empty
-``repro_timeout_*`` families.
+``repro_timeout_*`` families.  And once more when chain repair went:
+the scenarios had run with it on, and a walk that dead-ends no longer
+refreshes the rules it matched.
 """
 
 import collections
@@ -42,8 +44,8 @@ GOLDEN = Path(__file__).parent / "golden" / "telemetry_streams.json"
 
 #: The PSC ACL stage (as in test_churn.py).
 ACL_TABLE = 5
-#: Small enough that capacity evictions and chain repair fire within
-#: the 6 s trace.
+#: Small enough that capacity evictions split chains within the 6 s
+#: trace.
 TABLE_CAPACITY = 40
 #: The gauge whose merged value is a ratio of sums, and its two terms.
 OCCUPANCY = "repro_cache_occupancy_ratio"
@@ -101,7 +103,6 @@ def _system(context=None):
     return GigaflowSystem(
         num_tables=4,
         table_capacity=TABLE_CAPACITY // getattr(context, "parts", 1),
-        chain_repair=True,
     )
 
 
@@ -272,8 +273,8 @@ def test_streams_match_parent_recording(golden, current):
             assert current[scenario][key] == value, (scenario, key)
     # Every builtin event fires somewhere (``hop`` only in a fabric)
     # but ``mode_switch``: no governor here, tests/test_adaptive.py.
-    assert len(golden["single"]["event_counts"]) == 11
-    assert len(golden["fabric"]["event_counts"]) == 12
+    assert len(golden["single"]["event_counts"]) == 10
+    assert len(golden["fabric"]["event_counts"]) == 11
     for scenario in ("sharded", "fabric"):
         assert golden[scenario]["telemetry"]["victim_ages"]["count"], scenario
 

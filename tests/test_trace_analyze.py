@@ -210,8 +210,6 @@ GOLDEN_EVENTS = [
      "flow": "cc"},
     {"ts": 2.1, "event": "fastpath_invalidate", "cache": "g",
      "flow": "cc"},
-    {"ts": 2.2, "event": "chain_repair", "cache": "g", "flow": "aa",
-     "removed": 2},
 ]
 
 
@@ -231,10 +229,6 @@ class TestAnalyzer:
         invalidated = report["pathological"]["repeat_invalidations"][0]
         assert invalidated == {
             "flow": "cc", "invalidations": 2, "packets": 0,
-        }
-        repaired = report["pathological"]["chain_repair_flows"][0]
-        assert repaired == {
-            "flow": "aa", "repairs": 1, "rules_removed": 2,
         }
         tables = {row["table"]: row for row in report["tables"]}
         assert tables[0]["hit_rate"] == round(1 / 3, 4)

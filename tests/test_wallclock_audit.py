@@ -43,10 +43,10 @@ outside ``core/adaptive.py`` and nothing assigns an ``external``
 attribute (the switch that once handed the decision to a second decider
 in the controller).  That controller is gone — measured, its placement
 knob was a constant and its timeout knob inert or harmful
-(``docs/adaptive.md``) — and it stays gone: ``placement`` and
-``chain_repair`` are assigned only in ``GigaflowCache.__init__``,
-nothing but the telemetry hub's own sweep observer defines an
-``on_sweep``, and nothing imports from a ``controller`` module.
+(``docs/adaptive.md``) — and it stays gone: ``placement`` is
+assigned only in ``GigaflowCache.__init__``, nothing but the telemetry
+hub's own sweep observer defines an ``on_sweep``, and nothing imports
+from a ``controller`` module.
 
 The sixth keeps ``repro bench``'s reports behavioural: in ``gates.py``
 the ``time`` module is read only inside ``phase_obs`` and
@@ -455,8 +455,8 @@ STEERING_HOME = {
 
 def _runtime_steering(source: str, home=frozenset()):
     """``(line, what)`` for every assignment to an attribute named
-    ``placement`` / ``chain_repair``, every ``on_sweep`` definition and
-    every import from a ``controller`` module, outside ``home``."""
+    ``placement``, every ``on_sweep`` definition and every import from
+    a ``controller`` module, outside ``home``."""
     found = []
 
     def visit(node, scope):
@@ -474,7 +474,7 @@ def _runtime_steering(source: str, home=frozenset()):
             ).split(".")[-1] == "controller":
                 what = f"from {'.' * child.level}{child.module} import"
             for attr in _assigned_attrs(child):
-                if attr in ("placement", "chain_repair"):
+                if attr == "placement":
                     what = f".{attr} ="
             if what is not None and ".".join(inner) not in home:
                 found.append((child.lineno, what))
@@ -503,21 +503,20 @@ def test_knob_audit_sees_a_violation():
     source = (
         "from ..core.controller import AdaptiveController\n"
         "class GigaflowCache:\n"
-        "    def __init__(self, placement, chain_repair):\n"
+        "    def __init__(self, placement):\n"
         "        self.placement = placement\n"
-        "        self.chain_repair = chain_repair\n"
         "class Loop:\n"
         "    def attach(self, cache):\n"
-        "        cache.chain_repair = True\n"
+        "        cache.placement = 'earliest'\n"
         "    def on_sweep(self, now, snapshot):\n"
-        "        self.cache.placement = 'earliest'\n"
+        "        self.cache.placement = 'balanced'\n"
         "        placement = self.cache.placement\n"
     )
     assert _runtime_steering(source, {"GigaflowCache.__init__"}) == [
         (1, "from ..core.controller import"),
-        (8, ".chain_repair ="),
-        (9, "def on_sweep"),
-        (10, ".placement ="),
+        (7, ".placement ="),
+        (8, "def on_sweep"),
+        (9, ".placement ="),
     ]
 
 
