@@ -74,8 +74,9 @@ class CacheResult:
         hit: Whether the cache fully handled the packet.
         actions: The actions the cache applied (meaningful on a hit).
         output_port: Forwarding decision on a hit (``None`` for drops).
-        groups_probed: Classifier mask groups hashed — the software search
-            cost metric used by the latency model.
+        groups_probed: Mask groups the TSS walk probes (plain lookups
+            are charged it) — the software search cost metric used by
+            the latency model.
         tables_hit: For multi-table caches, how many tables matched along
             the way (diagnostic; 0 or 1 for single-table caches).
     """

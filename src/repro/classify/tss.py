@@ -22,13 +22,18 @@ The classifier runs on the packed form of the header vector (see
 stage probe is ``flow.packed & stage_mask in stage_keys``, and
 un-wildcarding ORs one integer per probed group.
 
+A plain lookup (no un-wildcarding) does not walk the groups: a
+per-priority *level index* finds the same winner with one hash per
+level, and the walk's ``groups_probed`` is computed from where the
+winner sits (:meth:`TupleSpaceClassifier.lookup`).
+
 The classifier is generic over any rule type exposing ``match``
 (:class:`~repro.flow.match.TernaryMatch`) and ``priority``.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import (
     Dict,
@@ -74,8 +79,9 @@ class LookupResult(Generic[RuleT]):
         wildcard: When unwildcarding was requested, the header bits the
             lookup *examined* — the matched rule's own mask plus every bit
             needed to rule out higher-priority rules.  ``None`` otherwise.
-        groups_probed: Number of mask groups hashed (the classic TSS cost
-            metric ``O(M)``; feeds the CPU cost model).
+        groups_probed: Mask groups the TSS walk probes; plain lookups
+            are charged it (the classic TSS cost metric ``O(M)``; feeds
+            the CPU cost model).
     """
 
     rule: Optional[RuleT]
@@ -100,7 +106,7 @@ class _Group(Generic[RuleT]):
     key table is :attr:`rules` itself.
     """
 
-    __slots__ = ("stages", "rules", "max_priority", "prefixes", "seq")
+    __slots__ = ("stages", "rules", "max_priority", "prefixes", "seq", "mask")
 
     def __init__(
         self,
@@ -109,6 +115,7 @@ class _Group(Generic[RuleT]):
         field_masks: Tuple[int, ...],
     ):
         self.seq = next(_group_seq)
+        self.mask = stage_masks[-1]
         #: Packed masked value -> rules, best priority first.
         self.rules: Dict[int, List[RuleT]] = {}
         self.max_priority = 0
@@ -133,6 +140,87 @@ class _Group(Generic[RuleT]):
         )
 
 
+#: One group under one key of a level: ``[group mask, group rules,
+#: group, how many of its buckets are filed under the key]``.
+_Cell = List
+
+
+def _cell_age(cell: _Cell) -> int:
+    return cell[2].seq
+
+
+class _Level:
+    """The groups that share one best priority, for the level index.
+
+    ``common`` is the AND of their masks, so a packet's bucket in any of
+    them — ``packed & mask == value`` — is filed under ``packed & common``.
+    :attr:`cells` maps that key to one cell per group with a bucket
+    there, in group age order; a climb probes each such group with one
+    hash, so no list is longer than the level has groups.  :attr:`ages`
+    is the groups' ``seq``, sorted.
+    """
+
+    __slots__ = ("common", "cells", "ages", "groups")
+
+    def __init__(self) -> None:
+        self.common = -1
+        self.cells: Dict[int, List[_Cell]] = {}
+        self.ages: List[int] = []
+        self.groups: Dict[int, _Group] = {}
+
+    def add(self, group: _Group) -> bool:
+        """File ``group`` (not its buckets); True when ``common`` narrowed."""
+        insort(self.ages, group.seq)
+        self.groups[group.seq] = group
+        common = self.common & group.mask
+        narrowed = common != self.common
+        self.common = common
+        return narrowed
+
+    def discard(self, group: _Group) -> bool:
+        """Unfile ``group``; True when ``common`` widened."""
+        ages = self.ages
+        del ages[bisect_left(ages, group.seq)]
+        del self.groups[group.seq]
+        common = -1
+        for other in self.groups.values():
+            common &= other.mask
+        widened = common != self.common
+        self.common = common
+        return widened
+
+    def put(self, group: _Group, canonical: int) -> None:
+        key = canonical & self.common
+        found = self.cells.get(key)
+        if found is None:
+            self.cells[key] = [[group.mask, group.rules, group, 1]]
+            return
+        for cell in found:
+            if cell[2] is group:
+                cell[3] += 1
+                return
+        insort(found, [group.mask, group.rules, group, 1], key=_cell_age)
+
+    def pop(self, group: _Group, canonical: int) -> None:
+        key = canonical & self.common
+        found = self.cells[key]
+        for position, cell in enumerate(found):
+            if cell[2] is group:
+                cell[3] -= 1
+                if not cell[3]:
+                    del found[position]
+                    if not found:
+                        del self.cells[key]
+                return
+
+    def rehash(self) -> None:
+        """Re-file every bucket under the current ``common``."""
+        self.cells.clear()
+        for group in self.groups.values():
+            for canonical in group.rules:
+                self.put(group, canonical)
+
+
 class TupleSpaceClassifier(Generic[RuleT]):
     """A priority-aware TSS classifier with staged lookup and prefix tries."""
 
@@ -152,6 +240,14 @@ class TupleSpaceClassifier(Generic[RuleT]):
         #: Probe order: ``(best priority, stages, rules)`` per group.
         self._ordered: List[Tuple[int, Tuple[_Stage, ...], Dict]] = []
         self._order_dirty = False
+        #: Level index, best priority -> :class:`_Level`; ``None`` until
+        #: the first plain lookup (and again after :meth:`clear`), so a
+        #: classifier that only un-wildcards never keeps one.
+        self._levels: Optional[Dict[int, _Level]] = None
+        #: What a plain lookup climbs, best level first: ``(priority,
+        #: common, cells, groups at better levels, ages)`` per level.
+        self._ladder: List[Tuple[int, int, Dict, int, List[int]]] = []
+        self._ladder_dirty = False
         self._size = 0
         self._tries: Dict[int, PrefixTrie] = {
             schema.index_of(name): PrefixTrie(schema.field(name).width)
@@ -208,10 +304,15 @@ class TupleSpaceClassifier(Generic[RuleT]):
             group = self._groups[mask] = self._make_group(mask)
             self._order_dirty = True
         old_priority = group.max_priority
+        moved = not created and rule.priority > old_priority
+        levels = self._levels
+        if levels is not None and moved:
+            self._unindex_group(group, old_priority)
         canonical = match.packed
         bucket = group.rules.get(canonical)
-        if bucket is None:
-            group.rules[canonical] = [rule]
+        fresh = bucket is None
+        if fresh:
+            bucket = group.rules[canonical] = [rule]
         else:
             insort(bucket, rule, key=_bucket_order)
         for stage_mask, keys, _, _ in group.stages[:-1]:
@@ -225,6 +326,11 @@ class TupleSpaceClassifier(Generic[RuleT]):
             self._tries[index].insert(
                 self._field_of(canonical, index), prefix_len
             )
+        if levels is not None:
+            if created or moved:
+                self._index_group(group)
+            elif fresh:
+                levels[group.max_priority].put(group, canonical)
         if created:
             return group.max_priority - 1
         if group.max_priority != old_priority:
@@ -241,9 +347,13 @@ class TupleSpaceClassifier(Generic[RuleT]):
         bucket = group.rules.get(canonical) if group is not None else None
         if not bucket or rule not in bucket:
             raise KeyError(f"rule not present: {rule!r}")
+        old_priority = group.max_priority
+        levels = self._levels
         bucket.remove(rule)
         if not bucket:
             del group.rules[canonical]
+            if levels is not None:
+                levels[old_priority].pop(group, canonical)
         # Drop only this key's stage entries, and only once no other rule
         # still maps to them (the refcount).
         for stage_mask, keys, _, _ in group.stages[:-1]:
@@ -258,21 +368,27 @@ class TupleSpaceClassifier(Generic[RuleT]):
             self._tries[index].remove(
                 self._field_of(canonical, index), prefix_len
             )
-        old_priority = group.max_priority
         if not group.rules:
             del self._groups[mask]
             self._order_dirty = True
+            if levels is not None:
+                self._unindex_group(group, old_priority)
             return old_priority
         if rule.priority >= old_priority:
             group.recompute_max_priority()
             self._order_dirty = True
             if group.max_priority != old_priority:
+                if levels is not None:
+                    self._unindex_group(group, old_priority)
+                    self._index_group(group)
                 return old_priority
         return None
 
     def clear(self) -> None:
         self._groups.clear()
         self._ordered.clear()
+        self._levels = None
+        self._ladder = []
         self._size = 0
         for index, trie in self._tries.items():
             self._tries[index] = PrefixTrie(trie.width)
@@ -290,7 +406,15 @@ class TupleSpaceClassifier(Generic[RuleT]):
         — for a group that missed at stage *s*, the cumulative stage-*s*
         mask; for one that hit, its full mask.  For prefix-shaped trie
         fields the (tight) trie mask replaces the raw field mask.
+
+        A plain lookup climbs the level index instead of walking
+        (:meth:`_climb`; the first one builds it): same winner, same
+        ``groups_probed``.
         """
+        if not unwildcard:
+            if self._levels is None:
+                self._build_index()
+            return self._climb(flow.packed)
         if self._order_dirty:
             # Rebuilding from the group dict (rather than sorting in
             # place) lets ``remove`` skip the O(M) list removal.  Every
@@ -345,6 +469,59 @@ class TupleSpaceClassifier(Generic[RuleT]):
             cells[1 if best is not None else 0] += 1
         return LookupResult(best, wildcard, probed)
 
+    def _climb(self, packed: int) -> LookupResult[RuleT]:
+        """The walk's winner and probe count, one hash per priority level.
+
+        That hash yields the level's groups holding a bucket that agrees
+        with the packet on ``common``; one more hash each finds the
+        packet's bucket there, if any.  Levels are visited best first and the climb stops at the first
+        whose priority does not exceed the winner's, as the walk stops
+        at the first such group.  Ties go to the earlier level, then to
+        the older group (cell lists are in age order), as in the walk.
+        The walk would have probed every group of a better level than
+        the winner's priority ``p`` — all of them, on a miss — plus,
+        when the winning group's own level is ``p``, the groups of that
+        level up to and including it.
+        """
+        if self._ladder_dirty:
+            ladder = []
+            above = 0
+            levels = self._levels
+            for priority in sorted(levels, reverse=True):
+                level = levels[priority]
+                ladder.append(
+                    (priority, level.common, level.cells, above, level.ages)
+                )
+                above += len(level.ages)
+            self._ladder = ladder
+            self._ladder_dirty = False
+
+        best: Optional[RuleT] = None
+        best_priority = -1
+        won = None
+        probed = len(self._groups)
+        for priority, common, cells, above, ages in self._ladder:
+            if priority <= best_priority:
+                probed = above
+                break
+            found = cells.get(packed & common)
+            if found is not None:
+                for mask, rules, group, _ in found:
+                    bucket = rules.get(packed & mask)
+                    if bucket is not None:
+                        candidate = bucket[0]
+                        if candidate.priority > best_priority:
+                            best = candidate
+                            best_priority = candidate.priority
+                            won = (group, above, ages)
+        if won is not None and won[0].max_priority == best_priority:
+            group, above, ages = won
+            probed = above + bisect_left(ages, group.seq) + 1
+        cells = self.observer_cells
+        if cells is not None:
+            cells[1 if best is not None else 0] += 1
+        return LookupResult(best, None, probed)
+
     # -- internals --------------------------------------------------------------------
 
     def _field_of(self, packed: int, index: int) -> int:
@@ -368,3 +545,36 @@ class TupleSpaceClassifier(Generic[RuleT]):
                 if prefix_len is not None:
                     prefixes.append((index, prefix_len))
         return _Group(stage_masks, tuple(prefixes), self.schema.field_masks)
+
+    def _build_index(self) -> None:
+        self._levels = {}
+        self._ladder_dirty = True
+        for group in self._groups.values():
+            self._index_group(group)
+
+    def _index_group(self, group: _Group[RuleT]) -> None:
+        """File ``group`` and its buckets at its best priority's level."""
+        levels = self._levels
+        level = levels.get(group.max_priority)
+        if level is None:
+            level = levels[group.max_priority] = _Level()
+        if level.add(group):
+            level.rehash()
+        else:
+            for canonical in group.rules:
+                level.put(group, canonical)
+        self._ladder_dirty = True
+
+    def _unindex_group(self, group: _Group[RuleT], priority: int) -> None:
+        """Take ``group`` and its buckets out of level ``priority``."""
+        levels = self._levels
+        level = levels[priority]
+        if level.discard(group):
+            if level.groups:
+                level.rehash()
+            else:
+                del levels[priority]
+        else:
+            for canonical in group.rules:
+                level.pop(group, canonical)
+        self._ladder_dirty = True

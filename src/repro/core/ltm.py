@@ -311,9 +311,9 @@ class LtmTable:
         return {tag: len(bucket) for tag, bucket in self._by_tag.items()}
 
     def mean_group_count(self) -> float:
-        """Average TSS mask groups per tag bucket — the expected hash
-        probes one lookup of this table costs (the tag exact-match selects
-        a single bucket first)."""
+        """Average TSS mask groups per tag bucket — the groups the TSS
+        walk probes on a miss; plain lookups are charged it (the tag
+        exact-match selects a single bucket first)."""
         if not self._by_tag:
             return 0.0
         return sum(

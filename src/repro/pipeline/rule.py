@@ -23,8 +23,11 @@ class PipelineRule:
         next_table: ID of the table the packet proceeds to after this rule's
             actions, or ``None`` when the rule is terminal (the actions must
             then include output/drop/controller).
-        rule_id: Globally unique identifier; ties on (priority, specificity)
-            are broken by lower id so lookups are deterministic.
+        rule_id: Globally unique identifier.  Among matching rules of
+            equal priority the table's classifier picks the one whose
+            mask group it probes first (groups order by best resident
+            priority, then age), then the lower id within that group's
+            bucket; specificity is never read.
     """
 
     match: TernaryMatch
@@ -42,8 +45,10 @@ class PipelineRule:
             raise ValueError(f"negative priority: {self.priority}")
 
     def sort_key(self) -> tuple:
-        """Ordering used to resolve multi-match: priority desc, specificity
-        desc, then insertion order."""
+        """A deterministic listing order (a table's rules sorted for
+        comparison): priority desc, specificity desc, then insertion
+        order.  It does not resolve multi-match — the classifier does,
+        as :attr:`rule_id` says."""
         return (-self.priority, -self.match.specificity(), self.rule_id)
 
     def __repr__(self) -> str:

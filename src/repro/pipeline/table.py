@@ -23,7 +23,8 @@ class TableLookup:
             including dependency bits for missed higher-priority rules.
         actions: Actions to apply (the rule's, or the table default's).
         next_table: Where the packet goes next (``None`` = terminal).
-        groups_probed: TSS mask groups hashed (feeds the CPU cost model).
+        groups_probed: Mask groups the TSS walk probes; plain lookups
+            are charged it (feeds the CPU cost model).
     """
 
     rule: Optional[PipelineRule]

@@ -1,6 +1,15 @@
 """Unit tests for the Tuple Space Search classifier."""
 
+from collections import Counter
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.classify import PrefixTrie, TupleSpaceClassifier
 from repro.flow import (
@@ -12,7 +21,7 @@ from repro.flow import (
     prefix_mask,
 )
 from repro.pipeline import PipelineRule
-from conftest import flow
+from conftest import DIFFERENTIAL, flow
 
 
 def make_rule(values, masks=None, priority=10):
@@ -338,3 +347,182 @@ class TestProbeOrderReport:
                 assert now.groups_probed == was.groups_probed
                 unchanged += 1
         assert unchanged > 1000
+
+
+def same_as_walk(classifier, probe):
+    """A plain lookup, checked against the walk (which an un-wildcarding
+    lookup always takes): same rule object, same ``groups_probed``."""
+    plain = classifier.lookup(probe)
+    walk = classifier.lookup(probe, unwildcard=True)
+    assert plain.rule is walk.rule
+    assert plain.groups_probed == walk.groups_probed
+    return plain
+
+
+class TestLevelIndexCharge:
+    """A plain lookup through the level index is charged the groups the
+    walk probes — one case per branch of the charge."""
+
+    def test_a_miss_is_charged_every_group(self, classifier):
+        for values, priority in (
+            ({"tp_dst": 8080}, 5), ({"tp_src": 9}, 3), ({"ip_proto": 17}, 1)
+        ):
+            classifier.insert(make_rule(values, priority=priority))
+        result = same_as_walk(classifier, flow())
+        assert classifier._levels is not None
+        assert result.rule is None
+        assert result.groups_probed == 3
+
+    def test_a_winner_at_its_groups_best_is_charged_its_rank(self, classifier):
+        above = make_rule({"tp_dst": 8080}, priority=9)  # misses
+        older = make_rule({"tp_src": 1}, priority=5)  # misses
+        winner = make_rule({"ip_proto": 6}, priority=5)
+        younger = make_rule({"eth_type": 0x0800}, priority=5)  # ties, loses
+        below = make_rule({"vlan_id": 5}, priority=2)  # matches, not probed
+        for added in (above, older, winner, younger, below):
+            classifier.insert(added)
+        result = same_as_walk(classifier, flow())
+        assert result.rule is winner
+        # The level above, then the level's groups by age up to the winner.
+        assert result.groups_probed == 1 + 1 + 1
+
+    def test_a_winner_below_its_groups_best_is_charged_the_levels_above(
+        self, classifier
+    ):
+        top = make_rule({"tp_dst": 8080}, priority=9)
+        winner = make_rule({"tp_dst": 443}, priority=2)  # top's group
+        middle = make_rule({"tp_src": 1}, priority=4)  # misses
+        tied = make_rule({"ip_proto": 6}, priority=2)  # ties, never probed
+        for added in (top, winner, middle, tied):
+            classifier.insert(added)
+        result = same_as_walk(classifier, flow())
+        assert result.rule is winner
+        assert result.groups_probed == 2  # the groups at levels 9 and 4
+
+
+class TestIndexLifetime:
+    def test_only_a_plain_lookup_builds_the_index(self, classifier):
+        """Un-wildcarding lookups (the pipeline tables') never build the
+        level index; the first plain lookup does, updates keep it, and
+        ``clear`` drops it."""
+        rules = [
+            make_rule({"ip_dst": 0}, {"ip_dst": prefix_mask(32 - i)}, i % 3)
+            for i in range(6)
+        ]
+        probe = flow(ip_dst=0)
+        for added in rules[:3]:
+            classifier.insert(added)
+        classifier.lookup(probe, unwildcard=True)
+        assert classifier._levels is None
+        same_as_walk(classifier, probe)
+        assert classifier._levels is not None
+        for added in rules[3:]:
+            classifier.insert(added)
+            same_as_walk(classifier, probe)
+        for removed in rules:
+            classifier.remove(removed)
+            same_as_walk(classifier, probe)
+        classifier.clear()
+        assert classifier._levels is None
+
+
+#: Mask templates for the differential: four that share ``tp_dst`` (so a
+#: level's ``common`` keeps it) and a broad outlier without it, which
+#: shrinks ``common`` while resident.
+INDEX_TEMPLATES = (
+    {"tp_dst": None, "ip_proto": None},
+    {"tp_dst": None, "tp_src": None},
+    {"tp_dst": None, "ip_dst": prefix_mask(24)},
+    {"tp_dst": 0xFF00, "ip_dst": prefix_mask(16)},
+    {"ip_proto": None},
+)
+
+INDEX_VALUES = {
+    "tp_dst": (80, 443, 0x1BB),
+    "tp_src": (1, 2),
+    "ip_proto": (6, 17),
+    "ip_dst": (ip("10.0.0.1"), ip("10.0.1.1"), ip("10.1.0.1")),
+}
+
+
+class LevelIndexAgainstWalk(RuleBasedStateMachine):
+    """Plain lookups through the level index against the walk, over
+    insert / remove / ``clear`` / lookup.  Priorities come from three
+    values, so ties happen inside a group and across groups."""
+
+    def __init__(self):
+        super().__init__()
+        self.classifier = TupleSpaceClassifier(DEFAULT_SCHEMA)
+        self.resident = []
+
+    def draw_values(self, data, names):
+        return {
+            name: data.draw(st.sampled_from(INDEX_VALUES[name]), label=name)
+            for name in names
+        }
+
+    @rule(
+        data=st.data(),
+        template=st.sampled_from(INDEX_TEMPLATES),
+        priority=st.sampled_from((1, 2, 3)),
+    )
+    def insert(self, data, template, priority):
+        added = make_rule(
+            self.draw_values(data, template), dict(template), priority
+        )
+        self.classifier.insert(added)
+        self.resident.append(added)
+
+    @precondition(lambda self: self.resident)
+    @rule(data=st.data())
+    def remove(self, data):
+        position = data.draw(st.integers(0, len(self.resident) - 1))
+        self.classifier.remove(self.resident.pop(position))
+
+    @rule()
+    def clear(self):
+        self.classifier.clear()
+        self.resident.clear()
+
+    @rule(data=st.data())
+    def lookup(self, data):
+        same_as_walk(self.classifier, flow(**self.draw_values(data, INDEX_VALUES)))
+
+    @invariant()
+    def index_mirrors_the_groups(self):
+        groups = list(self.classifier._groups.values())
+        levels = self.classifier._levels
+        if levels is None:  # no plain lookup since the last clear
+            return
+        filed = []
+        for priority, level in levels.items():
+            common = -1
+            for seq, group in level.groups.items():
+                assert group.seq == seq and group.max_priority == priority
+                common &= group.mask
+            assert level.groups
+            assert level.common == common
+            assert level.ages == sorted(level.groups)
+            for key, cells in level.cells.items():
+                # One cell per group with a bucket under the key, by age.
+                ages = [cell[2].seq for cell in cells]
+                assert ages == sorted(set(ages))
+                for mask, rules, group, count in cells:
+                    assert mask == group.mask and rules is group.rules
+                    filed.append((group.seq, key, count))
+        # Every resident bucket is counted once, under ``value & common``.
+        expected = Counter(
+            (group.seq, canonical & levels[group.max_priority].common)
+            for group in groups
+            for canonical in group.rules
+        )
+        assert sorted(filed) == sorted(
+            (seq, key, count) for (seq, key), count in expected.items()
+        )
+        assert sorted(
+            seq for level in levels.values() for seq in level.ages
+        ) == sorted(group.seq for group in groups)
+
+
+LevelIndexAgainstWalk.TestCase.settings = DIFFERENTIAL
+TestLevelIndexAgainstWalk = LevelIndexAgainstWalk.TestCase

@@ -2,7 +2,7 @@
 no reaching into the telemetry hub, one entry lifecycle, one §7 mode
 decider, no run-time steering of the cache's knobs, two homes for the
 bench clock, one prefix structure and one partition DP, no salted hash,
-one fan-out, one idle timer.
+one fan-out, one idle timer, one reader of the classifier's state.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -83,6 +83,13 @@ misses on the paper's cells and lost to a static timer on Gigaflow even
 on the trace built for it (``docs/eviction.md``, "Measured and
 deleted").  No module under ``repro`` mentions it, and ``SimConfig``
 has exactly the seven fields below.
+
+The eleventh keeps the TSS classifier's state its own.  A plain lookup
+finds its winner through the level index and *computes* the walk's
+``groups_probed``; that is exact only while ``classify/tss.py`` is the
+one module that reads or writes the group table, the walk's probe-order
+snapshot and the index — so no other module under ``repro`` touches
+those attributes.
 """
 
 import ast
@@ -829,3 +836,50 @@ def test_idle_timer_audit_sees_a_violation():
         [*SIM_CONFIG_FIELDS[:-1], "timeouts", SIM_CONFIG_FIELDS[-1]],
     )
     assert _field_names(with_predictor) != SIM_CONFIG_FIELDS
+
+
+#: The classifier's module, and its state no other module may touch:
+#: the group table, the walk's probe-order snapshot, the level index.
+TSS_HOME = "classify/tss.py"
+TSS_PRIVATE = frozenset({
+    "_groups", "_ordered", "_order_dirty", "_levels", "_ladder",
+    "_ladder_dirty",
+})
+
+
+def _tss_state_reads(source: str):
+    """``(line, ".attr")`` for every use of a :data:`TSS_PRIVATE`
+    attribute, read or written."""
+    return sorted(
+        (node.lineno, f".{node.attr}")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in TSS_PRIVATE
+    )
+
+
+def test_tss_state_has_one_home():
+    offenders = [
+        f"{relpath}:{line} {attr}"
+        for path in sorted(SRC.rglob("*.py"))
+        for relpath in [path.relative_to(SRC).as_posix()]
+        if relpath != TSS_HOME
+        for line, attr in _tss_state_reads(path.read_text())
+    ]
+    assert not offenders, (
+        "TupleSpaceClassifier state touched outside classify/tss.py:\n  "
+        + "\n  ".join(offenders)
+    )
+    # The list names the classifier's real state.
+    assert {
+        attr for _, attr in _tss_state_reads((SRC / TSS_HOME).read_text())
+    } == {f".{name}" for name in TSS_PRIVATE}
+
+
+def test_tss_state_audit_sees_a_violation():
+    assert _tss_state_reads(
+        "def probes(table, bucket):\n"
+        "    order = table._classifier._ordered\n"
+        "    count = len(bucket._groups)\n"
+        "    bucket._levels = None\n"
+        "    size = bucket._size\n"
+    ) == [(2, "._ordered"), (3, "._groups"), (4, "._levels")]
