@@ -78,17 +78,13 @@ def build_megaflow_entry(
     generation: int = 0,
     now: float = 0.0,
 ) -> MegaflowEntry:
-    """Collapse a traversal into a single cache entry (the paper's K=1)."""
-    initial = traversal.initial_flow
-    wildcard = traversal.megaflow_wildcard()
-    match = TernaryMatch(initial, wildcard)
-    actions = ActionList.commit(
-        initial, traversal.final_flow, traversal.steps[-1].actions
-    )
+    """Collapse a traversal into a single cache entry (the paper's K=1):
+    the slice of all its steps."""
+    match, actions = traversal.match_and_commit(0, len(traversal))
     return MegaflowEntry(
         match=match,
         actions=actions,
-        parent_flow=initial,
+        parent_flow=traversal.initial_flow,
         start_table=start_table,
         length=len(traversal),
         generation=generation,

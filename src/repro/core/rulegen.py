@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..flow.actions import ActionList
-from ..flow.match import TernaryMatch
 from ..pipeline.traversal import SubTraversal
 from .ltm import TAG_DONE, LtmRule
 
@@ -30,15 +28,7 @@ def build_ltm_rule(
     now: float = 0.0,
 ) -> LtmRule:
     """Convert one sub-traversal into an LTM cache rule."""
-    entry_flow = sub.flow_at_entry
-    exit_flow = sub.flow_at_exit
-    wildcard = sub.effective_wildcard()
-    match = TernaryMatch(entry_flow, wildcard)
-    actions = ActionList.commit(
-        entry_flow,
-        exit_flow,
-        sub.steps[-1].actions if sub.is_terminal else ActionList(),
-    )
+    match, actions = sub.match_and_commit()
     next_table = sub.next_table
     next_tag = TAG_DONE if next_table is None else next_table
     return LtmRule(
@@ -47,7 +37,7 @@ def build_ltm_rule(
         priority=sub.length,
         actions=actions,
         next_tag=next_tag,
-        parent_flow=entry_flow,
+        parent_flow=sub.flow_at_entry,
         generation=generation,
         now=now,
     )

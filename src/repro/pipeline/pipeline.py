@@ -18,6 +18,13 @@ from .table import PipelineTable
 from .traversal import Disposition, Traversal, TraversalStep
 
 
+#: Flows whose traversal :meth:`Pipeline.execute` remembers, oldest
+#: forgotten first.  Above every bench workload's flow count (1 500 at
+#: most); the memo mostly shares traversals the workload's pilots
+#: already hold (``docs/architecture.md``, "Slow-path memo").
+MEMO_FLOWS = 4096
+
+
 class PipelineLoopError(RuntimeError):
     """Raised when a flow exceeds the maximum table-lookup depth."""
 
@@ -47,6 +54,14 @@ class Pipeline:
         name: Pipeline identifier (e.g. ``"OLS"``).
         start_table: ID of the entry table.
         max_depth: Loop guard — OVS caps resubmissions similarly.
+
+    A traversal is a function of the flow and the rule set, so
+    :meth:`execute` remembers the ones it walked at the current
+    ``generation``, keyed by packed flow, with the groups the walk
+    probed; a counted execute of a remembered flow records those
+    counts again without walking.  The first execute after a rule
+    change forgets them all.  A copy (``copy.deepcopy``, pickle)
+    starts with nothing remembered.
     """
 
     def __init__(
@@ -68,12 +83,28 @@ class Pipeline:
                 raise ValueError(
                     f"table {table.name!r} uses a different schema"
                 )
+            if table.owner is not None:
+                raise ValueError(
+                    f"table {table.name!r} is already a stage of "
+                    f"pipeline {table.owner.name!r}"
+                )
             self.tables[table.table_id] = table
         if start_table not in self.tables:
             raise ValueError(f"start table {start_table} not in pipeline")
         self.start_table = start_table
         self.stats = ExecutionStats()
         self._generation = 0
+        #: packed flow → (traversal, groups probed), walked at
+        #: ``_memo_generation``; insertion order is age.
+        self._traversal_memo: Dict[int, Tuple[Traversal, int]] = {}
+        self._memo_generation = 0
+        for table in self.tables.values():
+            table.owner = self
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_traversal_memo"] = {}
+        return state
 
     # -- structure -----------------------------------------------------------------
 
@@ -98,8 +129,9 @@ class Pipeline:
 
     @property
     def generation(self) -> int:
-        """Monotonic counter bumped on every rule change; revalidation
-        compares cache-entry generations against it (§4.3.1)."""
+        """Monotonic counter bumped on every rule change, through this
+        pipeline or straight on one of its tables; revalidation compares
+        cache-entry generations against it (§4.3.1)."""
         return self._generation
 
     # -- rule management ---------------------------------------------------------------
@@ -110,16 +142,36 @@ class Pipeline:
                 f"rule jumps to unknown table {rule.next_table}"
             )
         self.table(table_id).insert(rule)
-        self._generation += 1
 
     def remove(self, table_id: int, rule: PipelineRule) -> None:
         self.table(table_id).remove(rule)
+
+    def rules_changed(self) -> None:
+        """Called by a table of this pipeline after each rule change:
+        the one place ``generation`` moves."""
         self._generation += 1
 
     # -- execution ---------------------------------------------------------------------
 
     def execute(self, flow: FlowKey, record_stats: bool = True) -> Traversal:
-        """Run ``flow`` through the pipeline and trace the traversal."""
+        """Run ``flow`` through the pipeline and trace the traversal.
+
+        A counted execute (``record_stats``) of a flow already walked at
+        this generation returns that walk's traversal and records its
+        counts, without looking anything up.  An uncounted one always
+        walks, so it can check a cache against the tables; it files
+        its walk for the counted executes to come.
+        """
+        memo = self._traversal_memo
+        if self._memo_generation != self._generation:
+            memo.clear()
+            self._memo_generation = self._generation
+        key = flow.packed
+        if record_stats:
+            filed = memo.get(key)
+            if filed is not None:
+                self.stats.record(*filed)
+                return filed[0]
         steps, disposition, groups, unvisited = self._walk(
             flow, self.start_table, self.max_depth
         )
@@ -131,13 +183,19 @@ class Pipeline:
         traversal = Traversal(steps, disposition)
         if record_stats:
             self.stats.record(traversal, groups)
+        if key not in memo:
+            traversal.remember_slices()
+            memo[key] = (traversal, groups)
+            if len(memo) > MEMO_FLOWS:
+                del memo[next(iter(memo))]
         return traversal
 
     def replay(self, flow: FlowKey, start_table: int, length: int) -> Traversal:
         """Re-execute a flow from ``start_table`` for up to ``length``
         tables — the revalidation primitive of §4.3.1 (sub-traversal
         replays are shorter than full traversals, which is exactly where
-        Gigaflow's 2× revalidation speedup comes from)."""
+        Gigaflow's 2× revalidation speedup comes from).  Always walks,
+        and remembers nothing."""
         steps, disposition, _, _ = self._walk(flow, start_table, length)
         return Traversal(steps, disposition)
 

@@ -47,6 +47,9 @@ class PipelineTable:
             matches; ``None`` makes a miss terminal with ``miss_actions``.
         miss_actions: Actions applied on a table miss when terminal
             (defaults to a controller punt, as in OpenFlow).
+        owner: The :class:`~repro.pipeline.Pipeline` this table is a
+            stage of (``None`` until one takes it); every rule change
+            here moves that pipeline's ``generation``.
     """
 
     def __init__(
@@ -72,6 +75,7 @@ class PipelineTable:
         self._classifier: TupleSpaceClassifier[PipelineRule] = (
             TupleSpaceClassifier(schema)
         )
+        self.owner = None
 
     # -- rule management ------------------------------------------------------
 
@@ -84,12 +88,19 @@ class PipelineTable:
                 f"{self.name!r} declared fields {sorted(self.field_set)}"
             )
         self._classifier.insert(rule)
+        self._changed()
 
     def remove(self, rule: PipelineRule) -> None:
         self._classifier.remove(rule)
+        self._changed()
 
     def clear(self) -> None:
         self._classifier.clear()
+        self._changed()
+
+    def _changed(self) -> None:
+        if self.owner is not None:
+            self.owner.rules_changed()
 
     def __len__(self) -> int:
         return len(self._classifier)

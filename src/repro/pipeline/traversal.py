@@ -14,6 +14,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 from ..flow.actions import ActionList
 from ..flow.key import FlowKey
+from ..flow.match import TernaryMatch
 from ..flow.wildcard import Wildcard
 
 
@@ -53,10 +54,18 @@ class TraversalStep(NamedTuple):
 
 @dataclass(frozen=True)
 class Traversal:
-    """A complete trace of one slow-path execution: ``<T, F, W>``."""
+    """A complete trace of one slow-path execution: ``<T, F, W>``.
+
+    A traversal the pipeline remembers (:meth:`remember_slices`) keeps
+    each slice's derived match and commit, so installing it again
+    derives nothing; any other derives afresh on every call.
+    """
 
     steps: Tuple[TraversalStep, ...]
     disposition: Disposition
+    # (start, stop) → (match, commit); not a dataclass field, so it
+    # takes no part in equality, hashing or repr.
+    _slices = None
 
     def __post_init__(self) -> None:
         if not self.steps:
@@ -89,6 +98,37 @@ class Traversal:
         ``W_i``, dropping contributions from fields already rewritten by an
         earlier action (those depend on the pipeline, not the packet)."""
         return union_wildcards(self.steps)
+
+    def remember_slices(self) -> None:
+        """Keep every slice :meth:`match_and_commit` computes from now on."""
+        object.__setattr__(self, "_slices", {})
+
+    def match_and_commit(
+        self, start: int, stop: int
+    ) -> Tuple[TernaryMatch, ActionList]:
+        """The cache entry for ``steps[start:stop]``: its match — the
+        entry flow masked by the slice's :func:`union_wildcards` — and its
+        commit, the rewrites from entry to exit flow plus, for a slice
+        that ends the traversal, the terminal actions (§4.2.3)."""
+        slices = self._slices
+        if slices is not None:
+            derived = slices.get((start, stop))
+            if derived is not None:
+                return derived
+        steps = self.steps[start:stop]
+        entry_flow = steps[0].flow_before
+        last = steps[-1]
+        derived = (
+            TernaryMatch(entry_flow, union_wildcards(steps)),
+            ActionList.commit(
+                entry_flow,
+                last.flow_after,
+                last.actions if stop == len(self.steps) else ActionList(),
+            ),
+        )
+        if slices is not None:
+            slices[start, stop] = derived
+        return derived
 
     def sub(self, start: int, stop: int) -> "SubTraversal":
         """The sub-traversal covering ``steps[start:stop]``."""
@@ -158,16 +198,17 @@ class SubTraversal:
     def flow_at_entry(self) -> FlowKey:
         return self.traversal.steps[self.start].flow_before
 
-    @property
-    def flow_at_exit(self) -> FlowKey:
-        return self.traversal.steps[self.stop - 1].flow_after
-
     # -- caching-relevant views -----------------------------------------------------
 
     def effective_wildcard(self) -> Wildcard:
         """The ``ω_k = ∪ W_i`` of §4.2.3, scoped to this slice: masks of
         fields overwritten earlier *within the slice* do not propagate."""
         return union_wildcards(self.steps)
+
+    def match_and_commit(self) -> Tuple[TernaryMatch, ActionList]:
+        """This slice's match and commit
+        (:meth:`Traversal.match_and_commit`)."""
+        return self.traversal.match_and_commit(self.start, self.stop)
 
     def field_set(self) -> frozenset:
         """Fields this sub-traversal matches on (disjointness unit)."""

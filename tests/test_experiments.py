@@ -90,6 +90,26 @@ class TestFig16:
         results = compare_partitioners("PSC", scale=TINY)
         assert results["1-1"].peak_entries > results["dp"].peak_entries
 
+    def test_ols_golden(self):
+        """Every scheme's ``(misses, peak_entries)`` as first recorded, on
+        a scale too small for the paper's shape: the guard against a
+        change that calls the stateful RND partitioner less often (say,
+        by memoizing a traversal's partition), which moves RND alone."""
+        scale = ExperimentScale(
+            n_flows=400, cache_capacity=120, duration=20.0,
+            mean_flow_size=8.0,
+        )
+        results = compare_partitioners("OLS", "high", scale)
+        assert {
+            name: (result.misses, result.peak_entries)
+            for name, result in results.items()
+        } == {
+            "megaflow": (684, 120),
+            "rnd": (707, 120),
+            "dp": (726, 120),
+            "1-1": (613, 540),
+        }
+
 
 class TestFig17:
     def test_four_configs_ordering(self):

@@ -2,7 +2,8 @@
 no reaching into the telemetry hub, one entry lifecycle, one §7 mode
 decider, no run-time steering of the cache's knobs, two homes for the
 bench clock, one prefix structure and one partition DP, no salted hash,
-one fan-out, one idle timer, one reader of the classifier's state.
+one fan-out, one idle timer, one reader of the classifier's state,
+one home for the slow-path memo.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -90,6 +91,13 @@ finds its winner through the level index and *computes* the walk's
 one module that reads or writes the group table, the walk's probe-order
 snapshot and the index — so no other module under ``repro`` touches
 those attributes.
+
+The twelfth keeps the slow-path memo inside ``pipeline/``.  A counted
+``Pipeline.execute`` answers a flow it already walked at this
+generation, and a remembered traversal hands out the slices it already
+derived; that is exact only while ``pipeline/`` is the one package that
+reads or writes the remembered traversals, the generation they were
+walked at and a traversal's derived slices.
 """
 
 import ast
@@ -847,13 +855,13 @@ TSS_PRIVATE = frozenset({
 })
 
 
-def _tss_state_reads(source: str):
-    """``(line, ".attr")`` for every use of a :data:`TSS_PRIVATE`
-    attribute, read or written."""
+def _state_uses(source: str, private=TSS_PRIVATE):
+    """``(line, ".attr")`` for every use of a ``private`` attribute,
+    read or written."""
     return sorted(
         (node.lineno, f".{node.attr}")
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr in TSS_PRIVATE
+        if isinstance(node, ast.Attribute) and node.attr in private
     )
 
 
@@ -863,7 +871,7 @@ def test_tss_state_has_one_home():
         for path in sorted(SRC.rglob("*.py"))
         for relpath in [path.relative_to(SRC).as_posix()]
         if relpath != TSS_HOME
-        for line, attr in _tss_state_reads(path.read_text())
+        for line, attr in _state_uses(path.read_text())
     ]
     assert not offenders, (
         "TupleSpaceClassifier state touched outside classify/tss.py:\n  "
@@ -871,15 +879,53 @@ def test_tss_state_has_one_home():
     )
     # The list names the classifier's real state.
     assert {
-        attr for _, attr in _tss_state_reads((SRC / TSS_HOME).read_text())
+        attr for _, attr in _state_uses((SRC / TSS_HOME).read_text())
     } == {f".{name}" for name in TSS_PRIVATE}
 
 
 def test_tss_state_audit_sees_a_violation():
-    assert _tss_state_reads(
+    assert _state_uses(
         "def probes(table, bucket):\n"
         "    order = table._classifier._ordered\n"
         "    count = len(bucket._groups)\n"
         "    bucket._levels = None\n"
         "    size = bucket._size\n"
     ) == [(2, "._ordered"), (3, "._groups"), (4, "._levels")]
+
+
+#: The slow-path memo's home, and its state no module outside it may
+#: touch: the remembered traversals, the generation they were walked
+#: at, a remembered traversal's derived slices.
+MEMO_HOME = "pipeline/"
+MEMO_PRIVATE = frozenset({"_traversal_memo", "_memo_generation", "_slices"})
+
+
+def test_memo_state_has_one_home():
+    offenders = [
+        f"{relpath}:{line} {attr}"
+        for path in sorted(SRC.rglob("*.py"))
+        for relpath in [path.relative_to(SRC).as_posix()]
+        if not relpath.startswith(MEMO_HOME)
+        for line, attr in _state_uses(path.read_text(), MEMO_PRIVATE)
+    ]
+    assert not offenders, (
+        "slow-path memo state touched outside repro/pipeline:\n  "
+        + "\n  ".join(offenders)
+    )
+    # The list names the memo's real state.
+    assert {
+        attr
+        for path in (SRC / MEMO_HOME).glob("*.py")
+        for _, attr in _state_uses(path.read_text(), MEMO_PRIVATE)
+    } == {f".{name}" for name in MEMO_PRIVATE}
+
+
+def test_memo_state_audit_sees_a_violation():
+    assert _state_uses(
+        "def warm(pipeline, traversal):\n"
+        "    filed = pipeline._traversal_memo.get(0)\n"
+        "    pipeline._memo_generation = -1\n"
+        "    slices = traversal._slices\n"
+        "    memo = fastpath._memo\n",
+        MEMO_PRIVATE,
+    ) == [(2, "._traversal_memo"), (3, "._memo_generation"), (4, "._slices")]
