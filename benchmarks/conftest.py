@@ -6,8 +6,12 @@ fall).  Scale is selected with the ``REPRO_BENCH_SCALE`` environment
 variable:
 
 * ``small`` (default) — CI-friendly, minutes for the whole suite;
-* ``medium`` — closer ratios, tens of minutes;
-* ``paper`` — the paper's 100K-flow operating point (hours in Python).
+* ``medium`` — 6K flows; Fig. 8's ten cells take about 70 s on a
+  2-core box, and Fig. 8's shape assertion fails at this scale (the
+  Gigaflow lead is recorded at ``small`` only, EXPERIMENTS.md);
+* ``paper`` — the paper's 100K-flow operating point; one 30K-flow cell
+  takes about 27 s of CPU for both systems on the same box, so a
+  paper-scale cell takes minutes, not hours.
 
 Figures 8–13 and 19 all read the same memoised simulation cells, so the
 first of them pays the cost and the rest are instant.

@@ -39,7 +39,6 @@ from .flow import (
     TernaryMatch,
     Wildcard,
     ip,
-    ip_str,
     prefix_mask,
 )
 from .pipeline import (
@@ -74,7 +73,7 @@ from .core import (
     RandomPartitioner,
     validate_cache,
 )
-from .metrics import LatencyModel, ThroughputModel
+from .metrics import LatencyModel
 from .workload import (
     Pipebench,
     PipebenchConfig,
@@ -137,7 +136,6 @@ __all__ = [
     "TABLE1_EXPECTED",
     "TAG_DONE",
     "TernaryMatch",
-    "ThroughputModel",
     "Traversal",
     "VSwitchSimulator",
     "Wildcard",
@@ -148,7 +146,6 @@ __all__ = [
     "generate_ruleset",
     "get_pipeline_spec",
     "ip",
-    "ip_str",
     "one_to_one_partition",
     "prefix_mask",
     "profile_workload",

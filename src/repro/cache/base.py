@@ -88,9 +88,10 @@ class CacheResult:
     tables_hit: int = 0
 
 
-#: What a full cache does with a new entry: evict the least recently
-#: used one (the OVS revalidator under pressure) or refuse the install
-#: (the paper's ``GF_k not full`` formulation, Fig. 3 / Table 2).
+#: What a full Gigaflow-family cache does with a new rule: evict the
+#: least recently used one (the OVS revalidator under pressure) or
+#: refuse the install (the paper's ``GF_k not full`` formulation,
+#: Fig. 3 / Table 2).  Microflow and Megaflow caches always evict LRU.
 EVICTION_MODES = ("lru", "reject")
 
 

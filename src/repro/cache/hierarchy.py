@@ -47,10 +47,8 @@ class CacheHierarchy(FlowCache):
     A Microflow hit never consults the Megaflow cache; a Megaflow hit
     promotes the exact flow into the Microflow cache (as OVS does); a miss
     falls through to the caller's slow path, whose resulting traversal is
-    installed into both levels via :meth:`install_traversal`.
-
-    ``eviction`` (``"lru"`` or ``"reject"``) is the Megaflow level's;
-    the exact-match level always evicts its least recently used entry.
+    installed into both levels via :meth:`install_traversal`.  Both
+    levels evict their least recently used entry when full.
     """
 
     name = "hierarchy"
@@ -61,11 +59,10 @@ class CacheHierarchy(FlowCache):
         megaflow_capacity: int = 32768,
         schema: FieldSchema = DEFAULT_SCHEMA,
         start_table: int = 0,
-        eviction: str = "lru",
     ):
         super().__init__()
         self.microflow = MicroflowCache(microflow_capacity)
-        self.megaflow = MegaflowCache(megaflow_capacity, schema, eviction)
+        self.megaflow = MegaflowCache(megaflow_capacity, schema)
         self.start_table = start_table
 
     @property
@@ -113,13 +110,12 @@ class CacheHierarchy(FlowCache):
 
     def install_traversal(
         self, traversal: Traversal, generation: int = 0, now: float = 0.0
-    ) -> bool:
+    ) -> None:
         entry = build_megaflow_entry(
             traversal, self.start_table, generation, now
         )
-        installed = self.megaflow.install(entry, now)
+        self.megaflow.install(entry, now)
         self.microflow.install(traversal.initial_flow, entry.actions, now)
-        return installed
 
     # -- FlowCache bookkeeping -----------------------------------------------
 

@@ -24,7 +24,6 @@ from .base import (
     FlowCache,
     HitReplay,
     actions_result,
-    check_eviction,
 )
 
 _entry_ids = itertools.count()
@@ -117,10 +116,9 @@ class MegaflowCache(FlowCache):
     """A capacity-bounded single-table wildcard cache.
 
     Attributes:
-        capacity: Maximum entries (the paper's baseline uses 32K).
-        eviction: ``"lru"`` — a full cache evicts its least recently
-            used entry (OVS revalidator behaviour under pressure);
-            ``"reject"`` refuses the install instead.
+        capacity: Maximum entries (the paper's baseline uses 32K).  A
+            full cache evicts its least recently used entry (OVS
+            revalidator behaviour under pressure).
     """
 
     name = "megaflow"
@@ -129,13 +127,11 @@ class MegaflowCache(FlowCache):
         self,
         capacity: int = 32768,
         schema: FieldSchema = DEFAULT_SCHEMA,
-        eviction: str = "lru",
     ):
         super().__init__()
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.eviction = check_eviction(eviction)
         self.schema = schema
         self._classifier: TupleSpaceClassifier[MegaflowEntry] = (
             TupleSpaceClassifier(schema)
@@ -170,8 +166,8 @@ class MegaflowCache(FlowCache):
         entry.last_used = now
         self._by_id.move_to_end(entry.rule_id)
 
-    def install(self, entry: MegaflowEntry, now: float = 0.0) -> bool:
-        """Install an entry; returns False when rejected for capacity."""
+    def install(self, entry: MegaflowEntry, now: float = 0.0) -> None:
+        """Install an entry, evicting the LRU entry when full."""
         existing = self._by_match.get(entry.match)
         if existing is not None:
             # Refresh in place (same match predicate — same traversal).
@@ -179,11 +175,8 @@ class MegaflowCache(FlowCache):
             existing.actions = entry.actions
             existing.generation = entry.generation
             self.bump_epoch()
-            return True
+            return
         if len(self._by_match) >= self.capacity:
-            if self.eviction == "reject":
-                self.stats.rejected += 1
-                return False
             victim = next(iter(self._by_id.values()))
             self._depart((victim,), "lru", now - victim.last_used)
             self.bump_epoch()
@@ -193,7 +186,6 @@ class MegaflowCache(FlowCache):
         self._by_id[entry.rule_id] = entry
         self.stats.insertions += 1
         self.bump_epoch()
-        return True
 
     def install_traversal(
         self,
@@ -201,10 +193,10 @@ class MegaflowCache(FlowCache):
         start_table: int,
         generation: int = 0,
         now: float = 0.0,
-    ) -> bool:
+    ) -> None:
         """Convenience: build and install the entry for a traversal."""
         entry = build_megaflow_entry(traversal, start_table, generation, now)
-        return self.install(entry, now)
+        self.install(entry, now)
 
     def remove(self, entry: MegaflowEntry, reason: str = "evict") -> None:
         """Remove one entry (the revalidator's eviction)."""

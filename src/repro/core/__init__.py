@@ -10,9 +10,7 @@ from .partition import (
     megaflow_partition,
     one_to_one_partition,
     partition_score,
-    partitioner_by_name,
     segment_score,
-    step_field_sets,
 )
 from .rulegen import build_ltm_rule, build_ltm_rules
 from .gigaflow import GigaflowCache, InstallOutcome
@@ -27,9 +25,7 @@ from .coverage import (
     SatisfiableCoverage,
     chain_satisfiable,
     coverage,
-    coverage_ratio,
     estimate_satisfiable_coverage,
-    megaflow_coverage,
 )
 from .revalidation import (
     GigaflowRevalidator,
@@ -66,14 +62,10 @@ __all__ = [
     "build_ltm_rule",
     "build_ltm_rules",
     "coverage",
-    "coverage_ratio",
     "disjoint_boundaries",
     "disjoint_partition",
-    "megaflow_coverage",
     "megaflow_partition",
     "one_to_one_partition",
     "partition_score",
-    "partitioner_by_name",
     "segment_score",
-    "step_field_sets",
 ]

@@ -194,15 +194,3 @@ def estimate_satisfiable_coverage(
         if tag == TAG_DONE and chain_satisfiable(chain):
             satisfiable += 1
     return SatisfiableCoverage(total, drawn, satisfiable)
-
-
-def megaflow_coverage(entry_count: int) -> int:
-    """A Megaflow cache covers exactly one traversal class per entry."""
-    return entry_count
-
-
-def coverage_ratio(cache: GigaflowCache, megaflow_entries: int) -> float:
-    """Gigaflow-vs-Megaflow coverage ratio (Table 2's headline numbers)."""
-    if megaflow_entries <= 0:
-        raise ValueError("megaflow entry count must be positive")
-    return coverage(cache) / megaflow_entries

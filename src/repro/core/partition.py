@@ -33,11 +33,6 @@ Partitioner = Callable[[Traversal, int], Partition]
 DP_MEMO_SIZE = 4096
 
 
-def step_field_sets(traversal: Traversal) -> List[frozenset]:
-    """Per-step matched-field sets (the disjointness unit)."""
-    return [step.wildcard.field_set() for step in traversal.steps]
-
-
 def _boundary_bits(traversal: Traversal) -> int:
     """The disjointness boundaries as a bitset: bit ``i`` is set when
     steps ``i`` and ``i+1`` match disjoint fields."""
@@ -167,23 +162,3 @@ class RandomPartitioner:
             for c in self._rng.choice(n - 1, size=k - 1, replace=False)
         )
         return traversal.partitions_of(cuts)
-
-
-def partitioner_by_name(name: str, seed: int = 0) -> Partitioner:
-    """Resolve a partitioning scheme by its Fig. 16 label."""
-    schemes = {
-        "dp": disjoint_partition,
-        "disjoint": disjoint_partition,
-        "rnd": RandomPartitioner(seed),
-        "random": RandomPartitioner(seed),
-        "1-1": one_to_one_partition,
-        "one-to-one": one_to_one_partition,
-        "megaflow": megaflow_partition,
-    }
-    try:
-        return schemes[name.lower()]
-    except KeyError:
-        raise KeyError(
-            f"unknown partitioning scheme {name!r}; "
-            f"available: {sorted(schemes)}"
-        ) from None

@@ -26,7 +26,6 @@ from .common import (
     PIPELINE_NAMES,
     PairResult,
     SMALL_SCALE,
-    build_cached_workload,
     fresh_workload,
     make_gigaflow,
     make_megaflow,
@@ -35,7 +34,7 @@ from .common import (
     run_system,
 )
 from .table1 import format_table1, table1, table1_matches_paper
-from .fig03 import TableSweepPoint, max_coverage_at, sweep_tables
+from .fig03 import TableSweepPoint, sweep_tables
 from .fig04 import TupleSharingResult, tuple_sharing
 from .end_to_end import (
     CpuBreakdownRow,
@@ -104,7 +103,6 @@ __all__ = [
     "SearchConfig",
     "TableSweepPoint",
     "TupleSharingResult",
-    "build_cached_workload",
     "compare_partitioners",
     "compare_search_algorithms",
     "core_scaling",
@@ -124,7 +122,6 @@ __all__ = [
     "hit_latency_table",
     "make_gigaflow",
     "make_megaflow",
-    "max_coverage_at",
     "misses_by_k",
     "placement_ablation",
     "revalidation_comparison",

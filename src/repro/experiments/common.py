@@ -82,34 +82,16 @@ class ExperimentScale:
 #: fits its Gigaflow table (below that, rigid placement windows thrash).
 SMALL_SCALE = ExperimentScale()
 
-#: A middle scale for benchmark runs (minutes per figure).
+#: A middle scale for benchmark runs: Fig. 8's ten cells take about
+#: 70 s on a 2-core box, and Fig. 8's shape does not hold here.
 MEDIUM_SCALE = ExperimentScale(n_flows=6000, cache_capacity=2000)
 
-#: The paper's own scale (§6.1) — hours in pure Python; provided so the
-#: harness can be pointed at the real operating point.
+#: The paper's own scale (§6.1), so the harness can be pointed at the
+#: real operating point.  Minutes per cell in pure Python: a 30K-flow
+#: cell takes about 27 s of CPU for both systems on a 2-core box.
 PAPER_SCALE = ExperimentScale(
     n_flows=100_000, cache_capacity=32_768, mean_flow_size=16.0
 )
-
-
-def build_cached_workload(
-    pipeline_name: str, locality: str, scale: ExperimentScale
-) -> PipebenchWorkload:
-    """Build (and memoise) a workload for a (pipeline, locality, scale).
-
-    Workload construction is the dominant cost of small experiments;
-    memoising lets the Fig. 8/9/10/12 drivers share runs.  NOTE: callers
-    must not mutate the returned workload's pipeline — use
-    :func:`fresh_workload` for simulation runs.
-    """
-    return _cached_workload(pipeline_name, locality, scale)
-
-
-@lru_cache(maxsize=64)
-def _cached_workload(
-    pipeline_name: str, locality: str, scale: ExperimentScale
-) -> PipebenchWorkload:
-    return fresh_workload(pipeline_name, locality, scale)
 
 
 def fresh_workload(

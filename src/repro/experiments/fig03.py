@@ -69,21 +69,3 @@ def sweep_tables(
             )
         )
     return points
-
-
-def max_coverage_at(
-    pipeline_name: str,
-    k: int,
-    locality: str = "high",
-    scale: ExperimentScale = SMALL_SCALE,
-) -> int:
-    """Rule-space coverage after installing the entire workload (no
-    traffic, no eviction) — the steady-state upper bound."""
-    workload = fresh_workload(pipeline_name, locality, scale)
-    cache = GigaflowCache(
-        num_tables=k, table_capacity=scale.gf_table_capacity
-    )
-    for pilot in workload.pilots:
-        if pilot.cacheable:
-            cache.install_traversal(pilot.traversal)
-    return coverage(cache)

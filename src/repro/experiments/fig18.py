@@ -85,7 +85,6 @@ def dynamic_workloads(
         # Compare phase 1's warmed-up tail against the dip right after the
         # arrival (the paper plots the instantaneous drop at t = 5 min).
         before = result.series.hit_rate_between(offset * 0.6, offset)
-        window = result.series.window
         dip_buckets = [
             rate
             for start, rate in result.series.buckets()

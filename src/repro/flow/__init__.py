@@ -6,7 +6,6 @@ from .fields import (
     Field,
     FieldSchema,
     ip,
-    ip_str,
     prefix_mask,
 )
 from .key import FlowKey
@@ -38,6 +37,5 @@ __all__ = [
     "TernaryMatch",
     "Wildcard",
     "ip",
-    "ip_str",
     "prefix_mask",
 ]

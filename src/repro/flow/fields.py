@@ -239,13 +239,6 @@ def ip(dotted: str) -> int:
     return value
 
 
-def ip_str(value: int) -> str:
-    """Format an integer IPv4 address as a dotted quad."""
-    if not 0 <= value <= 0xFFFFFFFF:
-        raise ValueError(f"not an IPv4 address: {value:#x}")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
-
-
 def prefix_mask(prefix_len: int, width: int = 32) -> int:
     """Return the mask of a ``prefix_len``-bit prefix in a ``width``-bit field.
 

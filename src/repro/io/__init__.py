@@ -1,53 +1,15 @@
-"""Persistence & text formats: JSON snapshots and ofctl-style rules."""
+"""Text formats: ofctl-style flow rules."""
 
 from .ofctl import (
     OfctlParseError,
-    format_rule,
     install_rules,
     parse_rule,
     parse_rules,
 )
-from .serialize import (
-    SerializationError,
-    action_from_dict,
-    action_to_dict,
-    actions_from_list,
-    actions_to_list,
-    dump_gigaflow,
-    dump_pipeline,
-    flow_from_dict,
-    flow_to_dict,
-    gigaflow_to_dict,
-    load_pipeline,
-    match_from_dict,
-    match_to_dict,
-    pipeline_from_dict,
-    pipeline_to_dict,
-    schema_from_dict,
-    schema_to_dict,
-)
 
 __all__ = [
     "OfctlParseError",
-    "SerializationError",
-    "format_rule",
     "install_rules",
     "parse_rule",
     "parse_rules",
-    "action_from_dict",
-    "action_to_dict",
-    "actions_from_list",
-    "actions_to_list",
-    "dump_gigaflow",
-    "dump_pipeline",
-    "flow_from_dict",
-    "flow_to_dict",
-    "gigaflow_to_dict",
-    "load_pipeline",
-    "match_from_dict",
-    "match_to_dict",
-    "pipeline_from_dict",
-    "pipeline_to_dict",
-    "schema_from_dict",
-    "schema_to_dict",
 ]

@@ -28,7 +28,8 @@ Actions: ``output:N``, ``drop``, ``controller``, ``goto_table:N``,
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..flow.actions import (
     Action,
@@ -144,6 +145,19 @@ def _split_top_level(text: str) -> List[str]:
     return parts
 
 
+@contextmanager
+def _token(token: str) -> Iterator[None]:
+    """Re-raise a bare ``ValueError`` from the standard parsers
+    (``int()``, :func:`ip`, :func:`prefix_mask`, the field-width check)
+    as an :class:`OfctlParseError` naming ``token``."""
+    try:
+        yield
+    except OfctlParseError:
+        raise
+    except ValueError as exc:
+        raise OfctlParseError(f"bad token {token!r}: {exc}") from exc
+
+
 def parse_rule(
     text: str, schema: FieldSchema = DEFAULT_SCHEMA
 ) -> Tuple[int, PipelineRule]:
@@ -162,7 +176,8 @@ def parse_rule(
             if not tokens:
                 raise OfctlParseError(f"empty actions in {text!r}")
             for token in tokens:
-                action, maybe_goto = _parse_action(token)
+                with _token(token):
+                    action, maybe_goto = _parse_action(token)
                 if maybe_goto is not None:
                     goto = maybe_goto
                 elif action is not None:
@@ -171,17 +186,18 @@ def parse_rule(
         if "=" in part:
             key, value_text = part.split("=", 1)
             key = key.strip()
-            if key == "table":
-                table_id = int(value_text, 0)
-            elif key == "priority":
-                priority = int(value_text, 0)
-            elif key in _MATCH_KEYS:
-                field = _MATCH_KEYS[key]
-                value, mask = _parse_value(field, value_text)
-                values[field] = value
-                masks[field] = mask
-            else:
-                raise OfctlParseError(f"unknown match key {key!r}")
+            with _token(part):
+                if key == "table":
+                    table_id = int(value_text, 0)
+                elif key == "priority":
+                    priority = int(value_text, 0)
+                elif key in _MATCH_KEYS:
+                    field = _MATCH_KEYS[key]
+                    value, mask = _parse_value(field, value_text)
+                    values[field] = schema.field(field).validate_value(value)
+                    masks[field] = mask
+                else:
+                    raise OfctlParseError(f"unknown match key {key!r}")
         elif part in _PROTO_SHORTHANDS:
             for field, value in _PROTO_SHORTHANDS[part].items():
                 values.setdefault(field, value)
@@ -221,40 +237,3 @@ def install_rules(pipeline: Pipeline, text: str) -> int:
     for table_id, rule in parsed:
         pipeline.install(table_id, rule)
     return len(parsed)
-
-
-def format_rule(table_id: int, rule: PipelineRule) -> str:
-    """Render a rule back into ofctl-style text (inverse of parse)."""
-    reverse_keys = {v: k for k, v in _MATCH_KEYS.items()}
-    parts = [f"table={table_id}", f"priority={rule.priority}"]
-    for field, value, mask in zip(
-        rule.match.schema, rule.match.canonical_key, rule.match.mask_tuple
-    ):
-        if not mask:
-            continue
-        key = reverse_keys[field.name]
-        if field.name in ("ip_src", "ip_dst"):
-            from ..flow.fields import ip_str
-            from ..classify.trie import mask_to_prefix_len
-
-            plen = mask_to_prefix_len(mask, 32)
-            suffix = "" if plen == 32 else f"/{plen}"
-            parts.append(f"{key}={ip_str(value)}{suffix}")
-        else:
-            parts.append(f"{key}={value:#x}")
-    action_tokens = []
-    for action in rule.actions:
-        if isinstance(action, SetField):
-            action_tokens.append(
-                f"set_field:{action.value:#x}->{action.field}"
-            )
-        elif isinstance(action, Output):
-            action_tokens.append(f"output:{action.port}")
-        elif isinstance(action, Drop):
-            action_tokens.append("drop")
-        elif isinstance(action, Controller):
-            action_tokens.append("controller")
-    if rule.next_table is not None:
-        action_tokens.append(f"goto_table:{rule.next_table}")
-    parts.append("actions=" + ",".join(action_tokens))
-    return ", ".join(parts)

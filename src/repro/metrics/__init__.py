@@ -10,11 +10,6 @@ from .latency import (
     TSS_PROBE_US,
     software_search_us,
 )
-from .throughput import (
-    CPU_SLOWPATH_GBPS_PER_CORE,
-    LINE_RATE_GBPS,
-    ThroughputModel,
-)
 from .cpu import (
     CpuBreakdown,
     CYCLES_PER_DP_CELL,
@@ -26,9 +21,6 @@ from .cpu import (
 )
 
 __all__ = [
-    "CPU_SLOWPATH_GBPS_PER_CORE",
-    "LINE_RATE_GBPS",
-    "ThroughputModel",
     "CYCLES_PER_DP_CELL",
     "CYCLES_PER_GROUP_PROBE",
     "CYCLES_PER_LOOKUP",

@@ -1,13 +1,7 @@
 """vSwitch slow-path substrate: tables, pipelines, traversals, Table 1 specs."""
 
 from .rule import PipelineRule
-from .table import (
-    PipelineTable,
-    TableLookup,
-    declared_wildcard,
-    make_tables,
-    tables_disjoint,
-)
+from .table import PipelineTable, TableLookup
 from .traversal import (
     Disposition,
     SubTraversal,
@@ -51,9 +45,6 @@ __all__ = [
     "Traversal",
     "TraversalStep",
     "TraversalTemplate",
-    "declared_wildcard",
     "get_pipeline_spec",
-    "make_tables",
-    "tables_disjoint",
     "union_wildcards",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from ..classify.tss import TupleSpaceClassifier
 from ..flow.actions import ActionList, Controller
@@ -147,29 +147,3 @@ class PipelineTable:
             f"PipelineTable(id={self.table_id}, name={self.name!r}, "
             f"fields={list(self.match_fields)}, rules={len(self)})"
         )
-
-
-def declared_wildcard(
-    table: PipelineTable, schema: Optional[FieldSchema] = None
-) -> Wildcard:
-    """The full-mask wildcard over a table's declared fields (used by the
-    disjointness analysis when a table holds no rules yet)."""
-    schema = schema or table.schema
-    return Wildcard.exact_fields(table.match_fields, schema)
-
-
-def tables_disjoint(a: PipelineTable, b: PipelineTable) -> bool:
-    """True when two stages share no declared match field (§4.2.2)."""
-    return not (a.field_set & b.field_set)
-
-
-def make_tables(
-    specs: Iterable[Tuple[int, str, Sequence[str]]],
-    schema: FieldSchema = DEFAULT_SCHEMA,
-) -> Tuple[PipelineTable, ...]:
-    """Convenience constructor for tests: build tables from
-    ``(id, name, fields)`` triples with default miss behaviour."""
-    return tuple(
-        PipelineTable(table_id, name, fields, schema)
-        for table_id, name, fields in specs
-    )

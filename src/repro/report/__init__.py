@@ -1,20 +1,8 @@
-"""Text/DOT rendering of experiment results and cache state."""
+"""Text rendering of experiment results and telemetry."""
 
-from .render import (
-    render_bars,
-    render_comparison,
-    render_series,
-    render_table,
-    render_telemetry,
-)
-from .dot import dump_dot, gigaflow_to_dot
+from .render import render_table, render_telemetry
 
 __all__ = [
-    "dump_dot",
-    "gigaflow_to_dot",
-    "render_bars",
-    "render_comparison",
-    "render_series",
     "render_table",
     "render_telemetry",
 ]

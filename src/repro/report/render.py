@@ -1,15 +1,13 @@
-"""Text rendering: aligned tables, ASCII bar charts and time series.
+"""Text rendering: aligned tables and the telemetry digest.
 
-The experiment drivers return plain data; this module turns them into the
-terminal output the examples and the ``reproduce_all`` report print.
+Turns a telemetry summary into the table ``repro stats`` prints.
 Everything is dependency-free text (this is a simulator, not a plotting
-package) but the renderers are structured so a notebook can feed the same
-data into matplotlib.
+package).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 
 def render_table(
@@ -42,41 +40,6 @@ def render_table(
     lines.append(format_row(list(headers)))
     lines.append("  ".join("-" * w for w in widths))
     lines.extend(format_row(row) for row in materialised)
-    return "\n".join(lines)
-
-
-def render_bars(
-    values: Dict[str, float],
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Horizontal ASCII bars scaled to the maximum value."""
-    if not values:
-        return "(no data)"
-    peak = max(values.values())
-    label_width = max(len(k) for k in values)
-    lines = []
-    for key, value in values.items():
-        length = 0 if peak <= 0 else int(round(width * value / peak))
-        lines.append(
-            f"{key:<{label_width}}  {'#' * length:<{width}}  "
-            f"{value:g}{unit}"
-        )
-    return "\n".join(lines)
-
-
-def render_series(
-    series: Sequence[Tuple[float, float]],
-    width: int = 40,
-    y_format: str = "{:.1%}",
-) -> str:
-    """A vertical-scrolling time series (one row per sample)."""
-    if not series:
-        return "(no data)"
-    lines = []
-    for t, value in series:
-        bars = "#" * int(round(max(0.0, min(value, 1.0)) * width))
-        lines.append(f"t={t:8.1f}  {y_format.format(value):>7} {bars}")
     return "\n".join(lines)
 
 
@@ -139,23 +102,3 @@ def render_telemetry(summary: Dict) -> str:
     title = f"telemetry: {summary.get('cache', '?')}"
     return render_table(("counter", "value"), rows, title=title)
 
-
-def render_comparison(
-    label_a: str,
-    label_b: str,
-    metrics: Dict[str, Tuple[float, float]],
-    better: str = "lower",
-) -> str:
-    """Side-by-side metric comparison with a winner column."""
-    if better not in ("lower", "higher"):
-        raise ValueError(f"better must be 'lower'/'higher', got {better!r}")
-    rows = []
-    for name, (a, b) in metrics.items():
-        if a == b:
-            winner = "tie"
-        elif (b < a) == (better == "lower"):
-            winner = label_b
-        else:
-            winner = label_a
-        rows.append((name, f"{a:g}", f"{b:g}", winner))
-    return render_table(("metric", label_a, label_b, "winner"), rows)

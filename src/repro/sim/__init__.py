@@ -10,7 +10,6 @@ from .engine import (
     PacketKernel,
     SimConfig,
     VSwitchSimulator,
-    run_comparison,
 )
 from .churn import ChurnConfig, ChurnRuntime, resolve_churn
 from .fastpath import FastPathIndex
@@ -45,5 +44,4 @@ __all__ = [
     "flow_shard",
     "resolve_churn",
     "split_trace",
-    "run_comparison",
 ]

@@ -75,21 +75,18 @@ class MegaflowSystem(CachingSystem):
         capacity: int = 32768,
         schema: FieldSchema = DEFAULT_SCHEMA,
         start_table: int = 0,
-        eviction: str = "lru",
     ):
-        self.cache = MegaflowCache(capacity, schema, eviction)
+        self.cache = MegaflowCache(capacity, schema)
         self.start_table = start_table
 
     def install(
         self, traversal: Traversal, generation: int, now: float
     ) -> InstallCost:
-        installed = self.cache.install_traversal(
+        self.cache.install_traversal(
             traversal, self.start_table, generation, now
         )
         return InstallCost(
-            rules_generated=1,
-            rules_installed=1 if installed else 0,
-            partition_cells=0,
+            rules_generated=1, rules_installed=1, partition_cells=0
         )
 
     def coverage(self) -> int:
@@ -107,23 +104,17 @@ class HierarchySystem(CachingSystem):
         megaflow_capacity: int = 32768,
         schema: FieldSchema = DEFAULT_SCHEMA,
         start_table: int = 0,
-        eviction: str = "lru",
     ):
         self.cache = CacheHierarchy(
-            microflow_capacity, megaflow_capacity, schema, start_table,
-            eviction,
+            microflow_capacity, megaflow_capacity, schema, start_table
         )
 
     def install(
         self, traversal: Traversal, generation: int, now: float
     ) -> InstallCost:
-        installed = self.cache.install_traversal(
-            traversal, generation, now
-        )
+        self.cache.install_traversal(traversal, generation, now)
         return InstallCost(
-            rules_generated=1,
-            rules_installed=1 if installed else 0,
-            partition_cells=0,
+            rules_generated=1, rules_installed=1, partition_cells=0
         )
 
     def coverage(self) -> int:
@@ -523,23 +514,3 @@ class VSwitchSimulator:
         kernel = self.kernel()
         kernel.run((packet.timestamp, packet.flow) for packet in packets)
         return kernel.finish()
-
-
-def run_comparison(
-    pipeline_factory,
-    trace_factory,
-    systems: Tuple[CachingSystem, ...],
-    config: Optional[SimConfig] = None,
-) -> Tuple[SimResult, ...]:
-    """Run several systems over identical fresh pipeline/trace instances.
-
-    Factories are invoked once per system so that pipeline statistics and
-    cache state never leak between runs.
-    """
-    results = []
-    for system in systems:
-        pipeline = pipeline_factory()
-        trace = trace_factory()
-        simulator = VSwitchSimulator(pipeline, system, config)
-        results.append(simulator.run(trace))
-    return tuple(results)

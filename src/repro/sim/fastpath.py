@@ -48,6 +48,11 @@ from typing import Dict, Tuple
 from ..cache.base import CacheResult, FlowCache
 from ..flow.key import FlowKey
 
+#: Memo size bound: the memo is dropped wholesale when it would grow
+#: past this (a full rebuild is cheap relative to the lookups it saves,
+#: and the bound is far above any realistic flow count).
+MEMO_ENTRIES = 1 << 20
+
 
 class FastPathIndex:
     """Exact-match memo of cache-hit side effects, validated against
@@ -55,10 +60,6 @@ class FastPathIndex:
 
     Attributes:
         cache: The cache whose lookups are being memoized.
-        max_entries: Memo size bound; the memo is dropped wholesale when
-            it would grow past this (a full rebuild is cheap relative to
-            the lookups it saves, and the bound is far above any
-            realistic flow count).
         memo_hits: Lookups served by replaying a memoized record.
         memo_misses: Lookups that ran the full cache search.
         revalidated: Records found still valid after their epoch went
@@ -68,18 +69,8 @@ class FastPathIndex:
             dropped.
     """
 
-    def __init__(
-        self,
-        cache: FlowCache,
-        max_entries: int = 1 << 20,
-        telemetry=None,
-    ):
-        if max_entries <= 0:
-            raise ValueError(
-                f"max_entries must be positive, got {max_entries}"
-            )
+    def __init__(self, cache: FlowCache, telemetry=None):
         self.cache = cache
-        self.max_entries = max_entries
         self.telemetry = telemetry
         self._memo: Dict[Tuple[int, ...], object] = {}
         self.memo_hits = 0
@@ -121,7 +112,7 @@ class FastPathIndex:
         # the epoch (e.g. hierarchy promotion), the record is already
         # stale and replaying it would diverge from the full path.
         if record is not None and cache.mutation_epoch == epoch:
-            if len(memo) >= self.max_entries:
+            if len(memo) >= MEMO_ENTRIES:
                 memo.clear()
             record.epoch = epoch
             memo[signature] = record

@@ -101,11 +101,3 @@ def sample_packet_sizes(
     """Payload sizes: exponential around the mean, floored at 64 bytes."""
     sizes = rng.exponential(profile.mean_packet_size, size=n_packets)
     return np.maximum(sizes, 64).astype(np.int64)
-
-
-def empirical_mean_flow_size(
-    rng: np.random.Generator, profile: TraceProfile, samples: int = 100_000
-) -> float:
-    """Measured mean of the (truncated) flow-size distribution — used by
-    tests to confirm the solver gets close to the requested mean."""
-    return float(sample_flow_sizes(rng, samples, profile).mean())

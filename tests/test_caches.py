@@ -89,7 +89,7 @@ class TestMegaflowCache:
     def test_install_and_wildcard_hit(self, mini_pipeline, default_flow):
         cache = MegaflowCache(capacity=8)
         traversal = mini_pipeline.execute(default_flow)
-        assert cache.install_traversal(traversal, start_table=0)
+        cache.install_traversal(traversal, start_table=0)
         assert cache.lookup(flow(tp_src=777)).hit  # same class
         assert not cache.lookup(flow(in_port=9)).hit
 
@@ -102,7 +102,7 @@ class TestMegaflowCache:
         assert cache.stats.insertions == 1
 
     def test_lru_eviction_when_full(self, mini_pipeline):
-        cache = MegaflowCache(capacity=2, eviction="lru")
+        cache = MegaflowCache(capacity=2)
         for port in (2, 3, 4):
             mini_pipeline.install(0, rule({"in_port": port}, next_table=1))
             traversal = mini_pipeline.execute(flow(in_port=port))
@@ -110,16 +110,6 @@ class TestMegaflowCache:
         assert cache.entry_count() == 2
         assert cache.stats.evictions == 1
         assert not cache.lookup(flow(in_port=2)).hit
-
-    def test_reject_policy(self, mini_pipeline):
-        cache = MegaflowCache(capacity=1, eviction="reject")
-        for port in (2, 3):
-            mini_pipeline.install(0, rule({"in_port": port}, next_table=1))
-            cache.install_traversal(
-                mini_pipeline.execute(flow(in_port=port)), 0
-            )
-        assert cache.entry_count() == 1
-        assert cache.stats.rejected == 1
 
     def test_evict_idle(self, mini_pipeline, default_flow):
         cache = MegaflowCache(capacity=8)
@@ -160,5 +150,3 @@ class TestMegaflowCache:
     def test_validation(self):
         with pytest.raises(ValueError):
             MegaflowCache(capacity=0)
-        with pytest.raises(ValueError):
-            MegaflowCache(eviction="fifo")

@@ -6,7 +6,6 @@ import pytest
 from repro.workload.caida import (
     CAIDA_PROFILE,
     TraceProfile,
-    empirical_mean_flow_size,
     sample_flow_sizes,
     sample_flow_starts,
     sample_packet_sizes,
@@ -46,7 +45,7 @@ class TestFlowSizes:
         assert p99 > 5 * median
 
     def test_mean_close_to_target(self, rng):
-        measured = empirical_mean_flow_size(rng, CAIDA_PROFILE)
+        measured = sample_flow_sizes(rng, 100_000, CAIDA_PROFILE).mean()
         assert measured == pytest.approx(
             CAIDA_PROFILE.mean_flow_size, rel=0.35
         )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.workload.classbench import (
-    PrefixPool,
     generate_ruleset,
     make_prefix_pool,
     reoccurrence_curve,

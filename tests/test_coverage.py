@@ -1,9 +1,6 @@
 """Tests for rule-space coverage counting (Table 2's metric)."""
 
-import pytest
-
-from repro.core import GigaflowCache, TAG_DONE, coverage, coverage_ratio
-from repro.core.coverage import megaflow_coverage
+from repro.core import GigaflowCache, TAG_DONE, coverage
 from repro.core.ltm import LtmRule
 from repro.flow import ActionList, Output, TernaryMatch
 from conftest import flow
@@ -81,19 +78,6 @@ class TestCoverage:
 
 
 class TestHelpers:
-    def test_megaflow_coverage_is_entry_count(self):
-        assert megaflow_coverage(32768) == 32768
-
-    def test_coverage_ratio(self):
-        cache = GigaflowCache(num_tables=2, table_capacity=8, start_tag=0)
-        for i in range(3):
-            cache.tables[0].insert(ltm(0, 5, i))
-        for i in range(2):
-            cache.tables[1].insert(ltm(5, TAG_DONE, 100 + i))
-        assert coverage_ratio(cache, megaflow_entries=2) == 3.0
-        with pytest.raises(ValueError):
-            coverage_ratio(cache, megaflow_entries=0)
-
     def test_coverage_exceeds_entries_with_sharing(
         self, mini_pipeline
     ):

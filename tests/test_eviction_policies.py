@@ -14,7 +14,7 @@ disturb:
   invalidation: a sweep that removes nothing must not invalidate
   memoized lookups; a sweep that removes anything must;
 * ``eviction`` is ``"lru"`` or ``"reject"`` at every constructor that
-  takes it, and ``"reject"`` on the hierarchy is the Megaflow level's.
+  takes it (the Gigaflow family's).
 """
 
 import pytest
@@ -28,12 +28,7 @@ from repro.cache import (
 from repro.core import TAG_DONE, GigaflowCache, LtmRule, LtmTable
 from repro.core.adaptive import AdaptiveGigaflowCache
 from repro.flow import ActionList, Output, TernaryMatch
-from repro.sim import (
-    AdaptiveGigaflowSystem,
-    GigaflowSystem,
-    HierarchySystem,
-    MegaflowSystem,
-)
+from repro.sim import AdaptiveGigaflowSystem, GigaflowSystem
 from repro.sim.fastpath import FastPathIndex
 from conftest import flow
 
@@ -254,24 +249,20 @@ class TestSweepEpochInvalidation:
         assert fastpath.invalidations == 1
 
 
-#: Every constructor that takes ``eviction``.
+#: Every constructor that takes ``eviction``: the Gigaflow family.
 TAKES_EVICTION = (
-    lambda eviction: MegaflowCache(capacity=4, eviction=eviction),
     lambda eviction: GigaflowCache(
         num_tables=2, table_capacity=4, eviction=eviction
     ),
     lambda eviction: AdaptiveGigaflowCache(
         num_tables=2, table_capacity=4, eviction=eviction
     ),
-    lambda eviction: CacheHierarchy(4, 8, eviction=eviction),
-    lambda eviction: MegaflowSystem(capacity=4, eviction=eviction),
     lambda eviction: GigaflowSystem(
         num_tables=2, table_capacity=4, eviction=eviction
     ),
     lambda eviction: AdaptiveGigaflowSystem(
         num_tables=2, table_capacity=4, eviction=eviction
     ),
-    lambda eviction: HierarchySystem(4, 8, eviction=eviction),
 )
 
 
@@ -283,17 +274,3 @@ class TestPolicySelectionValidation:
             for unknown in ("nope", "sharing"):
                 with pytest.raises(ValueError, match="lru, reject"):
                     build(unknown)
-
-    def test_reject_on_the_hierarchy_is_the_megaflow_levels(self):
-        """A full Megaflow level refuses the install and counts it; the
-        exact-match level in front keeps evicting LRU and serving."""
-        cache = CacheHierarchy(1, 1, eviction="reject")
-        actions = ActionList((Output(1),))
-        assert cache.megaflow.install(mega_entry(tp_dst=1), now=0.0)
-        assert not cache.megaflow.install(mega_entry(tp_dst=2), now=1.0)
-        assert cache.megaflow.stats.rejected == 1
-        assert cache.megaflow.stats.evictions == 0
-        cache.microflow.install(flow(tp_src=1), actions, now=2.0)
-        cache.microflow.install(flow(tp_src=2), actions, now=3.0)
-        assert cache.microflow.stats.evictions == 1
-        assert cache.lookup(flow(tp_src=2), now=4.0).hit

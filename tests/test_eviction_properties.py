@@ -88,14 +88,14 @@ class Rig:
         if kind == "microflow":
             self.cache = MicroflowCache(capacity)
         elif kind == "megaflow":
-            self.cache = MegaflowCache(capacity, eviction=eviction)
+            self.cache = MegaflowCache(capacity)
         elif kind in ("gigaflow", "ltm"):  # "ltm": one table, one index
             self.cache = GigaflowCache(
                 num_tables=2 if kind == "gigaflow" else 1,
                 table_capacity=capacity, eviction=eviction,
             )
         else:
-            self.cache = CacheHierarchy(capacity, capacity, eviction=eviction)
+            self.cache = CacheHierarchy(capacity, capacity)
         #: The caches entries actually live in (and leave from).
         self.leaves = (
             (self.cache.microflow, self.cache.megaflow)
@@ -358,9 +358,8 @@ def lifecycle_case(kind, evictions=("lru", "reject")):
     def case(self, eviction, capacity, ops):
         rig = drive_lifecycle(kind, eviction, capacity, ops)
         if eviction == "reject":
-            # Refused installs, never evicted (the exact-match level of
-            # a hierarchy keeps evicting: ``reject`` is the Megaflow's).
-            assert all("microflow" in name for name, _ in rig.hub.victims)
+            # Refused installs, never evicted.
+            assert not rig.hub.victims
 
     return case
 
@@ -373,6 +372,6 @@ class TestCacheStatsReconcile:
     or refusing when full."""
 
     test_microflow = lifecycle_case("microflow", ("lru",))
-    test_megaflow = lifecycle_case("megaflow")
+    test_megaflow = lifecycle_case("megaflow", ("lru",))
     test_gigaflow = lifecycle_case("gigaflow")
-    test_hierarchy = lifecycle_case("hierarchy")
+    test_hierarchy = lifecycle_case("hierarchy", ("lru",))

@@ -30,6 +30,7 @@ from repro.core.partition import disjoint_partition, megaflow_partition
 from repro.core.ltm import INSERT_LOG_SCAN
 from repro.flow import ActionList, Output
 from repro.pipeline import PSC
+from repro.sim import fastpath as fastpath_module
 from repro.sim import (
     AdaptiveGigaflowSystem,
     ChurnConfig,
@@ -201,19 +202,17 @@ class TestEpochInvalidation:
         assert cache.lookup(a, now=5.0).hit
         assert not cache.lookup(b, now=5.0).hit
 
-    def test_memo_bound_resets_wholesale(self):
+    def test_memo_bound_resets_wholesale(self, monkeypatch):
+        monkeypatch.setattr(fastpath_module, "MEMO_ENTRIES", 2)
         cache = MicroflowCache(capacity=8)
-        fastpath = FastPathIndex(cache, max_entries=2)
+        fastpath = FastPathIndex(cache)
         flows = [flow(tp_src=i) for i in range(3)]
         for i, f in enumerate(flows):
             cache.install(f, ActionList([Output(i)]), now=float(i))
         for f in flows:
             assert fastpath.lookup(f, now=10.0).hit
-        assert len(fastpath) <= 2
-
-    def test_max_entries_validated(self):
-        with pytest.raises(ValueError):
-            FastPathIndex(MicroflowCache(capacity=2), max_entries=0)
+        # The third record found the memo full and cleared it.
+        assert len(fastpath) == 1
 
 
 # -- Gigaflow record validation ---------------------------------------------
@@ -556,13 +555,16 @@ class TestValidationSoundness:
 
 
 @pytest.mark.soak
-def test_soak_one_tag_under_endless_install_and_evict_stays_bounded():
+def test_soak_one_tag_under_endless_install_and_evict_stays_bounded(
+    monkeypatch,
+):
     """50 K install / capacity-evict cycles through one ``(table, tag)``
     bucket with a returning flow in between: what validation keeps —
     the tag's insert log and level table, the memo — must not grow with
     the number of cycles."""
+    monkeypatch.setattr(fastpath_module, "MEMO_ENTRIES", 64)
     cache = GigaflowCache(num_tables=1, table_capacity=4)
-    fastpath = FastPathIndex(cache, max_entries=64)
+    fastpath = FastPathIndex(cache)
     dependency = cache.tables[0].dependencies[0]
     regular = flow(tp_dst=443)
     cache.install_rules([ltm_rule({"tp_dst": 443})])

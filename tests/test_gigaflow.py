@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import GigaflowCache, coverage
+from repro.core import GigaflowCache
 from repro.flow import Output, SetField, ip, prefix_mask
 from repro.pipeline import Pipeline, PipelineTable
 from conftest import flow, rule

@@ -5,7 +5,6 @@ import pytest
 from repro.flow import SetField, ip, prefix_mask
 from repro.io import (
     OfctlParseError,
-    format_rule,
     install_rules,
     parse_rule,
     parse_rules,
@@ -92,6 +91,24 @@ class TestParseListing:
         with pytest.raises(OfctlParseError, match="line 2"):
             parse_rules("table=0, actions=drop\nbogus~line, actions=x")
 
+    @pytest.mark.parametrize("rule, token", [
+        ("table=x, actions=drop", "table=x"),
+        ("priority=1, actions=output:abc", "output:abc"),
+        ("actions=goto_table:zz", "goto_table:zz"),
+        ("nw_dst=10.0.0.0/40, actions=drop", "nw_dst=10.0.0.0/40"),
+        ("nw_dst=10.0.0.0/-1, actions=drop", "nw_dst=10.0.0.0/-1"),
+        ("nw_dst=10.0.0.300, actions=drop", "nw_dst=10.0.0.300"),
+        ("tp_dst=99999999, actions=drop", "tp_dst=99999999"),
+    ])
+    def test_bad_value_names_line_and_token(self, rule, token):
+        """A value the standard parsers reject (``int()``, ``ip()``,
+        ``prefix_mask()``, the field width) is an ``OfctlParseError``
+        naming the line and the token, not a bare ``ValueError``."""
+        with pytest.raises(OfctlParseError) as info:
+            parse_rules("# c\n" + rule)
+        assert str(info.value).startswith("line 2:")
+        assert repr(token) in str(info.value)
+
     def test_install_into_pipeline(self):
         t0 = PipelineTable(0, "ingress", ("in_port",))
         t1 = PipelineTable(
@@ -103,21 +120,3 @@ class TestParseListing:
         assert traversal.table_ids == (0, 1)
         assert traversal.steps[-1].actions.output_port() == 9
 
-
-class TestFormatRoundTrip:
-    def test_round_trip(self):
-        source = ("table=2, priority=300, nw_dst=10.1.0.0/16, "
-                  "actions=set_field:0x5->vlan_id,goto_table:3")
-        table_id, rule = parse_rule(source)
-        rendered = format_rule(table_id, rule)
-        table_id2, rule2 = parse_rule(rendered)
-        assert table_id2 == table_id
-        assert rule2.match == rule.match
-        assert rule2.priority == rule.priority
-        assert rule2.next_table == rule.next_table
-        assert list(rule2.actions) == list(rule.actions)
-
-    def test_format_terminal_rule(self):
-        text = format_rule(1, parse_rule("tcp, actions=drop")[1])
-        assert "drop" in text
-        assert "goto_table" not in text

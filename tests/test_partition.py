@@ -11,10 +11,9 @@ from repro.core import (
     megaflow_partition,
     one_to_one_partition,
     partition_score,
-    partitioner_by_name,
     segment_score,
 )
-from repro.flow import Output, ip
+from repro.flow import Output
 from repro.pipeline import Pipeline, PipelineTable
 from conftest import flow, rule
 
@@ -163,9 +162,3 @@ class TestBaselines:
         b = [len(RandomPartitioner(seed=5)(traversal, 3)) for _ in range(5)]
         assert a == b
 
-    def test_partitioner_by_name(self):
-        assert partitioner_by_name("dp") is disjoint_partition
-        assert partitioner_by_name("1-1") is one_to_one_partition
-        assert callable(partitioner_by_name("rnd"))
-        with pytest.raises(KeyError):
-            partitioner_by_name("bogus")

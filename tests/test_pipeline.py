@@ -15,7 +15,6 @@ from repro.pipeline import (
     Pipeline,
     PipelineLoopError,
     PipelineTable,
-    tables_disjoint,
 )
 from conftest import flow, rule
 
@@ -39,13 +38,6 @@ class TestPipelineTable:
         lookup = table.lookup(flow())
         assert lookup.next_table is None
         assert any(isinstance(a, Controller) for a in lookup.actions)
-
-    def test_tables_disjoint(self):
-        l2 = PipelineTable(0, "l2", ("eth_src", "eth_dst"))
-        l4 = PipelineTable(1, "l4", ("tp_dst",))
-        ip3 = PipelineTable(2, "l3", ("ip_dst", "eth_dst"))
-        assert tables_disjoint(l2, l4)
-        assert not tables_disjoint(l2, ip3)
 
     def test_len_iter_remove(self):
         table = PipelineTable(0, "acl", ("tp_dst",))

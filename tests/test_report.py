@@ -1,16 +1,8 @@
-"""Tests for the report renderers and DOT export."""
+"""Tests for the report table renderer."""
 
 import pytest
 
-from repro.core import GigaflowCache
-from repro.report import (
-    dump_dot,
-    gigaflow_to_dot,
-    render_bars,
-    render_comparison,
-    render_series,
-    render_table,
-)
+from repro.report import render_table
 
 
 class TestRenderTable:
@@ -24,92 +16,9 @@ class TestRenderTable:
         assert lines[0] == "demo"
         assert "alpha" in text and "22" in text
         # All data lines share one width.
-        assert len(set(len(l) for l in lines[1:])) == 1
+        assert len(set(len(line) for line in lines[1:])) == 1
 
     def test_row_arity_checked(self):
         with pytest.raises(ValueError):
             render_table(("a", "b"), [("only-one",)])
 
-
-class TestRenderBars:
-    def test_scales_to_peak(self):
-        text = render_bars({"a": 10.0, "b": 5.0}, width=10)
-        lines = text.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_empty(self):
-        assert "no data" in render_bars({})
-
-    def test_zero_peak(self):
-        assert "#" not in render_bars({"a": 0.0})
-
-
-class TestRenderSeries:
-    def test_rows_per_sample(self):
-        text = render_series([(0.0, 0.5), (10.0, 1.0)], width=10)
-        lines = text.splitlines()
-        assert len(lines) == 2
-        assert lines[1].count("#") == 10
-
-    def test_clamps_to_unit_range(self):
-        text = render_series([(0.0, 5.0)], width=10)
-        assert text.count("#") == 10
-
-    def test_empty(self):
-        assert "no data" in render_series([])
-
-
-class TestRenderComparison:
-    def test_winner_lower(self):
-        text = render_comparison(
-            "mf", "gf", {"misses": (100.0, 40.0)}, better="lower"
-        )
-        assert "gf" in text.splitlines()[-1]
-
-    def test_winner_higher(self):
-        text = render_comparison(
-            "mf", "gf", {"hit": (0.9, 0.8)}, better="higher"
-        )
-        assert text.splitlines()[-1].rstrip().endswith("mf")
-
-    def test_tie(self):
-        text = render_comparison("a", "b", {"x": (1.0, 1.0)})
-        assert "tie" in text
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            render_comparison("a", "b", {}, better="sideways")
-
-
-class TestDotExport:
-    @pytest.fixture
-    def cache(self, mini_pipeline, default_flow):
-        cache = GigaflowCache(num_tables=4, table_capacity=8)
-        cache.install_traversal(mini_pipeline.execute(default_flow))
-        return cache
-
-    def test_dot_structure(self, cache):
-        dot = gigaflow_to_dot(cache)
-        assert dot.startswith("digraph gigaflow {")
-        assert dot.rstrip().endswith("}")
-        assert "entry ->" in dot
-        assert "-> done;" in dot
-        # One cluster per table.
-        for i in range(4):
-            assert f"cluster_gf{i}" in dot
-
-    def test_edges_follow_tag_chain(self, cache):
-        dot = gigaflow_to_dot(cache)
-        # Every installed rule appears as a node.
-        for rule in cache:
-            assert f"r{rule.rule_id}" in dot
-        # Chain length: entry + per-rule edges + done edge.
-        edge_count = dot.count("->")
-        assert edge_count >= cache.entry_count() + 1
-
-    def test_dump_to_file(self, cache, tmp_path):
-        path = str(tmp_path / "cache.dot")
-        dump_dot(cache, path, name="snapshot")
-        with open(path) as handle:
-            assert handle.read().startswith("digraph snapshot")

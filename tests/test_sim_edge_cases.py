@@ -4,14 +4,9 @@ import pytest
 
 from repro.flow import Packet
 from repro.pipeline import Pipeline, PipelineTable
-from repro.sim import (
-    GigaflowSystem,
-    MegaflowSystem,
-    VSwitchSimulator,
-    run_comparison,
-)
+from repro.sim import MegaflowSystem, VSwitchSimulator
 from repro.workload import build_trace
-from repro.workload.pipebench import PilotFlow, Trace
+from repro.workload.pipebench import PilotFlow
 from conftest import flow, rule
 
 
@@ -47,28 +42,6 @@ class TestUncacheableFlows:
         result = VSwitchSimulator(pipeline, system).run_packets(packets)
         assert result.misses == 1
         assert result.stats.hits == 4
-
-
-class TestRunComparison:
-    def test_fresh_state_per_system(self):
-        def pipeline_factory():
-            return _tiny_pipeline()
-
-        pilots = [PilotFlow(flow=flow(in_port=1), template_index=0,
-                            class_key=("x",))]
-
-        def trace_factory():
-            return build_trace(pilots, seed=3)
-
-        results = run_comparison(
-            pipeline_factory,
-            trace_factory,
-            (MegaflowSystem(capacity=4),
-             GigaflowSystem(num_tables=2, table_capacity=4)),
-        )
-        assert results[0].system == "megaflow"
-        assert results[1].system == "gigaflow"
-        assert results[0].packets == results[1].packets
 
 
 class TestTrace:

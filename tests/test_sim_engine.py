@@ -87,9 +87,7 @@ class TestSimulatorBasics:
         w = fresh()
         config = SimConfig(max_idle=2.0, sweep_interval=1.0)
         system = MegaflowSystem(capacity=10**6)
-        result = VSwitchSimulator(w.pipeline, system, config).run(
-            w.trace(seed=1)
-        )
+        VSwitchSimulator(w.pipeline, system, config).run(w.trace(seed=1))
         assert system.cache.stats.evictions > 0
 
     def test_summary_format(self):

@@ -10,7 +10,6 @@ from repro.core import (
     validate_cache,
 )
 from test_ltm import ltm_rule
-from conftest import flow
 
 
 class TestValidateCache:

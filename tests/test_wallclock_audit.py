@@ -3,7 +3,7 @@ no reaching into the telemetry hub, one entry lifecycle, one §7 mode
 decider, no run-time steering of the cache's knobs, two homes for the
 bench clock, one prefix structure and one partition DP, no salted hash,
 one fan-out, one idle timer, one reader of the classifier's state,
-one home for the slow-path memo.
+one home for the slow-path memo, no public function without a caller.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -98,11 +98,23 @@ generation, and a remembered traversal hands out the slices it already
 derived; that is exact only while ``pipeline/`` is the one package that
 reads or writes the remembered traversals, the generation they were
 walked at and a traversal's derived slices.
+
+The thirteenth keeps the library surface the size of what runs.  A
+P4 generator, a JSON snapshot format, a Graphviz export, a line-rate
+model and a score of helpers once lived here with only their own tests
+calling them.  Every top-level public ``def`` under ``repro`` must now
+be named somewhere a program lives — the package outside its
+``__init__`` re-exports, ``bench/``, ``benchmarks/``, ``examples/``,
+``docs/*.md`` — other than its own definition; tests do not count.
+The search is by word, so a same-named attribute or field elsewhere
+counts as a caller.  Three names are kept on purpose, each with its
+reason.
 """
 
 import ast
 import dataclasses
 import pathlib
+import re
 
 import pytest
 
@@ -929,3 +941,108 @@ def test_memo_state_audit_sees_a_violation():
         "    memo = fastpath._memo\n",
         MEMO_PRIVATE,
     ) == [(2, "._traversal_memo"), (3, "._memo_generation"), (4, "._slices")]
+
+
+#: Public functions no program reaches, each kept for a stated reason.
+UNCALLED_ALLOWED = {
+    "partition_score": "the brute force tests/test_partition*.py hold "
+                       "the DP to",
+    "segment_score": "the brute force tests/test_partition*.py hold "
+                     "the DP to",
+    "replicate_pair": "the multi-seed replication ROADMAP.md's scale "
+                      "curve is to run",
+}
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _public_functions(source: str):
+    """``(name, first line, last line)`` of each top-level public
+    ``def``, decorators included."""
+    return [
+        (node.name,
+         min([node.lineno] + [d.lineno for d in node.decorator_list]),
+         node.end_lineno)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def _uncalled(defining: dict, corpus: dict):
+    """Names defined in ``defining`` (``{relpath: source}``) that occur
+    in no ``corpus`` text (``{relpath: text}``) outside their own
+    definition."""
+    found = []
+    for relpath, source in sorted(defining.items()):
+        for name, first, last in _public_functions(source):
+            pattern = re.compile(rf"\b{name}\b")
+            lines = corpus[relpath].splitlines()
+            own = "\n".join(lines[:first - 1] + lines[last:])
+            if not pattern.search(own) and not any(
+                pattern.search(text)
+                for other, text in corpus.items() if other != relpath
+            ):
+                found.append(f"{relpath}:{first} {name}")
+    return found
+
+
+def _callers_corpus():
+    """Every text a caller may live in, by path from the repository
+    root: the package outside its ``__init__`` files, the benchmark of
+    record, the paper benchmarks, the examples and ``docs/*.md`` —
+    never a test."""
+    paths = [
+        path
+        for tree in ("src", "bench", "benchmarks", "examples")
+        for path in (ROOT / tree).rglob("*.py")
+        if path.name != "__init__.py"
+        and "tests" not in path.relative_to(ROOT).parts
+    ] + sorted((ROOT / "docs").glob("*.md"))
+    return {
+        path.relative_to(ROOT).as_posix(): path.read_text()
+        for path in paths
+    }
+
+
+def test_every_public_function_has_a_caller():
+    corpus = _callers_corpus()
+    defining = {
+        relpath: text for relpath, text in corpus.items()
+        if relpath.startswith("src/")
+    }
+    found = _uncalled(defining, corpus)
+    offenders = [
+        entry for entry in found
+        if entry.rsplit(" ", 1)[1] not in UNCALLED_ALLOWED
+    ]
+    assert not offenders, (
+        "public functions only tests (or nothing) call — delete them, "
+        "or argue them onto UNCALLED_ALLOWED:\n  " + "\n  ".join(offenders)
+    )
+    # The allowlist names only functions that are still uncalled.
+    assert {entry.rsplit(" ", 1)[1] for entry in found} == set(
+        UNCALLED_ALLOWED
+    )
+
+
+def test_uncalled_function_audit_sees_a_violation():
+    module = (
+        "@lru_cache\n"
+        "def orphan(x):\n"
+        "    return orphan(x - 1) if x else 0\n"
+        "\n"
+        "def used():\n"
+        "    return 1\n"
+        "\n"
+        "def mentioned():\n"
+        "    return 2\n"
+        "\n"
+        "def _private():\n"
+        "    return used()\n"
+    )
+    corpus = {
+        "pkg/mod.py": module,
+        "docs/guide.md": "Call `mentioned()` for a two.",
+    }
+    assert _uncalled({"pkg/mod.py": module}, corpus) == ["pkg/mod.py:1 orphan"]
