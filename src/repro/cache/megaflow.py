@@ -30,7 +30,13 @@ _entry_ids = itertools.count()
 
 
 class MegaflowEntry:
-    """One cached traversal."""
+    """One cached traversal.
+
+    ``path`` and ``verified`` are revalidation's stamps, as on
+    :class:`~repro.core.ltm.LtmRule`: the table ids of the traversal as
+    last walked, and the pipeline generation of the last walk that
+    agreed with the entry (``None``: always replay).
+    """
 
     __slots__ = (
         "match",
@@ -40,6 +46,8 @@ class MegaflowEntry:
         "start_table",
         "length",
         "generation",
+        "path",
+        "verified",
         "last_used",
         "rule_id",
     )
@@ -61,6 +69,8 @@ class MegaflowEntry:
         self.start_table = start_table
         self.length = length
         self.generation = generation
+        self.path: Tuple[int, ...] = ()
+        self.verified: Optional[int] = None
         self.last_used = now
         self.rule_id = next(_entry_ids)
 
@@ -78,9 +88,11 @@ def build_megaflow_entry(
     now: float = 0.0,
 ) -> MegaflowEntry:
     """Collapse a traversal into a single cache entry (the paper's K=1):
-    the slice of all its steps."""
+    the slice of all its steps, stamped with the walk's generation
+    when the walk began at ``start_table``, where revalidation replays
+    it from."""
     match, actions = traversal.match_and_commit(0, len(traversal))
-    return MegaflowEntry(
+    entry = MegaflowEntry(
         match=match,
         actions=actions,
         parent_flow=traversal.initial_flow,
@@ -89,6 +101,11 @@ def build_megaflow_entry(
         generation=generation,
         now=now,
     )
+    path = traversal.table_ids
+    if path[0] == start_table:
+        entry.path = path
+        entry.verified = traversal.generation
+    return entry
 
 
 class _MegaflowHitReplay(HitReplay):
@@ -171,9 +188,12 @@ class MegaflowCache(FlowCache):
         existing = self._by_match.get(entry.match)
         if existing is not None:
             # Refresh in place (same match predicate — same traversal).
+            # The new actions came from another walk than the one the
+            # kept parent flow stands for: replay it when next checked.
             self.touch(existing, now)
             existing.actions = entry.actions
             existing.generation = entry.generation
+            existing.verified = None
             self.bump_epoch()
             return
         if len(self._by_match) >= self.capacity:

@@ -281,21 +281,8 @@ class TupleSpaceClassifier(Generic[RuleT]):
 
     # -- mutation -----------------------------------------------------------------
 
-    def insert(self, rule: RuleT) -> Optional[int]:
-        """Add ``rule``; returns the probe-order change, if any.
-
-        Lookups walk groups best priority first, oldest group first
-        within a priority, and stop at the first group whose best
-        priority does not exceed the winner's.  An update that creates
-        or deletes a group, or moves one's best priority, therefore
-        changes the groups probed by exactly the lookups whose winner's
-        priority is *at most* the returned level (a lookup that found
-        nothing probes every group, so any change moves it).  A new
-        group sorts last within its level, so creating one at level
-        ``L`` returns ``L - 1``; a deletion at ``L`` returns ``L``; a
-        move returns the higher of the two levels.  ``None`` means the
-        probe order is as it was.
-        """
+    def insert(self, rule: RuleT) -> None:
+        """Add ``rule``."""
         match = rule.match
         mask = match.wildcard.packed
         group = self._groups.get(mask)
@@ -331,15 +318,9 @@ class TupleSpaceClassifier(Generic[RuleT]):
                 self._index_group(group)
             elif fresh:
                 levels[group.max_priority].put(group, canonical)
-        if created:
-            return group.max_priority - 1
-        if group.max_priority != old_priority:
-            return group.max_priority
-        return None
 
-    def remove(self, rule: RuleT) -> Optional[int]:
-        """Drop ``rule``; returns the probe-order change as
-        :meth:`insert` does.  ``KeyError`` when it is not present."""
+    def remove(self, rule: RuleT) -> None:
+        """Drop ``rule``; ``KeyError`` when it is not present."""
         match = rule.match
         mask = match.wildcard.packed
         canonical = match.packed
@@ -373,16 +354,13 @@ class TupleSpaceClassifier(Generic[RuleT]):
             self._order_dirty = True
             if levels is not None:
                 self._unindex_group(group, old_priority)
-            return old_priority
+            return
         if rule.priority >= old_priority:
             group.recompute_max_priority()
             self._order_dirty = True
-            if group.max_priority != old_priority:
-                if levels is not None:
-                    self._unindex_group(group, old_priority)
-                    self._index_group(group)
-                return old_priority
-        return None
+            if group.max_priority != old_priority and levels is not None:
+                self._unindex_group(group, old_priority)
+                self._index_group(group)
 
     def clear(self) -> None:
         self._groups.clear()

@@ -23,7 +23,7 @@ from ..flow.actions import Action, ActionList
 from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..flow.key import FlowKey
 from ..pipeline.traversal import Traversal
-from .ltm import INSERT_LOG_SCAN, TAG_DONE, LtmRule, LtmTable
+from .ltm import TAG_DONE, LtmRule, LtmTable
 from .partition import Partitioner, disjoint_partition
 from .rulegen import build_ltm_rules
 
@@ -51,26 +51,26 @@ class InstallOutcome:
 class _GigaflowHitReplay(HitReplay):
     """Memoized Gigaflow hit: the matched (table, rule) chain plus the
     recorded probe counts and composed actions of the first lookup,
-    and what that walk depended on in each LTM table it visited.
+    and each LTM lookup that walk made.
 
-    ``depends`` is flat, five slots per visited table: the tag's
-    :class:`~repro.core.ltm.TagDependency`, the winner's priority there
-    (``0``: passed through), the packed flow as it entered the table,
-    the tag's probe-order generation at that priority and its insert
-    count, both as last validated.
+    ``steps`` is flat, seven slots per visited table: the tag's
+    :class:`~repro.core.ltm.TagDependency` and its change count as last
+    validated, the table, the tag, the flow as it entered the table,
+    the winner there (``None``: passed through) and the groups the
+    lookup probed.
     """
 
     __slots__ = (
-        "cache", "matched", "depends", "actions", "output_port",
+        "cache", "matched", "steps", "actions", "output_port",
         "groups_probed", "tables_hit",
     )
 
     def __init__(
-        self, cache, matched, depends, actions, groups_probed, tables_hit
+        self, cache, matched, steps, actions, groups_probed, tables_hit
     ):
         self.cache = cache
         self.matched = matched
-        self.depends = depends
+        self.steps = steps
         self.actions = actions
         self.output_port = actions.output_port()
         self.groups_probed = groups_probed
@@ -90,27 +90,23 @@ class _GigaflowHitReplay(HitReplay):
         )
 
     def still_valid(self) -> bool:
-        """A full walk now would find the same chain at the same cost:
-        every matched rule is still resident, no visited bucket's probe
-        order changed at the winner's priority, and no rule inserted
-        into one since the last validation matches the flow."""
-        for table, rule in self.matched:
-            if rule not in table:
-                return False
-        depends = self.depends
-        for at in range(0, len(depends), 5):
-            bucket = depends[at]
-            if bucket.levels[depends[at + 1]] != depends[at + 3]:
-                return False
-            missed = bucket.inserts - depends[at + 4]
-            if missed:
-                if missed > INSERT_LOG_SCAN:
+        """A full walk now would find the same chain: every lookup of a
+        bucket that changed since, re-run, finds the same winner.  The
+        re-runs' probe counts replace the old ones, so the record
+        charges what the walk would.  Re-runs emit no ``ltm_probe``."""
+        steps = self.steps
+        for at in range(0, len(steps), 7):
+            changes = steps[at].changes
+            if changes != steps[at + 1]:
+                winner, groups = steps[at + 2].lookup(
+                    steps[at + 4], steps[at + 3]
+                )
+                if winner is not steps[at + 5]:
                     return False
-                packed = depends[at + 2]
-                for mask, value in bucket.log[-missed:]:
-                    if packed & mask == value:
-                        return False
-                depends[at + 4] = bucket.inserts
+                steps[at + 1] = changes
+                # Each visited table is charged max(groups, 1).
+                self.groups_probed += max(groups, 1) - max(steps[at + 6], 1)
+                steps[at + 6] = groups
         return True
 
 
@@ -185,10 +181,9 @@ class GigaflowCache(FlowCache):
     ) -> Tuple[CacheResult, Optional[_GigaflowHitReplay]]:
         tag = self.start_tag
         current = flow
-        packed = flow.packed
         composed: List[Action] = []
         matched: List[Tuple[LtmTable, LtmRule]] = []
-        depends: list = []
+        steps: list = []
         tables_hit = 0
         probes = 0
         cells = self._probe_cells
@@ -204,11 +199,10 @@ class GigaflowCache(FlowCache):
                 )
             elif cells is not None:
                 cells[table.index][1 if rule is not None else 0] += 1
-            depended = table.dependencies[tag]
-            level = 0 if rule is None else rule.priority
-            depends += (
-                depended, level, packed, depended.levels[level],
-                depended.inserts,
+            dependency = table.dependencies[tag]
+            steps += (
+                dependency, dependency.changes, table, tag, current, rule,
+                groups,
             )
             if rule is None:
                 continue  # pass-through: not this packet's next segment
@@ -216,7 +210,6 @@ class GigaflowCache(FlowCache):
             matched.append((table, rule))
             composed.extend(rule.actions)
             current = rule.actions.apply(current)
-            packed = current.packed
             tag = rule.next_tag
         if tag == TAG_DONE:
             for table, rule in matched:
@@ -232,7 +225,7 @@ class GigaflowCache(FlowCache):
                 tables_hit=tables_hit,
             )
             replay = _GigaflowHitReplay(
-                self, tuple(matched), depends, actions, probes, tables_hit
+                self, tuple(matched), steps, actions, probes, tables_hit
             )
             return result, replay
         self.stats.misses += 1

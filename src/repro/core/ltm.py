@@ -26,12 +26,6 @@ TAG_DONE = -1
 
 _ltm_ids = itertools.count()
 
-#: Inserts a fast-path record may have missed and still be re-validated
-#: (one AND each); a flow that stayed away for more takes the full
-#: lookup, so a tag's log never needs to hold more than this many.
-INSERT_LOG_SCAN = 128
-
-
 class LtmRule:
     """One sub-traversal cached as an LTM entry.
 
@@ -47,6 +41,10 @@ class LtmRule:
         parent_flow: Flow at sub-traversal entry (revalidation replays it).
         length: Tables spanned (= ``priority``; kept for readability).
         generation: Pipeline generation the rule was derived from.
+        path: Table ids of the sub-traversal, as last walked.
+        verified: Pipeline generation of the last walk that agreed
+            with the rule (``None``: no walk known to, so revalidation
+            always replays it).
     """
 
     __slots__ = (
@@ -58,6 +56,8 @@ class LtmRule:
         "parent_flow",
         "length",
         "generation",
+        "path",
+        "verified",
         "last_used",
         "install_count",
         "hit_count",
@@ -85,6 +85,8 @@ class LtmRule:
         self.parent_flow = parent_flow
         self.length = priority
         self.generation = generation
+        self.path: Tuple[int, ...] = ()
+        self.verified: Optional[int] = None
         self.last_used = now
         #: How many distinct traversal installs produced/reused this rule —
         #: the sharing frequency of Fig. 11.
@@ -108,51 +110,22 @@ class LtmRule:
 
 
 class TagDependency:
-    """What a lookup of one ``(table, tag)`` bucket depended on, kept
-    so a memoized hit can be re-validated instead of re-walked
+    """How often one ``(table, tag)`` bucket changed, kept so a memoized
+    hit can tell which of its lookups to re-run
     (:meth:`~repro.core.gigaflow._GigaflowHitReplay.still_valid`).
 
     It belongs to the tag, not to the bucket's classifier, so it
     survives the bucket being emptied and re-created.
 
     Attributes:
-        levels: Probe-order generation per winner priority: ``levels[p]``
-            moves whenever the groups a lookup won at priority ``p``
-            (``0``: found nothing) would probe changed.  Always longer
-            than the highest priority ever inserted under the tag.
-        inserts: Rules ever inserted under the tag.
-        log: ``(mask, value)`` of the most recent inserts, oldest
-            first — at least the last :data:`INSERT_LOG_SCAN` of them,
-            never more than twice that.
+        changes: Rules inserted into or removed from the bucket, ever.
+            Only :class:`LtmTable` moves it.
     """
 
-    __slots__ = ("levels", "inserts", "log")
+    __slots__ = ("changes",)
 
     def __init__(self) -> None:
-        self.levels: List[int] = [0]
-        self.inserts = 0
-        self.log: List[Tuple[int, int]] = []
-
-    def on_insert(self, rule: LtmRule, disturbed: Optional[int]) -> None:
-        levels = self.levels
-        if rule.priority >= len(levels):
-            levels.extend([0] * (rule.priority + 1 - len(levels)))
-        log = self.log
-        if len(log) >= 2 * INSERT_LOG_SCAN:
-            del log[:INSERT_LOG_SCAN]
-        match = rule.match
-        log.append((match.wildcard.packed, match.packed))
-        self.inserts += 1
-        if disturbed is not None:
-            self.on_reorder(disturbed)
-
-    def on_reorder(self, disturbed: int) -> None:
-        """The bucket's probe order changed for every lookup whose
-        winner's priority is at most ``disturbed`` (see
-        :meth:`~repro.classify.tss.TupleSpaceClassifier.insert`)."""
-        levels = self.levels
-        for level in range(disturbed + 1):
-            levels[level] += 1
+        self.changes = 0
 
 
 class LtmTable:
@@ -179,9 +152,9 @@ class LtmTable:
         #: not observed).
         self._observer_cells = None
         self._by_tag: Dict[int, TupleSpaceClassifier[LtmRule]] = {}
-        #: Per-tag state fast-path records are validated against; a
-        #: tag is created on first read (tags are pipeline table ids,
-        #: so there are few).
+        #: Per-tag change counters fast-path records are validated
+        #: against; a tag is created on first read (tags are pipeline
+        #: table ids, so there are few).
         self.dependencies: Dict[int, TagDependency] = defaultdict(
             TagDependency
         )
@@ -224,7 +197,8 @@ class LtmTable:
             bucket = TupleSpaceClassifier(self.schema)
             bucket.observer_cells = self._observer_cells
             self._by_tag[rule.tag] = bucket
-        self.dependencies[rule.tag].on_insert(rule, bucket.insert(rule))
+        bucket.insert(rule)
+        self.dependencies[rule.tag].changes += 1
         self._by_identity[identity] = rule
         self._by_id[rule.rule_id] = rule
         return True
@@ -254,9 +228,8 @@ class LtmTable:
         if rule not in self:
             raise KeyError(f"rule not in table {self.index}: {rule!r}")
         bucket = self._by_tag[rule.tag]
-        disturbed = bucket.remove(rule)
-        if disturbed is not None:
-            self.dependencies[rule.tag].on_reorder(disturbed)
+        bucket.remove(rule)
+        self.dependencies[rule.tag].changes += 1
         if not len(bucket):
             del self._by_tag[rule.tag]
         del self._by_identity[rule.identity()]

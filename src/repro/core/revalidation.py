@@ -3,7 +3,9 @@
 Revalidation replays each entry's parent flow through the vSwitch pipeline
 (from the entry's table tag, for the length of its sub-traversal) and
 compares the regenerated rule to the stored one; entries whose match or
-actions changed are evicted.  Because Gigaflow replays *sub-traversals*,
+actions changed are evicted.  An entry none of whose tables changed
+since its last agreeing walk is consistent without a replay
+(:class:`_Revalidator`).  Because Gigaflow replays *sub-traversals*,
 which are shorter than the full traversals Megaflow must replay, its
 revalidation is roughly the partition factor faster (the 2× of §6.3.6).
 
@@ -65,92 +67,99 @@ def _check_all(impl, entries: Iterable, now: float) -> RevalidationReport:
     return report
 
 
-class MegaflowRevalidator:
-    """Replays full traversals to validate Megaflow entries."""
+class _Revalidator:
+    """The per-entry check both revalidators share.
 
-    def __init__(self, pipeline: Pipeline, cache: MegaflowCache):
+    A replay can only come out differently if a rule changed in a table
+    it visits.  An entry stamped with the tables its last agreeing walk
+    visited (``path``) and that walk's generation (``verified``), none
+    of which changed since, is ``consistent`` without a replay: it is
+    charged the lookups the replay would have made, and re-stamped as
+    the replay would have done.  Any other entry, an unstamped one
+    included, is replayed; a replay that agrees re-stamps it.
+    """
+
+    def __init__(self, pipeline: Pipeline, cache):
         self.pipeline = pipeline
         self.cache = cache
 
     def check_entry(self, entry, now: float) -> Tuple[str, int]:
-        """Replay one entry; evict if stale.  Returns (verdict, lookups).
+        """Check one entry; evict if stale.  Returns (verdict, lookups).
 
-        An eviction bumps the cache's mutation epoch
-        (:meth:`~repro.cache.megaflow.MegaflowCache.remove`), which is
-        what keeps it visible to the fast-path memo.
+        An eviction bumps the cache's mutation epoch, which is what
+        keeps it visible to the fast-path memo.
         """
-        replay = self.pipeline.replay(
-            entry.parent_flow, entry.start_table, entry.length
-        )
+        pipeline = self.pipeline
+        generation = pipeline.generation
+        verified = entry.verified
+        if verified is not None and pipeline.unchanged_since(
+            entry.path, verified
+        ):
+            lookups = len(entry.path)
+            verdict = "consistent"
+        else:
+            replay = pipeline.replay(
+                entry.parent_flow, self._start(entry), entry.length
+            )
+            lookups = len(replay)
+            if self._agrees(entry, replay, now):
+                entry.path = replay.table_ids
+                verdict = "consistent"
+            else:
+                self._evict(entry)
+                verdict = "evicted"
+        if verdict == "consistent":
+            entry.generation = generation
+            entry.verified = generation
+        tel = self.cache.telemetry
+        if tel is not None:
+            tel.on_revalidate(self.cache.telemetry_name, verdict, lookups, now)
+        return verdict, lookups
+
+    def revalidate(self, now: float = 0.0) -> RevalidationReport:
+        return _check_all(self, list(self.cache), now)
+
+
+class MegaflowRevalidator(_Revalidator):
+    """Replays full traversals to validate Megaflow entries."""
+
+    def _start(self, entry) -> int:
+        return entry.start_table
+
+    def _agrees(self, entry, replay, now: float) -> bool:
         regenerated = build_megaflow_entry(
             replay, entry.start_table, self.pipeline.generation, now
         )
-        if (
-            regenerated.match != entry.match
-            or regenerated.actions != entry.actions
-        ):
-            self.cache.remove(entry, reason="reval")
-            verdict = "evicted"
-        else:
-            entry.generation = self.pipeline.generation
-            verdict = "consistent"
-        tel = self.cache.telemetry
-        if tel is not None:
-            tel.on_revalidate(
-                self.cache.telemetry_name, verdict, len(replay), now
-            )
-        return verdict, len(replay)
+        return (
+            regenerated.match == entry.match
+            and regenerated.actions == entry.actions
+        )
 
-    def revalidate(self, now: float = 0.0) -> RevalidationReport:
-        return _check_all(self, list(self.cache), now)
+    def _evict(self, entry) -> None:
+        self.cache.remove(entry, reason="reval")
 
 
-class GigaflowRevalidator:
+class GigaflowRevalidator(_Revalidator):
     """Replays sub-traversals to validate LTM rules (§4.3.1)."""
 
-    def __init__(self, pipeline: Pipeline, cache: GigaflowCache):
-        self.pipeline = pipeline
-        self.cache = cache
+    def _start(self, rule) -> int:
+        return rule.tag
 
-    def check_entry(self, rule, now: float) -> Tuple[str, int]:
-        """Replay one LTM rule; evict if stale.  Returns (verdict, lookups).
-
-        An eviction bumps the epoch
-        (:meth:`~repro.core.gigaflow.GigaflowCache.remove_rule`), as in
-        :meth:`MegaflowRevalidator.check_entry`.
-        """
-        replay = self.pipeline.replay(
-            rule.parent_flow, rule.tag, rule.length
-        )
+    def _agrees(self, rule, replay, now: float) -> bool:
         if len(replay) != rule.length:
             # The path from this tag got shorter — stale.
-            self.cache.remove_rule(rule)
-            verdict = "evicted"
-        else:
-            regenerated = build_ltm_rule(
-                replay.sub(0, len(replay)), self.pipeline.generation,
-                now,
-            )
-            expected_next = regenerated.next_tag
-            if (
-                regenerated.match != rule.match
-                or regenerated.actions != rule.actions
-                or expected_next != rule.next_tag
-            ):
-                self.cache.remove_rule(rule)
-                verdict = "evicted"
-            else:
-                rule.generation = self.pipeline.generation
-                verdict = "consistent"
-        tel = self.cache.telemetry
-        if tel is not None:
-            tel.on_revalidate(
-                self.cache.telemetry_name, verdict, len(replay), now
-            )
-        return verdict, len(replay)
+            return False
+        regenerated = build_ltm_rule(
+            replay.sub(0, len(replay)), self.pipeline.generation, now
+        )
+        return (
+            regenerated.match == rule.match
+            and regenerated.actions == rule.actions
+            and regenerated.next_tag == rule.next_tag
+        )
 
-    def revalidate(self, now: float = 0.0) -> RevalidationReport:
-        return _check_all(self, list(self.cache), now)
+    def _evict(self, rule) -> None:
+        self.cache.remove_rule(rule)
 
 
 def resolve_revalidator(pipeline: Pipeline, cache):

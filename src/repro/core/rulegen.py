@@ -12,6 +12,10 @@ For a sub-traversal the generator computes:
 * the priority ``ρ_k`` — the slice length (LTM's selection criterion);
 * the tags — ``τ_k`` is the slice's first vSwitch table, and the action
   implicitly advances the tag to the next expected table.
+
+Each rule is also stamped, for revalidation, with the slice's table ids
+and the generation its traversal was walked at — the walk's, never the
+caller's ``generation``, which may be later.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ def build_ltm_rule(
     match, actions = sub.match_and_commit()
     next_table = sub.next_table
     next_tag = TAG_DONE if next_table is None else next_table
-    return LtmRule(
+    rule = LtmRule(
         tag=sub.start_table,
         match=match,
         priority=sub.length,
@@ -41,6 +45,9 @@ def build_ltm_rule(
         generation=generation,
         now=now,
     )
+    rule.path = sub.traversal.table_ids[sub.start:sub.stop]
+    rule.verified = sub.traversal.generation
+    return rule
 
 
 def build_ltm_rules(

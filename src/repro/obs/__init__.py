@@ -19,7 +19,6 @@ from .metrics import (
     Histogram,
     MetricFamily,
     MetricsRegistry,
-    parse_prometheus_text,
 )
 from .snapshot import AGE_BUCKETS, CacheSnapshot, age_histogram, take_snapshot
 from .telemetry import Telemetry, merge_telemetry_summaries
@@ -73,7 +72,6 @@ __all__ = [
     "analyze_tracer",
     "load_jsonl",
     "merge_telemetry_summaries",
-    "parse_prometheus_text",
     "render_text",
     "take_snapshot",
 ]

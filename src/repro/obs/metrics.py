@@ -25,7 +25,6 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "parse_prometheus_text",
 ]
 
 LabelValues = Tuple[str, ...]
@@ -435,23 +434,3 @@ class MetricsRegistry:
                 else:
                     child.set(value)
         return registry
-
-
-def parse_prometheus_text(text: str) -> Dict[str, Dict[str, float]]:
-    """Parse exposition text into ``{metric: {label string: value}}``.
-
-    A deliberately small parser for round-trip tests and CLI consumers:
-    sample lines become ``{"name{a=\"b\"}": value}`` entries keyed under
-    their family ``name`` (histogram ``_bucket``/``_sum``/``_count``
-    series parse as their own families).
-    """
-    out: Dict[str, Dict[str, float]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        sample, _, raw = line.rpartition(" ")
-        name = sample.split("{", 1)[0]
-        value = math.inf if raw == "+Inf" else float(raw)
-        out.setdefault(name, {})[sample] = value
-    return out

@@ -62,6 +62,11 @@ class Pipeline:
     counts again without walking.  The first execute after a rule
     change forgets them all.  A copy (``copy.deepcopy``, pickle)
     starts with nothing remembered.
+
+    Every traversal it hands out carries the ``generation`` it was
+    walked at, and the pipeline records, per table, the generation of
+    that table's last rule change: :meth:`unchanged_since` tells
+    whether a walk over some tables would still come out the same.
     """
 
     def __init__(
@@ -94,6 +99,8 @@ class Pipeline:
         self.start_table = start_table
         self.stats = ExecutionStats()
         self._generation = 0
+        #: table id → the generation its last rule change moved to.
+        self._changed_at: Dict[int, int] = dict.fromkeys(self.tables, 0)
         #: packed flow → (traversal, groups probed), walked at
         #: ``_memo_generation``; insertion order is age.
         self._traversal_memo: Dict[int, Tuple[Traversal, int]] = {}
@@ -146,10 +153,23 @@ class Pipeline:
     def remove(self, table_id: int, rule: PipelineRule) -> None:
         self.table(table_id).remove(rule)
 
-    def rules_changed(self) -> None:
-        """Called by a table of this pipeline after each rule change:
-        the one place ``generation`` moves."""
+    def rules_changed(self, table_id: int) -> None:
+        """Called by table ``table_id`` of this pipeline after each rule
+        change: the one place ``generation`` moves."""
         self._generation += 1
+        self._changed_at[table_id] = self._generation
+
+    def unchanged_since(
+        self, table_ids: Iterable[int], generation: int
+    ) -> bool:
+        """True when no rule of any table in ``table_ids`` changed after
+        ``generation``: a walk over just those tables, made at that
+        generation, would come out the same now."""
+        changed_at = self._changed_at
+        for table_id in table_ids:
+            if changed_at[table_id] > generation:
+                return False
+        return True
 
     # -- execution ---------------------------------------------------------------------
 
@@ -181,6 +201,7 @@ class Pipeline:
                 f"{self.name!r}: path {[s.table_id for s in steps]}"
             )
         traversal = Traversal(steps, disposition)
+        traversal.walked_at(self._generation)
         if record_stats:
             self.stats.record(traversal, groups)
         if key not in memo:

@@ -49,7 +49,8 @@ class PipelineTable:
             (defaults to a controller punt, as in OpenFlow).
         owner: The :class:`~repro.pipeline.Pipeline` this table is a
             stage of (``None`` until one takes it); every rule change
-            here moves that pipeline's ``generation``.
+            here moves that pipeline's ``generation`` and is recorded
+            against this table's id.
     """
 
     def __init__(
@@ -100,7 +101,7 @@ class PipelineTable:
 
     def _changed(self) -> None:
         if self.owner is not None:
-            self.owner.rules_changed()
+            self.owner.rules_changed(self.table_id)
 
     def __len__(self) -> int:
         return len(self._classifier)

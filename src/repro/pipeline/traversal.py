@@ -59,13 +59,21 @@ class Traversal:
     A traversal the pipeline remembers (:meth:`remember_slices`) keeps
     each slice's derived match and commit, so installing it again
     derives nothing; any other derives afresh on every call.
+
+    :attr:`generation` is the pipeline generation the walk was made at
+    (``None`` for a traversal no pipeline walked); cache entries built
+    from it are stamped with it and with their slice of
+    :attr:`table_ids`, for revalidation.
     """
 
     steps: Tuple[TraversalStep, ...]
     disposition: Disposition
-    # (start, stop) → (match, commit); not a dataclass field, so it
-    # takes no part in equality, hashing or repr.
+    # Not dataclass fields, so they take no part in equality, hashing
+    # or repr.  ``_slices``: (start, stop) → (match, commit);
+    # ``_table_ids``: :attr:`table_ids`, once worked out.
     _slices = None
+    generation = None
+    _table_ids = None
 
     def __post_init__(self) -> None:
         if not self.steps:
@@ -85,7 +93,11 @@ class Traversal:
     @property
     def table_ids(self) -> Tuple[int, ...]:
         """The table-ID path ``T`` (the traversal's shape)."""
-        return tuple(step.table_id for step in self.steps)
+        ids = self._table_ids
+        if ids is None:
+            ids = tuple([step.table_id for step in self.steps])
+            object.__setattr__(self, "_table_ids", ids)
+        return ids
 
     @property
     def signature(self) -> Tuple[Tuple[int, Optional[int]], ...]:
@@ -98,6 +110,16 @@ class Traversal:
         ``W_i``, dropping contributions from fields already rewritten by an
         earlier action (those depend on the pipeline, not the packet)."""
         return union_wildcards(self.steps)
+
+    def walked_at(self, generation: int) -> None:
+        """Stamp the pipeline generation this traversal was walked at,
+        and work out its :attr:`table_ids` while the walk is being
+        paid for: every cache entry built from it is stamped with its
+        slice of them."""
+        object.__setattr__(self, "generation", generation)
+        object.__setattr__(
+            self, "_table_ids", tuple([step.table_id for step in self.steps])
+        )
 
     def remember_slices(self) -> None:
         """Keep every slice :meth:`match_and_commit` computes from now on."""

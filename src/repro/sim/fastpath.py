@@ -27,11 +27,11 @@ or last validated at epoch *e* replays unchecked while the cache is
 still at *e* — the O(1) "nothing at all changed" shortcut a steady
 trace lives on.  A record whose epoch is stale is **re-validated**, at
 lookup time, by :meth:`~repro.cache.base.HitReplay.still_valid`: a
-Gigaflow record checks, per LTM table its walk visited, that the rule
-it matched is still resident, that the bucket's probe order at the
-winner's priority is unchanged and that no rule inserted since matches
-the flow as it entered that table; if all hold it is re-stamped and
-replayed, otherwise dropped and the full lookup runs.  Microflow,
+Gigaflow record re-runs each LTM lookup its walk made in a bucket that
+changed since (a per-tag change counter says which), and is valid
+exactly when every re-run finds the same winner — then it takes the
+re-runs' probe counts, is re-stamped and replayed; otherwise it is
+dropped and the full lookup runs.  Microflow,
 Megaflow and hierarchy records keep no such account and are dropped on
 any stale epoch.  Validation is lazy on purpose: the start-tag bucket
 of table 0 is probed by every record, so an eager scheme would visit

@@ -12,10 +12,13 @@ Three properties matter:
    idle eviction, clear) makes memoized records stale; a record that
    keeps no account of what it depended on (Microflow, Megaflow,
    hierarchy) is then dropped, so replays never serve stale state.
-3. **Validation soundness** — a stale Gigaflow record is replayed only
-   when ``still_valid()`` says a full walk would find the same chain at
-   the same cost; whenever it says so, it must be so
-   (:class:`TestValidationSoundness`, :class:`TestEachCheckIsNeeded`).
+3. **Validation exactness** — a stale Gigaflow record is replayed
+   exactly when ``still_valid()`` says a full walk would find the same
+   chain, and it then charges what that walk would: ``still_valid()``
+   is ``True`` if and only if the side-effect-free walk finds the
+   record's chain, and the record's ``groups_probed`` is then the
+   walk's (:class:`TestValidationSoundness`,
+   :class:`TestEachCheckIsNeeded`).
 """
 
 import dataclasses
@@ -27,7 +30,6 @@ from hypothesis import example, given, settings
 from repro.cache import MicroflowCache
 from repro.core import TAG_DONE, GigaflowCache, LtmRule
 from repro.core.partition import disjoint_partition, megaflow_partition
-from repro.core.ltm import INSERT_LOG_SCAN
 from repro.flow import ActionList, Output
 from repro.pipeline import PSC
 from repro.sim import fastpath as fastpath_module
@@ -251,18 +253,6 @@ def memoize(cache, packet):
     return fastpath, record
 
 
-def no_later_insert_matches(record):
-    """Check 3 taken alone: no rule inserted into a visited bucket
-    since the record was validated matches the flow as it entered."""
-    depends = record.depends
-    for at in range(0, len(depends), 5):
-        bucket, packed, seen = depends[at], depends[at + 2], depends[at + 4]
-        for mask, value in bucket.log[len(bucket.log) - bucket.inserts + seen:]:
-            if packed & mask == value:
-                return False
-    return True
-
-
 class TestStaleRecordsThatAreStillExact:
     def test_unrelated_install_revalidates_and_replays(self):
         cache = GigaflowCache(num_tables=2, table_capacity=8)
@@ -294,24 +284,42 @@ class TestStaleRecordsThatAreStillExact:
         assert record.still_valid()
         assert recorded(record) == full_walk(cache, packet)
 
-    def test_a_flow_away_for_too_many_inserts_takes_the_full_lookup(self):
-        cache = GigaflowCache(num_tables=1, table_capacity=4 * INSERT_LOG_SCAN)
+    def test_any_number_of_unrelated_inserts_replays(self):
+        cache = GigaflowCache(num_tables=1, table_capacity=1024)
         cache.install_rules([ltm_rule({"tp_dst": 443})])
         packet = flow(tp_dst=443)
         fastpath, record = memoize(cache, packet)
-        for port in range(INSERT_LOG_SCAN):
+        for port in range(600):
             cache.install_rules([ltm_rule({"tp_dst": 1000 + port})])
-        assert record.still_valid()  # exactly at the scan cap
-        for port in range(INSERT_LOG_SCAN + 1):
-            cache.install_rules([ltm_rule({"tp_dst": 2000 + port})])
-        assert not record.still_valid()  # one past it: gives up
-        assert recorded(record) == full_walk(cache, packet)  # though exact
+        replayed = fastpath.lookup(packet, now=2.0)
+        assert (fastpath.revalidated, fastpath.invalidations) == (1, 0)
+        assert recorded(record) == full_walk(cache, packet)
+        assert replayed == cache.lookup(packet, now=2.0)
+
+    def test_a_moved_probe_count_is_re_charged_not_dropped(self):
+        cache = GigaflowCache(num_tables=2, table_capacity=8)
+        first, second = cache.tables
+        first.insert(ltm_rule({"tp_dst": 443}, next_tag=1))
+        second.insert(ltm_rule({"ip_proto": 6}, tag=1))
+        packet = flow(tp_dst=443, ip_proto=6)
+        fastpath, record = memoize(cache, packet)
+        assert record.groups_probed == 2
+        # A better group in each visited bucket, neither this flow's:
+        # both walks now rule one more group out first.
+        cache.install_rules([ltm_rule({"vlan_id": 9}, priority=2)])
+        cache.install_rules([ltm_rule({"in_port": 9}, tag=1, priority=2)])
+        assert full_walk(cache, packet)[2] == 4
+        replayed = fastpath.lookup(packet, now=2.0)
+        assert fastpath.revalidated == 1 and replayed.groups_probed == 4
+        assert recorded(record) == full_walk(cache, packet)
+        assert replayed == cache.lookup(packet, now=2.0)
 
 
 class TestEachCheckIsNeeded:
-    """One hand-built divergence per check of ``still_valid()``: in
-    each, the full walk no longer reproduces the record and the other
-    two checks, taken alone, would still pass."""
+    """One hand-built change per part of ``still_valid()``: a matched
+    rule's bucket changing is seen through the tag's counter alone,
+    the re-run lookup's winner must be the recorded rule object, and
+    its probe count replaces the recorded one."""
 
     def test_resident_check_a_matched_rule_was_evicted(self):
         cache = GigaflowCache(num_tables=1, table_capacity=8)
@@ -320,15 +328,15 @@ class TestEachCheckIsNeeded:
         cache.install_rules([ltm_rule({"tp_dst": 80})])  # keeps the group
         packet = flow(tp_dst=443)
         _fastpath, record = memoize(cache, packet)
-        levels = list(cache.tables[0].dependencies[0].levels)
+        changes = cache.tables[0].dependencies[0].changes
         cache.remove_rule(matched)
-        assert cache.tables[0].dependencies[0].levels == levels  # check 2 holds
-        assert no_later_insert_matches(record)  # check 3 holds
+        assert cache.tables[0].dependencies[0].changes == changes + 1
         assert not full_walk(cache, packet)[0]
         assert not record.still_valid()
         # An identical rule re-installed is a different object with its
-        # own LRU slot and hit count (and check 3 sees it arrive, too).
+        # own LRU slot and hit count: the winner is compared by object.
         cache.install_rules([ltm_rule({"tp_dst": 443})])
+        assert full_walk(cache, packet)[0]
         assert full_walk(cache, packet)[1] != record.matched
         assert not record.still_valid()
 
@@ -339,37 +347,38 @@ class TestEachCheckIsNeeded:
         packet = flow(tp_dst=443, ip_proto=6)
         _fastpath, record = memoize(cache, packet)
         # Another mask, a higher priority, not this flow's: the walk
-        # must now rule that group out first — one more probe.
+        # must now rule that group out first — one more probe, which
+        # the record must charge from now on.
         cache.install_rules([ltm_rule({"ip_proto": 17}, priority=2)])
-        assert matched in cache.tables[0]  # check 1 holds
-        assert no_later_insert_matches(record)  # check 3 holds
         hit, chain, probes, _depth = full_walk(cache, packet)
         assert hit and chain == record.matched
         assert probes == record.groups_probed + 1
-        assert not record.still_valid()
+        assert record.still_valid()
+        assert record.groups_probed == probes
+        assert recorded(record) == full_walk(cache, packet)
 
     def test_insert_check_a_better_match_joined_an_existing_group(self):
         cache = GigaflowCache(num_tables=1, table_capacity=8)
         matched = ltm_rule({"tp_dst": 443}, priority=1)
         cache.install_rules([matched])
         # Same mask at priority 2: the group's best priority is 2 from
-        # the start, so the insert below moves no probe order.
+        # the start, so the insert below moves no probe count.
         cache.install_rules([ltm_rule({"tp_dst": 80}, priority=2)])
         packet = flow(tp_dst=443)
         _fastpath, record = memoize(cache, packet)
-        levels = list(cache.tables[0].dependencies[0].levels)
         better = ltm_rule({"tp_dst": 443}, priority=2, actions=(Output(7),))
         cache.install_rules([better])
-        assert matched in cache.tables[0]  # check 1 holds
-        assert cache.tables[0].dependencies[0].levels == levels  # check 2 holds
-        assert full_walk(cache, packet)[1] == ((cache.tables[0], better),)
+        assert matched in cache.tables[0]
+        hit, chain, probes, _depth = full_walk(cache, packet)
+        assert chain == ((cache.tables[0], better),)
+        assert probes == record.groups_probed
         assert not record.still_valid()
 
     def test_pass_through_survives_its_bucket_being_emptied(self):
         """A pass-through depends on a bucket it matched nothing in.
-        The tag's generations outlive the bucket's classifier, so a
-        record made against the old bucket cannot validate against a
-        re-created one that happens to count the same."""
+        The tag's counter outlives the bucket's classifier, so a record
+        made against the old bucket re-runs its lookup against a
+        re-created one, which may probe more, or match."""
         cache = GigaflowCache(num_tables=2, table_capacity=8)
         first, second = cache.tables
         bystander = ltm_rule({"ip_proto": 17})
@@ -385,6 +394,9 @@ class TestEachCheckIsNeeded:
         cache.install_rules([ltm_rule({"ip_proto": 17, "vlan_id": 9})])
         assert first.tags == (0,) and first.dependencies[0] is dependency
         assert full_walk(cache, packet)[2] == 3
+        assert record.still_valid() and record.groups_probed == 3
+        first.insert(ltm_rule({"ip_proto": 6}))
+        assert full_walk(cache, packet)[1][0][0] is first
         assert not record.still_valid()
 
     def test_pass_through_of_a_tag_with_no_bucket_yet(self):
@@ -397,7 +409,8 @@ class TestEachCheckIsNeeded:
         first.insert(ltm_rule({"ip_proto": 17, "in_port": 9}))
         first.insert(ltm_rule({"ip_proto": 17, "vlan_id": 9}))
         assert full_walk(cache, packet)[2] == 3
-        assert not record.still_valid()
+        assert record.still_valid()
+        assert recorded(record) == full_walk(cache, packet)
 
 
 # One small PSC universe for the property test: the pipeline is only
@@ -431,9 +444,9 @@ def _recency(cache):
 def _memo_against_twin(ops, num_tables, table_capacity, placement):
     """Installs in both partition modes (with capacity eviction behind
     them), idle sweeps, single-rule removals and ``clear()`` interleaved
-    with packets: whenever a stale record says it is still valid, the
-    side-effect-free walk must reproduce its chain, ``groups_probed``
-    and ``tables_hit``; and the fast path as a whole must answer every
+    with packets: a stale record must say it is still valid exactly
+    when the side-effect-free walk finds its chain, and then reproduce
+    the walk's ``groups_probed`` and ``tables_hit``; and the fast path as a whole must answer every
     packet as a twin cache without one does and leave every rule's
     recency and hit count where the twin's full lookups leave them.
     Returns how many packets' walks dead-ended (matched, then missed)."""
@@ -454,12 +467,12 @@ def _memo_against_twin(ops, num_tables, table_capacity, placement):
         if op == "packet":
             packet = _FLOWS[arg % len(_FLOWS)]
             record = fastpath._memo.get(packet.values)
-            if (
-                record is not None
-                and record.epoch != cache.mutation_epoch
-                and record.still_valid()
-            ):
-                assert recorded(record) == full_walk(cache, packet)
+            if record is not None and record.epoch != cache.mutation_epoch:
+                walk = full_walk(cache, packet)
+                same_chain = walk[0] and walk[1] == record.matched
+                assert record.still_valid() == same_chain
+                if same_chain:
+                    assert recorded(record) == walk
             result = fastpath.lookup(packet, now)
             assert result == twin.lookup(packet, now)
             if not result.hit:
@@ -521,8 +534,8 @@ class TestValidationSoundness:
     @settings(max_examples=60, deadline=None)
     # The one shape random interleavings rarely reach: flow 1's longer
     # rule raises the head group's best priority first, so flow 0's
-    # then joins the group without moving any probe order — only the
-    # insert log can tell flow 0's record it has a new winner.
+    # then joins the group without moving any probe count — only the
+    # re-run lookup's winner can tell flow 0's record it is stale.
     @example(
         ops=[
             ("packet", 0), ("packet", 1), ("outrank", 1),
@@ -560,8 +573,10 @@ def test_soak_one_tag_under_endless_install_and_evict_stays_bounded(
 ):
     """50 K install / capacity-evict cycles through one ``(table, tag)``
     bucket with a returning flow in between: what validation keeps —
-    the tag's insert log and level table, the memo — must not grow with
-    the number of cycles."""
+    the tag's counter, each record's per-table account, the memo —
+    must not grow with the number of cycles, and the returning flow's
+    record, whose bucket changed every cycle, is re-validated every
+    time rather than re-walked."""
     monkeypatch.setattr(fastpath_module, "MEMO_ENTRIES", 64)
     cache = GigaflowCache(num_tables=1, table_capacity=4)
     fastpath = FastPathIndex(cache)
@@ -575,11 +590,11 @@ def test_soak_one_tag_under_endless_install_and_evict_stays_bounded(
         cache.install_rules([ltm_rule(visitor, priority=1 + i % 3)])
         assert fastpath.lookup(flow(**visitor), now).hit
         assert fastpath.lookup(regular, now).hit  # keeps its rule warm
-        assert len(dependency.log) <= 2 * INSERT_LOG_SCAN
-    assert dependency.inserts == cycles + 1
-    assert len(dependency.levels) == 4  # priorities 1..3, and 0
-    assert len(fastpath) <= 64
+        assert len(fastpath._memo[regular.values].steps) == 7
     assert cache.stats.evictions == cycles + 1 - 4
-    # The returning flow was re-validated, not re-walked, whenever the
-    # visitor moved no probe order at its priority.
-    assert fastpath.revalidated > cycles // 2
+    assert dependency.changes == 1 + cycles + cache.stats.evictions
+    assert len(fastpath) <= 64
+    # Never dropped as stale; re-walked only when the bounded memo was
+    # cleared wholesale (once per 63 visitors).
+    assert fastpath.invalidations == 0
+    assert fastpath.revalidated > cycles - cycles // 60

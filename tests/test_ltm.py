@@ -122,29 +122,27 @@ class TestLtmTable:
 
 
 class TestTagDependency:
-    """Per-tag state fast-path records are validated against."""
+    """The per-tag change counter fast-path records are validated
+    against."""
 
-    def test_levels_cover_every_priority_inserted(self):
+    def test_changes_count_every_insert_and_remove(self):
         table = LtmTable(0, capacity=8)
         dependency = table.dependencies[0]
-        assert dependency.levels == [0] and dependency.inserts == 0
-        table.insert(ltm_rule({"tp_dst": 443}, priority=5))
-        # A group created at level 5 moves lookups that won below it.
-        assert dependency.levels == [1, 1, 1, 1, 1, 0]
-        assert dependency.inserts == 1
-
-    def test_levels_move_with_the_probe_order_only(self):
-        table = LtmTable(0, capacity=8)
-        dependency = table.dependencies[0]
-        first = ltm_rule({"tp_dst": 443}, priority=2)
+        assert dependency.changes == 0
+        first = ltm_rule({"tp_dst": 443}, priority=5)
         table.insert(first)
-        table.insert(ltm_rule({"tp_dst": 80}, priority=2))
-        assert dependency.levels == [1, 1, 0]  # same group, same best
-        table.insert(ltm_rule({"tp_dst": 22}, priority=1))
-        assert dependency.levels == [1, 1, 0]
+        table.insert(ltm_rule({"tp_dst": 80}, priority=5))
+        table.insert(ltm_rule({"tp_dst": 22}, tag=1))  # another tag's
         table.remove(first)
-        assert dependency.levels == [1, 1, 0]  # best still 2
-        assert dependency.inserts == 3 and len(dependency.log) == 3
+        assert dependency.changes == 3
+        assert table.dependencies[1].changes == 1
+
+    def test_sharing_an_identical_rule_is_not_a_change(self):
+        table = LtmTable(0, capacity=8)
+        dependency = table.dependencies[0]
+        table.insert(ltm_rule({"tp_dst": 443}))
+        assert table.insert(ltm_rule({"tp_dst": 443}))
+        assert len(table) == 1 and dependency.changes == 1
 
     def test_state_is_the_tags_not_the_buckets(self):
         table = LtmTable(0, capacity=8)
@@ -153,24 +151,5 @@ class TestTagDependency:
         table.insert(rule)
         table.remove(rule)
         assert table.tags == () and table.dependencies[3] is dependency
-        assert dependency.levels == [2, 1]  # created (0), deleted (0..1)
+        assert dependency.changes == 2
         assert table.dependencies[4] is not dependency
-
-    def test_insert_log_keeps_a_bounded_recent_window(self):
-        from repro.core.ltm import INSERT_LOG_SCAN
-
-        table = LtmTable(0, capacity=8)
-        dependency = table.dependencies[0]
-        for i in range(5 * INSERT_LOG_SCAN):
-            rule = ltm_rule({"tp_dst": i})
-            table.insert(rule)
-            table.remove(rule)
-            assert (
-                min(i + 1, INSERT_LOG_SCAN)
-                <= len(dependency.log)
-                <= 2 * INSERT_LOG_SCAN
-            )
-        assert dependency.inserts == 5 * INSERT_LOG_SCAN
-        assert dependency.log[-1] == (
-            rule.match.wildcard.packed, rule.match.packed
-        )

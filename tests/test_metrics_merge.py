@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.obs import MetricsRegistry, parse_prometheus_text
+from repro.obs import MetricsRegistry
+
+from prometheus_text import parse_prometheus_text
 
 BUCKETS = (1.0, 5.0, 25.0)
 CACHES = ("gigaflow", "megaflow")

@@ -18,7 +18,6 @@ from repro.obs import (
     MetricsRegistry,
     Telemetry,
     Tracer,
-    parse_prometheus_text,
 )
 from repro.pipeline import PSC
 from repro.sim import (
@@ -30,6 +29,7 @@ from repro.sim import (
     VSwitchSimulator,
 )
 from repro.workload import TraceProfile, build_workload
+from prometheus_text import parse_prometheus_text
 
 N_FLOWS = 200
 

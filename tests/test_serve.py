@@ -24,8 +24,9 @@ import urllib.request
 import pytest
 
 from conftest import seeded_trace, seeded_workload
+from prometheus_text import parse_prometheus_text
 from test_obs import result_fingerprint
-from repro.obs import Telemetry, parse_prometheus_text
+from repro.obs import Telemetry
 from repro.serve import (
     MetricsServer,
     ServeConfig,

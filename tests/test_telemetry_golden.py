@@ -28,7 +28,9 @@ timeout predictor the scenarios ran with was deleted: the idle sweep
 they replay changed, and the exposition lost the three empty
 ``repro_timeout_*`` families.  And once more when chain repair went:
 the scenarios had run with it on, and a walk that dead-ends no longer
-refreshes the rules it matched.
+refreshes the rules it matched.  The stale-record re-validation that
+re-runs only the lookups whose bucket changed re-recorded through the
+view: more hits replay and fewer walk, nothing else moved.
 """
 
 import collections

@@ -269,86 +269,6 @@ class TestAgainstLinearScan:
                 assert got.priority == expected.priority
 
 
-class TestProbeOrderReport:
-    """``insert`` / ``remove`` return which lookups now probe a
-    different sequence of groups: those whose winner's priority is at
-    most the returned level (``None``: none)."""
-
-    def test_a_new_group_sorts_last_within_its_level(self, classifier):
-        assert classifier.insert(make_rule({"tp_dst": 443}, priority=5)) == 4
-        assert classifier.insert(make_rule({"tp_src": 9}, priority=5)) == 4
-        assert classifier.insert(make_rule({"ip_proto": 6}, priority=0)) == -1
-
-    def test_joining_a_group_reports_only_a_raised_best(self, classifier):
-        classifier.insert(make_rule({"tp_dst": 443}, priority=5))
-        assert classifier.insert(make_rule({"tp_dst": 80}, priority=5)) is None
-        assert classifier.insert(make_rule({"tp_dst": 22}, priority=3)) is None
-        assert classifier.insert(make_rule({"tp_dst": 25}, priority=8)) == 8
-
-    def test_remove_reports_a_deleted_group_or_a_lowered_best(
-        self, classifier
-    ):
-        best = make_rule({"tp_dst": 443}, priority=8)
-        twin = make_rule({"tp_dst": 80}, priority=8)
-        low = make_rule({"tp_dst": 22}, priority=3)
-        for rule in (best, twin, low):
-            classifier.insert(rule)
-        assert classifier.remove(twin) is None  # best still 8
-        assert classifier.remove(best) == 8  # best 8 -> 3
-        assert classifier.remove(low) == 3  # group deleted
-
-    def test_unreported_lookups_probe_exactly_as_before(self):
-        """Random updates against fixed probes: a lookup whose winner
-        ranks above the reported level, lost no rule and gained no
-        match must return the same rule for the same ``groups_probed``."""
-        import numpy as np
-
-        rng = np.random.default_rng(11)
-        classifier = TupleSpaceClassifier(DEFAULT_SCHEMA)
-        mask_sets = (
-            {"tp_dst": 0xFFFF},
-            {"tp_src": 0xFFFF},
-            {"tp_dst": 0xFFFF, "ip_proto": 0xFF},
-            {"ip_dst": prefix_mask(24)},
-        )
-        probes = [
-            flow(tp_dst=dst, tp_src=src, ip_proto=proto)
-            for dst in range(3) for src in range(3) for proto in (6, 17)
-        ]
-        resident = []
-        unchanged = 0
-        for _ in range(400):
-            before = [classifier.lookup(probe) for probe in probes]
-            if resident and rng.random() < 0.45:
-                rule = resident.pop(int(rng.integers(len(resident))))
-                level = classifier.remove(rule)
-            else:
-                masks = mask_sets[int(rng.integers(len(mask_sets)))]
-                values = {
-                    name: int(rng.integers(0, 3))
-                    if name != "ip_proto"
-                    else int(rng.choice([6, 17]))
-                    for name in masks
-                }
-                rule = make_rule(
-                    values, masks, priority=int(rng.integers(0, 4))
-                )
-                resident.append(rule)
-                level = classifier.insert(rule)
-            for probe, was in zip(probes, before):
-                if was.rule is rule or rule.match.matches(probe):
-                    continue
-                if level is not None and (
-                    was.rule is None or was.rule.priority <= level
-                ):
-                    continue
-                now = classifier.lookup(probe)
-                assert now.rule is was.rule
-                assert now.groups_probed == was.groups_probed
-                unchanged += 1
-        assert unchanged > 1000
-
-
 def same_as_walk(classifier, probe):
     """A plain lookup, checked against the walk (which an un-wildcarding
     lookup always takes): same rule object, same ``groups_probed``."""

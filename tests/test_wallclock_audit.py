@@ -3,7 +3,8 @@ no reaching into the telemetry hub, one entry lifecycle, one §7 mode
 decider, no run-time steering of the cache's knobs, two homes for the
 bench clock, one prefix structure and one partition DP, no salted hash,
 one fan-out, one idle timer, one reader of the classifier's state,
-one home for the slow-path memo, no public function without a caller.
+one home for the slow-path memo, no public function without a caller,
+one home each for the two change records staleness is judged by.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -107,8 +108,18 @@ be named somewhere a program lives — the package outside its
 ``__init__`` re-exports, ``bench/``, ``benchmarks/``, ``examples/``,
 ``docs/*.md`` — other than its own definition; tests do not count.
 The search is by word, so a same-named attribute or field elsewhere
-counts as a caller.  Three names are kept on purpose, each with its
-reason.
+counts as a caller; a module's own ``__all__`` does not.  Three names
+are kept on purpose, each with its reason.
+
+The fourteenth keeps the two change records single.  Revalidation skips
+the replay of an entry none of whose tables changed since its last
+agreeing walk, and a stale fast-path record re-runs only the LTM
+lookups whose bucket changed; each is exact only while every change is
+recorded.  So the per-table record (``Pipeline._changed_at``) is read
+or written nowhere outside ``pipeline/``, whose tables report each rule
+change to it, and the per-tag counter (``TagDependency.changes``) is
+written nowhere outside ``core/ltm.py``, whose ``LtmTable.insert`` and
+``remove`` move it.
 """
 
 import ast
@@ -943,6 +954,63 @@ def test_memo_state_audit_sees_a_violation():
     ) == [(2, "._traversal_memo"), (3, "._memo_generation"), (4, "._slices")]
 
 
+#: The two change records staleness is judged by: the attribute, the
+#: one place it may be used, and whether only writes count there.
+CHANGE_RECORDS = (
+    ("_changed_at", "pipeline/", False),
+    ("changes", "core/ltm.py", True),
+)
+
+
+def _record_uses(source: str, attr: str, writes_only: bool):
+    """Lines that use (or, with ``writes_only``, assign) ``.attr``."""
+    tree = ast.parse(source)
+    if writes_only:
+        return sorted(
+            node.lineno
+            for node in ast.walk(tree)
+            if attr in _assigned_attrs(node)
+        )
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    )
+
+
+def test_change_records_have_one_home():
+    offenders = [
+        f"{relpath}:{line} .{attr}"
+        for attr, home, writes_only in CHANGE_RECORDS
+        for path in sorted(SRC.rglob("*.py"))
+        for relpath in [path.relative_to(SRC).as_posix()]
+        if not relpath.startswith(home)
+        for line in _record_uses(path.read_text(), attr, writes_only)
+    ]
+    assert not offenders, (
+        "a change record used outside its home:\n  " + "\n  ".join(offenders)
+    )
+    # The list names real records: each home does use its own.
+    for attr, home, writes_only in CHANGE_RECORDS:
+        homes = SRC.glob(f"{home}*.py") if home.endswith("/") else [SRC / home]
+        assert any(
+            _record_uses(path.read_text(), attr, writes_only)
+            for path in homes
+        ), attr
+
+
+def test_change_record_audit_sees_a_violation():
+    source = (
+        "def tamper(pipeline, dependency, record):\n"
+        "    last = pipeline._changed_at[3]\n"
+        "    seen = dependency.changes\n"
+        "    dependency.changes += 1\n"
+        "    record.changes = seen\n"
+    )
+    assert _record_uses(source, "_changed_at", False) == [2]
+    assert _record_uses(source, "changes", True) == [4, 5]
+
+
 #: Public functions no program reaches, each kept for a stated reason.
 UNCALLED_ALLOWED = {
     "partition_score": "the brute force tests/test_partition*.py hold "
@@ -969,10 +1037,34 @@ def _public_functions(source: str):
     ]
 
 
+def _without_all(relpath: str, text: str) -> str:
+    """``text`` with a Python module's top-level ``__all__``
+    assignments blanked out: exporting a name is not calling it."""
+    if not relpath.endswith(".py"):
+        return text
+    lines = text.splitlines()
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            lines[node.lineno - 1:node.end_lineno] = [""] * (
+                node.end_lineno - node.lineno + 1
+            )
+    return "\n".join(lines)
+
+
 def _uncalled(defining: dict, corpus: dict):
     """Names defined in ``defining`` (``{relpath: source}``) that occur
     in no ``corpus`` text (``{relpath: text}``) outside their own
-    definition."""
+    definition and outside any module's ``__all__``."""
+    corpus = {
+        relpath: _without_all(relpath, text)
+        for relpath, text in corpus.items()
+    }
     found = []
     for relpath, source in sorted(defining.items()):
         for name, first, last in _public_functions(source):
@@ -1028,6 +1120,11 @@ def test_every_public_function_has_a_caller():
 
 def test_uncalled_function_audit_sees_a_violation():
     module = (
+        "__all__ = [\n"
+        "    \"exported\",\n"
+        "    \"used\",\n"
+        "]\n"
+        "\n"
         "@lru_cache\n"
         "def orphan(x):\n"
         "    return orphan(x - 1) if x else 0\n"
@@ -1038,11 +1135,17 @@ def test_uncalled_function_audit_sees_a_violation():
         "def mentioned():\n"
         "    return 2\n"
         "\n"
+        "def exported():\n"
+        "    return 3\n"
+        "\n"
         "def _private():\n"
         "    return used()\n"
     )
     corpus = {
         "pkg/mod.py": module,
+        "pkg/other.py": "__all__ = ('exported',)\n__all__ += ['exported']\n",
         "docs/guide.md": "Call `mentioned()` for a two.",
     }
-    assert _uncalled({"pkg/mod.py": module}, corpus) == ["pkg/mod.py:1 orphan"]
+    assert _uncalled({"pkg/mod.py": module}, corpus) == [
+        "pkg/mod.py:6 orphan", "pkg/mod.py:16 exported",
+    ]
