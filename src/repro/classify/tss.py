@@ -27,6 +27,15 @@ per-priority *level index* finds the same winner with one hash per
 level, and the walk's ``groups_probed`` is computed from where the
 winner sits (:meth:`TupleSpaceClassifier.lookup`).
 
+A classifier keeps only the state its lookups read.  The level index
+is built by the first plain lookup; the *walk state* — each group's
+stages with their key counts, the prefix tries, the probe-order
+snapshot — by the first un-wildcarding one.  Updates keep whichever
+exists and :meth:`~TupleSpaceClassifier.clear` drops both.  So the
+caches' classifiers (plain lookups only) never pay for a walk's
+upkeep, and the pipeline tables' (un-wildcarding only) never pay for
+an index.
+
 The classifier is generic over any rule type exposing ``match``
 (:class:`~repro.flow.match.TernaryMatch`) and ``priority``.
 """
@@ -100,38 +109,25 @@ def _bucket_order(rule) -> Tuple[int, int]:
 class _Group(Generic[RuleT]):
     """All rules sharing one (packed) mask.
 
-    ``stages`` is the probe sequence.  Every stage but the last keeps a
-    reference-counted dict of the masked keys present, so removals never
-    rebuild it; the last stage's mask is the group's full mask and its
-    key table is :attr:`rules` itself.
+    ``stages`` is the walk's probe sequence, ``None`` until the
+    classifier first walks (:meth:`TupleSpaceClassifier._build_walk`).
+    Every stage but the last keeps a reference-counted dict of the masked
+    keys present, so removals never rebuild it; the last stage's mask is
+    the group's full mask and its key table is :attr:`rules` itself.
     """
 
     __slots__ = ("stages", "rules", "max_priority", "prefixes", "seq", "mask")
 
-    def __init__(
-        self,
-        stage_masks: Sequence[int],
-        prefixes: Tuple[Tuple[int, int], ...],
-        field_masks: Tuple[int, ...],
-    ):
+    def __init__(self, mask: int):
         self.seq = next(_group_seq)
-        self.mask = stage_masks[-1]
+        self.mask = mask
         #: Packed masked value -> rules, best priority first.
         self.rules: Dict[int, List[RuleT]] = {}
         self.max_priority = 0
+        self.stages: Optional[Tuple[_Stage, ...]] = None
         #: ``(field index, prefix length)`` of every trie field whose
-        #: mask here is prefix-shaped.
-        self.prefixes = prefixes
-        stages: List[_Stage] = []
-        for stage_mask in stage_masks:
-            trie_bits = trie_mask = 0
-            for index, _ in prefixes:
-                if stage_mask & field_masks[index]:
-                    trie_bits |= 1 << index
-                    trie_mask |= field_masks[index]
-            keys = self.rules if stage_mask == stage_masks[-1] else {}
-            stages.append((stage_mask, keys, stage_mask & ~trie_mask, trie_bits))
-        self.stages: Tuple[_Stage, ...] = tuple(stages)
+        #: mask here is prefix-shaped; set with :attr:`stages`.
+        self.prefixes: Tuple[Tuple[int, int], ...] = ()
 
     def recompute_max_priority(self) -> None:
         self.max_priority = max(
@@ -232,14 +228,13 @@ class TupleSpaceClassifier(Generic[RuleT]):
     ):
         self.schema = schema
         self.staged = staged
+        self.trie_fields = trie_fields
         #: Optional telemetry pending cell — a two-slot ``[miss, hit]``
         #: list bumped inline after every lookup; ``None`` (the default)
         #: costs one attribute check on the hot path.
         self.observer_cells = None
         self._groups: Dict[int, _Group[RuleT]] = {}
-        #: Probe order: ``(best priority, stages, rules)`` per group.
-        self._ordered: List[Tuple[int, Tuple[_Stage, ...], Dict]] = []
-        self._order_dirty = False
+        self._size = 0
         #: Level index, best priority -> :class:`_Level`; ``None`` until
         #: the first plain lookup (and again after :meth:`clear`), so a
         #: classifier that only un-wildcards never keeps one.
@@ -248,21 +243,18 @@ class TupleSpaceClassifier(Generic[RuleT]):
         #: common, cells, groups at better levels, ages)`` per level.
         self._ladder: List[Tuple[int, int, Dict, int, List[int]]] = []
         self._ladder_dirty = False
-        self._size = 0
-        self._tries: Dict[int, PrefixTrie] = {
-            schema.index_of(name): PrefixTrie(schema.field(name).width)
-            for name in trie_fields
-            if name in schema
-        }
+        # The walk state: each group's stages and prefixes, and the four
+        # below.  Built by the first un-wildcarding lookup (and again
+        # after :meth:`clear`), so a classifier that only answers plain
+        # lookups never keeps it.
+        #: Field index -> the prefixes of that trie field; ``None`` until
+        #: the walk state is built.
+        self._tries: Optional[Dict[int, PrefixTrie]] = None
         #: Per cumulative stage, the packed mask of the fields in it.
-        self._layer_masks: Tuple[int, ...] = tuple(
-            sum(
-                field_mask
-                for f, field_mask in zip(schema, schema.field_masks)
-                if f.layer in layers
-            )
-            for layers in STAGE_LAYERS
-        )
+        self._layer_masks: Tuple[int, ...] = ()
+        #: Probe order: ``(best priority, stages, rules)`` per group.
+        self._ordered: List[Tuple[int, Tuple[_Stage, ...], Dict]] = []
+        self._order_dirty = False
 
     # -- container protocol ---------------------------------------------------
 
@@ -288,10 +280,10 @@ class TupleSpaceClassifier(Generic[RuleT]):
         group = self._groups.get(mask)
         created = group is None
         if created:
-            group = self._groups[mask] = self._make_group(mask)
-            self._order_dirty = True
+            group = self._groups[mask] = _Group(mask)
         old_priority = group.max_priority
-        moved = not created and rule.priority > old_priority
+        raised = rule.priority > old_priority
+        moved = raised and not created
         levels = self._levels
         if levels is not None and moved:
             self._unindex_group(group, old_priority)
@@ -302,17 +294,15 @@ class TupleSpaceClassifier(Generic[RuleT]):
             bucket = group.rules[canonical] = [rule]
         else:
             insort(bucket, rule, key=_bucket_order)
-        for stage_mask, keys, _, _ in group.stages[:-1]:
-            key = canonical & stage_mask
-            keys[key] = keys.get(key, 0) + 1
-        if rule.priority > group.max_priority:
+        if raised:
             group.max_priority = rule.priority
-            self._order_dirty = True
         self._size += 1
-        for index, prefix_len in group.prefixes:
-            self._tries[index].insert(
-                self._field_of(canonical, index), prefix_len
-            )
+        if self._tries is not None:
+            if created:
+                self._stage(group)
+            self._file_walk(group, canonical)
+            if created or raised:
+                self._order_dirty = True
         if levels is not None:
             if created or moved:
                 self._index_group(group)
@@ -335,41 +325,33 @@ class TupleSpaceClassifier(Generic[RuleT]):
             del group.rules[canonical]
             if levels is not None:
                 levels[old_priority].pop(group, canonical)
-        # Drop only this key's stage entries, and only once no other rule
-        # still maps to them (the refcount).
-        for stage_mask, keys, _, _ in group.stages[:-1]:
-            key = canonical & stage_mask
-            remaining = keys[key] - 1
-            if remaining:
-                keys[key] = remaining
-            else:
-                del keys[key]
         self._size -= 1
-        for index, prefix_len in group.prefixes:
-            self._tries[index].remove(
-                self._field_of(canonical, index), prefix_len
-            )
+        # Only a group's best rule can change its best priority, and the
+        # last rule of a group is its best.
+        demoted = rule.priority >= old_priority
+        if self._tries is not None:
+            self._unfile_walk(group, canonical)
+            if demoted:
+                self._order_dirty = True
         if not group.rules:
             del self._groups[mask]
-            self._order_dirty = True
             if levels is not None:
                 self._unindex_group(group, old_priority)
             return
-        if rule.priority >= old_priority:
+        if demoted:
             group.recompute_max_priority()
-            self._order_dirty = True
             if group.max_priority != old_priority and levels is not None:
                 self._unindex_group(group, old_priority)
                 self._index_group(group)
 
     def clear(self) -> None:
         self._groups.clear()
-        self._ordered.clear()
+        self._size = 0
         self._levels = None
         self._ladder = []
-        self._size = 0
-        for index, trie in self._tries.items():
-            self._tries[index] = PrefixTrie(trie.width)
+        self._tries = None
+        self._layer_masks = ()
+        self._ordered = []
 
     # -- lookup --------------------------------------------------------------------
 
@@ -383,7 +365,9 @@ class TupleSpaceClassifier(Generic[RuleT]):
         ruling out every group that could have held a higher-priority match
         — for a group that missed at stage *s*, the cumulative stage-*s*
         mask; for one that hit, its full mask.  For prefix-shaped trie
-        fields the (tight) trie mask replaces the raw field mask.
+        fields the (tight) trie mask replaces the raw field mask.  This
+        walks the groups in probe order; the first such lookup builds the
+        walk state.
 
         A plain lookup climbs the level index instead of walking
         (:meth:`_climb`; the first one builds it): same winner, same
@@ -393,6 +377,8 @@ class TupleSpaceClassifier(Generic[RuleT]):
             if self._levels is None:
                 self._build_index()
             return self._climb(flow.packed)
+        if self._tries is None:
+            self._build_walk()
         if self._order_dirty:
             # Rebuilding from the group dict (rather than sorting in
             # place) lets ``remove`` skip the O(M) list removal.  Every
@@ -429,23 +415,21 @@ class TupleSpaceClassifier(Generic[RuleT]):
                 if candidate.priority > best_priority:
                     best = candidate
                     best_priority = candidate.priority
-            if unwildcard:
-                examined |= stage[2]
-                trie_bits |= stage[3]
+            examined |= stage[2]
+            trie_bits |= stage[3]
 
-        wildcard = None
-        if unwildcard:
-            if trie_bits:
-                values = flow.values
-                shifts = self.schema.shifts
-                for index, trie in self._tries.items():
-                    if trie_bits >> index & 1:
-                        examined |= trie.mask_for(values[index]) << shifts[index]
-            wildcard = Wildcard.from_packed(self.schema, examined)
+        if trie_bits:
+            values = flow.values
+            shifts = self.schema.shifts
+            for index, trie in self._tries.items():
+                if trie_bits >> index & 1:
+                    examined |= trie.mask_for(values[index]) << shifts[index]
         cells = self.observer_cells
         if cells is not None:
             cells[1 if best is not None else 0] += 1
-        return LookupResult(best, wildcard, probed)
+        return LookupResult(
+            best, Wildcard.from_packed(self.schema, examined), probed
+        )
 
     def _climb(self, packed: int) -> LookupResult[RuleT]:
         """The walk's winner and probe count, one hash per priority level.
@@ -506,7 +490,34 @@ class TupleSpaceClassifier(Generic[RuleT]):
         schema = self.schema
         return (packed >> schema.shifts[index]) & schema.full_masks[index]
 
-    def _make_group(self, mask: int) -> _Group[RuleT]:
+    def _build_walk(self) -> None:
+        """Build the walk state from the resident rules."""
+        schema = self.schema
+        self._layer_masks = tuple(
+            sum(
+                field_mask
+                for f, field_mask in zip(schema, schema.field_masks)
+                if f.layer in layers
+            )
+            for layers in STAGE_LAYERS
+        )
+        self._tries = {
+            schema.index_of(name): PrefixTrie(schema.field(name).width)
+            for name in self.trie_fields
+            if name in schema
+        }
+        for group in self._groups.values():
+            self._stage(group)
+            for canonical, bucket in group.rules.items():
+                for _ in bucket:
+                    self._file_walk(group, canonical)
+        # The probe-order snapshot holds each group's stages.
+        self._order_dirty = True
+
+    def _stage(self, group: _Group[RuleT]) -> None:
+        """Work out ``group``'s probe stages, key counts empty, and its
+        trie prefixes."""
+        mask = group.mask
         stage_masks: List[int] = []
         if self.staged:
             for layer_mask in self._layer_masks:
@@ -522,7 +533,42 @@ class TupleSpaceClassifier(Generic[RuleT]):
                 prefix_len = mask_to_prefix_len(field_mask, trie.width)
                 if prefix_len is not None:
                     prefixes.append((index, prefix_len))
-        return _Group(stage_masks, tuple(prefixes), self.schema.field_masks)
+        field_masks = self.schema.field_masks
+        stages: List[_Stage] = []
+        for stage_mask in stage_masks:
+            trie_bits = trie_mask = 0
+            for index, _ in prefixes:
+                if stage_mask & field_masks[index]:
+                    trie_bits |= 1 << index
+                    trie_mask |= field_masks[index]
+            keys = group.rules if stage_mask == mask else {}
+            stages.append((stage_mask, keys, stage_mask & ~trie_mask, trie_bits))
+        group.stages = tuple(stages)
+        group.prefixes = tuple(prefixes)
+
+    def _file_walk(self, group: _Group[RuleT], canonical: int) -> None:
+        """Count one more rule under ``canonical`` in ``group``'s early
+        stages and in the tries."""
+        for stage_mask, keys, _, _ in group.stages[:-1]:
+            key = canonical & stage_mask
+            keys[key] = keys.get(key, 0) + 1
+        tries = self._tries
+        for index, prefix_len in group.prefixes:
+            tries[index].insert(self._field_of(canonical, index), prefix_len)
+
+    def _unfile_walk(self, group: _Group[RuleT], canonical: int) -> None:
+        """Undo one :meth:`_file_walk`: a stage key leaves once no rule
+        still maps to it (the refcount)."""
+        for stage_mask, keys, _, _ in group.stages[:-1]:
+            key = canonical & stage_mask
+            remaining = keys[key] - 1
+            if remaining:
+                keys[key] = remaining
+            else:
+                del keys[key]
+        tries = self._tries
+        for index, prefix_len in group.prefixes:
+            tries[index].remove(self._field_of(canonical, index), prefix_len)
 
     def _build_index(self) -> None:
         self._levels = {}

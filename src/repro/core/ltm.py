@@ -62,6 +62,7 @@ class LtmRule:
         "install_count",
         "hit_count",
         "rule_id",
+        "_identity",
     )
 
     def __init__(
@@ -95,11 +96,14 @@ class LtmRule:
         #: completed; a walk that dead-ends here does not count.
         self.hit_count = 0
         self.rule_id = next(_ltm_ids)
+        self._identity = (tag, match, next_tag, actions)
 
     def identity(self) -> Tuple:
         """Value identity: two rules with equal identity are the same cached
-        sub-traversal and can be shared across traversals (Fig. 5c)."""
-        return (self.tag, self.match, self.next_tag, self.actions)
+        sub-traversal and can be shared across traversals (Fig. 5c).
+        Kept from construction: the four attributes it is made of are
+        never reassigned, and a table files the rule under it."""
+        return self._identity
 
     def __repr__(self) -> str:
         nxt = "DONE" if self.next_tag == TAG_DONE else self.next_tag

@@ -33,17 +33,6 @@ Partitioner = Callable[[Traversal, int], Partition]
 DP_MEMO_SIZE = 4096
 
 
-def _boundary_bits(traversal: Traversal) -> int:
-    """The disjointness boundaries as a bitset: bit ``i`` is set when
-    steps ``i`` and ``i+1`` match disjoint fields."""
-    fields = [step.wildcard.field_bits for step in traversal.steps]
-    bits = 0
-    for i in range(len(fields) - 1):
-        if not fields[i] & fields[i + 1]:
-            bits |= 1 << i
-    return bits
-
-
 def _score(boundary_bits: int, start: int, stop: int) -> int:
     """Fig. 7's score of the segment ``[start:stop]``."""
     internal = stop - start - 1
@@ -55,19 +44,19 @@ def _score(boundary_bits: int, start: int, stop: int) -> int:
 def disjoint_boundaries(traversal: Traversal) -> List[bool]:
     """``boundary[i]`` is True when steps ``i`` and ``i+1`` match disjoint
     fields — a legal (score-preserving) cut point."""
-    bits = _boundary_bits(traversal)
+    bits = traversal.boundary_bits
     return [bool(bits >> i & 1) for i in range(len(traversal) - 1)]
 
 
 def segment_score(traversal: Traversal, start: int, stop: int) -> int:
     """Fig. 7's score: the segment's length when no internal disjointness
     boundary is crossed, else 0.  Single-step segments trivially score 1."""
-    return _score(_boundary_bits(traversal), start, stop)
+    return _score(traversal.boundary_bits, start, stop)
 
 
 def partition_score(traversal: Traversal, partition: Partition) -> int:
     """Total Fig. 7 score of a partition."""
-    bits = _boundary_bits(traversal)
+    bits = traversal.boundary_bits
     return sum(_score(bits, sub.start, sub.stop) for sub in partition)
 
 
@@ -82,7 +71,7 @@ def disjoint_partition(traversal: Traversal, max_parts: int) -> Partition:
         raise ValueError(f"max_parts must be >= 1, got {max_parts}")
     n = len(traversal)
     return traversal.partitions_of(
-        _dp_cuts(n, _boundary_bits(traversal), min(max_parts, n))
+        _dp_cuts(n, traversal.boundary_bits, min(max_parts, n))
     )
 
 

@@ -61,10 +61,11 @@ class Controller(Action):
 class ActionList:
     """An immutable ordered list of actions with composition helpers."""
 
-    __slots__ = ("_actions",)
+    __slots__ = ("_actions", "_hash")
 
     def __init__(self, actions: Iterable[Action] = ()):
         self._actions: Tuple[Action, ...] = tuple(actions)
+        self._hash: Optional[int] = None
 
     # -- container protocol ------------------------------------------------------
 
@@ -83,7 +84,12 @@ class ActionList:
         return self._actions == other._actions
 
     def __hash__(self) -> int:
-        return hash(self._actions)
+        # Memoized, as FlowKey's: hashing the actions hashes every
+        # dataclass in them, and a cache rule's identity holds its list.
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._actions)
+        return h
 
     def __repr__(self) -> str:
         return f"ActionList({list(self._actions)})"

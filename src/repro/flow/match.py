@@ -22,7 +22,7 @@ class TernaryMatch:
     unpacked on first use.
     """
 
-    __slots__ = ("_value", "_wildcard", "_packed", "_canonical")
+    __slots__ = ("_value", "_wildcard", "_packed", "_canonical", "_hash")
 
     def __init__(self, value: FlowKey, wildcard: Wildcard):
         if value.schema != wildcard.schema:
@@ -34,6 +34,7 @@ class TernaryMatch:
         # compare (and hash) equal.
         self._packed: int = value.packed & wildcard.packed
         self._canonical: Optional[Tuple[int, ...]] = None
+        self._hash: Optional[int] = None
 
     # -- constructors -----------------------------------------------------------
 
@@ -100,7 +101,12 @@ class TernaryMatch:
         )
 
     def __hash__(self) -> int:
-        return hash((self._wildcard.packed, self._packed))
+        # Memoized, as FlowKey's: a cache rule's match is hashed each
+        # time its identity is looked up.
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self._wildcard.packed, self._packed))
+        return h
 
     def __repr__(self) -> str:
         parts = []

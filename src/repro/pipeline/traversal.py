@@ -70,10 +70,12 @@ class Traversal:
     disposition: Disposition
     # Not dataclass fields, so they take no part in equality, hashing
     # or repr.  ``_slices``: (start, stop) → (match, commit);
-    # ``_table_ids``: :attr:`table_ids`, once worked out.
+    # ``_table_ids`` / ``_boundary_bits``: :attr:`table_ids` /
+    # :attr:`boundary_bits`, once worked out.
     _slices = None
     generation = None
     _table_ids = None
+    _boundary_bits = None
 
     def __post_init__(self) -> None:
         if not self.steps:
@@ -98,6 +100,20 @@ class Traversal:
             ids = tuple([step.table_id for step in self.steps])
             object.__setattr__(self, "_table_ids", ids)
         return ids
+
+    @property
+    def boundary_bits(self) -> int:
+        """The disjointness boundaries (§4.2.2) as a bitset: bit ``i`` is
+        set when steps ``i`` and ``i+1`` match disjoint fields."""
+        bits = self._boundary_bits
+        if bits is None:
+            fields = [step.wildcard.field_bits for step in self.steps]
+            bits = 0
+            for i in range(len(fields) - 1):
+                if not fields[i] & fields[i + 1]:
+                    bits |= 1 << i
+            object.__setattr__(self, "_boundary_bits", bits)
+        return bits
 
     @property
     def signature(self) -> Tuple[Tuple[int, Optional[int]], ...]:

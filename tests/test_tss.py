@@ -320,6 +320,10 @@ class TestLevelIndexCharge:
         assert result.groups_probed == 2  # the groups at levels 9 and 4
 
 
+def walk_groups(classifier):
+    return list(classifier._groups.values())
+
+
 class TestIndexLifetime:
     def test_only_a_plain_lookup_builds_the_index(self, classifier):
         """Un-wildcarding lookups (the pipeline tables') never build the
@@ -344,6 +348,68 @@ class TestIndexLifetime:
             same_as_walk(classifier, probe)
         classifier.clear()
         assert classifier._levels is None
+
+    def test_only_an_unwildcarding_lookup_builds_the_walk_state(
+        self, classifier
+    ):
+        """Plain lookups (the caches') never build the walk state; the
+        first un-wildcarding lookup does, updates keep it, and ``clear``
+        drops it."""
+        rules = [
+            make_rule({"ip_dst": 0}, {"ip_dst": prefix_mask(32 - i)}, i % 3)
+            for i in range(6)
+        ]
+        probe = flow(ip_dst=0)
+        for added in rules[:3]:
+            classifier.insert(added)
+        classifier.lookup(probe)
+        assert classifier._tries is None
+        assert all(group.stages is None for group in walk_groups(classifier))
+        same_as_walk(classifier, probe)
+        tries = classifier._tries
+        assert tries is not None
+        for added in rules[3:]:
+            classifier.insert(added)
+            same_as_walk(classifier, probe)
+        for removed in rules:
+            classifier.remove(removed)
+            same_as_walk(classifier, probe)
+        assert classifier._tries is tries
+        classifier.clear()
+        assert classifier._tries is None
+
+
+def test_cache_classifiers_keep_no_walk_state_and_tables_no_index():
+    """After a Gigaflow run and a Megaflow run, every LTM tag bucket and
+    the Megaflow classifier hold a level index and no walk state; every
+    pipeline table's classifier holds walk state and no level index."""
+    from repro.sim import GigaflowSystem, MegaflowSystem, VSwitchSimulator
+    from conftest import seeded_trace, seeded_workload
+
+    workload = seeded_workload(n_flows=120)
+    trace = seeded_trace(workload, duration=3.0)
+    gigaflow = GigaflowSystem(num_tables=4, table_capacity=40)
+    megaflow = MegaflowSystem(capacity=40)
+    for system in (gigaflow, megaflow):
+        result = VSwitchSimulator(workload.pipeline, system).run(trace)
+        # Hits, misses and evictions: every update path ran.
+        assert 0 < result.hit_rate < 1 and result.stats.evictions
+    buckets = [
+        bucket
+        for table in gigaflow.cache.tables
+        for bucket in table._by_tag.values()
+    ]
+    assert buckets
+    for cache_classifier in [*buckets, megaflow.cache._classifier]:
+        assert cache_classifier._tries is None
+        assert cache_classifier._levels is not None
+        assert all(
+            group.stages is None for group in walk_groups(cache_classifier)
+        )
+    for table in workload.pipeline.tables.values():
+        assert table._classifier._levels is None
+        if len(table._classifier):
+            assert table._classifier._tries is not None
 
 
 #: Mask templates for the differential: four that share ``tp_dst`` (so a
@@ -446,3 +512,123 @@ class LevelIndexAgainstWalk(RuleBasedStateMachine):
 
 LevelIndexAgainstWalk.TestCase.settings = DIFFERENTIAL
 TestLevelIndexAgainstWalk = LevelIndexAgainstWalk.TestCase
+
+
+#: The walk differential's masks: the level index's, plus masks that
+#: stage through the port and L2 layers, a prefix on the other trie
+#: field and a ternary (non-prefix) address mask.
+WALK_TEMPLATES = INDEX_TEMPLATES + (
+    {"in_port": None, "ip_dst": prefix_mask(24)},
+    {"eth_type": None, "ip_src": prefix_mask(8), "tp_dst": None},
+    {"ip_dst": prefix_mask(16)},
+    {"ip_dst": 0x00FF_00FF},
+)
+
+WALK_VALUES = {
+    **INDEX_VALUES,
+    "in_port": (1, 2),
+    "eth_type": (0x0800, 0x86DD),
+    "ip_src": (ip("10.0.0.1"), ip("11.0.0.1")),
+}
+
+#: Fixed probes every agreement check looks up.
+WALK_PROBES = tuple(
+    flow(**{name: values[seed * (i + 1) % len(values)]
+            for i, (name, values) in enumerate(WALK_VALUES.items())})
+    for seed in range(12)
+)
+
+
+def walk_state(classifier):
+    """The walk state as plain values: each group's stage key counts
+    and trie prefixes, and every trie's prefix counts."""
+    groups = {
+        group.mask: (
+            group.prefixes,
+            [(stage[0], dict(stage[1]), stage[2], stage[3])
+             for stage in group.stages],
+        )
+        for group in walk_groups(classifier)
+    }
+    tries = {
+        index: dict(trie._rules) for index, trie in classifier._tries.items()
+    }
+    return groups, tries
+
+
+def same_walk(one, other, probe):
+    a = one.lookup(probe, unwildcard=True)
+    b = other.lookup(probe, unwildcard=True)
+    assert a.rule is b.rule
+    assert a.wildcard == b.wildcard
+    assert a.groups_probed == b.groups_probed
+
+
+class WalkStateAgainstEager(RuleBasedStateMachine):
+    """A classifier that builds its walk state on its first walk against
+    one that walks from the start and again after every ``clear``, over
+    the same insert / remove / ``clear`` stream."""
+
+    def __init__(self):
+        super().__init__()
+        self.lazy = TupleSpaceClassifier(DEFAULT_SCHEMA)
+        self.eager = TupleSpaceClassifier(DEFAULT_SCHEMA)
+        self.eager.lookup(flow(), unwildcard=True)
+        self.resident = []
+
+    @rule(
+        data=st.data(),
+        template=st.sampled_from(WALK_TEMPLATES),
+        priority=st.sampled_from((1, 2, 3)),
+    )
+    def insert(self, data, template, priority):
+        values = {
+            name: data.draw(st.sampled_from(WALK_VALUES[name]), label=name)
+            for name in template
+        }
+        added = make_rule(values, dict(template), priority)
+        self.lazy.insert(added)
+        self.eager.insert(added)
+        self.resident.append(added)
+
+    @precondition(lambda self: self.resident)
+    @rule(data=st.data())
+    def remove(self, data):
+        position = data.draw(st.integers(0, len(self.resident) - 1))
+        removed = self.resident.pop(position)
+        self.lazy.remove(removed)
+        self.eager.remove(removed)
+
+    @rule()
+    def clear(self):
+        self.lazy.clear()
+        self.eager.clear()
+        self.eager.lookup(flow(), unwildcard=True)
+        self.resident.clear()
+
+    @rule(probe=st.sampled_from(WALK_PROBES))
+    def walk(self, probe):
+        same_walk(self.lazy, self.eager, probe)
+
+    @invariant()
+    def walks_agree(self):
+        if self.lazy._tries is None:
+            assert all(g.stages is None for g in walk_groups(self.lazy))
+            return
+        for probe in WALK_PROBES:
+            same_walk(self.lazy, self.eager, probe)
+
+    @invariant()
+    def walk_state_is_a_rebuild(self):
+        rebuilt = TupleSpaceClassifier(DEFAULT_SCHEMA)
+        for resident in self.resident:
+            rebuilt.insert(resident)
+        rebuilt.lookup(flow(), unwildcard=True)
+        expected = walk_state(rebuilt)
+        assert walk_state(self.eager) == expected
+        if self.lazy._tries is not None:
+            assert walk_state(self.lazy) == expected
+
+
+WalkStateAgainstEager.TestCase.settings = DIFFERENTIAL
+TestWalkStateAgainstEager = WalkStateAgainstEager.TestCase

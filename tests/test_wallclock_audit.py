@@ -870,11 +870,12 @@ def test_idle_timer_audit_sees_a_violation():
 
 
 #: The classifier's module, and its state no other module may touch:
-#: the group table, the walk's probe-order snapshot, the level index.
+#: the group table, the level index, the walk state (prefix tries,
+#: stage-layer masks, probe-order snapshot).
 TSS_HOME = "classify/tss.py"
 TSS_PRIVATE = frozenset({
-    "_groups", "_ordered", "_order_dirty", "_levels", "_ladder",
-    "_ladder_dirty",
+    "_groups", "_levels", "_ladder", "_ladder_dirty",
+    "_tries", "_layer_masks", "_ordered", "_order_dirty",
 })
 
 
@@ -913,7 +914,8 @@ def test_tss_state_audit_sees_a_violation():
         "    count = len(bucket._groups)\n"
         "    bucket._levels = None\n"
         "    size = bucket._size\n"
-    ) == [(2, "._ordered"), (3, "._groups"), (4, "._levels")]
+        "    trie = bucket._tries[5]\n"
+    ) == [(2, "._ordered"), (3, "._groups"), (4, "._levels"), (6, "._tries")]
 
 
 #: The slow-path memo's home, and its state no module outside it may
