@@ -66,9 +66,12 @@ class CacheStats:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheResult:
     """Outcome of a cache lookup.
+
+    A memoized hit hands out the result its lookup returned, again on
+    every replay, so nothing mutates a result once returned.
 
     Attributes:
         hit: Whether the cache fully handled the packet.
@@ -109,17 +112,18 @@ class HitReplay(abc.ABC):
     """Replayable side effects of one cache hit.
 
     The simulator's exact-match fast path memoizes, per flow signature,
-    the side effects a hit performed (LRU touches, ``last_used`` /
-    ``hit_count`` updates, stat bumps) together with the recorded probe
-    counts.  Replaying must be *bit-identical* to re-running the full
-    lookup.  :attr:`epoch` is the cache's
-    :attr:`FlowCache.mutation_epoch` when the record was last known
-    good: while the cache is still there nothing at all has changed
-    and the record replays unchecked.  Once the epoch has moved the
-    fast path asks :meth:`still_valid`, lazily, when the flow next
-    sends a packet — a record that can tell the change did not touch
-    what its lookup depended on is re-stamped and replayed, any other
-    is dropped.
+    the side effects a hit performed (the ``touch`` of each entry it
+    used, which sets ``last_used`` and the LRU position together, and
+    the hit count in :attr:`FlowCache.stats`) together with the result
+    the lookup returned, which every replay returns again.  Replaying
+    must be *bit-identical* to re-running the full lookup.
+    :attr:`epoch` is the cache's :attr:`FlowCache.mutation_epoch` when
+    the record was last known good: while the cache is still there
+    nothing at all has changed and the record replays unchecked.  Once
+    the epoch has moved the fast path asks :meth:`still_valid`, lazily,
+    when the flow next sends a packet — a record that can tell the
+    change did not touch what its lookup depended on is re-stamped and
+    replayed, any other is dropped.
     """
 
     __slots__ = ("epoch",)
@@ -143,13 +147,14 @@ class FlowCache(abc.ABC):
     :meth:`_depart` (the one place an entry leaves, whatever the
     reason).  A cache that stores entries supplies only what is its
     own — ``__iter__`` over resident entries (each with a
-    ``last_used``) and :meth:`_drop` — plus one
-    ``touch`` that every ``last_used`` writer (lookup hit, fast-path
-    replay, install refresh) goes through.  ``touch`` also moves the
-    entry to the recent end of the cache's id → entry index, an
-    ``OrderedDict``: that index is the LRU order, so the capacity
-    victim is its first value and it equals ``last_used`` order only
-    while ``touch`` is the single writer of both.  A composite
+    ``last_used``) and :meth:`_drop` — plus ``touch``: every
+    ``last_used`` writer (lookup hit, fast-path replay, install
+    refresh) is a ``touch`` that moves ``last_used`` and the entry's
+    place in the cache's id → entry index, an ``OrderedDict``,
+    together.  That index is the LRU order, so the capacity victim is
+    its first value, and it equals ``last_used`` order only while
+    every writer moves both.  (A memoized Gigaflow hit has its own
+    ``touch``, over the rules of its chain.)  A composite
     (:class:`~repro.cache.hierarchy.CacheHierarchy`) delegates
     ``evict_idle``/``clear`` to its levels instead.
 

@@ -109,24 +109,24 @@ def build_megaflow_entry(
 
 
 class _MegaflowHitReplay(HitReplay):
-    """A Megaflow hit: the winning entry plus the TSS probe count of
-    the lookup that found it."""
+    """A Megaflow hit: the winning entry and the result of the lookup
+    that found it, TSS probe count included.  A refresh that rewrites
+    the entry's actions bumps the epoch, which drops the record."""
 
-    __slots__ = ("cache", "entry", "groups_probed")
+    __slots__ = ("cache", "entry", "result")
 
     def __init__(self, cache, entry, groups_probed):
         self.cache = cache
         self.entry = entry
-        self.groups_probed = groups_probed
+        self.result = actions_result(
+            entry.actions, groups_probed=groups_probed, tables_hit=1
+        )
 
     def replay(self, now: float) -> CacheResult:
-        entry = self.entry
         cache = self.cache
-        cache.touch(entry, now)
+        cache.touch(self.entry, now)
         cache.stats.hits += 1
-        return actions_result(
-            entry.actions, groups_probed=self.groups_probed, tables_hit=1
-        )
+        return self.result
 
 
 class MegaflowCache(FlowCache):

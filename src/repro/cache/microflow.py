@@ -16,21 +16,24 @@ from .base import CacheResult, FlowCache, HitReplay, actions_result
 
 
 class _MicroflowHitReplay(HitReplay):
-    """A Microflow hit: the exact-match entry whose use it repeats."""
+    """A Microflow hit: the exact-match entry whose use it repeats and
+    the result its lookup returned.  A refresh that rewrites the
+    entry's actions bumps the epoch, which drops the record."""
 
-    __slots__ = ("cache", "entry")
+    __slots__ = ("cache", "entry", "result")
 
     def __init__(self, cache, entry):
         self.cache = cache
         self.entry = entry
+        self.result = actions_result(
+            entry.actions, groups_probed=1, tables_hit=1
+        )
 
     def replay(self, now: float) -> CacheResult:
         cache = self.cache
         cache.touch(self.entry, now)
         cache.stats.hits += 1
-        return actions_result(
-            self.entry.actions, groups_probed=1, tables_hit=1
-        )
+        return self.result
 
 
 class MicroflowCache(FlowCache):

@@ -49,45 +49,61 @@ class InstallOutcome:
 
 
 class _GigaflowHitReplay(HitReplay):
-    """Memoized Gigaflow hit: the matched (table, rule) chain plus the
-    recorded probe counts and composed actions of the first lookup,
-    and each LTM lookup that walk made.
+    """Memoized Gigaflow hit: what a replay writes, the result the
+    first lookup returned, and each LTM lookup that walk made.
+
+    ``touches`` holds, per matched rule, the rule, its table's
+    :attr:`~repro.core.ltm.LtmTable.move_to_recent` and the rule id:
+    all :meth:`touch` needs, so a replay makes no call per rule.
 
     ``steps`` is flat, seven slots per visited table: the tag's
     :class:`~repro.core.ltm.TagDependency` and its change count as last
     validated, the table, the tag, the flow as it entered the table,
     the winner there (``None``: passed through) and the groups the
     lookup probed.
+
+    ``result`` is handed out as is by every replay, so it is never
+    mutated: a re-charge replaces it.
     """
 
-    __slots__ = (
-        "cache", "matched", "steps", "actions", "output_port",
-        "groups_probed", "tables_hit",
-    )
+    __slots__ = ("stats", "touches", "steps", "result")
 
-    def __init__(
-        self, cache, matched, steps, actions, groups_probed, tables_hit
-    ):
-        self.cache = cache
-        self.matched = matched
+    def __init__(self, cache, touches, steps, result):
+        self.stats = cache.stats
+        self.touches = touches
         self.steps = steps
-        self.actions = actions
-        self.output_port = actions.output_port()
-        self.groups_probed = groups_probed
-        self.tables_hit = tables_hit
+        self.result = result
+
+    @property
+    def matched(self) -> Tuple[Tuple[LtmTable, LtmRule], ...]:
+        """The (table, rule) chain the walk matched."""
+        steps = self.steps
+        return tuple(
+            (steps[at + 2], steps[at + 5])
+            for at in range(0, len(steps), 7)
+            if steps[at + 5] is not None
+        )
+
+    @property
+    def groups_probed(self) -> int:
+        return self.result.groups_probed
+
+    @property
+    def tables_hit(self) -> int:
+        return self.result.tables_hit
+
+    def touch(self, now: float) -> None:
+        """Mark every rule of the chain used at ``now`` and move each to
+        the recent end of its table's id index — what a hit writes,
+        whether looked up or replayed."""
+        for rule, move_to_recent, rule_id in self.touches:
+            rule.last_used = now
+            move_to_recent(rule_id)
 
     def replay(self, now: float) -> CacheResult:
-        for table, rule in self.matched:
-            table.touch(rule, now)
-            rule.hit_count += 1
-        self.cache.stats.hits += 1
-        return CacheResult(
-            hit=True,
-            actions=self.actions,
-            output_port=self.output_port,
-            groups_probed=self.groups_probed,
-            tables_hit=self.tables_hit,
-        )
+        self.touch(now)
+        self.stats.hits += 1
+        return self.result
 
     def still_valid(self) -> bool:
         """A full walk now would find the same chain: every lookup of a
@@ -95,6 +111,7 @@ class _GigaflowHitReplay(HitReplay):
         re-runs' probe counts replace the old ones, so the record
         charges what the walk would.  Re-runs emit no ``ltm_probe``."""
         steps = self.steps
+        charge = 0
         for at in range(0, len(steps), 7):
             changes = steps[at].changes
             if changes != steps[at + 1]:
@@ -105,8 +122,17 @@ class _GigaflowHitReplay(HitReplay):
                     return False
                 steps[at + 1] = changes
                 # Each visited table is charged max(groups, 1).
-                self.groups_probed += max(groups, 1) - max(steps[at + 6], 1)
+                charge += max(groups, 1) - max(steps[at + 6], 1)
                 steps[at + 6] = groups
+        if charge:
+            kept = self.result
+            self.result = CacheResult(
+                hit=True,
+                actions=kept.actions,
+                output_port=kept.output_port,
+                groups_probed=kept.groups_probed + charge,
+                tables_hit=kept.tables_hit,
+            )
         return True
 
 
@@ -182,9 +208,8 @@ class GigaflowCache(FlowCache):
         tag = self.start_tag
         current = flow
         composed: List[Action] = []
-        matched: List[Tuple[LtmTable, LtmRule]] = []
+        touches: list = []
         steps: list = []
-        tables_hit = 0
         probes = 0
         cells = self._probe_cells
         trace_probe = self._trace_probe
@@ -206,32 +231,27 @@ class GigaflowCache(FlowCache):
             )
             if rule is None:
                 continue  # pass-through: not this packet's next segment
-            tables_hit += 1
-            matched.append((table, rule))
+            touches.append((rule, table.move_to_recent, rule.rule_id))
             composed.extend(rule.actions)
             current = rule.actions.apply(current)
             tag = rule.next_tag
         if tag == TAG_DONE:
-            for table, rule in matched:
-                table.touch(rule, now)
-                rule.hit_count += 1
             actions = ActionList(composed)
-            self.stats.hits += 1
             result = CacheResult(
                 hit=True,
                 actions=actions,
                 output_port=actions.output_port(),
                 groups_probed=probes,
-                tables_hit=tables_hit,
+                tables_hit=len(touches),
             )
-            replay = _GigaflowHitReplay(
-                self, tuple(matched), steps, actions, probes, tables_hit
-            )
+            replay = _GigaflowHitReplay(self, touches, steps, result)
+            replay.touch(now)
+            self.stats.hits += 1
             return result, replay
         self.stats.misses += 1
         return (
             CacheResult(
-                hit=False, groups_probed=probes, tables_hit=tables_hit
+                hit=False, groups_probed=probes, tables_hit=len(touches)
             ),
             None,
         )

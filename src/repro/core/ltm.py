@@ -60,7 +60,6 @@ class LtmRule:
         "verified",
         "last_used",
         "install_count",
-        "hit_count",
         "rule_id",
         "_identity",
     )
@@ -92,9 +91,6 @@ class LtmRule:
         #: How many distinct traversal installs produced/reused this rule —
         #: the sharing frequency of Fig. 11.
         self.install_count = 1
-        #: Cache hits this rule served — lookups whose chain through it
-        #: completed; a walk that dead-ends here does not count.
-        self.hit_count = 0
         self.rule_id = next(_ltm_ids)
         self._identity = (tag, match, next_tag, actions)
 
@@ -163,10 +159,15 @@ class LtmTable:
             TagDependency
         )
         self._by_identity: Dict[Tuple, LtmRule] = {}
-        #: id → rule, in use order: :meth:`touch` is the single
-        #: ``last_used`` writer and moves the rule to the end, so the
-        #: first value is the least recently used rule.
+        #: id → rule, in use order: every ``last_used`` writer is a
+        #: ``touch`` (this table's, or a memoized hit's) that moves the
+        #: rule to the end, so the first value is the least recently
+        #: used rule.  Never rebound: :attr:`move_to_recent` is bound
+        #: to it.
         self._by_id: "OrderedDict[int, LtmRule]" = OrderedDict()
+        #: ``_by_id``'s move to the recent end, bound once per table
+        #: so a memoized hit keeps it per matched rule.
+        self.move_to_recent = self._by_id.move_to_end
 
     # -- capacity ------------------------------------------------------------------
 
@@ -212,7 +213,7 @@ class LtmTable:
         the id index.  Use times must be nondecreasing (the simulator's
         clock is)."""
         rule.last_used = now
-        self._by_id.move_to_end(rule.rule_id)
+        self.move_to_recent(rule.rule_id)
 
     def share(self, rule: LtmRule, incoming: LtmRule) -> None:
         """Record that ``incoming`` (a fresh identical rule from another

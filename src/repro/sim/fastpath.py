@@ -11,13 +11,13 @@ install cost — as the throughput lever.
 
 :class:`FastPathIndex` memoizes, per exact ``flow.values`` signature, a
 :class:`~repro.cache.base.HitReplay` record of the first full lookup:
-the winning rule chain and its recorded ``groups_probed`` /
-``tables_hit`` counts.  Repeat packets replay the record — touching the
-same rules' ``last_used`` / ``hit_count`` and LRU positions, bumping the
-same counters, and returning the same probe counts — so every simulator
-metric (hit/miss stats, idle expiry, LRU eviction order, Fig. 11
-sharing, latency, CPU breakdown) is *bit-identical* with the fast path
-on or off.
+the winning rule chain and the result the lookup returned, with its
+``groups_probed`` / ``tables_hit`` counts.  Repeat packets replay the
+record — one ``touch`` that moves the same rules' ``last_used`` and LRU
+positions, the same hit counter, and the kept result handed out again
+— so every simulator metric (hit/miss stats, idle expiry, LRU eviction
+order, Fig. 11 sharing, latency, CPU breakdown) is *bit-identical* with
+the fast path on or off.
 
 Correctness hinges on a record never outliving what its lookup
 depended on.  Every structural cache mutation (install, eviction, idle

@@ -248,7 +248,7 @@ def _serve(cache, traversal, now):
 def _recency(cache):
     """Every table's rules in LRU order, with what a touch would move."""
     return [
-        [(rule.rule_id, rule.last_used, rule.hit_count)
+        [(rule.rule_id, rule.last_used)
          for rule in table._by_id.values()]
         for table in cache.tables
     ]
@@ -270,7 +270,7 @@ class TestDeadEnds:
         result = cache.lookup(flow(), now=2.0)
         assert not result.hit and result.tables_hit == 1
         assert _recency(cache) == before
-        assert (head.last_used, head.hit_count) == (0.0, 0)
+        assert head.last_used == 0.0
 
     def test_stranded_head_ages_out_under_idle_expiry(self, mini_pipeline):
         cache = GigaflowCache(num_tables=2, table_capacity=8)

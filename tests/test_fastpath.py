@@ -22,15 +22,16 @@ Three properties matter:
 """
 
 import dataclasses
+import sys
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from repro.cache import MicroflowCache
+from repro.cache import MegaflowCache, MegaflowEntry, MicroflowCache
 from repro.core import TAG_DONE, GigaflowCache, LtmRule
 from repro.core.partition import disjoint_partition, megaflow_partition
-from repro.flow import ActionList, Output
+from repro.flow import ActionList, Output, TernaryMatch
 from repro.pipeline import PSC
 from repro.sim import fastpath as fastpath_module
 from repro.sim import (
@@ -216,6 +217,40 @@ class TestEpochInvalidation:
         # The third record found the memo full and cleared it.
         assert len(fastpath) == 1
 
+    def test_microflow_refresh_reaches_a_memoized_flow(self):
+        cache, fastpath, target = self.warm()
+        cache.install(target, ActionList([Output(9)]), now=3.0)
+        assert fastpath.lookup(target, now=4.0).actions == ActionList(
+            [Output(9)]
+        )
+        assert fastpath.invalidations == 1
+
+    def test_megaflow_refresh_reaches_a_memoized_flow(self):
+        cache = MegaflowCache(capacity=8)
+        fastpath = FastPathIndex(cache)
+        target = flow(tp_dst=443)
+
+        def entry(port):
+            return MegaflowEntry(
+                match=TernaryMatch.from_fields({"tp_dst": 443}),
+                actions=ActionList([Output(port)]),
+                parent_flow=target,
+                start_table=0,
+                length=1,
+            )
+
+        cache.install(entry(1), now=0.0)
+        assert fastpath.lookup(target, now=1.0).hit  # memoized
+        assert fastpath.lookup(target, now=2.0).actions == ActionList(
+            [Output(1)]
+        )
+        cache.install(entry(9), now=3.0)  # same match: a refresh
+        assert cache.entry_count() == 1
+        assert fastpath.lookup(target, now=4.0).actions == ActionList(
+            [Output(9)]
+        )
+        assert fastpath.invalidations == 1
+
 
 # -- Gigaflow record validation ---------------------------------------------
 
@@ -334,7 +369,7 @@ class TestEachCheckIsNeeded:
         assert not full_walk(cache, packet)[0]
         assert not record.still_valid()
         # An identical rule re-installed is a different object with its
-        # own LRU slot and hit count: the winner is compared by object.
+        # own LRU slot and use time: the winner is compared by object.
         cache.install_rules([ltm_rule({"tp_dst": 443})])
         assert full_walk(cache, packet)[0]
         assert full_walk(cache, packet)[1] != record.matched
@@ -413,6 +448,83 @@ class TestEachCheckIsNeeded:
         assert recorded(record) == full_walk(cache, packet)
 
 
+def _chain(num_tables):
+    """A cache of ``num_tables`` tables holding one chain through all
+    of them, and the packet that walks it."""
+    cache = GigaflowCache(num_tables=num_tables, table_capacity=8)
+    for index, table in enumerate(cache.tables):
+        last = index == num_tables - 1
+        table.insert(
+            ltm_rule(
+                {"tp_dst": 443},
+                tag=index,
+                next_tag=TAG_DONE if last else index + 1,
+            )
+        )
+    return cache, flow(tp_dst=443)
+
+
+def _frames_opened(call):
+    """Python frames ``call()`` opens (C calls are not frames)."""
+    opened = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal opened
+        opened += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return opened
+
+
+class TestHitPath:
+    """What a memoized Gigaflow hit costs and hands out: one ``touch``
+    per replay, however long the chain, and the result its lookup
+    returned — never mutated once handed out."""
+
+    def test_replay_hands_out_the_lookups_result(self):
+        cache, packet = _chain(2)
+        fastpath = FastPathIndex(cache)
+        looked_up = fastpath.lookup(packet, now=1.0)
+        record = fastpath._memo[packet.values]
+        assert record.result is looked_up
+        assert fastpath.lookup(packet, now=2.0) is looked_up
+        assert looked_up == cache.lookup(packet, now=3.0)
+
+    def test_a_re_charge_leaves_a_handed_out_result_alone(self):
+        cache = GigaflowCache(num_tables=2, table_capacity=8)
+        first, second = cache.tables
+        first.insert(ltm_rule({"tp_dst": 443}, next_tag=1))
+        second.insert(ltm_rule({"ip_proto": 6}, tag=1))
+        packet = flow(tp_dst=443, ip_proto=6)
+        fastpath, record = memoize(cache, packet)
+        handed_out = fastpath.lookup(packet, now=1.5)
+        assert handed_out is record.result and handed_out.groups_probed == 2
+        # One more group ahead of this flow's in each visited bucket.
+        cache.install_rules([ltm_rule({"vlan_id": 9}, priority=2)])
+        cache.install_rules([ltm_rule({"in_port": 9}, tag=1, priority=2)])
+        replayed = fastpath.lookup(packet, now=2.0)
+        assert fastpath.revalidated == 1
+        assert replayed.groups_probed == 4 == record.groups_probed
+        assert handed_out.groups_probed == 2
+        assert fastpath.lookup(packet, now=3.0) is replayed
+
+    def test_a_replay_opens_as_many_frames_for_four_tables_as_one(self):
+        opened = {}
+        for num_tables in (1, 4):
+            cache, packet = _chain(num_tables)
+            fastpath, record = memoize(cache, packet)
+            assert record.tables_hit == num_tables
+            opened[num_tables] = _frames_opened(
+                lambda: record.replay(2.0)
+            )
+        # The lambda, ``replay`` and one ``touch``: no call per rule.
+        assert opened[1] == opened[4]
+
+
 # One small PSC universe for the property test: the pipeline is only
 # read (``execute`` without stats), so every example can share it.
 _UNIVERSE = build_workload(PSC, n_flows=40, locality="high", seed=5)
@@ -433,9 +545,9 @@ _OPS = st.lists(
 
 def _recency(cache):
     """Every table's rules in LRU order, by value, with their use time
-    and hit count (rule ids differ between twins)."""
+    (rule ids differ between twins): all that a hit writes."""
     return [
-        [(rule.identity(), rule.last_used, rule.hit_count)
+        [(rule.identity(), rule.last_used)
          for rule in table._by_id.values()]
         for table in cache.tables
     ]
@@ -448,7 +560,7 @@ def _memo_against_twin(ops, num_tables, table_capacity, placement):
     when the side-effect-free walk finds its chain, and then reproduce
     the walk's ``groups_probed`` and ``tables_hit``; and the fast path as a whole must answer every
     packet as a twin cache without one does and leave every rule's
-    recency and hit count where the twin's full lookups leave them.
+    recency where the twin's full lookups leave them.
     Returns how many packets' walks dead-ended (matched, then missed)."""
     pipeline = _UNIVERSE.pipeline
     cache, twin = (

@@ -34,10 +34,12 @@ The fourth keeps the entry lifecycle folded: under ``repro/cache`` and
 ``FlowCache._depart`` and the idle boundary (``… - x.last_used > …``)
 compared only by ``FlowCache.evict_idle`` — the next departure reason
 cannot bypass the chokepoint.  Each cache's id → entry index is its LRU
-order, which equals ``last_used`` order only while one method writes
-both: ``.move_to_end(`` and assignment to ``.last_used`` occur only
-inside a ``touch`` (and where an entry gets its first use time: its
-constructor, and the insert that files it).
+order, which equals ``last_used`` order only while every writer is a
+``touch`` that moves both together: ``.move_to_end`` is read (called,
+or bound for a later call) and ``.last_used`` assigned only inside a
+``touch`` (and where an entry gets its first use time: its
+constructor, and the insert that files it; a constructor may also bind
+the move).
 
 The fifth keeps the §7 mode decision single: ``ModeGovernor`` decides
 disjoint↔Megaflow, so ``.set_mode(`` is called nowhere under ``repro``
@@ -339,7 +341,8 @@ def _writes_last_used(node):
 def _lifecycle_bypasses(source: str, home=frozenset()):
     """``(line, what)`` for every departure-ledger write and idle-age
     comparison in ``source`` outside the ``home`` scopes, and every
-    recency write outside them, a ``touch`` or a constructor."""
+    recency write or ``move_to_end`` read outside them, a ``touch`` or
+    a constructor."""
     found = []
 
     def visit(node, scope):
@@ -369,12 +372,13 @@ def _lifecycle_bypasses(source: str, home=frozenset()):
             ):
                 what = "idle-boundary comparison"
             elif scope[-1:] not in (["touch"], ["__init__"]):
+                # Any read, not only a call: a bound move kept for
+                # later would move entries from wherever it is called.
                 if (
-                    isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "move_to_end"
+                    isinstance(child, ast.Attribute)
+                    and child.attr == "move_to_end"
                 ):
-                    what = ".move_to_end("
+                    what = ".move_to_end"
                 elif _writes_last_used(child):
                     what = ".last_used ="
             if what is not None and ".".join(scope) not in home:
@@ -420,6 +424,9 @@ def test_entry_lifecycle_audit_sees_a_violation():
         "        self._by_id.move_to_end(entry.rule_id)\n"
         "    def __init__(self, now):\n"
         "        self.last_used = now\n"
+        "        self.move_to_recent = self._by_id.move_to_end\n"
+        "    def keep(self):\n"
+        "        self.later = self._by_id.move_to_end\n"
     )
     assert _lifecycle_bypasses(source) == [
         (3, "idle-boundary comparison"),
@@ -427,10 +434,12 @@ def test_entry_lifecycle_audit_sees_a_violation():
         (5, ".on_evict("),
         (7, ".on_victim("),
         (10, ".last_used ="),
-        (11, ".move_to_end("),
+        (11, ".move_to_end"),
+        (19, ".move_to_end"),
     ]
     assert _lifecycle_bypasses(source, {"C.evict_idle", "C.lookup"}) == [
         (7, ".on_victim("),
+        (19, ".move_to_end"),
     ]
 
 
