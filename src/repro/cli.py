@@ -34,7 +34,14 @@ serve
     (``--storm``, ``--acl-update``, ``--shuffle``);
     ``--assert-drained`` turns the run into a CI soak gate.
 
-For the full per-figure report, run ``examples/reproduce_all.py``.
+Every command but ``pipelines`` and ``trace`` runs at one
+:class:`~repro.experiments.ExperimentScale` (:func:`scale_from_args`):
+``compare`` / ``sweep`` / ``coverage`` start from the paper drivers'
+:data:`~repro.experiments.SMALL_SCALE`, the trace-replaying commands
+(``bench``, ``stats``, ``serve``, ``net``) from
+:data:`~repro.experiments.BENCH_SCALE`, and the scale flags override
+its fields.  For the full per-figure report, run
+``examples/reproduce_all.py``.
 """
 
 from __future__ import annotations
@@ -47,6 +54,9 @@ from typing import List, Optional
 
 from .core.revalidation import resolve_revalidator
 from .experiments import (
+    BENCH_SCALE,
+    SMALL_SCALE,
+    SYSTEMS,
     ExperimentScale,
     format_table1,
     format_table2,
@@ -54,7 +64,7 @@ from .experiments import (
     sweep_tables,
     table2_coverage,
 )
-from .gates import PHASES, Scale, churn_table, make_system, run_phases
+from .gates import PHASES, churn_table, run_phases
 from .net import FabricController, FabricSimulator, leaf_spine, linear, ring
 from .obs import Telemetry, analyze_jsonl, render_text
 from .pipeline.library import PIPELINES
@@ -68,8 +78,6 @@ from .workload import (
     priority_shuffle_schedule,
 )
 from .workload.churn import ChurnSchedule
-
-_SYSTEMS = ("gigaflow", "megaflow", "hierarchy", "adaptive")
 
 
 def _positive(kind, noun: str):
@@ -95,7 +103,7 @@ _positive_float = _positive(float, "number")
 
 def _add_scale_arguments(
     parser: argparse.ArgumentParser,
-    flows: int = 3000,
+    flows: int = SMALL_SCALE.n_flows,
     capacity: str = "flows/3",
     mean_flow_size: Optional[float] = None,
     duration: Optional[float] = None,
@@ -103,8 +111,8 @@ def _add_scale_arguments(
     """The pipeline positional plus the workload-scale block every
     subcommand shares; only the defaults differ.  Giving
     ``mean_flow_size``/``duration`` marks a trace-replaying command:
-    the pipeline then defaults to PSC and the trace knobs
-    (:class:`repro.gates.Scale`'s fields) are added."""
+    the pipeline then defaults to PSC and the trace knobs are added.
+    :data:`_SCALE_FLAGS` names the scale field each one sets."""
     replay = mean_flow_size is not None
     parser.add_argument(
         "pipeline",
@@ -123,7 +131,7 @@ def _add_scale_arguments(
         "--locality", choices=("high", "low"), default="high",
         help="workload reuse locality",
     )
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=int, default=SMALL_SCALE.seed)
     if replay:
         parser.add_argument(
             "--mean-flow-size", type=_positive_float,
@@ -134,14 +142,44 @@ def _add_scale_arguments(
             "--duration", type=_positive_float, default=duration,
             help=f"simulated seconds of trace (default {duration:g})",
         )
-        parser.add_argument("--trace-seed", type=int, default=3)
+        parser.add_argument(
+            "--trace-seed", type=int, default=BENCH_SCALE.trace_seed
+        )
 
 
-def _scale_from(args: argparse.Namespace) -> ExperimentScale:
-    capacity = args.capacity or max(args.flows // 3, 8)
-    return ExperimentScale(
-        n_flows=args.flows, cache_capacity=capacity, seed=args.seed
-    )
+#: Each scale flag's ``dest`` -> the :class:`ExperimentScale` field it
+#: sets (``--max-idle`` is ``stats`` / ``serve`` / ``net``'s).
+_SCALE_FLAGS = {
+    "pipeline": "pipeline",
+    "flows": "n_flows",
+    "capacity": "cache_capacity",
+    "locality": "locality",
+    "seed": "seed",
+    "mean_flow_size": "mean_flow_size",
+    "duration": "duration",
+    "trace_seed": "trace_seed",
+    "max_idle": "max_idle",
+}
+
+
+def scale_from_args(args: argparse.Namespace) -> ExperimentScale:
+    """The scale a command's flags describe: its preset with every
+    scale flag the namespace carries applied.  A command
+    replaying its own trace (it has ``--trace-seed``) starts from
+    :data:`BENCH_SCALE`, whose unset capacity is twice the flow count;
+    the figure commands start from :data:`SMALL_SCALE`, and an unset
+    capacity is a third of the flows (at least 8), the paper's
+    flow:capacity ratio."""
+    given = {
+        field: getattr(args, dest)
+        for dest, field in _SCALE_FLAGS.items()
+        if hasattr(args, dest)
+    }
+    if hasattr(args, "trace_seed"):
+        return replace(BENCH_SCALE, **given)
+    if given["cache_capacity"] is None:
+        given["cache_capacity"] = max(given["n_flows"] // 3, 8)
+    return replace(SMALL_SCALE, **given)
 
 
 def cmd_pipelines(_args: argparse.Namespace) -> int:
@@ -153,7 +191,7 @@ def cmd_pipelines(_args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    scale = _scale_from(args)
+    scale = scale_from_args(args)
     pair = run_pair(args.pipeline.upper(), args.locality, scale)
     print(f"{args.pipeline.upper()} ({args.locality} locality, "
           f"{scale.n_flows} flows, {scale.cache_capacity} entries)\n")
@@ -166,7 +204,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scale = _scale_from(args)
+    scale = scale_from_args(args)
     points = sweep_tables(
         args.pipeline.upper(), tuple(args.tables), args.locality, scale
     )
@@ -180,7 +218,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_coverage(args: argparse.Namespace) -> int:
-    scale = _scale_from(args)
+    scale = scale_from_args(args)
     rows = table2_coverage(
         pipelines=(args.pipeline.upper(),), locality=args.locality,
         scale=scale,
@@ -194,12 +232,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         name for name, phase in PHASES.items()
         if phase.help is None or getattr(args, name)
     ]
-    return run_phases(names, Scale.from_args(args), args.out_dir)
+    return run_phases(
+        names, scale_from_args(args), args.out_dir, smoke=args.smoke,
+        obs_rounds=args.obs_rounds, shard_timeout=args.shard_timeout,
+    )
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    scale = Scale.from_args(args)
-    system = make_system(args.system, scale.total_capacity)
+    scale = scale_from_args(args)
+    system = scale.system(args.system)
     telemetry = Telemetry(
         trace_capacity=args.trace_capacity,
         tracing=args.format == "text" or args.trace_out is not None,
@@ -210,20 +251,22 @@ def cmd_stats(args: argparse.Namespace) -> int:
             else None
         ),
     )
-    workload, trace = scale.build()
+    workload = scale.workload()
     config = SimConfig(
-        max_idle=args.max_idle,
+        max_idle=scale.max_idle,
         sweep_interval=args.sweep_interval,
         telemetry=telemetry,
     )
-    result = VSwitchSimulator(workload.pipeline, system, config).run(trace)
+    result = VSwitchSimulator(workload.pipeline, system, config).run(
+        scale.trace(workload)
+    )
 
     # One end-of-run revalidation cycle so consistency counters reflect
     # a full operational loop (lookup → install → sweep → revalidate).
     cache = system.cache
     resolve_revalidator(
         workload.pipeline, getattr(cache, "megaflow", cache)
-    ).revalidate(now=args.duration)
+    ).revalidate(now=scale.duration)
 
     if args.format == "prom":
         print(telemetry.registry.to_prometheus(), end="")
@@ -245,9 +288,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    scale = Scale.from_args(args)
+    scale = scale_from_args(args)
     workload = scale.workload()
-    duration = args.duration
+    duration = scale.duration
 
     # Churn scenarios place themselves proportionally inside the
     # serving horizon: storm over [20%, 60%], ACL push at 30% reverted
@@ -261,7 +304,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             schedule = schedule.merged_with(insert_delete_storm(
                 workload.pilots, table_id,
                 start=start, count=args.storm_count, gap=gap,
-                hold=2.0 * gap, seed=args.seed,
+                hold=2.0 * gap, seed=scale.seed,
             ))
         if args.acl_update:
             schedule = schedule.merged_with(acl_update_schedule(
@@ -270,7 +313,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if args.shuffle:
             schedule = schedule.merged_with(priority_shuffle_schedule(
                 table_id, [duration * 0.45, duration * 0.75],
-                seed=args.seed,
+                seed=scale.seed,
             ))
     churn = (
         ChurnConfig(schedule=schedule, reval_budget=args.reval_budget)
@@ -279,7 +322,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
     config = SimConfig(
-        max_idle=args.max_idle,
+        max_idle=scale.max_idle,
         sweep_interval=args.sweep_interval,
         window=args.sweep_interval,
         telemetry=Telemetry(),
@@ -287,7 +330,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     driver = ServingDriver(
         workload.pipeline,
-        make_system(args.system, scale.total_capacity),
+        scale.system(args.system),
         config,
         ServeConfig(
             batch_size=args.batch_size,
@@ -300,9 +343,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if driver.metrics_server is not None:
         print(f"metrics endpoint: {driver.metrics_server.url}")
     # The unbounded source is generated a segment at a time.
-    profile = replace(scale, duration=args.segment_duration).profile()
+    profile = replace(scale, duration=args.segment_duration).trace_profile()
     result = driver.serve(
-        endless_packets(workload, profile=profile, seed=args.trace_seed),
+        endless_packets(workload, profile=profile, seed=scale.trace_seed),
         max_seconds=duration,
     )
 
@@ -334,7 +377,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_net(args: argparse.Namespace) -> int:
     """Run one trace through a multi-switch fabric (:mod:`repro.net`)."""
-    scale = Scale.from_args(args)
+    scale = scale_from_args(args)
     if args.topology == "leaf-spine":
         topology = leaf_spine(args.leaves, args.spines)
     elif args.topology == "linear":
@@ -344,7 +387,7 @@ def cmd_net(args: argparse.Namespace) -> int:
 
     trace = scale.trace(scale.workload())
     endpoints = build_fabric_endpoints(
-        topology, args.flows, locality=args.net_locality, seed=args.seed
+        topology, scale.n_flows, locality=args.net_locality, seed=scale.seed
     )
     controller = FabricController(topology, endpoints)
 
@@ -362,12 +405,10 @@ def cmd_net(args: argparse.Namespace) -> int:
         topology,
         # Same spec + seed => identical rule state per switch.
         pipeline_factory=lambda _context: scale.workload().pipeline,
-        system_factory=lambda _context: make_system(
-            args.system, scale.total_capacity
-        ),
+        system_factory=lambda _context: scale.system(args.system),
         controller=controller,
         config=SimConfig(
-            max_idle=args.max_idle,
+            max_idle=scale.max_idle,
             sweep_interval=args.sweep_interval,
             fast_path=True,
             telemetry=Telemetry(),
@@ -450,7 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
              "non-zero exit when a gate fails",
     )
     _add_scale_arguments(
-        bench, flows=2000, mean_flow_size=128.0, duration=30.0,
+        bench, flows=BENCH_SCALE.n_flows,
+        mean_flow_size=BENCH_SCALE.mean_flow_size,
+        duration=BENCH_SCALE.duration,
         capacity="2x flows: locality-heavy traces should be "
                  "cache-limited by idle time, not size",
     )
@@ -504,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--length", type=int, default=4,
         help="switch count (linear/ring; default 4)",
     )
-    net.add_argument("--system", choices=_SYSTEMS, default="gigaflow")
+    net.add_argument("--system", choices=SYSTEMS, default="gigaflow")
     net.add_argument(
         "--net-locality", type=float, default=0.5,
         help="fraction of flows whose endpoints share a leaf "
@@ -562,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
         stats, flows=1000, capacity="2x flows",
         mean_flow_size=64.0, duration=20.0,
     )
-    stats.add_argument("--system", choices=_SYSTEMS, default="gigaflow")
+    stats.add_argument("--system", choices=SYSTEMS, default="gigaflow")
     stats.add_argument(
         "--max-idle", type=float, default=5.0,
         help="idle-expiry threshold in seconds (0 disables; default 5)",

@@ -179,23 +179,6 @@ class AdaptiveGigaflowCache(GigaflowCache):
         self.config = config if config is not None else AdaptiveConfig()
         self.governor = ModeGovernor(self.config)
 
-    # -- governor passthroughs (the pre-refactor public surface) -----------------
-
-    @property
-    def megaflow_mode(self) -> bool:
-        return self.governor.megaflow_mode
-
-    @megaflow_mode.setter
-    def megaflow_mode(self, value: bool) -> None:
-        # Raw assignment, as before the governor extraction: tests and
-        # callers forcing a mode bypass switch counting and probe
-        # priming; use governor.set_mode() for a counted transition.
-        self.governor.megaflow_mode = value
-
-    @property
-    def mode_switches(self) -> int:
-        return self.governor.mode_switches
-
     # -- the profile-guided install path -----------------------------------------
 
     def install_traversal(

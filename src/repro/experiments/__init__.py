@@ -19,6 +19,7 @@ ablations   extra design-choice ablations (placement/eviction/tp_src)
 """
 
 from .common import (
+    BENCH_SCALE,
     ExperimentScale,
     LOCALITIES,
     MEDIUM_SCALE,
@@ -26,12 +27,9 @@ from .common import (
     PIPELINE_NAMES,
     PairResult,
     SMALL_SCALE,
-    fresh_workload,
-    make_gigaflow,
-    make_megaflow,
+    SYSTEMS,
     run_all_pairs,
     run_pair,
-    run_system,
 )
 from .table1 import format_table1, table1, table1_matches_paper
 from .fig03 import TableSweepPoint, sweep_tables
@@ -78,6 +76,7 @@ from .baselines import (
 
 __all__ = [
     "AblationResult",
+    "BENCH_SCALE",
     "BASELINE_CONFIGS",
     "BaselineResult",
     "compare_baselines",
@@ -98,6 +97,7 @@ __all__ = [
     "PairResult",
     "RevalidationComparison",
     "SMALL_SCALE",
+    "SYSTEMS",
     "ScalingPoint",
     "SchemeResult",
     "SearchConfig",
@@ -118,16 +118,12 @@ __all__ = [
     "format_end_to_end",
     "format_table1",
     "format_table2",
-    "fresh_workload",
     "hit_latency_table",
-    "make_gigaflow",
-    "make_megaflow",
     "misses_by_k",
     "placement_ablation",
     "revalidation_comparison",
     "run_all_pairs",
     "run_pair",
-    "run_system",
     "sweep_table_counts",
     "sweep_tables",
     "table1",

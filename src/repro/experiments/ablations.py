@@ -11,20 +11,10 @@ calls out:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict
 
-from ..pipeline.library import get_pipeline_spec
-from ..sim.engine import AdaptiveGigaflowSystem
-from ..workload.pipebench import Pipebench, PipebenchConfig
-from .common import (
-    ExperimentScale,
-    SMALL_SCALE,
-    fresh_workload,
-    make_gigaflow,
-    make_megaflow,
-    run_system,
-)
+from .common import ExperimentScale, SMALL_SCALE
 
 
 @dataclass
@@ -41,13 +31,10 @@ def placement_ablation(
     scale: ExperimentScale = SMALL_SCALE,
 ) -> Dict[str, AblationResult]:
     """Balanced vs earliest placement of LTM rules."""
+    scale = replace(scale, pipeline=pipeline_name, locality=locality)
     out = {}
     for placement in ("balanced", "earliest"):
-        result = run_system(
-            fresh_workload(pipeline_name, locality, scale),
-            make_gigaflow(scale, placement=placement),
-            scale,
-        )
+        result = scale.run(scale.system("gigaflow", placement=placement))
         out[placement] = AblationResult(
             placement, result.hit_rate, result.misses, result.peak_entries
         )
@@ -60,13 +47,10 @@ def eviction_ablation(
     scale: ExperimentScale = SMALL_SCALE,
 ) -> Dict[str, AblationResult]:
     """LRU vs reject-on-full under capacity pressure."""
+    scale = replace(scale, pipeline=pipeline_name, locality=locality)
     out = {}
     for eviction in ("lru", "reject"):
-        result = run_system(
-            fresh_workload(pipeline_name, locality, scale),
-            make_gigaflow(scale, eviction=eviction),
-            scale,
-        )
+        result = scale.run(scale.system("gigaflow", eviction=eviction))
         out[eviction] = AblationResult(
             eviction, result.hit_rate, result.misses, result.peak_entries
         )
@@ -87,20 +71,10 @@ def adaptive_fallback(
     """
     out: Dict[str, Dict[str, AblationResult]] = {}
     for locality in ("high", "low"):
+        cell = replace(scale, pipeline=pipeline_name, locality=locality)
         row: Dict[str, AblationResult] = {}
-        for label, factory in (
-            ("megaflow", lambda: make_megaflow(scale)),
-            ("gigaflow", lambda: make_gigaflow(scale)),
-            ("adaptive", lambda: AdaptiveGigaflowSystem(
-                num_tables=scale.gf_tables,
-                table_capacity=scale.gf_table_capacity,
-            )),
-        ):
-            result = run_system(
-                fresh_workload(pipeline_name, locality, scale),
-                factory(),
-                scale,
-            )
+        for label in ("megaflow", "gigaflow", "adaptive"):
+            result = cell.run(cell.system(label))
             row[label] = AblationResult(
                 label, result.hit_rate, result.misses, result.peak_entries
             )
@@ -121,20 +95,16 @@ def tp_src_pathology(
     dependency bits then un-wildcard the (per-flow-unique) source port in
     every entry that probes those tables.
     """
+    scale = replace(scale, pipeline=pipeline_name, locality=locality)
     out = {}
     for variant, wildcard in (
         ("clean", 1.0),
         ("polluted", 1.0 - exact_fraction),
     ):
-        spec = get_pipeline_spec(pipeline_name)
-        config = PipebenchConfig(
-            n_flows=scale.n_flows,
-            locality=locality,
-            seed=scale.seed,
-            wildcard_tp_src=wildcard,
+        result = scale.run(
+            scale.system("gigaflow"),
+            scale.workload(wildcard_tp_src=wildcard),
         )
-        workload = Pipebench(spec, config).build()
-        result = run_system(workload, make_gigaflow(scale), scale)
         out[variant] = AblationResult(
             variant, result.hit_rate, result.misses, result.peak_entries
         )

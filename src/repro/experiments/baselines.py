@@ -11,19 +11,11 @@ latencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict
 
 from ..metrics.latency import LatencyModel
-from ..sim.engine import (
-    CachingSystem,
-    GigaflowSystem,
-    HierarchySystem,
-    MegaflowSystem,
-    SimConfig,
-    VSwitchSimulator,
-)
-from .common import ExperimentScale, SMALL_SCALE, fresh_workload
+from .common import ExperimentScale, SMALL_SCALE
 
 
 @dataclass
@@ -34,7 +26,7 @@ class BaselineResult:
     avg_latency_us: float
 
 
-#: The §6.1 configurations: (label, system factory kind, latency backend).
+#: The §6.1 configurations: (label, caching system, latency backend).
 BASELINE_CONFIGS = (
     ("OVS/Kernel (host)", "hierarchy", "kernel_host"),
     ("OVS/Kernel (BlueField ARM)", "hierarchy", "kernel_arm"),
@@ -51,30 +43,11 @@ def compare_baselines(
     scale: ExperimentScale = SMALL_SCALE,
 ) -> Dict[str, BaselineResult]:
     """Run every §6.1 configuration over the same workload geometry."""
+    scale = replace(scale, pipeline=pipeline_name, locality=locality)
     results: Dict[str, BaselineResult] = {}
-    for label, kind, backend in BASELINE_CONFIGS:
-        workload = fresh_workload(pipeline_name, locality, scale)
-        if kind == "hierarchy":
-            system: CachingSystem = HierarchySystem(
-                microflow_capacity=scale.cache_capacity // 4,
-                megaflow_capacity=scale.cache_capacity,
-                start_table=workload.pipeline.start_table,
-            )
-        elif kind == "megaflow":
-            system = MegaflowSystem(capacity=scale.cache_capacity)
-        else:
-            system = GigaflowSystem(
-                num_tables=scale.gf_tables,
-                table_capacity=scale.gf_table_capacity,
-            )
-        config = SimConfig(
-            max_idle=scale.max_idle,
-            sweep_interval=max(scale.duration / 12.0, 1.0),
-            latency=LatencyModel(backend=backend),
-        )
-        simulator = VSwitchSimulator(workload.pipeline, system, config)
-        result = simulator.run(
-            workload.trace(profile=scale.trace_profile(), seed=1)
+    for label, system, backend in BASELINE_CONFIGS:
+        result = scale.run(
+            scale.system(system), latency=LatencyModel(backend=backend)
         )
         results[label] = BaselineResult(
             config=label,

@@ -8,18 +8,12 @@ misses and 335× more rule-space coverage at K=4 with only 10K entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List
 
 from ..core.coverage import coverage
 from ..core.gigaflow import GigaflowCache
-from .common import (
-    ExperimentScale,
-    SMALL_SCALE,
-    fresh_workload,
-    make_gigaflow,
-    run_system,
-)
+from .common import ExperimentScale, SMALL_SCALE
 
 
 @dataclass
@@ -41,14 +35,12 @@ def sweep_tables(
 ) -> List[TableSweepPoint]:
     """Run the K-sweep.  Each K gets the same per-table budget, as in
     Fig. 14/15's setup (a fixed 100K per table in the paper)."""
+    scale = replace(scale, pipeline=pipeline_name, locality=locality)
     points = []
     per_table = scale.gf_table_capacity
     for k in k_values:
-        workload = fresh_workload(pipeline_name, locality, scale)
-        system = make_gigaflow(
-            scale, num_tables=k, table_capacity=per_table
-        )
-        result = run_system(workload, system, scale)
+        workload = scale.workload()
+        result = scale.run(scale.system("gigaflow", num_tables=k), workload)
         # Steady-state coverage: install the whole workload into a fresh
         # cache (the simulated run's final cache may have been drained by
         # idle expiry, which would understate coverage).  Reject-on-full

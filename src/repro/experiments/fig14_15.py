@@ -8,17 +8,10 @@ PSC by 3, OLS keeps improving to 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
-from .common import (
-    ExperimentScale,
-    PIPELINE_NAMES,
-    SMALL_SCALE,
-    fresh_workload,
-    make_gigaflow,
-    run_system,
-)
+from .common import ExperimentScale, PIPELINE_NAMES, SMALL_SCALE
 
 
 @dataclass
@@ -47,9 +40,8 @@ def sweep_table_counts(
     for locality in localities:
         for name in pipelines:
             for k in k_values:
-                workload = fresh_workload(name, locality, scale)
-                system = make_gigaflow(scale, num_tables=k)
-                result = run_system(workload, system, scale)
+                cell = replace(scale, pipeline=name, locality=locality)
+                result = cell.run(cell.system("gigaflow", num_tables=k))
                 points.append(
                     ScalingPoint(
                         pipeline=name,

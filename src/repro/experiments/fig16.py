@@ -9,7 +9,7 @@ more entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict
 
 from ..core.partition import (
@@ -17,14 +17,7 @@ from ..core.partition import (
     disjoint_partition,
     one_to_one_partition,
 )
-from .common import (
-    ExperimentScale,
-    SMALL_SCALE,
-    fresh_workload,
-    make_gigaflow,
-    make_megaflow,
-    run_system,
-)
+from .common import ExperimentScale, SMALL_SCALE
 
 
 @dataclass
@@ -46,50 +39,40 @@ def compare_partitioners(
     (the paper's idealised upper bound), so it gets as many tables as the
     pipeline's longest traversal — with the same per-table budget.
     """
+    scale = replace(scale, pipeline=pipeline_name, locality=locality)
     results: Dict[str, SchemeResult] = {}
 
-    mf = run_system(
-        fresh_workload(pipeline_name, locality, scale),
-        make_megaflow(scale),
-        scale,
-    )
+    mf = scale.run(scale.system("megaflow"))
     results["megaflow"] = SchemeResult(
         "megaflow", mf.misses, mf.peak_entries, mf.hit_rate
     )
 
-    rnd = run_system(
-        fresh_workload(pipeline_name, locality, scale),
-        make_gigaflow(scale, partitioner=RandomPartitioner(seed=scale.seed)),
-        scale,
-    )
+    rnd = scale.run(scale.system(
+        "gigaflow", partitioner=RandomPartitioner(seed=scale.seed)
+    ))
     results["rnd"] = SchemeResult(
         "rnd", rnd.misses, rnd.peak_entries, rnd.hit_rate
     )
 
-    dp = run_system(
-        fresh_workload(pipeline_name, locality, scale),
-        make_gigaflow(scale, partitioner=disjoint_partition),
-        scale,
-    )
+    dp = scale.run(scale.system("gigaflow", partitioner=disjoint_partition))
     results["dp"] = SchemeResult(
         "dp", dp.misses, dp.peak_entries, dp.hit_rate
     )
 
-    workload = fresh_workload(pipeline_name, locality, scale)
+    workload = scale.workload()
     # The 1-1 ideal assumes one SmartNIC table per pipeline table of the
     # longest *actual* traversal (rule-chain detours can exceed the
     # longest template path).
     longest = max(
         len(pilot.traversal) for pilot in workload.pilots
     )
-    one = run_system(
-        workload,
-        make_gigaflow(
-            scale,
+    one = scale.run(
+        scale.system(
+            "gigaflow",
             num_tables=longest,
             partitioner=one_to_one_partition,
         ),
-        scale,
+        workload,
     )
     results["1-1"] = SchemeResult(
         "1-1", one.misses, one.peak_entries, one.hit_rate

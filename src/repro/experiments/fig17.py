@@ -14,19 +14,12 @@ lookups with the calibrated software-search cost model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict
 
 from ..cache.megaflow import MegaflowCache
 from ..metrics.latency import software_search_us
-from .common import (
-    ExperimentScale,
-    SMALL_SCALE,
-    fresh_workload,
-    make_gigaflow,
-    make_megaflow,
-    run_system,
-)
+from .common import ExperimentScale, SMALL_SCALE
 from .nuevomatch import NuevoMatchClassifier
 
 #: Software-cache fixed hit overhead (packet I/O etc.), µs.
@@ -71,22 +64,18 @@ def compare_search_algorithms(
     populations — the mask/iSet statistics that price each software
     search come from the final cache contents.
     """
-    from dataclasses import replace
-
-    scale = replace(scale, max_idle=0.0)
+    scale = replace(
+        scale, pipeline=pipeline_name, locality=locality, max_idle=0.0
+    )
     results: Dict[str, SearchConfig] = {}
 
-    mf_system = make_megaflow(scale)
-    mf = run_system(
-        fresh_workload(pipeline_name, locality, scale), mf_system, scale
-    )
+    mf_system = scale.system("megaflow")
+    mf = scale.run(mf_system)
     mf_groups = mf_system.cache.mask_group_count or 1
     nm = _nm_stats(mf_system.cache)
 
-    gf_system = make_gigaflow(scale)
-    gf = run_system(
-        fresh_workload(pipeline_name, locality, scale), gf_system, scale
-    )
+    gf_system = scale.system("gigaflow")
+    gf = scale.run(gf_system)
     # A Gigaflow lookup probes each table's single tag bucket, whose mask
     # diversity is tiny compared to a monolithic Megaflow cache — measure
     # it from the installed rules.

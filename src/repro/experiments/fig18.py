@@ -9,14 +9,12 @@ largely pre-covered by cross-products of already-cached sub-traversals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 from ..sim.engine import VSwitchSimulator
 from ..sim.results import SimResult
-from ..workload.pipebench import Pipebench, PipebenchConfig
-from ..pipeline.library import get_pipeline_spec
-from .common import ExperimentScale, SMALL_SCALE, make_gigaflow, make_megaflow
+from .common import ExperimentScale, SMALL_SCALE
 
 
 @dataclass
@@ -33,19 +31,6 @@ class DynamicResult:
         return self.hit_rate_before - self.hit_rate_after
 
 
-def _build_two_phase_workload(
-    pipeline_name: str, locality: str, scale: ExperimentScale
-):
-    """One pipeline populated with both workloads' rules; two pilot sets."""
-    spec = get_pipeline_spec(pipeline_name)
-    config = PipebenchConfig(
-        n_flows=scale.n_flows, locality=locality, seed=scale.seed
-    )
-    workload = Pipebench(spec, config).build()
-    half = len(workload.pilots) // 2
-    return workload, workload.pilots[:half], workload.pilots[half:]
-
-
 def dynamic_workloads(
     pipeline_name: str = "PSC",
     locality: str = "high",
@@ -57,27 +42,27 @@ def dynamic_workloads(
     [n/2:n] at ``duration`` (the paper's t=5 min, scaled).  Returns the
     (megaflow, gigaflow) results with before/after hit rates.
     """
-    from dataclasses import replace
-
+    scale = replace(scale, pipeline=pipeline_name, locality=locality)
     offset = scale.duration * 2.0
+    # Phase 1 gets twice the nominal duration so the caches reach steady
+    # state; phase 2 arrives compressed (as the paper's second workload
+    # does) to make the transient visible.
+    phase1 = replace(scale, duration=offset)
+    phase2 = replace(
+        scale, duration=scale.duration / 6.0, trace_seed=scale.trace_seed + 1
+    )
     results = []
-    for make_system in (make_megaflow, make_gigaflow):
-        workload, first, second = _build_two_phase_workload(
-            pipeline_name, locality, scale
-        )
-        # Phase 1 gets twice the nominal duration so the caches reach
-        # steady state; phase 2 arrives compressed (as the paper's second
-        # workload does) to make the transient visible.
-        phase1 = replace(scale.trace_profile(), duration=offset)
-        phase2 = replace(
-            scale.trace_profile(), duration=scale.duration / 6.0
-        )
-        trace1 = workload.trace(profile=phase1, seed=1, pilots=first)
-        trace2 = workload.trace(
-            profile=phase2, seed=2, offset=offset, pilots=second
+    for name in ("megaflow", "gigaflow"):
+        # One pipeline populated with both workloads' rules; two pilot
+        # sets.
+        workload = scale.workload()
+        half = len(workload.pilots) // 2
+        trace1 = phase1.trace(workload, pilots=workload.pilots[:half])
+        trace2 = phase2.trace(
+            workload, offset=offset, pilots=workload.pilots[half:]
         )
         trace = trace1.merged_with(trace2)
-        system = make_system(scale)
+        system = scale.system(name)
         simulator = VSwitchSimulator(
             workload.pipeline, system, scale.sim_config()
         )

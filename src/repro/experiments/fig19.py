@@ -30,14 +30,12 @@ measurement as a cross-check, and the measured deviation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Tuple
 
 from ..metrics.cpu import per_core_miss_load
-from ..sim.engine import CachingSystem, GigaflowSystem, MegaflowSystem
-from ..sim.fanout import PartContext
 from ..sim.sharded import ShardedSimulator
-from .common import ExperimentScale, SMALL_SCALE, fresh_workload
+from .common import ExperimentScale, SMALL_SCALE
 
 
 @dataclass(frozen=True)
@@ -94,66 +92,34 @@ class CoreScalingResult:
         return {n: p.per_core_misses for n, p in self.gigaflow.items()}
 
 
-def _megaflow_factory(
-    scale: ExperimentScale,
-) -> Callable[[PartContext], CachingSystem]:
-    # Full structural capacity per worker: the NIC cache is shared, so a
-    # worker's flow slice sees the whole cache, not a 1/n carve-out.
-    def build(context: PartContext) -> CachingSystem:
-        return MegaflowSystem(capacity=scale.cache_capacity)
-
-    return build
-
-
-def _gigaflow_factory(
-    scale: ExperimentScale,
-) -> Callable[[PartContext], CachingSystem]:
-    def build(context: PartContext) -> CachingSystem:
-        return GigaflowSystem(
-            num_tables=scale.gf_tables,
-            table_capacity=scale.gf_table_capacity,
-        )
-
-    return build
-
-
-def _run_sharded(
-    pipeline_name: str,
-    locality: str,
-    scale: ExperimentScale,
-    factory: Callable[[PartContext], CachingSystem],
-    cores: int,
-    mode: str,
-):
+def _run_sharded(scale: ExperimentScale, system: str, cores: int, mode: str):
     """One sharded run; returns ``(merged SimResult, makespan CPU s)``."""
-    workload = fresh_workload(pipeline_name, locality, scale)
+    workload = scale.workload()
     simulator = ShardedSimulator(
         workload.pipeline,
-        factory,
+        # Full structural capacity per worker: the NIC cache is shared,
+        # so a worker's flow slice sees the whole cache, not a 1/n
+        # carve-out.
+        lambda _context: scale.system(system),
         scale.sim_config(),
         shards=cores,
         mode=mode,
     )
-    trace = workload.trace(profile=scale.trace_profile(), seed=1)
-    result = simulator.run(trace)
+    result = simulator.run(scale.trace(workload))
     cpu_max = max(t["cpu_seconds"] for t in simulator.shard_timings)
     return result, cpu_max
 
 
 def _scaling_curve(
-    pipeline_name: str,
-    locality: str,
     scale: ExperimentScale,
-    factory: Callable[[PartContext], CachingSystem],
+    system: str,
     cores: Tuple[int, ...],
     mode: str,
 ) -> Dict[int, CoreScalingPoint]:
     points: Dict[int, CoreScalingPoint] = {}
     baseline_misses = None
     for n in cores:
-        result, cpu_max = _run_sharded(
-            pipeline_name, locality, scale, factory, n, mode
-        )
+        result, cpu_max = _run_sharded(scale, system, n, mode)
         if baseline_misses is None:
             # cores is sorted and starts at 1, so the first run is the
             # single-core baseline the RSS model divides down from.
@@ -186,15 +152,10 @@ def core_scaling(
     it anchors the analytic 1/n cross-check.
     """
     cores = tuple(sorted({1, *(int(n) for n in cores)}))
+    scale = replace(scale, pipeline=pipeline_name, locality=locality)
     return CoreScalingResult(
         pipeline=pipeline_name,
         locality=locality,
-        megaflow=_scaling_curve(
-            pipeline_name, locality, scale,
-            _megaflow_factory(scale), cores, mode,
-        ),
-        gigaflow=_scaling_curve(
-            pipeline_name, locality, scale,
-            _gigaflow_factory(scale), cores, mode,
-        ),
+        megaflow=_scaling_curve(scale, "megaflow", cores, mode),
+        gigaflow=_scaling_curve(scale, "gigaflow", cores, mode),
     )

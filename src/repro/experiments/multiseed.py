@@ -12,14 +12,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
-from .common import (
-    ExperimentScale,
-    SMALL_SCALE,
-    fresh_workload,
-    make_gigaflow,
-    make_megaflow,
-    run_system,
-)
+from .common import ExperimentScale, SMALL_SCALE, run_pair
 
 
 @dataclass(frozen=True)
@@ -81,17 +74,8 @@ def replicate_pair(
     mf_misses: List[float] = []
     gf_misses: List[float] = []
     for seed in seeds:
-        seeded = replace(scale, seed=seed)
-        mf = run_system(
-            fresh_workload(pipeline_name, locality, seeded),
-            make_megaflow(seeded),
-            seeded,
-        )
-        gf = run_system(
-            fresh_workload(pipeline_name, locality, seeded),
-            make_gigaflow(seeded),
-            seeded,
-        )
+        pair = run_pair(pipeline_name, locality, replace(scale, seed=seed))
+        mf, gf = pair.megaflow, pair.gigaflow
         mf_hits.append(mf.hit_rate)
         gf_hits.append(gf.hit_rate)
         mf_misses.append(float(mf.misses))

@@ -9,14 +9,14 @@ traversal replays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict
 
 from ..cache.megaflow import MegaflowCache
 from ..core.gigaflow import GigaflowCache
 from ..core.revalidation import GigaflowRevalidator, MegaflowRevalidator
 from ..metrics.latency import HIT_LATENCY_US
-from .common import ExperimentScale, SMALL_SCALE, fresh_workload
+from .common import ExperimentScale, SMALL_SCALE
 
 #: Modelled cost of replaying one pipeline table lookup, µs (calibrated so
 #: that an OLS-size Megaflow revalidation lands in the paper's hundreds of
@@ -67,7 +67,9 @@ def revalidation_comparison(
     (mean traversal length × flows) / (mean sub-traversal length ×
     sub-traversal rules).
     """
-    workload = fresh_workload(pipeline_name, locality, scale)
+    workload = replace(
+        scale, pipeline=pipeline_name, locality=locality
+    ).workload()
     pipeline = workload.pipeline
 
     megaflow = MegaflowCache(capacity=10**9)

@@ -8,12 +8,12 @@ paper reports 459× (OFD), 156× (PSC), 337× (OLS), 40× (ANT) and 1.5×
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 from ..core.coverage import coverage, estimate_satisfiable_coverage
 from ..core.gigaflow import GigaflowCache
-from .common import ExperimentScale, PIPELINE_NAMES, SMALL_SCALE, fresh_workload
+from .common import ExperimentScale, PIPELINE_NAMES, SMALL_SCALE
 
 
 @dataclass
@@ -49,7 +49,7 @@ def table2_coverage(
     """
     rows = {}
     for name in pipelines:
-        workload = fresh_workload(name, locality, scale)
+        workload = replace(scale, pipeline=name, locality=locality).workload()
         # Maximum steady-state coverage uses the paper's "install while
         # not full" formulation (§4.2.1): filling with reject-on-full
         # keeps early complete chains intact, whereas LRU churn during a
@@ -67,7 +67,7 @@ def table2_coverage(
         )
         rows[name] = CoverageRow(
             pipeline=name,
-            megaflow_coverage=scale.cache_capacity,
+            megaflow_coverage=scale.capacity,
             gigaflow_coverage=coverage(cache),
             gigaflow_entries=cache.entry_count(),
             gigaflow_satisfiable=satisfiable.estimate,

@@ -5,13 +5,16 @@ Each phase is an A/B (or a scenario) with a verdict, in the shape of the
 paper's own evaluation (§6, Fig. 19).  :data:`PHASES` maps a phase
 name to its report file ``BENCH_<name>.json`` and its function;
 ``repro bench`` generates its ``--<name>`` switches from the table and
-:func:`run_phases` is the only caller.  What every phase needs is here
+:func:`run_phases` is the only caller.  Every run a phase makes is
+built from one :class:`~repro.experiments.ExperimentScale` (workload,
+trace and caching system; :data:`~repro.experiments.BENCH_SCALE` is
+the default), resized where a phase needs its own size
+(:func:`shards_scale`, :func:`net_scale`).  How the phases are run —
+CI-sized or not, obs timing rounds, the sharded runs' time budget — is
+:class:`Runner`'s, apart from the scale.  What every phase needs is here
 once:
 
-* :class:`Scale` — one plain object that builds the workload and trace
-  (tests call a phase with ``Scale(flows=..., smoke=True)`` directly);
-* :func:`run_variant` / :func:`print_row` — one seeded, untimed run of
-  a fresh workload and the one-line summary of its row;
+* :func:`print_row` — the one-line summary of a report row;
 * the report header (machine, cores, python, numpy, git sha, scale,
   rounds, estimator), the JSON write, and
 * the ``gates`` block: every verdict a phase reaches is
@@ -40,129 +43,41 @@ import platform
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .experiments.common import BENCH_SCALE, ExperimentScale
 from .flow import prefix_mask
 from .net import FabricController, FabricSimulator, leaf_spine
 from .obs import Telemetry, analyze_tracer
-from .pipeline.library import get_pipeline_spec
-from .sim import (
-    AdaptiveGigaflowSystem,
-    ChurnConfig,
-    GigaflowSystem,
-    HierarchySystem,
-    MegaflowSystem,
-    ShardedSimulator,
-    SimConfig,
-    VSwitchSimulator,
-)
-from .workload import (
-    TraceProfile,
-    build_fabric_endpoints,
-    build_workload,
-    insert_delete_storm,
-)
-
-# -- scenario building (shared with the stats / serve / net commands) ---------
+from .sim import ChurnConfig, ShardedSimulator, SimConfig, VSwitchSimulator
+from .workload import build_fabric_endpoints, insert_delete_storm
 
 
 @dataclass(frozen=True)
-class Scale:
-    """What a run is built from: pipeline, workload size, seeds.
+class Runner:
+    """How :func:`run_phases` runs the phases, apart from what sizes
+    them: where the reports go, whether the run is CI-sized
+    (``smoke``), the obs phase's timing rounds and the sharded runs'
+    wall-clock budget."""
 
-    The defaults are ``repro bench``'s.  ``capacity=None`` means "twice
-    the flow count" (:attr:`total_capacity`): locality-heavy traces
-    should be cache-limited by idle time, not size.  The last three
-    fields only matter to ``repro bench``.
-    """
-
-    pipeline: str = "psc"
-    flows: int = 2000
-    capacity: Optional[int] = None
-    locality: str = "high"
-    mean_flow_size: float = 128.0
-    duration: float = 30.0
-    seed: int = 7
-    trace_seed: int = 3
-    smoke: bool = False
-    obs_rounds: int = 9
-    shard_timeout: float = 600.0
-
-    @classmethod
-    def from_args(cls, args) -> "Scale":
-        """The fields an ``argparse`` namespace carries; defaults for
-        the rest."""
-        return cls(**{
-            f.name: getattr(args, f.name)
-            for f in fields(cls) if hasattr(args, f.name)
-        })
-
-    def smoked(self) -> "Scale":
-        """CI-sized: seconds, not minutes, same code paths."""
-        return replace(
-            self,
-            flows=min(self.flows, 300),
-            duration=min(self.duration, 8.0),
-            mean_flow_size=min(self.mean_flow_size, 64.0),
-        )
-
-    @property
-    def spec(self):
-        return get_pipeline_spec(self.pipeline.upper())
-
-    @property
-    def total_capacity(self) -> int:
-        return self.capacity or max(self.flows * 2, 8)
-
-    def profile(self) -> TraceProfile:
-        return TraceProfile(
-            mean_flow_size=self.mean_flow_size, duration=self.duration
-        )
-
-    def workload(self):
-        """A brand-new workload: same spec + seed => identical rule
-        state, and no run sees a pipeline another run has touched."""
-        return build_workload(
-            self.spec, n_flows=self.flows, locality=self.locality,
-            seed=self.seed,
-        )
-
-    def trace(self, workload):
-        return workload.trace(profile=self.profile(), seed=self.trace_seed)
-
-    def build(self):
-        """``(workload, trace)``, both fresh."""
-        workload = self.workload()
-        return workload, self.trace(workload)
-
-    def params(self, capacity: int) -> dict:
-        """The effective-scale keys every report leads with."""
-        return {
-            "pipeline": self.spec.name,
-            "locality": self.locality,
-            "flows": self.flows,
-            "capacity": capacity,
-            "mean_flow_size": self.mean_flow_size,
-            "duration": self.duration,
-            "seed": self.seed,
-        }
+    out: Path
+    smoke: bool
+    obs_rounds: int
+    shard_timeout: float
 
 
-def make_system(name: str, capacity: int):
-    """The caching system ``name`` with ``capacity`` entries in total."""
-    if name == "megaflow":
-        return MegaflowSystem(capacity=capacity)
-    if name == "hierarchy":
-        return HierarchySystem(
-            microflow_capacity=max(capacity // 4, 2),
-            megaflow_capacity=capacity,
-        )
-    cls = AdaptiveGigaflowSystem if name == "adaptive" else GigaflowSystem
-    return cls(num_tables=4, table_capacity=max(capacity // 4, 2))
+def smoked(scale: ExperimentScale) -> ExperimentScale:
+    """CI-sized: seconds, not minutes, same code paths."""
+    return replace(
+        scale,
+        n_flows=min(scale.n_flows, 300),
+        duration=min(scale.duration, 8.0),
+        mean_flow_size=min(scale.mean_flow_size, 64.0),
+    )
 
 
 def churn_table(pipeline, field: str = "ip_src") -> int:
@@ -182,16 +97,6 @@ def churn_table(pipeline, field: str = "ip_src") -> int:
 
 
 # -- the runner ---------------------------------------------------------------
-
-
-def run_variant(scale: Scale, system, config: SimConfig):
-    """One variant of an A/B: a brand-new workload and trace (so no
-    variant sees a pipeline another has touched) replayed through a
-    fresh simulator.  Returns ``(simulator, result)``; the run is
-    seeded and untimed, so the row built from it is reproducible."""
-    workload, trace = scale.build()
-    simulator = VSwitchSimulator(workload.pipeline, system, config)
-    return simulator, simulator.run(trace)
 
 
 def print_row(label: str, row: dict, *columns: str) -> None:
@@ -236,15 +141,21 @@ def output_file(phase: str) -> str:
 
 
 def run_phases(
-    names: Sequence[str], scale: Scale, out_dir: str = "."
+    names: Sequence[str],
+    scale: ExperimentScale = BENCH_SCALE,
+    out_dir: str = ".",
+    smoke: bool = False,
+    obs_rounds: int = 9,
+    shard_timeout: float = 600.0,
 ) -> int:
     """Run the named phases in order, write ``out_dir/BENCH_<name>.json``
     for each, and return the process exit code: 1 when any gate failed
-    (each named ``phase.gate`` on stderr), else 0."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if scale.smoke:
-        scale = scale.smoked()
+    (each named ``phase.gate`` on stderr), else 0.  ``smoke`` shrinks
+    the scale (:func:`smoked`) and the phases' own loops."""
+    runner = Runner(Path(out_dir), smoke, obs_rounds, shard_timeout)
+    runner.out.mkdir(parents=True, exist_ok=True)
+    if smoke:
+        scale = smoked(scale)
     machine = {
         "machine": f"{platform.machine()} {platform.system()} "
         f"{platform.release()}",
@@ -257,7 +168,7 @@ def run_phases(
     failed = []
     for name in names:
         phase = PHASES[name]
-        body = phase.run(scale, out)
+        body = phase.run(scale, runner)
         header = {
             "phase": name,
             **machine,
@@ -266,7 +177,7 @@ def run_phases(
         }
         # Header and verdicts lead the file; the raw rows follow.
         write_json(
-            out / output_file(name),
+            runner.out / output_file(name),
             {"header": header, "gates": body["gates"], **body},
         )
         for gate, outcome in body["gates"].items():
@@ -283,7 +194,7 @@ def run_phases(
 # -- the phases ---------------------------------------------------------------
 
 
-def phase_fastpath(scale: Scale, out: Path) -> dict:
+def phase_fastpath(scale: ExperimentScale, runner: Runner) -> dict:
     """Fast-path A/B: replay one pipebench trace per system with the
     exact-match fast path on and off.  The memo may only save work, so
     hit rate and cache-probe count must not move
@@ -292,14 +203,18 @@ def phase_fastpath(scale: Scale, out: Path) -> dict:
     or a validation check is missing).
     ``--capacity 16`` forces heavy eviction churn and is the
     adversarial case."""
-    capacity = scale.total_capacity
-    report = {**scale.params(capacity), "systems": {}, "gates": {}}
+    report = {**scale.params(), "systems": {}, "gates": {}}
     for name in ("megaflow", "gigaflow"):
         runs = {}
         for fast in (True, False):
-            simulator, result = run_variant(
-                scale, make_system(name, capacity), SimConfig(fast_path=fast)
+            # A brand-new workload and trace per variant, so no variant
+            # sees a pipeline another has touched.
+            workload = scale.workload()
+            simulator = VSwitchSimulator(
+                workload.pipeline, scale.system(name),
+                SimConfig(fast_path=fast),
             )
+            result = simulator.run(scale.trace(workload))
             report["packets"] = result.packets
             run = {
                 "hit_rate": round(result.hit_rate, 6),
@@ -335,7 +250,7 @@ OBS_CEILINGS = {"obs_metrics": 0.10, "obs_trace": 0.25}
 OBS_TRACE_CAPACITY = 65536
 
 
-def phase_obs(scale: Scale, out: Path) -> dict:
+def phase_obs(scale: ExperimentScale, runner: Runner) -> dict:
     """Measure the telemetry subsystem's cost: off / metrics / +trace.
 
     All three variants keep the fast path on (the production
@@ -362,7 +277,6 @@ def phase_obs(scale: Scale, out: Path) -> dict:
     the report to ``TRACE_report.json`` and recording the analyzer's own
     cost — the "is `repro trace` cheap enough to run casually" number.
     """
-    capacity = scale.total_capacity
     variants = (
         ("obs_off", lambda: None),
         ("obs_metrics", lambda: Telemetry(tracing=False)),
@@ -370,9 +284,9 @@ def phase_obs(scale: Scale, out: Path) -> dict:
             tracing=True, trace_capacity=OBS_TRACE_CAPACITY
         )),
     )
-    rounds = scale.obs_rounds
+    rounds = runner.obs_rounds
     report = {
-        **scale.params(capacity),
+        **scale.params(),
         "system": "gigaflow",
         "rounds": rounds,
         "runs": {},
@@ -383,10 +297,11 @@ def phase_obs(scale: Scale, out: Path) -> dict:
     last = {}
     for _ in range(rounds):
         for name, make_telemetry in variants:
-            workload, trace = scale.build()
+            workload = scale.workload()
+            trace = scale.trace(workload)
             telemetry = make_telemetry()
             simulator = VSwitchSimulator(
-                workload.pipeline, make_system("gigaflow", capacity),
+                workload.pipeline, scale.system("gigaflow"),
                 SimConfig(fast_path=True, telemetry=telemetry),
             )
             # Both clocks around the run alone, collector cycles kept
@@ -440,7 +355,7 @@ def phase_obs(scale: Scale, out: Path) -> dict:
         print(f"{name:12} {best_cpu[name]:6.2f}s cpu  {pps:>9,.0f} pps{extra}")
 
     # trace_analyze: the analyzer's own cost over the live ring.
-    trace_path = out / "TRACE_report.json"
+    trace_path = runner.out / "TRACE_report.json"
     cpu0 = time.process_time()
     trace_report = analyze_tracer(last["obs_trace"][1].tracer, top=5)
     analyze_cpu = time.process_time() - cpu0
@@ -467,7 +382,7 @@ def phase_obs(scale: Scale, out: Path) -> dict:
     return report
 
 
-def phase_shards(scale: Scale, out: Path) -> dict:
+def phase_shards(scale: ExperimentScale, runner: Runner) -> dict:
     """Core-scaling bench: one trace through 1/2/4/8 worker processes.
 
     Replays a single locality-heavy trace (>=1M packets at the default
@@ -496,31 +411,24 @@ def phase_shards(scale: Scale, out: Path) -> dict:
     processes-mode merged counters must equal an inline (sequential,
     single-process) run of the identical partitioned protocol.
     """
-    if scale.smoke:
+    if runner.smoke:
         counts = (1, 2)
     else:
-        # >=1M packets: 12.5k flows x 128 packets/flow mean, discounted
-        # ~35% by the duration window cutting off late-starting flows.
-        scale = replace(
-            scale,
-            flows=max(scale.flows, 12500),
-            mean_flow_size=max(scale.mean_flow_size, 128.0),
-            duration=max(scale.duration, 30.0),
-        )
+        scale = shards_scale(scale)
         counts = (1, 2, 4, 8)
-    identity_count = counts[-1] if scale.smoke else 4
-    capacity = scale.total_capacity
-    workload, trace = scale.build()
+    identity_count = counts[-1] if runner.smoke else 4
+    workload = scale.workload()
+    trace = scale.trace(workload)
     cores = os.cpu_count() or 1
 
     def factory(context):
         # Full structural capacity per engine (multi-engine layout);
         # splitting capacity/shards instead conflates eviction churn
         # with the compute scaling this bench isolates.
-        return make_system("gigaflow", capacity)
+        return scale.system("gigaflow")
 
     report = {
-        **scale.params(capacity),
+        **scale.params(),
         "packets": len(trace),
         "cores_available": cores,
         "throughput_model": (
@@ -531,7 +439,7 @@ def phase_shards(scale: Scale, out: Path) -> dict:
         ),
         "runs": {},
     }
-    print(f"shards: {len(trace):,} packets, capacity {capacity}, "
+    print(f"shards: {len(trace):,} packets, capacity {scale.capacity}, "
           f"{cores} core(s) available")
 
     merged_results = {}
@@ -543,7 +451,7 @@ def phase_shards(scale: Scale, out: Path) -> dict:
             SimConfig(fast_path=True),
             shards=count,
             mode="processes",
-            timeout=scale.shard_timeout,
+            timeout=runner.shard_timeout,
         )
         wall0 = time.perf_counter()
         result = driver.run(trace)
@@ -614,6 +522,19 @@ def phase_shards(scale: Scale, out: Path) -> dict:
     return report
 
 
+def shards_scale(scale: ExperimentScale) -> ExperimentScale:
+    """The full-size shards phase's scale: >=1M packets (12.5k flows x
+    128 packets/flow mean, discounted ~35% by the duration window
+    cutting off late-starting flows).  A capacity left to the scale's
+    default follows the raised flow count."""
+    return replace(
+        scale,
+        n_flows=max(scale.n_flows, 12500),
+        mean_flow_size=max(scale.mean_flow_size, 128.0),
+        duration=max(scale.duration, 30.0),
+    )
+
+
 def scaling_gate(cores: int, runs: dict) -> str:
     """4-worker modelled speedup >= 3x — decided only where 4 workers
     ran (not under --smoke) on a box that can run them side by side."""
@@ -631,7 +552,7 @@ def scaling_gate(cores: int, runs: dict) -> str:
 MAX_WINDOW_DIP = 0.35
 
 
-def phase_churn(scale: Scale, out: Path) -> dict:
+def phase_churn(scale: ExperimentScale, runner: Runner) -> dict:
     """Measure the hit-rate dip and recovery under an insert/delete storm.
 
     Two identically seeded Gigaflow runs over the same trace: a quiet
@@ -647,18 +568,18 @@ def phase_churn(scale: Scale, out: Path) -> dict:
     backlog (``backlog_drained``), and the worst window stays under
     :data:`MAX_WINDOW_DIP` (``window_dip_bounded``).
     """
-    capacity = scale.total_capacity
     duration = scale.duration
     window = max(duration / 32.0, 0.125)
     storm_start = duration * 0.25
     storm_end = duration * 0.55
-    storm_count = 24 if not scale.smoke else 12
+    storm_count = 24 if not runner.smoke else 12
     gap = (storm_end - storm_start) / storm_count
     hold = 2.0 * gap
     reval_budget = 32
 
     def run(with_churn: bool):
-        workload, trace = scale.build()
+        workload = scale.workload()
+        trace = scale.trace(workload)
         churn = None
         if with_churn:
             # Aim the storm at the hottest sources: an ACL push against
@@ -683,7 +604,7 @@ def phase_churn(scale: Scale, out: Path) -> dict:
             churn = ChurnConfig(schedule=schedule, reval_budget=reval_budget)
         simulator = VSwitchSimulator(
             workload.pipeline,
-            make_system("gigaflow", capacity),
+            scale.system("gigaflow"),
             SimConfig(
                 max_idle=duration / 4.0,
                 sweep_interval=window,
@@ -761,7 +682,7 @@ def phase_churn(scale: Scale, out: Path) -> dict:
           f"backlog_peak={digest['backlog_peak']}  "
           f"reval_evicted={digest['reval_evicted']}")
     return {
-        **scale.params(capacity),
+        **scale.params(),
         "window": window,
         "storm": {
             "start": storm_start,
@@ -799,8 +720,33 @@ NET_LOCALITY = 0.25
 #: survive — and a full cache that never inserts never evicts one.
 NET_MIN_FLOWS = 1200
 
+#: The net phase's leaf/spine fabric.
+NET_LEAVES, NET_SPINES = 8, 2
 
-def phase_net(scale: Scale, out: Path) -> dict:
+
+def net_loads(flows: int) -> Tuple[float, float]:
+    """The distinct flows a leaf and a spine of the net phase's fabric
+    are expected to carry."""
+    cross = 1.0 - NET_LOCALITY
+    per_leaf_load = flows * (NET_LOCALITY + 2 * cross) / NET_LEAVES
+    per_spine_load = flows * cross / NET_SPINES
+    return per_leaf_load, per_spine_load
+
+
+def net_scale(scale: ExperimentScale) -> ExperimentScale:
+    """The net phase's scale: at least :data:`NET_MIN_FLOWS` flows, and
+    a per-switch capacity midway between a leaf's and a spine's load —
+    leaves under capacity, spines over it."""
+    flows = max(scale.n_flows, NET_MIN_FLOWS)
+    per_leaf_load, per_spine_load = net_loads(flows)
+    return replace(
+        scale,
+        n_flows=flows,
+        cache_capacity=max(int((per_leaf_load + per_spine_load) / 2), 8),
+    )
+
+
+def phase_net(scale: ExperimentScale, runner: Runner) -> dict:
     """Fabric spine-pressure bench: leaf vs spine hit rates.
 
     One trace crosses a leaf/spine fabric (:mod:`repro.net`) whose
@@ -810,34 +756,29 @@ def phase_net(scale: Scale, out: Path) -> dict:
     ``c``, each leaf holds about ``(1 - c + 2c) / L`` of the distinct
     flows while each spine holds ``c / S`` — at ``L=8, S=2, c=0.75``
     the spines carry ~1.7x the per-leaf flow load.  Per-switch capacity
-    is sized *between* those two loads, so the leaves fit comfortably
-    while the spines run under genuine capacity pressure: the
-    leaf-vs-spine hit-rate gap is the aggregation-pressure signal
-    ``spine_pressure_ok`` gates on.  Hop accounting must conserve
+    is sized *between* those two loads (:func:`net_scale`), so the
+    leaves fit comfortably while the spines run under genuine capacity
+    pressure: the leaf-vs-spine hit-rate gap is the aggregation-pressure
+    signal ``spine_pressure_ok`` gates on.  Hop accounting must conserve
     (``conservation_ok``), and the merged peak must be flagged as a
     bound, never as an observed value (``peak_is_bound``).  The flow
     count is held at :data:`NET_MIN_FLOWS` or more, whatever scale was
     asked for, so the leaves keep room to spare.
     """
-    scale = replace(scale, flows=max(scale.flows, NET_MIN_FLOWS))
-    leaves, spines = 8, 2
-    topology = leaf_spine(leaves, spines)
-    cross = 1.0 - NET_LOCALITY
-    per_leaf_load = scale.flows * (NET_LOCALITY + 2 * cross) / leaves
-    per_spine_load = scale.flows * cross / spines
-    # Midpoint sizing: leaves under capacity, spines over it.
-    capacity = max(int((per_leaf_load + per_spine_load) / 2), 8)
+    scale = net_scale(scale)
+    per_leaf_load, per_spine_load = net_loads(scale.n_flows)
+    topology = leaf_spine(NET_LEAVES, NET_SPINES)
 
     trace = scale.trace(scale.workload())
     endpoints = build_fabric_endpoints(
-        topology, scale.flows, locality=NET_LOCALITY, seed=scale.seed
+        topology, scale.n_flows, locality=NET_LOCALITY, seed=scale.seed
     )
     fabric = FabricSimulator(
         topology,
         pipeline_factory=lambda _context: scale.workload().pipeline,
         # Identical sizing across roles on purpose: the hit-rate gap
         # then measures pressure, not provisioning.
-        system_factory=lambda _context: make_system("gigaflow", capacity),
+        system_factory=lambda _context: scale.system("gigaflow"),
         controller=FabricController(topology, endpoints),
         config=SimConfig(fast_path=True, telemetry=Telemetry()),
     )
@@ -846,12 +787,12 @@ def phase_net(scale: Scale, out: Path) -> dict:
     merged = fres.merged
     by_role = fres.hit_rate_by_role()
     gap = by_role["leaf"] - by_role["spine"]
-    params = scale.params(capacity)
+    params = scale.params()
     params["capacity_per_switch"] = params.pop("capacity")
     report = {
         **params,
-        "leaves": leaves,
-        "spines": spines,
+        "leaves": NET_LEAVES,
+        "spines": NET_SPINES,
         "net_locality": NET_LOCALITY,
         "expected_flow_load": {
             "per_leaf": round(per_leaf_load, 1),
@@ -868,7 +809,7 @@ def phase_net(scale: Scale, out: Path) -> dict:
     }
     print(f"net: {topology.name}  {fres.packets:,} packets -> "
           f"{fres.hops_total:,} hop traversals")
-    print(f"net: per-switch capacity {capacity} "
+    print(f"net: per-switch capacity {scale.capacity} "
           f"(leaf load ~{per_leaf_load:.0f}, "
           f"spine load ~{per_spine_load:.0f})")
     print(f"net: hit_rate leaf={by_role['leaf']:.4f} "
@@ -886,7 +827,7 @@ class Phase:
     """One row of :data:`PHASES`.  ``help`` is the ``--<name>`` switch's
     help text; a phase without one always runs."""
 
-    run: Callable[[Scale, Path], dict]
+    run: Callable[[ExperimentScale, Runner], dict]
     help: Optional[str] = None
     estimator: str = "untimed: seeded runs, behaviour only"
 

@@ -55,7 +55,6 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import EV_HOP, flow_id
 from ..serve import ServeConfig, ServingDriver, stream_trace
-from ..sim.churn import resolve_churn
 from ..sim.engine import CachingSystem, SimConfig
 from ..sim.fanout import FanOut, PartContext, merge_results
 from ..sim.results import SimResult
@@ -354,7 +353,7 @@ class FabricSimulator:
         """The run's churn if it targets ``switch``, else ``None``."""
         churn = self.config.churn
         if churn is not None:
-            targets = resolve_churn(churn).switches
+            targets = churn.switches
             if targets is not None and switch not in targets:
                 return None
         return churn

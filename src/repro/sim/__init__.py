@@ -11,7 +11,7 @@ from .engine import (
     SimConfig,
     VSwitchSimulator,
 )
-from .churn import ChurnConfig, ChurnRuntime, resolve_churn
+from .churn import ChurnConfig, ChurnRuntime
 from .fastpath import FastPathIndex
 from .fanout import PartContext, PartError
 from .results import SimResult, TimeSeries
@@ -42,6 +42,5 @@ __all__ = [
     "TimeSeries",
     "VSwitchSimulator",
     "flow_shard",
-    "resolve_churn",
     "split_trace",
 ]

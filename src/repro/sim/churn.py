@@ -32,7 +32,7 @@ from ..core.revalidation import IncrementalRevalidator
 from ..pipeline.pipeline import Pipeline
 from ..workload.churn import ChurnSchedule
 
-__all__ = ["ChurnConfig", "ChurnRuntime", "resolve_churn"]
+__all__ = ["ChurnConfig", "ChurnRuntime"]
 
 _INF = float("inf")
 
@@ -74,18 +74,6 @@ class ChurnConfig:
                     "switches must name at least one switch (use None "
                     "to target all switches)"
                 )
-
-
-def resolve_churn(spec) -> ChurnConfig:
-    """Normalise ``SimConfig.churn`` values into a :class:`ChurnConfig`."""
-    if isinstance(spec, ChurnConfig):
-        return spec
-    if isinstance(spec, ChurnSchedule):
-        return ChurnConfig(schedule=spec)
-    raise TypeError(
-        "SimConfig.churn accepts a ChurnSchedule or ChurnConfig, got "
-        f"{type(spec).__name__}"
-    )
 
 
 class ChurnRuntime:

@@ -217,9 +217,8 @@ class SimConfig:
             on the sweep cadence, and threads a summary into
             :attr:`SimResult.telemetry`.  Observation-only: every other
             ``SimResult`` field is bit-identical with it on or off.
-        churn: Optional control-plane churn
-            (:class:`~repro.workload.churn.ChurnSchedule` or
-            :class:`~repro.sim.churn.ChurnConfig`).  When set, the
+        churn: Optional control-plane churn, a
+            :class:`~repro.sim.churn.ChurnConfig`.  When set, the
             engine applies the schedule's rule mutations to the pipeline
             at their exact simulated times while traffic flows, and runs
             an :class:`~repro.core.revalidation.IncrementalRevalidator`
@@ -282,10 +281,15 @@ class PacketKernel:
             tel.attach_fastpath(fastpath)
         churn = None
         if config.churn is not None:
-            from .churn import ChurnRuntime, resolve_churn
+            from .churn import ChurnConfig, ChurnRuntime
 
+            if not isinstance(config.churn, ChurnConfig):
+                raise TypeError(
+                    "SimConfig.churn takes a ChurnConfig, got "
+                    f"{type(config.churn).__name__}"
+                )
             churn = ChurnRuntime(
-                resolve_churn(config.churn),
+                config.churn,
                 pipeline,
                 cache,
                 tel,

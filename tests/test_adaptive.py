@@ -150,7 +150,8 @@ def _two_switches(cache, pipeline):
     traversal = pipeline.execute(flow())
     for now, _old, _new in SWITCHES:
         cache.install_traversal(traversal, now=now)
-    assert cache.mode_switches == 2 and not cache.megaflow_mode
+    governor = cache.governor
+    assert governor.mode_switches == 2 and not governor.megaflow_mode
 
 
 class TestModeSwitchIsReportedAtTheSource:
@@ -206,7 +207,9 @@ class TestModeSwitchIsReportedAtTheSource:
             mode="inline",
         )
         result = driver.run(workload.trace(seed=3))
-        per_shard = [system.cache.mode_switches for system in systems]
+        per_shard = [
+            system.cache.governor.mode_switches for system in systems
+        ]
         assert len(per_shard) == 2 and all(per_shard)
         counter = driver.registry.get("repro_mode_switches_total")
         assert sum(child.value for _, child in counter.children()) == sum(
@@ -319,7 +322,8 @@ def test_governor_flips_to_megaflow_on_low_locality():
     )
     result = simulator.run(workload.trace(seed=3))
     cache = simulator.system.cache
-    assert cache.mode_switches == 1 and cache.megaflow_mode
+    governor = cache.governor
+    assert governor.mode_switches == 1 and governor.megaflow_mode
     assert result.telemetry["mode_switches"] == {"megaflow": 1}
     (event,) = [
         e for e in telemetry.tracer.events() if e.event == EV_MODE_SWITCH
@@ -433,7 +437,7 @@ class TestPreControllerDigests:
             peak_entries=result.peak_entries,
             cache_probes=result.cache_probes,
         )
-        switches = getattr(simulator.system.cache, "mode_switches", None)
-        if switches is not None:
-            digest["mode_switches"] = switches
+        governor = getattr(simulator.system.cache, "governor", None)
+        if governor is not None:
+            digest["mode_switches"] = governor.mode_switches
         return digest

@@ -85,8 +85,8 @@ class TestAdaptiveGigaflow:
             traversal = pipeline.execute(flow(tp_dst=8000 + port_no))
             cache.install_traversal(traversal)
         # Flows share the port/l2/l3 segments heavily -> DP mode persists.
-        assert not cache.megaflow_mode
-        assert cache.mode_switches == 0
+        assert not cache.governor.megaflow_mode
+        assert cache.governor.mode_switches == 0
 
     def test_falls_back_without_sharing(self, mini_pipeline):
         """Flows with nothing in common push the cache into Megaflow mode."""
@@ -112,12 +112,12 @@ class TestAdaptiveGigaflow:
                          ip_dst=ip("10.0.0.1") + (i << 8),
                          tp_dst=20000 + i)
             cache.install_traversal(pipeline.execute(probe))
-        assert cache.megaflow_mode
-        assert cache.mode_switches >= 1
+        assert cache.governor.megaflow_mode
+        assert cache.governor.mode_switches >= 1
 
     def test_megaflow_mode_installs_single_segments(self, mini_pipeline):
         cache = AdaptiveGigaflowCache(num_tables=4, table_capacity=10**6)
-        cache.megaflow_mode = True
+        cache.governor.megaflow_mode = True
         traversal = mini_pipeline.execute(flow())
         outcome = cache.install_traversal(traversal)
         assert outcome.installed == 1  # one megaflow-style rule

@@ -10,18 +10,19 @@ second run reproduces them outside ``header``.
 
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from repro import gates
-from repro.cli import build_parser, main
-from repro.gates import PHASES, Phase, Scale, output_file, run_phases
+from repro.cli import _SCALE_FLAGS, build_parser, main
+from repro.experiments import BENCH_SCALE, ExperimentScale
+from repro.gates import PHASES, Phase, output_file, run_phases
 
-TINY = Scale(
-    flows=120, mean_flow_size=16.0, duration=4.0, smoke=True, obs_rounds=1
-)
+TINY = replace(BENCH_SCALE, n_flows=120, mean_flow_size=16.0, duration=4.0)
+#: How the tests run the phases: CI-sized, one obs round.
+RUN = {"smoke": True, "obs_rounds": 1}
 HEADER_KEYS = {
     "phase", "machine", "cores", "python", "numpy", "git_sha", "scale",
     "rounds", "estimator",
@@ -80,13 +81,13 @@ def _keys(node):
 
 @pytest.mark.parametrize("name", list(PHASES))
 def test_phase_report_through_the_runner(name, tmp_path, capsys):
-    code = run_phases([name], TINY, tmp_path)
+    code = run_phases([name], TINY, tmp_path, **RUN)
     report = json.loads((tmp_path / output_file(name)).read_text())
 
     header = report["header"]
     assert set(header) == HEADER_KEYS
     assert header["phase"] == name
-    assert header["scale"]["flows"] == TINY.flows
+    assert header["scale"]["n_flows"] == TINY.n_flows
     assert header["rounds"] == report.get("rounds", 1)
     assert PARAM_KEYS <= set(report)
 
@@ -111,14 +112,14 @@ def test_phase_report_through_the_runner(name, tmp_path, capsys):
         # function of code + scale + seeds — a second run writes it again.
         assert not CLOCK_KEYS & _keys(report)
         again_dir = tmp_path / "again"
-        run_phases([name], TINY, again_dir)
+        run_phases([name], TINY, again_dir, **RUN)
         again = json.loads((again_dir / output_file(name)).read_text())
         del report["header"], again["header"]
         assert again == report
 
 
 def test_obs_writes_the_trace_report_next_to_it(tmp_path):
-    run_phases(["obs"], TINY, tmp_path)
+    run_phases(["obs"], TINY, tmp_path, **RUN)
     report = json.loads((tmp_path / "BENCH_obs.json").read_text())
     trace_report = Path(report["trace_analyze"]["report_path"])
     assert trace_report == tmp_path / "TRACE_report.json"
@@ -126,7 +127,7 @@ def test_obs_writes_the_trace_report_next_to_it(tmp_path):
 
 
 def test_smoke_skips_the_scaling_gate_rather_than_dropping_it(tmp_path):
-    run_phases(["shards"], TINY, tmp_path)
+    run_phases(["shards"], TINY, tmp_path, **RUN)
     report = json.loads((tmp_path / "BENCH_shards.json").read_text())
     assert report["gates"]["scaling_ok"] == "skip(smoke)"
 
@@ -143,7 +144,8 @@ def _stub(monkeypatch, outcomes_by_phase):
     given gates blocks."""
     for name, outcomes in outcomes_by_phase.items():
         monkeypatch.setitem(
-            PHASES, name, Phase(lambda scale, out, o=outcomes: {"gates": o})
+            PHASES, name,
+            Phase(lambda scale, runner, o=outcomes: {"gates": o}),
         )
 
 
@@ -183,8 +185,18 @@ def test_table_parser_and_output_files_agree():
     for name in set(PHASES) - set(optional):
         with pytest.raises(SystemExit):
             parser.parse_args(["bench", f"--{name}"])
-    # Every Scale field is a bench option, so none silently defaults.
-    assert {f.name for f in fields(Scale)} <= set(vars(args))
+    # Every bench option sets a scale field or a runner setting, or is
+    # a phase switch, so none is silently ignored; every scale field but
+    # the three the preset fixes is a bench option.
+    scale_flags = {dest for dest in vars(args) if dest in _SCALE_FLAGS}
+    runner = {f.name for f in fields(gates.Runner)} - {"out"}
+    assert set(vars(args)) == (
+        scale_flags | runner | set(optional) | {"command", "out_dir"}
+    )
+    fixed = {"gf_tables", "mean_packet_gap", "max_idle"}
+    assert {_SCALE_FLAGS[dest] for dest in scale_flags} == {
+        f.name for f in fields(ExperimentScale)
+    } - fixed
     # The committed baselines are exactly the table's output files, each
     # written by the phase it is named after.
     root = Path(__file__).resolve().parent.parent

@@ -30,7 +30,6 @@ from repro.sim import (
     MegaflowSystem,
     SimConfig,
     VSwitchSimulator,
-    resolve_churn,
 )
 from repro.workload import (
     ChurnSchedule,
@@ -131,15 +130,6 @@ class TestChurnSchedule:
     def test_priority_shuffle_fraction_validated(self):
         with pytest.raises(ValueError, match="fraction"):
             priority_shuffle_schedule(ACL_TABLE, [1.0], fraction=0.0)
-
-    def test_resolve_churn_normalises(self):
-        schedule = acl_update_schedule(ACL_TABLE, 1.0)
-        config = resolve_churn(schedule)
-        assert isinstance(config, ChurnConfig)
-        assert config.schedule is schedule
-        assert resolve_churn(config) is config
-        with pytest.raises(TypeError, match="ChurnSchedule or ChurnConfig"):
-            resolve_churn([schedule])
 
     def test_churn_config_validation(self):
         schedule = acl_update_schedule(ACL_TABLE, 1.0)
@@ -356,10 +346,22 @@ class TestChurnGating:
         workload = seeded_workload()
         config = SimConfig(
             sweep_interval=1.0,
-            churn=acl_update_schedule(ACL_TABLE, 1.0),
+            churn=ChurnConfig(schedule=acl_update_schedule(ACL_TABLE, 1.0)),
         )
         simulator = VSwitchSimulator(
             workload.pipeline, HierarchySystem(), config
         )
         with pytest.raises(TypeError, match="no revalidator"):
+            simulator.run(seeded_trace(workload))
+
+    def test_churn_that_is_not_a_config_raises_naming_its_type(self):
+        workload = seeded_workload()
+        schedule = acl_update_schedule(ACL_TABLE, 1.0)
+        config = SimConfig(sweep_interval=1.0, churn=schedule)
+        simulator = VSwitchSimulator(
+            workload.pipeline, GigaflowSystem(), config
+        )
+        with pytest.raises(
+            TypeError, match="takes a ChurnConfig, got ChurnSchedule"
+        ):
             simulator.run(seeded_trace(workload))

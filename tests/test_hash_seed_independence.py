@@ -36,7 +36,7 @@ from repro.sim import (
 )
 from repro.workload import build_fabric_endpoints, build_workload
 from conftest import seeded_trace, seeded_workload
-from test_bench_gates import CLOCKED, TINY
+from test_bench_gates import CLOCKED, RUN, TINY
 from test_obs import result_fingerprint
 
 #: Two salts, neither the one everything used to be recorded under.
@@ -98,7 +98,7 @@ def scenarios():
     clock_free = [phase for phase in gates.PHASES if phase not in CLOCKED]
     with tempfile.TemporaryDirectory() as directory:
         with contextlib.redirect_stdout(io.StringIO()):
-            gates.run_phases(clock_free, TINY, directory)
+            gates.run_phases(clock_free, TINY, directory, **RUN)
         for phase in clock_free:
             report = json.loads(
                 (Path(directory) / gates.output_file(phase)).read_text()

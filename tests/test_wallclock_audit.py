@@ -4,7 +4,8 @@ decider, no run-time steering of the cache's knobs, two homes for the
 bench clock, one prefix structure and one partition DP, no salted hash,
 one fan-out, one idle timer, one reader of the classifier's state,
 one home for the slow-path memo, no public function without a caller,
-one home each for the two change records staleness is judged by.
+one home each for the two change records staleness is judged by, one
+place a run is built.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -122,6 +123,15 @@ or written nowhere outside ``pipeline/``, whose tables report each rule
 change to it, and the per-tag counter (``TagDependency.changes``) is
 written nowhere outside ``core/ltm.py``, whose ``LtmTable.insert`` and
 ``remove`` move it.
+
+The fifteenth keeps building a run in one place.  Sizing a run — flows,
+a cache capacity split over K tables, a trace profile, seeds — was once
+spelled out by two scale classes, three workload builders and five
+caching-system factories, so a new sizing input had to land in each.
+Now :class:`~repro.experiments.ExperimentScale` builds every run, so
+outside its module nothing under ``repro`` calls a caching-system
+constructor, ``Pipebench`` or ``PipebenchConfig`` — apart from the
+generator's own ``build_workload`` and the config's own internals.
 """
 
 import ast
@@ -1159,4 +1169,91 @@ def test_uncalled_function_audit_sees_a_violation():
     }
     assert _uncalled({"pkg/mod.py": module}, corpus) == [
         "pkg/mod.py:6 orphan", "pkg/mod.py:16 exported",
+    ]
+
+
+#: What builds a run: the caching systems and the workload generator.
+RUN_BUILDERS = frozenset({
+    "MegaflowSystem", "GigaflowSystem", "HierarchySystem",
+    "AdaptiveGigaflowSystem", "Pipebench", "PipebenchConfig",
+})
+#: The scale's module, which builds every run.
+SCALE_HOME = "experiments/common.py"
+#: The generator's own calls: the one workload builder, and the config
+#: defaulting and resolving itself.
+RUN_BUILDER_HOME = {
+    "workload/pipebench.py": {
+        "build_workload", "Pipebench.__init__", "PipebenchConfig.resolved",
+    },
+}
+
+
+def _run_builds(source: str, home=frozenset()):
+    """``(line, "Name(")`` for every call of a :data:`RUN_BUILDERS`
+    name, bare or as an attribute, outside the ``home`` scopes."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                visit(child, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and _terminal_name(child.func) in RUN_BUILDERS
+                and ".".join(scope) not in home
+            ):
+                found.append((child.lineno, f"{_terminal_name(child.func)}("))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_runs_are_built_in_one_place():
+    offenders = [
+        f"{relpath}:{line} {call}"
+        for path in sorted(SRC.rglob("*.py"))
+        for relpath in [path.relative_to(SRC).as_posix()]
+        if relpath != SCALE_HOME
+        for line, call in _run_builds(
+            path.read_text(), RUN_BUILDER_HOME.get(relpath, ())
+        )
+    ]
+    assert not offenders, (
+        "a run built outside ExperimentScale (experiments/common.py):\n  "
+        + "\n  ".join(offenders)
+    )
+    # The scale builds every caching system, and the allowlist names the
+    # generator's real call sites.
+    assert {
+        call for _, call in _run_builds((SRC / SCALE_HOME).read_text())
+    } == {
+        "MegaflowSystem(", "GigaflowSystem(", "HierarchySystem(",
+        "AdaptiveGigaflowSystem(",
+    }
+    for relpath, home in RUN_BUILDER_HOME.items():
+        source = (SRC / relpath).read_text()
+        assert len(_run_builds(source)) > len(_run_builds(source, home))
+
+
+def test_run_builder_audit_sees_a_violation():
+    source = (
+        "def make_system(name, capacity):\n"
+        "    if name == 'megaflow':\n"
+        "        return MegaflowSystem(capacity=capacity)\n"
+        "    return sim.GigaflowSystem(table_capacity=capacity // 4)\n"
+        "def tp_src(spec, scale):\n"
+        "    config = PipebenchConfig(wildcard_tp_src=0.7)\n"
+        "    return Pipebench(spec, config).build()\n"
+        "def build_workload(spec, **overrides):\n"
+        "    return Pipebench(spec, PipebenchConfig(**overrides)).build()\n"
+        "def is_gigaflow(system):\n"
+        "    return isinstance(system, GigaflowSystem)\n"
+    )
+    assert _run_builds(source, {"build_workload"}) == [
+        (3, "MegaflowSystem("), (4, "GigaflowSystem("),
+        (6, "PipebenchConfig("), (7, "Pipebench("),
     ]
