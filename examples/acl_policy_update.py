@@ -22,11 +22,7 @@ Run:
 
 from repro import PSC, build_workload
 from repro.cache import MegaflowCache
-from repro.core import (
-    GigaflowCache,
-    GigaflowRevalidator,
-    MegaflowRevalidator,
-)
+from repro.core import GigaflowCache, IncrementalRevalidator
 from repro.flow import prefix_mask
 from repro.workload import acl_update_schedule
 
@@ -40,15 +36,15 @@ def main() -> None:
     megaflow = MegaflowCache(capacity=10**6)
     gigaflow = GigaflowCache(num_tables=4, table_capacity=10**6)
     for pilot in workload.pilots:
-        megaflow.install_traversal(pilot.traversal, pipeline.start_table)
+        megaflow.install_traversal(pilot.traversal)
         gigaflow.install_traversal(pilot.traversal)
     print(f"installed: megaflow={megaflow.entry_count()} entries, "
           f"gigaflow={gigaflow.entry_count()} entries "
           f"({workload.n_flows} flows)\n")
 
     print("=== revalidation with an unchanged pipeline ===")
-    mf_report = MegaflowRevalidator(pipeline, megaflow).revalidate()
-    gf_report = GigaflowRevalidator(pipeline, gigaflow).revalidate()
+    mf_report = IncrementalRevalidator(pipeline, megaflow).revalidate()
+    gf_report = IncrementalRevalidator(pipeline, gigaflow).revalidate()
     print(f"megaflow: {mf_report.lookups_performed} table replays, "
           f"{mf_report.entries_evicted} evicted")
     print(f"gigaflow: {gf_report.lookups_performed} table replays, "
@@ -73,8 +69,8 @@ def main() -> None:
     print(f"churn event {push.kind!r} at t={push.at:g}: "
           f"installed rule into table {ACL_TABLE}")
 
-    mf_report = MegaflowRevalidator(pipeline, megaflow).revalidate()
-    gf_report = GigaflowRevalidator(pipeline, gigaflow).revalidate()
+    mf_report = IncrementalRevalidator(pipeline, megaflow).revalidate()
+    gf_report = IncrementalRevalidator(pipeline, gigaflow).revalidate()
     print(f"megaflow: evicted {mf_report.entries_evicted} of "
           f"{mf_report.entries_checked} entries")
     print(f"gigaflow: evicted {gf_report.entries_evicted} of "
@@ -89,7 +85,7 @@ def main() -> None:
     for pilot in workload.pilots:
         if deny.match.matches(pilot.flow):
             traversal = pipeline.execute(pilot.flow, record_stats=False)
-            megaflow.install_traversal(traversal, pipeline.start_table)
+            megaflow.install_traversal(traversal)
             gigaflow.install_traversal(traversal)
             refreshed += 1
     print(f"slow path re-cached {refreshed} denied flows under the "
@@ -121,8 +117,8 @@ def main() -> None:
     # slow path cached under the deny verdict is stale now, so a
     # second revalidation wave evicts them — the delete half of an
     # insert/delete storm.
-    mf_report = MegaflowRevalidator(pipeline, megaflow).revalidate()
-    gf_report = GigaflowRevalidator(pipeline, gigaflow).revalidate()
+    mf_report = IncrementalRevalidator(pipeline, megaflow).revalidate()
+    gf_report = IncrementalRevalidator(pipeline, gigaflow).revalidate()
     print(f"megaflow: evicted {mf_report.entries_evicted} of "
           f"{mf_report.entries_checked} entries")
     print(f"gigaflow: evicted {gf_report.entries_evicted} of "

@@ -61,10 +61,9 @@ from .cache import CacheHierarchy, MegaflowCache, MicroflowCache
 from .core import (
     AdaptiveGigaflowCache,
     GigaflowCache,
-    GigaflowRevalidator,
+    IncrementalRevalidator,
     LtmRule,
     LtmTable,
-    MegaflowRevalidator,
     TAG_DONE,
     chain_report,
     coverage,
@@ -105,13 +104,12 @@ __all__ = [
     "FieldSchema",
     "FlowKey",
     "GigaflowCache",
-    "GigaflowRevalidator",
     "GigaflowSystem",
+    "IncrementalRevalidator",
     "LatencyModel",
     "LtmRule",
     "LtmTable",
     "MegaflowCache",
-    "MegaflowRevalidator",
     "MegaflowSystem",
     "MicroflowCache",
     "OFD",

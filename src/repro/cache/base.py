@@ -1,4 +1,4 @@
-"""Cache interfaces and statistics shared by Microflow, Megaflow and Gigaflow."""
+"""The cache contract and statistics shared by Microflow, Megaflow and Gigaflow."""
 
 from __future__ import annotations
 
@@ -139,14 +139,45 @@ class HitReplay(abc.ABC):
         return False
 
 
+class EntryHitReplay(HitReplay):
+    """A hit on one entry (Microflow or Megaflow): the entry whose use
+    it repeats and the result of the lookup that found it, probe count
+    included.  A refresh that rewrites the entry's actions bumps the
+    epoch, which drops the record."""
+
+    __slots__ = ("cache", "entry", "result")
+
+    def __init__(self, cache, entry, groups_probed: int):
+        self.cache = cache
+        self.entry = entry
+        self.result = actions_result(
+            entry.actions, groups_probed=groups_probed, tables_hit=1
+        )
+
+    def replay(self, now: float) -> CacheResult:
+        cache = self.cache
+        cache.touch(self.entry, now)
+        cache.stats.hits += 1
+        return self.result
+
+
 class FlowCache(abc.ABC):
-    """Interface shared by all caches the simulator can drive.
+    """The one contract every cache the simulator can drive keeps.
+
+    Caches differ in what an entry is — an exact flow (Microflow), a
+    whole traversal (Megaflow), a sub-traversal (an LTM rule of
+    Gigaflow) — and in nothing their callers need to ask about: each
+    looks up through :meth:`lookup_traced` (:meth:`lookup` is its
+    result alone), installs a freshly traced traversal through
+    ``install_traversal(traversal, generation, now)``, removes an entry
+    through :meth:`remove` and answers the introspection defaults
+    (:meth:`per_table_counts`, :meth:`levels`, :attr:`telemetry_name`).
 
     **Entry lifecycle.**  What happens to a resident entry is defined
-    here, once: :meth:`evict_idle` (the idle sweep), :meth:`clear` and
-    :meth:`_depart` (the one place an entry leaves, whatever the
-    reason).  A cache that stores entries supplies only what is its
-    own — ``__iter__`` over resident entries (each with a
+    here, once: :meth:`evict_idle` (the idle sweep), :meth:`clear`,
+    :meth:`remove` and :meth:`_depart` (the one place an entry leaves,
+    whatever the reason).  A cache that stores entries supplies only
+    what is its own — ``__iter__`` over resident entries (each with a
     ``last_used``) and :meth:`_drop` — plus ``touch``: every
     ``last_used`` writer (lookup hit, fast-path replay, install
     refresh) is a ``touch`` that moves ``last_used`` and the entry's
@@ -162,9 +193,22 @@ class FlowCache(abc.ABC):
     so an operation that removes several entries (a sweep, an install
     that evicts then inserts, a revalidation cycle) chooses how many
     invalidations the fast path sees.
+
+    **Revalidation** (§4.3.1) replays each entry's parent flow from
+    where the entry starts and compares the entry rebuilt from that
+    replay with the stored one.  A cache whose entries are
+    (sub-)traversals sets :attr:`revalidates` and says where an entry
+    starts (:meth:`replay_start`) and whether a replay rebuilds it
+    unchanged (:meth:`replay_agrees`);
+    :class:`~repro.core.revalidation.IncrementalRevalidator` drives the
+    rest the same way for every such cache.
     """
 
     name: str = "cache"
+    #: Whether entries can be revalidated by replay: each entry is one
+    #: (sub-)traversal with a ``parent_flow``, ``length`` and the
+    #: ``path`` / ``verified`` / ``generation`` stamps.
+    revalidates: bool = False
 
     def __init__(self) -> None:
         self.stats = CacheStats()
@@ -198,17 +242,24 @@ class FlowCache(abc.ABC):
         """Record a structural mutation, invalidating memoized lookups."""
         self._mutation_epoch += 1
 
-    @abc.abstractmethod
     def lookup(self, flow: FlowKey, now: float = 0.0) -> CacheResult:
         """Look a packet up; updates hit/miss counters."""
+        return self.lookup_traced(flow, now)[0]
 
+    @abc.abstractmethod
     def lookup_traced(
         self, flow: FlowKey, now: float = 0.0
     ) -> Tuple[CacheResult, Optional[HitReplay]]:
-        """Like :meth:`lookup`, additionally returning a
-        :class:`HitReplay` record on hits for fast-path memoization.
-        Caches without fast-path support return ``(result, None)``."""
-        return self.lookup(flow, now), None
+        """Look a packet up, returning the result and, for a hit the
+        fast path may memoize, its :class:`HitReplay` record
+        (``None`` otherwise)."""
+
+    @abc.abstractmethod
+    def install_traversal(
+        self, traversal, generation: int = 0, now: float = 0.0
+    ):
+        """Install cache state for a freshly traced traversal walked at
+        pipeline ``generation``, at time ``now``."""
 
     @abc.abstractmethod
     def entry_count(self) -> int:
@@ -217,6 +268,15 @@ class FlowCache(abc.ABC):
     @abc.abstractmethod
     def capacity_total(self) -> int:
         """Maximum entries the cache can hold (across all tables)."""
+
+    def per_table_counts(self) -> Tuple[int, ...]:
+        """Entries per cache table; empty for a single-table cache."""
+        return ()
+
+    def levels(self) -> Tuple[Tuple[str, "FlowCache"], ...]:
+        """``(name, cache)`` of each cache this one is built from, in
+        lookup order; empty for a cache that stores its own entries."""
+        return ()
 
     # -- entry lifecycle ----------------------------------------------------
 
@@ -261,6 +321,12 @@ class FlowCache(abc.ABC):
                     tel.on_victim(self.telemetry_name, victim_age)
         return count
 
+    def remove(self, entry, reason: str) -> None:
+        """Remove one resident entry for ``reason`` (revalidation's
+        eviction); ``KeyError`` when it is not resident."""
+        self._depart((entry,), reason)
+        self.bump_epoch()
+
     def evict_idle(self, now: float, max_idle: float) -> int:
         """Remove entries idle *strictly* longer than ``max_idle``;
         returns the number removed.
@@ -292,6 +358,18 @@ class FlowCache(abc.ABC):
         """Fraction of capacity in use."""
         capacity = self.capacity_total()
         return self.entry_count() / capacity if capacity else 0.0
+
+    # -- revalidation (see IncrementalRevalidator) ---------------------------
+
+    def replay_start(self, entry) -> int:
+        """The pipeline table ``entry``'s replay starts at."""
+        raise NotImplementedError
+
+    def replay_agrees(self, entry, replay) -> bool:
+        """Whether the entry rebuilt from ``replay`` (the walk of
+        ``entry.parent_flow`` from :meth:`replay_start` for
+        ``entry.length`` tables) is ``entry`` unchanged."""
+        raise NotImplementedError
 
 
 def actions_result(

@@ -16,7 +16,7 @@ from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..flow.key import FlowKey
 from ..pipeline.traversal import Traversal
 from .base import CacheResult, FlowCache, HitReplay
-from .megaflow import MegaflowCache, build_megaflow_entry
+from .megaflow import MegaflowCache
 from .microflow import MicroflowCache
 
 
@@ -58,12 +58,10 @@ class CacheHierarchy(FlowCache):
         microflow_capacity: int = 8192,
         megaflow_capacity: int = 32768,
         schema: FieldSchema = DEFAULT_SCHEMA,
-        start_table: int = 0,
     ):
         super().__init__()
         self.microflow = MicroflowCache(microflow_capacity)
         self.megaflow = MegaflowCache(megaflow_capacity, schema)
-        self.start_table = start_table
 
     @property
     def mutation_epoch(self) -> int:
@@ -72,9 +70,6 @@ class CacheHierarchy(FlowCache):
         return (
             self.microflow.mutation_epoch + self.megaflow.mutation_epoch
         )
-
-    def lookup(self, flow: FlowKey, now: float = 0.0) -> CacheResult:
-        return self.lookup_traced(flow, now)[0]
 
     def lookup_traced(
         self, flow: FlowKey, now: float = 0.0
@@ -111,11 +106,8 @@ class CacheHierarchy(FlowCache):
     def install_traversal(
         self, traversal: Traversal, generation: int = 0, now: float = 0.0
     ) -> None:
-        entry = build_megaflow_entry(
-            traversal, self.start_table, generation, now
-        )
-        self.megaflow.install(entry, now)
-        self.microflow.install(traversal.initial_flow, entry.actions, now)
+        self.megaflow.install_traversal(traversal, generation, now)
+        self.microflow.install_traversal(traversal, generation, now)
 
     # -- FlowCache bookkeeping -----------------------------------------------
 
@@ -134,6 +126,9 @@ class CacheHierarchy(FlowCache):
     def __iter__(self):
         return chain(self.microflow, self.megaflow)
 
+    def levels(self):
+        return (("microflow", self.microflow), ("megaflow", self.megaflow))
+
     def evict_idle(self, now: float, max_idle: float) -> int:
         return self.microflow.evict_idle(now, max_idle) + \
             self.megaflow.evict_idle(now, max_idle)
@@ -144,12 +139,10 @@ class CacheHierarchy(FlowCache):
 
     def attach_telemetry(self, telemetry, name: Optional[str] = None) -> None:
         super().attach_telemetry(telemetry, name)
-        self.microflow.attach_telemetry(
-            telemetry, f"{self.telemetry_name}.microflow"
-        )
-        self.megaflow.attach_telemetry(
-            telemetry, f"{self.telemetry_name}.megaflow"
-        )
+        for level_name, level in self.levels():
+            level.attach_telemetry(
+                telemetry, f"{self.telemetry_name}.{level_name}"
+            )
 
     @property
     def microflow_hit_fraction(self) -> float:

@@ -19,12 +19,7 @@ from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..flow.key import FlowKey
 from ..flow.match import TernaryMatch
 from ..pipeline.traversal import Traversal
-from .base import (
-    CacheResult,
-    FlowCache,
-    HitReplay,
-    actions_result,
-)
+from .base import CacheResult, EntryHitReplay, FlowCache
 
 _entry_ids = itertools.count()
 
@@ -32,10 +27,12 @@ _entry_ids = itertools.count()
 class MegaflowEntry:
     """One cached traversal.
 
-    ``path`` and ``verified`` are revalidation's stamps, as on
-    :class:`~repro.core.ltm.LtmRule`: the table ids of the traversal as
-    last walked, and the pipeline generation of the last walk that
-    agreed with the entry (``None``: always replay).
+    ``start_table`` is where the traversal began, which is where
+    revalidation replays it from.  ``path`` and ``verified`` are
+    revalidation's stamps, as on :class:`~repro.core.ltm.LtmRule`: the
+    table ids of the traversal as last walked, and the pipeline
+    generation of the last walk that agreed with the entry (``None``:
+    always replay).
     """
 
     __slots__ = (
@@ -83,50 +80,26 @@ class MegaflowEntry:
 
 def build_megaflow_entry(
     traversal: Traversal,
-    start_table: int,
     generation: int = 0,
     now: float = 0.0,
 ) -> MegaflowEntry:
     """Collapse a traversal into a single cache entry (the paper's K=1):
-    the slice of all its steps, stamped with the walk's generation
-    when the walk began at ``start_table``, where revalidation replays
-    it from."""
+    the slice of all its steps, replayed by revalidation from the table
+    the walk began at and stamped with the walk's generation."""
     match, actions = traversal.match_and_commit(0, len(traversal))
+    path = traversal.table_ids
     entry = MegaflowEntry(
         match=match,
         actions=actions,
         parent_flow=traversal.initial_flow,
-        start_table=start_table,
+        start_table=path[0],
         length=len(traversal),
         generation=generation,
         now=now,
     )
-    path = traversal.table_ids
-    if path[0] == start_table:
-        entry.path = path
-        entry.verified = traversal.generation
+    entry.path = path
+    entry.verified = traversal.generation
     return entry
-
-
-class _MegaflowHitReplay(HitReplay):
-    """A Megaflow hit: the winning entry and the result of the lookup
-    that found it, TSS probe count included.  A refresh that rewrites
-    the entry's actions bumps the epoch, which drops the record."""
-
-    __slots__ = ("cache", "entry", "result")
-
-    def __init__(self, cache, entry, groups_probed):
-        self.cache = cache
-        self.entry = entry
-        self.result = actions_result(
-            entry.actions, groups_probed=groups_probed, tables_hit=1
-        )
-
-    def replay(self, now: float) -> CacheResult:
-        cache = self.cache
-        cache.touch(self.entry, now)
-        cache.stats.hits += 1
-        return self.result
 
 
 class MegaflowCache(FlowCache):
@@ -139,6 +112,7 @@ class MegaflowCache(FlowCache):
     """
 
     name = "megaflow"
+    revalidates = True
 
     def __init__(
         self,
@@ -160,12 +134,9 @@ class MegaflowCache(FlowCache):
 
     # -- FlowCache interface ------------------------------------------------------
 
-    def lookup(self, flow: FlowKey, now: float = 0.0) -> CacheResult:
-        return self.lookup_traced(flow, now)[0]
-
     def lookup_traced(
         self, flow: FlowKey, now: float = 0.0
-    ) -> Tuple[CacheResult, Optional[_MegaflowHitReplay]]:
+    ) -> Tuple[CacheResult, Optional[EntryHitReplay]]:
         result = self._classifier.lookup(flow)
         if result.rule is None:
             self.stats.misses += 1
@@ -173,7 +144,7 @@ class MegaflowCache(FlowCache):
                 CacheResult(hit=False, groups_probed=result.groups_probed),
                 None,
             )
-        replay = _MegaflowHitReplay(self, result.rule, result.groups_probed)
+        replay = EntryHitReplay(self, result.rule, result.groups_probed)
         return replay.replay(now), replay
 
     def touch(self, entry: MegaflowEntry, now: float) -> None:
@@ -210,18 +181,11 @@ class MegaflowCache(FlowCache):
     def install_traversal(
         self,
         traversal: Traversal,
-        start_table: int,
         generation: int = 0,
         now: float = 0.0,
     ) -> None:
-        """Convenience: build and install the entry for a traversal."""
-        entry = build_megaflow_entry(traversal, start_table, generation, now)
-        self.install(entry, now)
-
-    def remove(self, entry: MegaflowEntry, reason: str = "evict") -> None:
-        """Remove one entry (the revalidator's eviction)."""
-        self._depart((entry,), reason)
-        self.bump_epoch()
+        """Build and install the entry for a traversal."""
+        self.install(build_megaflow_entry(traversal, generation, now), now)
 
     def entry_count(self) -> int:
         return len(self._by_match)
@@ -238,6 +202,17 @@ class MegaflowCache(FlowCache):
         self._classifier.remove(entry)
         del self._by_match[entry.match]
         del self._by_id[entry.rule_id]
+
+    # -- revalidation (see FlowCache) ---------------------------------------------
+
+    def replay_start(self, entry: MegaflowEntry) -> int:
+        return entry.start_table
+
+    def replay_agrees(self, entry: MegaflowEntry, replay: Traversal) -> bool:
+        rebuilt = build_megaflow_entry(replay)
+        return (
+            rebuilt.match == entry.match and rebuilt.actions == entry.actions
+        )
 
     # -- observability ----------------------------------------------------------------
 

@@ -12,28 +12,8 @@ from typing import Iterator, Optional, Tuple
 
 from ..flow.actions import ActionList
 from ..flow.key import FlowKey
-from .base import CacheResult, FlowCache, HitReplay, actions_result
-
-
-class _MicroflowHitReplay(HitReplay):
-    """A Microflow hit: the exact-match entry whose use it repeats and
-    the result its lookup returned.  A refresh that rewrites the
-    entry's actions bumps the epoch, which drops the record."""
-
-    __slots__ = ("cache", "entry", "result")
-
-    def __init__(self, cache, entry):
-        self.cache = cache
-        self.entry = entry
-        self.result = actions_result(
-            entry.actions, groups_probed=1, tables_hit=1
-        )
-
-    def replay(self, now: float) -> CacheResult:
-        cache = self.cache
-        cache.touch(self.entry, now)
-        cache.stats.hits += 1
-        return self.result
+from ..pipeline.traversal import Traversal
+from .base import CacheResult, EntryHitReplay, FlowCache
 
 
 class MicroflowCache(FlowCache):
@@ -55,17 +35,14 @@ class MicroflowCache(FlowCache):
 
     # -- FlowCache interface -------------------------------------------------
 
-    def lookup(self, flow: FlowKey, now: float = 0.0) -> CacheResult:
-        return self.lookup_traced(flow, now)[0]
-
     def lookup_traced(
         self, flow: FlowKey, now: float = 0.0
-    ) -> Tuple[CacheResult, Optional[_MicroflowHitReplay]]:
+    ) -> Tuple[CacheResult, Optional[EntryHitReplay]]:
         entry = self._entries.get(flow.values)
         if entry is None:
             self.stats.misses += 1
             return CacheResult(hit=False, groups_probed=1), None
-        replay = _MicroflowHitReplay(self, entry)
+        replay = EntryHitReplay(self, entry, 1)
         return replay.replay(now), replay
 
     def touch(self, entry: _Entry, now: float) -> None:
@@ -92,6 +69,14 @@ class MicroflowCache(FlowCache):
         self.stats.insertions += 1
         self.bump_epoch()
         return True
+
+    def install_traversal(
+        self, traversal: Traversal, generation: int = 0, now: float = 0.0
+    ) -> None:
+        """Install the traversal's initial flow with its committed
+        actions (an exact-match entry keeps no generation)."""
+        _, actions = traversal.match_and_commit(0, len(traversal))
+        self.install(traversal.initial_flow, actions, now)
 
     def entry_count(self) -> int:
         return len(self._entries)

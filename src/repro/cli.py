@@ -52,7 +52,7 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from .core.revalidation import resolve_revalidator
+from .core.revalidation import IncrementalRevalidator
 from .experiments import (
     BENCH_SCALE,
     SMALL_SCALE,
@@ -66,7 +66,7 @@ from .experiments import (
 )
 from .gates import PHASES, churn_table, run_phases
 from .net import FabricController, FabricSimulator, leaf_spine, linear, ring
-from .obs import Telemetry, analyze_jsonl, render_text
+from .obs import EVENTS, Telemetry, analyze_jsonl, render_text
 from .pipeline.library import PIPELINES
 from .report import render_telemetry
 from .serve import ServeConfig, ServingDriver, endless_packets
@@ -99,6 +99,21 @@ def _positive(kind, noun: str):
 
 _positive_int = _positive(int, "integer")
 _positive_float = _positive(float, "number")
+
+
+def _trace_events(text: str) -> List[str]:
+    """An argparse ``type=`` for ``--trace-events``: the comma-separated
+    names, each one of :data:`repro.obs.trace.EVENTS`, so a misspelt
+    event exits 2 instead of tracing nothing."""
+    names = [name.strip() for name in text.split(",")]
+    valid = [name for name, _ in EVENTS]
+    unknown = [name for name in names if name not in valid]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown trace event {', '.join(map(repr, unknown))} "
+            f"(valid: {', '.join(valid)})"
+        )
+    return names
 
 
 def _add_scale_arguments(
@@ -245,11 +260,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         trace_capacity=args.trace_capacity,
         tracing=args.format == "text" or args.trace_out is not None,
         trace_sink=args.trace_out,
-        trace_events=(
-            [name.strip() for name in args.trace_events.split(",")]
-            if args.trace_events
-            else None
-        ),
+        trace_events=args.trace_events,
     )
     workload = scale.workload()
     config = SimConfig(
@@ -263,8 +274,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     # One end-of-run revalidation cycle so consistency counters reflect
     # a full operational loop (lookup → install → sweep → revalidate).
+    # The hierarchy revalidates its Megaflow level (its Microflow
+    # entries are derived from it).
     cache = system.cache
-    resolve_revalidator(
+    IncrementalRevalidator(
         workload.pipeline, getattr(cache, "megaflow", cache)
     ).revalidate(now=scale.duration)
 
@@ -628,7 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="in-memory trace ring-buffer size",
     )
     stats.add_argument(
-        "--trace-events", default=None, metavar="EV[,EV...]",
+        "--trace-events", type=_trace_events, default=None,
+        metavar="EV[,EV...]",
         help="restrict tracing to these event types (e.g. "
              "'ltm_probe,fastpath_invalidate'); default traces all",
     )

@@ -27,13 +27,7 @@ from .coverage import (
     coverage,
     estimate_satisfiable_coverage,
 )
-from .revalidation import (
-    GigaflowRevalidator,
-    IncrementalRevalidator,
-    MegaflowRevalidator,
-    RevalidationReport,
-    resolve_revalidator,
-)
+from .revalidation import IncrementalRevalidator, RevalidationReport
 
 __all__ = [
     "AdaptiveConfig",
@@ -44,13 +38,10 @@ __all__ = [
     "GigaflowCache",
     "chain_report",
     "validate_cache",
-    "GigaflowRevalidator",
     "IncrementalRevalidator",
     "InstallOutcome",
     "LtmRule",
     "LtmTable",
-    "MegaflowRevalidator",
-    "resolve_revalidator",
     "Partition",
     "Partitioner",
     "RandomPartitioner",

@@ -25,7 +25,7 @@ from ..flow.key import FlowKey
 from ..pipeline.traversal import Traversal
 from .ltm import TAG_DONE, LtmRule, LtmTable
 from .partition import Partitioner, disjoint_partition
-from .rulegen import build_ltm_rules
+from .rulegen import build_ltm_rule, build_ltm_rules
 
 
 @dataclass
@@ -164,6 +164,7 @@ class GigaflowCache(FlowCache):
     """
 
     name = "gigaflow"
+    revalidates = True
 
     def __init__(
         self,
@@ -198,9 +199,6 @@ class GigaflowCache(FlowCache):
         self._trace_probe = None
 
     # -- lookup (the SmartNIC fast path) -----------------------------------------
-
-    def lookup(self, flow: FlowKey, now: float = 0.0) -> CacheResult:
-        return self.lookup_traced(flow, now)[0]
 
     def lookup_traced(
         self, flow: FlowKey, now: float = 0.0
@@ -369,11 +367,6 @@ class GigaflowCache(FlowCache):
     def capacity_total(self) -> int:
         return sum(t.capacity for t in self.tables)
 
-    def remove_rule(self, rule: LtmRule, reason: str = "reval") -> None:
-        """Remove a specific rule (revalidation eviction)."""
-        self._depart((rule,), reason)
-        self.bump_epoch()
-
     # -- entry lifecycle (see FlowCache) ------------------------------------------------
 
     def __iter__(self) -> Iterator[LtmRule]:
@@ -385,6 +378,22 @@ class GigaflowCache(FlowCache):
                 table.remove(rule)
                 return
         raise KeyError(f"rule not installed: {rule!r}")
+
+    # -- revalidation (see FlowCache) ------------------------------------------------
+
+    def replay_start(self, rule: LtmRule) -> int:
+        return rule.tag
+
+    def replay_agrees(self, rule: LtmRule, replay: Traversal) -> bool:
+        if len(replay) != rule.length:
+            # The path from this tag got shorter — stale.
+            return False
+        rebuilt = build_ltm_rule(replay.sub(0, len(replay)))
+        return (
+            rebuilt.match == rule.match
+            and rebuilt.actions == rule.actions
+            and rebuilt.next_tag == rule.next_tag
+        )
 
     # -- observability -------------------------------------------------------------------
 
@@ -410,6 +419,3 @@ class GigaflowCache(FlowCache):
         the reoccurrence frequency of Fig. 11."""
         counts = [rule.install_count for rule in self]
         return sum(counts) / len(counts) if counts else 0.0
-
-    def rules_by_table(self) -> Tuple[Tuple[LtmRule, ...], ...]:
-        return tuple(tuple(table) for table in self.tables)

@@ -14,7 +14,7 @@ from typing import Dict
 
 from ..cache.megaflow import MegaflowCache
 from ..core.gigaflow import GigaflowCache
-from ..core.revalidation import GigaflowRevalidator, MegaflowRevalidator
+from ..core.revalidation import IncrementalRevalidator
 from ..metrics.latency import HIT_LATENCY_US
 from .common import ExperimentScale, SMALL_SCALE
 
@@ -78,11 +78,11 @@ def revalidation_comparison(
     for pilot in workload.pilots:
         if not pilot.cacheable:
             continue
-        megaflow.install_traversal(pilot.traversal, pipeline.start_table)
+        megaflow.install_traversal(pilot.traversal)
         gigaflow.install_traversal(pilot.traversal)
 
-    mf_report = MegaflowRevalidator(pipeline, megaflow).revalidate()
-    gf_report = GigaflowRevalidator(pipeline, gigaflow).revalidate()
+    mf_report = IncrementalRevalidator(pipeline, megaflow).revalidate()
+    gf_report = IncrementalRevalidator(pipeline, gigaflow).revalidate()
     return RevalidationComparison(
         megaflow_entries=mf_report.entries_checked,
         gigaflow_entries=gf_report.entries_checked,

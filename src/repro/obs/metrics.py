@@ -15,7 +15,6 @@ lookup.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -329,9 +328,6 @@ class MetricsRegistry:
                 }
             )
         return {"families": families}
-
-    def to_json_text(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json(), indent=indent) + "\n"
 
     # -- merging ---------------------------------------------------------------
 

@@ -11,14 +11,10 @@ record the Flow Correlator line of work tunes against.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-try:  # numpy keeps the per-entry histogram work in C; the telemetry
-    import numpy as _np  # subsystem itself stays importable without it.
-except ImportError:  # pragma: no cover - container always has numpy
-    _np = None
+import numpy as _np
 
 __all__ = ["AGE_BUCKETS", "CacheSnapshot", "age_histogram", "take_snapshot"]
 
@@ -38,25 +34,16 @@ def age_histogram(
     Sorting once and taking cumulative-count differences keeps the
     per-entry work in C — this runs every sweep interval over every
     cache entry, so it is the hottest part of the snapshot cadence.
-    The numpy and pure-Python paths are bit-identical: float64
-    subtraction and ``searchsorted(..., side="right")`` compare exactly
-    like Python floats and :func:`bisect_right`.
+    float64 subtraction and ``searchsorted(..., side="right")`` compare
+    exactly like Python floats and :func:`bisect.bisect_right`.
     """
     counts = []
     previous = 0
-    if _np is not None:
-        ages = now - _np.asarray(last_used_times, dtype=_np.float64)
-        ages.sort()
-        for cumulative in _np.searchsorted(ages, bounds, side="right").tolist():
-            counts.append(cumulative - previous)
-            previous = cumulative
-    else:
-        ages = [now - used for used in last_used_times]
-        ages.sort()
-        for bound in bounds:
-            cumulative = bisect_right(ages, bound)
-            counts.append(cumulative - previous)
-            previous = cumulative
+    ages = now - _np.asarray(last_used_times, dtype=_np.float64)
+    ages.sort()
+    for cumulative in _np.searchsorted(ages, bounds, side="right").tolist():
+        counts.append(cumulative - previous)
+        previous = cumulative
     counts.append(len(ages) - previous)
     return counts
 
@@ -112,17 +99,13 @@ def take_snapshot(
     previous: Optional[CacheSnapshot] = None,
 ) -> CacheSnapshot:
     """Read a cache's introspection surface into a snapshot record."""
-    per_table: Tuple[int, ...] = ()
-    per_table_counts = getattr(cache, "per_table_counts", None)
-    if per_table_counts is not None:
-        per_table = tuple(per_table_counts())
     epoch = cache.mutation_epoch
     return CacheSnapshot(
         ts=now,
         cache=name or cache.name,
         entry_count=cache.entry_count(),
         capacity=cache.capacity_total(),
-        per_table=per_table,
+        per_table=cache.per_table_counts(),
         epoch=epoch,
         epoch_delta=epoch - previous.epoch if previous is not None else 0,
         ages=age_histogram(cache.last_used_times(), now),

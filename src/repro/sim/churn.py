@@ -98,9 +98,7 @@ class ChurnRuntime:
         self.pipeline = pipeline
         self.revalidator = IncrementalRevalidator(pipeline, cache)
         self._tel = telemetry
-        self._cache_name = getattr(cache, "telemetry_name", None) or getattr(
-            cache, "name", "cache"
-        )
+        self._cache_name = cache.telemetry_name
         interval = (
             config.reval_interval
             if config.reval_interval is not None

@@ -10,7 +10,6 @@ end-to-end figure (8, 9, 10, 12, 13, 18) is derived.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Tuple
 
@@ -45,17 +44,24 @@ class InstallCost:
     partition_cells: int = 0
 
 
-class CachingSystem(abc.ABC):
-    """Adapter pairing a cache with its install policy."""
+class CachingSystem:
+    """Adapter pairing a cache with its install policy.
+
+    The default :meth:`install` puts one entry per traversal (the
+    Megaflow baseline and the OVS hierarchy); Gigaflow overrides it.
+    """
 
     name: str = "system"
     cache: FlowCache
 
-    @abc.abstractmethod
     def install(
         self, traversal: Traversal, generation: int, now: float
     ) -> InstallCost:
         """Install cache state for a freshly-traced traversal."""
+        self.cache.install_traversal(traversal, generation, now)
+        return InstallCost(
+            rules_generated=1, rules_installed=1, partition_cells=0
+        )
 
     def coverage(self) -> Optional[int]:
         """Rule-space coverage, when the system defines one."""
@@ -74,20 +80,8 @@ class MegaflowSystem(CachingSystem):
         self,
         capacity: int = 32768,
         schema: FieldSchema = DEFAULT_SCHEMA,
-        start_table: int = 0,
     ):
         self.cache = MegaflowCache(capacity, schema)
-        self.start_table = start_table
-
-    def install(
-        self, traversal: Traversal, generation: int, now: float
-    ) -> InstallCost:
-        self.cache.install_traversal(
-            traversal, self.start_table, generation, now
-        )
-        return InstallCost(
-            rules_generated=1, rules_installed=1, partition_cells=0
-        )
 
     def coverage(self) -> int:
         return self.cache.entry_count()
@@ -103,18 +97,9 @@ class HierarchySystem(CachingSystem):
         microflow_capacity: int = 8192,
         megaflow_capacity: int = 32768,
         schema: FieldSchema = DEFAULT_SCHEMA,
-        start_table: int = 0,
     ):
         self.cache = CacheHierarchy(
-            microflow_capacity, megaflow_capacity, schema, start_table
-        )
-
-    def install(
-        self, traversal: Traversal, generation: int, now: float
-    ) -> InstallCost:
-        self.cache.install_traversal(traversal, generation, now)
-        return InstallCost(
-            rules_generated=1, rules_installed=1, partition_cells=0
+            microflow_capacity, megaflow_capacity, schema
         )
 
     def coverage(self) -> int:

@@ -75,7 +75,7 @@ class TestMicroflow:
 class TestMegaflowEntryBuild:
     def test_entry_matches_whole_class(self, mini_pipeline, default_flow):
         traversal = mini_pipeline.execute(default_flow)
-        entry = build_megaflow_entry(traversal, start_table=0)
+        entry = build_megaflow_entry(traversal)
         assert entry.match.matches(default_flow)
         # Unmatched fields are free: different tp_src still matches.
         assert entry.match.matches(flow(tp_src=1))
@@ -89,15 +89,15 @@ class TestMegaflowCache:
     def test_install_and_wildcard_hit(self, mini_pipeline, default_flow):
         cache = MegaflowCache(capacity=8)
         traversal = mini_pipeline.execute(default_flow)
-        cache.install_traversal(traversal, start_table=0)
+        cache.install_traversal(traversal)
         assert cache.lookup(flow(tp_src=777)).hit  # same class
         assert not cache.lookup(flow(in_port=9)).hit
 
     def test_duplicate_install_refreshes(self, mini_pipeline, default_flow):
         cache = MegaflowCache(capacity=8)
         traversal = mini_pipeline.execute(default_flow)
-        cache.install_traversal(traversal, start_table=0, now=0.0)
-        cache.install_traversal(traversal, start_table=0, now=5.0)
+        cache.install_traversal(traversal, now=0.0)
+        cache.install_traversal(traversal, now=5.0)
         assert cache.entry_count() == 1
         assert cache.stats.insertions == 1
 
@@ -106,16 +106,14 @@ class TestMegaflowCache:
         for port in (2, 3, 4):
             mini_pipeline.install(0, rule({"in_port": port}, next_table=1))
             traversal = mini_pipeline.execute(flow(in_port=port))
-            cache.install_traversal(traversal, 0, now=float(port))
+            cache.install_traversal(traversal, now=float(port))
         assert cache.entry_count() == 2
         assert cache.stats.evictions == 1
         assert not cache.lookup(flow(in_port=2)).hit
 
     def test_evict_idle(self, mini_pipeline, default_flow):
         cache = MegaflowCache(capacity=8)
-        cache.install_traversal(
-            mini_pipeline.execute(default_flow), 0, now=0.0
-        )
+        cache.install_traversal(mini_pipeline.execute(default_flow), now=0.0)
         assert cache.evict_idle(now=50.0, max_idle=10.0) == 1
         assert cache.entry_count() == 0
 
@@ -135,7 +133,7 @@ class TestMegaflowCache:
             flow(ip_dst=ip("192.168.1.77")),  # matches the /32
         ]
         for f in flows:
-            cache.install_traversal(mini_pipeline.execute(f), 0)
+            cache.install_traversal(mini_pipeline.execute(f))
         assert cache.entry_count() == 2
         entries = list(cache)
         for f in flows:
@@ -144,7 +142,7 @@ class TestMegaflowCache:
 
     def test_mask_group_count(self, mini_pipeline, default_flow):
         cache = MegaflowCache(capacity=8)
-        cache.install_traversal(mini_pipeline.execute(default_flow), 0)
+        cache.install_traversal(mini_pipeline.execute(default_flow))
         assert cache.mask_group_count >= 1
 
     def test_validation(self):

@@ -22,7 +22,7 @@ The contracts pinned here, in order:
 import pytest
 
 from conftest import seeded_trace, seeded_workload
-from repro.core import IncrementalRevalidator, resolve_revalidator
+from repro.core import IncrementalRevalidator
 from repro.sim import (
     ChurnConfig,
     GigaflowSystem,
@@ -307,7 +307,7 @@ class TestIncrementalRevalidator:
         assert revalidator.total_checked >= initial
 
         # Once drained, a full sweep agrees there is nothing stale left.
-        report = revalidator.impl.revalidate(now=10.0)
+        report = revalidator.revalidate(now=10.0)
         assert report.entries_evicted == 0
         assert revalidator.backlog() == 0
 
@@ -328,10 +328,7 @@ class TestIncrementalRevalidator:
         InsertRule(at=0, spec=deny_spec(), key="k").apply(pipeline, {})
         before = revalidator.backlog()
         victim = next(iter(system.cache))
-        if hasattr(system.cache, "remove_rule"):
-            system.cache.remove_rule(victim)
-        else:
-            system.cache.remove(victim, reason="test")
+        system.cache.remove(victim, "test")
         assert revalidator.backlog() == before - 1
 
 
@@ -340,7 +337,7 @@ class TestChurnGating:
         workload = seeded_workload()
         system = HierarchySystem()
         with pytest.raises(TypeError, match="no revalidator"):
-            resolve_revalidator(workload.pipeline, system.cache)
+            IncrementalRevalidator(workload.pipeline, system.cache)
 
     def test_hierarchy_run_with_churn_raises(self):
         workload = seeded_workload()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.net import FabricSimulator
+from repro.obs import EVENTS
 
 
 class TestParser:
@@ -92,6 +93,33 @@ class TestScaleValidation:
             f"argument {flag}: must be a positive number"
             in capsys.readouterr().err
         )
+
+
+class TestTraceEvents:
+    def test_unknown_event_exits_2_naming_it_and_the_valid_ones(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["stats", "psc", "--flows", "200", "--trace-events",
+                  "ltm_probe,lookup_hitt", "--trace-out", str(out)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert (
+            "argument --trace-events: unknown trace event 'lookup_hitt'"
+            in err
+        )
+        assert all(name in err for name, _ in EVENTS)
+        assert not out.exists()
+
+    def test_known_events_are_the_tracer_filter(self, tmp_path):
+        out = tmp_path / "t.jsonl"
+        code = main(["stats", "psc", "--flows", "100", "--duration", "4",
+                     "--trace-events", "lookup_miss, install",
+                     "--trace-out", str(out)])
+        assert code == 0
+        events = {json.loads(line)["event"] for line in out.open()}
+        assert events == {"lookup_miss", "install"}
 
 
 class TestNet:

@@ -315,7 +315,7 @@ class TestStaleRecordsThatAreStillExact:
         cache.install_rules([other])
         packet = flow(tp_dst=443)
         fastpath, record = memoize(cache, packet)
-        cache.remove_rule(other)
+        cache.remove(other, "reval")
         assert record.still_valid()
         assert recorded(record) == full_walk(cache, packet)
 
@@ -364,7 +364,7 @@ class TestEachCheckIsNeeded:
         packet = flow(tp_dst=443)
         _fastpath, record = memoize(cache, packet)
         changes = cache.tables[0].dependencies[0].changes
-        cache.remove_rule(matched)
+        cache.remove(matched, "reval")
         assert cache.tables[0].dependencies[0].changes == changes + 1
         assert not full_walk(cache, packet)[0]
         assert not record.still_valid()
@@ -423,7 +423,7 @@ class TestEachCheckIsNeeded:
         _fastpath, record = memoize(cache, packet)
         assert record.matched[0][0] is second and record.groups_probed == 2
         dependency = first.dependencies[0]
-        cache.remove_rule(bystander)
+        cache.remove(bystander, "reval")
         assert first.tags == () and first.dependencies[0] is dependency
         cache.install_rules([ltm_rule({"ip_proto": 17, "in_port": 9})])
         cache.install_rules([ltm_rule({"ip_proto": 17, "vlan_id": 9})])
@@ -628,7 +628,7 @@ def _memo_against_twin(ops, num_tables, table_capacity, placement):
             for each in (cache, twin):
                 resident = list(each)
                 if resident:
-                    each.remove_rule(resident[arg % len(resident)])
+                    each.remove(resident[arg % len(resident)], "reval")
         else:
             for each in (cache, twin):
                 each.clear()

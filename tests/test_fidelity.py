@@ -65,9 +65,8 @@ def test_megaflow_agrees_with_slow_path(name):
         PIPELINES[name], n_flows=N_FLOWS, locality="high", seed=13
     )
     cache = MegaflowCache(capacity=10**6)
-    start = workload.pipeline.start_table
     for pilot in workload.pilots:
-        cache.install_traversal(pilot.traversal, start)
+        cache.install_traversal(pilot.traversal)
     for pilot in workload.pilots:
         result = cache.lookup(pilot.flow)
         assert result.hit, f"{name}: cached flow missed"

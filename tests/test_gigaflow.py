@@ -173,14 +173,14 @@ class TestCapacityAndEviction:
         assert cache.capacity_total() == 64
         assert cache.per_table_counts() == (0, 0, 0, 0)
 
-    def test_remove_rule_missing_raises(self, cache, mini_pipeline,
-                                        default_flow):
+    def test_remove_missing_raises(self, cache, mini_pipeline,
+                                   default_flow):
         from repro.core import build_ltm_rule
 
         traversal = mini_pipeline.execute(default_flow)
         rule_obj = build_ltm_rule(traversal.sub(0, 1))
         with pytest.raises(KeyError):
-            cache.remove_rule(rule_obj)
+            cache.remove(rule_obj, "reval")
 
 
 class TestConstruction:

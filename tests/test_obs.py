@@ -379,14 +379,14 @@ class TestHierarchyAndRevalidation:
         assert "hierarchy.megaflow" in names
 
     def test_revalidation_counters(self):
-        from repro.core.revalidation import GigaflowRevalidator
+        from repro.core.revalidation import IncrementalRevalidator
 
         w = small_workload()
         system = SYSTEMS["gigaflow"]()
         telemetry = Telemetry(tracing=True)
         config = SimConfig(telemetry=telemetry)
         VSwitchSimulator(w.pipeline, system, config).run(small_trace(w))
-        GigaflowRevalidator(w.pipeline, system.cache).revalidate(now=10.0)
+        IncrementalRevalidator(w.pipeline, system.cache).revalidate(now=10.0)
         family = telemetry.registry.get("repro_revalidation_checked_total")
         checked = sum(child.value for _, child in family.children())
         assert checked > 0

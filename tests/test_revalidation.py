@@ -7,14 +7,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.cache import MegaflowCache, build_megaflow_entry
+from repro.cache import MegaflowCache, MegaflowEntry, build_megaflow_entry
 from repro.core import (
     TAG_DONE,
     GigaflowCache,
-    GigaflowRevalidator,
     IncrementalRevalidator,
     LtmRule,
-    MegaflowRevalidator,
     build_ltm_rule,
 )
 from repro.flow import ActionList, Drop, Output, TernaryMatch, ip, prefix_mask
@@ -29,7 +27,7 @@ def filled(mini_pipeline, default_flow):
     megaflow = MegaflowCache(capacity=32)
     gigaflow = GigaflowCache(num_tables=4, table_capacity=32)
     traversal = mini_pipeline.execute(default_flow)
-    megaflow.install_traversal(traversal, 0)
+    megaflow.install_traversal(traversal)
     gigaflow.install_traversal(traversal)
     return mini_pipeline, megaflow, gigaflow
 
@@ -37,8 +35,8 @@ def filled(mini_pipeline, default_flow):
 class TestConsistentPipeline:
     def test_nothing_evicted_when_consistent(self, filled):
         pipeline, megaflow, gigaflow = filled
-        mf_report = MegaflowRevalidator(pipeline, megaflow).revalidate()
-        gf_report = GigaflowRevalidator(pipeline, gigaflow).revalidate()
+        mf_report = IncrementalRevalidator(pipeline, megaflow).revalidate()
+        gf_report = IncrementalRevalidator(pipeline, gigaflow).revalidate()
         assert mf_report.entries_evicted == 0
         assert gf_report.entries_evicted == 0
         assert megaflow.entry_count() == 1
@@ -54,10 +52,10 @@ class TestConsistentPipeline:
             3, rule({"ip_proto": 6, "tp_dst": 80}, actions=[Output(3)])
         )
         second = flow(tp_dst=80)
-        megaflow.install_traversal(pipeline.execute(second), 0)
+        megaflow.install_traversal(pipeline.execute(second))
         gigaflow.install_traversal(pipeline.execute(second))
-        mf = MegaflowRevalidator(pipeline, megaflow).revalidate()
-        gf = GigaflowRevalidator(pipeline, gigaflow).revalidate()
+        mf = IncrementalRevalidator(pipeline, megaflow).revalidate()
+        gf = IncrementalRevalidator(pipeline, gigaflow).revalidate()
         assert gf.lookups_performed < mf.lookups_performed
 
 
@@ -70,7 +68,7 @@ class TestRuleChangeEviction:
             rule({"ip_proto": 6, "tp_dst": 443}, priority=999,
                  actions=[Output(42)]),
         )
-        report = MegaflowRevalidator(pipeline, megaflow).revalidate()
+        report = IncrementalRevalidator(pipeline, megaflow).revalidate()
         assert report.entries_evicted == 1
         assert megaflow.entry_count() == 0
 
@@ -84,7 +82,7 @@ class TestRuleChangeEviction:
             rule({"ip_proto": 6, "tp_dst": 443}, priority=999,
                  actions=[Output(42)]),
         )
-        report = GigaflowRevalidator(pipeline, gigaflow).revalidate()
+        report = IncrementalRevalidator(pipeline, gigaflow).revalidate()
         assert report.entries_evicted >= 1
         assert gigaflow.entry_count() == before - report.entries_evicted
         assert gigaflow.entry_count() > 0  # L2-side rules survive
@@ -98,7 +96,7 @@ class TestRuleChangeEviction:
                  masks={"ip_dst": prefix_mask(32)},
                  priority=999, next_table=3),
         )
-        report = GigaflowRevalidator(pipeline, gigaflow).revalidate()
+        report = IncrementalRevalidator(pipeline, gigaflow).revalidate()
         assert report.entries_evicted >= 1
 
 
@@ -118,13 +116,11 @@ def replay_always(self, entry, now):
     — verdict, lookups charged, stamps left, telemetry — bound to a
     revalidator in place of its own ``check_entry``."""
     pipeline = self.pipeline
-    if isinstance(self, MegaflowRevalidator):
+    if isinstance(entry, MegaflowEntry):
         replay = pipeline.replay(
             entry.parent_flow, entry.start_table, entry.length
         )
-        regenerated = build_megaflow_entry(
-            replay, entry.start_table, pipeline.generation, now
-        )
+        regenerated = build_megaflow_entry(replay, pipeline.generation, now)
         stale = (
             regenerated.match != entry.match
             or regenerated.actions != entry.actions
@@ -142,10 +138,7 @@ def replay_always(self, entry, now):
                 or regenerated.next_tag != entry.next_tag
             )
     if stale:
-        if isinstance(self, MegaflowRevalidator):
-            self.cache.remove(entry, reason="reval")
-        else:
-            self.cache.remove_rule(entry)
+        self.cache.remove(entry, "reval")
         verdict = "evicted"
     else:
         entry.generation = entry.verified = pipeline.generation
@@ -231,12 +224,11 @@ def _churn_against_reference(ops, scope_megaflow):
     revalidators = []
     for cache, log in zip((scoped, reference), logs):
         incremental = IncrementalRevalidator(pipeline, cache)
-        impl = incremental.impl
         check = (
-            impl.check_entry if cache is scoped
-            else types.MethodType(replay_always, impl)
+            incremental.check_entry if cache is scoped
+            else types.MethodType(replay_always, incremental)
         )
-        impl.check_entry = _logged(check, log)
+        incremental.check_entry = _logged(check, log)
         revalidators.append(incremental)
     walked = []
     now = 0.0
@@ -252,15 +244,7 @@ def _churn_against_reference(ops, scope_megaflow):
                 )
                 walked.append(traversal)
             for cache in (scoped, reference):
-                if scope_megaflow:
-                    cache.install_traversal(
-                        traversal, pipeline.start_table,
-                        pipeline.generation, now,
-                    )
-                else:
-                    cache.install_traversal(
-                        traversal, pipeline.generation, now
-                    )
+                cache.install_traversal(traversal, pipeline.generation, now)
         elif op == "deny":
             pipeline.install(*_deny(pipeline, arg))
         elif op == "direct_insert":
@@ -294,7 +278,7 @@ def _churn_against_reference(ops, scope_megaflow):
             ]
             assert outcomes[0] == outcomes[1]
         else:
-            reports = [each.impl.revalidate(now) for each in revalidators]
+            reports = [each.revalidate(now) for each in revalidators]
             assert reports[0] == reports[1]
         assert logs[0] == logs[1]
         assert _stamps(scoped) == _stamps(reference)
@@ -357,7 +341,7 @@ class TestStamps:
         )
         later = pipeline.generation
         gigaflow.install_traversal(traversal, later)
-        megaflow.install_traversal(traversal, 0, later)
+        megaflow.install_traversal(traversal, later)
         entries = list(gigaflow) + list(megaflow)
         assert all(e.generation == later for e in entries)
         assert all(e.verified == walked for e in entries)
@@ -370,8 +354,8 @@ class TestStamps:
         real_replay = pipeline.replay
         pipeline.replay = lambda *a: replays.append(a) or real_replay(*a)
         acl = next(r for r in gigaflow if r.tag == 3)
-        gf = GigaflowRevalidator(pipeline, gigaflow).revalidate()
-        mf = MegaflowRevalidator(pipeline, megaflow).revalidate()
+        gf = IncrementalRevalidator(pipeline, gigaflow).revalidate()
+        mf = IncrementalRevalidator(pipeline, megaflow).revalidate()
         assert sorted(start for _, start, _ in replays) == [0, 0, 3]
         assert gf.entries_evicted == mf.entries_evicted == 1
         assert acl not in list(gigaflow) and not megaflow.entry_count()
@@ -388,7 +372,7 @@ class TestStamps:
         replays = []
         real_replay = pipeline.replay
         pipeline.replay = lambda *a: replays.append(a) or real_replay(*a)
-        report = GigaflowRevalidator(pipeline, gigaflow).revalidate()
+        report = IncrementalRevalidator(pipeline, gigaflow).revalidate()
         # Only the rules spanning table 3 replay; each still agrees.
         touched = [r for r in gigaflow if 3 in r.path]
         assert len(replays) == len(touched) < report.entries_checked
@@ -405,14 +389,14 @@ class TestStamps:
         pipeline = mini_pipeline
         megaflow = MegaflowCache(capacity=4)
         traversal = pipeline.execute(default_flow)
-        megaflow.install_traversal(traversal, 0, pipeline.generation)
-        megaflow.install_traversal(traversal, 0, pipeline.generation)
+        megaflow.install_traversal(traversal, pipeline.generation)
+        megaflow.install_traversal(traversal, pipeline.generation)
         (entry,) = megaflow
         assert entry.verified is None
         replays = []
         real_replay = pipeline.replay
         pipeline.replay = lambda *a: replays.append(a) or real_replay(*a)
-        report = MegaflowRevalidator(pipeline, megaflow).revalidate()
+        report = IncrementalRevalidator(pipeline, megaflow).revalidate()
         assert len(replays) == 1 and report.entries_evicted == 0
         assert entry.verified == pipeline.generation
 
@@ -428,7 +412,7 @@ class TestStamps:
         )
         gigaflow.install_rules([hand_built])
         assert hand_built.verified is None and hand_built.path == ()
-        verdict, lookups = GigaflowRevalidator(
+        verdict, lookups = IncrementalRevalidator(
             mini_pipeline, gigaflow
         ).check_entry(hand_built, 0.0)
         assert (verdict, lookups) == ("consistent", 1)

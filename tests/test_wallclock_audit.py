@@ -5,7 +5,7 @@ bench clock, one prefix structure and one partition DP, no salted hash,
 one fan-out, one idle timer, one reader of the classifier's state,
 one home for the slow-path memo, no public function without a caller,
 one home each for the two change records staleness is judged by, one
-place a run is built.
+place a run is built, no asking a cache what kind it is.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -132,6 +132,16 @@ Now :class:`~repro.experiments.ExperimentScale` builds every run, so
 outside its module nothing under ``repro`` calls a caching-system
 constructor, ``Pipebench`` or ``PipebenchConfig`` — apart from the
 generator's own ``build_workload`` and the config's own internals.
+
+The sixteenth keeps the cache type behind the cache classes.  The caches
+differ only in what an entry is; revalidation once dispatched on
+``isinstance`` to one of two revalidators, and the snapshot, the stats
+walk and the churn runtime probed caches with ``getattr``.  Every cache
+now keeps one :class:`~repro.cache.base.FlowCache` contract, so outside
+a cache class's own module nothing under ``repro`` asks
+``isinstance(…, <a FlowCache subclass>)``, and nothing calls
+``getattr`` / ``hasattr`` over a cache — on an object named for one, or
+for an attribute a cache class defines — apart from one named site.
 """
 
 import ast
@@ -142,6 +152,7 @@ import re
 import pytest
 
 import repro
+from repro.cache.base import FlowCache
 from repro.sim import SimConfig
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
@@ -1256,4 +1267,158 @@ def test_run_builder_audit_sees_a_violation():
     assert _run_builds(source, {"build_workload"}) == [
         (3, "MegaflowSystem("), (4, "GigaflowSystem("),
         (6, "PipebenchConfig("), (7, "Pipebench("),
+    ]
+
+
+def _cache_classes():
+    """Every :class:`FlowCache` subclass by name, with the module
+    (relative to ``repro``) that defines it."""
+    found, todo = {}, [FlowCache]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            module = sub.__module__.split(".", 1)[1].replace(".", "/")
+            found[sub.__name__] = f"{module}.py"
+            todo.append(sub)
+    return found
+
+
+CACHE_CLASSES = _cache_classes()
+
+
+def _cache_attributes():
+    """What a cache class defines: its methods, class attributes and
+    the ``self.<name>`` it assigns (read from the classes' sources)."""
+    names = set()
+    for relpath in set(CACHE_CLASSES.values()) | {"cache/base.py"}:
+        for node in ast.walk(ast.parse((SRC / relpath).read_text())):
+            if not (
+                isinstance(node, ast.ClassDef)
+                and (node.name in CACHE_CLASSES or node.name == "FlowCache")
+            ):
+                continue
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(inner.name)
+                elif isinstance(inner, ast.Attribute) and isinstance(
+                    inner.ctx, ast.Store
+                ):
+                    names.add(inner.attr)
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign):
+                    names.add(stmt.target.id)
+                elif isinstance(stmt, ast.Assign):
+                    names.update(
+                        t.id for t in stmt.targets if isinstance(t, ast.Name)
+                    )
+    return frozenset(name for name in names if not name.startswith("__"))
+
+
+CACHE_ATTRIBUTES = _cache_attributes()
+#: The one site allowed to probe a cache, with its reason.
+CACHE_PROBE_HOME = {
+    ("cli.py", "cmd_stats"): (
+        "the end-of-run revalidation pass takes a hierarchy's Megaflow "
+        "level: the hierarchy's Microflow entries are derived, so it has "
+        "no replay unit of its own"
+    ),
+}
+
+
+def _cache_type_checks(source: str, relpath: str, home=frozenset()):
+    """``(line, call)`` for every ``isinstance`` against a cache class
+    outside that class's module, and every ``getattr`` / ``hasattr``
+    over a cache, outside the ``home`` scopes."""
+    found = []
+
+    def names(node):
+        parts = node.elts if isinstance(node, ast.Tuple) else [node]
+        return [_terminal_name(part) for part in parts]
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                visit(child, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and len(child.args) >= 2
+                and ".".join(scope) not in home
+            ):
+                func, (obj, what) = child.func.id, child.args[:2]
+                if func == "isinstance":
+                    found.extend(
+                        (child.lineno, f"isinstance(…, {name})")
+                        for name in names(what)
+                        if name in CACHE_CLASSES
+                        and CACHE_CLASSES[name] != relpath
+                    )
+                elif func in ("getattr", "hasattr"):
+                    attr = what.value if isinstance(
+                        what, ast.Constant
+                    ) else None
+                    if "cache" in (_terminal_name(obj) or "").lower() or (
+                        attr in CACHE_ATTRIBUTES
+                    ):
+                        found.append((child.lineno, f"{func}(…, {attr!r})"))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_cache_type_stays_behind_the_cache_classes():
+    homes = {}
+    for relpath, scope in CACHE_PROBE_HOME:
+        homes.setdefault(relpath, set()).add(scope)
+    offenders = [
+        f"{relpath}:{line} {call}"
+        for path in sorted(SRC.rglob("*.py"))
+        for relpath in [path.relative_to(SRC).as_posix()]
+        for line, call in _cache_type_checks(
+            path.read_text(), relpath, homes.get(relpath, ())
+        )
+    ]
+    assert not offenders, (
+        "a cache's kind asked outside the FlowCache contract:\n  "
+        + "\n  ".join(offenders)
+    )
+    # The audit knows the caches, and each allowlisted site still probes.
+    assert {
+        "MicroflowCache", "MegaflowCache", "CacheHierarchy",
+        "GigaflowCache", "AdaptiveGigaflowCache",
+    } <= set(CACHE_CLASSES)
+    for relpath, scopes in homes.items():
+        source = (SRC / relpath).read_text()
+        assert len(_cache_type_checks(source, relpath)) == len(scopes)
+
+
+def test_cache_type_audit_sees_a_violation():
+    source = (
+        "def resolve(pipeline, cache):\n"
+        "    if isinstance(cache, (GigaflowCache, int)):\n"
+        "        return 1\n"
+        "    return isinstance(cache, core.MegaflowCache)\n"
+        "def snapshot(cache):\n"
+        "    counts = getattr(cache, 'per_table_counts', None)\n"
+        "    return getattr(self.cache, 'name', 'cache')\n"
+        "def walk(sub):\n"
+        "    return hasattr(sub, 'megaflow')\n"
+        "def fine(args, rule):\n"
+        "    return getattr(args, 'flows'), getattr(rule, 'rule_id', 0)\n"
+    )
+    assert _cache_type_checks(source, "obs/snapshot.py") == [
+        (2, "isinstance(…, GigaflowCache)"),
+        (4, "isinstance(…, MegaflowCache)"),
+        (6, "getattr(…, 'per_table_counts')"),
+        (7, "getattr(…, 'name')"),
+        (9, "hasattr(…, 'megaflow')"),
+    ]
+    # A class's own module may ask about it; a home scope is skipped.
+    assert _cache_type_checks(source, "core/gigaflow.py", {"walk"}) == [
+        (4, "isinstance(…, MegaflowCache)"),
+        (6, "getattr(…, 'per_table_counts')"),
+        (7, "getattr(…, 'name')"),
     ]
