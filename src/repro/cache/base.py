@@ -37,18 +37,6 @@ class CacheStats:
         total = self.lookups
         return self.hits / total if total else 0.0
 
-    @property
-    def miss_rate(self) -> float:
-        total = self.lookups
-        return self.misses / total if total else 0.0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.insertions = 0
-        self.rejected = 0
-        self.evictions = 0
-
     def snapshot(self) -> "CacheStats":
         return CacheStats(
             self.hits, self.misses, self.insertions, self.rejected,
@@ -187,7 +175,7 @@ class FlowCache(abc.ABC):
     every writer moves both.  (A memoized Gigaflow hit has its own
     ``touch``, over the rules of its chain.)  A composite
     (:class:`~repro.cache.hierarchy.CacheHierarchy`) delegates
-    ``evict_idle``/``clear`` to its levels instead.
+    ``evict_idle``/``clear``/``remove`` to its levels instead.
 
     The mutation epoch is the *caller's*: ``_depart`` never bumps it,
     so an operation that removes several entries (a sweep, an install

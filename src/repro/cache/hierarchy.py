@@ -12,7 +12,6 @@ from __future__ import annotations
 from itertools import chain
 from typing import Optional, Tuple
 
-from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..flow.key import FlowKey
 from ..pipeline.traversal import Traversal
 from .base import CacheResult, FlowCache, HitReplay
@@ -57,11 +56,10 @@ class CacheHierarchy(FlowCache):
         self,
         microflow_capacity: int = 8192,
         megaflow_capacity: int = 32768,
-        schema: FieldSchema = DEFAULT_SCHEMA,
     ):
         super().__init__()
         self.microflow = MicroflowCache(microflow_capacity)
-        self.megaflow = MegaflowCache(megaflow_capacity, schema)
+        self.megaflow = MegaflowCache(megaflow_capacity)
 
     @property
     def mutation_epoch(self) -> int:
@@ -129,6 +127,16 @@ class CacheHierarchy(FlowCache):
     def levels(self):
         return (("microflow", self.microflow), ("megaflow", self.megaflow))
 
+    def remove(self, entry, reason: str) -> None:
+        """Remove ``entry`` through the level that holds it, which
+        records the departure and bumps its epoch; ``KeyError`` when
+        neither level does."""
+        for _, level in self.levels():
+            if any(resident is entry for resident in level):
+                level.remove(entry, reason)
+                return
+        raise KeyError(entry)
+
     def evict_idle(self, now: float, max_idle: float) -> int:
         return self.microflow.evict_idle(now, max_idle) + \
             self.megaflow.evict_idle(now, max_idle)
@@ -143,9 +151,3 @@ class CacheHierarchy(FlowCache):
             level.attach_telemetry(
                 telemetry, f"{self.telemetry_name}.{level_name}"
             )
-
-    @property
-    def microflow_hit_fraction(self) -> float:
-        """Share of hierarchy hits served by the exact-match level."""
-        total = self.stats.hits
-        return self.microflow.stats.hits / total if total else 0.0

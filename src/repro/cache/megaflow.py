@@ -15,7 +15,6 @@ from typing import Iterator, Optional, Tuple
 
 from ..classify.tss import TupleSpaceClassifier
 from ..flow.actions import ActionList
-from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..flow.key import FlowKey
 from ..flow.match import TernaryMatch
 from ..pipeline.traversal import Traversal
@@ -114,18 +113,13 @@ class MegaflowCache(FlowCache):
     name = "megaflow"
     revalidates = True
 
-    def __init__(
-        self,
-        capacity: int = 32768,
-        schema: FieldSchema = DEFAULT_SCHEMA,
-    ):
+    def __init__(self, capacity: int = 32768):
         super().__init__()
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.schema = schema
         self._classifier: TupleSpaceClassifier[MegaflowEntry] = (
-            TupleSpaceClassifier(schema)
+            TupleSpaceClassifier()
         )
         self._by_match: dict = {}
         #: id → entry, in use order (see :meth:`touch`): the first

@@ -2,17 +2,17 @@
 
 from .trie import PrefixTrie, mask_to_prefix_len
 from .tss import (
-    DEFAULT_TRIE_FIELDS,
     STAGE_LAYERS,
+    TRIE_FIELDS,
     LookupResult,
     TupleSpaceClassifier,
 )
 
 __all__ = [
-    "DEFAULT_TRIE_FIELDS",
     "LookupResult",
     "PrefixTrie",
     "STAGE_LAYERS",
+    "TRIE_FIELDS",
     "TupleSpaceClassifier",
     "mask_to_prefix_len",
 ]

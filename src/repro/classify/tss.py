@@ -17,10 +17,11 @@ cache-entry quality:
   the minimal number of leading address bits that distinguish the packet
   from every stored prefix (the paper's §4.2.3 example).
 
-The classifier runs on the packed form of the header vector (see
-:class:`~repro.flow.fields.FieldSchema`): a mask group is one integer, a
-stage probe is ``flow.packed & stage_mask in stage_keys``, and
-un-wildcarding ORs one integer per probed group.
+The classifier runs on the packed form of the header vector laid out
+by :data:`~repro.flow.fields.DEFAULT_SCHEMA`, which also fixes the
+stage masks and the trie fields: a mask group is one integer, a stage
+probe is ``flow.packed & stage_mask in stage_keys``, and un-wildcarding
+ORs one integer per probed group.
 
 A plain lookup (no un-wildcarding) does not walk the groups: a
 per-priority *level index* finds the same winner with one hash per
@@ -50,12 +51,11 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     TypeVar,
 )
 
-from ..flow.fields import FieldSchema
+from ..flow.fields import DEFAULT_SCHEMA
 from ..flow.key import FlowKey
 from ..flow.wildcard import Wildcard
 from .trie import PrefixTrie, mask_to_prefix_len
@@ -69,7 +69,23 @@ STAGE_LAYERS: Tuple[Tuple[str, ...], ...] = (
 )
 
 #: Fields indexed by prefix tries when their masks are prefix-shaped.
-DEFAULT_TRIE_FIELDS: Tuple[str, ...] = ("ip_src", "ip_dst")
+TRIE_FIELDS: Tuple[str, ...] = ("ip_src", "ip_dst")
+
+#: Per cumulative stage, the packed mask of the fields in it.
+_LAYER_MASKS: Tuple[int, ...] = tuple(
+    sum(
+        field_mask
+        for f, field_mask in zip(DEFAULT_SCHEMA, DEFAULT_SCHEMA.field_masks)
+        if f.layer in layers
+    )
+    for layers in STAGE_LAYERS
+)
+
+#: ``(field index, width)`` of each prefix-trie field.
+_TRIE_INDICES: Tuple[Tuple[int, int], ...] = tuple(
+    (DEFAULT_SCHEMA.index_of(name), DEFAULT_SCHEMA.field(name).width)
+    for name in TRIE_FIELDS
+)
 
 RuleT = TypeVar("RuleT")
 
@@ -220,15 +236,7 @@ class _Level:
 class TupleSpaceClassifier(Generic[RuleT]):
     """A priority-aware TSS classifier with staged lookup and prefix tries."""
 
-    def __init__(
-        self,
-        schema: FieldSchema,
-        trie_fields: Sequence[str] = DEFAULT_TRIE_FIELDS,
-        staged: bool = True,
-    ):
-        self.schema = schema
-        self.staged = staged
-        self.trie_fields = trie_fields
+    def __init__(self):
         #: Optional telemetry pending cell — a two-slot ``[miss, hit]``
         #: list bumped inline after every lookup; ``None`` (the default)
         #: costs one attribute check on the hot path.
@@ -250,8 +258,6 @@ class TupleSpaceClassifier(Generic[RuleT]):
         #: Field index -> the prefixes of that trie field; ``None`` until
         #: the walk state is built.
         self._tries: Optional[Dict[int, PrefixTrie]] = None
-        #: Per cumulative stage, the packed mask of the fields in it.
-        self._layer_masks: Tuple[int, ...] = ()
         #: Probe order: ``(best priority, stages, rules)`` per group.
         self._ordered: List[Tuple[int, Tuple[_Stage, ...], Dict]] = []
         self._order_dirty = False
@@ -350,7 +356,6 @@ class TupleSpaceClassifier(Generic[RuleT]):
         self._levels = None
         self._ladder = []
         self._tries = None
-        self._layer_masks = ()
         self._ordered = []
 
     # -- lookup --------------------------------------------------------------------
@@ -420,7 +425,7 @@ class TupleSpaceClassifier(Generic[RuleT]):
 
         if trie_bits:
             values = flow.values
-            shifts = self.schema.shifts
+            shifts = DEFAULT_SCHEMA.shifts
             for index, trie in self._tries.items():
                 if trie_bits >> index & 1:
                     examined |= trie.mask_for(values[index]) << shifts[index]
@@ -428,7 +433,7 @@ class TupleSpaceClassifier(Generic[RuleT]):
         if cells is not None:
             cells[1 if best is not None else 0] += 1
         return LookupResult(
-            best, Wildcard.from_packed(self.schema, examined), probed
+            best, Wildcard.from_packed(examined), probed
         )
 
     def _climb(self, packed: int) -> LookupResult[RuleT]:
@@ -487,24 +492,15 @@ class TupleSpaceClassifier(Generic[RuleT]):
     # -- internals --------------------------------------------------------------------
 
     def _field_of(self, packed: int, index: int) -> int:
-        schema = self.schema
-        return (packed >> schema.shifts[index]) & schema.full_masks[index]
+        return (
+            (packed >> DEFAULT_SCHEMA.shifts[index])
+            & DEFAULT_SCHEMA.full_masks[index]
+        )
 
     def _build_walk(self) -> None:
         """Build the walk state from the resident rules."""
-        schema = self.schema
-        self._layer_masks = tuple(
-            sum(
-                field_mask
-                for f, field_mask in zip(schema, schema.field_masks)
-                if f.layer in layers
-            )
-            for layers in STAGE_LAYERS
-        )
         self._tries = {
-            schema.index_of(name): PrefixTrie(schema.field(name).width)
-            for name in self.trie_fields
-            if name in schema
+            index: PrefixTrie(width) for index, width in _TRIE_INDICES
         }
         for group in self._groups.values():
             self._stage(group)
@@ -519,11 +515,10 @@ class TupleSpaceClassifier(Generic[RuleT]):
         trie prefixes."""
         mask = group.mask
         stage_masks: List[int] = []
-        if self.staged:
-            for layer_mask in self._layer_masks:
-                stage_mask = mask & layer_mask
-                if stage_mask and stage_mask not in stage_masks[-1:]:
-                    stage_masks.append(stage_mask)
+        for layer_mask in _LAYER_MASKS:
+            stage_mask = mask & layer_mask
+            if stage_mask and stage_mask not in stage_masks[-1:]:
+                stage_masks.append(stage_mask)
         if mask not in stage_masks[-1:]:
             stage_masks.append(mask)
         prefixes = []
@@ -533,7 +528,7 @@ class TupleSpaceClassifier(Generic[RuleT]):
                 prefix_len = mask_to_prefix_len(field_mask, trie.width)
                 if prefix_len is not None:
                     prefixes.append((index, prefix_len))
-        field_masks = self.schema.field_masks
+        field_masks = DEFAULT_SCHEMA.field_masks
         stages: List[_Stage] = []
         for stage_mask in stage_masks:
             trie_bits = trie_mask = 0

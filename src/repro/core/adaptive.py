@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..pipeline.traversal import Traversal
 from .gigaflow import GigaflowCache, InstallOutcome
 from .partition import disjoint_partition, megaflow_partition
@@ -160,7 +159,6 @@ class AdaptiveGigaflowCache(GigaflowCache):
         self,
         num_tables: int = 4,
         table_capacity: int = 8192,
-        schema: FieldSchema = DEFAULT_SCHEMA,
         start_tag: int = 0,
         config: Optional[AdaptiveConfig] = None,
         **kwargs,
@@ -168,7 +166,6 @@ class AdaptiveGigaflowCache(GigaflowCache):
         super().__init__(
             num_tables=num_tables,
             table_capacity=table_capacity,
-            schema=schema,
             start_tag=start_tag,
             partitioner=disjoint_partition,
             **kwargs,

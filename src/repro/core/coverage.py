@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..flow.actions import SetField
+from ..flow.fields import DEFAULT_SCHEMA
 from .gigaflow import GigaflowCache
 from .ltm import TAG_DONE, LtmRule
 
@@ -67,8 +68,7 @@ def chain_satisfiable(rules: Sequence[LtmRule]) -> bool:
     """
     if not rules:
         return False
-    schema = rules[0].match.schema
-    n = len(schema)
+    n = len(DEFAULT_SCHEMA)
     determined: List[Optional[int]] = [None] * n
     constraint_mask = [0] * n
     constraint_value = [0] * n
@@ -95,7 +95,9 @@ def chain_satisfiable(rules: Sequence[LtmRule]) -> bool:
             )
         for action in rule.actions:
             if isinstance(action, SetField):
-                determined[schema.index_of(action.field)] = action.value
+                determined[DEFAULT_SCHEMA.index_of(action.field)] = (
+                    action.value
+                )
     return True
 
 

@@ -20,7 +20,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..cache.base import CacheResult, FlowCache, HitReplay, check_eviction
 from ..flow.actions import Action, ActionList
-from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..flow.key import FlowKey
 from ..pipeline.traversal import Traversal
 from .ltm import TAG_DONE, LtmRule, LtmTable
@@ -170,7 +169,6 @@ class GigaflowCache(FlowCache):
         self,
         num_tables: int = 4,
         table_capacity: int = 8192,
-        schema: FieldSchema = DEFAULT_SCHEMA,
         start_tag: int = 0,
         partitioner: Partitioner = disjoint_partition,
         placement: str = "balanced",
@@ -181,13 +179,12 @@ class GigaflowCache(FlowCache):
             raise ValueError(f"need at least one table, got {num_tables}")
         if placement not in ("balanced", "earliest"):
             raise ValueError(f"unknown placement policy {placement!r}")
-        self.schema = schema
         self.start_tag = start_tag
         self.partitioner = partitioner
         self.placement = placement
         self.eviction = check_eviction(eviction)
         self.tables: Tuple[LtmTable, ...] = tuple(
-            LtmTable(i, table_capacity, schema) for i in range(num_tables)
+            LtmTable(i, table_capacity) for i in range(num_tables)
         )
         #: Cumulative sharing events (a rule reused by another traversal).
         self.sharing_events = 0

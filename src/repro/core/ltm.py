@@ -16,7 +16,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..classify.tss import TupleSpaceClassifier
 from ..flow.actions import ActionList
-from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..flow.key import FlowKey
 from ..flow.match import TernaryMatch
 
@@ -136,17 +135,11 @@ class LtmTable:
     with the highest ``ρ`` (the LTM selection rule of §4.1.1).
     """
 
-    def __init__(
-        self,
-        index: int,
-        capacity: int = 8192,
-        schema: FieldSchema = DEFAULT_SCHEMA,
-    ):
+    def __init__(self, index: int, capacity: int = 8192):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.index = index
         self.capacity = capacity
-        self.schema = schema
         #: Telemetry pending cell (two-slot ``[miss, hit]`` list)
         #: propagated to every per-tag classifier bucket (``None`` =
         #: not observed).
@@ -199,7 +192,7 @@ class LtmTable:
             return False
         bucket = self._by_tag.get(rule.tag)
         if bucket is None:
-            bucket = TupleSpaceClassifier(self.schema)
+            bucket = TupleSpaceClassifier()
             bucket.observer_cells = self._observer_cells
             self._by_tag[rule.tag] = bucket
         bucket.insert(rule)
@@ -283,10 +276,6 @@ class LtmTable:
     def rules_with_tag(self, tag: int) -> List[LtmRule]:
         bucket = self._by_tag.get(tag)
         return list(bucket) if bucket is not None else []
-
-    def tag_histogram(self) -> Dict[int, int]:
-        """Entries per tag — diagnostic for placement quality."""
-        return {tag: len(bucket) for tag, bucket in self._by_tag.items()}
 
     def mean_group_count(self) -> float:
         """Average TSS mask groups per tag bucket — the groups the TSS

@@ -68,12 +68,6 @@ class ChainReport:
     def orphans(self) -> int:
         return self.total_rules - self.productive
 
-    @property
-    def productive_fraction(self) -> float:
-        if not self.total_rules:
-            return 0.0
-        return self.productive / self.total_rules
-
 
 def chain_report(cache: GigaflowCache) -> ChainReport:
     """Classify every rule by chain participation."""

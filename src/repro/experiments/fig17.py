@@ -46,9 +46,7 @@ NM_ISET_US_PER_GROUP = 0.01
 def _nm_stats(cache: MegaflowCache) -> NuevoMatchClassifier:
     # A cross-product-shaped cache holds many rules per distinct range, so
     # NuevoMatch needs more (small) iSets than its ClassBench defaults.
-    classifier = NuevoMatchClassifier(
-        cache.schema, max_isets=64, min_iset_size=4
-    )
+    classifier = NuevoMatchClassifier(max_isets=64, min_iset_size=4)
     classifier.fit(list(cache))
     return classifier
 

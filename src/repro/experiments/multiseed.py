@@ -57,10 +57,6 @@ class MultiSeedResult:
             )
         ])
 
-    @property
-    def gigaflow_wins_every_seed(self) -> bool:
-        return all(gain > 0 for gain in self.hit_rate_gain.samples)
-
 
 def replicate_pair(
     pipeline_name: str,

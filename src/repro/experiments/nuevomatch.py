@@ -28,7 +28,7 @@ import numpy as np
 
 from ..classify.trie import mask_to_prefix_len
 from ..classify.tss import LookupResult, TupleSpaceClassifier
-from ..flow.fields import FieldSchema
+from ..flow.fields import DEFAULT_SCHEMA
 from ..flow.key import FlowKey
 
 RuleT = TypeVar("RuleT")
@@ -171,32 +171,28 @@ class NuevoMatchClassifier(Generic[RuleT]):
 
     def __init__(
         self,
-        schema: FieldSchema,
         index_field: str = DEFAULT_INDEX_FIELD,
         max_isets: int = 4,
         min_iset_size: int = 8,
         candidate_fields: Sequence[str] = DEFAULT_CANDIDATE_FIELDS,
     ):
-        self.schema = schema
         self.index_field = index_field
-        self._field_index = schema.index_of(index_field)
-        self._width = schema[self._field_index].width
+        self._field_index = DEFAULT_SCHEMA.index_of(index_field)
+        self._width = DEFAULT_SCHEMA[self._field_index].width
         self.max_isets = max_isets
         self.min_iset_size = min_iset_size
         self._candidates: Tuple[int, ...] = tuple(
             dict.fromkeys(
                 [self._field_index]
                 + [
-                    schema.index_of(name)
+                    DEFAULT_SCHEMA.index_of(name)
                     for name in candidate_fields
-                    if name in schema
+                    if name in DEFAULT_SCHEMA
                 ]
             )
         )
         self._isets: List[_ISet[RuleT]] = []
-        self._remainder: TupleSpaceClassifier[RuleT] = TupleSpaceClassifier(
-            schema
-        )
+        self._remainder: TupleSpaceClassifier[RuleT] = TupleSpaceClassifier()
         self._size = 0
 
     def __len__(self) -> int:
@@ -205,14 +201,6 @@ class NuevoMatchClassifier(Generic[RuleT]):
     @property
     def iset_count(self) -> int:
         return len(self._isets)
-
-    @property
-    def iset_coverage(self) -> float:
-        """Fraction of rules indexed by learned models (vs. remainder)."""
-        if not self._size:
-            return 0.0
-        in_isets = sum(len(s) for s in self._isets)
-        return in_isets / self._size
 
     @property
     def remainder_group_count(self) -> int:
@@ -234,7 +222,7 @@ class NuevoMatchClassifier(Generic[RuleT]):
             best_selected: List[Tuple[int, int, RuleT]] = []
             best_rest: List[RuleT] = []
             for field_index in self._candidates:
-                width = self.schema[field_index].width
+                width = DEFAULT_SCHEMA[field_index].width
                 full_span = (1 << width) - 1
                 ranged: List[Tuple[int, int, RuleT]] = []
                 unranged: List[RuleT] = []

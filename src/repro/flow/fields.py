@@ -1,17 +1,17 @@
-"""Header-field schema for the Gigaflow reproduction.
+"""The header layout of the Gigaflow reproduction.
 
 The paper's LTM table (Fig. 6) matches, per cache table, an exact-match
-table tag plus ten ternary header fields.  This module defines those ten
-fields and the :class:`FieldSchema` object that the rest of the library is
-parameterised over.  Keeping the schema explicit (rather than hard-coding
-field offsets) lets tests build tiny two-field schemas and lets pipelines
-declare exactly which fields each stage inspects.
+table tag plus ten ternary header fields, fixed when the P4 program is
+compiled.  This module defines those ten fields (:data:`DEFAULT_FIELDS`)
+and the one layout built from them, :data:`DEFAULT_SCHEMA`, which every
+key, mask, classifier, table and cache uses.  It is the only module that
+knows the layout: to change the fields, edit :data:`DEFAULT_FIELDS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 
 #: Masks whose field bitset :meth:`FieldSchema.field_bits` remembers
@@ -55,17 +55,17 @@ class FieldSchema:
     """An ordered, immutable collection of :class:`Field` objects.
 
     A schema assigns every field an index; :class:`~repro.flow.key.FlowKey`
-    and :class:`~repro.flow.wildcard.Wildcard` are tuples indexed by these
-    positions.  Schemas compare equal structurally so that keys built from
-    two identical schema instances interoperate.
+    and :class:`~repro.flow.wildcard.Wildcard` are tuples indexed by the
+    positions of :data:`DEFAULT_SCHEMA`, the only schema the program
+    builds.
 
     A schema also fixes the *packed* form of a header vector: the fields
     concatenated into one integer, first field in the most significant
-    bits (``shifts[i]`` is field ``i``'s offset from bit 0; the default
-    schema is 244 bits wide).  Per-field AND / OR / compare on tuples
-    and one AND / OR / compare on packed integers are the same
-    operation, which is what the classifier and the wildcard algebra
-    run on.
+    bits (``shifts[i]`` is field ``i``'s offset from bit 0;
+    :data:`DEFAULT_SCHEMA` is 244 bits wide).  Per-field AND / OR /
+    compare on tuples and one AND / OR / compare on packed integers are
+    the same operation, which is what the classifier and the wildcard
+    algebra run on.
     """
 
     def __init__(self, fields: Iterable[Field]):
@@ -194,13 +194,6 @@ class FieldSchema:
     def field(self, name: str) -> Field:
         return self._fields[self.index_of(name)]
 
-    def indices_of(self, names: Sequence[str]) -> Tuple[int, ...]:
-        """Map a sequence of field names to their indices."""
-        return tuple(self.index_of(n) for n in names)
-
-    def layer_of(self, name: str) -> str:
-        return self.field(name).layer
-
 
 #: The ten ternary header fields of the paper's LTM table (Fig. 6).  The
 #: exact-match table tag is metadata, carried separately by the LTM machinery.
@@ -217,7 +210,8 @@ DEFAULT_FIELDS: Tuple[Field, ...] = (
     Field("tp_dst", 16, "l4"),
 )
 
-#: Schema used by all shipped pipelines and generators.
+#: The one header layout: every key, mask and classifier is laid out
+#: by it.
 DEFAULT_SCHEMA = FieldSchema(DEFAULT_FIELDS)
 
 

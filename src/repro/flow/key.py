@@ -1,16 +1,16 @@
 """FlowKey: the concrete header values of a packet (the paper's flow ``F``).
 
 A flow key is the flow signature extracted from a packet — one integer per
-schema field.  It is the object that traverses the vSwitch pipeline, gets
-modified by set-field actions, and is masked into cache-entry match
-predicates.
+header field of :data:`~repro.flow.fields.DEFAULT_SCHEMA`.  It is the
+object that traverses the vSwitch pipeline, gets modified by set-field
+actions, and is masked into cache-entry match predicates.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Tuple
 
-from .fields import DEFAULT_SCHEMA, FieldSchema
+from .fields import DEFAULT_SCHEMA
 from .wildcard import Wildcard
 
 
@@ -21,43 +21,35 @@ class FlowKey:
     and the packed integer :attr:`packed` the classifier probes with.
     """
 
-    __slots__ = ("_schema", "_values", "_hash", "_packed")
+    __slots__ = ("_values", "_hash", "_packed")
 
-    def __init__(self, schema: FieldSchema, values: Iterable[int]):
-        self._schema = schema
+    def __init__(self, values: Iterable[int]):
         self._values: Tuple[int, ...] = tuple(values)
         self._hash = None
-        if len(self._values) != len(schema):
+        if len(self._values) != len(DEFAULT_SCHEMA):
             raise ValueError(
-                f"expected {len(schema)} values, got {len(self._values)}"
+                f"expected {len(DEFAULT_SCHEMA)} values, "
+                f"got {len(self._values)}"
             )
-        for field, value in zip(schema, self._values):
+        for field, value in zip(DEFAULT_SCHEMA, self._values):
             field.validate_value(value)
-        self._packed: int = schema.pack(self._values)
+        self._packed: int = DEFAULT_SCHEMA.pack(self._values)
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
-    def from_fields(
-        cls,
-        values: Mapping[str, int],
-        schema: FieldSchema = DEFAULT_SCHEMA,
-    ) -> "FlowKey":
+    def from_fields(cls, values: Mapping[str, int]) -> "FlowKey":
         """Build a key from a ``{field name: value}`` mapping; rest zero."""
-        vector = [0] * len(schema)
+        vector = [0] * len(DEFAULT_SCHEMA)
         for name, value in values.items():
-            vector[schema.index_of(name)] = value
-        return cls(schema, vector)
+            vector[DEFAULT_SCHEMA.index_of(name)] = value
+        return cls(vector)
 
     @classmethod
-    def zero(cls, schema: FieldSchema = DEFAULT_SCHEMA) -> "FlowKey":
-        return cls(schema, schema.zero_tuple)
+    def zero(cls) -> "FlowKey":
+        return cls(DEFAULT_SCHEMA.zero_tuple)
 
     # -- accessors ----------------------------------------------------------------
-
-    @property
-    def schema(self) -> FieldSchema:
-        return self._schema
 
     @property
     def values(self) -> Tuple[int, ...]:
@@ -65,11 +57,11 @@ class FlowKey:
 
     @property
     def packed(self) -> int:
-        """The values as one integer, fields at ``schema.shifts``."""
+        """The values as one integer, fields at ``DEFAULT_SCHEMA.shifts``."""
         return self._packed
 
     def get(self, name: str) -> int:
-        return self._values[self._schema.index_of(name)]
+        return self._values[DEFAULT_SCHEMA.index_of(name)]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._values)
@@ -77,7 +69,7 @@ class FlowKey:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlowKey):
             return NotImplemented
-        return self._packed == other._packed and self._schema == other._schema
+        return self._packed == other._packed
 
     def __hash__(self) -> int:
         # Memoized: keys are immutable and shared across every packet of
@@ -90,7 +82,7 @@ class FlowKey:
     def __repr__(self) -> str:
         parts = [
             f"{field.name}={value:#x}"
-            for field, value in zip(self._schema, self._values)
+            for field, value in zip(DEFAULT_SCHEMA, self._values)
             if value
         ]
         return f"FlowKey({', '.join(parts) or 'zero'})"
@@ -99,18 +91,16 @@ class FlowKey:
 
     def set_field(self, name: str, value: int) -> "FlowKey":
         """Return a copy with one field replaced (set-field action)."""
-        schema = self._schema
-        index = schema.index_of(name)
-        schema[index].validate_value(value)
+        index = DEFAULT_SCHEMA.index_of(name)
+        DEFAULT_SCHEMA[index].validate_value(value)
         values = self._values
         # Only the replaced field is new: the rest was validated, and
         # packed, when this key was built.
         copy = FlowKey.__new__(FlowKey)
-        copy._schema = schema
         copy._values = values[:index] + (value,) + values[index + 1:]
         copy._hash = None
         copy._packed = self._packed ^ (
-            (values[index] ^ value) << schema.shifts[index]
+            (values[index] ^ value) << DEFAULT_SCHEMA.shifts[index]
         )
         return copy
 
@@ -120,14 +110,10 @@ class FlowKey:
         The result is a plain tuple — the canonical hashable form used as a
         hash-table key by the TSS classifier and the LTM tables.
         """
-        if wildcard.schema != self._schema:
-            raise ValueError("wildcard uses a different schema")
         return tuple(v & m for v, m in zip(self._values, wildcard.masks))
 
     def matches(self, value: "FlowKey", wildcard: Wildcard) -> bool:
         """True when this key equals ``value`` on the wildcarded bits."""
-        if wildcard.schema != self._schema:
-            raise ValueError("wildcard uses a different schema")
         return not (self._packed ^ value.packed) & wildcard.packed
 
     def diff_fields(self, other: "FlowKey") -> Tuple[str, ...]:
@@ -136,6 +122,6 @@ class FlowKey:
             return ()
         return tuple(
             field.name
-            for field, a, b in zip(self._schema, self._values, other._values)
+            for field, a, b in zip(DEFAULT_SCHEMA, self._values, other._values)
             if a != b
         )

@@ -1,4 +1,4 @@
-"""TernaryMatch: a (value, mask, priority) predicate over a field schema.
+"""TernaryMatch: a (value, mask, priority) predicate over the header fields.
 
 This is the shared matching primitive used by pipeline tables, the Megaflow
 cache, and the Gigaflow LTM tables.  A packet matches when its header equals
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Tuple
 
-from .fields import DEFAULT_SCHEMA, FieldSchema
+from .fields import DEFAULT_SCHEMA
 from .key import FlowKey
 from .wildcard import Wildcard
 
@@ -25,8 +25,6 @@ class TernaryMatch:
     __slots__ = ("_value", "_wildcard", "_packed", "_canonical", "_hash")
 
     def __init__(self, value: FlowKey, wildcard: Wildcard):
-        if value.schema != wildcard.schema:
-            raise ValueError("value and wildcard use different schemas")
         self._value = value
         self._wildcard = wildcard
         # Canonicalise: bits outside the mask are irrelevant, so store the
@@ -43,7 +41,6 @@ class TernaryMatch:
         cls,
         values: Mapping[str, int],
         masks: Optional[Mapping[str, Optional[int]]] = None,
-        schema: FieldSchema = DEFAULT_SCHEMA,
     ) -> "TernaryMatch":
         """Build a match from field values and (optionally) per-field masks.
 
@@ -52,20 +49,11 @@ class TernaryMatch:
         """
         if masks is None:
             masks = {name: None for name in values}
-        wildcard = Wildcard.from_fields(dict(masks), schema)
-        key = FlowKey.from_fields(values, schema)
+        wildcard = Wildcard.from_fields(dict(masks))
+        key = FlowKey.from_fields(values)
         return cls(key, wildcard)
 
-    @classmethod
-    def catch_all(cls, schema: FieldSchema = DEFAULT_SCHEMA) -> "TernaryMatch":
-        """A match that accepts every packet."""
-        return cls(FlowKey.zero(schema), Wildcard.empty(schema))
-
     # -- accessors ----------------------------------------------------------------
-
-    @property
-    def schema(self) -> FieldSchema:
-        return self._value.schema
 
     @property
     def value(self) -> FlowKey:
@@ -77,7 +65,8 @@ class TernaryMatch:
 
     @property
     def packed(self) -> int:
-        """The masked value as one integer (see :class:`FieldSchema`)."""
+        """The masked value as one integer (see
+        :class:`~repro.flow.fields.FieldSchema`)."""
         return self._packed
 
     @property
@@ -85,7 +74,7 @@ class TernaryMatch:
         """The masked value tuple — a hashable canonical form."""
         canonical = self._canonical
         if canonical is None:
-            canonical = self._canonical = self.schema.unpack(self._packed)
+            canonical = self._canonical = DEFAULT_SCHEMA.unpack(self._packed)
         return canonical
 
     @property
@@ -111,7 +100,7 @@ class TernaryMatch:
     def __repr__(self) -> str:
         parts = []
         for field, value, mask in zip(
-            self.schema, self.canonical_key, self._wildcard.masks
+            DEFAULT_SCHEMA, self.canonical_key, self._wildcard.masks
         ):
             if not mask:
                 continue
@@ -125,8 +114,6 @@ class TernaryMatch:
 
     def matches(self, flow: FlowKey) -> bool:
         """True when ``flow`` satisfies this predicate."""
-        if flow.schema != self.schema:
-            raise ValueError("wildcard uses a different schema")
         return flow.packed & self._wildcard.packed == self._packed
 
     def specificity(self) -> int:
@@ -139,8 +126,6 @@ class TernaryMatch:
         Two ternary predicates overlap iff they agree on every bit matched
         by both masks.
         """
-        if self.schema != other.schema:
-            raise ValueError("matches use different schemas")
         common = self._wildcard.packed & other._wildcard.packed
         return self._packed & common == other._packed & common
 
@@ -150,8 +135,6 @@ class TernaryMatch:
         Holds iff this mask is a subset of the other's mask and the values
         agree on this mask.
         """
-        if self.schema != other.schema:
-            raise ValueError("matches use different schemas")
         mask = self._wildcard.packed
         return (
             not mask & ~other._wildcard.packed

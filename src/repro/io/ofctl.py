@@ -39,7 +39,7 @@ from ..flow.actions import (
     Output,
     SetField,
 )
-from ..flow.fields import DEFAULT_SCHEMA, FieldSchema, ip, prefix_mask
+from ..flow.fields import DEFAULT_SCHEMA, ip, prefix_mask
 from ..flow.match import TernaryMatch
 from ..pipeline.pipeline import Pipeline
 from ..pipeline.rule import PipelineRule
@@ -158,9 +158,7 @@ def _token(token: str) -> Iterator[None]:
         raise OfctlParseError(f"bad token {token!r}: {exc}") from exc
 
 
-def parse_rule(
-    text: str, schema: FieldSchema = DEFAULT_SCHEMA
-) -> Tuple[int, PipelineRule]:
+def parse_rule(text: str) -> Tuple[int, PipelineRule]:
     """Parse one rule line; returns ``(table_id, rule)``."""
     parts = _split_top_level(text)
     table_id = 0
@@ -194,7 +192,9 @@ def parse_rule(
                 elif key in _MATCH_KEYS:
                     field = _MATCH_KEYS[key]
                     value, mask = _parse_value(field, value_text)
-                    values[field] = schema.field(field).validate_value(value)
+                    values[field] = DEFAULT_SCHEMA.field(field).validate_value(
+                        value
+                    )
                     masks[field] = mask
                 else:
                     raise OfctlParseError(f"unknown match key {key!r}")
@@ -205,7 +205,7 @@ def parse_rule(
         else:
             raise OfctlParseError(f"unknown token {part!r}")
 
-    match = TernaryMatch.from_fields(values, masks, schema)
+    match = TernaryMatch.from_fields(values, masks)
     rule = PipelineRule(
         match=match,
         priority=priority,
@@ -215,9 +215,7 @@ def parse_rule(
     return table_id, rule
 
 
-def parse_rules(
-    text: str, schema: FieldSchema = DEFAULT_SCHEMA
-) -> List[Tuple[int, PipelineRule]]:
+def parse_rules(text: str) -> List[Tuple[int, PipelineRule]]:
     """Parse a multi-line rule listing (``#`` comments allowed)."""
     rules = []
     for line_no, line in enumerate(text.splitlines(), 1):
@@ -225,7 +223,7 @@ def parse_rules(
         if not line:
             continue
         try:
-            rules.append(parse_rule(line, schema))
+            rules.append(parse_rule(line))
         except OfctlParseError as exc:
             raise OfctlParseError(f"line {line_no}: {exc}") from exc
     return rules
@@ -233,7 +231,7 @@ def parse_rules(
 
 def install_rules(pipeline: Pipeline, text: str) -> int:
     """Parse a listing and install every rule; returns the count."""
-    parsed = parse_rules(text, pipeline.schema)
+    parsed = parse_rules(text)
     for table_id, rule in parsed:
         pipeline.install(table_id, rule)
     return len(parsed)

@@ -31,14 +31,6 @@ class CpuBreakdown:
     slowpath_invocations: int = 0
 
     @property
-    def total_cycles(self) -> int:
-        return (
-            self.pipeline_cycles
-            + self.partition_cycles
-            + self.rulegen_cycles
-        )
-
-    @property
     def overhead_fraction(self) -> float:
         """Partitioning + rule generation as a fraction of the userspace
         pipeline cost — Fig. 13's headline ratio (0 for Megaflow-style

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import EV_HOP, flow_id
@@ -114,10 +114,6 @@ class FabricController:
         self.paths_computed = 0
         #: Memoized paths invalidated by link failures/restores.
         self.reroutes = 0
-
-    @property
-    def down_links(self) -> FrozenSet[Link]:
-        return frozenset(self._down)
 
     def endpoints_for(self, flow_id: int) -> Tuple[str, str]:
         pair = self.endpoints.get(flow_id)

@@ -104,9 +104,6 @@ class Topology:
         """Switches carrying ``role``, in declaration order."""
         return tuple(s for s in self.switches if self.role(s) == role)
 
-    def neighbors(self, switch: str) -> Tuple[str, ...]:
-        return self.adjacency[switch]
-
     def __contains__(self, switch: str) -> bool:
         return switch in self.adjacency
 

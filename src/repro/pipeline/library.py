@@ -22,10 +22,9 @@ Rules themselves are synthesised by Pipebench (§6.1) from ClassBench-style
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from .pipeline import Pipeline
 from .table import PipelineTable
 
@@ -70,7 +69,6 @@ class PipelineSpec:
     description: str
     tables: Tuple[TableSpec, ...]
     traversals: Tuple[TraversalTemplate, ...]
-    schema: FieldSchema = field(default=DEFAULT_SCHEMA)
 
     def __post_init__(self) -> None:
         ids = [t.table_id for t in self.tables]
@@ -106,14 +104,12 @@ class PipelineSpec:
     def build(self, start_table: Optional[int] = None) -> Pipeline:
         """Instantiate an empty :class:`Pipeline` for this spec."""
         tables = tuple(
-            PipelineTable(
-                spec.table_id, spec.name, spec.fields, schema=self.schema
-            )
+            PipelineTable(spec.table_id, spec.name, spec.fields)
             for spec in self.tables
         )
         if start_table is None:
             start_table = self.tables[0].table_id
-        return Pipeline(self.name, tables, start_table, self.schema)
+        return Pipeline(self.name, tables, start_table)
 
 
 # -- field-group shorthands ------------------------------------------------------

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..flow.actions import ActionList
-from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..flow.key import FlowKey
 from .rule import PipelineRule
 from .table import PipelineTable
@@ -74,20 +73,14 @@ class Pipeline:
         name: str,
         tables: Iterable[PipelineTable],
         start_table: int = 0,
-        schema: FieldSchema = DEFAULT_SCHEMA,
         max_depth: int = 64,
     ):
         self.name = name
-        self.schema = schema
         self.max_depth = max_depth
         self.tables: Dict[int, PipelineTable] = {}
         for table in tables:
             if table.table_id in self.tables:
                 raise ValueError(f"duplicate table id {table.table_id}")
-            if table.schema != schema:
-                raise ValueError(
-                    f"table {table.name!r} uses a different schema"
-                )
             if table.owner is not None:
                 raise ValueError(
                     f"table {table.name!r} is already a stage of "
@@ -129,10 +122,6 @@ class Pipeline:
     @property
     def table_ids(self) -> Tuple[int, ...]:
         return tuple(sorted(self.tables))
-
-    @property
-    def rule_count(self) -> int:
-        return sum(len(t) for t in self.tables.values())
 
     @property
     def generation(self) -> int:

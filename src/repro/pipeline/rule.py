@@ -44,13 +44,6 @@ class PipelineRule:
         if self.priority < 0:
             raise ValueError(f"negative priority: {self.priority}")
 
-    def sort_key(self) -> tuple:
-        """A deterministic listing order (a table's rules sorted for
-        comparison): priority desc, specificity desc, then insertion
-        order.  It does not resolve multi-match — the classifier does,
-        as :attr:`rule_id` says."""
-        return (-self.priority, -self.match.specificity(), self.rule_id)
-
     def __repr__(self) -> str:
         nxt = "terminal" if self.next_table is None else f"goto {self.next_table}"
         return (

@@ -7,7 +7,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from ..classify.tss import TupleSpaceClassifier
 from ..flow.actions import ActionList, Controller
-from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
+from ..flow.fields import DEFAULT_SCHEMA
 from ..flow.key import FlowKey
 from ..flow.wildcard import Wildcard
 from .rule import PipelineRule
@@ -58,23 +58,21 @@ class PipelineTable:
         table_id: int,
         name: str,
         match_fields: Sequence[str],
-        schema: FieldSchema = DEFAULT_SCHEMA,
         miss_next_table: Optional[int] = None,
         miss_actions: Optional[ActionList] = None,
     ):
         if table_id < 0:
             raise ValueError(f"table id must be non-negative, got {table_id}")
         for field in match_fields:
-            schema.index_of(field)  # validates
+            DEFAULT_SCHEMA.index_of(field)  # validates
         self.table_id = table_id
         self.name = name
-        self.schema = schema
         self.match_fields: Tuple[str, ...] = tuple(match_fields)
         self.field_set = frozenset(self.match_fields)
         self.miss_next_table = miss_next_table
         self.miss_actions = miss_actions or ActionList([Controller()])
         self._classifier: TupleSpaceClassifier[PipelineRule] = (
-            TupleSpaceClassifier(schema)
+            TupleSpaceClassifier()
         )
         self.owner = None
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from ..flow.actions import ActionList
+from ..flow.fields import DEFAULT_SCHEMA
 from ..flow.key import FlowKey
 from ..flow.match import TernaryMatch
 from ..flow.wildcard import Wildcard
@@ -272,12 +273,11 @@ def union_wildcards(steps: Sequence[TraversalStep]) -> Wildcard:
     the original packet)."""
     if not steps:
         raise ValueError("cannot union zero steps")
-    schema = steps[0].wildcard.schema
-    field_masks = schema.field_masks
+    field_masks = DEFAULT_SCHEMA.field_masks
     packed = 0
     rewritten = 0  # packed mask of the fields earlier steps rewrote
     for step in steps:
         packed |= step.wildcard.packed & ~rewritten
         for name in step.actions.modified_fields():
-            rewritten |= field_masks[schema.index_of(name)]
-    return Wildcard.from_packed(schema, packed)
+            rewritten |= field_masks[DEFAULT_SCHEMA.index_of(name)]
+    return Wildcard.from_packed(packed)

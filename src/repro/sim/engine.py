@@ -16,10 +16,8 @@ from typing import Iterable, Optional, Tuple
 from ..cache.base import FlowCache
 from ..cache.hierarchy import CacheHierarchy
 from ..cache.megaflow import MegaflowCache
-from ..core.coverage import coverage as gigaflow_coverage
 from ..core.gigaflow import GigaflowCache
 from ..core.partition import Partitioner, disjoint_partition
-from ..flow.fields import DEFAULT_SCHEMA, FieldSchema
 from ..flow.packet import Packet
 from ..metrics.cpu import CpuBreakdown
 from ..metrics.latency import LatencyModel
@@ -63,10 +61,6 @@ class CachingSystem:
             rules_generated=1, rules_installed=1, partition_cells=0
         )
 
-    def coverage(self) -> Optional[int]:
-        """Rule-space coverage, when the system defines one."""
-        return None
-
     def sharing(self) -> Optional[float]:
         return None
 
@@ -76,15 +70,8 @@ class MegaflowSystem(CachingSystem):
 
     name = "megaflow"
 
-    def __init__(
-        self,
-        capacity: int = 32768,
-        schema: FieldSchema = DEFAULT_SCHEMA,
-    ):
-        self.cache = MegaflowCache(capacity, schema)
-
-    def coverage(self) -> int:
-        return self.cache.entry_count()
+    def __init__(self, capacity: int = 32768):
+        self.cache = MegaflowCache(capacity)
 
 
 class HierarchySystem(CachingSystem):
@@ -96,14 +83,8 @@ class HierarchySystem(CachingSystem):
         self,
         microflow_capacity: int = 8192,
         megaflow_capacity: int = 32768,
-        schema: FieldSchema = DEFAULT_SCHEMA,
     ):
-        self.cache = CacheHierarchy(
-            microflow_capacity, megaflow_capacity, schema
-        )
-
-    def coverage(self) -> int:
-        return self.cache.megaflow.entry_count()
+        self.cache = CacheHierarchy(microflow_capacity, megaflow_capacity)
 
 
 class GigaflowSystem(CachingSystem):
@@ -115,7 +96,6 @@ class GigaflowSystem(CachingSystem):
         self,
         num_tables: int = 4,
         table_capacity: int = 8192,
-        schema: FieldSchema = DEFAULT_SCHEMA,
         start_tag: int = 0,
         partitioner: Partitioner = disjoint_partition,
         placement: str = "balanced",
@@ -124,7 +104,6 @@ class GigaflowSystem(CachingSystem):
         self.cache = GigaflowCache(
             num_tables=num_tables,
             table_capacity=table_capacity,
-            schema=schema,
             start_tag=start_tag,
             partitioner=partitioner,
             placement=placement,
@@ -141,9 +120,6 @@ class GigaflowSystem(CachingSystem):
             rules_installed=outcome.installed,
             partition_cells=len(traversal) * len(self.cache.tables),
         )
-
-    def coverage(self) -> int:
-        return gigaflow_coverage(self.cache)
 
     def sharing(self) -> float:
         """Cumulative reoccurrence frequency (Fig. 11): how many times the
@@ -166,7 +142,6 @@ class AdaptiveGigaflowSystem(GigaflowSystem):
         self,
         num_tables: int = 4,
         table_capacity: int = 8192,
-        schema: FieldSchema = DEFAULT_SCHEMA,
         start_tag: int = 0,
         adaptive_config=None,
         **kwargs,
@@ -176,7 +151,6 @@ class AdaptiveGigaflowSystem(GigaflowSystem):
         self.cache = AdaptiveGigaflowCache(
             num_tables=num_tables,
             table_capacity=table_capacity,
-            schema=schema,
             start_tag=start_tag,
             config=adaptive_config,
             **kwargs,
@@ -457,7 +431,6 @@ class PacketKernel:
             cpu=self.cpu,
             series=self.series,
             sharing=system.sharing(),
-            coverage=system.coverage(),
             cache_probes=self.cache_probes,
             telemetry=telemetry_summary,
         )

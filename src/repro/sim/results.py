@@ -105,7 +105,6 @@ class SimResult:
         cpu: Slow-path CPU cycle breakdown.
         series: Windowed hit-rate time series.
         sharing: Mean sub-traversal reuse (Gigaflow only, else None).
-        coverage: Rule-space coverage (Gigaflow chains / Megaflow entries).
         cache_probes: Total classifier mask groups hashed across every
             cache lookup (hits and misses) — the TSS search-cost metric;
             identical with the fast path on or off because memoized hits
@@ -127,7 +126,6 @@ class SimResult:
     cpu: CpuBreakdown
     series: TimeSeries
     sharing: Optional[float] = None
-    coverage: Optional[int] = None
     cache_probes: int = 0
     telemetry: Optional[dict] = None
     peak_entries_per_shard: Optional[Tuple[int, ...]] = None
@@ -138,7 +136,7 @@ class SimResult:
 
         Semantics, pinned by ``tests/test_sharded.py``:
 
-        * counters (stats, packets, cpu, cache_probes, coverage,
+        * counters (stats, packets, cpu, cache_probes,
           entry/peak counts, capacity) **sum** — each shard owns a
           disjoint slice of the flow space, so its counters are disjoint
           contributions;
@@ -199,7 +197,6 @@ class SimResult:
                 if share_installs
                 else 0.0
             )
-        coverages = [r.coverage for r in results if r.coverage is not None]
         # Exact per-shard peaks survive the (lossy) scalar sum; inputs
         # that are themselves merges contribute their flattened lists,
         # keeping merge associative.
@@ -241,7 +238,6 @@ class SimResult:
             cpu=cpu,
             series=series,
             sharing=sharing,
-            coverage=sum(coverages) if coverages else None,
             cache_probes=sum(r.cache_probes for r in results),
             telemetry=telemetry,
             peak_entries_per_shard=tuple(peaks_per_shard),

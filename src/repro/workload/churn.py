@@ -230,14 +230,6 @@ class ChurnSchedule:
     def __iter__(self):
         return iter(self.events)
 
-    @property
-    def first_at(self) -> Optional[float]:
-        return self.events[0].at if self.events else None
-
-    @property
-    def last_at(self) -> Optional[float]:
-        return self.events[-1].at if self.events else None
-
     def merged_with(self, other: "ChurnSchedule") -> "ChurnSchedule":
         return ChurnSchedule(self.events + other.events)
 

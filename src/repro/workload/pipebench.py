@@ -30,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..flow.actions import ActionList, Drop, Output, SetField
-from ..flow.fields import FieldSchema, prefix_mask
+from ..flow.fields import DEFAULT_SCHEMA, prefix_mask
 from ..flow.key import FlowKey
 from ..flow.match import TernaryMatch
 from ..flow.packet import Packet
@@ -200,12 +200,6 @@ class PipebenchWorkload:
     def n_flows(self) -> int:
         return len(self.pilots)
 
-    @property
-    def cacheable_fraction(self) -> float:
-        if not self.pilots:
-            return 0.0
-        return sum(p.cacheable for p in self.pilots) / len(self.pilots)
-
     def trace(
         self,
         profile: TraceProfile = CAIDA_PROFILE,
@@ -344,7 +338,6 @@ class Pipebench:
         self.config = (config or PipebenchConfig()).resolved()
         self.locality = LOCALITY_PROFILES[self.config.locality]
         self._rng = np.random.default_rng(self.config.seed)
-        self.schema: FieldSchema = spec.schema
         self._rule_index: Dict[Tuple[int, TernaryMatch], PipelineRule] = {}
         self._hosts: List[Host] = []
         self._services: List[Service] = []
@@ -541,8 +534,7 @@ class Pipebench:
                 "ip_proto": proto,
                 "tp_src": tp_src,
                 "tp_dst": tp_dst,
-            },
-            self.schema,
+            }
         )
         context = {
             "src_plen": host.prefix[1],
@@ -663,8 +655,8 @@ class Pipebench:
                     continue
                 masks[field_name] = prefix_mask(16, 16)
             else:
-                masks[field_name] = self.schema.field(field_name).full_mask
-        wildcard = Wildcard.from_fields(masks, self.schema)
+                masks[field_name] = DEFAULT_SCHEMA.field(field_name).full_mask
+        wildcard = Wildcard.from_fields(masks)
         return TernaryMatch(current, wildcard)
 
     def _rule_actions(

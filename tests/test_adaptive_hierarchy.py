@@ -47,9 +47,10 @@ class TestCacheHierarchy:
         assert hierarchy.entry_count() == 0
 
     def test_microflow_hit_fraction(self, hierarchy, default_flow):
+        """The exact-match level serves a share of the hierarchy's hits."""
         hierarchy.lookup(default_flow)
         hierarchy.lookup(flow(tp_src=1))
-        assert 0.0 <= hierarchy.microflow_hit_fraction <= 1.0
+        assert 0 <= hierarchy.microflow.stats.hits <= hierarchy.stats.hits
 
 
 class TestAdaptiveConfig:

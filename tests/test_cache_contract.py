@@ -113,7 +113,9 @@ class TestReplayIsAFreshLookup:
 class TestRemove:
     @pytest.mark.parametrize("kind", KINDS)
     def test_remove_departs_with_its_reason(self, kind):
-        """The hierarchy's entries live in (and leave from) its levels."""
+        """The hierarchy's entries live in (and leave from) its levels:
+        removing one through the hierarchy departs from the level that
+        holds it."""
         each = rig(kind)
         for idx in range(3):
             each.install(idx, float(idx))
@@ -127,14 +129,14 @@ class TestRemove:
             victim = next(iter(leaf))
             epoch, evictions = leaf.mutation_epoch, leaf.stats.evictions
             each.hub.evicts.clear()
-            leaf.remove(victim, "why")
+            each.cache.remove(victim, "why")
             assert departures == [([victim], "why")]
             assert entry_key(victim) not in map(entry_key, leaf)
             assert leaf.stats.evictions == evictions + 1
             assert leaf.mutation_epoch == epoch + 1
             assert each.hub.evicts == [(leaf.telemetry_name, "why", 1)]
             with pytest.raises(KeyError):
-                leaf.remove(victim, "why")
+                each.cache.remove(victim, "why")
 
     @pytest.mark.parametrize("make", (
         lambda: MegaflowCache(capacity=8),

@@ -17,7 +17,6 @@ class TestCacheStats:
         stats = CacheStats(hits=3, misses=1)
         assert stats.lookups == 4
         assert stats.hit_rate == 0.75
-        assert stats.miss_rate == 0.25
 
     def test_rates_idle(self):
         assert CacheStats().hit_rate == 0.0
@@ -27,11 +26,6 @@ class TestCacheStats:
         snap = stats.snapshot()
         stats.hits = 99
         assert snap.hits == 1
-
-    def test_reset(self):
-        stats = CacheStats(hits=5, misses=2, insertions=1)
-        stats.reset()
-        assert stats.lookups == 0
 
 
 class TestMicroflow:

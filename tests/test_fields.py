@@ -65,13 +65,15 @@ class TestFieldSchema:
         assert hash(a) == hash(b)
 
     def test_layers(self):
-        assert DEFAULT_SCHEMA.layer_of("eth_src") == "l2"
-        assert DEFAULT_SCHEMA.layer_of("ip_dst") == "l3"
-        assert DEFAULT_SCHEMA.layer_of("tp_dst") == "l4"
-        assert DEFAULT_SCHEMA.layer_of("in_port") == "port"
+        assert DEFAULT_SCHEMA.field("eth_src").layer == "l2"
+        assert DEFAULT_SCHEMA.field("ip_dst").layer == "l3"
+        assert DEFAULT_SCHEMA.field("tp_dst").layer == "l4"
+        assert DEFAULT_SCHEMA.field("in_port").layer == "port"
 
     def test_indices_of(self):
-        assert DEFAULT_SCHEMA.indices_of(["in_port", "ip_dst"]) == (0, 6)
+        assert tuple(
+            map(DEFAULT_SCHEMA.index_of, ["in_port", "ip_dst"])
+        ) == (0, 6)
 
     def test_contains(self):
         assert "ip_src" in DEFAULT_SCHEMA

@@ -73,7 +73,8 @@ class TestTernaryMatch:
         assert not match.matches(flow(ip_dst=ip("10.2.0.1")))
 
     def test_catch_all(self):
-        assert TernaryMatch.catch_all().matches(flow())
+        # A match on no field accepts every packet.
+        assert TernaryMatch.from_fields({}).matches(flow())
 
     def test_canonicalisation(self):
         # Bits outside the mask are irrelevant to equality.

@@ -112,13 +112,14 @@ class TestLtmTable:
         assert b.last_used == 1.0
 
     def test_tag_histogram(self):
+        """Rules are bucketed per tag."""
         table = LtmTable(0, capacity=8)
         table.insert(ltm_rule({"tp_dst": 1}, tag=0))
         table.insert(ltm_rule({"tp_dst": 2}, tag=0))
         table.insert(ltm_rule({"tp_dst": 3}, tag=4))
-        assert table.tag_histogram() == {0: 2, 4: 1}
         assert table.tags == (0, 4)
         assert len(table.rules_with_tag(0)) == 2
+        assert len(table.rules_with_tag(4)) == 1
 
 
 class TestTagDependency:

@@ -87,9 +87,6 @@ class TestCpuBreakdown:
         assert cpu.pipeline_cycles > 0
         assert cpu.partition_cycles > 0
         assert cpu.rulegen_cycles > 0
-        assert cpu.total_cycles == (
-            cpu.pipeline_cycles + cpu.partition_cycles + cpu.rulegen_cycles
-        )
         assert cpu.slowpath_invocations == 1
 
     def test_overhead_fraction(self):

@@ -31,6 +31,6 @@ class TestReplicatePair:
         assert result.seeds == (7, 11)
         assert len(result.hit_rate_gain.samples) == 2
         # The headline claim should not be a one-seed fluke.
-        assert result.gigaflow_wins_every_seed
+        assert all(gain > 0 for gain in result.hit_rate_gain.samples)
         assert result.gigaflow_hit_rate.mean > result.megaflow_hit_rate.mean
         assert result.gigaflow_misses.mean < result.megaflow_misses.mean

@@ -5,7 +5,7 @@ import pytest
 
 from repro.classify import TupleSpaceClassifier
 from repro.experiments.nuevomatch import NuevoMatchClassifier
-from repro.flow import ActionList, DEFAULT_SCHEMA, Output, TernaryMatch, prefix_mask
+from repro.flow import ActionList, Output, TernaryMatch, prefix_mask
 from repro.pipeline import PipelineRule
 from conftest import flow
 
@@ -36,41 +36,38 @@ def random_prefix_rules(n, seed=0):
 
 class TestFit:
     def test_builds_isets_for_prefix_rules(self):
-        classifier = NuevoMatchClassifier(DEFAULT_SCHEMA)
+        classifier = NuevoMatchClassifier()
         classifier.fit(random_prefix_rules(200))
         assert classifier.iset_count >= 1
-        assert 0.0 < classifier.iset_coverage <= 1.0
         assert len(classifier) == 200
 
     def test_non_range_rules_go_to_remainder(self):
-        classifier = NuevoMatchClassifier(DEFAULT_SCHEMA)
+        classifier = NuevoMatchClassifier()
         # eth_dst is not an iSet candidate field, so MAC-only rules have
         # no usable range on any indexed dimension -> remainder.
         rules = [make_rule({"eth_dst": m}) for m in range(20)]
         classifier.fit(rules)
         assert classifier.iset_count == 0
-        assert classifier.iset_coverage == 0.0
         assert classifier.lookup(flow(eth_dst=7)).rule is rules[7]
 
     def test_port_rules_get_their_own_iset(self):
         # tp_dst is a candidate dimension: distinct exact ports form
         # disjoint ranges -> one learned iSet, no remainder.
-        classifier = NuevoMatchClassifier(DEFAULT_SCHEMA)
+        classifier = NuevoMatchClassifier()
         rules = [make_rule({"tp_dst": p}) for p in range(20)]
         classifier.fit(rules)
         assert classifier.iset_count == 1
-        assert classifier.iset_coverage == 1.0
         assert classifier.lookup(flow(tp_dst=7)).rule is rules[7]
 
     def test_insert_after_fit_lands_in_remainder(self):
-        classifier = NuevoMatchClassifier(DEFAULT_SCHEMA)
+        classifier = NuevoMatchClassifier()
         classifier.fit(random_prefix_rules(50))
         late = make_rule({"tp_dst": 443}, priority=1000)
         classifier.insert(late)
         assert classifier.lookup(flow(tp_dst=443)).rule is late
 
     def test_small_sets_skip_isets(self):
-        classifier = NuevoMatchClassifier(DEFAULT_SCHEMA, min_iset_size=64)
+        classifier = NuevoMatchClassifier(min_iset_size=64)
         classifier.fit(random_prefix_rules(10))
         assert classifier.iset_count == 0
 
@@ -79,9 +76,9 @@ class TestEquivalenceWithTss:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_agrees_with_tss_on_priority(self, seed):
         rules = random_prefix_rules(300, seed=seed)
-        nm = NuevoMatchClassifier(DEFAULT_SCHEMA)
+        nm = NuevoMatchClassifier()
         nm.fit(rules)
-        tss = TupleSpaceClassifier(DEFAULT_SCHEMA)
+        tss = TupleSpaceClassifier()
         for rule in rules:
             tss.insert(rule)
         rng = np.random.default_rng(seed + 100)

@@ -230,7 +230,6 @@ def result_fingerprint(result):
         ),
         "series": result.series.buckets(),
         "sharing": result.sharing,
-        "coverage": result.coverage,
         "cache_probes": result.cache_probes,
     }
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flow import SetField, ip, prefix_mask
+from repro.flow import DEFAULT_SCHEMA, SetField, ip, prefix_mask
 from repro.io import (
     OfctlParseError,
     install_rules,
@@ -31,7 +31,7 @@ class TestParseRule:
         assert rule.next_table == 3
         assert rule.match.matches(flow(ip_dst=ip("192.168.1.200")))
         assert not rule.match.matches(flow(ip_dst=ip("192.168.2.1")))
-        index = rule.match.schema.index_of("ip_dst")
+        index = DEFAULT_SCHEMA.index_of("ip_dst")
         assert rule.match.mask_tuple[index] == prefix_mask(24)
 
     def test_mac_address(self):

@@ -23,8 +23,8 @@ class TestWorkloadBuild:
         assert psc_workload.n_flows == N_FLOWS
 
     def test_all_pilots_cacheable(self, psc_workload):
-        assert psc_workload.cacheable_fraction == 1.0
         for pilot in psc_workload.pilots:
+            assert pilot.cacheable
             assert pilot.traversal is not None
             assert pilot.traversal.disposition != Disposition.CONTROLLER
 
@@ -40,7 +40,8 @@ class TestWorkloadBuild:
             assert pilot.traversal.table_ids[0] == start
 
     def test_rules_installed(self, psc_workload):
-        assert psc_workload.pipeline.rule_count > 0
+        pipeline = psc_workload.pipeline
+        assert sum(len(table) for table in pipeline.tables.values()) > 0
 
     def test_deterministic_by_seed(self):
         a = build_workload(PSC, n_flows=50, locality="high", seed=9)
@@ -109,7 +110,7 @@ class TestLargerPipelines:
         workload = build_workload(OLS, n_flows=200, locality="high", seed=5)
         # Shadowed classes are dropped at finalise; nearly all survive.
         assert workload.n_flows >= 190
-        assert workload.cacheable_fraction == 1.0
+        assert all(pilot.cacheable for pilot in workload.pilots)
         # OLS flows take diverse traversal shapes.
         shapes = {p.traversal.table_ids for p in workload.pilots}
         assert len(shapes) > 3

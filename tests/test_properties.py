@@ -9,8 +9,6 @@ from repro.classify.trie import mask_to_prefix_len
 from repro.flow import (
     ActionList,
     DEFAULT_SCHEMA,
-    Field,
-    FieldSchema,
     FlowKey,
     Output,
     TernaryMatch,
@@ -28,7 +26,7 @@ def flow_keys(draw):
     values = [
         draw(st.integers(0, (1 << width) - 1)) for width in field_widths
     ]
-    return FlowKey(DEFAULT_SCHEMA, values)
+    return FlowKey(values)
 
 
 @st.composite
@@ -36,7 +34,7 @@ def wildcards(draw):
     masks = [
         draw(st.integers(0, (1 << width) - 1)) for width in field_widths
     ]
-    return Wildcard(DEFAULT_SCHEMA, masks)
+    return Wildcard(masks)
 
 
 @st.composite
@@ -57,31 +55,18 @@ def ip_prefixes(draw):
 
 # -- packed header vectors ----------------------------------------------------------
 
-#: The default schema plus toy ones whose widths share no byte or word
-#: boundary, so that a wrong offset cannot hide.
-PACKED_SCHEMAS = [
-    DEFAULT_SCHEMA,
-    FieldSchema(
-        Field(f"f{i}", width, "l3")
-        for i, width in enumerate((1, 3, 7, 13, 61, 2, 33))
-    ),
-    FieldSchema([Field("only", 5, "port")]),
-]
-
-
 @st.composite
-def schema_vectors(draw, count=1):
-    """A schema and ``count`` in-range value vectors over it; every field
-    is drawn from {0, full mask, anything} so the edges always occur."""
-    schema = draw(st.sampled_from(PACKED_SCHEMAS))
-    vectors = [
+def vectors(draw, count=1):
+    """``count`` in-range value vectors over the header layout; every
+    field is drawn from {0, full mask, anything} so the edges always
+    occur."""
+    return tuple(
         tuple(
             draw(st.sampled_from([0, full]) | st.integers(0, full))
-            for full in schema.full_masks
+            for full in DEFAULT_SCHEMA.full_masks
         )
         for _ in range(count)
-    ]
-    return (schema, *vectors)
+    )
 
 
 class TestPackedLayout:
@@ -90,15 +75,16 @@ class TestPackedLayout:
         assert DEFAULT_SCHEMA.shifts[0] == 244 - 16
         assert DEFAULT_SCHEMA.shifts[-1] == 0
 
-    @given(schema_vectors())
+    @given(vectors())
     def test_pack_unpack_round_trip(self, drawn):
-        schema, values = drawn
-        packed = schema.pack(values)
-        assert 0 <= packed <= schema.full_packed
-        assert schema.unpack(packed) == values
+        (values,) = drawn
+        packed = DEFAULT_SCHEMA.pack(values)
+        assert 0 <= packed <= DEFAULT_SCHEMA.full_packed
+        assert DEFAULT_SCHEMA.unpack(packed) == values
 
-    @given(st.sampled_from(PACKED_SCHEMAS), st.data())
-    def test_one_field_never_bleeds_into_a_neighbour(self, schema, data):
+    @given(st.data())
+    def test_one_field_never_bleeds_into_a_neighbour(self, data):
+        schema = DEFAULT_SCHEMA
         index = data.draw(st.integers(0, len(schema) - 1))
         full = schema.full_masks[index]
         values = [0] * len(schema)
@@ -110,41 +96,41 @@ class TestPackedLayout:
             schema.full_packed ^ schema.field_masks[index]
         )
 
-    @given(schema_vectors(), st.data())
+    @given(vectors(), st.data())
     def test_set_field_keeps_packed_in_step(self, drawn, data):
-        schema, values = drawn
+        (values,) = drawn
+        schema = DEFAULT_SCHEMA
         index = data.draw(st.integers(0, len(schema) - 1))
         full = schema.full_masks[index]
         new = data.draw(st.sampled_from([0, full]) | st.integers(0, full))
-        key = FlowKey(schema, values).set_field(schema[index].name, new)
+        key = FlowKey(values).set_field(schema[index].name, new)
         expected = values[:index] + (new,) + values[index + 1:]
         assert key.values == expected
         assert key.packed == schema.pack(expected)
-        assert key == FlowKey(schema, expected)
-        assert hash(key) == hash(FlowKey(schema, expected))
+        assert key == FlowKey(expected)
+        assert hash(key) == hash(FlowKey(expected))
 
-    @given(schema_vectors(count=2))
+    @given(vectors(count=2))
     def test_wildcard_algebra_equals_the_per_field_loops(self, drawn):
         """The tuple implementation this replaced, kept as the reference."""
-        schema, a, b = drawn
-        wa, wb = Wildcard(schema, a), Wildcard(schema, b)
+        a, b = drawn
+        wa, wb = Wildcard(a), Wildcard(b)
         pairs = list(zip(a, b))
         assert wa.union(wb).masks == tuple(x | y for x, y in pairs)
         assert wa.intersection(wb).masks == tuple(x & y for x, y in pairs)
         assert wa.covers(wb) == all((x & y) == y for x, y in pairs)
         assert wa.is_disjoint(wb) == all(not (x and y) for x, y in pairs)
         assert wa.bit_count() == sum(bin(x).count("1") for x in a)
-        assert wa.is_empty() == (not any(a))
-        assert Wildcard.from_packed(schema, wa.packed) == wa
-        assert hash(Wildcard.from_packed(schema, wa.packed)) == hash(wa)
+        assert Wildcard.from_packed(wa.packed) == wa
+        assert hash(Wildcard.from_packed(wa.packed)) == hash(wa)
 
-    @given(schema_vectors(count=5))
+    @given(vectors(count=5))
     def test_match_predicates_equal_the_per_field_loops(self, drawn):
-        schema, va, ma, vb, mb, flow = drawn
-        a = TernaryMatch(FlowKey(schema, va), Wildcard(schema, ma))
-        b = TernaryMatch(FlowKey(schema, vb), Wildcard(schema, mb))
+        va, ma, vb, mb, flow = drawn
+        a = TernaryMatch(FlowKey(va), Wildcard(ma))
+        b = TernaryMatch(FlowKey(vb), Wildcard(mb))
         assert a.canonical_key == tuple(v & m for v, m in zip(va, ma))
-        assert a.matches(FlowKey(schema, flow)) == all(
+        assert a.matches(FlowKey(flow)) == all(
             (f & m) == (v & m) for f, v, m in zip(flow, va, ma)
         )
         assert a.overlaps(b) == all(
@@ -159,7 +145,7 @@ class TestPackedLayout:
     def test_from_packed_rejects_out_of_range(self):
         for bad in (-1, DEFAULT_SCHEMA.full_packed + 1):
             with pytest.raises(ValueError, match="does not fit"):
-                Wildcard.from_packed(DEFAULT_SCHEMA, bad)
+                Wildcard.from_packed(bad)
 
     @given(st.integers(1, 64), st.data())
     def test_mask_to_prefix_len_equals_the_bit_loop(self, width, data):
@@ -232,7 +218,7 @@ class TestMatchSemantics:
                 a.values, b.values, wildcard.masks, field_widths
             )
         ]
-        blended = FlowKey(DEFAULT_SCHEMA, blended_values)
+        blended = FlowKey(blended_values)
         assert match.matches(blended)
 
     @given(matches(), matches())
@@ -347,7 +333,7 @@ class TestTssProperties:
     def test_tss_agrees_with_linear_scan(self, rules, data):
         """Inserts, removals and lookups interleaved; every lookup must
         return exactly the linear-scan winner, ties included."""
-        classifier = TupleSpaceClassifier(DEFAULT_SCHEMA)
+        classifier = TupleSpaceClassifier()
         resident = {}
         ages = iter(range(len(rules)))
         for rule in rules:
@@ -382,7 +368,7 @@ class TestTssProperties:
     def test_unwildcard_invariant(self, rules, data):
         """The cache-correctness invariant: any flow equal on the returned
         wildcard bits resolves to the same rule."""
-        classifier = TupleSpaceClassifier(DEFAULT_SCHEMA)
+        classifier = TupleSpaceClassifier()
         for rule in rules:
             classifier.insert(rule)
         probe = FlowKey.from_fields({

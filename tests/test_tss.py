@@ -14,7 +14,6 @@ from hypothesis.stateful import (
 from repro.classify import PrefixTrie, TupleSpaceClassifier
 from repro.flow import (
     ActionList,
-    DEFAULT_SCHEMA,
     Output,
     TernaryMatch,
     ip,
@@ -34,7 +33,7 @@ def make_rule(values, masks=None, priority=10):
 
 @pytest.fixture
 def classifier():
-    return TupleSpaceClassifier(DEFAULT_SCHEMA)
+    return TupleSpaceClassifier()
 
 
 class TestBasicLookup:
@@ -236,7 +235,7 @@ class TestAgainstLinearScan:
         import numpy as np
 
         rng = np.random.default_rng(3)
-        classifier = TupleSpaceClassifier(DEFAULT_SCHEMA)
+        classifier = TupleSpaceClassifier()
         rules = []
         for i in range(120):
             values = {
@@ -438,7 +437,7 @@ class LevelIndexAgainstWalk(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.classifier = TupleSpaceClassifier(DEFAULT_SCHEMA)
+        self.classifier = TupleSpaceClassifier()
         self.resident = []
 
     def draw_values(self, data, names):
@@ -571,8 +570,8 @@ class WalkStateAgainstEager(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.lazy = TupleSpaceClassifier(DEFAULT_SCHEMA)
-        self.eager = TupleSpaceClassifier(DEFAULT_SCHEMA)
+        self.lazy = TupleSpaceClassifier()
+        self.eager = TupleSpaceClassifier()
         self.eager.lookup(flow(), unwildcard=True)
         self.resident = []
 
@@ -620,7 +619,7 @@ class WalkStateAgainstEager(RuleBasedStateMachine):
 
     @invariant()
     def walk_state_is_a_rebuild(self):
-        rebuilt = TupleSpaceClassifier(DEFAULT_SCHEMA)
+        rebuilt = TupleSpaceClassifier()
         for resident in self.resident:
             rebuilt.insert(resident)
         rebuilt.lookup(flow(), unwildcard=True)

@@ -3,9 +3,10 @@ no reaching into the telemetry hub, one entry lifecycle, one §7 mode
 decider, no run-time steering of the cache's knobs, two homes for the
 bench clock, one prefix structure and one partition DP, no salted hash,
 one fan-out, one idle timer, one reader of the classifier's state,
-one home for the slow-path memo, no public function without a caller,
-one home each for the two change records staleness is judged by, one
-place a run is built, no asking a cache what kind it is.
+one home for the slow-path memo, no public function or method without
+a caller, one home each for the two change records staleness is judged
+by, one place a run is built, no asking a cache what kind it is, one
+header layout.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -106,13 +107,14 @@ walked at and a traversal's derived slices.
 The thirteenth keeps the library surface the size of what runs.  A
 P4 generator, a JSON snapshot format, a Graphviz export, a line-rate
 model and a score of helpers once lived here with only their own tests
-calling them.  Every top-level public ``def`` under ``repro`` must now
-be named somewhere a program lives — the package outside its
+calling them.  Every top-level public ``def`` under ``repro``, and
+every public method or property of a top-level class, must now be
+named somewhere a program lives — the package outside its
 ``__init__`` re-exports, ``bench/``, ``benchmarks/``, ``examples/``,
 ``docs/*.md`` — other than its own definition; tests do not count.
 The search is by word, so a same-named attribute or field elsewhere
-counts as a caller; a module's own ``__all__`` does not.  Three names
-are kept on purpose, each with its reason.
+counts as a caller; a module's own ``__all__`` does not.  The names on
+``UNCALLED_ALLOWED`` are kept on purpose, each with its reason.
 
 The fourteenth keeps the two change records single.  Revalidation skips
 the replay of an entry none of whose tables changed since its last
@@ -142,6 +144,16 @@ a cache class's own module nothing under ``repro`` asks
 ``isinstance(…, <a FlowCache subclass>)``, and nothing calls
 ``getattr`` / ``hasattr`` over a cache — on an object named for one, or
 for an attribute a cache class defines — apart from one named site.
+
+The seventeenth keeps the header layout one constant.  The paper's LTM
+key is fixed when the P4 program is compiled, and the program has one
+layout, ``repro.flow.fields.DEFAULT_SCHEMA``; a ``schema`` parameter
+once ran from every key and mask through the classifier, the tables and
+the caches to the simulated systems, with mismatch checks no program
+could trip.  So no function or method under ``repro`` takes a
+parameter named ``schema``, no class declares a ``schema`` field or
+stores a ``.schema`` attribute, and no module other than
+``flow/fields.py`` calls ``FieldSchema(``.
 """
 
 import ast
@@ -901,11 +913,11 @@ def test_idle_timer_audit_sees_a_violation():
 
 #: The classifier's module, and its state no other module may touch:
 #: the group table, the level index, the walk state (prefix tries,
-#: stage-layer masks, probe-order snapshot).
+#: probe-order snapshot).
 TSS_HOME = "classify/tss.py"
 TSS_PRIVATE = frozenset({
     "_groups", "_levels", "_ladder", "_ladder_dirty",
-    "_tries", "_layer_masks", "_ordered", "_order_dirty",
+    "_tries", "_ordered", "_order_dirty",
 })
 
 
@@ -1043,7 +1055,8 @@ def test_change_record_audit_sees_a_violation():
     assert _record_uses(source, "changes", True) == [4, 5]
 
 
-#: Public functions no program reaches, each kept for a stated reason.
+#: Public functions and methods no program reaches, each kept for a
+#: stated reason.
 UNCALLED_ALLOWED = {
     "partition_score": "the brute force tests/test_partition*.py hold "
                        "the DP to",
@@ -1051,22 +1064,49 @@ UNCALLED_ALLOWED = {
                      "the DP to",
     "replicate_pair": "the multi-seed replication ROADMAP.md's scale "
                       "curve is to run",
+    "_MetricsHandler.do_GET": "http.server's hook: the server calls it "
+                              "by name for each GET",
+    "_MetricsHandler.log_message": "http.server's hook: overridden to "
+                                   "keep the ops endpoint quiet",
+    "Wildcard.mask_of": "one field's mask by name: how 22 test "
+                        "assertions state an un-wildcarded mask; the "
+                        "program reads packed masks",
+    "Wildcard.exact_fields": "the field-exact wildcard 16 test "
+                             "fixtures build; the program builds "
+                             "wildcards from traversals",
+    "LatencyModel.average_us": "the closed-form hit/miss mix "
+                               "tests/test_metrics.py pins the "
+                               "backend calibration with",
+    "ClassbenchRule.matched_field_count": "the 1-5 matched-field shape "
+                                          "tests/test_classbench.py "
+                                          "holds generated rules to",
 }
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _public_functions(source: str):
-    """``(name, first line, last line)`` of each top-level public
-    ``def``, decorators included."""
-    return [
-        (node.name,
-         min([node.lineno] + [d.lineno for d in node.decorator_list]),
-         node.end_lineno)
-        for node in ast.parse(source).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not node.name.startswith("_")
-    ]
+def _public_callables(source: str):
+    """``(qualified name, name, first line, last line)`` of each
+    top-level public ``def`` and of each public method or property of a
+    top-level class, decorators included."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            owner, members = f"{node.name}.", node.body
+        else:
+            owner, members = "", [node]
+        for member in members:
+            if isinstance(
+                member, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ) and not member.name.startswith("_"):
+                found.append((
+                    owner + member.name,
+                    member.name,
+                    min([member.lineno]
+                        + [d.lineno for d in member.decorator_list]),
+                    member.end_lineno,
+                ))
+    return found
 
 
 def _without_all(relpath: str, text: str) -> str:
@@ -1099,7 +1139,7 @@ def _uncalled(defining: dict, corpus: dict):
     }
     found = []
     for relpath, source in sorted(defining.items()):
-        for name, first, last in _public_functions(source):
+        for qualname, name, first, last in _public_callables(source):
             pattern = re.compile(rf"\b{name}\b")
             lines = corpus[relpath].splitlines()
             own = "\n".join(lines[:first - 1] + lines[last:])
@@ -1107,7 +1147,7 @@ def _uncalled(defining: dict, corpus: dict):
                 pattern.search(text)
                 for other, text in corpus.items() if other != relpath
             ):
-                found.append(f"{relpath}:{first} {name}")
+                found.append(f"{relpath}:{first} {qualname}")
     return found
 
 
@@ -1141,7 +1181,8 @@ def test_every_public_function_has_a_caller():
         if entry.rsplit(" ", 1)[1] not in UNCALLED_ALLOWED
     ]
     assert not offenders, (
-        "public functions only tests (or nothing) call — delete them, "
+        "public functions or methods only tests (or nothing) call — "
+        "delete them, "
         "or argue them onto UNCALLED_ALLOWED:\n  " + "\n  ".join(offenders)
     )
     # The allowlist names only functions that are still uncalled.
@@ -1180,6 +1221,131 @@ def test_uncalled_function_audit_sees_a_violation():
     }
     assert _uncalled({"pkg/mod.py": module}, corpus) == [
         "pkg/mod.py:6 orphan", "pkg/mod.py:16 exported",
+    ]
+
+
+def test_uncalled_method_audit_sees_a_violation():
+    module = (
+        "class Table:\n"
+        "    def lookup(self, key):\n"
+        "        return self._find(key)\n"
+        "\n"
+        "    @property\n"
+        "    def histogram(self):\n"
+        "        return self.histogram\n"
+        "\n"
+        "    def _find(self, key):\n"
+        "        return key\n"
+        "\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "\n"
+        "    class Nested:\n"
+        "        def hidden(self):\n"
+        "            return 1\n"
+        "\n"
+        "def build():\n"
+        "    return Table()\n"
+    )
+    corpus = {
+        "pkg/mod.py": module,
+        "pkg/user.py": "table.lookup(flow)\nbuild()\n",
+    }
+    assert _uncalled({"pkg/mod.py": module}, corpus) == [
+        "pkg/mod.py:5 Table.histogram",
+    ]
+
+
+#: The one module that knows the header layout.
+LAYOUT_HOME = "flow/fields.py"
+
+
+def _layout_violations(relpath: str, source: str):
+    """``schema`` parameters, class fields and stored attributes
+    anywhere in ``source``, and ``FieldSchema(`` calls outside
+    :data:`LAYOUT_HOME`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            arguments = node.args
+            for arg in (
+                arguments.posonlyargs + arguments.args
+                + arguments.kwonlyargs
+                + [a for a in (arguments.vararg, arguments.kwarg) if a]
+            ):
+                if arg.arg == "schema":
+                    found.append((arg.lineno, "schema parameter"))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (
+                    isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and item.target.id == "schema"
+                ):
+                    found.append((item.lineno, "schema field"))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (
+                node.targets if isinstance(node, ast.Assign)
+                else [node.target]
+            )
+            if any(
+                isinstance(t, ast.Attribute) and t.attr == "schema"
+                for t in targets
+            ):
+                found.append((node.lineno, "stores .schema"))
+        elif isinstance(node, ast.Call) and relpath != LAYOUT_HOME:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else None
+            )
+            if name == "FieldSchema":
+                found.append((node.lineno, "FieldSchema("))
+    return [f"{relpath}:{line} {what}" for line, what in sorted(found)]
+
+
+def test_one_header_layout():
+    offenders = [
+        line
+        for path in sorted(SRC.rglob("*.py"))
+        for line in _layout_violations(
+            path.relative_to(SRC).as_posix(), path.read_text()
+        )
+    ]
+    assert not offenders, (
+        "the header layout is repro.flow.fields.DEFAULT_SCHEMA, known to "
+        f"{LAYOUT_HOME} alone:\n  " + "\n  ".join(offenders)
+    )
+
+
+def test_one_header_layout_audit_sees_a_violation():
+    source = (
+        "from ..flow import fields\n"
+        "def build(capacity, schema=None):\n"
+        "    return fields.FieldSchema(schema)\n"
+        "class Cache:\n"
+        "    def __init__(self, *, schema):\n"
+        "        self.layout = FieldSchema([])\n"
+        "        self.schema = self.layout\n"
+        "class Spec:\n"
+        "    schema: object = None\n"
+        "def fine(layout=None):\n"
+        "    schema = layout.schema\n"
+        "    return schema\n"
+    )
+    assert _layout_violations("cache/x.py", source) == [
+        "cache/x.py:2 schema parameter",
+        "cache/x.py:3 FieldSchema(",
+        "cache/x.py:5 schema parameter",
+        "cache/x.py:6 FieldSchema(",
+        "cache/x.py:7 stores .schema",
+        "cache/x.py:9 schema field",
+    ]
+    assert _layout_violations(LAYOUT_HOME, source) == [
+        f"{LAYOUT_HOME}:2 schema parameter",
+        f"{LAYOUT_HOME}:5 schema parameter",
+        f"{LAYOUT_HOME}:7 stores .schema",
+        f"{LAYOUT_HOME}:9 schema field",
     ]
 
 

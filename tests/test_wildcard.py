@@ -8,7 +8,7 @@ from repro.flow import DEFAULT_SCHEMA, Wildcard, prefix_mask
 class TestConstruction:
     def test_empty_matches_nothing(self):
         wc = Wildcard.empty()
-        assert wc.is_empty()
+        assert wc.packed == 0
         assert wc.fields_matched() == ()
 
     def test_full_matches_all_fields(self):
@@ -37,7 +37,7 @@ class TestConstruction:
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
-            Wildcard(DEFAULT_SCHEMA, [0, 0])
+            Wildcard([0, 0])
 
 
 class TestAlgebra:
@@ -63,11 +63,6 @@ class TestAlgebra:
         assert out.fields_matched() == ("ip_dst",)
         # original untouched (immutability)
         assert "eth_src" in wc.fields_matched()
-
-    def test_with_field_mask_ors(self):
-        wc = Wildcard.from_fields({"ip_dst": prefix_mask(8)})
-        out = wc.with_field_mask("ip_dst", prefix_mask(16))
-        assert out.mask_of("ip_dst") == prefix_mask(16)
 
 
 class TestPredicates:
@@ -106,10 +101,3 @@ class TestPredicates:
         b = Wildcard.exact_fields(["ip_dst"])
         assert a == b
         assert hash(a) == hash(b)
-
-    def test_schema_mismatch_raises(self):
-        from repro.flow.fields import Field, FieldSchema
-
-        other = FieldSchema([Field("x", 8, "l3")])
-        with pytest.raises(ValueError):
-            Wildcard.empty().union(Wildcard.empty(other))
