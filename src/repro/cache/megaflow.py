@@ -222,6 +222,3 @@ class MegaflowCache(FlowCache):
     def mask_group_count(self) -> int:
         """Distinct masks in the cache — TSS's per-lookup cost driver."""
         return self._classifier.group_count
-
-    def find(self, match: TernaryMatch) -> Optional[MegaflowEntry]:
-        return self._by_match.get(match)

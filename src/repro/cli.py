@@ -286,14 +286,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     elif args.format == "json":
         payload = {
             "metrics": telemetry.registry.to_json(),
-            "summary": telemetry.summary(),
             "snapshots": [s.to_dict() for s in telemetry.snapshots],
         }
         print(json.dumps(payload, indent=2))
     else:
         print(result.summary())
         print()
-        print(render_telemetry(telemetry.summary()))
+        print(render_telemetry(telemetry))
     if args.trace_out:
         telemetry.close()
         print(f"wrote trace events to {args.trace_out}", file=sys.stderr)
@@ -369,7 +368,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"{result.peak_entries_label()}  "
           f"capacity={result.capacity}")
     if churn is not None:
-        digest = result.telemetry["churn"]
+        digest = driver.churn.digest()
         print(f"churn: {digest['events']} events "
               f"({digest['events_by_kind']})  "
               f"rule_ops={digest['rule_ops']}")

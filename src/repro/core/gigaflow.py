@@ -34,8 +34,8 @@ class InstallOutcome:
     Attributes:
         installed: Rules newly inserted.
         reused: Rules shared with previously-installed traversals.
-        rejected: Rules that found no feasible table with free space.
-        complete: True when the full chain (entry tag → DONE) is cached.
+        rejected: Rules that found no feasible table with free space
+            (0 exactly when the full chain, entry tag → DONE, is cached).
         generated: Rules the partition produced (placement stops at the
             first rejection, so the three counts above can sum to less).
     """
@@ -43,7 +43,6 @@ class InstallOutcome:
     installed: int = 0
     reused: int = 0
     rejected: int = 0
-    complete: bool = True
     generated: int = 0
 
 
@@ -72,16 +71,6 @@ class _GigaflowHitReplay(HitReplay):
         self.touches = touches
         self.steps = steps
         self.result = result
-
-    @property
-    def matched(self) -> Tuple[Tuple[LtmTable, LtmRule], ...]:
-        """The (table, rule) chain the walk matched."""
-        steps = self.steps
-        return tuple(
-            (steps[at + 2], steps[at + 5])
-            for at in range(0, len(steps), 7)
-            if steps[at + 5] is not None
-        )
 
     @property
     def groups_probed(self) -> int:
@@ -294,7 +283,6 @@ class GigaflowCache(FlowCache):
             placed_at = self._insert_in_window(rule, window)
             if placed_at is None:
                 outcome.rejected += 1
-                outcome.complete = False
                 self.stats.rejected += 1
                 # Later rules cannot chain past a missing segment; stop.
                 break

@@ -269,10 +269,6 @@ class LtmTable:
 
     # -- introspection ------------------------------------------------------------------
 
-    @property
-    def tags(self) -> Tuple[int, ...]:
-        return tuple(sorted(self._by_tag))
-
     def rules_with_tag(self, tag: int) -> List[LtmRule]:
         bucket = self._by_tag.get(tag)
         return list(bucket) if bucket is not None else []

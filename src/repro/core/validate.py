@@ -56,17 +56,13 @@ class ChainReport:
         total_rules: Rules installed across all tables.
         reachable: Rules reachable from the start tag (ignoring matches).
         productive: Rules that additionally reach ``TAG_DONE`` through
-            later tables — i.e. they sit on at least one complete chain.
-        orphans: Rules that can never contribute to a cache hit.
+            later tables — i.e. they sit on at least one complete chain;
+            the rest can never contribute to a cache hit.
     """
 
     total_rules: int
     reachable: int
     productive: int
-
-    @property
-    def orphans(self) -> int:
-        return self.total_rules - self.productive
 
 
 def chain_report(cache: GigaflowCache) -> ChainReport:

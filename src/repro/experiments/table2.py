@@ -25,10 +25,6 @@ class CoverageRow:
     gigaflow_satisfiable: int = 0  # sampled packet-satisfiable estimate
 
     @property
-    def ratio(self) -> float:
-        return self.gigaflow_coverage / max(self.megaflow_coverage, 1)
-
-    @property
     def satisfiable_ratio(self) -> float:
         """The honest Table 2 number: only chains a real packet can take."""
         return self.gigaflow_satisfiable / max(self.megaflow_coverage, 1)

@@ -134,10 +134,6 @@ class ActionList:
                 flow = flow.set_field(action.field, action.value)
         return flow
 
-    def then(self, other: "ActionList") -> "ActionList":
-        """Concatenate two action lists (sequential composition)."""
-        return ActionList(self._actions + other._actions)
-
     @staticmethod
     def commit(before: FlowKey, after: FlowKey, tail: "ActionList") -> "ActionList":
         """Compute the paper's *commit*: the set-field actions that rewrite

@@ -45,10 +45,6 @@ class FlowKey:
             vector[DEFAULT_SCHEMA.index_of(name)] = value
         return cls(vector)
 
-    @classmethod
-    def zero(cls) -> "FlowKey":
-        return cls(DEFAULT_SCHEMA.zero_tuple)
-
     # -- accessors ----------------------------------------------------------------
 
     @property

@@ -57,16 +57,6 @@ class Wildcard:
         return self
 
     @classmethod
-    def empty(cls) -> "Wildcard":
-        """A wildcard matching nothing (all bits don't-care)."""
-        return cls.from_packed(0)
-
-    @classmethod
-    def full(cls) -> "Wildcard":
-        """A wildcard matching every bit (exact-match)."""
-        return cls.from_packed(DEFAULT_SCHEMA.full_packed)
-
-    @classmethod
     def from_fields(cls, masks: Mapping[str, int]) -> "Wildcard":
         """Build a wildcard from a ``{field name: mask}`` mapping.
 
@@ -131,20 +121,6 @@ class Wildcard:
 
     def intersection(self, other: "Wildcard") -> "Wildcard":
         return Wildcard.from_packed(self._packed & other._packed)
-
-    def subtract_fields(self, names: Iterable[str]) -> "Wildcard":
-        """Return a copy with the named fields fully wildcarded again.
-
-        Used when a set-field action overwrites a header mid-traversal: bits
-        of the overwritten field read *after* the action no longer depend on
-        the original packet, so they must not leak into the cache entry's
-        match (§4.2.3's commit computation).
-        """
-        field_masks = DEFAULT_SCHEMA.field_masks
-        packed = self._packed
-        for name in names:
-            packed &= ~field_masks[DEFAULT_SCHEMA.index_of(name)]
-        return Wildcard.from_packed(packed)
 
     # -- predicates ---------------------------------------------------------------
 

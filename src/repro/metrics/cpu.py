@@ -28,7 +28,6 @@ class CpuBreakdown:
     pipeline_cycles: int = 0
     partition_cycles: int = 0
     rulegen_cycles: int = 0
-    slowpath_invocations: int = 0
 
     @property
     def overhead_fraction(self) -> float:
@@ -46,7 +45,6 @@ class CpuBreakdown:
             CYCLES_PER_LOOKUP * lookups
             + CYCLES_PER_GROUP_PROBE * groups_probed
         )
-        self.slowpath_invocations += 1
 
     def charge_partition(self, traversal_length: int, k_tables: int) -> None:
         self.partition_cycles += (
@@ -64,7 +62,6 @@ class CpuBreakdown:
             self.pipeline_cycles + other.pipeline_cycles,
             self.partition_cycles + other.partition_cycles,
             self.rulegen_cycles + other.rulegen_cycles,
-            self.slowpath_invocations + other.slowpath_invocations,
         )
 
 

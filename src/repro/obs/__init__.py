@@ -21,7 +21,7 @@ from .metrics import (
     MetricsRegistry,
 )
 from .snapshot import AGE_BUCKETS, CacheSnapshot, age_histogram, take_snapshot
-from .telemetry import Telemetry, merge_telemetry_summaries
+from .telemetry import Telemetry
 from .trace import (
     EVENTS,
     EV_EVICT,
@@ -71,7 +71,6 @@ __all__ = [
     "analyze_jsonl",
     "analyze_tracer",
     "load_jsonl",
-    "merge_telemetry_summaries",
     "render_text",
     "take_snapshot",
 ]

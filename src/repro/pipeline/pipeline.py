@@ -7,7 +7,7 @@ forwarding path of Fig. 5a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..flow.actions import ActionList
@@ -35,15 +35,11 @@ class ExecutionStats:
     executions: int = 0
     lookups: int = 0
     groups_probed: int = 0
-    by_disposition: Dict[Disposition, int] = field(default_factory=dict)
 
     def record(self, traversal: Traversal, groups: int) -> None:
         self.executions += 1
         self.lookups += len(traversal)
         self.groups_probed += groups
-        self.by_disposition[traversal.disposition] = (
-            self.by_disposition.get(traversal.disposition, 0) + 1
-        )
 
 
 class Pipeline:

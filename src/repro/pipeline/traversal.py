@@ -116,12 +116,6 @@ class Traversal:
             object.__setattr__(self, "_boundary_bits", bits)
         return bits
 
-    @property
-    def signature(self) -> Tuple[Tuple[int, Optional[int]], ...]:
-        """Identity of the traversal: (table, rule) pairs.  Two flows with
-        the same signature took exactly the same pipeline path."""
-        return tuple((s.table_id, s.rule_id) for s in self.steps)
-
     def megaflow_wildcard(self) -> Wildcard:
         """The single-rule wildcard Megaflow would cache: the union of every
         ``W_i``, dropping contributions from fields already rewritten by an
@@ -252,13 +246,6 @@ class SubTraversal:
     def field_set(self) -> frozenset:
         """Fields this sub-traversal matches on (disjointness unit)."""
         return self.effective_wildcard().field_set()
-
-    def is_disjoint(self, other: "SubTraversal") -> bool:
-        """The paper's disjointedness property between two sub-traversals."""
-        return not (self.field_set() & other.field_set())
-
-    def signature(self) -> Tuple[Tuple[int, Optional[int]], ...]:
-        return tuple((s.table_id, s.rule_id) for s in self.steps)
 
     def __repr__(self) -> str:
         return (

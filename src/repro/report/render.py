@@ -1,6 +1,6 @@
-"""Text rendering: aligned tables and the telemetry digest.
+"""Text rendering: aligned tables and the telemetry table.
 
-Turns a telemetry summary into the table ``repro stats`` prints.
+Turns a telemetry hub's registry into the table ``repro stats`` prints.
 Everything is dependency-free text (this is a simulator, not a plotting
 package).
 """
@@ -43,62 +43,88 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_telemetry(summary: Dict) -> str:
-    """Human-readable digest of a :attr:`SimResult.telemetry` summary.
+def _by_label(registry, family: str, cache: str) -> Dict[str, object]:
+    """``{second label: value}`` of one cache's children of a family."""
+    return {
+        labels[1]: child.value
+        for labels, child in registry.get(family).children()
+        if labels[0] == cache
+    }
 
-    Takes the dict produced by
-    :meth:`~repro.obs.telemetry.Telemetry.summary` and renders the
-    headline counters as one aligned table, with per-reason breakdowns
-    inlined (``evictions[idle]=...``-style rows).
+
+def _child(registry, family: str, cache: str):
+    """One cache's child of a single-label family, or ``None`` — read
+    without ``labels()``, which would create the series."""
+    return dict(registry.get(family).children()).get((cache,))
+
+
+def render_telemetry(telemetry) -> str:
+    """Human-readable digest of a :class:`~repro.obs.telemetry.Telemetry`
+    hub after a run.
+
+    Reads the hub's registry for the attached cache (named by the last
+    snapshot), the tracer's event counts and the last snapshot's
+    occupancy, and renders the headline counters as one aligned table,
+    with per-reason breakdowns as indented rows.
     """
-    if not summary:
+    if not telemetry.snapshots:
         return "(no telemetry)"
+    telemetry.flush()
+    registry = telemetry.registry
+    last = telemetry.snapshots[-1]
+    cache = last.cache
+
+    def value(family: str):
+        child = _child(registry, family, cache)
+        return child.value if child is not None else 0
+
     rows = []
-    lookups = summary.get("lookups", {})
-    total = sum(lookups.values())
-    rows.append(("lookups", total))
+    lookups = _by_label(registry, "repro_cache_lookups_total", cache)
+    rows.append(("lookups", sum(lookups.values())))
     for outcome in sorted(lookups):
         rows.append((f"  {outcome}", lookups[outcome]))
-    rows.append(("slow-path installs", summary.get("installs", 0)))
-    evictions = summary.get("evictions", {})
+    rows.append(
+        ("slow-path installs", value("repro_slowpath_installs_total"))
+    )
+    evictions = _by_label(registry, "repro_cache_evictions_total", cache)
     rows.append(("evictions", sum(evictions.values())))
     for reason in sorted(evictions):
         rows.append((f"  {reason}", evictions[reason]))
-    reval = summary.get("revalidation", {})
+    reval = _by_label(registry, "repro_revalidation_checked_total", cache)
     if reval:
         rows.append(("revalidated", sum(reval.values())))
         for verdict in sorted(reval):
             rows.append((f"  {verdict}", reval[verdict]))
-    switches = summary.get("mode_switches", {})
+    switches = _by_label(registry, "repro_mode_switches_total", cache)
     if switches:
         rows.append(("mode switches", sum(switches.values())))
         for mode in sorted(switches):
             rows.append((f"  to {mode}", switches[mode]))
-    fastpath = summary.get("fastpath", {})
-    rows.append(("fast-path replays", fastpath.get("replays", 0)))
-    rows.append(
-        ("fast-path revalidations", fastpath.get("revalidations", 0))
-    )
-    rows.append(
-        ("fast-path invalidations", fastpath.get("invalidations", 0))
-    )
-    rows.append(("epoch bumps", summary.get("epoch_bumps", 0)))
-    rows.append(("snapshots", summary.get("snapshots", 0)))
-    rows.append(
-        ("mean lookup depth",
-         f"{summary.get('lookup_depth_mean', 0.0):.3f}")
-    )
-    rows.append(
-        ("occupancy", f"{summary.get('occupancy', 0.0):.3%}")
-    )
-    per_table = summary.get("per_table") or []
-    if per_table:
+    rows.append(("fast-path replays", value("repro_fastpath_replays_total")))
+    rows.append((
+        "fast-path revalidations",
+        value("repro_fastpath_revalidations_total"),
+    ))
+    rows.append((
+        "fast-path invalidations",
+        value("repro_fastpath_invalidations_total"),
+    ))
+    rows.append(("epoch bumps", value("repro_epoch_bumps_total")))
+    rows.append(("snapshots", value("repro_snapshots_total")))
+    depth = _child(registry, "repro_lookup_depth", cache)
+    rows.append((
+        "mean lookup depth",
+        f"{depth.sum / depth.count if depth.count else 0.0:.3f}",
+    ))
+    rows.append(("occupancy", f"{last.occupancy:.3%}"))
+    if last.per_table:
         rows.append(
-            ("entries/table", " ".join(str(n) for n in per_table))
+            ("entries/table", " ".join(str(n) for n in last.per_table))
         )
-    rows.append(("trace events", summary.get("trace_events", 0)))
-    if summary.get("trace_dropped"):
-        rows.append(("trace dropped", summary["trace_dropped"]))
-    title = f"telemetry: {summary.get('cache', '?')}"
-    return render_table(("counter", "value"), rows, title=title)
-
+    tracer = telemetry.tracer
+    rows.append(("trace events", tracer.emitted))
+    if tracer.dropped:
+        rows.append(("trace dropped", tracer.dropped))
+    return render_table(
+        ("counter", "value"), rows, title=f"telemetry: {cache}"
+    )

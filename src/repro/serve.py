@@ -55,10 +55,9 @@ __all__ = [
 
 
 def stream_trace(trace: Trace, chunk: int = CHUNK_SIZE) -> Iterator[Packet]:
-    """Yield a trace's packets via the columnar chunked decode.
+    """Yield a trace's packets in timestamp order.
 
-    Equivalent to :meth:`~repro.workload.pipebench.Trace.packets` but
-    decodes the numpy columns ``chunk`` rows at a time with one
+    Decodes the numpy columns ``chunk`` rows at a time with one
     ``tolist()`` call each — the same amortisation the columnar driver
     uses, repackaged for streaming consumers.
     """

@@ -174,12 +174,8 @@ class ChurnRuntime:
     def pending_events(self) -> int:
         return len(self._events) - self._next_index
 
-    #: What does not simply add when sharded runs fold :meth:`digest`
-    #: (:func:`repro.obs.telemetry.fold_digests`): the high-water mark.
-    DIGEST_MERGE = {"backlog_peak": "max"}
-
     def digest(self) -> dict:
-        """Compact per-run churn summary (``SimResult.telemetry["churn"]``)."""
+        """Compact per-run churn summary (``repro serve`` prints it)."""
         by_kind: Dict[str, int] = {}
         for event in self._events[: self._next_index]:
             by_kind[event.kind] = by_kind.get(event.kind, 0) + 1

@@ -173,9 +173,9 @@ class SimConfig:
         telemetry: Optional :class:`~repro.obs.telemetry.Telemetry` hub.
             When set, the engine attaches it to the caching system,
             emits per-packet metrics/trace events, snapshots cache state
-            on the sweep cadence, and threads a summary into
-            :attr:`SimResult.telemetry`.  Observation-only: every other
-            ``SimResult`` field is bit-identical with it on or off.
+            on the sweep cadence and finalizes the hub's registry at the
+            end of the run.  Observation-only: every ``SimResult`` field
+            is bit-identical with it on or off.
         churn: Optional control-plane churn, a
             :class:`~repro.sim.churn.ChurnConfig`.  When set, the
             engine applies the schedule's rule mutations to the pipeline
@@ -183,12 +183,11 @@ class SimConfig:
             an :class:`~repro.core.revalidation.IncrementalRevalidator`
             tick every ``reval_interval`` seconds (default: the sweep
             cadence) with a per-tick entry budget — the runtime is
-            exposed as :attr:`VSwitchSimulator.churn` and its digest
-            lands in ``SimResult.telemetry["churn"]`` when telemetry is
-            attached.  Deadlines are driven purely by packet timestamps,
-            so churn-bearing runs are bit-identical however packets
-            reach the kernel — streamed, decoded from columns or
-            served in micro-batches
+            exposed as :attr:`VSwitchSimulator.churn`, whose
+            ``digest()`` summarises it.  Deadlines are driven purely by
+            packet timestamps, so churn-bearing runs are bit-identical
+            however packets reach the kernel — streamed, decoded from
+            columns or served in micro-batches
             (``tests/test_serve_differential.py`` pins it).  Unlike
             ``telemetry``, this knob steers the simulation.  Requires a
             Megaflow or Gigaflow cache (no hierarchy support).
@@ -406,13 +405,8 @@ class PacketKernel:
         """Finalize telemetry and assemble the :class:`SimResult`."""
         system = self.system
         cache = self.cache
-        tel = self.telemetry
-        telemetry_summary = None
-        if tel is not None:
-            tel.finalize(cache, self.now, self.fastpath)
-            telemetry_summary = tel.summary()
-            if self.churn is not None:
-                telemetry_summary["churn"] = self.churn.digest()
+        if self.telemetry is not None:
+            self.telemetry.finalize(cache, self.now, self.fastpath)
 
         stats = cache.stats.snapshot()
         misses = stats.misses
@@ -432,7 +426,6 @@ class PacketKernel:
             series=self.series,
             sharing=system.sharing(),
             cache_probes=self.cache_probes,
-            telemetry=telemetry_summary,
         )
 
 

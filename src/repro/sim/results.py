@@ -109,10 +109,10 @@ class SimResult:
             cache lookup (hits and misses) — the TSS search-cost metric;
             identical with the fast path on or off because memoized hits
             replay the recorded probe counts.
-        telemetry: The :meth:`~repro.obs.telemetry.Telemetry.summary`
-            digest when the run had telemetry attached, else ``None``.
-            Purely observational — every *other* field is identical with
-            telemetry on or off.
+
+    Telemetry is not a field: a run's telemetry record is its hub's
+    :class:`~repro.obs.metrics.MetricsRegistry`, and every field here is
+    identical with telemetry on or off.
     """
 
     system: str
@@ -127,7 +127,6 @@ class SimResult:
     series: TimeSeries
     sharing: Optional[float] = None
     cache_probes: int = 0
-    telemetry: Optional[dict] = None
     peak_entries_per_shard: Optional[Tuple[int, ...]] = None
 
     @staticmethod
@@ -145,10 +144,10 @@ class SimResult:
           observer of the interleaved stream would have computed);
         * ``series`` interleaves via :meth:`TimeSeries.merge_from`;
         * ``sharing`` recombines from per-shard insertion-weighted
-          reuse events (``sharing = 1 + events / insertions``);
-        * ``telemetry`` summaries merge via
-          :func:`repro.obs.telemetry.merge_telemetry_summaries`, with
-          the occupancy ratio recomputed from the merged entry counts.
+          reuse events (``sharing = 1 + events / insertions``).
+
+        Telemetry merges apart, through the parts' registries
+        (:meth:`~repro.obs.metrics.MetricsRegistry.merged`).
 
         A single-element merge returns that result unchanged, so a
         one-shard run is bit-identical to the plain engine.
@@ -206,24 +205,13 @@ class SimResult:
                 peaks_per_shard.extend(r.peak_entries_per_shard)
             else:
                 peaks_per_shard.append(r.peak_entries)
-        entry_count = sum(r.entry_count for r in results)
-        capacity = sum(r.capacity for r in results)
-        telemetry = None
-        summaries = [r.telemetry for r in results if r.telemetry]
-        if summaries:
-            from ..obs.telemetry import merge_telemetry_summaries
-
-            telemetry = merge_telemetry_summaries(summaries)
-            telemetry["occupancy"] = (
-                entry_count / capacity if capacity else 0.0
-            )
         return SimResult(
             system=system,
             stats=stats,
             packets=packets,
-            entry_count=entry_count,
+            entry_count=sum(r.entry_count for r in results),
             peak_entries=sum(r.peak_entries for r in results),
-            capacity=capacity,
+            capacity=sum(r.capacity for r in results),
             avg_latency_us=(
                 sum(r.avg_latency_us * r.packets for r in results) / packets
                 if packets
@@ -239,7 +227,6 @@ class SimResult:
             series=series,
             sharing=sharing,
             cache_probes=sum(r.cache_probes for r in results),
-            telemetry=telemetry,
             peak_entries_per_shard=tuple(peaks_per_shard),
         )
 

@@ -145,8 +145,8 @@ class ShardedSimulator:
             path-opened sink fans out to a ``<path>.shard<N>`` JSONL
             file opened and closed by that shard (caller-owned IO sinks
             stay parent-only).  Per-shard registries merge into
-            :attr:`registry`, and the merged telemetry summary folds
-            each shard's ``trace_events``/``trace_dropped`` counts.
+            :attr:`registry`, the run's one telemetry record; each
+            shard's tracer keeps its own event counts.
         shards: Worker count.
         mode: ``"auto"`` (default) runs worker processes when
             ``shards > 1`` and one shard in-process, on the caller's own

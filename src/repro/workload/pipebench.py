@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from ..flow.actions import ActionList, Drop, Output, SetField
 from ..flow.fields import DEFAULT_SCHEMA, prefix_mask
 from ..flow.key import FlowKey
 from ..flow.match import TernaryMatch
-from ..flow.packet import Packet
 from ..flow.wildcard import Wildcard
 from ..pipeline.library import PipelineSpec, TraversalTemplate
 from ..pipeline.pipeline import Pipeline
@@ -233,20 +232,6 @@ class Trace:
     @property
     def duration(self) -> float:
         return float(self._times[-1]) if len(self._times) else 0.0
-
-    def packets(self) -> Iterator[Packet]:
-        """Yield packets in timestamp order."""
-        pilots = self.pilots
-        for time, index, size in zip(
-            self._times, self._flow_indices, self._sizes
-        ):
-            pilot = pilots[index]
-            yield Packet(
-                flow=pilot.flow,
-                timestamp=float(time),
-                size=int(size),
-                flow_id=int(index),
-            )
 
     def columns(self):
         """The raw columnar storage ``(times, flow_indices, sizes)``.

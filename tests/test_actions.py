@@ -43,13 +43,6 @@ class TestActionList:
         )
         assert actions.modified_fields() == ("eth_dst", "tp_dst")
 
-    def test_then_concatenates(self):
-        a = ActionList([SetField("tp_dst", 80)])
-        b = ActionList([Output(1)])
-        combined = a.then(b)
-        assert len(combined) == 2
-        assert combined.is_terminal()
-
     def test_equality_hash(self):
         a = ActionList([SetField("tp_dst", 80), Output(1)])
         b = ActionList([SetField("tp_dst", 80), Output(1)])

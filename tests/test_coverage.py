@@ -82,7 +82,6 @@ class TestHelpers:
         self, mini_pipeline
     ):
         """The Table 2 effect in miniature: coverage > entries."""
-        from repro.flow import ip
         from conftest import rule
 
         # Add a second L2 rule and a second service.

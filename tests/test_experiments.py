@@ -69,9 +69,13 @@ class TestFig03:
 class TestTable2:
     def test_coverage_ratios(self):
         rows = table2_coverage(pipelines=("PSC", "OTL"), scale=TINY)
+        ratio = {
+            name: row.gigaflow_coverage / row.megaflow_coverage
+            for name, row in rows.items()
+        }
         # PSC cross-products beat OTL's megaflow-like single segments.
-        assert rows["PSC"].ratio > rows["OTL"].ratio
-        assert rows["PSC"].ratio > 1.0
+        assert ratio["PSC"] > ratio["OTL"]
+        assert ratio["PSC"] > 1.0
 
     def test_formatting(self):
         from repro.experiments import format_table2

@@ -275,8 +275,19 @@ def full_walk(cache, packet):
     return tag == TAG_DONE, tuple(matched), probes, len(matched)
 
 
+def chain_of(record):
+    """The (table, rule) chain a record's walk matched: the table and
+    the winner of each of its seven-slot steps that matched."""
+    steps = record.steps
+    return tuple(
+        (steps[at + 2], steps[at + 5])
+        for at in range(0, len(steps), 7)
+        if steps[at + 5] is not None
+    )
+
+
 def recorded(record):
-    return True, record.matched, record.groups_probed, record.tables_hit
+    return True, chain_of(record), record.groups_probed, record.tables_hit
 
 
 def memoize(cache, packet):
@@ -372,7 +383,7 @@ class TestEachCheckIsNeeded:
         # own LRU slot and use time: the winner is compared by object.
         cache.install_rules([ltm_rule({"tp_dst": 443})])
         assert full_walk(cache, packet)[0]
-        assert full_walk(cache, packet)[1] != record.matched
+        assert full_walk(cache, packet)[1] != chain_of(record)
         assert not record.still_valid()
 
     def test_probe_order_check_a_higher_priority_group_appeared(self):
@@ -386,7 +397,7 @@ class TestEachCheckIsNeeded:
         # the record must charge from now on.
         cache.install_rules([ltm_rule({"ip_proto": 17}, priority=2)])
         hit, chain, probes, _depth = full_walk(cache, packet)
-        assert hit and chain == record.matched
+        assert hit and chain == chain_of(record)
         assert probes == record.groups_probed + 1
         assert record.still_valid()
         assert record.groups_probed == probes
@@ -421,13 +432,16 @@ class TestEachCheckIsNeeded:
         second.insert(ltm_rule({"tp_dst": 443}))
         packet = flow(tp_dst=443, ip_proto=6)
         _fastpath, record = memoize(cache, packet)
-        assert record.matched[0][0] is second and record.groups_probed == 2
+        assert chain_of(record)[0][0] is second
+        assert record.groups_probed == 2
         dependency = first.dependencies[0]
         cache.remove(bystander, "reval")
-        assert first.tags == () and first.dependencies[0] is dependency
+        assert not first.rules_with_tag(0)
+        assert first.dependencies[0] is dependency
         cache.install_rules([ltm_rule({"ip_proto": 17, "in_port": 9})])
         cache.install_rules([ltm_rule({"ip_proto": 17, "vlan_id": 9})])
-        assert first.tags == (0,) and first.dependencies[0] is dependency
+        assert first.rules_with_tag(0)
+        assert first.dependencies[0] is dependency
         assert full_walk(cache, packet)[2] == 3
         assert record.still_valid() and record.groups_probed == 3
         first.insert(ltm_rule({"ip_proto": 6}))
@@ -440,7 +454,7 @@ class TestEachCheckIsNeeded:
         second.insert(ltm_rule({"tp_dst": 443}))
         packet = flow(tp_dst=443, ip_proto=6)
         _fastpath, record = memoize(cache, packet)
-        assert first.tags == () and record.groups_probed == 2
+        assert not first.rules_with_tag(0) and record.groups_probed == 2
         first.insert(ltm_rule({"ip_proto": 17, "in_port": 9}))
         first.insert(ltm_rule({"ip_proto": 17, "vlan_id": 9}))
         assert full_walk(cache, packet)[2] == 3
@@ -581,7 +595,7 @@ def _memo_against_twin(ops, num_tables, table_capacity, placement):
             record = fastpath._memo.get(packet.values)
             if record is not None and record.epoch != cache.mutation_epoch:
                 walk = full_walk(cache, packet)
-                same_chain = walk[0] and walk[1] == record.matched
+                same_chain = walk[0] and walk[1] == chain_of(record)
                 assert record.still_valid() == same_chain
                 if same_chain:
                     assert recorded(record) == walk

@@ -30,15 +30,18 @@ class TestPacket:
 class TestSchemaRoundTrips:
     def test_masked_with_full_wildcard_is_values(self):
         key = flow()
-        assert key.masked(Wildcard.full()) == key.values
+        full = Wildcard.from_packed(DEFAULT_SCHEMA.full_packed)
+        assert key.masked(full) == key.values
 
     def test_masked_with_empty_wildcard_is_zero(self):
         key = flow()
-        assert key.masked(Wildcard.empty()) == DEFAULT_SCHEMA.zero_tuple
+        empty = Wildcard.from_packed(0)
+        assert key.masked(empty) == DEFAULT_SCHEMA.zero_tuple
 
     def test_zero_key(self):
-        key = FlowKey.zero()
+        key = FlowKey(DEFAULT_SCHEMA.zero_tuple)
         assert all(v == 0 for v in key.values)
+        assert key.packed == 0
 
     def test_repr_skips_zero_fields(self):
         key = FlowKey.from_fields({"tp_dst": 80})

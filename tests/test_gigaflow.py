@@ -22,7 +22,7 @@ class TestLookupInstall:
     def test_install_then_hit(self, cache, mini_pipeline, default_flow):
         traversal = mini_pipeline.execute(default_flow)
         outcome = cache.install_traversal(traversal)
-        assert outcome.complete
+        assert outcome.rejected == 0
         assert outcome.installed >= 1
         result = cache.lookup(default_flow)
         assert result.hit

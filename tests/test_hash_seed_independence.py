@@ -74,7 +74,7 @@ def scenarios():
         telemetry.close()
         out["sharded"] = {
             "result": result_fingerprint(result),
-            "telemetry": result.telemetry,
+            "metrics": driver.registry.to_json(),
             "streams": {
                 path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in sorted(Path(directory).iterdir())

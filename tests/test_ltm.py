@@ -117,7 +117,7 @@ class TestLtmTable:
         table.insert(ltm_rule({"tp_dst": 1}, tag=0))
         table.insert(ltm_rule({"tp_dst": 2}, tag=0))
         table.insert(ltm_rule({"tp_dst": 3}, tag=4))
-        assert table.tags == (0, 4)
+        assert [t for t in range(8) if table.rules_with_tag(t)] == [0, 4]
         assert len(table.rules_with_tag(0)) == 2
         assert len(table.rules_with_tag(4)) == 1
 
@@ -151,6 +151,7 @@ class TestTagDependency:
         rule = ltm_rule({"tp_dst": 443}, tag=3)
         table.insert(rule)
         table.remove(rule)
-        assert table.tags == () and table.dependencies[3] is dependency
+        assert not table.rules_with_tag(3)
+        assert table.dependencies[3] is dependency
         assert dependency.changes == 2
         assert table.dependencies[4] is not dependency

@@ -87,7 +87,6 @@ class TestCpuBreakdown:
         assert cpu.pipeline_cycles > 0
         assert cpu.partition_cycles > 0
         assert cpu.rulegen_cycles > 0
-        assert cpu.slowpath_invocations == 1
 
     def test_overhead_fraction(self):
         cpu = CpuBreakdown()
@@ -99,13 +98,11 @@ class TestCpuBreakdown:
 
     def test_merge(self):
         a = CpuBreakdown(pipeline_cycles=10, partition_cycles=5)
-        b = CpuBreakdown(pipeline_cycles=1, rulegen_cycles=2,
-                         slowpath_invocations=3)
+        b = CpuBreakdown(pipeline_cycles=1, rulegen_cycles=2)
         merged = a.merged_with(b)
         assert merged.pipeline_cycles == 11
         assert merged.partition_cycles == 5
         assert merged.rulegen_cycles == 2
-        assert merged.slowpath_invocations == 3
 
 
 class TestCoreScaling:

@@ -261,4 +261,5 @@ class TestNonAdditiveGauges:
                 entries / capacity, 6
             )
         }
-        assert result.telemetry["occupancy"] == entries / capacity
+        # The registry's merged terms are the merged result's.
+        assert (entries, capacity) == (result.entry_count, result.capacity)

@@ -175,10 +175,11 @@ class TestFabricController:
 class TestSingleSwitchGolden:
     def test_one_switch_fabric_bit_identical_to_classic_engine(self):
         classic_workload = seeded_workload()
+        classic_hub = Telemetry()
         classic = VSwitchSimulator(
             classic_workload.pipeline,
             gigaflow_factory(None),
-            sim_config(telemetry=Telemetry()),
+            sim_config(telemetry=classic_hub),
         ).run(seeded_trace(classic_workload))
 
         fabric_workload = seeded_workload()
@@ -193,7 +194,10 @@ class TestSingleSwitchGolden:
         assert result_fingerprint(fres.merged) == result_fingerprint(
             classic
         )
-        assert fres.merged.telemetry == classic.telemetry
+        assert (
+            fres.registry.to_prometheus()
+            == classic_hub.registry.to_prometheus()
+        )
         # Exact, unmerged, unqualified: the golden run is the classic
         # engine's result object, not a 1-way merge of it.
         assert fres.merged.peak_entries_exact
@@ -326,18 +330,17 @@ class TestMultiSwitchFabric:
             schedule=acl_update_schedule(ACL_TABLE, 1.0, revert_at=3.0),
             switches=("sw1",),
         )
-        fres = FabricSimulator(
+        fabric = FabricSimulator(
             topo,
             pipeline_factory,
             gigaflow_factory,
             controller=FabricController(topo, endpoints),
             config=sim_config(telemetry=Telemetry(), churn=churn),
-        ).run(trace)
-        targeted = fres.switch_results["sw1"].telemetry
-        assert targeted["churn"]["events"] == 2
+        )
+        fabric.run(trace)
+        assert fabric.drivers["sw1"].churn.digest()["events"] == 2
         for other in ("sw0", "sw2"):
-            digest = fres.switch_results[other].telemetry
-            assert "churn" not in (digest or {})
+            assert fabric.drivers[other].churn is None
 
     def test_churn_without_targeting_hits_every_switch(self):
         topo = linear(2)
@@ -347,18 +350,16 @@ class TestMultiSwitchFabric:
         churn = ChurnConfig(
             schedule=acl_update_schedule(ACL_TABLE, 1.0, revert_at=3.0)
         )
-        fres = FabricSimulator(
+        fabric = FabricSimulator(
             topo,
             pipeline_factory,
             gigaflow_factory,
             controller=FabricController(topo, endpoints),
             config=sim_config(telemetry=Telemetry(), churn=churn),
-        ).run(trace)
+        )
+        fres = fabric.run(trace)
         for name in fres.switches:
-            assert (
-                fres.switch_results[name].telemetry["churn"]["events"]
-                == 2
-            )
+            assert fabric.drivers[name].churn.digest()["events"] == 2
 
 
 # ---------------------------------------------------------------------------

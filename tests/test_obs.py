@@ -206,7 +206,9 @@ def run_system(system, telemetry=None, fast_path=True):
 
 
 def result_fingerprint(result):
-    """Every SimResult field except the telemetry digest itself."""
+    """Every SimResult field.  ``cpu`` ends with the slow-path
+    invocation count, which is the miss count: the golden cost tables
+    recorded it when ``CpuBreakdown`` still kept its own copy."""
     return {
         "system": result.system,
         "stats": (
@@ -226,7 +228,7 @@ def result_fingerprint(result):
             result.cpu.pipeline_cycles,
             result.cpu.partition_cycles,
             result.cpu.rulegen_cycles,
-            result.cpu.slowpath_invocations,
+            result.stats.misses,
         ),
         "series": result.series.buckets(),
         "sharing": result.sharing,
@@ -261,11 +263,9 @@ class TestDifferential:
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_simresult_identical_with_telemetry(self, name):
         baseline = run_system(SYSTEMS[name]())
-        traced = run_system(
-            SYSTEMS[name](), telemetry=Telemetry(tracing=True)
-        )
-        assert baseline.telemetry is None
-        assert traced.telemetry is not None
+        telemetry = Telemetry(tracing=True)
+        traced = run_system(SYSTEMS[name](), telemetry=telemetry)
+        assert telemetry.snapshots  # the hub was attached and finalized
         assert result_fingerprint(baseline) == result_fingerprint(traced)
 
     def test_identical_with_fast_path_off(self):
@@ -312,8 +312,10 @@ class TestInstrumentedRun:
     def test_snapshots_taken_on_sweep_cadence(self, traced):
         telemetry, result = traced
         assert len(telemetry.snapshots) >= 2
-        summary = result.telemetry
-        assert summary["snapshots"] == len(telemetry.snapshots)
+        ((_, taken),) = telemetry.registry.get(
+            "repro_snapshots_total"
+        ).children()
+        assert taken.value == len(telemetry.snapshots)
         for snapshot in telemetry.snapshots:
             assert 0.0 <= snapshot.occupancy <= 1.0
             assert len(snapshot.per_table) == 4
@@ -336,15 +338,19 @@ class TestInstrumentedRun:
         tables = {labels[1] for labels in probes}
         assert tables == {"0", "1", "2", "3"}
 
-    def test_summary_shape(self, traced):
-        _, result = traced
-        summary = result.telemetry
-        assert summary["cache"] == "gigaflow"
-        assert set(summary["lookups"]) <= {"hit", "miss"}
-        assert summary["installs"] > 0
-        assert summary["lookup_depth_mean"] > 0
-        assert summary["trace_events"] > 0
-        assert summary["trace_dropped"] >= 0
+    def test_registry_shape(self, traced):
+        telemetry, _ = traced
+        registry = telemetry.registry
+        lookups = dict(registry.get("repro_cache_lookups_total").children())
+        assert set(lookups) <= {("gigaflow", "hit"), ("gigaflow", "miss")}
+        ((_, installs),) = registry.get(
+            "repro_slowpath_installs_total"
+        ).children()
+        assert installs.value > 0
+        ((_, depth),) = registry.get("repro_lookup_depth").children()
+        assert depth.sum > 0
+        assert telemetry.tracer.emitted > 0
+        assert telemetry.tracer.dropped >= 0
 
     def test_prometheus_export_contains_catalog(self, traced):
         telemetry, _ = traced
@@ -429,7 +435,7 @@ class TestStatsCli:
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert set(doc) == {"metrics", "summary", "snapshots"}
+        assert set(doc) == {"metrics", "snapshots"}
         rebuilt = MetricsRegistry.from_json(doc["metrics"])
         assert "repro_cache_lookups_total" in rebuilt
         assert sink.exists() and sink.read_text().count("\n") > 0
@@ -448,12 +454,16 @@ class TestRenderTelemetry:
 
         telemetry = Telemetry(tracing=True)
         result = run_system(SYSTEMS["gigaflow"](), telemetry=telemetry)
-        text = render_telemetry(result.telemetry)
+        text = render_telemetry(telemetry)
         assert "telemetry: gigaflow" in text
-        assert "lookups" in text
-        assert "fast-path replays" in text
+        rows = dict(
+            line.rsplit(None, 1) for line in text.splitlines()[3:]
+        )
+        assert int(rows["lookups"]) == result.stats.hits + result.stats.misses
+        assert int(rows["slow-path installs"]) == result.stats.misses
+        assert "fast-path replays" in rows
 
     def test_render_empty(self):
         from repro.report import render_telemetry
 
-        assert render_telemetry({}) == "(no telemetry)"
+        assert render_telemetry(Telemetry()) == "(no telemetry)"

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.pipeline import Disposition, PSC, OLS
+from repro.serve import stream_trace
 from repro.workload import (
     PipebenchConfig,
-    Pipebench,
     TraceProfile,
     build_workload,
 )
@@ -69,26 +69,26 @@ class TestWorkloadBuild:
 class TestTrace:
     def test_trace_sorted_by_time(self, psc_workload):
         trace = psc_workload.trace(seed=1)
-        times = [p.timestamp for p in trace.packets()]
+        times = [p.timestamp for p in stream_trace(trace)]
         assert times == sorted(times)
         assert len(trace) == len(times)
 
     def test_trace_covers_all_flows(self, psc_workload):
         trace = psc_workload.trace(seed=1)
-        seen = {p.flow_id for p in trace.packets()}
+        seen = {p.flow_id for p in stream_trace(trace)}
         assert seen == set(range(N_FLOWS))
 
     def test_packets_carry_pilot_headers(self, psc_workload):
         trace = psc_workload.trace(seed=1)
         pilots = psc_workload.pilots
-        for packet in trace.packets():
+        for packet in stream_trace(trace):
             assert packet.flow == pilots[packet.flow_id].flow
             break
 
     def test_trace_offset(self, psc_workload):
         profile = TraceProfile(duration=10.0)
         trace = psc_workload.trace(profile=profile, seed=1, offset=100.0)
-        first = next(trace.packets())
+        first = next(stream_trace(trace))
         assert first.timestamp >= 100.0
 
     def test_merged_traces_interleave(self, psc_workload):
@@ -99,9 +99,9 @@ class TestTrace:
         )
         merged = t1.merged_with(t2)
         assert len(merged) == len(t1) + len(t2)
-        times = [p.timestamp for p in merged.packets()]
+        times = [p.timestamp for p in stream_trace(merged)]
         assert times == sorted(times)
-        ids = {p.flow_id for p in merged.packets()}
+        ids = {p.flow_id for p in stream_trace(merged)}
         assert max(ids) == len(merged.pilots) - 1
 
 

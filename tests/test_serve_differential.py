@@ -104,14 +104,15 @@ def run_streaming(config_name, schedule_name):
     trace = seeded_trace(workload)
     config = build_config(config_name, schedule_name, workload)
     simulator = VSwitchSimulator(workload.pipeline, system(), config)
-    return simulator.run_packets(trace.packets())
+    return simulator.run_packets(stream_trace(trace)), config, simulator.churn
 
 
 def run_batched(config_name, schedule_name):
     workload = seeded_workload()
     trace = seeded_trace(workload)
     config = build_config(config_name, schedule_name, workload)
-    return VSwitchSimulator(workload.pipeline, system(), config).run(trace)
+    simulator = VSwitchSimulator(workload.pipeline, system(), config)
+    return simulator.run(trace), config, simulator.churn
 
 
 def run_serving(config_name, schedule_name, batch_size):
@@ -122,11 +123,19 @@ def run_serving(config_name, schedule_name, batch_size):
         workload.pipeline, system(), config,
         ServeConfig(batch_size=batch_size),
     )
-    return driver.serve(stream_trace(trace))
+    return driver.serve(stream_trace(trace)), config, driver.churn
 
 
-def signature(result):
-    return result_fingerprint(result), result.telemetry
+def signature(run):
+    """What a run shows: its result, its hub's registry and its churn
+    runtime's digest (``run`` is ``(result, config, churn runtime)``)."""
+    result, config, churn = run
+    hub = config.telemetry
+    return (
+        result_fingerprint(result),
+        hub.registry.to_json() if hub is not None else None,
+        churn.digest() if churn is not None else None,
+    )
 
 
 _baselines = {}
@@ -177,8 +186,7 @@ class TestConfigScheduleMatrix:
         assert served == batched
 
     def test_churn_digest_present_and_complete(self):
-        fingerprint, telemetry = baseline(*RICH)
-        digest = telemetry["churn"]
+        _, _, digest = baseline(*RICH)
         workload = seeded_workload()
         assert digest["events"] == len(mixed_schedule(workload))
         assert digest["pending_events"] == 0
@@ -211,19 +219,20 @@ class TestTraceStreamEquivalence:
                 schedule=mixed_schedule(workload), reval_budget=16
             ),
         )
-        result = drive(workload.pipeline, config, trace)
+        result, churn = drive(workload.pipeline, config, trace)
         assert telemetry.tracer.dropped == 0
         events = list(telemetry.tracer.iter_dicts())
-        return signature(result), events
+        return signature((result, config, churn)), events
 
     @staticmethod
     def streaming(pipeline, config, trace):
         simulator = VSwitchSimulator(pipeline, system(), config)
-        return simulator.run_packets(trace.packets())
+        return simulator.run_packets(stream_trace(trace)), simulator.churn
 
     @staticmethod
     def columnar(pipeline, config, trace):
-        return VSwitchSimulator(pipeline, system(), config).run(trace)
+        simulator = VSwitchSimulator(pipeline, system(), config)
+        return simulator.run(trace), simulator.churn
 
     @staticmethod
     def serving(batch_size):
@@ -232,7 +241,7 @@ class TestTraceStreamEquivalence:
                 pipeline, system(), config,
                 ServeConfig(batch_size=batch_size),
             )
-            return driver.serve(stream_trace(trace))
+            return driver.serve(stream_trace(trace)), driver.churn
 
         return drive
 

@@ -4,7 +4,7 @@ The contracts pinned here, in order:
 
 * **Columnar fidelity** — ``run(trace)`` (chunked column decode)
   produces a bit-identical :class:`~repro.sim.results.SimResult` to
-  ``run_packets(trace.packets())``, across systems and across every
+  ``run_packets(stream_trace(trace))``, across systems and across every
   cadence-bearing config (idle sweeps, telemetry).
 * **Shard assignment** — flows map to shards stably, every packet of a
   flow lands on one shard, and the per-shard traces partition the
@@ -31,6 +31,7 @@ import pytest
 from conftest import seeded_trace, seeded_workload
 from test_obs import result_fingerprint
 from repro.obs import Telemetry
+from repro.serve import stream_trace
 from repro.sim import (
     ChurnConfig,
     GigaflowSystem,
@@ -99,8 +100,8 @@ class TestBatchedLoopFidelity:
         telemetries = []
         for columnar in (True, False):
             overrides = dict(BATCH_CONFIGS[name])
-            if overrides.pop("telemetry", False):
-                overrides["telemetry"] = Telemetry()
+            hub = Telemetry() if overrides.pop("telemetry", False) else None
+            overrides["telemetry"] = hub
             workload = small_workload()
             trace = small_trace(workload)
             simulator = VSwitchSimulator(
@@ -111,10 +112,10 @@ class TestBatchedLoopFidelity:
             if columnar:
                 result = simulator.run(trace)
             else:
-                result = simulator.run_packets(trace.packets())
+                result = simulator.run_packets(stream_trace(trace))
             assert result.packets == len(trace)
             fingerprints.append(result_fingerprint(result))
-            telemetries.append(result.telemetry)
+            telemetries.append(hub and hub.registry.to_json())
         assert fingerprints[0] == fingerprints[1]
         assert telemetries[0] == telemetries[1]
 
@@ -173,10 +174,11 @@ class TestShardAssignment:
 class TestSingleShardGolden:
     def test_shards_1_bit_identical_to_classic_engine(self):
         classic_workload = small_workload()
+        classic_hub = Telemetry()
         classic = VSwitchSimulator(
             classic_workload.pipeline,
             gigaflow_factory(_context(1)),
-            sim_config(telemetry=Telemetry()),
+            sim_config(telemetry=classic_hub),
         ).run(small_trace(classic_workload))
 
         sharded_workload = small_workload()
@@ -189,8 +191,10 @@ class TestSingleShardGolden:
         sharded = driver.run(small_trace(sharded_workload))
 
         assert result_fingerprint(sharded) == result_fingerprint(classic)
-        assert sharded.telemetry == classic.telemetry
-        assert driver.registry is not None
+        assert (
+            driver.registry.to_prometheus()
+            == classic_hub.registry.to_prometheus()
+        )
         assert len(driver.shard_results) == 1
         assert driver.shard_timings[0]["packets"] == sharded.packets
 
@@ -218,7 +222,6 @@ class TestShardedRuns:
         inline_driver, inline = _run_sharded("inline")
         proc_driver, proc = _run_sharded("processes")
         assert result_fingerprint(proc) == result_fingerprint(inline)
-        assert proc.telemetry == inline.telemetry
         assert (
             proc_driver.registry.to_prometheus()
             == inline_driver.registry.to_prometheus()
@@ -255,18 +258,19 @@ class TestShardedRuns:
             assert workload.pipeline.generation == generation, mode
             runs.append((
                 result_fingerprint(result),
-                result.telemetry,
                 driver.registry.to_prometheus(),
             ))
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
-        assert runs[0][2] == runs[1][2]
 
     def test_processes_are_deterministic(self):
-        _, first = _run_sharded("processes")
-        _, second = _run_sharded("processes")
+        first_driver, first = _run_sharded("processes")
+        second_driver, second = _run_sharded("processes")
         assert result_fingerprint(first) == result_fingerprint(second)
-        assert first.telemetry == second.telemetry
+        assert (
+            first_driver.registry.to_prometheus()
+            == second_driver.registry.to_prometheus()
+        )
 
     def test_merge_conserves_shard_counters(self):
         driver, merged = _run_sharded("processes", shards=4)
@@ -283,11 +287,16 @@ class TestShardedRuns:
         )
         assert merged.cache_probes == sum(r.cache_probes for r in parts)
         assert merged.capacity == sum(r.capacity for r in parts)
-        assert merged.telemetry["shards"] == 4
+        registry = driver.registry
+        lookups = registry.get("repro_cache_lookups_total").children()
+        assert sum(child.value for _, child in lookups) == merged.packets
         # Occupancy is recomputed from the merged entry counts, not
         # averaged from per-shard ratios.
-        assert merged.telemetry["occupancy"] == pytest.approx(
-            merged.entry_count / merged.capacity
+        ((_, occupancy),) = registry.get(
+            "repro_cache_occupancy_ratio"
+        ).children()
+        assert occupancy.value == pytest.approx(
+            merged.entry_count / merged.capacity, abs=1e-6
         )
 
     def test_merged_equals_equivalent_partitioned_single_run(self):

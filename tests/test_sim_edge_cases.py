@@ -4,6 +4,7 @@ import pytest
 
 from repro.flow import Packet
 from repro.pipeline import Pipeline, PipelineTable
+from repro.serve import stream_trace
 from repro.sim import MegaflowSystem, VSwitchSimulator
 from repro.workload import build_trace
 from repro.workload.pipebench import PilotFlow
@@ -54,7 +55,7 @@ class TestTrace:
                             class_key=("a",))]
         trace = build_trace(pilots, seed=1)
         assert len(trace) >= 1
-        assert all(p.flow_id == 0 for p in trace.packets())
+        assert all(p.flow_id == 0 for p in stream_trace(trace))
         assert trace.duration >= 0.0
 
     def test_merged_empty_offsets(self):
@@ -65,8 +66,8 @@ class TestTrace:
         a = build_trace(pilots_a, seed=1)
         b = build_trace(pilots_b, seed=2, offset=1000.0)
         merged = a.merged_with(b)
-        ids = [p.flow_id for p in merged.packets()]
+        ids = [p.flow_id for p in stream_trace(merged)]
         # Flow ids from b shifted past a's pilots.
         assert set(ids) == {0, 1}
-        last_packets = [p for p in merged.packets() if p.flow_id == 1]
+        last_packets = [p for p in stream_trace(merged) if p.flow_id == 1]
         assert all(p.timestamp >= 1000.0 for p in last_packets)

