@@ -197,10 +197,16 @@ class FlowCache(abc.ABC):
     #: (sub-)traversal with a ``parent_flow``, ``length`` and the
     #: ``path`` / ``verified`` / ``generation`` stamps.
     revalidates: bool = False
+    #: Monotone counter of structural mutations (installs, evictions,
+    #: idle sweeps, ``clear()``, revalidation), moved only by
+    #: :meth:`bump_epoch`.  Lookup outcomes can only change when this
+    #: does — the fast path's invalidation signal.  The class default
+    #: is the starting value: ``__init__`` leaves it alone, so a
+    #: composite can compute its own from its levels' instead.
+    mutation_epoch: int = 0
 
     def __init__(self) -> None:
         self.stats = CacheStats()
-        self._mutation_epoch = 0
         #: Attached :class:`~repro.obs.telemetry.Telemetry`, or ``None``.
         #: Instrumentation sites guard on this so the detached default
         #: costs one attribute check.
@@ -219,16 +225,9 @@ class FlowCache(abc.ABC):
         that cost at high entry counts."""
         return [entry.last_used for entry in self]
 
-    @property
-    def mutation_epoch(self) -> int:
-        """Monotone counter of structural mutations (installs, evictions,
-        idle sweeps, ``clear()``, revalidation).  Lookup outcomes can only
-        change when this does — the fast path's invalidation signal."""
-        return self._mutation_epoch
-
     def bump_epoch(self) -> None:
         """Record a structural mutation, invalidating memoized lookups."""
-        self._mutation_epoch += 1
+        self.mutation_epoch += 1
 
     def lookup(self, flow: FlowKey, now: float = 0.0) -> CacheResult:
         """Look a packet up; updates hit/miss counters."""

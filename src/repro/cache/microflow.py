@@ -31,14 +31,15 @@ class MicroflowCache(FlowCache):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._entries: "OrderedDict[Tuple[int, ...], _Entry]" = OrderedDict()
+        #: packed flow → entry, in use order.
+        self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
 
     # -- FlowCache interface -------------------------------------------------
 
     def lookup_traced(
         self, flow: FlowKey, now: float = 0.0
     ) -> Tuple[CacheResult, Optional[EntryHitReplay]]:
-        entry = self._entries.get(flow.values)
+        entry = self._entries.get(flow.packed)
         if entry is None:
             self.stats.misses += 1
             return CacheResult(hit=False, groups_probed=1), None
@@ -55,7 +56,7 @@ class MicroflowCache(FlowCache):
     def install(self, flow: FlowKey, actions: ActionList, now: float = 0.0) -> bool:
         """Insert (or refresh) an exact-match entry, evicting the
         least recently used one when full."""
-        key = flow.values
+        key = flow.packed
         entry = self._entries.get(key)
         if entry is not None:
             self.touch(entry, now)
@@ -94,12 +95,12 @@ class MicroflowCache(FlowCache):
 
 
 class _Entry:
-    """One exact-match entry; ``key`` (the flow's value tuple) names it
+    """One exact-match entry; ``key`` (the flow's packed value) names it
     in the cache's index."""
 
     __slots__ = ("key", "actions", "last_used")
 
-    def __init__(self, key: Tuple[int, ...], actions: ActionList, now: float):
+    def __init__(self, key: int, actions: ActionList, now: float):
         self.key = key
         self.actions = actions
         self.last_used = now

@@ -296,7 +296,7 @@ class GigaflowCache(FlowCache):
     def _reuse_in_window(
         self, rule: LtmRule, window: range
     ) -> Optional[int]:
-        identity = rule.identity()
+        identity = rule.identity
         for index in window:
             table = self.tables[index]
             existing = table.find_identical(identity)

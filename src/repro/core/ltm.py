@@ -44,6 +44,12 @@ class LtmRule:
         verified: Pipeline generation of the last walk that agreed
             with the rule (``None``: no walk known to, so revalidation
             always replays it).
+        identity: Value identity ``(tag, match, next_tag, actions)``:
+            two rules with equal identity are the same cached
+            sub-traversal and can be shared across traversals
+            (Fig. 5c).  Kept from construction: the four attributes it
+            is made of are never reassigned, and a table files the rule
+            under it.
     """
 
     __slots__ = (
@@ -60,7 +66,7 @@ class LtmRule:
         "last_used",
         "install_count",
         "rule_id",
-        "_identity",
+        "identity",
     )
 
     def __init__(
@@ -91,14 +97,7 @@ class LtmRule:
         #: the sharing frequency of Fig. 11.
         self.install_count = 1
         self.rule_id = next(_ltm_ids)
-        self._identity = (tag, match, next_tag, actions)
-
-    def identity(self) -> Tuple:
-        """Value identity: two rules with equal identity are the same cached
-        sub-traversal and can be shared across traversals (Fig. 5c).
-        Kept from construction: the four attributes it is made of are
-        never reassigned, and a table files the rule under it."""
-        return self._identity
+        self.identity = (tag, match, next_tag, actions)
 
     def __repr__(self) -> str:
         nxt = "DONE" if self.next_tag == TAG_DONE else self.next_tag
@@ -183,7 +182,7 @@ class LtmTable:
 
     def insert(self, rule: LtmRule) -> bool:
         """Install a rule; returns False when the table is full."""
-        identity = rule.identity()
+        identity = rule.identity
         existing = self._by_identity.get(identity)
         if existing is not None:
             self.share(existing, rule)
@@ -230,7 +229,7 @@ class LtmTable:
         self.dependencies[rule.tag].changes += 1
         if not len(bucket):
             del self._by_tag[rule.tag]
-        del self._by_identity[rule.identity()]
+        del self._by_identity[rule.identity]
         del self._by_id[rule.rule_id]
 
     def __iter__(self) -> Iterator[LtmRule]:

@@ -34,7 +34,7 @@ def validate_cache(cache: GigaflowCache) -> None:
                 f"capacity {table.capacity}"
             )
         for rule in table:
-            if table.find_identical(rule.identity()) is not rule:
+            if table.find_identical(rule.identity) is not rule:
                 raise CacheInvariantError(
                     f"identity index inconsistent for {rule!r}"
                 )

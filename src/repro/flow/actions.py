@@ -59,67 +59,66 @@ class Controller(Action):
 
 
 class ActionList:
-    """An immutable ordered list of actions with composition helpers."""
+    """An immutable ordered list of actions with composition helpers.
 
-    __slots__ = ("_actions", "_hash")
+    The tuple ``actions`` is a plain attribute, read-only by convention.
+    """
+
+    __slots__ = ("actions", "_hash")
 
     def __init__(self, actions: Iterable[Action] = ()):
-        self._actions: Tuple[Action, ...] = tuple(actions)
+        self.actions: Tuple[Action, ...] = tuple(actions)
         self._hash: Optional[int] = None
 
     # -- container protocol ------------------------------------------------------
 
     def __iter__(self) -> Iterator[Action]:
-        return iter(self._actions)
+        return iter(self.actions)
 
     def __len__(self) -> int:
-        return len(self._actions)
+        return len(self.actions)
 
     def __bool__(self) -> bool:
-        return bool(self._actions)
+        return bool(self.actions)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ActionList):
             return NotImplemented
-        return self._actions == other._actions
+        return self.actions == other.actions
 
     def __hash__(self) -> int:
         # Memoized, as FlowKey's: hashing the actions hashes every
         # dataclass in them, and a cache rule's identity holds its list.
         h = self._hash
         if h is None:
-            h = self._hash = hash(self._actions)
+            h = self._hash = hash(self.actions)
         return h
 
     def __repr__(self) -> str:
-        return f"ActionList({list(self._actions)})"
-
-    @property
-    def actions(self) -> Tuple[Action, ...]:
-        return self._actions
+        return f"ActionList({list(self.actions)})"
 
     # -- queries ---------------------------------------------------------------------
 
     def is_terminal(self) -> bool:
         """True when the list ends the packet's journey (output/drop/punt)."""
         return any(
-            isinstance(a, (Output, Drop, Controller)) for a in self._actions
+            isinstance(a, (Output, Drop, Controller)) for a in self.actions
         )
 
     def output_port(self) -> Optional[int]:
         """The output port if the list forwards the packet, else ``None``."""
-        for action in self._actions:
+        for action in self.actions:
             if isinstance(action, Output):
                 return action.port
         return None
 
     def drops(self) -> bool:
-        return any(isinstance(a, Drop) for a in self._actions)
+        return any(isinstance(a, Drop) for a in self.actions)
 
     def modified_fields(self) -> Tuple[str, ...]:
         """Names of fields overwritten by set-field actions, in order."""
         seen = []
-        for action in self._actions:
+        for action in self.actions:
             if isinstance(action, SetField) and action.field not in seen:
                 seen.append(action.field)
         return tuple(seen)
@@ -129,7 +128,7 @@ class ActionList:
     def apply(self, flow: FlowKey) -> FlowKey:
         """Apply set-field actions to a flow key; terminal actions are no-ops
         on the key itself (forwarding is recorded by the caller)."""
-        for action in self._actions:
+        for action in self.actions:
             if isinstance(action, SetField):
                 flow = flow.set_field(action.field, action.value)
         return flow

@@ -66,39 +66,49 @@ class FieldSchema:
     compare on tuples and one AND / OR / compare on packed integers are
     the same operation, which is what the classifier and the wildcard
     algebra run on.
+
+    Attributes (plain, read-only by convention):
+        fields: The fields, in order.
+        full_masks: Per-field all-ones masks, in schema order.
+        zero_tuple: An all-zero tuple of the schema's arity (a blank
+            mask).
+        shifts: Per-field bit offset inside a packed header vector.
+        field_masks: Per-field all-ones masks at their packed position.
+        full_packed: The packed vector with every bit of every field
+            set.
     """
 
     def __init__(self, fields: Iterable[Field]):
-        self._fields: Tuple[Field, ...] = tuple(fields)
-        if not self._fields:
+        self.fields: Tuple[Field, ...] = tuple(fields)
+        if not self.fields:
             raise ValueError("a schema needs at least one field")
-        names = [f.name for f in self._fields]
+        names = [f.name for f in self.fields]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate field names in schema: {names}")
-        self._index: Dict[str, int] = {f.name: i for i, f in enumerate(self._fields)}
-        self._full_masks: Tuple[int, ...] = tuple(f.full_mask for f in self._fields)
-        self._zero: Tuple[int, ...] = (0,) * len(self._fields)
-        widths = [f.width for f in self._fields]
-        self._shifts: Tuple[int, ...] = tuple(
+        self._index: Dict[str, int] = {f.name: i for i, f in enumerate(self.fields)}
+        self.full_masks: Tuple[int, ...] = tuple(f.full_mask for f in self.fields)
+        self.zero_tuple: Tuple[int, ...] = (0,) * len(self.fields)
+        widths = [f.width for f in self.fields]
+        self.shifts: Tuple[int, ...] = tuple(
             sum(widths[i + 1:]) for i in range(len(widths))
         )
-        self._field_masks: Tuple[int, ...] = tuple(
+        self.field_masks: Tuple[int, ...] = tuple(
             full << shift
-            for full, shift in zip(self._full_masks, self._shifts)
+            for full, shift in zip(self.full_masks, self.shifts)
         )
-        self._full_packed: int = (1 << sum(widths)) - 1
+        self.full_packed: int = (1 << sum(widths)) - 1
         self._field_bits: Dict[int, int] = {}
 
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._fields)
+        return len(self.fields)
 
     def __iter__(self) -> Iterator[Field]:
-        return iter(self._fields)
+        return iter(self.fields)
 
     def __getitem__(self, index: int) -> Field:
-        return self._fields[index]
+        return self.fields[index]
 
     def __contains__(self, name: object) -> bool:
         return name in self._index
@@ -108,56 +118,27 @@ class FieldSchema:
             return True
         if not isinstance(other, FieldSchema):
             return NotImplemented
-        return self._fields == other._fields
+        return self.fields == other.fields
 
     def __hash__(self) -> int:
-        return hash(self._fields)
+        return hash(self.fields)
 
     def __repr__(self) -> str:
-        return f"FieldSchema({[f.name for f in self._fields]})"
+        return f"FieldSchema({[f.name for f in self.fields]})"
 
     # -- lookups -------------------------------------------------------------
 
     @property
-    def fields(self) -> Tuple[Field, ...]:
-        return self._fields
-
-    @property
     def names(self) -> Tuple[str, ...]:
-        return tuple(f.name for f in self._fields)
-
-    @property
-    def full_masks(self) -> Tuple[int, ...]:
-        """Per-field all-ones masks, in schema order."""
-        return self._full_masks
-
-    @property
-    def zero_tuple(self) -> Tuple[int, ...]:
-        """An all-zero tuple of the schema's arity (useful as a blank mask)."""
-        return self._zero
+        return tuple(f.name for f in self.fields)
 
     # -- packed form ---------------------------------------------------------
-
-    @property
-    def shifts(self) -> Tuple[int, ...]:
-        """Per-field bit offset inside a packed header vector."""
-        return self._shifts
-
-    @property
-    def field_masks(self) -> Tuple[int, ...]:
-        """Per-field all-ones masks at their packed position."""
-        return self._field_masks
-
-    @property
-    def full_packed(self) -> int:
-        """The packed vector with every bit of every field set."""
-        return self._full_packed
 
     def pack(self, values: Iterable[int]) -> int:
         """Concatenate per-field values (each already within its field's
         width) into one integer."""
         packed = 0
-        for value, shift in zip(values, self._shifts):
+        for value, shift in zip(values, self.shifts):
             packed |= value << shift
         return packed
 
@@ -165,7 +146,7 @@ class FieldSchema:
         """Split a packed vector back into per-field values."""
         return tuple(
             (packed >> shift) & full
-            for shift, full in zip(self._shifts, self._full_masks)
+            for shift, full in zip(self.shifts, self.full_masks)
         )
 
     def field_bits(self, packed: int) -> int:
@@ -178,7 +159,7 @@ class FieldSchema:
             if len(cache) >= FIELD_BITS_MEMO_SIZE:
                 cache.clear()
             bits = 0
-            for index, field_mask in enumerate(self._field_masks):
+            for index, field_mask in enumerate(self.field_masks):
                 if packed & field_mask:
                     bits |= 1 << index
             cache[packed] = bits
@@ -192,7 +173,7 @@ class FieldSchema:
             raise KeyError(f"unknown field {name!r}; schema has {self.names}") from None
 
     def field(self, name: str) -> Field:
-        return self._fields[self.index_of(name)]
+        return self.fields[self.index_of(name)]
 
 
 #: The ten ternary header fields of the paper's LTM table (Fig. 6).  The

@@ -17,23 +17,27 @@ from .wildcard import Wildcard
 class FlowKey:
     """An immutable vector of concrete header-field values.
 
-    Carries the same vector twice: the per-field tuple :attr:`values`
-    and the packed integer :attr:`packed` the classifier probes with.
+    Carries the same vector twice, as plain attributes that are
+    read-only by convention: the per-field tuple ``values`` and the
+    packed integer ``packed`` (fields at ``DEFAULT_SCHEMA.shifts``) that
+    the classifier probes with and the exact-match memos key by.
+    ``__hash__`` stays the hash of ``values``: telemetry flow ids are
+    derived from it.
     """
 
-    __slots__ = ("_values", "_hash", "_packed")
+    __slots__ = ("values", "_hash", "packed")
 
     def __init__(self, values: Iterable[int]):
-        self._values: Tuple[int, ...] = tuple(values)
+        self.values: Tuple[int, ...] = tuple(values)
         self._hash = None
-        if len(self._values) != len(DEFAULT_SCHEMA):
+        if len(self.values) != len(DEFAULT_SCHEMA):
             raise ValueError(
                 f"expected {len(DEFAULT_SCHEMA)} values, "
-                f"got {len(self._values)}"
+                f"got {len(self.values)}"
             )
-        for field, value in zip(DEFAULT_SCHEMA, self._values):
+        for field, value in zip(DEFAULT_SCHEMA, self.values):
             field.validate_value(value)
-        self._packed: int = DEFAULT_SCHEMA.pack(self._values)
+        self.packed: int = DEFAULT_SCHEMA.pack(self.values)
 
     # -- constructors -----------------------------------------------------------
 
@@ -47,38 +51,29 @@ class FlowKey:
 
     # -- accessors ----------------------------------------------------------------
 
-    @property
-    def values(self) -> Tuple[int, ...]:
-        return self._values
-
-    @property
-    def packed(self) -> int:
-        """The values as one integer, fields at ``DEFAULT_SCHEMA.shifts``."""
-        return self._packed
-
     def get(self, name: str) -> int:
-        return self._values[DEFAULT_SCHEMA.index_of(name)]
+        return self.values[DEFAULT_SCHEMA.index_of(name)]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._values)
+        return iter(self.values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlowKey):
             return NotImplemented
-        return self._packed == other._packed
+        return self.packed == other.packed
 
     def __hash__(self) -> int:
         # Memoized: keys are immutable and shared across every packet of
         # a flow, and telemetry derives flow ids from this per event.
         h = self._hash
         if h is None:
-            h = self._hash = hash(self._values)
+            h = self._hash = hash(self.values)
         return h
 
     def __repr__(self) -> str:
         parts = [
             f"{field.name}={value:#x}"
-            for field, value in zip(DEFAULT_SCHEMA, self._values)
+            for field, value in zip(DEFAULT_SCHEMA, self.values)
             if value
         ]
         return f"FlowKey({', '.join(parts) or 'zero'})"
@@ -89,13 +84,13 @@ class FlowKey:
         """Return a copy with one field replaced (set-field action)."""
         index = DEFAULT_SCHEMA.index_of(name)
         DEFAULT_SCHEMA[index].validate_value(value)
-        values = self._values
+        values = self.values
         # Only the replaced field is new: the rest was validated, and
         # packed, when this key was built.
         copy = FlowKey.__new__(FlowKey)
-        copy._values = values[:index] + (value,) + values[index + 1:]
+        copy.values = values[:index] + (value,) + values[index + 1:]
         copy._hash = None
-        copy._packed = self._packed ^ (
+        copy.packed = self.packed ^ (
             (values[index] ^ value) << DEFAULT_SCHEMA.shifts[index]
         )
         return copy
@@ -106,18 +101,18 @@ class FlowKey:
         The result is a plain tuple — the canonical hashable form used as a
         hash-table key by the TSS classifier and the LTM tables.
         """
-        return tuple(v & m for v, m in zip(self._values, wildcard.masks))
+        return tuple(v & m for v, m in zip(self.values, wildcard.masks))
 
     def matches(self, value: "FlowKey", wildcard: Wildcard) -> bool:
         """True when this key equals ``value`` on the wildcarded bits."""
-        return not (self._packed ^ value.packed) & wildcard.packed
+        return not (self.packed ^ value.packed) & wildcard.packed
 
     def diff_fields(self, other: "FlowKey") -> Tuple[str, ...]:
         """Names of fields on which the two keys differ."""
-        if self._packed == other._packed:
+        if self.packed == other.packed:
             return ()
         return tuple(
             field.name
-            for field, a, b in zip(DEFAULT_SCHEMA, self._values, other._values)
+            for field, a, b in zip(DEFAULT_SCHEMA, self.values, other.values)
             if a != b
         )

@@ -17,20 +17,23 @@ from .wildcard import Wildcard
 class TernaryMatch:
     """An immutable ternary predicate: match ``flow & mask == value & mask``.
 
-    The masked value is held packed (:attr:`packed`, what the classifier
-    keys its hash tables by); :attr:`canonical_key` is its tuple view,
-    unpacked on first use.
+    ``value`` (a :class:`FlowKey`), ``wildcard`` and ``packed``, the
+    masked value as one integer that the classifier keys its hash
+    tables by, are plain attributes, read-only by convention;
+    :attr:`canonical_key` is the tuple view of ``packed``, unpacked on
+    first use.  ``__hash__`` is the hash of the packed wildcard and
+    value.
     """
 
-    __slots__ = ("_value", "_wildcard", "_packed", "_canonical", "_hash")
+    __slots__ = ("value", "wildcard", "packed", "_canonical", "_hash")
 
     def __init__(self, value: FlowKey, wildcard: Wildcard):
-        self._value = value
-        self._wildcard = wildcard
+        self.value = value
+        self.wildcard = wildcard
         # Canonicalise: bits outside the mask are irrelevant, so store the
         # masked value.  Two predicates that accept the same packets then
         # compare (and hash) equal.
-        self._packed: int = value.packed & wildcard.packed
+        self.packed: int = value.packed & wildcard.packed
         self._canonical: Optional[Tuple[int, ...]] = None
         self._hash: Optional[int] = None
 
@@ -56,37 +59,23 @@ class TernaryMatch:
     # -- accessors ----------------------------------------------------------------
 
     @property
-    def value(self) -> FlowKey:
-        return self._value
-
-    @property
-    def wildcard(self) -> Wildcard:
-        return self._wildcard
-
-    @property
-    def packed(self) -> int:
-        """The masked value as one integer (see
-        :class:`~repro.flow.fields.FieldSchema`)."""
-        return self._packed
-
-    @property
     def canonical_key(self) -> Tuple[int, ...]:
         """The masked value tuple — a hashable canonical form."""
         canonical = self._canonical
         if canonical is None:
-            canonical = self._canonical = DEFAULT_SCHEMA.unpack(self._packed)
+            canonical = self._canonical = DEFAULT_SCHEMA.unpack(self.packed)
         return canonical
 
     @property
     def mask_tuple(self) -> Tuple[int, ...]:
-        return self._wildcard.masks
+        return self.wildcard.masks
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TernaryMatch):
             return NotImplemented
         return (
-            self._packed == other._packed
-            and self._wildcard == other._wildcard
+            self.packed == other.packed
+            and self.wildcard == other.wildcard
         )
 
     def __hash__(self) -> int:
@@ -94,13 +83,13 @@ class TernaryMatch:
         # time its identity is looked up.
         h = self._hash
         if h is None:
-            h = self._hash = hash((self._wildcard.packed, self._packed))
+            h = self._hash = hash((self.wildcard.packed, self.packed))
         return h
 
     def __repr__(self) -> str:
         parts = []
         for field, value, mask in zip(
-            DEFAULT_SCHEMA, self.canonical_key, self._wildcard.masks
+            DEFAULT_SCHEMA, self.canonical_key, self.wildcard.masks
         ):
             if not mask:
                 continue
@@ -114,11 +103,11 @@ class TernaryMatch:
 
     def matches(self, flow: FlowKey) -> bool:
         """True when ``flow`` satisfies this predicate."""
-        return flow.packed & self._wildcard.packed == self._packed
+        return flow.packed & self.wildcard.packed == self.packed
 
     def specificity(self) -> int:
         """Number of matched bits — more specific predicates match more bits."""
-        return self._wildcard.bit_count()
+        return self.wildcard.bit_count()
 
     def overlaps(self, other: "TernaryMatch") -> bool:
         """True when some packet can satisfy both predicates.
@@ -126,8 +115,8 @@ class TernaryMatch:
         Two ternary predicates overlap iff they agree on every bit matched
         by both masks.
         """
-        common = self._wildcard.packed & other._wildcard.packed
-        return self._packed & common == other._packed & common
+        common = self.wildcard.packed & other.wildcard.packed
+        return self.packed & common == other.packed & common
 
     def subsumes(self, other: "TernaryMatch") -> bool:
         """True when every packet matching ``other`` also matches this.
@@ -135,8 +124,8 @@ class TernaryMatch:
         Holds iff this mask is a subset of the other's mask and the values
         agree on this mask.
         """
-        mask = self._wildcard.packed
+        mask = self.wildcard.packed
         return (
-            not mask & ~other._wildcard.packed
-            and other._packed & mask == self._packed
+            not mask & ~other.wildcard.packed
+            and other.packed & mask == self.packed
         )

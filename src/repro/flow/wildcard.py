@@ -17,12 +17,13 @@ from .fields import DEFAULT_SCHEMA
 class Wildcard:
     """An immutable per-field mask vector over the header fields.
 
-    Held as one packed integer (see
-    :class:`~repro.flow.fields.FieldSchema`); the per-field tuple
-    :attr:`masks` is a view, unpacked on first use.
+    Held as one packed integer, the plain attribute ``packed`` (fields
+    at ``DEFAULT_SCHEMA.shifts``, read-only by convention); the
+    per-field tuple :attr:`masks` is a view, unpacked on first use.
+    ``__hash__`` is the hash of ``packed``.
     """
 
-    __slots__ = ("_masks", "_packed")
+    __slots__ = ("_masks", "packed")
 
     def __init__(self, masks: Iterable[int]):
         self._masks: Optional[Tuple[int, ...]] = tuple(masks)
@@ -37,7 +38,7 @@ class Wildcard:
                     f"mask {mask:#x} overflows field {field.name!r} "
                     f"({field.width} bits)"
                 )
-        self._packed: int = DEFAULT_SCHEMA.pack(self._masks)
+        self.packed: int = DEFAULT_SCHEMA.pack(self._masks)
 
     # -- constructors ---------------------------------------------------------
 
@@ -53,7 +54,7 @@ class Wildcard:
             )
         self = cls.__new__(cls)
         self._masks = None
-        self._packed = packed
+        self.packed = packed
         return self
 
     @classmethod
@@ -79,16 +80,10 @@ class Wildcard:
     # -- basic accessors -------------------------------------------------------
 
     @property
-    def packed(self) -> int:
-        """The mask vector as one integer, fields at
-        ``DEFAULT_SCHEMA.shifts``."""
-        return self._packed
-
-    @property
     def masks(self) -> Tuple[int, ...]:
         masks = self._masks
         if masks is None:
-            masks = self._masks = DEFAULT_SCHEMA.unpack(self._packed)
+            masks = self._masks = DEFAULT_SCHEMA.unpack(self.packed)
         return masks
 
     def mask_of(self, name: str) -> int:
@@ -100,10 +95,10 @@ class Wildcard:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Wildcard):
             return NotImplemented
-        return self._packed == other._packed
+        return self.packed == other.packed
 
     def __hash__(self) -> int:
-        return hash(self._packed)
+        return hash(self.packed)
 
     def __repr__(self) -> str:
         parts = [
@@ -117,10 +112,10 @@ class Wildcard:
 
     def union(self, other: "Wildcard") -> "Wildcard":
         """Bitwise OR of two wildcards (the ``ω_k = ∪ W_i`` of §4.2.3)."""
-        return Wildcard.from_packed(self._packed | other._packed)
+        return Wildcard.from_packed(self.packed | other.packed)
 
     def intersection(self, other: "Wildcard") -> "Wildcard":
-        return Wildcard.from_packed(self._packed & other._packed)
+        return Wildcard.from_packed(self.packed & other.packed)
 
     # -- predicates ---------------------------------------------------------------
 
@@ -128,7 +123,7 @@ class Wildcard:
     def field_bits(self) -> int:
         """The matched fields as a bitset (bit ``i`` = field ``i``): two
         wildcards are disjoint exactly when theirs do not intersect."""
-        return DEFAULT_SCHEMA.field_bits(self._packed)
+        return DEFAULT_SCHEMA.field_bits(self.packed)
 
     def fields_matched(self) -> Tuple[str, ...]:
         """Names of fields with at least one matched bit."""
@@ -155,8 +150,8 @@ class Wildcard:
 
     def covers(self, other: "Wildcard") -> bool:
         """True when every bit matched by ``other`` is also matched here."""
-        return not other._packed & ~self._packed
+        return not other.packed & ~self.packed
 
     def bit_count(self) -> int:
         """Total number of matched bits across all fields."""
-        return self._packed.bit_count()
+        return self.packed.bit_count()

@@ -49,6 +49,10 @@ class Pipeline:
         name: Pipeline identifier (e.g. ``"OLS"``).
         start_table: ID of the entry table.
         max_depth: Loop guard — OVS caps resubmissions similarly.
+        generation: Monotonic counter bumped on every rule change,
+            through this pipeline or straight on one of its tables
+            (only :meth:`rules_changed` moves it); revalidation compares
+            cache-entry generations against it (§4.3.1).
 
     A traversal is a function of the flow and the rule set, so
     :meth:`execute` remembers the ones it walked at the current
@@ -87,7 +91,7 @@ class Pipeline:
             raise ValueError(f"start table {start_table} not in pipeline")
         self.start_table = start_table
         self.stats = ExecutionStats()
-        self._generation = 0
+        self.generation = 0
         #: table id → the generation its last rule change moved to.
         self._changed_at: Dict[int, int] = dict.fromkeys(self.tables, 0)
         #: packed flow → (traversal, groups probed), walked at
@@ -119,13 +123,6 @@ class Pipeline:
     def table_ids(self) -> Tuple[int, ...]:
         return tuple(sorted(self.tables))
 
-    @property
-    def generation(self) -> int:
-        """Monotonic counter bumped on every rule change, through this
-        pipeline or straight on one of its tables; revalidation compares
-        cache-entry generations against it (§4.3.1)."""
-        return self._generation
-
     # -- rule management ---------------------------------------------------------------
 
     def install(self, table_id: int, rule: PipelineRule) -> None:
@@ -141,8 +138,8 @@ class Pipeline:
     def rules_changed(self, table_id: int) -> None:
         """Called by table ``table_id`` of this pipeline after each rule
         change: the one place ``generation`` moves."""
-        self._generation += 1
-        self._changed_at[table_id] = self._generation
+        self.generation += 1
+        self._changed_at[table_id] = self.generation
 
     def unchanged_since(
         self, table_ids: Iterable[int], generation: int
@@ -168,9 +165,9 @@ class Pipeline:
         its walk for the counted executes to come.
         """
         memo = self._traversal_memo
-        if self._memo_generation != self._generation:
+        if self._memo_generation != self.generation:
             memo.clear()
-            self._memo_generation = self._generation
+            self._memo_generation = self.generation
         key = flow.packed
         if record_stats:
             filed = memo.get(key)
@@ -186,7 +183,7 @@ class Pipeline:
                 f"{self.name!r}: path {[s.table_id for s in steps]}"
             )
         traversal = Traversal(steps, disposition)
-        traversal.walked_at(self._generation)
+        traversal.walked_at(self.generation)
         if record_stats:
             self.stats.record(traversal, groups)
         if key not in memo:

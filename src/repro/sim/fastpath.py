@@ -9,10 +9,11 @@ exact-match cache for exactly this reason; TupleChain (arXiv:2408.04390)
 and Flow Correlator (arXiv:2305.02918) both identify lookup cost — not
 install cost — as the throughput lever.
 
-:class:`FastPathIndex` memoizes, per exact ``flow.values`` signature, a
-:class:`~repro.cache.base.HitReplay` record of the first full lookup:
-the winning rule chain and the result the lookup returned, with its
-``groups_probed`` / ``tables_hit`` counts.  Repeat packets replay the
+:class:`FastPathIndex` memoizes, per exact flow signature (``flow.packed``,
+the one integer the classifier and the pipeline's traversal memo key by
+too), a :class:`~repro.cache.base.HitReplay` record of the first full
+lookup: the winning rule chain and the result the lookup returned, with
+its ``groups_probed`` / ``tables_hit`` counts.  Repeat packets replay the
 record — one ``touch`` that moves the same rules' ``last_used`` and LRU
 positions, the same hit counter, and the kept result handed out again
 — so every simulator metric (hit/miss stats, idle expiry, LRU eviction
@@ -43,7 +44,7 @@ never memoized — the epoch moved during the lookup.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..cache.base import CacheResult, FlowCache
 from ..flow.key import FlowKey
@@ -72,7 +73,8 @@ class FastPathIndex:
     def __init__(self, cache: FlowCache, telemetry=None):
         self.cache = cache
         self.telemetry = telemetry
-        self._memo: Dict[Tuple[int, ...], object] = {}
+        #: packed flow → its :class:`~repro.cache.base.HitReplay` record.
+        self._memo: Dict[int, object] = {}
         self.memo_hits = 0
         self.memo_misses = 0
         self.revalidated = 0
@@ -86,7 +88,7 @@ class FastPathIndex:
         memoize) the full cache lookup."""
         cache = self.cache
         epoch = cache.mutation_epoch
-        signature = flow.values
+        signature = flow.packed
         memo = self._memo
         record = memo.get(signature)
         tel = self.telemetry

@@ -72,10 +72,10 @@ class RecordingHub:
 
 
 def entry_key(entry):
-    """What names an entry across installs: the flow's values
-    (Microflow), the match (Megaflow), ``identity()`` (an LTM rule)."""
+    """What names an entry across installs: the flow's packed value
+    (Microflow), the match (Megaflow), ``identity`` (an LTM rule)."""
     if hasattr(entry, "identity"):
-        return entry.identity()
+        return entry.identity
     return entry.key if hasattr(entry, "key") else entry.match
 
 
@@ -116,9 +116,9 @@ class Rig:
     def key(self, idx):
         """The :func:`entry_key` of the entry :meth:`install` files."""
         if self.kind == "microflow":
-            return self.packet(idx).values
+            return self.packet(idx).packed
         if self.kind in ("gigaflow", "ltm"):
-            return ltm_rule(2000 + idx).identity()
+            return ltm_rule(2000 + idx).identity
         return mega_entry(2000 + idx).match
 
     def install(self, idx, now):

@@ -294,7 +294,7 @@ def memoize(cache, packet):
     """A fast path over ``cache`` holding ``packet``'s record."""
     fastpath = FastPathIndex(cache)
     assert fastpath.lookup(packet, now=1.0).hit
-    record = fastpath._memo[packet.values]
+    record = fastpath._memo[packet.packed]
     assert recorded(record) == full_walk(cache, packet)
     return fastpath, record
 
@@ -503,7 +503,7 @@ class TestHitPath:
         cache, packet = _chain(2)
         fastpath = FastPathIndex(cache)
         looked_up = fastpath.lookup(packet, now=1.0)
-        record = fastpath._memo[packet.values]
+        record = fastpath._memo[packet.packed]
         assert record.result is looked_up
         assert fastpath.lookup(packet, now=2.0) is looked_up
         assert looked_up == cache.lookup(packet, now=3.0)
@@ -538,6 +538,48 @@ class TestHitPath:
         # The lambda, ``replay`` and one ``touch``: no call per rule.
         assert opened[1] == opened[4]
 
+    @pytest.mark.parametrize("num_tables", [1, 4])
+    def test_a_memoized_lookup_opens_four_frames(self, num_tables):
+        cache, packet = _chain(num_tables)
+        fastpath, _ = memoize(cache, packet)
+        # The lambda, ``FastPathIndex.lookup``, ``replay`` and ``touch``:
+        # the epoch, the memo key and every other read on the way are
+        # plain attributes.
+        assert _frames_opened(lambda: fastpath.lookup(packet, 2.0)) == 4
+        assert fastpath.memo_hits == 1
+
+    @pytest.mark.parametrize("num_tables", [1, 4])
+    def test_a_stale_record_whose_buckets_held_still_opens_six(self, num_tables):
+        cache, packet = _chain(num_tables)
+        fastpath, _ = memoize(cache, packet)
+        cache.bump_epoch()
+        # Two more than a fresh record: ``_revalidate`` and
+        # ``still_valid``, which re-runs no lookup.
+        assert _frames_opened(lambda: fastpath.lookup(packet, 2.0)) == 6
+        assert (fastpath.revalidated, fastpath.invalidations) == (1, 0)
+
+    def test_a_rewritten_flow_and_an_equal_fresh_one_share_a_record(self):
+        # ``set_field`` computes ``packed`` by XOR, not by packing the
+        # values again; the memos key by it.
+        rewritten = flow(tp_dst=80).set_field("tp_dst", 443)
+        fresh = flow(tp_dst=443)
+        assert rewritten.packed == fresh.packed
+        cache, _ = _chain(2)
+        fastpath = FastPathIndex(cache)
+        assert fastpath.lookup(rewritten, now=1.0).hit
+        assert fastpath.lookup(fresh, now=2.0).hit
+        assert len(fastpath) == 1
+        assert (fastpath.memo_hits, fastpath.memo_misses) == (1, 1)
+        microflow = MicroflowCache(capacity=4)
+        microflow.install(rewritten, ActionList([Output(1)]), now=0.0)
+        assert microflow.lookup(fresh, now=1.0).hit
+        microflow.install(fresh, ActionList([Output(2)]), now=2.0)
+        assert microflow.entry_count() == 1
+        assert microflow.stats.insertions == 1
+        assert microflow.lookup(rewritten, now=3.0).actions == ActionList(
+            [Output(2)]
+        )
+
 
 # One small PSC universe for the property test: the pipeline is only
 # read (``execute`` without stats), so every example can share it.
@@ -561,7 +603,7 @@ def _recency(cache):
     """Every table's rules in LRU order, by value, with their use time
     (rule ids differ between twins): all that a hit writes."""
     return [
-        [(rule.identity(), rule.last_used)
+        [(rule.identity, rule.last_used)
          for rule in table._by_id.values()]
         for table in cache.tables
     ]
@@ -592,7 +634,7 @@ def _memo_against_twin(ops, num_tables, table_capacity, placement):
         now += 0.25
         if op == "packet":
             packet = _FLOWS[arg % len(_FLOWS)]
-            record = fastpath._memo.get(packet.values)
+            record = fastpath._memo.get(packet.packed)
             if record is not None and record.epoch != cache.mutation_epoch:
                 walk = full_walk(cache, packet)
                 same_chain = walk[0] and walk[1] == chain_of(record)
@@ -716,7 +758,7 @@ def test_soak_one_tag_under_endless_install_and_evict_stays_bounded(
         cache.install_rules([ltm_rule(visitor, priority=1 + i % 3)])
         assert fastpath.lookup(flow(**visitor), now).hit
         assert fastpath.lookup(regular, now).hit  # keeps its rule warm
-        assert len(fastpath._memo[regular.values].steps) == 7
+        assert len(fastpath._memo[regular.packed].steps) == 7
     assert cache.stats.evictions == cycles + 1 - 4
     assert dependency.changes == 1 + cycles + cache.stats.evictions
     assert len(fastpath) <= 64

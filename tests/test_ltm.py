@@ -24,13 +24,13 @@ class TestLtmRule:
     def test_identity_is_value_identity(self):
         a = ltm_rule({"tp_dst": 443})
         b = ltm_rule({"tp_dst": 443})
-        assert a.identity() == b.identity()
+        assert a.identity == b.identity
         assert a.rule_id != b.rule_id
 
     def test_identity_distinguishes_tags(self):
         a = ltm_rule({"tp_dst": 443}, tag=0)
         b = ltm_rule({"tp_dst": 443}, tag=1)
-        assert a.identity() != b.identity()
+        assert a.identity != b.identity
 
     def test_priority_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -96,8 +96,8 @@ class TestLtmTable:
         table = LtmTable(0, capacity=4)
         rule = ltm_rule({"tp_dst": 443})
         table.insert(rule)
-        assert table.find_identical(ltm_rule({"tp_dst": 443}).identity()) is rule
-        assert table.find_identical(ltm_rule({"tp_dst": 80}).identity()) is None
+        assert table.find_identical(ltm_rule({"tp_dst": 443}).identity) is rule
+        assert table.find_identical(ltm_rule({"tp_dst": 80}).identity) is None
 
     def test_lru_rule(self):
         table = LtmTable(0, capacity=4)

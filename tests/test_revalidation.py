@@ -152,7 +152,7 @@ def replay_always(self, entry, now):
 
 def _key(entry):
     if isinstance(entry, LtmRule):
-        return entry.identity(), entry.priority
+        return entry.identity, entry.priority
     return entry.match
 
 

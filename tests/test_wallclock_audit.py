@@ -6,7 +6,7 @@ one fan-out, one idle timer, one reader of the classifier's state,
 one home for the slow-path memo, no public function or method without
 a caller, one home each for the two change records staleness is judged
 by, one place a run is built, no asking a cache what kind it is, one
-header layout, one telemetry record.
+header layout, one telemetry record, no trivial accessor.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -166,17 +166,28 @@ registered.  A second record — a digest copied out of the registry onto
 ``SimResult`` and folded by ``*_MERGE`` rule tables — once duplicated
 every count and its merge.  So nothing under ``repro`` declares a
 ``*_MERGE`` table, and ``SimResult`` has no field named for telemetry.
+
+The nineteenth keeps reads plain.  A property whose body is only
+``return self.<attr>`` costs a Python frame per read and buys nothing a
+plain attribute under the public name does not; a memoized hit once
+opened two such frames (the cache's epoch and the flow's key) beside the
+three that do its work.  So no ``@property`` under ``repro``, its
+docstring aside, is only ``return self.<attr>``, and an LTM rule's
+``identity`` is a slot, not a method.  A property that computes — a
+lazy view, a sum over levels — is not trivial.
 """
 
 import ast
 import dataclasses
 import pathlib
 import re
+import types
 
 import pytest
 
 import repro
 from repro.cache.base import FlowCache
+from repro.core import LtmRule
 from repro.sim import SimConfig, SimResult
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
@@ -1731,4 +1742,91 @@ def test_telemetry_record_audit_sees_a_violation():
         (3, "DIGEST_MERGE table"),
         (5, "FOLD_MERGE table"),
         (10, "SimResult.telemetry"),
+    ]
+
+
+def _trivial_accessors(source: str):
+    """``(line, "Class.name")`` for every ``@property`` whose body,
+    docstring aside, is ``return self.<attr>``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for member in node.body:
+            if not isinstance(member, ast.FunctionDef) or not any(
+                isinstance(d, ast.Name) and d.id == "property"
+                for d in member.decorator_list
+            ):
+                continue
+            body = member.body
+            if (
+                isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)
+            ):
+                body = body[1:]
+            if (
+                len(body) == 1
+                and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Attribute)
+                and isinstance(body[0].value.value, ast.Name)
+                and body[0].value.value.id == "self"
+            ):
+                found.append((member.lineno, f"{node.name}.{member.name}"))
+    return sorted(found)
+
+
+def test_no_trivial_accessors():
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}:{line} {what}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line, what in _trivial_accessors(path.read_text())
+    ]
+    assert not offenders, (
+        "properties that only return an attribute of self — make each a "
+        "plain attribute under the public name:\n  "
+        + "\n  ".join(offenders)
+    )
+    # The one zero-argument accessor method went the same way: an LTM
+    # rule's identity is a slot.
+    assert isinstance(LtmRule.__dict__["identity"], types.MemberDescriptorType)
+
+
+def test_trivial_accessor_audit_sees_a_violation():
+    source = (
+        "class Key:\n"
+        "    @property\n"
+        "    def values(self):\n"
+        "        return self._values\n"
+        "    @property\n"
+        "    def packed(self):\n"
+        "        \"\"\"The values as one integer.\"\"\"\n"
+        "        return self._packed\n"
+        "    @property\n"
+        "    def masks(self):\n"
+        "        masks = self._masks\n"
+        "        if masks is None:\n"
+        "            masks = self._masks = unpack(self.packed)\n"
+        "        return masks\n"
+        "    @property\n"
+        "    def epoch(self):\n"
+        "        return self.left.epoch + self.right.epoch\n"
+        "    @property\n"
+        "    def port(self):\n"
+        "        return self.port_of.value\n"
+        "    def identity(self):\n"
+        "        return self._identity\n"
+        "    @staticmethod\n"
+        "    def zero():\n"
+        "        return ZERO\n"
+        "def outer():\n"
+        "    class Nested:\n"
+        "        @property\n"
+        "        def fields(self):\n"
+        "            return self._fields\n"
+    )
+    assert _trivial_accessors(source) == [
+        (3, "Key.values"),
+        (6, "Key.packed"),
+        (29, "Nested.fields"),
     ]
