@@ -11,7 +11,7 @@ def test_table2_rule_space_coverage(benchmark, scale):
     )
     print("\n" + format_table2(rows))
 
-    # Paper shape, asserted on the *packet-satisfiable* coverage estimate
+    # Paper shape, asserted on the exact *packet-satisfiable* chain count
     # (the raw tag-chain count is an upper bound): orders of magnitude on
     # the partition-friendly pipelines (459x OFD, 337x OLS, 156x PSC)...
     for name in ("OFD", "PSC", "OLS"):

@@ -22,10 +22,10 @@ from .validate import (
     validate_cache,
 )
 from .coverage import (
-    SatisfiableCoverage,
+    CoverageStateLimitError,
     chain_satisfiable,
     coverage,
-    estimate_satisfiable_coverage,
+    satisfiable_coverage,
 )
 from .revalidation import IncrementalRevalidator, RevalidationReport
 
@@ -33,6 +33,7 @@ __all__ = [
     "AdaptiveConfig",
     "AdaptiveGigaflowCache",
     "CacheInvariantError",
+    "CoverageStateLimitError",
     "ModeGovernor",
     "ChainReport",
     "GigaflowCache",
@@ -46,13 +47,12 @@ __all__ = [
     "Partitioner",
     "RandomPartitioner",
     "RevalidationReport",
-    "SatisfiableCoverage",
     "TAG_DONE",
     "chain_satisfiable",
-    "estimate_satisfiable_coverage",
     "build_ltm_rule",
     "build_ltm_rules",
     "coverage",
+    "satisfiable_coverage",
     "disjoint_boundaries",
     "disjoint_partition",
     "megaflow_partition",

@@ -3,31 +3,42 @@
 A Megaflow cache covers exactly one traversal per entry.  Gigaflow's
 sub-traversal rules *cross-product*: any chain of installed rules through
 strictly increasing tables whose tags link the pipeline entry to
-:data:`~repro.core.ltm.TAG_DONE` handles a complete class of flows — even
-combinations never seen in traffic (the purple paths of Fig. 5c).  This
-module counts those chains exactly (big-int DAG path counting), which is
-the paper's Table 2 metric showing up to 450× more coverage.
-
-The DAG count is an *upper bound*: tags may link two rules whose header
-matches no packet can satisfy simultaneously (e.g. segments pinned to
-different source prefixes).  :func:`estimate_satisfiable_coverage`
-tightens it by sampling chains proportionally to the DAG-count measure
-and checking each for packet-satisfiability with a per-field bit
-constraint solver.
+:data:`~repro.core.ltm.TAG_DONE` handles a complete class of flows, even
+combinations never seen in traffic (the purple paths of Fig. 5c).
+:func:`coverage` counts every such chain: an upper bound, since tags may
+link rules no one packet satisfies (e.g. segments pinned to different
+source prefixes).  :func:`satisfiable_coverage` counts, as exactly, only
+the chains some packet can take, the paper's Table 2 metric.  A
+brute-force check of one chain is kept as the oracle its tests use.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..flow.actions import SetField
 from ..flow.fields import DEFAULT_SCHEMA
 from .gigaflow import GigaflowCache
 from .ltm import TAG_DONE, LtmRule
+
+#: Chain states :func:`satisfiable_coverage` keeps live between two
+#: tables.  The largest Table 2 count that completes, paper-scale ANT,
+#: peaks at 415K states (about 0.8 GiB); past the bound the count raises
+#: rather than run out of memory.
+MAX_LIVE_STATES = 1_000_000
+
+
+class CoverageStateLimitError(RuntimeError):
+    """More than :data:`MAX_LIVE_STATES` chain states were live after LTM
+    table ``table``; ``pipeline`` names the cache's pipeline when known."""
+
+    def __init__(self, table: int, states: int, pipeline: str = ""):
+        self.table, self.states, self.pipeline = table, states, pipeline
+        super().__init__(
+            f"{pipeline + ': ' if pipeline else ''}{states} live chain states "
+            f"after LTM table {table} exceed MAX_LIVE_STATES={MAX_LIVE_STATES}"
+        )
 
 
 def coverage(cache: GigaflowCache, start_tag: int = None) -> int:
@@ -101,98 +112,85 @@ def chain_satisfiable(rules: Sequence[LtmRule]) -> bool:
     return True
 
 
-@dataclass
-class SatisfiableCoverage:
-    """Result of the sampled satisfiability estimate.
+def _packed_rules(cache: GigaflowCache) -> List[Dict[int, List[Tuple]]]:
+    """Per table, tag -> packed ``(mask, value, set mask, set value, next tag)``."""
+    tables = []
+    for table in cache.tables:
+        by_tag: Dict[int, List[Tuple]] = defaultdict(list)
+        for rule in table:
+            set_mask = set_value = 0
+            for action in rule.actions:
+                if isinstance(action, SetField):
+                    index = DEFAULT_SCHEMA.index_of(action.field)
+                    field = DEFAULT_SCHEMA.field_masks[index]
+                    set_mask |= field
+                    set_value = set_value & ~field | (
+                        action.value << DEFAULT_SCHEMA.shifts[index])
+            by_tag[rule.tag].append((rule.match.wildcard.packed, rule.match.packed,
+                                     set_mask, set_value, rule.next_tag))
+        tables.append(by_tag)
+    return tables
 
-    Attributes:
-        chain_count: The exact DAG chain count (the upper bound).
-        sampled: Chains sampled.
-        satisfiable: Samples that admit a real packet.
-        estimate: ``chain_count × satisfiable/sampled``.
+
+def satisfiable_coverage(cache: GigaflowCache) -> int:
+    """Number of complete rule chains some packet can take, counted exactly.
+
+    A forward dynamic program over the tables.  A state is ``(tag,
+    constraint mask, constraint value, rewrite mask, rewrite value)``,
+    packed: the bits the packet must carry, and the bits earlier
+    set-fields wrote (a later match reads those instead).  At each table
+    a state skips, or takes a rule of its tag whose match agrees with
+    both: the match joins the constraint, the constraint on the fields
+    the rule rewrites is dropped and the rewrite recorded.  A rule ending
+    in :data:`TAG_DONE` adds the state's multiplicity to the count.
+
+    ``reach[i][tag]``, computed backwards, holds the bits any chain
+    completable from ``tag`` over tables ``i..`` matches.  Between tables
+    each state is cut to it, so states that differ only in bits no later
+    rule reads merge, and states whose tag completes no chain drop out.
+    Past :data:`MAX_LIVE_STATES` live states it raises
+    :class:`CoverageStateLimitError`.
     """
+    tables = _packed_rules(cache)
+    reach: List[Dict[int, int]] = [{}]
+    for by_tag in reversed(tables):
+        later = reach[0]
+        layer = dict(later)  # skipping the table
+        for tag, rules in by_tag.items():
+            for mask, _, _, _, next_tag in rules:
+                if next_tag == TAG_DONE or next_tag in later:
+                    layer[tag] = layer.get(tag, 0) | mask | later.get(next_tag, 0)
+        reach.insert(0, layer)
 
-    chain_count: int
-    sampled: int
-    satisfiable: int
-
-    @property
-    def fraction(self) -> float:
-        return self.satisfiable / self.sampled if self.sampled else 0.0
-
-    @property
-    def estimate(self) -> int:
-        return int(self.chain_count * self.fraction)
-
-
-def estimate_satisfiable_coverage(
-    cache: GigaflowCache,
-    samples: int = 200,
-    seed: int = 0,
-    start_tag: int = None,
-    min_hits: int = 20,
-    max_samples: int = 5000,
-) -> SatisfiableCoverage:
-    """Sample chains ∝ the DAG measure and test packet-satisfiability.
-
-    Sampling walks the tables front to back: at each step the choice
-    between *skipping* the table and *taking* each matching-tag rule is
-    weighted by the number of completions each option leads to, so every
-    complete chain is drawn with equal probability.  When the satisfiable
-    fraction is tiny, sampling continues in batches of ``samples`` until
-    ``min_hits`` satisfiable chains were seen or ``max_samples`` chains
-    were drawn (adaptive resolution for heavily over-counted DAGs).
-    """
-    if start_tag is None:
-        start_tag = cache.start_tag
-    tables = cache.tables
-    k = len(tables)
-
-    # completions[i][tag]: chains completable using tables i..k-1.
-    completions: List[Dict[int, int]] = [defaultdict(int)
-                                         for _ in range(k + 1)]
-    for i in range(k - 1, -1, -1):
-        layer = completions[i]
-        nxt = completions[i + 1]
-        for tag, count in nxt.items():
-            layer[tag] += count
-        for rule in tables[i]:
-            gain = 1 if rule.next_tag == TAG_DONE else nxt[rule.next_tag]
-            if gain:
-                layer[rule.tag] += gain
-
-    total = completions[0][start_tag]
-    if not total:
-        return SatisfiableCoverage(0, 0, 0)
-
-    rng = np.random.default_rng(seed)
-    satisfiable = 0
-    drawn = 0
-    while drawn < max_samples and (
-        drawn < samples or satisfiable < min_hits
-    ):
-        drawn += 1
-        chain: List[LtmRule] = []
-        tag = start_tag
-        for i in range(k):
-            if tag == TAG_DONE:
-                break
-            skip_weight = completions[i + 1][tag]
-            options: List[Tuple[Optional[LtmRule], int]] = []
-            if skip_weight:
-                options.append((None, skip_weight))
-            for rule in tables[i].rules_with_tag(tag):
-                gain = (1 if rule.next_tag == TAG_DONE
-                        else completions[i + 1][rule.next_tag])
-                if gain:
-                    options.append((rule, gain))
-            weights = np.array([w for _, w in options], dtype=np.float64)
-            choice = int(rng.choice(len(options),
-                                    p=weights / weights.sum()))
-            picked = options[choice][0]
-            if picked is not None:
-                chain.append(picked)
-                tag = picked.next_tag
-        if tag == TAG_DONE and chain_satisfiable(chain):
-            satisfiable += 1
-    return SatisfiableCoverage(total, drawn, satisfiable)
+    count = 0
+    states: Dict[Tuple, int] = {(cache.start_tag, 0, 0, 0, 0): 1}
+    for i, by_tag in enumerate(tables):
+        later = reach[i + 1]
+        live: Dict[Tuple, int] = defaultdict(int)
+        for (tag, c_mask, c_value, r_mask, r_value), n in states.items():
+            keep = later.get(tag)
+            if keep is not None:
+                live[(tag, c_mask & keep, c_value & keep,
+                      r_mask & keep, r_value & keep)] += n
+            known, known_value = c_mask | r_mask, c_value | r_value
+            for mask, value, set_mask, set_value, next_tag in by_tag.get(tag, ()):
+                if (known_value ^ value) & mask & known:
+                    continue
+                if next_tag == TAG_DONE:
+                    count += n
+                    continue
+                keep = later.get(next_tag)
+                if keep is None:
+                    continue
+                fresh, unset = mask & ~r_mask, ~set_mask
+                live[(
+                    next_tag,
+                    (c_mask | fresh) & unset & keep,
+                    (c_value | value & fresh) & unset & keep,
+                    (r_mask | set_mask) & keep,
+                    (r_value & unset | set_value) & keep,
+                )] += n
+            if len(live) > MAX_LIVE_STATES:
+                raise CoverageStateLimitError(i, len(live))
+        states = live
+    return count

@@ -49,7 +49,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .experiments.common import BENCH_SCALE, ExperimentScale
+from .experiments.common import BENCH_SCALE, SYSTEMS, ExperimentScale
 from .flow import prefix_mask
 from .net import FabricController, FabricSimulator, leaf_spine
 from .obs import Telemetry, analyze_tracer
@@ -195,7 +195,8 @@ def run_phases(
 
 
 def phase_fastpath(scale: ExperimentScale, runner: Runner) -> dict:
-    """Fast-path A/B: replay one pipebench trace per system with the
+    """Fast-path A/B: replay one pipebench trace through each caching
+    system of :data:`~repro.experiments.common.SYSTEMS` with the
     exact-match fast path on and off.  The memo may only save work, so
     hit rate and cache-probe count must not move
     (``<system>_metrics_identical``); a ``fail`` means the memo diverged
@@ -204,7 +205,7 @@ def phase_fastpath(scale: ExperimentScale, runner: Runner) -> dict:
     ``--capacity 16`` forces heavy eviction churn and is the
     adversarial case."""
     report = {**scale.params(), "systems": {}, "gates": {}}
-    for name in ("megaflow", "gigaflow"):
+    for name in SYSTEMS:
         runs = {}
         for fast in (True, False):
             # A brand-new workload and trace per variant, so no variant

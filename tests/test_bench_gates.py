@@ -43,7 +43,8 @@ LEGACY = {
     "fastpath": (
         ("systems", "gigaflow", "fast_on"),
         BASE_ROW | {"cache_probes", "memo_hits", "memo_hit_rate"},
-        {"megaflow_metrics_identical", "gigaflow_metrics_identical"},
+        {"megaflow_metrics_identical", "gigaflow_metrics_identical",
+         "hierarchy_metrics_identical", "adaptive_metrics_identical"},
     ),
     "obs": (
         ("runs", "obs_trace"),

@@ -1117,6 +1117,11 @@ UNCALLED_ALLOWED = {
     "Wildcard.is_disjoint": "the paper's disjointness property (§4.2.2) "
                             "on two wildcards; the partitioner inlines "
                             "it as one field_bits AND",
+    "chain_satisfiable": "the brute-force oracle the exact count is "
+                         "held to",
+    "LtmTable.rules_with_tag": "one tag's bucket: what tests/test_ltm.py "
+                               "checks the per-tag split by and the "
+                               "brute-force coverage oracle walks",
     "FabricController.restore_link": "the link-restore step of ROADMAP "
                                      "item 3's stateful fuzz (link "
                                      "fail/restore)",
