@@ -41,8 +41,9 @@ class CoverageStateLimitError(RuntimeError):
         )
 
 
-def coverage(cache: GigaflowCache, start_tag: int = None) -> int:
-    """Number of distinct complete rule chains the cache can satisfy.
+def coverage(cache: GigaflowCache) -> int:
+    """Number of distinct complete rule chains the cache can satisfy,
+    counted from its ``start_tag``.
 
     Dynamic program from the last table backwards: ``reachable[k][tag]`` is
     the number of chains completable using tables ``k..K-1`` for a packet
@@ -50,8 +51,6 @@ def coverage(cache: GigaflowCache, start_tag: int = None) -> int:
     completions of its ``next_tag`` from table ``k+1`` on; a table can also
     be skipped (pass-through).
     """
-    if start_tag is None:
-        start_tag = cache.start_tag
     # reachable maps tag -> chain count using the remaining tables.
     reachable: Dict[int, int] = defaultdict(int)
     for table in reversed(cache.tables):
@@ -66,7 +65,7 @@ def coverage(cache: GigaflowCache, start_tag: int = None) -> int:
         # Skipping the table keeps `reachable` as-is; matching adds chains.
         for tag, count in additions.items():
             reachable[tag] += count
-    return reachable[start_tag]
+    return reachable[cache.start_tag]
 
 
 def chain_satisfiable(rules: Sequence[LtmRule]) -> bool:

@@ -174,14 +174,7 @@ class Pipeline:
             if filed is not None:
                 self.stats.record(*filed)
                 return filed[0]
-        steps, disposition, groups, unvisited = self._walk(
-            flow, self.start_table, self.max_depth
-        )
-        if unvisited is not None:
-            raise PipelineLoopError(
-                f"flow exceeded max depth {self.max_depth} in pipeline "
-                f"{self.name!r}: path {[s.table_id for s in steps]}"
-            )
+        steps, disposition, groups = self._walk_through(flow)
         traversal = Traversal(steps, disposition)
         traversal.walked_at(self.generation)
         if record_stats:
@@ -192,6 +185,26 @@ class Pipeline:
             if len(memo) > MEMO_FLOWS:
                 del memo[next(iter(memo))]
         return traversal
+
+    def disposition_of(self, flow: FlowKey) -> Disposition:
+        """How ``flow`` leaves the pipeline: one walk, like an uncounted
+        :meth:`execute`, that counts nothing, files nothing and builds
+        no :class:`Traversal`.  Raises :class:`PipelineLoopError` as
+        :meth:`execute` does."""
+        return self._walk_through(flow)[1]
+
+    def _walk_through(self, flow: FlowKey) -> tuple:
+        """Walk ``flow`` from the start table to the end: the steps, the
+        disposition and the mask groups probed."""
+        steps, disposition, groups, unvisited = self._walk(
+            flow, self.start_table, self.max_depth
+        )
+        if unvisited is not None:
+            raise PipelineLoopError(
+                f"flow exceeded max depth {self.max_depth} in pipeline "
+                f"{self.name!r}: path {[s.table_id for s in steps]}"
+            )
+        return steps, disposition, groups
 
     def replay(self, flow: FlowKey, start_table: int, length: int) -> Traversal:
         """Re-execute a flow from ``start_table`` for up to ``length``

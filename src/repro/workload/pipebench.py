@@ -34,7 +34,7 @@ from ..flow.fields import DEFAULT_SCHEMA, prefix_mask
 from ..flow.key import FlowKey
 from ..flow.match import TernaryMatch
 from ..flow.wildcard import Wildcard
-from ..pipeline.library import PipelineSpec, TraversalTemplate
+from ..pipeline.library import PipelineSpec, TableSpec, TraversalTemplate
 from ..pipeline.pipeline import Pipeline
 from ..pipeline.rule import PipelineRule
 from ..pipeline.table import PipelineTable
@@ -51,6 +51,8 @@ from .classbench import PrefixPool, make_prefix_pool, _skewed_index
 
 ETH_IPV4 = 0x0800
 ETH_ARP = 0x0806
+
+_IP_PROTO = DEFAULT_SCHEMA.index_of("ip_proto")
 
 
 @dataclass(frozen=True)
@@ -327,10 +329,25 @@ class Pipebench:
         self._hosts: List[Host] = []
         self._services: List[Service] = []
         self._dst_hosts: List[Host] = []
-        self._template_weights = np.array(
+        # The table ``Generator.choice(n, p=weights)`` searches for one
+        # scalar draw: a pick is one ``rng.random()`` looked up in it,
+        # the same draw from the same stream (DESIGN.md §5).
+        weights = np.array(
             [t.weight for t in spec.traversals], dtype=np.float64
         )
-        self._template_weights /= self._template_weights.sum()
+        weights /= weights.sum()
+        self._template_cdf = weights.cumsum()
+        self._template_cdf /= self._template_cdf[-1]
+        #: Per template: (routed, visits an ARP stage).
+        self._template_kinds = tuple(
+            (self._template_is_routed(t), self._template_is_arp(t))
+            for t in spec.traversals
+        )
+        self._projections = {
+            table.table_id: _Projection.of(table) for table in spec.tables
+        }
+        self._wildcards: Dict[Tuple, Wildcard] = {}
+        self._tp_src_threshold = int(self.config.wildcard_tp_src * 100)
         n_templates = len(spec.traversals)
         self.config.n_vlans = max(self.config.n_vlans, n_templates)
 
@@ -424,19 +441,17 @@ class Pipebench:
         config = self.config
         rng = self._rng
         zipf = self.locality.zipf_a
-        n_templates = len(self.spec.traversals)
+        cdf = self._template_cdf
         pilots: List[PilotFlow] = []
         seen = set()
         attempts = 0
         max_attempts = config.n_flows * 60
         while len(pilots) < config.n_flows and attempts < max_attempts:
             attempts += 1
-            template_index = int(
-                rng.choice(n_templates, p=self._template_weights)
-            )
+            template_index = int(cdf.searchsorted(rng.random(), side="right"))
             template = self.spec.traversals[template_index]
             host = self._hosts[_skewed_index(rng, len(self._hosts), zipf)]
-            routed = self._template_is_routed(template)
+            routed, is_arp = self._template_kinds[template_index]
             if routed:
                 service_index = _skewed_index(
                     rng, len(self._services), zipf
@@ -450,9 +465,7 @@ class Pipebench:
             if class_key in seen:
                 continue
             seen.add(class_key)
-            flow, context = self._pilot_flow(
-                host, service, class_key, template, template_index
-            )
+            flow, context = self._pilot_flow(host, service, class_key, is_arp)
             pilot = PilotFlow(
                 flow=flow,
                 template_index=template_index,
@@ -461,8 +474,7 @@ class Pipebench:
             self._walk(pipeline, flow, template, context)
             # Keep only pilots whose true traversal terminates (forward or
             # drop) — dead-end detours would be permanently uncacheable.
-            probe = pipeline.execute(flow, record_stats=False)
-            if probe.disposition == Disposition.CONTROLLER:
+            if pipeline.disposition_of(flow) == Disposition.CONTROLLER:
                 continue
             pilots.append(pilot)
         return pilots
@@ -476,22 +488,22 @@ class Pipebench:
                 return True
         return False
 
+    def _template_is_arp(self, template: TraversalTemplate) -> bool:
+        return any(
+            "arp" in self.spec.table_spec(tid).name for tid in template.path
+        )
+
     def _pilot_flow(
         self,
         host: Host,
         service: Optional[Service],
         class_key: Tuple,
-        template: TraversalTemplate,
-        template_index: int,
+        is_arp: bool,
     ):
         """Concrete headers plus the projection context (prefix lengths)."""
         # CRC32, not ``hash``: the key starts with a str tag, and str
         # hashes are salted per interpreter (DESIGN.md §5, Determinism).
         tp_src = 1024 + zlib.crc32(repr(class_key).encode("ascii")) % 60000
-        is_arp = any(
-            "arp" in self.spec.table_spec(tid).name
-            for tid in template.path
-        )
         if service is not None:
             dst_ip = service.vip
             dst_mac = service.router_mac
@@ -605,43 +617,28 @@ class Pipebench:
         context: Dict[str, int],
     ) -> TernaryMatch:
         """Project the current flow onto a table's declared fields with
-        realistic, deterministic masks (same flow values → same rule)."""
-        name = table.name
-        masks: Dict[str, int] = {}
-        values = tuple(current.get(f) for f in table.match_fields)
-        decision = abs(hash((table.table_id, values)))
-        host_exact_ip = any(
-            marker in name for marker in ("port_sec", "spoof", "fdb")
+        realistic, deterministic masks (same flow values → same rule).
+
+        The masks depend on the flow only through the two prefix lengths
+        and three drop decisions, so each wildcard is built once per
+        table and shared by every rule projected onto it."""
+        table_id = table.table_id
+        projection = self._projections[table_id]
+        values = current.values
+        decision = abs(
+            hash((table_id, tuple([values[i] for i in projection.indices])))
+        ) % 100
+        key = (
+            table_id,
+            context["src_plen"],
+            context["dst_plen"],
+            projection.acl and decision < 30,
+            decision < self._tp_src_threshold,
+            values[_IP_PROTO] == 1,
         )
-        vip_exact = any(
-            marker in name
-            for marker in ("lb", "dnat", "hairpin", "affinity", "arp")
-        )
-        for field_name in table.match_fields:
-            if field_name == "ip_src":
-                if host_exact_ip:
-                    masks[field_name] = prefix_mask(32)
-                elif decision % 100 < 30 and "acl" in name:
-                    continue  # this ACL rule wildcards the source prefix
-                else:
-                    masks[field_name] = prefix_mask(context["src_plen"])
-            elif field_name == "ip_dst":
-                if host_exact_ip or vip_exact:
-                    masks[field_name] = prefix_mask(32)
-                else:
-                    masks[field_name] = prefix_mask(context["dst_plen"])
-            elif field_name == "tp_src":
-                threshold = int(self.config.wildcard_tp_src * 100)
-                if decision % 100 < threshold:
-                    continue  # wildcarded
-                masks[field_name] = prefix_mask(16, 16)
-            elif field_name == "tp_dst":
-                if current.get("ip_proto") == 1:
-                    continue
-                masks[field_name] = prefix_mask(16, 16)
-            else:
-                masks[field_name] = DEFAULT_SCHEMA.field(field_name).full_mask
-        wildcard = Wildcard.from_fields(masks)
+        wildcard = self._wildcards.get(key)
+        if wildcard is None:
+            wildcard = self._wildcards[key] = projection.wildcard(*key[1:])
         return TernaryMatch(current, wildcard)
 
     def _rule_actions(
@@ -694,6 +691,69 @@ class Pipebench:
             pilot.traversal = pipeline.execute(
                 pilot.flow, record_stats=False
             )
+
+
+@dataclass(frozen=True)
+class _Projection:
+    """What :meth:`Pipebench._project` needs of one table, worked out
+    once: where its match fields sit in a flow's values and which of
+    the name markers its masks depend on."""
+
+    fields: Tuple[str, ...]
+    indices: Tuple[int, ...]
+    host_exact_ip: bool
+    vip_exact: bool
+    acl: bool
+
+    @classmethod
+    def of(cls, table: TableSpec) -> "_Projection":
+        name = table.name
+        return cls(
+            fields=tuple(table.fields),
+            indices=tuple(DEFAULT_SCHEMA.index_of(f) for f in table.fields),
+            host_exact_ip=any(
+                marker in name for marker in ("port_sec", "spoof", "fdb")
+            ),
+            vip_exact=any(
+                marker in name
+                for marker in ("lb", "dnat", "hairpin", "affinity", "arp")
+            ),
+            acl="acl" in name,
+        )
+
+    def wildcard(
+        self,
+        src_plen: int,
+        dst_plen: int,
+        drop_ip_src: bool,
+        drop_tp_src: bool,
+        drop_tp_dst: bool,
+    ) -> Wildcard:
+        masks: Dict[str, int] = {}
+        for field_name in self.fields:
+            if field_name == "ip_src":
+                if self.host_exact_ip:
+                    masks[field_name] = prefix_mask(32)
+                elif drop_ip_src:
+                    continue  # this ACL rule wildcards the source prefix
+                else:
+                    masks[field_name] = prefix_mask(src_plen)
+            elif field_name == "ip_dst":
+                if self.host_exact_ip or self.vip_exact:
+                    masks[field_name] = prefix_mask(32)
+                else:
+                    masks[field_name] = prefix_mask(dst_plen)
+            elif field_name == "tp_src":
+                if drop_tp_src:
+                    continue  # wildcarded
+                masks[field_name] = prefix_mask(16, 16)
+            elif field_name == "tp_dst":
+                if drop_tp_dst:
+                    continue  # ICMP carries no port
+                masks[field_name] = prefix_mask(16, 16)
+            else:
+                masks[field_name] = DEFAULT_SCHEMA.field(field_name).full_mask
+        return Wildcard.from_fields(masks)
 
 
 def build_workload(

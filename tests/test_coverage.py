@@ -60,7 +60,9 @@ class TestCoverage:
         cache = GigaflowCache(num_tables=2, table_capacity=8, start_tag=0)
         cache.tables[0].insert(ltm(7, TAG_DONE, 1))
         assert coverage(cache) == 0
-        assert coverage(cache, start_tag=7) == 1
+        cache = GigaflowCache(num_tables=2, table_capacity=8, start_tag=7)
+        cache.tables[0].insert(ltm(7, TAG_DONE, 1))
+        assert coverage(cache) == 1
 
     def test_multi_hop_cross_products_multiply(self):
         """2 × 2 × 2 segments across three tables = 8 chains."""

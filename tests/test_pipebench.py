@@ -1,10 +1,12 @@
 """Tests for Pipebench workload generation."""
 
+import numpy as np
 import pytest
 
-from repro.pipeline import Disposition, PSC, OLS
+from repro.pipeline import Disposition, PIPELINES, PSC, OLS
 from repro.serve import stream_trace
 from repro.workload import (
+    Pipebench,
     PipebenchConfig,
     TraceProfile,
     build_workload,
@@ -114,3 +116,25 @@ class TestLargerPipelines:
         # OLS flows take diverse traversal shapes.
         shapes = {p.traversal.table_ids for p in workload.pilots}
         assert len(shapes) > 3
+
+
+class TestTemplatePick:
+    """The pilot loop picks a template with one ``rng.random()`` searched
+    in a cumulative-weight table: the algorithm ``Generator.choice`` runs
+    for one draw with ``p``.  If a numpy release changes ``choice``,
+    this fails instead of every workload drifting silently."""
+
+    @pytest.mark.parametrize("name", sorted(PIPELINES))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_search_draws_what_choice_draws(self, name, seed):
+        spec = PIPELINES[name]
+        cdf = Pipebench(spec)._template_cdf
+        weights = np.array([t.weight for t in spec.traversals], dtype=float)
+        weights /= weights.sum()
+        by_choice = np.random.default_rng(seed)
+        by_search = np.random.default_rng(seed)
+        n = len(spec.traversals)
+        for _ in range(10_000):
+            assert int(
+                cdf.searchsorted(by_search.random(), side="right")
+            ) == int(by_choice.choice(n, p=weights))

@@ -94,8 +94,11 @@ class TestPipelineExecution:
         pipeline = Pipeline("loop", (t0, t1), max_depth=8)
         pipeline.install(0, rule({"in_port": 1}, next_table=1))
         pipeline.install(1, rule({"in_port": 1}, next_table=0))
-        with pytest.raises(PipelineLoopError):
+        with pytest.raises(PipelineLoopError, match="pipeline 'loop'"):
             pipeline.execute(flow())
+        # The generator's probe fails the same way, naming the pipeline.
+        with pytest.raises(PipelineLoopError, match="pipeline 'loop'"):
+            pipeline.disposition_of(flow())
 
     def test_replay_partial(self, mini_pipeline, default_flow):
         replay = mini_pipeline.replay(default_flow, start_table=1, length=2)

@@ -26,7 +26,7 @@ from repro.core import GigaflowCache, build_ltm_rule
 from repro.core.partition import disjoint_partition
 from repro.cache import build_megaflow_entry
 from repro.flow import Drop, Output, SetField, ip, prefix_mask
-from repro.pipeline import Pipeline, PipelineRule, PipelineTable
+from repro.pipeline import Disposition, Pipeline, PipelineRule, PipelineTable
 from repro.pipeline.pipeline import MEMO_FLOWS
 from conftest import DIFFERENTIAL, flow, rule as make_rule
 
@@ -78,6 +78,20 @@ class TestMemo:
         assert fresh is not counted and fresh == counted
         # The memo keeps what it had.
         assert mini_pipeline.execute(default_flow) is counted
+
+    def test_disposition_probe_walks_and_files_nothing(
+        self, mini_pipeline, default_flow, monkeypatch
+    ):
+        calls = counting_lookups(monkeypatch)
+        disposition = mini_pipeline.disposition_of(default_flow)
+        assert calls == [0, 1, 2, 3]
+        assert mini_pipeline.stats.executions == 0
+        traversal = mini_pipeline.execute(default_flow)
+        assert calls == [0, 1, 2, 3] * 2
+        assert traversal.disposition == disposition
+        assert mini_pipeline.disposition_of(flow(in_port=99)) == (
+            Disposition.CONTROLLER
+        )
 
     def test_direct_table_insert_moves_generation_and_rewalks(
         self, mini_pipeline, default_flow, monkeypatch
