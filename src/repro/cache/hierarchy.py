@@ -19,27 +19,6 @@ from .megaflow import MegaflowCache
 from .microflow import MicroflowCache
 
 
-class _HierarchyHitReplay(HitReplay):
-    """Memoized hierarchy hit.
-
-    Only Microflow-level hits are memoizable: a Megaflow-level hit
-    promotes the flow into the Microflow cache — a mutation, so its
-    record is stale the moment it is made (and the *next* lookup of the
-    same flow is a Microflow hit anyway).
-    """
-
-    __slots__ = ("cache", "inner")
-
-    def __init__(self, cache, inner):
-        self.cache = cache
-        self.inner = inner
-
-    def replay(self, now: float) -> CacheResult:
-        result = self.inner.replay(now)
-        self.cache.stats.hits += 1
-        return result
-
-
 class CacheHierarchy(FlowCache):
     """Microflow in front of Megaflow, with pass-through statistics.
 
@@ -48,6 +27,12 @@ class CacheHierarchy(FlowCache):
     falls through to the caller's slow path, whose resulting traversal is
     installed into both levels via :meth:`install_traversal`.  Both
     levels evict their least recently used entry when full.
+
+    Only Microflow-level hits are memoizable: a Megaflow-level hit
+    promotes the flow into the Microflow cache — a mutation, so its
+    record would be stale the moment it is made (and the *next* lookup
+    of the same flow is a Microflow hit anyway).  A Microflow hit's
+    record is the level's, counting in the hierarchy's stats too.
     """
 
     name = "hierarchy"
@@ -60,22 +45,24 @@ class CacheHierarchy(FlowCache):
         super().__init__()
         self.microflow = MicroflowCache(microflow_capacity)
         self.megaflow = MegaflowCache(megaflow_capacity)
-
-    @property
-    def mutation_epoch(self) -> int:
-        # Every structural mutation happens in a sub-cache; both counters
-        # are monotone, so their sum is a valid epoch for the hierarchy.
-        return (
+        # Every structural mutation happens in a level, and a level's
+        # bump_epoch moves this epoch too: it stays the sum of the two
+        # (both monotone), a plain attribute the packet loop reads.
+        self.mutation_epoch = (
             self.microflow.mutation_epoch + self.megaflow.mutation_epoch
         )
+        self.microflow.composite = self
+        self.megaflow.composite = self
+        # A Microflow-level hit counts there and here.
+        self.hit_stats = (self.microflow.stats, self.stats)
 
     def lookup_traced(
         self, flow: FlowKey, now: float = 0.0
-    ) -> Tuple[CacheResult, Optional[_HierarchyHitReplay]]:
-        first, first_replay = self.microflow.lookup_traced(flow, now)
+    ) -> Tuple[CacheResult, Optional[HitReplay]]:
+        first, inner = self.microflow.lookup_traced(flow, now)
         if first.hit:
             self.stats.hits += 1
-            return first, _HierarchyHitReplay(self, first_replay)
+            return first, HitReplay(inner.touches, self.hit_stats, first)
         second = self.megaflow.lookup(flow, now)
         if second.hit:
             # Promote into the exact-match level (OVS's EMC insert).

@@ -18,7 +18,7 @@ from ..flow.actions import ActionList
 from ..flow.key import FlowKey
 from ..flow.match import TernaryMatch
 from ..pipeline.traversal import Traversal
-from .base import CacheResult, EntryHitReplay, FlowCache
+from .base import CacheResult, FlowCache, HitReplay, actions_result
 
 _entry_ids = itertools.count()
 
@@ -123,30 +123,41 @@ class MegaflowCache(FlowCache):
         )
         self._by_match: dict = {}
         #: id → entry, in use order (see :meth:`touch`): the first
-        #: value is the least recently used entry.
+        #: value is the least recently used entry.  Never rebound:
+        #: :attr:`move_to_recent` is bound to it.
         self._by_id: "OrderedDict[int, MegaflowEntry]" = OrderedDict()
+        #: ``_by_id``'s move to the recent end, bound once, as a hit's
+        #: record keeps it.
+        self.move_to_recent = self._by_id.move_to_end
 
     # -- FlowCache interface ------------------------------------------------------
 
     def lookup_traced(
         self, flow: FlowKey, now: float = 0.0
-    ) -> Tuple[CacheResult, Optional[EntryHitReplay]]:
+    ) -> Tuple[CacheResult, Optional[HitReplay]]:
         result = self._classifier.lookup(flow)
-        if result.rule is None:
+        entry = result.rule
+        if entry is None:
             self.stats.misses += 1
             return (
                 CacheResult(hit=False, groups_probed=result.groups_probed),
                 None,
             )
-        replay = EntryHitReplay(self, result.rule, result.groups_probed)
-        return replay.replay(now), replay
+        record = HitReplay(
+            ((entry, self.move_to_recent, entry.rule_id),),
+            self.hit_stats,
+            actions_result(entry.actions, result.groups_probed, 1),
+        )
+        self.touch(entry, now)
+        self.stats.hits += 1
+        return record.result, record
 
     def touch(self, entry: MegaflowEntry, now: float) -> None:
-        """Mark ``entry`` used at ``now`` — the one ``last_used`` writer
-        (lookup hit, fast-path replay, install refresh), so ``_by_id``
-        stays in use order."""
+        """Mark ``entry`` used at ``now`` (a lookup hit, an install
+        refresh; a replayed hit writes the same through its record), so
+        ``_by_id`` stays in use order."""
         entry.last_used = now
-        self._by_id.move_to_end(entry.rule_id)
+        self.move_to_recent(entry.rule_id)
 
     def install(self, entry: MegaflowEntry, now: float = 0.0) -> None:
         """Install an entry, evicting the LRU entry when full."""

@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Tuple
 from ..flow.actions import ActionList
 from ..flow.key import FlowKey
 from ..pipeline.traversal import Traversal
-from .base import CacheResult, EntryHitReplay, FlowCache
+from .base import CacheResult, FlowCache, HitReplay, actions_result
 
 
 class MicroflowCache(FlowCache):
@@ -31,27 +31,37 @@ class MicroflowCache(FlowCache):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        #: packed flow → entry, in use order.
+        #: packed flow → entry, in use order.  Never rebound:
+        #: :attr:`move_to_recent` is bound to it.
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
+        #: ``_entries``' move to the recent end, bound once, as a hit's
+        #: record keeps it.
+        self.move_to_recent = self._entries.move_to_end
 
     # -- FlowCache interface -------------------------------------------------
 
     def lookup_traced(
         self, flow: FlowKey, now: float = 0.0
-    ) -> Tuple[CacheResult, Optional[EntryHitReplay]]:
+    ) -> Tuple[CacheResult, Optional[HitReplay]]:
         entry = self._entries.get(flow.packed)
         if entry is None:
             self.stats.misses += 1
             return CacheResult(hit=False, groups_probed=1), None
-        replay = EntryHitReplay(self, entry, 1)
-        return replay.replay(now), replay
+        record = HitReplay(
+            ((entry, self.move_to_recent, entry.key),),
+            self.hit_stats,
+            actions_result(entry.actions, 1, 1),
+        )
+        self.touch(entry, now)
+        self.stats.hits += 1
+        return record.result, record
 
     def touch(self, entry: _Entry, now: float) -> None:
-        """Mark ``entry`` used at ``now`` — the one ``last_used`` writer
-        (lookup hit, fast-path replay, install refresh), so
+        """Mark ``entry`` used at ``now`` (a lookup hit, an install
+        refresh; a replayed hit writes the same through its record), so
         ``_entries`` stays in use order."""
         entry.last_used = now
-        self._entries.move_to_end(entry.key)
+        self.move_to_recent(entry.key)
 
     def install(self, flow: FlowKey, actions: ActionList, now: float = 0.0) -> bool:
         """Insert (or refresh) an exact-match entry, evicting the

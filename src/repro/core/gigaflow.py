@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..cache.base import CacheResult, FlowCache, HitReplay, check_eviction
+from ..cache.base import (
+    CacheResult,
+    FlowCache,
+    HitReplay,
+    apply_hit,
+    check_eviction,
+)
 from ..flow.actions import Action, ActionList
 from ..flow.key import FlowKey
 from ..pipeline.traversal import Traversal
@@ -47,28 +53,27 @@ class InstallOutcome:
 
 
 class _GigaflowHitReplay(HitReplay):
-    """Memoized Gigaflow hit: what a replay writes, the result the
-    first lookup returned, and each LTM lookup that walk made.
-
-    ``touches`` holds, per matched rule, the rule, its table's
-    :attr:`~repro.core.ltm.LtmTable.move_to_recent` and the rule id:
-    all :meth:`touch` needs, so a replay makes no call per rule.
+    """Memoized Gigaflow hit: the one record shape
+    (:class:`~repro.cache.base.HitReplay`), whose ``touches`` hold, per
+    matched rule, the rule, its table's
+    :attr:`~repro.core.ltm.LtmTable.move_to_recent` and the rule id,
+    plus each LTM lookup the walk made, which :meth:`still_valid`
+    re-runs.
 
     ``steps`` is flat, seven slots per visited table: the tag's
     :class:`~repro.core.ltm.TagDependency` and its change count as last
     validated, the table, the tag, the flow as it entered the table,
     the winner there (``None``: passed through) and the groups the
     lookup probed.
-
-    ``result`` is handed out as is by every replay, so it is never
-    mutated: a re-charge replaces it.
     """
 
-    __slots__ = ("stats", "touches", "steps", "result")
+    __slots__ = ("steps",)
 
-    def __init__(self, cache, touches, steps, result):
-        self.stats = cache.stats
+    def __init__(self, touches, stats, steps, result):
+        # HitReplay.__init__'s body, without its frame: a record is
+        # made on every full-lookup hit.
         self.touches = touches
+        self.stats = stats
         self.steps = steps
         self.result = result
 
@@ -79,19 +84,6 @@ class _GigaflowHitReplay(HitReplay):
     @property
     def tables_hit(self) -> int:
         return self.result.tables_hit
-
-    def touch(self, now: float) -> None:
-        """Mark every rule of the chain used at ``now`` and move each to
-        the recent end of its table's id index — what a hit writes,
-        whether looked up or replayed."""
-        for rule, move_to_recent, rule_id in self.touches:
-            rule.last_used = now
-            move_to_recent(rule_id)
-
-    def replay(self, now: float) -> CacheResult:
-        self.touch(now)
-        self.stats.hits += 1
-        return self.result
 
     def still_valid(self) -> bool:
         """A full walk now would find the same chain: every lookup of a
@@ -228,10 +220,10 @@ class GigaflowCache(FlowCache):
                 groups_probed=probes,
                 tables_hit=len(touches),
             )
-            replay = _GigaflowHitReplay(self, touches, steps, result)
-            replay.touch(now)
-            self.stats.hits += 1
-            return result, replay
+            record = _GigaflowHitReplay(
+                touches, self.hit_stats, steps, result
+            )
+            return apply_hit(record, now), record
         self.stats.misses += 1
         return (
             CacheResult(

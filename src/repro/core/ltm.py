@@ -151,11 +151,10 @@ class LtmTable:
             TagDependency
         )
         self._by_identity: Dict[Tuple, LtmRule] = {}
-        #: id → rule, in use order: every ``last_used`` writer is a
-        #: ``touch`` (this table's, or a memoized hit's) that moves the
-        #: rule to the end, so the first value is the least recently
-        #: used rule.  Never rebound: :attr:`move_to_recent` is bound
-        #: to it.
+        #: id → rule, in touch order: every ``last_used`` writer (this
+        #: table's :meth:`touch`, or a hit's record) moves the rule to
+        #: the end, so the first value is the least recently touched
+        #: rule.  Never rebound: :attr:`move_to_recent` is bound to it.
         self._by_id: "OrderedDict[int, LtmRule]" = OrderedDict()
         #: ``_by_id``'s move to the recent end, bound once per table
         #: so a memoized hit keeps it per matched rule.
@@ -202,8 +201,15 @@ class LtmTable:
 
     def touch(self, rule: LtmRule, now: float) -> None:
         """Mark a rule used at ``now`` and move it to the recent end of
-        the id index.  Use times must be nondecreasing (the simulator's
-        clock is)."""
+        the id index.
+
+        ``_by_id`` is touch order, which equals ``last_used`` order
+        only while time does not regress, and it can: the timestamps
+        of :func:`repro.serve.endless_packets` regress at segment
+        seams.  The victim :meth:`lru_rule` names is then
+        the least recently touched rule, and
+        :meth:`~repro.cache.base.FlowCache.evict_idle` scans every rule
+        rather than stopping at the first recent one."""
         rule.last_used = now
         self.move_to_recent(rule.rule_id)
 

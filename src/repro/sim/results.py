@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from math import inf, nextafter
 from typing import Dict, List, Optional, Tuple
 
 from ..cache.base import CacheStats
@@ -26,6 +27,26 @@ class TimeSeries:
             self._hits[bucket] += 1
         else:
             self._misses[bucket] += 1
+
+    def span(self, bucket: int) -> Tuple[float, float]:
+        """``(start, end)``: the times :meth:`record` files under
+        ``bucket`` are exactly those with ``start <= now < end``.
+
+        ``now // window`` is the floor of the exact quotient, so it is
+        monotone in ``now``.  The product ``bucket * window`` only
+        approximates an edge, so each is moved, an ulp at a time, to
+        the least float that ``//`` files in its bucket or above."""
+        window = self.window
+
+        def first(of: int) -> float:
+            edge = of * window
+            while edge // window >= of:
+                edge = nextafter(edge, -inf)
+            while edge // window < of:
+                edge = nextafter(edge, inf)
+            return edge
+
+        return first(bucket), first(bucket + 1)
 
     def buckets(self) -> List[Tuple[float, float]]:
         """Sorted ``(window start time, hit rate)`` pairs."""

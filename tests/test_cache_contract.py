@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cache import CacheHierarchy, MegaflowCache, MicroflowCache
+from repro.cache.base import apply_hit
 from repro.core import GigaflowCache, IncrementalRevalidator
-from repro.flow import Output
-from conftest import DIFFERENTIAL, rule
+from repro.flow import ActionList, Output
+from conftest import DIFFERENTIAL, flow, rule
 from test_eviction_properties import Rig, entry_key
 
 KINDS = ("microflow", "megaflow", "hierarchy", "gigaflow")
@@ -85,7 +86,7 @@ def replay_against_lookup(kind, ops):
         epoch = cache.mutation_epoch
         kept = records.get(idx)
         if kept is not None and kept[0] == epoch:
-            result = kept[1].replay(now)
+            result = apply_hit(kept[1], now)
             replays += 1
         else:
             result, record = cache.lookup_traced(packet, now)
@@ -179,3 +180,57 @@ class TestInstallTraversal:
         assert result.hit
         assert result.actions.output_port() == 9
         assert max(cache.last_used_times()) == 2.0
+
+
+class TestHierarchyEpoch:
+    """The packet loop reads a cache's ``mutation_epoch`` on every
+    memoized hit, so the hierarchy keeps its own as a plain attribute:
+    it must stay the sum of its levels' after every operation, the
+    Megaflow-hit promotion inside a lookup included."""
+
+    def test_the_epoch_is_the_levels_sum_after_every_operation(
+        self, mini_pipeline, default_flow
+    ):
+        cache = CacheHierarchy(microflow_capacity=2, megaflow_capacity=2)
+        assert "mutation_epoch" in vars(cache)
+        seen = [cache.mutation_epoch]
+
+        def moved():
+            epoch = cache.mutation_epoch
+            assert epoch == (
+                cache.microflow.mutation_epoch
+                + cache.megaflow.mutation_epoch
+            )
+            seen.append(epoch)
+            return epoch != seen[-2]
+
+        traversal = mini_pipeline.execute(default_flow)
+        cache.install_traversal(traversal, mini_pipeline.generation, 1.0)
+        assert moved()
+        assert cache.lookup(default_flow, 2.0).hit  # a Microflow hit
+        assert not moved()
+        # Same traversal, other source ports: Megaflow hits, each
+        # promoted into (and, past two, evicting from) the Microflow
+        # level — mutations made inside the lookup.
+        for port in range(3):
+            result = cache.lookup(flow(tp_src=port), 3.0 + port)
+            assert result.hit and result.tables_hit == 2
+            assert moved()
+        assert cache.microflow.stats.evictions == 2
+        assert not cache.lookup(flow(ip_proto=17), 6.0).hit
+        assert not moved()
+        cache.remove(next(iter(cache.microflow)), "reval")
+        assert moved()
+        cache.remove(next(iter(cache.megaflow)), "reval")
+        assert moved()
+        assert cache.evict_idle(100.0, 1.0) == 1
+        assert moved()
+        assert cache.evict_idle(100.0, 1.0) == 0
+        assert not moved()
+        cache.install_traversal(traversal, mini_pipeline.generation, 101.0)
+        assert moved()
+        cache.clear()
+        assert moved()
+        # A level changed directly still moves the hierarchy's epoch.
+        cache.microflow.install(default_flow, ActionList([Output(1)]), 102.0)
+        assert moved()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import TAG_DONE, LtmRule, LtmTable
+from repro.core import TAG_DONE, GigaflowCache, LtmRule, LtmTable
 from repro.flow import ActionList, Output, TernaryMatch, ip, prefix_mask
 from conftest import flow
 
@@ -110,6 +110,26 @@ class TestLtmTable:
         assert table.lru_rule() is b
         assert a.last_used == 5.0
         assert b.last_used == 1.0
+
+    def test_a_touch_at_a_regressed_time_leaves_the_sweep_exact(self):
+        """``_by_id`` is touch order, which is ``last_used`` order only
+        while time does not regress — and it can (the timestamps of
+        ``repro.serve.endless_packets`` regress at segment seams).  The
+        idle sweep therefore scans every rule: one that stopped at the
+        first recent rule in touch order would keep ``regressed``."""
+        cache = GigaflowCache(num_tables=1, table_capacity=8)
+        old, recent, regressed = (
+            ltm_rule({"tp_dst": port}) for port in (1, 2, 3)
+        )
+        for rule in (old, recent, regressed):
+            cache.install_rules([rule])
+        (table,) = cache.tables
+        table.touch(recent, 10.0)
+        table.touch(regressed, 3.0)  # touched last, at an earlier time
+        assert list(table._by_id.values()) == [old, recent, regressed]
+        # Idle at 12.0: old 12 s, recent 2 s, regressed 9 s.
+        assert cache.evict_idle(12.0, max_idle=5.0) == 2
+        assert list(cache) == [recent]
 
     def test_tag_histogram(self):
         """Rules are bucketed per tag."""

@@ -1,6 +1,10 @@
 """Tests for the end-to-end simulation engine."""
 
+from math import inf, nextafter
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.coverage import coverage
 from repro.obs import Telemetry
@@ -213,6 +217,42 @@ class TestTimeSeries:
         series.record(1.0, hit=True)
         assert series.hit_rate_between(5, 5) == 0.0
         assert series.hit_rate_between(8, 2) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        window=st.floats(1e-3, 1e3),
+        now=st.floats(0.0, 1e7),
+    )
+    def test_a_span_holds_exactly_its_buckets_times(self, window, now):
+        series = TimeSeries(window)
+        bucket = int(now // window)
+        start, end = series.span(bucket)
+        assert start <= now < end
+        for t in (start, end, nextafter(start, -inf), nextafter(end, -inf)):
+            assert (int(t // window) == bucket) == (start <= t < end)
+
+    def test_the_kernel_files_each_hit_where_record_would(self):
+        """The packet loop counts hits per bucket span instead of
+        filing each one: a traced run's lookup outcomes, recorded one
+        by one, give the same series (0.1 s windows: edges that are
+        not floats)."""
+        w = fresh()
+        telemetry = Telemetry(
+            tracing=True, trace_capacity=1 << 20,
+            trace_events=("lookup_hit", "lookup_miss", "fastpath_replay"),
+        )
+        result = VSwitchSimulator(
+            w.pipeline,
+            GigaflowSystem(num_tables=4, table_capacity=100),
+            SimConfig(max_idle=2.0, window=0.1, telemetry=telemetry),
+        ).run(w.trace(seed=1))
+        reference = TimeSeries(window=0.1)
+        events = telemetry.tracer.events()
+        assert len(events) == result.packets
+        for event in events:
+            reference.record(event.ts, hit=event.event != "lookup_miss")
+        assert dict(result.series._hits) == dict(reference._hits)
+        assert dict(result.series._misses) == dict(reference._misses)
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
