@@ -114,8 +114,8 @@ def main(scale_name: str = "small") -> None:
     scaling = core_scaling("PSC", "high", (1, 2, 4, 8), scale)
     for cores in (1, 2, 4, 8):
         print(f"  {cores} cores: "
-              f"MF={scaling.megaflow_by_cores[cores]:8.1f}  "
-              f"GF={scaling.gigaflow_by_cores[cores]:8.1f}")
+              f"MF={scaling.megaflow[cores].per_core_misses:8.1f}  "
+              f"GF={scaling.gigaflow[cores].per_core_misses:8.1f}")
 
     banner("§6.1 — all baseline configurations (PSC)")
     for row in sorted(compare_baselines("PSC", "high", scale).values(),

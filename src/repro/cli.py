@@ -570,11 +570,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="idle-expiry threshold per switch (0 disables; default 0)",
     )
     net.add_argument(
-        "--sweep-interval", type=float, default=5.0,
+        "--sweep-interval", type=_positive_float, default=5.0,
         help="sweep/snapshot cadence per switch (default 5)",
     )
     net.add_argument(
-        "--batch-size", type=int, default=256,
+        "--batch-size", type=_positive_int, default=256,
         help="per-switch micro-batch size (results identical at any "
              "size; default 256)",
     )
@@ -623,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="idle-expiry threshold in seconds (0 disables; default 5)",
     )
     stats.add_argument(
-        "--sweep-interval", type=float, default=2.5,
+        "--sweep-interval", type=_positive_float, default=2.5,
         help="sweep/snapshot cadence in seconds (default 2.5)",
     )
     stats.add_argument(
@@ -636,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream per-packet trace events to a JSONL file",
     )
     stats.add_argument(
-        "--trace-capacity", type=int, default=65536,
+        "--trace-capacity", type=_positive_int, default=65536,
         help="in-memory trace ring-buffer size",
     )
     stats.add_argument(
@@ -665,12 +665,12 @@ def build_parser() -> argparse.ArgumentParser:
              "revalidator, so churn cannot be served against it)",
     )
     serve.add_argument(
-        "--segment-duration", type=float, default=10.0,
+        "--segment-duration", type=_positive_float, default=10.0,
         help="length of each generated trace segment of the unbounded "
              "source (default 10)",
     )
     serve.add_argument(
-        "--batch-size", type=int, default=256,
+        "--batch-size", type=_positive_int, default=256,
         help="packets per micro-batch (results are identical at any "
              "size; default 256)",
     )
@@ -679,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="idle-expiry threshold in seconds (default 2)",
     )
     serve.add_argument(
-        "--sweep-interval", type=float, default=1.0,
+        "--sweep-interval", type=_positive_float, default=1.0,
         help="sweep/snapshot/revalidation cadence (default 1)",
     )
     serve.add_argument(
@@ -696,7 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject an insert/delete storm of ACL denies mid-run",
     )
     serve.add_argument(
-        "--storm-count", type=int, default=16,
+        "--storm-count", type=_positive_int, default=16,
         help="rules in the storm (default 16)",
     )
     serve.add_argument(

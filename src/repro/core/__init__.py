@@ -14,7 +14,7 @@ from .partition import (
 )
 from .rulegen import build_ltm_rule, build_ltm_rules
 from .gigaflow import GigaflowCache, InstallOutcome
-from .adaptive import AdaptiveConfig, AdaptiveGigaflowCache, ModeGovernor
+from .adaptive import AdaptiveGigaflowCache, ModeGovernor
 from .validate import (
     CacheInvariantError,
     ChainReport,
@@ -30,7 +30,6 @@ from .coverage import (
 from .revalidation import IncrementalRevalidator, RevalidationReport
 
 __all__ = [
-    "AdaptiveConfig",
     "AdaptiveGigaflowCache",
     "CacheInvariantError",
     "CoverageStateLimitError",

@@ -77,14 +77,6 @@ class _GigaflowHitReplay(HitReplay):
         self.steps = steps
         self.result = result
 
-    @property
-    def groups_probed(self) -> int:
-        return self.result.groups_probed
-
-    @property
-    def tables_hit(self) -> int:
-        return self.result.tables_hit
-
     def still_valid(self) -> bool:
         """A full walk now would find the same chain: every lookup of a
         bucket that changed since, re-run, finds the same winner.  The

@@ -33,6 +33,10 @@ PIPELINE_NAMES: Tuple[str, ...] = ("OFD", "PSC", "OLS", "ANT", "OTL")
 
 LOCALITIES: Tuple[str, ...] = ("high", "low")
 
+#: Gigaflow table count ``K`` (paper: 4); the K sweeps pass their own
+#: ``num_tables`` to :meth:`ExperimentScale.system`.
+GF_TABLES = 4
+
 #: The caching systems :meth:`ExperimentScale.system` builds, by name.
 SYSTEMS: Tuple[str, ...] = ("gigaflow", "megaflow", "hierarchy", "adaptive")
 
@@ -58,7 +62,6 @@ class ExperimentScale:
             (paper: 32K, i.e. flows/3.125).  ``None`` means twice the
             flow count (:attr:`capacity`), resolved only when a system
             is built, so a run that resizes its flows resizes its cache.
-        gf_tables: Gigaflow table count ``K`` (paper: 4).
         mean_flow_size: Mean packets per flow.
         mean_packet_gap: Mean seconds between a flow's packets.
         duration: Seconds over which flows start.
@@ -71,7 +74,6 @@ class ExperimentScale:
 
     n_flows: int = 3000
     cache_capacity: Optional[int] = 1000
-    gf_tables: int = 4
     mean_flow_size: float = 12.0
     mean_packet_gap: float = 4.0
     duration: float = 60.0
@@ -85,7 +87,6 @@ class ExperimentScale:
         positive = {
             "n_flows": self.n_flows,
             "cache_capacity": self.cache_capacity,
-            "gf_tables": self.gf_tables,
             "mean_flow_size": self.mean_flow_size,
             "mean_packet_gap": self.mean_packet_gap,
             "duration": self.duration,
@@ -115,7 +116,7 @@ class ExperimentScale:
     def gf_table_capacity(self) -> int:
         """Entries per Gigaflow table: an even share of :attr:`capacity`,
         at least 2."""
-        return max(self.capacity // self.gf_tables, 2)
+        return max(self.capacity // GF_TABLES, 2)
 
     def params(self) -> dict:
         """The effective-scale keys every ``repro bench`` report leads
@@ -158,7 +159,7 @@ class ExperimentScale:
         """A fresh caching system ``name`` (one of :data:`SYSTEMS`) of
         :attr:`capacity` entries: one Megaflow table; a Megaflow behind
         a Microflow level a quarter its size (at least 2); or
-        ``gf_tables`` Gigaflow tables of :attr:`gf_table_capacity`,
+        :data:`GF_TABLES` Gigaflow tables of :attr:`gf_table_capacity`,
         plain or with the §7 governor.  ``overrides`` go to the
         constructor; a Gigaflow-family one may also replace
         ``num_tables`` or ``table_capacity``."""
@@ -176,7 +177,7 @@ class ExperimentScale:
                 f"unknown caching system {name!r}; expected one of {SYSTEMS}"
             )
         tables = {
-            "num_tables": self.gf_tables,
+            "num_tables": GF_TABLES,
             "table_capacity": self.gf_table_capacity,
             **overrides,
         }

@@ -81,16 +81,6 @@ class CoreScalingResult:
     megaflow: Dict[int, CoreScalingPoint]
     gigaflow: Dict[int, CoreScalingPoint]
 
-    @property
-    def megaflow_by_cores(self) -> Dict[int, float]:
-        """Per-core miss load keyed by core count (legacy accessor)."""
-        return {n: p.per_core_misses for n, p in self.megaflow.items()}
-
-    @property
-    def gigaflow_by_cores(self) -> Dict[int, float]:
-        """Per-core miss load keyed by core count (legacy accessor)."""
-        return {n: p.per_core_misses for n, p in self.gigaflow.items()}
-
 
 def _run_sharded(scale: ExperimentScale, system: str, cores: int, mode: str):
     """One sharded run; returns ``(merged SimResult, makespan CPU s)``."""

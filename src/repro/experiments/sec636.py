@@ -16,7 +16,7 @@ from ..cache.megaflow import MegaflowCache
 from ..core.gigaflow import GigaflowCache
 from ..core.revalidation import IncrementalRevalidator
 from ..metrics.latency import HIT_LATENCY_US
-from .common import ExperimentScale, SMALL_SCALE
+from .common import GF_TABLES, ExperimentScale, SMALL_SCALE
 
 #: Modelled cost of replaying one pipeline table lookup, µs (calibrated so
 #: that an OLS-size Megaflow revalidation lands in the paper's hundreds of
@@ -73,7 +73,7 @@ def revalidation_comparison(
     pipeline = workload.pipeline
 
     megaflow = MegaflowCache(capacity=10**9)
-    gigaflow = GigaflowCache(num_tables=scale.gf_tables,
+    gigaflow = GigaflowCache(num_tables=GF_TABLES,
                              table_capacity=10**9)
     for pilot in workload.pilots:
         if not pilot.cacheable:

@@ -18,7 +18,7 @@ from ..core.coverage import (
     satisfiable_coverage,
 )
 from ..core.gigaflow import GigaflowCache
-from .common import ExperimentScale, PIPELINE_NAMES, SMALL_SCALE
+from .common import GF_TABLES, ExperimentScale, PIPELINE_NAMES, SMALL_SCALE
 
 
 @dataclass
@@ -61,7 +61,7 @@ def table2_coverage(
         # keeps early complete chains intact, whereas LRU churn during a
         # bulk install would break chains and understate coverage.
         cache = GigaflowCache(
-            num_tables=scale.gf_tables,
+            num_tables=GF_TABLES,
             table_capacity=scale.gf_table_capacity,
             eviction="reject",
         )

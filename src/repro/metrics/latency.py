@@ -32,47 +32,41 @@ HIT_LATENCY_JITTER_US: Dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class SlowPathCostModel:
-    """Per-component slow-path costs in microseconds.
+#: §6.2.2 / Fig. 13 — slow-path component costs (microseconds), tuned
+#: so the modelled totals land in the paper's envelope: a PSC-size
+#: traversal costs tens of µs and the largest pipelines with
+#: partitioning stay "within 200 µs" (§6.3.1).  Fixed cost of punting a
+#: packet to userspace:
+UPCALL_US = 20.0
+#: Per pipeline table lookup.
+US_PER_LOOKUP = 3.0
+#: Per TSS mask-group hash probe.
+US_PER_GROUP_PROBE = 0.6
+#: Per disjoint-partition DP (N × K) cell.
+US_PER_DP_CELL = 0.35
+#: Per LTM/Megaflow rule constructed.
+US_PER_RULE_GEN = 2.5
+#: Per cache-table rule install (PCIe write).
+US_PER_RULE_INSTALL = 1.5
 
-    Tuned so that the modelled totals land in the paper's envelope: a
-    PSC-size traversal costs tens of µs and the largest pipelines with
-    partitioning stay "within 200 µs" (§6.3.1).
 
-    Attributes:
-        upcall_us: Fixed cost of punting a packet to userspace.
-        per_lookup_us: Cost per pipeline table lookup.
-        per_group_us: Cost per TSS mask-group hash probe.
-        partition_us_per_cell: Disjoint-partition DP cost per (N × K) cell.
-        rulegen_us_per_rule: LTM/Megaflow rule construction per rule.
-        install_us_per_rule: Cache-table install (PCIe write) per rule.
-    """
+def pipeline_us(lookups: int, groups_probed: int) -> float:
+    """Userspace forwarding-pipeline share (Fig. 13's first bar)."""
+    return (
+        UPCALL_US
+        + US_PER_LOOKUP * lookups
+        + US_PER_GROUP_PROBE * groups_probed
+    )
 
-    upcall_us: float = 20.0
-    per_lookup_us: float = 3.0
-    per_group_us: float = 0.6
-    partition_us_per_cell: float = 0.35
-    rulegen_us_per_rule: float = 2.5
-    install_us_per_rule: float = 1.5
 
-    def pipeline_us(self, lookups: int, groups_probed: int) -> float:
-        """Userspace forwarding-pipeline share (Fig. 13's first bar)."""
-        return (
-            self.upcall_us
-            + self.per_lookup_us * lookups
-            + self.per_group_us * groups_probed
-        )
+def partition_us(traversal_length: int, k_tables: int) -> float:
+    """Sub-traversal partitioning share (zero for Megaflow)."""
+    return US_PER_DP_CELL * traversal_length * k_tables
 
-    def partition_us(self, traversal_length: int, k_tables: int) -> float:
-        """Sub-traversal partitioning share (zero for Megaflow)."""
-        return self.partition_us_per_cell * traversal_length * k_tables
 
-    def rulegen_us(self, n_rules: int) -> float:
-        """Rule generation + install share."""
-        return (
-            self.rulegen_us_per_rule + self.install_us_per_rule
-        ) * n_rules
+def rulegen_us(n_rules: int) -> float:
+    """Rule generation + install share."""
+    return (US_PER_RULE_GEN + US_PER_RULE_INSTALL) * n_rules
 
 
 #: Software classifier search costs (§6.3.4, Fig. 17).  TSS costs one hash
@@ -107,13 +101,14 @@ def software_search_us(
 class LatencyModel:
     """End-to-end per-packet latency as a hit/miss mixture.
 
+    The miss side is :func:`pipeline_us` + :func:`partition_us` +
+    :func:`rulegen_us`, at the §6.2.2 constants above.
+
     Attributes:
         backend: Key into :data:`HIT_LATENCY_US` for cache-hit latency.
-        slowpath: Component model for the miss path.
     """
 
     backend: str = "fpga_offload"
-    slowpath: SlowPathCostModel = SlowPathCostModel()
 
     @property
     def hit_us(self) -> float:

@@ -54,19 +54,19 @@ __all__ = [
 ]
 
 
-def stream_trace(trace: Trace, chunk: int = CHUNK_SIZE) -> Iterator[Packet]:
+def stream_trace(trace: Trace) -> Iterator[Packet]:
     """Yield a trace's packets in timestamp order.
 
-    Decodes the numpy columns ``chunk`` rows at a time with one
-    ``tolist()`` call each — the same amortisation the columnar driver
-    uses, repackaged for streaming consumers.
+    Decodes the numpy columns :data:`~repro.sim.batch.CHUNK_SIZE` rows
+    at a time with one ``tolist()`` call each — the same amortisation
+    the columnar driver uses, repackaged for streaming consumers.
     """
     times, flow_indices, sizes = trace.columns()
     pilots = trace.pilots
     total = len(times)
     pos = 0
     while pos < total:
-        end = min(pos + chunk, total)
+        end = min(pos + CHUNK_SIZE, total)
         t_chunk = times[pos:end].tolist()
         i_chunk = flow_indices[pos:end].tolist()
         s_chunk = sizes[pos:end].tolist()

@@ -7,7 +7,7 @@ streams:
 
 * **Events** — each schedule entry fires exactly at its timestamp,
   mutating the pipeline (and bumping its generation);
-* **Revalidation ticks** — every ``reval_interval`` seconds an
+* **Revalidation ticks** — every engine ``sweep_interval`` seconds an
   :class:`~repro.core.revalidation.IncrementalRevalidator` checks up to
   ``reval_budget`` stale entries, the OVS-revalidator-style catch-up
   whose residue is the *revalidation backlog*.
@@ -43,8 +43,6 @@ class ChurnConfig:
 
     Attributes:
         schedule: The events to apply.
-        reval_interval: Incremental-revalidation tick cadence (seconds);
-            ``None`` rides the engine's ``sweep_interval``.
         reval_budget: Stale entries checked per tick; ``0`` drains the
             whole backlog every tick (full-pass revalidation on a
             cadence).  A finite budget is what makes the backlog a real
@@ -58,13 +56,10 @@ class ChurnConfig:
     """
 
     schedule: ChurnSchedule
-    reval_interval: Optional[float] = None
     reval_budget: int = 64
     switches: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.reval_interval is not None and self.reval_interval <= 0:
-            raise ValueError("reval_interval must be positive")
         if self.reval_budget < 0:
             raise ValueError("reval_budget must be non-negative")
         if self.switches is not None:
@@ -99,23 +94,13 @@ class ChurnRuntime:
         self.revalidator = IncrementalRevalidator(pipeline, cache)
         self._tel = telemetry
         self._cache_name = cache.telemetry_name
-        interval = (
-            config.reval_interval
-            if config.reval_interval is not None
-            else sweep_interval
-        )
-        if interval <= 0:
-            raise ValueError(
-                "churn needs a positive reval cadence: set "
-                "ChurnConfig.reval_interval when sweep_interval is 0"
-            )
-        self._interval = interval
+        self._interval = sweep_interval
         self._events = config.schedule.events
         self._next_index = 0
         self._next_event = (
             self._events[0].at if self._events else _INF
         )
-        self._next_tick = interval
+        self._next_tick = sweep_interval
         #: Earliest pending deadline (event or reval tick).
         self.deadline = min(self._next_event, self._next_tick)
         #: Rules installed by events, keyed for later removal.

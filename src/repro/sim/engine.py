@@ -20,7 +20,12 @@ from ..core.gigaflow import GigaflowCache
 from ..core.partition import Partitioner, disjoint_partition
 from ..flow.packet import Packet
 from ..metrics.cpu import CpuBreakdown
-from ..metrics.latency import LatencyModel
+from ..metrics.latency import (
+    LatencyModel,
+    partition_us,
+    pipeline_us,
+    rulegen_us,
+)
 from ..obs.telemetry import Telemetry
 from ..obs.trace import EV_FASTPATH_INVALIDATE, EV_FASTPATH_REPLAY
 from ..pipeline.pipeline import Pipeline
@@ -143,7 +148,6 @@ class AdaptiveGigaflowSystem(GigaflowSystem):
         num_tables: int = 4,
         table_capacity: int = 8192,
         start_tag: int = 0,
-        adaptive_config=None,
         **kwargs,
     ):
         from ..core.adaptive import AdaptiveGigaflowCache
@@ -152,7 +156,6 @@ class AdaptiveGigaflowSystem(GigaflowSystem):
             num_tables=num_tables,
             table_capacity=table_capacity,
             start_tag=start_tag,
-            config=adaptive_config,
             **kwargs,
         )
 
@@ -164,7 +167,8 @@ class SimConfig:
     Attributes:
         max_idle: Seconds after which unused cache entries expire (§4.3.2).
             0 disables idle eviction.
-        sweep_interval: How often the revalidator's idle sweep runs.
+        sweep_interval: How often the revalidator's idle sweep runs
+            (seconds, positive).
         window: Time-series bucket width (seconds).
         latency: The calibrated latency model for hit/miss mixing.
         fast_path: Memoize repeat-flow cache hits through a
@@ -181,9 +185,8 @@ class SimConfig:
             engine applies the schedule's rule mutations to the pipeline
             at their exact simulated times while traffic flows, and runs
             an :class:`~repro.core.revalidation.IncrementalRevalidator`
-            tick every ``reval_interval`` seconds (default: the sweep
-            cadence) with a per-tick entry budget — the runtime is
-            exposed as :attr:`VSwitchSimulator.churn`, whose
+            tick on the sweep cadence with a per-tick entry budget —
+            the runtime is exposed as :attr:`VSwitchSimulator.churn`, whose
             ``digest()`` summarises it.  Deadlines are driven purely by
             packet timestamps, so churn-bearing runs are bit-identical
             however packets reach the kernel — streamed, decoded from
@@ -200,6 +203,15 @@ class SimConfig:
     fast_path: bool = True
     telemetry: Optional[Telemetry] = None
     churn: object = None
+
+    def __post_init__(self) -> None:
+        # Every cadence steps by this; at zero or below a deadline
+        # loop would never catch up with the packet clock.
+        if not self.sweep_interval > 0:  # NaN fails too
+            raise ValueError(
+                "sweep_interval must be positive, got "
+                f"{self.sweep_interval!r}"
+            )
 
 
 class PacketKernel:
@@ -260,7 +272,6 @@ class PacketKernel:
         self.telemetry = tel
         self.fastpath = fastpath
         self.churn = churn
-        self.slowpath = config.latency.slowpath
         self.hit_us = config.latency.hit_us
         self.max_idle = config.max_idle
         self.sweep_interval = config.sweep_interval
@@ -335,13 +346,12 @@ class PacketKernel:
         self.series.record(now, hit=False)
         pipeline = self.pipeline
         cpu = self.cpu
-        slowpath = self.slowpath
         groups_before = pipeline.stats.groups_probed
         traversal = pipeline.execute(flow)
         groups = pipeline.stats.groups_probed - groups_before
         lookups = len(traversal)
         cpu.charge_pipeline(lookups, groups)
-        miss_us = slowpath.pipeline_us(lookups, groups)
+        miss_us = pipeline_us(lookups, groups)
 
         if traversal.disposition != Disposition.CONTROLLER:
             cost = self.system.install(traversal, pipeline.generation, now)
@@ -352,9 +362,9 @@ class PacketKernel:
             if cost.partition_cells:
                 cells = cost.partition_cells // max(lookups, 1)
                 cpu.charge_partition(lookups, cells)
-                miss_us += slowpath.partition_us(lookups, cells)
+                miss_us += partition_us(lookups, cells)
             cpu.charge_rulegen(cost.rules_generated, cost.rules_installed)
-            miss_us += slowpath.rulegen_us(cost.rules_generated)
+            miss_us += rulegen_us(cost.rules_generated)
             if cost.rules_installed:
                 entries = self.cache.entry_count()
                 if entries > self.peak_entries:

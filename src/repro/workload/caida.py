@@ -16,6 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Tail index of the flow-size distribution (lower = heavier tail;
+#: internet traffic is commonly 1.0–1.3).
+PARETO_ALPHA = 1.2
+#: Truncation of the bounded Pareto, in packets.
+MAX_FLOW_SIZE = 2048
+#: Mean payload bytes (exponential around it): CAIDA's oft-cited mean
+#: packet size.
+MEAN_PACKET_SIZE = 614
+
 
 @dataclass(frozen=True)
 class TraceProfile:
@@ -23,26 +32,17 @@ class TraceProfile:
 
     Attributes:
         mean_flow_size: Mean packets per flow.
-        pareto_alpha: Tail index of the flow-size distribution (lower =
-            heavier tail; internet traffic is commonly 1.0–1.3).
-        max_flow_size: Truncation for the bounded Pareto.
         duration: Seconds over which new flows start.
         mean_packet_gap: Mean in-flow inter-packet gap in seconds.
-        mean_packet_size: Mean payload bytes (exponential around it).
     """
 
     mean_flow_size: float = 8.0
-    pareto_alpha: float = 1.2
-    max_flow_size: int = 2048
     duration: float = 60.0
     mean_packet_gap: float = 1.0
-    mean_packet_size: int = 614  # CAIDA's oft-cited mean packet size
 
     def __post_init__(self) -> None:
         if self.mean_flow_size < 1.0:
             raise ValueError("mean_flow_size must be >= 1")
-        if self.pareto_alpha <= 0:
-            raise ValueError("pareto_alpha must be positive")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
 
@@ -55,16 +55,12 @@ def sample_flow_sizes(
     rng: np.random.Generator, n_flows: int, profile: TraceProfile
 ) -> np.ndarray:
     """Draw per-flow packet counts from a bounded Pareto with the profile's
-    mean.  The Pareto scale is solved from the target mean (for alpha > 1,
-    ``mean = alpha * xm / (alpha - 1)``), then sizes are truncated."""
-    alpha = profile.pareto_alpha
-    if alpha > 1.0:
-        xm = profile.mean_flow_size * (alpha - 1.0) / alpha
-    else:
-        xm = 1.0
-    xm = max(xm, 0.5)
+    mean.  The Pareto scale is solved from the target mean
+    (``mean = alpha * xm / (alpha - 1)``), then sizes are truncated."""
+    alpha = PARETO_ALPHA
+    xm = max(profile.mean_flow_size * (alpha - 1.0) / alpha, 0.5)
     raw = xm * (1.0 + rng.pareto(alpha, size=n_flows))
-    sizes = np.clip(np.round(raw), 1, profile.max_flow_size)
+    sizes = np.clip(np.round(raw), 1, MAX_FLOW_SIZE)
     return sizes.astype(np.int64)
 
 
@@ -95,9 +91,7 @@ def sample_packet_times(
     return start + np.concatenate(([0.0], np.cumsum(gaps)))
 
 
-def sample_packet_sizes(
-    rng: np.random.Generator, n_packets: int, profile: TraceProfile
-) -> np.ndarray:
+def sample_packet_sizes(rng: np.random.Generator, n_packets: int) -> np.ndarray:
     """Payload sizes: exponential around the mean, floored at 64 bytes."""
-    sizes = rng.exponential(profile.mean_packet_size, size=n_packets)
+    sizes = rng.exponential(MEAN_PACKET_SIZE, size=n_packets)
     return np.maximum(sizes, 64).astype(np.int64)

@@ -155,13 +155,12 @@ class ShufflePriorities(ChurnEvent):
     same* ``next_table``, so the table graph a traversal can take is
     preserved — the shuffle re-ranks which rule wins, it never opens a
     dead-end path that would strand flows at the controller.  Rules are
-    ordered by insertion (``rule_id``) before sampling, which is stable
+    ordered by insertion (``rule_id``) before shuffling, which is stable
     across identically built pipelines even though absolute ids differ.
     """
 
     table_id: int = 0
     seed: int = 0
-    fraction: float = 1.0
 
     kind: str = dataclasses.field(default="shuffle", init=False, repr=False)
 
@@ -177,17 +176,9 @@ class ShufflePriorities(ChurnEvent):
             key=lambda item: (item[0] is None, item[0] or 0),
         )
         for _next_table, group in groups:
-            if len(group) < 2:
-                continue
-            count = max(2, int(len(group) * self.fraction))
-            chosen = (
-                group
-                if count >= len(group)
-                else rng.sample(group, count)
-            )
-            priorities = [rule.priority for rule in chosen]
+            priorities = [rule.priority for rule in group]
             rng.shuffle(priorities)
-            for rule, priority in zip(chosen, priorities):
+            for rule, priority in zip(group, priorities):
                 if priority == rule.priority:
                     continue
                 pipeline.remove(self.table_id, rule)
@@ -337,14 +328,9 @@ def priority_shuffle_schedule(
     times: Sequence[float],
     *,
     seed: int = 0,
-    fraction: float = 1.0,
 ) -> ChurnSchedule:
     """Seeded priority re-rankings of one table at each time in ``times``."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
     return ChurnSchedule(
-        ShufflePriorities(
-            at=at, table_id=table_id, seed=seed + i, fraction=fraction
-        )
+        ShufflePriorities(at=at, table_id=table_id, seed=seed + i)
         for i, at in enumerate(times)
     )

@@ -128,97 +128,66 @@ def _skewed_index(
     return index % n
 
 
-@dataclass
-class ClassbenchConfig:
-    """Knobs of the generator.
-
-    Attributes:
-        n_rules: Target rule count (the paper analyses 200K).
-        n_src_prefixes / n_dst_prefixes: Pool sizes; smaller pools mean
-            heavier sub-tuple sharing.
-        pair_fanout: Mean number of per-service rules emitted per
-            communicating (src, dst) pair.
-        zipf_a: Skew of pool sampling (None = uniform).
-        wildcard_tp_src: Probability a rule wildcards the source port
-            (real ACLs almost always do).
-        seed: RNG seed.
-    """
-
-    n_rules: int = 10000
-    n_src_prefixes: int = 400
-    n_dst_prefixes: int = 400
-    pair_fanout: float = 8.0
-    zipf_a: Optional[float] = 1.3
-    wildcard_tp_src: float = 0.8
-    seed: int = 0
+#: Prefix pool sizes; smaller pools mean heavier sub-tuple sharing.
+N_SRC_PREFIXES = 400
+N_DST_PREFIXES = 400
+#: Mean number of per-service rules emitted per communicating
+#: (src, dst) pair.
+PAIR_FANOUT = 8.0
+#: Skew of pool sampling.
+ZIPF_A = 1.3
+#: Probability a rule wildcards the source port (real ACLs almost
+#: always do).
+WILDCARD_TP_SRC = 0.8
 
 
-class ClassbenchGenerator:
-    """Generates :class:`ClassbenchRule` sets with realistic sharing."""
-
-    def __init__(self, config: ClassbenchConfig):
-        self.config = config
-        self._rng = np.random.default_rng(config.seed)
-        self.src_pool = make_prefix_pool(
-            self._rng, config.n_src_prefixes, base_octet=10
-        )
-        self.dst_pool = make_prefix_pool(
-            self._rng, config.n_dst_prefixes, base_octet=192
-        )
-
-    def generate(self) -> List[ClassbenchRule]:
-        """Emit ``n_rules`` unique rules."""
-        config = self.config
-        rng = self._rng
-        rules: List[ClassbenchRule] = []
-        seen = set()
-        port_full = prefix_mask(16, 16)
-        proto_full = prefix_mask(8, 8)
-        attempts = 0
-        max_attempts = config.n_rules * 50
-        while len(rules) < config.n_rules and attempts < max_attempts:
-            attempts += 1
-            # One communicating pair fans out into several service rules.
-            src = self.src_pool.sample(rng, config.zipf_a)
-            dst = self.dst_pool.sample(rng, config.zipf_a)
-            fanout = 1 + rng.poisson(max(config.pair_fanout - 1.0, 0.0))
-            for _ in range(int(fanout)):
-                if len(rules) >= config.n_rules:
-                    break
-                proto = int(rng.choice((6, 17, 1), p=(0.72, 0.23, 0.05)))
-                if proto == 1:
-                    tp_dst = (0, 0)
-                else:
-                    tp_dst = (
-                        int(rng.choice(_SERVICE_PORTS)),
-                        port_full,
-                    )
-                if rng.random() < config.wildcard_tp_src:
-                    tp_src = (0, 0)
-                else:
-                    tp_src = (int(rng.integers(1024, 65536)), port_full)
-                rule = ClassbenchRule(
-                    ip_src=src,
-                    ip_dst=dst,
-                    ip_proto=(proto, proto_full),
-                    tp_src=tp_src,
-                    tp_dst=tp_dst,
+def generate_ruleset(n_rules: int, seed: int = 0) -> List[ClassbenchRule]:
+    """``n_rules`` unique :class:`ClassbenchRule` s with realistic sharing
+    (the paper analyses 200K), drawn from ``seed`` alone."""
+    rng = np.random.default_rng(seed)
+    src_pool = make_prefix_pool(rng, N_SRC_PREFIXES, base_octet=10)
+    dst_pool = make_prefix_pool(rng, N_DST_PREFIXES, base_octet=192)
+    rules: List[ClassbenchRule] = []
+    seen = set()
+    port_full = prefix_mask(16, 16)
+    proto_full = prefix_mask(8, 8)
+    attempts = 0
+    max_attempts = n_rules * 50
+    while len(rules) < n_rules and attempts < max_attempts:
+        attempts += 1
+        # One communicating pair fans out into several service rules.
+        src = src_pool.sample(rng, ZIPF_A)
+        dst = dst_pool.sample(rng, ZIPF_A)
+        fanout = 1 + rng.poisson(max(PAIR_FANOUT - 1.0, 0.0))
+        for _ in range(int(fanout)):
+            if len(rules) >= n_rules:
+                break
+            proto = int(rng.choice((6, 17, 1), p=(0.72, 0.23, 0.05)))
+            if proto == 1:
+                tp_dst = (0, 0)
+            else:
+                tp_dst = (
+                    int(rng.choice(_SERVICE_PORTS)),
+                    port_full,
                 )
-                key = (rule.ip_src, rule.ip_dst, rule.ip_proto,
-                       rule.tp_src, rule.tp_dst)
-                if key in seen:
-                    continue
-                seen.add(key)
-                rules.append(rule)
-        return rules
-
-
-def generate_ruleset(
-    n_rules: int, seed: int = 0, **overrides
-) -> List[ClassbenchRule]:
-    """Convenience one-shot generator."""
-    config = ClassbenchConfig(n_rules=n_rules, seed=seed, **overrides)
-    return ClassbenchGenerator(config).generate()
+            if rng.random() < WILDCARD_TP_SRC:
+                tp_src = (0, 0)
+            else:
+                tp_src = (int(rng.integers(1024, 65536)), port_full)
+            rule = ClassbenchRule(
+                ip_src=src,
+                ip_dst=dst,
+                ip_proto=(proto, proto_full),
+                tp_src=tp_src,
+                tp_dst=tp_dst,
+            )
+            key = (rule.ip_src, rule.ip_dst, rule.ip_proto,
+                   rule.tp_src, rule.tp_dst)
+            if key in seen:
+                continue
+            seen.add(key)
+            rules.append(rule)
+    return rules
 
 
 # -- Fig. 4 analysis -------------------------------------------------------------

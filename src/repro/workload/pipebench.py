@@ -49,6 +49,14 @@ from .caida import (
 )
 from .classbench import PrefixPool, make_prefix_pool, _skewed_index
 
+#: Gateway MAC pool (kept small: next-hop rewrite targets are few in
+#: practice).
+N_ROUTER_MACS = 8
+#: Ingress ports hosts sit behind.
+N_PORTS = 32
+#: VLANs, at least one per traversal template.
+N_VLANS = 16
+
 ETH_IPV4 = 0x0800
 ETH_ARP = 0x0806
 
@@ -137,8 +145,6 @@ class PipebenchConfig:
         seed: Master RNG seed.
         n_src_hosts / n_services / n_dst_hosts: Pool sizes before locality
             scaling (None = derive from ``n_flows``).
-        n_router_macs: Gateway MAC pool (kept small — next-hop rewrite
-            targets are few in practice).
         wildcard_tp_src: Fraction of L4 rules that wildcard the source
             port.  Defaults to 1.0 (real ACLs almost never pin ephemeral
             source ports); anything below 1.0 injects exact-``tp_src``
@@ -153,9 +159,6 @@ class PipebenchConfig:
     n_src_hosts: Optional[int] = None
     n_services: Optional[int] = None
     n_dst_hosts: Optional[int] = None
-    n_router_macs: int = 8
-    n_ports: int = 32
-    n_vlans: int = 16
     wildcard_tp_src: float = 1.0
 
     def resolved(self) -> "PipebenchConfig":
@@ -174,9 +177,6 @@ class PipebenchConfig:
             n_src_hosts=pick(self.n_src_hosts, max(64, n // 12)),
             n_services=pick(self.n_services, max(12, n // 150)),
             n_dst_hosts=pick(self.n_dst_hosts, max(24, n // 60)),
-            n_router_macs=self.n_router_macs,
-            n_ports=self.n_ports,
-            n_vlans=self.n_vlans,
             wildcard_tp_src=self.wildcard_tp_src,
         )
         return resolved
@@ -303,7 +303,7 @@ def build_trace(
         )
         indices[cursor : cursor + count] = i
         cursor += count
-    sizes = sample_packet_sizes(rng, total, profile)
+    sizes = sample_packet_sizes(rng, total)
     order = np.argsort(times, kind="stable")
     return Trace(pilots, times[order], indices[order], sizes[order])
 
@@ -348,8 +348,7 @@ class Pipebench:
         }
         self._wildcards: Dict[Tuple, Wildcard] = {}
         self._tp_src_threshold = int(self.config.wildcard_tp_src * 100)
-        n_templates = len(spec.traversals)
-        self.config.n_vlans = max(self.config.n_vlans, n_templates)
+        self._n_vlans = max(N_VLANS, len(spec.traversals))
 
     # -- public API ---------------------------------------------------------------
 
@@ -380,11 +379,10 @@ class Pipebench:
             rng, max(4, config.n_services // 4), base_octet=192
         )
         self._hosts = [
-            self._make_host(rng, src_pool, config) for _ in range(config.n_src_hosts)
+            self._make_host(rng, src_pool) for _ in range(config.n_src_hosts)
         ]
         self._dst_hosts = [
-            self._make_host(rng, src_pool, config)
-            for _ in range(config.n_dst_hosts)
+            self._make_host(rng, src_pool) for _ in range(config.n_dst_hosts)
         ]
         service_ports = (80, 443, 53, 22, 3306, 6379, 8080, 5432, 123,
                          9090, 11211, 8443)
@@ -402,22 +400,19 @@ class Pipebench:
                     port=int(rng.choice(service_ports)),
                     proto=int(rng.choice((6, 17), p=(0.8, 0.2))),
                     router_mac=0x02_00_00_00_00_00
-                    + int(rng.integers(0, config.n_router_macs)),
-                    vlan=1 + int(rng.integers(0, config.n_vlans)),
+                    + int(rng.integers(0, N_ROUTER_MACS)),
+                    vlan=1 + int(rng.integers(0, self._n_vlans)),
                 )
             )
 
-    @staticmethod
-    def _make_host(
-        rng: np.random.Generator, pool: PrefixPool, config: "PipebenchConfig"
-    ) -> Host:
+    def _make_host(self, rng: np.random.Generator, pool: PrefixPool) -> Host:
         value, plen = pool.prefixes[int(rng.integers(0, len(pool)))]
         host_bits = 32 - plen
         ip = value | int(rng.integers(0, 1 << host_bits)) if host_bits else value
         return Host(
-            port=1 + int(rng.integers(0, config.n_ports)),
+            port=1 + int(rng.integers(0, N_PORTS)),
             mac=0x0A_00_00_00_00_00 + int(rng.integers(0, 1 << 24)),
-            vlan=1 + int(rng.integers(0, config.n_vlans)),
+            vlan=1 + int(rng.integers(0, self._n_vlans)),
             ip=ip,
             prefix=(value, plen),
         )
@@ -656,7 +651,7 @@ class Pipebench:
             for field_name in spec.rewrites:
                 if field_name in ("eth_src", "eth_dst"):
                     mac = 0x02_00_00_00_10_00 + (
-                        decision % self.config.n_router_macs
+                        decision % N_ROUTER_MACS
                     )
                     actions.append(SetField(field_name, mac))
                 elif field_name == "ip_dst":
@@ -670,7 +665,7 @@ class Pipebench:
                     actions.append(SetField(field_name, snat))
                 elif field_name == "vlan_id":
                     actions.append(
-                        SetField(field_name, 1 + decision % self.config.n_vlans)
+                        SetField(field_name, 1 + decision % self._n_vlans)
                     )
                 elif field_name == "tp_dst":
                     actions.append(SetField(field_name, 8000 + decision % 100))

@@ -3,10 +3,10 @@ mode switch is reported, and what a dead-ended chain walk leaves behind.
 
 Covers, in order:
 
-* the shared-default-config regression (``AdaptiveConfig()`` in a
-  signature aliased one instance across every cache) plus an AST audit
-  keeping mutable/call argument defaults out of ``src/`` for good;
-* the probe-cadence accumulator (``probe_fraction`` is realised
+* each cache owns its governor (a config instance in a signature once
+  aliased one across every cache) plus an AST audit keeping
+  mutable/call argument defaults out of ``src/`` for good;
+* the probe-cadence accumulator (``PROBE_FRACTION`` is realised
   exactly, and a mode switch probes immediately);
 * :class:`~repro.core.adaptive.ModeGovernor` hysteresis — the one mode
   decider and the repository's only adaptive mechanism;
@@ -25,8 +25,9 @@ import pytest
 
 from conftest import flow, seeded_workload
 from test_ltm import ltm_rule
+from repro.core import adaptive
 from repro.core.adaptive import (
-    AdaptiveConfig,
+    PROBE_FRACTION,
     AdaptiveGigaflowCache,
     ModeGovernor,
 )
@@ -54,11 +55,12 @@ SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 class TestDefaultConfigAliasing:
     def test_adaptive_caches_do_not_share_config(self):
+        """The governor is a cache's whole mode state: each owns one."""
         a = AdaptiveGigaflowCache(num_tables=2, table_capacity=4)
         b = AdaptiveGigaflowCache(num_tables=2, table_capacity=4)
-        assert a.config is not b.config
-        a.config.window = 1
-        assert b.config.window == AdaptiveConfig().window
+        assert a.governor is not b.governor
+        a.governor.set_mode(True)
+        assert not b.governor.megaflow_mode
 
     def test_no_mutable_or_call_argument_defaults_in_src(self):
         """The ruff B006/B008 contract, enforced without ruff: no
@@ -99,26 +101,30 @@ class TestProbeCadence:
         )
 
     def test_disjoint_mode_always_partitions(self):
-        governor = ModeGovernor(AdaptiveConfig())
+        governor = ModeGovernor()
         assert self._probes(governor, 10) == 10
 
     def test_fraction_realised_exactly(self):
-        """0.3 must yield 3 probes per 10 installs, not the old
-        every-3rd cadence (~0.33)."""
-        governor = ModeGovernor(AdaptiveConfig(probe_fraction=0.3))
+        """One probe per ten installs, after every install: integer
+        bookkeeping, so a thousand installs neither drift nor skip."""
+        assert PROBE_FRACTION == 0.1
+        governor = ModeGovernor()
         governor.megaflow_mode = True
-        assert self._probes(governor, 10) == 3
-        assert self._probes(governor, 100) == 30
+        probes = 0
+        for installs in range(1, 1001):
+            probes += governor.next_install_partitions()
+            assert probes == installs // 10
 
-    def test_fraction_one_probes_every_install(self):
-        governor = ModeGovernor(AdaptiveConfig(probe_fraction=1.0))
+    def test_fraction_one_probes_every_install(self, monkeypatch):
+        monkeypatch.setattr(adaptive, "PROBE_FRACTION", 1.0)
+        governor = ModeGovernor()
         governor.megaflow_mode = True
         assert self._probes(governor, 7) == 7
 
     def test_mode_switch_probes_promptly(self):
         """Entering Megaflow mode primes the accumulator: the very next
         install is a probe instead of waiting a whole probe period."""
-        governor = ModeGovernor(AdaptiveConfig(probe_fraction=0.1))
+        governor = ModeGovernor()
         governor.set_mode(True)
         assert governor.next_install_partitions()
         # ... and the cadence then resumes from empty credit.
@@ -126,9 +132,16 @@ class TestProbeCadence:
         assert governor.next_install_partitions()
 
 
+@pytest.fixture
+def short_window(monkeypatch):
+    """A two-rule observation window, so a couple of installs switch."""
+    monkeypatch.setattr(adaptive, "WINDOW", 2)
+
+
 class TestModeGovernor:
-    def test_standalone_rolls_its_own_windows(self):
-        governor = ModeGovernor(AdaptiveConfig(window=10))
+    def test_standalone_rolls_its_own_windows(self, monkeypatch):
+        monkeypatch.setattr(adaptive, "WINDOW", 10)
+        governor = ModeGovernor()
         governor.record(10, 1)  # sharing 0.1 < low watermark
         assert governor.megaflow_mode
         governor.record(10, 8)  # probe window: sharing 0.8 > high
@@ -156,12 +169,10 @@ def _two_switches(cache, pipeline):
 
 class TestModeSwitchIsReportedAtTheSource:
     def _cache(self):
-        return AdaptiveGigaflowCache(
-            num_tables=2, table_capacity=8, config=AdaptiveConfig(window=2)
-        )
+        return AdaptiveGigaflowCache(num_tables=2, table_capacity=8)
 
     def test_each_switch_is_traced_and_counted_by_its_install(
-        self, mini_pipeline
+        self, mini_pipeline, short_window
     ):
         """Both switches cancel out before any sweep could run; each is
         still a ``mode_switch`` record stamped with its install's
@@ -182,7 +193,9 @@ class TestModeSwitchIsReportedAtTheSource:
             labels: child.value for labels, child in counter.children()
         } == {(cache.name, "megaflow"): 1, (cache.name, "disjoint"): 1}
 
-    def test_detached_cache_switches_without_a_hub(self, mini_pipeline):
+    def test_detached_cache_switches_without_a_hub(
+        self, mini_pipeline, short_window
+    ):
         cache = self._cache()
         assert cache.telemetry is None
         _two_switches(cache, mini_pipeline)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cache import CacheHierarchy
-from repro.core import AdaptiveConfig, AdaptiveGigaflowCache
+from repro.core import AdaptiveGigaflowCache, adaptive
 from repro.flow import Output
 from conftest import flow, rule
 
@@ -53,16 +53,6 @@ class TestCacheHierarchy:
         assert 0 <= hierarchy.microflow.stats.hits <= hierarchy.stats.hits
 
 
-class TestAdaptiveConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveConfig(low_watermark=0.5, high_watermark=0.4)
-        with pytest.raises(ValueError):
-            AdaptiveConfig(window=0)
-        with pytest.raises(ValueError):
-            AdaptiveConfig(probe_fraction=0.0)
-
-
 class TestAdaptiveGigaflow:
     def _shared_pipeline(self, mini_pipeline):
         """Add services so flows share their L2 prefix segments."""
@@ -76,12 +66,10 @@ class TestAdaptiveGigaflow:
             )
         return mini_pipeline
 
-    def test_stays_in_dp_mode_with_sharing(self, mini_pipeline):
+    def test_stays_in_dp_mode_with_sharing(self, mini_pipeline, monkeypatch):
+        monkeypatch.setattr(adaptive, "WINDOW", 40)
         pipeline = self._shared_pipeline(mini_pipeline)
-        cache = AdaptiveGigaflowCache(
-            num_tables=4, table_capacity=10**6,
-            config=AdaptiveConfig(window=40),
-        )
+        cache = AdaptiveGigaflowCache(num_tables=4, table_capacity=10**6)
         for port_no in range(100):
             traversal = pipeline.execute(flow(tp_dst=8000 + port_no))
             cache.install_traversal(traversal)
@@ -89,15 +77,13 @@ class TestAdaptiveGigaflow:
         assert not cache.governor.megaflow_mode
         assert cache.governor.mode_switches == 0
 
-    def test_falls_back_without_sharing(self, mini_pipeline):
+    def test_falls_back_without_sharing(self, mini_pipeline, monkeypatch):
         """Flows with nothing in common push the cache into Megaflow mode."""
         from repro.flow import ip, prefix_mask
 
+        monkeypatch.setattr(adaptive, "WINDOW", 30)
         pipeline = mini_pipeline
-        cache = AdaptiveGigaflowCache(
-            num_tables=4, table_capacity=10**6,
-            config=AdaptiveConfig(window=30),
-        )
+        cache = AdaptiveGigaflowCache(num_tables=4, table_capacity=10**6)
         for i in range(2, 80):
             # Each flow gets its own port, MAC, prefix and service.
             pipeline.install(0, rule({"in_port": i}, next_table=1))

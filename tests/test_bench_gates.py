@@ -188,13 +188,13 @@ def test_table_parser_and_output_files_agree():
             parser.parse_args(["bench", f"--{name}"])
     # Every bench option sets a scale field or a runner setting, or is
     # a phase switch, so none is silently ignored; every scale field but
-    # the three the preset fixes is a bench option.
+    # the two the preset fixes is a bench option.
     scale_flags = {dest for dest in vars(args) if dest in _SCALE_FLAGS}
     runner = {f.name for f in fields(gates.Runner)} - {"out"}
     assert set(vars(args)) == (
         scale_flags | runner | set(optional) | {"command", "out_dir"}
     )
-    fixed = {"gf_tables", "mean_packet_gap", "max_idle"}
+    fixed = {"mean_packet_gap", "max_idle"}
     assert {_SCALE_FLAGS[dest] for dest in scale_flags} == {
         f.name for f in fields(ExperimentScale)
     } - fixed

@@ -5,6 +5,8 @@ import pytest
 
 from repro.workload.caida import (
     CAIDA_PROFILE,
+    MAX_FLOW_SIZE,
+    MEAN_PACKET_SIZE,
     TraceProfile,
     sample_flow_sizes,
     sample_flow_starts,
@@ -26,8 +28,6 @@ class TestProfile:
         with pytest.raises(ValueError):
             TraceProfile(mean_flow_size=0.5)
         with pytest.raises(ValueError):
-            TraceProfile(pareto_alpha=0)
-        with pytest.raises(ValueError):
             TraceProfile(duration=0)
 
 
@@ -35,7 +35,7 @@ class TestFlowSizes:
     def test_sizes_bounded(self, rng):
         sizes = sample_flow_sizes(rng, 5000, CAIDA_PROFILE)
         assert sizes.min() >= 1
-        assert sizes.max() <= CAIDA_PROFILE.max_flow_size
+        assert sizes.max() <= MAX_FLOW_SIZE
 
     def test_heavy_tail(self, rng):
         """Most flows are mice; a few elephants carry many packets."""
@@ -49,11 +49,6 @@ class TestFlowSizes:
         assert measured == pytest.approx(
             CAIDA_PROFILE.mean_flow_size, rel=0.35
         )
-
-    def test_alpha_leq_one_supported(self, rng):
-        profile = TraceProfile(pareto_alpha=0.9)
-        sizes = sample_flow_sizes(rng, 100, profile)
-        assert sizes.min() >= 1
 
 
 class TestTimestamps:
@@ -84,11 +79,9 @@ class TestTimestamps:
 
 class TestPacketSizes:
     def test_floor_64_bytes(self, rng):
-        sizes = sample_packet_sizes(rng, 10000, CAIDA_PROFILE)
+        sizes = sample_packet_sizes(rng, 10000)
         assert sizes.min() >= 64
 
     def test_mean_in_range(self, rng):
-        sizes = sample_packet_sizes(rng, 50000, CAIDA_PROFILE)
-        assert sizes.mean() == pytest.approx(
-            CAIDA_PROFILE.mean_packet_size, rel=0.2
-        )
+        sizes = sample_packet_sizes(rng, 50000)
+        assert sizes.mean() == pytest.approx(MEAN_PACKET_SIZE, rel=0.2)

@@ -39,7 +39,6 @@ from repro.workload import (
     ShufflePriorities,
     acl_update_schedule,
     insert_delete_storm,
-    priority_shuffle_schedule,
 )
 
 #: The PSC ACL stage — where ``examples/acl_policy_update.py`` pushes
@@ -125,14 +124,15 @@ class TestChurnSchedule:
         with pytest.raises(ValueError, match="revert_at"):
             acl_update_schedule(ACL_TABLE, 5.0, revert_at=5.0)
 
-    def test_priority_shuffle_fraction_validated(self):
-        with pytest.raises(ValueError, match="fraction"):
-            priority_shuffle_schedule(ACL_TABLE, [1.0], fraction=0.0)
-
     def test_churn_config_validation(self):
         schedule = acl_update_schedule(ACL_TABLE, 1.0)
-        with pytest.raises(ValueError, match="reval_interval"):
-            ChurnConfig(schedule=schedule, reval_interval=0.0)
+        # Revalidation ticks ride the sweep cadence, which must advance.
+        for interval in (0.0, -1.0):
+            with pytest.raises(ValueError, match="sweep_interval"):
+                SimConfig(
+                    sweep_interval=interval,
+                    churn=ChurnConfig(schedule=schedule),
+                )
         with pytest.raises(ValueError, match="reval_budget"):
             ChurnConfig(schedule=schedule, reval_budget=-1)
 

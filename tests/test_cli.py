@@ -94,6 +94,23 @@ class TestScaleValidation:
             in capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("command, flag", [
+        ("stats", "--sweep-interval"),
+        ("net", "--sweep-interval"),
+        ("serve", "--sweep-interval"),
+        ("serve", "--storm-count"),
+        ("serve", "--segment-duration"),
+        ("stats", "--trace-capacity"),
+        ("net", "--batch-size"),
+        ("serve", "--batch-size"),
+    ])
+    def test_cadences_and_sizes_must_be_positive(self, command, flag, capsys):
+        """Zero once hung a cadence loop or divided by zero."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "psc", flag, "0"])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be a positive" in capsys.readouterr().err
+
 
 class TestTraceEvents:
     def test_unknown_event_exits_2_naming_it_and_the_valid_ones(

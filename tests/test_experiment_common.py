@@ -6,6 +6,7 @@ from repro import gates
 from repro.cli import build_parser, scale_from_args
 from repro.experiments.common import (
     BENCH_SCALE,
+    GF_TABLES,
     ExperimentScale,
     MEDIUM_SCALE,
     PAPER_SCALE,
@@ -21,8 +22,8 @@ class TestExperimentScale:
         assert ratio == pytest.approx(paper, rel=0.05)
 
     def test_gf_table_capacity_divides_total(self):
-        scale = ExperimentScale(cache_capacity=1000, gf_tables=4)
-        assert scale.gf_table_capacity == 250
+        scale = ExperimentScale(cache_capacity=1000)
+        assert scale.gf_table_capacity == 1000 // GF_TABLES == 250
 
     def test_trace_profile_fields(self):
         profile = SMALL_SCALE.trace_profile()
@@ -42,7 +43,6 @@ class TestExperimentScale:
         ("n_flows", -3),
         ("cache_capacity", 0),
         ("cache_capacity", -5),
-        ("gf_tables", 0),
         ("mean_flow_size", 0.0),
         ("mean_packet_gap", -1.0),
         ("duration", 0.0),
@@ -117,7 +117,7 @@ class TestResolvedScales:
     ])
     def test_presets(self, scale, expected):
         assert _resolved(scale) == expected
-        assert (scale.gf_tables, scale.max_idle, scale.seed) == (4, 20.0, 7)
+        assert (scale.max_idle, scale.seed) == (20.0, 7)
 
 
 class TestFactories:
@@ -126,7 +126,7 @@ class TestFactories:
         assert scale.system("megaflow").cache.capacity == 400
 
     def test_make_gigaflow_shape(self):
-        scale = ExperimentScale(cache_capacity=400, gf_tables=4)
+        scale = ExperimentScale(cache_capacity=400)
         system = scale.system("gigaflow")
         assert len(system.cache.tables) == 4
         assert system.cache.capacity_total() == 400

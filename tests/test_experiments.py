@@ -174,8 +174,6 @@ class TestFig19:
             gf[n].per_core_misses <= mf[n].per_core_misses
             for n in (1, 2, 4)
         )
-        # Legacy accessors stay live for the table-driven reports.
-        assert result.megaflow_by_cores[1] == mf[1].per_core_misses
 
 
 class TestFig13:

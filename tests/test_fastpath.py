@@ -16,7 +16,7 @@ Three properties matter:
    exactly when ``still_valid()`` says a full walk would find the same
    chain, and it then charges what that walk would: ``still_valid()``
    is ``True`` if and only if the side-effect-free walk finds the
-   record's chain, and the record's ``groups_probed`` is then the
+   record's chain, and the record's ``result.groups_probed`` is then the
    walk's (:class:`TestValidationSoundness`,
    :class:`TestEachCheckIsNeeded`).
 """
@@ -289,7 +289,7 @@ def chain_of(record):
 
 
 def recorded(record):
-    return True, chain_of(record), record.groups_probed, record.tables_hit
+    return True, chain_of(record), record.result.groups_probed, record.result.tables_hit
 
 
 def memoize(cache, packet):
@@ -351,7 +351,7 @@ class TestStaleRecordsThatAreStillExact:
         second.insert(ltm_rule({"ip_proto": 6}, tag=1))
         packet = flow(tp_dst=443, ip_proto=6)
         fastpath, record = memoize(cache, packet)
-        assert record.groups_probed == 2
+        assert record.result.groups_probed == 2
         # A better group in each visited bucket, neither this flow's:
         # both walks now rule one more group out first.
         cache.install_rules([ltm_rule({"vlan_id": 9}, priority=2)])
@@ -400,9 +400,9 @@ class TestEachCheckIsNeeded:
         cache.install_rules([ltm_rule({"ip_proto": 17}, priority=2)])
         hit, chain, probes, _depth = full_walk(cache, packet)
         assert hit and chain == chain_of(record)
-        assert probes == record.groups_probed + 1
+        assert probes == record.result.groups_probed + 1
         assert record.still_valid()
-        assert record.groups_probed == probes
+        assert record.result.groups_probed == probes
         assert recorded(record) == full_walk(cache, packet)
 
     def test_insert_check_a_better_match_joined_an_existing_group(self):
@@ -419,7 +419,7 @@ class TestEachCheckIsNeeded:
         assert matched in cache.tables[0]
         hit, chain, probes, _depth = full_walk(cache, packet)
         assert chain == ((cache.tables[0], better),)
-        assert probes == record.groups_probed
+        assert probes == record.result.groups_probed
         assert not record.still_valid()
 
     def test_pass_through_survives_its_bucket_being_emptied(self):
@@ -435,7 +435,7 @@ class TestEachCheckIsNeeded:
         packet = flow(tp_dst=443, ip_proto=6)
         _fastpath, record = memoize(cache, packet)
         assert chain_of(record)[0][0] is second
-        assert record.groups_probed == 2
+        assert record.result.groups_probed == 2
         dependency = first.dependencies[0]
         cache.remove(bystander, "reval")
         assert not first.rules_with_tag(0)
@@ -445,7 +445,7 @@ class TestEachCheckIsNeeded:
         assert first.rules_with_tag(0)
         assert first.dependencies[0] is dependency
         assert full_walk(cache, packet)[2] == 3
-        assert record.still_valid() and record.groups_probed == 3
+        assert record.still_valid() and record.result.groups_probed == 3
         first.insert(ltm_rule({"ip_proto": 6}))
         assert full_walk(cache, packet)[1][0][0] is first
         assert not record.still_valid()
@@ -456,7 +456,7 @@ class TestEachCheckIsNeeded:
         second.insert(ltm_rule({"tp_dst": 443}))
         packet = flow(tp_dst=443, ip_proto=6)
         _fastpath, record = memoize(cache, packet)
-        assert not first.rules_with_tag(0) and record.groups_probed == 2
+        assert not first.rules_with_tag(0) and record.result.groups_probed == 2
         first.insert(ltm_rule({"ip_proto": 17, "in_port": 9}))
         first.insert(ltm_rule({"ip_proto": 17, "vlan_id": 9}))
         assert full_walk(cache, packet)[2] == 3
@@ -551,7 +551,7 @@ class TestHitPath:
         cache.install_rules([ltm_rule({"in_port": 9}, tag=1, priority=2)])
         replayed = fastpath.lookup(packet, now=2.0)
         assert fastpath.revalidated == 1
-        assert replayed.groups_probed == 4 == record.groups_probed
+        assert replayed.groups_probed == 4 == record.result.groups_probed
         assert handed_out.groups_probed == 2
         assert fastpath.lookup(packet, now=3.0) is replayed
 
@@ -560,7 +560,7 @@ class TestHitPath:
         for num_tables in (1, 4):
             cache, packet = _chain(num_tables)
             fastpath, record = memoize(cache, packet)
-            assert record.tables_hit == num_tables
+            assert record.result.tables_hit == num_tables
             opened[num_tables] = _frames_opened(
                 lambda: fastpath.lookup(packet, 2.0)
             )
@@ -588,7 +588,7 @@ class TestHitPath:
     def test_a_fresh_hit_opens_one_frame_on_any_chain(self, num_tables):
         system, packet = _chain_system(num_tables)
         kernel = _kernel(system)
-        assert _warm(kernel, packet).tables_hit == num_tables
+        assert _warm(kernel, packet).result.tables_hit == num_tables
         one = _frames_opened(lambda: kernel.run([(4.0, packet)]))
         many = _frames_opened(lambda: kernel.run([(5.0, packet)] * 9))
         assert many - one == 8

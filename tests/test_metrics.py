@@ -6,8 +6,12 @@ from repro.metrics import (
     CpuBreakdown,
     HIT_LATENCY_US,
     LatencyModel,
-    SlowPathCostModel,
+    UPCALL_US,
+    US_PER_DP_CELL,
+    partition_us,
     per_core_miss_load,
+    pipeline_us,
+    rulegen_us,
     software_search_us,
 )
 
@@ -41,23 +45,19 @@ class TestLatencyModel:
             LatencyModel(backend="quantum").hit_us
 
     def test_slowpath_components(self):
-        model = SlowPathCostModel()
-        base = model.pipeline_us(lookups=0, groups_probed=0)
-        assert base == model.upcall_us
-        assert model.pipeline_us(10, 0) > base
-        assert model.partition_us(10, 4) == pytest.approx(
-            model.partition_us_per_cell * 40
-        )
-        assert model.rulegen_us(0) == 0.0
-        assert model.rulegen_us(3) > 0
+        base = pipeline_us(lookups=0, groups_probed=0)
+        assert base == UPCALL_US
+        assert pipeline_us(10, 0) > base
+        assert partition_us(10, 4) == pytest.approx(US_PER_DP_CELL * 40)
+        assert rulegen_us(0) == 0.0
+        assert rulegen_us(3) > 0
 
     def test_slowpath_within_paper_envelope(self):
         """§6.3.1: even large pipelines stay within ~200 µs."""
-        model = SlowPathCostModel()
         ols_like = (
-            model.pipeline_us(lookups=16, groups_probed=40)
-            + model.partition_us(16, 4)
-            + model.rulegen_us(4)
+            pipeline_us(lookups=16, groups_probed=40)
+            + partition_us(16, 4)
+            + rulegen_us(4)
         )
         assert 50.0 < ols_like < 200.0
 

@@ -8,18 +8,17 @@ undocumented, and the doc cannot keep a row the code dropped.  The rest
 pins what "declared once" means for events: a 14th ``EVENTS`` row is
 the only edit a new event needs, and the one flow-id formula.
 
-``docs/adaptive.md``'s knob reference is held to ``AdaptiveConfig``
-(the governor's knobs) the same way: one row per dataclass field, with
-its default.
+``docs/adaptive.md``'s constants table is held to the governor's
+module constants the same way: one row per numeric constant of
+``repro.core.adaptive``, with its value.
 """
 
 import ast
 import re
-from dataclasses import fields
 from pathlib import Path
 
 from conftest import flow
-from repro.core.adaptive import AdaptiveConfig
+from repro.core import adaptive
 from repro.obs import EVENTS, Telemetry, Tracer, trace
 from repro.obs.trace import flow_id
 
@@ -65,13 +64,14 @@ class TestCatalogParity:
         assert documented == list(EVENTS)
 
 
-    def test_knob_reference_lists_every_adaptive_config_field(self):
+    def test_constants_table_lists_every_governor_constant(self):
         documented = {
             row[0].strip("`"): ast.literal_eval(row[1].strip("`"))
-            for row in doc_table("Knob reference", DOCS / "adaptive.md")
+            for row in doc_table("Constants", DOCS / "adaptive.md")
         }
         assert documented == {
-            f.name: f.default for f in fields(AdaptiveConfig)
+            name: value for name, value in vars(adaptive).items()
+            if name.isupper() and isinstance(value, (int, float))
         }
 
 

@@ -27,6 +27,7 @@ import pytest
 from conftest import seeded_trace, seeded_workload
 from prometheus_text import parse_prometheus_text
 from test_obs import result_fingerprint
+from repro import serve
 from repro.obs import Telemetry
 from repro.serve import (
     MetricsServer,
@@ -66,7 +67,9 @@ def packet_tuple(packet):
 
 class TestStreamTrace:
     @pytest.mark.parametrize("chunk", [1, 3, 1000, 100_000])
-    def test_matches_trace_packets(self, chunk):
+    def test_matches_trace_packets(self, chunk, monkeypatch):
+        """Any decode chunk size streams the same packets."""
+        monkeypatch.setattr(serve, "CHUNK_SIZE", chunk)
         trace = seeded_trace(seeded_workload())
         times, flow_indices, sizes = trace.columns()
         expected = [
@@ -74,7 +77,7 @@ class TestStreamTrace:
             for time, index, size in zip(times, flow_indices, sizes)
         ]
         streamed = [
-            packet_tuple(p) for p in stream_trace(trace, chunk=chunk)
+            packet_tuple(p) for p in stream_trace(trace)
         ]
         assert streamed == expected
 

@@ -6,7 +6,8 @@ one fan-out, one idle timer, one reader of the classifier's state,
 one home for the slow-path memo, no public function or method without
 a caller, one home each for the two change records staleness is judged
 by, one place a run is built, no asking a cache what kind it is, one
-header layout, one telemetry record, no trivial accessor.
+header layout, one telemetry record, no trivial accessor, no setting
+that no program sets.
 
 Every cadence in the engine family — idle sweeps, telemetry snapshots,
 churn deadlines, serving micro-batches, fabric hop fan-out — fires off
@@ -175,6 +176,19 @@ three that do its work.  So no ``@property`` under ``repro``, its
 docstring aside, is only ``return self.<attr>``, and an LTM rule's
 ``identity`` is a slot, not a method.  A property that computes — a
 lazy view, a sum over levels — is not trivial.
+
+The twentieth keeps every setting earning its place.  The paper's model
+has few free parameters; its calibrations are measured constants.  Thirty
+settable values — governor thresholds, slow-path costs, trace-shape and
+pool-size knobs, a revalidation cadence, a decode chunk — were once set
+by nothing but tests, each a configuration no benchmark or golden
+covered.  So every field of the run-shaping config classes must be set
+by a call in a program — ``src/`` outside the class's own body,
+``bench/``, ``benchmarks/``, ``examples/``, never a test: passed to the
+class by keyword, by position or as a key of a ``**{...}`` literal, to
+``dataclasses.replace``, or by keyword to a function that forwards its
+``**`` keywords to either.  The fields on ``SETTING_ALLOWED`` are kept
+unset on purpose, each with its reason.
 """
 
 import ast
@@ -188,7 +202,15 @@ import pytest
 import repro
 from repro.cache.base import FlowCache
 from repro.core import LtmRule
-from repro.sim import SimConfig, SimResult
+from repro.experiments import ExperimentScale
+from repro.metrics import LatencyModel
+from repro.serve import ServeConfig
+from repro.sim import ChurnConfig, SimConfig, SimResult
+from repro.workload import (
+    LocalityProfile,
+    PipebenchConfig,
+    TraceProfile,
+)
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
 
@@ -1841,3 +1863,171 @@ def test_trivial_accessor_audit_sees_a_violation():
         (6, "Key.packed"),
         (29, "Nested.fields"),
     ]
+
+
+#: The config classes a run is shaped by.
+SETTING_CLASSES = (
+    SimConfig, ChurnConfig, ServeConfig, PipebenchConfig, TraceProfile,
+    ExperimentScale, LatencyModel, LocalityProfile,
+)
+
+#: Fields no program sets, each kept for a stated reason.
+SETTING_ALLOWED = {
+    "PipebenchConfig.n_src_hosts": "a Pipebench pool size: ROADMAP item "
+                                   "1(a) sizes the pools through it",
+    "PipebenchConfig.n_services": "a Pipebench pool size: ROADMAP item "
+                                  "1(a) sizes the pools through it",
+    "PipebenchConfig.n_dst_hosts": "a Pipebench pool size: ROADMAP item "
+                                   "1(a) sizes the pools through it",
+    "ChurnConfig.switches": "fabric churn targeting, docs/fabric.md's "
+                            "documented behaviour, not a tuning value",
+}
+
+
+def _terminal(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _passes(call, name):
+    """Whether ``call`` passes ``**name`` on, directly or inside a
+    ``**{...}`` literal."""
+    for keyword in call.keywords:
+        value = keyword.value
+        if keyword.arg is not None:
+            continue
+        if isinstance(value, ast.Name) and value.id == name:
+            return True
+        if isinstance(value, ast.Dict) and any(
+            key is None and isinstance(v, ast.Name) and v.id == name
+            for key, v in zip(value.keys, value.values)
+        ):
+            return True
+    return False
+
+
+def _keywords(call):
+    """Names ``call`` passes by keyword, ``**{"name": …}`` included."""
+    names = set()
+    for keyword in call.keywords:
+        if keyword.arg is not None:
+            names.add(keyword.arg)
+        elif isinstance(keyword.value, ast.Dict):
+            names.update(
+                key.value for key in keyword.value.keys
+                if isinstance(key, ast.Constant)
+            )
+    return names
+
+
+def _unset(classes: dict, corpus: dict):
+    """``"Class.field"`` for each field of ``classes``
+    (``{class name: [field names in order]}``) that no call in
+    ``corpus`` (``{relpath: source}``) sets."""
+    trees = [ast.parse(source) for source in corpus.values()]
+    # A function whose ``**`` keywords reach a class's constructor
+    # (or another such function) sets what it is passed.
+    forwards = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.args.kwarg:
+                rest = node.args.kwarg.arg
+                forwards.setdefault(node.name, set()).update(
+                    _terminal(call.func) for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and _passes(call, rest)
+                )
+    reaches = {name: set() for name in forwards}
+    changed = True
+    while changed:
+        changed = False
+        for name, targets in forwards.items():
+            found = {t for t in targets if t in classes}.union(
+                *(reaches.get(t, ()) for t in targets)
+            )
+            if not found <= reaches[name]:
+                reaches[name] |= found
+                changed = True
+    set_fields = set()
+    for tree in trees:
+        own = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in classes:
+                for inner in ast.walk(node):
+                    own[id(inner)] = node.name
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = _terminal(call.func)
+            keywords = _keywords(call)
+            if name in classes and own.get(id(call)) != name:
+                fields = classes[name]
+                for field in keywords | set(fields[:len(call.args)]):
+                    set_fields.add(f"{name}.{field}")
+            for owner in (
+                classes if name == "replace" else reaches.get(name, ())
+            ):
+                for field in keywords:
+                    set_fields.add(f"{owner}.{field}")
+    return [
+        f"{name}.{field}"
+        for name, fields in classes.items()
+        for field in fields
+        if f"{name}.{field}" not in set_fields
+    ]
+
+
+def test_every_setting_has_a_setter():
+    corpus = {
+        relpath: text for relpath, text in _callers_corpus().items()
+        if relpath.endswith(".py")
+    }
+    classes = {
+        cls.__name__: [f.name for f in dataclasses.fields(cls)]
+        for cls in SETTING_CLASSES
+    }
+    found = _unset(classes, corpus)
+    offenders = [name for name in found if name not in SETTING_ALLOWED]
+    assert not offenders, (
+        "settings no program sets — make each a module constant, or "
+        "argue it onto SETTING_ALLOWED:\n  " + "\n  ".join(offenders)
+    )
+    # The allowlist names only fields that are still unset.
+    assert set(found) == set(SETTING_ALLOWED)
+
+
+def test_setting_audit_sees_a_violation():
+    module = (
+        "@dataclass\n"
+        "class Knobs:\n"
+        "    positional: int = 0\n"
+        "    keyword: int = 0\n"
+        "    literal: int = 0\n"
+        "    forwarded: int = 0\n"
+        "    replaced: int = 0\n"
+        "    own: int = 0\n"
+        "    unset: int = 0\n"
+        "\n"
+        "    def copy(self):\n"
+        "        return Knobs(own=self.own)\n"
+        "\n"
+        "def build(**overrides):\n"
+        "    return Knobs(**{\"literal\": 1, **overrides})\n"
+        "\n"
+        "def scaled(**kwargs):\n"
+        "    return build(**kwargs)\n"
+    )
+    user = (
+        "knobs = mod.Knobs(1, keyword=2)\n"
+        "scaled(forwarded=3)\n"
+        "dataclasses.replace(knobs, replaced=4)\n"
+        "other(unset=5)\n"
+    )
+    classes = {"Knobs": [
+        "positional", "keyword", "literal", "forwarded", "replaced",
+        "own", "unset",
+    ]}
+    corpus = {"pkg/mod.py": module, "pkg/user.py": user}
+    assert _unset(classes, corpus) == ["Knobs.own", "Knobs.unset"]
