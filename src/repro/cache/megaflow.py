@@ -17,6 +17,7 @@ from ..classify.tss import TupleSpaceClassifier
 from ..flow.actions import ActionList
 from ..flow.key import FlowKey
 from ..flow.match import TernaryMatch
+from ..pipeline.pipeline import ENTRY_TABLE
 from ..pipeline.traversal import Traversal
 from .base import CacheResult, FlowCache, HitReplay, actions_result
 
@@ -26,8 +27,8 @@ _entry_ids = itertools.count()
 class MegaflowEntry:
     """One cached traversal.
 
-    ``start_table`` is where the traversal began, which is where
-    revalidation replays it from.  ``path`` and ``verified`` are
+    Revalidation replays it from the pipeline's entry table, where
+    every traversal begins.  ``path`` and ``verified`` are
     revalidation's stamps, as on :class:`~repro.core.ltm.LtmRule`: the
     table ids of the traversal as last walked, and the pipeline
     generation of the last walk that agreed with the entry (``None``:
@@ -39,7 +40,6 @@ class MegaflowEntry:
         "priority",
         "actions",
         "parent_flow",
-        "start_table",
         "length",
         "generation",
         "path",
@@ -53,7 +53,6 @@ class MegaflowEntry:
         match: TernaryMatch,
         actions: ActionList,
         parent_flow: FlowKey,
-        start_table: int,
         length: int,
         generation: int = 0,
         now: float = 0.0,
@@ -62,7 +61,6 @@ class MegaflowEntry:
         self.priority = 0  # entries are non-overlapping by construction
         self.actions = actions
         self.parent_flow = parent_flow
-        self.start_table = start_table
         self.length = length
         self.generation = generation
         self.path: Tuple[int, ...] = ()
@@ -83,15 +81,14 @@ def build_megaflow_entry(
     now: float = 0.0,
 ) -> MegaflowEntry:
     """Collapse a traversal into a single cache entry (the paper's K=1):
-    the slice of all its steps, replayed by revalidation from the table
-    the walk began at and stamped with the walk's generation."""
+    the slice of all its steps, replayed by revalidation from the entry
+    table and stamped with the walk's generation."""
     match, actions = traversal.match_and_commit(0, len(traversal))
     path = traversal.table_ids
     entry = MegaflowEntry(
         match=match,
         actions=actions,
         parent_flow=traversal.initial_flow,
-        start_table=path[0],
         length=len(traversal),
         generation=generation,
         now=now,
@@ -211,7 +208,7 @@ class MegaflowCache(FlowCache):
     # -- revalidation (see FlowCache) ---------------------------------------------
 
     def replay_start(self, entry: MegaflowEntry) -> int:
-        return entry.start_table
+        return ENTRY_TABLE
 
     def replay_agrees(self, entry: MegaflowEntry, replay: Traversal) -> bool:
         rebuilt = build_megaflow_entry(replay)
@@ -223,7 +220,7 @@ class MegaflowCache(FlowCache):
 
     def attach_telemetry(self, telemetry, name: Optional[str] = None) -> None:
         super().attach_telemetry(telemetry, name)
-        self._classifier.observer_cells = telemetry.tss_observer(
+        self._classifier.observer = telemetry.tss_observer(
             self.telemetry_name
         )
 

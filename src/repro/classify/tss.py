@@ -237,10 +237,11 @@ class TupleSpaceClassifier(Generic[RuleT]):
     """A priority-aware TSS classifier with staged lookup and prefix tries."""
 
     def __init__(self):
-        #: Optional telemetry pending cell — a two-slot ``[miss, hit]``
-        #: list bumped inline after every lookup; ``None`` (the default)
-        #: costs one attribute check on the hot path.
-        self.observer_cells = None
+        #: Optional telemetry ``(miss, hit)`` counter children
+        #: (``Telemetry.tss_observer``), incremented inline after every
+        #: lookup; ``None`` (the default) costs one attribute check on
+        #: the hot path.
+        self.observer = None
         self._groups: Dict[int, _Group[RuleT]] = {}
         self._size = 0
         #: Level index, best priority -> :class:`_Level`; ``None`` until
@@ -429,9 +430,9 @@ class TupleSpaceClassifier(Generic[RuleT]):
             for index, trie in self._tries.items():
                 if trie_bits >> index & 1:
                     examined |= trie.mask_for(values[index]) << shifts[index]
-        cells = self.observer_cells
-        if cells is not None:
-            cells[1 if best is not None else 0] += 1
+        observer = self.observer
+        if observer is not None:
+            observer[1 if best is not None else 0].value += 1
         return LookupResult(
             best, Wildcard.from_packed(examined), probed
         )
@@ -484,9 +485,9 @@ class TupleSpaceClassifier(Generic[RuleT]):
         if won is not None and won[0].max_priority == best_priority:
             group, above, ages = won
             probed = above + bisect_left(ages, group.seq) + 1
-        cells = self.observer_cells
-        if cells is not None:
-            cells[1 if best is not None else 0] += 1
+        observer = self.observer
+        if observer is not None:
+            observer[1 if best is not None else 0].value += 1
         return LookupResult(best, None, probed)
 
     # -- internals --------------------------------------------------------------------

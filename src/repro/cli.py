@@ -80,25 +80,67 @@ from .workload import (
 from .workload.churn import ChurnSchedule
 
 
-def _positive(kind, noun: str):
-    """An argparse ``type=`` that rejects zero and below, so a bad scale
-    value exits 2 naming its flag instead of raising from deep inside
-    the trace builder."""
+def _bounded(kind, noun: str, low, high=None, inclusive: bool = False):
+    """An argparse ``type=`` for a number above ``low`` (or at it, when
+    ``inclusive``) and at most ``high``, so a bad value exits 2 naming
+    its flag instead of raising from deep inside a constructor."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
-            value = 0  # unparsable text gets the same message
-        if not value > 0:  # zero, negative or NaN
-            raise argparse.ArgumentTypeError(f"must be a positive {noun}")
+            value = None  # unparsable text gets the same message
+        if value is None or not (
+            (value >= low if inclusive else value > low)  # NaN fails
+            and (high is None or value <= high)
+        ):
+            raise argparse.ArgumentTypeError(f"must be {noun}")
         return value
 
     return parse
 
 
-_positive_int = _positive(int, "integer")
-_positive_float = _positive(float, "number")
+_positive_int = _bounded(int, "a positive integer", 0)
+_positive_float = _bounded(float, "a positive number", 0)
+_non_negative_int = _bounded(int, "a non-negative integer", 0, inclusive=True)
+_non_negative_float = _bounded(
+    float, "a non-negative number", 0, inclusive=True
+)
+_fraction = _bounded(float, "a number in [0, 1]", 0, 1, inclusive=True)
+_port = _bounded(int, "a port in [0, 65535]", 0, 65535, inclusive=True)
+
+
+class _FlagError(Exception):
+    """A flag value only its command can judge (a ring's length, a link
+    of the topology it builds): :func:`main` reports it as argparse
+    reports the others — usage, the flag's name, exit 2."""
+
+    def __init__(self, flag: str, message: str):
+        super().__init__(f"argument {flag}: {message}")
+
+
+def _link_failure(text: str):
+    """An argparse ``type=`` for ``--fail-link A:B:TIME``: the
+    ``(time, a, b)`` a :class:`~repro.net.FabricSimulator` takes."""
+    try:
+        a, b, at = text.split(":")
+        return float(at), a, b
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected A:B:TIME, got {text!r}"
+        ) from None
+
+
+def _readable_file(path: str) -> str:
+    """An argparse ``type=`` for an input file: it must open."""
+    try:
+        with open(path, encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot read {path!r}: {exc.strerror}"
+        ) from None
+    return path
 
 
 def _trace_events(text: str) -> List[str]:
@@ -146,7 +188,9 @@ def _add_scale_arguments(
         "--locality", choices=("high", "low"), default="high",
         help="workload reuse locality",
     )
-    parser.add_argument("--seed", type=int, default=SMALL_SCALE.seed)
+    parser.add_argument(
+        "--seed", type=_non_negative_int, default=SMALL_SCALE.seed
+    )
     if replay:
         parser.add_argument(
             "--mean-flow-size", type=_positive_float,
@@ -158,7 +202,8 @@ def _add_scale_arguments(
             help=f"simulated seconds of trace (default {duration:g})",
         )
         parser.add_argument(
-            "--trace-seed", type=int, default=BENCH_SCALE.trace_seed
+            "--trace-seed", type=_non_negative_int,
+            default=BENCH_SCALE.trace_seed,
         )
 
 
@@ -394,24 +439,22 @@ def cmd_net(args: argparse.Namespace) -> int:
         topology = leaf_spine(args.leaves, args.spines)
     elif args.topology == "linear":
         topology = linear(args.length)
+    elif args.length < 3:
+        raise _FlagError("--length", "a ring needs at least 3 switches")
     else:
         topology = ring(args.length)
+    failures = args.fail_link or []
+    for _at, a, b in failures:
+        if b not in topology.adjacency.get(a, ()):
+            raise _FlagError(
+                "--fail-link", f"{a}:{b} is not a link of {topology.name}"
+            )
 
     trace = scale.trace(scale.workload())
     endpoints = build_fabric_endpoints(
         topology, scale.n_flows, locality=args.net_locality, seed=scale.seed
     )
     controller = FabricController(topology, endpoints)
-
-    failures = []
-    for item in args.fail_link or []:
-        try:
-            a, b, at = item.split(":")
-            failures.append((float(at), a, b))
-        except ValueError:
-            print(f"bad --fail-link {item!r}: expected A:B:TIME",
-                  file=sys.stderr)
-            return 2
 
     fabric = FabricSimulator(
         topology,
@@ -489,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="Gigaflow table-count sweep")
     _add_scale_arguments(sweep)
     sweep.add_argument(
-        "--tables", type=int, nargs="+", default=[1, 2, 3, 4],
+        "--tables", type=_positive_int, nargs="+", default=[1, 2, 3, 4],
     )
 
     coverage = sub.add_parser(
@@ -524,12 +567,12 @@ def build_parser() -> argparse.ArgumentParser:
                 f"--{name}", action="store_true", help=phase.help
             )
     bench.add_argument(
-        "--obs-rounds", type=int, default=9,
+        "--obs-rounds", type=_positive_int, default=9,
         help="interleaved timing rounds per obs variant (the report "
              "keeps each variant's best CPU time; default 9)",
     )
     bench.add_argument(
-        "--shard-timeout", type=float, default=600.0,
+        "--shard-timeout", type=_positive_float, default=600.0,
         help="wall-clock budget per sharded run before workers are "
              "killed (seconds, default 600)",
     )
@@ -548,25 +591,25 @@ def build_parser() -> argparse.ArgumentParser:
         default="leaf-spine",
     )
     net.add_argument(
-        "--leaves", type=int, default=4,
+        "--leaves", type=_positive_int, default=4,
         help="leaf switches (leaf-spine; default 4)",
     )
     net.add_argument(
-        "--spines", type=int, default=2,
+        "--spines", type=_positive_int, default=2,
         help="spine switches (leaf-spine; default 2)",
     )
     net.add_argument(
-        "--length", type=int, default=4,
-        help="switch count (linear/ring; default 4)",
+        "--length", type=_positive_int, default=4,
+        help="switch count (linear/ring, a ring at least 3; default 4)",
     )
     net.add_argument("--system", choices=SYSTEMS, default="gigaflow")
     net.add_argument(
-        "--net-locality", type=float, default=0.5,
+        "--net-locality", type=_fraction, default=0.5,
         help="fraction of flows whose endpoints share a leaf "
              "(default 0.5)",
     )
     net.add_argument(
-        "--max-idle", type=float, default=0.0,
+        "--max-idle", type=_non_negative_float, default=0.0,
         help="idle-expiry threshold per switch (0 disables; default 0)",
     )
     net.add_argument(
@@ -579,7 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
              "size; default 256)",
     )
     net.add_argument(
-        "--fail-link", action="append", metavar="A:B:TIME",
+        "--fail-link", type=_link_failure, action="append",
+        metavar="A:B:TIME",
         help="take link A-B down at simulated TIME; repeatable",
     )
     net.add_argument(
@@ -592,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
              "pathological flows, pipeline-order suggestion",
     )
     trace.add_argument(
-        "--trace-in", required=True, metavar="PATH",
+        "--trace-in", type=_readable_file, required=True, metavar="PATH",
         help="trace JSONL file (e.g. written by "
              "`repro stats --trace-out`)",
     )
@@ -601,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="text = aligned report (default), json = the report dict",
     )
     trace.add_argument(
-        "--top", type=int, default=5,
+        "--top", type=_non_negative_int, default=5,
         help="flows named per pathological list (default 5)",
     )
     trace.add_argument(
@@ -619,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument("--system", choices=SYSTEMS, default="gigaflow")
     stats.add_argument(
-        "--max-idle", type=float, default=5.0,
+        "--max-idle", type=_non_negative_float, default=5.0,
         help="idle-expiry threshold in seconds (0 disables; default 5)",
     )
     stats.add_argument(
@@ -675,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
              "size; default 256)",
     )
     serve.add_argument(
-        "--max-idle", type=float, default=2.0,
+        "--max-idle", type=_non_negative_float, default=2.0,
         help="idle-expiry threshold in seconds (default 2)",
     )
     serve.add_argument(
@@ -688,7 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
-        "--port", type=int, default=0,
+        "--port", type=_port, default=0,
         help="metrics port (0 = ephemeral, printed at startup)",
     )
     serve.add_argument(
@@ -709,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-rank ACL rule priorities at 45%% and 75%% of the run",
     )
     serve.add_argument(
-        "--reval-budget", type=int, default=64,
+        "--reval-budget", type=_non_negative_int, default=64,
         help="stale entries revalidated per tick (0 = drain fully; "
              "default 64)",
     )
@@ -735,8 +779,12 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except _FlagError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

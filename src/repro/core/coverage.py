@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..flow.actions import SetField
 from ..flow.fields import DEFAULT_SCHEMA
+from ..pipeline.pipeline import ENTRY_TABLE
 from .gigaflow import GigaflowCache
 from .ltm import TAG_DONE, LtmRule
 
@@ -43,7 +44,8 @@ class CoverageStateLimitError(RuntimeError):
 
 def coverage(cache: GigaflowCache) -> int:
     """Number of distinct complete rule chains the cache can satisfy,
-    counted from its ``start_tag``.
+    counted from the pipeline's entry table
+    (:data:`~repro.pipeline.pipeline.ENTRY_TABLE`).
 
     Dynamic program from the last table backwards: ``reachable[k][tag]`` is
     the number of chains completable using tables ``k..K-1`` for a packet
@@ -65,7 +67,7 @@ def coverage(cache: GigaflowCache) -> int:
         # Skipping the table keeps `reachable` as-is; matching adds chains.
         for tag, count in additions.items():
             reachable[tag] += count
-    return reachable[cache.start_tag]
+    return reachable[ENTRY_TABLE]
 
 
 def chain_satisfiable(rules: Sequence[LtmRule]) -> bool:
@@ -162,7 +164,7 @@ def satisfiable_coverage(cache: GigaflowCache) -> int:
         reach.insert(0, layer)
 
     count = 0
-    states: Dict[Tuple, int] = {(cache.start_tag, 0, 0, 0, 0): 1}
+    states: Dict[Tuple, int] = {(ENTRY_TABLE, 0, 0, 0, 0): 1}
     for i, by_tag in enumerate(tables):
         later = reach[i + 1]
         live: Dict[Tuple, int] = defaultdict(int)

@@ -27,6 +27,7 @@ from ..cache.base import (
 )
 from ..flow.actions import Action, ActionList
 from ..flow.key import FlowKey
+from ..pipeline.pipeline import ENTRY_TABLE
 from ..pipeline.traversal import Traversal
 from .ltm import TAG_DONE, LtmRule, LtmTable
 from .partition import Partitioner, disjoint_partition
@@ -111,11 +112,13 @@ class _GigaflowHitReplay(HitReplay):
 class GigaflowCache(FlowCache):
     """A multi-table sub-traversal cache.
 
+    A packet enters it with ``τ`` = the pipeline's entry table
+    (:data:`~repro.pipeline.pipeline.ENTRY_TABLE`), the tag every
+    chain's first rule matches.
+
     Attributes:
         num_tables: ``K`` — cache tables on the SmartNIC (paper default 4).
         table_capacity: Entries per table (paper default 8K).
-        start_tag: The vSwitch pipeline's entry table ID; packets enter the
-            cache with ``τ = start_tag``.
         partitioner: Scheme splitting traversals into sub-traversals
             (default: the paper's disjoint partitioning).
         placement: ``"balanced"`` places new rules in the feasible table
@@ -142,7 +145,6 @@ class GigaflowCache(FlowCache):
         self,
         num_tables: int = 4,
         table_capacity: int = 8192,
-        start_tag: int = 0,
         partitioner: Partitioner = disjoint_partition,
         placement: str = "balanced",
         eviction: str = "lru",
@@ -152,7 +154,6 @@ class GigaflowCache(FlowCache):
             raise ValueError(f"need at least one table, got {num_tables}")
         if placement not in ("balanced", "earliest"):
             raise ValueError(f"unknown placement policy {placement!r}")
-        self.start_tag = start_tag
         self.partitioner = partitioner
         self.placement = placement
         self.eviction = check_eviction(eviction)
@@ -162,10 +163,11 @@ class GigaflowCache(FlowCache):
         #: Cumulative sharing events (a rule reused by another traversal).
         self.sharing_events = 0
         # Per-probe accounting is the hottest telemetry site in the walk:
-        # lookups bump the hub's pending cells directly and only pay the
-        # ``on_ltm_probe`` hook call when tracing wants the event (the
-        # hook bumps the same cells itself, so the paths are exclusive).
-        self._probe_cells = None
+        # lookups increment the hub's ``(miss, hit)`` counter children
+        # per table directly and only pay the ``on_ltm_probe`` hook call
+        # when tracing wants the event (the hook increments the same
+        # children itself, so the paths are exclusive).
+        self._probe_counters = None
         self._trace_probe = None
 
     # -- lookup (the SmartNIC fast path) -----------------------------------------
@@ -173,13 +175,13 @@ class GigaflowCache(FlowCache):
     def lookup_traced(
         self, flow: FlowKey, now: float = 0.0
     ) -> Tuple[CacheResult, Optional[_GigaflowHitReplay]]:
-        tag = self.start_tag
+        tag = ENTRY_TABLE
         current = flow
         composed: List[Action] = []
         touches: list = []
         steps: list = []
         probes = 0
-        cells = self._probe_cells
+        counters = self._probe_counters
         trace_probe = self._trace_probe
         for table in self.tables:
             if tag == TAG_DONE:
@@ -190,8 +192,8 @@ class GigaflowCache(FlowCache):
                 trace_probe(
                     table.index, tag, groups, rule is not None, now
                 )
-            elif cells is not None:
-                cells[table.index][1 if rule is not None else 0] += 1
+            elif counters is not None:
+                counters[table.index][1 if rule is not None else 0].value += 1
             dependency = table.dependencies[tag]
             steps += (
                 dependency, dependency.changes, table, tag, current, rule,
@@ -368,7 +370,7 @@ class GigaflowCache(FlowCache):
 
     def attach_telemetry(self, telemetry, name=None) -> None:
         super().attach_telemetry(telemetry, name)
-        self._probe_cells, self._trace_probe = telemetry.ltm_observer(
+        self._probe_counters, self._trace_probe = telemetry.ltm_observer(
             self.tables
         )
         for table in self.tables:

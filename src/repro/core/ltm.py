@@ -139,10 +139,9 @@ class LtmTable:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.index = index
         self.capacity = capacity
-        #: Telemetry pending cell (two-slot ``[miss, hit]`` list)
-        #: propagated to every per-tag classifier bucket (``None`` =
-        #: not observed).
-        self._observer_cells = None
+        #: Telemetry ``(miss, hit)`` counter children propagated to
+        #: every per-tag classifier bucket (``None`` = not observed).
+        self._observer = None
         self._by_tag: Dict[int, TupleSpaceClassifier[LtmRule]] = {}
         #: Per-tag change counters fast-path records are validated
         #: against; a tag is created on first read (tags are pipeline
@@ -191,7 +190,7 @@ class LtmTable:
         bucket = self._by_tag.get(rule.tag)
         if bucket is None:
             bucket = TupleSpaceClassifier()
-            bucket.observer_cells = self._observer_cells
+            bucket.observer = self._observer
             self._by_tag[rule.tag] = bucket
         bucket.insert(rule)
         self.dependencies[rule.tag].changes += 1
@@ -264,13 +263,13 @@ class LtmTable:
 
     # -- observability ------------------------------------------------------------------
 
-    def set_observer(self, cells) -> None:
-        """Install a TSS lookup pending cell (two-slot ``[miss, hit]``
-        list) on every (current and future) per-tag bucket of this
-        table."""
-        self._observer_cells = cells
+    def set_observer(self, observer) -> None:
+        """Install TSS search counters (``Telemetry.tss_observer``'s
+        ``(miss, hit)`` children) on every (current and future) per-tag
+        bucket of this table."""
+        self._observer = observer
         for bucket in self._by_tag.values():
-            bucket.observer_cells = cells
+            bucket.observer = observer
 
     # -- introspection ------------------------------------------------------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Set
 
+from ..pipeline.pipeline import ENTRY_TABLE
 from .gigaflow import GigaflowCache
 from .ltm import TAG_DONE
 
@@ -72,7 +73,7 @@ def chain_report(cache: GigaflowCache) -> ChainReport:
 
     # Forward pass: tags reachable entering each table index.
     reachable_sets: List[Set[int]] = []
-    current: Set[int] = {cache.start_tag}
+    current: Set[int] = {ENTRY_TABLE}
     for table in tables:
         reachable_sets.append(set(current))
         produced = {

@@ -65,9 +65,10 @@ class Histogram:
     implicit ``+Inf`` bucket catches the rest.  ``counts[i]`` is the
     number of observations ``<= bounds[i]`` *non*-cumulatively (the
     exporter accumulates), matching how the values are stored in JSON.
+    ``count`` is their total, so it is never stored beside them.
     """
 
-    __slots__ = ("bounds", "counts", "sum", "count")
+    __slots__ = ("bounds", "counts", "sum")
 
     def __init__(self, bounds: Sequence[float]):
         if not bounds:
@@ -77,11 +78,14 @@ class Histogram:
         self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
         self.counts: List[int] = [0] * (len(self.bounds) + 1)
         self.sum = 0.0
-        self.count = 0
+
+    @property
+    def count(self) -> int:
+        """Observations so far: the buckets' total."""
+        return sum(self.counts)
 
     def observe(self, value: float) -> None:
         self.sum += value
-        self.count += 1
         for i, bound in enumerate(self.bounds):
             if value <= bound:
                 self.counts[i] += 1
@@ -99,13 +103,10 @@ class Histogram:
                 f"expected {len(self.counts)} bucket counts, "
                 f"got {len(counts)}"
             )
-        total = 0
         own = self.counts
         for i, count in enumerate(counts):
             if count:
                 own[i] += count
-                total += count
-        self.count += total
         self.sum += value_sum
 
     def cumulative(self) -> List[Tuple[float, int]]:
@@ -343,7 +344,7 @@ class MetricsRegistry:
           such as occupancy is recomputed from its merged numerator and
           denominator;
         * **histograms** fold bucket-wise: ``counts`` add elementwise,
-          ``sum``/``count`` add — equivalent to observing the union of
+          ``sum`` adds — equivalent to observing the union of
           the underlying samples.
 
         Families absent from ``self`` are registered first, so merging
@@ -377,7 +378,6 @@ class MetricsRegistry:
                     for i, count in enumerate(child.counts):
                         own.counts[i] += count
                     own.sum += child.sum
-                    own.count += child.count
                 else:
                     own.value += child.value
         # Ratios last, from the numerators and denominators just merged.
@@ -406,7 +406,9 @@ class MetricsRegistry:
     @classmethod
     def from_json(cls, payload: dict) -> "MetricsRegistry":
         """Rebuild a registry from :meth:`to_json` output (samples, not
-        merge rules: every rebuilt gauge merges as ``"sum"``)."""
+        merge rules: every rebuilt gauge merges as ``"sum"``; a
+        histogram's ``count`` is its buckets' total, so the stored one
+        is not read)."""
         registry = cls()
         for spec in payload.get("families", ()):
             family = registry._register(
@@ -424,7 +426,6 @@ class MetricsRegistry:
                 if family.kind == "histogram":
                     child.counts = list(value["counts"])
                     child.sum = value["sum"]
-                    child.count = value["count"]
                 elif family.kind == "counter":
                     child.value = value
                 else:

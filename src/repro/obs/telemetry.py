@@ -15,17 +15,20 @@ The contract with the hot paths:
   objects; they never mutate caches, so every
   :class:`~repro.sim.results.SimResult` field is bit-identical with
   telemetry on or off (``tests/test_obs.py`` proves it differentially).
-* **Hot children are pre-bound, and hot counts are batched.**
-  :meth:`attach` resolves the label children the per-packet path needs
-  (hit/miss counters, depth histograms, per-table probe counters) once,
-  and the per-packet hooks fold into plain-int pending cells — local
-  list bumps, no metric-object calls.  :meth:`flush` folds the
-  pending cells into the registry; it runs automatically at every sweep
-  boundary (:meth:`sample`), at :meth:`finalize` and before
-  ``render_telemetry`` reads the hub, so registry reads mid-run see
-  sweep-granular truth and end-of-run reads see exact totals.  Cold
-  hooks (evictions, revalidation, sweeps) still write the registry
-  directly — they are rare and callers read them between runs.
+* **One home per count.**  A count only the hub keeps lives in its
+  registry child and is incremented there: :meth:`attach` pre-binds
+  the children the per-packet path needs (depth and probe histograms,
+  install counters, per-table probe and per-classifier search
+  counters), and the hooks and observed sites add to their ``value`` /
+  ``counts`` / ``sum`` in place, so a registry read is exact at any
+  moment.  A count another object already keeps is not kept twice:
+  hits and misses are the attached cache's ``CacheStats``, replays the
+  fast-path memo's, churn and revalidation ticks the
+  :class:`~repro.sim.churn.ChurnRuntime`'s, and :meth:`flush` folds
+  their growth into the registry — at every sweep boundary
+  (:meth:`sample`), at :meth:`finalize` and before
+  ``render_telemetry`` reads the hub, so a mid-run read of a folded
+  count is sweep-granular and an end-of-run read is exact.
 * **One way to emit.**  A hook that traces hands ``Tracer.emit`` the
   values of its :data:`~repro.obs.trace.EVENTS` row; only the
   per-packet sites (``lookup_hit``/``lookup_miss``,
@@ -266,17 +269,16 @@ class Telemetry:
             ("cache",),
         )
 
-        # What flush() drains, (re)built by attach() and the observers
-        # the attached cache registers:
-        #: ``(cells, index, counter child)`` — it takes ``cells[index]``.
-        self._pending: List[tuple] = []
-        #: ``(bucket cells, sums, index, histogram child)`` — the child
-        #: takes the bucket counts and ``sums[index]`` as the value sum.
-        self._hists: List[tuple] = []
-        #: ``[source, attribute, counter child, folded]`` — a counter
-        #: another object keeps (the fast-path memo); the child takes
-        #: its growth since ``folded``.
+        #: ``[source, attribute, counter child, folded]`` — a count
+        #: another object keeps (the attached cache's ``CacheStats``,
+        #: the fast-path memo); :meth:`flush` adds its growth since
+        #: ``folded`` to the child.
         self._deltas: List[list] = []
+        #: The attached run's :class:`~repro.sim.churn.ChurnRuntime`
+        #: (``None`` without churn) and what :meth:`flush` last folded
+        #: from it, keyed by ``(family name, label)``.
+        self._churn = None
+        self._churn_folded: dict = {}
 
     # -- wiring -----------------------------------------------------------------
 
@@ -285,29 +287,17 @@ class Telemetry:
         bind the per-packet hooks."""
         self.flush()
         self._name = name = name or cache.name
-        # The lookup cell packs [hits, misses, depth_sum, probe_sum] in
-        # one list so the on_lookup closure can reach them through a
-        # single cell variable.
-        pend = [0, 0, 0, 0]
-        p_depth = [0] * (len(DEPTH_BUCKETS) + 1)
-        p_probe = [0] * (len(PROBE_BUCKETS) + 1)
-        self._p_install = [0, 0, 0]
-        depth = self._depth_hist.labels(name)
-        installs = self._installs.labels(name)
-        self._pending = [
-            (pend, 0, self._lookups.labels(name, "hit")),
-            (pend, 1, self._lookups.labels(name, "miss")),
-            (self._p_install, 0, installs),
-            (self._p_install, 1, self._install_rules.labels(name, "generated")),
-            (self._p_install, 2, self._install_rules.labels(name, "installed")),
-        ]
-        self._hists = [
-            (p_depth, pend, 2, depth),
-            (p_probe, pend, 3, self._probe_hist.labels(name)),
-        ]
+        self._installs_c = self._installs.labels(name)
+        self._generated_c = self._install_rules.labels(name, "generated")
+        self._installed_c = self._install_rules.labels(name, "installed")
         self._deltas = []
+        self._churn = None
+        self._fold_from(cache.stats, "hits", self._lookups.labels(name, "hit"))
+        self._fold_from(
+            cache.stats, "misses", self._lookups.labels(name, "miss")
+        )
         self._ltm_entries_c: List = []
-        # Classifiers and LTM tables register their pending cells
+        # Classifiers and LTM tables take their counter children
         # (tss_observer / ltm_observer) from here.
         cache.attach_telemetry(self, name)
         self._capacity.labels(name).set(cache.capacity_total())
@@ -321,7 +311,7 @@ class Telemetry:
         self._epoch_bumps_c = self._epoch_bumps.labels(name)
         self._snapshots_taken_c = self._snapshots_taken.labels(name)
         self._age_hist_c = self._age_hist.labels(name)
-        self._bind_packet_hooks(pend, p_depth, p_probe)
+        self._bind_packet_hooks()
 
     def _fold_from(self, source, attr: str, child) -> None:
         self._deltas.append([source, attr, child, getattr(source, attr)])
@@ -341,39 +331,44 @@ class Telemetry:
         self._fold_from(fastpath, "revalidated", self._fp_revalidate_c)
         self._fold_from(fastpath, "invalidations", self._fp_invalidate_c)
 
-    def tss_observer(self, site: str) -> List[int]:
-        """A per-classifier pending cell batching TSS search counts.
+    def attach_churn(self, churn) -> None:
+        """Fold the churn and reval-tick families from ``churn``.
 
-        Returns a two-slot ``[miss, hit]`` list the classifier bumps
-        inline after each lookup (no callback indirection on the hot
-        path); :meth:`flush` folds the cell into the per-site counter
-        children.
+        The :class:`~repro.sim.churn.ChurnRuntime` already counts
+        applied events by kind, rule mutations by op, revalidation
+        ticks and the latest backlog for its own ``digest()``;
+        :meth:`flush` folds those into the registry.
         """
-        cells = [0, 0]
-        self._pending += [
-            (cells, 0, self._tss_lookups.labels(site, "miss")),
-            (cells, 1, self._tss_lookups.labels(site, "hit")),
-        ]
-        return cells
+        self._churn = churn
+        self._churn_folded = {}
+
+    def tss_observer(self, site: str) -> tuple:
+        """The ``(miss, hit)`` counter children of one classifier's
+        searches, which the classifier increments inline after each
+        lookup (no callback on the hot path)."""
+        return (
+            self._tss_lookups.labels(site, "miss"),
+            self._tss_lookups.labels(site, "hit"),
+        )
 
     def ltm_observer(self, tables) -> tuple:
-        """Per-LTM-table pending cells batching probe counts.
+        """Per-LTM-table probe counters.
 
-        Returns ``(cells, hook)``: one two-slot ``[miss, hit]`` list per
-        table, which the Gigaflow chain walk bumps inline (:meth:`flush`
-        folds them into ``repro_ltm_probes_total``), and the bound
+        Returns ``(children, hook)``: one ``(miss, hit)`` pair of
+        ``repro_ltm_probes_total`` children per table, which the
+        Gigaflow chain walk increments inline, and the bound
         ``on_ltm_probe`` hook the walk calls *instead* when tracing
-        wants ``ltm_probe`` events — it bumps the same cells and emits
-        the event — or ``None`` when it does not.
+        wants ``ltm_probe`` events — it increments the same children
+        and emits the event — or ``None`` when it does not.
         """
         name = self._name
-        cells = [[0, 0] for _ in tables]
-        for table, cell in zip(tables, cells):
+        children = []
+        for table in tables:
             index = str(table.index)
-            self._pending += [
-                (cell, 0, self._ltm_probes.labels(name, index, "miss")),
-                (cell, 1, self._ltm_probes.labels(name, index, "hit")),
-            ]
+            children.append((
+                self._ltm_probes.labels(name, index, "miss"),
+                self._ltm_probes.labels(name, index, "hit"),
+            ))
             self._ltm_capacity.labels(name, index).set(table.capacity)
             self._ltm_entries_c.append(self._ltm_entries.labels(name, index))
         tracer = self.tracer
@@ -381,56 +376,71 @@ class Telemetry:
         bit = 1 << code
 
         def on_ltm_probe(table_index, tag, groups, matched, now):
-            cells[table_index][1 if matched else 0] += 1
+            children[table_index][1 if matched else 0].value += 1
             if tracer.enabled and tracer.mask & bit:
                 tracer.append(
                     (now, code, name, table_index, tag, groups, matched)
                 )
 
         self.on_ltm_probe = on_ltm_probe
-        return cells, on_ltm_probe if tracer.wants(EV_LTM_PROBE) else None
+        return children, on_ltm_probe if tracer.wants(EV_LTM_PROBE) else None
 
-    # -- batched-count bookkeeping ----------------------------------------------
+    # -- folding what other objects count ---------------------------------------
 
     def flush(self) -> None:
-        """Fold pending hot-path counts into the registry (idempotent).
+        """Fold the counts other objects keep into the registry
+        (idempotent).
 
         Runs at every sweep boundary (:meth:`sample`), at
         :meth:`finalize` and before ``render_telemetry`` reads the hub;
-        cheap when nothing is pending, so extra calls are harmless.
+        cheap when nothing moved, so extra calls are harmless.
         """
-        for cells, index, child in self._pending:
-            if cells[index]:
-                child.value += cells[index]
-                cells[index] = 0
-        # observe_bucketed(), inlined: sweeps outnumber packets in a
-        # sparse trace tail, where a call per histogram shows in
-        # serve_obs's batch_ms_p90 (and an idle sweep skips the fold).
-        for buckets, sums, index, child in self._hists:
-            if any(buckets):
-                counts = child.counts
-                for i, count in enumerate(buckets):
-                    if count:
-                        counts[i] += count
-                        child.count += count
-                        buckets[i] = 0
-                child.sum += sums[index]
-                sums[index] = 0
         for fold in self._deltas:
             source, attr, child, folded = fold
             value = getattr(source, attr)
             if value != folded:
                 child.value += value - folded
                 fold[3] = value
+        if self._churn is not None:
+            self._fold_churn()
+
+    def _fold_churn(self) -> None:
+        """:meth:`flush`'s fold of the attached churn runtime.  A child
+        is made when its count first moves, so a family exports only
+        the kinds, ops and caches its run actually saw."""
+        churn = self._churn
+        name = self._name
+        folded = self._churn_folded
+        counts = [
+            (self._churn_events, (name, kind), events)
+            for kind, events in churn.events_by_kind.items()
+        ]
+        counts += [
+            (self._churn_rule_ops, (name, op), ops)
+            for op, ops in churn.rule_ops.items()
+        ]
+        counts.append((self._reval_ticks, (name,), churn.reval_ticks))
+        for family, labels, value in counts:
+            key = (family.name,) + labels
+            grown = value - folded.get(key, 0)
+            if grown:
+                family.labels(*labels).value += grown
+                folded[key] = value
+        if churn.reval_ticks:
+            self._reval_backlog.labels(name).set(churn.backlog)
 
     # -- per-packet hooks (the hot path) ---------------------------------------
 
-    def _bind_packet_hooks(self, pend, p_depth, p_probe) -> None:
+    def _bind_packet_hooks(self) -> None:
         """Build ``on_lookup`` and ``on_fastpath_replay`` as closures.
 
-        ``on_lookup`` runs once per packet; a closure reaches its state
-        through cell variables instead of repeated ``self`` attribute
-        loads, which measurably trims the metrics-mode overhead.
+        ``on_lookup`` runs once per packet and files the lookup's depth
+        and probe count into the two histogram children; a closure
+        reaches them through cell variables instead of repeated
+        ``self`` attribute loads, which measurably trims the
+        metrics-mode overhead.  Hits and misses are not counted here:
+        the cache's ``CacheStats`` counts them and :meth:`flush` folds
+        them into ``repro_cache_lookups_total``.
 
         ``on_fastpath_replay`` only traces (replay *metrics* delta-fold
         from the memo's own counters, see :meth:`attach_fastpath`, and
@@ -444,29 +454,29 @@ class Telemetry:
         """
         tracer = self.tracer
         name = self._name
+        depth_hist = self._depth_hist.labels(name)
+        probe_hist = self._probe_hist.labels(name)
+        depth_counts = depth_hist.counts
+        probe_counts = probe_hist.counts
         depth_idx = _DEPTH_IDX
         probe_idx = _PROBE_IDX
         bucket_index = _bucket_index
 
         def count(result, now, flow=None):
-            if result.hit:
-                pend[0] += 1
-            else:
-                pend[1] += 1
             depth = result.tables_hit
-            p_depth[
+            depth_counts[
                 depth_idx[depth]
                 if depth < 64
                 else bucket_index(DEPTH_BUCKETS, depth)
             ] += 1
-            pend[2] += depth
+            depth_hist.sum += depth
             probes = result.groups_probed
-            p_probe[
+            probe_counts[
                 probe_idx[probes]
                 if probes < 512
                 else bucket_index(PROBE_BUCKETS, probes)
             ] += 1
-            pend[3] += probes
+            probe_hist.sum += probes
 
         # Indexed by result.hit.
         codes = (
@@ -523,10 +533,9 @@ class Telemetry:
         rules_generated: int,
         rules_installed: int,
     ) -> None:
-        cell = self._p_install
-        cell[0] += 1
-        cell[1] += rules_generated
-        cell[2] += rules_installed
+        self._installs_c.value += 1
+        self._generated_c.value += rules_generated
+        self._installed_c.value += rules_installed
         self.tracer.emit(
             now, EV_INSTALL, self._name, traversal_length,
             rules_generated, rules_installed,
@@ -552,33 +561,6 @@ class Telemetry:
         self._reval_checked.labels(cache_name, verdict).inc()
         self._reval_lookups.labels(cache_name).inc(lookups)
         self.tracer.emit(now, EV_REVALIDATE, cache_name, verdict, lookups)
-
-    def on_churn(
-        self,
-        now: float,
-        cache_name: str,
-        kind: str,
-        installed: int,
-        removed: int,
-    ) -> None:
-        """A control-plane churn event mutated the pipeline (cold path)."""
-        self._churn_events.labels(cache_name, kind).inc()
-        if installed:
-            self._churn_rule_ops.labels(cache_name, "install").inc(installed)
-        if removed:
-            self._churn_rule_ops.labels(cache_name, "remove").inc(removed)
-
-    def on_reval_tick(
-        self, now: float, cache_name: str, backlog: int, checked: int
-    ) -> None:
-        """An incremental-revalidation tick ran; ``backlog`` entries remain.
-
-        The per-entry verdicts already landed via :meth:`on_revalidate`;
-        this hook tracks the tick cadence and the backlog gauge the soak
-        tests bound.
-        """
-        self._reval_ticks.labels(cache_name).inc()
-        self._reval_backlog.labels(cache_name).set(backlog)
 
     def on_sweep(self, now: float, evicted: int) -> None:
         self._sweeps.labels(self._name).inc()

@@ -15,8 +15,7 @@ The ring does **not** hold :class:`TraceEvent` objects.  Each record is
 one flat tuple ``(ts, code, value, value, ...)`` whose layout is fixed
 by the event type's row in :data:`EVENTS`:
 
-* the event type is an interned small-int *code* (the row's index;
-  dynamic event names get codes on first use),
+* the event type is an interned small-int *code* (the row's index),
 * flow identifiers are stored as raw 32-bit ints and only formatted to
   the stable ``"%08x"`` string on decode.
 
@@ -42,9 +41,13 @@ A tracer that owns its sink closes it on garbage collection as a safety
 net, but long-lived callers should ``close()`` (or use the tracer as a
 context manager) to bound tail loss on crash.
 
-The event vocabulary is the :data:`EVENTS` table below;
-``docs/observability.md`` ("Trace-event schema") says when each event
-fires, and ``tests/test_obs_catalog.py`` keeps the two in step.
+The event vocabulary is the :data:`EVENTS` table below, and nothing
+else: every name a tracer takes (:meth:`Tracer.emit`,
+:meth:`Tracer.code_of`, :meth:`Tracer.set_events`,
+:meth:`Tracer.wants`) must be one of its rows, or it raises
+``ValueError``.  ``docs/observability.md`` ("Trace-event schema") says
+when each event fires, and ``tests/test_obs_catalog.py`` keeps the two
+in step.
 """
 
 from __future__ import annotations
@@ -145,7 +148,8 @@ class TraceSinkError(RuntimeError):
 
 
 class TraceEvent:
-    """One structured event: a timestamp, a type, and free-form fields.
+    """One structured event: a timestamp, a type, and its
+    :data:`EVENTS` row's fields by name.
 
     Materialized lazily from the tracer's flat ring records — holding a
     ``TraceEvent`` never aliases tracer internals.
@@ -229,8 +233,7 @@ class Tracer:
         #: housekeeping stride counts from here).
         self._synced_len = 0
         # Interning tables, derived from EVENTS: names, codes (row
-        # index) and decode schemas.  Unknown names (generic emit())
-        # intern dynamically after the builtin rows.
+        # index) and decode schemas.
         self._event_names: List[str] = [name for name, _ in EVENTS]
         self._event_codes: Dict[str, int] = {
             name: code for code, name in enumerate(self._event_names)
@@ -276,73 +279,62 @@ class Tracer:
     # -- configuration ----------------------------------------------------------
 
     def set_events(self, events: Optional[Iterable[str]]) -> None:
-        """Restrict tracing to the named event types (None = all).
-
-        Unknown names are interned immediately so the filter also
-        covers dynamic events emitted later under the same name.
-        """
+        """Restrict tracing to the named event types (None = all)."""
         if events is None:
             self.event_filter = None
             self.mask = -1
             return
         names = frozenset(events)
-        self.event_filter = names
         mask = 0
         for name in names:
             mask |= 1 << self.code_of(name)
+        self.event_filter = names
         self.mask = mask
 
     def code_of(self, event: str) -> int:
         """The code ``event`` records under (``1 << code`` is its
-        :attr:`mask` bit), interning an unknown name — what a per-packet
-        site binds once to test the mask and :attr:`append` inline."""
+        :attr:`mask` bit) — what a per-packet site binds once to test
+        the mask and :attr:`append` inline.  Raises ``ValueError`` for
+        a name :data:`EVENTS` does not declare."""
         code = self._event_codes.get(event)
         if code is None:
-            code = self._intern_event(event)
+            raise ValueError(
+                f"undeclared trace event {event!r} "
+                f"(declared: {', '.join(self._event_names)})"
+            )
         return code
 
     def wants(self, event: str) -> bool:
         """True when ``event`` would currently be recorded."""
-        if not self.enabled:
-            return False
-        code = self._event_codes.get(event)
-        if code is None:
-            return self.event_filter is None
-        return bool(self.mask & (1 << code))
-
-    def _intern_event(self, name: str) -> int:
-        code = len(self._event_names)
-        self._event_names.append(name)
-        self._event_codes[name] = code
-        if self.event_filter is None or name in self.event_filter:
-            self.mask |= 1 << code
-        return code
+        code = self.code_of(event)
+        return self.enabled and bool(self.mask & (1 << code))
 
     # -- emission ---------------------------------------------------------------
     #
     # (The hot-path entry point is the *attribute* ``append`` — the
     # backing list's own bound append, assigned in __init__.)
 
-    def emit(self, ts: float, event: str, *values, **fields) -> None:
+    def emit(self, ts: float, event: str, *values) -> None:
         """Record one event by name if it is wanted — the one emit
         helper every instrumented site that is not per-packet calls.
 
-        A builtin event passes its :data:`EVENTS` row's ``values``
-        positionally and is stored flat, ``(ts, code, *values)``.
-        Free-form events pass keyword ``fields`` instead: unknown names
-        intern dynamically and the dict is stored as-is, decoded
-        verbatim.  The per-packet sites bypass this for :attr:`append`
-        with the same flat record and a pre-bound :meth:`code_of`.
+        ``event`` is an :data:`EVENTS` row's name (on an enabled tracer
+        anything else raises ``ValueError``, as :meth:`code_of` does;
+        a disabled one returns before reading it) and ``values`` its
+        row's fields, in order; the record is stored flat,
+        ``(ts, code, *values)``.  The per-packet sites bypass this for
+        :attr:`append` with the same flat record and a pre-bound
+        :meth:`code_of`.
         """
         if not self.enabled:
             return
         code = self._event_codes.get(event)
         if code is None:
-            code = self._intern_event(event)
+            code = self.code_of(event)  # raises: not an EVENTS row
         if not self.mask & (1 << code):
             return
         buf = self._buf
-        buf.append((ts, code, *values) if values else (ts, code, fields))
+        buf.append((ts, code, *values))
         # Self-housekeeping for engine-less callers: sink batches and
         # ring trims every FLUSH_EVERY records even when no telemetry
         # sweep cadence ever calls flush().
@@ -354,8 +346,6 @@ class Tracer:
     def _materialize(self, record: tuple) -> TraceEvent:
         ts = record[0]
         code = record[1]
-        if len(record) == 3 and type(record[2]) is dict:
-            return TraceEvent(ts, self._event_names[code], dict(record[2]))
         schema = self._schemas[code]
         fields = {}
         for key, value in zip(schema, record[2:]):

@@ -9,7 +9,12 @@ from .traversal import (
     TraversalStep,
     union_wildcards,
 )
-from .pipeline import ExecutionStats, Pipeline, PipelineLoopError
+from .pipeline import (
+    ENTRY_TABLE,
+    ExecutionStats,
+    Pipeline,
+    PipelineLoopError,
+)
 from .library import (
     ANT,
     OFD,
@@ -27,6 +32,7 @@ from .library import (
 __all__ = [
     "ANT",
     "Disposition",
+    "ENTRY_TABLE",
     "ExecutionStats",
     "OFD",
     "OLS",

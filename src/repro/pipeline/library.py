@@ -23,7 +23,7 @@ Rules themselves are synthesised by Pipebench (§6.1) from ClassBench-style
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .pipeline import Pipeline
 from .table import PipelineTable
@@ -101,15 +101,13 @@ class PipelineSpec:
                 return spec
         raise KeyError(f"{self.name}: no table {table_id}")
 
-    def build(self, start_table: Optional[int] = None) -> Pipeline:
+    def build(self) -> Pipeline:
         """Instantiate an empty :class:`Pipeline` for this spec."""
         tables = tuple(
             PipelineTable(spec.table_id, spec.name, spec.fields)
             for spec in self.tables
         )
-        if start_table is None:
-            start_table = self.tables[0].table_id
-        return Pipeline(self.name, tables, start_table)
+        return Pipeline(self.name, tables)
 
 
 # -- field-group shorthands ------------------------------------------------------

@@ -23,6 +23,11 @@ from .traversal import Disposition, Traversal, TraversalStep
 #: already hold (``docs/architecture.md``, "Slow-path memo").
 MEMO_FLOWS = 4096
 
+#: The table every packet enters the pipeline at, and so the tag every
+#: packet enters the Gigaflow cache with: table 0 in all five Table 1
+#: pipelines.
+ENTRY_TABLE = 0
+
 
 class PipelineLoopError(RuntimeError):
     """Raised when a flow exceeds the maximum table-lookup depth."""
@@ -47,12 +52,14 @@ class Pipeline:
 
     Attributes:
         name: Pipeline identifier (e.g. ``"OLS"``).
-        start_table: ID of the entry table.
         max_depth: Loop guard — OVS caps resubmissions similarly.
         generation: Monotonic counter bumped on every rule change,
             through this pipeline or straight on one of its tables
             (only :meth:`rules_changed` moves it); revalidation compares
             cache-entry generations against it (§4.3.1).
+
+    A flow enters at table :data:`ENTRY_TABLE`, which every pipeline
+    must have; only :meth:`replay` starts a walk elsewhere.
 
     A traversal is a function of the flow and the rule set, so
     :meth:`execute` remembers the ones it walked at the current
@@ -72,7 +79,6 @@ class Pipeline:
         self,
         name: str,
         tables: Iterable[PipelineTable],
-        start_table: int = 0,
         max_depth: int = 64,
     ):
         self.name = name
@@ -87,9 +93,10 @@ class Pipeline:
                     f"pipeline {table.owner.name!r}"
                 )
             self.tables[table.table_id] = table
-        if start_table not in self.tables:
-            raise ValueError(f"start table {start_table} not in pipeline")
-        self.start_table = start_table
+        if ENTRY_TABLE not in self.tables:
+            raise ValueError(
+                f"pipeline {name!r} has no entry table {ENTRY_TABLE}"
+            )
         self.stats = ExecutionStats()
         self.generation = 0
         #: table id → the generation its last rule change moved to.
@@ -194,10 +201,10 @@ class Pipeline:
         return self._walk_through(flow)[1]
 
     def _walk_through(self, flow: FlowKey) -> tuple:
-        """Walk ``flow`` from the start table to the end: the steps, the
+        """Walk ``flow`` from the entry table to the end: the steps, the
         disposition and the mask groups probed."""
         steps, disposition, groups, unvisited = self._walk(
-            flow, self.start_table, self.max_depth
+            flow, ENTRY_TABLE, self.max_depth
         )
         if unvisited is not None:
             raise PipelineLoopError(
@@ -206,13 +213,13 @@ class Pipeline:
             )
         return steps, disposition, groups
 
-    def replay(self, flow: FlowKey, start_table: int, length: int) -> Traversal:
-        """Re-execute a flow from ``start_table`` for up to ``length``
+    def replay(self, flow: FlowKey, table_id: int, length: int) -> Traversal:
+        """Re-execute a flow from table ``table_id`` for up to ``length``
         tables — the revalidation primitive of §4.3.1 (sub-traversal
         replays are shorter than full traversals, which is exactly where
         Gigaflow's 2× revalidation speedup comes from).  Always walks,
         and remembers nothing."""
-        steps, disposition, _, _ = self._walk(flow, start_table, length)
+        steps, disposition, _, _ = self._walk(flow, table_id, length)
         return Traversal(steps, disposition)
 
     def _walk(self, flow: FlowKey, table_id: Optional[int], limit: int) -> tuple:

@@ -78,7 +78,10 @@ class ChurnRuntime:
     (exposed as ``simulator.churn``), so one :class:`ChurnConfig` can
     parameterise many runs.  ``advance`` must be called with the
     current :attr:`deadline` and strictly increases it, so the kernel's
-    ``while now >= deadline`` loop always terminates.
+    ``while now >= deadline`` loop always terminates.  Its counters
+    are the one home of the run's churn counts: :meth:`digest` reads
+    them, and an attached telemetry hub folds them
+    (:meth:`~repro.obs.telemetry.Telemetry.attach_churn`).
     """
 
     def __init__(
@@ -86,14 +89,11 @@ class ChurnRuntime:
         config: ChurnConfig,
         pipeline: Pipeline,
         cache,
-        telemetry,
         sweep_interval: float,
     ):
         self.config = config
         self.pipeline = pipeline
         self.revalidator = IncrementalRevalidator(pipeline, cache)
-        self._tel = telemetry
-        self._cache_name = cache.telemetry_name
         self._interval = sweep_interval
         self._events = config.schedule.events
         self._next_index = 0
@@ -107,6 +107,8 @@ class ChurnRuntime:
         self._installed: Dict[str, Tuple[int, object]] = {}
 
         self.events_applied = 0
+        #: Applied events per kind, in the order each kind first fired.
+        self.events_by_kind: Dict[str, int] = {}
         self.rule_ops: Dict[str, int] = {"install": 0, "remove": 0}
         self.reval_ticks = 0
         self.backlog = 0
@@ -122,16 +124,10 @@ class ChurnRuntime:
                 index += 1
                 outcome = event.apply(self.pipeline, self._installed)
                 self.events_applied += 1
+                by_kind = self.events_by_kind
+                by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
                 self.rule_ops["install"] += outcome.installed
                 self.rule_ops["remove"] += outcome.removed
-                if self._tel is not None:
-                    self._tel.on_churn(
-                        event.at,
-                        self._cache_name,
-                        event.kind,
-                        outcome.installed,
-                        outcome.removed,
-                    )
             self._next_index = index
             self._next_event = (
                 events[index].at if index < len(events) else _INF
@@ -145,13 +141,6 @@ class ChurnRuntime:
                 self.backlog_peak = checked_plus_backlog
             self.backlog = backlog
             self.reval_ticks += 1
-            if self._tel is not None:
-                self._tel.on_reval_tick(
-                    self._next_tick,
-                    self._cache_name,
-                    backlog,
-                    report.entries_checked,
-                )
             self._next_tick += self._interval
         self.deadline = min(self._next_event, self._next_tick)
 
@@ -161,13 +150,10 @@ class ChurnRuntime:
 
     def digest(self) -> dict:
         """Compact per-run churn summary (``repro serve`` prints it)."""
-        by_kind: Dict[str, int] = {}
-        for event in self._events[: self._next_index]:
-            by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
         reval = self.revalidator
         return {
             "events": self.events_applied,
-            "events_by_kind": by_kind,
+            "events_by_kind": dict(self.events_by_kind),
             "rule_ops": dict(self.rule_ops),
             "pending_events": self.pending_events,
             "reval_ticks": self.reval_ticks,

@@ -40,11 +40,16 @@ _INF = float("inf")
 
 @dataclass
 class InstallCost:
-    """Slow-path work performed while installing one traversal."""
+    """Slow-path work performed while installing one traversal.
+
+    ``k_tables`` is the cache-table count the traversal was partitioned
+    over (the DP's second dimension), 0 for a system that does not
+    partition.
+    """
 
     rules_generated: int = 0
     rules_installed: int = 0
-    partition_cells: int = 0
+    k_tables: int = 0
 
 
 class CachingSystem:
@@ -62,9 +67,7 @@ class CachingSystem:
     ) -> InstallCost:
         """Install cache state for a freshly-traced traversal."""
         self.cache.install_traversal(traversal, generation, now)
-        return InstallCost(
-            rules_generated=1, rules_installed=1, partition_cells=0
-        )
+        return InstallCost(rules_generated=1, rules_installed=1)
 
     def sharing(self) -> Optional[float]:
         return None
@@ -101,7 +104,6 @@ class GigaflowSystem(CachingSystem):
         self,
         num_tables: int = 4,
         table_capacity: int = 8192,
-        start_tag: int = 0,
         partitioner: Partitioner = disjoint_partition,
         placement: str = "balanced",
         eviction: str = "lru",
@@ -109,7 +111,6 @@ class GigaflowSystem(CachingSystem):
         self.cache = GigaflowCache(
             num_tables=num_tables,
             table_capacity=table_capacity,
-            start_tag=start_tag,
             partitioner=partitioner,
             placement=placement,
             eviction=eviction,
@@ -123,7 +124,7 @@ class GigaflowSystem(CachingSystem):
         return InstallCost(
             rules_generated=rules,
             rules_installed=outcome.installed,
-            partition_cells=len(traversal) * len(self.cache.tables),
+            k_tables=len(self.cache.tables),
         )
 
     def sharing(self) -> float:
@@ -147,7 +148,6 @@ class AdaptiveGigaflowSystem(GigaflowSystem):
         self,
         num_tables: int = 4,
         table_capacity: int = 8192,
-        start_tag: int = 0,
         **kwargs,
     ):
         from ..core.adaptive import AdaptiveGigaflowCache
@@ -155,7 +155,6 @@ class AdaptiveGigaflowSystem(GigaflowSystem):
         self.cache = AdaptiveGigaflowCache(
             num_tables=num_tables,
             table_capacity=table_capacity,
-            start_tag=start_tag,
             **kwargs,
         )
 
@@ -259,12 +258,10 @@ class PacketKernel:
                     f"{type(config.churn).__name__}"
                 )
             churn = ChurnRuntime(
-                config.churn,
-                pipeline,
-                cache,
-                tel,
-                config.sweep_interval,
+                config.churn, pipeline, cache, config.sweep_interval
             )
+            if tel is not None:
+                tel.attach_churn(churn)
 
         self.pipeline = pipeline
         self.system = system
@@ -359,10 +356,10 @@ class PacketKernel:
                 tel.on_install(
                     now, lookups, cost.rules_generated, cost.rules_installed
                 )
-            if cost.partition_cells:
-                cells = cost.partition_cells // max(lookups, 1)
-                cpu.charge_partition(lookups, cells)
-                miss_us += partition_us(lookups, cells)
+            k = cost.k_tables
+            if k:
+                cpu.charge_partition(lookups, k)
+                miss_us += partition_us(lookups, k)
             cpu.charge_rulegen(cost.rules_generated, cost.rules_installed)
             miss_us += rulegen_us(cost.rules_generated)
             if cost.rules_installed:

@@ -111,7 +111,7 @@ def mini_pipeline() -> Pipeline:
     t1 = PipelineTable(1, "l2", ("eth_dst",))
     t2 = PipelineTable(2, "l3", ("ip_dst",))
     t3 = PipelineTable(3, "acl", ("ip_proto", "tp_dst"))
-    pipeline = Pipeline("mini", (t0, t1, t2, t3), start_table=0)
+    pipeline = Pipeline("mini", (t0, t1, t2, t3))
 
     pipeline.install(0, rule({"in_port": 1}, next_table=1))
     pipeline.install(1, rule({"eth_dst": 0xBB0000000001}, next_table=2))

@@ -20,7 +20,7 @@ class TestHierarchySystem:
         cost = system.install(traversal, generation=0, now=0.0)
         assert cost.rules_generated == 1
         assert cost.rules_installed == 1
-        assert cost.partition_cells == 0
+        assert cost.k_tables == 0
 
 
 class TestCompareBaselines:

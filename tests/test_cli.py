@@ -112,6 +112,58 @@ class TestScaleValidation:
         assert f"argument {flag}: must be a positive" in capsys.readouterr().err
 
 
+class TestFlagValidation:
+    """Every flag a constructor would reject exits 2 at parse time,
+    naming the flag — not a traceback from inside the run, and not a
+    silent exit 0."""
+
+    CASES = [
+        ("net psc --leaves 0", "--leaves", "must be a positive integer"),
+        ("net psc --spines 0", "--spines", "must be a positive integer"),
+        ("net psc --topology linear --length 0", "--length",
+         "must be a positive integer"),
+        ("net psc --topology ring --length 2", "--length",
+         "a ring needs at least 3 switches"),
+        ("net psc --net-locality 2", "--net-locality",
+         "must be a number in [0, 1]"),
+        ("net psc --max-idle -1", "--max-idle",
+         "must be a non-negative number"),
+        ("stats psc --max-idle -1", "--max-idle",
+         "must be a non-negative number"),
+        ("serve psc --max-idle -1", "--max-idle",
+         "must be a non-negative number"),
+        ("serve psc --storm --reval-budget -1", "--reval-budget",
+         "must be a non-negative integer"),
+        ("serve psc --reval-budget -1", "--reval-budget",
+         "must be a non-negative integer"),
+        ("net psc --fail-link leaf0:spine9:1", "--fail-link",
+         "leaf0:spine9 is not a link of leaf_spine_4x2"),
+        ("trace --trace-in /nonexistent/trace.jsonl", "--trace-in",
+         "cannot read '/nonexistent/trace.jsonl'"),
+        ("sweep psc --tables 0", "--tables", "must be a positive integer"),
+        ("bench --obs-rounds 0", "--obs-rounds",
+         "must be a positive integer"),
+        ("bench --shard-timeout 0", "--shard-timeout",
+         "must be a positive number"),
+        ("trace --trace-in /dev/null --top -1", "--top",
+         "must be a non-negative integer"),
+        ("compare psc --seed -1", "--seed", "must be a non-negative integer"),
+        ("stats psc --trace-seed -1", "--trace-seed",
+         "must be a non-negative integer"),
+        ("serve psc --http --port 70000", "--port",
+         "must be a port in [0, 65535]"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, flag, message", CASES, ids=[case[0] for case in CASES]
+    )
+    def test_exits_2_naming_the_flag(self, argv, flag, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv.split())
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
 class TestTraceEvents:
     def test_unknown_event_exits_2_naming_it_and_the_valid_ones(
         self, tmp_path, capsys
@@ -175,6 +227,8 @@ class TestNet:
         assert payload["peak_entries_exact"] is False
 
     def test_fail_link_without_a_time_is_named(self, capsys):
-        assert main(self.ARGS + ["--fail-link", "leaf0:spine0"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.ARGS + ["--fail-link", "leaf0:spine0"])
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "--fail-link" in err and "leaf0:spine0" in err
+        assert "argument --fail-link" in err and "leaf0:spine0" in err

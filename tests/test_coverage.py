@@ -24,13 +24,13 @@ class TestCoverage:
         assert coverage(cache) == 0
 
     def test_single_terminal_chain(self):
-        cache = GigaflowCache(num_tables=3, table_capacity=8, start_tag=0)
+        cache = GigaflowCache(num_tables=3, table_capacity=8)
         cache.tables[0].insert(ltm(0, TAG_DONE, 1))
         assert coverage(cache) == 1
 
     def test_cross_product_counts(self):
         """3 first-segments × 2 second-segments = 6 chains."""
-        cache = GigaflowCache(num_tables=2, table_capacity=8, start_tag=0)
+        cache = GigaflowCache(num_tables=2, table_capacity=8)
         for i in range(3):
             cache.tables[0].insert(ltm(0, 5, i))
         for i in range(2):
@@ -39,34 +39,26 @@ class TestCoverage:
 
     def test_skipping_tables_allowed(self):
         """A chain may skip intermediate tables (tag pass-through)."""
-        cache = GigaflowCache(num_tables=3, table_capacity=8, start_tag=0)
+        cache = GigaflowCache(num_tables=3, table_capacity=8)
         cache.tables[0].insert(ltm(0, 5, 1))
         cache.tables[2].insert(ltm(5, TAG_DONE, 2))  # table 1 skipped
         assert coverage(cache) == 1
 
     def test_order_constraint_enforced(self):
         """Chains cannot run backwards through tables."""
-        cache = GigaflowCache(num_tables=2, table_capacity=8, start_tag=0)
+        cache = GigaflowCache(num_tables=2, table_capacity=8)
         cache.tables[1].insert(ltm(0, 5, 1))      # first segment in GF2
         cache.tables[0].insert(ltm(5, TAG_DONE, 2))  # continuation in GF1
         assert coverage(cache) == 0
 
     def test_incomplete_chain_not_counted(self):
-        cache = GigaflowCache(num_tables=2, table_capacity=8, start_tag=0)
+        cache = GigaflowCache(num_tables=2, table_capacity=8)
         cache.tables[0].insert(ltm(0, 5, 1))  # next tag 5 never satisfied
         assert coverage(cache) == 0
 
-    def test_wrong_start_tag_not_counted(self):
-        cache = GigaflowCache(num_tables=2, table_capacity=8, start_tag=0)
-        cache.tables[0].insert(ltm(7, TAG_DONE, 1))
-        assert coverage(cache) == 0
-        cache = GigaflowCache(num_tables=2, table_capacity=8, start_tag=7)
-        cache.tables[0].insert(ltm(7, TAG_DONE, 1))
-        assert coverage(cache) == 1
-
     def test_multi_hop_cross_products_multiply(self):
         """2 × 2 × 2 segments across three tables = 8 chains."""
-        cache = GigaflowCache(num_tables=3, table_capacity=8, start_tag=0)
+        cache = GigaflowCache(num_tables=3, table_capacity=8)
         for i in range(2):
             cache.tables[0].insert(ltm(0, 3, i))
             cache.tables[1].insert(ltm(3, 6, 10 + i))
@@ -74,7 +66,7 @@ class TestCoverage:
         assert coverage(cache) == 8
 
     def test_direct_terminal_in_any_table_counts(self):
-        cache = GigaflowCache(num_tables=3, table_capacity=8, start_tag=0)
+        cache = GigaflowCache(num_tables=3, table_capacity=8)
         cache.tables[2].insert(ltm(0, TAG_DONE, 1))
         assert coverage(cache) == 1
 

@@ -50,7 +50,6 @@ def mega_entry(tp_dst=443, now=0.0):
         match=TernaryMatch.from_fields({"tp_dst": tp_dst}),
         actions=ActionList((Output(1),)),
         parent_flow=flow(tp_dst=tp_dst),
-        start_table=0,
         length=1,
         now=now,
     )

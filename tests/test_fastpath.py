@@ -33,7 +33,7 @@ from repro.core import TAG_DONE, GigaflowCache, LtmRule
 from repro.core.partition import disjoint_partition, megaflow_partition
 from repro.flow import ActionList, Output, TernaryMatch
 from repro.obs import Telemetry
-from repro.pipeline import PSC
+from repro.pipeline import ENTRY_TABLE, PSC
 from repro.serve import ServeConfig, ServingDriver, stream_trace
 from repro.sim import fastpath as fastpath_module
 from repro.sim import (
@@ -237,7 +237,6 @@ class TestEpochInvalidation:
                 match=TernaryMatch.from_fields({"tp_dst": 443}),
                 actions=ActionList([Output(port)]),
                 parent_flow=target,
-                start_table=0,
                 length=1,
             )
 
@@ -261,7 +260,7 @@ def full_walk(cache, packet):
     """The LTM chain walk, side-effect free: the reference every
     ``still_valid() is True`` is held to.  Returns ``(hit, matched
     (table, rule) chain, groups_probed, tables_hit)``."""
-    tag = cache.start_tag
+    tag = ENTRY_TABLE
     current = packet
     matched = []
     probes = 0

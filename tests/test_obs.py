@@ -14,6 +14,7 @@ import pytest
 from repro.obs import (
     EV_LOOKUP_HIT,
     EV_LTM_PROBE,
+    EV_SWEEP,
     Histogram,
     MetricsRegistry,
     Telemetry,
@@ -153,24 +154,24 @@ class TestTracer:
     def test_ring_wraparound(self):
         tracer = Tracer(capacity=8)
         for i in range(20):
-            tracer.emit(float(i), "ev", seq=i)
+            tracer.emit(float(i), EV_SWEEP, "c", i)
         assert tracer.emitted == 20
         assert tracer.dropped == 12
         events = tracer.events()
         assert len(events) == 8
         # Oldest events were expelled; the ring keeps the newest 8.
-        assert [e.fields["seq"] for e in events] == list(range(12, 20))
+        assert [e.fields["evicted"] for e in events] == list(range(12, 20))
 
     def test_drain_clears_but_keeps_counters(self):
         tracer = Tracer(capacity=4)
-        tracer.emit(0.0, "ev")
+        tracer.emit(0.0, EV_SWEEP, "c", 0)
         assert len(tracer.drain()) == 1
         assert len(tracer) == 0
         assert tracer.emitted == 1
 
     def test_disabled_tracer_emits_nothing(self):
         tracer = Tracer(capacity=4, enabled=False)
-        tracer.emit(0.0, "ev", x=1)
+        tracer.emit(0.0, EV_SWEEP, "c", 1)
         assert tracer.emitted == 0
         assert tracer.events() == []
 
@@ -178,14 +179,14 @@ class TestTracer:
         path = tmp_path / "trace.jsonl"
         tracer = Tracer(capacity=2, sink=str(path))
         for i in range(5):
-            tracer.emit(float(i), "ev", seq=i)
+            tracer.emit(float(i), EV_SWEEP, "c", i)
         tracer.close()
         lines = [
             json.loads(line)
             for line in path.read_text().splitlines()
         ]
-        assert [rec["seq"] for rec in lines] == [0, 1, 2, 3, 4]
-        assert lines[0]["event"] == "ev"
+        assert [rec["evicted"] for rec in lines] == [0, 1, 2, 3, 4]
+        assert lines[0]["event"] == "sweep"
         assert lines[0]["ts"] == 0.0
 
     def test_invalid_capacity(self):

@@ -17,6 +17,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 from conftest import flow
 from repro.core import adaptive
 from repro.obs import EVENTS, Telemetry, Tracer, trace
@@ -94,8 +96,19 @@ class TestDeclaredOnce:
             "ts": 2.5, "event": "miss_cause", "cache": "gigaflow",
             "flow": "0000beef", "cause": "cold",
         }
-        # A dynamic name still interns after the builtin rows.
-        assert tracer.code_of("adhoc") == code + 1
+
+    @pytest.mark.parametrize("use", [
+        lambda tracer: tracer.code_of("adhoc"),
+        lambda tracer: tracer.wants("adhoc"),
+        lambda tracer: tracer.set_events(["lookup_hit", "adhoc"]),
+        lambda tracer: tracer.emit(0.0, "adhoc", "c"),
+    ], ids=["code_of", "wants", "set_events", "emit"])
+    def test_an_undeclared_name_raises(self, use):
+        tracer = Tracer(capacity=8)
+        with pytest.raises(ValueError, match="undeclared trace event 'adhoc'"):
+            use(tracer)
+        assert tracer.event_filter is None
+        assert tracer.mask == -1 and tracer.emitted == 0
 
     def test_builtin_names_are_the_public_ev_constants(self):
         constants = {

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.pipeline import Disposition, PIPELINES, PSC, OLS
+from repro.pipeline import ENTRY_TABLE, Disposition, PIPELINES, PSC, OLS
 from repro.serve import stream_trace
 from repro.workload import (
     Pipebench,
@@ -37,9 +37,8 @@ class TestWorkloadBuild:
         assert len(flows) == N_FLOWS
 
     def test_traversals_start_at_pipeline_entry(self, psc_workload):
-        start = psc_workload.pipeline.start_table
         for pilot in psc_workload.pilots:
-            assert pilot.traversal.table_ids[0] == start
+            assert pilot.traversal.table_ids[0] == ENTRY_TABLE
 
     def test_rules_installed(self, psc_workload):
         pipeline = psc_workload.pipeline

@@ -101,7 +101,7 @@ class TestPipelineExecution:
             pipeline.disposition_of(flow())
 
     def test_replay_partial(self, mini_pipeline, default_flow):
-        replay = mini_pipeline.replay(default_flow, start_table=1, length=2)
+        replay = mini_pipeline.replay(default_flow, table_id=1, length=2)
         assert replay.table_ids == (1, 2)
 
     def test_replay_full_matches_execute(self, mini_pipeline, default_flow):
@@ -135,10 +135,10 @@ class TestPipelineExecution:
         with pytest.raises(ValueError, match="duplicate"):
             Pipeline("dup", (t0, t0b))
 
-    def test_unknown_start_table_rejected(self):
-        t0 = PipelineTable(0, "a", ("in_port",))
-        with pytest.raises(ValueError, match="start table"):
-            Pipeline("p", (t0,), start_table=5)
+    def test_a_pipeline_without_table_0_raises(self):
+        t5 = PipelineTable(5, "a", ("in_port",))
+        with pytest.raises(ValueError, match="no entry table 0"):
+            Pipeline("p", (t5,))
 
 
 class TestPriorityDependencies:

@@ -27,7 +27,7 @@ from repro.core.partition import disjoint_partition
 from repro.cache import build_megaflow_entry
 from repro.flow import Drop, Output, SetField, ip, prefix_mask
 from repro.pipeline import Disposition, Pipeline, PipelineRule, PipelineTable
-from repro.pipeline.pipeline import MEMO_FLOWS
+from repro.pipeline.pipeline import ENTRY_TABLE, MEMO_FLOWS
 from conftest import DIFFERENTIAL, flow, rule as make_rule
 
 
@@ -296,7 +296,7 @@ class MemoAgainstWalk(RuleBasedStateMachine):
     def execute(self, flow_key, counted):
         pipeline = self.pipeline
         steps, disposition, groups, _ = pipeline._walk(
-            flow_key, pipeline.start_table, pipeline.max_depth
+            flow_key, ENTRY_TABLE, pipeline.max_depth
         )
         traversal = pipeline.execute(flow_key, record_stats=counted)
         assert traversal.steps == steps

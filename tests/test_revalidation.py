@@ -16,7 +16,7 @@ from repro.core import (
     build_ltm_rule,
 )
 from repro.flow import ActionList, Drop, Output, TernaryMatch, ip, prefix_mask
-from repro.pipeline import PSC, PipelineRule
+from repro.pipeline import ENTRY_TABLE, PSC, PipelineRule
 from repro.workload import build_workload
 from repro.workload.churn import ShufflePriorities
 from conftest import DIFFERENTIAL, flow, rule
@@ -118,7 +118,7 @@ def replay_always(self, entry, now):
     pipeline = self.pipeline
     if isinstance(entry, MegaflowEntry):
         replay = pipeline.replay(
-            entry.parent_flow, entry.start_table, entry.length
+            entry.parent_flow, ENTRY_TABLE, entry.length
         )
         regenerated = build_megaflow_entry(replay, pipeline.generation, now)
         stale = (

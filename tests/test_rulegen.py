@@ -2,6 +2,7 @@
 
 from repro.core import TAG_DONE, build_ltm_rule, build_ltm_rules
 from repro.core.partition import disjoint_partition
+from repro.pipeline import ENTRY_TABLE
 
 
 class TestBuildLtmRule:
@@ -34,7 +35,7 @@ class TestBuildLtmRule:
         traversal = mini_pipeline.execute(default_flow)
         partition = disjoint_partition(traversal, 4)
         rules = build_ltm_rules(partition)
-        assert rules[0].tag == mini_pipeline.start_table
+        assert rules[0].tag == ENTRY_TABLE
         for prev, nxt in zip(rules, rules[1:]):
             assert prev.next_tag == nxt.tag
         assert rules[-1].next_tag == TAG_DONE

@@ -18,6 +18,7 @@ from repro.core import (
 from repro.core.ltm import LtmRule
 from repro.experiments import SMALL_SCALE, table2_coverage
 from repro.flow import ActionList, Output, SetField, TernaryMatch, ip, prefix_mask
+from repro.pipeline import ENTRY_TABLE
 from conftest import DIFFERENTIAL, flow
 
 
@@ -143,12 +144,12 @@ def brute_force(cache):
                     satisfiable += more_ok
         return chains, satisfiable
 
-    return walk(0, cache.start_tag, [])
+    return walk(0, ENTRY_TABLE, [])
 
 
 class TestEstimate:
     def test_all_satisfiable_when_fields_disjoint(self):
-        cache = GigaflowCache(num_tables=2, table_capacity=16, start_tag=0)
+        cache = GigaflowCache(num_tables=2, table_capacity=16)
         for i in range(3):
             cache.tables[0].insert(
                 ltm({"eth_dst": i}, next_tag=5, actions=()))
@@ -159,7 +160,7 @@ class TestEstimate:
     def test_detects_incompatible_cross_products(self):
         """Chains pairing segment pinned to prefix A with a continuation
         pinned to prefix B are counted by the DAG but unsatisfiable."""
-        cache = GigaflowCache(num_tables=2, table_capacity=16, start_tag=0)
+        cache = GigaflowCache(num_tables=2, table_capacity=16)
         for prefix in ("10.1.0.0", "10.2.0.0"):
             cache.tables[0].insert(
                 ltm({"ip_src": ip(prefix)},
@@ -199,7 +200,7 @@ class TestExactAgainstBruteForce:
         100 source /16s: only the 100 chains that stay on one prefix
         are satisfiable.  A fraction of 10^-4 is below what sampling
         chains can resolve; the count is exact regardless."""
-        cache = GigaflowCache(num_tables=3, table_capacity=128, start_tag=0)
+        cache = GigaflowCache(num_tables=3, table_capacity=128)
         for index, table in enumerate(cache.tables):
             for block in range(100):
                 table.insert(ltm(
@@ -214,7 +215,7 @@ class TestExactAgainstBruteForce:
 
     def test_a_second_rewrite_replaces_the_first(self):
         """A later match reads the last value written to a field."""
-        cache = GigaflowCache(num_tables=3, table_capacity=4, start_tag=0)
+        cache = GigaflowCache(num_tables=3, table_capacity=4)
         for index, value in enumerate(("1.1.1.1", "2.2.2.2")):
             cache.tables[index].insert(ltm(
                 {"in_port": 1}, tag=index, next_tag=index + 1,
@@ -228,9 +229,7 @@ class TestExactAgainstBruteForce:
     @given(num_tables=st.integers(2, 3),
            rules=st.lists(_rule(), min_size=4, max_size=20))
     def test_random_caches(self, num_tables, rules):
-        cache = GigaflowCache(
-            num_tables=num_tables, table_capacity=64, start_tag=0
-        )
+        cache = GigaflowCache(num_tables=num_tables, table_capacity=64)
         for table, rule in rules:
             cache.tables[table % num_tables].insert(rule)
         chains, satisfiable = brute_force(cache)
@@ -264,7 +263,7 @@ class TestStateLimit:
         )
 
     def test_names_the_table_and_the_state_count(self, monkeypatch):
-        cache = GigaflowCache(num_tables=2, table_capacity=16, start_tag=0)
+        cache = GigaflowCache(num_tables=2, table_capacity=16)
         for prefix in ("10.1.0.0", "10.2.0.0", "10.3.0.0"):
             cache.tables[0].insert(
                 ltm({"ip_src": ip(prefix)},

@@ -30,6 +30,7 @@ from repro.obs import (
     EV_LOOKUP_HIT,
     EV_LOOKUP_MISS,
     EV_LTM_PROBE,
+    EV_SWEEP,
     Telemetry,
     Tracer,
     analyze_events,
@@ -85,8 +86,8 @@ class TestTracerMask:
     def test_set_events_filters_emission(self):
         tracer = Tracer(capacity=16)
         tracer.set_events([EV_LTM_PROBE])
-        tracer.emit(0.0, EV_LOOKUP_HIT, flow="a")
-        tracer.emit(0.0, EV_LTM_PROBE, table=0)
+        tracer.emit(0.0, EV_LOOKUP_HIT, "c", 0xA, 1, 1)
+        tracer.emit(0.0, EV_LTM_PROBE, "c", 0, 0, 1, True)
         assert tracer.emitted == 1
         assert [e.event for e in tracer.events()] == [EV_LTM_PROBE]
         assert tracer.wants(EV_LTM_PROBE)
@@ -95,7 +96,7 @@ class TestTracerMask:
     def test_set_events_none_restores_everything(self):
         tracer = Tracer(capacity=16, events=[EV_LTM_PROBE])
         tracer.set_events(None)
-        tracer.emit(0.0, EV_LOOKUP_HIT, flow="a")
+        tracer.emit(0.0, EV_LOOKUP_HIT, "c", 0xA, 1, 1)
         assert tracer.emitted == 1
         assert tracer.wants(EV_LOOKUP_HIT)
 
@@ -110,10 +111,10 @@ class TestTracerSink:
     def test_exact_capacity_boundary(self):
         tracer = Tracer(capacity=4)
         for i in range(4):
-            tracer.emit(float(i), "ev", seq=i)
+            tracer.emit(float(i), EV_SWEEP, "c", i)
         assert len(tracer.events()) == 4
         assert tracer.dropped == 0
-        tracer.emit(4.0, "ev", seq=4)
+        tracer.emit(4.0, EV_SWEEP, "c", 4)
         assert len(tracer.events()) == 4
         assert tracer.dropped == 1
         assert tracer.emitted == 5
@@ -121,7 +122,7 @@ class TestTracerSink:
     def test_sink_writes_are_buffered_until_flush(self, tmp_path):
         path = tmp_path / "t.jsonl"
         tracer = Tracer(capacity=64, sink=str(path))
-        tracer.emit(0.0, "ev", seq=0)
+        tracer.emit(0.0, EV_SWEEP, "c", 0)
         assert path.read_text() == ""
         tracer.flush()
         assert len(path.read_text().splitlines()) == 1
@@ -131,7 +132,7 @@ class TestTracerSink:
         path = tmp_path / "t.jsonl"
         tracer = Tracer(capacity=8, sink=str(path))
         assert tracer.sink_path == str(path)
-        tracer.emit(0.0, "ev")
+        tracer.emit(0.0, EV_SWEEP, "c", 0)
         tracer.close()
         tracer.close()
         assert len(path.read_text().splitlines()) == 1
@@ -141,16 +142,16 @@ class TestTracerSink:
         with open(path, "w", encoding="utf-8") as handle:
             tracer = Tracer(capacity=8, sink=handle)
             assert tracer.sink_path is None
-            tracer.emit(0.0, "ev")
+            tracer.emit(0.0, EV_SWEEP, "c", 0)
             tracer.close()
             assert not handle.closed
 
     def test_context_manager_flushes_on_exit(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with Tracer(capacity=8, sink=str(path)) as tracer:
-            tracer.emit(0.0, "ev", seq=7)
+            tracer.emit(0.0, EV_SWEEP, "c", 7)
         record = json.loads(path.read_text())
-        assert record["seq"] == 7
+        assert record["evicted"] == 7
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 
 from conftest import seeded_trace, seeded_workload
 from repro.net import FabricController, FabricSimulator, leaf_spine
-from repro.obs import Telemetry, TraceSinkError
+from repro.obs import EV_SWEEP, Telemetry, TraceSinkError
 from repro.obs.trace import Tracer
 from repro.sim import (
     GigaflowSystem,
@@ -111,7 +111,7 @@ class TestTracerSinkGuard:
 
     def test_write_failure_wrapped(self):
         tracer = Tracer(sink=_FailingIO("write"))
-        tracer.emit(0.0, "sweep", evicted=0, scanned=0)
+        tracer.emit(0.0, EV_SWEEP, "c", 0)
         with pytest.raises(TraceSinkError):
             tracer.flush()
 

@@ -41,7 +41,7 @@ class TestValidateCache:
 
 class TestChainReport:
     def test_complete_chain_is_productive(self):
-        cache = GigaflowCache(num_tables=3, table_capacity=8, start_tag=0)
+        cache = GigaflowCache(num_tables=3, table_capacity=8)
         cache.tables[0].insert(ltm_rule({"tp_dst": 1}, tag=0, next_tag=5))
         cache.tables[1].insert(
             ltm_rule({"tp_dst": 2}, tag=5, next_tag=TAG_DONE))
@@ -51,7 +51,7 @@ class TestChainReport:
         assert report.productive == 2
 
     def test_dead_end_rule_is_unproductive(self):
-        cache = GigaflowCache(num_tables=3, table_capacity=8, start_tag=0)
+        cache = GigaflowCache(num_tables=3, table_capacity=8)
         cache.tables[0].insert(ltm_rule({"tp_dst": 1}, tag=0, next_tag=5))
         # Nothing continues tag 5 -> the rule is reachable but orphaned.
         report = chain_report(cache)
@@ -60,7 +60,7 @@ class TestChainReport:
         assert report.total_rules == 1
 
     def test_unreachable_tag_is_orphaned(self):
-        cache = GigaflowCache(num_tables=3, table_capacity=8, start_tag=0)
+        cache = GigaflowCache(num_tables=3, table_capacity=8)
         cache.tables[1].insert(
             ltm_rule({"tp_dst": 1}, tag=99, next_tag=TAG_DONE))
         report = chain_report(cache)
@@ -68,7 +68,7 @@ class TestChainReport:
         assert report.productive == 0
 
     def test_wrong_order_continuation_is_unproductive(self):
-        cache = GigaflowCache(num_tables=2, table_capacity=8, start_tag=0)
+        cache = GigaflowCache(num_tables=2, table_capacity=8)
         # Continuation sits in an earlier table than its predecessor.
         cache.tables[1].insert(ltm_rule({"tp_dst": 1}, tag=0, next_tag=5))
         cache.tables[0].insert(

@@ -27,7 +27,7 @@ fails here instead of needing a docstring asking it not to.
 
 The third keeps the telemetry hub's internals its own: outside
 ``repro/obs`` nothing reads a ``_``-prefixed attribute of a telemetry
-object — instrumented code gets pending cells through the public
+object — instrumented code gets counter children through the public
 observers (``tss_observer``, ``ltm_observer``) and emits through the
 hooks.
 
@@ -373,10 +373,10 @@ def test_private_telemetry_audit_sees_a_violation():
     assert _private_telemetry_reads(
         "def f(self):\n"
         "    tel = self.telemetry\n"
-        "    a = tel._pending\n"
+        "    a = tel._deltas\n"
         "    b = self.telemetry._name\n"
         "    c = self._tel.registry\n"
-    ) == [(3, "tel._pending"), (4, "telemetry._name")]
+    ) == [(3, "tel._deltas"), (4, "telemetry._name")]
 
 
 #: Where the entry lifecycle lives: the only scopes under
