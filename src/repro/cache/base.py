@@ -65,8 +65,8 @@ class CacheResult:
         hit: Whether the cache fully handled the packet.
         actions: The actions the cache applied (meaningful on a hit).
         output_port: Forwarding decision on a hit (``None`` for drops).
-        groups_probed: Mask groups the TSS walk probes (plain lookups
-            are charged it) — the software search cost metric used by
+        groups_probed: Mask groups the TSS walk probes (a climb is
+            charged it) — the software search cost metric used by
             the latency model.
         tables_hit: For multi-table caches, how many tables matched along
             the way (diagnostic; 0 or 1 for single-table caches).
@@ -116,7 +116,12 @@ class HitReplay:
       :meth:`still_valid` replaces it);
     * ``epoch`` — the cache's :attr:`FlowCache.mutation_epoch` when the
       record was last known good, set by the fast path when it
-      memoizes the record.
+      memoizes the record;
+    * ``tally`` — replays of ``result`` not yet filed into the lookup
+      histograms.  With metrics-only telemetry the fast path counts a
+      replay here instead of calling the hub, and folds the tally
+      into the histograms later (``FastPathIndex.fold_tallies``); it
+      stays 0 otherwise.
 
     :func:`apply_hit` is what a hit writes.  A cache's lookup writes
     the same for the hit it records (Gigaflow through
@@ -132,12 +137,13 @@ class HitReplay:
     cache.
     """
 
-    __slots__ = ("touches", "stats", "result", "epoch")
+    __slots__ = ("touches", "stats", "result", "epoch", "tally")
 
     def __init__(self, touches, stats, result: CacheResult):
         self.touches = touches
         self.stats = stats
         self.result = result
+        self.tally = 0
 
     def still_valid(self) -> bool:
         """Whether, the epoch having moved, a full lookup would still

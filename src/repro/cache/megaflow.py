@@ -132,18 +132,14 @@ class MegaflowCache(FlowCache):
     def lookup_traced(
         self, flow: FlowKey, now: float = 0.0
     ) -> Tuple[CacheResult, Optional[HitReplay]]:
-        result = self._classifier.lookup(flow)
-        entry = result.rule
+        entry, probed = self._classifier.climb(flow.packed)
         if entry is None:
             self.stats.misses += 1
-            return (
-                CacheResult(hit=False, groups_probed=result.groups_probed),
-                None,
-            )
+            return CacheResult(hit=False, groups_probed=probed), None
         record = HitReplay(
             ((entry, self.move_to_recent, entry.rule_id),),
             self.hit_stats,
-            actions_result(entry.actions, result.groups_probed, 1),
+            actions_result(entry.actions, probed, 1),
         )
         self.touch(entry, now)
         self.stats.hits += 1

@@ -23,19 +23,22 @@ stage masks and the trie fields: a mask group is one integer, a stage
 probe is ``flow.packed & stage_mask in stage_keys``, and un-wildcarding
 ORs one integer per probed group.
 
-A plain lookup (no un-wildcarding) does not walk the groups: a
-per-priority *level index* finds the same winner with one hash per
-level, and the walk's ``groups_probed`` is computed from where the
-winner sits (:meth:`TupleSpaceClassifier.lookup`).
+There is one entry point per kind of search.  The pipeline tables'
+:meth:`~TupleSpaceClassifier.lookup` walks the groups in probe order,
+because the dependency wildcard it returns is made of what each probed
+group examined.  Every cache's :meth:`~TupleSpaceClassifier.climb`
+needs the winner and the walk's ``groups_probed`` only, and returns
+them as a ``(winner, groups_probed)`` tuple: a per-priority *level
+index* finds the walk's winner with one hash per level, and the walk's
+``groups_probed`` is computed from where the winner sits.
 
-A classifier keeps only the state its lookups read.  The level index
-is built by the first plain lookup; the *walk state* — each group's
-stages with their key counts, the prefix tries, the probe-order
-snapshot — by the first un-wildcarding one.  Updates keep whichever
-exists and :meth:`~TupleSpaceClassifier.clear` drops both.  So the
-caches' classifiers (plain lookups only) never pay for a walk's
-upkeep, and the pipeline tables' (un-wildcarding only) never pay for
-an index.
+A classifier keeps only the state its searches read.  The level index
+is built by the first climb; the *walk state* — each group's stages
+with their key counts, the prefix tries, the probe-order snapshot — by
+the first walk.  Updates keep whichever exists and
+:meth:`~TupleSpaceClassifier.clear` drops both.  So the caches'
+classifiers (climbs only) never pay for a walk's upkeep, and the
+pipeline tables' (walks only) never pay for an index.
 
 The classifier is generic over any rule type exposing ``match``
 (:class:`~repro.flow.match.TernaryMatch`) and ``priority``.
@@ -97,21 +100,21 @@ _Stage = Tuple[int, Dict[int, object], int, int]
 
 @dataclass
 class LookupResult(Generic[RuleT]):
-    """Outcome of a classifier lookup.
+    """Outcome of a walk (:meth:`TupleSpaceClassifier.lookup`).
 
     Attributes:
         rule: The winning rule, or ``None`` on a miss.
-        wildcard: When unwildcarding was requested, the header bits the
-            lookup *examined* — the matched rule's own mask plus every bit
-            needed to rule out higher-priority rules.  ``None`` otherwise.
-        groups_probed: Mask groups the TSS walk probes; plain lookups
-            are charged it (the classic TSS cost metric ``O(M)``; feeds
-            the CPU cost model).
+        wildcard: The header bits the walk *examined* — the matched
+            rule's own mask plus every bit needed to rule out
+            higher-priority rules.
+        groups_probed: Mask groups the walk probed (the classic TSS
+            cost metric ``O(M)``; feeds the CPU cost model).  A climb
+            returns the same count.
     """
 
     rule: Optional[RuleT]
-    wildcard: Optional[Wildcard] = None
-    groups_probed: int = 0
+    wildcard: Wildcard
+    groups_probed: int
 
 
 _group_seq = iter(range(1 << 62))
@@ -239,23 +242,25 @@ class TupleSpaceClassifier(Generic[RuleT]):
     def __init__(self):
         #: Optional telemetry ``(miss, hit)`` counter children
         #: (``Telemetry.tss_observer``), incremented inline after every
-        #: lookup; ``None`` (the default) costs one attribute check on
-        #: the hot path.
+        #: search, walk or climb; ``None`` (the default) costs one
+        #: attribute check on the hot path.
         self.observer = None
         self._groups: Dict[int, _Group[RuleT]] = {}
         self._size = 0
         #: Level index, best priority -> :class:`_Level`; ``None`` until
-        #: the first plain lookup (and again after :meth:`clear`), so a
-        #: classifier that only un-wildcards never keeps one.
+        #: the first climb (and again after :meth:`clear`), so a
+        #: classifier that only walks never keeps one.
         self._levels: Optional[Dict[int, _Level]] = None
-        #: What a plain lookup climbs, best level first: ``(priority,
-        #: common, cells, groups at better levels, ages)`` per level.
+        #: What :meth:`climb` reads, best level first: ``(priority,
+        #: common, cells, groups at better levels, ages)`` per level;
+        #: rebuilt (with the index, when there is none) by the first
+        #: climb after it went dirty.
         self._ladder: List[Tuple[int, int, Dict, int, List[int]]] = []
-        self._ladder_dirty = False
+        self._ladder_dirty = True
         # The walk state: each group's stages and prefixes, and the four
-        # below.  Built by the first un-wildcarding lookup (and again
-        # after :meth:`clear`), so a classifier that only answers plain
-        # lookups never keeps it.
+        # below.  Built by the first walk (and again after
+        # :meth:`clear`), so a classifier that only climbs never keeps
+        # it.
         #: Field index -> the prefixes of that trie field; ``None`` until
         #: the walk state is built.
         self._tries: Optional[Dict[int, PrefixTrie]] = None
@@ -356,33 +361,23 @@ class TupleSpaceClassifier(Generic[RuleT]):
         self._size = 0
         self._levels = None
         self._ladder = []
+        self._ladder_dirty = True
         self._tries = None
         self._ordered = []
 
     # -- lookup --------------------------------------------------------------------
 
-    def lookup(
-        self, flow: FlowKey, unwildcard: bool = False
-    ) -> LookupResult[RuleT]:
-        """Find the highest-priority matching rule.
-
-        With ``unwildcard=True`` the result carries the dependency wildcard:
-        the union of the matched rule's mask and the bits examined while
-        ruling out every group that could have held a higher-priority match
-        — for a group that missed at stage *s*, the cumulative stage-*s*
-        mask; for one that hit, its full mask.  For prefix-shaped trie
-        fields the (tight) trie mask replaces the raw field mask.  This
-        walks the groups in probe order; the first such lookup builds the
-        walk state.
-
-        A plain lookup climbs the level index instead of walking
-        (:meth:`_climb`; the first one builds it): same winner, same
-        ``groups_probed``.
+    def lookup(self, flow: FlowKey) -> LookupResult[RuleT]:
+        """Find the highest-priority matching rule and the dependency
+        wildcard: the union of the matched rule's mask and the bits
+        examined while ruling out every group that could have held a
+        higher-priority match — for a group that missed at stage *s*,
+        the cumulative stage-*s* mask; for one that hit, its full mask.
+        For prefix-shaped trie fields the (tight) trie mask replaces the
+        raw field mask.  This walks the groups in probe order; the first
+        walk builds the walk state.  The pipeline tables search this
+        way; a search that needs no wildcard is :meth:`climb`.
         """
-        if not unwildcard:
-            if self._levels is None:
-                self._build_index()
-            return self._climb(flow.packed)
         if self._tries is None:
             self._build_walk()
         if self._order_dirty:
@@ -437,33 +432,25 @@ class TupleSpaceClassifier(Generic[RuleT]):
             best, Wildcard.from_packed(examined), probed
         )
 
-    def _climb(self, packed: int) -> LookupResult[RuleT]:
-        """The walk's winner and probe count, one hash per priority level.
+    def climb(self, packed: int) -> Tuple[Optional[RuleT], int]:
+        """The walk's winner and ``groups_probed`` for the packed flow
+        ``packed``, one hash per priority level — the search every cache
+        makes, which needs no wildcard.  The first climb builds the
+        level index.
 
         That hash yields the level's groups holding a bucket that agrees
         with the packet on ``common``; one more hash each finds the
-        packet's bucket there, if any.  Levels are visited best first and the climb stops at the first
-        whose priority does not exceed the winner's, as the walk stops
-        at the first such group.  Ties go to the earlier level, then to
-        the older group (cell lists are in age order), as in the walk.
-        The walk would have probed every group of a better level than
-        the winner's priority ``p`` — all of them, on a miss — plus,
-        when the winning group's own level is ``p``, the groups of that
-        level up to and including it.
+        packet's bucket there, if any.  Levels are visited best first
+        and the climb stops at the first whose priority does not exceed
+        the winner's, as the walk stops at the first such group.  Ties
+        go to the earlier level, then to the older group (cell lists are
+        in age order), as in the walk.  The walk would have probed every
+        group of a better level than the winner's priority ``p`` — all
+        of them, on a miss — plus, when the winning group's own level is
+        ``p``, the groups of that level up to and including it.
         """
         if self._ladder_dirty:
-            ladder = []
-            above = 0
-            levels = self._levels
-            for priority in sorted(levels, reverse=True):
-                level = levels[priority]
-                ladder.append(
-                    (priority, level.common, level.cells, above, level.ages)
-                )
-                above += len(level.ages)
-            self._ladder = ladder
-            self._ladder_dirty = False
-
+            self._build_ladder()
         best: Optional[RuleT] = None
         best_priority = -1
         won = None
@@ -488,7 +475,7 @@ class TupleSpaceClassifier(Generic[RuleT]):
         observer = self.observer
         if observer is not None:
             observer[1 if best is not None else 0].value += 1
-        return LookupResult(best, None, probed)
+        return best, probed
 
     # -- internals --------------------------------------------------------------------
 
@@ -566,11 +553,24 @@ class TupleSpaceClassifier(Generic[RuleT]):
         for index, prefix_len in group.prefixes:
             tries[index].remove(self._field_of(canonical, index), prefix_len)
 
-    def _build_index(self) -> None:
-        self._levels = {}
-        self._ladder_dirty = True
-        for group in self._groups.values():
-            self._index_group(group)
+    def _build_ladder(self) -> None:
+        """Rebuild what :meth:`climb` reads, building the level index
+        first when there is none."""
+        levels = self._levels
+        if levels is None:
+            levels = self._levels = {}
+            for group in self._groups.values():
+                self._index_group(group)
+        ladder = []
+        above = 0
+        for priority in sorted(levels, reverse=True):
+            level = levels[priority]
+            ladder.append(
+                (priority, level.common, level.cells, above, level.ages)
+            )
+            above += len(level.ages)
+        self._ladder = ladder
+        self._ladder_dirty = False
 
     def _index_group(self, group: _Group[RuleT]) -> None:
         """File ``group`` and its buckets at its best priority's level."""

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from typing import List, Optional
@@ -141,6 +142,22 @@ def _readable_file(path: str) -> str:
             f"cannot read {path!r}: {exc.strerror}"
         ) from None
     return path
+
+
+def _writable_path(path: str) -> str:
+    """An argparse ``type=`` for an output file: its directory must
+    exist and take a new file, so a bad path exits 2 before the run
+    rather than failing once the run is done."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        problem = "no such directory"
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        problem = "directory not writable"
+    elif os.path.isdir(path):
+        problem = "is a directory"
+    else:
+        return path
+    raise argparse.ArgumentTypeError(f"cannot write {path!r}: {problem}")
 
 
 def _trace_events(text: str) -> List[str]:
@@ -649,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="flows named per pathological list (default 5)",
     )
     trace.add_argument(
-        "--out", default=None, metavar="PATH",
+        "--out", type=_writable_path, default=None, metavar="PATH",
         help="write the report here instead of stdout",
     )
 
@@ -676,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
              "json = metrics+snapshots document, text = rendered table",
     )
     stats.add_argument(
-        "--trace-out", default=None, metavar="PATH",
+        "--trace-out", type=_writable_path, default=None, metavar="PATH",
         help="stream per-packet trace events to a JSONL file",
     )
     stats.add_argument(

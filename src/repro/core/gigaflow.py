@@ -77,20 +77,28 @@ class _GigaflowHitReplay(HitReplay):
         self.stats = stats
         self.steps = steps
         self.result = result
+        self.tally = 0
 
     def still_valid(self) -> bool:
         """A full walk now would find the same chain: every lookup of a
         bucket that changed since, re-run, finds the same winner.  The
         re-runs' probe counts replace the old ones, so the record
-        charges what the walk would.  Re-runs emit no ``ltm_probe``."""
+        charges what the walk would.  A re-run is the bucket's own
+        :meth:`~repro.classify.tss.TupleSpaceClassifier.climb`, the
+        search :meth:`~repro.core.ltm.LtmTable.lookup` makes, called
+        here without that wrapper (a tag whose bucket has emptied finds
+        nothing and probes nothing, as there).  Re-runs emit no
+        ``ltm_probe``."""
         steps = self.steps
         charge = 0
         for at in range(0, len(steps), 7):
             changes = steps[at].changes
             if changes != steps[at + 1]:
-                winner, groups = steps[at + 2].lookup(
-                    steps[at + 4], steps[at + 3]
-                )
+                bucket = steps[at + 2].buckets.get(steps[at + 3])
+                if bucket is None:
+                    winner, groups = None, 0
+                else:
+                    winner, groups = bucket.climb(steps[at + 4].packed)
                 if winner is not steps[at + 5]:
                     return False
                 steps[at + 1] = changes

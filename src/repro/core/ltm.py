@@ -142,7 +142,8 @@ class LtmTable:
         #: Telemetry ``(miss, hit)`` counter children propagated to
         #: every per-tag classifier bucket (``None`` = not observed).
         self._observer = None
-        self._by_tag: Dict[int, TupleSpaceClassifier[LtmRule]] = {}
+        #: tag -> its classifier bucket (present while it holds a rule).
+        self.buckets: Dict[int, TupleSpaceClassifier[LtmRule]] = {}
         #: Per-tag change counters fast-path records are validated
         #: against; a tag is created on first read (tags are pipeline
         #: table ids, so there are few).
@@ -187,11 +188,11 @@ class LtmTable:
             return True
         if self.is_full:
             return False
-        bucket = self._by_tag.get(rule.tag)
+        bucket = self.buckets.get(rule.tag)
         if bucket is None:
             bucket = TupleSpaceClassifier()
             bucket.observer = self._observer
-            self._by_tag[rule.tag] = bucket
+            self.buckets[rule.tag] = bucket
         bucket.insert(rule)
         self.dependencies[rule.tag].changes += 1
         self._by_identity[identity] = rule
@@ -229,11 +230,11 @@ class LtmTable:
         (:meth:`~repro.cache.base.FlowCache._depart`)."""
         if rule not in self:
             raise KeyError(f"rule not in table {self.index}: {rule!r}")
-        bucket = self._by_tag[rule.tag]
+        bucket = self.buckets[rule.tag]
         bucket.remove(rule)
         self.dependencies[rule.tag].changes += 1
         if not len(bucket):
-            del self._by_tag[rule.tag]
+            del self.buckets[rule.tag]
         del self._by_identity[rule.identity]
         del self._by_id[rule.rule_id]
 
@@ -247,13 +248,14 @@ class LtmTable:
 
         The exact tag match filters out sub-traversals that are not part of
         the packet's expected sequence (§4.1.1); priorities then implement
-        the longest-sub-traversal selection.
+        the longest-sub-traversal selection.  The result is the tag
+        bucket's :meth:`~repro.classify.tss.TupleSpaceClassifier.climb`
+        tuple, returned as it is.
         """
-        bucket = self._by_tag.get(tag)
+        bucket = self.buckets.get(tag)
         if bucket is None:
             return None, 0
-        result = bucket.lookup(flow)
-        return result.rule, result.groups_probed
+        return bucket.climb(flow.packed)
 
     def lru_rule(self) -> Optional[LtmRule]:
         """The least recently used rule — the table's eviction victim
@@ -268,27 +270,27 @@ class LtmTable:
         ``(miss, hit)`` children) on every (current and future) per-tag
         bucket of this table."""
         self._observer = observer
-        for bucket in self._by_tag.values():
+        for bucket in self.buckets.values():
             bucket.observer = observer
 
     # -- introspection ------------------------------------------------------------------
 
     def rules_with_tag(self, tag: int) -> List[LtmRule]:
-        bucket = self._by_tag.get(tag)
+        bucket = self.buckets.get(tag)
         return list(bucket) if bucket is not None else []
 
     def mean_group_count(self) -> float:
         """Average TSS mask groups per tag bucket — the groups the TSS
-        walk probes on a miss; plain lookups are charged it (the tag
+        walk probes on a miss; a climb is charged it (the tag
         exact-match selects a single bucket first)."""
-        if not self._by_tag:
+        if not self.buckets:
             return 0.0
         return sum(
-            bucket.group_count for bucket in self._by_tag.values()
-        ) / len(self._by_tag)
+            bucket.group_count for bucket in self.buckets.values()
+        ) / len(self.buckets)
 
     def __repr__(self) -> str:
         return (
             f"LtmTable(index={self.index}, entries={len(self)}/"
-            f"{self.capacity}, tags={len(self._by_tag)})"
+            f"{self.capacity}, tags={len(self.buckets)})"
         )

@@ -27,7 +27,7 @@ from typing import Generic, List, Optional, Sequence, Tuple, TypeVar
 import numpy as np
 
 from ..classify.trie import mask_to_prefix_len
-from ..classify.tss import LookupResult, TupleSpaceClassifier
+from ..classify.tss import TupleSpaceClassifier
 from ..flow.fields import DEFAULT_SCHEMA
 from ..flow.key import FlowKey
 
@@ -274,8 +274,10 @@ class NuevoMatchClassifier(Generic[RuleT]):
 
     # -- lookup --------------------------------------------------------------------
 
-    def lookup(self, flow: FlowKey) -> LookupResult[RuleT]:
-        """Highest-priority match across all iSets and the remainder."""
+    def lookup(self, flow: FlowKey) -> Tuple[Optional[RuleT], int]:
+        """Highest-priority match across all iSets and the remainder
+        (climbed, as a cache's search is), and the probes it took: one
+        per iSet plus the remainder's ``groups_probed``."""
         best: Optional[RuleT] = None
         probes = 0
         for iset in self._isets:
@@ -283,11 +285,10 @@ class NuevoMatchClassifier(Generic[RuleT]):
             rule = iset.lookup(flow.values[iset.field_index], flow)
             if rule is not None and (best is None or rule.priority > best.priority):
                 best = rule
-        remainder_result = self._remainder.lookup(flow)
-        probes += remainder_result.groups_probed
-        candidate = remainder_result.rule
+        candidate, groups = self._remainder.climb(flow.packed)
+        probes += groups
         if candidate is not None and (
             best is None or candidate.priority > best.priority
         ):
             best = candidate
-        return LookupResult(best, None, probes)
+        return best, probes

@@ -21,7 +21,11 @@ The contract with the hot paths:
   install counters, per-table probe and per-classifier search
   counters), and the hooks and observed sites add to their ``value`` /
   ``counts`` / ``sum`` in place, so a registry read is exact at any
-  moment.  A count another object already keeps is not kept twice:
+  moment — except the two lookup histograms of a metrics-only run
+  with the fast-path memo on, which a replayed hit reaches as a tally
+  on its memo record, folded when the kernel's ``run`` returns (see
+  :meth:`_bind_packet_hooks`), so they are exact between ``run``
+  calls.  A count another object already keeps is not kept twice:
   hits and misses are the attached cache's ``CacheStats``, replays the
   fast-path memo's, churn and revalidation ticks the
   :class:`~repro.sim.churn.ChurnRuntime`'s, and :meth:`flush` folds
@@ -85,8 +89,10 @@ class Telemetry:
 
     The per-packet hooks ``on_lookup(result, now, flow=None)``,
     ``on_fastpath_replay(now, flow, result)`` and
-    ``on_ltm_probe(table_index, tag, groups, matched, now)`` are
-    *instance* attributes: closures :meth:`attach` binds.  A hub serves
+    ``on_ltm_probe(table_index, tag, groups, matched, now)``, and the
+    histogram filer ``count_lookups(result, now=None, flow=None,
+    times=1)``, are *instance* attributes: closures :meth:`attach`
+    binds.  A hub serves
     one cache at a time and every hook assumes :meth:`attach` ran first
     (the packet kernel does so before anything can reach the hub).
     """
@@ -432,15 +438,25 @@ class Telemetry:
     # -- per-packet hooks (the hot path) ---------------------------------------
 
     def _bind_packet_hooks(self) -> None:
-        """Build ``on_lookup`` and ``on_fastpath_replay`` as closures.
+        """Build ``on_lookup``, ``count_lookups`` and
+        ``on_fastpath_replay`` as closures.
 
-        ``on_lookup`` runs once per packet and files the lookup's depth
-        and probe count into the two histogram children; a closure
+        ``count_lookups(result, now=None, flow=None, times=1)`` files
+        ``times`` lookups that returned ``result`` — its depth and
+        probe count — into the two histogram children; a closure
         reaches them through cell variables instead of repeated
-        ``self`` attribute loads, which measurably trims the
-        metrics-mode overhead.  Hits and misses are not counted here:
-        the cache's ``CacheStats`` counts them and :meth:`flush` folds
-        them into ``repro_cache_lookups_total``.
+        ``self`` attribute loads.  Metrics-only, it is ``on_lookup``
+        itself.  Hits and misses are not counted here: the cache's
+        ``CacheStats`` counts them and :meth:`flush` folds them into
+        ``repro_cache_lookups_total``.
+
+        Metrics-only with the fast-path memo on, no hook runs per
+        packet: the memo calls ``on_lookup`` for a full lookup only,
+        tallies a replay on its record and folds the tallies through
+        ``count_lookups``, one call per record, when ``run`` returns
+        (``FastPathIndex.fold_tallies``).  So the lookup histograms
+        are exact between ``run`` calls.  With the memo off the kernel
+        calls ``on_lookup`` per packet.
 
         ``on_fastpath_replay`` only traces (replay *metrics* delta-fold
         from the memo's own counters, see :meth:`attach_fastpath`, and
@@ -462,21 +478,21 @@ class Telemetry:
         probe_idx = _PROBE_IDX
         bucket_index = _bucket_index
 
-        def count(result, now, flow=None):
+        def count(result, now=None, flow=None, times=1):
             depth = result.tables_hit
             depth_counts[
                 depth_idx[depth]
                 if depth < 64
                 else bucket_index(DEPTH_BUCKETS, depth)
-            ] += 1
-            depth_hist.sum += depth
+            ] += times
+            depth_hist.sum += depth * times
             probes = result.groups_probed
             probe_counts[
                 probe_idx[probes]
                 if probes < 512
                 else bucket_index(PROBE_BUCKETS, probes)
-            ] += 1
-            probe_hist.sum += probes
+            ] += times
+            probe_hist.sum += probes * times
 
         # Indexed by result.hit.
         codes = (
@@ -522,6 +538,7 @@ class Telemetry:
         # bare counting block: it never pays a ``tracer.enabled``
         # load-and-branch per packet.
         self.on_lookup = on_lookup if tracer.enabled else count
+        self.count_lookups = count
         self.on_fastpath_replay = on_fastpath_replay
 
     # -- slow-path / mutation hooks --------------------------------------------

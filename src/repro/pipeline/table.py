@@ -23,8 +23,8 @@ class TableLookup:
             including dependency bits for missed higher-priority rules.
         actions: Actions to apply (the rule's, or the table default's).
         next_table: Where the packet goes next (``None`` = terminal).
-        groups_probed: Mask groups the TSS walk probes; plain lookups
-            are charged it (feeds the CPU cost model).
+        groups_probed: Mask groups the TSS walk probed (feeds the CPU
+            cost model).
     """
 
     rule: Optional[PipelineRule]
@@ -120,7 +120,7 @@ class PipelineTable:
     def lookup(self, flow: FlowKey) -> TableLookup:
         """Match ``flow``, returning the winning rule (or the default) and
         the dependency wildcard ``W_i``."""
-        result = self._classifier.lookup(flow, unwildcard=True)
+        result = self._classifier.lookup(flow)
         if result.rule is not None:
             return TableLookup(
                 rule=result.rule,

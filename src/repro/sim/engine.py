@@ -241,8 +241,15 @@ class PacketKernel:
             tel.tracer.wants(EV_FASTPATH_REPLAY)
             or tel.tracer.wants(EV_FASTPATH_INVALIDATE)
         )
+        # Metrics-only, the memo files the lookup histograms itself
+        # (Telemetry._bind_packet_hooks), so no hook runs per packet.
+        metrics_only = tel is not None and not tel.tracer.enabled
         fastpath = (
-            FastPathIndex(cache, telemetry=tel if fastpath_tracing else None)
+            FastPathIndex(
+                cache,
+                telemetry=tel if fastpath_tracing else None,
+                metrics=tel if metrics_only else None,
+            )
             if config.fast_path
             else None
         )
@@ -377,11 +384,17 @@ class PacketKernel:
         replays a usable memo record in its own body, or runs and
         memoizes the full lookup), or ``cache.lookup`` with the fast
         path off.  Hits are filed into the time series per bucket span,
-        not per packet."""
+        not per packet.  Telemetry's ``on_lookup`` runs per packet only
+        while tracing or with the fast path off; otherwise the memo
+        files the lookup histograms, and its tallies are folded when
+        this returns."""
         fastpath = self.fastpath
         lookup = fastpath.lookup if fastpath is not None else self.cache.lookup
         tel = self.telemetry
-        on_lookup = tel.on_lookup if tel is not None else None
+        tallies = fastpath is not None and fastpath.metrics is not None
+        on_lookup = (
+            tel.on_lookup if tel is not None and not tallies else None
+        )
         advance = self.advance
         miss = self.miss
         # series.record(now, hit=True) without its call or its
@@ -421,6 +434,8 @@ class PacketKernel:
 
         if bucket_hits:
             hit_buckets[bucket] += bucket_hits
+        if tallies:
+            fastpath.fold_tallies()
         self.packet_count = packet_count
         self.cache_probes = cache_probes
         self.latency_sum = latency_sum

@@ -24,6 +24,15 @@ the fast path on or off.  :meth:`FastPathIndex.lookup` replays a usable
 record in its own body, so a memoized hit is one Python call however
 long its rule chain.
 
+That holds with metrics-only telemetry too.  The lookup depth and probe
+histograms are functions of the result, which a replay hands out
+unchanged, so a replay only adds one to its record's ``tally``;
+:meth:`FastPathIndex.fold_tallies` files each tallied record with one
+call when the packet kernel's ``run`` returns, and a tally is filed
+early when its record's result is about to change or its record to
+go (a re-charge, an invalidation, a memo clear).  A full lookup is
+filed directly, once.
+
 Correctness hinges on a record never outliving what its lookup
 depended on.  Every structural cache mutation (install, eviction, idle
 sweep, ``clear()``, revalidation) bumps
@@ -36,7 +45,8 @@ Gigaflow record re-runs each LTM lookup its walk made in a bucket that
 changed since (a per-tag change counter says which), and is valid
 exactly when every re-run finds the same winner — then it takes the
 re-runs' probe counts, is re-stamped and replayed; otherwise it is
-dropped and the full lookup runs.  Microflow,
+dropped and the full lookup runs.  A re-run is the bucket's own
+climb, one call.  Microflow,
 Megaflow and hierarchy records keep no such account and are dropped on
 any stale epoch.  Validation is lazy on purpose: the start-tag bucket
 of table 0 is probed by every record, so an eager scheme would visit
@@ -48,7 +58,7 @@ never memoized — the epoch moved during the lookup.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Optional
 
 from ..cache.base import CacheResult, FlowCache, HitReplay
 from ..flow.key import FlowKey
@@ -77,12 +87,25 @@ class FastPathIndex:
             dropped.
     """
 
-    def __init__(self, cache: FlowCache, telemetry=None):
+    def __init__(self, cache: FlowCache, telemetry=None, metrics=None):
         self.cache = cache
         #: Hub whose ``fastpath_replay`` / ``fastpath_invalidate`` hooks
         #: this index calls, or ``None`` (the engine hands one over only
         #: when tracing wants either event).
         self.telemetry = telemetry
+        #: Metrics-only hub whose lookup histograms this index files
+        #: into, or ``None`` (the engine hands one over when telemetry
+        #: is on and not tracing): a full lookup through its
+        #: ``on_lookup``, a replay as a tally on its record, which
+        #: :meth:`fold_tallies` files.
+        self.metrics = metrics
+        #: Records whose ``tally`` may be non-zero, in the order they
+        #: were first tallied since the last fold (a record whose tally
+        #: was filed early stays listed, at 0); ``None`` without
+        #: :attr:`metrics`.
+        self._tallied: Optional[List[HitReplay]] = (
+            [] if metrics is not None else None
+        )
         #: packed flow → its :class:`~repro.cache.base.HitReplay`
         #: record.
         self._memo: Dict[int, HitReplay] = {}
@@ -100,15 +123,23 @@ class FastPathIndex:
 
         A usable record is replayed right here — the same writes as
         :func:`~repro.cache.base.apply_hit`, inlined — so a memoized
-        hit costs this one call and no other frame."""
+        hit costs this one call and no other frame, with metrics-only
+        telemetry too: the replay is tallied on its record."""
         cache = self.cache
         epoch = cache.mutation_epoch
         signature = flow.packed
         memo = self._memo
         record = memo.get(signature)
         tel = self.telemetry
+        tallied = self._tallied
         if record is not None and record.epoch != epoch:
-            if record.still_valid():
+            kept = record.result
+            valid = record.still_valid()
+            if record.tally and (not valid or record.result is not kept):
+                # File the replays of a result re-charged or dropped.
+                self.metrics.count_lookups(kept, times=record.tally)
+                record.tally = 0
+            if valid:
                 record.epoch = epoch
                 self.revalidated += 1
             else:
@@ -124,6 +155,12 @@ class FastPathIndex:
                 move_to_recent(key)
             for stats in record.stats:
                 stats.hits += 1
+            if tallied is not None:
+                if record.tally:
+                    record.tally += 1
+                else:
+                    record.tally = 1
+                    tallied.append(record)
             result = record.result
             # The replay hook only emits a trace event, so the engine
             # hands this index a hub only when tracing wants it:
@@ -133,18 +170,36 @@ class FastPathIndex:
             return result
         self.memo_misses += 1
         result, record = cache.lookup_traced(flow, now)
+        if tallied is not None:
+            self.metrics.on_lookup(result, now, flow)
         # Memoize only side-effect-free hits: if the lookup itself moved
         # the epoch (e.g. hierarchy promotion), the record is already
         # stale and replaying it would diverge from the full path.
         if record is not None and cache.mutation_epoch == epoch:
             if len(memo) >= MEMO_ENTRIES:
-                memo.clear()
+                self.clear()
             record.epoch = epoch
             memo[signature] = record
         return result
 
+    def fold_tallies(self) -> None:
+        """File every tallied replay into :attr:`metrics`' lookup
+        histograms, one ``count_lookups`` call per record, and zero the
+        tallies.  The packet kernel calls this when ``run`` returns."""
+        tallied = self._tallied
+        if tallied:
+            count_lookups = self.metrics.count_lookups
+            for record in tallied:
+                times = record.tally
+                if times:
+                    record.tally = 0
+                    count_lookups(record.result, times=times)
+            tallied.clear()
+
     def clear(self) -> None:
-        """Drop every memoized record (counters are preserved)."""
+        """Drop every memoized record, its tally filed first (counters
+        are preserved)."""
+        self.fold_tallies()
         self._memo.clear()
 
     @property

@@ -152,6 +152,10 @@ class TestFlagValidation:
          "must be a non-negative integer"),
         ("serve psc --http --port 70000", "--port",
          "must be a port in [0, 65535]"),
+        ("stats psc --trace-out /nonexistent/x.jsonl", "--trace-out",
+         "cannot write '/nonexistent/x.jsonl': no such directory"),
+        ("trace --trace-in /dev/null --out /nonexistent/r.txt", "--out",
+         "cannot write '/nonexistent/r.txt': no such directory"),
     ]
 
     @pytest.mark.parametrize(

@@ -495,11 +495,14 @@ def _frames_opened(call):
     return opened
 
 
-def _kernel(system):
+def _kernel(system, telemetry=None):
     """A fast-path kernel over ``system`` (PSC's pipeline behind it,
-    for the misses), no cadence ever due."""
+    for the misses), no cadence due before 5 s (the snapshot, when
+    ``telemetry`` is attached; nothing else ever)."""
     return VSwitchSimulator(
-        _UNIVERSE.pipeline, system, SimConfig(fast_path=True)
+        _UNIVERSE.pipeline,
+        system,
+        SimConfig(fast_path=True, telemetry=telemetry),
     ).kernel()
 
 
@@ -582,6 +585,46 @@ class TestHitPath:
         assert many - one == 100
         assert stats.hits == hits + 102
         assert fastpath.memo_hits == replays + 102
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_a_fresh_memoized_hit_opens_one_frame_with_metrics_on(
+        self, name
+    ):
+        """Metrics-only telemetry adds no frame per packet: the replay
+        tallies on its record and the tally is folded, one call per
+        record, when ``run`` returns."""
+        telemetry = Telemetry()
+        kernel = _kernel(SYSTEMS[name](), telemetry)
+        packet = _FLOWS[0]
+        _warm(kernel, packet)
+        one = _frames_opened(lambda: kernel.run([(4.0, packet)]))
+        many = _frames_opened(lambda: kernel.run([(4.5, packet)] * 101))
+        assert many - one == 100
+        depth = telemetry.registry.get("repro_lookup_depth")
+        (child,) = (child for _, child in depth.children())
+        assert child.count == kernel.packet_count == 105
+
+    @pytest.mark.parametrize("changed", [1, 2, 4])
+    def test_a_stale_record_re_runs_a_changed_bucket_in_one_frame(
+        self, changed
+    ):
+        """A stale record opens ``still_valid`` and one climb per bucket
+        that changed — no ``LtmTable.lookup`` around it, no telemetry
+        call — with metrics-only telemetry attached."""
+        system, packet = _chain_system(4)
+        kernel = _kernel(system, Telemetry())
+        record = _warm(kernel, packet)
+        kept = record.result
+        fresh = _frames_opened(lambda: kernel.run([(4.0, packet)]))
+        for table in system.cache.tables[:changed]:
+            # Another port in the group the flow's rule is in: the
+            # bucket changed, its winner and probe count did not.
+            table.insert(ltm_rule({"tp_dst": 80}, tag=table.index))
+        system.cache.bump_epoch()
+        stale = _frames_opened(lambda: kernel.run([(4.5, packet)]))
+        assert stale == fresh + 1 + changed
+        assert kernel.fastpath.revalidated == 1
+        assert record.result is kept
 
     @pytest.mark.parametrize("num_tables", [1, 4])
     def test_a_fresh_hit_opens_one_frame_on_any_chain(self, num_tables):

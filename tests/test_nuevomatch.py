@@ -48,7 +48,7 @@ class TestFit:
         rules = [make_rule({"eth_dst": m}) for m in range(20)]
         classifier.fit(rules)
         assert classifier.iset_count == 0
-        assert classifier.lookup(flow(eth_dst=7)).rule is rules[7]
+        assert classifier.lookup(flow(eth_dst=7))[0] is rules[7]
 
     def test_port_rules_get_their_own_iset(self):
         # tp_dst is a candidate dimension: distinct exact ports form
@@ -57,14 +57,14 @@ class TestFit:
         rules = [make_rule({"tp_dst": p}) for p in range(20)]
         classifier.fit(rules)
         assert classifier.iset_count == 1
-        assert classifier.lookup(flow(tp_dst=7)).rule is rules[7]
+        assert classifier.lookup(flow(tp_dst=7))[0] is rules[7]
 
     def test_insert_after_fit_lands_in_remainder(self):
         classifier = NuevoMatchClassifier()
         classifier.fit(random_prefix_rules(50))
         late = make_rule({"tp_dst": 443}, priority=1000)
         classifier.insert(late)
-        assert classifier.lookup(flow(tp_dst=443)).rule is late
+        assert classifier.lookup(flow(tp_dst=443))[0] is late
 
     def test_small_sets_skip_isets(self):
         classifier = NuevoMatchClassifier(min_iset_size=64)
@@ -84,8 +84,8 @@ class TestEquivalenceWithTss:
         rng = np.random.default_rng(seed + 100)
         for _ in range(300):
             probe = flow(ip_dst=int(rng.integers(0, 1 << 32)))
-            a = nm.lookup(probe).rule
-            b = tss.lookup(probe).rule
+            a, _ = nm.lookup(probe)
+            b, _ = tss.climb(probe.packed)
             if b is None:
                 assert a is None
             else:

@@ -356,7 +356,7 @@ class TestTssProperties:
                 | data.draw(st.integers(0, 3)) << 8,
                 "tp_dst": data.draw(st.integers(0, 3)),
             })
-            assert classifier.lookup(probe).rule is _linear_scan_winner(
+            assert classifier.climb(probe.packed)[0] is _linear_scan_winner(
                 resident, probe
             )
         assert len(classifier) == sum(
@@ -375,7 +375,7 @@ class TestTssProperties:
             "ip_dst": data.draw(st.integers(0, 3)) << 24,
             "tp_dst": data.draw(st.integers(0, 3)),
         })
-        result = classifier.lookup(probe, unwildcard=True)
+        result = classifier.lookup(probe)
         # Build a perturbed flow: flip free bits of ip_dst/tp_dst.
         wc = result.wildcard
         ip_index = DEFAULT_SCHEMA.index_of("ip_dst")
@@ -386,7 +386,7 @@ class TestTssProperties:
             "ip_dst": probe.get("ip_dst") ^ (free_ip & 0x0101_0101),
             "tp_dst": probe.get("tp_dst") ^ (free_tp & 0x3),
         })
-        other = classifier.lookup(perturbed).rule
+        other, _ = classifier.climb(perturbed.packed)
         if result.rule is None:
             assert other is None
         else:

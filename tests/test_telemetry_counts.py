@@ -23,6 +23,7 @@ from repro.sim import (
     SimConfig,
     VSwitchSimulator,
 )
+from repro.sim import fastpath as fastpath_module
 from repro.sim.batch import column_pairs
 from repro.experiments import SYSTEMS, ExperimentScale
 from repro.workload import (
@@ -76,6 +77,18 @@ def config(**kwargs):
     )
 
 
+def churn_config(workload):
+    """An ACL storm plus a mask update and its revert."""
+    schedule = insert_delete_storm(
+        workload.pilots, ACL_TABLE,
+        start=1.0, count=6, gap=0.4, hold=0.9, seed=4,
+    ).merged_with(
+        acl_update_schedule(ACL_TABLE, 2.0, mask=0xFF800000, revert_at=4.0)
+    )
+    return ChurnConfig(schedule=schedule, reval_budget=16)
+
+
+
 @pytest.mark.parametrize("system", SYSTEMS)
 def test_a_single_engine_run(system):
     workload = seeded_workload()
@@ -119,13 +132,7 @@ def test_a_leaf_spine_fabric_run():
 
 def test_churn_families_are_the_runtime_digest():
     workload = seeded_workload()
-    schedule = insert_delete_storm(
-        workload.pilots, ACL_TABLE,
-        start=1.0, count=6, gap=0.4, hold=0.9, seed=4,
-    ).merged_with(
-        acl_update_schedule(ACL_TABLE, 2.0, mask=0xFF800000, revert_at=4.0)
-    )
-    cfg = config(churn=ChurnConfig(schedule=schedule, reval_budget=16))
+    cfg = config(churn=churn_config(workload))
     simulator = VSwitchSimulator(
         workload.pipeline, make_system("gigaflow", 120), cfg
     )
@@ -177,3 +184,67 @@ def test_an_owned_count_is_exact_between_runs_without_a_flush():
         assert not cfg.telemetry.snapshots
         assert child.count == kernel.packet_count == sum(child.counts)
     assert kernel.packet_count == len(pairs)
+
+
+LOOKUP_HISTOGRAMS = ("repro_lookup_depth", "repro_lookup_groups_probed")
+
+
+def lookup_histograms(registry):
+    """Every child of the two lookup histograms: bucket counts and
+    ``sum``."""
+    return {
+        family: {
+            values: (list(child.counts), child.sum)
+            for values, child in registry.get(family).children()
+        }
+        for family in LOOKUP_HISTOGRAMS
+    }
+
+
+def histograms_of(system, fast_path, churned, chunk):
+    """The lookup histograms of one run fed ``chunk`` packets per
+    ``run`` call, and its fast-path memo (``None`` with it off)."""
+    workload = seeded_workload()
+    cfg = config(
+        fast_path=fast_path,
+        churn=churn_config(workload) if churned else None,
+    )
+    kernel = VSwitchSimulator(
+        workload.pipeline, make_system(system, 120), cfg
+    ).kernel()
+    pairs = list(itertools.chain(*column_pairs(seeded_trace(workload))))
+    for start in range(0, len(pairs), chunk):
+        kernel.run(pairs[start:start + chunk])
+    kernel.finish()
+    return lookup_histograms(cfg.telemetry.registry), kernel.fastpath
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 20])
+@pytest.mark.parametrize(
+    "system, churned",
+    [(system, False) for system in SYSTEMS]
+    + [("gigaflow", True), ("adaptive", True), ("megaflow", True)],
+)
+def test_lookup_histograms_are_the_same_with_the_memo_on_and_off(
+    system, churned, chunk
+):
+    """Metrics-only, the memo files the histograms from per-record
+    tallies (a replay's own call is gone); the children must be what
+    the per-packet hook files with the memo off, in every run shape."""
+    on, fastpath = histograms_of(system, True, churned, chunk)
+    off, _ = histograms_of(system, False, churned, chunk)
+    assert fastpath.memo_hits
+    if churned and system != "megaflow":
+        assert fastpath.revalidated and fastpath.invalidations
+    assert on == off
+
+
+def test_lookup_histograms_survive_a_memo_clear(monkeypatch):
+    """With the memo bound small, every clear files its records'
+    tallies before it drops them."""
+    monkeypatch.setattr(fastpath_module, "MEMO_ENTRIES", 8)
+    on, fastpath = histograms_of("gigaflow", True, True, 64)
+    assert len(fastpath) <= 8 and fastpath.memo_hits
+    monkeypatch.undo()
+    off, _ = histograms_of("gigaflow", False, True, 64)
+    assert on == off

@@ -1,5 +1,6 @@
 """Unit tests for the Tuple Space Search classifier."""
 
+import random
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -38,15 +39,13 @@ def classifier():
 
 class TestBasicLookup:
     def test_empty_classifier_misses(self, classifier):
-        result = classifier.lookup(flow())
-        assert result.rule is None
-        assert result.groups_probed == 0
+        assert classifier.climb(flow().packed) == (None, 0)
 
     def test_exact_hit(self, classifier):
         rule = make_rule({"tp_dst": 443})
         classifier.insert(rule)
-        assert classifier.lookup(flow(tp_dst=443)).rule is rule
-        assert classifier.lookup(flow(tp_dst=80)).rule is None
+        assert classifier.climb(flow(tp_dst=443).packed)[0] is rule
+        assert classifier.climb(flow(tp_dst=80).packed)[0] is None
 
     def test_priority_wins_across_groups(self, classifier):
         broad = make_rule(
@@ -61,8 +60,10 @@ class TestBasicLookup:
         )
         classifier.insert(broad)
         classifier.insert(narrow)
-        assert classifier.lookup(flow(ip_dst=ip("192.168.1.5"))).rule is narrow
-        assert classifier.lookup(flow(ip_dst=ip("192.168.9.5"))).rule is broad
+        inside = flow(ip_dst=ip("192.168.1.5"))
+        outside = flow(ip_dst=ip("192.168.9.5"))
+        assert classifier.climb(inside.packed)[0] is narrow
+        assert classifier.climb(outside.packed)[0] is broad
 
     def test_same_mask_group_shares_hash(self, classifier):
         a = make_rule({"tp_dst": 443})
@@ -70,7 +71,7 @@ class TestBasicLookup:
         classifier.insert(a)
         classifier.insert(b)
         assert classifier.group_count == 1
-        assert classifier.lookup(flow(tp_dst=80)).rule is b
+        assert classifier.climb(flow(tp_dst=80).packed)[0] is b
 
     def test_early_termination_by_priority(self, classifier):
         # Matching the highest-priority group first means lower groups
@@ -79,15 +80,13 @@ class TestBasicLookup:
         low = make_rule({"ip_proto": 6}, priority=1)
         classifier.insert(high)
         classifier.insert(low)
-        result = classifier.lookup(flow(tp_dst=443))
-        assert result.rule is high
-        assert result.groups_probed == 1
+        assert classifier.climb(flow(tp_dst=443).packed) == (high, 1)
 
     def test_remove(self, classifier):
         rule = make_rule({"tp_dst": 443})
         classifier.insert(rule)
         classifier.remove(rule)
-        assert classifier.lookup(flow(tp_dst=443)).rule is None
+        assert classifier.climb(flow(tp_dst=443).packed)[0] is None
         assert len(classifier) == 0
         assert classifier.group_count == 0
 
@@ -106,28 +105,26 @@ class TestBasicLookup:
         classifier.insert(make_rule({"tp_dst": 1}))
         classifier.clear()
         assert len(classifier) == 0
-        assert classifier.lookup(flow(tp_dst=1)).rule is None
+        assert classifier.climb(flow(tp_dst=1).packed)[0] is None
 
 
 class TestUnwildcarding:
     def test_hit_includes_matched_rule_mask(self, classifier):
         classifier.insert(make_rule({"tp_dst": 443}))
-        result = classifier.lookup(flow(tp_dst=443), unwildcard=True)
+        result = classifier.lookup(flow(tp_dst=443))
         assert result.wildcard.mask_of("tp_dst") == 0xFFFF
 
     def test_staged_miss_unwildcards_only_early_stages(self, classifier):
         # Group matches in_port (port stage) + tp_dst (L4 stage).  A flow
         # that fails already at the port stage must not un-wildcard L4.
         classifier.insert(make_rule({"in_port": 5, "tp_dst": 443}))
-        result = classifier.lookup(flow(in_port=9), unwildcard=True)
+        result = classifier.lookup(flow(in_port=9))
         assert result.wildcard.mask_of("in_port") == 0xFFFF
         assert result.wildcard.mask_of("tp_dst") == 0
 
     def test_staged_miss_at_l4_unwildcards_through_l4(self, classifier):
         classifier.insert(make_rule({"in_port": 1, "tp_dst": 9999}))
-        result = classifier.lookup(
-            flow(in_port=1, tp_dst=443), unwildcard=True
-        )
+        result = classifier.lookup(flow(in_port=1, tp_dst=443))
         assert result.wildcard.mask_of("in_port") == 0xFFFF
         assert result.wildcard.mask_of("tp_dst") == 0xFFFF
 
@@ -147,9 +144,7 @@ class TestUnwildcarding:
                     priority=priority,
                 )
             )
-        result = classifier.lookup(
-            flow(ip_dst=ip("192.168.21.27")), unwildcard=True
-        )
+        result = classifier.lookup(flow(ip_dst=ip("192.168.21.27")))
         assert result.rule.priority == 200  # matches the /16
         assert result.wildcard.mask_of("ip_dst") == ip("255.255.240.0")
 
@@ -163,11 +158,11 @@ class TestUnwildcarding:
             {"ip_dst": ip("10.1.0.0")},
             masks={"ip_dst": prefix_mask(16)}, priority=2))
         probe = flow(ip_dst=ip("10.9.1.2"))
-        result = classifier.lookup(probe, unwildcard=True)
+        result = classifier.lookup(probe)
         # Perturb bits outside the wildcard; the winner may not change.
         mask = result.wildcard.mask_of("ip_dst")
         perturbed = flow(ip_dst=(probe.get("ip_dst") ^ (~mask & 0xFF)))
-        assert classifier.lookup(perturbed).rule is result.rule
+        assert classifier.climb(perturbed.packed)[0] is result.rule
 
 
 class TestLazyTrieMasks:
@@ -191,7 +186,7 @@ class TestLazyTrieMasks:
         classifier.insert(make_rule(
             {"ip_dst": ip("192.168.1.0")},
             masks={"ip_dst": prefix_mask(24)}, priority=10))
-        result = classifier.lookup(flow(tp_dst=443), unwildcard=True)
+        result = classifier.lookup(flow(tp_dst=443))
         assert result.groups_probed == 1
         assert result.wildcard.fields_matched() == ("tp_dst",)
         assert walks == []
@@ -200,14 +195,14 @@ class TestLazyTrieMasks:
         classifier.insert(make_rule(
             {"in_port": 5, "ip_dst": ip("192.168.1.0")},
             masks={"in_port": None, "ip_dst": prefix_mask(24)}))
-        result = classifier.lookup(flow(in_port=9), unwildcard=True)
+        result = classifier.lookup(flow(in_port=9))
         assert result.wildcard.fields_matched() == ("in_port",)
         assert walks == []
 
     def test_ternary_ip_mask_is_not_walked(self, classifier, walks):
         classifier.insert(make_rule(
             {"ip_dst": 0x0000_0107}, masks={"ip_dst": 0x0000_FFFF}))
-        result = classifier.lookup(flow(), unwildcard=True)
+        result = classifier.lookup(flow())
         assert result.rule is not None
         assert result.wildcard.mask_of("ip_dst") == 0x0000_FFFF
         assert walks == []
@@ -220,13 +215,13 @@ class TestLazyTrieMasks:
                 {"ip_dst": ip("192.168.1.0") & prefix_mask(plen)},
                 masks={"ip_dst": prefix_mask(plen)}, priority=priority))
         probe = flow(ip_dst=ip("192.168.9.9"))
-        result = classifier.lookup(probe, unwildcard=True)
+        result = classifier.lookup(probe)
         assert result.groups_probed == 2  # /24 misses, /16 hits, /8 skipped
         # .9 and .1 part ways at the 21st bit: enough to rule the /24 out.
         assert result.wildcard.mask_of("ip_dst") == prefix_mask(21)
         assert walks == [probe.get("ip_dst")]
-        assert classifier.lookup(probe).wildcard is None
-        assert len(walks) == 1  # a plain lookup never walks
+        classifier.climb(probe.packed)
+        assert len(walks) == 1  # a climb never walks
 
 
 class TestAgainstLinearScan:
@@ -260,7 +255,7 @@ class TestAgainstLinearScan:
                 key=lambda r: (r.priority, -r.rule_id),
                 default=None,
             )
-            got = classifier.lookup(probe).rule
+            got, _ = classifier.climb(probe.packed)
             if expected is None:
                 assert got is None
             else:
@@ -269,18 +264,18 @@ class TestAgainstLinearScan:
 
 
 def same_as_walk(classifier, probe):
-    """A plain lookup, checked against the walk (which an un-wildcarding
-    lookup always takes): same rule object, same ``groups_probed``."""
-    plain = classifier.lookup(probe)
-    walk = classifier.lookup(probe, unwildcard=True)
-    assert plain.rule is walk.rule
-    assert plain.groups_probed == walk.groups_probed
-    return plain
+    """A climb, checked against the walk: same rule object, same
+    ``groups_probed``.  Returns the walk's result."""
+    winner, probed = classifier.climb(probe.packed)
+    walk = classifier.lookup(probe)
+    assert winner is walk.rule
+    assert probed == walk.groups_probed
+    return walk
 
 
 class TestLevelIndexCharge:
-    """A plain lookup through the level index is charged the groups the
-    walk probes — one case per branch of the charge."""
+    """A climb through the level index is charged the groups the walk
+    probes — one case per branch of the charge."""
 
     def test_a_miss_is_charged_every_group(self, classifier):
         for values, priority in (
@@ -319,15 +314,68 @@ class TestLevelIndexCharge:
         assert result.groups_probed == 2  # the groups at levels 9 and 4
 
 
+class TestClimbEqualsWalk:
+    """The climb against the walk over seeded random rule sets, and
+    across inserts and removes that move a group to another level."""
+
+    def test_a_group_moved_between_levels(self, classifier):
+        port = make_rule({"tp_dst": 443}, priority=1)
+        proto = make_rule({"ip_proto": 17}, priority=2)
+        raised = make_rule({"tp_dst": 80}, priority=3)  # port's group
+        for added in (port, proto):
+            classifier.insert(added)
+        probes = (flow(tp_dst=443), flow(tp_dst=80), flow(ip_proto=17))
+        for probe in probes:
+            same_as_walk(classifier, probe)
+        group = classifier._groups[port.match.wildcard.packed]
+        classifier.insert(raised)  # level 1 -> level 3
+        assert group.max_priority == 3 and 1 not in classifier._levels
+        # Found first, and the proto group, now below it, probed too.
+        walk = same_as_walk(classifier, flow(tp_dst=443))
+        assert (walk.rule, walk.groups_probed) == (port, 2)
+        for probe in probes:
+            same_as_walk(classifier, probe)
+        classifier.remove(raised)  # back to level 1
+        assert group.max_priority == 1 and 3 not in classifier._levels
+        for probe in probes:
+            same_as_walk(classifier, probe)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_rule_sets(self, seed):
+        rng = random.Random(seed)
+        classifier = TupleSpaceClassifier()
+        resident = []
+        moved = 0
+        for _ in range(160):
+            before = {g.seq: g.max_priority for g in walk_groups(classifier)}
+            if resident and rng.random() < 0.35:
+                classifier.remove(resident.pop(rng.randrange(len(resident))))
+            else:
+                template = rng.choice(WALK_TEMPLATES)
+                values = {
+                    name: rng.choice(WALK_VALUES[name]) for name in template
+                }
+                added = make_rule(values, dict(template), rng.randint(1, 5))
+                classifier.insert(added)
+                resident.append(added)
+            moved += sum(
+                before.get(g.seq, g.max_priority) != g.max_priority
+                for g in walk_groups(classifier)
+            )
+            for probe in WALK_PROBES:
+                same_as_walk(classifier, probe)
+        assert moved  # the stream moved some group between levels
+
+
 def walk_groups(classifier):
     return list(classifier._groups.values())
 
 
 class TestIndexLifetime:
     def test_only_a_plain_lookup_builds_the_index(self, classifier):
-        """Un-wildcarding lookups (the pipeline tables') never build the
-        level index; the first plain lookup does, updates keep it, and
-        ``clear`` drops it."""
+        """Walks (the pipeline tables' searches) never build the level
+        index; the first climb does, updates keep it, and ``clear``
+        drops it."""
         rules = [
             make_rule({"ip_dst": 0}, {"ip_dst": prefix_mask(32 - i)}, i % 3)
             for i in range(6)
@@ -335,7 +383,7 @@ class TestIndexLifetime:
         probe = flow(ip_dst=0)
         for added in rules[:3]:
             classifier.insert(added)
-        classifier.lookup(probe, unwildcard=True)
+        classifier.lookup(probe)
         assert classifier._levels is None
         same_as_walk(classifier, probe)
         assert classifier._levels is not None
@@ -351,9 +399,8 @@ class TestIndexLifetime:
     def test_only_an_unwildcarding_lookup_builds_the_walk_state(
         self, classifier
     ):
-        """Plain lookups (the caches') never build the walk state; the
-        first un-wildcarding lookup does, updates keep it, and ``clear``
-        drops it."""
+        """Climbs (the caches' searches) never build the walk state; the
+        first walk does, updates keep it, and ``clear`` drops it."""
         rules = [
             make_rule({"ip_dst": 0}, {"ip_dst": prefix_mask(32 - i)}, i % 3)
             for i in range(6)
@@ -361,7 +408,7 @@ class TestIndexLifetime:
         probe = flow(ip_dst=0)
         for added in rules[:3]:
             classifier.insert(added)
-        classifier.lookup(probe)
+        classifier.climb(probe.packed)
         assert classifier._tries is None
         assert all(group.stages is None for group in walk_groups(classifier))
         same_as_walk(classifier, probe)
@@ -396,7 +443,7 @@ def test_cache_classifiers_keep_no_walk_state_and_tables_no_index():
     buckets = [
         bucket
         for table in gigaflow.cache.tables
-        for bucket in table._by_tag.values()
+        for bucket in table.buckets.values()
     ]
     assert buckets
     for cache_classifier in [*buckets, megaflow.cache._classifier]:
@@ -431,8 +478,8 @@ INDEX_VALUES = {
 
 
 class LevelIndexAgainstWalk(RuleBasedStateMachine):
-    """Plain lookups through the level index against the walk, over
-    insert / remove / ``clear`` / lookup.  Priorities come from three
+    """Climbs through the level index against the walk, over insert /
+    remove / ``clear`` / lookup.  Priorities come from three
     values, so ties happen inside a group and across groups."""
 
     def __init__(self):
@@ -477,7 +524,7 @@ class LevelIndexAgainstWalk(RuleBasedStateMachine):
     def index_mirrors_the_groups(self):
         groups = list(self.classifier._groups.values())
         levels = self.classifier._levels
-        if levels is None:  # no plain lookup since the last clear
+        if levels is None:  # no climb since the last clear
             return
         filed = []
         for priority, level in levels.items():
@@ -556,8 +603,8 @@ def walk_state(classifier):
 
 
 def same_walk(one, other, probe):
-    a = one.lookup(probe, unwildcard=True)
-    b = other.lookup(probe, unwildcard=True)
+    a = one.lookup(probe)
+    b = other.lookup(probe)
     assert a.rule is b.rule
     assert a.wildcard == b.wildcard
     assert a.groups_probed == b.groups_probed
@@ -572,7 +619,7 @@ class WalkStateAgainstEager(RuleBasedStateMachine):
         super().__init__()
         self.lazy = TupleSpaceClassifier()
         self.eager = TupleSpaceClassifier()
-        self.eager.lookup(flow(), unwildcard=True)
+        self.eager.lookup(flow())
         self.resident = []
 
     @rule(
@@ -602,7 +649,7 @@ class WalkStateAgainstEager(RuleBasedStateMachine):
     def clear(self):
         self.lazy.clear()
         self.eager.clear()
-        self.eager.lookup(flow(), unwildcard=True)
+        self.eager.lookup(flow())
         self.resident.clear()
 
     @rule(probe=st.sampled_from(WALK_PROBES))
@@ -622,7 +669,7 @@ class WalkStateAgainstEager(RuleBasedStateMachine):
         rebuilt = TupleSpaceClassifier()
         for resident in self.resident:
             rebuilt.insert(resident)
-        rebuilt.lookup(flow(), unwildcard=True)
+        rebuilt.lookup(flow())
         expected = walk_state(rebuilt)
         assert walk_state(self.eager) == expected
         if self.lazy._tries is not None:

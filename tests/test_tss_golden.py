@@ -118,12 +118,14 @@ def replay():
             counts["remove"] += 1
         else:
             flow = FlowKey.from_fields(_draw_fields(rng))
-            unwildcard = rng.random() < 0.6
-            result = classifier.lookup(flow, unwildcard=unwildcard)
+            if rng.random() < 0.6:
+                result = classifier.lookup(flow)
+                rule, probed = result.rule, result.groups_probed
+                masks = list(result.wildcard.masks)
+            else:
+                (rule, probed), masks = classifier.climb(flow.packed), None
             records.append([
-                None if result.rule is None else result.rule.rule_id,
-                result.groups_probed,
-                list(result.wildcard.masks) if unwildcard else None,
+                None if rule is None else rule.rule_id, probed, masks,
             ])
             counts["lookup"] += 1
     assert len(classifier) == len(resident)
