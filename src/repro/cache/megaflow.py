@@ -83,7 +83,7 @@ def build_megaflow_entry(
     """Collapse a traversal into a single cache entry (the paper's K=1):
     the slice of all its steps, replayed by revalidation from the entry
     table and stamped with the walk's generation."""
-    match, actions = traversal.match_and_commit(0, len(traversal))
+    match, actions = traversal.slice_entry(0, len(traversal))[:2]
     path = traversal.table_ids
     entry = MegaflowEntry(
         match=match,

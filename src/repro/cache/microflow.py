@@ -86,7 +86,7 @@ class MicroflowCache(FlowCache):
     ) -> None:
         """Install the traversal's initial flow with its committed
         actions (an exact-match entry keeps no generation)."""
-        _, actions = traversal.match_and_commit(0, len(traversal))
+        actions = traversal.slice_entry(0, len(traversal))[1]
         self.install(traversal.initial_flow, actions, now)
 
     def entry_count(self) -> int:

@@ -34,7 +34,7 @@ from .partition import Partitioner, disjoint_partition
 from .rulegen import build_ltm_rule, build_ltm_rules
 
 
-@dataclass
+@dataclass(slots=True)
 class InstallOutcome:
     """What happened when a traversal was offered to the cache.
 
@@ -243,7 +243,10 @@ class GigaflowCache(FlowCache):
         now: float = 0.0,
     ) -> InstallOutcome:
         """Partition a traced traversal and install its LTM rules."""
-        available = sum(1 for t in self.tables if not t.is_full)
+        available = 0
+        for table in self.tables:
+            if len(table.by_identity) < table.capacity:
+                available += 1
         max_parts = min(len(self.tables), max(available, 1))
         partition = self.partitioner(traversal, max_parts)
         rules = build_ltm_rules(partition, generation, now)
@@ -254,94 +257,81 @@ class GigaflowCache(FlowCache):
 
         Rule ``i`` of ``m`` may land in table indices
         ``[prev + 1, K - m + i]`` — the window that leaves room for the
-        remaining rules.  An identical rule anywhere in the window is
-        reused; otherwise the rule goes to a table with free space per the
-        placement policy.
+        remaining rules.  One pass over the window finds an identical
+        rule to reuse, if there is one anywhere in it, and otherwise the
+        table the placement policy picks: ``balanced`` the first with
+        the most free slots, ``earliest`` the first with any.  When
+        every table in the window is full, ``lru`` evicts the oldest of
+        their least recently used rules (:meth:`_evict_for`) and
+        ``reject`` refuses the rule and every later one, which could not
+        chain past the missing segment.
         """
-        k = len(self.tables)
+        tables = self.tables
+        k = len(tables)
         m = len(rules)
-        outcome = InstallOutcome(generated=m)
         if m > k:
             raise ValueError(
                 f"{m} sub-traversals cannot map onto {k} cache tables"
             )
+        balanced = self.placement == "balanced"
+        installed = reused = rejected = 0
         prev = -1
-        for i, rule in enumerate(rules):
-            window = range(prev + 1, k - m + i + 1)
-            placed_at = self._reuse_in_window(rule, window)
-            if placed_at is not None:
-                outcome.reused += 1
-                self.sharing_events += 1
-                prev = placed_at
-                continue
-            placed_at = self._insert_in_window(rule, window)
-            if placed_at is None:
-                outcome.rejected += 1
-                self.stats.rejected += 1
-                # Later rules cannot chain past a missing segment; stop.
-                break
-            outcome.installed += 1
-            self.stats.insertions += 1
-            prev = placed_at
-        if outcome.installed:
+        stop = k - m
+        for rule in rules:
+            stop += 1
+            identity = rule.identity
+            target = None
+            most = 0
+            for index in range(prev + 1, stop):
+                table = tables[index]
+                filed = table.by_identity
+                resident = filed.get(identity)
+                if resident is not None:
+                    table.share(resident, rule)
+                    reused += 1
+                    break
+                free = table.capacity - len(filed)
+                if free > most and (balanced or not most):
+                    target = table
+                    most = free
+            else:
+                if target is None:
+                    if self.eviction == "reject":
+                        rejected = 1
+                        break
+                    target = self._evict_for(prev + 1, stop, rule.last_used)
+                target.insert(rule)
+                installed += 1
+                index = target.index
+            prev = index
+        self.sharing_events += reused
+        stats = self.stats
+        stats.rejected += rejected
+        if installed:
+            stats.insertions += installed
             self.bump_epoch()
-        return outcome
+        return InstallOutcome(installed, reused, rejected, m)
 
-    def _reuse_in_window(
-        self, rule: LtmRule, window: range
-    ) -> Optional[int]:
-        identity = rule.identity
-        for index in window:
-            table = self.tables[index]
-            existing = table.find_identical(identity)
-            if existing is not None:
-                table.share(existing, rule)
-                return index
-        return None
-
-    def _insert_in_window(
-        self, rule: LtmRule, window: range
-    ) -> Optional[int]:
-        candidates = [
-            index for index in window if not self.tables[index].is_full
-        ]
-        if not candidates:
-            if self.eviction == "reject":
-                return None
-            index = self._evict_for(window, rule.last_used)
-            if index is None:
-                return None
-            candidates = [index]
-        if self.placement == "balanced":
-            index = max(candidates, key=lambda i: self.tables[i].free_slots)
-        else:
-            index = candidates[0]
-        inserted = self.tables[index].insert(rule)
-        assert inserted, "candidate table was checked for space"
-        return index
-
-    def _evict_for(self, window: range, now: float) -> Optional[int]:
-        """Free one slot by evicting, among the feasible tables' least
-        recently used rules, the one with the oldest ``last_used``;
-        returns the table index with the freed slot."""
+    def _evict_for(self, start: int, stop: int, now: float) -> LtmTable:
+        """Free one slot in tables ``[start, stop)``, all full, by
+        evicting the oldest (by ``last_used``, the first on a tie) of
+        their least recently used rules; returns its table."""
         victim = None
-        victim_table = None
-        for index in window:
-            candidate = self.tables[index].lru_rule()
-            if candidate is None:
-                continue
+        for table in self.tables[start:stop]:
+            candidate = table.lru_rule()
             if victim is None or candidate.last_used < victim.last_used:
                 victim = candidate
-                victim_table = index
-        if victim is None:
-            return None
+                victim_table = table
         self._depart((victim,), "lru", now - victim.last_used)
         return victim_table
 
     # -- FlowCache bookkeeping ----------------------------------------------------------
 
     def entry_count(self) -> int:
-        return sum(len(t) for t in self.tables)
+        count = 0
+        for table in self.tables:
+            count += len(table.by_identity)
+        return count
 
     def capacity_total(self) -> int:
         return sum(t.capacity for t in self.tables)
@@ -352,11 +342,14 @@ class GigaflowCache(FlowCache):
         return chain.from_iterable(self.tables)
 
     def _drop(self, rule: LtmRule) -> None:
-        for table in self.tables:
-            if rule in table:
-                table.remove(rule)
-                return
-        raise KeyError(f"rule not installed: {rule!r}")
+        # Straight to the table that filed it, which raises KeyError
+        # for a rule it does not hold: one that departed, an identical
+        # twin of a resident rule or another cache's rule.
+        try:
+            table = self.tables[rule.table]
+        except (IndexError, TypeError):
+            raise KeyError(f"rule not installed: {rule!r}") from None
+        table.remove(rule)
 
     # -- revalidation (see FlowCache) ------------------------------------------------
 

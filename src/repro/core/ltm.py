@@ -50,6 +50,9 @@ class LtmRule:
             (Fig. 5c).  Kept from construction: the four attributes it
             is made of are never reassigned, and a table files the rule
             under it.
+        table: Index of the :class:`LtmTable` that filed the rule
+            (``None`` until one does), so the cache removes it from
+            that table without asking the others.
     """
 
     __slots__ = (
@@ -67,6 +70,7 @@ class LtmRule:
         "install_count",
         "rule_id",
         "identity",
+        "table",
     )
 
     def __init__(
@@ -98,6 +102,7 @@ class LtmRule:
         self.install_count = 1
         self.rule_id = next(_ltm_ids)
         self.identity = (tag, match, next_tag, actions)
+        self.table: Optional[int] = None
 
     def __repr__(self) -> str:
         nxt = "DONE" if self.next_tag == TAG_DONE else self.next_tag
@@ -150,7 +155,9 @@ class LtmTable:
         self.dependencies: Dict[int, TagDependency] = defaultdict(
             TagDependency
         )
-        self._by_identity: Dict[Tuple, LtmRule] = {}
+        #: identity → resident rule: the table's rules, in filing
+        #: order, and the index sharing is found by.
+        self.by_identity: Dict[Tuple, LtmRule] = {}
         #: id → rule, in touch order: every ``last_used`` writer (this
         #: table's :meth:`touch`, or a hit's record) moves the rule to
         #: the end, so the first value is the least recently touched
@@ -163,40 +170,39 @@ class LtmTable:
     # -- capacity ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._by_identity)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self._by_identity) >= self.capacity
-
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self._by_identity)
+        return len(self.by_identity)
 
     # -- rule management -------------------------------------------------------------
 
     def find_identical(self, identity: Tuple) -> Optional[LtmRule]:
         """An already-installed rule with the same value identity, if any."""
-        return self._by_identity.get(identity)
+        return self.by_identity.get(identity)
 
     def insert(self, rule: LtmRule) -> bool:
-        """Install a rule; returns False when the table is full."""
-        identity = rule.identity
-        existing = self._by_identity.get(identity)
-        if existing is not None:
-            self.share(existing, rule)
+        """File a rule and record this table on it; returns False when
+        the table is full.  A rule identical to a resident one is not
+        filed: the resident rule is shared (:meth:`share`) instead.
+
+        The identity is hashed once: the index's ``setdefault`` both
+        finds a resident twin and files the rule."""
+        by_identity = self.by_identity
+        size = len(by_identity)
+        resident = by_identity.setdefault(rule.identity, rule)
+        if len(by_identity) == size:
+            self.share(resident, rule)
             return True
-        if self.is_full:
+        if size >= self.capacity:
+            del by_identity[rule.identity]
             return False
-        bucket = self.buckets.get(rule.tag)
+        tag = rule.tag
+        bucket = self.buckets.get(tag)
         if bucket is None:
-            bucket = TupleSpaceClassifier()
+            bucket = self.buckets[tag] = TupleSpaceClassifier()
             bucket.observer = self._observer
-            self.buckets[rule.tag] = bucket
         bucket.insert(rule)
-        self.dependencies[rule.tag].changes += 1
-        self._by_identity[identity] = rule
+        self.dependencies[tag].changes += 1
         self._by_id[rule.rule_id] = rule
+        rule.table = self.index
         return True
 
     def touch(self, rule: LtmRule, now: float) -> None:
@@ -225,21 +231,27 @@ class LtmTable:
         return self._by_id.get(rule.rule_id) is rule
 
     def remove(self, rule: LtmRule) -> None:
-        """Unlink a rule from the table's indexes.  The cache
-        owns the bookkeeping of *why* it left
-        (:meth:`~repro.cache.base.FlowCache._depart`)."""
-        if rule not in self:
+        """Unlink a rule from the table's indexes; ``KeyError`` when it
+        is not resident here.  The cache owns the bookkeeping of *why*
+        it left (:meth:`~repro.cache.base.FlowCache._depart`).  A
+        tag's last rule takes its bucket with it, unsearched."""
+        rule_id = rule.rule_id
+        by_id = self._by_id
+        if by_id.get(rule_id) is not rule:
             raise KeyError(f"rule not in table {self.index}: {rule!r}")
-        bucket = self.buckets[rule.tag]
-        bucket.remove(rule)
-        self.dependencies[rule.tag].changes += 1
-        if not len(bucket):
-            del self.buckets[rule.tag]
-        del self._by_identity[rule.identity]
-        del self._by_id[rule.rule_id]
+        del by_id[rule_id]
+        del self.by_identity[rule.identity]
+        tag = rule.tag
+        buckets = self.buckets
+        bucket = buckets[tag]
+        if len(bucket) == 1:
+            del buckets[tag]
+        else:
+            bucket.remove(rule)
+        self.dependencies[tag].changes += 1
 
     def __iter__(self) -> Iterator[LtmRule]:
-        return iter(self._by_identity.values())
+        return iter(self.by_identity.values())
 
     # -- lookup -----------------------------------------------------------------------
 

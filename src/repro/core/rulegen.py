@@ -16,6 +16,12 @@ For a sub-traversal the generator computes:
 Each rule is also stamped, for revalidation, with the slice's table ids
 and the generation its traversal was walked at — the walk's, never the
 caller's ``generation``, which may be later.
+
+All of these but the generation are the slice's
+:meth:`~repro.pipeline.traversal.Traversal.slice_entry`, derived there
+once per slice of a remembered traversal; each rule here is a fresh
+:class:`~repro.core.ltm.LtmRule` around it, with its own generation,
+time and id.
 """
 
 from __future__ import annotations
@@ -31,22 +37,25 @@ def build_ltm_rule(
     generation: int = 0,
     now: float = 0.0,
 ) -> LtmRule:
-    """Convert one sub-traversal into an LTM cache rule."""
-    match, actions = sub.match_and_commit()
-    next_table = sub.next_table
-    next_tag = TAG_DONE if next_table is None else next_table
-    rule = LtmRule(
-        tag=sub.start_table,
-        match=match,
-        priority=sub.length,
-        actions=actions,
-        next_tag=next_tag,
-        parent_flow=sub.flow_at_entry,
-        generation=generation,
-        now=now,
+    """Convert one sub-traversal into an LTM cache rule: a fresh rule
+    around the slice's
+    :meth:`~repro.pipeline.traversal.Traversal.slice_entry`."""
+    traversal = sub.traversal
+    match, actions, tag, priority, next_table, entry_flow, path = (
+        traversal.slice_entry(sub.start, sub.stop)
     )
-    rule.path = sub.traversal.table_ids[sub.start:sub.stop]
-    rule.verified = sub.traversal.generation
+    rule = LtmRule(
+        tag,
+        match,
+        priority,
+        actions,
+        TAG_DONE if next_table is None else next_table,
+        entry_flow,
+        generation,
+        now,
+    )
+    rule.path = path
+    rule.verified = traversal.generation
     return rule
 
 
@@ -56,6 +65,6 @@ def build_ltm_rules(
     now: float = 0.0,
 ) -> Tuple[LtmRule, ...]:
     """Convert an ordered partition into its ordered LTM rules."""
-    return tuple(
+    return tuple([
         build_ltm_rule(sub, generation, now) for sub in partition
-    )
+    ])

@@ -24,7 +24,8 @@ def validate_cache(cache: GigaflowCache) -> None:
     """Check structural invariants; raises :class:`CacheInvariantError`.
 
     * per-table entry counts within capacity;
-    * every rule findable through its own identity (index consistency);
+    * every rule findable through its own identity (index consistency)
+      and recording the table that holds it;
     * priorities positive and equal to recorded lengths;
     * next-tags either terminal or plausible vSwitch table ids.
     """
@@ -38,6 +39,11 @@ def validate_cache(cache: GigaflowCache) -> None:
             if table.find_identical(rule.identity) is not rule:
                 raise CacheInvariantError(
                     f"identity index inconsistent for {rule!r}"
+                )
+            if rule.table != table.index:
+                raise CacheInvariantError(
+                    f"table back-reference {rule.table} on {rule!r} "
+                    f"held by table {table.index}"
                 )
             if rule.priority != rule.length or rule.priority < 1:
                 raise CacheInvariantError(

@@ -58,8 +58,8 @@ class Traversal:
     """A complete trace of one slow-path execution: ``<T, F, W>``.
 
     A traversal the pipeline remembers (:meth:`remember_slices`) keeps
-    each slice's derived match and commit, so installing it again
-    derives nothing; any other derives afresh on every call.
+    each slice's :meth:`slice_entry`, so installing it again derives
+    nothing; any other derives afresh on every call.
 
     :attr:`generation` is the pipeline generation the walk was made at
     (``None`` for a traversal no pipeline walked); cache entries built
@@ -70,7 +70,7 @@ class Traversal:
     steps: Tuple[TraversalStep, ...]
     disposition: Disposition
     # Not dataclass fields, so they take no part in equality, hashing
-    # or repr.  ``_slices``: (start, stop) → (match, commit);
+    # or repr.  ``_slices``: (start, stop) → its :meth:`slice_entry`;
     # ``_table_ids`` / ``_boundary_bits``: :attr:`table_ids` /
     # :attr:`boundary_bits`, once worked out.
     _slices = None
@@ -133,31 +133,43 @@ class Traversal:
         )
 
     def remember_slices(self) -> None:
-        """Keep every slice :meth:`match_and_commit` computes from now on."""
+        """Keep every :meth:`slice_entry` computed from now on."""
         object.__setattr__(self, "_slices", {})
 
-    def match_and_commit(
-        self, start: int, stop: int
-    ) -> Tuple[TernaryMatch, ActionList]:
-        """The cache entry for ``steps[start:stop]``: its match — the
-        entry flow masked by the slice's :func:`union_wildcards` — and its
-        commit, the rewrites from entry to exit flow plus, for a slice
-        that ends the traversal, the terminal actions (§4.2.3)."""
+    def slice_entry(self, start: int, stop: int) -> tuple:
+        """Everything a cache entry for ``steps[start:stop]`` is derived
+        from, as ``(match, commit, tag, priority, next table, entry
+        flow, path)``: the match is the entry flow masked by the
+        slice's :func:`union_wildcards`; the commit is the rewrites
+        from entry to exit flow plus, for a slice that ends the
+        traversal, the terminal actions (§4.2.3); the tag is the
+        slice's first table id, the priority its length, the next
+        table the one after it (``None`` when it ends the traversal)
+        and the path its table ids.  The one place a slice is
+        derived; a remembered traversal derives each slice once."""
         slices = self._slices
         if slices is not None:
             derived = slices.get((start, stop))
             if derived is not None:
                 return derived
-        steps = self.steps[start:stop]
-        entry_flow = steps[0].flow_before
+        all_steps = self.steps
+        steps = all_steps[start:stop]
+        first = steps[0]
+        entry_flow = first.flow_before
         last = steps[-1]
+        terminal = stop == len(all_steps)
         derived = (
             TernaryMatch(entry_flow, union_wildcards(steps)),
             ActionList.commit(
                 entry_flow,
                 last.flow_after,
-                last.actions if stop == len(self.steps) else ActionList(),
+                last.actions if terminal else ActionList(),
             ),
+            first.table_id,
+            stop - start,
+            last.next_table,
+            entry_flow,
+            self.table_ids[start:stop],
         )
         if slices is not None:
             slices[start, stop] = derived
@@ -174,13 +186,13 @@ class Traversal:
 
         ``boundaries=[2, 4]`` over 6 steps yields slices [0:2], [2:4], [4:6].
         """
-        cuts = [0, *boundaries, len(self.steps)]
-        for left, right in zip(cuts, cuts[1:]):
-            if left >= right:
-                raise ValueError(f"bad partition boundaries: {boundaries}")
-        return tuple(
-            self.sub(left, right) for left, right in zip(cuts, cuts[1:])
-        )
+        cuts = (0, *boundaries, len(self.steps))
+        # A boundary out of order or out of range fails a slice's own
+        # bounds check.
+        return tuple([
+            SubTraversal(self, left, right)
+            for left, right in zip(cuts, cuts[1:])
+        ])
 
 
 class SubTraversal:
@@ -227,21 +239,12 @@ class SubTraversal:
     def is_terminal(self) -> bool:
         return self.stop == len(self.traversal.steps)
 
-    @property
-    def flow_at_entry(self) -> FlowKey:
-        return self.traversal.steps[self.start].flow_before
-
     # -- caching-relevant views -----------------------------------------------------
 
     def effective_wildcard(self) -> Wildcard:
         """The ``ω_k = ∪ W_i`` of §4.2.3, scoped to this slice: masks of
         fields overwritten earlier *within the slice* do not propagate."""
         return union_wildcards(self.steps)
-
-    def match_and_commit(self) -> Tuple[TernaryMatch, ActionList]:
-        """This slice's match and commit
-        (:meth:`Traversal.match_and_commit`)."""
-        return self.traversal.match_and_commit(self.start, self.stop)
 
     def field_set(self) -> frozenset:
         """Fields this sub-traversal matches on (disjointness unit)."""

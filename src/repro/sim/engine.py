@@ -38,7 +38,7 @@ from .results import SimResult, TimeSeries
 _INF = float("inf")
 
 
-@dataclass
+@dataclass(slots=True)
 class InstallCost:
     """Slow-path work performed while installing one traversal.
 

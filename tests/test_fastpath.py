@@ -22,6 +22,7 @@ Three properties matter:
 """
 
 import dataclasses
+import gc
 import sys
 
 import hypothesis.strategies as st
@@ -480,18 +481,28 @@ def _chain(num_tables):
 
 
 def _frames_opened(call):
-    """Python frames ``call()`` opens (C calls are not frames)."""
+    """Python frames ``call()`` opens (C calls are not frames).
+
+    A garbage collection during ``call()`` would run finalizers of
+    earlier tests' objects (a ``Tracer.__del__``, say) and their frames
+    would count too, so garbage is collected first and collection is
+    paused for the measured call."""
     opened = 0
 
     def profile(_frame, event, _arg):
         nonlocal opened
         opened += event == "call"
 
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         call()
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return opened
 
 

@@ -79,7 +79,7 @@ class TestLtmTable:
         table = LtmTable(0, capacity=2)
         assert table.insert(ltm_rule({"tp_dst": 1}))
         assert table.insert(ltm_rule({"tp_dst": 2}))
-        assert table.is_full
+        assert len(table) == table.capacity
         assert not table.insert(ltm_rule({"tp_dst": 3}))
 
     def test_remove(self):

@@ -163,19 +163,21 @@ class TestSliceDerivation:
         assert second is not first
         assert second.match is first.match
         assert second.actions is first.actions
+        assert second.path is first.path
+        assert second.parent_flow is first.parent_flow
         assert (second.generation, second.last_used) == (5, 3.0)
         assert second.rule_id != first.rule_id
         entry = build_megaflow_entry(traversal, 0)
-        assert entry.match is traversal.match_and_commit(0, len(traversal))[0]
+        assert entry.match is traversal.slice_entry(0, len(traversal))[0]
 
     def test_replay_derives_afresh_and_equal(self, mini_pipeline,
                                              default_flow):
         executed = mini_pipeline.execute(default_flow)
         replayed = mini_pipeline.replay(default_flow, 0, len(executed))
         for start, stop in ((0, 4), (0, 2), (2, 4), (3, 4)):
-            derived = replayed.match_and_commit(start, stop)
-            assert derived == executed.match_and_commit(start, stop)
-            assert replayed.match_and_commit(start, stop)[0] is not derived[0]
+            derived = replayed.slice_entry(start, stop)
+            assert derived == executed.slice_entry(start, stop)
+            assert replayed.slice_entry(start, stop)[0] is not derived[0]
 
     def test_megaflow_entry_is_the_whole_slice(self, mini_pipeline,
                                                default_flow):
