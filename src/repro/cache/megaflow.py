@@ -207,10 +207,8 @@ class MegaflowCache(FlowCache):
         return ENTRY_TABLE
 
     def replay_agrees(self, entry: MegaflowEntry, replay: Traversal) -> bool:
-        rebuilt = build_megaflow_entry(replay)
-        return (
-            rebuilt.match == entry.match and rebuilt.actions == entry.actions
-        )
+        match, actions = replay.slice_entry(0, len(replay))[:2]
+        return match == entry.match and actions == entry.actions
 
     # -- observability ----------------------------------------------------------------
 

@@ -135,7 +135,10 @@ class _Group(Generic[RuleT]):
     the group's full mask and its key table is :attr:`rules` itself.
     """
 
-    __slots__ = ("stages", "rules", "max_priority", "prefixes", "seq", "mask")
+    __slots__ = (
+        "stages", "rules", "max_priority", "best_count", "prefixes", "seq",
+        "mask",
+    )
 
     def __init__(self, mask: int):
         self.seq = next(_group_seq)
@@ -143,16 +146,26 @@ class _Group(Generic[RuleT]):
         #: Packed masked value -> rules, best priority first.
         self.rules: Dict[int, List[RuleT]] = {}
         self.max_priority = 0
+        #: How many resident rules sit at :attr:`max_priority`: only the
+        #: last of them to leave can lower it.
+        self.best_count = 0
         self.stages: Optional[Tuple[_Stage, ...]] = None
         #: ``(field index, prefix length)`` of every trie field whose
         #: mask here is prefix-shaped; set with :attr:`stages`.
         self.prefixes: Tuple[Tuple[int, int], ...] = ()
 
     def recompute_max_priority(self) -> None:
-        self.max_priority = max(
+        """Rescan for the best priority and how many rules hold it."""
+        best = self.max_priority = max(
             (rules[0].priority for rules in self.rules.values()),
             default=0,
         )
+        self.best_count = sum([
+            1
+            for rules in self.rules.values()
+            for rule in rules
+            if rule.priority == best
+        ])
 
 
 #: One group under one key of a level: ``[group mask, group rules,
@@ -308,6 +321,9 @@ class TupleSpaceClassifier(Generic[RuleT]):
             insort(bucket, rule, key=_bucket_order)
         if raised:
             group.max_priority = rule.priority
+            group.best_count = 1
+        elif rule.priority == old_priority:
+            group.best_count += 1
         self._size += 1
         if self._tries is not None:
             if created:
@@ -338,23 +354,26 @@ class TupleSpaceClassifier(Generic[RuleT]):
             if levels is not None:
                 levels[old_priority].pop(group, canonical)
         self._size -= 1
-        # Only a group's best rule can change its best priority, and the
-        # last rule of a group is its best.
-        demoted = rule.priority >= old_priority
+        emptied = not group.rules
+        moved = False
+        # Only the last rule at a group's best priority to leave can
+        # lower it (and the last rule of a group is its best).
+        if not emptied and rule.priority == old_priority:
+            group.best_count -= 1
+            if not group.best_count:
+                group.recompute_max_priority()
+                moved = group.max_priority != old_priority
         if self._tries is not None:
             self._unfile_walk(group, canonical)
-            if demoted:
+            if emptied or moved:
                 self._order_dirty = True
-        if not group.rules:
+        if emptied:
             del self._groups[mask]
             if levels is not None:
                 self._unindex_group(group, old_priority)
-            return
-        if demoted:
-            group.recompute_max_priority()
-            if group.max_priority != old_priority and levels is not None:
-                self._unindex_group(group, old_priority)
-                self._index_group(group)
+        elif moved and levels is not None:
+            self._unindex_group(group, old_priority)
+            self._index_group(group)
 
     def clear(self) -> None:
         self._groups.clear()

@@ -31,7 +31,7 @@ from ..pipeline.pipeline import ENTRY_TABLE
 from ..pipeline.traversal import Traversal
 from .ltm import TAG_DONE, LtmRule, LtmTable
 from .partition import Partitioner, disjoint_partition
-from .rulegen import build_ltm_rule, build_ltm_rules
+from .rulegen import build_ltm_rules
 
 
 @dataclass(slots=True)
@@ -188,6 +188,7 @@ class GigaflowCache(FlowCache):
         composed: List[Action] = []
         touches: list = []
         steps: list = []
+        port = None  # the composition's first output port
         probes = 0
         counters = self._probe_counters
         trace_probe = self._trace_probe
@@ -210,15 +211,17 @@ class GigaflowCache(FlowCache):
             if rule is None:
                 continue  # pass-through: not this packet's next segment
             touches.append((rule, table.move_to_recent, rule.rule_id))
-            composed.extend(rule.actions)
-            current = rule.actions.apply(current)
+            actions = rule.actions
+            composed.extend(actions)
+            if port is None:
+                port = actions.output_port()
+            current = actions.apply(current)
             tag = rule.next_tag
         if tag == TAG_DONE:
-            actions = ActionList(composed)
             result = CacheResult(
                 hit=True,
-                actions=actions,
-                output_port=actions.output_port(),
+                actions=ActionList(composed),
+                output_port=port,
                 groups_probed=probes,
                 tables_hit=len(touches),
             )
@@ -357,14 +360,16 @@ class GigaflowCache(FlowCache):
         return rule.tag
 
     def replay_agrees(self, rule: LtmRule, replay: Traversal) -> bool:
-        if len(replay) != rule.length:
+        length = len(replay)
+        if length != rule.length:
             # The path from this tag got shorter — stale.
             return False
-        rebuilt = build_ltm_rule(replay.sub(0, len(replay)))
+        match, actions, _, _, next_table = replay.slice_entry(0, length)[:5]
         return (
-            rebuilt.match == rule.match
-            and rebuilt.actions == rule.actions
-            and rebuilt.next_tag == rule.next_tag
+            match == rule.match
+            and actions == rule.actions
+            and (TAG_DONE if next_table is None else next_table)
+            == rule.next_tag
         )
 
     # -- observability -------------------------------------------------------------------

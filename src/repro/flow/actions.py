@@ -11,8 +11,9 @@ user-visible actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
+from .fields import DEFAULT_SCHEMA
 from .key import FlowKey
 
 
@@ -58,17 +59,54 @@ class Controller(Action):
         return "Controller()"
 
 
+#: Distinct ``(field index, value)`` set-fields :meth:`ActionList.commit`
+#: shares before it starts over.
+SET_FIELD_MEMO_SIZE = 1 << 14
+
+#: The shared set-fields, by ``(field index, value)``.
+_set_fields: Dict[Tuple[int, int], SetField] = {}
+
+_TERMINAL = (Output, Drop, Controller)
+
+
+def _set_field(index: int, value: int) -> SetField:
+    """The one :class:`SetField` of field ``index`` to ``value``:
+    equal set-fields are interchangeable, and a commit builds one per
+    rewritten field."""
+    key = (index, value)
+    action = _set_fields.get(key)
+    if action is None:
+        if len(_set_fields) >= SET_FIELD_MEMO_SIZE:
+            _set_fields.clear()
+        action = _set_fields[key] = SetField(
+            DEFAULT_SCHEMA[index].name, value
+        )
+    return action
+
+
 class ActionList:
     """An immutable ordered list of actions with composition helpers.
 
     The tuple ``actions`` is a plain attribute, read-only by convention.
+    On first use a list resolves itself once (:meth:`_resolve`): its
+    set-fields as validated ``(field index, value)`` pairs, the packed
+    mask of the fields they overwrite, its terminal actions and its
+    output port.
     """
 
-    __slots__ = ("actions", "_hash")
+    __slots__ = (
+        "actions", "_hash", "_rewrites", "_sets", "_terminals", "_port",
+    )
 
     def __init__(self, actions: Iterable[Action] = ()):
         self.actions: Tuple[Action, ...] = tuple(actions)
         self._hash: Optional[int] = None
+        #: ``None`` until resolved; then the packed mask of the fields
+        #: the set-fields overwrite.
+        self._rewrites: Optional[int] = None
+        self._sets: Tuple[Tuple[int, int], ...] = ()
+        self._terminals: Tuple[Action, ...] = ()
+        self._port: Optional[int] = None
 
     # -- container protocol ------------------------------------------------------
 
@@ -99,39 +137,67 @@ class ActionList:
 
     # -- queries ---------------------------------------------------------------------
 
+    def _resolve(self) -> int:
+        """Work out, once, the set-field pairs (each value checked
+        against its field's width), the rewrite mask, the terminal
+        actions and the output port; returns the rewrite mask."""
+        field_masks = DEFAULT_SCHEMA.field_masks
+        index_of = DEFAULT_SCHEMA.index_of
+        rewrites = 0
+        sets = []
+        terminals = []
+        port = None
+        for action in self.actions:
+            if isinstance(action, SetField):
+                index = index_of(action.field)
+                DEFAULT_SCHEMA[index].validate_value(action.value)
+                sets.append((index, action.value))
+                rewrites |= field_masks[index]
+            elif isinstance(action, _TERMINAL):
+                terminals.append(action)
+                if port is None and isinstance(action, Output):
+                    port = action.port
+        self._sets = tuple(sets)
+        self._terminals = tuple(terminals)
+        self._port = port
+        self._rewrites = rewrites
+        return rewrites
+
+    def rewrite_mask(self) -> int:
+        """Packed mask of every field a set-field action overwrites."""
+        rewrites = self._rewrites
+        if rewrites is None:
+            rewrites = self._resolve()
+        return rewrites
+
+    def terminals(self) -> Tuple[Action, ...]:
+        """The terminal actions (output/drop/punt), in order."""
+        if self._rewrites is None:
+            self._resolve()
+        return self._terminals
+
     def is_terminal(self) -> bool:
         """True when the list ends the packet's journey (output/drop/punt)."""
-        return any(
-            isinstance(a, (Output, Drop, Controller)) for a in self.actions
-        )
+        return bool(self.terminals())
 
     def output_port(self) -> Optional[int]:
         """The output port if the list forwards the packet, else ``None``."""
-        for action in self.actions:
-            if isinstance(action, Output):
-                return action.port
-        return None
+        if self._rewrites is None:
+            self._resolve()
+        return self._port
 
     def drops(self) -> bool:
         return any(isinstance(a, Drop) for a in self.actions)
-
-    def modified_fields(self) -> Tuple[str, ...]:
-        """Names of fields overwritten by set-field actions, in order."""
-        seen = []
-        for action in self.actions:
-            if isinstance(action, SetField) and action.field not in seen:
-                seen.append(action.field)
-        return tuple(seen)
 
     # -- evaluation --------------------------------------------------------------------
 
     def apply(self, flow: FlowKey) -> FlowKey:
         """Apply set-field actions to a flow key; terminal actions are no-ops
         on the key itself (forwarding is recorded by the caller)."""
-        for action in self.actions:
-            if isinstance(action, SetField):
-                flow = flow.set_field(action.field, action.value)
-        return flow
+        if self._rewrites is None:
+            self._resolve()
+        sets = self._sets
+        return flow.with_fields(sets) if sets else flow
 
     @staticmethod
     def commit(before: FlowKey, after: FlowKey, tail: "ActionList") -> "ActionList":
@@ -140,13 +206,27 @@ class ActionList:
         ``tail`` (§4.2.3).
 
         The commit is what a cache entry replays so that a hit reproduces the
-        cumulative effect of a (sub-)traversal in one step.
+        cumulative effect of a (sub-)traversal in one step.  The changed
+        fields are the bits of ``before.packed ^ after.packed``, in
+        schema order, and the commit is built resolved.
         """
-        sets = [
-            SetField(name, after.get(name))
-            for name in before.diff_fields(after)
-        ]
-        terminals = tuple(
-            a for a in tail.actions if isinstance(a, (Output, Drop, Controller))
-        )
-        return ActionList(tuple(sets) + terminals)
+        terminals = tail.terminals()
+        changed = before.packed ^ after.packed
+        rewrites = 0
+        if changed:
+            values = after.values
+            sets = []
+            for index, field_mask in enumerate(DEFAULT_SCHEMA.field_masks):
+                if changed & field_mask:
+                    rewrites |= field_mask
+                    sets.append((index, values[index]))
+            commit = ActionList(
+                tuple([_set_field(*pair) for pair in sets]) + terminals
+            )
+            commit._sets = tuple(sets)
+        else:
+            commit = ActionList(terminals)
+        commit._terminals = terminals
+        commit._port = tail._port
+        commit._rewrites = rewrites
+        return commit

@@ -80,19 +80,22 @@ class FlowKey:
 
     # -- operations -------------------------------------------------------------------
 
-    def set_field(self, name: str, value: int) -> "FlowKey":
-        """Return a copy with one field replaced (set-field action)."""
-        index = DEFAULT_SCHEMA.index_of(name)
-        DEFAULT_SCHEMA[index].validate_value(value)
-        values = self.values
-        # Only the replaced field is new: the rest was validated, and
-        # packed, when this key was built.
+    def with_fields(self, sets: Iterable[Tuple[int, int]]) -> "FlowKey":
+        """Return a copy with each ``(field index, value)`` of ``sets``
+        written in order (set-field actions).  The values are already
+        validated (an :class:`~repro.flow.actions.ActionList` checks its
+        set-fields once), and only the written fields are new: the rest
+        was validated, and packed, when this key was built."""
+        values = list(self.values)
+        packed = self.packed
+        shifts = DEFAULT_SCHEMA.shifts
+        for index, value in sets:
+            packed ^= (values[index] ^ value) << shifts[index]
+            values[index] = value
         copy = FlowKey.__new__(FlowKey)
-        copy.values = values[:index] + (value,) + values[index + 1:]
+        copy.values = tuple(values)
         copy._hash = None
-        copy.packed = self.packed ^ (
-            (values[index] ^ value) << DEFAULT_SCHEMA.shifts[index]
-        )
+        copy.packed = packed
         return copy
 
     def masked(self, wildcard: Wildcard) -> Tuple[int, ...]:
@@ -106,13 +109,3 @@ class FlowKey:
     def matches(self, value: "FlowKey", wildcard: Wildcard) -> bool:
         """True when this key equals ``value`` on the wildcarded bits."""
         return not (self.packed ^ value.packed) & wildcard.packed
-
-    def diff_fields(self, other: "FlowKey") -> Tuple[str, ...]:
-        """Names of fields on which the two keys differ."""
-        if self.packed == other.packed:
-            return ()
-        return tuple(
-            field.name
-            for field, a, b in zip(DEFAULT_SCHEMA, self.values, other.values)
-            if a != b
-        )

@@ -13,10 +13,14 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from ..flow.actions import ActionList
-from ..flow.fields import DEFAULT_SCHEMA
 from ..flow.key import FlowKey
 from ..flow.match import TernaryMatch
 from ..flow.wildcard import Wildcard
+
+
+#: The tail of a slice that does not end its traversal: its commit
+#: carries no terminal action.
+_NO_TAIL = ActionList()
 
 
 class Disposition(enum.Enum):
@@ -163,7 +167,7 @@ class Traversal:
             ActionList.commit(
                 entry_flow,
                 last.flow_after,
-                last.actions if terminal else ActionList(),
+                last.actions if terminal else _NO_TAIL,
             ),
             first.table_id,
             stop - start,
@@ -263,11 +267,9 @@ def union_wildcards(steps: Sequence[TraversalStep]) -> Wildcard:
     the original packet)."""
     if not steps:
         raise ValueError("cannot union zero steps")
-    field_masks = DEFAULT_SCHEMA.field_masks
     packed = 0
     rewritten = 0  # packed mask of the fields earlier steps rewrote
     for step in steps:
         packed |= step.wildcard.packed & ~rewritten
-        for name in step.actions.modified_fields():
-            rewritten |= field_masks[DEFAULT_SCHEMA.index_of(name)]
+        rewritten |= step.actions.rewrite_mask()
     return Wildcard.from_packed(packed)

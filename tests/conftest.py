@@ -17,6 +17,7 @@ from repro.flow import (
     ActionList,
     FlowKey,
     Output,
+    SetField,
     TernaryMatch,
     ip,
     prefix_mask,
@@ -30,6 +31,14 @@ from repro.pipeline import Pipeline, PipelineRule, PipelineTable
 #: is the one a local run of that test reaches.
 DIFFERENTIAL = settings(derandomize=True, deadline=None, max_examples=150)
 settings.register_profile("differential", DIFFERENTIAL)
+
+
+def rewrite(key: FlowKey, **values: int) -> FlowKey:
+    """``key`` with fields overwritten by name, in order, as set-field
+    actions write them."""
+    return ActionList(
+        [SetField(name, value) for name, value in values.items()]
+    ).apply(key)
 
 
 def flow(

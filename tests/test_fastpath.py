@@ -53,7 +53,7 @@ from repro.workload import (
     priority_shuffle_schedule,
 )
 
-from conftest import flow, seeded_trace, seeded_workload
+from conftest import flow, rewrite, seeded_trace, seeded_workload
 from test_ltm import ltm_rule
 
 N_FLOWS = 400
@@ -664,9 +664,9 @@ class TestHitPath:
         assert fastpath.memo_hits == 4
 
     def test_a_rewritten_flow_and_an_equal_fresh_one_share_a_record(self):
-        # ``set_field`` computes ``packed`` by XOR, not by packing the
+        # A set-field computes ``packed`` by XOR, not by packing the
         # values again; the memos key by it.
-        rewritten = flow(tp_dst=80).set_field("tp_dst", 443)
+        rewritten = rewrite(flow(tp_dst=80), tp_dst=443)
         fresh = flow(tp_dst=443)
         assert rewritten.packed == fresh.packed
         cache, _ = _chain(2)

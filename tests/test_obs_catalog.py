@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import flow
+from conftest import flow, rewrite
 from repro.core import adaptive
 from repro.obs import EVENTS, Telemetry, Tracer, trace
 from repro.obs.trace import flow_id
@@ -123,9 +123,9 @@ class TestFlowId:
         """The per-packet hooks inline ``hash(flow) & 0xFFFFFFFF``; it
         must equal :func:`flow_id` — hence ``hash(flow.values)``, the
         cross-process-stable tuple hash — for keys built directly and
-        for the copies ``set_field`` makes without rehashing."""
+        for the copies a set-field makes without rehashing."""
         direct = flow()
-        derived = flow(tp_dst=80).set_field("tp_dst", 443)
+        derived = rewrite(flow(tp_dst=80), tp_dst=443)
         assert derived == direct and derived is not direct
         for key in (direct, derived, flow(in_port=2)):
             assert flow_id(key) == hash(key) & 0xFFFFFFFF

@@ -103,7 +103,7 @@ class TestPackedLayout:
         index = data.draw(st.integers(0, len(schema) - 1))
         full = schema.full_masks[index]
         new = data.draw(st.sampled_from([0, full]) | st.integers(0, full))
-        key = FlowKey(values).set_field(schema[index].name, new)
+        key = FlowKey(values).with_fields([(index, new)])
         expected = values[:index] + (new,) + values[index + 1:]
         assert key.values == expected
         assert key.packed == schema.pack(expected)

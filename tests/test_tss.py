@@ -13,6 +13,7 @@ from hypothesis.stateful import (
 )
 
 from repro.classify import PrefixTrie, TupleSpaceClassifier
+from repro.classify.tss import _Group
 from repro.flow import (
     ActionList,
     Output,
@@ -369,6 +370,58 @@ class TestClimbEqualsWalk:
 
 def walk_groups(classifier):
     return list(classifier._groups.values())
+
+
+def rescanned_best(group):
+    """A group's best priority and how many rules hold it, by rescan."""
+    priorities = [rule.priority for rules in group.rules.values()
+                  for rule in rules]
+    best = max(priorities)
+    return best, priorities.count(best)
+
+
+class TestBestPriorityCount:
+    """Each group counts its rules at its best priority, so only the
+    last of them to leave rescans.  A seeded insert / remove stream with
+    ties at the best priority, and one where every rule has priority 0
+    as a Megaflow entry does; after every step the count equals a
+    rescan and the climb equals the walk."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("priorities", [(1, 2, 3), (0,)])
+    def test_count_equals_a_rescan(self, seed, priorities, monkeypatch):
+        rescans = []
+        rescan = _Group.recompute_max_priority
+        monkeypatch.setattr(
+            _Group, "recompute_max_priority",
+            lambda group: rescans.append(group.seq) or rescan(group),
+        )
+        rng = random.Random(seed)
+        classifier = TupleSpaceClassifier()
+        resident = []
+        for _ in range(200):
+            if resident and rng.random() < 0.45:
+                classifier.remove(resident.pop(rng.randrange(len(resident))))
+            else:
+                template = rng.choice(INDEX_TEMPLATES)
+                values = {
+                    name: rng.choice(INDEX_VALUES[name]) for name in template
+                }
+                added = make_rule(
+                    values, dict(template), rng.choice(priorities)
+                )
+                classifier.insert(added)
+                resident.append(added)
+            for group in walk_groups(classifier):
+                assert (group.max_priority, group.best_count) == (
+                    rescanned_best(group)
+                )
+            for probe in WALK_PROBES:
+                same_as_walk(classifier, probe)
+        if len(priorities) == 1:
+            assert not rescans  # a group's last rule leaves it: no rescan
+        else:
+            assert rescans
 
 
 class TestIndexLifetime:
