@@ -131,25 +131,68 @@ class HitReplay:
     While the cache is still at :attr:`epoch` nothing at all has
     changed and the record replays unchecked.  Once the epoch has moved
     the fast path asks :meth:`still_valid`, lazily, when the flow next
-    sends a packet — a record that can tell the change did not touch
-    what its lookup depended on is re-stamped and replayed, any other
-    is dropped.  That check is the only behaviour that differs per
-    cache.
+    sends a packet — a record whose lookup, re-run, would find what it
+    found is re-stamped and replayed, any other is dropped.  That check
+    is the only behaviour that differs per cache: Gigaflow's record
+    re-runs the LTM lookups whose buckets changed
+    (``core/gigaflow.py``), a single-entry cache's re-runs its one
+    search (:class:`EntryHitReplay`).
     """
 
     __slots__ = ("touches", "stats", "result", "epoch", "tally")
 
-    def __init__(self, touches, stats, result: CacheResult):
+    def still_valid(self) -> bool:
+        """Whether, the epoch having moved, a full lookup would still
+        reproduce this record exactly; a record re-charged by the check
+        holds a new :attr:`result`.  Each cache's record answers with
+        its own re-run of the lookup."""
+        raise NotImplementedError
+
+
+class EntryHitReplay(HitReplay):
+    """The hit of a cache that answers with one entry (Microflow,
+    Megaflow, a hierarchy's Microflow level): one touch, and the search
+    that found the entry.
+
+    ``find`` is that search, the cache's own, and ``key`` what it was
+    called with (the packed flow): ``find(key)`` returns ``(winner,
+    groups_probed)`` as the lookup's did.  A stale record re-runs it
+    and stays valid exactly when the winner is still its entry, holding
+    the same actions object: the touch, the hit counts and the actions
+    and port handed out are then the full lookup's.  A moved probe
+    count is re-charged in a new result.
+
+    Megaflow's search is a TSS climb, not a residency test: entries of
+    two pipeline generations can overlap until revalidation reaches
+    them, and a new entry in an older mask group then wins over a
+    resident one.
+    """
+
+    __slots__ = ("find", "key")
+
+    def __init__(self, touches, stats, result: CacheResult, find, key):
         self.touches = touches
         self.stats = stats
         self.result = result
         self.tally = 0
+        self.find = find
+        self.key = key
 
     def still_valid(self) -> bool:
-        """Whether, the epoch having moved, a full lookup would still
-        reproduce this record exactly.  A record that keeps no account
-        of what it depended on cannot know."""
-        return False
+        """A full lookup now finds the same entry with the same actions
+        object; its probe count replaces the old one."""
+        winner, probed = self.find(self.key)
+        kept = self.result
+        if winner is not self.touches[0][0] or (
+            winner.actions is not kept.actions
+        ):
+            return False
+        if probed != kept.groups_probed:
+            self.result = CacheResult(
+                True, kept.actions, kept.output_port, probed,
+                kept.tables_hit,
+            )
+        return True
 
 
 def apply_hit(record: HitReplay, now: float) -> CacheResult:
@@ -387,15 +430,3 @@ class FlowCache(abc.ABC):
         ``entry.length`` tables) is ``entry`` unchanged."""
         raise NotImplementedError
 
-
-def actions_result(
-    actions: ActionList, groups_probed: int, tables_hit: int
-) -> CacheResult:
-    """Build a hit result from an entry's actions."""
-    return CacheResult(
-        hit=True,
-        actions=actions,
-        output_port=actions.output_port(),
-        groups_probed=groups_probed,
-        tables_hit=tables_hit,
-    )

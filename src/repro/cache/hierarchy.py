@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 from ..flow.key import FlowKey
 from ..pipeline.traversal import Traversal
-from .base import CacheResult, FlowCache, HitReplay
+from .base import CacheResult, EntryHitReplay, FlowCache, HitReplay
 from .megaflow import MegaflowCache
 from .microflow import MicroflowCache
 
@@ -32,7 +32,11 @@ class CacheHierarchy(FlowCache):
     promotes the flow into the Microflow cache — a mutation, so its
     record would be stale the moment it is made (and the *next* lookup
     of the same flow is a Microflow hit anyway).  A Microflow hit's
-    record is the level's, counting in the hierarchy's stats too.
+    record is the level's, counting in the hierarchy's stats too: it
+    never consulted the Megaflow level, so it stays valid while its
+    key still maps to the same Microflow entry holding the same actions
+    (:class:`~repro.cache.base.EntryHitReplay`), whatever either level
+    did since.
     """
 
     name = "hierarchy"
@@ -62,7 +66,9 @@ class CacheHierarchy(FlowCache):
         first, inner = self.microflow.lookup_traced(flow, now)
         if first.hit:
             self.stats.hits += 1
-            return first, HitReplay(inner.touches, self.hit_stats, first)
+            return first, EntryHitReplay(
+                inner.touches, self.hit_stats, first, inner.find, inner.key
+            )
         second = self.megaflow.lookup(flow, now)
         if second.hit:
             # Promote into the exact-match level (OVS's EMC insert).

@@ -19,7 +19,7 @@ from ..flow.key import FlowKey
 from ..flow.match import TernaryMatch
 from ..pipeline.pipeline import ENTRY_TABLE
 from ..pipeline.traversal import Traversal
-from .base import CacheResult, FlowCache, HitReplay, actions_result
+from .base import CacheResult, EntryHitReplay, FlowCache, HitReplay
 
 _entry_ids = itertools.count()
 
@@ -83,17 +83,12 @@ def build_megaflow_entry(
     """Collapse a traversal into a single cache entry (the paper's K=1):
     the slice of all its steps, replayed by revalidation from the entry
     table and stamped with the walk's generation."""
-    match, actions = traversal.slice_entry(0, len(traversal))[:2]
-    path = traversal.table_ids
+    length = len(traversal.steps)
+    derived = traversal.slice_entry(0, length)
     entry = MegaflowEntry(
-        match=match,
-        actions=actions,
-        parent_flow=traversal.initial_flow,
-        length=len(traversal),
-        generation=generation,
-        now=now,
+        derived[0], derived[1], derived[5], length, generation, now
     )
-    entry.path = path
+    entry.path = derived[6]
     entry.verified = traversal.generation
     return entry
 
@@ -126,24 +121,31 @@ class MegaflowCache(FlowCache):
         #: ``_by_id``'s move to the recent end, bound once, as a hit's
         #: record keeps it.
         self.move_to_recent = self._by_id.move_to_end
+        #: The classifier's climb, bound once: the search a lookup
+        #: makes and a hit's record re-runs.
+        self._climb = self._classifier.climb
 
     # -- FlowCache interface ------------------------------------------------------
 
     def lookup_traced(
         self, flow: FlowKey, now: float = 0.0
     ) -> Tuple[CacheResult, Optional[HitReplay]]:
-        entry, probed = self._classifier.climb(flow.packed)
+        packed = flow.packed
+        entry, probed = self._climb(packed)
         if entry is None:
             self.stats.misses += 1
-            return CacheResult(hit=False, groups_probed=probed), None
-        record = HitReplay(
-            ((entry, self.move_to_recent, entry.rule_id),),
-            self.hit_stats,
-            actions_result(entry.actions, probed, 1),
-        )
+            return CacheResult(False, None, None, probed), None
+        actions = entry.actions
+        result = CacheResult(True, actions, actions.output_port(), probed, 1)
         self.touch(entry, now)
         self.stats.hits += 1
-        return record.result, record
+        return result, EntryHitReplay(
+            ((entry, self.move_to_recent, entry.rule_id),),
+            self.hit_stats,
+            result,
+            self._climb,
+            packed,
+        )
 
     def touch(self, entry: MegaflowEntry, now: float) -> None:
         """Mark ``entry`` used at ``now`` (a lookup hit, an install

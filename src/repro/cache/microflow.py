@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Tuple
 from ..flow.actions import ActionList
 from ..flow.key import FlowKey
 from ..pipeline.traversal import Traversal
-from .base import CacheResult, FlowCache, HitReplay, actions_result
+from .base import CacheResult, EntryHitReplay, FlowCache, HitReplay
 
 
 class MicroflowCache(FlowCache):
@@ -43,18 +43,28 @@ class MicroflowCache(FlowCache):
     def lookup_traced(
         self, flow: FlowKey, now: float = 0.0
     ) -> Tuple[CacheResult, Optional[HitReplay]]:
-        entry = self._entries.get(flow.packed)
+        packed = flow.packed
+        entry = self._entries.get(packed)
         if entry is None:
             self.stats.misses += 1
-            return CacheResult(hit=False, groups_probed=1), None
-        record = HitReplay(
-            ((entry, self.move_to_recent, entry.key),),
-            self.hit_stats,
-            actions_result(entry.actions, 1, 1),
-        )
+            return CacheResult(False, None, None, 1), None
+        actions = entry.actions
+        result = CacheResult(True, actions, actions.output_port(), 1, 1)
         self.touch(entry, now)
         self.stats.hits += 1
-        return record.result, record
+        return result, EntryHitReplay(
+            ((entry, self.move_to_recent, packed),),
+            self.hit_stats,
+            result,
+            self.climb,
+            packed,
+        )
+
+    def climb(self, packed: int) -> Tuple[Optional[_Entry], int]:
+        """The entry for the packed flow ``packed`` (``None``: none)
+        and the probes a lookup of it is charged — the search a lookup
+        makes, in the shape a hit's record re-runs it."""
+        return self._entries.get(packed), 1
 
     def touch(self, entry: _Entry, now: float) -> None:
         """Mark ``entry`` used at ``now`` (a lookup hit, an install
@@ -86,8 +96,8 @@ class MicroflowCache(FlowCache):
     ) -> None:
         """Install the traversal's initial flow with its committed
         actions (an exact-match entry keeps no generation)."""
-        actions = traversal.slice_entry(0, len(traversal))[1]
-        self.install(traversal.initial_flow, actions, now)
+        derived = traversal.slice_entry(0, len(traversal.steps))
+        self.install(derived[5], derived[1], now)
 
     def entry_count(self) -> int:
         return len(self._entries)

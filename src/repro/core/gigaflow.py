@@ -71,8 +71,6 @@ class _GigaflowHitReplay(HitReplay):
     __slots__ = ("steps",)
 
     def __init__(self, touches, stats, steps, result):
-        # HitReplay.__init__'s body, without its frame: a record is
-        # made on every full-lookup hit.
         self.touches = touches
         self.stats = stats
         self.steps = steps

@@ -162,6 +162,9 @@ class Traversal:
         entry_flow = first.flow_before
         last = steps[-1]
         terminal = stop == len(all_steps)
+        ids = self._table_ids
+        if ids is None:
+            ids = self.table_ids
         derived = (
             TernaryMatch(entry_flow, union_wildcards(steps)),
             ActionList.commit(
@@ -173,7 +176,7 @@ class Traversal:
             stop - start,
             last.next_table,
             entry_flow,
-            self.table_ids[start:stop],
+            ids[start:stop],
         )
         if slices is not None:
             slices[start, stop] = derived
@@ -271,5 +274,9 @@ def union_wildcards(steps: Sequence[TraversalStep]) -> Wildcard:
     rewritten = 0  # packed mask of the fields earlier steps rewrote
     for step in steps:
         packed |= step.wildcard.packed & ~rewritten
-        rewritten |= step.actions.rewrite_mask()
+        # ActionList.rewrite_mask() without its frame: a walked step's
+        # actions were resolved when the walk applied them.
+        actions = step.actions
+        mask = actions._rewrites
+        rewritten |= mask if mask is not None else actions.rewrite_mask()
     return Wildcard.from_packed(packed)

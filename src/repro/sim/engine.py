@@ -52,6 +52,11 @@ class InstallCost:
     k_tables: int = 0
 
 
+#: What every one-entry install costs, shared by all of them: nothing
+#: mutates an :class:`InstallCost` once returned.
+_ONE_ENTRY = InstallCost(rules_generated=1, rules_installed=1)
+
+
 class CachingSystem:
     """Adapter pairing a cache with its install policy.
 
@@ -67,7 +72,7 @@ class CachingSystem:
     ) -> InstallCost:
         """Install cache state for a freshly-traced traversal."""
         self.cache.install_traversal(traversal, generation, now)
-        return InstallCost(rules_generated=1, rules_installed=1)
+        return _ONE_ENTRY
 
     def sharing(self) -> Optional[float]:
         return None

@@ -46,9 +46,12 @@ changed since (a per-tag change counter says which), and is valid
 exactly when every re-run finds the same winner — then it takes the
 re-runs' probe counts, is re-stamped and replayed; otherwise it is
 dropped and the full lookup runs.  A re-run is the bucket's own
-climb, one call.  Microflow,
-Megaflow and hierarchy records keep no such account and are dropped on
-any stale epoch.  Validation is lazy on purpose: the start-tag bucket
+climb, one call.  A Microflow, Megaflow or hierarchy record
+(:class:`~repro.cache.base.EntryHitReplay`) re-runs its cache's one
+search — the exact-match index, or the Megaflow classifier's climb —
+and is valid exactly when it finds the same entry holding the same
+actions object, re-charged when the climb's probe count moved.
+Validation is lazy on purpose: the start-tag bucket
 of table 0 is probed by every record, so an eager scheme would visit
 all of them on every install and eviction whether or not those flows
 ever send another packet.  Lookups whose own side effects mutate the

@@ -1,23 +1,39 @@
 """Tests for cache base helpers and small LTM-table accessors."""
 
-from repro.cache.base import CacheResult, actions_result
+from repro.cache import MegaflowCache, MegaflowEntry, MicroflowCache
+from repro.cache.base import CacheResult
 from repro.core.ltm import LtmTable
-from repro.flow import ActionList, Drop, Output
+from repro.flow import ActionList, Drop, Output, TernaryMatch
+from conftest import flow
 from test_ltm import ltm_rule
 
 
-class TestCacheResult:
-    def test_actions_result_extracts_port(self):
-        result = actions_result(
-            ActionList([Output(4)]), groups_probed=2, tables_hit=1
+def _hits(actions):
+    """A Megaflow hit (one mask group ahead of the entry's) and a
+    Microflow hit on an entry holding ``actions``."""
+    packet = flow(tp_dst=443)
+    megaflow = MegaflowCache(capacity=4)
+    for values in ({"tp_src": 9}, {"tp_dst": 443}):
+        megaflow.install(
+            MegaflowEntry(
+                TernaryMatch.from_fields(values), actions, packet, 1
+            )
         )
-        assert result.hit
-        assert result.output_port == 4
-        assert result.groups_probed == 2
+    microflow = MicroflowCache(capacity=4)
+    microflow.install(packet, actions)
+    return megaflow.lookup(packet), microflow.lookup(packet)
 
-    def test_drop_result_has_no_port(self):
-        result = actions_result(ActionList([Drop()]), 1, 1)
-        assert result.output_port is None
+
+class TestCacheResult:
+    def test_a_hit_result_carries_its_entrys_port(self):
+        actions = ActionList([Output(4)])
+        megaflow, microflow = _hits(actions)
+        assert megaflow == CacheResult(True, actions, 4, 2, 1)
+        assert microflow == CacheResult(True, actions, 4, 1, 1)
+
+    def test_a_drop_hit_result_has_no_port(self):
+        for result in _hits(ActionList([Drop()])):
+            assert result.hit and result.output_port is None
 
     def test_miss_defaults(self):
         miss = CacheResult(hit=False)

@@ -9,9 +9,11 @@ Three properties matter:
    churn, budgeted revalidation and capacity pressure (the differential
    test).
 2. **Epoch invalidation** — any structural cache mutation (install,
-   idle eviction, clear) makes memoized records stale; a record that
-   keeps no account of what it depended on (Microflow, Megaflow,
-   hierarchy) is then dropped, so replays never serve stale state.
+   idle eviction, clear) makes memoized records stale; a stale
+   Microflow, Megaflow or hierarchy record re-runs its cache's one
+   search and is dropped unless it finds the same entry holding the
+   same actions, so replays never serve stale state
+   (:class:`TestSingleEntryRecords`).
 3. **Validation exactness** — a stale Gigaflow record is replayed
    exactly when ``still_valid()`` says a full walk would find the same
    chain, and it then charges what that walk would: ``still_valid()``
@@ -23,6 +25,7 @@ Three properties matter:
 
 import dataclasses
 import gc
+import random
 import sys
 
 import hypothesis.strategies as st
@@ -37,8 +40,10 @@ from repro.obs import Telemetry
 from repro.pipeline import ENTRY_TABLE, PSC
 from repro.serve import ServeConfig, ServingDriver, stream_trace
 from repro.sim import fastpath as fastpath_module
+from repro.sim.batch import column_pairs
 from repro.sim import (
     AdaptiveGigaflowSystem,
+    CachingSystem,
     ChurnConfig,
     FastPathIndex,
     GigaflowSystem,
@@ -87,13 +92,13 @@ CHURNED_SYSTEMS = {
 }
 
 
-def run_once(make_system, fast_path: bool, churned: bool = False):
-    workload = build_workload(PSC, n_flows=N_FLOWS, locality="high", seed=11)
-    trace = workload.trace(seed=3)
+def sim_config(workload, fast_path: bool, churned: bool) -> SimConfig:
+    """Idle sweeps every 2 s at a 4 s timeout; churned, also a rule
+    storm and priority shuffles on the ACL stage, revalidated 8
+    entries per half-second tick."""
     config = SimConfig(
         max_idle=4.0, sweep_interval=2.0, fast_path=fast_path
     )
-    system = make_system()
     if churned:
         schedule = insert_delete_storm(
             workload.pilots, ACL_TABLE,
@@ -106,7 +111,16 @@ def run_once(make_system, fast_path: bool, churned: bool = False):
             sweep_interval=0.5,
             churn=ChurnConfig(schedule=schedule, reval_budget=8),
         )
-    simulator = VSwitchSimulator(workload.pipeline, system, config)
+    return config
+
+
+def run_once(make_system, fast_path: bool, churned: bool = False):
+    workload = build_workload(PSC, n_flows=N_FLOWS, locality="high", seed=11)
+    trace = workload.trace(seed=3)
+    simulator = VSwitchSimulator(
+        workload.pipeline, make_system(),
+        sim_config(workload, fast_path, churned),
+    )
     return simulator.run(trace), simulator
 
 
@@ -175,12 +189,20 @@ class TestEpochInvalidation:
         assert replayed.groups_probed == full.groups_probed
         assert replayed.tables_hit == full.tables_hit
 
-    def test_install_invalidates(self):
+    def test_unrelated_install_revalidates(self):
         cache, fastpath, target = self.warm()
         cache.install(flow(tp_src=2), ActionList([Output(2)]), now=3.0)
         assert fastpath.lookup(target, now=4.0).hit
+        # The epoch moved, the flow's entry did not: re-checked and
+        # replayed, not dropped.
+        assert (fastpath.revalidated, fastpath.invalidations) == (1, 0)
+        assert fastpath.memo_hits == 2
+
+    def test_capacity_eviction_invalidates(self):
+        cache, fastpath, target = self.warm(capacity=1)
+        cache.install(flow(tp_src=2), ActionList([Output(2)]), now=3.0)
+        assert not fastpath.lookup(target, now=4.0).hit
         assert fastpath.invalidations == 1
-        assert fastpath.memo_hits == 1  # re-ran the full lookup
 
     def test_evict_idle_invalidates(self):
         cache, fastpath, target = self.warm()
@@ -251,6 +273,243 @@ class TestEpochInvalidation:
         assert fastpath.lookup(target, now=4.0).actions == ActionList(
             [Output(9)]
         )
+        assert fastpath.invalidations == 1
+
+
+# -- Microflow, Megaflow and hierarchy record validation --------------------
+
+
+def megaflow_entry(values, actions, parent):
+    """A one-table Megaflow entry matching ``values`` exactly."""
+    return MegaflowEntry(
+        match=TernaryMatch.from_fields(values),
+        actions=actions,
+        parent_flow=parent,
+        length=1,
+    )
+
+
+class _MicroflowSystem(CachingSystem):
+    """A Microflow cache alone, installed one entry per traversal."""
+
+    name = "microflow"
+
+    def __init__(self, capacity):
+        self.cache = MicroflowCache(capacity)
+
+
+#: The single-entry systems under everything that mutates a cache
+#: while it serves: about a quarter of the working set (LRU evictions
+#: on most installs) and, for Megaflow, the rule churn and budgeted
+#: revalidation of :data:`CHURNED_SYSTEMS`.
+LIFECYCLE_SYSTEMS = {
+    "megaflow": (lambda: MegaflowSystem(capacity=N_FLOWS // 4), True),
+    "microflow": (lambda: _MicroflowSystem(N_FLOWS // 4), False),
+    "hierarchy": (
+        lambda: HierarchySystem(
+            microflow_capacity=N_FLOWS // 8, megaflow_capacity=N_FLOWS // 4
+        ),
+        False,
+    ),
+}
+
+#: What the lifecycle run does to the cache between two chunks of
+#: packets.
+_LIFECYCLE_OPS = ("none", "refresh_same", "refresh_new", "remove")
+
+
+def lifecycle_run(make_system, fast_path, churned, seed):
+    """:func:`run_once`'s run, sent 40 packets at a time, with one
+    seeded operation on a resident entry after each chunk: a refresh
+    keeping its actions object, a refresh with new actions (another
+    output port), a ``remove``, or nothing.  Installs, LRU evictions
+    and idle sweeps come from the run itself.  Returns the result, the
+    kernel, how often each operation ran and every lookup's ``(hit,
+    output port, groups probed)`` — the port is in no ``SimResult``
+    field."""
+    workload = build_workload(PSC, n_flows=N_FLOWS, locality="high", seed=11)
+    trace = workload.trace(seed=3)
+    flows = {pilot.flow.packed: pilot.flow for pilot in trace.pilots}
+    system = make_system()
+    kernel = VSwitchSimulator(
+        workload.pipeline, system, sim_config(workload, fast_path, churned)
+    ).kernel()
+    cache = system.cache
+    lookups = []
+    owner = kernel.fastpath if fast_path else cache
+    lookup = owner.lookup
+
+    def logged(packet, now):
+        result = lookup(packet, now)
+        lookups.append((result.hit, result.output_port, result.groups_probed))
+        return result
+
+    # The kernel reads its lookup off this attribute when a run starts.
+    owner.lookup = logged
+    levels = [level for _, level in cache.levels()] or [cache]
+    pairs = [pair for chunk in column_pairs(trace) for pair in chunk]
+    rng = random.Random(seed)
+    done = dict.fromkeys(_LIFECYCLE_OPS, 0)
+    for at in range(0, len(pairs), 40):
+        kernel.run(pairs[at:at + 40])
+        level = levels[rng.randrange(len(levels))]
+        op = rng.choice(_LIFECYCLE_OPS)
+        entries = list(level)
+        if op == "none" or not entries:
+            continue
+        entry = entries[rng.randrange(len(entries))]
+        done[op] += 1
+        now = kernel.now
+        if op == "remove":
+            cache.remove(entry, "revalidation")
+            continue
+        actions = (
+            entry.actions if op == "refresh_same"
+            else ActionList([Output(1000 + rng.randrange(4))])
+        )
+        if isinstance(level, MicroflowCache):
+            level.install(flows[entry.key], actions, now)
+        else:
+            level.install(
+                MegaflowEntry(
+                    entry.match, actions, entry.parent_flow, entry.length,
+                    entry.generation, now,
+                ),
+                now,
+            )
+    return kernel.finish(), kernel, done, lookups
+
+
+class TestSingleEntryRecords:
+    """A stale Microflow, Megaflow or hierarchy record re-runs its
+    cache's one search: it replays while that finds the same entry
+    holding the same actions object, re-charged when the probe count
+    moved, and is dropped otherwise."""
+
+    @pytest.mark.parametrize("name", sorted(LIFECYCLE_SYSTEMS))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_lifecycle_memo_on_equals_memo_off(self, name, seed):
+        make_system, churned = LIFECYCLE_SYSTEMS[name]
+        fast, kernel, done, logged = lifecycle_run(
+            make_system, True, churned, seed
+        )
+        slow, _, slow_done, slow_logged = lifecycle_run(
+            make_system, False, churned, seed
+        )
+        assert_same_result(fast, slow)
+        assert (done, logged) == (slow_done, slow_logged)
+        assert all(done[op] for op in _LIFECYCLE_OPS[1:]), done
+        cache = kernel.cache
+        for level in [level for _, level in cache.levels()] or [cache]:
+            assert level.stats.evictions > level.stats.insertions // 2
+        fastpath = kernel.fastpath
+        assert fastpath.revalidated > 0 and fastpath.invalidations > 0
+        if churned:
+            churn = kernel.churn.digest()
+            assert churn["events"] and churn["reval_evicted"]
+
+    def test_megaflow_unrelated_install_revalidates(self):
+        cache = MegaflowCache(capacity=8)
+        target = flow(tp_dst=443)
+        cache.install(
+            megaflow_entry({"tp_dst": 443}, ActionList([Output(1)]), target)
+        )
+        fastpath = FastPathIndex(cache)
+        looked_up = fastpath.lookup(target, now=1.0)
+        # Same mask group, another key.
+        cache.install(
+            megaflow_entry({"tp_dst": 80}, ActionList([Output(2)]), target)
+        )
+        assert fastpath.lookup(target, now=2.0) is looked_up
+        assert (fastpath.revalidated, fastpath.invalidations) == (1, 0)
+        assert looked_up == cache.lookup(target, now=3.0)
+
+    def test_a_refresh_keeping_the_actions_object_revalidates(self):
+        actions = ActionList([Output(1)])
+        megaflow = MegaflowCache(capacity=8)
+        target = flow(tp_dst=443)
+        megaflow.install(megaflow_entry({"tp_dst": 443}, actions, target))
+        microflow = MicroflowCache(capacity=8)
+        microflow.install(target, actions, now=0.0)
+        for cache in (megaflow, microflow):
+            fastpath = FastPathIndex(cache)
+            assert fastpath.lookup(target, now=1.0).hit
+            if cache is megaflow:
+                cache.install(
+                    megaflow_entry({"tp_dst": 443}, actions, target), now=2.0
+                )
+            else:
+                cache.install(target, actions, now=2.0)
+            assert fastpath.lookup(target, now=3.0).actions is actions
+            assert (fastpath.revalidated, fastpath.invalidations) == (1, 0)
+
+    def test_a_newer_entry_in_an_older_group_shadows_the_winner(self):
+        """Entries of two pipeline generations can overlap until
+        revalidation reaches them: the winner is then the one in the
+        older mask group, so a record whose entry is still resident
+        must be dropped."""
+        cache = MegaflowCache(capacity=8)
+        target = flow(tp_src=7, tp_dst=443)
+        # The older group (tp_dst), holding nothing this flow matches.
+        cache.install(
+            megaflow_entry({"tp_dst": 80}, ActionList([Output(1)]), target)
+        )
+        cache.install(
+            megaflow_entry({"tp_src": 7}, ActionList([Output(2)]), target)
+        )
+        fastpath = FastPathIndex(cache)
+        assert fastpath.lookup(target, now=1.0).output_port == 2
+        shadow = megaflow_entry(
+            {"tp_dst": 443}, ActionList([Output(3)]), target
+        )
+        cache.install(shadow, now=2.0)
+        assert cache.entry_count() == 3  # the memoized entry is resident
+        replayed = fastpath.lookup(target, now=3.0)
+        assert replayed.output_port == 3
+        assert (fastpath.revalidated, fastpath.invalidations) == (0, 1)
+        assert replayed == cache.lookup(target, now=4.0)
+
+    def test_a_megaflow_probe_count_that_moved_is_re_charged(self):
+        cache = MegaflowCache(capacity=8)
+        target = flow(tp_src=7, tp_dst=443)
+        older = megaflow_entry(
+            {"tp_dst": 80}, ActionList([Output(1)]), target
+        )
+        cache.install(older)
+        cache.install(
+            megaflow_entry({"tp_src": 7}, ActionList([Output(2)]), target)
+        )
+        fastpath = FastPathIndex(cache)
+        looked_up = fastpath.lookup(target, now=1.0)
+        assert looked_up.groups_probed == 2
+        # The older group empties: one group fewer ahead of the winner.
+        cache.remove(older, "revalidation")
+        replayed = fastpath.lookup(target, now=2.0)
+        assert (fastpath.revalidated, fastpath.invalidations) == (1, 0)
+        assert replayed.groups_probed == 1
+        assert looked_up.groups_probed == 2  # handed out, left alone
+        assert replayed == cache.lookup(target, now=3.0)
+
+    def test_a_hierarchy_record_outlives_megaflow_changes(self):
+        system = HierarchySystem(microflow_capacity=4, megaflow_capacity=4)
+        kernel = _kernel(system)
+        cache = system.cache
+        packet = _FLOWS[0]
+        record = _warm(kernel, packet)  # a Microflow-level hit's record
+        kept = record.result
+        # Another flow's miss installs into both levels.
+        other = _FLOWS[1]
+        kernel.run([(3.5, other), (3.6, other)])
+        assert record.epoch != cache.mutation_epoch
+        fastpath = kernel.fastpath
+        kernel.run([(4.0, packet)])
+        assert (fastpath.revalidated, fastpath.invalidations) == (1, 0)
+        assert record.result is kept
+        # A refresh with an equal, new actions object drops it.
+        cache.microflow.install(
+            packet, ActionList(kept.actions.actions), now=4.5
+        )
+        kernel.run([(5.0, packet)])
         assert fastpath.invalidations == 1
 
 
